@@ -87,7 +87,7 @@ def _clear_execution_caches(service):
     both keeps the comparison about execution.
     """
     service.result_cache.clear()
-    state = service.executor._serial_state
+    state = service.backend._serial_state
     if state is not None:
         state.prefix_cache.clear()
 
@@ -122,7 +122,7 @@ def test_prefix_batch_speedup(planner_store, emit, benchmark):
 
     def run():
         rows.clear()
-        with QueryService(planner_store, workers=0) as service:
+        with QueryService(planner_store, backend="serial") as service:
             service.execute_batch(PREFIX_BATCH, use_cache=False)  # warm mmaps
             off_s, plain = _best_batch_seconds(service, PREFIX_BATCH, False)
             on_s, planned = _best_batch_seconds(service, PREFIX_BATCH, True)
@@ -187,7 +187,7 @@ def test_single_query_never_regresses(planner_store, emit, benchmark):
         worst["ratio"], worst["query"] = 0.0, ""
         for engine in ENGINES:
             with QueryService(
-                planner_store, workers=0, engine=engine
+                planner_store, backend="serial", engine=engine
             ) as service:
                 service.execute_batch(SINGLE_SUITE, use_cache=False)  # warm
                 for query in SINGLE_SUITE:

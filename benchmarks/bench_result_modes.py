@@ -10,12 +10,12 @@ merge), both on the default (vectorized) engine:
   materializing the per-document rank arrays and truth-testing them:
   the pipeline leaves the shared prefix at its earliest chunkable
   frontier and stops at the first non-empty final frontier per shard;
-* **count ≥ 1.5×** — in steady-state pooled serving (worker processes,
+* **count ≥ 1.5×** — in steady-state fabric serving (worker processes,
   warm prefix caches, result cache off), ``mode="count"`` beats
   materialize-then-``len`` by at least 1.5×: the final frontier is
   never converted to document-relative rank arrays, and the merge ships
-  and sums integers across the process boundary instead of pickling
-  rank payloads.
+  and sums integers across the process boundary instead of packing
+  rank payloads into shared-memory segments.
 
 Value identity is asserted on every measured query against the seed
 evaluator (a plain per-shard :class:`Evaluator`), on both engines —
@@ -34,13 +34,15 @@ import pytest
 from repro.encoding.collection import DocumentCollection
 from repro.harness.reporting import format_table
 from repro.harness.workloads import get_forest
-from repro.service import QueryService, ShardedStore
+from repro.service import QueryService, ShardedStore, available_cpus
 from repro.xpath.evaluator import Evaluator
 
 DOCUMENTS = 8
 SHARDS = 4
 SIZE_MB = 0.6
 WORKERS = 2
+#: Backend of the count contract: the process boundary is the point.
+COUNT_BACKEND = f"fabric:{WORKERS}"
 
 #: Descendant-heavy paths whose final steps dominate the evaluation —
 #: the shapes where a caller asking "any?" pays the most for full
@@ -57,7 +59,7 @@ EXISTS_BATCH = (
 )
 
 #: Large-result queries — the shapes where shipping rank arrays across
-#: the pool's process boundary dominates a count-only answer.
+#: the process boundary dominates a count-only answer.
 COUNT_BATCH = (
     "/descendant::node()",
     "//open_auction/descendant::node()",
@@ -89,7 +91,7 @@ def _best_batch_seconds(service, queries, mode, cold, rounds=5):
     for _ in range(rounds):
         service.result_cache.clear()
         if cold:
-            state = service.executor._serial_state
+            state = service.backend._serial_state
             if state is not None:
                 state.prefix_cache.clear()
         started = time.perf_counter()
@@ -114,7 +116,7 @@ def _seed_reference(store, forest, query, engine):
 def _assert_seed_identity(store, forest, queries):
     """Materialized == seed evaluator (both engines), counts == len,
     exists == truthiness — on every measured query."""
-    with QueryService(store, workers=0) as service:
+    with QueryService(store, backend="serial") as service:
         for engine in ENGINES:
             materialized = service.execute_batch(
                 queries, engine=engine, use_cache=False
@@ -161,7 +163,7 @@ def test_exists_speedup(modes_store, modes_forest, emit, benchmark):
     def run():
         rows.clear()
         _assert_seed_identity(modes_store, modes_forest, EXISTS_BATCH)
-        with QueryService(modes_store, workers=0) as service:
+        with QueryService(modes_store, backend="serial") as service:
             service.execute_batch(EXISTS_BATCH, use_cache=False)  # warm mmaps
             mat_s, materialized = _best_batch_seconds(
                 service, EXISTS_BATCH, "materialize", cold=True
@@ -194,15 +196,15 @@ def test_exists_speedup(modes_store, modes_forest, emit, benchmark):
 
 # ----------------------------------------------------------------------
 def test_count_speedup(modes_store, modes_forest, emit, benchmark):
-    """The ≥1.5× count contract (steady-state pooled serving)."""
+    """The ≥1.5× count contract (steady-state fabric serving)."""
     rows = []
     outcome = {}
 
     def run():
         rows.clear()
         _assert_seed_identity(modes_store, modes_forest, COUNT_BATCH)
-        with QueryService(modes_store, workers=WORKERS) as service:
-            service.execute_batch(COUNT_BATCH, use_cache=False)  # warm pool
+        with QueryService(modes_store, backend=COUNT_BACKEND) as service:
+            service.execute_batch(COUNT_BATCH, use_cache=False)  # warm workers
             mat_s, materialized = _best_batch_seconds(
                 service, COUNT_BATCH, "materialize", cold=False
             )
@@ -220,6 +222,8 @@ def test_count_speedup(modes_store, modes_forest, emit, benchmark):
     benchmark.extra_info["contract_min_count_speedup"] = round(
         outcome["speedup"], 2
     )
+    benchmark.extra_info["backend"] = COUNT_BACKEND
+    benchmark.extra_info["available_cpus"] = available_cpus()
     emit(
         f"count — {len(COUNT_BATCH)} large-result queries, "
         f"{DOCUMENTS} documents / {SHARDS} shards, {WORKERS} workers, "

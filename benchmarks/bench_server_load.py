@@ -79,7 +79,7 @@ def load_store_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def expected_totals(load_store_dir):
     """Ground truth per query, from a direct (no-network) service."""
-    with QueryService(ShardedStore.open(load_store_dir), workers=0) as service:
+    with QueryService(ShardedStore.open(load_store_dir), backend="serial") as service:
         return {
             query: service.execute(query, mode="count", use_cache=False).total
             for query in POOL
@@ -89,7 +89,7 @@ def expected_totals(load_store_dir):
 @contextlib.contextmanager
 def load_server(store_dir, **config_kw):
     """A fresh service + server so phases never share caches."""
-    service = QueryService(ShardedStore.open(store_dir), workers=0)
+    service = QueryService(ShardedStore.open(store_dir), backend="serial")
     server = ThreadedServer(
         service, ServerConfig(port=0, **config_kw)
     ).start()

@@ -3,7 +3,8 @@
 Measures queries/sec of :class:`repro.service.QueryService` on a
 multi-shard XMark batch, sweeping
 
-* worker processes 0 (serial) → 4, cold result cache (the fan-out win),
+* fabric worker processes 0 (serial) → 4, cold result cache (the
+  fan-out win),
 * cold vs warm result cache at 4 workers (the caching win),
 * serial scalar execution as the pre-service baseline — single
   collection path, per-node loops, nothing cached.
@@ -11,8 +12,11 @@ multi-shard XMark batch, sweeping
 The summary asserts the service contract: **≥ 3×** queries/sec for
 4 workers + warm caches over serial cold-cache scalar execution.
 ("Cold" means the service's plan/result caches are cleared; OS page
-cache and worker pools are warmed before timing, as any long-running
-service would be.)
+cache and fabric workers are warmed before timing, as any long-running
+service would be.)  A ``fabric:N`` row needs N usable CPUs: on a
+narrower machine it skips with that reason instead of timing N
+processes taking turns on one core, and every row records the machine
+shape it ran on.
 
 Run with::
 
@@ -25,7 +29,8 @@ import pytest
 
 from repro.harness.reporting import format_table
 from repro.harness.workloads import get_forest
-from repro.service import QueryService, ShardedStore
+from repro.service import QueryService, ShardedStore, available_cpus
+from repro.service.backend import parse_backend_spec
 
 #: Documents in the store / shards it is split into.
 DOCUMENTS = 8
@@ -48,13 +53,22 @@ BATCH = (
 #: (label, engine, backend spec, warm-result-cache) configurations.
 CONFIGS = (
     ("serial-cold-scalar", "scalar", "serial", False),
-    ("w4-cold-scalar", "scalar", "pool:4", False),
+    ("w4-cold-scalar", "scalar", "fabric:4", False),
     ("serial-cold-vectorized", "vectorized", "serial", False),
-    ("w1-cold-vectorized", "vectorized", "pool:1", False),
-    ("w2-cold-vectorized", "vectorized", "pool:2", False),
-    ("w4-cold-vectorized", "vectorized", "pool:4", False),
-    ("w4-warm-vectorized", "vectorized", "pool:4", True),
+    ("w1-cold-vectorized", "vectorized", "fabric:1", False),
+    ("w2-cold-vectorized", "vectorized", "fabric:2", False),
+    ("w4-cold-vectorized", "vectorized", "fabric:4", False),
+    ("w4-warm-vectorized", "vectorized", "fabric:4", True),
 )
+
+
+def _too_narrow(backend):
+    """Why this machine cannot time ``backend`` honestly, or ``None``."""
+    _, workers = parse_backend_spec(backend)
+    cpus = available_cpus()
+    if workers and workers > cpus:
+        return f"{backend} needs {workers} CPUs; this machine has {cpus}"
+    return None
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +98,9 @@ def _measure_qps(store, engine, backend, warm, rounds=3, batch=BATCH):
 )
 def test_batch_config(benchmark, service_store, label, engine, backend, warm):
     """One pytest-benchmark line item per service configuration."""
+    reason = _too_narrow(backend)
+    if reason:
+        pytest.skip(reason)
     with QueryService(service_store, engine=engine, backend=backend) as service:
         service.execute_batch(BATCH, use_cache=warm)
 
@@ -96,6 +113,7 @@ def test_batch_config(benchmark, service_store, label, engine, backend, warm):
     benchmark.extra_info["engine"] = engine
     benchmark.extra_info["backend"] = backend
     benchmark.extra_info["warm_cache"] = warm
+    benchmark.extra_info["available_cpus"] = available_cpus()
     benchmark.extra_info["results"] = int(sum(r.total for r in results))
 
 
@@ -108,6 +126,10 @@ def test_throughput_summary(service_store, emit, benchmark):
         rows.clear()
         qps_by_label.clear()
         for label, engine, backend, warm in CONFIGS:
+            reason = _too_narrow(backend)
+            if reason:
+                rows.append({"config": label, "batch_ms": f"skipped: {reason}"})
+                continue
             qps, best_s, total = _measure_qps(service_store, engine, backend, warm)
             qps_by_label[label] = qps
             rows.append(
@@ -122,14 +144,16 @@ def test_throughput_summary(service_store, emit, benchmark):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     nodes = sum(entry["nodes"] for entry in service_store.describe()["shards"])
+    warm_ran = "w4-warm-vectorized" in qps_by_label
+    note = () if warm_ran else ("3x warm-cache contract not asserted: its row was skipped",)
     emit(
         f"service throughput — {DOCUMENTS} documents / {SHARDS} shards, "
         f"{nodes:,} nodes, batch of {len(BATCH)} queries",
         format_table(rows),
+        *note,
     )
-    contract = qps_by_label["w4-warm-vectorized"] / qps_by_label["serial-cold-scalar"]
     # The drift metric CI compares against the committed baseline must
-    # be machine-portable: the warm-cache ratio above swings orders of
+    # be machine-portable: the warm-cache ratio below swings orders of
     # magnitude with CPU speed (a cache hit is ~constant; the cold
     # denominator isn't), so the recorded ratio is the *cold* engine
     # speedup, whose numerator and denominator scale together.
@@ -139,89 +163,12 @@ def test_throughput_summary(service_store, emit, benchmark):
     benchmark.extra_info["contract_min_cold_engine_speedup"] = round(
         cold_speedup, 2
     )
-    assert contract >= 3.0, (
-        "4 workers + warm caches below the 3x contract over serial "
-        f"cold-cache scalar execution: {contract:.1f}x"
-    )
-
-
-# ----------------------------------------------------------------------
-# Fabric: shared-memory result planes vs the pickling pool.
-#
-# The fabric's claim is about *transfer*, not compute: on a
-# materialize-heavy batch the pool pickles every rank array through a
-# pipe while the fabric writes them once into a shared-memory segment
-# the parent maps zero-copy.  The batch below is deliberately
-# rank-dense (broad node tests over every shard) so result bytes, not
-# staircase work, dominate the worker→parent path.
-
-#: Queries whose answers are a large fraction of the store's nodes.
-RANK_BATCH = (
-    "//*",
-    "/descendant::node()",
-    "//site//item",
-    "//open_auction//node()",
-    "//text//keyword",
-    "//person",
-    "//bidder",
-    "//item//description//node()",
-)
-
-FABRIC_DOCUMENTS = 8
-FABRIC_SIZE_MB = 0.22
-FABRIC_WORKER_SWEEP = (1, 2, 4)
-
-
-@pytest.fixture(scope="module")
-def fabric_store(tmp_path_factory):
-    directory = str(tmp_path_factory.mktemp("fabric-bench") / "store")
-    return ShardedStore.build(
-        directory, get_forest(FABRIC_DOCUMENTS, FABRIC_SIZE_MB), shards=SHARDS
-    )
-
-
-def test_fabric_worker_scaling(fabric_store, emit, benchmark):
-    """Fabric 1→4 worker curve + the ≥ 1.5× contract over the pool.
-
-    Both backends run the identical cold-cache materialize batch; at
-    equal worker counts the staircase compute is the same, so the gap
-    is the result plane: ``multiprocessing`` pipe + pickle for the
-    pool, one shared-memory segment per worker for the fabric.
-    """
-    rows = []
-    qps_by_label = {}
-
-    def run():
-        rows.clear()
-        qps_by_label.clear()
-        sweep = [(f"fabric:{n}", f"fabric:{n}") for n in FABRIC_WORKER_SWEEP]
-        for label, spec in [("pool:4", "pool:4"), *sweep]:
-            qps, best_s, total = _measure_qps(
-                fabric_store, "vectorized", spec, warm=False, batch=RANK_BATCH
-            )
-            qps_by_label[label] = qps
-            rows.append(
-                {
-                    "backend": label,
-                    "batch_ms": f"{best_s * 1e3:.2f}",
-                    "queries_per_s": f"{qps:,.0f}",
-                    "result_mb": f"{total * 8 / 1e6:.2f}",
-                }
-            )
-        return rows
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    nodes = sum(entry["nodes"] for entry in fabric_store.describe()["shards"])
-    emit(
-        f"fabric worker scaling — {FABRIC_DOCUMENTS} documents / {SHARDS} "
-        f"shards, {nodes:,} nodes, rank-dense batch of {len(RANK_BATCH)}",
-        format_table(rows),
-    )
-    speedup = qps_by_label["fabric:4"] / qps_by_label["pool:4"]
-    benchmark.extra_info["contract_min_fabric_vs_pool_speedup"] = round(speedup, 2)
-    for n in FABRIC_WORKER_SWEEP:
-        benchmark.extra_info[f"qps_fabric_{n}"] = round(qps_by_label[f"fabric:{n}"], 1)
-    assert speedup >= 1.5, (
-        "fabric shared-memory transfer below the 1.5x contract over the "
-        f"pickling pool on a rank-dense batch: {speedup:.2f}x"
-    )
+    benchmark.extra_info["available_cpus"] = available_cpus()
+    if warm_ran:
+        contract = (
+            qps_by_label["w4-warm-vectorized"] / qps_by_label["serial-cold-scalar"]
+        )
+        assert contract >= 3.0, (
+            "4 workers + warm caches below the 3x contract over serial "
+            f"cold-cache scalar execution: {contract:.1f}x"
+        )

@@ -147,10 +147,10 @@ def test_post_update_results_equal_fresh_build(
     rebuilt = fresh_store(tmp_path_factory, f"rebuilt-id-{engine}", edited)
 
     def run():
-        with QueryService(updated, workers=0) as service:
+        with QueryService(updated, backend="serial") as service:
             service.apply_updates([splice_op("mark")])
             got = service.execute_batch(VERIFY_QUERIES, engine=engine)
-        with QueryService(rebuilt, workers=0) as service:
+        with QueryService(rebuilt, backend="serial") as service:
             expected = service.execute_batch(VERIFY_QUERIES, engine=engine)
         return got, expected
 

@@ -1,11 +1,18 @@
-"""Thin setup shim.
+"""Package metadata for ``pip install .`` / ``pip install -e .``.
 
-All metadata lives in ``pyproject.toml``; this file exists so that
-``pip install -e . --no-use-pep517`` works in offline environments where
-the ``wheel`` package (required for PEP 660 editable installs) is
-unavailable.
+There is no ``pyproject.toml``; everything setuptools needs is here.
+The version mirrors ``repro.__version__`` (``tests/test_public_api.py``
+pins the latter).
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    description="Staircase join reproduction: XPath over pre/post-encoded XML",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

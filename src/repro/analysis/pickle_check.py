@@ -1,7 +1,7 @@
 """REP004's runtime half: round-trip real cross-process payloads.
 
 The AST rule can only catch an unpicklable *annotation*; what actually
-breaks a pool worker is an unpicklable *value* — a lambda default, a
+breaks a fabric worker is an unpicklable *value* — a lambda default, a
 lock smuggled into a field, a closure hiding inside a nested tuple.  So
 this module builds one representative instance of every type named in
 :data:`repro.analysis.reprolint.PAYLOAD_REGISTRY`, pushes each through
@@ -74,7 +74,7 @@ def build_representatives() -> List[object]:
         ),
         ShardResult(index=0, shard_id=2, mode="count", counts={"doc-a": 3}),
         UpdateOp(op="delete", document="doc-a", pre=4),
-        # Feedback observations ride fabric result messages and pool pipes.
+        # Feedback observations ride the fabric's result messages.
         StepObservation(("step", "descendant", "a"), n_in=4, n_out=9, ns=1200),
         DriveObservation(
             shard_id=2,

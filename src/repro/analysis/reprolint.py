@@ -452,7 +452,7 @@ class LoopConfinement(Rule):
 # REP004 — pickle safety of registered cross-process payloads
 # ----------------------------------------------------------------------
 #: module → class names whose instances cross a process boundary
-#: (pickled to pool workers or shipped through fabric queues).  The
+#: (pickled through the fabric's worker queues).  The
 #: runtime half (`repro.analysis.pickle_check`) round-trips real
 #: instances of every entry at import time.
 PAYLOAD_REGISTRY: Dict[str, Tuple[str, ...]] = {

@@ -11,7 +11,7 @@ Makes the library usable without writing Python::
     python -m repro info auction.npz
     python -m repro sql "/descendant::profile/descendant::education"
     python -m repro shard -o store --generate 8 --size 0.2 --shards 4
-    python -m repro serve-batch store "//open_auction[bidder]/seller" --backend pool:4
+    python -m repro serve-batch store "//open_auction[bidder]/seller" --backend fabric:4
     python -m repro serve-batch store "//person" --mode exists
     python -m repro serve store --port 8080 --rate 50 --queue-limit 32
     python -m repro update store ops.json --verify "//person"
@@ -85,7 +85,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     stats = JoinStatistics()
     evaluator = Evaluator(
         doc,
-        strategy=args.strategy,
         engine=args.engine,
         pushdown=args.pushdown,
         stats=stats,
@@ -156,21 +155,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _cmd_shard(args: argparse.Namespace) -> int:
     from repro.service import ShardedStore
 
-    if args.info:
-        store = ShardedStore.open(args.info)
-        summary = store.describe()
-        print(f"store       {summary['directory']}")
-        print(f"epoch       {summary['epoch']}")
-        print(f"documents   {summary['documents']}")
-        for entry in summary["shards"]:
-            print(
-                f"  shard {entry['id']:<4d} {entry['nodes']:>10,} nodes  "
-                f"{entry['file']}  [{', '.join(entry['documents'])}]"
-            )
-        return 0
-    if not args.output:
-        print("error: -o/--output is required to build a store", file=sys.stderr)
-        return 1
     documents = []
     for path in args.documents:
         documents.append((os.path.basename(path), parse_file(path)))
@@ -249,19 +233,6 @@ def _backend_spec(value: str) -> str:
     return value
 
 
-def _backend_kwargs(args: argparse.Namespace) -> dict:
-    """Map ``--backend``/``--workers`` onto ``QueryService`` arguments.
-
-    ``--workers`` is the deprecated spelling; passing it alongside
-    ``--backend`` is rejected by the service (``--backend pool:4``
-    covers the combination).
-    """
-    kwargs: dict = {"backend": args.backend}
-    if args.workers is not None:
-        kwargs["workers"] = args.workers
-    return kwargs
-
-
 def _cmd_serve_batch(args: argparse.Namespace) -> int:
     from repro.service import QueryService, ShardedStore
 
@@ -286,7 +257,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         store,
         engine=args.engine,
         planner=not args.no_planner,
-        **_backend_kwargs(args),
+        backend=args.backend,
     )
     with service:
         for round_number in range(1, args.repeat + 1):
@@ -312,7 +283,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         if args.stats:
-            print(f"service statistics: {service.cache_info()}", file=sys.stderr)
+            print(f"service statistics: {service.stats_snapshot()}", file=sys.stderr)
     return 0
 
 
@@ -337,7 +308,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store,
         engine=args.engine,
         planner=not args.no_planner,
-        **_backend_kwargs(args),
+        backend=args.backend,
     )
     with service:
         asyncio.run(QueryServer(service, config).serve())
@@ -601,11 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--engine", choices=("scalar", "vectorized"), default=None,
         help="execution engine: per-node scalar loops (default) or numpy "
-        "bulk kernels for every axis step; overrides --strategy",
-    )
-    cmd.add_argument(
-        "--strategy", choices=("staircase", "vectorized"), default=None,
-        help="deprecated alias for --engine (staircase = scalar)",
+        "bulk kernels for every axis step",
     )
     cmd.add_argument("--serialize", action="store_true", help="print result subtrees as XML")
     cmd.add_argument("--limit", type=int, default=None, help="show at most N results")
@@ -622,11 +589,11 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--top", type=int, default=10, help="tags to list")
     cmd.set_defaults(handler=_cmd_info)
 
-    cmd = commands.add_parser(
-        "shard", help="build (or inspect) a sharded document store"
-    )
+    cmd = commands.add_parser("shard", help="build a sharded document store")
     cmd.add_argument("documents", nargs="*", help=".xml files to load")
-    cmd.add_argument("-o", "--output", help="store directory to create")
+    cmd.add_argument(
+        "-o", "--output", required=True, help="store directory to create"
+    )
     cmd.add_argument(
         "--shards", type=int, default=4,
         help="shard count (clamped to the number of documents; default 4)",
@@ -642,10 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard archive layout: packed = dictionary + bit-packed page "
         "blocks (v3), none = eager arrays (v2), auto = packed for large "
         "shards (default)",
-    )
-    cmd.add_argument(
-        "--info", metavar="DIR", default=None,
-        help="describe an existing store instead of building one",
     )
     cmd.set_defaults(handler=_cmd_shard)
 
@@ -677,13 +640,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmd.add_argument(
         "--backend", type=_backend_spec, default=None, metavar="NAME[:N]",
-        help="execution backend: serial, pool, or fabric, with an "
-        "optional worker count (e.g. fabric:4); default: $REPRO_BACKEND "
-        "or a pool with one worker per shard",
-    )
-    cmd.add_argument(
-        "--workers", type=int, default=None,
-        help="deprecated: use --backend (0 = serial, N = pool:N)",
+        help="execution backend: serial (in-process) or fabric with an "
+        "optional worker count (e.g. fabric:4); default: $REPRO_BACKEND, "
+        "else serial",
     )
     cmd.add_argument(
         "--repeat", type=int, default=1,
@@ -748,13 +707,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmd.add_argument(
         "--backend", type=_backend_spec, default=None, metavar="NAME[:N]",
-        help="execution backend: serial, pool, or fabric, with an "
-        "optional worker count (e.g. fabric:4); default: $REPRO_BACKEND "
-        "or a pool with one worker per shard",
-    )
-    cmd.add_argument(
-        "--workers", type=int, default=None,
-        help="deprecated: use --backend (0 = serial, N = pool:N)",
+        help="execution backend: serial (in-process) or fabric with an "
+        "optional worker count (e.g. fabric:4); default: $REPRO_BACKEND, "
+        "else serial",
     )
     cmd.add_argument(
         "--no-planner", action="store_true",

@@ -2,9 +2,9 @@
 
 These are the values that travel from shard workers back to the
 service process, so they are deliberately flat — NamedTuples of
-primitives (strings, ints, nested tuples) that pickle cheaply through
-a pool pipe and inline through the fabric's result messages.  Both are
-registered in :data:`repro.analysis.reprolint.PAYLOAD_REGISTRY`.
+primitives (strings, ints, nested tuples) that pickle cheaply inline
+in the fabric's result messages.  Both are registered in
+:data:`repro.analysis.reprolint.PAYLOAD_REGISTRY`.
 
 A **step signature** names one pipeline position independently of the
 shard, the epoch, and the pushdown placement, so observations

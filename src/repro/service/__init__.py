@@ -9,11 +9,10 @@ package turns that into a servable system:
   plans and finished results;
 * :class:`~repro.service.backend.ExecutionBackend` — how batches fan
   out over the shards: :class:`~repro.service.backend.SerialBackend`
-  (in-process), :class:`~repro.service.backend.PoolBackend`
-  (multiprocessing, pickled results), or
+  (in-process, the default) or
   :class:`~repro.service.fabric.FabricBackend` (long-lived
   shard-affine workers returning ``materialize`` payloads through
-  shared-memory segments), all with the same pre-ordered merge;
+  shared-memory segments), both with the same pre-ordered merge;
 * :class:`~repro.service.service.QueryService` — the front door:
   ``execute`` / ``execute_batch`` with plan + result caching, and
   ``apply_updates`` for the live write path;
@@ -29,13 +28,11 @@ update`` applies an ops file to one.
 
 from repro.service.backend import (
     ExecutionBackend,
-    PoolBackend,
     SerialBackend,
     make_backend,
 )
 from repro.service.cache import LRUCache
 from repro.service.executor import (
-    ShardExecutor,
     ShardResult,
     ShardWorkerState,
     available_cpus,
@@ -51,9 +48,7 @@ __all__ = [
     "available_cpus",
     "ExecutionBackend",
     "FabricBackend",
-    "PoolBackend",
     "SerialBackend",
-    "ShardExecutor",
     "ShardResult",
     "ShardWorkerState",
     "default_workers",

@@ -10,10 +10,8 @@ choice is purely an execution-strategy one:
 
 ============  ======================================================
 ``serial``    In-process, zero worker processes.  The reference path
-              (and the right choice under ``update``-heavy loads or
-              in tests).
-``pool``      A lazily created ``multiprocessing.Pool``; results are
-              pickled back through the pool pipe.
+              and the default (also the right choice under
+              ``update``-heavy loads or in tests).
 ``fabric``    Long-lived workers with **shard affinity** whose
               ``materialize`` payloads travel through shared-memory
               segments instead of pickle
@@ -21,20 +19,14 @@ choice is purely an execution-strategy one:
 ============  ======================================================
 
 Construct one with :func:`make_backend` (or pass an instance /
-spec string to ``QueryService(backend=...)``).  The historical
-``workers=N`` sentinel still works everywhere it used to, through a
-deprecation shim (:func:`resolve_backend`): ``workers=0`` maps to
-``serial``, ``workers>0`` to ``pool``.  The ``REPRO_BACKEND``
-environment variable supplies the *default* spec when neither
-``backend`` nor ``workers`` is given — the hook the CI backend matrix
-uses to run one test suite per backend.
+spec string to ``QueryService(backend=...)``).  The ``REPRO_BACKEND``
+environment variable supplies the spec when no ``backend`` is given —
+the hook the CI backend matrix uses to run one test suite per backend;
+with neither, batches run on ``serial``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import warnings
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
@@ -43,10 +35,6 @@ from repro.service.executor import (
     ShardTask,
     ShardWorkerState,
     _item_mode,
-    _pool_init,
-    _pool_run_group,
-    _split_for_pool,
-    default_workers,
 )
 from repro.service.store import ShardedStore
 from repro.xpath.pipeline import MODES
@@ -54,15 +42,13 @@ from repro.xpath.pipeline import MODES
 __all__ = [
     "BACKEND_ENV",
     "ExecutionBackend",
-    "PoolBackend",
     "SerialBackend",
     "make_backend",
-    "resolve_backend",
 ]
 
-#: Environment variable supplying the default backend spec (e.g.
-#: ``serial``, ``pool``, ``pool:4``, ``fabric``) when a caller passes
-#: neither ``backend`` nor ``workers``.  Explicit arguments always win.
+#: Environment variable supplying the backend spec (``serial``,
+#: ``fabric``, ``fabric:4``) when a caller passes no ``backend``.  An
+#: explicit argument always wins.
 BACKEND_ENV = "REPRO_BACKEND"
 
 
@@ -224,63 +210,15 @@ class SerialBackend(ExecutionBackend):
     def _dispatch(self, grouped: List[List[ShardTask]]) -> List[ShardResult]:
         if self._serial_state is None:
             self._serial_state = ShardWorkerState(
-                self.store.directory, mmap=self.store.mmap
+                self.store.directory,
+                mmap=self.store.mmap,
+                decode_cache=self.store.decode_cache,
             )
         return [
             outcome
             for group in grouped
             for outcome in self._serial_state.run_group(group)
         ]
-
-
-class PoolBackend(ExecutionBackend):
-    """A lazily created ``multiprocessing.Pool`` of shard workers.
-
-    Shard columns arrive memory-mapped in every worker, so the pool
-    shares one page-cache copy of each shard file; results come back
-    *pickled* through the pool pipe — the cost the fabric backend's
-    shared-memory planes remove for ``materialize``.
-    """
-
-    name = "pool"
-
-    def __init__(self, store: ShardedStore, workers: Optional[int] = None):
-        super().__init__(store)
-        if workers is not None and workers < 0:
-            raise ReproError("workers must be >= 0")
-        self._workers = (
-            default_workers(store) if not workers else int(workers)
-        )
-        self._pool = None
-
-    @property
-    def workers(self) -> int:
-        return self._workers
-
-    def _dispatch(self, grouped: List[List[ShardTask]]) -> List[ShardResult]:
-        # Fewer shards than workers would leave workers idle and
-        # serialise whole query batches behind one process; split the
-        # groups (contiguously — adjacent batch queries are the
-        # likeliest prefix-sharers) until the pool is fed.
-        batches = self._ensure_pool().map(
-            _pool_run_group, _split_for_pool(grouped, self._workers)
-        )
-        return [outcome for batch in batches for outcome in batch]
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = multiprocessing.get_context().Pool(
-                processes=self._workers,
-                initializer=_pool_init,
-                initargs=(self.store.directory, self.store.mmap),
-            )
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
 
 
 def parse_backend_spec(spec: str) -> tuple:
@@ -292,9 +230,9 @@ def parse_backend_spec(spec: str) -> tuple:
     """
     name, _, suffix = spec.partition(":")
     name = name.strip().lower()
-    if name not in ("serial", "pool", "fabric"):
+    if name not in ("serial", "fabric"):
         raise ReproError(
-            f"unknown backend {name!r} (expected serial, pool, or fabric)"
+            f"unknown backend {name!r} (expected serial or fabric)"
         )
     workers = None
     if suffix:
@@ -305,62 +243,20 @@ def parse_backend_spec(spec: str) -> tuple:
     return name, workers
 
 
-def make_backend(
-    spec, store: ShardedStore, workers: Optional[int] = None
-) -> ExecutionBackend:
+def make_backend(spec, store: ShardedStore) -> ExecutionBackend:
     """Build a backend from a spec.
 
     ``spec`` is a backend instance (returned as-is), a name
-    (``"serial"``, ``"pool"``, ``"fabric"``), or a ``"name:N"`` string
-    fixing the worker count (``"pool:4"``).  An explicit ``workers``
-    argument overrides the suffix.
+    (``"serial"``, ``"fabric"``), or a ``"fabric:N"`` string fixing the
+    worker count.
     """
     if isinstance(spec, ExecutionBackend):
         return spec
     if not isinstance(spec, str):
         raise ReproError(f"not a backend spec: {spec!r}")
-    name, suffix_workers = parse_backend_spec(spec)
-    if workers is None:
-        workers = suffix_workers
+    name, workers = parse_backend_spec(spec)
     if name == "serial":
         return SerialBackend(store)
-    if name == "pool":
-        return PoolBackend(store, workers=workers)
     from repro.service.fabric import FabricBackend
 
     return FabricBackend(store, workers=workers)
-
-
-#: Sentinel distinguishing "argument not passed" from an explicit None.
-_UNSET = object()
-
-
-def resolve_backend(
-    store: ShardedStore, backend=None, workers=_UNSET
-) -> ExecutionBackend:
-    """Resolve ``QueryService``'s ``backend``/``workers`` arguments.
-
-    Precedence: an explicit ``backend`` wins; else an explicit
-    ``workers`` count is honoured through the deprecation shim
-    (``0`` → serial, else pool — the historical sentinel); else the
-    ``REPRO_BACKEND`` environment variable names the default; else a
-    pool sized by :func:`~repro.service.executor.default_workers`.
-    """
-    if backend is not None:
-        if workers is not _UNSET and workers is not None:
-            raise ReproError("pass backend= or workers=, not both")
-        return make_backend(backend, store)
-    if workers is not _UNSET and workers is not None:
-        warnings.warn(
-            "QueryService(workers=...) is deprecated; use "
-            "backend='serial'/'pool'/'fabric' (or a backend instance)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if workers == 0:
-            return SerialBackend(store)
-        return PoolBackend(store, workers=workers)
-    spec = os.environ.get(BACKEND_ENV)
-    if spec:
-        return make_backend(spec, store)
-    return PoolBackend(store)

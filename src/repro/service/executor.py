@@ -10,18 +10,15 @@ object executes tasks for every backend:
 
 * :class:`~repro.service.backend.SerialBackend` — in-process (the
   serial reference path; also what the tests cover line-by-line);
-* :class:`~repro.service.backend.PoolBackend` — a ``multiprocessing``
-  pool whose initializer opens the store read-only in every worker.
-  Shard columns arrive memory-mapped (``persist.load(mmap=True)``), so
-  all workers share one page-cache copy of each shard file; only the
-  task tuples and the result payloads cross the process boundary — for
-  ``count``/``exists`` that payload is a handful of integers instead of
-  rank arrays;
 * :class:`~repro.service.fabric.FabricBackend` — long-lived workers
-  with shard affinity that return ``materialize`` payloads through
-  shared-memory segments instead of pickle.
+  with shard affinity.  Shard columns arrive memory-mapped
+  (``persist.load(mmap=True)``), so all workers share one page-cache
+  copy of each shard file; only the task tuples and small result
+  descriptors are pickled across the process boundary —
+  ``materialize`` rank arrays travel through shared-memory segments,
+  and for ``count``/``exists`` the payload is a handful of integers.
 
-Tasks are dispatched *grouped by shard* (one pool item per shard, not
+Tasks are dispatched *grouped by shard* (one unit per shard, not
 per query × shard): a worker holding a whole batch's plans for one
 shard factors them into an **operator-prefix trie** and evaluates each
 distinct pipeline prefix once — eight queries opening with
@@ -43,7 +40,7 @@ sent to workers pickled — workers never touch the XPath parser (raw
 query strings and uncompiled plans are still accepted and compiled on
 arrival, for direct callers).  Worker-side collections and evaluators
 are cached per shard *file*, so a replaced shard (new file name) is
-picked up on the next task without restarting the pool.
+picked up on the next task without restarting the workers.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -75,7 +71,6 @@ from repro.xpath.pipeline import (
 
 __all__ = [
     "PrefixContextCache",
-    "ShardExecutor",
     "ShardResult",
     "ShardTask",
     "ShardWorkerState",
@@ -112,8 +107,8 @@ class ShardResult:
     ``mode`` — ``ranks`` (document name → document-relative preorder
     ranks) for ``materialize``, ``counts`` (document name →
     cardinality) for ``count``, ``found`` for ``exists``.  Every
-    backend produces and merges the same shape: the serial and pool
-    paths pickle it whole, while the fabric ships ``ranks`` through a
+    backend produces and merges the same shape: the serial path hands
+    it over in-process, while the fabric ships ``ranks`` through a
     shared-memory segment and rebuilds the dataclass around zero-copy
     views on arrival.
     """
@@ -152,7 +147,7 @@ def available_cpus() -> int:
 
     ``os.sched_getaffinity`` respects container/cgroup CPU masks (the
     common CI case), where ``os.cpu_count`` reports the whole machine
-    and would oversubscribe the pool; platforms without affinity fall
+    and would oversubscribe the workers; platforms without affinity fall
     back to the plain count.
     """
     if hasattr(os, "sched_getaffinity"):
@@ -243,19 +238,23 @@ class PrefixContextCache(LRUCache):
 class ShardWorkerState:
     """Per-process execution state: open collections and evaluators.
 
-    Lives once per worker process (module global set by the pool
-    initializer) and once inside the executor for serial mode.
+    Lives once per fabric worker process and once inside the serial
+    backend.
     """
 
     def __init__(
         self,
         directory: str,
         mmap: bool = True,
+        decode_cache: str = "full",
         plan_cache_size: int = 128,
         prefix_cache_bytes: int = 32 << 20,
     ):
         self.directory = directory
         self.mmap = mmap
+        #: The store's packed-plane open mode (``ShardedStore.open``):
+        #: workers must page exactly as the store they serve was opened.
+        self.decode_cache = decode_cache
         # Shared by this worker's evaluators: tasks normally carry
         # compiled pipelines, but raw query strings are accepted and
         # then parsed once.
@@ -278,7 +277,9 @@ class ShardWorkerState:
         for _ in range(_FALL_FORWARD_ATTEMPTS):
             try:
                 table = load(
-                    os.path.join(self.directory, shard_file), mmap=self.mmap
+                    os.path.join(self.directory, shard_file),
+                    mmap=self.mmap,
+                    decode_cache=self.decode_cache,
                 )
                 break
             except FileNotFoundError:
@@ -596,65 +597,6 @@ class ShardWorkerState:
         return {}
 
 
-_POOL_STATE: Optional[ShardWorkerState] = None
-
-
-def _pool_init(directory: str, mmap: bool) -> None:
-    global _POOL_STATE
-    _POOL_STATE = ShardWorkerState(directory, mmap=mmap)
-
-
-def _pool_run(task: ShardTask):
-    return _POOL_STATE.run(task)
-
-
-def _pool_run_group(tasks: Sequence[ShardTask]):
-    return _POOL_STATE.run_group(tasks)
-
-
-def _split_for_pool(
-    grouped: List[List[ShardTask]], workers: int
-) -> List[List[ShardTask]]:
-    """Split per-shard task groups into enough units to feed the pool.
-
-    Each shard's group is cut into at most ``ceil(workers / shards)``
-    contiguous chunks — query-level parallelism is restored when shards
-    are scarce, while tasks that stay chunked together can still share
-    operator prefixes (and every worker's prefix cache still serves
-    repeat prefixes across batches).
-    """
-    if not grouped or len(grouped) >= workers:
-        return grouped
-    per_group = -(-workers // len(grouped))  # ceil
-    units: List[List[ShardTask]] = []
-    for group in grouped:
-        chunks = min(per_group, len(group))
-        size = -(-len(group) // chunks)
-        units.extend(group[i : i + size] for i in range(0, len(group), size))
-    return units
-
-
 def _item_mode(item: Sequence) -> str:
     """Result mode of a ``run_batch`` item (3-tuples materialize)."""
     return item[3] if len(item) > 3 else "materialize"
-
-
-def ShardExecutor(store: ShardedStore, workers: Optional[int] = None):
-    """Deprecated: the ``workers`` sentinel mapped onto a backend.
-
-    ``ShardExecutor(store, workers=0)`` returns a
-    :class:`~repro.service.backend.SerialBackend`; any other worker
-    count returns a :class:`~repro.service.backend.PoolBackend`.  New
-    code should construct backends directly (or pass
-    ``QueryService(backend=...)``).
-    """
-    from repro.service.backend import make_backend
-
-    warnings.warn(
-        "ShardExecutor is deprecated; use make_backend()/QueryService(backend=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if workers == 0:
-        return make_backend("serial", store)
-    return make_backend("pool", store, workers=workers)

@@ -1,10 +1,10 @@
 """The zero-copy worker fabric: shard-affine workers, shared-memory results.
 
-The pickled pool (:class:`~repro.service.backend.PoolBackend`) moves
-per-node *objects* exactly where the paper says not to: every
-``materialize`` payload — bulk ``int64`` rank columns — is pickled in
-the worker, squeezed through a pipe, and copied again on arrival.  The
-fabric keeps the data plane bulk end-to-end:
+Pickling results back from worker processes moves per-node *objects*
+exactly where the paper says not to: every ``materialize`` payload —
+bulk ``int64`` rank columns — would be pickled in the worker, squeezed
+through a pipe, and copied again on arrival.  The fabric keeps the
+data plane bulk end-to-end:
 
 * **Long-lived workers.**  Each worker process holds its
   :class:`~repro.service.executor.ShardWorkerState` (mmap'd shard
@@ -46,7 +46,7 @@ fabric keeps the data plane bulk end-to-end:
   re-dispatched (duplicate completions are deduped by sequence
   number).  Fall-forward
   across epoch flips needs nothing new: shard files are named by epoch
-  and workers chase the manifest exactly as the pool does.
+  and workers chase the manifest exactly as the serial path does.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from repro.service.executor import (
     ShardResult,
     ShardTask,
     ShardWorkerState,
-    _split_for_pool,
     default_workers,
 )
 from repro.service.store import ShardedStore
@@ -303,10 +302,10 @@ class SegmentWriter:
 
 
 def _fabric_worker(
-    directory, mmap, inbox, outbox, idx, prefix
+    directory, mmap, decode_cache, inbox, outbox, idx, prefix
 ):  # pragma: no cover - runs in child processes; components unit-tested
     """One fabric worker's request loop (runs in a child process)."""
-    state = ShardWorkerState(directory, mmap=mmap)
+    state = ShardWorkerState(directory, mmap=mmap, decode_cache=decode_cache)
     writer = SegmentWriter(prefix)
     while True:
         message = inbox.get()
@@ -487,6 +486,31 @@ class SegmentPool:
             return sum(1 for ref in self._live.values() if ref() is not None)
 
 
+def _split_to_feed_workers(
+    grouped: List[List[ShardTask]], workers: int
+) -> List[List[ShardTask]]:
+    """Split per-shard task groups into enough units to feed the workers.
+
+    Fewer shards than workers would leave workers idle and serialise
+    whole query batches behind one process, so each shard's group is
+    cut into at most ``ceil(workers / shards)`` *contiguous* chunks
+    (adjacent batch queries are the likeliest prefix-sharers):
+    query-level parallelism is restored when shards are scarce, while
+    tasks that stay chunked together can still share operator prefixes
+    (and every worker's prefix cache still serves repeat prefixes
+    across batches).
+    """
+    if not grouped or len(grouped) >= workers:
+        return grouped
+    per_group = -(-workers // len(grouped))  # ceil
+    units: List[List[ShardTask]] = []
+    for group in grouped:
+        chunks = min(per_group, len(group))
+        size = -(-len(group) // chunks)
+        units.extend(group[i : i + size] for i in range(0, len(group), size))
+    return units
+
+
 class FabricBackend(ExecutionBackend):
     """Shard-affine long-lived workers with shared-memory result planes.
 
@@ -585,6 +609,7 @@ class FabricBackend(ExecutionBackend):
             args=(
                 self.store.directory,
                 self.store.mmap,
+                self.store.decode_cache,
                 self._inboxes[idx],
                 self._outboxes[idx],
                 idx,
@@ -612,7 +637,7 @@ class FabricBackend(ExecutionBackend):
 
     def _dispatch(self, grouped: List[List[ShardTask]]) -> List[ShardResult]:
         self._ensure_workers()
-        units = _split_for_pool(grouped, self._workers)
+        units = _split_to_feed_workers(grouped, self._workers)
         depths = [0] * self._workers
         pending: Dict[int, tuple] = {}
         for unit in units:

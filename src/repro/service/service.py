@@ -13,9 +13,9 @@ A :class:`QueryService` answers XPath queries over a
    :class:`~repro.xpath.pipeline.PhysicalPlan` operator pipelines and
    fan out through an
    :class:`~repro.service.backend.ExecutionBackend` — serial
-   in-process, a pickled ``multiprocessing`` pool, or the
-   shared-memory worker fabric (vectorized engine by default); the
-   pre-ordered per-shard results are merged in global document order.
+   in-process or the shared-memory worker fabric (vectorized engine
+   by default); the pre-ordered per-shard results are merged in
+   global document order.
 
 Every query runs in a **result mode**: ``materialize`` (the default),
 ``count``, or ``exists``.  Results are :class:`ServiceResult` values:
@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import ReproError
-from repro.service.backend import _UNSET, ExecutionBackend, resolve_backend
+from repro.service.backend import BACKEND_ENV, ExecutionBackend, make_backend
 from repro.service.cache import LRUCache
 from repro.service.store import ShardedStore
 from repro.xpath.axes import resolve_engine
@@ -114,14 +114,10 @@ class QueryService:
     backend:
         How batches execute: an
         :class:`~repro.service.backend.ExecutionBackend` instance or a
-        spec string — ``"serial"`` (in-process), ``"pool"`` /
-        ``"pool:4"`` (process pool), ``"fabric"`` (shared-memory
-        worker fabric).  Defaults to the ``REPRO_BACKEND`` environment
-        variable, else a pool with one worker per shard (capped by
-        CPU count).
-    workers:
-        Deprecated alias for ``backend`` (``0`` = serial, ``n`` = pool
-        of ``n``); emits a :class:`DeprecationWarning`.
+        spec string — ``"serial"`` (in-process) or ``"fabric"`` /
+        ``"fabric:4"`` (shared-memory worker fabric).  Defaults to the
+        ``REPRO_BACKEND`` environment variable, else ``"serial"`` —
+        process parallelism is asked for by name.
     plan_cache_size / result_cache_size:
         LRU capacities; ``0`` disables the respective cache.
     planner:
@@ -149,7 +145,6 @@ class QueryService:
         self,
         store: ShardedStore,
         engine: str = "vectorized",
-        workers: Optional[int] = _UNSET,
         plan_cache_size: int = 256,
         result_cache_size: int = 1024,
         planner: bool = True,
@@ -160,7 +155,9 @@ class QueryService:
         self.engine = resolve_engine(engine)
         self.plan_cache = LRUCache(plan_cache_size)
         self.result_cache = LRUCache(result_cache_size)
-        self.backend = resolve_backend(store, backend=backend, workers=workers)
+        self.backend = make_backend(
+            backend or os.environ.get(BACKEND_ENV) or "serial", store
+        )
         self.planner_enabled = planner
         self.feedback_enabled = bool(
             feedback and getattr(store, "feedback", None) is not None
@@ -183,11 +180,6 @@ class QueryService:
         #: Update batches applied through this service (monotonic; each
         #: applied batch bumps the store epoch exactly once).
         self.updates_applied = 0  # guarded-by: _stats_lock
-
-    @property
-    def executor(self) -> ExecutionBackend:
-        """The execution backend (historical name, kept for callers)."""
-        return self.backend
 
     @classmethod
     def open(cls, directory: str, mmap: bool = True, **kwargs) -> "QueryService":
@@ -224,7 +216,7 @@ class QueryService:
         use_planner: Optional[bool] = None,
         mode: Union[str, Sequence[str]] = "materialize",
     ) -> List[ServiceResult]:
-        """Answer a batch; cache misses share one fan-out over the pool.
+        """Answer a batch; cache misses share one fan-out over the shards.
 
         ``mode`` is one result mode for the whole batch or one per
         query — mixed-mode batches still share operator-pipeline
@@ -297,9 +289,9 @@ class QueryService:
             # sink is only passed when sampling — the common case stays
             # signature-compatible with wrapped/stubbed backends.
             if sink is None:
-                merged = self.executor.run_batch(items)
+                merged = self.backend.run_batch(items)
             else:
-                merged = self.executor.run_batch(items, sink=sink)
+                merged = self.backend.run_batch(items, sink=sink)
             elapsed = time.perf_counter() - started
             if sink:
                 self.store.feedback.absorb(sink)
@@ -447,7 +439,7 @@ class QueryService:
         items = [(compile_plan(plan), chosen, document, mode)]
         sink: list = []
         started = time.perf_counter()
-        merged = self.executor.run_batch(items, sink=sink)
+        merged = self.backend.run_batch(items, sink=sink)
         elapsed = time.perf_counter() - started
         if self.feedback_enabled and sink:
             self.store.feedback.absorb(sink)
@@ -507,17 +499,6 @@ class QueryService:
                     else {"enabled": False}
                 ),
             }
-
-    def cache_info(self) -> dict:
-        """Cache occupancy/hit statistics plus the current store epoch
-        (a trimmed view of :meth:`stats_snapshot`, kept for callers of
-        the original shape)."""
-        snapshot = self.stats_snapshot()
-        return {
-            "epoch": snapshot["epoch"],
-            "plan": snapshot["plan"],
-            "result": snapshot["result"],
-        }
 
     def clear_caches(self) -> None:
         self.plan_cache.clear()

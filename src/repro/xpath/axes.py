@@ -20,8 +20,7 @@ per-node Python transcriptions — Algorithms 2–4 with a chosen
 :class:`~repro.core.staircase.SkipMode` for the partitioning axes, loop
 joins for the rest) or ``"vectorized"`` (the numpy bulk kernels of
 :mod:`repro.core.vectorized` for *all* axes).  Both produce identical
-node sets; ``strategy="staircase"`` is accepted as a backward-compatible
-alias for the scalar engine.
+node sets.
 """
 
 from __future__ import annotations
@@ -53,21 +52,13 @@ def _empty() -> np.ndarray:
     return np.empty(0, dtype=np.int64)
 
 
-def resolve_engine(engine: Optional[str], strategy: Optional[str] = None) -> str:
-    """Normalise engine/strategy spellings to ``"scalar"`` or ``"vectorized"``.
-
-    ``engine`` wins when both are given; ``strategy="staircase"`` is the
-    historical name for the scalar engine and stays accepted everywhere a
-    caller could previously pass it.
-    """
-    chosen = engine if engine is not None else strategy
-    if chosen is None:
+def resolve_engine(engine: Optional[str]) -> str:
+    """Validate an engine name; ``None`` selects the scalar engine."""
+    if engine is None:
         return "scalar"
-    if chosen == "staircase":
-        return "scalar"
-    if chosen in ("scalar", "vectorized"):
-        return chosen
-    raise XPathEvaluationError(f"unknown engine {chosen!r}")
+    if engine in ("scalar", "vectorized"):
+        return engine
+    raise XPathEvaluationError(f"unknown engine {engine!r}")
 
 
 class AxisExecutor:
@@ -77,30 +68,24 @@ class AxisExecutor:
     ----------
     doc:
         The encoded document.
-    strategy:
-        Backward-compatible alias for ``engine`` (``"staircase"`` names
-        the scalar engine).
     mode:
         Skip mode for the scalar staircase join.
     stats:
         Shared counters; every staircase join invocation accumulates here.
     engine:
         ``"scalar"`` (per-node Python loops, instrumented) or
-        ``"vectorized"`` (numpy bulk kernels for every axis).  Overrides
-        ``strategy`` when both are given.
+        ``"vectorized"`` (numpy bulk kernels for every axis).
     """
 
     def __init__(
         self,
         doc: DocTable,
-        strategy: Optional[str] = None,
         mode: SkipMode = SkipMode.ESTIMATE,
         stats: Optional[JoinStatistics] = None,
         engine: Optional[str] = None,
     ):
-        self.engine = resolve_engine(engine, strategy)
+        self.engine = resolve_engine(engine)
         self.doc = doc
-        self.strategy = "staircase" if self.engine == "scalar" else "vectorized"
         self.mode = mode
         self.stats = stats if stats is not None else JoinStatistics()
         self._axes: Dict[str, Callable[[np.ndarray], np.ndarray]] = {

@@ -57,14 +57,9 @@ from repro.xpath.pipeline import (
     compile_step_ops,
     dispatch,
     drive,
-    is_positional_predicate,
 )
 
 __all__ = ["Evaluator", "evaluate", "parse_with_cache"]
-
-#: Backward-compatible alias — the classification moved to the compile
-#: layer (:mod:`repro.xpath.pipeline`) with the operator refactor.
-_is_positional_predicate = is_positional_predicate
 
 
 def parse_with_cache(query: str, cache) -> Expr:
@@ -113,9 +108,6 @@ class Evaluator:
     ----------
     doc:
         The encoded document.
-    strategy:
-        Backward-compatible alias for ``engine`` (``"staircase"`` names
-        the scalar engine).
     mode:
         :class:`SkipMode` for the scalar staircase join.
     pushdown:
@@ -133,8 +125,7 @@ class Evaluator:
         ``"scalar"`` (the paper's per-node Algorithms 2–4, instrumented
         with node-access counters) or ``"vectorized"`` (numpy bulk
         kernels for every axis step, fragment reads, and non-positional
-        path predicates).  Both produce identical node sequences;
-        overrides ``strategy`` when both are given.
+        path predicates).  Both produce identical node sequences.
     plan_cache:
         Optional mapping-like object with ``get(key)``/``put(key, value)``
         (e.g. :class:`repro.service.LRUCache`).  String queries are then
@@ -150,7 +141,6 @@ class Evaluator:
     def __init__(
         self,
         doc: DocTable,
-        strategy: Optional[str] = None,
         mode: SkipMode = SkipMode.ESTIMATE,
         pushdown: bool = False,
         stats: Optional[JoinStatistics] = None,
@@ -158,7 +148,7 @@ class Evaluator:
         plan_cache=None,
     ):
         self.doc = doc
-        self.engine = resolve_engine(engine, strategy)
+        self.engine = resolve_engine(engine)
         self.stats = stats if stats is not None else JoinStatistics()
         self.axes = AxisExecutor(doc, engine=self.engine, mode=mode, stats=self.stats)
         self._set_pushdown(pushdown)
@@ -713,7 +703,6 @@ def evaluate(
     doc: DocTable,
     path: Union[str, LocationPath],
     context: Union[None, int, np.ndarray] = None,
-    strategy: Optional[str] = None,
     mode: SkipMode = SkipMode.ESTIMATE,
     pushdown: bool = False,
     stats: Optional[JoinStatistics] = None,
@@ -723,7 +712,6 @@ def evaluate(
     """One-shot convenience wrapper around :class:`Evaluator` (the
     return type follows ``result_mode``: ranks, a count, or a bool)."""
     evaluator = Evaluator(
-        doc, strategy=strategy, mode=mode, pushdown=pushdown, stats=stats,
-        engine=engine,
+        doc, mode=mode, pushdown=pushdown, stats=stats, engine=engine
     )
     return evaluator.evaluate(path, context=context, mode=result_mode)

@@ -47,10 +47,7 @@ from repro.xpath.ast import (
 )
 from repro.xpath.axes import resolve_engine
 from repro.xpath.parser import parse_xpath
-from repro.xpath.pipeline import (
-    is_positional_predicate as _is_positional_predicate,
-    operator_name,
-)
+from repro.xpath.pipeline import is_positional_predicate, operator_name
 from repro.xpath.rewrite import collapse_descendant_or_self, symmetry_rewrite
 
 __all__ = ["TagStatistics", "Planner", "QueryPlan", "StepDecision"]
@@ -426,7 +423,7 @@ class Planner:
         steps = []
         for step in path.steps:
             if len(step.predicates) > 1 and not any(
-                _is_positional_predicate(p) for p in step.predicates
+                is_positional_predicate(p) for p in step.predicates
             ):
                 axis = step.axis
                 ordered = tuple(

@@ -90,9 +90,7 @@ def collapse_descendant_or_self(
       root may carry (e.g. a collection's virtual root tag); ``None``
       means unknown, which disables the leading collapse entirely.
     """
-    from repro.xpath.pipeline import (
-        is_positional_predicate as _is_positional_predicate,
-    )
+    from repro.xpath.pipeline import is_positional_predicate
 
     if isinstance(path, str):
         path = parse_xpath(path)
@@ -108,7 +106,7 @@ def collapse_descendant_or_self(
             and first.test.kind == "node"
             and not first.predicates
             and second.axis == "child"
-            and not any(_is_positional_predicate(p) for p in second.predicates)
+            and not any(is_positional_predicate(p) for p in second.predicates)
         )
         if collapsible and index == 0 and path.absolute:
             collapsible = (

@@ -1,7 +1,7 @@
 """Execution-backend suite: protocol, fabric transport, lifecycle.
 
 The headline property extends the service layer's batched == serial:
-**the backend is invisible** — serial, pool, and fabric answer any
+**the backend is invisible** — serial and fabric answer any
 batch byte-identically across engines, result modes, and planner
 settings (pinned suite + a hypothesis sweep over random forests).
 Around it, what is new with the fabric: shared-memory segments are
@@ -15,7 +15,6 @@ import gc
 import os
 import signal
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -26,15 +25,14 @@ from repro.harness.workloads import get_forest
 from repro.server import ServerConfig, ThreadedServer
 from repro.service import (
     FabricBackend,
-    PoolBackend,
     QueryService,
     SerialBackend,
     ShardedStore,
     ShardResult,
     make_backend,
 )
-from repro.service.backend import BACKEND_ENV, resolve_backend
-from repro.service.executor import ShardExecutor, ShardTask
+from repro.service.backend import BACKEND_ENV
+from repro.service.executor import ShardTask
 from repro.service.fabric import (
     _SHM_DIR,
     SegmentPool,
@@ -106,10 +104,10 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_pinned_suite_identical(self, store, engine):
         images = []
-        for backend in ("serial", "pool:2", "fabric:2"):
+        for backend in ("serial", "fabric:2"):
             with QueryService(store, backend=backend) as service:
                 images.append(run_suite(service, SUITE, engine, True))
-        assert images[0] == images[1] == images[2]
+        assert images[0] == images[1]
 
     @given(
         seeds=st.lists(st.integers(0, 300), min_size=2, max_size=3),
@@ -129,10 +127,10 @@ class TestBackendEquivalence:
         store = ShardedStore.build(directory, forest, shards=shards)
         queries = ("//*", "/descendant::node()", "//*[*]/..", "//*[2]")
         images = []
-        for backend in ("serial", "pool:2", "fabric:2"):
+        for backend in ("serial", "fabric:2"):
             with QueryService(store, backend=backend) as service:
                 images.append(run_suite(service, queries, engine, use_planner))
-        assert images[0] == images[1] == images[2]
+        assert images[0] == images[1]
 
     def test_scoped_and_mixed_mode_batches(self, store):
         document = store.document_names()[1]
@@ -166,8 +164,6 @@ class TestBackendEquivalence:
 class TestBackendSelection:
     def test_make_backend_specs(self, store):
         assert isinstance(make_backend("serial", store), SerialBackend)
-        pool = make_backend("pool:3", store)
-        assert isinstance(pool, PoolBackend) and pool.workers == 3
         fabric = make_backend("fabric:2", store)
         assert isinstance(fabric, FabricBackend) and fabric.workers == 2
         fabric.close()
@@ -178,53 +174,42 @@ class TestBackendSelection:
         with pytest.raises(ReproError, match="unknown backend"):
             make_backend("quantum", store)
         with pytest.raises(ReproError, match="worker count"):
-            make_backend("pool:many", store)
+            make_backend("fabric:many", store)
         with pytest.raises(ReproError, match="backend spec"):
             make_backend(3.14, store)
-
-    def test_env_variable_supplies_default(self, store, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "serial")
-        backend = resolve_backend(store)
-        assert isinstance(backend, SerialBackend)
-        monkeypatch.delenv(BACKEND_ENV)
-        assert isinstance(resolve_backend(store), PoolBackend)
-
-    def test_explicit_arguments_beat_env(self, store, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "pool:2")
-        assert isinstance(resolve_backend(store, backend="serial"), SerialBackend)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert isinstance(resolve_backend(store, workers=0), SerialBackend)
-
-    def test_backend_and_workers_conflict(self, store):
-        with pytest.raises(ReproError, match="not both"):
-            QueryService(store, backend="serial", workers=2)
-
-    def test_workers_shim_warns_and_maps(self, store):
-        with pytest.warns(DeprecationWarning):
-            service = QueryService(store, workers=0)
-        assert isinstance(service.backend, SerialBackend)
-        with pytest.warns(DeprecationWarning):
-            service = QueryService(store, workers=2)
-        assert isinstance(service.backend, PoolBackend)
-        assert service.backend.workers == 2
-        service.close()
-
-    def test_shard_executor_shim(self, store):
-        with pytest.warns(DeprecationWarning):
-            backend = ShardExecutor(store, workers=0)
-        assert isinstance(backend, SerialBackend)
-        with pytest.warns(DeprecationWarning):
-            backend = ShardExecutor(store, workers=1)
-        assert isinstance(backend, PoolBackend)
-
-    def test_negative_workers_still_rejected(self, store):
-        with pytest.raises(ReproError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                QueryService(store, workers=-1)
         with pytest.raises(ReproError):
             FabricBackend(store, workers=0)
+
+    @pytest.mark.parametrize("spec", ["pool", "pool:2"])
+    def test_removed_pool_backend_is_rejected_by_name(self, store, spec, monkeypatch):
+        expected = r"unknown backend 'pool' \(expected serial or fabric\)"
+        with pytest.raises(ReproError, match=expected):
+            make_backend(spec, store)
+        monkeypatch.setenv(BACKEND_ENV, spec)
+        with pytest.raises(ReproError, match=expected):
+            QueryService(store)
+
+    def test_default_backend_is_serial(self, store, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        with QueryService(store) as service:
+            assert isinstance(service.backend, SerialBackend)
+
+    def test_env_variable_supplies_default(self, store, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV, "fabric:1")
+        with QueryService(store) as service:
+            assert isinstance(service.backend, FabricBackend)
+            assert service.backend.workers == 1
+
+    def test_explicit_argument_beats_env(self, store, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV, "fabric:2")
+        with QueryService(store, backend="serial") as service:
+            assert isinstance(service.backend, SerialBackend)
+
+    def test_worker_count_parameters_are_gone(self, store):
+        with pytest.raises(TypeError):
+            QueryService(store, workers=2)
+        with pytest.raises(TypeError):
+            make_backend("fabric", store, workers=2)
 
     def test_stats_snapshot_names_backend(self, store):
         with QueryService(store, backend="serial") as service:
@@ -485,12 +470,3 @@ class TestLifecycle:
             backend.close()
             # A closed backend lazily respawns workers on next use.
             assert service.execute("//person", use_cache=False).total == first
-
-    def test_pool_backend_close_terminates_workers(self, store):
-        backend = PoolBackend(store, workers=1)
-        backend.run_batch([("//person", "vectorized", None)])
-        pids = [p.pid for p in backend._pool._pool]
-        backend.close()
-        for pid in pids:
-            with pytest.raises(OSError):
-                os.kill(pid, 0)

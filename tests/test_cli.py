@@ -64,10 +64,10 @@ class TestQuery:
         assert main(["query", xml_file, "//person", "--stats", "--pushdown"]) == 0
         assert "join statistics" in capsys.readouterr().err
 
-    def test_query_strategies_agree(self, xml_file, capsys):
-        main(["query", xml_file, "//name", "--strategy", "staircase"])
+    def test_query_engines_agree(self, xml_file, capsys):
+        main(["query", xml_file, "//name", "--engine", "scalar"])
         a = capsys.readouterr().out
-        main(["query", xml_file, "//name", "--strategy", "vectorized"])
+        main(["query", xml_file, "//name", "--engine", "vectorized"])
         b = capsys.readouterr().out
         assert a == b
 
@@ -147,16 +147,35 @@ class TestShardServeBatch:
         assert "2 shards" in captured.err
         assert "3 documents" in captured.err
 
-    def test_shard_info(self, store_dir, capsys):
+    def test_store_info(self, store_dir, capsys):
         capsys.readouterr()
-        assert main(["shard", "--info", store_dir]) == 0
+        assert main(["store", "info", store_dir]) == 0
         out = capsys.readouterr().out
-        assert "epoch       1" in out
+        assert "epoch          1" in out
         assert "shard 0" in out and "shard 1" in out
 
-    def test_shard_without_output_is_a_clean_error(self, xml_file, capsys):
-        assert main(["shard", xml_file]) == 1
-        assert "error:" in capsys.readouterr().err
+    def test_shard_without_output_is_a_usage_error(self, xml_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["shard", xml_file])
+        assert exit_info.value.code == 2
+        assert "-o/--output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve-batch", "STORE", "//person", "--workers", "2"],
+            ["serve", "STORE", "--workers", "2"],
+            ["serve-batch", "STORE", "//person", "--backend", "pool:2"],
+            ["query", "doc.xml", "//name", "--strategy", "staircase"],
+            ["shard", "--info", "STORE"],
+        ],
+        ids=["batch-workers", "serve-workers", "backend-pool", "strategy", "shard-info"],
+    )
+    def test_removed_spellings_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_shard_without_documents_is_a_clean_error(self, tmp_path, capsys):
         assert main(["shard", "-o", str(tmp_path / "s")]) == 1
@@ -166,7 +185,7 @@ class TestShardServeBatch:
         capsys.readouterr()
         assert (
             main(
-                ["serve-batch", store_dir, "//person", "--workers", "0",
+                ["serve-batch", store_dir, "//person", "--backend", "serial",
                  "--repeat", "2", "--stats", "--per-document"]
             )
             == 0

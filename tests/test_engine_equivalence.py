@@ -187,20 +187,19 @@ class TestEvaluatorEngines:
         ).evaluate(query)
         assert scalar.tolist() == bulk.tolist(), query
 
-    def test_engine_aliases(self, fig1_doc):
-        for spelling in ("scalar", "staircase"):
-            assert Evaluator(fig1_doc, engine=spelling).engine == "scalar"
-        assert Evaluator(fig1_doc, strategy="staircase").engine == "scalar"
-        assert Evaluator(fig1_doc, strategy="vectorized").engine == "vectorized"
-        # engine wins over the legacy alias
-        assert (
-            Evaluator(fig1_doc, strategy="staircase", engine="vectorized").engine
-            == "vectorized"
-        )
+    def test_engine_names(self, fig1_doc):
+        assert Evaluator(fig1_doc).engine == "scalar"
+        assert Evaluator(fig1_doc, engine="scalar").engine == "scalar"
+        assert Evaluator(fig1_doc, engine="vectorized").engine == "vectorized"
 
     def test_unknown_engine_rejected(self, fig1_doc):
         with pytest.raises(XPathEvaluationError):
             Evaluator(fig1_doc, engine="quantum")
+        # The removed spellings: one name per engine, one parameter.
+        with pytest.raises(XPathEvaluationError):
+            Evaluator(fig1_doc, engine="staircase")
+        with pytest.raises(TypeError):
+            Evaluator(fig1_doc, strategy="staircase")
 
 
 class TestFragmentVectorized:

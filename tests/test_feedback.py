@@ -27,7 +27,7 @@ from repro.service import QueryService, ShardedStore, UpdateOp
 from repro.xmltree.model import element, text
 
 ENGINES = ("scalar", "vectorized")
-BACKENDS = ("serial", "pool:2", "fabric:2")
+BACKENDS = ("serial", "fabric:2")
 
 #: Queries the feedback-is-invisible property is checked under — steps,
 #: predicates, positional selects, a union, and a value comparison.

@@ -48,6 +48,36 @@ class TestExports:
         assert repro.__version__ == "1.0.0"
 
 
+class TestRemovedSpellings:
+    """PR 12 deleted the pool backend and every duplicate spelling on
+    the execution stack; nothing may quietly grow back as a shim."""
+
+    def test_service_exports(self):
+        import repro.service as service
+        from repro.service import backend, executor
+
+        for name in ("PoolBackend", "ShardExecutor"):
+            assert name not in service.__all__
+            assert not hasattr(service, name)
+        assert not hasattr(backend, "PoolBackend")
+        assert not hasattr(backend, "resolve_backend")
+        assert not hasattr(executor, "ShardExecutor")
+        assert not hasattr(service.QueryService, "executor")
+        assert not hasattr(service.QueryService, "cache_info")
+
+    def test_evaluator_has_one_engine_spelling(self):
+        from repro.xpath import axes, evaluator
+
+        assert not hasattr(evaluator, "_is_positional_predicate")
+        for callable_ in (
+            evaluator.Evaluator,
+            evaluator.evaluate,
+            axes.AxisExecutor,
+            axes.resolve_engine,
+        ):
+            assert "strategy" not in inspect.signature(callable_).parameters
+
+
 class TestReadmeQuickstart:
     def test_quickstart_snippet(self):
         """The README's quickstart, executed verbatim."""

@@ -32,12 +32,6 @@ class TestSuiteRuns:
         assert scalar.tolist() == bulk.tolist() == pushed.tolist()
         assert scalar.tolist() == bulk_pushed.tolist()
 
-    @pytest.mark.parametrize("query", QUERY_SUITE, ids=[q.key for q in QUERY_SUITE])
-    def test_legacy_strategy_spelling_still_works(self, doc, query):
-        scalar = evaluate(doc, query.xpath, strategy="staircase")
-        bulk = evaluate(doc, query.xpath, strategy="vectorized")
-        assert scalar.tolist() == bulk.tolist()
-
     def test_metadata_complete(self):
         keys = [q.key for q in QUERY_SUITE]
         assert len(set(keys)) == len(keys)

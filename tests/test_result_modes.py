@@ -75,7 +75,7 @@ def assert_modes_agree(service, queries, engine, use_planner):
 # ----------------------------------------------------------------------
 class TestFixedSuite:
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("backend", ("serial", "pool:2", "fabric:2"))
+    @pytest.mark.parametrize("backend", ("serial", "fabric:2"))
     def test_suite_agrees(self, store, engine, backend):
         with QueryService(store, backend=backend) as service:
             assert_modes_agree(service, SUITE, engine, use_planner=True)
@@ -95,7 +95,7 @@ class TestFixedSuite:
                 queries, use_cache=False,
                 mode=["materialize", "count", "exists"],
             )
-            prefix_cache = service.executor._serial_state.prefix_cache
+            prefix_cache = service.backend._serial_state.prefix_cache
             assert len(prefix_cache) > 0
         assert cnt.total == mat.total
         assert ex.value is (mat.total > 0)

@@ -3,13 +3,13 @@
 The headline properties:
 
 * **batched == serial** — executing a query batch through the service
-  (plan cache, result cache, multiprocessing fan-out, merge) returns
+  (plan cache, result cache, fabric worker fan-out, merge) returns
   byte-identical per-document rank arrays to evaluating each shard's
   collection serially with a plain :class:`Evaluator`, across all
   thirteen axes and both engines;
 * **no stale results** — after a shard is replaced the result cache can
   never serve a result computed against the old shard contents, in both
-  serial and pooled modes.
+  serial and fabric modes.
 """
 
 import json
@@ -101,8 +101,8 @@ def store(forest, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def pooled_service(store):
-    with QueryService(store, backend="pool:2") as service:
+def fabric_service(store):
+    with QueryService(store, backend="fabric:2") as service:
         yield service
 
 
@@ -255,9 +255,9 @@ class TestEquivalence:
     """Batched sharded execution == serial collection evaluation."""
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_axis_queries_pooled(self, pooled_service, store, forest, engine):
+    def test_axis_queries_fabric(self, fabric_service, store, forest, engine):
         trees = dict(forest)
-        results = pooled_service.execute_batch(
+        results = fabric_service.execute_batch(
             AXIS_QUERIES + PLANE_QUERIES, engine=engine, use_cache=False
         )
         for query, result in zip(AXIS_QUERIES + PLANE_QUERIES, results):
@@ -277,11 +277,11 @@ class TestEquivalence:
                 result.per_document, serial_reference(store, trees, query, engine)
             )
 
-    def test_document_scoped_execution(self, pooled_service, store, forest):
+    def test_document_scoped_execution(self, fabric_service, store, forest):
         trees = dict(forest)
         query = "/descendant::increase/ancestor::bidder"
         for name in store.document_names():
-            scoped = pooled_service.execute(query, document=name, use_cache=False)
+            scoped = fabric_service.execute(query, document=name, use_cache=False)
             assert scoped.documents == [name]
             single = DocumentCollection([(name, trees[name])])
             expected = single.partition_relative(single.evaluate(query))
@@ -309,7 +309,7 @@ class TestEquivalence:
     def test_random_documents_property(
         self, seeds, size, shards, tmp_path_factory
     ):
-        """Random forests: pooled batched execution == serial reference."""
+        """Random forests: fabric batched execution == serial reference."""
         forest = [
             (f"doc-{i}", random_tree(size, seed)) for i, seed in enumerate(seeds)
         ]
@@ -317,7 +317,7 @@ class TestEquivalence:
         store = ShardedStore.build(directory, forest, shards=shards)
         queries = ("//*", "/descendant::node()", "//*[*]/..")
         trees = dict(forest)
-        with QueryService(store, backend="pool:2") as service:
+        with QueryService(store, backend="fabric:2") as service:
             for engine in ENGINES:
                 results = service.execute_batch(queries, engine=engine)
                 for query, result in zip(queries, results):
@@ -356,7 +356,7 @@ class TestCaching:
         with QueryService(store, backend="serial") as service:
             service.execute("//people", use_cache=False)
             service.execute("//people", use_cache=False)
-            info = service.cache_info()
+            info = service.stats_snapshot()
         assert info["plan"]["misses"] == 2
         assert info["plan"]["hits"] == 2
 
@@ -364,7 +364,7 @@ class TestCaching:
         with QueryService(store, backend="serial", planner=False) as service:
             service.execute("//people", use_cache=False)
             service.execute("//people", use_cache=False)
-            info = service.cache_info()
+            info = service.stats_snapshot()
         assert info["plan"]["misses"] == 1
         assert info["plan"]["hits"] == 1
 
@@ -387,7 +387,7 @@ class TestCaching:
     def test_duplicate_queries_in_cold_batch_run_once(self, store):
         with QueryService(store, backend="serial") as service:
             a, b = service.execute_batch(["//people", "//people"], use_cache=False)
-            info = service.cache_info()
+            info = service.stats_snapshot()
         assert not a.from_cache and not b.from_cache
         # one fan-out: the rank arrays are the same frozen objects
         for name in store.document_names():
@@ -403,7 +403,7 @@ class TestCaching:
         store = ShardedStore.build(str(tmp_path / "race"), forest[:4], shards=2)
         query = "//people/person"
         with QueryService(store, backend="serial") as service:
-            original = service.executor.run_batch
+            original = service.backend.run_batch
 
             def replace_mid_flight(items):
                 out = original(items)
@@ -416,9 +416,9 @@ class TestCaching:
                 )
                 return out
 
-            service.executor.run_batch = replace_mid_flight
+            service.backend.run_batch = replace_mid_flight
             raced = service.execute(query)
-            service.executor.run_batch = original
+            service.backend.run_batch = original
             after = service.execute(query)
             assert not raced.from_cache
             # the raced (pre-swap) payload must not be served at epoch 2
@@ -447,7 +447,7 @@ class TestCaching:
         collection.evaluate("//people", evaluator=evaluator)
         assert cache.hits == 2
 
-    @pytest.mark.parametrize("backend", ("serial", "pool:2", "fabric:2"))
+    @pytest.mark.parametrize("backend", ("serial", "fabric:2"))
     def test_replace_shard_never_serves_stale_results(self, forest, tmp_path, backend):
         """The epoch in the cache key fences every pre-replacement entry."""
         directory = str(tmp_path / f"stale-{backend.replace(':', '-')}")
@@ -509,7 +509,7 @@ class TestPlannerIntegration:
     )
 
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("backend", ("serial", "pool:2"))
+    @pytest.mark.parametrize("backend", ("serial", "fabric:2"))
     def test_planned_equals_unplanned(self, store, engine, backend):
         queries = AXIS_QUERIES + PLANE_QUERIES + self.PREFIX_BATCH
         with QueryService(store, backend=backend) as service:
@@ -526,7 +526,7 @@ class TestPlannerIntegration:
     def test_prefix_cache_fills_and_hits(self, store):
         with QueryService(store, backend="serial") as service:
             service.execute_batch(self.PREFIX_BATCH, use_cache=False)
-            prefix_cache = service.executor._serial_state.prefix_cache
+            prefix_cache = service.backend._serial_state.prefix_cache
             assert len(prefix_cache) > 0
             filled = prefix_cache.hits
             service.execute_batch(self.PREFIX_BATCH, use_cache=False)
@@ -573,14 +573,14 @@ class TestPlannerIntegration:
                 )
                 assert_identical(planned.per_document, plain.per_document)
 
-    def test_pool_splits_shard_groups_when_workers_exceed_shards(
+    def test_fabric_splits_shard_groups_when_workers_exceed_shards(
         self, forest, tmp_path
     ):
-        from repro.service.executor import _split_for_pool
+        from repro.service.fabric import _split_to_feed_workers
 
         directory = str(tmp_path / "narrow")
         narrow = ShardedStore.build(directory, forest[:2], shards=1)
-        with QueryService(narrow, backend="pool:4") as service:
+        with QueryService(narrow, backend="fabric:4") as service:
             results = service.execute_batch(
                 self.PREFIX_BATCH, use_cache=False
             )
@@ -588,11 +588,13 @@ class TestPlannerIntegration:
         # The splitter itself: 1 shard × 6 tasks, 4 workers → several
         # contiguous units (not one), preserving task order.
         tasks = list(range(6))  # shape only; contents are opaque to it
-        units = _split_for_pool([tasks], 4)
+        units = _split_to_feed_workers([tasks], 4)
         assert 2 <= len(units) <= 4
         assert [t for unit in units for t in unit] == tasks
         # Enough shards already: groups pass through untouched.
-        assert _split_for_pool([[1], [2], [3], [4]], 4) == [[1], [2], [3], [4]]
+        assert _split_to_feed_workers([[1], [2], [3], [4]], 4) == [
+            [1], [2], [3], [4]
+        ]
 
     def test_prefix_cache_is_byte_budgeted(self):
         from repro.service.executor import PrefixContextCache
@@ -627,9 +629,9 @@ class TestPlannerIntegration:
         assert len(cache) <= (32 << 10) // PrefixContextCache.ENTRY_OVERHEAD
 
     def test_empty_batch_is_a_noop(self, store):
-        with QueryService(store, backend="pool:2") as service:
+        with QueryService(store, backend="fabric:2") as service:
             assert service.execute_batch([]) == []
-            assert service.executor.run_batch([]) == []
+            assert service.backend.run_batch([]) == []
 
     def test_service_explain_returns_a_costed_plan(self, store):
         with QueryService(store, backend="serial") as service:
@@ -652,7 +654,7 @@ class TestExecutor:
 
     def test_default_workers_respects_cpu_affinity(self, store, monkeypatch):
         """Containerized CI exposes fewer schedulable CPUs than
-        ``os.cpu_count`` reports; the pool must size to the mask."""
+        ``os.cpu_count`` reports; the fabric must size to the mask."""
         from repro.service import executor
 
         if hasattr(os, "sched_getaffinity"):
@@ -668,7 +670,7 @@ class TestExecutor:
 
     def test_negative_workers_rejected(self, store):
         with pytest.raises(ReproError):
-            QueryService(store, workers=-1)
+            QueryService(store, backend="fabric:-1")
 
     def test_worker_state_reuses_collections(self, store):
         state = ShardWorkerState(store.directory)
@@ -692,7 +694,7 @@ class TestExecutor:
         assert state._collections[0][1] is collection
 
     def test_close_is_idempotent(self, store):
-        service = QueryService(store, backend="pool:1")
+        service = QueryService(store, backend="fabric:1")
         service.execute("//people")
         service.close()
         service.close()

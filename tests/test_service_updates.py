@@ -343,7 +343,7 @@ class TestServiceUpdates:
         assert after.total == before.total + 1
         assert after.counts()["d0"] == before.counts()["d0"] + 1
         # result cache memory was released eagerly, not just fenced
-        assert service.cache_info()["result"]["size"] == 1
+        assert service.stats_snapshot()["result"]["size"] == 1
 
     def test_mutate_while_querying_interleaved(self, service):
         """Queries and updates interleave; every read is epoch-consistent."""
@@ -467,8 +467,6 @@ class TestStatsSnapshot:
             assert snapshot["engine"] == "vectorized"
             assert snapshot["planner"] is True
             assert set(snapshot["plan"]) == {"size", "capacity", "hits", "misses"}
-            # cache_info keeps the original trimmed shape
-            assert set(service.cache_info()) == {"epoch", "plan", "result"}
 
     def test_snapshot_counts_update_batches(self, tmp_path):
         store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=2)

@@ -18,16 +18,16 @@ class TestAllAxesAgainstReference:
         seed=st.integers(0, 5000),
         size=st.integers(1, 160),
         axis=st.sampled_from(AXES),
-        strategy=st.sampled_from(["staircase", "vectorized"]),
+        engine=st.sampled_from(["scalar", "vectorized"]),
         k=st.integers(1, 8),
     )
     @settings(max_examples=150, deadline=None)
-    def test_axis_step_matches_tree_walk(self, seed, size, axis, strategy, k):
+    def test_axis_step_matches_tree_walk(self, seed, size, axis, engine, k):
         tree = random_tree(size, seed)
         doc = encode(tree)
         rng = np.random.default_rng(seed)
         context = np.sort(rng.choice(size, size=min(k, size), replace=False))
-        executor = AxisExecutor(doc, strategy=strategy)
+        executor = AxisExecutor(doc, engine=engine)
         got = executor.step(context, axis)
         expected = axis_pres(tree, context, axis)
         assert got.tolist() == expected.tolist(), axis
@@ -93,9 +93,9 @@ class TestStructuralAxes:
         with pytest.raises(XPathEvaluationError):
             AxisExecutor(fig1_doc).step(np.array([0]), "sideways")
 
-    def test_unknown_strategy_rejected(self, fig1_doc):
+    def test_unknown_engine_rejected(self, fig1_doc):
         with pytest.raises(XPathEvaluationError):
-            AxisExecutor(fig1_doc, strategy="quantum")
+            AxisExecutor(fig1_doc, engine="quantum")
 
 
 class TestNodeTests:

@@ -175,16 +175,16 @@ class TestPredicates:
 
 
 class TestStrategiesAndModes:
-    @pytest.mark.parametrize("strategy", ["staircase", "vectorized"])
+    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
     @pytest.mark.parametrize(
         "mode", [SkipMode.NONE, SkipMode.SKIP, SkipMode.ESTIMATE, SkipMode.EXACT]
     )
-    def test_all_configurations_agree(self, auction, strategy, mode):
+    def test_all_configurations_agree(self, auction, engine, mode):
         expected = evaluate(auction, "/descendant::increase/ancestor::bidder")
         got = evaluate(
             auction,
             "/descendant::increase/ancestor::bidder",
-            strategy=strategy,
+            engine=engine,
             mode=mode,
         )
         assert got.tolist() == expected.tolist()

@@ -118,11 +118,11 @@ class TestEvaluatorRobustness:
 
     @given(path=paths, seed=st.integers(0, 500))
     @settings(max_examples=60, deadline=None)
-    def test_strategies_agree_on_random_queries(self, path, seed):
+    def test_engines_agree_on_random_queries(self, path, seed):
         doc = encode(random_tree(40, seed))
         try:
-            scalar = evaluate(doc, path, strategy="staircase")
-            bulk = evaluate(doc, path, strategy="vectorized")
+            scalar = evaluate(doc, path, engine="scalar")
+            bulk = evaluate(doc, path, engine="vectorized")
         except ReproError:
             return
         assert scalar.tolist() == bulk.tolist(), str(path)
