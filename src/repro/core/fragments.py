@@ -52,12 +52,24 @@ class FragmentedDocument:
     def __init__(self, doc: DocTable):
         self.doc = doc
         self._fragments: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        element_kind = int(NodeKind.ELEMENT)
+        # One pass for every tag: a stable sort of the element nodes by
+        # tag code groups them per tag in document order, so a fragment
+        # is a slice — each column is read (and, paged, decoded) once,
+        # not once per dictionary entry.
+        elements = np.nonzero(
+            np.asarray(doc.kind, dtype=np.int64) == int(NodeKind.ELEMENT)
+        )[0].astype(np.int64)
+        codes = np.asarray(doc.tag.codes, dtype=np.int64)[elements]
+        order = np.argsort(codes, kind="stable")
+        pres = elements[order]
+        posts = doc.post[pres]
+        bounds = np.searchsorted(
+            codes[order], np.arange(len(doc.tag.dictionary) + 1, dtype=np.int64)
+        )
         for code, tag in enumerate(doc.tag.dictionary):
-            mask = (doc.tag.codes == code) & (doc.kind == element_kind)
-            pres = np.nonzero(mask)[0].astype(np.int64)
-            if len(pres):
-                self._fragments[tag] = (pres, doc.post[pres])
+            low, high = int(bounds[code]), int(bounds[code + 1])
+            if high > low:
+                self._fragments[tag] = (pres[low:high], posts[low:high])
 
     # ------------------------------------------------------------------
     def tags(self) -> List[str]:

@@ -42,7 +42,7 @@ constructed with ``engine="vectorized"``.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -56,7 +56,13 @@ from repro.encoding.doctable import DocTable
 from repro.errors import XPathEvaluationError
 from repro.xmltree.model import NodeKind
 
-__all__ = ["staircase_join_vectorized", "axis_step_vectorized"]
+__all__ = [
+    "staircase_join_vectorized",
+    "axis_step_vectorized",
+    "concat_ranges",
+    "nodes_with_parent_in",
+    "subtree_sizes",
+]
 
 _ATTR = int(NodeKind.ATTRIBUTE)
 
@@ -169,64 +175,75 @@ def _preceding_vectorized(doc: DocTable, context: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Structural axes (parent-column equi-joins, windowed)
 # ----------------------------------------------------------------------
-def _nodes_with_parent_in(
-    doc: DocTable, parents: np.ndarray, want_attributes: bool
+def _parent_in(parents: np.ndarray, probe: np.ndarray, base: int, span: int) -> np.ndarray:
+    """Boolean per ``probe`` value: is it one of the (sorted) ``parents``?
+
+    ``parents`` all lie in ``[base, base + span)``.  One parent is a plain
+    comparison; a context dense against the probe gets one boolean lookup
+    table over the span (probe values before ``base`` — outer ancestors,
+    the root's -1 — can never match); a sparse one a ``searchsorted``
+    probe, which has far lower constant overhead than ``np.isin``.
+    """
+    if len(parents) == 1:
+        return probe == parents[0]
+    if len(parents) * 16 > len(probe):
+        table = np.zeros(span, dtype=bool)
+        table[parents - base] = True
+        shifted = probe - base
+        return (shifted >= 0) & table[np.maximum(shifted, 0)]
+    slots = np.searchsorted(parents, probe)
+    slots[slots == len(parents)] = 0
+    return parents[slots] == probe
+
+
+def nodes_with_parent_in(
+    doc: DocTable,
+    parents: np.ndarray,
+    want_attributes: bool,
+    matching: Optional[Callable[[slice], np.ndarray]] = None,
 ) -> np.ndarray:
     """All nodes whose parent is in ``parents``, filtered by kind.
 
     Children of ``c`` live inside ``c``'s subtree span, so the union of
     spans bounds the scan — a predicate evaluating a child step per small
-    subtree touches a few dozen slots instead of the whole column.  The
-    single-parent case (every predicate sub-evaluation) avoids all array
-    temporaries beyond the window itself; the general case replaces
-    ``np.isin`` with a ``searchsorted`` probe against the sorted parent
-    set, which has far lower constant overhead.
+    subtree touches a few dozen slots instead of the whole column.
+
+    ``matching`` is the step's node test as a boolean mask over a window
+    slice.  With it the window is tested *first* and only the survivors'
+    parents are probed against the context — a name test leaves a
+    handful of slots where the plain join probes every slot of the
+    window and leaves the test to the caller.
     """
     if len(parents) == 0:
         return _empty()
+    lo = int(parents[0]) + 1  # parents arrive sorted
     if len(parents) == 1:
-        anchor = int(parents[0])
-        lo = anchor + 1
-        hi = min(anchor + doc.subtree_size_exact(anchor) + 1, len(doc))
-        if lo >= hi:
-            return _empty()
-        window = slice(lo, hi)
-        mask = doc.parent[window] == anchor
+        hi = lo + doc.subtree_size_exact(lo - 1)
     else:
-        lo = int(parents[0]) + 1  # parents arrive sorted
-        hi = min(int((parents + subtree_sizes(doc, parents)).max()) + 1, len(doc))
-        if lo >= hi:
-            return _empty()
-        window = slice(lo, hi)
-        segment = doc.parent[window]
-        if len(parents) * 16 > hi - lo:
-            # Dense context: one boolean lookup table beats a log-factor
-            # searchsorted probe per window slot.  Parents all lie in
-            # [lo-1, hi), so a window-sized table suffices; window nodes
-            # whose parent sits before the window (outer ancestors, or
-            # the root's -1) can never match.
-            base = lo - 1
-            table = np.zeros(hi - base, dtype=bool)
-            table[parents - base] = True
-            shifted = segment - base
-            mask = (shifted >= 0) & table[np.maximum(shifted, 0)]
-        else:
-            slots = np.searchsorted(parents, segment)
-            slots[slots == len(parents)] = 0
-            mask = parents[slots] == segment
+        hi = int((parents + subtree_sizes(doc, parents)).max()) + 1
+    hi = min(hi, len(doc))
+    if lo >= hi:
+        return _empty()
+    window = slice(lo, hi)
     if want_attributes:
-        mask &= doc.kind[window] == _ATTR
+        mask = doc.kind[window] == _ATTR
     else:
-        mask &= doc.kind[window] != _ATTR
-    return np.nonzero(mask)[0].astype(np.int64) + lo
+        mask = doc.kind[window] != _ATTR
+    if matching is None:
+        mask &= _parent_in(parents, doc.parent[window], lo - 1, hi - lo + 1)
+        return np.nonzero(mask)[0].astype(np.int64) + lo
+    mask &= matching(window)
+    slots = np.nonzero(mask)[0].astype(np.int64)
+    kept = _parent_in(parents, doc.parent[window][slots], lo - 1, hi - lo + 1)
+    return slots[kept] + lo
 
 
 def _child_vectorized(doc: DocTable, context: np.ndarray) -> np.ndarray:
-    return _nodes_with_parent_in(doc, context, want_attributes=False)
+    return nodes_with_parent_in(doc, context, want_attributes=False)
 
 
 def _attribute_vectorized(doc: DocTable, context: np.ndarray) -> np.ndarray:
-    return _nodes_with_parent_in(doc, context, want_attributes=True)
+    return nodes_with_parent_in(doc, context, want_attributes=True)
 
 
 def _parent_vectorized(doc: DocTable, context: np.ndarray) -> np.ndarray:
@@ -266,7 +283,7 @@ def _siblings_vectorized(
         )
     unique_parents = parent_sorted[edges]
     extreme_child = ctx_sorted[edges]
-    candidates = _nodes_with_parent_in(doc, unique_parents, want_attributes=False)
+    candidates = nodes_with_parent_in(doc, unique_parents, want_attributes=False)
     if len(candidates) == 0:
         return candidates
     slot = np.searchsorted(unique_parents, doc.parent[candidates])

@@ -14,17 +14,123 @@ pre and post rank orders.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+import re
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.encoding.codec import PagedArray
+from repro.encoding.codec import (
+    PagedArray,
+    PagedStrings,
+    dictionary_containing,
+    dictionary_entry,
+    dictionary_find,
+    dictionary_prefix_range,
+    encode_dictionary,
+)
 from repro.errors import EncodingError
 from repro.storage.bat import BAT
 from repro.storage.column import IntColumn, StringColumn, VoidColumn
 from repro.xmltree.model import NodeKind
 
-__all__ = ["DocTable"]
+__all__ = ["DocTable", "ValueIndex", "xpath_number"]
+
+#: XPath 1.0 ``Number`` with the string-conversion frame around it:
+#: optional whitespace, optional ``-``, ``Digits ('.' Digits?)? | '.'
+#: Digits``, optional whitespace.  No ``+``, exponent, ``inf``/``nan``
+#: or ``_`` — everything Python's ``float()`` accepts beyond the grammar.
+_XPATH_NUMBER = re.compile(
+    r"[ \t\r\n]*-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[ \t\r\n]*"
+)
+_XPATH_NUMBER_BYTES = re.compile(_XPATH_NUMBER.pattern.encode("ascii"))
+
+#: First bytes a string matching :data:`_XPATH_NUMBER` can start with.
+_NUMBER_LEAD = np.frombuffer(b" \t\r\n-.0123456789", dtype=np.uint8)
+
+
+def xpath_number(text: Union[str, bytes]) -> float:
+    """The XPath 1.0 ``number()`` of a string: its value under the
+    ``Number`` grammar, NaN for anything else.
+
+    The one string→number parser — both engines' coercions and the
+    value index's per-dictionary-entry numeric table call it.  UTF-8
+    ``bytes`` are accepted as they sit in a dictionary blob (the
+    grammar is pure ASCII).
+    """
+    pattern = _XPATH_NUMBER if isinstance(text, str) else _XPATH_NUMBER_BYTES
+    if pattern.fullmatch(text) is None:
+        return float("nan")
+    return float(text)
+
+
+class ValueIndex:
+    """Dictionary-coded string values of one table, searchable undecoded.
+
+    Both value layouts end up here: a packed table hands over its code
+    column and sorted UTF-8 dictionary blob as they are; an eager
+    ``list[str]`` column is coded on first use.  ``codes[pre]`` is the
+    node's dictionary code (``-1``: no value); the search methods turn
+    a literal into a code, a code range or a per-code truth table, and
+    :meth:`numbers` holds ``xpath_number`` of every *entry* — value
+    predicates then run on codes, never on per-node strings.
+    """
+
+    __slots__ = ("codes", "blob", "offsets", "_numbers")
+
+    def __init__(self, codes, blob: np.ndarray, offsets: np.ndarray):
+        self.codes = codes  #: per-node codes (ndarray or PagedArray)
+        self.blob = blob
+        self.offsets = offsets
+        self._numbers: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_values(cls, values: List[Optional[str]]) -> "ValueIndex":
+        """Code an eager value column against its sorted dictionary."""
+        dictionary = sorted({v for v in values if v is not None})
+        code_of = {v: code for code, v in enumerate(dictionary)}
+        code_of[None] = -1  # type: ignore[index]
+        codes = np.fromiter(
+            (code_of[v] for v in values), dtype=np.int32, count=len(values)
+        )
+        return cls(codes, *encode_dictionary(dictionary))
+
+    def __len__(self) -> int:
+        """Number of dictionary entries."""
+        return int(self.offsets.shape[0]) - 1
+
+    def entry(self, code: int) -> str:
+        return dictionary_entry(self.blob, self.offsets, code)
+
+    def find(self, value: str) -> int:
+        """Code of ``value``, or ``-1`` when no node carries it."""
+        return dictionary_find(self.blob, self.offsets, value)
+
+    def prefix_range(self, prefix: str) -> Tuple[int, int]:
+        """Codes ``[lo, hi)`` of the entries starting with ``prefix``."""
+        return dictionary_prefix_range(self.blob, self.offsets, prefix)
+
+    def containing(self, needle: str) -> np.ndarray:
+        """Boolean per code: the entries containing ``needle``."""
+        return dictionary_containing(self.blob, self.offsets, needle)
+
+    def numbers(self) -> np.ndarray:
+        """``xpath_number`` of every dictionary entry (``float64``, one
+        slot per *entry*; built once, on the first numeric predicate)."""
+        if self._numbers is None:
+            offsets = np.asarray(self.offsets, dtype=np.int64)
+            raw = bytes(self.blob)
+            numbers = np.full(len(self), np.nan, dtype=np.float64)
+            # Only entries opening with a byte the grammar allows can be
+            # numbers — text content rarely does, so the parser runs on
+            # a sliver of the dictionary.
+            populated = np.nonzero(offsets[1:] > offsets[:-1])[0]
+            lead = np.frombuffer(raw, dtype=np.uint8)[offsets[populated]]
+            for code in populated[np.isin(lead, _NUMBER_LEAD)]:
+                numbers[code] = xpath_number(
+                    raw[int(offsets[code]) : int(offsets[code + 1])]
+                )
+            self._numbers = numbers
+        return self._numbers
 
 
 class DocTable:
@@ -64,6 +170,7 @@ class DocTable:
         "_pre_of_post",
         "_first_child_cache",
         "_tag_histogram",
+        "_value_index",
     )
 
     def __init__(
@@ -105,6 +212,7 @@ class DocTable:
         self._pre_of_post: Optional[np.ndarray] = None
         self._first_child_cache: Optional[np.ndarray] = None
         self._tag_histogram: Optional[np.ndarray] = None
+        self._value_index: Optional[ValueIndex] = None
 
     # ------------------------------------------------------------------
     # Size / iteration
@@ -268,6 +376,22 @@ class DocTable:
             if int(self.kind[i]) == text_kind:
                 parts.append(self.values[i] or "")
         return "".join(parts)
+
+    def value_index(self) -> ValueIndex:
+        """The table's :class:`ValueIndex`, built on first use.
+
+        Tables are immutable and every commit loads a fresh one, so the
+        index needs no invalidation — it lives and dies with the epoch.
+        """
+        if self._value_index is None:
+            values = self.values
+            if isinstance(values, PagedStrings):
+                self._value_index = ValueIndex(
+                    values.codes, values.blob, values.offsets
+                )
+            else:
+                self._value_index = ValueIndex.from_values(values)
+        return self._value_index
 
     # ------------------------------------------------------------------
     # BAT views (the Monet storage shape)

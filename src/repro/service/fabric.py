@@ -11,7 +11,7 @@ data plane bulk end-to-end:
   planes, evaluators, prefix-context LRU) across requests; nothing is
   re-opened per batch.
 * **Shared-memory result planes.**  A worker packs all rank arrays of
-  a response into one ``multiprocessing.shared_memory`` segment
+  a response into one POSIX shared-memory segment
   (:class:`SegmentWriter`); only a tiny layout descriptor crosses the
   pipe.  The parent maps the segment and rebuilds every rank array as
   a **zero-copy numpy view** over it (:class:`SegmentPool`).
@@ -52,6 +52,7 @@ data plane bulk end-to-end:
 from __future__ import annotations
 
 import itertools
+import mmap
 import multiprocessing
 import os
 import queue
@@ -59,7 +60,6 @@ import re
 import threading
 import traceback
 import weakref
-from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,57 +92,54 @@ _SHM_DIR = "/dev/shm"
 _INSTANCES = itertools.count()
 
 
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Opt a segment out of the ``resource_tracker``.
-
-    CPython registers POSIX segments on *create and attach*; the
-    tracker would unlink them at interpreter exit and warn about
-    "leaked" objects we are managing deliberately (worker-created,
-    parent-unlinked, pid-swept on crash).  Unregister exactly once per
-    handle — a second unregister is tracker noise.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(
-            getattr(shm, "_name", "/" + shm.name), "shared_memory"
-        )
-    except (ImportError, AttributeError, KeyError, OSError, ValueError):
-        # pragma: no cover - tracker layout varies by platform/version;
-        # a failed unregister only costs an exit-time warning.
-        pass
-
-
 def _unlink_segment(name: str) -> None:
-    """Remove a segment name without touching the resource tracker.
-
-    ``SharedMemory.unlink`` unregisters the name as a side effect —
-    a second unregister after :func:`_untrack`, which the tracker
-    process reports as a ``KeyError``.  Fabric segments are tracked
-    manually, so unlink at the filesystem level.
-    """
+    """Remove a segment name (existing mappings stay valid)."""
     try:
         os.unlink(os.path.join(_SHM_DIR, name))
     except OSError:
         pass
 
 
-class _AttachedSegment(shared_memory.SharedMemory):
-    """An attached segment whose ``__del__`` tolerates live exports.
+class _Segment:
+    """One POSIX shared-memory segment, mapped straight from ``/dev/shm``.
 
-    A lease finalizer can fire while the *last* derived array is still
-    mid-deallocation (the subclass ``__dict__`` holding the lease is
-    cleared before the buffer export is released), so ``close()`` may
-    transiently raise ``BufferError``.  Those handles are parked and
-    retried; if one survives to garbage collection, closing is a
-    best-effort no-op rather than an ignored-exception traceback.
+    ``multiprocessing.shared_memory`` registers every segment a process
+    creates *or attaches* with a ``resource_tracker`` — a helper process
+    spawned on first use, one per fabric process, whose only job would
+    be to unlink at exit what the fabric already unlinks by name on
+    ``close()`` and sweeps by pid after a crash.  Mapping the file
+    directly starts no tracker.  ``create_bytes`` creates the segment
+    (exclusively) at that size; without it an existing one is attached.
     """
 
-    def __del__(self):
+    __slots__ = ("name", "size", "buf", "_mmap")
+
+    def __init__(self, name: str, create_bytes: Optional[int] = None):
+        path = os.path.join(_SHM_DIR, name)
+        flags = os.O_RDWR
+        if create_bytes is not None:
+            flags |= os.O_CREAT | os.O_EXCL
+        fd = os.open(path, flags, 0o600)
         try:
-            super().__del__()
-        except BufferError:  # pragma: no cover - GC-order dependent
-            pass
+            if create_bytes is not None:
+                os.ftruncate(fd, create_bytes)
+            self.size = os.fstat(fd).st_size
+            self._mmap = mmap.mmap(fd, self.size)
+        except (OSError, ValueError):
+            if create_bytes is not None:
+                _unlink_segment(name)
+            raise
+        finally:
+            os.close(fd)
+        self.name = name
+        self.buf: Optional[memoryview] = memoryview(self._mmap)
+
+    def close(self) -> None:
+        """Unmap; raises ``BufferError`` while views over ``buf`` live."""
+        if self.buf is not None:
+            self.buf.release()
+            self.buf = None
+        self._mmap.close()
 
 
 def _pid_alive(pid: int) -> bool:
@@ -199,8 +196,8 @@ class SegmentWriter:
         self.created = 0  #: segments allocated (not reuses)
         self.recycled = 0  #: responses served from the free list
         self._seq = itertools.count()
-        self._free: List[shared_memory.SharedMemory] = []
-        self._busy: Dict[str, shared_memory.SharedMemory] = {}
+        self._free: List[_Segment] = []
+        self._busy: Dict[str, _Segment] = {}
 
     # ------------------------------------------------------------------
     def pack(self, results: Sequence[ShardResult]) -> tuple:
@@ -249,7 +246,7 @@ class SegmentWriter:
         self._busy[shm.name] = shm
         return (light, shm.name, offset)
 
-    def _obtain(self, nbytes: int) -> shared_memory.SharedMemory:
+    def _obtain(self, nbytes: int) -> _Segment:
         best = None
         for i, shm in enumerate(self._free):
             if shm.size >= nbytes and (
@@ -260,11 +257,7 @@ class SegmentWriter:
             self.recycled += 1
             return self._free.pop(best)
         self.created += 1
-        shm = shared_memory.SharedMemory(
-            name=f"{self.prefix}-{next(self._seq)}", create=True, size=nbytes
-        )
-        _untrack(shm)
-        return shm
+        return _Segment(f"{self.prefix}-{next(self._seq)}", create_bytes=nbytes)
 
     # ------------------------------------------------------------------
     def release(self, name: str) -> None:
@@ -278,7 +271,7 @@ class SegmentWriter:
             self._discard(shm)
 
     @staticmethod
-    def _discard(shm: shared_memory.SharedMemory) -> None:
+    def _discard(shm: _Segment) -> None:
         try:
             shm.close()
         except BufferError:  # pragma: no cover - writer-held export
@@ -354,7 +347,7 @@ class _Lease:
 
     __slots__ = ("shm", "owner", "__weakref__")
 
-    def __init__(self, shm: shared_memory.SharedMemory, owner: int):
+    def __init__(self, shm: _Segment, owner: int):
         self.shm = shm
         self.owner = owner
 
@@ -386,13 +379,12 @@ class SegmentPool:
         self._live: Dict[str, weakref.ref] = {}  # guarded-by: _lock
         #: Handles whose close() hit a transient BufferError (the last
         #: view was still mid-deallocation); retried on every attach.
-        self._graveyard: List[shared_memory.SharedMemory] = []  # guarded-by: _lock
+        self._graveyard: List[_Segment] = []  # guarded-by: _lock
         self.attached = 0  # guarded-by: _lock
 
     def attach(self, name: str, owner: int) -> _Lease:
         self._reap()
-        shm = _AttachedSegment(name=name)
-        _untrack(shm)
+        shm = _Segment(name)
         lease = _Lease(shm, owner)
         with self._lock:
             self.attached += 1

@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.staircase import SkipMode, staircase_join
 from repro.core.vectorized import (
     axis_step_vectorized,
+    nodes_with_parent_in,
     staircase_join_vectorized,
 )
 from repro.counters import JoinStatistics
@@ -39,7 +40,14 @@ from repro.encoding.doctable import DocTable
 from repro.errors import XPathEvaluationError
 from repro.xmltree.model import NodeKind
 
-__all__ = ["AxisExecutor", "DOCUMENT_CONTEXT", "apply_node_test", "resolve_engine"]
+__all__ = [
+    "AxisExecutor",
+    "DOCUMENT_CONTEXT",
+    "apply_node_test",
+    "node_test_mask",
+    "resolve_engine",
+    "tested_children",
+]
 
 _ATTR = int(NodeKind.ATTRIBUTE)
 
@@ -237,37 +245,61 @@ class AxisExecutor:
 # ----------------------------------------------------------------------
 # Node tests
 # ----------------------------------------------------------------------
-def apply_node_test(
-    doc: DocTable, pres: np.ndarray, axis: str, kind: str, name: Optional[str]
+def node_test_mask(
+    doc: DocTable, pres, axis: str, kind: str, name: Optional[str]
 ) -> np.ndarray:
-    """Filter step output ``pres`` by a node test.
+    """Boolean mask over ``pres``: which nodes pass the node test.
 
+    ``pres`` is a rank array or a contiguous ``slice`` of the plane;
     ``kind``/``name`` come from :class:`repro.xpath.ast.NodeTest`.  The
     *principal node kind* rule: a name test (or ``*``) selects elements on
     every axis except ``attribute``, where it selects attribute nodes.
     """
-    if len(pres) == 0:
-        return pres
     principal = NodeKind.ATTRIBUTE if axis == "attribute" else NodeKind.ELEMENT
+    kinds = doc.kind[pres]
     if kind == "node":
-        return pres
+        return np.ones(len(kinds), dtype=bool)
     if kind == "*":
-        return pres[doc.kind[pres] == int(principal)]
+        return kinds == int(principal)
     if kind == "name":
         code = doc.tag.code_of(name or "")
         if code < 0:
-            return _empty()
-        mask = (doc.kind[pres] == int(principal)) & (doc.tag.codes[pres] == code)
-        return pres[mask]
+            return np.zeros(len(kinds), dtype=bool)
+        return (kinds == int(principal)) & (doc.tag.codes[pres] == code)
     if kind == "text":
-        return pres[doc.kind[pres] == int(NodeKind.TEXT)]
+        return kinds == int(NodeKind.TEXT)
     if kind == "comment":
-        return pres[doc.kind[pres] == int(NodeKind.COMMENT)]
+        return kinds == int(NodeKind.COMMENT)
     if kind == "processing-instruction":
-        mask = doc.kind[pres] == int(NodeKind.PROCESSING_INSTRUCTION)
-        selected = pres[mask]
+        mask = kinds == int(NodeKind.PROCESSING_INSTRUCTION)
         if name:
-            keep = [p for p in selected if doc.tag_of(int(p)) == name]
-            return np.asarray(keep, dtype=np.int64)
-        return selected
+            ranks = np.arange(len(doc), dtype=np.int64)[pres]
+            for slot in np.nonzero(mask)[0]:
+                mask[slot] = doc.tag_of(int(ranks[slot])) == name
+        return mask
     raise XPathEvaluationError(f"unknown node test kind {kind!r}")
+
+
+def tested_children(doc: DocTable, parents: np.ndarray, axis: str, test) -> np.ndarray:
+    """``parents/child::test`` (or ``attribute::test``), the node test
+    applied ahead of the parent-column probe: a name test leaves the
+    probe a handful of candidates instead of every node below the
+    context.  ``parents`` is sorted and duplicate-free."""
+    if test.kind == "node":
+        return nodes_with_parent_in(doc, parents, axis == "attribute")
+    return nodes_with_parent_in(
+        doc,
+        parents,
+        axis == "attribute",
+        lambda window: node_test_mask(doc, window, axis, test.kind, test.name),
+    )
+
+
+def apply_node_test(
+    doc: DocTable, pres: np.ndarray, axis: str, kind: str, name: Optional[str]
+) -> np.ndarray:
+    """Filter step output ``pres`` by a node test (see
+    :func:`node_test_mask`)."""
+    if len(pres) == 0 or kind == "node":
+        return pres
+    return pres[node_test_mask(doc, pres, axis, kind, name)]

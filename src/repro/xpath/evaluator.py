@@ -30,6 +30,7 @@ terminate early instead of materializing ranks the caller will only
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Union
 
 import numpy as np
@@ -37,9 +38,9 @@ import numpy as np
 from repro.core.fragments import FragmentedDocument
 from repro.core.staircase import SkipMode
 from repro.counters import JoinStatistics
-from repro.encoding.doctable import DocTable
+from repro.encoding.doctable import DocTable, xpath_number
 from repro.errors import XPathEvaluationError
-from repro.xmltree.model import NodeKind
+from repro.xpath import predicates
 from repro.xpath.ast import (
     BinaryExpr,
     Expr,
@@ -49,7 +50,7 @@ from repro.xpath.ast import (
     Step,
     StringLiteral,
 )
-from repro.xpath.axes import AxisExecutor, apply_node_test, resolve_engine
+from repro.xpath.axes import AxisExecutor, resolve_engine
 from repro.xpath.parser import parse_xpath
 from repro.xpath.pipeline import (
     StaircaseStep,
@@ -81,24 +82,6 @@ def parse_with_cache(query: str, cache) -> Expr:
 _REVERSE_AXES = frozenset(
     ("ancestor", "ancestor-or-self", "preceding", "preceding-sibling", "parent")
 )
-
-#: Axis inverses used by the vectorised engine's bulk predicate filter:
-#: ``n ∈ axis(c)  ⇔  c ∈ _REVERSE_OF[axis](n)`` for non-attribute nodes
-#: (``attribute`` reverses onto ``parent``: an attribute's owner element).
-_REVERSE_OF = {
-    "child": "parent",
-    "parent": "child",
-    "descendant": "ancestor",
-    "ancestor": "descendant",
-    "descendant-or-self": "ancestor-or-self",
-    "ancestor-or-self": "descendant-or-self",
-    "following": "preceding",
-    "preceding": "following",
-    "following-sibling": "preceding-sibling",
-    "preceding-sibling": "following-sibling",
-    "self": "self",
-    "attribute": "parent",
-}
 
 
 class Evaluator:
@@ -365,78 +348,10 @@ class Evaluator:
     def bulk_predicate_mask(
         self, candidates: np.ndarray, predicate: Expr
     ) -> Optional[np.ndarray]:
-        """Keep-mask over ``candidates`` for a set-at-a-time filterable
-        predicate, or ``None`` when the expression needs the per-candidate
-        evaluator.
-
-        Existence predicates (relative location paths), their negations,
-        and ``and``/``or`` combinations thereof are evaluated as one
-        reverse-path semi-join per path instead of one sub-evaluation per
-        candidate.  Anything positional, value-comparing, or carrying
-        inner predicates falls back.
-        """
-        if isinstance(predicate, LocationPath):
-            return self._bulk_path_mask(candidates, predicate)
-        if (
-            isinstance(predicate, FunctionCall)
-            and predicate.name == "not"
-            and len(predicate.args) == 1
-        ):
-            inner = self.bulk_predicate_mask(candidates, predicate.args[0])
-            return None if inner is None else ~inner
-        if isinstance(predicate, BinaryExpr) and predicate.op in ("and", "or"):
-            left = self.bulk_predicate_mask(candidates, predicate.left)
-            if left is None:
-                return None
-            right = self.bulk_predicate_mask(candidates, predicate.right)
-            if right is None:
-                return None
-            return (left & right) if predicate.op == "and" else (left | right)
-        return None
-
-    def _bulk_path_mask(
-        self, candidates: np.ndarray, path: LocationPath
-    ) -> Optional[np.ndarray]:
-        """Existence of ``candidate/path`` for every candidate at once.
-
-        A candidate satisfies ``[a₁::t₁/…/aₘ::tₘ]`` iff it lies in
-        ``reverse(a₁)(t₁ ∩ reverse(a₂)(… tₘ))`` — so the whole filter is
-        ``m`` bulk axis steps seeded from the nodes passing ``tₘ``,
-        followed by one sorted membership test.  The axis inversions are
-        exact on non-attribute nodes only, so attribute candidates and
-        non-final ``attribute`` steps fall back to the scalar evaluator;
-        steps with inner predicates do too.
-        """
-        doc = self.doc
-        if path.absolute:
-            # Same truth value for every candidate.
-            hits = self.evaluate(path)
-            return np.full(len(candidates), len(hits) > 0, dtype=bool)
-        steps = path.steps
-        if not steps or any(s.predicates for s in steps):
-            return None
-        if any(s.axis not in _REVERSE_OF for s in steps):
-            return None
-        if any(s.axis == "attribute" for s in steps[:-1]):
-            return None
-        if np.any(doc.kind[candidates] == int(NodeKind.ATTRIBUTE)):
-            return None
-        last = steps[-1]
-        if last.axis == "attribute":
-            universe = doc.pres_with_kind(NodeKind.ATTRIBUTE)
-        else:
-            universe = doc.non_attribute_pres()
-        frontier = apply_node_test(doc, universe, last.axis, last.test.kind, last.test.name)
-        for index in range(len(steps) - 1, -1, -1):
-            if len(frontier) == 0:
-                return np.zeros(len(candidates), dtype=bool)
-            frontier = self.axes.step(frontier, _REVERSE_OF[steps[index].axis])
-            if index > 0:
-                previous = steps[index - 1]
-                frontier = apply_node_test(
-                    doc, frontier, previous.axis, previous.test.kind, previous.test.name
-                )
-        return np.isin(candidates, frontier)
+        """Keep-mask over ``candidates`` from the column evaluator
+        (:mod:`repro.xpath.predicates`), or ``None`` when the predicate
+        needs :meth:`filter_predicate_scalar`."""
+        return predicates.bulk_predicate_mask(self, candidates, predicate)
 
     # ------------------------------------------------------------------
     # Expression evaluation (XPath 1.0 core semantics)
@@ -488,11 +403,10 @@ class Evaluator:
             if rn == 0:
                 return float("inf") if ln > 0 else float("-inf") if ln < 0 else float("nan")
             return ln / rn
-        # mod: remainder with the sign of the dividend (math.fmod semantics)
-        if rn == 0:
+        # mod: remainder with the sign of the dividend (math.fmod semantics,
+        # which raises where IEEE says NaN: an infinite dividend)
+        if rn == 0 or math.isinf(ln):
             return float("nan")
-        import math
-
         return math.fmod(ln, rn)
 
     def _function(self, call: FunctionCall, context_pre: int, position: int, size: int):
@@ -600,19 +514,13 @@ class Evaluator:
                 sum(self._to_number(self.doc.string_value(int(p))) for p in args[0])
             )
         if name == "floor":
-            import math
-
             return float(math.floor(self._to_number(args[0])))
         if name == "ceiling":
-            import math
-
             return float(math.ceil(self._to_number(args[0])))
         if name == "round":
             number = self._to_number(args[0])
             if np.isnan(number):
                 return number
-            import math
-
             return float(math.floor(number + 0.5))  # XPath rounds half up
         raise XPathEvaluationError(f"unknown function {name!r}")
 
@@ -634,10 +542,7 @@ class Evaluator:
         if isinstance(value, float):
             return value
         if isinstance(value, str):
-            try:
-                return float(value.strip())
-            except ValueError:
-                return float("nan")
+            return xpath_number(value)
         if isinstance(value, np.ndarray):
             return self._to_number(self._to_string(value))
         raise XPathEvaluationError(f"cannot coerce {type(value).__name__} to number")
@@ -648,6 +553,10 @@ class Evaluator:
         if isinstance(value, bool):
             return "true" if value else "false"
         if isinstance(value, float):
+            if math.isnan(value):
+                return "NaN"
+            if math.isinf(value):
+                return "Infinity" if value > 0 else "-Infinity"
             if value == int(value):
                 return str(int(value))
             return str(value)

@@ -48,6 +48,7 @@ from repro.xpath.ast import (
 from repro.xpath.axes import resolve_engine
 from repro.xpath.parser import parse_xpath
 from repro.xpath.pipeline import is_positional_predicate, operator_name
+from repro.xpath.predicates import is_context_free
 from repro.xpath.rewrite import collapse_descendant_or_self, symmetry_rewrite
 
 __all__ = ["TagStatistics", "Planner", "QueryPlan", "StepDecision"]
@@ -233,10 +234,15 @@ class Planner:
     #: all probes into one ``searchsorted`` call, the scalar engine pays
     #: interpreter dispatch per probe.
     PROBE_WEIGHTS = {"vectorized": 1.0, "scalar": 2.0}
-    #: Scalar-engine overhead of one per-candidate predicate
-    #: sub-evaluation, in node-touch equivalents (interpreter dispatch,
-    #: context setup) — why the scalar engine hates existence rewrites
-    #: on dense candidate sets.
+    #: Overhead of one per-candidate predicate sub-evaluation, in
+    #: node-touch equivalents (interpreter dispatch, context setup) —
+    #: why the scalar engine hates existence rewrites on dense candidate
+    #: sets.  The vectorized engine pays it only on the shapes its
+    #: column evaluator hands back (positional predicates, the reverse
+    #: and sibling axes inside a comparison, node-set = node-set); its
+    #: value predicates are a handful of numpy passes over the
+    #: candidates and the weight then merely keeps them ranked behind
+    #: pure existence tests, as before.
     PREDICATE_EVAL_WEIGHT = 64.0
     #: A rewrite must be priced below ``margin × cost(original)`` to be
     #: applied — decisions near the break-even point stay with the
@@ -464,6 +470,11 @@ class Planner:
 
     def _predicate_rank(self, axis: str, predicate: Expr) -> float:
         """Ordering key: cost per unit of candidates dropped."""
+        if self.engine == "vectorized" and is_context_free(predicate):
+            # Evaluated once per filter, whatever the candidate count
+            # (``[7 > 0]``, ``[/site/regions]``): free to run first, and
+            # a false one empties the frontier before any real work.
+            return 0.0
         drop = 1.0 - self._predicate_selectivity(axis, predicate)
         return self._predicate_cost(predicate) / max(0.05, drop)
 
@@ -489,14 +500,18 @@ class Planner:
             inner = sum(self._predicate_cost(a) for a in predicate.args)
             if predicate.name == "not":
                 return inner + 1.0
-            # Other functions mostly walk string values (subtree scans).
+            # Other functions read string values: subtree scans per
+            # candidate on the scalar engine, dictionary codes of the
+            # text descendants on the vectorized one.
             return inner + self.PREDICATE_EVAL_WEIGHT
         if isinstance(predicate, BinaryExpr):
             left = self._predicate_cost(predicate.left)
             right = self._predicate_cost(predicate.right)
             if predicate.op in ("and", "or", "|"):
                 return left + right
-            # Comparisons materialise string values on both sides.
+            # Comparisons need both sides' values: the scalar engine
+            # materialises the strings, the vectorized engine compares
+            # dictionary codes (or the per-entry number table).
             return left + right + self.PREDICATE_EVAL_WEIGHT
         if isinstance(predicate, (NumberLiteral, StringLiteral)):
             return 1.0
@@ -679,14 +694,23 @@ class Planner:
         """Cost of filtering ``candidates`` nodes through one predicate."""
         stats = self.statistics
         n = float(stats.total_nodes)
-        if self.engine == "vectorized" and self._bulk_filterable(predicate):
-            # One reverse-path semi-join: universe scan + membership.
-            return n + self._predicate_cost(predicate)
-        # Per-candidate sub-evaluation (interpreter dispatch dominates).
+        if self.engine == "vectorized":
+            if is_context_free(predicate):
+                return 1.0  # one evaluation for the whole frontier
+            if self._bulk_filterable(predicate):
+                # One reverse-path semi-join: universe scan + membership.
+                return n + self._predicate_cost(predicate)
+        # Linear in the candidates: per-candidate sub-evaluation on the
+        # scalar engine (interpreter dispatch dominates), column kernels
+        # on the vectorized one — cheaper by a constant the model does
+        # not separate, since estimates only ever rank plans of one
+        # engine against each other.
         return candidates * self.PREDICATE_EVAL_WEIGHT
 
     def _bulk_filterable(self, predicate: Expr) -> bool:
-        """Mirror of the vectorised engine's bulk predicate test."""
+        """Pure existence shapes: the vectorised engine answers these
+        with a reverse-path semi-join over the plane rather than with
+        per-candidate (or per-candidate-column) work."""
         if isinstance(predicate, LocationPath):
             return bool(predicate.steps) and not any(
                 s.predicates for s in predicate.steps

@@ -12,8 +12,11 @@ replaced mid-batch, and closing (explicitly, via GC, or through
 """
 
 import gc
+import json
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -432,6 +435,68 @@ class TestAffinityAndResilience:
             ]
             assert again == baseline
             assert backend._procs[0].pid != victim.pid
+        assert fabric_segments() == []
+
+    def test_fabric_starts_no_resource_tracker(self, store, tmp_path):
+        """Segments are mapped straight from /dev/shm, so neither the
+        service process nor a worker ever spawns a ``multiprocessing``
+        resource tracker.  Probed in a fresh interpreter: a tracker
+        started by anything earlier in this test process would be
+        indistinguishable from one the fabric started."""
+        probe = """
+import json, multiprocessing, os, sys
+from repro.service import QueryService, ShardedStore
+
+def process_table():
+    table = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+            with open(f"/proc/{entry}/cmdline", "rb") as f:
+                command = f.read().replace(b"\\0", b" ").decode("utf-8", "replace")
+        except OSError:
+            continue
+        table[int(entry)] = (int(fields[1]), command)
+    return table
+
+with QueryService(ShardedStore.open(sys.argv[1]), backend="fabric:2") as service:
+    total = service.execute("//person", use_cache=False).total
+    table = process_table()
+    mine = {os.getpid()}
+    grew = True
+    while grew:
+        grew = False
+        for pid, (parent, _) in table.items():
+            if parent in mine and pid not in mine:
+                mine.add(pid)
+                grew = True
+    print(json.dumps({
+        "start_method": multiprocessing.get_start_method(),
+        "total": total,
+        "processes": len(mine),
+        "trackers": [table[p][1] for p in mine if "resource_tracker" in table[p][1]],
+    }))
+"""
+        # A script, not ``-c``: forked workers share the probe's command
+        # line, which must not itself mention the tracker.
+        script = tmp_path / "probe.py"
+        script.write_text(probe)
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = os.pathsep.join(sys.path)
+        done = subprocess.run(
+            [sys.executable, str(script), store.directory],
+            capture_output=True, text=True, timeout=120, env=environment,
+        )
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout.strip().splitlines()[-1])
+        if seen["start_method"] != "fork":
+            pytest.skip("spawn/forkserver start their own tracker")
+        assert seen["total"] > 0
+        assert seen["processes"] >= 3  # the probe and its two workers
+        assert seen["trackers"] == []
         assert fabric_segments() == []
 
     def test_worker_error_propagates(self, store):

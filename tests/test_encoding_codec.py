@@ -68,6 +68,38 @@ class TestPackRoundTrip:
         directory, blob = pack(values, codec, page_size=2**page_pow)
         assert np.array_equal(decode_column(directory, blob), values)
 
+    @pytest.mark.parametrize("codec", [CODEC_FOR, CODEC_DELTA])
+    @pytest.mark.parametrize("page_size", [1, 2, 8, 64, 1024])
+    def test_whole_column_decode_is_the_pages_concatenated(self, codec, page_size):
+        """``decode_column`` unpacks runs of pages in one pass; the bytes
+        must be the per-page decoder's, whatever the widths met in a run
+        (0-bit constant pages, 63-bit pages, a short last page)."""
+        rng = np.random.default_rng(page_size)
+        values = np.concatenate([
+            rng.integers(0, 2 ** int(width), size=700, dtype=np.int64)
+            for width in (1, 3, 7, 8, 13, 31, 40, 62)
+        ] + [np.full(300, 9, dtype=np.int64), np.asarray([-(2**62), 2**62 - 1, 5])])
+        directory, blob = pack(values, codec, page_size)
+        paged = np.concatenate(
+            [decode_page(directory, blob, b) for b in range(directory.n_blocks)]
+        )
+        whole = decode_column(directory, blob)
+        assert whole.dtype == np.int64
+        assert whole.tobytes() == paged.tobytes() == values.tobytes()
+
+    def test_whole_column_decode_of_64_bit_pages(self):
+        values = np.asarray(
+            [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1], dtype=np.int64
+        )
+        directory, blob = pack(values, CODEC_FOR, page_size=4)
+        assert int(directory.bits.max()) == 64
+        assert np.array_equal(decode_column(directory, blob), values)
+
+    def test_whole_column_decode_rejects_a_truncated_blob(self):
+        directory, blob = pack(np.arange(0, 4000, 7), CODEC_FOR, page_size=64)
+        with pytest.raises(EncodingError, match="truncated"):
+            decode_column(directory, blob[:-1])
+
     def test_decode_single_page(self):
         values = np.arange(0, 500, 3, dtype=np.int64)
         directory, blob = pack(values, CODEC_FOR, page_size=64)

@@ -185,6 +185,13 @@ class TestPaging:
                         for plane in planes
                         for column in plane.columns.values()
                     ),
+                    "full_decodes": {
+                        name: max(
+                            plane.columns[name].stats.full_decodes
+                            for plane in planes
+                        )
+                        for name in ("kind", "tag_codes")
+                    },
                 }))
                 return outcomes
 
@@ -198,6 +205,11 @@ class TestPaging:
         seen = json.loads(report.read_text())
         assert seen["decode_cache"] == "blocks"
         assert seen["whole_columns"] == 0
+        # The planned query pushes its name test down, which builds the
+        # shard's per-tag fragments: one pass over the plane, not one
+        # whole-column decode per dictionary tag.
+        assert seen["full_decodes"]["kind"] <= 1
+        assert seen["full_decodes"]["tag_codes"] <= 1
 
     def test_info_reports_decode_counters(self, forest, tmp_path):
         store, _plane = self.open_and_query(forest, tmp_path, "//bidder")

@@ -1,11 +1,17 @@
 """Grammar fuzzing: random ASTs must survive str() → parse() unchanged,
 and random expressions must evaluate without crashing."""
 
+import os
+import random
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.encoding.persist import load, save
 from repro.encoding.prepost import encode
 from repro.errors import ReproError
+from repro.xmltree.model import Node, NodeKind, element
 from repro.xpath.ast import (
     AXES,
     BinaryExpr,
@@ -126,3 +132,197 @@ class TestEvaluatorRobustness:
         except ReproError:
             return
         assert scalar.tolist() == bulk.tolist(), str(path)
+
+
+# ----------------------------------------------------------------------
+# Value predicates: the column evaluator against the scalar interpreter
+# ----------------------------------------------------------------------
+#: Values the random trees carry: repeats, prefixes of one another, the
+#: empty string, XPath numbers and the strings only Python's ``float()``
+#: takes for numbers, non-ASCII.
+VALUE_POOL = (
+    "x", "xy", "xyz", "hello", "hello world", "A", "Ab", "Graduate School",
+    "7", "42", "12.5", "-3", " 8 ", ".5", "1e3", "+9", "inf", "nan", "1_0",
+    "", "é", "éa", "日本", "日本語",
+)
+#: Text nodes are never empty (the parser drops them).
+TEXT_POOL = tuple(value for value in VALUE_POOL if value)
+VALUE_TAGS = ("a", "b", "c")
+
+
+def value_tree(n_nodes: int, seed: int) -> Node:
+    """A random tree whose leaves carry :data:`VALUE_POOL` values: same-tag
+    siblings with different values, empty elements, single-text elements,
+    mixed content (several text children), valued attributes, comments."""
+    rng = random.Random(seed)
+    root = element("r")
+    elements = [root]
+    for _ in range(n_nodes):
+        parent = rng.choice(elements)
+        roll = rng.random()
+        if roll < 0.2:
+            parent.set_attribute(
+                rng.choice(VALUE_TAGS) + str(len(parent.attributes)),
+                rng.choice(VALUE_POOL),
+            )
+        elif roll < 0.5:
+            parent.append(Node(NodeKind.TEXT, value=rng.choice(TEXT_POOL)))
+        elif roll < 0.55:
+            parent.append(Node(NodeKind.COMMENT, value=rng.choice(VALUE_POOL)))
+        else:
+            elements.append(parent.append(element(rng.choice(VALUE_TAGS))))
+    return root
+
+
+def _literal_strings():
+    # The document's own values, their prefixes, and strangers.
+    return st.builds(
+        StringLiteral,
+        st.one_of(
+            st.sampled_from(VALUE_POOL),
+            st.sampled_from(VALUE_POOL).flatmap(
+                lambda value: st.integers(0, len(value)).map(lambda k: value[:k])
+            ),
+            st.sampled_from(["zz", "true", "0"]),
+        ),
+    )
+
+
+_value_tests = st.one_of(
+    st.builds(NodeTest, st.just("name"), st.sampled_from(VALUE_TAGS + ("a0", "b1"))),
+    st.just(NodeTest("*")),
+    st.just(NodeTest("node")),
+    st.just(NodeTest("text")),
+)
+#: Mostly the axes the origin-tracked steps cover, some they do not.
+_value_axes = st.one_of(
+    st.sampled_from(
+        ["child", "child", "attribute", "self", "descendant", "descendant-or-self"]
+    ),
+    st.sampled_from(AXES),
+)
+_value_paths = st.builds(
+    lambda steps: LocationPath(False, steps),
+    st.lists(
+        st.builds(Step, _value_axes, _value_tests, st.just(())),
+        min_size=1,
+        max_size=2,
+    ).map(tuple),
+)
+
+
+def _calls(name, *args):
+    return st.builds(lambda *a: FunctionCall(name, tuple(a)), *args)
+
+
+def _boolean_shapes(operands):
+    """Productions whose value is a boolean (never the positional ``[n]``)."""
+    strings = _literal_strings()
+    return st.one_of(
+        st.builds(
+            BinaryExpr,
+            st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+            operands,
+            operands,
+        ),
+        st.builds(BinaryExpr, st.sampled_from(["and", "or"]), operands, operands),
+        _calls("not", operands),
+        _calls("boolean", operands),
+        _calls("contains", operands, strings),
+        _calls("starts-with", operands, strings),
+    )
+
+
+def value_expressions():
+    numbers = st.builds(
+        NumberLiteral, st.sampled_from([0.0, 1.0, 2.0, 3.0, 7.0, 8.0, 12.5, 42.0])
+    )
+
+    def extend(children):
+        return st.one_of(
+            _boolean_shapes(children),
+            st.builds(
+                BinaryExpr,
+                st.sampled_from(["+", "-", "*", "div", "mod"]),
+                children,
+                children,
+            ),
+            _calls("count", _value_paths),
+            _calls("string", children),
+            _calls("number", children),
+            _calls("string-length", children),
+        )
+
+    return st.recursive(
+        st.one_of(
+            _value_paths,
+            _value_paths,
+            _literal_strings(),
+            numbers,
+            st.sampled_from(
+                [
+                    FunctionCall("string", ()),
+                    FunctionCall("number", ()),
+                    FunctionCall("string-length", ()),
+                    FunctionCall("true", ()),
+                ]
+            ),
+        ),
+        extend,
+        max_leaves=5,
+    )
+
+
+#: Mostly boolean-valued (set-at-a-time filterable), sometimes anything —
+#: a number at the top is the positional shorthand and must fall back.
+_value_predicates = st.one_of(
+    _boolean_shapes(value_expressions()),
+    _boolean_shapes(value_expressions()),
+    value_expressions(),
+)
+
+
+_value_queries = st.builds(
+    lambda axis, test, predicates: LocationPath(
+        True,
+        (
+            Step("descendant-or-self", NodeTest("node"), ()),
+            Step(axis, test, predicates),
+        ),
+    ),
+    st.sampled_from(["child", "child", "attribute", "descendant"]),
+    _value_tests,
+    st.lists(_value_predicates, min_size=1, max_size=2).map(tuple),
+)
+
+
+def _outcome(doc, path, engine):
+    try:
+        return evaluate(doc, path, engine=engine).tolist()
+    except ReproError as error:
+        return type(error)
+
+
+class TestValuePredicateColumns:
+    @given(
+        query=_value_queries,
+        seed=st.integers(0, 10_000),
+        size=st.integers(1, 60),
+        packed=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_column_evaluator_matches_scalar(self, query, seed, size, packed):
+        """``vectorized`` ≡ ``scalar`` node sequences (and error-for-error)
+        on value-bearing trees, on both value layouts."""
+        doc = encode(value_tree(size, seed))
+        if packed:
+            with tempfile.TemporaryDirectory() as directory:
+                archive = os.path.join(directory, "doc.npz")
+                save(doc, archive, compression="packed")
+                doc = load(archive, mmap=True)
+                scalar = _outcome(doc, query, "scalar")
+                bulk = _outcome(doc, query, "vectorized")
+        else:
+            scalar = _outcome(doc, query, "scalar")
+            bulk = _outcome(doc, query, "vectorized")
+        assert scalar == bulk, str(query)
