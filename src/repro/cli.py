@@ -452,7 +452,7 @@ def _render_analysis(plan, observations) -> str:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.xpath.pipeline import compile_plan
+    from repro.xpath.pipeline import compile_plan, observed_drive
     from repro.xpath.planner import Planner, TagStatistics
 
     pushdown = {"auto": "auto", "on": True, "off": False}[args.pushdown]
@@ -496,39 +496,20 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             with QueryService(
                 store, engine=args.engine, backend="serial"
             ) as service:
-                result, analyzed, observations = service.analyze(
+                result, plan, observations = service.analyze(
                     args.xpath, engine=args.engine
                 )
-                print(_render_analysis(analyzed, observations))
-                print(
-                    f"result: {result.total:,} node(s), "
-                    f"{result.elapsed_s * 1000:.2f} ms"
-                )
+            total, elapsed_ms = result.total, result.elapsed_s * 1000
         else:
-            from repro.feedback.records import DriveObservation, PipelineObserver
-            from repro.xpath.pipeline import drive
-
-            pipeline = compile_plan(plan, mode="materialize")
-            evaluator = Evaluator(doc, engine=args.engine)
-            evaluator._set_pushdown(pipeline.pushdown_steps)
-            if pipeline.skip_mode is not None:
-                evaluator.axes.mode = pipeline.skip_mode
-            observer = PipelineObserver()
-            evaluator.observer = observer
-            started = time.perf_counter_ns()
-            pres = drive(pipeline, evaluator)
-            elapsed = time.perf_counter_ns() - started
-            evaluator.observer = None
-            observation = DriveObservation(
-                shard_id=0,
-                engine=evaluator.engine,
-                elapsed_ns=elapsed,
-                steps=tuple(observer.steps),
-                scanned=evaluator.stats.nodes_scanned,
-                skipped=evaluator.stats.nodes_skipped,
+            # The same observed drive a sampled shard task runs.
+            observation, pres = observed_drive(
+                compile_plan(plan),
+                Evaluator(doc, engine=args.engine, mode=plan.skip_mode),
             )
-            print(_render_analysis(plan, [observation]))
-            print(f"result: {len(pres):,} node(s), {elapsed / 1e6:.2f} ms")
+            observations = [observation]
+            total, elapsed_ms = len(pres), observation.elapsed_ns / 1e6
+        print(_render_analysis(plan, observations))
+        print(f"result: {total:,} node(s), {elapsed_ms:.2f} ms")
     if args.operators:
         from repro.engine.explain import explain
 

@@ -136,17 +136,19 @@ class DocumentCollection:
         """Evaluate an XPath expression over the collection.
 
         With ``document`` given, absolute paths are anchored at that
-        member's root (the per-document view); otherwise they run over
-        the whole gathered plane and results from the virtual root
-        itself are filtered out.
+        member's root (the per-document view,
+        :func:`~repro.xpath.rewrite.anchor_at_member_root` — the same
+        function the query service compiles scoped plans with);
+        otherwise they run over the whole gathered plane and results
+        from the virtual root itself are filtered out.
 
         ``path`` may be a string or an already-parsed expression (the
         service layer caches parsed plans).  ``evaluator`` reuses a
         caller-held :class:`~repro.xpath.evaluator.Evaluator` bound to
         ``self.doc`` instead of constructing one per query.
         """
-        from repro.xpath.ast import LocationPath, Step
         from repro.xpath.evaluator import Evaluator, parse_with_cache
+        from repro.xpath.rewrite import anchor_at_member_root
 
         if evaluator is None:
             evaluator = Evaluator(self.doc, **evaluator_options)
@@ -165,34 +167,8 @@ class DocumentCollection:
         if document is None:
             result = evaluator.evaluate(parsed)
             return result[result != self.doc.root]
-
         start, end = self.span(document)
-        if not isinstance(parsed, LocationPath):
-            raise EncodingError(
-                "document-scoped evaluation requires a plain location path"
-            )
-        if parsed.absolute:
-            if not parsed.steps:
-                return np.empty(0, dtype=np.int64)
-            # Treat the member root as the document node: a document's
-            # descendants are the root element or-self; its only child
-            # is the root element itself.
-            axis_from_document = {
-                "descendant": "descendant-or-self",
-                "descendant-or-self": "descendant-or-self",
-                "child": "self",
-            }
-            first = parsed.steps[0]
-            mapped_axis = axis_from_document.get(first.axis)
-            if mapped_axis is None:
-                raise EncodingError(
-                    f"axis {first.axis!r} cannot start a document-scoped "
-                    "absolute path"
-                )
-            steps = (Step(mapped_axis, first.test, first.predicates),) + parsed.steps[1:]
-            result = evaluator.evaluate(LocationPath(False, steps), context=start)
-        else:
-            result = evaluator.evaluate(parsed, context=start)
+        result = evaluator.evaluate(anchor_at_member_root(parsed), context=start)
         return result[(result >= start) & (result <= end)]
 
     # ------------------------------------------------------------------

@@ -5,11 +5,9 @@ Parsing and encoding a large document is the expensive part of loading
 ``DocTable`` lets repeated experiment runs start from the columns
 directly.  The format is a single ``.npz`` container.
 
-Three format versions are understood:
+Two format versions are understood:
 
-* **v1** — ``np.savez_compressed``; every member is deflated, so loading
-  always decompresses into fresh arrays.
-* **v2** — ``np.savez``: the same members *stored* rather than deflated.
+* **v2** — ``np.savez``: eager members *stored* rather than deflated.
   A stored ``.npy`` zip member is byte-identical to a standalone
   ``.npy`` file, so :func:`load` with ``mmap=True`` memory-maps the
   numeric columns in place at their archive offsets — worker processes
@@ -30,7 +28,7 @@ Three format versions are understood:
 numeric members remain the right trade for small documents, and the v2
 round-trip contract (columns load as ``np.memmap``) is unchanged.
 
-:func:`load` reads all three versions and raises
+:func:`load` reads both versions and raises
 :class:`~repro.errors.EncodingError` — never a raw ``zipfile`` or
 ``OSError`` traceback — on truncated, foreign, or version-unknown
 archives.
@@ -75,18 +73,18 @@ __all__ = [
 
 FORMAT_VERSION = 3
 
-#: Versions :func:`load` accepts (v1 = compressed legacy, v2 = stored
-#: eager columns, v3 = packed page blocks).
-SUPPORTED_VERSIONS = (1, 2, 3)
+#: Versions :func:`load` accepts (v2 = stored eager columns, v3 =
+#: packed page blocks).
+SUPPORTED_VERSIONS = (2, 3)
 
 #: ``compression=`` values :func:`save` accepts.
 COMPRESSION_MODES = ("none", "packed")
 
 #: Sentinel distinguishing "no value" (elements) from an empty string in
-#: the v1/v2 persisted value column.
+#: the v2 persisted value column.
 _NONE_SENTINEL = "\x00<none>"
 
-#: Members whose arrays are plain numeric vectors in v1/v2 archives.
+#: Members whose arrays are plain numeric vectors in v2 archives.
 _NUMERIC_MEMBERS = ("post", "level", "parent", "kind", "tag_codes")
 
 _REQUIRED_MEMBERS = frozenset(
@@ -321,8 +319,7 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
     (``np.load(..., mmap_mode="r")`` semantics), v3 archives map the
     *packed* blobs and return paged columns that decode one page block
     on first touch.  The archive must then stay in place for the table's
-    lifetime.  v1 archives are compressed and fall back to an eager
-    load.
+    lifetime.
 
     ``decode_cache`` governs v3 paged tables: ``"full"`` (default) lets
     whole-column fallbacks keep their decoded copy — right when the
@@ -371,7 +368,7 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
             None if v == _NONE_SENTINEL else str(v)
             for v in _read_member(path, archive, "values")
         ]
-        if mmap and version >= 2:
+        if mmap:
             post = level = parent = kind = tag_codes = None
         else:
             post = _read_member(path, archive, "post").astype(np.int64)
@@ -379,7 +376,7 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
             parent = _read_member(path, archive, "parent").astype(np.int64)
             kind = _read_member(path, archive, "kind").astype(np.int64)
             tag_codes = _read_member(path, archive, "tag_codes")
-    if mmap and version >= 2:
+    if mmap:
         post, level, parent, kind, tag_codes = _mmap_columns(path)
         # The archive was written from an already-validated table; skip
         # the permutation/range re-checks so opening touches as few

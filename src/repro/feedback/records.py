@@ -85,9 +85,10 @@ class DriveObservation(NamedTuple):
 class PipelineObserver:
     """Collects :class:`StepObservation` values during one drive.
 
-    Attached to an evaluator as ``evaluator.observer`` by the worker
-    for *sampled* drives only; the unobserved hot path pays exactly one
-    ``None`` check per branch and per predicate filter.
+    Attached to an evaluator as ``evaluator.observer`` by
+    :func:`~repro.xpath.pipeline.observed_drive` for *sampled* drives
+    only; the unobserved hot path pays exactly one ``None`` check per
+    operator and per predicate.
     """
 
     __slots__ = ("steps",)

@@ -106,7 +106,6 @@ class ServerConfig:
     body_timeout_s: float = 10.0  #: slow-client guard (request body)
     write_timeout_s: float = 10.0  #: slow-client guard (response write)
     max_body_bytes: int = 8 << 20
-    dispatch_threads: int = 1  #: blocking-dispatch lanes (1 = serialize)
     drain_timeout_s: float = 10.0  #: shutdown bound on in-flight drain
 
 
@@ -146,8 +145,10 @@ class QueryServer:
         self.admission = AdmissionQueue(
             self.config.queue_limit, self.config.retry_after_s
         )
+        # One blocking-dispatch lane: batches serialize, because the
+        # serial backend's ShardWorkerState is not synchronised.
         self._dispatcher = ThreadPoolExecutor(
-            max_workers=max(1, self.config.dispatch_threads),
+            max_workers=1,
             thread_name_prefix="repro-dispatch",
         )
         self.coalescer = QueryCoalescer(

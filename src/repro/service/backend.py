@@ -210,9 +210,7 @@ class SerialBackend(ExecutionBackend):
     def _dispatch(self, grouped: List[List[ShardTask]]) -> List[ShardResult]:
         if self._serial_state is None:
             self._serial_state = ShardWorkerState(
-                self.store.directory,
-                mmap=self.store.mmap,
-                decode_cache=self.store.decode_cache,
+                self.store.directory, decode_cache=self.store.decode_cache
             )
         return [
             outcome

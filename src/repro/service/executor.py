@@ -36,7 +36,8 @@ that protects the result cache makes stale prefix entries unreachable
 after any commit.
 
 Plans are parsed, planned, and compiled once in the service process and
-sent to workers pickled — workers never touch the XPath parser (raw
+sent to workers pickled — document scoping included, so a worker only
+ever drives ready operators and never touches the XPath parser (raw
 query strings and uncompiled plans are still accepted and compiled on
 arrival, for direct callers).  Worker-side collections and evaluators
 are cached per shard *file*, so a replaced shard (new file name) is
@@ -45,9 +46,7 @@ picked up on the next task without restarting the workers.
 
 from __future__ import annotations
 
-import contextlib
 import os
-import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -55,7 +54,6 @@ import numpy as np
 
 from repro.core.staircase import SkipMode
 from repro.errors import ReproError
-from repro.feedback.records import DriveObservation, PipelineObserver
 from repro.service.cache import LRUCache
 from repro.service.store import ShardedStore
 from repro.xpath.axes import DOCUMENT_CONTEXT
@@ -67,6 +65,7 @@ from repro.xpath.pipeline import (
     drive,
     exists_ready,
     exists_tail,
+    observed_drive,
 )
 
 __all__ = [
@@ -245,13 +244,11 @@ class ShardWorkerState:
     def __init__(
         self,
         directory: str,
-        mmap: bool = True,
         decode_cache: str = "full",
         plan_cache_size: int = 128,
         prefix_cache_bytes: int = 32 << 20,
     ):
         self.directory = directory
-        self.mmap = mmap
         #: The store's packed-plane open mode (``ShardedStore.open``):
         #: workers must page exactly as the store they serve was opened.
         self.decode_cache = decode_cache
@@ -278,7 +275,7 @@ class ShardWorkerState:
             try:
                 table = load(
                     os.path.join(self.directory, shard_file),
-                    mmap=self.mmap,
+                    mmap=True,
                     decode_cache=self.decode_cache,
                 )
                 break
@@ -339,27 +336,18 @@ class ShardWorkerState:
         return compile_plan(plan, mode=task.mode)
 
     @staticmethod
-    @contextlib.contextmanager
-    def _applied(
-        evaluator: Evaluator, plan: PhysicalPlan, skip: Optional[str] = None
-    ):
-        """Apply a compiled plan's evaluator-level decisions (per-step
-        pushdown set for scoped re-anchoring, scalar skip mode) for one
-        evaluation, restoring the worker-cached evaluator afterwards.
-        A feedback-tuned ``skip`` value string outranks the plan's
-        statically chosen skip mode (the shard's measured skip efficacy
-        beats any plane-size heuristic)."""
-        saved = (evaluator.pushdown, evaluator._pushdown_steps, evaluator.axes.mode)
-        evaluator._set_pushdown(plan.pushdown_steps)
-        if skip is not None:
-            evaluator.axes.mode = SkipMode(skip)
-        elif plan.skip_mode is not None:
-            evaluator.axes.mode = plan.skip_mode
-        try:
-            yield
-        finally:
-            evaluator.pushdown, evaluator._pushdown_steps = saved[0], saved[1]
-            evaluator.axes.mode = saved[2]
+    def _set_skip(
+        evaluator: Evaluator, task: ShardTask, pipeline: PhysicalPlan
+    ) -> None:
+        """Load the scalar skip register before operators run on a
+        worker-cached evaluator: always set, never restored, so no
+        earlier task's mode can leak.  The task's feedback-tuned
+        override (measured skip efficacy) outranks the plan's static
+        choice; an unplanned expression has neither and runs under the
+        evaluator default."""
+        evaluator.axes.mode = SkipMode(
+            task.skip_mode or pipeline.skip_mode or SkipMode.ESTIMATE
+        )
 
     def _finish(self, task: ShardTask, collection, pres: np.ndarray):
         """Convert a shard-plane frontier into the task's mode payload."""
@@ -387,90 +375,47 @@ class ShardWorkerState:
         evaluator = self._evaluator(task.shard_id, task.engine, collection)
         if pipeline is None:
             pipeline = self._pipeline(task)
-        with self._applied(evaluator, pipeline, task.skip_mode):
-            if task.document is not None:
-                # Scoped evaluation re-anchors the path at the member
-                # root (an AST transformation), so it materializes and
-                # derives count/exists from the single document's ranks.
-                pres = collection.evaluate(
-                    pipeline.source, document=task.document, evaluator=evaluator
-                )
-                if task.mode == "exists":
-                    payload = bool(len(pres))
-                elif task.mode == "count":
-                    payload = {task.document: int(len(pres))}
-                else:
-                    start, _ = collection.span(task.document)
-                    payload = {
-                        task.document: (pres - start).astype(np.int64, copy=False)
-                    }
-                return ShardResult.of(task, payload)
-            root = collection.doc.root
-            if task.mode == "exists":
-                payload = drive(pipeline, evaluator, exclude_pre=root)
-            elif task.observe:
-                # Sampled drive: the observation layer rides along.
-                # Exists-mode tasks are never observed — their early
-                # termination yields biased partial cardinalities.
-                observation, pres = self._observed_drive(
-                    task, collection, evaluator, pipeline
-                )
-                payload = self._finish(task, collection, pres)
-                return replace(
-                    ShardResult.of(task, payload), observations=(observation,)
-                )
-            else:
-                pres = drive(
-                    pipeline.with_mode("materialize"), evaluator, exclude_pre=root
-                )
-                payload = self._finish(task, collection, pres)
-        return ShardResult.of(task, payload)
-
-    def _observed_drive(
-        self,
-        task: ShardTask,
-        collection,
-        evaluator: Evaluator,
-        pipeline: PhysicalPlan,
-    ):
-        """Drive one pipeline with the observation layer attached.
-
-        Caller holds :meth:`_applied`.  Returns ``(observation, pres)``;
-        the result frontier is byte-identical to an unobserved drive —
-        observation only reads counters, it never steers execution.
-        """
-        observer = PipelineObserver()
-        stats = evaluator.stats
-        plane = getattr(collection.doc, "plane", None)
-        blocks_before = (
-            plane.totals()["blocks_decoded"] if plane is not None else 0
-        )
-        scanned_before = stats.nodes_scanned
-        skipped_before = stats.nodes_skipped
-        evaluator.observer = observer
-        started = time.perf_counter_ns()
-        try:
+        self._set_skip(evaluator, task, pipeline)
+        root = collection.doc.root
+        if task.document is not None:
+            # The service compiled the plan against the member root
+            # (compile_plan(scoped=True)): drive it from there, keep the
+            # member's span, and derive count/exists from its ranks.
+            start, end = collection.span(task.document)
             pres = drive(
+                pipeline.with_mode("materialize"), evaluator, context=start
+            )
+            pres = pres[(pres >= start) & (pres <= end)]
+            if task.mode == "exists":
+                payload = bool(len(pres))
+            elif task.mode == "count":
+                payload = {task.document: int(len(pres))}
+            else:
+                payload = {
+                    task.document: (pres - start).astype(np.int64, copy=False)
+                }
+        elif task.mode == "exists":
+            payload = drive(pipeline, evaluator, exclude_pre=root)
+        elif task.observe:
+            # Sampled drive: the observation layer rides along.
+            # Exists-mode tasks are never observed — their early
+            # termination yields biased partial cardinalities.
+            observation, pres = observed_drive(
                 pipeline.with_mode("materialize"),
                 evaluator,
-                exclude_pre=collection.doc.root,
+                exclude_pre=root,
+                shard_id=task.shard_id,
             )
-        finally:
-            evaluator.observer = None
-        elapsed = time.perf_counter_ns() - started
-        blocks_after = (
-            plane.totals()["blocks_decoded"] if plane is not None else 0
-        )
-        observation = DriveObservation(
-            shard_id=task.shard_id,
-            engine=task.engine,
-            elapsed_ns=elapsed,
-            steps=tuple(observer.steps),
-            scanned=stats.nodes_scanned - scanned_before,
-            skipped=stats.nodes_skipped - skipped_before,
-            blocks=blocks_after - blocks_before,
-        )
-        return observation, pres
+            return replace(
+                ShardResult.of(task, self._finish(task, collection, pres)),
+                observations=(observation,),
+            )
+        else:
+            pres = drive(
+                pipeline.with_mode("materialize"), evaluator, exclude_pre=root
+            )
+            payload = self._finish(task, collection, pres)
+        return ShardResult.of(task, payload)
 
     # ------------------------------------------------------------------
     # Shared-prefix batch execution
@@ -490,11 +435,9 @@ class ShardWorkerState:
         shared: Dict[str, List[Tuple[ShardTask, PhysicalPlan]]] = {}
         outcomes: List[ShardResult] = []
         for task in tasks:
-            pipeline = (
-                self._pipeline(task) if task.document is None else None
-            )
+            pipeline = self._pipeline(task)
             if (
-                pipeline is not None
+                task.document is None
                 and pipeline.planned
                 and pipeline.single_path
                 and not task.observe
@@ -546,8 +489,8 @@ class ShardWorkerState:
             if cached is not None:
                 finish(task, collection, cached)
                 return
-            with self._applied(evaluator, pipeline, task.skip_mode):
-                hit = exists_tail(tail, evaluator, context, exclude_pre=root)
+            self._set_skip(evaluator, task, pipeline)
+            hit = exists_tail(tail, evaluator, context, exclude_pre=root)
             outcomes.append(ShardResult.of(task, bool(hit)))
 
         def descend(members, depth: int, prefix, context) -> None:
@@ -571,8 +514,8 @@ class ShardWorkerState:
                 key = (shard_file, engine, child)
                 out = self.prefix_cache.get(key)
                 if out is None:
-                    with self._applied(evaluator, sub[0][1], sub[0][0].skip_mode):
-                        out = dispatch(op, evaluator, context)
+                    self._set_skip(evaluator, *sub[0])
+                    out = dispatch(op, evaluator, context)
                     if isinstance(out, np.ndarray):
                         # Cached contexts are shared across queries and
                         # batches: freeze a view so no later consumer can

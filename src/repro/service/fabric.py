@@ -64,6 +64,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import errors
 from repro.errors import ReproError
 from repro.service.backend import ExecutionBackend
 from repro.service.executor import (
@@ -295,10 +296,10 @@ class SegmentWriter:
 
 
 def _fabric_worker(
-    directory, mmap, decode_cache, inbox, outbox, idx, prefix
+    directory, decode_cache, inbox, outbox, idx, prefix
 ):  # pragma: no cover - runs in child processes; components unit-tested
     """One fabric worker's request loop (runs in a child process)."""
-    state = ShardWorkerState(directory, mmap=mmap, decode_cache=decode_cache)
+    state = ShardWorkerState(directory, decode_cache=decode_cache)
     writer = SegmentWriter(prefix)
     while True:
         message = inbox.get()
@@ -319,6 +320,12 @@ def _fabric_worker(
         seq, tasks = message[1], message[2]
         try:
             payload = writer.pack(state.run_group(tasks))
+        except ReproError as error:
+            # A user error (bad query, bad function arity): the parent
+            # re-raises the same class with the same message, so every
+            # backend answers a bad request identically.
+            outbox.put(("err", idx, seq, (type(error).__name__, str(error))))
+            continue
         except Exception:  # repro: allow[REP007] - worker crash boundary: any failure ships its traceback to the parent instead of killing the loop
             outbox.put(("err", idx, seq, traceback.format_exc()))
             continue
@@ -600,7 +607,6 @@ class FabricBackend(ExecutionBackend):
             target=_fabric_worker,
             args=(
                 self.store.directory,
-                self.store.mmap,
                 self.store.decode_cache,
                 self._inboxes[idx],
                 self._outboxes[idx],
@@ -657,9 +663,15 @@ class FabricBackend(ExecutionBackend):
                     continue
                 outcomes.extend(self._pool.unpack(payload, idx))
             elif kind == "err":
-                seq, text = message[2], message[3]
-                pending.pop(seq, None)
-                raise ReproError(f"fabric worker {idx} failed:\n{text}")
+                seq, detail = message[2], message[3]
+                if pending.pop(seq, None) is None:
+                    # A straggler: another unit of an earlier batch that
+                    # already raised.  That batch reported it; this one
+                    # must not fail for it.
+                    continue
+                if isinstance(detail, tuple):
+                    raise getattr(errors, detail[0], ReproError)(detail[1])
+                raise ReproError(f"fabric worker {idx} failed:\n{detail}")
             # "stats" replies can only interleave here if a caller
             # abandoned worker_stats() mid-read; drop them.
         return outcomes

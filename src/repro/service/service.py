@@ -182,12 +182,12 @@ class QueryService:
         self.updates_applied = 0  # guarded-by: _stats_lock
 
     @classmethod
-    def open(cls, directory: str, mmap: bool = True, **kwargs) -> "QueryService":
+    def open(cls, directory: str, **kwargs) -> "QueryService":
         """Open a store directory and serve it: ``with
         QueryService.open(dir, backend="fabric") as service: ...`` —
         the ``with`` exit releases the backend's workers (the store
         itself holds no resources beyond mapped files)."""
-        return cls(ShardedStore.open(directory, mmap=mmap), **kwargs)
+        return cls(ShardedStore.open(directory), **kwargs)
 
     # ------------------------------------------------------------------
     def execute(
@@ -265,6 +265,7 @@ class QueryService:
                 missing.setdefault((query, mode), []).append(i)
         if missing:
             generation = self._generation()
+            scoped = document is not None
             items = []
             for query, mode in missing:
                 plan = self._plan(
@@ -272,10 +273,14 @@ class QueryService:
                     chosen,
                     epoch,
                     planned,
-                    scoped=document is not None,
+                    scoped=scoped,
                     generation=generation,
                 )
-                items.append((compile_plan(plan), chosen, document, mode))
+                # Scoping is compiled here, once, per union branch — a
+                # path that cannot be scoped fails before any dispatch.
+                items.append(
+                    (compile_plan(plan, scoped=scoped), chosen, document, mode)
+                )
             sink: Optional[list] = None
             if self.feedback_enabled:
                 # Sampled observation: one uncached batch in every
@@ -433,10 +438,9 @@ class QueryService:
         """
         chosen = resolve_engine(engine) if engine is not None else self.engine
         epoch = self.store.epoch
-        plan = self._plan(
-            query, chosen, epoch, True, scoped=document is not None
-        )
-        items = [(compile_plan(plan), chosen, document, mode)]
+        scoped = document is not None
+        plan = self._plan(query, chosen, epoch, True, scoped=scoped)
+        items = [(compile_plan(plan, scoped=scoped), chosen, document, mode)]
         sink: list = []
         started = time.perf_counter()
         merged = self.backend.run_batch(items, sink=sink)

@@ -131,11 +131,9 @@ class ShardedStore:
         self,
         directory: str,
         manifest: dict,
-        mmap: bool = True,
         decode_cache: str = "full",
     ):
         self.directory = directory
-        self.mmap = mmap
         self.decode_cache = decode_cache
         self._manifest = manifest  # guarded-by: _lock
         self._collections: Dict[int, Tuple[str, DocumentCollection]] = {}  # guarded-by: _lock
@@ -171,7 +169,6 @@ class ShardedStore:
         documents: Sequence[Tuple[str, Node]],
         shards: int = 1,
         virtual_root_tag: str = "collection",
-        mmap: bool = True,
         compression: str = "auto",
     ) -> "ShardedStore":
         """Partition ``documents`` into ``shards`` collections and persist.
@@ -232,12 +229,10 @@ class ShardedStore:
             "shards": entries,
         }
         _write_manifest(directory, manifest)
-        return cls(directory, manifest, mmap=mmap)
+        return cls(directory, manifest)
 
     @classmethod
-    def open(
-        cls, directory: str, mmap: bool = True, decode_cache: str = "full"
-    ) -> "ShardedStore":
+    def open(cls, directory: str, decode_cache: str = "full") -> "ShardedStore":
         """Open an existing store directory.
 
         Sweeps shard files the manifest does not reference — leftovers
@@ -245,7 +240,8 @@ class ShardedStore:
         flip (the flip is the commit point, so unreferenced files are
         garbage by construction).
 
-        ``decode_cache`` governs packed shards opened with ``mmap``:
+        Shards always open memory-mapped.  ``decode_cache`` governs
+        packed shards:
         ``"full"`` caches whole-column decodes (fastest when the plane
         fits in RAM), ``"blocks"`` keeps only the bounded page-block LRU
         — the out-of-core mode for shards bigger than memory.
@@ -265,7 +261,7 @@ class ShardedStore:
                 f"{path}: store format {manifest.get('store_format')!r} != "
                 f"supported {STORE_FORMAT}"
             )
-        store = cls(directory, manifest, mmap=mmap, decode_cache=decode_cache)
+        store = cls(directory, manifest, decode_cache=decode_cache)
         store._sweep_orphans()
         return store
 
@@ -465,7 +461,7 @@ class ShardedStore:
     # Shard access
     # ------------------------------------------------------------------
     def collection(self, shard_id: int) -> DocumentCollection:
-        """The shard's gathered plane, loaded lazily (mmap by default).
+        """The shard's gathered plane, loaded lazily (memory-mapped).
 
         Cached per shard file: after a mutation the next call observes
         the new file name and reloads.
@@ -477,7 +473,7 @@ class ShardedStore:
                 return cached[1]
             table = load(
                 os.path.join(self.directory, entry["file"]),
-                mmap=self.mmap,
+                mmap=True,
                 decode_cache=self.decode_cache,
             )
             collection = DocumentCollection.from_table(

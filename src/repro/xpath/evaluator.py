@@ -52,13 +52,7 @@ from repro.xpath.ast import (
 )
 from repro.xpath.axes import AxisExecutor, resolve_engine
 from repro.xpath.parser import parse_xpath
-from repro.xpath.pipeline import (
-    StaircaseStep,
-    compile_plan,
-    compile_step_ops,
-    dispatch,
-    drive,
-)
+from repro.xpath.pipeline import StaircaseStep, compile_plan, dispatch, drive
 
 __all__ = ["Evaluator", "evaluate", "parse_with_cache"]
 
@@ -134,41 +128,19 @@ class Evaluator:
         self.engine = resolve_engine(engine)
         self.stats = stats if stats is not None else JoinStatistics()
         self.axes = AxisExecutor(doc, engine=self.engine, mode=mode, stats=self.stats)
-        self._set_pushdown(pushdown)
+        #: Constructor input only (frozen — the compile cache is keyed
+        #: by path alone): :func:`compile_plan` fuses it into operators.
+        self.pushdown = (
+            pushdown if isinstance(pushdown, bool) else frozenset(pushdown)
+        )
         self.plan_cache = plan_cache
         self._fragments: Optional[FragmentedDocument] = None
         self._compiled: dict = {}
         #: Per-operator observation collector
-        #: (:class:`repro.feedback.PipelineObserver`), attached by shard
-        #: workers for sampled drives only; ``None`` keeps the pipeline
-        #: on its uninstrumented path.
+        #: (:class:`repro.feedback.PipelineObserver`), attached by
+        #: :func:`~repro.xpath.pipeline.observed_drive` only; ``None``
+        #: keeps the pipeline on its uninstrumented path.
         self.observer = None
-
-    def _set_pushdown(self, pushdown) -> None:
-        """Normalise the ``pushdown`` spelling (bool or step-index set)."""
-        if isinstance(pushdown, bool):
-            self.pushdown = pushdown
-            self._pushdown_steps: Optional[frozenset] = None
-        else:
-            steps = frozenset(int(i) for i in pushdown)
-            self.pushdown = bool(steps)
-            self._pushdown_steps = steps
-
-    def _push_at(self, step_index: Optional[int]) -> bool:
-        """Is pushdown enabled for the top-level step at ``step_index``?
-
-        ``None`` marks steps without a top-level position — only blanket
-        ``pushdown=True`` reaches those.
-        """
-        if self._pushdown_steps is None:
-            return self.pushdown
-        return step_index is not None and step_index in self._pushdown_steps
-
-    def _pushdown_config(self):
-        """The hashable pushdown spelling (compile-cache key component)."""
-        if self._pushdown_steps is not None:
-            return self._pushdown_steps
-        return self.pushdown
 
     # ------------------------------------------------------------------
     @property
@@ -184,14 +156,13 @@ class Evaluator:
         """The cached :class:`~repro.xpath.pipeline.PhysicalPlan` for
         ``path`` under this evaluator's pushdown configuration."""
         if isinstance(path, str):
-            path = self._parse(path)
-        key = (path, self._pushdown_config())
-        plan = self._compiled.get(key)
+            path = parse_with_cache(path, self.plan_cache)
+        plan = self._compiled.get(path)
         if plan is None:
             if len(self._compiled) >= self.COMPILE_CACHE_LIMIT:
                 self._compiled.clear()
-            plan = compile_plan(path, pushdown=self._pushdown_config())
-            self._compiled[key] = plan
+            plan = compile_plan(path, pushdown=self.pushdown)
+            self._compiled[path] = plan
         return plan
 
     def evaluate(
@@ -221,41 +192,21 @@ class Evaluator:
         """Early-terminating existence check."""
         return self.evaluate(path, context=context, mode="exists")
 
-    def _parse(self, query: str) -> Expr:
-        """Parse ``query``, going through the shared plan cache if set."""
-        return parse_with_cache(query, self.plan_cache)
-
-    # ------------------------------------------------------------------
-    def evaluate_step(
-        self, context, step: Step, step_index: Optional[int] = None
-    ) -> np.ndarray:
-        """Evaluate one location step against an explicit context.
-
-        The single-step face of :meth:`evaluate` — the step is compiled
-        into its operator(s) and driven directly, same semantics
-        including positional predicates and per-step pushdown (keyed by
-        ``step_index``).  ``context`` is an array of preorder ranks or
-        the :data:`~repro.xpath.axes.DOCUMENT_CONTEXT` sentinel.  Kept
-        as the stable public face for step-at-a-time callers; the batch
-        executor's trie dispatches compiled operators directly.
-        """
-        index = -1 if step_index is None else step_index
-        for op in compile_step_ops(step, index, self._push_at(step_index)):
-            context = dispatch(op, self, context)
-        return context
-
     # ------------------------------------------------------------------
     # Kernel callbacks: predicates
     # ------------------------------------------------------------------
     def filter_predicate(
         self, candidates: np.ndarray, axis: str, predicate: Expr
     ) -> np.ndarray:
-        """Filter ``candidates`` through one predicate, bulk when the
-        engine and shape allow, per-candidate otherwise."""
+        """Filter ``candidates`` through one predicate: one keep-mask
+        from the column evaluator (:mod:`repro.xpath.predicates`) when
+        the engine and shape allow, the per-candidate loop otherwise.
+        The one place that decision is made — the ``PredicateFilter``
+        kernel and the positional per-node body both call it."""
         if len(candidates) == 0:
             return candidates
         if self.engine == "vectorized":
-            mask = self.bulk_predicate_mask(candidates, predicate)
+            mask = predicates.bulk_predicate_mask(self, candidates, predicate)
             if mask is not None:
                 return candidates[mask]
         return self.filter_predicate_scalar(candidates, axis, predicate)
@@ -341,17 +292,6 @@ class Evaluator:
             picks = starts + wanted_rank
             picks = picks[picks <= ends]
         return np.sort(grouped[picks])
-
-    # ------------------------------------------------------------------
-    # Kernel callbacks: bulk (boolean-mask) predicate filtering
-    # ------------------------------------------------------------------
-    def bulk_predicate_mask(
-        self, candidates: np.ndarray, predicate: Expr
-    ) -> Optional[np.ndarray]:
-        """Keep-mask over ``candidates`` from the column evaluator
-        (:mod:`repro.xpath.predicates`), or ``None`` when the predicate
-        needs :meth:`filter_predicate_scalar`."""
-        return predicates.bulk_predicate_mask(self, candidates, predicate)
 
     # ------------------------------------------------------------------
     # Expression evaluation (XPath 1.0 core semantics)

@@ -46,7 +46,12 @@ import numpy as np
 
 from repro.core.staircase import SkipMode
 from repro.errors import XPathEvaluationError
-from repro.feedback.records import predicate_signature, step_signature
+from repro.feedback.records import (
+    DriveObservation,
+    PipelineObserver,
+    predicate_signature,
+    step_signature,
+)
 from repro.xpath.ast import (
     BinaryExpr,
     Expr,
@@ -57,6 +62,8 @@ from repro.xpath.ast import (
     Step,
 )
 from repro.xpath.axes import DOCUMENT_CONTEXT, apply_node_test
+from repro.xpath.parser import parse_xpath
+from repro.xpath.rewrite import anchor_at_member_root
 
 __all__ = [
     "MODES",
@@ -76,6 +83,7 @@ __all__ = [
     "exists_ready",
     "exists_tail",
     "is_positional_predicate",
+    "observed_drive",
     "operator_name",
     "register_kernel",
 ]
@@ -290,19 +298,18 @@ class PhysicalPlan:
     as-is, and the workers' prefix tries key shared intermediate
     contexts by operator-prefix tuples.
 
-    ``source`` keeps the expression the operators were compiled from
-    (document-scoped execution re-anchors its first step), and
-    ``pushdown_steps``/``skip_mode`` carry the originating
-    :class:`~repro.xpath.planner.QueryPlan`'s evaluator-level decisions
-    for that scoped path.
+    The plan is the only carrier of execution decisions: name-test
+    pushdown is fused into the operators, document scoping is already
+    compiled into the branches' leading steps, and ``skip_mode`` is the
+    planner's scalar :class:`SkipMode` (``None`` for unplanned
+    expressions), which the shard worker loads into the axis executor's
+    one skip register before running the operators.
     """
 
     branches: Tuple[Tuple[Operator, ...], ...]
     terminal: Operator
-    source: Expr
     query: str
     skip_mode: Optional[SkipMode] = None
-    pushdown_steps: frozenset = frozenset()
     #: Compiled from a costed QueryPlan.  Only planned pipelines enter
     #: the executor's shared-prefix trie — ``planner=False`` keeps its
     #: documented ablation meaning of per-query execution.
@@ -398,6 +405,7 @@ def compile_plan(
     mode: str = "materialize",
     pushdown=None,
     skip_mode: Optional[SkipMode] = None,
+    scoped: bool = False,
 ) -> "PhysicalPlan":
     """Compile ``plan`` into a :class:`PhysicalPlan`.
 
@@ -407,15 +415,17 @@ def compile_plan(
     name-test placement: ``True``/``False`` for every eligible step, or
     an iterable of top-level step indices (the planner's spelling);
     ``None`` takes the :class:`QueryPlan`'s verdicts (no pushdown for
-    bare expressions).  Already-compiled plans pass through (re-moded).
+    bare expressions).  ``scoped`` re-anchors every union branch at a
+    collection member's root
+    (:func:`~repro.xpath.rewrite.anchor_at_member_root`); the caller
+    drives the result with that root as context.  Already-compiled
+    plans pass through (re-moded).
     """
     if isinstance(plan, PhysicalPlan):
         return plan.with_mode(mode)
     query: Optional[str] = None
     planned = False
     if isinstance(plan, str):
-        from repro.xpath.parser import parse_xpath
-
         query, plan = plan, parse_xpath(plan)
     if hasattr(plan, "pushdown_steps") and hasattr(plan, "path"):
         # A QueryPlan (duck-typed to avoid the planner import cycle).
@@ -428,6 +438,8 @@ def compile_plan(
         expr = plan.path
     else:
         expr = plan
+    if scoped:
+        expr = anchor_at_member_root(expr)
     if pushdown is None:
         pushdown = False
     if isinstance(pushdown, bool):
@@ -435,7 +447,6 @@ def compile_plan(
 
         def push_at(index: int) -> bool:
             return blanket
-        pushdown_steps = frozenset()
     else:
         pushdown_steps = frozenset(int(i) for i in pushdown)
 
@@ -467,10 +478,8 @@ def compile_plan(
     return PhysicalPlan(
         branches=tuple(branches),
         terminal=_TERMINALS[mode],
-        source=expr,
         query=query if query is not None else str(expr),
         skip_mode=skip_mode,
-        pushdown_steps=pushdown_steps,
         planned=planned,
     )
 
@@ -562,46 +571,16 @@ def _staircase_vectorized(op: StaircaseStep, rt, context):
     )
 
 
-@register_kernel(PredicateFilter, "scalar")
-def _filter_scalar(op: PredicateFilter, rt, candidates):
-    observer = getattr(rt, "observer", None)
-    for predicate in op.predicates:
-        if len(candidates) == 0:
-            return candidates
-        if observer is None:
-            candidates = rt.filter_predicate_scalar(
-                candidates, op.axis, predicate
-            )
-        else:
-            n_in, started = len(candidates), time.perf_counter_ns()
-            candidates = rt.filter_predicate_scalar(
-                candidates, op.axis, predicate
-            )
-            observer.record(
-                predicate_signature(op.axis, predicate),
-                n_in,
-                len(candidates),
-                time.perf_counter_ns() - started,
-            )
-    return candidates
-
-
-@register_kernel(PredicateFilter, "vectorized")
-def _filter_vectorized(op: PredicateFilter, rt, candidates):
-    observer = getattr(rt, "observer", None)
+@register_kernel(PredicateFilter, "scalar", "vectorized")
+def _predicate_filter(op: PredicateFilter, rt, candidates):
+    observer = rt.observer
     for predicate in op.predicates:
         if len(candidates) == 0:
             return candidates
         n_in, started = len(candidates), (
             time.perf_counter_ns() if observer is not None else 0
         )
-        mask = rt.bulk_predicate_mask(candidates, predicate)
-        if mask is not None:
-            candidates = candidates[mask]
-        else:
-            candidates = rt.filter_predicate_scalar(
-                candidates, op.axis, predicate
-            )
+        candidates = rt.filter_predicate(candidates, op.axis, predicate)
         if observer is not None:
             observer.record(
                 predicate_signature(op.axis, predicate),
@@ -612,6 +591,7 @@ def _filter_vectorized(op: PredicateFilter, rt, candidates):
     return candidates
 
 
+@register_kernel(PositionalSelect, "scalar")
 def _positional_per_node(op: PositionalSelect, rt, context):
     """Positional semantics are per context node: evaluate the whole
     step for each node separately so position()/last() see the right
@@ -625,11 +605,6 @@ def _positional_per_node(op: PositionalSelect, rt, context):
     if not pieces:
         return _empty()
     return np.unique(np.concatenate(pieces, dtype=np.int64))
-
-
-@register_kernel(PositionalSelect, "scalar")
-def _positional_scalar(op: PositionalSelect, rt, context):
-    return _positional_per_node(op, rt, context)
 
 
 @register_kernel(PositionalSelect, "vectorized")
@@ -660,20 +635,6 @@ _EXISTS_CHUNK = 8
 _EXISTS_GROWTH = 4
 
 
-def _run_branch(ops: Tuple[Operator, ...], runtime, context) -> np.ndarray:
-    if getattr(runtime, "observer", None) is not None:
-        return _run_branch_observed(ops, runtime, context)
-    for op in ops:
-        context = dispatch(op, runtime, context)
-        if context is not DOCUMENT_CONTEXT and len(context) == 0:
-            # Every downstream operator maps empty to empty.
-            return _empty()
-    if context is DOCUMENT_CONTEXT:
-        # A bare "/" — the document node itself is not encoded.
-        return _empty()
-    return context
-
-
 def _frontier_size(context) -> int:
     """Context cardinality for observation: the document node, the
     implicit root seed, and a bare rank all count as one context node."""
@@ -687,7 +648,7 @@ def _frontier_size(context) -> int:
 def _operator_signature(op: Operator) -> Optional[Tuple[str, ...]]:
     """The feedback signature of one operator (``None`` = unobserved).
 
-    :class:`PredicateFilter` records per *predicate* inside its kernels
+    :class:`PredicateFilter` records per *predicate* inside its kernel
     (the planner orders predicates individually), so the operator-level
     record is skipped to avoid double counting.
     """
@@ -698,29 +659,27 @@ def _operator_signature(op: Operator) -> Optional[Tuple[str, ...]]:
     return None
 
 
-def _run_branch_observed(
-    ops: Tuple[Operator, ...], runtime, context
-) -> np.ndarray:
-    """The instrumented twin of :func:`_run_branch`.
-
-    Only runs when the worker attached an observer for a *sampled*
-    drive — per-operator timing and cardinality bookkeeping stays off
-    the unobserved hot path entirely.
-    """
+def _run_branch(ops: Tuple[Operator, ...], runtime, context) -> np.ndarray:
+    # Per-operator timing and cardinality bookkeeping runs only when
+    # observed_drive() attached an observer for a *sampled* drive.
     observer = runtime.observer
     for op in ops:
-        n_in = _frontier_size(context)
-        started = time.perf_counter_ns()
-        context = dispatch(op, runtime, context)
-        elapsed = time.perf_counter_ns() - started
-        signature = _operator_signature(op)
-        if signature is not None:
-            observer.record(
-                signature, n_in, _frontier_size(context), elapsed
-            )
+        if observer is None:
+            context = dispatch(op, runtime, context)
+        else:
+            n_in, started = _frontier_size(context), time.perf_counter_ns()
+            context = dispatch(op, runtime, context)
+            elapsed = time.perf_counter_ns() - started
+            signature = _operator_signature(op)
+            if signature is not None:
+                observer.record(
+                    signature, n_in, _frontier_size(context), elapsed
+                )
         if context is not DOCUMENT_CONTEXT and len(context) == 0:
+            # Every downstream operator maps empty to empty.
             return _empty()
     if context is DOCUMENT_CONTEXT:
+        # A bare "/" — the document node itself is not encoded.
         return _empty()
     return context
 
@@ -766,25 +725,13 @@ def exists_tail(
             out = out[out != exclude_pre]
         return len(out) > 0
 
-    def run_tail(chunk) -> np.ndarray:
-        out = chunk
-        for op in tail:
-            out = dispatch(op, runtime, out)
-            if len(out) == 0:
-                break
-        return out
-
-    if not tail:
-        if context is DOCUMENT_CONTEXT:
-            return False
-        return survives(context)
-    if context is DOCUMENT_CONTEXT:
-        return survives(run_tail(context))
+    if context is DOCUMENT_CONTEXT or not tail:
+        return survives(_run_branch(tail, runtime, context))
     size = _EXISTS_CHUNK
     start = 0
     total = len(context)
     while start < total:
-        if survives(run_tail(context[start : start + size])):
+        if survives(_run_branch(tail, runtime, context[start : start + size])):
             return True
         start += size
         size *= _EXISTS_GROWTH
@@ -801,11 +748,7 @@ def _branch_exists(
         frontier = dispatch(op, runtime, frontier)
         if frontier is not DOCUMENT_CONTEXT and len(frontier) == 0:
             return False
-    if frontier is DOCUMENT_CONTEXT:
-        return False
-    if exclude_pre is not None and len(frontier):
-        frontier = frontier[frontier != exclude_pre]
-    return len(frontier) > 0
+    return exists_tail((), runtime, frontier, exclude_pre)
 
 
 def drive(
@@ -837,3 +780,40 @@ def drive(
     if mode == "count":
         return int(len(merged))
     return merged
+
+
+def observed_drive(
+    plan: PhysicalPlan,
+    runtime,
+    context=None,
+    exclude_pre: Optional[int] = None,
+    shard_id: int = 0,
+):
+    """:func:`drive` with the observation layer attached; returns
+    ``(DriveObservation, result)``.
+
+    The only place that attaches an observer to a runtime — sampled
+    shard tasks and ``explain --analyze`` both come through here.  The
+    result is byte-identical to an unobserved drive: observation reads
+    counters (per-operator cardinalities and time, staircase scan/skip
+    deltas, page blocks decoded), it never steers execution.
+    """
+    stats, plane = runtime.stats, getattr(runtime.doc, "plane", None)
+
+    def counters():
+        blocks = plane.totals()["blocks_decoded"] if plane is not None else 0
+        return stats.nodes_scanned, stats.nodes_skipped, blocks
+
+    runtime.observer = observer = PipelineObserver()
+    before, started = counters(), time.perf_counter_ns()
+    try:
+        result = drive(plan, runtime, context, exclude_pre)
+    finally:
+        runtime.observer = None
+    elapsed = time.perf_counter_ns() - started
+    scanned, skipped, blocks = (b - a for a, b in zip(before, counters()))
+    observation = DriveObservation(
+        shard_id, runtime.engine, elapsed, tuple(observer.steps),
+        scanned, skipped, blocks,
+    )
+    return observation, result

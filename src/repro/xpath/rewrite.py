@@ -24,10 +24,12 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Optional, Tuple
 
-from repro.xpath.ast import LocationPath, NodeTest, Step
+from repro.errors import XPathEvaluationError
+from repro.xpath.ast import BinaryExpr, Expr, LocationPath, NodeTest, Step
 from repro.xpath.parser import parse_xpath
 
 __all__ = [
+    "anchor_at_member_root",
     "collapse_descendant_or_self",
     "push_name_test",
     "pushdown_opportunities",
@@ -124,6 +126,44 @@ def collapse_descendant_or_self(
     if not changed:
         return path
     return LocationPath(path.absolute, tuple(steps))
+
+
+#: The member root stands in for the document node, whose descendants
+#: are the root element or-self and whose only child is that element.
+_AXIS_FROM_MEMBER_ROOT = {
+    "descendant": "descendant-or-self",
+    "descendant-or-self": "descendant-or-self",
+    "child": "self",
+}
+
+
+def anchor_at_member_root(expr: Expr) -> Expr:
+    """Re-anchor absolute paths at a collection member's root element
+    (the per-document view of footnote 1's multi-document plane).
+
+    Every absolute branch of a top-level union becomes a relative path,
+    its first axis mapped as seen from the document node; the caller
+    evaluates the result with the member root as context.  Relative
+    paths and a bare ``/`` (empty under any context) pass unchanged; any
+    other leading axis raises :class:`~repro.errors.XPathEvaluationError`.
+    """
+    if isinstance(expr, BinaryExpr) and expr.op == "|":
+        return BinaryExpr(
+            "|",
+            anchor_at_member_root(expr.left),
+            anchor_at_member_root(expr.right),
+        )
+    if not isinstance(expr, LocationPath) or not expr.absolute or not expr.steps:
+        return expr
+    first = expr.steps[0]
+    axis = _AXIS_FROM_MEMBER_ROOT.get(first.axis)
+    if axis is None:
+        raise XPathEvaluationError(
+            f"axis {first.axis!r} cannot start a document-scoped absolute path"
+        )
+    return LocationPath(
+        False, (Step(axis, first.test, first.predicates),) + expr.steps[1:]
+    )
 
 
 def symmetry_rewrite(path) -> LocationPath:

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ReproError
+from repro.errors import ReproError, XPathEvaluationError
 from repro.harness.workloads import get_forest
 from repro.server import ServerConfig, ThreadedServer
 from repro.service import (
@@ -499,11 +499,51 @@ with QueryService(ShardedStore.open(sys.argv[1]), backend="fabric:2") as service
         assert seen["trackers"] == []
         assert fabric_segments() == []
 
-    def test_worker_error_propagates(self, store):
-        backend = FabricBackend(store, workers=1)
-        with pytest.raises(ReproError, match="fabric worker"):
-            backend.run_batch([(object(), "vectorized", None)])
-        backend.close()
+    def test_worker_crash_propagates_with_traceback(self, store, monkeypatch):
+        """A non-ReproError failure inside a worker is a crash: the
+        parent reports which worker and ships the traceback text."""
+        import multiprocessing
+
+        from repro.service import ShardWorkerState
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched class reaches workers through fork only")
+
+        def boom(self, tasks):
+            raise RuntimeError("kernel exploded")
+
+        monkeypatch.setattr(ShardWorkerState, "run_group", boom)
+        with FabricBackend(store, workers=1) as backend:
+            with pytest.raises(ReproError, match="fabric worker 0 failed") as caught:
+                backend.run_batch([("//person", "vectorized", None)])
+        assert "RuntimeError: kernel exploded" in str(caught.value)
+
+    def test_user_errors_are_identical_on_every_backend(self, store):
+        """A bad request raises the same repro.errors class with the
+        same message whether it failed in-process or inside a fabric
+        worker (no traceback text, no file paths), and a scoped path
+        that cannot start at a member root fails in the service before
+        any worker sees it."""
+        document = store.document_names()[0]
+        failures = {}
+        for backend in ("serial", "fabric:1"):
+            with QueryService(store, backend=backend) as service:
+                for query, scope in (
+                    ("//person[count(1)]", None),
+                    ("/ancestor::site", document),
+                ):
+                    with pytest.raises(ReproError) as caught:
+                        service.execute(query, document=scope, use_cache=False)
+                    failures.setdefault((query, scope), []).append(
+                        (type(caught.value), str(caught.value))
+                    )
+                # The failed batch's other shard units must not fail
+                # the next, unrelated request with their stale errors.
+                assert service.execute("//person", use_cache=False).total > 0
+        for (query, _), seen in failures.items():
+            assert seen[0] == seen[1], query
+            assert seen[0][0] is XPathEvaluationError
+            assert "Traceback" not in seen[0][1] and ".py" not in seen[0][1]
 
 
 # ----------------------------------------------------------------------

@@ -51,9 +51,7 @@ def save_v1(doc, path):
 
 def save_version(doc, path, version):
     """Write ``doc`` in any supported archive format version."""
-    if version == 1:
-        save_v1(doc, path)
-    elif version == 2:
+    if version == 2:
         save(doc, path, compression="none")
     else:
         save(doc, path, compression="packed")
@@ -97,7 +95,16 @@ class TestRoundTrip:
 class TestFormatVersions:
     def test_current_format_version_is_3(self):
         assert FORMAT_VERSION == 3
-        assert set(SUPPORTED_VERSIONS) == {1, 2, 3}
+        assert SUPPORTED_VERSIONS == (2, 3)
+
+    @pytest.mark.parametrize("mmap_flag", [False, True])
+    def test_v1_archives_are_rejected(self, fig1_doc, tmp_path, mmap_flag):
+        """Nothing has written v1 since PR 2; loading one is a clean
+        version error, not a silent eager fallback."""
+        path = str(tmp_path / "v1.npz")
+        save_v1(fig1_doc, path)
+        with pytest.raises(EncodingError, match="format version 1 not in supported"):
+            load(path, mmap=mmap_flag)
 
     def test_save_default_writes_v2(self, fig1_doc, tmp_path):
         """``compression="none"`` (the default) keeps the eager v2 layout."""
@@ -114,8 +121,7 @@ class TestFormatVersions:
 
     @pytest.mark.parametrize("version", SUPPORTED_VERSIONS)
     def test_mmap_load_all_versions(self, small_xmark, tmp_path, version):
-        """mmap=True zero-copies v2 columns and pages v3 blocks; v1
-        degrades to an eager load."""
+        """mmap=True zero-copies v2 columns and pages v3 blocks."""
         from repro.encoding.codec import PagedArray
 
         path = str(tmp_path / f"v{version}.npz")

@@ -235,6 +235,41 @@ class TestObservation:
             assert step_signature("descendant", "person") in signatures
             assert any(sig[0] == "pred" for sig in signatures)
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_cli_analyze_and_service_analyze_report_the_same_rows(
+        self, engine, tmp_path, monkeypatch, capsys
+    ):
+        """``explain --analyze`` on one document and
+        ``QueryService.analyze`` on a one-shard store of it ride the
+        same observed drive: identical (signature, n_in, n_out) rows."""
+        import repro.cli as cli
+        from repro.encoding.persist import save
+        from repro.encoding.prepost import encode
+
+        tree = site(0, 9)
+        archive = str(tmp_path / "doc.npz")
+        save(encode(tree), archive)
+        one_shard = ShardedStore.build(str(tmp_path / "s"), [("d", tree)])
+        query = "//person[profile]/name"
+
+        def rows(observations):
+            (observation,) = observations
+            assert observation.engine == engine
+            return [(s.signature, s.n_in, s.n_out) for s in observation.steps]
+
+        seen = []
+        render = cli._render_analysis
+        monkeypatch.setattr(
+            cli, "_render_analysis",
+            lambda plan, obs: seen.append(rows(obs)) or render(plan, obs),
+        )
+        code = cli.main(["explain", archive, query, "--analyze", "--engine", engine])
+        assert code == 0 and "observed: 1 sampled drive" in capsys.readouterr().out
+        with QueryService(one_shard, backend="serial", engine=engine) as service:
+            _, _, observations = service.analyze(query)
+        assert seen == [rows(observations)]
+        assert seen[0][0] == (step_signature("descendant", "person"), 1, 9)
+
     def test_sampled_batches_absorb(self, store, monkeypatch):
         monkeypatch.setenv("REPRO_FEEDBACK_SAMPLE", "1")
         with QueryService(store, backend="serial") as service:

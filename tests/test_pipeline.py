@@ -117,7 +117,6 @@ class TestCompile:
         first, second = plan.branches[0][1], plan.branches[0][2]
         assert not first.pushdown
         assert second.pushdown
-        assert plan.pushdown_steps == frozenset((1,))
 
     def test_pushdown_shape_guard(self):
         # child steps have no fragment variant — a blanket True must
@@ -235,18 +234,20 @@ class TestDrive:
         # double-report the shared nodes.
         assert evaluator.count("//person | //person") == evaluator.count("//person")
 
-    def test_evaluate_step_matches_full_evaluation(self, doc):
+    def test_stepwise_dispatch_matches_full_evaluation(self, doc):
+        """Step-at-a-time execution — compile one step into its
+        operator(s), dispatch each — equals driving the whole plan."""
+        from repro.xpath.axes import DOCUMENT_CONTEXT
+        from repro.xpath.pipeline import compile_step_ops, dispatch
+
         for engine in ENGINES:
             evaluator = Evaluator(doc, engine=engine)
             path = parse_xpath("//open_auction[bidder]/seller")
-            stepwise = None
-            from repro.xpath.axes import DOCUMENT_CONTEXT
-
             context = DOCUMENT_CONTEXT
             for index, step in enumerate(path.steps):
-                context = evaluator.evaluate_step(context, step, index)
-            stepwise = context
-            assert np.array_equal(stepwise, evaluator.evaluate(path))
+                for op in compile_step_ops(step, index, False):
+                    context = dispatch(op, evaluator, context)
+            assert np.array_equal(context, evaluator.evaluate(path))
 
     def test_facade_compile_cache_is_bounded(self, doc):
         evaluator = Evaluator(doc)

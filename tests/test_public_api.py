@@ -78,6 +78,33 @@ class TestRemovedSpellings:
             assert "strategy" not in inspect.signature(callable_).parameters
 
 
+    def test_execution_decisions_have_one_carrier(self, tmp_path):
+        """PR 15: the compiled plan carries execution decisions — the
+        evaluator side-channel, the worker's apply/restore context
+        manager, and three one-valued options are gone."""
+        from repro.server import ServerConfig
+        from repro.service import ShardedStore, ShardWorkerState
+        from repro.xmltree.model import element
+        from repro.xpath.evaluator import Evaluator
+        from repro.xpath.pipeline import PhysicalPlan, compile_plan
+
+        for name in ("_set_pushdown", "_push_at", "_pushdown_config",
+                     "evaluate_step", "bulk_predicate_mask"):
+            assert not hasattr(Evaluator, name), name
+        for name in ("_applied", "_observed_drive"):
+            assert not hasattr(ShardWorkerState, name), name
+        fields = set(PhysicalPlan.__dataclass_fields__)
+        assert not fields & {"source", "pushdown_steps"}
+        assert not hasattr(compile_plan("//a"), "pushdown_steps")
+        assert "dispatch_threads" not in ServerConfig.__dataclass_fields__
+        directory = str(tmp_path / "s")
+        ShardedStore.build(directory, [("d", element("a"))])
+        with pytest.raises(TypeError):
+            ShardedStore.open(directory, mmap=False)
+        with pytest.raises(TypeError):
+            ShardWorkerState(directory, mmap=False)
+
+
 class TestReadmeQuickstart:
     def test_quickstart_snippet(self):
         """The README's quickstart, executed verbatim."""

@@ -284,6 +284,33 @@ class TestErrors:
         # the connection/server both survive a syntax error
         assert request(live.port, "GET", "/health")[0] == 200
 
+    @pytest.mark.parametrize("backend", ("serial", "fabric:1"))
+    def test_4xx_bodies_are_one_line_errors_on_every_backend(
+        self, store_dir, backend
+    ):
+        """A request that fails while evaluating (bad function arity,
+        a scoped path that cannot start at a member root) is the same
+        400 on every backend — never a worker traceback or file path —
+        and a scoped union answers with its member's share."""
+        with serving(store_dir, backend=backend) as server:
+            name = server.service.store.document_names()[0]
+            for body in (
+                {"query": "//person[count(1)]"},
+                {"query": "/ancestor::site", "document": name},
+                {"query": "//["},
+            ):
+                status, payload, _ = request(server.port, "POST", "/query", body)
+                assert status == 400, body
+                assert "Traceback" not in payload["error"], body
+                assert ".py" not in payload["error"], body
+            union = {"query": "//seller | //buyer", "use_cache": False}
+            _, whole, _ = request(server.port, "POST", "/query", union)
+            status, scoped, _ = request(
+                server.port, "POST", "/query", dict(union, document=name)
+            )
+            assert status == 200
+            assert scoped["per_document"] == {name: whole["per_document"][name]}
+
     def test_unknown_mode_is_400(self, live):
         status, payload, _ = request(
             live.port, "POST", "/query", {"query": "//a", "mode": "tally"}
