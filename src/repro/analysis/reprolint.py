@@ -34,7 +34,10 @@ REP005   numpy dtype discipline: array constructors in the
          ``repro.encoding.codec`` bit-packing layer must pin ``dtype=``
          explicitly so rank arrays cannot silently promote off
          ``int64`` on other platforms (``np.append`` has no ``dtype``
-         parameter at all — rewrite with ``np.concatenate``).
+         parameter at all — rewrite with ``np.concatenate``).  The
+         column half: in ``repro.core``/``xpath``/``encoding``/
+         ``service`` a plane column (``.post``, ``.level``, ``.parent``,
+         ``.kind``, ``.codes``) is never copied whole to ``int64``.
 REP006   Durations and deadlines must use ``time.monotonic()``;
          ``time.time()`` is only for real wall-clock timestamps (and
          needs a suppression saying so).
@@ -537,19 +540,51 @@ class DtypeDiscipline(Rule):
         }
     )
 
+    #: Plane columns (``DocTable`` / ``StringColumn`` / ``ValueIndex``
+    #: attributes): held at their declared width, never widened whole.
+    COLUMNS = frozenset({"post", "level", "parent", "kind", "codes"})
+
     def run(self) -> List[Finding]:
-        if not (
-            self.m.module.startswith("repro.core")
-            or self.m.module.startswith("repro.xpath")
-            or self.m.module == "repro.encoding.codec"
-        ):
+        module = self.m.module
+        self.ranks = module.startswith(("repro.core", "repro.xpath")) or (
+            module == "repro.encoding.codec"
+        )
+        if not (self.ranks or module.startswith(("repro.encoding", "repro.service"))):
             return self.findings
         return super().run()
 
+    def _widens_column(self, node: ast.Call) -> bool:
+        """``np.asarray(x.post, dtype=np.int64)`` (or ``ascontiguousarray``)
+        and ``x.post.astype(np.int64)``: an ``int64`` copy of a whole column."""
+        func = node.func
+        if not isinstance(func, ast.Attribute):
+            return False
+        if func.attr == "astype":
+            target, dtype = func.value, node.args[0] if node.args else None
+        elif func.attr in ("asarray", "ascontiguousarray") and node.args:
+            target = node.args[0]
+            dtype = next((kw.value for kw in node.keywords if kw.arg == "dtype"), None)
+        else:
+            return False
+        return (
+            isinstance(target, ast.Attribute)
+            and target.attr in self.COLUMNS
+            and dtype is not None
+            and _src(dtype) in ("np.int64", "numpy.int64")
+        )
+
     def visit_Call(self, node: ast.Call):
         func = node.func
-        if (
-            isinstance(func, ast.Attribute)
+        if self._widens_column(node):
+            self.emit(
+                node,
+                "int64 copy of a whole plane column; columns stay at their "
+                "declared width (repro.encoding.widths) — gather the "
+                "context-sized values and let the int64 rank operand promote",
+            )
+        elif (
+            self.ranks
+            and isinstance(func, ast.Attribute)
             and isinstance(func.value, ast.Name)
             and func.value.id in ("np", "numpy")
         ):

@@ -197,7 +197,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
     print(f"documents      {info['documents']}")
     print(f"bytes on disk  {info['total_bytes_on_disk']:,}")
     if info["total_logical_bytes"]:
-        print(f"logical bytes  {info['total_logical_bytes']:,} (decoded size of packed shards)")
+        print(f"logical bytes  {info['total_logical_bytes']:,} (packed shards decoded at column width)")
     for shard in info["shards"]:
         line = (
             f"  shard {shard['id']:<4d} v{shard['format_version']}  "
@@ -218,6 +218,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
                     f"  decoded {decoded['blocks']:,} blocks"
                     f"/{decoded['bytes']:,}B"
                 )
+        if "resident_bytes_per_node" in shard:
+            line += f"  resident {shard['resident_bytes_per_node']} B/node"
         print(line)
     return 0
 

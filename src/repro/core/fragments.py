@@ -56,10 +56,8 @@ class FragmentedDocument:
         # tag code groups them per tag in document order, so a fragment
         # is a slice — each column is read (and, paged, decoded) once,
         # not once per dictionary entry.
-        elements = np.nonzero(
-            np.asarray(doc.kind, dtype=np.int64) == int(NodeKind.ELEMENT)
-        )[0].astype(np.int64)
-        codes = np.asarray(doc.tag.codes, dtype=np.int64)[elements]
+        elements = doc.pres_with_kind(NodeKind.ELEMENT)
+        codes = doc.tag.codes[elements]
         order = np.argsort(codes, kind="stable")
         pres = elements[order]
         posts = doc.post[pres]

@@ -247,7 +247,7 @@ def _attribute_vectorized(doc: DocTable, context: np.ndarray) -> np.ndarray:
 
 
 def _parent_vectorized(doc: DocTable, context: np.ndarray) -> np.ndarray:
-    parents = doc.parent[context]
+    parents = doc.parent[context].astype(np.int64)  # ranks out
     return np.unique(parents[parents >= 0])
 
 

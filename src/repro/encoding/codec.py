@@ -23,8 +23,10 @@ pageable:
   :func:`dictionary_find` binary-searches the *compressed* blob directly
   — a name test never materialises the dictionary.
 
-:class:`PagedArray` is the query-facing face of a packed column: an
-``int64`` vector that decodes one page block at a time, on first touch,
+:class:`PagedArray` is the query-facing face of a packed column: a
+vector at the column's declared width
+(:data:`~repro.encoding.widths.COLUMN_DTYPES`) that decodes one page
+block at a time, on first touch,
 with an LRU over decoded blocks and per-column decode counters.  Scalar
 reads, slices, and integer-array gathers touch only the blocks they
 cover — ranges the staircase join skips are pages never decoded (and,
@@ -42,6 +44,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.encoding.widths import column_dtype
 from repro.errors import EncodingError
 
 __all__ = [
@@ -53,6 +56,7 @@ __all__ = [
     "pack_int_column",
     "decode_page",
     "decode_column",
+    "check_directory",
     "encode_dictionary",
     "dictionary_entry",
     "dictionary_find",
@@ -172,19 +176,20 @@ def pack_int_column(
     _require_power_of_two(page_size)
     if codec not in (CODEC_FOR, CODEC_DELTA):
         raise EncodingError(f"unknown codec {codec!r} for column {column!r}")
-    work = np.ascontiguousarray(values, dtype=np.int64)
-    if work.ndim != 1:
+    if values.ndim != 1:
         raise EncodingError(f"column {column!r} must be one-dimensional")
-    n = work.shape[0]
-    if codec == CODEC_DELTA:
-        work = work - np.arange(n, dtype=np.int64)
+    n = values.shape[0]
     n_blocks = -(-n // page_size) if n else 0
     refs = np.zeros(n_blocks, dtype=np.int64)
     bits = np.zeros(n_blocks, dtype=np.uint8)
     offsets = np.zeros(n_blocks + 1, dtype=np.int64)
     chunks: List[np.ndarray] = []
     for b in range(n_blocks):
-        block = work[b * page_size : (b + 1) * page_size]
+        # Widened a page at a time: the column itself stays at its width.
+        start = b * page_size
+        block = values[start : start + page_size].astype(np.int64)
+        if codec == CODEC_DELTA:
+            block -= np.arange(start, start + block.shape[0], dtype=np.int64)
         reference = int(block.min())
         width = int(int(block.max()) - reference).bit_length()
         packed = _pack_bits((block - reference).astype(np.uint64), width)
@@ -212,7 +217,8 @@ def pack_int_column(
 def decode_page(
     directory: PageDirectory, blob: np.ndarray, block: int
 ) -> np.ndarray:
-    """Decode page ``block`` of a packed column to a fresh ``int64`` array."""
+    """Decode page ``block`` of a packed column to a fresh array at the
+    column's declared width."""
     if not 0 <= block < directory.n_blocks:
         raise EncodingError(
             f"column {directory.column!r}: page {block} out of "
@@ -225,7 +231,7 @@ def decode_page(
     decoded += int(directory.refs[block])
     if directory.codec == CODEC_DELTA:
         decoded += np.arange(start, start + count, dtype=np.int64)
-    return decoded
+    return decoded.astype(column_dtype(directory.column), copy=False)
 
 
 #: Pages unpacked per pass by :func:`decode_column`: enough to amortise
@@ -275,31 +281,67 @@ def decode_column(directory: PageDirectory, blob: np.ndarray) -> np.ndarray:
     """Decode a whole packed column eagerly (the full-decode load path).
 
     Runs of pages are unpacked together (:func:`_decode_pages`) — a
-    dozen numpy calls per run instead of per page; the result is
-    byte-identical to concatenating :func:`decode_page`.
+    dozen numpy calls per run instead of per page — and written straight
+    into one array of the column's declared width; the result is
+    byte-identical to concatenating :func:`decode_page`.  A plane
+    column's directory must have passed :func:`check_directory`: the
+    store into the narrow array does not range-check.
     """
+    out = np.empty(directory.length, dtype=column_dtype(directory.column))
     if directory.length == 0:
-        return np.empty(0, dtype=np.int64)
+        return out
     if directory.packed_bytes > blob.shape[0]:
         raise EncodingError(
             f"column {directory.column!r}: packed blob is truncated "
             f"({blob.shape[0]} of {directory.packed_bytes} bytes)"
         )
+    page_size = directory.page_size
     if int(directory.bits.max()) > _WORD_BITS:
-        return np.concatenate(
-            [decode_page(directory, blob, b) for b in range(directory.n_blocks)],
-            dtype=np.int64,
+        for b in range(directory.n_blocks):
+            out[b * page_size : (b + 1) * page_size] = decode_page(directory, blob, b)
+        return out
+    for first in range(0, directory.n_blocks, _DECODE_CHUNK_PAGES):
+        last = min(first + _DECODE_CHUNK_PAGES, directory.n_blocks)
+        out[first * page_size : last * page_size] = _decode_pages(
+            directory, blob, first, last
         )
-    return np.concatenate(
-        [
-            _decode_pages(
-                directory, blob, first,
-                min(first + _DECODE_CHUNK_PAGES, directory.n_blocks),
-            )
-            for first in range(0, directory.n_blocks, _DECODE_CHUNK_PAGES)
-        ],
-        dtype=np.int64,
+    return out
+
+
+def check_directory(directory: PageDirectory, low: int, high: int) -> None:
+    """Reject a forged directory before any of its pages is decoded.
+
+    Page ``b`` can only hold values in ``refs[b] .. refs[b] + 2^bits[b]
+    − 1`` (shifted by the position under the delta codec).  That
+    envelope must fit the column's declared width — :func:`decode_column`
+    stores into it unchecked — and must be able to meet the legal range
+    ``[low, high]``: the packer writes minimal widths, so a page's
+    reference delta is taken and, at ``bits > 0``, so is one of at least
+    ``2^(bits−1)``.  Float arithmetic: a hostile ``int64`` reference
+    must not wrap the check itself.
+    """
+    if directory.n_blocks == 0:
+        return
+    limits = np.iinfo(column_dtype(directory.column))
+    refs = directory.refs.astype(np.float64)
+    bits = directory.bits.astype(np.float64)
+    first = last = 0.0  # position of a page's first/last value (delta codec)
+    if directory.codec == CODEC_DELTA:
+        first = np.arange(directory.n_blocks, dtype=np.float64) * directory.page_size
+        last = np.minimum(first + directory.page_size, directory.length) - 1
+    reach = np.where(bits > 0, np.exp2(bits - 1), 0.0)
+    healthy = (
+        (refs + first >= limits.min)
+        & (refs + np.exp2(bits) - 1 + last <= limits.max)
+        & (refs + last >= low)
+        & (refs + reach + first <= high)
     )
+    if not healthy.all():
+        raise EncodingError(
+            f"column {directory.column!r}: page directory describes values "
+            f"outside {limits.dtype.name} / the legal range [{low}, {high}] "
+            f"(page {int(np.argmin(healthy))})"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -423,12 +465,14 @@ class PlaneStats:
 
 #: Decoded-block LRU capacity per column (blocks, not bytes).  At the
 #: default page size this caps resident decoded state per column at
-#: ``128 × 1024 × 8B = 1 MiB`` — the out-of-core working set.
+#: ``128 × 1024 × 4 B = 512 KiB`` (a 4-byte column) — the out-of-core
+#: working set.
 DEFAULT_CACHE_BLOCKS = 128
 
 
 class PagedArray:
-    """An ``int64`` vector that decodes one page block at a time.
+    """A packed column, decoded one page block at a time, at the width
+    :data:`~repro.encoding.widths.COLUMN_DTYPES` declares for it.
 
     Supports the access patterns the join kernels actually use — scalar
     reads (block memo fast path), contiguous slices, and integer-array
@@ -487,12 +531,12 @@ class PagedArray:
 
     @property
     def dtype(self) -> np.dtype:
-        return np.dtype(np.int64)
+        return column_dtype(self.directory.column)
 
     @property
     def nbytes(self) -> int:
-        """Logical (decoded) bytes — what the column would occupy eagerly."""
-        return self.directory.length * 8
+        """Logical (decoded) bytes — what the column occupies once resident."""
+        return self.directory.length * self.dtype.itemsize
 
     @property
     def packed_bytes(self) -> int:
@@ -556,7 +600,7 @@ class PagedArray:
 
     def _slice(self, start: int, stop: int) -> np.ndarray:
         if stop <= start:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=self.dtype)
         first = start >> self._shift
         last = (stop - 1) >> self._shift
         if first == last:
@@ -570,15 +614,15 @@ class PagedArray:
             lo = max(start, base) - base
             hi = min(stop, base + self.directory.page_size) - base
             parts.append(block[lo:hi])
-        return np.concatenate(parts, dtype=np.int64)
+        return np.concatenate(parts, dtype=self.dtype)
 
     def _gather(self, idx: np.ndarray) -> np.ndarray:
         if idx.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=self.dtype)
         if np.any(idx < 0) or np.any(idx >= self.directory.length):
             raise IndexError("gather index out of range")
         blocks = idx >> self._shift
-        out = np.empty(idx.shape[0], dtype=np.int64)
+        out = np.empty(idx.shape[0], dtype=self.dtype)
         for b in np.unique(blocks):
             selected = blocks == b
             data = self._decode_block(int(b))
@@ -602,7 +646,7 @@ class PagedArray:
         return full
 
     def _dense(self) -> np.ndarray:
-        """The whole column, decoded (always ``int64`` by construction)."""
+        """The whole column, decoded at its declared width."""
         return self.__array__()
 
     def copy(self) -> np.ndarray:

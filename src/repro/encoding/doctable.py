@@ -28,6 +28,7 @@ from repro.encoding.codec import (
     dictionary_prefix_range,
     encode_dictionary,
 )
+from repro.encoding.widths import COLUMN_DTYPES, narrow
 from repro.errors import EncodingError
 from repro.storage.bat import BAT
 from repro.storage.column import IntColumn, StringColumn, VoidColumn
@@ -139,7 +140,11 @@ class DocTable:
     Parameters
     ----------
     post, level, parent, kind:
-        Dense ``int64`` vectors indexed by preorder rank.
+        Dense vectors indexed by preorder rank, held at the widths of
+        :data:`~repro.encoding.widths.COLUMN_DTYPES` (``int32``,
+        ``int16``, ``int32``, ``int8``).  Arrays of another integer
+        dtype are range-checked and narrowed; a shard of 2³¹ nodes or
+        a tree 2¹⁵ levels deep is an :class:`EncodingError`.
     tag:
         Dictionary-encoded tag/attribute-name column.
     values:
@@ -185,16 +190,22 @@ class DocTable:
         height: Optional[int] = None,
     ):
         n = post.shape[0]
-        for name, column in (("level", level), ("parent", parent), ("kind", kind)):
+        if n > np.iinfo(COLUMN_DTYPES["post"]).max:
+            raise EncodingError(f"{n} nodes exceed the 4-byte rank columns")
+        columns = {"post": post, "level": level, "parent": parent, "kind": kind}
+        for name, column in columns.items():
             if column.shape[0] != n:
                 raise EncodingError(f"column {name!r} length {column.shape[0]} != {n}")
+            if not isinstance(column, PagedArray):  # paged columns decode at width
+                columns[name] = narrow(name, column)
+        post, level, parent, kind = columns.values()
         if len(tag) != n:
             raise EncodingError(f"tag column length {len(tag)} != {n}")
         if n == 0:
             raise EncodingError("cannot build an empty DocTable")
         if validate:
             sorted_post = np.sort(post)
-            if not np.array_equal(sorted_post, np.arange(n, dtype=np.int64)):
+            if not np.array_equal(sorted_post, np.arange(n, dtype=post.dtype)):
                 raise EncodingError("post column must be a permutation of 0..n-1")
         self.post = post
         self.level = level
@@ -205,6 +216,8 @@ class DocTable:
         # h — the document height; computed once at load time (footnote 3)
         # unless a persisted archive already carries it.
         self.height = int(level.max()) if height is None else int(height)
+        if self.height > np.iinfo(COLUMN_DTYPES["level"]).max:
+            raise EncodingError(f"height {self.height} exceeds the 2-byte level column")
         #: Set by the persistence layer when the columns are paged
         #: (FORMAT_VERSION 3, ``mmap=True``); the join kernels use it to
         #: drive block-at-a-time scans.  ``None`` for eager tables.
@@ -409,13 +422,20 @@ class DocTable:
     def kind_bat(self) -> BAT:
         return BAT(VoidColumn(len(self)), IntColumn(self.kind), name="doc_kind")
 
+    def column_nbytes(self) -> int:
+        """Bytes of the plane columns once resident (void ``pre`` is
+        free): the four structure columns, the tag codes and — when the
+        values are dictionary-coded — the value codes."""
+        columns = [self.post, self.level, self.parent, self.kind, self.tag.codes]
+        if isinstance(self.values, PagedStrings):
+            columns.append(self.values.codes)
+        return sum(column.nbytes for column in columns)
+
     def memory_footprint(self) -> int:
-        """Approximate bytes of column storage (void ``pre`` is free)."""
-        total = self.post.nbytes + self.level.nbytes
-        total += self.parent.nbytes + self.kind.nbytes
-        total += self.tag.codes.nbytes
-        total += sum(len(s.encode("utf-8")) for s in self.tag.dictionary)
-        return total
+        """Approximate bytes of column storage, tag dictionary included."""
+        return self.column_nbytes() + sum(
+            len(s.encode("utf-8")) for s in self.tag.dictionary
+        )
 
     # ------------------------------------------------------------------
     # Selections (used for name-test pushdown and fragmentation)

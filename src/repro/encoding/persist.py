@@ -7,7 +7,9 @@ directly.  The format is a single ``.npz`` container.
 
 Two format versions are understood:
 
-* **v2** — ``np.savez``: eager members *stored* rather than deflated.
+* **v2** — ``np.savez``: eager members *stored* rather than deflated,
+  each at its column's declared width (``.npy`` is self-describing:
+  older archives with ``int64`` members still open and are narrowed).
   A stored ``.npy`` zip member is byte-identical to a standalone
   ``.npy`` file, so :func:`load` with ``mmap=True`` memory-maps the
   numeric columns in place at their archive offsets — worker processes
@@ -53,14 +55,17 @@ from repro.encoding.codec import (
     PagedArray,
     PagedStrings,
     PlaneStats,
+    check_directory,
     decode_column,
     dictionary_entry,
     encode_dictionary,
     pack_int_column,
 )
 from repro.encoding.doctable import DocTable
+from repro.encoding.widths import column_dtype
 from repro.errors import EncodingError
 from repro.storage.column import StringColumn
+from repro.xmltree.model import NodeKind
 
 __all__ = [
     "save",
@@ -162,11 +167,11 @@ def _save_eager(doc: DocTable, path: str) -> None:
     np.savez(
         path,
         format_version=np.asarray([2], dtype=np.int64),
-        post=np.ascontiguousarray(doc.post, dtype=np.int64),
-        level=np.ascontiguousarray(doc.level, dtype=np.int64),
-        parent=np.ascontiguousarray(doc.parent, dtype=np.int64),
-        kind=np.ascontiguousarray(doc.kind, dtype=np.int64),
-        tag_codes=np.ascontiguousarray(doc.tag.codes, dtype=np.int32),
+        post=np.asarray(doc.post),
+        level=np.asarray(doc.level),
+        parent=np.asarray(doc.parent),
+        kind=np.asarray(doc.kind),
+        tag_codes=np.asarray(doc.tag.codes),
         tag_dictionary=np.asarray(doc.tag.dictionary, dtype=object),
         values=values,
     )
@@ -180,9 +185,9 @@ def _save_packed(doc: DocTable, path: str, page_size: int) -> None:
     sorted_tags = sorted(old_dictionary)
     new_code = {s: i for i, s in enumerate(sorted_tags)}
     remap = np.asarray(
-        [new_code[s] for s in old_dictionary], dtype=np.int64
+        [new_code[s] for s in old_dictionary], dtype=column_dtype("tag_codes")
     )
-    tag_codes = remap[np.ascontiguousarray(doc.tag.codes, dtype=np.int64)]
+    tag_codes = remap[np.asarray(doc.tag.codes)]
     tag_blob, tag_offsets = encode_dictionary(sorted_tags)
 
     # Text values: sorted dictionary, code -1 = None (element nodes).
@@ -190,16 +195,16 @@ def _save_packed(doc: DocTable, path: str, page_size: int) -> None:
     value_code = {s: i for i, s in enumerate(unique_values)}
     value_codes = np.fromiter(
         (-1 if v is None else value_code[v] for v in doc.values),
-        dtype=np.int64,
+        dtype=column_dtype("value_codes"),
         count=n,
     )
     value_blob, value_offsets = encode_dictionary(unique_values)
 
     sources: Dict[str, np.ndarray] = {
-        "post": np.ascontiguousarray(doc.post, dtype=np.int64),
-        "level": np.ascontiguousarray(doc.level, dtype=np.int64),
-        "parent": np.ascontiguousarray(doc.parent, dtype=np.int64),
-        "kind": np.ascontiguousarray(doc.kind, dtype=np.int64),
+        "post": doc.post,
+        "level": doc.level,
+        "parent": doc.parent,
+        "kind": doc.kind,
         "tag_codes": tag_codes,
         "value_codes": value_codes,
     }
@@ -287,15 +292,6 @@ def _stored_info(
     return info
 
 
-def _mmap_columns(path: str) -> Tuple[np.ndarray, ...]:
-    """Map the numeric columns of a v2 archive in place."""
-    with zipfile.ZipFile(path) as archive:
-        columns = []
-        for member in _NUMERIC_MEMBERS:
-            columns.append(_mmap_member(path, _stored_info(path, archive, member)))
-    return tuple(columns)
-
-
 def _read_member(path: str, archive: "np.lib.npyio.NpzFile", name: str) -> np.ndarray:
     """Read one npz member, normalising corruption to :class:`EncodingError`."""
     try:
@@ -309,6 +305,31 @@ def _read_member(path: str, archive: "np.lib.npyio.NpzFile", name: str) -> np.nd
             f"{path}: cannot read member {name!r} "
             f"(truncated or corrupt archive): {error}"
         ) from error
+
+
+def _open_archive(path: str, allow_pickle: bool = False) -> "np.lib.npyio.NpzFile":
+    try:
+        return np.load(path, allow_pickle=allow_pickle)
+    except FileNotFoundError:
+        raise
+    except _ARCHIVE_ERRORS as error:
+        raise EncodingError(
+            f"{path}: not a readable DocTable archive: {error}"
+        ) from error
+
+
+def _format_version(path: str, archive: "np.lib.npyio.NpzFile") -> int:
+    if "format_version" not in archive.files:
+        raise EncodingError(
+            f"{path}: not a DocTable archive (no format_version member)"
+        )
+    version = int(_read_member(path, archive, "format_version")[0])
+    if version not in SUPPORTED_VERSIONS:
+        raise EncodingError(
+            f"{path}: format version {version} not in "
+            f"supported {SUPPORTED_VERSIONS}"
+        )
+    return version
 
 
 def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
@@ -336,28 +357,13 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
         raise EncodingError(
             f"unknown decode_cache {decode_cache!r}; expected 'full' or 'blocks'"
         )
-    try:
-        archive = np.load(path, allow_pickle=True)
-    except FileNotFoundError:
-        raise
-    except _ARCHIVE_ERRORS as error:
-        raise EncodingError(
-            f"{path}: not a readable DocTable archive: {error}"
-        ) from error
-    with archive:
+    with _open_archive(path) as archive:
+        if _format_version(path, archive) == 3:
+            return _load_packed(path, archive, mmap, decode_cache)
+    # Only v2 holds object members (``values``, ``tag_dictionary``); a
+    # file claiming to be v3 never reaches the unpickler.
+    with _open_archive(path, allow_pickle=True) as archive:
         names = set(archive.files)
-        if "format_version" not in names:
-            raise EncodingError(
-                f"{path}: not a DocTable archive (no format_version member)"
-            )
-        version = int(_read_member(path, archive, "format_version")[0])
-        if version not in SUPPORTED_VERSIONS:
-            raise EncodingError(
-                f"{path}: format version {version} not in "
-                f"supported {SUPPORTED_VERSIONS}"
-            )
-        if version == 3:
-            return _load_packed(path, archive, names, mmap, decode_cache)
         if not _REQUIRED_MEMBERS <= names:
             raise EncodingError(
                 f"{path}: not a DocTable archive "
@@ -368,51 +374,37 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
             None if v == _NONE_SENTINEL else str(v)
             for v in _read_member(path, archive, "values")
         ]
-        if mmap:
-            post = level = parent = kind = tag_codes = None
-        else:
-            post = _read_member(path, archive, "post").astype(np.int64)
-            level = _read_member(path, archive, "level").astype(np.int64)
-            parent = _read_member(path, archive, "parent").astype(np.int64)
-            kind = _read_member(path, archive, "kind").astype(np.int64)
-            tag_codes = _read_member(path, archive, "tag_codes")
-    if mmap:
-        post, level, parent, kind, tag_codes = _mmap_columns(path)
-        # The archive was written from an already-validated table; skip
-        # the permutation/range re-checks so opening touches as few
-        # pages as possible.
-        tag = StringColumn(tag_codes, dictionary, validate=False)
-        return DocTable(
-            post=post,
-            level=level,
-            parent=parent,
-            kind=kind,
-            tag=tag,
-            values=values,
-            validate=False,
+        post, level, parent, kind, tag_codes = (
+            _mmap_member(path, _stored_info(path, archive.zip, member))
+            if mmap
+            else _read_member(path, archive, member)
+            for member in _NUMERIC_MEMBERS
         )
+    # A mapped archive was written from an already-validated table; skip
+    # the permutation/range re-checks so opening touches as few pages as
+    # possible.
     return DocTable(
         post=post,
         level=level,
         parent=parent,
         kind=kind,
-        tag=StringColumn(tag_codes, dictionary),
+        tag=StringColumn(tag_codes, dictionary, validate=not mmap),
         values=values,
+        validate=not mmap,
     )
 
 
 def _load_packed(
     path: str,
     archive: "np.lib.npyio.NpzFile",
-    names: set,
     mmap: bool,
     decode_cache: str,
 ) -> DocTable:
     """Materialise (or page-map) a v3 archive."""
-    if not _PACKED_REQUIRED <= names:
+    if not _PACKED_REQUIRED <= set(archive.files):
         raise EncodingError(
             f"{path}: not a packed DocTable archive "
-            f"(missing {sorted(_PACKED_REQUIRED - names)})"
+            f"(missing {sorted(_PACKED_REQUIRED - set(archive.files))})"
         )
     page_size = int(_read_member(path, archive, "page_size")[0])
     n = int(_read_member(path, archive, "nodes")[0])
@@ -434,8 +426,26 @@ def _load_packed(
                 _read_member(path, archive, f"{column}_offsets"), dtype=np.int64
             ),
         )
+    def fetch(name: str) -> np.ndarray:
+        if mmap:  # mapped in place: no byte is read before a page decodes
+            return _mmap_member(path, _stored_info(path, archive.zip, name))
+        return _read_member(path, archive, name)
+
     tag_blob = _read_member(path, archive, "tag_dict_blob")
     tag_offsets = _read_member(path, archive, "tag_dict_offsets")
+    value_blob = fetch("value_dict_blob")
+    value_offsets = fetch("value_dict_offsets")
+    legal = {
+        "post": (-1, n - 1),
+        "level": (0, height),
+        "parent": (-1, n - 1),
+        "kind": (min(NodeKind), max(NodeKind)),
+        "tag_codes": (0, int(tag_offsets.shape[0]) - 2),
+        "value_codes": (-1, int(value_offsets.shape[0]) - 2),
+    }
+    for column, directory in directories.items():
+        check_directory(directory, *legal[column])
+    blobs = {column: fetch(f"{column}_packed") for column, _ in _PACKED_COLUMNS}
     tag_dictionary = [
         dictionary_entry(tag_blob, tag_offsets, code)
         for code in range(int(tag_offsets.shape[0]) - 1)
@@ -443,14 +453,9 @@ def _load_packed(
 
     if not mmap:
         decoded = {
-            column: decode_column(
-                directories[column],
-                _read_member(path, archive, f"{column}_packed"),
-            )
+            column: decode_column(directories[column], blobs[column])
             for column, _ in _PACKED_COLUMNS
         }
-        value_blob = _read_member(path, archive, "value_dict_blob")
-        value_offsets = _read_member(path, archive, "value_dict_offsets")
         value_dictionary = [
             dictionary_entry(value_blob, value_offsets, code)
             for code in range(int(value_offsets.shape[0]) - 1)
@@ -464,29 +469,14 @@ def _load_packed(
             level=decoded["level"],
             parent=decoded["parent"],
             kind=decoded["kind"],
-            tag=StringColumn(
-                decoded["tag_codes"].astype(np.int32), tag_dictionary
-            ),
+            tag=StringColumn(decoded["tag_codes"], tag_dictionary),
             values=values,
             height=height,
         )
 
-    # Paged open: map every packed blob in place, decode nothing yet.
+    # Paged open: every packed blob is mapped, nothing decoded yet.
     from repro.core.paged import PagedPlane
 
-    with zipfile.ZipFile(path) as container:
-        blobs = {
-            column: _mmap_member(
-                path, _stored_info(path, container, f"{column}_packed")
-            )
-            for column, _ in _PACKED_COLUMNS
-        }
-        value_blob = _mmap_member(
-            path, _stored_info(path, container, "value_dict_blob")
-        )
-        value_offsets = _mmap_member(
-            path, _stored_info(path, container, "value_dict_offsets")
-        )
     cache_full = decode_cache == "full"
     columns: Dict[str, PagedArray] = {}
     stats: Dict[str, PlaneStats] = {}
@@ -535,34 +525,13 @@ def describe_archive(path: str) -> dict:
     the zip directory, never decoded.
     """
     bytes_on_disk = os.path.getsize(path)
-    try:
-        with zipfile.ZipFile(path) as container:
-            member_sizes = {
-                info.filename[:-4] if info.filename.endswith(".npy")
-                else info.filename: info.file_size
-                for info in container.infolist()
-            }
-    except FileNotFoundError:
-        raise
-    except _ARCHIVE_ERRORS as error:
-        raise EncodingError(
-            f"{path}: not a readable DocTable archive: {error}"
-        ) from error
-    try:
-        archive = np.load(path, allow_pickle=True)
-    except FileNotFoundError:
-        raise
-    except _ARCHIVE_ERRORS as error:
-        raise EncodingError(
-            f"{path}: not a readable DocTable archive: {error}"
-        ) from error
-    with archive:
-        names = set(archive.files)
-        if "format_version" not in names:
-            raise EncodingError(
-                f"{path}: not a DocTable archive (no format_version member)"
-            )
-        version = int(_read_member(path, archive, "format_version")[0])
+    with _open_archive(path) as archive:
+        member_sizes = {
+            info.filename[:-4] if info.filename.endswith(".npy")
+            else info.filename: info.file_size
+            for info in archive.zip.infolist()
+        }
+        version = _format_version(path, archive)
         description: dict = {
             "format_version": version,
             "bytes_on_disk": bytes_on_disk,
@@ -577,7 +546,7 @@ def describe_archive(path: str) -> dict:
                     "codec": codec,
                     "pages": int(offsets.shape[0]) - 1,
                     "packed_bytes": int(offsets[-1]) if offsets.shape[0] else 0,
-                    "logical_bytes": n * 8,
+                    "logical_bytes": n * column_dtype(column).itemsize,
                 }
             tag_offsets = _read_member(path, archive, "tag_dict_offsets")
             value_offsets = _read_member(path, archive, "value_dict_offsets")
@@ -597,17 +566,12 @@ def describe_archive(path: str) -> dict:
                     },
                 }
             )
-        elif version in SUPPORTED_VERSIONS:
+        else:
             post = _read_member(path, archive, "post")
             description.update(
                 {
                     "nodes": int(post.shape[0]),
                     "members": member_sizes,
                 }
-            )
-        else:
-            raise EncodingError(
-                f"{path}: format version {version} not in "
-                f"supported {SUPPORTED_VERSIONS}"
             )
     return description

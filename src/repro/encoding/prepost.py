@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from repro.encoding.doctable import DocTable
+from repro.encoding.widths import narrow
 from repro.errors import EncodingError
 from repro.storage.column import StringColumn
 from repro.xmltree.model import Node, NodeKind
@@ -105,15 +104,15 @@ def encode(tree: Node) -> DocTable:
     # nodes; `exit_pre` as a plain stack only works because each entered
     # frame's exit is pushed directly beneath its children, so exits pop
     # in the correct (postorder) nesting.  Sanity-check the result.
-    post_array = np.asarray(post, dtype=np.int64)
+    post_array = narrow("post", post)
     if post_array.min() < 0:
         raise EncodingError("internal error: unassigned postorder rank")
 
     return DocTable(
         post=post_array,
-        level=np.asarray(level, dtype=np.int64),
-        parent=np.asarray(parent, dtype=np.int64),
-        kind=np.asarray(kind, dtype=np.int64),
+        level=narrow("level", level),
+        parent=narrow("parent", parent),
+        kind=narrow("kind", kind),
         tag=StringColumn.from_strings(tags),
         values=values,
     )

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.encoding.doctable import DocTable
 from repro.encoding.prepost import encode
+from repro.encoding.widths import narrow
 from repro.errors import EncodingError
 from repro.storage.column import StringColumn
 from repro.xmltree.model import Node, NodeKind
@@ -183,10 +184,13 @@ def insert_subtree(
 
     n = len(doc)
     # --- preorder splice -------------------------------------------------
-    post = np.empty(n + frag_size, dtype=np.int64)
-    level = np.empty_like(post)
-    parent = np.empty_like(post)
-    kind = np.empty_like(post)
+    # Spliced at the columns' own widths.  More than 2³¹ nodes wrap the
+    # rank arithmetic below, but DocTable rejects that length before it
+    # looks at a value; the level column is guarded where it is built.
+    post = np.empty(n + frag_size, dtype=doc.post.dtype)
+    level = np.empty(n + frag_size, dtype=doc.level.dtype)
+    parent = np.empty(n + frag_size, dtype=doc.parent.dtype)
+    kind = np.empty(n + frag_size, dtype=doc.kind.dtype)
 
     old_post = doc.post.copy()
     old_post[old_post >= post_base] += frag_size
@@ -202,7 +206,9 @@ def insert_subtree(
     post[insert_at + frag_size :] = old_post[insert_at:]
 
     level[:insert_at] = doc.level[:insert_at]
-    level[insert_at : insert_at + frag_size] = frag_level + doc.level[parent_pre] + 1
+    level[insert_at : insert_at + frag_size] = narrow(
+        "level", frag_level.astype(np.int64) + doc.level_of(parent_pre) + 1
+    )
     level[insert_at + frag_size :] = doc.level[insert_at:]
 
     parent[:insert_at] = old_parent[:insert_at]

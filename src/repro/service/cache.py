@@ -76,24 +76,12 @@ class LRUCache:
             return key in self._entries
 
     def clear(self) -> None:
-        """Drop every entry *and* the hit/miss counters.
-
-        ``clear()`` marks an epoch boundary (shard replacement, update
-        batch): counters restart with the entries, so ``serve-batch
-        --stats`` reports per-epoch hit rates instead of numbers
-        polluted across update batches.
-        """
+        """Drop every entry.  The hit/miss counters are lifetime-
+        monotonic — every commit clears the result cache, and ``/stats``
+        must still give a hit ratio across commits; a reader that wants
+        a window takes the difference of two :meth:`info` snapshots."""
         with self._lock:
             self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss counters without touching the entries
-        (measure a warm cache over a fresh observation window)."""
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
 
     def info(self) -> Dict[str, int]:
         """Occupancy and hit statistics (for ``serve-batch --stats``)."""

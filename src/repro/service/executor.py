@@ -219,8 +219,6 @@ class PrefixContextCache(LRUCache):
         with self._lock:
             self._entries.clear()
             self._bytes = 0
-            self.hits = 0
-            self.misses = 0
 
     def info(self):
         with self._lock:  # one consistent snapshot of size + bytes

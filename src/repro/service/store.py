@@ -432,7 +432,13 @@ class ShardedStore:
                     total_logical += record["logical_bytes"]
                 cached = self._collections.get(entry["id"])
                 if cached is not None and cached[0] == entry["file"]:
-                    plane = getattr(cached[1].doc, "plane", None)
+                    doc = cached[1].doc
+                    # What the plane occupies per node once resident
+                    # (what ``repro serve`` holds after its full decode).
+                    record["resident_bytes_per_node"] = round(
+                        doc.column_nbytes() / len(doc), 2
+                    )
+                    plane = getattr(doc, "plane", None)
                     if plane is not None:
                         totals = plane.totals()
                         record["decoded"] = {

@@ -183,7 +183,7 @@ class AxisExecutor:
         return np.nonzero(mask)[0].astype(np.int64)
 
     def _parent(self, context: np.ndarray) -> np.ndarray:
-        parents = self.doc.parent[context]
+        parents = self.doc.parent[context].astype(np.int64)  # ranks out
         return np.unique(parents[parents >= 0])
 
     def _siblings(self, context: np.ndarray, following: bool) -> np.ndarray:

@@ -12,6 +12,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 from repro.analysis.reprolint import (
     PAYLOAD_REGISTRY,
     RULES,
@@ -463,6 +465,46 @@ class TestDtypeDiscipline:
                 return np.asarray(values)  # repro: allow[REP005] - float weights, caller-typed
             """,
             self.CORE_PATH,
+        )
+        assert active(findings, "REP005") == []
+
+    WIDENED = """
+        import numpy as np
+
+        def build(doc):
+            kinds = np.asarray(doc.kind, dtype=np.int64)
+            codes = np.ascontiguousarray(doc.tag.codes, dtype=np.int64)
+            posts = doc.post.astype(np.int64, copy=False)
+            return kinds, codes, posts
+    """
+
+    @pytest.mark.parametrize("package", ["core", "xpath", "encoding", "service"])
+    def test_whole_column_int64_copies_fire(self, tmp_path, package):
+        findings = active(
+            lint_snippet(tmp_path, self.WIDENED, f"src/repro/{package}/fixture.py"),
+            "REP005",
+        )
+        assert [f.line for f in findings] == [5, 6, 7]
+        assert all("whole plane column" in f.message for f in findings)
+
+    def test_gathered_values_and_other_widths_are_clean(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            """
+            import numpy as np
+
+            def parents(doc, context, values):
+                ranks = doc.parent[context].astype(np.int64)  # context-sized
+                codes = np.asarray(doc.tag.codes, dtype=np.int32)
+                return ranks, codes, np.asarray(values, dtype=np.int64)
+            """,
+            "src/repro/encoding/fixture.py",
+        )
+        assert active(findings, "REP005") == []
+
+    def test_column_rule_stays_out_of_the_reproduction_packages(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path, self.WIDENED, "src/repro/baselines/fixture.py"
         )
         assert active(findings, "REP005") == []
 

@@ -1,0 +1,446 @@
+"""The width contract: plane columns at their declared width, ranks ``int64``.
+
+``repro.encoding.widths.COLUMN_DTYPES`` is the one table; these tests pin
+what every producer and consumer owes it:
+
+* answers are byte-identical — and ``int64`` — whatever the engine,
+  archive format, open mode or backend, on shards big enough (> 2¹⁵
+  nodes, so well past ``int16``) that a column width leaking into a rank
+  vector wraps visibly;
+* depth and size limits are clean ``EncodingError``s, never wraps;
+* splices keep the widths; v3 bytes do not move; archives the parent
+  commit wrote (v2 ``int64`` members) still open and answer identically;
+* no code path copies a whole column to another dtype;
+* a forged v3 page directory, or a v3 file smuggling a pickle, is
+  rejected before a data page (or the unpickler) is touched.
+"""
+
+import hashlib
+import os
+import zipfile
+
+import numpy as np
+import pytest
+
+from repro.encoding import decode, encode, subtree
+from repro.encoding.codec import PagedArray
+from repro.encoding.collection import DocumentCollection
+from repro.encoding.doctable import DocTable
+from repro.encoding.persist import describe_archive, load, save
+from repro.encoding.updates import delete_subtree, insert_subtree, replace_subtree
+from repro.encoding.widths import COLUMN_DTYPES, narrow
+from repro.errors import EncodingError
+from repro.harness.queries import QUERY_SUITE
+from repro.harness.workloads import get_forest
+from repro.service import QueryService, ShardedStore
+from repro.storage.column import StringColumn
+from repro.xmltree.model import element, text
+from repro.xpath.axes import AxisExecutor
+from repro.xpath.evaluator import Evaluator
+
+from _reference import axis_pres
+
+ENGINES = ("scalar", "vectorized")
+QUERIES = tuple(query.xpath for query in QUERY_SUITE) + (
+    "//bidder/parent::open_auction",
+    "//bidder[1]/following-sibling::bidder",
+    "//bidder[last()]/preceding-sibling::bidder",
+    "//increase/ancestor-or-self::open_auction",
+    "//person/attribute::id",
+)
+
+
+def structure(doc):
+    return {"post": doc.post, "level": doc.level, "parent": doc.parent, "kind": doc.kind}
+
+
+def assert_at_width(doc):
+    for name, column in structure(doc).items():
+        assert column.dtype == COLUMN_DTYPES[name], name
+    assert doc.tag.codes.dtype == COLUMN_DTYPES["tag_codes"]
+
+
+def members(path):
+    """Numeric members of an archive, ``name → (dtype, bytes)``."""
+    with np.load(path, allow_pickle=True) as archive:
+        return {
+            name: (str(archive[name].dtype), archive[name].tobytes())
+            for name in archive.files
+            if archive[name].dtype != object
+        }
+
+
+def chain(depth):
+    root = node = element("x")
+    for _ in range(depth - 1):
+        child = element("x")
+        node.append(child)
+        node = child
+    return root
+
+
+# ----------------------------------------------------------------------
+# (a) one sweep: suite × engine × format × open mode × backend
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def forest():
+    # Two documents of ~79 k nodes, one per shard: every shard's ranks
+    # pass 2¹⁵ more than twice over.
+    return get_forest(2, 1.7)
+
+
+@pytest.fixture(scope="module")
+def expected(forest):
+    """Per-document answers of the scalar engine on freshly encoded
+    tables — Python-int arithmetic, indifferent to any column's width."""
+    answers = {}
+    for name, tree in forest:
+        collection = DocumentCollection([(name, tree)])
+        evaluator = Evaluator(collection.doc, engine="scalar")
+        for query in QUERIES:
+            pres = collection.evaluate(query, evaluator=evaluator)
+            answers[name, query] = collection.partition_relative(pres)[name]
+    return answers
+
+
+@pytest.fixture(scope="module", params=["none", "packed"])
+def store(request, forest, tmp_path_factory):
+    directory = str(tmp_path_factory.mktemp(request.param) / "store")
+    store = ShardedStore.build(directory, forest, shards=2, compression=request.param)
+    assert all(entry["nodes"] >= 70_000 for entry in store._manifest["shards"])
+    return store
+
+
+def assert_answers(actual, expected, query):
+    for name, ranks in actual.items():
+        assert ranks.dtype == np.int64, (name, query)
+        assert ranks.tobytes() == expected[name, query].tobytes(), (name, query)
+
+
+def test_the_reference_anchors_the_oracle(forest):
+    """The sweep's oracle against ``tests/_reference.py`` itself: every
+    axis, from context nodes past rank 2¹⁵, both engines."""
+    doc = encode(forest[0][1])
+    assert_at_width(doc)
+    root = subtree(doc, doc.root)  # a bare element tree for the tree walker
+    bidders = Evaluator(doc).evaluate("//bidder")
+    context = bidders[bidders > 40_000][:3]
+    assert len(context) == 3
+    for axis in (
+        "descendant", "ancestor", "following", "preceding", "child", "parent",
+        "attribute", "following-sibling", "preceding-sibling",
+        "descendant-or-self", "ancestor-or-self",
+    ):
+        reference = axis_pres(root, context, axis)
+        for engine in ENGINES:
+            got = AxisExecutor(doc, engine=engine).step(context, axis)
+            assert got.dtype == np.int64 and got.tobytes() == reference.tobytes(), (
+                axis, engine,
+            )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("backend", ["serial", "fabric:2"])
+def test_served_answers_are_identical_and_int64(store, expected, engine, backend):
+    """Memory-mapped shards behind the service, either backend."""
+    with QueryService(store, backend=backend) as service:
+        results = service.execute_batch(QUERIES, engine=engine, use_cache=False)
+    for query, result in zip(QUERIES, results):
+        assert_answers(result.per_document, expected, query)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+def test_loaded_shards_answer_identically(store, expected, engine, mmap):
+    """The same shard files opened directly, eager and mapped."""
+    for entry in store._manifest["shards"]:
+        table = load(os.path.join(store.directory, entry["file"]), mmap=mmap)
+        assert_at_width(table)
+        collection = DocumentCollection.from_table(table, entry["documents"])
+        evaluator = Evaluator(table, engine=engine)
+        for query in QUERIES:
+            pres = collection.evaluate(query, evaluator=evaluator)
+            assert_answers(collection.partition_relative(pres), expected, query)
+
+
+# ----------------------------------------------------------------------
+# (b) limits are errors, not wraps
+# ----------------------------------------------------------------------
+class TestLimits:
+    def test_a_2000_level_chain_encodes_and_answers(self):
+        doc = encode(chain(2000))
+        assert_at_width(doc)
+        assert doc.height == 1999 and int(doc.level[-1]) == 1999
+        for engine in ENGINES:
+            evaluator = Evaluator(doc, engine=engine)
+            assert len(evaluator.evaluate("/descendant::x")) == 2000
+            ancestors = AxisExecutor(doc, engine=engine).step(
+                np.asarray([1999], dtype=np.int64), "ancestor"
+            )
+            assert ancestors.tobytes() == np.arange(1999, dtype=np.int64).tobytes()
+
+    def test_a_40000_level_chain_is_an_encoding_error(self):
+        with pytest.raises(EncodingError, match="level"):
+            encode(chain(40_000))
+
+    def test_a_splice_past_the_level_width_is_an_encoding_error(self):
+        deepest = np.iinfo(COLUMN_DTYPES["level"]).max
+        doc = encode(chain(deepest + 1))
+        assert doc.height == deepest
+        with pytest.raises(EncodingError, match="level"):
+            insert_subtree(doc, deepest, element("y"))
+
+    def test_two_to_the_31_nodes_is_an_encoding_error(self):
+        huge = np.broadcast_to(np.zeros(1, dtype=np.int8), (2**31,))
+        with pytest.raises(EncodingError, match="nodes"):
+            DocTable(huge, huge, huge, huge, tag=None)
+
+    def test_a_persisted_height_past_the_level_width_is_rejected(self):
+        doc = encode(chain(3))
+        with pytest.raises(EncodingError, match="height"):
+            DocTable(**structure(doc), tag=doc.tag, height=2**15)
+
+    def test_wide_input_is_checked_then_narrowed(self):
+        doc = encode(chain(3))
+        wide = {name: np.asarray(c, dtype=np.int64) for name, c in structure(doc).items()}
+        assert_at_width(DocTable(**wide, tag=doc.tag))
+        wide["parent"] = np.asarray([-1, 2**31, 1], dtype=np.int64)
+        with pytest.raises(EncodingError, match="parent"):
+            DocTable(**wide, tag=doc.tag)
+        with pytest.raises(EncodingError, match="kind"):
+            narrow("kind", [1, 200])
+
+
+# ----------------------------------------------------------------------
+# (c) splices keep the widths and the v3 bytes
+# ----------------------------------------------------------------------
+#: sha256 over the sorted numeric members of ``save(..., "packed")`` for
+#: ``DocumentCollection(get_forest(2, 0.05)).doc`` — recorded at the
+#: commit before columns were narrowed.  v3 bytes do not move.
+V3_GOLDEN = "a7be87588f974087ba2b7f8f9e44ca0fa8f04e8af669530f79216b5f3ce54644"
+
+
+def test_v3_members_are_byte_identical_to_the_wide_era(tmp_path):
+    path = str(tmp_path / "golden.npz")
+    save(DocumentCollection(get_forest(2, 0.05)).doc, path, compression="packed")
+    digest = hashlib.sha256()
+    for name, (dtype, data) in sorted(members(path).items()):
+        digest.update(name.encode())
+        digest.update(dtype.encode())
+        digest.update(data)
+    assert digest.hexdigest() == V3_GOLDEN
+
+
+def test_splices_keep_every_width_and_reencode_identically(tmp_path):
+    doc = DocumentCollection(get_forest(1, 0.05)).doc
+    person = int(Evaluator(doc).evaluate("//person")[3])
+    parent = doc.parent_of(person)
+    fragment = subtree(doc, person)
+    spliced = {
+        "insert": insert_subtree(doc, parent, fragment, before_pre=person),
+        "insert-leaf": insert_subtree(doc, person, text("leaf")),
+        "replace": replace_subtree(doc, person, fragment),
+        "remove": delete_subtree(doc, person),
+    }
+    for label, table in spliced.items():
+        assert_at_width(table)
+        # Re-encoding the edited tree from scratch packs to the same v3
+        # members as the splice (same tag set, so the same dictionary).
+        save(table, str(tmp_path / "spliced.npz"), compression="packed")
+        save(encode(decode(table)), str(tmp_path / "fresh.npz"), compression="packed")
+        assert members(str(tmp_path / "spliced.npz")) == members(
+            str(tmp_path / "fresh.npz")
+        ), label
+        for mmap in (False, True):
+            assert_at_width(load(str(tmp_path / "spliced.npz"), mmap=mmap))
+
+
+def test_v2_members_are_written_at_width(tmp_path):
+    doc = DocumentCollection(get_forest(1, 0.05)).doc
+    path = str(tmp_path / "eager.npz")
+    save(doc, path)
+    written = members(path)
+    for name in ("post", "level", "parent", "kind", "tag_codes"):
+        assert written[name][0] == COLUMN_DTYPES[name].name
+    assert describe_archive(path)["format_version"] == 2
+
+
+# ----------------------------------------------------------------------
+# (d) archives from before: v2 with int64 members
+# ----------------------------------------------------------------------
+def test_a_wide_era_v2_archive_loads_and_answers_identically(tmp_path):
+    doc = DocumentCollection(get_forest(1, 0.05)).doc
+    path = str(tmp_path / "wide.npz")
+    np.savez(  # the parent commit's ``_save_eager``, member for member
+        path,
+        format_version=np.asarray([2], dtype=np.int64),
+        post=np.ascontiguousarray(doc.post, dtype=np.int64),
+        level=np.ascontiguousarray(doc.level, dtype=np.int64),
+        parent=np.ascontiguousarray(doc.parent, dtype=np.int64),
+        kind=np.ascontiguousarray(doc.kind, dtype=np.int64),
+        tag_codes=np.ascontiguousarray(doc.tag.codes, dtype=np.int32),
+        tag_dictionary=np.asarray(doc.tag.dictionary, dtype=object),
+        values=np.asarray(
+            ["\x00<none>" if v is None else v for v in doc.values], dtype=object
+        ),
+    )
+    for mmap in (False, True):
+        table = load(path, mmap=mmap)
+        assert_at_width(table)
+        for name, column in structure(doc).items():
+            assert np.array_equal(structure(table)[name], column)
+        for engine in ENGINES:
+            for query in QUERIES:
+                got = Evaluator(table, engine=engine).evaluate(query)
+                want = Evaluator(doc, engine=engine).evaluate(query)
+                assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+
+
+# ----------------------------------------------------------------------
+# (e) no whole-column dtype conversion anywhere on the query path
+# ----------------------------------------------------------------------
+def test_no_query_converts_a_whole_column(tmp_path, monkeypatch):
+    converted = []
+    array, astype = PagedArray.__array__, PagedArray.astype
+
+    def counting_array(self, dtype=None, copy=None):
+        if dtype is not None and np.dtype(dtype) != self.dtype:
+            converted.append((self.directory.column, np.dtype(dtype).name))
+        return array(self, dtype, copy)
+
+    def counting_astype(self, dtype, copy=True):
+        if np.dtype(dtype) != self.dtype:
+            converted.append((self.directory.column, np.dtype(dtype).name))
+        return astype(self, dtype, copy)
+
+    monkeypatch.setattr(PagedArray, "__array__", counting_array)
+    monkeypatch.setattr(PagedArray, "astype", counting_astype)
+    store = ShardedStore.build(
+        str(tmp_path / "s"), get_forest(2, 0.05), shards=1, compression="packed"
+    )
+    for decode_cache in ("full", "blocks"):
+        opened = ShardedStore.open(store.directory, decode_cache=decode_cache)
+        with QueryService(opened, backend="serial") as service:
+            for engine in ENGINES:
+                service.execute_batch(QUERIES, engine=engine, use_cache=False)
+        table = opened.collection(0).doc
+        save(table, str(tmp_path / "again.npz"), compression="packed")
+        save(table, str(tmp_path / "again-v2.npz"))
+    assert converted == []
+
+
+# ----------------------------------------------------------------------
+# Resident bytes per node (deterministic: column nbytes, no /proc)
+# ----------------------------------------------------------------------
+def test_a_served_packed_shard_holds_at_most_20_bytes_per_node(tmp_path):
+    built = ShardedStore.build(
+        str(tmp_path / "s"), get_forest(2, 0.3), shards=1, compression="packed"
+    )
+    store = ShardedStore.open(built.directory)  # as ``repro serve`` opens it
+    with QueryService(store, backend="serial") as service:
+        service.execute("//open_auction[bidder]/seller")
+        plane = store.collection(0).doc.plane
+        # np.asarray hands back the cached full decode itself: its
+        # nbytes are what the process really holds per column.
+        resident = sum(np.asarray(column).nbytes for column in plane.columns.values())
+        assert resident / plane.nodes <= 20
+        shard = store.info()["shards"][0]
+        assert shard["resident_bytes_per_node"] == round(resident / plane.nodes, 2)
+        assert shard["logical_bytes"] == resident == plane.totals()["logical_bytes"]
+    described = describe_archive(os.path.join(store.directory, shard["file"]))
+    for column, record in described["columns"].items():
+        assert record["logical_bytes"] == plane.nodes * COLUMN_DTYPES[column].itemsize
+
+
+# ----------------------------------------------------------------------
+# Hostile v3 archives
+# ----------------------------------------------------------------------
+def rewrite_members(source, target, **replaced):
+    with np.load(source) as archive:
+        content = {name: archive[name] for name in archive.files}
+    content.update(replaced)
+    np.savez(target, **content)
+
+
+@pytest.fixture(scope="module")
+def packed_archive(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("hostile") / "good.npz")
+    save(DocumentCollection(get_forest(1, 0.05)).doc, path, compression="packed")
+    return path
+
+
+FORGERIES = {
+    # column: (member suffix, forged first entry)
+    "post": ("refs", 2**40),  # would wrap int32
+    "parent": ("refs", -(2**33)),
+    "level": ("bits", 20),  # 2²⁰ levels do not fit int16
+    "kind": ("refs", 9),  # no such NodeKind
+    "tag_codes": ("refs", 10_000),  # past the dictionary
+    "value_codes": ("bits", 40),
+}
+
+
+@pytest.mark.parametrize("column", sorted(FORGERIES))
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+def test_a_forged_page_directory_is_rejected_before_any_page(
+    packed_archive, tmp_path, column, mmap
+):
+    suffix, value = FORGERIES[column]
+    with np.load(packed_archive) as archive:
+        forged = archive[f"{column}_{suffix}"].copy()
+    forged[0] = value
+    target = str(tmp_path / "forged.npz")
+    rewrite_members(
+        packed_archive,
+        target,
+        **{
+            f"{column}_{suffix}": forged,
+            # No data page to touch: the check reads the directory alone.
+            f"{column}_packed": np.empty(0, dtype=np.uint8),
+        },
+    )
+    with pytest.raises(EncodingError, match=f"{column!r}: page directory"):
+        load(target, mmap=mmap)
+
+
+def test_an_int64_reference_cannot_wrap_the_check_itself(packed_archive, tmp_path):
+    with np.load(packed_archive) as archive:
+        refs = archive["post_refs"].copy()
+    refs[-1] = np.iinfo(np.int64).max
+    target = str(tmp_path / "forged.npz")
+    rewrite_members(packed_archive, target, post_refs=refs)
+    with pytest.raises(EncodingError, match="page directory"):
+        load(target)
+
+
+class Smuggled:
+    fired = []
+
+    def __reduce__(self):
+        return (Smuggled.fired.append, ("unpickled",))
+
+
+@pytest.mark.parametrize("member", ["post_refs", "tag_dict_blob", "nodes"])
+def test_a_v3_archive_never_reaches_the_unpickler(packed_archive, tmp_path, member):
+    target = str(tmp_path / "pickled.npz")
+    payload = np.empty(1, dtype=object)
+    payload[0] = Smuggled()
+    rewrite_members(packed_archive, target, **{member: payload})
+    with zipfile.ZipFile(target) as container:
+        assert f"{member}.npy" in container.namelist()
+    for mmap in (False, True):
+        with pytest.raises(EncodingError):
+            load(target, mmap=mmap)
+    try:
+        describe_archive(target)  # reads headers only: may not meet the member
+    except EncodingError:
+        pass
+    assert Smuggled.fired == []
+
+
+def test_v2_object_members_still_load(tmp_path):
+    doc = encode(element("a", element("b", text("t"))))
+    path = str(tmp_path / "v2.npz")
+    save(doc, path)
+    assert load(path).values == doc.values == [None, None, "t"]
+    assert isinstance(load(path).tag, StringColumn)

@@ -18,6 +18,7 @@ from repro.encoding.codec import (
     encode_dictionary,
     pack_int_column,
 )
+from repro.encoding.widths import COLUMN_DTYPES, column_dtype
 from repro.errors import EncodingError
 
 
@@ -84,8 +85,22 @@ class TestPackRoundTrip:
             [decode_page(directory, blob, b) for b in range(directory.n_blocks)]
         )
         whole = decode_column(directory, blob)
-        assert whole.dtype == np.int64
+        assert whole.dtype == column_dtype("col") == np.int64  # not a plane column
         assert whole.tobytes() == paged.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("column", sorted(COLUMN_DTYPES))
+    @pytest.mark.parametrize("codec", [CODEC_FOR, CODEC_DELTA])
+    def test_plane_columns_decode_at_their_declared_width(self, column, codec):
+        """Pages and whole columns come out at the width table's dtype,
+        written straight into an array of that width."""
+        dtype = COLUMN_DTYPES[column]
+        top = min(np.iinfo(dtype).max, 70_000)
+        values = np.random.default_rng(3).integers(-1, top, size=3000)
+        directory, blob = pack_int_column(column, values, codec, page_size=64)
+        whole = decode_column(directory, blob)
+        assert whole.dtype == dtype and np.array_equal(whole, values)
+        page = decode_page(directory, blob, 7)
+        assert page.dtype == dtype and np.array_equal(page, values[448:512])
 
     def test_whole_column_decode_of_64_bit_pages(self):
         values = np.asarray(
@@ -161,10 +176,10 @@ class TestDictionary:
 
 
 class TestPagedArray:
-    def make(self, n=500, page_size=64, **kwargs):
+    def make(self, n=500, page_size=64, column="col", **kwargs):
         values = np.random.default_rng(7).integers(0, 10_000, size=n)
         directory, blob = pack_int_column(
-            "col", values, CODEC_FOR, page_size=page_size
+            column, values, CODEC_FOR, page_size=page_size
         )
         return values, PagedArray(directory, blob, PlaneStats(), **kwargs)
 
@@ -220,7 +235,7 @@ class TestPagedArray:
         assert paged.shape == (500,)
         assert paged.size == 500
         assert paged.ndim == 1
-        assert paged.dtype == np.int64
+        assert paged.dtype == column_dtype("col") == np.int64
         assert paged.nbytes == 500 * 8
         assert len(paged) == 500
         assert np.array_equal(np.asarray(paged), values)
@@ -230,6 +245,21 @@ class TestPagedArray:
         copied = paged.copy()
         copied[0] = -1
         assert paged[0] == values[0]
+
+    @pytest.mark.parametrize("column", ["post", "level", "parent", "tag_codes"])
+    def test_every_access_shape_serves_the_declared_width(self, column):
+        values, paged = self.make(column=column, cache_full=False)
+        dtype = COLUMN_DTYPES[column]
+        assert paged.dtype == dtype and paged.nbytes == 500 * dtype.itemsize
+        shapes = (
+            paged[7], paged[60:70], paged[10:400], paged[0:0],
+            paged[np.asarray([3, 499, 64])], paged[np.asarray([], dtype=np.int64)],
+            paged[values > 5000], np.asarray(paged), paged.copy(),
+        )
+        assert all(shape.dtype == dtype for shape in shapes)
+        assert all(chunk.dtype == dtype for _, chunk in paged.iter_pages())
+        assert np.array_equal(np.asarray(paged), values)
+        assert paged.stats.bytes_decoded % dtype.itemsize == 0
 
     def test_comparisons_are_elementwise(self):
         values, paged = self.make()

@@ -143,27 +143,19 @@ class TestLRUCache:
         cache.clear()
         assert len(cache) == 0
 
-    def test_clear_resets_hit_statistics(self):
-        # clear() marks an epoch boundary: `--stats` reports per-epoch
-        # hit rates, not numbers polluted across update batches.
+    def test_clear_keeps_hit_statistics(self):
+        # Counters are lifetime-monotonic: every commit clears the result
+        # cache, and /stats must still give a hit ratio across commits.
         cache = LRUCache(4)
         cache.put("a", 1)
         cache.get("a")
         cache.get("missing")
         cache.clear()
-        assert (cache.hits, cache.misses) == (0, 0)
         assert cache.info() == {
-            "size": 0, "capacity": 4, "hits": 0, "misses": 0,
+            "size": 0, "capacity": 4, "hits": 1, "misses": 1,
         }
-
-    def test_reset_stats_keeps_entries(self):
-        cache = LRUCache(4)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.reset_stats()
-        assert (cache.hits, cache.misses) == (0, 0)
-        assert cache.get("a") == 1  # entry survived; counted afresh
-        assert (cache.hits, cache.misses) == (1, 0)
+        assert cache.get("a") is None
+        assert (cache.hits, cache.misses) == (1, 2)
 
 
 # ----------------------------------------------------------------------

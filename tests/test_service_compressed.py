@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.encoding.persist import load
+from repro.encoding.widths import COLUMN_DTYPES
 from repro.errors import ReproError
 from repro.harness.workloads import get_forest
 from repro.service import QueryService, ShardedStore, UpdateOp
@@ -382,4 +383,4 @@ class TestSpliceReencodeProperty:
         entry = store._manifest["shards"][0]
         table = load(os.path.join(store.directory, entry["file"]), mmap=True)
         assert table.plane is not None
-        assert np.asarray(table.post).dtype == np.int64
+        assert np.asarray(table.post).dtype == COLUMN_DTYPES["post"]

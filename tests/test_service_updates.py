@@ -345,6 +345,20 @@ class TestServiceUpdates:
         # result cache memory was released eagerly, not just fenced
         assert service.stats_snapshot()["result"]["size"] == 1
 
+    def test_result_cache_counters_survive_commits(self, service):
+        """One miss + one hit per epoch, over two commits: the counters
+        add up across the ``clear()`` each commit issues, so ``/stats``
+        can give a hit ratio over the process lifetime."""
+        for epoch in range(3):
+            assert not service.execute("//person").from_cache
+            assert service.execute("//person").from_cache
+            info = service.stats_snapshot()["result"]
+            assert (info["hits"], info["misses"]) == (epoch + 1, epoch + 1)
+            service.apply_updates(
+                [UpdateOp("insert", "d0", tree=element("person", text("n")), pre=1)]
+            )
+            assert service.stats_snapshot()["result"]["size"] == 0
+
     def test_mutate_while_querying_interleaved(self, service):
         """Queries and updates interleave; every read is epoch-consistent."""
         totals = [service.execute("//person").total]
