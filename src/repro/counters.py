@@ -110,11 +110,12 @@ class LatencyHistogram:
     integers instead of a sample reservoir.  Quantiles are read off as
     a bucket's upper bound — a ≤ factor-of-2 overestimate, never an
     underestimate, which is the conservative direction for a p99 a
-    load-shedding decision or a bench contract reads.
+    load-shedding decision reads (``benchmarks/e2e`` reports it as
+    ``server.internal_p50_ms`` beside the client's own clock).
 
     ``observe``/``snapshot``/``merge`` are safe to call from any
     thread (the server records from the event loop while ``/stats``
-    handlers and the bench read concurrently).
+    handlers read concurrently).
     """
 
     #: Bucket ``i`` covers latencies in ``[2**i, 2**(i+1))`` microseconds;

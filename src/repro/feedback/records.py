@@ -68,9 +68,9 @@ class DriveObservation(NamedTuple):
     """One sampled shard drive: per-operator steps plus shard totals.
 
     ``scanned``/``skipped`` are the scalar staircase's node-access
-    deltas for this drive (the skip-efficacy signal the per-shard
-    :class:`~repro.core.staircase.SkipMode` tuner feeds on) and
-    ``blocks`` the packed-plane page blocks decoded by it.
+    deltas for this drive (``explain --analyze`` prints them; the e2e
+    ledger's ``core.skipped_share`` is their ratio) and ``blocks`` the
+    packed-plane page blocks decoded by it.
     """
 
     shard_id: int

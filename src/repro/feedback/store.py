@@ -2,14 +2,11 @@
 
 A :class:`FeedbackStore` lives on a :class:`~repro.service.store.ShardedStore`
 (``store.feedback``) and turns the :class:`~repro.feedback.records.DriveObservation`
-stream the execution backends sample into three durable aggregates:
+stream the execution backends sample into two durable aggregates:
 
 * per ``(shard, step-signature)`` **selectivity** — the EWMA of each
   operator's observed output/input ratio, the planner's correction term
   over its static histogram estimates;
-* per-shard **skip efficacy** — the EWMA fraction of staircase nodes the
-  scalar join skipped, from which :meth:`tuned_skip_mode` derives a
-  per-shard :class:`~repro.core.staircase.SkipMode` override;
 * per-shard **heat** — cumulative measured wall time, steering the
   bounded split/merge rebalancing of ``ShardedStore.apply_updates``.
 
@@ -62,7 +59,7 @@ class FeedbackStore:
     ``_locked`` follow the repo convention — the caller holds ``_lock``.
     """
 
-    #: EWMA step for selectivity/skip aggregates: heavy enough that a
+    #: EWMA step for the selectivity aggregates: heavy enough that a
     #: workload shift re-learns within ~10 sampled drives, light enough
     #: that one outlier drive cannot flip a plan.
     ALPHA = 0.3
@@ -70,14 +67,6 @@ class FeedbackStore:
     #: absolute floor) since the last published generation to bump it —
     #: jitter around a stable selectivity must not thrash plan caches.
     PUBLISH_DELTA = 0.25
-    #: Minimum sampled drives before a shard's skip efficacy may
-    #: override the planner's static skip mode.
-    MIN_SKIP_SAMPLES = 4
-    #: Skip fraction below which Algorithm 4's estimate bookkeeping is
-    #: pure overhead (override to NONE) / above which it clearly pays
-    #: (override to ESTIMATE even on planes the planner deems small).
-    SKIP_LOW = 0.02
-    SKIP_HIGH = 0.20
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -85,8 +74,6 @@ class FeedbackStore:
         self._signatures: Dict[Tuple[int, Tuple[str, ...]], _Ewma] = {}  # guarded-by: _lock
         #: shard_id → [cumulative ns, sampled drives]
         self._heat: Dict[int, List[int]] = {}  # guarded-by: _lock
-        #: shard_id → skip-fraction EWMA
-        self._skip: Dict[int, _Ewma] = {}  # guarded-by: _lock
         #: ratio published at the last generation bump, per signature key
         self._published: Dict[Tuple[int, Tuple[str, ...]], float] = {}  # guarded-by: _lock
         self._generation = 0  # guarded-by: _lock
@@ -105,10 +92,6 @@ class FeedbackStore:
                 heat = self._heat.setdefault(shard, [0, 0])
                 heat[0] += int(drive.elapsed_ns)
                 heat[1] += 1
-                touched = drive.scanned + drive.skipped
-                if drive.engine == "scalar" and touched > 0:
-                    skip = self._skip.setdefault(shard, _Ewma())
-                    skip.update(drive.skipped / touched, self.ALPHA)
                 for step in drive.steps:
                     key = (shard, tuple(step.signature))
                     cell = self._signatures.get(key)
@@ -168,26 +151,6 @@ class FeedbackStore:
                 return None
             return total / samples, samples
 
-    def tuned_skip_mode(self, shard_id: int) -> Optional[str]:
-        """Per-shard scalar skip-mode override learned from skip efficacy.
-
-        Returns a :class:`~repro.core.staircase.SkipMode` *value* string
-        (kept primitive so it rides inside a pickled ShardTask), or
-        ``None`` while the evidence is thin or unremarkable.
-        """
-        with self._lock:
-            return self._tuned_skip_locked(int(shard_id))
-
-    def _tuned_skip_locked(self, shard_id: int) -> Optional[str]:
-        cell = self._skip.get(shard_id)
-        if cell is None or cell.n < self.MIN_SKIP_SAMPLES:
-            return None
-        if cell.value < self.SKIP_LOW:
-            return "none"
-        if cell.value > self.SKIP_HIGH:
-            return "estimate"
-        return None
-
     def heat_snapshot(self) -> Dict[int, Tuple[int, int]]:
         """shard_id → (cumulative sampled ns, sampled drive count)."""
         with self._lock:
@@ -208,12 +171,6 @@ class FeedbackStore:
                         "sampled_ns": heat[0],
                         "drives": heat[1],
                         "heat_share": heat[0] / total_ns,
-                        "skip_efficacy": (
-                            self._skip[shard].value
-                            if shard in self._skip
-                            else None
-                        ),
-                        "tuned_skip": self._tuned_skip_locked(shard),
                     }
                     for shard, heat in self._heat.items()
                 },
@@ -231,9 +188,8 @@ class FeedbackStore:
                 del self._signatures[key]
             for key in [k for k in self._published if k[0] not in live]:
                 del self._published[key]
-            for table in (self._heat, self._skip):
-                for shard in [s for s in table if s not in live]:
-                    del table[shard]
+            for shard in [s for s in self._heat if s not in live]:
+                del self._heat[shard]
             self._dirty = True
 
     def reset_shard(self, shard_id: int) -> None:
@@ -246,7 +202,6 @@ class FeedbackStore:
             for key in [k for k in self._published if k[0] == shard]:
                 del self._published[key]
             self._heat.pop(shard, None)
-            self._skip.pop(shard, None)
             self._dirty = True
 
     # ------------------------------------------------------------------
@@ -269,10 +224,6 @@ class FeedbackStore:
                     str(shard): list(heat)
                     for shard, heat in sorted(self._heat.items())
                 },
-                "skip": {
-                    str(shard): [cell.value, cell.n]
-                    for shard, cell in sorted(self._skip.items())
-                },
             }
 
     @classmethod
@@ -280,7 +231,9 @@ class FeedbackStore:
         """Rebuild from :meth:`to_manifest` output (``None`` → empty).
 
         Loaded aggregates are *published* as-is: reopening a store must
-        not spuriously bump the generation on the first absorb.
+        not spuriously bump the generation on the first absorb.  Keys
+        this version does not write (an older manifest's ``"skip"``
+        table) are ignored.
         """
         store = cls()
         if not data:
@@ -293,6 +246,4 @@ class FeedbackStore:
                 store._published[key] = float(value)
             for shard, heat in data.get("heat", {}).items():
                 store._heat[int(shard)] = [int(heat[0]), int(heat[1])]
-            for shard, (value, n) in data.get("skip", {}).items():
-                store._skip[int(shard)] = _Ewma(value, n)
         return store

@@ -26,10 +26,11 @@ of partitioned, bounded access applied to a request stream:
    ``Retry-After`` immediately — a cheap rejection the client can act
    on, instead of an unbounded backlog where every queued request's
    latency grows without limit.  This is what keeps p99 *bounded* under
-   overload in ``bench_server_load.py``.
+   overload; ``benchmarks/e2e`` counts what it refused as
+   ``server.shed_total`` and ``server.status_5xx``.
 
 Both gates are plain locked objects (no asyncio coupling) so the unit
-tests and the load bench can drive them from threads directly.
+tests can drive them from threads directly.
 """
 
 from __future__ import annotations

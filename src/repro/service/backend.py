@@ -113,7 +113,6 @@ class ExecutionBackend:
     def _expand(
         self, items: Sequence[Sequence], observe: bool = False
     ) -> List[ShardTask]:
-        feedback = getattr(self.store, "feedback", None)
         tasks = []
         for index, item in enumerate(items):
             plan, engine, document = item[0], item[1], item[2]
@@ -128,13 +127,6 @@ class ExecutionBackend:
                 shard_ids = self.store.shard_ids()
             for shard_id in shard_ids:
                 entry = self.store.shard_entry(shard_id)
-                # Per-shard scalar skip override: measured skip efficacy
-                # outranks the plan's plane-size heuristic.
-                skip = (
-                    feedback.tuned_skip_mode(shard_id)
-                    if feedback is not None and engine == "scalar"
-                    else None
-                )
                 tasks.append(
                     ShardTask(
                         index=index,
@@ -145,7 +137,6 @@ class ExecutionBackend:
                         engine=engine,
                         document=document,
                         mode=mode,
-                        skip_mode=skip,
                         # Scoped and exists drives yield biased partial
                         # cardinalities — never observe them.
                         observe=observe and document is None and mode != "exists",

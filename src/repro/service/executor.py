@@ -89,10 +89,6 @@ class ShardTask(NamedTuple):
     engine: str
     document: Optional[str]  #: scope to one member, or None for the shard
     mode: str = "materialize"  #: result mode: materialize | count | exists
-    #: Feedback-tuned scalar SkipMode override, as the enum's *value*
-    #: string (kept primitive so the task pickles cheaply), or None to
-    #: honour the plan's choice.
-    skip_mode: Optional[str] = None
     #: Sample this drive into the feedback loop (attach the observation
     #: layer and return a DriveObservation with the result).
     observe: bool = False
@@ -334,18 +330,12 @@ class ShardWorkerState:
         return compile_plan(plan, mode=task.mode)
 
     @staticmethod
-    def _set_skip(
-        evaluator: Evaluator, task: ShardTask, pipeline: PhysicalPlan
-    ) -> None:
+    def _set_skip(evaluator: Evaluator, pipeline: PhysicalPlan) -> None:
         """Load the scalar skip register before operators run on a
         worker-cached evaluator: always set, never restored, so no
-        earlier task's mode can leak.  The task's feedback-tuned
-        override (measured skip efficacy) outranks the plan's static
-        choice; an unplanned expression has neither and runs under the
-        evaluator default."""
-        evaluator.axes.mode = SkipMode(
-            task.skip_mode or pipeline.skip_mode or SkipMode.ESTIMATE
-        )
+        earlier task's mode can leak.  An unplanned expression carries
+        no mode and runs under the evaluator default."""
+        evaluator.axes.mode = pipeline.skip_mode or SkipMode.ESTIMATE
 
     def _finish(self, task: ShardTask, collection, pres: np.ndarray):
         """Convert a shard-plane frontier into the task's mode payload."""
@@ -373,7 +363,7 @@ class ShardWorkerState:
         evaluator = self._evaluator(task.shard_id, task.engine, collection)
         if pipeline is None:
             pipeline = self._pipeline(task)
-        self._set_skip(evaluator, task, pipeline)
+        self._set_skip(evaluator, pipeline)
         root = collection.doc.root
         if task.document is not None:
             # The service compiled the plan against the member root
@@ -487,7 +477,7 @@ class ShardWorkerState:
             if cached is not None:
                 finish(task, collection, cached)
                 return
-            self._set_skip(evaluator, task, pipeline)
+            self._set_skip(evaluator, pipeline)
             hit = exists_tail(tail, evaluator, context, exclude_pre=root)
             outcomes.append(ShardResult.of(task, bool(hit)))
 
@@ -512,7 +502,7 @@ class ShardWorkerState:
                 key = (shard_file, engine, child)
                 out = self.prefix_cache.get(key)
                 if out is None:
-                    self._set_skip(evaluator, *sub[0])
+                    self._set_skip(evaluator, sub[0][1])
                     out = dispatch(op, evaluator, context)
                     if isinstance(out, np.ndarray):
                         # Cached contexts are shared across queries and

@@ -485,7 +485,7 @@ def compile_plan(
 
 
 # ----------------------------------------------------------------------
-# Kernel dispatch — one registry, a scalar and a vectorized impl each
+# Kernel dispatch — one registry, keyed by (operator type, engine)
 # ----------------------------------------------------------------------
 Kernel = Callable[[Operator, object, object], object]
 
@@ -536,39 +536,19 @@ def _fragment_document(op: StaircaseStep, rt):
     return pres
 
 
-def _staircase(op: StaircaseStep, rt, context, fragment_steps):
+@register_kernel(StaircaseStep, "scalar", "vectorized")
+def _staircase(op: StaircaseStep, rt, context):
     if op.pushdown and op.test.kind == "name":
         if context is DOCUMENT_CONTEXT:
             if op.axis in ("descendant", "descendant-or-self"):
                 return _fragment_document(op, rt)
         elif op.axis in ("descendant", "ancestor"):
-            fragment_step = fragment_steps(rt.fragments)[op.axis]
+            suffix = "_vectorized" if rt.engine == "vectorized" else ""
+            fragment_step = getattr(rt.fragments, f"{op.axis}_step{suffix}")
             context_array = np.asarray(context, dtype=np.int64)
             return fragment_step(context_array, op.test.name or "", rt.stats)
     pres = rt.axes.step(context, op.axis)
     return apply_node_test(rt.doc, pres, op.axis, op.test.kind, op.test.name)
-
-
-@register_kernel(StaircaseStep, "scalar")
-def _staircase_scalar(op: StaircaseStep, rt, context):
-    return _staircase(
-        op, rt, context,
-        lambda fragments: {
-            "descendant": fragments.descendant_step,
-            "ancestor": fragments.ancestor_step,
-        },
-    )
-
-
-@register_kernel(StaircaseStep, "vectorized")
-def _staircase_vectorized(op: StaircaseStep, rt, context):
-    return _staircase(
-        op, rt, context,
-        lambda fragments: {
-            "descendant": fragments.descendant_step_vectorized,
-            "ancestor": fragments.ancestor_step_vectorized,
-        },
-    )
 
 
 @register_kernel(PredicateFilter, "scalar", "vectorized")

@@ -6,8 +6,9 @@ observation layer and feedback-blended planning enabled are
 byte-identical to fully static planning, on both engines, across every
 execution backend.  Around it: the EWMA aggregates and their
 generation-bump rules, manifest persistence across close/reopen and
-commits, plan-cache fencing on the feedback generation, self-tuned
-SkipMode thresholds, and heat-driven shard split/merge rebalancing.
+commits, plan-cache fencing on the feedback generation, answers
+identical under every SkipMode, and heat-driven shard split/merge
+rebalancing.
 """
 
 import os
@@ -15,6 +16,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.staircase import SkipMode
 from repro.feedback import (
     DriveObservation,
     FeedbackStore,
@@ -25,6 +27,7 @@ from repro.feedback import (
 )
 from repro.service import QueryService, ShardedStore, UpdateOp
 from repro.xmltree.model import element, text
+from repro.xpath.pipeline import compile_plan
 
 ENGINES = ("scalar", "vectorized")
 BACKENDS = ("serial", "fabric:2")
@@ -146,10 +149,19 @@ class TestFeedbackStore:
         assert loaded.generation == fb.generation
         assert loaded.observed(self.SIG) == fb.observed(self.SIG)
         assert loaded.heat_snapshot() == fb.heat_snapshot()
-        assert loaded.tuned_skip_mode(0) == fb.tuned_skip_mode(0)
         # Loaded aggregates are published: replaying the same ratio must
         # not spuriously bump the reopened generation.
         assert loaded.absorb([drive(0, self.SIG, ratio=0.3)]) is False
+
+    def test_manifest_written_at_the_parent_commit_still_opens(self):
+        # PR 17 manifests carry a per-shard "skip" table (the deleted
+        # SkipMode tuner's EWMA); it is ignored, the rest loads.
+        fb = FeedbackStore()
+        fb.absorb([drive(0, self.SIG, ratio=0.3)] * 5)
+        data = fb.to_manifest()
+        assert "skip" not in data
+        loaded = FeedbackStore.from_manifest({**data, "skip": {"0": [0.2, 5]}})
+        assert loaded.to_manifest() == data
 
     def test_retain_and_reset(self):
         fb = FeedbackStore()
@@ -163,59 +175,25 @@ class TestFeedbackStore:
 
 
 class TestSkipTuning:
-    def scalar_drives(self, skipped, scanned, count):
-        return [
-            drive(0, scanned=scanned, skipped=skipped, engine="scalar")
-        ] * count
-
-    def test_high_skip_fraction_tunes_estimate(self):
-        fb = FeedbackStore()
-        fb.absorb(self.scalar_drives(60, 40, FeedbackStore.MIN_SKIP_SAMPLES))
-        assert fb.tuned_skip_mode(0) == "estimate"
-
-    def test_negligible_skip_fraction_tunes_none(self):
-        fb = FeedbackStore()
-        fb.absorb(self.scalar_drives(1, 999, FeedbackStore.MIN_SKIP_SAMPLES))
-        assert fb.tuned_skip_mode(0) == "none"
-
-    def test_middling_fraction_leaves_planner_choice(self):
-        fb = FeedbackStore()
-        fb.absorb(self.scalar_drives(10, 90, FeedbackStore.MIN_SKIP_SAMPLES))
-        assert fb.tuned_skip_mode(0) is None
-
-    def test_thin_evidence_leaves_planner_choice(self):
-        fb = FeedbackStore()
-        fb.absorb(self.scalar_drives(60, 40, FeedbackStore.MIN_SKIP_SAMPLES - 1))
-        assert fb.tuned_skip_mode(0) is None
-
-    def test_vectorized_drives_do_not_feed_the_tuner(self):
-        fb = FeedbackStore()
-        fb.absorb(
-            [
-                drive(0, scanned=40, skipped=60, engine="vectorized")
-                for _ in range(FeedbackStore.MIN_SKIP_SAMPLES)
-            ]
-        )
-        assert fb.tuned_skip_mode(0) is None
-
     def test_forced_overrides_keep_results_identical(self, store):
-        # Correctness under both overrides: a tuned SkipMode is a pure
-        # execution-strategy change.
-        with QueryService(store, backend="serial", feedback=False) as plain:
-            baseline = result_bytes(plain, "scalar")
-        for skipped, scanned in ((99, 1), (0, 100)):
-            fb = FeedbackStore()
-            fb.absorb(
-                [drive(s, scanned=scanned, skipped=skipped) for s in (0, 1, 2)]
-                * FeedbackStore.MIN_SKIP_SAMPLES
-            )
-            original = store.feedback
-            store.feedback = fb
-            try:
-                with QueryService(store, backend="serial") as service:
-                    assert result_bytes(service, "scalar") == baseline
-            finally:
-                store.feedback = original
+        # The SkipMode a plan carries is a pure execution-strategy
+        # choice: the served answer is the same under every one.
+        with QueryService(store, backend="serial", feedback=False) as service:
+            baseline = result_bytes(service, "scalar")
+            plans = [
+                service.explain(query, engine="scalar")
+                for query in PROPERTY_QUERIES
+            ]
+            for mode in SkipMode:
+                forced = [
+                    (compile_plan(plan, skip_mode=mode), "scalar", None)
+                    for plan in plans
+                ]
+                assert all(plan.skip_mode is mode for plan, _, _ in forced)
+                assert [
+                    {name: ranks.tobytes() for name, ranks in answer.items()}
+                    for answer in service.backend.run_batch(forced)
+                ] == baseline
 
 
 # ----------------------------------------------------------------------
@@ -372,6 +350,48 @@ class TestPlanCacheFencing:
             assert any(
                 "feedback" in note for step in after.steps for note in step.notes
             )
+
+    def test_feedback_moves_the_selective_predicate_first(self, tmp_path):
+        # Built to defeat static costing: a dictionary section inflates
+        # count(name), so the only selective predicate — the value
+        # comparison — is costed dearest and ordered last.  One observed
+        # drive measures its selectivity and the re-plan runs it first;
+        # the answer does not move.
+        def document(index):
+            items = [
+                element(
+                    "item",
+                    element("status", text("ok")),
+                    element("avail", text("yes")),
+                    element("name", text("needle" if i == index else f"i{i}")),
+                )
+                for i in range(200)
+            ]
+            words = [element("name", text(f"w{j}")) for j in range(150)]
+            return element(
+                "site", element("items", *items), element("dictionary", *words)
+            )
+
+        query = '//item[status][avail][name="needle"]'
+        store = ShardedStore.build(
+            str(tmp_path / "adversarial"),
+            [(f"d{i}", document(i)) for i in range(3)],
+            shards=2,
+        )
+
+        def order(service):
+            return [
+                str(p) for p in service.explain(query).steps[0].step.predicates
+            ]
+
+        with QueryService(store, backend="serial") as service:
+            static = order(service)
+            expected = service.execute(query, use_cache=False).counts()
+            assert static[-1] == 'child::name = "needle"'
+            service.analyze(query)
+            assert order(service) == static[-1:] + static[:-1]
+            assert service.execute(query, use_cache=False).counts() == expected
+            assert sum(expected.values()) == 3
 
     def test_feedback_disabled_pins_generation_zero(self, tmp_path):
         store = ShardedStore.build(str(tmp_path / "pin"), forest(), shards=2)

@@ -12,8 +12,10 @@ register set per entry.
 * Scoped plans are compiled in the service process, never in a worker,
   and paths that cannot be scoped fail there before any dispatch.
 * The worker's scalar skip register is set on entry, not restored: a
-  task's feedback override cannot leak into the next task.
+  plan's skip mode cannot leak into the next task.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,9 +146,10 @@ def test_unscopable_paths_fail_before_dispatch(store):
 
 
 def test_skip_override_does_not_leak_into_the_next_task(forest, tmp_path):
-    """A scalar task under a feedback override (``skip_mode="none"``),
-    then one without on the same worker state: both byte-identical to
-    the reference, the second back under its plan's skip mode."""
+    """A scalar task whose plan forces ``SkipMode.NONE``, then one under
+    the planner's own choice on the same worker state: both
+    byte-identical to the reference, the second back under its plan's
+    skip mode."""
     store = ShardedStore.build(str(tmp_path / "s"), forest, shards=1)
     entry = store.shard_entry(0)
     query = "/descendant::profile/descendant::education"
@@ -159,17 +162,18 @@ def test_skip_override_does_not_leak_into_the_next_task(forest, tmp_path):
         collection.evaluate(query, evaluator=Evaluator(collection.doc))
     )
 
-    def task(skip_mode):
+    def task(mode):
         return ShardTask(
             index=0, shard_id=0, shard_file=entry["file"],
-            names=tuple(entry["documents"]), plan=plan, engine="scalar",
-            document=None, skip_mode=skip_mode,
+            names=tuple(entry["documents"]),
+            plan=replace(plan, skip_mode=mode), engine="scalar",
+            document=None,
         )
 
     state = ShardWorkerState(store.directory)
     skipped = []
-    for override, mode in (("none", SkipMode.NONE), (None, SkipMode.ESTIMATE)):
-        ranks = state.run(task(override)).ranks
+    for mode in (SkipMode.NONE, SkipMode.ESTIMATE):
+        ranks = state.run(task(mode)).ranks
         evaluator = state._evaluators[(0, "scalar")]
         assert evaluator.axes.mode is mode
         skipped.append(evaluator.stats.nodes_skipped)

@@ -500,10 +500,26 @@ class TestPlannerIntegration:
         "//person/name",
     )
 
+    #: Planner-decision shapes the axis suite lacks: a two-step
+    #: //-collapse, stacked predicates, a whole-plane kind test, a
+    #: value predicate, tags with one and with many matches.
+    PLAN_SHAPES = (
+        "/descendant::category/ancestor::categories",
+        "//person//profile//education",
+        "//open_auction[bidder][initial]",
+        "//item/description/text/keyword",
+        "//keyword",
+        "//site",
+        "/descendant::node()",
+        '//item[starts-with(location, "A")]',
+    )
+
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("backend", ("serial", "fabric:2"))
     def test_planned_equals_unplanned(self, store, engine, backend):
-        queries = AXIS_QUERIES + PLANE_QUERIES + self.PREFIX_BATCH
+        queries = (
+            AXIS_QUERIES + PLANE_QUERIES + self.PREFIX_BATCH + self.PLAN_SHAPES
+        )
         with QueryService(store, backend=backend) as service:
             planned = service.execute_batch(
                 queries, engine=engine, use_cache=False, use_planner=True
