@@ -503,7 +503,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 )
             total, elapsed_ms = result.total, result.elapsed_s * 1000
         else:
-            # The same observed drive a sampled shard task runs.
+            # The same driver, with an observer, a sampled shard group
+            # runs through.
             observation, pres = observed_drive(
                 compile_plan(plan),
                 Evaluator(doc, engine=args.engine, mode=plan.skip_mode),

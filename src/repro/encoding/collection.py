@@ -148,6 +148,7 @@ class DocumentCollection:
         ``self.doc`` instead of constructing one per query.
         """
         from repro.xpath.evaluator import Evaluator, parse_with_cache
+        from repro.xpath.pipeline import drive
         from repro.xpath.rewrite import anchor_at_member_root
 
         if evaluator is None:
@@ -164,12 +165,21 @@ class DocumentCollection:
             if isinstance(path, str)
             else path
         )
+        if document is not None:
+            parsed = anchor_at_member_root(parsed)
+        return drive(evaluator.compile(parsed), evaluator, *self.scope(document))
+
+    def scope(self, document: Optional[str] = None):
+        """The driver's ``(context seed, rank span)`` for one member —
+        seeded at its root, keeping its inclusive preorder interval —
+        or, with no ``document``, for the whole plane: seeded at the
+        default context, keeping everything but the virtual root.  The
+        one spelling of document scoping; the shard workers use it too.
+        """
         if document is None:
-            result = evaluator.evaluate(parsed)
-            return result[result != self.doc.root]
+            return None, (self.doc.root + 1, len(self.doc) - 1)
         start, end = self.span(document)
-        result = evaluator.evaluate(anchor_at_member_root(parsed), context=start)
-        return result[(result >= start) & (result <= end)]
+        return start, (start, end)
 
     # ------------------------------------------------------------------
     # Updates (rank splicing on the gathered plane)

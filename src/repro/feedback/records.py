@@ -1,4 +1,4 @@
-"""Observation records: what one sampled ``drive()`` learned.
+"""Observation records: what one sampled group drive learned.
 
 These are the values that travel from shard workers back to the
 service process, so they are deliberately flat — NamedTuples of
@@ -13,8 +13,8 @@ operators up again:
 
 * ``("step", axis, test)`` — one :class:`StaircaseStep` (the test in
   its ``str`` spelling, e.g. ``("step", "descendant", "item")``);
-* ``("pred", axis, predicate)`` — one predicate of a
-  :class:`PredicateFilter`, keyed by the predicate's ``str`` form;
+* ``("pred", axis, predicate)`` — one :class:`PredicateFilter` (one
+  per predicate), keyed by the predicate's ``str`` form;
 * ``("pos", axis, test)`` — one :class:`PositionalSelect`.
 
 The signature helpers live here (not in the pipeline) because the
@@ -65,12 +65,15 @@ class StepObservation(NamedTuple):
 
 
 class DriveObservation(NamedTuple):
-    """One sampled shard drive: per-operator steps plus shard totals.
+    """One sampled group drive: per-operator steps plus shard totals.
 
-    ``scanned``/``skipped`` are the scalar staircase's node-access
-    deltas for this drive (``explain --analyze`` prints them; the e2e
-    ledger's ``core.skipped_share`` is their ratio) and ``blocks`` the
-    packed-plane page blocks decoded by it.
+    One per observed (shard, engine) group — a batch's plans share one
+    trie, so each distinct operator prefix appears once in ``steps``
+    however many queries ran through it.  ``scanned``/``skipped`` are
+    the scalar staircase's node-access deltas for the drive (``explain
+    --analyze`` prints them; the e2e ledger's ``core.skipped_share`` is
+    their ratio) and ``blocks`` the packed-plane page blocks decoded by
+    it.
     """
 
     shard_id: int
@@ -83,22 +86,32 @@ class DriveObservation(NamedTuple):
 
 
 class PipelineObserver:
-    """Collects :class:`StepObservation` values during one drive.
+    """What the driver hands its measurements to during one drive.
 
-    Attached to an evaluator as ``evaluator.observer`` by
-    :func:`~repro.xpath.pipeline.observed_drive` for *sampled* drives
-    only; the unobserved hot path pays exactly one ``None`` check per
-    operator and per predicate.
+    An argument of :func:`~repro.xpath.pipeline.drive_group`, never
+    state on the runtime: the driver records each top-level operator it
+    actually dispatches (a prefix-cache hit did no work and records
+    nothing; nested per-candidate drives cannot see the observer) and
+    closes with the drive's totals.  Unobserved drives pay one ``None``
+    test per operator.
     """
 
-    __slots__ = ("steps",)
+    __slots__ = ("steps", "elapsed_ns", "scanned", "skipped", "blocks")
 
     def __init__(self) -> None:
         self.steps: List[StepObservation] = []
+        self.elapsed_ns = self.scanned = self.skipped = self.blocks = 0
 
     def record(
         self, signature: Tuple[str, ...], n_in: int, n_out: int, ns: int
     ) -> None:
         self.steps.append(
             StepObservation(signature, int(n_in), int(n_out), int(ns))
+        )
+
+    def observation(self, shard_id: int, engine: str) -> DriveObservation:
+        """The closed drive as the flat record workers ship home."""
+        return DriveObservation(
+            shard_id, engine, self.elapsed_ns, tuple(self.steps),
+            self.scanned, self.skipped, self.blocks,
         )

@@ -19,17 +19,21 @@ object executes tasks for every backend:
   and for ``count``/``exists`` the payload is a handful of integers.
 
 Tasks are dispatched *grouped by shard* (one unit per shard, not
-per query × shard): a worker holding a whole batch's plans for one
-shard factors them into an **operator-prefix trie** and evaluates each
-distinct pipeline prefix once — eight queries opening with
+per query × shard), and :meth:`ShardWorkerState.run_group` runs a unit
+by one rule: tasks that agree on *(shard, engine, scope, planned)* are
+one call to the pipeline's one driver
+(:func:`~repro.xpath.pipeline.drive_group`), which walks every branch
+of every plan as a chain of one **operator-prefix trie** and evaluates
+each distinct prefix once — eight queries opening with
 ``/site/open_auctions/open_auction`` pay for that chain once, not eight
-times (:meth:`ShardWorkerState.run_group`), and a ``count`` or
-``exists`` query shares every prefix with a materializing one because
-the terminal is not part of the prefix.  ``exists`` tasks additionally
-leave the trie at their final producing operator, which is then driven
-over geometrically growing context chunks and stops at the first hit
-(:func:`~repro.xpath.pipeline.exists_tail`).  Intermediate context
-arrays are kept in a per-worker, byte-budgeted LRU keyed by
+times; a ``count`` or ``exists`` query shares every prefix with a
+materializing one because the terminal is not part of the prefix; a
+union enters branch by branch; three scoped queries to one member
+share from the member root down; a sampled group is observed *through*
+the trie.  The worker adds only what the driver takes as arguments:
+the (seed, span) of the scope, an observer when sampled, and — for a
+planned whole-shard group of more than one task — a per-worker,
+byte-budgeted LRU of intermediate context arrays keyed by
 ``(shard file, engine, operator prefix)``; the shard file name carries
 the store epoch (``shard-0000.e0005.npz``), so the same epoch fencing
 that protects the result cache makes stale prefix entries unreachable
@@ -56,17 +60,9 @@ from repro.core.staircase import SkipMode
 from repro.errors import ReproError
 from repro.service.cache import LRUCache
 from repro.service.store import ShardedStore
-from repro.xpath.axes import DOCUMENT_CONTEXT
+from repro.feedback.records import PipelineObserver
 from repro.xpath.evaluator import Evaluator, parse_with_cache
-from repro.xpath.pipeline import (
-    PhysicalPlan,
-    compile_plan,
-    dispatch,
-    drive,
-    exists_ready,
-    exists_tail,
-    observed_drive,
-)
+from repro.xpath.pipeline import PhysicalPlan, compile_plan, drive_group
 
 __all__ = [
     "PrefixContextCache",
@@ -89,8 +85,9 @@ class ShardTask(NamedTuple):
     engine: str
     document: Optional[str]  #: scope to one member, or None for the shard
     mode: str = "materialize"  #: result mode: materialize | count | exists
-    #: Sample this drive into the feedback loop (attach the observation
-    #: layer and return a DriveObservation with the result).
+    #: Sample this task's group into the feedback loop: if any task of
+    #: a (shard, engine, scope, planned) group asks, the group's one
+    #: drive carries an observer and returns one DriveObservation.
     observe: bool = False
 
 
@@ -114,8 +111,8 @@ class ShardResult:
     ranks: Dict[str, np.ndarray] = field(default_factory=dict)
     counts: Dict[str, int] = field(default_factory=dict)
     found: bool = False
-    #: DriveObservations of sampled (``observe=True``) tasks — empty on
-    #: the unobserved hot path, at most one entry per task.
+    #: A sampled group's one DriveObservation, carried by the result of
+    #: its first ``observe=True`` task — empty everywhere else.
     observations: tuple = ()
 
     @classmethod
@@ -228,6 +225,21 @@ class PrefixContextCache(LRUCache):
             }
 
 
+class _ShardPrefixes(NamedTuple):
+    """The driver's view of the prefix cache for one (shard file,
+    engine): operator-prefix tuples in, frozen context arrays out."""
+
+    cache: PrefixContextCache
+    shard_file: str
+    engine: str
+
+    def get(self, prefix):
+        return self.cache.get((self.shard_file, self.engine, prefix))
+
+    def put(self, prefix, value) -> None:
+        self.cache.put((self.shard_file, self.engine, prefix), value)
+
+
 class ShardWorkerState:
     """Per-process execution state: open collections and evaluators.
 
@@ -333,188 +345,88 @@ class ShardWorkerState:
     def _set_skip(evaluator: Evaluator, pipeline: PhysicalPlan) -> None:
         """Load the scalar skip register before operators run on a
         worker-cached evaluator: always set, never restored, so no
-        earlier task's mode can leak.  An unplanned expression carries
+        earlier group's mode can leak.  An unplanned expression carries
         no mode and runs under the evaluator default."""
         evaluator.axes.mode = pipeline.skip_mode or SkipMode.ESTIMATE
 
-    def _finish(self, task: ShardTask, collection, pres: np.ndarray):
-        """Convert a shard-plane frontier into the task's mode payload."""
+    def _finish(self, task: ShardTask, collection, frontier):
+        """Shape one member's driver output into the task's mode payload
+        (a scoped frontier arrives already cut to its member's span)."""
         if task.mode == "exists":
-            return bool(len(pres))
+            return bool(frontier)
+        if task.document is None:
+            if task.mode == "count":
+                return collection.partition_counts(frontier)
+            return collection.partition_relative(frontier)
         if task.mode == "count":
-            return collection.partition_counts(pres)
-        return collection.partition_relative(pres)
+            return {task.document: len(frontier)}
+        return {task.document: frontier - collection.root_of(task.document)}
 
-    def run(
-        self, task: ShardTask, pipeline: Optional[PhysicalPlan] = None
-    ) -> ShardResult:
-        """Execute one task; returns its :class:`ShardResult`.
+    def run_group(self, tasks: Sequence[ShardTask]) -> List[ShardResult]:
+        """Execute one shard's slice of a whole batch; one result per
+        task, in task order.
+
+        One rule: tasks that agree on *(shard, engine, scope, planned)*
+        run as one :func:`~repro.xpath.pipeline.drive_group` call — one
+        operator-prefix trie, result modes and union branches mixing
+        freely.  A planned whole-shard group of more than one task also
+        shares the cross-batch prefix cache; a lone task (nothing to
+        share — exact repeats are the result cache's job), an unplanned
+        plan and a scoped group never touch it.  If any task of a group
+        is sampled, the group's drive carries an observer and its one
+        :class:`~repro.feedback.records.DriveObservation` rides on that
+        task's result.
 
         A shard (or scoped document) a racing update removed mid-flight
         contributes an empty result instead of failing the batch — the
         result lands under the pre-update epoch, already unreachable.
         """
-        try:
-            collection = self._collection(task)
-        except _ShardVanished:
-            return ShardResult.of(task, self._gone(task))
-        if task.document is not None and task.document not in collection:
-            return ShardResult.of(task, self._gone(task))
-        evaluator = self._evaluator(task.shard_id, task.engine, collection)
-        if pipeline is None:
+        groups: Dict[tuple, List[Tuple[int, ShardTask, PhysicalPlan]]] = {}
+        for slot, task in enumerate(tasks):
             pipeline = self._pipeline(task)
-        self._set_skip(evaluator, pipeline)
-        root = collection.doc.root
-        if task.document is not None:
-            # The service compiled the plan against the member root
-            # (compile_plan(scoped=True)): drive it from there, keep the
-            # member's span, and derive count/exists from its ranks.
-            start, end = collection.span(task.document)
-            pres = drive(
-                pipeline.with_mode("materialize"), evaluator, context=start
-            )
-            pres = pres[(pres >= start) & (pres <= end)]
-            if task.mode == "exists":
-                payload = bool(len(pres))
-            elif task.mode == "count":
-                payload = {task.document: int(len(pres))}
-            else:
-                payload = {
-                    task.document: (pres - start).astype(np.int64, copy=False)
-                }
-        elif task.mode == "exists":
-            payload = drive(pipeline, evaluator, exclude_pre=root)
-        elif task.observe:
-            # Sampled drive: the observation layer rides along.
-            # Exists-mode tasks are never observed — their early
-            # termination yields biased partial cardinalities.
-            observation, pres = observed_drive(
-                pipeline.with_mode("materialize"),
+            key = (task.shard_id, task.engine, task.document, pipeline.planned)
+            groups.setdefault(key, []).append((slot, task, pipeline))
+        results: List[Optional[ShardResult]] = [None] * len(tasks)
+        for (shard_id, engine, document, planned), members in groups.items():
+            try:
+                collection = self._collection(members[0][1])
+                gone = document is not None and document not in collection
+            except _ShardVanished:
+                gone = True
+            if gone:
+                for slot, task, _ in members:
+                    results[slot] = ShardResult.of(task, self._gone(task))
+                continue
+            evaluator = self._evaluator(shard_id, engine, collection)
+            self._set_skip(evaluator, members[0][2])
+            cache = None
+            if planned and document is None and len(members) > 1:
+                # The *loaded* file (fall-forward may differ from the
+                # task's snapshot) keys the prefix cache, so cached
+                # contexts always describe the plane they were
+                # computed on.
+                cache = _ShardPrefixes(
+                    self.prefix_cache, self._collections[shard_id][0], engine
+                )
+            sampled = [slot for slot, task, _ in members if task.observe]
+            observer = PipelineObserver() if sampled else None
+            frontiers = drive_group(
+                [pipeline for _, _, pipeline in members],
                 evaluator,
-                exclude_pre=root,
-                shard_id=task.shard_id,
+                *collection.scope(document),
+                cache,
+                observer,
             )
-            return replace(
-                ShardResult.of(task, self._finish(task, collection, pres)),
-                observations=(observation,),
-            )
-        else:
-            pres = drive(
-                pipeline.with_mode("materialize"), evaluator, exclude_pre=root
-            )
-            payload = self._finish(task, collection, pres)
-        return ShardResult.of(task, payload)
-
-    # ------------------------------------------------------------------
-    # Shared-prefix batch execution
-    # ------------------------------------------------------------------
-    def run_group(self, tasks: Sequence[ShardTask]) -> List[ShardResult]:
-        """Execute one shard's slice of a whole batch.
-
-        Planned single-branch pipelines over the whole shard are
-        factored into an operator-prefix trie and evaluated one
-        distinct prefix at a time (consulting the prefix cache) —
-        result modes mix freely, since the terminal is not part of any
-        prefix; everything else — scoped tasks, unions, unplanned
-        plans — falls back to :meth:`run` per task.  Observed tasks also
-        bypass the trie: a shared prefix's time and cardinality cannot
-        be attributed to any one query, so sampled drives run whole.
-        """
-        shared: Dict[str, List[Tuple[ShardTask, PhysicalPlan]]] = {}
-        outcomes: List[ShardResult] = []
-        for task in tasks:
-            pipeline = self._pipeline(task)
-            if (
-                task.document is None
-                and pipeline.planned
-                and pipeline.single_path
-                and not task.observe
-            ):
-                shared.setdefault(task.engine, []).append((task, pipeline))
-            else:
-                outcomes.append(self.run(task, pipeline))
-        for engine, group in shared.items():
-            if len(group) == 1:
-                # Nothing to share: the trie's bookkeeping (grouping,
-                # freezing, cache writes) would be pure overhead.  Exact
-                # repeats are the result cache's job, not this one's.
-                outcomes.append(self.run(*group[0]))
-            else:
-                outcomes.extend(self._run_trie(engine, group))
-        return outcomes
-
-    def _run_trie(
-        self, engine: str, members: List[Tuple[ShardTask, PhysicalPlan]]
-    ) -> List[ShardResult]:
-        """Evaluate same-shard pipelines, sharing operator prefixes."""
-        try:
-            collection = self._collection(members[0][0])
-        except _ShardVanished:
-            return [ShardResult.of(t, self._gone(t)) for t, _ in members]
-        # The *loaded* file (fall-forward may differ from the task's
-        # snapshot) keys the prefix cache, so cached contexts always
-        # describe the plane they were computed on.
-        shard_file = self._collections[members[0][0].shard_id][0]
-        evaluator = self._evaluator(members[0][0].shard_id, engine, collection)
-        outcomes: List[ShardResult] = []
-        root = collection.doc.root
-
-        def finish(task: ShardTask, collection, final) -> None:
-            if final is DOCUMENT_CONTEXT:  # a bare "/" — nothing encoded
-                final = np.empty(0, dtype=np.int64)
-            final = final[final != root]
-            outcomes.append(
-                ShardResult.of(task, self._finish(task, collection, final))
-            )
-
-        def finish_exists(
-            task: ShardTask, pipeline: PhysicalPlan, prefix, tail, context
-        ) -> None:
-            # A materializing sibling may already have cached the full
-            # chain — answering from it beats re-running the tail.
-            chain = prefix + tail
-            cached = self.prefix_cache.get((shard_file, task.engine, chain))
-            if cached is not None:
-                finish(task, collection, cached)
-                return
-            self._set_skip(evaluator, pipeline)
-            hit = exists_tail(tail, evaluator, context, exclude_pre=root)
-            outcomes.append(ShardResult.of(task, bool(hit)))
-
-        def descend(members, depth: int, prefix, context) -> None:
-            groups: Dict[object, list] = {}
-            for task, pipeline in members:
-                ops = pipeline.branches[0]
-                if len(ops) == depth:
-                    finish(task, collection, context)
-                elif task.mode == "exists" and exists_ready(ops, depth, context):
-                    # A chunkable frontier: leave the trie and drive the
-                    # remaining tail over growing context chunks,
-                    # stopping at the first hit.  Partial frontiers are
-                    # deliberately not cached.  Document-anchored and
-                    # single-node contexts have nothing to chunk — they
-                    # stay in the trie and share its cache instead.
-                    finish_exists(task, pipeline, prefix, ops[depth:], context)
-                else:
-                    groups.setdefault(ops[depth], []).append((task, pipeline))
-            for op, sub in groups.items():
-                child = prefix + (op,)
-                key = (shard_file, engine, child)
-                out = self.prefix_cache.get(key)
-                if out is None:
-                    self._set_skip(evaluator, sub[0][1])
-                    out = dispatch(op, evaluator, context)
-                    if isinstance(out, np.ndarray):
-                        # Cached contexts are shared across queries and
-                        # batches: freeze a view so no later consumer can
-                        # mutate what another query will read.
-                        out = out.view()
-                        out.flags.writeable = False
-                        self.prefix_cache.put(key, out)
-                descend(sub, depth + 1, child, out)
-
-        descend(members, 0, (), None)
-        return outcomes
+            for (slot, task, _), frontier in zip(members, frontiers):
+                results[slot] = ShardResult.of(
+                    task, self._finish(task, collection, frontier)
+                )
+            if observer is not None:
+                results[sampled[0]] = replace(
+                    results[sampled[0]],
+                    observations=(observer.observation(shard_id, engine),),
+                )
+        return results
 
     @staticmethod
     def _gone(task: ShardTask):

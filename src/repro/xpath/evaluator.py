@@ -7,7 +7,9 @@ per expression) and hands it to the pipeline driver; the evaluator
 itself survives as the *runtime* the operator kernels call back into —
 it owns the document, the axis executor, the lazily built per-tag
 fragments, and the XPath 1.0 expression machinery (predicates,
-functions, coercions, comparisons).
+functions, coercions, comparisons).  It holds no per-drive state: the
+sub-paths a per-candidate predicate evaluates re-enter the driver as
+fresh, unobserved one-member drives.
 
 Name-test pushdown (Experiment 3) is decided per compiled operator:
 steps of the shape ``descendant::tag`` / ``ancestor::tag`` are then
@@ -136,11 +138,6 @@ class Evaluator:
         self.plan_cache = plan_cache
         self._fragments: Optional[FragmentedDocument] = None
         self._compiled: dict = {}
-        #: Per-operator observation collector
-        #: (:class:`repro.feedback.PipelineObserver`), attached by
-        #: :func:`~repro.xpath.pipeline.observed_drive` only; ``None``
-        #: keeps the pipeline on its uninstrumented path.
-        self.observer = None
 
     # ------------------------------------------------------------------
     @property

@@ -13,8 +13,9 @@ both engines execute behind one kernel dispatch:
   planner's name-test pushdown verdict *fused into the operator* (the
   per-step ``pushdown`` frozenset side-channel is absorbed at compile
   time);
-* :class:`PredicateFilter` — non-positional predicates, mask-based in
-  the vectorized engine, cheapest-first order preserved from the plan;
+* :class:`PredicateFilter` — one non-positional predicate (one
+  operator per predicate, cheapest-first order preserved from the
+  plan), mask-based in the vectorized engine;
 * :class:`PositionalSelect` — a whole step whose predicates need
   per-context-node position semantics (``[2]``, ``[last()]``, …);
 * :class:`DocOrderDedup` — merges union branches in document order;
@@ -27,27 +28,36 @@ registered behind one dispatch table (:func:`register_kernel` /
 :class:`~repro.xpath.evaluator.Evaluator`) supplies the document,
 the axis executor, fragments and the predicate machinery.
 
-:func:`drive` threads a single context through the operators and
-supports early termination: ``Exists`` stops at the first non-empty
-final frontier (the last producing operator is re-run on geometrically
-growing context chunks) and short-circuits the moment any intermediate
-frontier is empty; ``Count`` skips rank materialization beyond the
-final frontier.  Both modes are value-identical to materializing and
-then applying ``len``/truthiness — the property tests pin this down.
+There is one driver, :func:`drive_group`: it walks every branch of
+every plan it is given as a chain of one operator-prefix trie, runs
+each distinct prefix's kernel once, and is the only place an operator
+sequence is advanced — a shard worker's whole batch, a lone
+:func:`drive`, a per-candidate predicate sub-path and an ``Exists``
+tail chunk are the same walk with more or fewer members.  Its optional
+arguments are the seams the layers above plug into: a rank ``span`` to
+keep (document scoping, the virtual-root exclusion), a prefix ``cache``
+(cross-batch sharing) and an ``observer`` (the feedback loop; an
+argument, not runtime state, so nested drives cannot record into it).
+Early termination: ``Exists`` stops at the first non-empty final
+frontier (the remaining tail is re-driven on geometrically growing
+context chunks, :func:`exists_tail`) and every chain short-circuits
+the moment its frontier is empty; ``Count`` skips rank materialization
+beyond the final frontier.  Both modes are value-identical to
+materializing and then applying ``len``/truthiness — the property
+tests pin this down.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.staircase import SkipMode
 from repro.errors import XPathEvaluationError
 from repro.feedback.records import (
-    DriveObservation,
     PipelineObserver,
     predicate_signature,
     step_signature,
@@ -80,6 +90,7 @@ __all__ = [
     "compile_step_ops",
     "dispatch",
     "drive",
+    "drive_group",
     "exists_ready",
     "exists_tail",
     "is_positional_predicate",
@@ -179,21 +190,20 @@ class StaircaseStep:
 
 @dataclass(frozen=True)
 class PredicateFilter:
-    """Filter the frontier through non-positional predicates.
+    """Filter the frontier through one non-positional predicate.
 
-    Predicates arrive in the plan's (cheapest-first) order and are
-    applied in sequence; the vectorized kernel evaluates each as one
+    A step's predicates compile to one filter each, in the plan's
+    (cheapest-first) order; the vectorized engine evaluates it as one
     boolean keep-mask (reverse-path semi-join) where the shape allows
     and falls back to the per-candidate evaluator otherwise.
     """
 
     index: int
     axis: str  #: the producing step's axis (reverse axes flip positions)
-    predicates: Tuple[Expr, ...]
+    predicate: Expr
 
     def __str__(self) -> str:
-        preds = "".join(f"[{p}]" for p in self.predicates)
-        return f"PredicateFilter({preds})"
+        return f"PredicateFilter([{self.predicate}])"
 
 
 @dataclass(frozen=True)
@@ -310,9 +320,10 @@ class PhysicalPlan:
     terminal: Operator
     query: str
     skip_mode: Optional[SkipMode] = None
-    #: Compiled from a costed QueryPlan.  Only planned pipelines enter
-    #: the executor's shared-prefix trie — ``planner=False`` keeps its
-    #: documented ablation meaning of per-query execution.
+    #: Compiled from a costed QueryPlan.  Part of the executor's
+    #: grouping rule: only planned groups consult the cross-batch prefix
+    #: cache — ``planner=False`` keeps its ablation meaning of paying
+    #: for every operator it runs.
     planned: bool = False
     merge: DocOrderDedup = field(default_factory=DocOrderDedup)
 
@@ -333,11 +344,6 @@ class PhysicalPlan:
         if self.mode == mode:
             return self
         return replace(self, terminal=_TERMINALS[mode])
-
-    @property
-    def single_path(self) -> bool:
-        """One branch — the shape the prefix trie can share."""
-        return len(self.branches) == 1
 
     def operator_count(self) -> int:
         return sum(len(branch) for branch in self.branches) + 1
@@ -380,17 +386,14 @@ def compile_step_ops(
 
     A step carrying any positional predicate compiles to one
     :class:`PositionalSelect`; otherwise to a :class:`StaircaseStep`
-    plus, if predicates remain, a :class:`PredicateFilter`.
+    plus one :class:`PredicateFilter` per predicate.
     """
     push = pushdown and _pushdown_shape(step)
     if any(is_positional_predicate(p) for p in step.predicates):
         return (PositionalSelect(index, step, push),)
-    ops: Tuple[Operator, ...] = (
-        StaircaseStep(index, step.axis, step.test, push),
+    return (StaircaseStep(index, step.axis, step.test, push),) + tuple(
+        PredicateFilter(index, step.axis, p) for p in step.predicates
     )
-    if step.predicates:
-        ops += (PredicateFilter(index, step.axis, step.predicates),)
-    return ops
 
 
 def _compile_path(path: LocationPath, push_at) -> Tuple[Operator, ...]:
@@ -553,22 +556,7 @@ def _staircase(op: StaircaseStep, rt, context):
 
 @register_kernel(PredicateFilter, "scalar", "vectorized")
 def _predicate_filter(op: PredicateFilter, rt, candidates):
-    observer = rt.observer
-    for predicate in op.predicates:
-        if len(candidates) == 0:
-            return candidates
-        n_in, started = len(candidates), (
-            time.perf_counter_ns() if observer is not None else 0
-        )
-        candidates = rt.filter_predicate(candidates, op.axis, predicate)
-        if observer is not None:
-            observer.record(
-                predicate_signature(op.axis, predicate),
-                n_in,
-                len(candidates),
-                time.perf_counter_ns() - started,
-            )
-    return candidates
+    return rt.filter_predicate(candidates, op.axis, op.predicate)
 
 
 @register_kernel(PositionalSelect, "scalar")
@@ -615,53 +603,29 @@ _EXISTS_CHUNK = 8
 _EXISTS_GROWTH = 4
 
 
-def _frontier_size(context) -> int:
-    """Context cardinality for observation: the document node, the
-    implicit root seed, and a bare rank all count as one context node."""
-    if context is None or context is DOCUMENT_CONTEXT:
-        return 1
-    if isinstance(context, (int, np.integer)):
-        return 1
-    return len(context)
+def _frontier_size(frontier) -> int:
+    """Cardinality for observation (only operators behind a
+    :class:`ContextInit` are recorded, so ``frontier`` is never a raw
+    seed): the document node counts as one context node."""
+    return 1 if frontier is DOCUMENT_CONTEXT else len(frontier)
 
 
 def _operator_signature(op: Operator) -> Optional[Tuple[str, ...]]:
-    """The feedback signature of one operator (``None`` = unobserved).
-
-    :class:`PredicateFilter` records per *predicate* inside its kernel
-    (the planner orders predicates individually), so the operator-level
-    record is skipped to avoid double counting.
-    """
+    """The feedback signature of one operator (``None`` = unobserved)."""
     if isinstance(op, StaircaseStep):
         return step_signature(op.axis, op.test)
+    if isinstance(op, PredicateFilter):
+        return predicate_signature(op.axis, op.predicate)
     if isinstance(op, PositionalSelect):
         return ("pos", op.step.axis, str(op.step.test))
     return None
 
 
-def _run_branch(ops: Tuple[Operator, ...], runtime, context) -> np.ndarray:
-    # Per-operator timing and cardinality bookkeeping runs only when
-    # observed_drive() attached an observer for a *sampled* drive.
-    observer = runtime.observer
-    for op in ops:
-        if observer is None:
-            context = dispatch(op, runtime, context)
-        else:
-            n_in, started = _frontier_size(context), time.perf_counter_ns()
-            context = dispatch(op, runtime, context)
-            elapsed = time.perf_counter_ns() - started
-            signature = _operator_signature(op)
-            if signature is not None:
-                observer.record(
-                    signature, n_in, _frontier_size(context), elapsed
-                )
-        if context is not DOCUMENT_CONTEXT and len(context) == 0:
-            # Every downstream operator maps empty to empty.
-            return _empty()
-    if context is DOCUMENT_CONTEXT:
-        # A bare "/" — the document node itself is not encoded.
-        return _empty()
-    return context
+def _counters(runtime) -> Tuple[int, int, int]:
+    """The runtime's monotonic work counters an observed drive deltas."""
+    plane = getattr(runtime.doc, "plane", None)
+    blocks = plane.totals()["blocks_decoded"] if plane is not None else 0
+    return runtime.stats.nodes_scanned, runtime.stats.nodes_skipped, blocks
 
 
 def exists_ready(ops: Tuple[Operator, ...], depth: int, context) -> bool:
@@ -689,111 +653,187 @@ def exists_ready(ops: Tuple[Operator, ...], depth: int, context) -> bool:
 
 
 def exists_tail(
-    tail: Tuple[Operator, ...], runtime, context, exclude_pre: Optional[int]
+    tail: Tuple[Operator, ...],
+    runtime,
+    context: np.ndarray,
+    span: Optional[Tuple[int, int]] = None,
 ) -> bool:
-    """Early-terminating existence of the final pipeline segment.
+    """Early-terminating existence of a pipeline's remaining segment.
 
-    ``tail`` is the last producing operator plus its trailing filters;
-    ``context`` the frontier feeding it.  Predicates are per-node (the
-    positional ones per *context* node), so running the segment on a
-    slice of the context can only produce a subset of the full result —
-    any non-empty slice output proves existence, and exhausting the
-    slices proves absence.
+    ``tail`` is what :func:`exists_ready` left of a branch; ``context``
+    the frontier feeding it.  Predicates are per-node (the positional
+    ones per *context* node), so driving the segment on a slice of the
+    context can only produce a subset of the full result — any
+    non-empty slice output proves existence, and exhausting the slices
+    proves absence.  Partial frontiers are never cached or observed.
     """
-    def survives(out) -> bool:
-        if exclude_pre is not None and len(out):
-            out = out[out != exclude_pre]
-        return len(out) > 0
-
-    if context is DOCUMENT_CONTEXT or not tail:
-        return survives(_run_branch(tail, runtime, context))
-    size = _EXISTS_CHUNK
-    start = 0
-    total = len(context)
-    while start < total:
-        if survives(_run_branch(tail, runtime, context[start : start + size])):
+    probe = (PhysicalPlan((tail,), _TERMINALS["materialize"], ""),)
+    size, start = _EXISTS_CHUNK, 0
+    while start < len(context):
+        chunk = context[start : start + size]
+        if len(drive_group(probe, runtime, chunk, span)[0]):
             return True
         start += size
         size *= _EXISTS_GROWTH
     return False
 
 
-def _branch_exists(
-    ops: Tuple[Operator, ...], runtime, context, exclude_pre: Optional[int]
-) -> bool:
-    frontier = context
-    for depth, op in enumerate(ops):
-        if exists_ready(ops, depth, frontier):
-            return exists_tail(ops[depth:], runtime, frontier, exclude_pre)
-        frontier = dispatch(op, runtime, frontier)
-        if frontier is not DOCUMENT_CONTEXT and len(frontier) == 0:
-            return False
-    return exists_tail((), runtime, frontier, exclude_pre)
+def _fan_out(todo: list, chains: list, depth: int, prefix, context) -> None:
+    """Push the trie's edges out of one node onto the driver's stack:
+    one ``(operator, chains sharing it, depth, prefix, input)`` per
+    distinct next operator, first edge on top."""
+    if len(chains) == 1:  # nothing to group, no operator to hash
+        todo.append((chains[0][1][depth], chains, depth, prefix, context))
+    elif chains:
+        groups: Dict[Operator, list] = {}
+        for chain in chains:
+            groups.setdefault(chain[1][depth], []).append(chain)
+        for op in reversed(groups):
+            todo.append((op, groups[op], depth, prefix, context))
+
+
+def drive_group(
+    plans: Sequence[PhysicalPlan],
+    runtime,
+    context=None,
+    span: Optional[Tuple[int, int]] = None,
+    cache=None,
+    observer: Optional[PipelineObserver] = None,
+) -> list:
+    """Execute compiled plans against ``runtime`` (an Evaluator) as one
+    operator-prefix trie — *the* driver: every plan, alone or in a
+    batch, advances its operators here and nowhere else.
+
+    Every branch of every member is a chain of the trie; chains that
+    agree on an operator prefix share its one kernel run.  Returns one
+    entry per plan, in order: a ``bool`` for an ``Exists`` plan, else
+    the final frontier (sorted ranks; branches merged by the plan's
+    :class:`DocOrderDedup`) — the caller applies ``Count``.
+
+    ``context`` seeds relative paths.  ``span`` keeps only final ranks
+    within the inclusive ``(first, last)`` interval — a collection
+    member's span, or everything but the virtual root — and is honoured
+    by the early-terminating mode too.  ``cache`` (``get(prefix)`` /
+    ``put(prefix, array)``) carries frontiers across calls: a hit skips
+    the kernel, outputs are frozen before they are stored.  ``observer``
+    receives one record per operator actually run — a cache hit did no
+    work and teaches nothing, ``Exists`` tails are partial and stay
+    unobserved — and the drive's totals.  Neither steers execution:
+    results are byte-identical with and without them.
+    """
+    chains: list = []  # (member, operators) per branch of every plan
+    arrived: List[List[np.ndarray]] = []  # per member: its branches' finals
+    wants_hit: set = set()  # Exists members ...
+    hit: set = set()  # ... and those already answered true
+    for member, plan in enumerate(plans):
+        arrived.append([])
+        if isinstance(plan.terminal, Exists):
+            wants_hit.add(member)
+        for ops in plan.branches:
+            chains.append((member, ops))
+    if observer is not None:
+        before, started = _counters(runtime), time.perf_counter_ns()
+
+    def arrive(member: int, frontier) -> None:
+        if frontier is DOCUMENT_CONTEXT:
+            # A bare "/" — the document node itself is not encoded.
+            frontier = _empty()
+        elif span is not None:
+            first = np.searchsorted(frontier, span[0], side="left")
+            last = np.searchsorted(frontier, span[1], side="right")
+            frontier = frontier[first:last]
+        if member not in wants_hit:
+            arrived[member].append(frontier)
+        elif len(frontier):
+            hit.add(member)
+
+    # Depth-first over the trie's edges on an explicit stack: a subtree
+    # finishes before its sibling edge is even run.
+    todo: list = []
+    _fan_out(todo, chains, 0, (), context)
+    while todo:
+        op, sharing, depth, prefix, context = todo.pop()
+        if hit and all(member in hit for member, _ in sharing):
+            continue  # existence proved while a sibling subtree ran
+        if cache is None:
+            out = None
+        else:
+            prefix += (op,)
+            out = cache.get(prefix)
+        if out is None:
+            began = time.perf_counter_ns() if observer is not None else 0
+            out = dispatch(op, runtime, context)
+            if observer is not None:
+                signature = _operator_signature(op)
+                if signature is not None:
+                    observer.record(
+                        signature,
+                        _frontier_size(context),
+                        _frontier_size(out),
+                        time.perf_counter_ns() - began,
+                    )
+            if cache is not None and isinstance(out, np.ndarray):
+                # Cached contexts are shared across queries and batches:
+                # freeze a view so no later consumer can mutate what
+                # another query will read.
+                out = out.view()
+                out.flags.writeable = False
+                cache.put(prefix, out)
+        # The node behind the edge: each chain ends here, leaves for an
+        # early-terminating tail, or goes on to its next operator.
+        depth += 1
+        empty = out is not DOCUMENT_CONTEXT and len(out) == 0
+        onward = []
+        for chain in sharing:
+            member, ops = chain
+            if empty or depth == len(ops):
+                # (Every downstream operator maps empty to empty.)
+                arrive(member, out)
+            elif member in wants_hit and exists_ready(ops, depth, out):
+                # A chunkable frontier: stop at the first hit — unless a
+                # materializing sibling already cached the whole chain.
+                tail = ops[depth:]
+                whole = cache.get(prefix + tail) if cache is not None else None
+                if whole is not None:
+                    arrive(member, whole)
+                elif member not in hit and exists_tail(tail, runtime, out, span):
+                    hit.add(member)
+            else:
+                onward.append(chain)
+        _fan_out(todo, onward, depth, prefix, out)
+    results: list = []
+    for member, parts in enumerate(arrived):
+        if member in wants_hit:
+            results.append(member in hit)
+        elif len(parts) == 1:
+            results.append(parts[0])
+        else:
+            results.append(dispatch(plans[member].merge, runtime, parts))
+    if observer is not None:
+        observer.elapsed_ns = time.perf_counter_ns() - started
+        observer.scanned, observer.skipped, observer.blocks = (
+            b - a for a, b in zip(before, _counters(runtime))
+        )
+    return results
 
 
 def drive(
     plan: PhysicalPlan,
     runtime,
     context=None,
-    exclude_pre: Optional[int] = None,
+    span: Optional[Tuple[int, int]] = None,
+    observer: Optional[PipelineObserver] = None,
 ):
-    """Execute a compiled plan against ``runtime`` (an Evaluator).
-
-    Returns a rank array (``materialize``), an ``int`` (``count``) or a
-    ``bool`` (``exists``).  ``exclude_pre`` drops one rank from the
-    result — the collection layer's virtual-root filter, honoured by
-    the early-terminating modes too.
-    """
-    mode = plan.mode
-    if mode == "exists":
-        return any(
-            _branch_exists(ops, runtime, context, exclude_pre)
-            for ops in plan.branches
-        )
-    results = [_run_branch(ops, runtime, context) for ops in plan.branches]
-    if len(results) == 1:
-        merged = results[0]
-    else:
-        merged = dispatch(plan.merge, runtime, results)
-    if exclude_pre is not None and len(merged):
-        merged = merged[merged != exclude_pre]
-    if mode == "count":
-        return int(len(merged))
-    return merged
+    """:func:`drive_group` with one member, its terminal applied: a
+    rank array (``materialize``), an ``int`` (``count``) or a ``bool``
+    (``exists``)."""
+    (result,) = drive_group((plan,), runtime, context, span, observer=observer)
+    return int(len(result)) if isinstance(plan.terminal, Count) else result
 
 
-def observed_drive(
-    plan: PhysicalPlan,
-    runtime,
-    context=None,
-    exclude_pre: Optional[int] = None,
-    shard_id: int = 0,
-):
-    """:func:`drive` with the observation layer attached; returns
-    ``(DriveObservation, result)``.
-
-    The only place that attaches an observer to a runtime — sampled
-    shard tasks and ``explain --analyze`` both come through here.  The
-    result is byte-identical to an unobserved drive: observation reads
-    counters (per-operator cardinalities and time, staircase scan/skip
-    deltas, page blocks decoded), it never steers execution.
-    """
-    stats, plane = runtime.stats, getattr(runtime.doc, "plane", None)
-
-    def counters():
-        blocks = plane.totals()["blocks_decoded"] if plane is not None else 0
-        return stats.nodes_scanned, stats.nodes_skipped, blocks
-
-    runtime.observer = observer = PipelineObserver()
-    before, started = counters(), time.perf_counter_ns()
-    try:
-        result = drive(plan, runtime, context, exclude_pre)
-    finally:
-        runtime.observer = None
-    elapsed = time.perf_counter_ns() - started
-    scanned, skipped, blocks = (b - a for a, b in zip(before, counters()))
-    observation = DriveObservation(
-        shard_id, runtime.engine, elapsed, tuple(observer.steps),
-        scanned, skipped, blocks,
-    )
-    return observation, result
+def observed_drive(plan: PhysicalPlan, runtime):
+    """:func:`drive` with an observer; returns ``(DriveObservation,
+    result)`` — what ``explain --analyze`` runs on a single document."""
+    observer = PipelineObserver()
+    result = drive(plan, runtime, observer=observer)
+    return observer.observation(0, runtime.engine), result

@@ -248,6 +248,45 @@ class TestObservation:
         assert seen == [rows(observations)]
         assert seen[0][0] == (step_signature("descendant", "person"), 1, 9)
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "query",
+        (
+            "//person[name = //person/name]",
+            "//open_auction[bidder[1]/increase > 10]",
+            "//person[address/city = 'x' or name]",
+        ),
+    )
+    def test_nested_drives_stay_out_of_the_observation(self, engine, query):
+        """The observer is an argument of the one driver, so the drives a
+        per-candidate predicate starts (``Evaluator._expr`` →
+        ``evaluate()``) cannot record into it: exactly the top-level
+        operators, each once — these ratios are what the planner blends
+        into its estimates and ``explain --analyze`` prints."""
+        from repro.encoding.prepost import encode
+        from repro.harness.workloads import get_forest
+        from repro.xpath.evaluator import Evaluator
+        from repro.xpath.parser import parse_xpath
+        from repro.xpath.pipeline import observed_drive
+
+        doc = encode(get_forest(4, 0.05)[0][1])  # one 8-person member
+        plan = compile_plan(query)
+        top_level = []
+        for step in parse_xpath(query).steps:
+            top_level.append(step_signature(step.axis, step.test))
+            top_level += [
+                predicate_signature(step.axis, p) for p in step.predicates
+            ]
+        observation, ranks = observed_drive(plan, Evaluator(doc, engine=engine))
+        assert [step.signature for step in observation.steps] == top_level
+        assert len(top_level) == 3 and len(ranks) > 0
+        feedback = FeedbackStore()
+        feedback.absorb([observation])
+        assert feedback.observed(top_level[1]) is not None
+        for inner in ("name", "bidder", "increase", "address", "city"):
+            assert feedback.observed(step_signature("child", inner)) is None
+        assert feedback.observed(("pos", "child", "bidder")) is None
+
     def test_sampled_batches_absorb(self, store, monkeypatch):
         monkeypatch.setenv("REPRO_FEEDBACK_SAMPLE", "1")
         with QueryService(store, backend="serial") as service:

@@ -1,0 +1,375 @@
+"""One driver: the operator-prefix trie is how every plan runs.
+
+* Grouping is invisible: for random mixed batches — result modes ×
+  planned/unplanned × scoped/unscoped × both engines × unions —
+  ``run_group(batch)`` equals ``[run_group([t])[0] for t in batch]``
+  byte for byte and index for index, observed or not; and a backend's
+  ``run_batch(items)`` equals its items run one at a time, serial and
+  ``fabric:2``.
+* Sharing is real: each distinct operator prefix of a batch is
+  dispatched once whether or not the batch is sampled, union branches
+  and scoped groups included; a warm cache dispatches — and teaches —
+  nothing.
+* The resident-bytes guard: a group of one, an unplanned plan and a
+  scoped group never touch the cross-batch prefix cache.
+"""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.errors import ReproError
+from repro.harness.workloads import get_forest
+from repro.service import ShardedStore, ShardWorkerState
+from repro.service.backend import make_backend
+from repro.service.executor import ShardTask
+from repro.xpath import pipeline
+from repro.xpath.ast import BinaryExpr
+from repro.xpath.pipeline import (
+    MODES,
+    StaircaseStep,
+    compile_plan,
+    register_kernel,
+)
+from repro.xpath.planner import Planner, TagStatistics
+
+from _reference import random_tree
+from test_xpath_fuzz import paths
+
+ENGINES = ("scalar", "vectorized")
+FUZZ_TAGS = ("a", "b", "c", "item", "x-y", "long_tag")
+
+
+# ----------------------------------------------------------------------
+# (a) Grouping is invisible
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def fuzz_store(tmp_path_factory):
+    forest = [
+        (f"d{i}", random_tree(45, 700 + i, tags=FUZZ_TAGS)) for i in range(4)
+    ]
+    directory = str(tmp_path_factory.mktemp("one-driver") / "fuzz")
+    return ShardedStore.build(directory, forest, shards=2)
+
+
+@pytest.fixture(scope="module")
+def planners(fuzz_store):
+    statistics = TagStatistics.from_store(fuzz_store)
+    return {
+        (engine, scoped): Planner(statistics, engine=engine, rewrite=not scoped)
+        for engine in ENGINES
+        for scoped in (False, True)
+    }
+
+
+queries = st.one_of(paths, paths, st.builds(BinaryExpr, st.just("|"), paths, paths))
+specs = st.lists(
+    st.tuples(
+        queries,
+        st.sampled_from(MODES),
+        st.booleans(),  # planned
+        st.sampled_from([None, None, "d0", "d1", "d3"]),  # scope
+        st.sampled_from(ENGINES),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def compile_items(specs, planners):
+    """``run_batch`` items for the specs that compile (a path that
+    cannot be scoped fails in the service, before any worker sees it)."""
+    items = []
+    for query, mode, planned, document, engine in specs:
+        scoped = document is not None
+        try:
+            plan = planners[engine, scoped].plan(query) if planned else query
+            items.append((compile_plan(plan, scoped=scoped), engine, document, mode))
+        except ReproError:
+            continue
+    return items
+
+
+def shard_tasks(store, items, observe):
+    """What ``ExecutionBackend._expand`` makes of ``items`` — every
+    shard's tasks in one list, so one call mixes shards too."""
+    tasks = []
+    for index, (plan, engine, document, mode) in enumerate(items):
+        shard_ids = (
+            store.shard_ids() if document is None else [store.shard_of(document)]
+        )
+        for shard_id in shard_ids:
+            entry = store.shard_entry(shard_id)
+            tasks.append(
+                ShardTask(
+                    index, shard_id, entry["file"], tuple(entry["documents"]),
+                    plan, engine, document, mode,
+                    observe=observe and document is None and mode != "exists",
+                )
+            )
+    return tasks
+
+
+def frozen(result):
+    """A :class:`ShardResult` as comparable bytes."""
+    return (
+        result.index, result.shard_id, result.mode,
+        {name: (a.dtype.str, a.tobytes()) for name, a in result.ranks.items()},
+        result.counts, result.found,
+    )
+
+
+@given(specs=specs, observe=st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_run_group_equals_its_tasks_one_by_one(fuzz_store, planners, specs, observe):
+    tasks = shard_tasks(fuzz_store, compile_items(specs, planners), observe)
+    state = ShardWorkerState(fuzz_store.directory)
+    singles = []
+    for task in tasks:
+        try:
+            (single,) = state.run_group([task])
+        except ReproError as error:
+            single = type(error)
+        else:
+            assert len(single.observations) == int(task.observe)
+        singles.append(single)
+    try:
+        grouped = state.run_group(tasks)
+    except ReproError:
+        assert any(isinstance(single, type) for single in singles)
+        return
+    assert len(grouped) == len(tasks)
+    for single, result in zip(singles, grouped):
+        if not isinstance(single, type):
+            assert frozen(result) == frozen(single)
+    # One observation per sampled (shard, engine, planned) group, not
+    # one per task.
+    sampled = {
+        (t.shard_id, t.engine, t.plan.planned) for t in tasks if t.observe
+    }
+    observations = [o for result in grouped for o in result.observations]
+    assert sorted((o.shard_id, o.engine) for o in observations) == sorted(
+        (shard_id, engine) for shard_id, engine, _ in sampled
+    )
+
+
+def payload(answer):
+    if isinstance(answer, dict):
+        return {
+            name: value.tobytes() if hasattr(value, "tobytes") else value
+            for name, value in answer.items()
+        }
+    return answer
+
+
+@pytest.fixture(scope="module", params=("serial", "fabric:2"))
+def backend(request, fuzz_store):
+    with make_backend(request.param, fuzz_store) as backend:
+        yield backend
+
+
+@given(specs=specs, observe=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_run_batch_equals_its_items_one_by_one(backend, planners, specs, observe):
+    items = compile_items(specs, planners)
+
+    def run(batch):
+        return backend.run_batch(batch, sink=[] if observe else None)
+
+    singles = []
+    for item in items:
+        try:
+            singles.append(payload(run([item])[0]))
+        except ReproError as error:
+            singles.append(type(error))
+    try:
+        batch = [payload(answer) for answer in run(items)]
+    except ReproError:
+        assert any(isinstance(single, type) for single in singles)
+        return
+    for single, answer in zip(singles, batch):
+        if not isinstance(single, type):
+            assert answer == single
+
+
+# ----------------------------------------------------------------------
+# (b) Sharing is real
+# ----------------------------------------------------------------------
+BATCH = (
+    "//open_auctions/open_auction/bidder/increase",
+    "//open_auctions/open_auction/bidder/date",
+    "//open_auctions/open_auction/bidder",
+    "//open_auctions/open_auction/seller",
+    "//open_auctions/open_auction/initial",
+    "//open_auctions/open_auction",
+    "//people/person/name",
+    "//people/person/profile/interest",
+    "//people/person/profile",
+    "//people/person/address/city",
+    "//regions//item/name",
+    "//regions//item/location",
+)
+
+
+@pytest.fixture(scope="module")
+def xmark_store(tmp_path_factory):
+    directory = str(tmp_path_factory.mktemp("one-driver") / "xmark")
+    return ShardedStore.build(directory, get_forest(2, 0.05), shards=1)
+
+
+@pytest.fixture
+def step_calls():
+    """Count top-level ``StaircaseStep`` dispatches per operator, through
+    the kernel registry's own door."""
+    calls = Counter()
+    originals = {
+        engine: pipeline._KERNELS[StaircaseStep, engine] for engine in ENGINES
+    }
+
+    def counting(op, rt, context):
+        if op.index >= 0:  # -1: a positional select's inner step
+            calls[op] += 1
+        return originals[rt.engine](op, rt, context)
+
+    register_kernel(StaircaseStep, *ENGINES)(counting)
+    try:
+        yield calls
+    finally:
+        for engine, kernel in originals.items():
+            register_kernel(StaircaseStep, engine)(kernel)
+
+
+def planned_tasks(
+    store, queries, engine, document=None, observe=False, mode="materialize",
+    pushdown="auto",
+):
+    planner = Planner(
+        TagStatistics.from_store(store), engine=engine,
+        rewrite=document is None, pushdown=pushdown,
+    )
+    items = [
+        (compile_plan(planner.plan(q), scoped=document is not None), engine, document, mode)
+        for q in queries
+    ]
+    return shard_tasks(store, items, observe)
+
+
+def distinct_step_prefixes(tasks):
+    return {
+        ops[: depth + 1]
+        for task in tasks
+        for ops in task.plan.branches
+        for depth, op in enumerate(ops)
+        if isinstance(op, StaircaseStep)
+    }
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("observe", (False, True))
+def test_each_distinct_prefix_is_dispatched_once(xmark_store, step_calls, engine, observe):
+    tasks = planned_tasks(xmark_store, BATCH, engine, observe=observe)
+    expected = len(distinct_step_prefixes(tasks))
+    assert expected < sum(len(t.plan.branches[0]) - 1 for t in tasks)
+    state = ShardWorkerState(xmark_store.directory)
+    results = state.run_group(tasks)
+    assert all(sum(len(r) for r in result.ranks.values()) for result in results)
+    assert sum(step_calls.values()) == expected
+    observations = [o for result in results for o in result.observations]
+    assert len(observations) == int(observe)
+    if observe:
+        # The driver's record per operator run *is* the observation.
+        assert len(observations[0].steps) == expected
+    # The same batch again is answered from the prefix cache: nothing
+    # runs, and a sampled repeat records nothing — a hit teaches nothing.
+    again = state.run_group(tasks)
+    assert [frozen(r) for r in again] == [frozen(r) for r in results]
+    assert sum(step_calls.values()) == expected
+    for result in again:
+        for observation in result.observations:
+            assert observation.steps == ()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_union_branches_enter_the_trie(xmark_store, step_calls, engine):
+    # (A union is planned without pushdown; two plans that differ in a
+    # pushdown verdict rightly occupy different trie nodes.)
+    tasks = planned_tasks(
+        xmark_store,
+        ["//open_auction/bidder | //open_auction/seller", "//open_auction/initial"],
+        engine,
+        pushdown=False,
+    )
+    ShardWorkerState(xmark_store.directory).run_group(tasks)
+    by_step = Counter()
+    for op, count in step_calls.items():
+        by_step[op.axis, str(op.test)] += count
+    assert by_step["descendant", "open_auction"] == 1
+    assert by_step["child", "bidder"] == by_step["child", "seller"] == 1
+    assert by_step["child", "initial"] == 1
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_scoped_queries_to_one_member_share_their_prefix(xmark_store, step_calls, engine):
+    document = xmark_store.document_names()[1]
+    tasks = planned_tasks(
+        xmark_store,
+        [
+            "/site/people/person/name",
+            "/site/people/person/profile",
+            "/site/people/person/address",
+        ],
+        engine,
+        document=document,
+    )
+    state = ShardWorkerState(xmark_store.directory)
+    size = state.prefix_cache.info()["size"]
+    grouped = state.run_group(tasks)
+    assert sum(step_calls.values()) == len(distinct_step_prefixes(tasks)) == 6
+    assert state.prefix_cache.info()["size"] == size
+    step_calls.clear()
+    assert [frozen(r) for r in grouped] == [
+        frozen(state.run_group([task])[0]) for task in tasks
+    ]
+    assert sum(step_calls.values()) == 3 * 4
+
+
+def test_scoped_exists_terminates_early(xmark_store):
+    """A scoped ``exists`` leaves the trie for the chunked tail like an
+    unscoped one (it used to materialize the member's whole answer)."""
+    document = xmark_store.document_names()[0]
+    (task,) = planned_tasks(
+        xmark_store, ["/site//item//text"], "scalar", document, mode="exists"
+    )
+    state = ShardWorkerState(xmark_store.directory)
+    assert state.run_group([task])[0].found is True
+    stats = state._evaluators[0, "scalar"].stats
+    probed = stats.nodes_scanned
+    state.run_group([task._replace(mode="count")])
+    assert probed < (stats.nodes_scanned - probed) / 4
+
+
+# ----------------------------------------------------------------------
+# (c) Who may touch the cross-batch prefix cache
+# ----------------------------------------------------------------------
+def test_lone_and_unplanned_tasks_leave_the_prefix_cache_alone(xmark_store):
+    state = ShardWorkerState(xmark_store.directory)
+    planned = planned_tasks(xmark_store, BATCH[:3], "vectorized")
+    unplanned = shard_tasks(
+        xmark_store,
+        [(compile_plan(q), "vectorized", None, "materialize") for q in BATCH[:3]],
+        False,
+    )
+    assert not any(task.plan.planned for task in unplanned)
+    state.run_group(planned[:1])  # a group of one
+    state.run_group(unplanned)  # shares its trie, never the cache
+    # Planned tasks, but no two agree on (engine, scope).
+    document = xmark_store.document_names()[0]
+    state.run_group(
+        planned_tasks(xmark_store, BATCH[:1], "vectorized")
+        + planned_tasks(xmark_store, BATCH[:1], "scalar")
+        + planned_tasks(xmark_store, BATCH[:1], "vectorized", document=document)
+    )
+    assert state.prefix_cache.info()["size"] == 0
+    state.run_group(planned)
+    assert state.prefix_cache.info()["size"] == len(distinct_step_prefixes(planned))

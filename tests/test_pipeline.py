@@ -72,8 +72,15 @@ class TestCompile:
         plan = compile_plan("/descendant::open_auction[bidder][initial]/seller")
         ops = plan.branches[0]
         kinds = [type(op) for op in ops]
-        assert kinds == [ContextInit, StaircaseStep, PredicateFilter, StaircaseStep]
-        assert len(ops[2].predicates) == 2
+        # One filter per predicate: the driver's per-operator record is
+        # the per-predicate record.
+        assert kinds == [
+            ContextInit, StaircaseStep, PredicateFilter, PredicateFilter,
+            StaircaseStep,
+        ]
+        assert [str(op.predicate) for op in ops[2:4]] == [
+            "child::bidder", "child::initial",
+        ]
 
     def test_positional_step_compiles_whole(self):
         plan = compile_plan("//bidder[2]")
@@ -85,7 +92,6 @@ class TestCompile:
         plan = compile_plan("//seller | //buyer | //person")
         assert len(plan.branches) == 3
         assert isinstance(plan.merge, DocOrderDedup)
-        assert not plan.single_path
 
     def test_non_union_toplevel_rejected(self):
         from repro.xpath.ast import BinaryExpr
@@ -197,15 +203,30 @@ class TestDrive:
             assert evaluator.count(query, context=context) == len(ranks)
             assert evaluator.exists(query, context=context) == (len(ranks) > 0)
 
-    def test_exclude_pre_applies_to_every_mode(self, doc):
+    def test_span_applies_to_every_mode(self, doc):
         evaluator = Evaluator(doc)
         plan = compile_plan("/descendant::site")
         full = drive(plan, evaluator)
         assert len(full) == 1
-        excluded = int(full[0])
-        assert len(drive(plan, evaluator, exclude_pre=excluded)) == 0
-        assert drive(plan.with_mode("count"), evaluator, exclude_pre=excluded) == 0
-        assert drive(plan.with_mode("exists"), evaluator, exclude_pre=excluded) is False
+        # The collection layer's virtual-root exclusion is the span
+        # (root + 1, n - 1).
+        span = (int(full[0]) + 1, len(doc) - 1)
+        assert len(drive(plan, evaluator, span=span)) == 0
+        assert drive(plan.with_mode("count"), evaluator, span=span) == 0
+        assert drive(plan.with_mode("exists"), evaluator, span=span) is False
+        # ... and a member's span keeps exactly the ranks inside it,
+        # early-terminating modes included.
+        bidders = drive(compile_plan("//bidder"), evaluator)
+        lo, hi = int(bidders[3]), int(bidders[7])
+        plan = compile_plan("//bidder | //increase/parent::bidder")
+        kept = drive(plan, evaluator, span=(lo, hi))
+        assert kept.tolist() == bidders[3:8].tolist()
+        assert drive(plan.with_mode("count"), evaluator, span=(lo, hi)) == 5
+        assert drive(plan.with_mode("exists"), evaluator, span=(lo, hi)) is True
+        assert (
+            drive(plan.with_mode("exists"), evaluator, span=(lo + 1, lo + 1))
+            is False
+        )
 
     def test_exists_terminates_early(self, doc):
         """Existence of a dense step must scan far less of the plane

@@ -173,7 +173,7 @@ def test_skip_override_does_not_leak_into_the_next_task(forest, tmp_path):
     state = ShardWorkerState(store.directory)
     skipped = []
     for mode in (SkipMode.NONE, SkipMode.ESTIMATE):
-        ranks = state.run(task(mode)).ranks
+        ranks = state.run_group([task(mode)])[0].ranks
         evaluator = state._evaluators[(0, "scalar")]
         assert evaluator.axes.mode is mode
         skipped.append(evaluator.stats.nodes_skipped)

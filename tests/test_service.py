@@ -694,11 +694,11 @@ class TestExecutor:
             engine="vectorized",
             document=None,
         )
-        result = state.run(task)
+        (result,) = state.run_group([task])
         assert (result.index, result.shard_id) == (0, 0)
         assert list(result.ranks) == list(entry["documents"])
         collection = state._collections[0][1]
-        state.run(task)
+        state.run_group([task])
         assert state._collections[0][1] is collection
 
     def test_close_is_idempotent(self, store):

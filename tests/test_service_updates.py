@@ -563,7 +563,7 @@ class TestExecutorFallForward:
         store.update_document("d0", people_site("x", "y"))  # unlinks stale file
         assert not os.path.exists(os.path.join(store.directory, stale["file"]))
         state = ShardWorkerState(store.directory)
-        relative = state.run(task).ranks
+        relative = state.run_group([task])[0].ranks
         assert len(relative["d0"]) == 2  # the post-update answer
 
     def test_dropped_shard_contributes_empty_result(self, tmp_path):
@@ -586,7 +586,7 @@ class TestExecutorFallForward:
         store.remove_document("d0")
         store.remove_document("d1")  # shard 0 is gone entirely
         state = ShardWorkerState(store.directory)
-        result = state.run(task)
+        (result,) = state.run_group([task])
         assert (result.index, result.shard_id, result.ranks) == (0, 0, {})
 
     def test_removed_scoped_document_contributes_empty_result(self, tmp_path):
@@ -606,7 +606,7 @@ class TestExecutorFallForward:
         )
         store.remove_document("d0")
         state = ShardWorkerState(store.directory)
-        relative = state.run(task).ranks
+        relative = state.run_group([task])[0].ranks
         assert list(relative) == ["d0"]
         assert len(relative["d0"]) == 0
 
@@ -644,7 +644,7 @@ class TestExecutorFallForward:
 
         state._current_entry = commit_then_answer
         store.update_document("d0", people_site("p0"))  # unlinks task's file
-        relative = state.run(task).ranks
+        relative = state.run_group([task])[0].ranks
         assert len(chased) == 2
         assert len(relative["d0"]) == 3  # the last committed state
 
