@@ -202,16 +202,14 @@ def _cmd_store(args: argparse.Namespace) -> int:
         line = (
             f"  shard {shard['id']:<4d} v{shard['format_version']}  "
             f"{shard['nodes']:>10,} nodes  "
-            f"{shard['bytes_on_disk']:>12,}B on disk"
+            f"{shard['bytes_on_disk']:>12,}B on disk  "
+            f"tag dict {shard['tag_dictionary']['entries']:,}"
+            f"/{shard['tag_dictionary']['bytes']:,}B  "
+            f"value dict {shard['value_dictionary']['entries']:,}"
+            f"/{shard['value_dictionary']['bytes']:,}B"
         )
-        if shard["format_version"] == 3:
-            line += (
-                f"  {shard['pages']:,} pages x {shard['page_size']}  "
-                f"tag dict {shard['tag_dictionary']['entries']:,}"
-                f"/{shard['tag_dictionary']['bytes']:,}B  "
-                f"value dict {shard['value_dictionary']['entries']:,}"
-                f"/{shard['value_dictionary']['bytes']:,}B"
-            )
+        if "pages" in shard:  # the packed layout
+            line += f"  {shard['pages']:,} pages x {shard['page_size']}"
             decoded = shard.get("decoded")
             if decoded is not None:
                 line += (

@@ -1,7 +1,7 @@
 """The paged plane: a compressed shard the join kernels stream over.
 
 A :class:`PagedPlane` is what :func:`repro.encoding.persist.load` hands
-back for a FORMAT_VERSION 3 archive opened with ``mmap=True``: every
+back for a packed (``format_version`` 3) archive opened with ``mmap=True``: every
 column is a :class:`~repro.encoding.codec.PagedArray` over the mmap'd
 packed blobs, decoding one fixed-height page block on first touch.
 
@@ -17,7 +17,7 @@ and scalar reads — exactly the access shapes ``PagedArray`` serves block
 by block.
 
 The plane also carries the decode accounting ``store info`` reports:
-blocks/bytes decoded per column, packed bytes, dictionary sizes.
+blocks/bytes decoded per column and packed bytes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class PagedPlane:
     Attributes
     ----------
     path:
-        The backing v3 archive (must outlive the plane).
+        The backing packed archive (must outlive the plane).
     page_size:
         Values per page block (power of two).
     nodes:
@@ -53,9 +53,6 @@ class PagedPlane:
         "nodes",
         "columns",
         "stats",
-        "tag_dictionary_bytes",
-        "value_dictionary_bytes",
-        "value_dictionary_entries",
     )
 
     def __init__(
@@ -65,18 +62,12 @@ class PagedPlane:
         nodes: int,
         columns: Dict[str, PagedArray],
         stats: Dict[str, PlaneStats],
-        tag_dictionary_bytes: int = 0,
-        value_dictionary_bytes: int = 0,
-        value_dictionary_entries: int = 0,
     ):
         self.path = path
         self.page_size = page_size
         self.nodes = nodes
         self.columns = columns
         self.stats = stats
-        self.tag_dictionary_bytes = tag_dictionary_bytes
-        self.value_dictionary_bytes = value_dictionary_bytes
-        self.value_dictionary_entries = value_dictionary_entries
 
     def iter_chunks(
         self, names: Tuple[str, ...], start: int, stop: int

@@ -17,11 +17,13 @@ pageable:
   size minus the level term of Equation (1); ``parent − pre`` is usually
   a small negative number), so the residuals need a handful of bits
   where the raw values need 20+.
-* **Sorted dictionary blobs** — tag and text dictionaries persist as one
-  UTF-8 byte blob plus an ``int64`` offset vector, sorted in code-point
-  order.  UTF-8 byte order equals code-point order, so
-  :func:`dictionary_find` binary-searches the *compressed* blob directly
-  — a name test never materialises the dictionary.
+* **Sorted dictionary blobs** — tag and text dictionaries are one UTF-8
+  byte blob plus a 4-byte offset vector, sorted in code-point order, in
+  memory and in both archive layouts alike.  UTF-8 byte order equals
+  code-point order, so :func:`dictionary_find` binary-searches the blob
+  directly — a lookup never materialises the dictionary — and
+  :func:`merge_dictionaries` / :func:`compact_dictionary` are the whole
+  algebra a splice needs.
 
 :class:`PagedArray` is the query-facing face of a packed column: a
 vector at the column's declared width
@@ -38,13 +40,14 @@ Everything here is pure numpy + stdlib; the module sits below
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.encoding.widths import column_dtype
+from repro.encoding.widths import column_dtype, narrow
 from repro.errors import EncodingError
 
 __all__ = [
@@ -62,8 +65,9 @@ __all__ = [
     "dictionary_find",
     "dictionary_prefix_range",
     "dictionary_containing",
+    "merge_dictionaries",
+    "compact_dictionary",
     "PagedArray",
-    "PagedStrings",
 ]
 
 #: Frame-of-reference: block minimum + bit-packed deltas.
@@ -353,19 +357,29 @@ def encode_dictionary(strings: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
     Sorting is the caller's job (and is asserted): binary search over the
     blob relies on UTF-8 byte order matching code-point order.
     """
-    encoded = [s.encode("utf-8") for s in strings]
-    for i in range(1, len(encoded)):
-        if encoded[i - 1] >= encoded[i]:
-            raise EncodingError(
-                "dictionary must be strictly sorted for binary search"
-            )
-    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-    if encoded:
-        offsets[1:] = np.cumsum(
-            np.asarray([len(e) for e in encoded], dtype=np.int64)
-        )
-    blob = np.frombuffer(b"".join(encoded), dtype=np.uint8).copy()
-    return blob, offsets
+    try:
+        encoded = [s.encode("utf-8") for s in strings]
+    except UnicodeEncodeError as error:
+        raise EncodingError(f"value is not encodable as UTF-8: {error}") from error
+    return _join_entries(encoded)
+
+
+def _join_entries(entries: List[bytes]) -> Tuple[np.ndarray, np.ndarray]:
+    """Blob + offsets of already-encoded entries, checked strictly sorted."""
+    if any(a >= b for a, b in zip(entries, entries[1:])):
+        raise EncodingError("dictionary must be strictly sorted for binary search")
+    offsets = np.zeros(len(entries) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, entries), np.int64, len(entries)), out=offsets[1:])
+    blob = np.frombuffer(b"".join(entries), dtype=np.uint8)
+    # A blob past 2³¹ − 1 bytes does not fit the offsets' width.
+    return blob, narrow("dict_offsets", offsets)
+
+
+def _split_entries(blob: np.ndarray, offsets: np.ndarray) -> List[bytes]:
+    """Every entry as UTF-8 ``bytes`` (one per *entry*, never per node)."""
+    raw = bytes(blob)
+    bounds = offsets.tolist()
+    return [raw[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def dictionary_entry(blob: np.ndarray, offsets: np.ndarray, code: int) -> str:
@@ -449,6 +463,68 @@ def dictionary_containing(
         else:
             at = haystack.find(target, at + 1)
     return hits
+
+
+def merge_dictionaries(
+    blob: np.ndarray, offsets: np.ndarray, other_blob: np.ndarray, other_offsets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Union of two sorted dictionaries, still sorted.
+
+    Returns ``(blob, offsets, remap, other_remap)``: ``remap[code]`` is
+    where an entry of the first dictionary sits in the union,
+    ``other_remap[code]`` the same for the second.  Both remaps carry a
+    trailing ``-1`` so a "no value" code indexes to itself.  One bisect
+    per entry of the *second* dictionary (make it the smaller one); when
+    it brings nothing new the first blob is handed back as it is.
+    """
+    code_dtype = column_dtype("value_codes")
+    entries = _split_entries(blob, offsets)
+    incoming = _split_entries(other_blob, other_offsets)
+    # Where each incoming entry sits among ``entries`` — on its equal, or
+    # (a fresh one) just ahead of the first larger entry.
+    at = np.fromiter(
+        (bisect_left(entries, entry) for entry in incoming), code_dtype, len(incoming)
+    )
+    fresh = np.fromiter(
+        (i == len(entries) or entries[i] != entry for i, entry in zip(at.tolist(), incoming)),
+        bool,
+        len(incoming),
+    )
+    # Every fresh entry landing at or ahead of an old one shifts it up.
+    remap = np.arange(len(entries) + 1, dtype=code_dtype)
+    remap += np.searchsorted(at[fresh], remap, side="right").astype(code_dtype)
+    remap[-1] = -1
+    other_remap = np.full(len(incoming) + 1, -1, dtype=code_dtype)
+    other_remap[:-1][~fresh] = remap[at[~fresh]]
+    other_remap[:-1][fresh] = at[fresh] + np.arange(int(fresh.sum()), dtype=code_dtype)
+    if fresh.any():
+        entries.extend(entry for entry, new in zip(incoming, fresh.tolist()) if new)
+        entries.sort()  # two sorted runs: one linear merge
+        blob, offsets = _join_entries(entries)
+    return blob, offsets, remap, other_remap
+
+
+def compact_dictionary(
+    codes: np.ndarray, blob: np.ndarray, offsets: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drop the entries no code refers to; ``(codes, blob, offsets)``.
+
+    Vectorised (one mark, one cumulative sum, one gather) and a no-op —
+    the inputs themselves — when every entry is still in use, so a
+    spliced table's dictionary is exactly a fresh re-encode's.
+    """
+    entries = int(offsets.shape[0]) - 1
+    used = np.zeros(entries + 1, dtype=bool)  # last slot soaks up the -1 codes
+    used[codes] = True
+    used = used[:-1]
+    if used.all():
+        return codes, blob, offsets
+    remap = np.full(entries + 1, -1, dtype=codes.dtype)
+    remap[:-1] = np.cumsum(used, dtype=codes.dtype) - 1
+    lengths = np.diff(offsets)
+    kept = np.zeros(int(used.sum()) + 1, dtype=offsets.dtype)
+    np.cumsum(lengths[used], out=kept[1:])
+    return remap[codes], blob[np.repeat(used, lengths)], kept
 
 
 # ----------------------------------------------------------------------
@@ -734,68 +810,4 @@ class PagedArray:
             f"PagedArray({self.directory.column!r}, n={self.directory.length}, "
             f"pages={self.directory.n_blocks}, "
             f"packed={self.directory.packed_bytes}B)"
-        )
-
-
-class PagedStrings:
-    """Lazily decoded string column: packed codes + a sorted dictionary blob.
-
-    ``code == -1`` is ``None`` (elements carry no value).  Scalar access
-    decodes one string; iteration walks the code column page by page.
-    """
-
-    __slots__ = ("codes", "blob", "offsets")
-
-    def __init__(
-        self,
-        codes: Union[PagedArray, np.ndarray],
-        blob: np.ndarray,
-        offsets: np.ndarray,
-    ):
-        self.codes = codes
-        self.blob = blob
-        self.offsets = offsets
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def _decode(self, code: int) -> Optional[str]:
-        if code < 0:
-            return None
-        return dictionary_entry(self.blob, self.offsets, code)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._decode(int(c)) for c in self.codes[index]]
-        return self._decode(int(self.codes[index]))
-
-    def __iter__(self) -> Iterator[Optional[str]]:
-        for code in self.codes:
-            yield self._decode(int(code))
-
-    def __eq__(self, other):
-        if isinstance(other, (list, tuple, PagedStrings)):
-            return len(self) == len(other) and all(
-                a == b for a, b in zip(self, other)
-            )
-        return NotImplemented
-
-    __hash__ = None
-
-    def materialize(self) -> List[Optional[str]]:
-        """Decode every value into a plain list (the eager load path)."""
-        return list(self)
-
-    @property
-    def dictionary_bytes(self) -> int:
-        return int(self.blob.shape[0])
-
-    @property
-    def dictionary_size(self) -> int:
-        return int(self.offsets.shape[0]) - 1
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"PagedStrings(len={len(self)}, dict={self.dictionary_size}, "
-            f"blob={self.dictionary_bytes}B)"
         )

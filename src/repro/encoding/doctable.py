@@ -6,6 +6,11 @@ stores (Section 4.1): a void ``pre`` column shared by dense ``post``,
 All join algorithms in this repository take a ``DocTable`` plus a context
 (an array of preorder ranks) and return preorder ranks.
 
+Node text is one more dictionary-coded column, :class:`ValueIndex`: the
+encoder emits it, splices merge it, both archive layouts store it member
+for member and the value predicates search it — a node's text is a
+4-byte code from the tree to the kernels, never a Python ``str``.
+
 Beyond raw storage the class offers the O(1) "tree knowledge" primitives
 the staircase join is built from: ancestor/descendant tests via rank
 comparisons, Equation (1) subtree-size estimation, and conversions between
@@ -21,7 +26,6 @@ import numpy as np
 
 from repro.encoding.codec import (
     PagedArray,
-    PagedStrings,
     dictionary_containing,
     dictionary_entry,
     dictionary_find,
@@ -65,15 +69,17 @@ def xpath_number(text: Union[str, bytes]) -> float:
 
 
 class ValueIndex:
-    """Dictionary-coded string values of one table, searchable undecoded.
+    """The value column: dictionary-coded node text, searchable undecoded.
 
-    Both value layouts end up here: a packed table hands over its code
-    column and sorted UTF-8 dictionary blob as they are; an eager
-    ``list[str]`` column is coded on first use.  ``codes[pre]`` is the
-    node's dictionary code (``-1``: no value); the search methods turn
-    a literal into a code, a code range or a per-code truth table, and
-    :meth:`numbers` holds ``xpath_number`` of every *entry* — value
-    predicates then run on codes, never on per-node strings.
+    ``codes[pre]`` is the node's dictionary code (``-1``: no value —
+    elements carry none); ``blob``/``offsets`` are the dictionary, its
+    entries strictly sorted as UTF-8 (= code-point order) and each
+    referenced by some code.  All three may be memory-mapped archive
+    members, ``codes`` a :class:`~repro.encoding.codec.PagedArray`.
+    Scalar access decodes one *entry*; the search methods turn a literal
+    into a code, a code range or a per-code truth table, and
+    :meth:`numbers` holds ``xpath_number`` of every entry — value
+    predicates run on codes, never on per-node strings.  Immutable.
     """
 
     __slots__ = ("codes", "blob", "offsets", "_numbers")
@@ -81,26 +87,60 @@ class ValueIndex:
     def __init__(self, codes, blob: np.ndarray, offsets: np.ndarray):
         self.codes = codes  #: per-node codes (ndarray or PagedArray)
         self.blob = blob
-        self.offsets = offsets
+        # 4-byte offsets: a blob past 2³¹ − 1 bytes is an EncodingError.
+        self.offsets = narrow("dict_offsets", offsets)
         self._numbers: Optional[np.ndarray] = None
 
-    @classmethod
-    def from_values(cls, values: List[Optional[str]]) -> "ValueIndex":
-        """Code an eager value column against its sorted dictionary."""
-        dictionary = sorted({v for v in values if v is not None})
-        code_of = {v: code for code, v in enumerate(dictionary)}
-        code_of[None] = -1  # type: ignore[index]
-        codes = np.fromiter(
-            (code_of[v] for v in values), dtype=np.int32, count=len(values)
-        )
-        return cls(codes, *encode_dictionary(dictionary))
-
     def __len__(self) -> int:
-        """Number of dictionary entries."""
+        """Number of nodes (the column's length, not the dictionary's)."""
+        return len(self.codes)
+
+    @property
+    def dictionary_size(self) -> int:
         return int(self.offsets.shape[0]) - 1
+
+    @property
+    def dictionary_bytes(self) -> int:
+        return int(self.blob.shape[0])
 
     def entry(self, code: int) -> str:
         return dictionary_entry(self.blob, self.offsets, code)
+
+    def _decode(self, code: int) -> Optional[str]:
+        return None if code < 0 else self.entry(code)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._decode(int(c)) for c in self.codes[index]]
+        return self._decode(int(self.codes[index]))
+
+    def __iter__(self) -> Iterator[Optional[str]]:
+        for code in self.codes:
+            yield self._decode(int(code))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, tuple, ValueIndex)):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    __hash__ = None
+
+    def check(self) -> None:
+        """Reject codes or offsets that point outside the dictionary."""
+        offsets = self.offsets
+        if (
+            offsets.shape[0] < 1
+            or offsets[0] != 0
+            or offsets[-1] != self.blob.shape[0]
+            or (offsets.shape[0] > 1 and np.diff(offsets).min() < 0)
+        ):
+            raise EncodingError("value dictionary offsets do not tile its blob")
+        if len(self) and (
+            self.codes.min() < -1 or self.codes.max() >= self.dictionary_size
+        ):
+            raise EncodingError("value code outside the dictionary")
 
     def find(self, value: str) -> int:
         """Code of ``value``, or ``-1`` when no node carries it."""
@@ -120,7 +160,7 @@ class ValueIndex:
         if self._numbers is None:
             offsets = np.asarray(self.offsets, dtype=np.int64)
             raw = bytes(self.blob)
-            numbers = np.full(len(self), np.nan, dtype=np.float64)
+            numbers = np.full(self.dictionary_size, np.nan, dtype=np.float64)
             # Only entries opening with a byte the grammar allows can be
             # numbers — text content rarely does, so the parser runs on
             # a sliver of the dictionary.
@@ -148,8 +188,7 @@ class DocTable:
     tag:
         Dictionary-encoded tag/attribute-name column.
     values:
-        Optional per-node string content (``None`` for elements); kept as a
-        plain Python list since it is never touched on the query hot path.
+        The :class:`ValueIndex` of per-node text (absent: no node has any).
     validate:
         Check that ``post`` is a permutation of ``0..n-1`` (an O(n log n)
         sort).  Pass ``False`` only for columns known to round-trip from a
@@ -175,7 +214,6 @@ class DocTable:
         "_pre_of_post",
         "_first_child_cache",
         "_tag_histogram",
-        "_value_index",
     )
 
     def __init__(
@@ -185,7 +223,7 @@ class DocTable:
         parent: np.ndarray,
         kind: np.ndarray,
         tag: StringColumn,
-        values: Optional[List[Optional[str]]] = None,
+        values: Optional[ValueIndex] = None,
         validate: bool = True,
         height: Optional[int] = None,
     ):
@@ -201,18 +239,26 @@ class DocTable:
         post, level, parent, kind = columns.values()
         if len(tag) != n:
             raise EncodingError(f"tag column length {len(tag)} != {n}")
+        if values is None:
+            values = ValueIndex(
+                np.full(n, -1, dtype=COLUMN_DTYPES["value_codes"]),
+                *encode_dictionary([]),
+            )
+        if len(values) != n:
+            raise EncodingError(f"value column length {len(values)} != {n}")
         if n == 0:
             raise EncodingError("cannot build an empty DocTable")
         if validate:
             sorted_post = np.sort(post)
             if not np.array_equal(sorted_post, np.arange(n, dtype=post.dtype)):
                 raise EncodingError("post column must be a permutation of 0..n-1")
+            values.check()
         self.post = post
         self.level = level
         self.parent = parent
         self.kind = kind
         self.tag = tag
-        self.values = values if values is not None else [None] * n
+        self.values = values
         # h — the document height; computed once at load time (footnote 3)
         # unless a persisted archive already carries it.
         self.height = int(level.max()) if height is None else int(height)
@@ -225,7 +271,6 @@ class DocTable:
         self._pre_of_post: Optional[np.ndarray] = None
         self._first_child_cache: Optional[np.ndarray] = None
         self._tag_histogram: Optional[np.ndarray] = None
-        self._value_index: Optional[ValueIndex] = None
 
     # ------------------------------------------------------------------
     # Size / iteration
@@ -390,22 +435,6 @@ class DocTable:
                 parts.append(self.values[i] or "")
         return "".join(parts)
 
-    def value_index(self) -> ValueIndex:
-        """The table's :class:`ValueIndex`, built on first use.
-
-        Tables are immutable and every commit loads a fresh one, so the
-        index needs no invalidation — it lives and dies with the epoch.
-        """
-        if self._value_index is None:
-            values = self.values
-            if isinstance(values, PagedStrings):
-                self._value_index = ValueIndex(
-                    values.codes, values.blob, values.offsets
-                )
-            else:
-                self._value_index = ValueIndex.from_values(values)
-        return self._value_index
-
     # ------------------------------------------------------------------
     # BAT views (the Monet storage shape)
     # ------------------------------------------------------------------
@@ -424,12 +453,15 @@ class DocTable:
 
     def column_nbytes(self) -> int:
         """Bytes of the plane columns once resident (void ``pre`` is
-        free): the four structure columns, the tag codes and — when the
-        values are dictionary-coded — the value codes."""
-        columns = [self.post, self.level, self.parent, self.kind, self.tag.codes]
-        if isinstance(self.values, PagedStrings):
-            columns.append(self.values.codes)
-        return sum(column.nbytes for column in columns)
+        free): the four structure columns, the tag codes and the value
+        codes."""
+        return sum(
+            column.nbytes
+            for column in (
+                self.post, self.level, self.parent, self.kind,
+                self.tag.codes, self.values.codes,
+            )
+        )
 
     def memory_footprint(self) -> int:
         """Approximate bytes of column storage, tag dictionary included."""

@@ -3,47 +3,49 @@
 Parsing and encoding a large document is the expensive part of loading
 (Section 4.1 builds the index "at document loading time"); persisting the
 ``DocTable`` lets repeated experiment runs start from the columns
-directly.  The format is a single ``.npz`` container.
+directly.  The format is a single ``.npz`` container of *stored*
+(uncompressed) numeric ``.npy`` members.
 
-Two format versions are understood:
+Two layouts, one value representation.  Both hold the six plane columns
+(``post``, ``level``, ``parent``, ``kind``, ``tag_codes``,
+``value_codes``) and the same four dictionary members — the tag and the
+text dictionary, each a sorted UTF-8 blob plus 4-byte offsets, exactly
+the :class:`~repro.encoding.doctable.ValueIndex` the table holds in
+memory.  They differ in how the columns are stored:
 
-* **v2** — ``np.savez``: eager members *stored* rather than deflated,
-  each at its column's declared width (``.npy`` is self-describing:
-  older archives with ``int64`` members still open and are narrowed).
-  A stored ``.npy`` zip member is byte-identical to a standalone
-  ``.npy`` file, so :func:`load` with ``mmap=True`` memory-maps the
-  numeric columns in place at their archive offsets — worker processes
+* **eager** (``compression="none"``, the default, ``format_version``
+  4) — every column a plain member at its declared width.  A stored
+  ``.npy`` zip member is byte-identical to a standalone ``.npy`` file,
+  so :func:`load` with ``mmap=True`` memory-maps columns *and*
+  dictionaries in place at their archive offsets — worker processes
   that open the same shard share the OS page cache instead of each
-  materialising its own copy.
-* **v3** (current, written by ``save(..., compression="packed")``) —
-  compressed, pageable planes: every numeric column is frame-of-
-  reference/delta bit-packed into fixed-height page blocks behind a page
-  directory (:mod:`repro.encoding.codec`), and the tag/text string
-  columns are dictionary-encoded against *sorted* UTF-8 dictionary
-  blobs that binary-search without decompression.  ``mmap=True`` maps
-  the packed blobs and returns a table whose columns are
-  :class:`~repro.encoding.codec.PagedArray` views decoding one page
+  materialising its own copy.  Right for small documents.
+* **packed** (``compression="packed"``, ``format_version`` 3) — every
+  column frame-of-reference/delta bit-packed into fixed-height page
+  blocks behind a page directory (:mod:`repro.encoding.codec`).
+  ``mmap=True`` maps the packed blobs and returns a table whose columns
+  are :class:`~repro.encoding.codec.PagedArray` views decoding one page
   block at a time — a shard larger than RAM streams through the join
-  kernels block by block.
+  kernels block by block.  Files written before the offsets were
+  narrowed (8-byte offsets) still open.
 
-``save`` still writes v2 by default (``compression="none"``): eager
-numeric members remain the right trade for small documents, and the v2
-round-trip contract (columns load as ``np.memmap``) is unchanged.
+No member is an object array and no branch of :func:`load` unpickles:
+archives written before version 3 (pickled ``values`` /
+``tag_dictionary`` members) are refused by the version check, before
+any other member is read.
 
-:func:`load` reads both versions and raises
-:class:`~repro.errors.EncodingError` — never a raw ``zipfile`` or
-``OSError`` traceback — on truncated, foreign, or version-unknown
-archives.
+:func:`load` raises :class:`~repro.errors.EncodingError` — never a raw
+``zipfile`` or ``OSError`` traceback — on truncated, foreign, or
+version-unknown archives.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import struct
 import zipfile
 import zlib
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -53,7 +55,6 @@ from repro.encoding.codec import (
     DEFAULT_PAGE_SIZE,
     PageDirectory,
     PagedArray,
-    PagedStrings,
     PlaneStats,
     check_directory,
     decode_column,
@@ -61,7 +62,7 @@ from repro.encoding.codec import (
     encode_dictionary,
     pack_int_column,
 )
-from repro.encoding.doctable import DocTable
+from repro.encoding.doctable import DocTable, ValueIndex
 from repro.encoding.widths import column_dtype
 from repro.errors import EncodingError
 from repro.storage.column import StringColumn
@@ -73,32 +74,25 @@ __all__ = [
     "describe_archive",
     "FORMAT_VERSION",
     "SUPPORTED_VERSIONS",
+    "LAYOUT_VERSIONS",
     "COMPRESSION_MODES",
 ]
 
-FORMAT_VERSION = 3
-
-#: Versions :func:`load` accepts (v2 = stored eager columns, v3 =
-#: packed page blocks).
-SUPPORTED_VERSIONS = (2, 3)
+#: ``compression=`` value → the ``format_version`` :func:`save` writes.
+LAYOUT_VERSIONS = {"none": 4, "packed": 3}
 
 #: ``compression=`` values :func:`save` accepts.
-COMPRESSION_MODES = ("none", "packed")
+COMPRESSION_MODES = tuple(LAYOUT_VERSIONS)
 
-#: Sentinel distinguishing "no value" (elements) from an empty string in
-#: the v2 persisted value column.
-_NONE_SENTINEL = "\x00<none>"
+#: Versions :func:`load` accepts (3 = packed page blocks, 4 = eager
+#: columns over the same dictionary members).
+SUPPORTED_VERSIONS = tuple(sorted(LAYOUT_VERSIONS.values()))
 
-#: Members whose arrays are plain numeric vectors in v2 archives.
-_NUMERIC_MEMBERS = ("post", "level", "parent", "kind", "tag_codes")
+FORMAT_VERSION = max(SUPPORTED_VERSIONS)
 
-_REQUIRED_MEMBERS = frozenset(
-    ("format_version", "tag_dictionary", "values") + _NUMERIC_MEMBERS
-)
-
-#: v3 packed columns and their codecs.  ``post`` and ``parent`` track the
-#: void ``pre`` column (position-delta residuals are a few bits); the
-#: rest are plain frame-of-reference.
+#: The plane columns and their packed-layout codecs.  ``post`` and
+#: ``parent`` track the void ``pre`` column (position-delta residuals are
+#: a few bits); the rest are plain frame-of-reference.
 _PACKED_COLUMNS = (
     ("post", CODEC_DELTA),
     ("level", CODEC_FOR),
@@ -108,15 +102,22 @@ _PACKED_COLUMNS = (
     ("value_codes", CODEC_FOR),
 )
 
+_DICTIONARY_MEMBERS = (
+    "tag_dict_blob", "tag_dict_offsets", "value_dict_blob", "value_dict_offsets",
+)
+
+_EAGER_REQUIRED = frozenset(
+    ("format_version",) + _DICTIONARY_MEMBERS
+    + tuple(column for column, _ in _PACKED_COLUMNS)
+)
+
 _PACKED_REQUIRED = frozenset(
-    {"format_version", "page_size", "nodes", "height",
-     "tag_dict_blob", "tag_dict_offsets",
-     "value_dict_blob", "value_dict_offsets"}
-    | {
+    ("format_version", "page_size", "nodes", "height") + _DICTIONARY_MEMBERS
+    + tuple(
         f"{column}_{part}"
         for column, _ in _PACKED_COLUMNS
         for part in ("refs", "bits", "offsets", "packed")
-    }
+    )
 )
 
 #: Errors that mean "this file is not a healthy archive" — normalised to
@@ -131,7 +132,6 @@ _ARCHIVE_ERRORS = (
     ValueError,
     EOFError,
     struct.error,
-    pickle.UnpicklingError,
 )
 
 
@@ -143,89 +143,54 @@ def save(
 ) -> None:
     """Write ``doc`` to ``path`` as an ``.npz`` archive.
 
-    ``compression="none"`` writes the eager v2 layout;
-    ``compression="packed"`` writes the v3 compressed pageable layout
-    (dictionary-encoded strings, FOR/delta bit-packed columns behind a
-    page directory of ``page_size``-value blocks).
+    ``compression="none"`` writes the eager layout (plain columns);
+    ``compression="packed"`` the compressed pageable one (FOR/delta
+    bit-packed columns behind a page directory of ``page_size``-value
+    blocks).  The dictionary members are the same in both.
     """
-    if compression == "none":
-        _save_eager(doc, path)
-    elif compression == "packed":
-        _save_packed(doc, path, page_size)
-    else:
+    if compression not in LAYOUT_VERSIONS:
         raise EncodingError(
             f"unknown compression {compression!r}; expected one of "
             f"{COMPRESSION_MODES}"
         )
-
-
-def _save_eager(doc: DocTable, path: str) -> None:
-    """The v2 layout: stored (mmap-friendly) eager members."""
-    values = np.asarray(
-        [_NONE_SENTINEL if v is None else v for v in doc.values], dtype=object
-    )
-    np.savez(
-        path,
-        format_version=np.asarray([2], dtype=np.int64),
-        post=np.asarray(doc.post),
-        level=np.asarray(doc.level),
-        parent=np.asarray(doc.parent),
-        kind=np.asarray(doc.kind),
-        tag_codes=np.asarray(doc.tag.codes),
-        tag_dictionary=np.asarray(doc.tag.dictionary, dtype=object),
-        values=values,
-    )
-
-
-def _save_packed(doc: DocTable, path: str, page_size: int) -> None:
-    """The v3 layout: packed page blocks + sorted dictionary blobs."""
-    n = len(doc)
-    # Tag dictionary, re-sorted for binary search; codes remapped.
-    old_dictionary = list(doc.tag.dictionary)
-    sorted_tags = sorted(old_dictionary)
-    new_code = {s: i for i, s in enumerate(sorted_tags)}
-    remap = np.asarray(
-        [new_code[s] for s in old_dictionary], dtype=column_dtype("tag_codes")
-    )
-    tag_codes = remap[np.asarray(doc.tag.codes)]
-    tag_blob, tag_offsets = encode_dictionary(sorted_tags)
-
-    # Text values: sorted dictionary, code -1 = None (element nodes).
-    unique_values = sorted({v for v in doc.values if v is not None})
-    value_code = {s: i for i, s in enumerate(unique_values)}
-    value_codes = np.fromiter(
-        (-1 if v is None else value_code[v] for v in doc.values),
-        dtype=column_dtype("value_codes"),
-        count=n,
-    )
-    value_blob, value_offsets = encode_dictionary(unique_values)
-
-    sources: Dict[str, np.ndarray] = {
+    # Tag dictionary: the entries in use, sorted for binary search, the
+    # codes remapped — what a fresh encode of the same tree would write.
+    tag_codes = np.asarray(doc.tag.codes)
+    names = doc.tag.dictionary
+    used = np.zeros(len(names), dtype=bool)
+    used[tag_codes] = True
+    ranked = sorted(np.flatnonzero(used).tolist(), key=names.__getitem__)
+    remap = np.zeros(len(names), dtype=column_dtype("tag_codes"))
+    remap[ranked] = np.arange(len(ranked), dtype=remap.dtype)
+    tag_blob, tag_offsets = encode_dictionary([names[code] for code in ranked])
+    columns: Dict[str, np.ndarray] = {
         "post": doc.post,
         "level": doc.level,
         "parent": doc.parent,
         "kind": doc.kind,
-        "tag_codes": tag_codes,
-        "value_codes": value_codes,
+        "tag_codes": remap[tag_codes],
+        "value_codes": doc.values.codes,  # written as handed over
     }
     members: Dict[str, np.ndarray] = {
-        "format_version": np.asarray([3], dtype=np.int64),
-        "page_size": np.asarray([page_size], dtype=np.int64),
-        "nodes": np.asarray([n], dtype=np.int64),
-        "height": np.asarray([doc.height], dtype=np.int64),
+        "format_version": np.asarray([LAYOUT_VERSIONS[compression]], dtype=np.int64),
         "tag_dict_blob": tag_blob,
         "tag_dict_offsets": tag_offsets,
-        "value_dict_blob": value_blob,
-        "value_dict_offsets": value_offsets,
+        "value_dict_blob": np.asarray(doc.values.blob),
+        "value_dict_offsets": np.asarray(doc.values.offsets),
     }
-    for column, codec in _PACKED_COLUMNS:
-        directory, blob = pack_int_column(
-            column, sources[column], codec, page_size
-        )
-        members[f"{column}_refs"] = directory.refs
-        members[f"{column}_bits"] = directory.bits
-        members[f"{column}_offsets"] = directory.offsets
-        members[f"{column}_packed"] = blob
+    if compression == "none":
+        for column, values in columns.items():
+            members[column] = np.asarray(values)
+    else:
+        members["page_size"] = np.asarray([page_size], dtype=np.int64)
+        members["nodes"] = np.asarray([len(doc)], dtype=np.int64)
+        members["height"] = np.asarray([doc.height], dtype=np.int64)
+        for column, codec in _PACKED_COLUMNS:
+            directory, blob = pack_int_column(column, columns[column], codec, page_size)
+            members[f"{column}_refs"] = directory.refs
+            members[f"{column}_bits"] = directory.bits
+            members[f"{column}_offsets"] = directory.offsets
+            members[f"{column}_packed"] = blob
     np.savez(path, **members)
 
 
@@ -259,6 +224,11 @@ def _mmap_member(path: str, info: zipfile.ZipInfo) -> np.ndarray:
                 f"{path}: unsupported .npy version {version} in {info.filename!r}"
             )
         array_offset = raw.tell()
+    if dtype.hasobject:
+        raise EncodingError(
+            f"{path}: member {info.filename!r} is an object array; "
+            "archives hold numeric members only"
+        )
     try:
         return np.memmap(
             path,
@@ -307,9 +277,9 @@ def _read_member(path: str, archive: "np.lib.npyio.NpzFile", name: str) -> np.nd
         ) from error
 
 
-def _open_archive(path: str, allow_pickle: bool = False) -> "np.lib.npyio.NpzFile":
+def _open_archive(path: str) -> "np.lib.npyio.NpzFile":
     try:
-        return np.load(path, allow_pickle=allow_pickle)
+        return np.load(path)  # allow_pickle stays False: no member is an object
     except FileNotFoundError:
         raise
     except _ARCHIVE_ERRORS as error:
@@ -335,15 +305,15 @@ def _format_version(path: str, archive: "np.lib.npyio.NpzFile") -> int:
 def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
     """Read a table previously written by :func:`save`.
 
-    With ``mmap=True`` the columns are opened in place instead of being
-    materialised: v2 archives map their eager members read-only
-    (``np.load(..., mmap_mode="r")`` semantics), v3 archives map the
-    *packed* blobs and return paged columns that decode one page block
-    on first touch.  The archive must then stay in place for the table's
-    lifetime.
+    With ``mmap=True`` the members are opened in place instead of being
+    materialised: the eager layout maps its columns and dictionaries
+    read-only (``np.load(..., mmap_mode="r")`` semantics), the packed
+    layout maps the *packed* blobs and returns paged columns that decode
+    one page block on first touch.  The archive must then stay in place
+    for the table's lifetime.
 
-    ``decode_cache`` governs v3 paged tables: ``"full"`` (default) lets
-    whole-column fallbacks keep their decoded copy — right when the
+    ``decode_cache`` governs packed paged tables: ``"full"`` (default)
+    lets whole-column fallbacks keep their decoded copy — right when the
     plane fits in RAM; ``"blocks"`` keeps only the bounded block LRU —
     the out-of-core mode for shards bigger than memory.
 
@@ -358,57 +328,71 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
             f"unknown decode_cache {decode_cache!r}; expected 'full' or 'blocks'"
         )
     with _open_archive(path) as archive:
-        if _format_version(path, archive) == 3:
-            return _load_packed(path, archive, mmap, decode_cache)
-    # Only v2 holds object members (``values``, ``tag_dictionary``); a
-    # file claiming to be v3 never reaches the unpickler.
-    with _open_archive(path, allow_pickle=True) as archive:
-        names = set(archive.files)
-        if not _REQUIRED_MEMBERS <= names:
+        packed = _format_version(path, archive) == LAYOUT_VERSIONS["packed"]
+        missing = (_PACKED_REQUIRED if packed else _EAGER_REQUIRED) - set(archive.files)
+        if missing:
             raise EncodingError(
-                f"{path}: not a DocTable archive "
-                f"(missing {sorted(_REQUIRED_MEMBERS - names)})"
+                f"{path}: not a DocTable archive (missing {sorted(missing)})"
             )
-        dictionary = [str(s) for s in _read_member(path, archive, "tag_dictionary")]
-        values = [
-            None if v == _NONE_SENTINEL else str(v)
-            for v in _read_member(path, archive, "values")
-        ]
-        post, level, parent, kind, tag_codes = (
-            _mmap_member(path, _stored_info(path, archive.zip, member))
-            if mmap
-            else _read_member(path, archive, member)
-            for member in _NUMERIC_MEMBERS
-        )
+
+        def fetch(name: str) -> np.ndarray:
+            if mmap:  # mapped in place: no byte is read before it is used
+                return _mmap_member(path, _stored_info(path, archive.zip, name))
+            return _read_member(path, archive, name)
+
+        # Tag names are a few dozen: decoded.  The value dictionary
+        # stays a blob (mapped when the table is) behind the codes.
+        tag_blob = _read_member(path, archive, "tag_dict_blob")
+        tag_offsets = _read_member(path, archive, "tag_dict_offsets")
+        try:
+            tag_dictionary = [
+                dictionary_entry(tag_blob, tag_offsets, code)
+                for code in range(int(tag_offsets.shape[0]) - 1)
+            ]
+        except ValueError as error:  # a blob that is not UTF-8
+            raise EncodingError(f"{path}: corrupt tag dictionary: {error}") from error
+        value_blob = fetch("value_dict_blob")
+        value_offsets = fetch("value_dict_offsets")
+        height = plane = None
+        if packed:
+            height = int(_read_member(path, archive, "height")[0])
+            columns, plane = _packed_columns(
+                path, archive, fetch, mmap, decode_cache, height,
+                entries=(len(tag_dictionary), int(value_offsets.shape[0]) - 1),
+            )
+        else:
+            columns = {column: fetch(column) for column, _ in _PACKED_COLUMNS}
     # A mapped archive was written from an already-validated table; skip
     # the permutation/range re-checks so opening touches as few pages as
     # possible.
-    return DocTable(
-        post=post,
-        level=level,
-        parent=parent,
-        kind=kind,
-        tag=StringColumn(tag_codes, dictionary, validate=not mmap),
-        values=values,
+    table = DocTable(
+        post=columns["post"],
+        level=columns["level"],
+        parent=columns["parent"],
+        kind=columns["kind"],
+        tag=StringColumn(columns["tag_codes"], tag_dictionary, validate=not mmap),
+        values=ValueIndex(columns["value_codes"], value_blob, value_offsets),
         validate=not mmap,
+        height=height,
     )
+    table.plane = plane
+    return table
 
 
-def _load_packed(
+def _packed_columns(
     path: str,
     archive: "np.lib.npyio.NpzFile",
+    fetch: Callable[[str], np.ndarray],
     mmap: bool,
     decode_cache: str,
-) -> DocTable:
-    """Materialise (or page-map) a v3 archive."""
-    if not _PACKED_REQUIRED <= set(archive.files):
-        raise EncodingError(
-            f"{path}: not a packed DocTable archive "
-            f"(missing {sorted(_PACKED_REQUIRED - set(archive.files))})"
-        )
+    height: int,
+    entries: Tuple[int, int],
+):
+    """The six columns of a packed archive — decoded arrays, or (mapped)
+    paged views and the :class:`~repro.core.paged.PagedPlane` over them.
+    ``entries`` sizes the tag and value dictionaries the codes must fit."""
     page_size = int(_read_member(path, archive, "page_size")[0])
     n = int(_read_member(path, archive, "nodes")[0])
-    height = int(_read_member(path, archive, "height")[0])
     directories: Dict[str, PageDirectory] = {}
     for column, codec in _PACKED_COLUMNS:
         directories[column] = PageDirectory(
@@ -426,53 +410,22 @@ def _load_packed(
                 _read_member(path, archive, f"{column}_offsets"), dtype=np.int64
             ),
         )
-    def fetch(name: str) -> np.ndarray:
-        if mmap:  # mapped in place: no byte is read before a page decodes
-            return _mmap_member(path, _stored_info(path, archive.zip, name))
-        return _read_member(path, archive, name)
-
-    tag_blob = _read_member(path, archive, "tag_dict_blob")
-    tag_offsets = _read_member(path, archive, "tag_dict_offsets")
-    value_blob = fetch("value_dict_blob")
-    value_offsets = fetch("value_dict_offsets")
     legal = {
         "post": (-1, n - 1),
         "level": (0, height),
         "parent": (-1, n - 1),
         "kind": (min(NodeKind), max(NodeKind)),
-        "tag_codes": (0, int(tag_offsets.shape[0]) - 2),
-        "value_codes": (-1, int(value_offsets.shape[0]) - 2),
+        "tag_codes": (0, entries[0] - 1),
+        "value_codes": (-1, entries[1] - 1),
     }
     for column, directory in directories.items():
         check_directory(directory, *legal[column])
-    blobs = {column: fetch(f"{column}_packed") for column, _ in _PACKED_COLUMNS}
-    tag_dictionary = [
-        dictionary_entry(tag_blob, tag_offsets, code)
-        for code in range(int(tag_offsets.shape[0]) - 1)
-    ]
-
+    blobs = {column: fetch(f"{column}_packed") for column in directories}
     if not mmap:
-        decoded = {
+        return {
             column: decode_column(directories[column], blobs[column])
-            for column, _ in _PACKED_COLUMNS
-        }
-        value_dictionary = [
-            dictionary_entry(value_blob, value_offsets, code)
-            for code in range(int(value_offsets.shape[0]) - 1)
-        ]
-        values = [
-            None if code < 0 else value_dictionary[code]
-            for code in decoded["value_codes"]
-        ]
-        return DocTable(
-            post=decoded["post"],
-            level=decoded["level"],
-            parent=decoded["parent"],
-            kind=decoded["kind"],
-            tag=StringColumn(decoded["tag_codes"], tag_dictionary),
-            values=values,
-            height=height,
-        )
+            for column in directories
+        }, None
 
     # Paged open: every packed blob is mapped, nothing decoded yet.
     from repro.core.paged import PagedPlane
@@ -480,7 +433,7 @@ def _load_packed(
     cache_full = decode_cache == "full"
     columns: Dict[str, PagedArray] = {}
     stats: Dict[str, PlaneStats] = {}
-    for column, _ in _PACKED_COLUMNS:
+    for column in directories:
         stats[column] = PlaneStats()
         columns[column] = PagedArray(
             directories[column],
@@ -493,29 +446,13 @@ def _load_packed(
             # speed (every access takes the dense fast path).  The
             # out-of-core mode ("blocks") stays lazy and bounded.
             np.asarray(columns[column])
-    values = PagedStrings(columns["value_codes"], value_blob, value_offsets)
-    tag = StringColumn(columns["tag_codes"], tag_dictionary, validate=False)
-    table = DocTable(
-        post=columns["post"],
-        level=columns["level"],
-        parent=columns["parent"],
-        kind=columns["kind"],
-        tag=tag,
-        values=values,
-        validate=False,
-        height=height,
-    )
-    table.plane = PagedPlane(
+    return columns, PagedPlane(
         path=path,
         page_size=page_size,
         nodes=n,
         columns=columns,
         stats=stats,
-        value_dictionary_bytes=int(value_blob.shape[0]),
-        value_dictionary_entries=int(value_offsets.shape[0]) - 1,
-        tag_dictionary_bytes=int(tag_blob.shape[0]),
     )
-    return table
 
 
 def describe_archive(path: str) -> dict:
@@ -536,9 +473,14 @@ def describe_archive(path: str) -> dict:
             "format_version": version,
             "bytes_on_disk": bytes_on_disk,
         }
-        if version == 3:
+        for name in ("tag", "value"):  # the same members in both layouts
+            offsets = _read_member(path, archive, f"{name}_dict_offsets")
+            description[f"{name}_dictionary"] = {
+                "entries": int(offsets.shape[0]) - 1,
+                "bytes": member_sizes.get(f"{name}_dict_blob", 0),
+            }
+        if version == LAYOUT_VERSIONS["packed"]:
             n = int(_read_member(path, archive, "nodes")[0])
-            page_size = int(_read_member(path, archive, "page_size")[0])
             columns = {}
             for column, codec in _PACKED_COLUMNS:
                 offsets = _read_member(path, archive, f"{column}_offsets")
@@ -548,22 +490,12 @@ def describe_archive(path: str) -> dict:
                     "packed_bytes": int(offsets[-1]) if offsets.shape[0] else 0,
                     "logical_bytes": n * column_dtype(column).itemsize,
                 }
-            tag_offsets = _read_member(path, archive, "tag_dict_offsets")
-            value_offsets = _read_member(path, archive, "value_dict_offsets")
             description.update(
                 {
                     "nodes": n,
                     "height": int(_read_member(path, archive, "height")[0]),
-                    "page_size": page_size,
+                    "page_size": int(_read_member(path, archive, "page_size")[0]),
                     "columns": columns,
-                    "tag_dictionary": {
-                        "entries": int(tag_offsets.shape[0]) - 1,
-                        "bytes": member_sizes.get("tag_dict_blob", 0),
-                    },
-                    "value_dictionary": {
-                        "entries": int(value_offsets.shape[0]) - 1,
-                        "bytes": member_sizes.get("value_dict_blob", 0),
-                    },
                 }
             )
         else:

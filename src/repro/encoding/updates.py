@@ -10,6 +10,13 @@ staircase join exploits: a subtree occupies a contiguous preorder
 interval **and** a contiguous postorder interval (both of size
 ``|desc(v)| + 1`` ending at ``post(v)``; Equation (1)).
 
+Text stays coded through a splice: value codes are sliced and
+concatenated like any other column, an inserted fragment's sorted
+dictionary is merged into the table's, and entries the edit orphaned are
+dropped — the spliced table's dictionary is strictly sorted and holds
+exactly the referenced entries, so its archive members equal a fresh
+re-encode's.
+
 The returned tables are fresh (``DocTable`` is immutable by design —
 query results referencing old ranks stay valid against the old table).
 Property tests verify splice-equals-reencode on random documents.
@@ -17,13 +24,13 @@ Property tests verify splice-equals-reencode on random documents.
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.encoding.doctable import DocTable
-from repro.encoding.prepost import encode
+from repro.encoding.codec import compact_dictionary, merge_dictionaries
+from repro.encoding.doctable import DocTable, ValueIndex
+from repro.encoding.prepost import encode_subtree
 from repro.encoding.widths import narrow
 from repro.errors import EncodingError
 from repro.storage.column import StringColumn
@@ -32,31 +39,31 @@ from repro.xmltree.model import Node, NodeKind
 __all__ = ["delete_subtree", "insert_subtree", "replace_subtree"]
 
 
-def _encode_tags(tag: StringColumn, fragment_tags: List[str]):
-    """Fragment tag codes under ``tag``'s dictionary (extended as needed).
+def _splice(column, at: int, fragment: np.ndarray) -> np.ndarray:
+    """``column`` with ``fragment`` inserted ahead of position ``at``."""
+    return np.concatenate([column[:at], fragment, column[at:]], dtype=fragment.dtype)
 
-    Returns ``(codes, dictionary)``.  The splice never materialises the
-    surviving rows as strings — the existing code vector is reused
-    verbatim and only the (small) fragment pays a per-string lookup; the
-    dictionary is copied only when the fragment introduces new tags.
-    Codes orphaned by a deletion stay in the dictionary; they are
-    harmless (name tests go through ``code_of``) and keep the splice
-    O(fragment), not O(document).
+
+def _merge_tags(tag: StringColumn, fragment: StringColumn):
+    """The fragment's tag codes under ``tag``'s dictionary (extended as
+    needed); ``(codes, dictionary)``.
+
+    One lookup per *entry* of the fragment's (small) dictionary, then a
+    gather.  The existing code vector is reused verbatim, and codes a
+    deletion orphaned stay in the in-memory dictionary — harmless (name
+    tests go through ``code_of``; ``save`` writes only entries in use)
+    and it keeps the splice O(fragment), not O(document).
     """
-    codes = np.empty(len(fragment_tags), dtype=np.int32)
     dictionary = tag.dictionary
-    fresh: dict = {}
-    for i, name in enumerate(fragment_tags):
-        code = tag.code_of(name)
-        if code < 0:
-            code = fresh.get(name)
-            if code is None:
-                code = len(dictionary) + len(fresh)
-                fresh[name] = code
-        codes[i] = code
-    if fresh:
-        dictionary = dictionary + list(fresh)
-    return codes, dictionary
+    remap = np.empty(len(fragment.dictionary), dtype=np.int32)
+    for code, name in enumerate(fragment.dictionary):
+        remap[code] = tag.code_of(name)
+        if remap[code] < 0:
+            if dictionary is tag.dictionary:
+                dictionary = list(dictionary)  # copied only when extended
+            remap[code] = len(dictionary)
+            dictionary.append(name)
+    return remap[fragment.codes], dictionary
 
 
 def delete_subtree(doc: DocTable, pre: int) -> DocTable:
@@ -92,9 +99,13 @@ def delete_subtree(doc: DocTable, pre: int) -> DocTable:
         parent=parent,
         kind=doc.kind[keep].copy(),
         # Surviving codes are sliced, never re-encoded (the dictionary
-        # may keep entries the deletion orphaned — see _encode_tags).
+        # may keep entries the deletion orphaned — see _merge_tags).
         tag=StringColumn(doc.tag.codes[keep], doc.tag.dictionary),
-        values=list(compress(doc.values, keep)),
+        values=ValueIndex(
+            *compact_dictionary(
+                doc.values.codes[keep], doc.values.blob, doc.values.offsets
+            )
+        ),
     )
 
 
@@ -128,30 +139,9 @@ def insert_subtree(
         # children; slot it at the end of the attribute block instead.
         before_pre = doc.first_non_attribute_child_of(parent_pre)
 
-    # Encode the incoming subtree standalone to obtain its local ranks.
-    if tree.kind == NodeKind.ELEMENT:
-        fragment = encode(tree)
-        frag_post = fragment.post
-        frag_level = fragment.level
-        frag_parent = fragment.parent
-        frag_kind = fragment.kind
-        frag_tags = list(fragment.tag)
-        frag_values = list(fragment.values)
-        frag_size = len(fragment)
-    else:
-        # Leaf (text/comment/PI/attribute) nodes: a one-row fragment.
-        frag_post = np.zeros(1, dtype=np.int64)
-        frag_level = np.zeros(1, dtype=np.int64)
-        frag_parent = np.asarray([-1], dtype=np.int64)
-        frag_kind = np.asarray([int(tree.kind)], dtype=np.int64)
-        frag_tags = [
-            tree.name
-            if tree.kind
-            in (NodeKind.ATTRIBUTE, NodeKind.PROCESSING_INSTRUCTION)
-            else ""
-        ]
-        frag_values = [tree.value]
-        frag_size = 1
+    # Encode the incoming subtree (or leaf) standalone for its local ranks.
+    fragment = encode_subtree(tree)
+    frag_size = len(fragment)
 
     parent_subtree_end = parent_pre + doc.subtree_size_exact(parent_pre)
     if before_pre is None:
@@ -182,59 +172,45 @@ def insert_subtree(
         # New subtree's posts sit just below the sibling subtree's posts.
         post_base = int(doc.post[before_pre]) - doc.subtree_size_exact(before_pre)
 
-    n = len(doc)
     # --- preorder splice -------------------------------------------------
     # Spliced at the columns' own widths.  More than 2³¹ nodes wrap the
     # rank arithmetic below, but DocTable rejects that length before it
     # looks at a value; the level column is guarded where it is built.
-    post = np.empty(n + frag_size, dtype=doc.post.dtype)
-    level = np.empty(n + frag_size, dtype=doc.level.dtype)
-    parent = np.empty(n + frag_size, dtype=doc.parent.dtype)
-    kind = np.empty(n + frag_size, dtype=doc.kind.dtype)
-
     old_post = doc.post.copy()
     old_post[old_post >= post_base] += frag_size
-    new_post = frag_post + post_base
 
     old_parent = doc.parent.copy()
     old_parent[old_parent >= insert_at] += frag_size
-    new_parent = frag_parent + insert_at
-    new_parent[frag_parent < 0] = parent_pre if parent_pre < insert_at else parent_pre + frag_size
+    new_parent = fragment.parent + insert_at
+    new_parent[0] = parent_pre if parent_pre < insert_at else parent_pre + frag_size
 
-    post[:insert_at] = old_post[:insert_at]
-    post[insert_at : insert_at + frag_size] = new_post
-    post[insert_at + frag_size :] = old_post[insert_at:]
-
-    level[:insert_at] = doc.level[:insert_at]
-    level[insert_at : insert_at + frag_size] = narrow(
-        "level", frag_level.astype(np.int64) + doc.level_of(parent_pre) + 1
+    tag_codes, dictionary = _merge_tags(doc.tag, fragment.tag)
+    blob, offsets, remap, fragment_remap = merge_dictionaries(
+        doc.values.blob, doc.values.offsets,
+        fragment.values.blob, fragment.values.offsets,
     )
-    level[insert_at + frag_size :] = doc.level[insert_at:]
-
-    parent[:insert_at] = old_parent[:insert_at]
-    parent[insert_at : insert_at + frag_size] = new_parent
-    parent[insert_at + frag_size :] = old_parent[insert_at:]
-
-    kind[:insert_at] = doc.kind[:insert_at]
-    kind[insert_at : insert_at + frag_size] = frag_kind
-    kind[insert_at + frag_size :] = doc.kind[insert_at:]
-
-    frag_codes, dictionary = _encode_tags(doc.tag, frag_tags)
-    codes = np.empty(n + frag_size, dtype=np.int32)
-    codes[:insert_at] = doc.tag.codes[:insert_at]
-    codes[insert_at : insert_at + frag_size] = frag_codes
-    codes[insert_at + frag_size :] = doc.tag.codes[insert_at:]
-
-    values = list(doc.values)
-    values[insert_at:insert_at] = frag_values
-
     return DocTable(
-        post=post,
-        level=level,
-        parent=parent,
-        kind=kind,
-        tag=StringColumn(codes, dictionary),
-        values=values,
+        post=_splice(old_post, insert_at, fragment.post + post_base),
+        level=_splice(
+            doc.level,
+            insert_at,
+            narrow(  # widened first: past 2¹⁵ is an error, not a wrap
+                "level",
+                np.add(fragment.level, doc.level_of(parent_pre) + 1, dtype=np.int64),
+            ),
+        ),
+        parent=_splice(old_parent, insert_at, new_parent),
+        kind=_splice(doc.kind, insert_at, fragment.kind),
+        tag=StringColumn(_splice(doc.tag.codes, insert_at, tag_codes), dictionary),
+        values=ValueIndex(
+            _splice(
+                remap[np.asarray(doc.values.codes)],
+                insert_at,
+                fragment_remap[fragment.values.codes],
+            ),
+            blob,
+            offsets,
+        ),
     )
 
 

@@ -2,8 +2,8 @@
 
 Bytes per node is the paper's cost model (Section 4.1: a void ``pre``
 head over 4-byte Monet ``int``/``oid`` tails).  A plane column is held,
-served, spliced and written to v2 members at the width below, whatever
-produced it; nothing selects another width.  *Rank vectors* (contexts,
+served, spliced and written to archive members at the width below,
+whatever produced it; nothing selects another width.  *Rank vectors* (contexts,
 fragments, results, payloads) are a different thing and stay ``int64``:
 kernels gather context-sized values out of a column and let the
 ``int64`` rank operand promote the arithmetic, they never widen a whole
@@ -21,7 +21,9 @@ __all__ = ["COLUMN_DTYPES", "column_dtype", "narrow"]
 #: Column → resident dtype.  ``post``/``parent`` hold ranks in
 #: ``[-1, n)``, so a shard is capped at 2³¹ nodes; ``level`` caps the
 #: height at 2¹⁵; ``kind`` is a :class:`~repro.xmltree.model.NodeKind`;
-#: dictionary codes are what ``StringColumn``/``ValueIndex`` always used.
+#: dictionary codes are what ``StringColumn``/``ValueIndex`` always used;
+#: ``dict_offsets`` index a dictionary's UTF-8 blob, capping it at
+#: 2³¹ − 1 bytes.
 COLUMN_DTYPES = {
     "post": np.dtype(np.int32),
     "level": np.dtype(np.int16),
@@ -29,6 +31,7 @@ COLUMN_DTYPES = {
     "kind": np.dtype(np.int8),
     "tag_codes": np.dtype(np.int32),
     "value_codes": np.dtype(np.int32),
+    "dict_offsets": np.dtype(np.int32),
 }
 
 _INT64 = np.dtype(np.int64)

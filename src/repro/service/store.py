@@ -2,8 +2,8 @@
 
 Footnote 1 of the paper gathers several documents under one virtual
 root; a :class:`ShardedStore` keeps *several such planes* — shards —
-each persisted as one v2 ``.npz`` archive
-(:mod:`repro.encoding.persist`), plus a small JSON manifest recording
+each persisted as one ``.npz`` archive
+(:mod:`repro.encoding.persist`, eager or packed layout), plus a small JSON manifest recording
 the epoch, the shard files, and which member documents live where.
 
 The layout on disk::
@@ -54,6 +54,7 @@ from repro.encoding.collection import DocumentCollection
 from repro.encoding.decode import subtree as _decode_subtree
 from repro.encoding.persist import (
     FORMAT_VERSION,
+    LAYOUT_VERSIONS,
     describe_archive,
     load,
     save,
@@ -78,7 +79,7 @@ MANIFEST = "manifest.json"
 COMPRESSION_SETTINGS = ("auto", "none", "packed")
 
 #: ``auto`` threshold: shards at or above this node count are written
-#: packed (FORMAT_VERSION 3).  Small shards gain little from packing and
+#: packed (``format_version`` 3).  Small shards gain little from packing and
 #: load faster eagerly.
 AUTO_PACK_NODES = 65536
 
@@ -179,7 +180,7 @@ class ShardedStore:
 
         ``compression`` (``"auto"``/``"none"``/``"packed"``) selects the
         shard archive format: ``packed`` writes compressed pageable
-        FORMAT_VERSION 3 planes, ``none`` the eager v2 layout, and
+        planes, ``none`` the eager layout, and
         ``auto`` packs shards of :data:`AUTO_PACK_NODES` nodes or more.
         The setting persists in the manifest and applies to every later
         commit.
@@ -217,7 +218,7 @@ class ShardedStore:
                     "nodes": len(collection.doc),
                     "height": collection.doc.height,
                     "tags": collection.tag_statistics(),
-                    "format": 3 if shard_compression == "packed" else 2,
+                    "format": LAYOUT_VERSIONS[shard_compression],
                 }
             )
         manifest = {
@@ -396,7 +397,7 @@ class ShardedStore:
         """Bytes-level report: disk/decoded accounting per shard.
 
         Backs the ``store info`` CLI verb.  Per shard: bytes on disk,
-        archive format version, page counts and dictionary sizes (packed
+        archive format version, dictionary sizes, page counts (packed
         shards), and — when the shard plane is open in this process —
         blocks/bytes decoded per column, so the paging behaviour is
         observable without running the bench.
@@ -415,9 +416,11 @@ class ShardedStore:
                     "nodes": entry["nodes"],
                     "format_version": archive["format_version"],
                     "bytes_on_disk": archive["bytes_on_disk"],
+                    "tag_dictionary": archive["tag_dictionary"],
+                    "value_dictionary": archive["value_dictionary"],
                 }
                 total_disk += archive["bytes_on_disk"]
-                if archive["format_version"] == 3:
+                if "columns" in archive:  # the packed layout
                     columns = archive["columns"]
                     record["page_size"] = archive["page_size"]
                     record["pages"] = sum(c["pages"] for c in columns.values())
@@ -427,8 +430,6 @@ class ShardedStore:
                     record["logical_bytes"] = sum(
                         c["logical_bytes"] for c in columns.values()
                     )
-                    record["tag_dictionary"] = archive["tag_dictionary"]
-                    record["value_dictionary"] = archive["value_dictionary"]
                     total_logical += record["logical_bytes"]
                 cached = self._collections.get(entry["id"])
                 if cached is not None and cached[0] == entry["file"]:
@@ -797,7 +798,7 @@ class ShardedStore:
             shard_compression = _resolve_compression(
                 setting, len(collection.doc)
             )
-            formats[shard_id] = 3 if shard_compression == "packed" else 2
+            formats[shard_id] = LAYOUT_VERSIONS[shard_compression]
             save(
                 collection.doc,
                 os.path.join(self.directory, _shard_file_name(shard_id, epoch)),

@@ -343,7 +343,7 @@ class _PredicateColumns:
                 return None
             strings = self.strings(subject)
             literal = self.rt._to_string(needle.value)
-            index = self.doc.value_index()
+            index = self.doc.values
             if name == "contains":
                 table = index.containing(literal)
                 return Bools(
@@ -364,7 +364,7 @@ class _PredicateColumns:
 
     def _entry_lengths(self, codes: np.ndarray) -> np.ndarray:
         """Code-point lengths of dictionary entries (distinct codes only)."""
-        index = self.doc.value_index()
+        index = self.doc.values
         distinct, inverse = np.unique(codes, return_inverse=True)
         lengths = np.fromiter(
             (len(index.entry(int(code))) for code in distinct),
@@ -455,7 +455,7 @@ class _PredicateColumns:
         :meth:`~repro.encoding.doctable.DocTable.string_value`.
         """
         doc = self.doc
-        value_codes = doc.value_index().codes
+        value_codes = doc.values.codes
         codes = np.full(len(nodes), -1, dtype=np.int64)
         extras: List[str] = []
         slots = np.nonzero(nodes >= 0)[0]
@@ -501,7 +501,7 @@ class _PredicateColumns:
             mask = np.zeros(self.size, dtype=bool)
             mask[column.origin] = True
             return mask
-        offsets = self.doc.value_index().offsets
+        offsets = self.doc.values.offsets
         return _map_strings(
             column, lambda codes: offsets[codes + 1] > offsets[codes], bool, bool
         )
@@ -515,7 +515,7 @@ class _PredicateColumns:
             return column.values
         if isinstance(column, NodeSet):
             column = self.first_strings(column)
-        table = self.doc.value_index().numbers()
+        table = self.doc.values.numbers()
         return _map_strings(column, table.__getitem__, xpath_number, np.float64)
 
     def strings(self, column: Column) -> Strings:
@@ -605,7 +605,7 @@ class _PredicateColumns:
                     (left, right.value) if isinstance(left, Strings)
                     else (right, left.value)
                 )
-                code = self.doc.value_index().find(literal)
+                code = self.doc.values.find(literal)
                 equal = _map_strings(
                     strings, lambda codes: codes == code, literal.__eq__, bool
                 )

@@ -162,3 +162,48 @@ def random_tree(
             parent.append(child)
         nodes.append(child)
     return root
+
+
+# ----------------------------------------------------------------------
+# The two-visit encoder (the library's ``encode`` up to PR 19)
+# ----------------------------------------------------------------------
+def encode_columns(root: Node) -> Dict[str, list]:
+    """Per-node columns of the subtree at ``root`` as plain Python lists,
+    by the textbook two-visit walk: a frame is pushed once to hand out
+    the preorder rank and schedule the children, then met again to hand
+    out the postorder rank.  ``tag`` and ``value`` are the per-node
+    strings themselves (``None``: an element has no value).
+    """
+    post: List[int] = []
+    level: List[int] = []
+    parent: List[int] = []
+    kind: List[int] = []
+    tag: List[str] = []
+    value: list = []
+    post_counter = 0
+    stack = [(root, -1, 0, False)]
+    exit_pre: List[int] = []
+    while stack:
+        node, parent_pre, depth, entered = stack.pop()
+        if entered:
+            post[exit_pre.pop()] = post_counter
+            post_counter += 1
+            continue
+        pre = len(kind)
+        post.append(-1)
+        level.append(depth)
+        parent.append(parent_pre)
+        kind.append(int(node.kind))
+        named = node.kind in (
+            NodeKind.ELEMENT, NodeKind.ATTRIBUTE, NodeKind.PROCESSING_INSTRUCTION
+        )
+        tag.append(node.name if named else "")
+        value.append(None if node.kind == NodeKind.ELEMENT else node.value)
+        stack.append((node, parent_pre, depth, True))
+        exit_pre.append(pre)
+        for child in reversed(node.children):
+            stack.append((child, pre, depth + 1, False))
+    return {
+        "post": post, "level": level, "parent": parent,
+        "kind": kind, "tag": tag, "value": value,
+    }

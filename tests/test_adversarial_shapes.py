@@ -136,3 +136,92 @@ class TestShapeSpecificBounds:
         leaves = prune(doc, everything, "ancestor")
         assert all(doc.subtree_size_exact(int(p)) == 0 for p in leaves)
         assert len(leaves) == 2 ** 6
+
+
+class TestEncoderOnExtremeShapes:
+    """The single-pass encoder is linear in n whatever the height or the
+    fan-out, and text stays coded whatever the characters."""
+
+    @staticmethod
+    def spine(depth):
+        root = node = element("x")
+        for _ in range(depth - 1):
+            node = node.append(element("x"))
+        return root
+
+    @staticmethod
+    def best_of(tree, runs=5):
+        import gc
+        import time
+
+        best = float("inf")
+        gc.collect()
+        gc.disable()  # a collection scanning the other fixture must not pick the loser
+        try:
+            for _ in range(runs):
+                started = time.perf_counter()
+                doc = encode(tree)
+                best = min(best, time.perf_counter() - started)
+        finally:
+            gc.enable()
+        return doc, best
+
+    def test_a_30000_level_spine_costs_what_a_flat_tree_does(self):
+        flat = element("x", *[element("x") for _ in range(29_999)])
+        flat_doc, flat_s = self.best_of(flat)
+        spine_doc, spine_s = self.best_of(self.spine(30_000))
+        assert len(flat_doc) == len(spine_doc) == 30_000
+        assert spine_doc.height == 29_999 and flat_doc.height == 1
+        # post of a spine counts down, of a star counts up then the hub.
+        assert spine_doc.post.tolist() == list(range(29_999, -1, -1))
+        assert flat_doc.post.tolist() == [29_999] + list(range(29_999))
+        assert spine_doc.parent.tolist() == list(range(-1, 29_999))
+        assert spine_s <= 5 * flat_s, (spine_s, flat_s)  # no per-level quadratic
+
+    def test_a_100000_child_flat_element(self):
+        from repro.xmltree.model import text
+
+        hub = element("hub", *[element("leaf", text(str(i % 7))) for i in range(100_000)])
+        doc = encode(hub)
+        assert len(doc) == 200_001 and doc.height == 2
+        assert int(doc.post[0]) == 200_000
+        assert doc.subtree_size_exact(0) == 200_000
+        assert doc.parent[1::2].tolist() == [0] * 100_000
+        assert doc.values.dictionary_size == 7
+        assert doc.value_of(2) == "0" and doc.value_of(200_000) == str(99_999 % 7)
+
+    def test_a_32768_deep_spine_is_still_the_height_error(self):
+        from repro.errors import EncodingError
+
+        with pytest.raises(EncodingError, match="level"):
+            encode(self.spine(2**15 + 1))
+        assert encode(self.spine(2**15)).height == 2**15 - 1
+
+    def test_non_bmp_and_combining_values_sort_as_utf8_bytes(self):
+        """Python orders ``str`` by code point, the dictionary by UTF-8
+        byte: the same order (what ``encode_dictionary`` asserts), also
+        past the BMP, where UTF-16 order would differ."""
+        from repro.xmltree.model import text
+
+        texts = [
+            "\U0001F600",  # 4-byte UTF-8, above...
+            "\uFFFD",  # ...this 3-byte one in both orders (UTF-16 disagrees)
+            "e\u0301",  # combining acute: two code points, not U+00E9
+            "\u00e9",
+            "e",
+            "",
+            "\U00010000",
+            "\uD7FF",
+            "z",
+        ]
+        doc = encode(element("r", *[element("v", text(t)) for t in texts]))
+        values = doc.values
+        assert [doc.value_of(2 + 2 * i) for i in range(len(texts))] == texts
+        entries = [values.entry(code) for code in range(values.dictionary_size)]
+        assert entries == sorted(texts)
+        assert [e.encode("utf-8") for e in entries] == sorted(
+            t.encode("utf-8") for t in texts
+        )
+        for t in texts:
+            assert values.entry(values.find(t)) == t
+        assert values.find("e\u0301") != values.find("\u00e9")

@@ -8,8 +8,11 @@ what every producer and consumer owes it:
   nodes, so well past ``int16``) that a column width leaking into a rank
   vector wraps visibly;
 * depth and size limits are clean ``EncodingError``s, never wraps;
-* splices keep the widths; v3 bytes do not move; archives the parent
-  commit wrote (v2 ``int64`` members) still open and answer identically;
+* splices keep the widths and a canonical dictionary (strictly sorted,
+  exactly the referenced entries), so splice == re-encode member for
+  member in both layouts; v3 bytes do not move but for the dictionary
+  offsets' width, and packed archives written with 8-byte offsets still
+  open and answer identically;
 * no code path copies a whole column to another dtype;
 * a forged v3 page directory, or a v3 file smuggling a pickle, is
   rejected before a data page (or the unpickler) is touched.
@@ -33,8 +36,7 @@ from repro.errors import EncodingError
 from repro.harness.queries import QUERY_SUITE
 from repro.harness.workloads import get_forest
 from repro.service import QueryService, ShardedStore
-from repro.storage.column import StringColumn
-from repro.xmltree.model import element, text
+from repro.xmltree.model import attribute, element, text
 from repro.xpath.axes import AxisExecutor
 from repro.xpath.evaluator import Evaluator
 
@@ -61,13 +63,22 @@ def assert_at_width(doc):
 
 
 def members(path):
-    """Numeric members of an archive, ``name → (dtype, bytes)``."""
-    with np.load(path, allow_pickle=True) as archive:
+    """Members of an archive (all numeric), ``name → (dtype, bytes)``."""
+    with np.load(path) as archive:
         return {
             name: (str(archive[name].dtype), archive[name].tobytes())
             for name in archive.files
-            if archive[name].dtype != object
         }
+
+
+def digest(path, skip=()):
+    sha = hashlib.sha256()
+    for name, (dtype, data) in sorted(members(path).items()):
+        if name not in skip:
+            sha.update(name.encode())
+            sha.update(dtype.encode())
+            sha.update(data)
+    return sha.hexdigest()
 
 
 def chain(depth):
@@ -214,21 +225,74 @@ class TestLimits:
 # ----------------------------------------------------------------------
 # (c) splices keep the widths and the v3 bytes
 # ----------------------------------------------------------------------
-#: sha256 over the sorted numeric members of ``save(..., "packed")`` for
-#: ``DocumentCollection(get_forest(2, 0.05)).doc`` — recorded at the
-#: commit before columns were narrowed.  v3 bytes do not move.
-V3_GOLDEN = "a7be87588f974087ba2b7f8f9e44ca0fa8f04e8af669530f79216b5f3ce54644"
+#: sha256 over the sorted members of ``save(..., "packed")`` for
+#: ``DocumentCollection(get_forest(2, 0.05)).doc``.  Re-recorded when the
+#: dictionary offsets went from 8 to 4 bytes (PR 20); up to then
+#: ``a7be8758…4644``, unchanged since before columns were narrowed.
+V3_GOLDEN = "c1d3e668033c0d6778ede29cfce3973108d4ab853b4cf1a97e23004ae649b4e8"
+
+_DICT_OFFSETS = ("tag_dict_offsets", "value_dict_offsets")
+
+#: The same digest without the two offsets members, recorded at the
+#: commit *before* PR 20: nothing else in a v3 file moved.
+V3_GOLDEN_BUT_OFFSETS = "7aa562424813759a7098a0e528e19b994f076d1d2f3586013f4d5af14b9b436b"
 
 
 def test_v3_members_are_byte_identical_to_the_wide_era(tmp_path):
     path = str(tmp_path / "golden.npz")
     save(DocumentCollection(get_forest(2, 0.05)).doc, path, compression="packed")
-    digest = hashlib.sha256()
-    for name, (dtype, data) in sorted(members(path).items()):
-        digest.update(name.encode())
-        digest.update(dtype.encode())
-        digest.update(data)
-    assert digest.hexdigest() == V3_GOLDEN
+    assert digest(path) == V3_GOLDEN
+    assert digest(path, skip=_DICT_OFFSETS) == V3_GOLDEN_BUT_OFFSETS
+    written = members(path)
+    for name in _DICT_OFFSETS:  # only their width moved
+        assert written[name][0] == "int32"
+
+
+def widen_offsets(source, target):
+    """``source`` (packed) as PR 19 wrote it: 8-byte dictionary offsets."""
+    with np.load(source) as archive:
+        content = {name: archive[name] for name in archive.files}
+    for name in _DICT_OFFSETS:
+        content[name] = content[name].astype(np.int64)
+    np.savez(target, **content)
+
+
+def test_a_packed_archive_with_8_byte_offsets_loads_and_answers_identically(tmp_path):
+    """What a store built at the parent commit with
+    ``compression="packed"`` holds: member for member today's file, the
+    offsets at ``int64`` (pinned by the parent-era digest above)."""
+    doc = DocumentCollection(get_forest(1, 0.05)).doc
+    save(doc, str(tmp_path / "now.npz"), compression="packed")
+    path = str(tmp_path / "parent-era.npz")
+    widen_offsets(str(tmp_path / "now.npz"), path)
+    assert members(path)["value_dict_offsets"][0] == "int64"
+    assert describe_archive(path)["value_dictionary"] == describe_archive(
+        str(tmp_path / "now.npz")
+    )["value_dictionary"]
+    for mmap in (False, True):
+        table = load(path, mmap=mmap)
+        assert_at_width(table)
+        assert table.values.offsets.dtype == COLUMN_DTYPES["dict_offsets"]
+        assert table.values == doc.values
+        for name, column in structure(doc).items():
+            assert np.array_equal(structure(table)[name], column)
+        for engine in ENGINES:
+            for query in QUERIES + ('//person[name = "x"]', "//bidder[increase > 10]"):
+                got = Evaluator(table, engine=engine).evaluate(query)
+                want = Evaluator(doc, engine=engine).evaluate(query)
+                assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+
+
+def assert_canonical(values):
+    """Strictly sorted as UTF-8, and exactly the entries some code uses."""
+    entries = [
+        bytes(values.blob[values.offsets[c] : values.offsets[c + 1]])
+        for c in range(values.dictionary_size)
+    ]
+    assert all(a < b for a, b in zip(entries, entries[1:]))
+    used = np.unique(np.asarray(values.codes))
+    assert used[used >= 0].tolist() == list(range(len(entries)))
+    values.check()
 
 
 def test_splices_keep_every_width_and_reencode_identically(tmp_path):
@@ -236,64 +300,101 @@ def test_splices_keep_every_width_and_reencode_identically(tmp_path):
     person = int(Evaluator(doc).evaluate("//person")[3])
     parent = doc.parent_of(person)
     fragment = subtree(doc, person)
+    # A text whose string occurs nowhere else: deleting it must drop the
+    # entry, replacing it must swap one entry for another.
+    name_text = int(Evaluator(doc).evaluate("//person/name/text()")[3])
+    only_holder = doc.value_of(name_text)
+    assert int((np.asarray(doc.values.codes) == doc.values.find(only_holder)).sum()) == 1
+    entries = doc.values.dictionary_size
+    first, last = doc.values.entry(0), doc.values.entry(entries - 1)
     spliced = {
         "insert": insert_subtree(doc, parent, fragment, before_pre=person),
         "insert-leaf": insert_subtree(doc, person, text("leaf")),
         "replace": replace_subtree(doc, person, fragment),
         "remove": delete_subtree(doc, person),
+        # value-bearing edits
+        "replace-new-string": replace_subtree(doc, name_text, text("a string nobody holds")),
+        "replace-known-string": replace_subtree(doc, name_text, text(first)),
+        "delete-only-holder": delete_subtree(doc, name_text),
+        "insert-before-every-entry": insert_subtree(doc, person, text("")),
+        "insert-after-every-entry": insert_subtree(doc, person, text(last + "\U0010FFFF")),
+        "insert-attribute-empty": insert_subtree(doc, person, attribute("k", "")),
+        "insert-both-ends": insert_subtree(
+            doc, person, element("e", text(last + "z"), element("f", text("\t")), a="")
+        ),
+    }
+    assert "" not in (first, last)  # the corpus has no empty text
+    expected_entries = {
+        "replace-new-string": entries,  # one out, one in
+        "replace-known-string": entries - 1,
+        "delete-only-holder": entries - 1,
+        "insert-before-every-entry": entries + 1,
+        "insert-after-every-entry": entries + 1,
+        "insert-attribute-empty": entries + 1,
+        "insert-both-ends": entries + 3,
     }
     for label, table in spliced.items():
         assert_at_width(table)
-        # Re-encoding the edited tree from scratch packs to the same v3
-        # members as the splice (same tag set, so the same dictionary).
-        save(table, str(tmp_path / "spliced.npz"), compression="packed")
-        save(encode(decode(table)), str(tmp_path / "fresh.npz"), compression="packed")
-        assert members(str(tmp_path / "spliced.npz")) == members(
-            str(tmp_path / "fresh.npz")
-        ), label
-        for mmap in (False, True):
-            assert_at_width(load(str(tmp_path / "spliced.npz"), mmap=mmap))
+        assert table.values.codes.dtype == COLUMN_DTYPES["value_codes"], label
+        assert table.values.offsets.dtype == COLUMN_DTYPES["dict_offsets"], label
+        assert_canonical(table.values)
+        if label in expected_entries:
+            assert table.values.dictionary_size == expected_entries[label], label
+        assert list(table.values) == list(encode(decode(table)).values), label
+        # Re-encoding the edited tree from scratch writes the same
+        # members as the splice, in both layouts.
+        for compression in ("packed", "none"):
+            save(table, str(tmp_path / "spliced.npz"), compression=compression)
+            save(encode(decode(table)), str(tmp_path / "fresh.npz"), compression=compression)
+            assert members(str(tmp_path / "spliced.npz")) == members(
+                str(tmp_path / "fresh.npz")
+            ), (label, compression)
+            for mmap in (False, True):
+                assert_at_width(load(str(tmp_path / "spliced.npz"), mmap=mmap))
+    assert spliced["insert-before-every-entry"].values.entry(0) == ""
+    assert spliced["delete-only-holder"].values.find(only_holder) == -1
 
 
-def test_v2_members_are_written_at_width(tmp_path):
+def test_200_add_remove_cycles_leave_a_fresh_encodes_members(tmp_path):
+    """``mixed_update``'s add/remove cycles cannot grow the store: every
+    cycle brings strings (and a tag) nobody else holds and takes them
+    away again, and the final packed members are a fresh re-encode's."""
+    forest = get_forest(2, 0.02)
+    collection = DocumentCollection(forest)
+    save(collection.doc, str(tmp_path / "start.npz"), compression="packed")
+    start = members(str(tmp_path / "start.npz"))
+    entries = collection.doc.values.dictionary_size
+    for cycle in range(200):
+        extra = element(
+            "site",
+            element(f"tag{cycle}", text(f"only in cycle {cycle}"), id=f"c{cycle}"),
+            element("people", element("person", element("name", text("Extra")))),
+        )
+        collection = collection.insert_document(f"extra-{cycle}", extra)
+        assert collection.doc.values.dictionary_size == entries + 3
+        collection = collection.remove_document(f"extra-{cycle}")
+        assert collection.doc.values.dictionary_size == entries
+    assert_canonical(collection.doc.values)
+    assert collection.doc.values.blob.tobytes() == DocumentCollection(
+        forest
+    ).doc.values.blob.tobytes()
+    save(collection.doc, str(tmp_path / "end.npz"), compression="packed")
+    save(DocumentCollection(forest).doc, str(tmp_path / "fresh.npz"), compression="packed")
+    assert members(str(tmp_path / "end.npz")) == members(str(tmp_path / "fresh.npz")) == start
+    # ... though the in-memory tag dictionary kept the 200 orphans.
+    assert len(collection.doc.tag.dictionary) >= 200
+
+
+def test_eager_members_are_written_at_width(tmp_path):
     doc = DocumentCollection(get_forest(1, 0.05)).doc
     path = str(tmp_path / "eager.npz")
     save(doc, path)
     written = members(path)
-    for name in ("post", "level", "parent", "kind", "tag_codes"):
+    for name in ("post", "level", "parent", "kind", "tag_codes", "value_codes"):
         assert written[name][0] == COLUMN_DTYPES[name].name
-    assert describe_archive(path)["format_version"] == 2
-
-
-# ----------------------------------------------------------------------
-# (d) archives from before: v2 with int64 members
-# ----------------------------------------------------------------------
-def test_a_wide_era_v2_archive_loads_and_answers_identically(tmp_path):
-    doc = DocumentCollection(get_forest(1, 0.05)).doc
-    path = str(tmp_path / "wide.npz")
-    np.savez(  # the parent commit's ``_save_eager``, member for member
-        path,
-        format_version=np.asarray([2], dtype=np.int64),
-        post=np.ascontiguousarray(doc.post, dtype=np.int64),
-        level=np.ascontiguousarray(doc.level, dtype=np.int64),
-        parent=np.ascontiguousarray(doc.parent, dtype=np.int64),
-        kind=np.ascontiguousarray(doc.kind, dtype=np.int64),
-        tag_codes=np.ascontiguousarray(doc.tag.codes, dtype=np.int32),
-        tag_dictionary=np.asarray(doc.tag.dictionary, dtype=object),
-        values=np.asarray(
-            ["\x00<none>" if v is None else v for v in doc.values], dtype=object
-        ),
-    )
-    for mmap in (False, True):
-        table = load(path, mmap=mmap)
-        assert_at_width(table)
-        for name, column in structure(doc).items():
-            assert np.array_equal(structure(table)[name], column)
-        for engine in ENGINES:
-            for query in QUERIES:
-                got = Evaluator(table, engine=engine).evaluate(query)
-                want = Evaluator(doc, engine=engine).evaluate(query)
-                assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+    for name in _DICT_OFFSETS:
+        assert written[name][0] == COLUMN_DTYPES["dict_offsets"].name
+    assert describe_archive(path)["format_version"] == 4
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +426,7 @@ def test_no_query_converts_a_whole_column(tmp_path, monkeypatch):
                 service.execute_batch(QUERIES, engine=engine, use_cache=False)
         table = opened.collection(0).doc
         save(table, str(tmp_path / "again.npz"), compression="packed")
-        save(table, str(tmp_path / "again-v2.npz"))
+        save(table, str(tmp_path / "again-eager.npz"))
     assert converted == []
 
 
@@ -436,11 +537,3 @@ def test_a_v3_archive_never_reaches_the_unpickler(packed_archive, tmp_path, memb
     except EncodingError:
         pass
     assert Smuggled.fired == []
-
-
-def test_v2_object_members_still_load(tmp_path):
-    doc = encode(element("a", element("b", text("t"))))
-    path = str(tmp_path / "v2.npz")
-    save(doc, path)
-    assert load(path).values == doc.values == [None, None, "t"]
-    assert isinstance(load(path).tag, StringColumn)

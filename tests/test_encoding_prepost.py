@@ -4,11 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.encoding.prepost import encode
+from repro.encoding.codec import dictionary_entry
+from repro.encoding.prepost import encode, encode_subtree
+from repro.encoding.widths import COLUMN_DTYPES
 from repro.errors import EncodingError
-from repro.xmltree.model import NodeKind, comment, document, element, text
+from repro.xmltree.model import (
+    NodeKind,
+    attribute,
+    comment,
+    document,
+    element,
+    processing_instruction,
+    text,
+)
 
-from _reference import pre_of, preorder_nodes, random_tree
+from _reference import encode_columns, pre_of, preorder_nodes, random_tree
+from test_xpath_fuzz import value_tree
 
 # The table of Figure 2: node tag → (pre, post).
 FIGURE2 = {
@@ -93,6 +104,74 @@ class TestEncodeInputs:
         assert doc.value_of(0) is None
         assert doc.value_of(1) == "42"
         assert doc.value_of(2) == "body"
+
+
+def assert_matches_the_two_visit_encoder(root):
+    """Column for column against ``tests/_reference.py``'s encoder, plus
+    what the coded value column owes every consumer: declared widths, a
+    strictly sorted dictionary holding exactly the referenced entries."""
+    doc, reference = encode_subtree(root), encode_columns(root)
+    for name in ("post", "level", "parent", "kind"):
+        column = getattr(doc, name)
+        assert column.dtype == COLUMN_DTYPES[name]
+        assert column.tolist() == reference[name], name
+    assert doc.tag.codes.dtype == COLUMN_DTYPES["tag_codes"]
+    assert list(doc.tag) == reference["tag"]
+    values = doc.values
+    assert values.codes.dtype == COLUMN_DTYPES["value_codes"]
+    assert values.offsets.dtype == COLUMN_DTYPES["dict_offsets"]
+    decoded = list(values)
+    assert decoded == reference["value"]  # ``None`` and ``""`` stay apart
+    assert [v is None for v in decoded] == [v is None for v in reference["value"]]
+    entries = [
+        dictionary_entry(values.blob, values.offsets, code).encode("utf-8")
+        for code in range(values.dictionary_size)
+    ]
+    assert entries == sorted({v.encode("utf-8") for v in decoded if v is not None})
+    values.check()
+    return doc
+
+
+class TestAgainstTheTwoVisitEncoder:
+    @given(seed=st.integers(0, 5000), size=st.integers(1, 250))
+    @settings(max_examples=80, deadline=None)
+    def test_random_trees(self, seed, size):
+        assert_matches_the_two_visit_encoder(random_tree(size, seed))
+
+    @given(seed=st.integers(0, 5000), size=st.integers(0, 120))
+    @settings(max_examples=80, deadline=None)
+    def test_value_trees(self, seed, size):
+        """The value-predicate fuzz generator: repeated values, empty
+        elements, mixed content, valued attributes, comments."""
+        assert_matches_the_two_visit_encoder(value_tree(size, seed))
+
+    @given(
+        st.lists(
+            st.one_of(st.none(), st.text(max_size=6)), min_size=1, max_size=30
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_arbitrary_text_including_the_empty_string(self, texts):
+        root = element("r")
+        for i, value in enumerate(texts):
+            if value is None:
+                root.append(element(f"e{i % 3}"))
+            elif i % 3 == 0:
+                root.append(comment(value))
+            else:
+                root.append(text(value))
+        root.set_attribute("k", "")
+        doc = assert_matches_the_two_visit_encoder(root)
+        assert doc.value_of(0) is None and doc.value_of(1) == ""
+
+    @pytest.mark.parametrize(
+        "leaf",
+        [text("t"), comment(""), attribute("k", "v"), processing_instruction("p", "d")],
+        ids=lambda node: node.kind.name.lower(),
+    )
+    def test_a_leaf_is_a_one_row_table(self, leaf):
+        doc = assert_matches_the_two_visit_encoder(leaf)
+        assert len(doc) == 1 and doc.parent_of(0) == -1 and doc.post_of(0) == 0
 
 
 class TestInvariants:

@@ -96,7 +96,7 @@ class TestCompressionSetting:
         )
         assert store.compression == "auto"
         for entry in store._manifest["shards"]:
-            assert entry["format"] == 2
+            assert entry["format"] == 4
 
     def test_reopened_store_keeps_setting(self, packed_store):
         reopened = ShardedStore.open(packed_store.directory)
@@ -228,8 +228,11 @@ class TestPaging:
     def test_info_on_plain_store_omits_packing_fields(self, plain_store):
         info = plain_store.info()
         for shard in info["shards"]:
-            assert shard["format_version"] == 2
+            assert shard["format_version"] == 4
             assert "pages" not in shard
+            # ... but the dictionaries are reported for either layout.
+            assert shard["tag_dictionary"]["entries"] > 0
+            assert shard["value_dictionary"]["bytes"] > 0
         assert info["total_logical_bytes"] == 0
 
 

@@ -375,22 +375,25 @@ class TestDictionarySearch:
         archive = str(tmp_path / "dblp.npz")
         save(dblp, archive, compression="packed")
         paged = load(archive, mmap=True)
-        eager, packed = dblp.value_index(), paged.value_index()
-        assert isinstance(eager, ValueIndex) and eager is dblp.value_index()
-        assert len(eager) == len(packed)
+        eager, packed = dblp.values, paged.values
+        assert isinstance(eager, ValueIndex) and isinstance(packed, ValueIndex)
+        assert len(eager) == len(packed) == len(dblp)
+        assert eager.dictionary_size == packed.dictionary_size
         every = np.arange(len(dblp), dtype=np.int64)
         assert np.array_equal(np.asarray(eager.codes)[every], packed.codes[every])
-        assert [eager.entry(c) for c in range(len(eager))] == [
-            packed.entry(c) for c in range(len(packed))
+        assert eager.blob.tobytes() == packed.blob.tobytes()
+        assert [eager.entry(c) for c in range(eager.dictionary_size)] == [
+            packed.entry(c) for c in range(packed.dictionary_size)
         ]
         assert eager.find("Xavier") == packed.find("Xavier") >= 0
         assert eager.find("nobody") == -1
 
     def test_number_table_has_one_slot_per_entry(self, dblp):
-        index = dblp.value_index()
+        index = dblp.values
         numbers = index.numbers()
-        assert numbers.dtype == np.float64 and numbers.shape == (len(index),)
-        for code in range(len(index)):
+        assert numbers.dtype == np.float64
+        assert numbers.shape == (index.dictionary_size,)
+        for code in range(index.dictionary_size):
             expected = xpath_number(index.entry(code))
             assert numbers[code] == expected or (
                 np.isnan(numbers[code]) and np.isnan(expected)
