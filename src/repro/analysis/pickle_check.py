@@ -45,9 +45,9 @@ def build_representatives() -> List[object]:
     :class:`DocOrderDedup`; the three result modes cover the terminals.
     """
     from repro.encoding.codec import pack_int_column
-    from repro.feedback.records import DriveObservation, StepObservation
     from repro.service.executor import ShardResult, ShardTask
     from repro.service.updates import UpdateOp
+    from repro.xpath.observation import DriveObservation, StepObservation
     from repro.xpath.pipeline import compile_plan
     from repro.xpath.planner import Planner, TagStatistics
 
@@ -74,7 +74,7 @@ def build_representatives() -> List[object]:
         ),
         ShardResult(index=0, shard_id=2, mode="count", counts={"doc-a": 3}),
         UpdateOp(op="delete", document="doc-a", pre=4),
-        # Feedback observations ride the fabric's result messages.
+        # Observations ride the fabric's result messages.
         StepObservation(("step", "descendant", "a"), n_in=4, n_out=9, ns=1200),
         DriveObservation(
             shard_id=2,

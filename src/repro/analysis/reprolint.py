@@ -44,12 +44,6 @@ REP006   Durations and deadlines must use ``time.monotonic()``;
 REP007   ``except Exception`` / ``except BaseException`` / bare
          ``except`` are real decisions: each needs a narrower type or a
          tagged justification.
-REP008   Feedback-store discipline: in :mod:`repro.feedback`, every
-         mutable ``self`` field of a lock-owning class must carry a
-         ``# guarded-by: <lock>`` annotation on its ``__init__``
-         assignment — the adaptive loop's aggregates are written by the
-         service batch path while planners read them concurrently, so
-         an undeclared field is an undeclared race.
 =======  ==============================================================
 """
 
@@ -460,9 +454,9 @@ class LoopConfinement(Rule):
 #: instances of every entry at import time.
 PAYLOAD_REGISTRY: Dict[str, Tuple[str, ...]] = {
     "repro.encoding.codec": ("PageDirectory",),
-    "repro.feedback.records": ("StepObservation", "DriveObservation"),
     "repro.service.executor": ("ShardTask", "ShardResult"),
     "repro.service.updates": ("UpdateOp",),
+    "repro.xpath.observation": ("StepObservation", "DriveObservation"),
     "repro.xpath.planner": ("QueryPlan", "StepDecision"),
     "repro.xpath.pipeline": (
         "ContextInit",
@@ -655,62 +649,6 @@ class ExceptionHygiene(Rule):
         self.generic_visit(node)
 
 
-# ----------------------------------------------------------------------
-# REP008 — feedback-store fields must declare their lock
-# ----------------------------------------------------------------------
-class FeedbackGuardedFields(Rule):
-    code = "REP008"
-    summary = "repro.feedback mutable state must carry guarded-by annotations"
-
-    def run(self) -> List[Finding]:
-        if not self.m.module.startswith("repro.feedback"):
-            return self.findings
-        return super().run()
-
-    def visit_ClassDef(self, node: ast.ClassDef):
-        if self._owns_lock(node):
-            for stmt in node.body:
-                if (
-                    isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and stmt.name == "__init__"
-                ):
-                    self._check_init(node, stmt)
-        self.generic_visit(node)  # nested classes get their own pass
-
-    @staticmethod
-    def _owns_lock(node: ast.ClassDef) -> bool:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Call):
-                if _src(sub.value.func) in ("threading.Lock", "threading.RLock"):
-                    return True
-        return False
-
-    def _check_init(self, cls: ast.ClassDef, init) -> None:
-        for stmt in ast.walk(init):
-            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                continue
-            targets = (
-                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            )
-            for target in targets:
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
-                    continue
-                if "lock" in target.attr.lower():
-                    continue  # the lock itself guards, it is not guarded
-                if stmt.lineno not in self.m.guarded_lines:
-                    self.emit(
-                        stmt,
-                        f"{cls.name}.{target.attr}: feedback-store field "
-                        "assigned without a '# guarded-by: <lock>' "
-                        "annotation; planners read these aggregates while "
-                        "the service batch path writes them",
-                    )
-
-
 RULES: Tuple[type, ...] = (
     EpochFencedCacheKeys,
     LockDiscipline,
@@ -719,7 +657,6 @@ RULES: Tuple[type, ...] = (
     DtypeDiscipline,
     MonotonicDurations,
     ExceptionHygiene,
-    FeedbackGuardedFields,
 )
 
 

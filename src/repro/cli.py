@@ -381,12 +381,12 @@ MISESTIMATE_FACTOR = 8.0
 def _render_analysis(plan, observations) -> str:
     """The estimated-vs-actual table of ``explain --analyze``.
 
-    Aggregates the sampled per-operator observations by operator
+    Aggregates the per-operator observations by operator
     signature (summing across shards) and lines each up with the costed
     plan's cardinality estimate, flagging mis-estimates of
     :data:`MISESTIMATE_FACTOR` or worse.
     """
-    from repro.feedback.records import predicate_signature, step_signature
+    from repro.xpath.observation import predicate_signature, step_signature
 
     order: List[tuple] = []
     agg = {}
@@ -471,12 +471,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         doc = _load_document(args.document)
         statistics = TagStatistics.from_doc(doc)
         source = args.document
-    planner = Planner(
-        statistics,
-        engine=args.engine,
-        pushdown=pushdown,
-        feedback=store.feedback if store is not None else None,
-    )
+    planner = Planner(statistics, engine=args.engine, pushdown=pushdown)
     plan = planner.plan(args.xpath)
     print(
         f"statistics: {source} — {statistics.total_nodes:,} nodes, "
@@ -491,8 +486,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             from repro.service import QueryService
 
             # Serial: the observation path is identical on every
-            # backend, and analyze is a one-shot diagnostic.  Closing
-            # the service persists what the analyzed drive learned.
+            # backend, and analyze is a one-shot diagnostic.
             with QueryService(
                 store, engine=args.engine, backend="serial"
             ) as service:
@@ -501,8 +495,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 )
             total, elapsed_ms = result.total, result.elapsed_s * 1000
         else:
-            # The same driver, with an observer, a sampled shard group
-            # runs through.
+            # The same driver, with an observer, an analyzed shard
+            # group runs through.
             observation, pres = observed_drive(
                 compile_plan(plan),
                 Evaluator(doc, engine=args.engine, mode=plan.skip_mode),
@@ -767,8 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--analyze", action="store_true",
         help="run the query with the observation layer attached and "
-        "print the estimated-vs-actual table (feeds the adaptive loop "
-        "on stores)",
+        "print the estimated-vs-actual table",
     )
     cmd.add_argument(
         "--mode", choices=("materialize", "count", "exists"),

@@ -87,9 +87,9 @@ class ExecutionBackend:
 
         When ``sink`` (a list) is given, the batch is *observed*: every
         eligible task carries the observation layer and the resulting
-        :class:`~repro.feedback.records.DriveObservation` stream is
-        appended to ``sink``.  The service passes a sink on sampled
-        batches only, so the hot path stays unobserved.
+        :class:`~repro.xpath.observation.DriveObservation` stream is
+        appended to ``sink``.  Only ``QueryService.analyze`` passes a
+        sink, so the serving path stays unobserved.
         """
         order = self.store.document_names()
         tasks = self._expand(items, observe=sink is not None)

@@ -29,9 +29,10 @@ each distinct prefix once — eight queries opening with
 times; a ``count`` or ``exists`` query shares every prefix with a
 materializing one because the terminal is not part of the prefix; a
 union enters branch by branch; three scoped queries to one member
-share from the member root down; a sampled group is observed *through*
-the trie.  The worker adds only what the driver takes as arguments:
-the (seed, span) of the scope, an observer when sampled, and — for a
+share from the member root down; an analyzed group is observed
+*through* the trie.  The worker adds only what the driver takes as
+arguments: the (seed, span) of the scope, an observer when a task asks
+for one (``QueryService.analyze``), and — for a
 planned whole-shard group of more than one task — a per-worker,
 byte-budgeted LRU of intermediate context arrays keyed by
 ``(shard file, engine, operator prefix)``; the shard file name carries
@@ -60,8 +61,8 @@ from repro.core.staircase import SkipMode
 from repro.errors import ReproError
 from repro.service.cache import LRUCache
 from repro.service.store import ShardedStore
-from repro.feedback.records import PipelineObserver
 from repro.xpath.evaluator import Evaluator, parse_with_cache
+from repro.xpath.observation import PipelineObserver
 from repro.xpath.pipeline import PhysicalPlan, compile_plan, drive_group
 
 __all__ = [
@@ -85,8 +86,8 @@ class ShardTask(NamedTuple):
     engine: str
     document: Optional[str]  #: scope to one member, or None for the shard
     mode: str = "materialize"  #: result mode: materialize | count | exists
-    #: Sample this task's group into the feedback loop: if any task of
-    #: a (shard, engine, scope, planned) group asks, the group's one
+    #: Observe this task's group (``QueryService.analyze``): if any task
+    #: of a (shard, engine, scope, planned) group asks, the group's one
     #: drive carries an observer and returns one DriveObservation.
     observe: bool = False
 
@@ -111,7 +112,7 @@ class ShardResult:
     ranks: Dict[str, np.ndarray] = field(default_factory=dict)
     counts: Dict[str, int] = field(default_factory=dict)
     found: bool = False
-    #: A sampled group's one DriveObservation, carried by the result of
+    #: An observed group's one DriveObservation, carried by the result of
     #: its first ``observe=True`` task — empty everywhere else.
     observations: tuple = ()
 
@@ -373,8 +374,8 @@ class ShardWorkerState:
         shares the cross-batch prefix cache; a lone task (nothing to
         share — exact repeats are the result cache's job), an unplanned
         plan and a scoped group never touch it.  If any task of a group
-        is sampled, the group's drive carries an observer and its one
-        :class:`~repro.feedback.records.DriveObservation` rides on that
+        is observed, the group's drive carries an observer and its one
+        :class:`~repro.xpath.observation.DriveObservation` rides on that
         task's result.
 
         A shard (or scoped document) a racing update removed mid-flight

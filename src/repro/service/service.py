@@ -44,14 +44,7 @@ from repro.xpath.evaluator import parse_with_cache
 from repro.xpath.pipeline import compile_plan
 from repro.xpath.planner import Planner, QueryPlan, TagStatistics
 
-__all__ = ["QueryService", "ServiceResult", "FEEDBACK_SAMPLE_ENV"]
-
-#: Environment variable overriding the feedback sampling interval: one
-#: batch in every N carries the observation layer (default 16; 1 = every
-#: batch — what the CI smoke uses to learn from a short workload).
-FEEDBACK_SAMPLE_ENV = "REPRO_FEEDBACK_SAMPLE"
-
-_DEFAULT_FEEDBACK_SAMPLE = 16
+__all__ = ["QueryService", "ServiceResult"]
 
 
 @dataclass(frozen=True)
@@ -128,17 +121,6 @@ class QueryService:
         per-query execution path.  Either way the results are
         byte-identical — planning is a cost decision, not a semantic
         one.
-    feedback:
-        Close the adaptive loop (on by default): one uncached batch in
-        every ``REPRO_FEEDBACK_SAMPLE`` (default 16) runs with the
-        observation layer attached, its per-operator cardinalities are
-        absorbed into the store's
-        :class:`~repro.feedback.store.FeedbackStore`, and later plans
-        blend the observed selectivities over the static histogram
-        estimates.  Plan caches are fenced by the feedback *generation*
-        alongside the store epoch, so a re-costed query can never be
-        served from a stale cached plan.  ``False`` keeps planning
-        fully static (and skips the per-batch sampling tick).
     """
 
     def __init__(
@@ -149,7 +131,7 @@ class QueryService:
         result_cache_size: int = 1024,
         planner: bool = True,
         backend: Union[str, ExecutionBackend, None] = None,
-        feedback: bool = True,
+        feedback=None,  # ignored; benchmarks/e2e/e2e_oracle.py:84 still passes it
     ):
         self.store = store
         self.engine = resolve_engine(engine)
@@ -159,17 +141,7 @@ class QueryService:
             backend or os.environ.get(BACKEND_ENV) or "serial", store
         )
         self.planner_enabled = planner
-        self.feedback_enabled = bool(
-            feedback and getattr(store, "feedback", None) is not None
-        )
-        try:
-            self.feedback_sample = max(
-                1, int(os.environ.get(FEEDBACK_SAMPLE_ENV, _DEFAULT_FEEDBACK_SAMPLE))
-            )
-        except ValueError:
-            self.feedback_sample = _DEFAULT_FEEDBACK_SAMPLE
-        self._feedback_tick = 0  # guarded-by: _stats_lock
-        #: (epoch, engine) → Planner — statistics change only at commits.
+        #: (epoch, engine, scoped) → Planner — statistics change only at commits.
         self._planners: Dict[tuple, Planner] = {}
         # Pairs the epoch with the cache state in one critical section:
         # ``apply_updates`` commits + clears under this lock, and
@@ -264,42 +236,18 @@ class QueryService:
             else:
                 missing.setdefault((query, mode), []).append(i)
         if missing:
-            generation = self._generation()
             scoped = document is not None
             items = []
             for query, mode in missing:
-                plan = self._plan(
-                    query,
-                    chosen,
-                    epoch,
-                    planned,
-                    scoped=scoped,
-                    generation=generation,
-                )
+                plan = self._plan(query, chosen, epoch, planned, scoped=scoped)
                 # Scoping is compiled here, once, per union branch — a
                 # path that cannot be scoped fails before any dispatch.
                 items.append(
                     (compile_plan(plan, scoped=scoped), chosen, document, mode)
                 )
-            sink: Optional[list] = None
-            if self.feedback_enabled:
-                # Sampled observation: one uncached batch in every
-                # ``feedback_sample`` carries the observation layer; the
-                # rest run the unobserved hot path.
-                with self._stats_lock:
-                    self._feedback_tick += 1
-                    if self._feedback_tick % self.feedback_sample == 0:
-                        sink = []
             started = time.perf_counter()
-            # sink is only passed when sampling — the common case stays
-            # signature-compatible with wrapped/stubbed backends.
-            if sink is None:
-                merged = self.backend.run_batch(items)
-            else:
-                merged = self.backend.run_batch(items, sink=sink)
+            merged = self.backend.run_batch(items)
             elapsed = time.perf_counter() - started
-            if sink:
-                self.store.feedback.absorb(sink)
             for ((query, mode), positions), payload in zip(missing.items(), merged):
                 result = self._package(query, chosen, mode, payload, elapsed)
                 if use_cache:
@@ -343,11 +291,6 @@ class QueryService:
         rank arrays themselves stay shared."""
         return replace(result, per_document=dict(result.per_document), **overrides)
 
-    def _generation(self) -> int:
-        """The feedback generation plans are currently fenced on
-        (0 — one fixed generation — with feedback off)."""
-        return self.store.feedback.generation if self.feedback_enabled else 0
-
     def _plan(
         self,
         query: str,
@@ -355,16 +298,13 @@ class QueryService:
         epoch: int,
         use_planner: bool,
         scoped: bool = False,
-        generation: Optional[int] = None,
     ):
         """Parse (always cached) and, when planning is on, cost the query.
 
-        Costed plans are cached under ``(epoch, generation, engine,
-        scoped, query)`` in the same LRU as parsed ASTs (plain string
-        keys) — planner decisions depend on the statistics of the epoch
-        *and* the feedback generation they were made against, so a
-        feedback bump re-costs queries instead of serving stale cached
-        plans.  Document-*scoped* execution re-anchors a plan's first
+        Costed plans are cached under ``(epoch, engine, scoped, query)``
+        in the same LRU as parsed ASTs (plain string keys) — planner
+        decisions depend on the statistics of the epoch they were made
+        against.  Document-*scoped* execution re-anchors a plan's first
         step at the member root, where the rewrite laws' root guards
         (stated against the plane's virtual root) no longer hold — e.g.
         ``//site`` collapsed to ``/descendant::site`` would suddenly
@@ -375,38 +315,28 @@ class QueryService:
         parsed = parse_with_cache(query, self.plan_cache)
         if not use_planner:
             return parsed
-        if generation is None:
-            generation = self._generation()
-        key = (epoch, generation, engine, scoped, query)
+        key = (epoch, engine, scoped, query)
         plan = self.plan_cache.get(key)
         if plan is None:
-            plan = self._planner(epoch, engine, scoped, generation).plan(parsed)
+            plan = self._planner(epoch, engine, scoped).plan(parsed)
             self.plan_cache.put(key, plan)
         return plan
 
-    def _planner(
-        self, epoch: int, engine: str, scoped: bool = False, generation: int = 0
-    ) -> Planner:
-        """The planner for one (epoch, generation, engine, scoped) —
-        statistics are read from the manifest once per epoch, not per
-        query, and the planner object pins the feedback generation its
-        cached plans were costed under."""
-        key = (epoch, generation, engine, scoped)
+    def _planner(self, epoch: int, engine: str, scoped: bool = False) -> Planner:
+        """The planner for one (epoch, engine, scoped) — statistics are
+        read from the manifest once per epoch, not per query."""
+        key = (epoch, engine, scoped)
         planner = self._planners.get(key)
         if planner is None:
-            # Statistics changed at the epoch bump (and feedback at the
-            # generation bump): planners of dead keys are dropped rather
-            # than kept alive forever.  pop() because two query threads
-            # may race the same sweep.
-            for stale in [
-                k for k in self._planners if k[0] != epoch or k[1] != generation
-            ]:
+            # Statistics changed at the epoch bump: planners of dead
+            # epochs are dropped rather than kept alive forever.  pop()
+            # because two query threads may race the same sweep.
+            for stale in [k for k in self._planners if k[0] != epoch]:
                 self._planners.pop(stale, None)
             planner = Planner(
                 TagStatistics.from_store(self.store),
                 engine=engine,
                 rewrite=not scoped,
-                feedback=self.store.feedback if self.feedback_enabled else None,
             )
             self._planners[key] = planner
         return planner
@@ -425,16 +355,15 @@ class QueryService:
         document: Optional[str] = None,
         mode: str = "materialize",
     ):
-        """Run ``query`` with the observation layer *forced* on.
+        """Run ``query`` with the observation layer on.
 
         Returns ``(result, plan, observations)`` — the answered
         :class:`ServiceResult`, the costed plan it ran under, and the
-        per-shard :class:`~repro.feedback.records.DriveObservation`
+        per-shard :class:`~repro.xpath.observation.DriveObservation`
         stream — what ``explain --analyze`` renders as its
-        estimated-vs-actual table.  The observations are absorbed into
-        the feedback store (when feedback is enabled), so analyzing a
-        query also teaches the planner.  Bypasses the result cache: an
-        analyze always runs.
+        estimated-vs-actual table.  Nothing is kept: the observations
+        are the caller's.  Bypasses the result cache: an analyze always
+        runs.
         """
         chosen = resolve_engine(engine) if engine is not None else self.engine
         epoch = self.store.epoch
@@ -445,8 +374,6 @@ class QueryService:
         started = time.perf_counter()
         merged = self.backend.run_batch(items, sink=sink)
         elapsed = time.perf_counter() - started
-        if self.feedback_enabled and sink:
-            self.store.feedback.absorb(sink)
         result = self._package(query, chosen, mode, merged[0], elapsed)
         return result, plan, list(sink)
 
@@ -493,15 +420,8 @@ class QueryService:
                 "planner": self.planner_enabled,
                 "plan": self.plan_cache.info(),
                 "result": self.result_cache.info(),
-                "feedback": (
-                    dict(
-                        self.store.feedback.snapshot(),
-                        enabled=True,
-                        sample_interval=self.feedback_sample,
-                    )
-                    if self.feedback_enabled
-                    else {"enabled": False}
-                ),
+                # read by benchmarks/e2e/e2e_runner.py:459
+                "feedback": {"enabled": False, "generation": 0},
             }
 
     def clear_caches(self) -> None:
@@ -509,14 +429,7 @@ class QueryService:
         self.result_cache.clear()
 
     def close(self) -> None:
-        """Release the backend's workers (idempotent) and persist any
-        unsaved feedback aggregates — learned selectivities survive a
-        clean shutdown even when no commit happened."""
-        if self.feedback_enabled:
-            try:
-                self.store.save_feedback()
-            except OSError:  # store directory may already be gone at GC
-                pass
+        """Release the backend's workers (idempotent)."""
         self.backend.close()
 
     def __enter__(self) -> "QueryService":

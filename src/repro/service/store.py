@@ -51,7 +51,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.lockgraph import assert_held
 from repro.encoding.collection import DocumentCollection
-from repro.encoding.decode import subtree as _decode_subtree
 from repro.encoding.persist import (
     FORMAT_VERSION,
     LAYOUT_VERSIONS,
@@ -60,7 +59,6 @@ from repro.encoding.persist import (
     save,
 )
 from repro.errors import ReproError, StoreNotFoundError
-from repro.feedback.store import FeedbackStore
 from repro.service.updates import UpdateOp
 from repro.xmltree.model import Node
 
@@ -106,27 +104,9 @@ class ShardedStore:
     One store object may be shared by a query thread and an updating
     thread: mutation and manifest reads are serialised by an internal
     lock, and the epoch in every result-cache key keeps the caches
-    coherent.
-
-    The store also owns the adaptive loop's
-    :class:`~repro.feedback.store.FeedbackStore` (``self.feedback``):
-    its aggregates persist inside the manifest, and commits consult its
-    per-shard heat to split hot shards / merge cold ones
-    (:meth:`_rebalance_locked`), bounded moves per commit.
+    coherent.  Only :meth:`build` and the commit protocol write the
+    directory: opening, querying and closing a store never do.
     """
-
-    #: Most documents a commit's heat rebalancing may move — a bound on
-    #: splice work per commit, so rebalancing can never stall an update
-    #: batch behind wholesale re-sharding.
-    REBALANCE_MAX_MOVES = 4
-    #: Sampled drives a shard needs before its heat is trusted (keeps
-    #: rebalancing inert in short-lived stores and in tests that apply
-    #: updates without a steady observed workload).
-    MIN_HEAT_SAMPLES = 32
-    #: A shard hogging this share of sampled wall time is split.
-    HOT_SHARE = 0.7
-    #: Shards below this share are merge candidates.
-    COLD_SHARE = 0.05
 
     def __init__(
         self,
@@ -139,9 +119,6 @@ class ShardedStore:
         self._manifest = manifest  # guarded-by: _lock
         self._collections: Dict[int, Tuple[str, DocumentCollection]] = {}  # guarded-by: _lock
         self._lock = threading.RLock()
-        #: Adaptive-loop aggregates (internally locked; persisted in the
-        #: manifest and rewritten with it at every commit).
-        self.feedback = FeedbackStore.from_manifest(manifest.get("feedback"))
         with self._lock:
             self._reindex_locked()
 
@@ -551,15 +528,8 @@ class ShardedStore:
         self,
         ops: Sequence[UpdateOp],
         compression: Optional[str] = None,
-        rebalance: bool = True,
     ) -> dict:
         """Apply a batch of :class:`UpdateOp` and commit it atomically.
-
-        With ``rebalance`` (the default), the commit also consults the
-        feedback store's per-shard heat: a shard hogging the sampled
-        wall time is split, two cold shards are merged — at most
-        :data:`REBALANCE_MAX_MOVES` documents move per commit, and the
-        summary gains a ``"rebalanced"`` entry when any do.
 
         Every op splices in memory first — a validation error anywhere
         in the batch leaves the store untouched.  All staged shard
@@ -646,132 +616,8 @@ class ShardedStore:
                     staged[shard_id] = plane.splice(
                         op.document, op.op, op.pre, tree=op.tree, before=op.before
                     )
-            moves = (
-                self._rebalance_locked(staged, placement) if rebalance else []
-            )
             epoch = self._commit_locked(staged)
-            summary = {
-                "epoch": epoch,
-                "applied": len(ops),
-                "shards": sorted(staged),
-            }
-            if moves:
-                summary["rebalanced"] = moves
-            return summary
-
-    def _rebalance_locked(
-        self,
-        staged: Dict[int, Optional[DocumentCollection]],
-        placement: Dict[str, int],
-    ) -> List[dict]:
-        """Heat-driven shard split/merge, folded into the pending commit.
-
-        Caller holds ``_lock`` and has already staged the batch's own
-        edits.  Consults :attr:`feedback` heat: the hottest shard (>
-        :data:`HOT_SHARE` of sampled wall time, enough samples, ≥ 2
-        documents) sheds half its documents to a *new* shard; the two
-        coldest shards (< :data:`COLD_SHARE` each) merge.  At most
-        :data:`REBALANCE_MAX_MOVES` documents move; moved documents are
-        decoded from the live plane and spliced like any other update,
-        and the affected shards' feedback aggregates reset (their planes
-        changed shape, the old selectivities describe nothing).
-        """
-        assert_held(self._lock)
-        heat = self.feedback.heat_snapshot()
-        total_ns = sum(ns for ns, _ in heat.values())
-        if total_ns <= 0:
-            return []
-        shares = {
-            shard: (ns / total_ns, drives) for shard, (ns, drives) in heat.items()
-        }
-        moves: List[dict] = []
-        budget = self.REBALANCE_MAX_MOVES
-
-        def live_documents(shard_id: int) -> List[str]:
-            if shard_id in staged:
-                plane = staged[shard_id]
-                return list(plane.names) if plane is not None else []
-            return list(self.shard_entry(shard_id)["documents"])
-
-        def plane_of(shard_id: int) -> Optional[DocumentCollection]:
-            if shard_id not in staged:
-                staged[shard_id] = self.collection(shard_id)
-            return staged[shard_id]
-
-        def extract(shard_id: int, name: str) -> Node:
-            plane = plane_of(shard_id)
-            tree = _decode_subtree(plane.doc, plane.root_of(name))
-            staged[shard_id] = (
-                None if len(plane) == 1 else plane.remove_document(name)
-            )
-            return tree
-
-        # Hot split: the worst hog sheds the later half of its members.
-        hot = [
-            shard
-            for shard, (share, drives) in shares.items()
-            if drives >= self.MIN_HEAT_SAMPLES
-            and share > self.HOT_SHARE
-            and shard in set(self.shard_ids()) | set(staged)
-            and len(live_documents(shard)) >= 2
-        ]
-        if hot and budget > 0:
-            shard = max(hot, key=lambda s: shares[s][0])
-            names = live_documents(shard)
-            to_move = names[-(len(names) // 2) :][:budget]
-            new_id = max(set(self.shard_ids()) | set(staged)) + 1
-            pairs = [(name, extract(shard, name)) for name in to_move]
-            staged[new_id] = DocumentCollection(pairs, self.virtual_root_tag)
-            for name in to_move:
-                placement[name] = new_id
-            self.feedback.reset_shard(shard)
-            budget -= len(to_move)
-            moves.append(
-                {
-                    "kind": "split",
-                    "from": shard,
-                    "to": new_id,
-                    "documents": list(to_move),
-                }
-            )
-        # Cold merge: the coldest shard folds into the second-coldest.
-        touched = {m["from"] for m in moves} | {m["to"] for m in moves}
-        cold = sorted(
-            (
-                shard
-                for shard, (share, drives) in shares.items()
-                if drives >= self.MIN_HEAT_SAMPLES
-                and share < self.COLD_SHARE
-                and shard not in touched
-                and shard in set(self.shard_ids()) | set(staged)
-                and live_documents(shard)
-            ),
-            key=lambda s: shares[s][0],
-        )
-        if len(cold) >= 2 and budget > 0:
-            source, target = cold[0], cold[1]
-            names = live_documents(source)
-            if 0 < len(names) <= budget:
-                for name in names:
-                    tree = extract(source, name)
-                    plane = plane_of(target)
-                    staged[target] = (
-                        DocumentCollection([(name, tree)], self.virtual_root_tag)
-                        if plane is None
-                        else plane.insert_document(name, tree)
-                    )
-                    placement[name] = target
-                self.feedback.reset_shard(source)
-                self.feedback.reset_shard(target)
-                moves.append(
-                    {
-                        "kind": "merge",
-                        "from": source,
-                        "to": target,
-                        "documents": list(names),
-                    }
-                )
-        return moves
+            return {"epoch": epoch, "applied": len(ops), "shards": sorted(staged)}
 
     def _commit_locked(
         self, staged: Dict[int, Optional[DocumentCollection]]
@@ -787,12 +633,10 @@ class ShardedStore:
         assert_held(self._lock)
         epoch = self.epoch + 1
         setting = self._manifest.get("compression", "none")
-        existing = {entry["id"] for entry in self._manifest["shards"]}
         formats: Dict[int, int] = {}
         old_files = []
         for shard_id, collection in staged.items():
-            if shard_id in existing:
-                old_files.append(self.shard_entry(shard_id)["file"])
+            old_files.append(self.shard_entry(shard_id)["file"])
             if collection is None:
                 continue
             shard_compression = _resolve_compression(
@@ -827,31 +671,10 @@ class ShardedStore:
                     "format": formats[shard_id],
                 }
             )
-        # Shards staged under *new* ids (a heat split) join the manifest.
-        for shard_id in sorted(set(staged) - existing):
-            collection = staged[shard_id]
-            if collection is None:  # pragma: no cover - splits never stage None
-                continue
-            entries.append(
-                {
-                    "id": shard_id,
-                    "file": _shard_file_name(shard_id, epoch),
-                    "documents": collection.names,
-                    "nodes": len(collection.doc),
-                    "height": collection.doc.height,
-                    "tags": collection.tag_statistics(),
-                    "format": formats[shard_id],
-                }
-            )
-        # Feedback rides in the manifest: drop aggregates of shards this
-        # commit removed, then persist the rest alongside the new epoch.
-        self.feedback.retain_shards(entry["id"] for entry in entries)
-        manifest = dict(
-            self._manifest,
-            shards=entries,
-            epoch=epoch,
-            feedback=self.feedback.to_manifest(),
-        )
+        manifest = dict(self._manifest, shards=entries, epoch=epoch)
+        # An older manifest may carry a "feedback" section; nothing reads
+        # it, so it is not copied into the manifests written from here.
+        manifest.pop("feedback", None)
         _write_manifest(self.directory, manifest)
         self._manifest = manifest
         for shard_id, collection in staged.items():
@@ -872,25 +695,6 @@ class ShardedStore:
             except OSError:  # pragma: no cover - another process may race
                 pass
         return epoch
-
-    def save_feedback(self) -> bool:
-        """Persist unsaved feedback aggregates into the manifest.
-
-        No epoch bump — plans are fenced by the feedback *generation*,
-        and the shard files are untouched.  No-op (returns False) when
-        nothing changed since the last save/commit; called by
-        ``QueryService.close`` so learned selectivities survive a
-        clean shutdown even if no commit happened.
-        """
-        with self._lock:
-            if not self.feedback.dirty:
-                return False
-            manifest = dict(
-                self._manifest, feedback=self.feedback.to_manifest()
-            )
-            _write_manifest(self.directory, manifest)
-            self._manifest = manifest
-            return True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

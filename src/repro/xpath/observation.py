@@ -1,15 +1,15 @@
-"""Observation records: what one sampled group drive learned.
+"""Observation records: what one observed group drive measured.
 
 These are the values that travel from shard workers back to the
-service process, so they are deliberately flat — NamedTuples of
+service process (``QueryService.analyze``, ``explain --analyze``), so
+they are deliberately flat — NamedTuples of
 primitives (strings, ints, nested tuples) that pickle cheaply inline
 in the fabric's result messages.  Both are registered in
 :data:`repro.analysis.reprolint.PAYLOAD_REGISTRY`.
 
 A **step signature** names one pipeline position independently of the
 shard, the epoch, and the pushdown placement, so observations
-aggregate across shards and commits and a re-plan can look its own
-operators up again:
+aggregate across shards and line up with a costed plan's steps:
 
 * ``("step", axis, test)`` — one :class:`StaircaseStep` (the test in
   its ``str`` spelling, e.g. ``("step", "descendant", "item")``);
@@ -17,9 +17,9 @@ operators up again:
   per predicate), keyed by the predicate's ``str`` form;
 * ``("pos", axis, test)`` — one :class:`PositionalSelect`.
 
-The signature helpers live here (not in the pipeline) because the
-planner computes the same signatures from the AST side when it blends
-observed selectivities into its estimates — one spelling, two readers.
+The signature helpers live here (not in the pipeline) because
+``explain --analyze`` computes the same signatures from the plan side
+to put each estimate beside its measurement — one spelling, two readers.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class StepObservation(NamedTuple):
 
 
 class DriveObservation(NamedTuple):
-    """One sampled group drive: per-operator steps plus shard totals.
+    """One observed group drive: per-operator steps plus shard totals.
 
     One per observed (shard, engine) group — a batch's plans share one
     trie, so each distinct operator prefix appears once in ``steps``

@@ -36,8 +36,9 @@ sequence is advanced — a shard worker's whole batch, a lone
 tail chunk are the same walk with more or fewer members.  Its optional
 arguments are the seams the layers above plug into: a rank ``span`` to
 keep (document scoping, the virtual-root exclusion), a prefix ``cache``
-(cross-batch sharing) and an ``observer`` (the feedback loop; an
-argument, not runtime state, so nested drives cannot record into it).
+(cross-batch sharing) and an ``observer`` (``analyze`` / ``explain
+--analyze``; an argument, not runtime state, so nested drives cannot
+record into it).
 Early termination: ``Exists`` stops at the first non-empty final
 frontier (the remaining tail is re-driven on geometrically growing
 context chunks, :func:`exists_tail`) and every chain short-circuits
@@ -57,11 +58,6 @@ import numpy as np
 
 from repro.core.staircase import SkipMode
 from repro.errors import XPathEvaluationError
-from repro.feedback.records import (
-    PipelineObserver,
-    predicate_signature,
-    step_signature,
-)
 from repro.xpath.ast import (
     BinaryExpr,
     Expr,
@@ -72,6 +68,11 @@ from repro.xpath.ast import (
     Step,
 )
 from repro.xpath.axes import DOCUMENT_CONTEXT, apply_node_test
+from repro.xpath.observation import (
+    PipelineObserver,
+    predicate_signature,
+    step_signature,
+)
 from repro.xpath.parser import parse_xpath
 from repro.xpath.rewrite import anchor_at_member_root
 
@@ -611,7 +612,7 @@ def _frontier_size(frontier) -> int:
 
 
 def _operator_signature(op: Operator) -> Optional[Tuple[str, ...]]:
-    """The feedback signature of one operator (``None`` = unobserved)."""
+    """The observation signature of one operator (``None`` = unobserved)."""
     if isinstance(op, StaircaseStep):
         return step_signature(op.axis, op.test)
     if isinstance(op, PredicateFilter):
@@ -717,7 +718,7 @@ def drive_group(
     ``put(prefix, array)``) carries frontiers across calls: a hit skips
     the kernel, outputs are frozen before they are stored.  ``observer``
     receives one record per operator actually run — a cache hit did no
-    work and teaches nothing, ``Exists`` tails are partial and stay
+    work and records nothing, ``Exists`` tails are partial and stay
     unobserved — and the drive's totals.  Neither steers execution:
     results are byte-identical with and without them.
     """

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
 
 from repro.core.staircase import SkipMode
-from repro.feedback.records import predicate_signature, step_signature
 from repro.xpath.ast import (
     BinaryExpr,
     Expr,
@@ -213,20 +212,9 @@ class Planner:
         ``"auto"`` (the cost model decides per step) or a forced
         ``True``/``False`` for every eligible step — the ``explain``
         CLI's ablation switch; costs are estimated either way.
-    feedback:
-        An optional :class:`~repro.feedback.store.FeedbackStore`.  When
-        given, observed per-signature selectivities are *blended* over
-        the static histogram estimates with weight ``n / (n + K)``
-        (``K`` = :data:`FEEDBACK_BLEND_K`): a handful of sampled drives
-        nudges an estimate, a steady stream of them dominates it.  The
-        blend corrects step cardinalities (and therefore every
-        downstream pushdown verdict) and re-orders non-positional
-        predicates by observed effectiveness — the query *results*
-        remain byte-identical by construction.
 
-    The planner is stateless apart from its catalogue and the (locked)
-    feedback store it reads — plan objects are immutable, so one
-    planner may serve many threads.
+    The planner is stateless apart from its catalogue — plan objects
+    are immutable, so one planner may serve many threads.
     """
 
     #: Relative cost of one index probe (fragment binary search) vs one
@@ -255,12 +243,7 @@ class Planner:
     #: skipping — Algorithm 4's estimate bookkeeping costs more than
     #: the short scans it avoids.
     SMALL_PLANE = 512
-    #: Feedback blend half-weight: an observed selectivity with ``n``
-    #: samples carries weight ``n / (n + K)`` against the static
-    #: estimate, so K samples split the difference and ~5K observations
-    #: all but replace the histogram guess.
-    FEEDBACK_BLEND_K = 4.0
-    #: Static per-predicate retention guess (the pre-feedback constant).
+    #: Fraction of candidates one predicate is assumed to retain.
     STATIC_PREDICATE_SELECTIVITY = 0.5
 
     def __init__(
@@ -269,13 +252,11 @@ class Planner:
         engine: str = "vectorized",
         rewrite: bool = True,
         pushdown: Union[str, bool] = "auto",
-        feedback=None,
     ):
         self.statistics = statistics
         self.engine = resolve_engine(engine)
         self.rewrite = rewrite
         self.pushdown = pushdown
-        self.feedback = feedback
         self.probe_weight = self.PROBE_WEIGHTS[self.engine]
 
     # ------------------------------------------------------------------
@@ -299,11 +280,7 @@ class Planner:
                 self
                 if self.pushdown is False
                 else Planner(
-                    self.statistics,
-                    self.engine,
-                    self.rewrite,
-                    pushdown=False,
-                    feedback=self.feedback,
+                    self.statistics, self.engine, self.rewrite, pushdown=False
                 )
             )
             left = branch_planner.plan(original.left, context_size)
@@ -415,15 +392,15 @@ class Planner:
     # Predicate ordering
     # ------------------------------------------------------------------
     def _order_predicates(self, path: LocationPath) -> LocationPath:
-        """Sort each step's predicates by rank (cost over drop rate).
+        """Sort each step's predicates cheapest-first.
 
         Non-positional predicates are pure per-node filters, so they
         commute; a step carrying *any* positional predicate keeps its
         order (positions re-index between predicates).  The classical
         optimal order for commuting filters is ascending
-        ``cost / (1 - selectivity)``; with no feedback every selectivity
-        is the static 0.5, so the rank degenerates to plain cost and the
-        historical ordering is reproduced exactly.
+        ``cost / (1 - selectivity)``; every predicate is priced at the
+        one :data:`STATIC_PREDICATE_SELECTIVITY`, so the rank is plain
+        cost.
         """
         changed = False
         steps = []
@@ -431,12 +408,8 @@ class Planner:
             if len(step.predicates) > 1 and not any(
                 is_positional_predicate(p) for p in step.predicates
             ):
-                axis = step.axis
                 ordered = tuple(
-                    sorted(
-                        step.predicates,
-                        key=lambda p: self._predicate_rank(axis, p),
-                    )
+                    sorted(step.predicates, key=self._predicate_rank)
                 )
                 if ordered != step.predicates:
                     step = Step(step.axis, step.test, ordered)
@@ -446,37 +419,14 @@ class Planner:
             return path
         return LocationPath(path.absolute, tuple(steps))
 
-    # -- feedback blending ----------------------------------------------
-    def _observed(self, signature) -> Optional[Tuple[float, int]]:
-        """Observed (ratio, samples) for a signature, if any feedback."""
-        if self.feedback is None:
-            return None
-        return self.feedback.observed(signature)
-
-    def _blend(self, static: float, observed: Optional[Tuple[float, int]]) -> float:
-        """Blend a static estimate with an observed one at weight
-        ``n / (n + K)`` — few samples nudge, many dominate."""
-        if observed is None:
-            return static
-        ratio, n = observed
-        w = n / (n + self.FEEDBACK_BLEND_K)
-        return (1.0 - w) * static + w * ratio
-
-    def _predicate_selectivity(self, axis: str, predicate: Expr) -> float:
-        """Fraction of candidates one predicate retains (blended)."""
-        observed = self._observed(predicate_signature(axis, predicate))
-        sel = self._blend(self.STATIC_PREDICATE_SELECTIVITY, observed)
-        return min(1.0, max(0.0, sel))
-
-    def _predicate_rank(self, axis: str, predicate: Expr) -> float:
-        """Ordering key: cost per unit of candidates dropped."""
+    def _predicate_rank(self, predicate: Expr) -> float:
+        """Ordering key: context-free predicates first, then by cost."""
         if self.engine == "vectorized" and is_context_free(predicate):
             # Evaluated once per filter, whatever the candidate count
             # (``[7 > 0]``, ``[/site/regions]``): free to run first, and
             # a false one empties the frontier before any real work.
             return 0.0
-        drop = 1.0 - self._predicate_selectivity(axis, predicate)
-        return self._predicate_cost(predicate) / max(0.05, drop)
+        return self._predicate_cost(predicate)
 
     def _predicate_cost(self, predicate: Expr) -> float:
         """Relative evaluation cost of one predicate (ordering key).
@@ -530,19 +480,6 @@ class Planner:
         for index, step in enumerate(path.steps):
             est_axis = self._axis_estimate(step.axis, size, from_document)
             est_out = self._test_estimate(step, est_axis)
-            feedback_notes: List[str] = []
-            observed = self._observed(step_signature(step.axis, step.test))
-            if observed is not None:
-                ratio, samples = observed
-                blended = self._blend(
-                    est_out, (min(float(stats.total_nodes), ratio * size), samples)
-                )
-                feedback_notes.append(
-                    f"feedback    : step fan ≈ {ratio:.3f}×/ctx over "
-                    f"{samples} sampled drives → out ≈ {blended:,.0f} "
-                    f"(static {est_out:,.0f})"
-                )
-                est_out = blended
             pushdown = False
             cost_alt: Optional[float] = None
             operator = operator_name(step.axis)
@@ -578,16 +515,8 @@ class Planner:
                 )
             for predicate in step.predicates:
                 cost += self._predicate_filter_cost(predicate, est_out)
-                selectivity = self._predicate_selectivity(step.axis, predicate)
-                est_out = max(1.0, est_out * selectivity)
-                if selectivity != self.STATIC_PREDICATE_SELECTIVITY:
-                    notes.append(
-                        f"predicate   : [{predicate}] "
-                        f"(observed selectivity ≈ {selectivity:.3f})"
-                    )
-                else:
-                    notes.append(f"predicate   : [{predicate}]")
-            notes.extend(feedback_notes)
+                est_out = max(1.0, est_out * self.STATIC_PREDICATE_SELECTIVITY)
+                notes.append(f"predicate   : [{predicate}]")
             decisions.append(
                 StepDecision(
                     index=index,

@@ -649,93 +649,13 @@ class TestExceptionHygiene:
 
 
 # ----------------------------------------------------------------------
-# REP008 — feedback-store guarded-by annotations (scoped to repro.feedback)
-# ----------------------------------------------------------------------
-class TestFeedbackGuardedFields:
-    FEEDBACK_PATH = "src/repro/feedback/fixture.py"
-    BAD = """
-        import threading
-
-        class FeedbackStore:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self._signatures = {}
-    """
-
-    def test_unannotated_field_fires(self, tmp_path):
-        findings = active(
-            lint_snippet(tmp_path, self.BAD, self.FEEDBACK_PATH), "REP008"
-        )
-        assert len(findings) == 1
-        assert "_signatures" in findings[0].message
-        assert "guarded-by" in findings[0].message
-
-    def test_annotated_fields_clean(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            """
-            import threading
-
-            class FeedbackStore:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._signatures = {}  # guarded-by: _lock
-                    self._generation = 0  # guarded-by: _lock
-            """,
-            self.FEEDBACK_PATH,
-        )
-        assert active(findings, "REP008") == []
-
-    def test_lockless_class_ignored(self, tmp_path):
-        # PipelineObserver-style collectors own no lock: single drive,
-        # single thread — nothing to declare.
-        findings = lint_snippet(
-            tmp_path,
-            """
-            class PipelineObserver:
-                def __init__(self):
-                    self.steps = []
-            """,
-            self.FEEDBACK_PATH,
-        )
-        assert active(findings, "REP008") == []
-
-    def test_same_code_outside_feedback_ignored(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path, self.BAD, "src/repro/service/fixture.py"
-        )
-        assert active(findings, "REP008") == []
-
-    def test_suppression_honored(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            """
-            import threading
-
-            class FeedbackStore:
-                def __init__(self):
-                    self._lock = threading.Lock()
-                    self._debug_name = "x"  # repro: allow[REP008] - immutable after construction
-            """,
-            self.FEEDBACK_PATH,
-        )
-        assert active(findings, "REP008") == []
-        assert len(suppressed(findings, "REP008")) == 1
-
-    def test_shipped_feedback_store_is_annotated(self):
-        path = os.path.join(SRC, "repro", "feedback", "store.py")
-        findings = lint_file(path, select=["REP008"])
-        assert active(findings, "REP008") == []
-
-
-# ----------------------------------------------------------------------
 # Cross-cutting machinery
 # ----------------------------------------------------------------------
 class TestMachinery:
     def test_rule_codes_unique_and_complete(self):
         codes = [rule.code for rule in RULES]
         assert codes == sorted(set(codes))
-        assert codes == [f"REP00{i}" for i in range(1, 9)]
+        assert codes == [f"REP00{i}" for i in range(1, 8)]
 
     def test_module_name_anchors_at_src(self):
         assert module_name("src/repro/server/app.py") == "repro.server.app"

@@ -1,5 +1,7 @@
 """CLI tests (invoked in-process through ``repro.cli.main``)."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -222,6 +224,20 @@ class TestShardServeBatch:
         out = capsys.readouterr().out
         assert "//-collapse" in out
         assert "PUSHDOWN" in out
+
+    def test_explain_analyze_on_a_store_writes_nothing(self, store_dir, capsys):
+        manifest = os.path.join(store_dir, "manifest.json")
+        with open(manifest, "rb") as f:
+            before = f.read()
+        files = sorted(os.listdir(store_dir))
+        capsys.readouterr()
+        assert main(["explain", store_dir, "//person[profile]", "--analyze"]) == 0
+        out = capsys.readouterr().out
+        assert "observed:" in out and "est out" in out
+        assert "feedback" not in out
+        with open(manifest, "rb") as f:
+            assert f.read() == before
+        assert sorted(os.listdir(store_dir)) == files
 
     def test_serve_batch_queries_file(self, store_dir, tmp_path, capsys):
         capsys.readouterr()

@@ -105,6 +105,62 @@ class TestRemovedSpellings:
             ShardWorkerState(directory, mmap=False)
 
 
+    def test_the_adaptive_loop_is_gone(self, tmp_path, monkeypatch):
+        """PR 21: plans come from statistics and nothing writes back —
+        no feedback package, no rebalancing, no sampling interval."""
+        from repro.service import QueryService, ShardedStore
+        from repro.xmltree.model import element
+        from repro.xpath.planner import Planner, TagStatistics
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.feedback")
+        with pytest.raises(TypeError):
+            Planner(TagStatistics({"a": 1}, 2, 1), feedback=None)
+        for name in ("feedback", "save_feedback", "_rebalance_locked",
+                     "REBALANCE_MAX_MOVES", "MIN_HEAT_SAMPLES",
+                     "HOT_SHARE", "COLD_SHARE"):
+            assert not hasattr(ShardedStore, name), name
+        for name in ("_observed", "_blend", "FEEDBACK_BLEND_K"):
+            assert not hasattr(Planner, name), name
+        directory = str(tmp_path / "s")
+        store = ShardedStore.build(
+            directory, [("d", element("a", element("b")))]
+        )
+        with pytest.raises(TypeError):
+            store.apply_updates([], rebalance=False)
+        assert not hasattr(store, "feedback")
+        # The sampling interval's variable reaches nothing: no batch
+        # carries a sink, whatever it says.
+        monkeypatch.setenv("REPRO_FEEDBACK_SAMPLE", "1")
+        with QueryService(store, backend="serial") as service:
+            for name in ("feedback_enabled", "feedback_sample", "_generation"):
+                assert not hasattr(service, name), name
+            calls = []
+            run_batch = service.backend.run_batch
+            service.backend.run_batch = lambda *args, **kwargs: (
+                calls.append(kwargs) or run_batch(*args, **kwargs)
+            )
+            assert service.execute("//b", use_cache=False).total == 1
+            assert calls == [{}]
+
+    def test_what_the_frozen_e2e_harness_still_reads(self, tmp_path):
+        """Two spellings outlive the loop until a ``[benchmark]`` PR
+        edits ``benchmarks/e2e``: ``e2e_oracle.py:84`` constructs its
+        service with ``feedback=False`` and ``e2e_runner.py:459``
+        subtracts two ``/stats`` ``feedback.generation`` readings."""
+        from repro.service import QueryService, ShardedStore
+        from repro.xmltree.model import element
+
+        store = ShardedStore.build(str(tmp_path / "s"), [("d", element("a"))])
+        for value in (False, True):
+            with QueryService(store, backend="serial", feedback=value) as service:
+                service.analyze("//a")
+                assert service.stats_snapshot()["feedback"] == {
+                    "enabled": False,
+                    "generation": 0,
+                }
+
+
 class TestReadmeQuickstart:
     def test_quickstart_snippet(self):
         """The README's quickstart, executed verbatim."""

@@ -9,6 +9,7 @@ the name → shard index, and mutate-while-querying interleaving.
 """
 
 import copy
+import json
 import os
 import threading
 import time
@@ -322,6 +323,118 @@ class TestOrphanSweep:
             assert service.execute("//person").counts()["d0"] == 1
         # the stranded epoch-2 file was swept at open
         assert not any(".e0002." in f for f in os.listdir(store.directory))
+
+
+# ----------------------------------------------------------------------
+def manifest_bytes(store):
+    with open(os.path.join(store.directory, "manifest.json"), "rb") as f:
+        return f.read()
+
+
+class TestReadersNeverWrite:
+    """The commit protocol is the only writer of ``manifest.json``: a
+    handle that only reads — ``analyze`` included — leaves the
+    directory alone, so it cannot roll another handle's commit back."""
+
+    @staticmethod
+    def read_everything(directory):
+        with QueryService.open(directory, backend="serial") as service:
+            assert service.execute("//person").total == 10
+            assert [
+                r.total
+                for r in service.execute_batch(["//person", "//people"])
+            ] == [10, 4]
+            result, _, observations = service.analyze("//person")
+            assert result.total == 10 and len(observations) == 2
+
+    def test_closing_a_stale_handle_keeps_the_commit(self, tmp_path):
+        directory = str(tmp_path / "s")
+        writer = ShardedStore.build(directory, small_forest(), shards=2)
+        with QueryService.open(directory, backend="serial") as reader:
+            reader.analyze("//person")
+            summary = writer.apply_updates(
+                [UpdateOp("add", "d4", tree=people_site("k"))]
+            )
+        # ``reader`` closed *after* the commit, holding the old manifest.
+        reopened = ShardedStore.open(directory)
+        assert reopened.epoch == summary["epoch"] == 2
+        assert "d4" in reopened.document_names()
+        (touched,) = summary["shards"]
+        new_file = reopened.shard_entry(touched)["file"]
+        assert ".e0002." in new_file
+        assert new_file in os.listdir(directory)
+        with QueryService(reopened, backend="serial") as service:
+            assert service.execute("//person").counts()["d4"] == 1
+
+    def test_a_read_only_session_leaves_the_manifest_byte_identical(
+        self, tmp_path
+    ):
+        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=2)
+        before = manifest_bytes(store)
+        self.read_everything(store.directory)
+        assert manifest_bytes(store) == before
+        assert sorted(os.listdir(store.directory)) == sorted(
+            ["manifest.json"] + [e["file"] for e in store.describe()["shards"]]
+        )
+
+    @pytest.mark.skipif(
+        hasattr(os, "geteuid") and os.geteuid() == 0,
+        reason="root writes through a 0o555 directory",
+    )
+    def test_a_read_only_directory_serves(self, tmp_path):
+        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=2)
+        os.chmod(store.directory, 0o555)
+        try:
+            self.read_everything(store.directory)
+        finally:
+            os.chmod(store.directory, 0o755)
+
+
+class TestManifestsWrittenBeforeFeedbackWasRemoved:
+    #: What PR 10–20 stores carry: the adaptive loop's aggregates (and
+    #: PR 10's per-shard "skip" table).  Nothing reads the section now.
+    FEEDBACK = {
+        "generation": 7,
+        "signatures": [
+            [0, "pred\x1fdescendant\x1fchild::profile", 1.0, 3],
+            [0, "step\x1fdescendant\x1fperson", 16.0, 3],
+            [1, "step\x1fdescendant\x1fperson", 16.0, 1],
+        ],
+        "heat": {"0": [11835962, 3], "1": [714343, 1]},
+        "skip": {"0": [0.2, 5]},
+    }
+
+    def test_opens_answers_commits_and_drops_the_section(self, tmp_path):
+        from repro.harness.queries import QUERY_SUITE
+        from repro.harness.workloads import get_forest
+
+        forest = get_forest(4, 0.05)
+        queries = [q.xpath for q in QUERY_SUITE]
+        pristine = ShardedStore.build(str(tmp_path / "new"), forest, shards=2)
+        old = ShardedStore.build(str(tmp_path / "old"), forest, shards=2)
+        path = os.path.join(old.directory, "manifest.json")
+        with open(path) as f:
+            manifest = json.load(f)
+        with open(path, "w") as f:
+            json.dump(dict(manifest, feedback=self.FEEDBACK), f, indent=1)
+
+        with QueryService.open(old.directory, backend="serial") as service, \
+                QueryService(pristine, backend="serial") as reference:
+            for engine in ENGINES:
+                assert store_bytes(service, queries, engine) == store_bytes(
+                    reference, queries, engine
+                )
+            ops = [UpdateOp("add", "extra", tree=people_site("k"))]
+            assert service.apply_updates(ops)["epoch"] == 2
+            reference.apply_updates(ops)
+            assert store_bytes(service, queries, "vectorized") == store_bytes(
+                reference, queries, "vectorized"
+            )
+        with open(path) as f:
+            committed = json.load(f)
+        assert "feedback" not in committed
+        assert committed.keys() == manifest.keys()
+        assert manifest_bytes(old) == manifest_bytes(pristine)
 
 
 # ----------------------------------------------------------------------

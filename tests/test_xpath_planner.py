@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.staircase import SkipMode
 from repro.encoding.prepost import encode
 from repro.service import QueryService, ShardedStore
+from repro.xmltree.model import element, text
 from repro.xpath.evaluator import Evaluator
+from repro.xpath.pipeline import compile_plan
 from repro.xpath.planner import Planner, QueryPlan, TagStatistics
 
 from _reference import random_tree
@@ -131,6 +133,54 @@ class TestDecisions:
         # Same normalised predicate order regardless of input order.
         assert str(a.path) == str(b.path)
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_predicate_order_is_static_cost_context_free_first(
+        self, engine, tmp_path
+    ):
+        """Predicates sort by the catalogue's cost (on the vectorized
+        engine context-free ones lead), whatever an observed run of the
+        query measured: a dictionary section inflates ``count(name)``,
+        so the one selective predicate is costed dearest, runs last and
+        stays last after ``analyze`` — nothing writes back to the
+        planner, and ``explain`` prints no feedback note."""
+
+        def document(index):
+            items = [
+                element(
+                    "item",
+                    element("status", text("ok")),
+                    element("avail", text("yes")),
+                    element("name", text("needle" if i == index else f"i{i}")),
+                )
+                for i in range(200)
+            ]
+            words = [element("name", text(f"w{j}")) for j in range(150)]
+            return element(
+                "site", element("items", *items), element("dictionary", *words)
+            )
+
+        query = '//item[name="needle"][status][count(//name) > 0][avail]'
+        store = ShardedStore.build(
+            str(tmp_path / "adversarial"),
+            [(f"d{i}", document(i)) for i in range(3)],
+            shards=2,
+        )
+        with QueryService(store, backend="serial", engine=engine) as service:
+            plan = service.explain(query)
+            for _ in range(3):
+                result, ran_under, _ = service.analyze(query)
+                assert ran_under is plan and result.total == 3
+            assert service.explain(query) is plan
+        order = [str(p) for p in plan.path.steps[-1].predicates]
+        by_cost = ["child::status", "child::avail", 'child::name = "needle"']
+        context_free = "count(/descendant-or-self::node()/child::name) > 0"
+        if engine == "vectorized":
+            assert order == [context_free] + by_cost
+        else:  # the dearest of the four when it runs per candidate
+            assert order == by_cost + [context_free]
+        described = plan.describe()
+        assert "feedback" not in described and "observed" not in described
+
     def test_positional_predicates_keep_their_order(self, xmark_stats):
         plan = Planner(xmark_stats).plan("//open_auction[bidder][2]")
         predicates = plan.path.steps[-1].predicates
@@ -204,6 +254,33 @@ class TestResultInvariance:
             expected = baseline.evaluate(query)
             actual = planned.evaluate(plan.path)
             assert np.array_equal(expected, actual), query
+
+    def test_forced_overrides_keep_results_identical(self, tmp_path):
+        # The SkipMode a plan carries is a pure execution-strategy
+        # choice: the served answer is the same under every one.
+        forest = [(f"d{i}", random_tree(60, seed=30 + i)) for i in range(4)]
+        store = ShardedStore.build(str(tmp_path / "skip"), forest, shards=2)
+        with QueryService(store, backend="serial") as service:
+            baseline = [
+                {name: a.tobytes() for name, a in r.per_document.items()}
+                for r in service.execute_batch(
+                    PLANNER_QUERIES, engine="scalar", use_cache=False
+                )
+            ]
+            plans = [
+                service.explain(query, engine="scalar")
+                for query in PLANNER_QUERIES
+            ]
+            for mode in SkipMode:
+                forced = [
+                    (compile_plan(plan, skip_mode=mode), "scalar", None)
+                    for plan in plans
+                ]
+                assert all(plan.skip_mode is mode for plan, _, _ in forced)
+                assert [
+                    {name: ranks.tobytes() for name, ranks in answer.items()}
+                    for answer in service.backend.run_batch(forced)
+                ] == baseline
 
     @given(
         seeds=st.lists(st.integers(0, 400), min_size=2, max_size=3),
