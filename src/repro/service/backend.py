@@ -34,7 +34,6 @@ from repro.service.executor import (
     ShardResult,
     ShardTask,
     ShardWorkerState,
-    _item_mode,
 )
 from repro.service.store import ShardedStore
 from repro.xpath.pipeline import MODES
@@ -76,7 +75,7 @@ class ExecutionBackend:
         return 0
 
     def run_batch(self, items: Sequence[Sequence], sink: Optional[list] = None) -> List:
-        """Evaluate a batch of ``(plan, engine, document[, mode])`` items.
+        """Evaluate a batch of ``(plan, engine, document, mode)`` items.
 
         Returns, per item, the merged payload of the item's result
         mode: a mapping of document name → document-relative preorder
@@ -115,8 +114,7 @@ class ExecutionBackend:
     ) -> List[ShardTask]:
         tasks = []
         for index, item in enumerate(items):
-            plan, engine, document = item[0], item[1], item[2]
-            mode = _item_mode(item)
+            plan, engine, document, mode = item
             if mode not in MODES:
                 raise ReproError(
                     f"unknown result mode {mode!r} (expected one of {MODES})"
@@ -162,7 +160,7 @@ class ExecutionBackend:
                 per_item[result.index].update(result.payload)
         merged = []
         for index, (item, collected) in enumerate(zip(items, per_item)):
-            document, mode = item[2], _item_mode(item)
+            document, mode = item[2], item[3]
             if mode == "exists":
                 merged.append(exists.get(index, False))
                 continue

@@ -102,8 +102,8 @@ class ShardResult:
     cardinality) for ``count``, ``found`` for ``exists``.  Every
     backend produces and merges the same shape: the serial path hands
     it over in-process, while the fabric ships ``ranks`` through a
-    shared-memory segment and rebuilds the dataclass around zero-copy
-    views on arrival.
+    shared-memory segment and rebuilds the dataclass (:meth:`build`)
+    around zero-copy views on arrival.
     """
 
     index: int  #: position of the query in the batch
@@ -117,22 +117,27 @@ class ShardResult:
     observations: tuple = ()
 
     @classmethod
+    def build(cls, index, shard_id, mode, payload, observations=()) -> "ShardResult":
+        """The one constructor from a mode and its natural payload."""
+        return cls(
+            index, shard_id, mode,
+            observations=observations, **{_PAYLOAD_FIELD[mode]: payload},
+        )
+
+    @classmethod
     def of(cls, task: "ShardTask", payload) -> "ShardResult":
         """Wrap a mode-shaped worker payload for ``task``."""
-        if task.mode == "exists":
-            return cls(task.index, task.shard_id, "exists", found=bool(payload))
-        if task.mode == "count":
-            return cls(task.index, task.shard_id, "count", counts=dict(payload))
-        return cls(task.index, task.shard_id, "materialize", ranks=dict(payload))
+        payload = bool(payload) if task.mode == "exists" else dict(payload)
+        return cls.build(task.index, task.shard_id, task.mode, payload)
 
     @property
     def payload(self):
         """The mode's natural payload (rank mapping, counts, or bool)."""
-        if self.mode == "exists":
-            return self.found
-        if self.mode == "count":
-            return self.counts
-        return self.ranks
+        return getattr(self, _PAYLOAD_FIELD[self.mode])
+
+
+#: Which :class:`ShardResult` field carries each result mode's payload.
+_PAYLOAD_FIELD = {"materialize": "ranks", "count": "counts", "exists": "found"}
 
 
 def available_cpus() -> int:
@@ -155,6 +160,11 @@ def default_workers(store: ShardedStore) -> int:
     """Auto worker count: one per shard, capped by the usable CPUs."""
     return max(1, min(store.shard_count, available_cpus()))
 
+
+#: A worker's cache bounds: parsed query strings (entries) and
+#: intermediate prefix contexts (bytes).
+_PLAN_CACHE_SIZE = 128
+_PREFIX_CACHE_BYTES = 32 << 20
 
 #: How often a worker will chase a shard file that commits keep
 #: replacing under it before giving up (each retry reads a strictly
@@ -248,13 +258,7 @@ class ShardWorkerState:
     backend.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        decode_cache: str = "full",
-        plan_cache_size: int = 128,
-        prefix_cache_bytes: int = 32 << 20,
-    ):
+    def __init__(self, directory: str, decode_cache: str = "full"):
         self.directory = directory
         #: The store's packed-plane open mode (``ShardedStore.open``):
         #: workers must page exactly as the store they serve was opened.
@@ -262,11 +266,11 @@ class ShardWorkerState:
         # Shared by this worker's evaluators: tasks normally carry
         # compiled pipelines, but raw query strings are accepted and
         # then parsed once.
-        self.plan_cache = LRUCache(plan_cache_size)
+        self.plan_cache = LRUCache(_PLAN_CACHE_SIZE)
         # Intermediate operator-prefix contexts, keyed
         # (shard file, engine, prefix) — the file name carries the epoch,
         # so every committed mutation orphans the keys minted before it.
-        self.prefix_cache = PrefixContextCache(prefix_cache_bytes)
+        self.prefix_cache = PrefixContextCache(_PREFIX_CACHE_BYTES)
         self._collections: Dict[int, tuple] = {}
         self._evaluators: Dict[Tuple[int, str], Evaluator] = {}
 
@@ -439,8 +443,3 @@ class ShardWorkerState:
                 return {task.document: 0}
             return {task.document: np.empty(0, dtype=np.int64)}
         return {}
-
-
-def _item_mode(item: Sequence) -> str:
-    """Result mode of a ``run_batch`` item (3-tuples materialize)."""
-    return item[3] if len(item) > 3 else "materialize"

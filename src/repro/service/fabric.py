@@ -10,33 +10,35 @@ data plane bulk end-to-end:
   :class:`~repro.service.executor.ShardWorkerState` (mmap'd shard
   planes, evaluators, prefix-context LRU) across requests; nothing is
   re-opened per batch.
-* **Shared-memory result planes.**  A worker packs all rank arrays of
+* **Shared-memory result planes.**  A worker writes all rank arrays of
   a response into one POSIX shared-memory segment
   (:class:`SegmentWriter`); only a tiny layout descriptor crosses the
   pipe.  The parent maps the segment and rebuilds every rank array as
   a **zero-copy numpy view** over it (:class:`SegmentPool`).
   ``count``/``exists`` payloads stay inline — they were never the
   transport cost.
-* **Ref-counted segment lifetime.**  Every view carries a strong
-  reference to its segment lease (:class:`_SegmentArray` propagates it
-  through slicing); when the last view dies, the lease's finalizer
-  returns the segment to its owning worker for **recycling** — the
-  worker keeps a small free list and reuses the mapping for the next
-  response instead of allocating.  Closing the backend unlinks every
-  segment name; POSIX keeps existing mappings (e.g. rank arrays still
-  sitting in the service result cache) valid until their last view
-  drops.
+* **One segment per response, no lifecycle.**  A segment has a name
+  only between the worker's ``pack`` and the parent's attach: the
+  parent maps it and unlinks the name at once, then hands out plain
+  ``np.frombuffer`` views.  numpy's buffer export keeps the mapping
+  alive until the last view (or slice of one) dies and the kernel
+  frees the pages then — nothing is registered, returned or reused,
+  and arrays sitting in the service result cache outlive the backend.
+  A ``done`` message nobody unpacks (a duplicate after a respawn, a
+  straggler of a failed batch) has its name unlinked unread.
 * **Crash safety.**  Segment names embed the parent pid
   (``repro-fab-<pid>-<instance>-w<idx>g<gen>-<seq>``); construction
   sweeps names whose pid is dead (:func:`sweep_orphan_segments`) —
   the same recover-on-open discipline as the store's orphaned-``.npz``
   sweep — and ``close()`` unlinks everything under the instance
-  prefix.
-* **Shard affinity + stealing.**  Tasks for shard *k* route to worker
-  ``k % n``, so one worker's prefix-context LRU stays warm for that
-  shard's plans across batches; when the affine worker's queue runs
-  ``steal_threshold`` deeper than the least-loaded one, the unit is
-  stolen by the laggard's idle peer.  Each worker gets a private inbox
+  prefix.  The only names either can find are segments a worker wrote
+  and the parent never attached.
+* **Shard affinity, one routing rule.**  A unit for shard *k* goes to
+  worker ``k % n``, so one worker's prefix-context LRU stays warm for
+  that shard's plans across batches — unless some worker holds
+  strictly fewer units *of this batch*, then to the first least-loaded
+  one (which is how the chunks of a scarce shard spread over idle
+  workers).  Each worker gets a private inbox
   *and* a private results outbox (a shared outbox is a liability: one
   worker SIGKILLed holding the write lock, or mid-frame, wedges or
   desyncs everyone's results); per-worker drain threads merge replies
@@ -59,7 +61,6 @@ import queue
 import re
 import threading
 import traceback
-import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,46 +102,22 @@ def _unlink_segment(name: str) -> None:
         pass
 
 
-class _Segment:
-    """One POSIX shared-memory segment, mapped straight from ``/dev/shm``.
+def _attach(name: str) -> mmap.mmap:
+    """Map a worker's segment and unlink its name at once.
 
+    The mapping is read straight from ``/dev/shm``:
     ``multiprocessing.shared_memory`` registers every segment a process
     creates *or attaches* with a ``resource_tracker`` — a helper process
-    spawned on first use, one per fabric process, whose only job would
-    be to unlink at exit what the fabric already unlinks by name on
-    ``close()`` and sweeps by pid after a crash.  Mapping the file
-    directly starts no tracker.  ``create_bytes`` creates the segment
-    (exclusively) at that size; without it an existing one is attached.
+    spawned on first use, whose only job would be to unlink at exit what
+    is already unlinked here.  The returned ``mmap`` is closed by
+    nobody: it unmaps when the last array exported from it dies.
     """
-
-    __slots__ = ("name", "size", "buf", "_mmap")
-
-    def __init__(self, name: str, create_bytes: Optional[int] = None):
-        path = os.path.join(_SHM_DIR, name)
-        flags = os.O_RDWR
-        if create_bytes is not None:
-            flags |= os.O_CREAT | os.O_EXCL
-        fd = os.open(path, flags, 0o600)
-        try:
-            if create_bytes is not None:
-                os.ftruncate(fd, create_bytes)
-            self.size = os.fstat(fd).st_size
-            self._mmap = mmap.mmap(fd, self.size)
-        except (OSError, ValueError):
-            if create_bytes is not None:
-                _unlink_segment(name)
-            raise
-        finally:
-            os.close(fd)
-        self.name = name
-        self.buf: Optional[memoryview] = memoryview(self._mmap)
-
-    def close(self) -> None:
-        """Unmap; raises ``BufferError`` while views over ``buf`` live."""
-        if self.buf is not None:
-            self.buf.release()
-            self.buf = None
-        self._mmap.close()
+    fd = os.open(os.path.join(_SHM_DIR, name), os.O_RDWR)
+    try:
+        return mmap.mmap(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
+        _unlink_segment(name)
 
 
 def _pid_alive(pid: int) -> bool:
@@ -156,10 +133,11 @@ def _pid_alive(pid: int) -> bool:
 def sweep_orphan_segments(shm_dir: str = _SHM_DIR) -> List[str]:
     """Unlink fabric segments whose creating process is dead.
 
-    A fabric that crashed (or was SIGKILLed) before ``close()`` leaves
-    its named segments in ``/dev/shm``; every new fabric sweeps them on
-    construction, exactly like the store unlinks unreferenced shard
-    files on open.  Returns the names removed.
+    A fabric that crashed (or was SIGKILLed) between a worker's ``pack``
+    and its own attach leaves that segment's name in ``/dev/shm``; every
+    new fabric sweeps them on construction, exactly like the store
+    unlinks unreferenced shard files on open.  Returns the names
+    removed.
     """
     removed: List[str] = []
     try:
@@ -182,117 +160,56 @@ def sweep_orphan_segments(shm_dir: str = _SHM_DIR) -> List[str]:
 # Worker side: packing results into segments
 # ----------------------------------------------------------------------
 class SegmentWriter:
-    """Creates, fills, and recycles one worker's result segments.
+    """Writes one worker's responses into freshly named segments."""
 
-    ``pack`` lays every ``materialize`` rank array of a response into
-    one segment and returns a picklable descriptor; the segment stays
-    ``busy`` until the parent's views die and it sends a ``recycle``
-    message back, after which the mapping goes on a small free list
-    and the next response reuses it (best fit) instead of allocating.
-    """
-
-    def __init__(self, prefix: str, max_pooled: int = 4):
+    def __init__(self, prefix: str):
         self.prefix = prefix
-        self.max_pooled = max_pooled
-        self.created = 0  #: segments allocated (not reuses)
-        self.recycled = 0  #: responses served from the free list
         self._seq = itertools.count()
-        self._free: List[_Segment] = []
-        self._busy: Dict[str, _Segment] = {}
 
-    # ------------------------------------------------------------------
     def pack(self, results: Sequence[ShardResult]) -> tuple:
-        """Flatten results into ``(light_results, segment_name, nbytes)``.
+        """Flatten results into ``(light_results, segment_name)``.
 
-        ``light_results`` mirror each :class:`ShardResult` with rank
-        arrays replaced by ``(offset, count)`` spans into the segment;
-        responses with no rank bytes ship ``segment_name=None``.
+        ``light_results`` mirror each :class:`ShardResult` as ``(index,
+        shard_id, mode, payload, observations)`` with a ``materialize``
+        payload replaced by its layout — ``(document, offset, count)``
+        spans into the segment; responses with no rank bytes ship
+        ``segment_name=None``.  The segment is written, not mapped: a
+        full ``/dev/shm`` is an ``OSError`` here, not a ``SIGBUS``.
         """
         arrays: List[np.ndarray] = []
         light: List[tuple] = []
         offset = 0
         for result in results:
-            if result.mode != "materialize":
-                light.append(
-                    (result.index, result.shard_id, result.mode,
-                     result.counts, result.found, None, result.observations)
-                )
-                continue
-            layout: List[Tuple[str, int, int]] = []
-            for name, ranks in result.ranks.items():
-                ranks = np.ascontiguousarray(ranks, dtype=_RANK_DTYPE)
-                if len(ranks) == 0:
-                    # Nothing to ship; the parent rebuilds an empty
-                    # array without touching the segment.
-                    layout.append((name, 0, 0))
-                    continue
-                layout.append((name, offset, len(ranks)))
-                arrays.append(ranks)
-                offset += ranks.nbytes
+            payload = result.payload
+            if result.mode == "materialize":
+                layout: List[Tuple[str, int, int]] = []
+                for name, ranks in payload.items():
+                    ranks = np.ascontiguousarray(ranks, dtype=_RANK_DTYPE)
+                    layout.append((name, offset, len(ranks)))
+                    if len(ranks):
+                        arrays.append(ranks)
+                        offset += ranks.nbytes
+                payload = layout
             light.append(
-                (result.index, result.shard_id, "materialize",
-                 None, False, layout, result.observations)
+                (result.index, result.shard_id, result.mode,
+                 payload, result.observations)
             )
-        if offset == 0:
-            return (light, None, 0)
-        shm = self._obtain(offset)
-        plane = np.frombuffer(
-            shm.buf, dtype=_RANK_DTYPE, count=offset // _RANK_DTYPE.itemsize
+        if not arrays:
+            return (light, None)
+        name = f"{self.prefix}-{next(self._seq)}"
+        fd = os.open(
+            os.path.join(_SHM_DIR, name),
+            os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+            0o600,
         )
-        at = 0
-        for ranks in arrays:
-            plane[at : at + len(ranks)] = ranks
-            at += len(ranks)
-        del plane  # release the buffer export before the parent maps it
-        self._busy[shm.name] = shm
-        return (light, shm.name, offset)
-
-    def _obtain(self, nbytes: int) -> _Segment:
-        best = None
-        for i, shm in enumerate(self._free):
-            if shm.size >= nbytes and (
-                best is None or shm.size < self._free[best].size
-            ):
-                best = i
-        if best is not None:
-            self.recycled += 1
-            return self._free.pop(best)
-        self.created += 1
-        return _Segment(f"{self.prefix}-{next(self._seq)}", create_bytes=nbytes)
-
-    # ------------------------------------------------------------------
-    def release(self, name: str) -> None:
-        """The parent's views died: pool the segment or unlink it."""
-        shm = self._busy.pop(name, None)
-        if shm is None:
-            return
-        if len(self._free) < self.max_pooled:
-            self._free.append(shm)
-        else:
-            self._discard(shm)
-
-    @staticmethod
-    def _discard(shm: _Segment) -> None:
         try:
-            shm.close()
-        except BufferError:  # pragma: no cover - writer-held export
-            pass
-        _unlink_segment(shm.name)
-
-    def close(self) -> None:
-        """Unlink everything this writer still owns."""
-        for shm in [*self._free, *self._busy.values()]:
-            self._discard(shm)
-        self._free.clear()
-        self._busy.clear()
-
-    def info(self) -> dict:
-        return {
-            "created": self.created,
-            "recycled": self.recycled,
-            "free": len(self._free),
-            "busy": len(self._busy),
-        }
+            with os.fdopen(fd, "wb") as plane:
+                for ranks in arrays:
+                    plane.write(ranks)
+        except OSError:
+            _unlink_segment(name)
+            raise
+        return (light, name)
 
 
 def _fabric_worker(
@@ -305,16 +222,10 @@ def _fabric_worker(
         message = inbox.get()
         kind = message[0]
         if kind == "stop":
-            writer.close()
             break
-        if kind == "recycle":
-            writer.release(message[1])
-            continue
         if kind == "stats":
             outbox.put(
-                ("stats", idx,
-                 {"prefix_cache": state.prefix_cache.info(),
-                  "segments": writer.info()})
+                ("stats", idx, {"prefix_cache": state.prefix_cache.info()})
             )
             continue
         seq, tasks = message[1], message[2]
@@ -335,154 +246,46 @@ def _fabric_worker(
 # ----------------------------------------------------------------------
 # Parent side: mapping segments as zero-copy views
 # ----------------------------------------------------------------------
-class _SegmentArray(np.ndarray):
-    """A rank array that keeps its shared-memory lease alive.
-
-    Any view derived from it (slices, ``astype(copy=False)`` results
-    that share memory, the frozen views the service hands out) inherits
-    ``_lease`` through ``__array_finalize__`` — so a segment can never
-    be recycled while data derived from it is reachable.
-    """
-
-    def __array_finalize__(self, obj):
-        if obj is not None:
-            self._lease = getattr(obj, "_lease", None)
-
-
-class _Lease:
-    """One attached segment; dies → the segment is releasable."""
-
-    __slots__ = ("shm", "owner", "__weakref__")
-
-    def __init__(self, shm: _Segment, owner: int):
-        self.shm = shm
-        self.owner = owner
-
-    def view(self, offset: int, count: int) -> np.ndarray:
-        if count == 0:
-            return np.empty(0, dtype=_RANK_DTYPE)
-        flat = np.frombuffer(
-            self.shm.buf, dtype=_RANK_DTYPE, count=count, offset=offset
-        )
-        array = flat.view(_SegmentArray)
-        array._lease = self
-        return array
-
-
 class SegmentPool:
-    """Parent-side registry of attached segments (the ref-count home).
+    """Parent side of the transport: one attach per response.
 
-    ``attach`` maps a worker's segment and hands out a :class:`_Lease`;
-    a ``weakref.finalize`` on the lease fires when the last derived
-    view dies and routes the name back to the owning worker for reuse.
-    ``close`` unlinks every name still attached — existing numpy views
-    stay valid (POSIX keeps unlinked mappings alive); their finalizers
-    then find the pool closed and simply drop their handles.
+    ``unpack`` maps the response's segment (unlinking its name, see
+    :func:`_attach`) and rebuilds every rank array as a plain
+    ``np.frombuffer`` view of the mapping; the views — and any slice
+    of one — keep the mapping alive, nothing else refers to it.
     """
 
-    def __init__(self, recycle):
-        self._recycle = recycle  # guarded-by: _lock  ((owner, name) -> None, or None when closed)
-        self._lock = threading.Lock()
-        self._live: Dict[str, weakref.ref] = {}  # guarded-by: _lock
-        #: Handles whose close() hit a transient BufferError (the last
-        #: view was still mid-deallocation); retried on every attach.
-        self._graveyard: List[_Segment] = []  # guarded-by: _lock
-        self.attached = 0  # guarded-by: _lock
+    def __init__(self) -> None:
+        self.attached = 0  #: segments mapped so far
 
-    def attach(self, name: str, owner: int) -> _Lease:
-        self._reap()
-        shm = _Segment(name)
-        lease = _Lease(shm, owner)
-        with self._lock:
-            self.attached += 1
-            self._live[name] = weakref.ref(lease)
-        weakref.finalize(lease, self._released, name, owner, shm)
-        return lease
-
-    def unpack(self, payload: tuple, owner: int) -> List[ShardResult]:
+    def unpack(self, payload: tuple) -> List[ShardResult]:
         """Rebuild :class:`ShardResult` values around zero-copy views."""
-        light, segment, _ = payload
-        lease = self.attach(segment, owner) if segment else None
+        light, segment = payload
+        plane = None
+        if segment:
+            plane = _attach(segment)
+            self.attached += 1
         results: List[ShardResult] = []
-        for index, shard_id, mode, counts, found, layout, observations in light:
+        for index, shard_id, mode, body, observations in light:
             if mode == "materialize":
-                ranks = {
+                body = {
                     name: (
-                        lease.view(offset, count)
+                        np.frombuffer(plane, _RANK_DTYPE, count, offset)
                         if count
                         else np.empty(0, dtype=_RANK_DTYPE)
                     )
-                    for name, offset, count in layout
+                    for name, offset, count in body
                 }
-                results.append(
-                    ShardResult(
-                        index, shard_id, "materialize",
-                        ranks=ranks, observations=observations,
-                    )
-                )
-            elif mode == "count":
-                results.append(
-                    ShardResult(
-                        index, shard_id, "count",
-                        counts=counts, observations=observations,
-                    )
-                )
-            else:
-                results.append(
-                    ShardResult(
-                        index, shard_id, "exists",
-                        found=found, observations=observations,
-                    )
-                )
+            results.append(
+                ShardResult.build(index, shard_id, mode, body, observations)
+            )
         return results
 
-    # ------------------------------------------------------------------
-    def _released(self, name: str, owner: int, shm) -> None:
-        """Finalizer: the last view over ``name`` died.
 
-        The finalizer can run while that view's deallocation is still
-        unwinding (its buffer export not yet dropped), making
-        ``close()`` transiently impossible — the handle is parked for a
-        later retry.  Either way the segment's *data* is unreachable,
-        so it is safe to hand back for reuse immediately.
-        """
-        with self._lock:
-            self._live.pop(name, None)
-            recycle = self._recycle
-        try:
-            shm.close()
-        except BufferError:
-            with self._lock:
-                self._graveyard.append(shm)
-        if recycle is not None:
-            try:
-                recycle(owner, name)
-            except (OSError, ValueError):  # queues may be torn down already
-                pass
-
-    def _reap(self) -> None:
-        """Retry parked handle closes (their views have unwound by now)."""
-        with self._lock:
-            parked, self._graveyard = self._graveyard, []
-        for shm in parked:
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - still unwinding
-                with self._lock:
-                    self._graveyard.append(shm)
-
-    def close(self) -> None:
-        """Stop recycling and unlink every still-attached name."""
-        with self._lock:
-            self._recycle = None
-            names = list(self._live)
-        for name in names:
-            _unlink_segment(name)
-        self._reap()
-
-    def live_segments(self) -> int:
-        with self._lock:
-            return sum(1 for ref in self._live.values() if ref() is not None)
+def _drop_unread(message: tuple) -> None:
+    """Unlink the segment of a ``done`` message nobody will unpack."""
+    if message[0] == "done" and message[3][1]:
+        _unlink_segment(message[3][1])
 
 
 def _split_to_feed_workers(
@@ -520,24 +323,15 @@ class FabricBackend(ExecutionBackend):
     workers:
         Worker process count; ``None`` = one per shard, capped by the
         usable CPUs (:func:`~repro.service.executor.default_workers`).
-    steal_threshold:
-        How much deeper (in queued units) the affine worker's backlog
-        must run than the least-loaded worker's before a unit is stolen.
     """
 
     name = "fabric"
 
-    def __init__(
-        self,
-        store: ShardedStore,
-        workers: Optional[int] = None,
-        steal_threshold: int = 2,
-    ):
+    def __init__(self, store: ShardedStore, workers: Optional[int] = None):
         super().__init__(store)
         if workers is not None and workers < 1:
             raise ReproError("fabric needs workers >= 1")
         self._workers = default_workers(store) if workers is None else int(workers)
-        self.steal_threshold = int(steal_threshold)
         self.stolen = 0  #: units routed away from their affine worker
         self.dispatched = [0] * self._workers  #: units sent, per worker
         self._ctx = multiprocessing.get_context()
@@ -549,7 +343,7 @@ class FabricBackend(ExecutionBackend):
         self._outboxes: Optional[list] = None
         self._merged: Optional[queue.Queue] = None
         self._drainers: Optional[list] = None
-        self._pool: Optional[SegmentPool] = None
+        self._pool = SegmentPool()
         # Recover segments a crashed predecessor left behind before we
         # start minting our own (mirrors the store's orphan sweep).
         sweep_orphan_segments()
@@ -565,7 +359,6 @@ class FabricBackend(ExecutionBackend):
         self._merged = queue.Queue()
         self._outboxes = [self._ctx.Queue() for _ in range(self._workers)]
         self._inboxes = [self._ctx.Queue() for _ in range(self._workers)]
-        self._pool = SegmentPool(self._send_recycle)
         self._procs = [self._spawn(idx) for idx in range(self._workers)]
         self._drainers = [self._start_drain(idx) for idx in range(self._workers)]
 
@@ -618,20 +411,15 @@ class FabricBackend(ExecutionBackend):
         process.start()
         return process
 
-    def _send_recycle(self, owner: int, name: str) -> None:
-        inboxes = self._inboxes
-        if inboxes is not None:
-            inboxes[owner].put(("recycle", name))
-
     # ------------------------------------------------------------------
     def _assign(self, shard_id: int, depths: List[int]) -> int:
-        """Affine worker, unless its backlog justifies stealing."""
+        """Affine worker, unless another holds fewer units of this batch."""
         affine = shard_id % self._workers
-        laggard = min(range(self._workers), key=depths.__getitem__)
-        if depths[affine] - depths[laggard] >= self.steal_threshold:
-            self.stolen += 1
-            return laggard
-        return affine
+        least = min(depths)
+        if depths[affine] == least:
+            return affine
+        self.stolen += 1
+        return depths.index(least)
 
     def _dispatch(self, grouped: List[List[ShardTask]]) -> List[ShardResult]:
         self._ensure_workers()
@@ -657,11 +445,10 @@ class FabricBackend(ExecutionBackend):
                 seq, payload = message[2], message[3]
                 if pending.pop(seq, None) is None:
                     # A duplicate from re-dispatch after a worker death
-                    # (or a straggler from an errored batch): hand the
-                    # segment straight back for reuse.
-                    self._discard(payload, idx)
+                    # (or a straggler from an errored batch).
+                    _drop_unread(message)
                     continue
-                outcomes.extend(self._pool.unpack(payload, idx))
+                outcomes.extend(self._pool.unpack(payload))
             elif kind == "err":
                 seq, detail = message[2], message[3]
                 if pending.pop(seq, None) is None:
@@ -675,11 +462,6 @@ class FabricBackend(ExecutionBackend):
             # "stats" replies can only interleave here if a caller
             # abandoned worker_stats() mid-read; drop them.
         return outcomes
-
-    def _discard(self, payload: tuple, owner: int) -> None:
-        _, segment, _ = payload
-        if segment:
-            self._send_recycle(owner, segment)
 
     def _respawn_dead(self, pending: Dict[int, tuple]) -> None:
         """Replace dead workers and re-dispatch their in-flight units.
@@ -696,9 +478,9 @@ class FabricBackend(ExecutionBackend):
         dedup by sequence number) and a fresh queue + drain thread take
         the slot.  Every pending unit assigned to the worker is re-sent
         (units stranded in the old inbox are a subset of ``pending``,
-        so nothing is lost) and duplicate segments recycle harmlessly.
-        Segments the dead generation minted stay readable through live
-        leases and are swept by ``close()``.
+        so nothing is lost) and a duplicate completion's segment is
+        unlinked unread.  A segment the dead worker wrote but never
+        announced keeps its name until ``close()``.
         """
         for idx, process in enumerate(self._procs):
             if process.is_alive():
@@ -718,9 +500,9 @@ class FabricBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------
     def worker_stats(self) -> dict:
-        """Per-worker prefix-cache and segment counters (and the
-        parent's routing totals) — the observability hook the affinity
-        tests and ``/stats`` build on."""
+        """Per-worker prefix-cache counters and the parent's routing and
+        attach totals — the observability hook the affinity tests
+        build on."""
         self._ensure_workers()
         for inbox in self._inboxes:
             inbox.put(("stats",))
@@ -731,12 +513,13 @@ class FabricBackend(ExecutionBackend):
             if message[0] == "stats" and stats[message[1]] is None:
                 stats[message[1]] = message[2]
                 needed -= 1
+            else:  # a straggler of a failed batch
+                _drop_unread(message)
         return {
             "workers": stats,
             "dispatched": list(self.dispatched),
             "stolen": self.stolen,
-            "segments_attached": self._pool.attached if self._pool else 0,
-            "segments_live": self._pool.live_segments() if self._pool else 0,
+            "segments_attached": self._pool.attached,
         }
 
     # ------------------------------------------------------------------
@@ -744,8 +527,8 @@ class FabricBackend(ExecutionBackend):
         """Stop workers and unlink every fabric segment (idempotent).
 
         Rank arrays already handed out (service result cache, caller
-        references) stay readable: names are unlinked, mappings
-        survive until their last view dies.
+        references) stay readable: their names went at attach, the
+        mappings survive until their last view dies.
         """
         if self._procs is None:
             return
@@ -776,19 +559,12 @@ class FabricBackend(ExecutionBackend):
             channel.cancel_join_thread()
             channel.close()
         self._merged = None
-        self._pool.close()
-        self._pool = None
-        # Backstop for segments a terminated worker never unlinked.
+        # Segments written by a worker and never attached (the worker or
+        # its batch died in between) are the only names left.
         try:
-            leftovers = [
-                name
-                for name in os.listdir(_SHM_DIR)
-                if name.startswith(self._prefix + "-")
-            ]
+            names = os.listdir(_SHM_DIR)
         except OSError:  # pragma: no cover - no /dev/shm
-            leftovers = []
-        for name in leftovers:
-            try:
-                os.unlink(os.path.join(_SHM_DIR, name))
-            except OSError:
-                pass
+            names = []
+        for name in names:
+            if name.startswith(self._prefix + "-"):
+                _unlink_segment(name)

@@ -4,11 +4,13 @@ The headline property extends the service layer's batched == serial:
 **the backend is invisible** — serial and fabric answer any
 batch byte-identically across engines, result modes, and planner
 settings (pinned suite + a hypothesis sweep over random forests).
-Around it, what is new with the fabric: shared-memory segments are
-recycled rather than reallocated, crash leftovers are swept by pid,
-shard affinity keeps per-worker prefix caches warm, a killed worker is
-replaced mid-batch, and closing (explicitly, via GC, or through
-``ThreadedServer`` teardown) leaks neither processes nor segments.
+Around it, what is new with the fabric: a shared-memory segment has a
+name only between the worker's pack and the parent's attach, crash
+leftovers are swept by pid, shard affinity keeps per-worker prefix
+caches warm, a scarce shard's chunks spread over idle workers, a killed
+worker is replaced mid-batch, and closing (explicitly, via GC, or
+through ``ThreadedServer`` teardown) leaks neither processes nor
+segments.
 """
 
 import gc
@@ -17,7 +19,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -64,6 +65,16 @@ def fabric_segments() -> list:
         return [n for n in os.listdir(_SHM_DIR) if n.startswith("repro-fab-")]
     except OSError:  # pragma: no cover - no /dev/shm
         return []
+
+
+def dead_pid() -> int:
+    """A pid that cannot be running: a child we spawned and reaped
+    (pid_max+1 territory is unreliable)."""
+    child = os.fork()
+    if child == 0:  # pragma: no cover - exits immediately
+        os._exit(0)
+    os.waitpid(child, 0)
+    return child
 
 
 @pytest.fixture(scope="module")
@@ -261,92 +272,98 @@ class TestSegmentLifecycle:
 
     def test_writer_pack_pool_unpack_round_trip(self):
         writer = SegmentWriter(f"repro-fab-{os.getpid()}-9000-w0g0")
-        pool = SegmentPool(lambda owner, name: writer.release(name))
-        try:
-            arrays = [
-                np.arange(100, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.array([7, 9], dtype=np.int64),
-            ]
-            payload = writer.pack(self._results(arrays))
-            assert payload[1] is not None and payload[2] == 102 * 8
-            [rebuilt] = pool.unpack(payload, owner=0)
-            for i, expected in enumerate(arrays):
-                actual = rebuilt.ranks[f"d{i}"]
-                assert actual.dtype == np.int64
-                assert actual.tobytes() == expected.tobytes()
-            assert writer.info()["busy"] == 1
-        finally:
-            writer.close()
+        pool = SegmentPool()
+        arrays = [
+            np.arange(100, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.array([7, 9], dtype=np.int64),
+        ]
+        light, segment = writer.pack(self._results(arrays))
+        assert os.path.getsize(os.path.join(_SHM_DIR, segment)) == 102 * 8
+        [rebuilt] = pool.unpack((light, segment))
+        assert segment not in fabric_segments()  # the name went at attach
+        assert pool.attached == 1
+        for i, expected in enumerate(arrays):
+            actual = rebuilt.ranks[f"d{i}"]
+            assert actual.dtype == np.int64
+            assert actual.tobytes() == expected.tobytes()
 
-    def test_release_recycles_segment(self):
-        writer = SegmentWriter(f"repro-fab-{os.getpid()}-9001-w0g0")
-        try:
-            first = writer.pack(self._results([np.arange(64, dtype=np.int64)]))
-            writer.release(first[1])
-            assert writer.info() == {
-                "created": 1, "recycled": 0, "free": 1, "busy": 0,
-            }
-            second = writer.pack(self._results([np.arange(32, dtype=np.int64)]))
-            # Same segment, reused — not a fresh allocation.
-            assert second[1] == first[1]
-            assert writer.info()["recycled"] == 1
-        finally:
-            writer.close()
+    def test_one_result_shape_for_every_mode(self):
+        task = ShardTask(
+            index=2, shard_id=1, shard_file="f.npz", names=("d0",),
+            plan="//a", engine="vectorized", document=None,
+        )
+        sent = [
+            ShardResult.of(task, {"d0": np.arange(3, dtype=np.int64)}),
+            ShardResult.build(2, 1, "count", {"d0": 3}, ("observed",)),
+            ShardResult.of(task._replace(mode="exists"), True),
+        ]
+        payload = SegmentWriter(f"repro-fab-{os.getpid()}-9001-w0g0").pack(sent)
+        assert all(len(light) == 5 for light in payload[0])
+        received = SegmentPool().unpack(payload)
+        assert received[0].ranks["d0"].tolist() == [0, 1, 2]
+        assert received[1:] == sent[1:]
+        assert received[1].observations == ("observed",)
 
     def test_inline_payloads_skip_the_segment(self):
-        writer = SegmentWriter(f"repro-fab-{os.getpid()}-9002-w0g0")
-        try:
-            payload = writer.pack(self._results([np.empty(0, dtype=np.int64)]))
-            assert payload[1] is None
-            assert writer.info()["created"] == 0
-        finally:
-            writer.close()
-
-    def test_view_keeps_segment_alive_through_slices(self):
-        writer = SegmentWriter(f"repro-fab-{os.getpid()}-9003-w0g0")
-        recycled = []
-        pool = SegmentPool(lambda owner, name: recycled.append(name))
-        payload = writer.pack(self._results([np.arange(50, dtype=np.int64)]))
-        [rebuilt] = pool.unpack(payload, owner=0)
-        tail = rebuilt.ranks["d0"][25:]  # derived view, parent dropped
-        del rebuilt
-        gc.collect()
-        assert recycled == []  # the slice still pins the lease
-        assert tail.tolist() == list(range(25, 50))
-        del tail
-        gc.collect()
-        assert recycled == [payload[1]]
-        writer.close()
-
-    def test_end_to_end_recycling_and_zero_leak(self, store):
         before = set(fabric_segments())
+        writer = SegmentWriter(f"repro-fab-{os.getpid()}-9002-w0g0")
+        payload = writer.pack(self._results([np.empty(0, dtype=np.int64)]))
+        assert payload[1] is None
+        assert set(fabric_segments()) == before
+        [rebuilt] = SegmentPool().unpack(payload)
+        assert rebuilt.ranks["d0"].tolist() == []
+
+    def test_view_keeps_segment_alive_through_slices(self, store):
+        backend = FabricBackend(store, workers=1)
+        merged = backend.run_batch(
+            [("//open_auction/bidder", "vectorized", None, "materialize")]
+        )
+        # Unpacked means unnamed: nothing waits for a view to die.
+        assert fabric_segments() == []
+        assert backend.worker_stats()["segments_attached"] > 0
+        ranks = max(merged[0].values(), key=len)
+        assert type(ranks) is np.ndarray and len(ranks) > 1
+        expected = ranks.tolist()
+        tail = ranks[1:]  # a derived view is all that will be left
+        del merged, ranks
+        backend.close()
+        gc.collect()
+        assert type(tail) is np.ndarray
+        assert tail.tolist() == expected[1:]
+
+    def test_no_segment_name_between_batches(self, store):
         with QueryService(store, backend="fabric:1") as service:
             for _ in range(5):
                 results = service.execute_batch(SUITE, use_cache=False)
-                del results
-                gc.collect()
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                stats = service.backend.worker_stats()
-                segments = stats["workers"][0]["segments"]
-                if segments["recycled"] > 0:
-                    break
-                time.sleep(0.05)  # recycle messages are asynchronous
-            assert segments["recycled"] > 0
-            assert segments["created"] <= 5
-        gc.collect()
-        assert set(fabric_segments()) <= before
+                # Held results or not, no batch in flight = no name.
+                assert fabric_segments() == []
+            stats = service.backend.worker_stats()
+            assert stats["segments_attached"] >= 5
+            del results
+        assert fabric_segments() == []
+
+    def test_unattached_segment_is_removed_by_close(self, store):
+        backend = FabricBackend(store, workers=1)
+        backend.run_batch([("//person", "vectorized", None, "count")])
+        # What a worker leaves when it dies between pack and "done".
+        writer = SegmentWriter(f"{backend._prefix}-w0g7")
+        _, segment = writer.pack(self._results([np.arange(8, dtype=np.int64)]))
+        assert segment in fabric_segments()
+        backend.close()
+        assert fabric_segments() == []
+
+    def test_unattached_segment_of_a_dead_parent_is_swept(self):
+        writer = SegmentWriter(f"repro-fab-{dead_pid()}-0-w0g0")
+        _, segment = writer.pack(self._results([np.arange(8, dtype=np.int64)]))
+        assert segment in fabric_segments()
+        assert segment in sweep_orphan_segments()
+        assert segment not in fabric_segments()
 
     def test_sweep_unlinks_dead_pid_segments(self, tmp_path):
-        # Fabricate leftovers of a "crashed" fabric: a pid that cannot
-        # be running (pid_max+1 territory is unreliable; use one we
-        # spawned and reaped) plus a live-pid control.
-        child = os.fork()
-        if child == 0:  # pragma: no cover - exits immediately
-            os._exit(0)
-        os.waitpid(child, 0)
-        dead = os.path.join(_SHM_DIR, f"repro-fab-{child}-0-w0g0-0")
+        # Fabricate leftovers of a "crashed" fabric plus a live-pid
+        # control.
+        dead = os.path.join(_SHM_DIR, f"repro-fab-{dead_pid()}-0-w0g0-0")
         live = os.path.join(_SHM_DIR, f"repro-fab-{os.getpid()}-8999-w0g0-0")
         with open(dead, "wb") as f:
             f.write(b"\0" * 8)
@@ -363,11 +380,7 @@ class TestSegmentLifecycle:
                     os.unlink(path)
 
     def test_fabric_init_runs_the_sweep(self, store):
-        child = os.fork()
-        if child == 0:  # pragma: no cover - exits immediately
-            os._exit(0)
-        os.waitpid(child, 0)
-        leftover = os.path.join(_SHM_DIR, f"repro-fab-{child}-0-w0g1-7")
+        leftover = os.path.join(_SHM_DIR, f"repro-fab-{dead_pid()}-0-w0g1-7")
         with open(leftover, "wb") as f:
             f.write(b"\0" * 8)
         backend = FabricBackend(store, workers=1)
@@ -380,19 +393,19 @@ class TestSegmentLifecycle:
 # ----------------------------------------------------------------------
 class TestAffinityAndResilience:
     def test_affinity_routes_shards_to_stable_workers(self, store):
-        backend = FabricBackend(store, workers=2, steal_threshold=100)
+        backend = FabricBackend(store, workers=2)
         with QueryService(store, backend=backend) as service:
             for _ in range(3):
                 service.execute_batch(SUITE, use_cache=False)
             stats = backend.worker_stats()
         # 3 shards over 2 workers: shard 0 and 2 → worker 0, shard 1 →
-        # worker 1; with stealing disabled the split must be exactly 2:1
-        # per batch.
+        # worker 1; nobody is ever strictly less loaded than the affine
+        # worker, so the split must be exactly 2:1 per batch.
         assert stats["stolen"] == 0
         assert stats["dispatched"][0] == 2 * stats["dispatched"][1]
 
     def test_affinity_keeps_prefix_caches_warm(self, store):
-        backend = FabricBackend(store, workers=2, steal_threshold=100)
+        backend = FabricBackend(store, workers=2)
         with QueryService(store, backend=backend) as service:
             prefix_batch = [
                 "//open_auction/bidder/increase",
@@ -409,15 +422,35 @@ class TestAffinityAndResilience:
             assert after["prefix_cache"]["hits"] > before["prefix_cache"]["hits"]
 
     def test_stealing_rebalances_a_backlogged_worker(self, store):
-        backend = FabricBackend(store, workers=2, steal_threshold=1)
-        # Shard 0's affine worker is 3 deep, worker 1 idle: steal.
+        backend = FabricBackend(store, workers=2)
+        # Shard 0's affine worker holds 3 units of the batch, worker 1 none.
         assert backend._assign(0, [3, 0]) == 1
         assert backend._assign(0, [0, 0]) == 0  # balanced: stay affine
-        assert backend.stolen == 1
-        backend.close()
-        lazy = FabricBackend(store, workers=2)  # default threshold 2
-        assert lazy._assign(0, [1, 0]) == 0  # under threshold: stay
-        lazy.close()
+        assert backend._assign(0, [1, 0]) == 1  # strictly fewer is enough
+        assert backend._assign(1, [2, 2]) == 1  # ties stay affine
+        assert backend._assign(1, [1, 2]) == 0
+        assert backend.stolen == 3
+        wide = FabricBackend(store, workers=4)
+        assert wide._assign(0, [2, 1, 0, 0]) == 2  # the first least-loaded
+
+    @pytest.mark.parametrize("shards, workers", [(1, 2), (2, 4)])
+    def test_scarce_shards_feed_every_worker(
+        self, forest, tmp_path, shards, workers
+    ):
+        scarce = ShardedStore.build(str(tmp_path / "store"), forest, shards=shards)
+        batch = list(SUITE) + ["//person", "//open_auction"]
+        assert len(batch) == 8
+        with QueryService(scarce, backend="serial") as service:
+            expected = [
+                snapshot(r) for r in service.execute_batch(batch, use_cache=False)
+            ]
+        backend = FabricBackend(scarce, workers=workers)
+        with QueryService(scarce, backend=backend) as service:
+            answers = [
+                snapshot(r) for r in service.execute_batch(batch, use_cache=False)
+            ]
+            assert all(sent > 0 for sent in backend.dispatched), backend.dispatched
+        assert answers == expected
 
     def test_killed_worker_is_respawned_and_batch_completes(self, store):
         backend = FabricBackend(store, workers=2)
@@ -435,7 +468,43 @@ class TestAffinityAndResilience:
             ]
             assert again == baseline
             assert backend._procs[0].pid != victim.pid
+            # Re-dispatched units (and any duplicate completion) leave
+            # no name behind while the service lives on.
+            assert fabric_segments() == []
         assert fabric_segments() == []
+
+    def test_worker_killed_mid_unit_is_redispatched_without_a_leak(
+        self, store, tmp_path, monkeypatch
+    ):
+        import multiprocessing
+
+        from repro.service import ShardWorkerState
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched class reaches workers through fork only")
+        with QueryService(store, backend="serial") as service:
+            baseline = [
+                snapshot(r) for r in service.execute_batch(SUITE, use_cache=False)
+            ]
+        marker = tmp_path / "died-once"
+        run_group = ShardWorkerState.run_group
+
+        def die_once(self, tasks):
+            try:
+                marker.touch(exist_ok=False)
+            except FileExistsError:
+                return run_group(self, tasks)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(ShardWorkerState, "run_group", die_once)
+        backend = FabricBackend(store, workers=2)
+        with QueryService(store, backend=backend) as service:
+            answers = [
+                snapshot(r) for r in service.execute_batch(SUITE, use_cache=False)
+            ]
+            assert marker.exists() and sum(backend._generation) == 3
+            assert fabric_segments() == []
+        assert answers == baseline
 
     def test_fabric_starts_no_resource_tracker(self, store, tmp_path):
         """Segments are mapped straight from /dev/shm, so neither the
@@ -515,7 +584,7 @@ with QueryService(ShardedStore.open(sys.argv[1]), backend="fabric:2") as service
         monkeypatch.setattr(ShardWorkerState, "run_group", boom)
         with FabricBackend(store, workers=1) as backend:
             with pytest.raises(ReproError, match="fabric worker 0 failed") as caught:
-                backend.run_batch([("//person", "vectorized", None)])
+                backend.run_batch([("//person", "vectorized", None, "materialize")])
         assert "RuntimeError: kernel exploded" in str(caught.value)
 
     def test_user_errors_are_identical_on_every_backend(self, store):

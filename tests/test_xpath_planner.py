@@ -273,10 +273,10 @@ class TestResultInvariance:
             ]
             for mode in SkipMode:
                 forced = [
-                    (compile_plan(plan, skip_mode=mode), "scalar", None)
+                    (compile_plan(plan, skip_mode=mode), "scalar", None, "materialize")
                     for plan in plans
                 ]
-                assert all(plan.skip_mode is mode for plan, _, _ in forced)
+                assert all(plan.skip_mode is mode for plan, *_ in forced)
                 assert [
                     {name: ranks.tobytes() for name, ranks in answer.items()}
                     for answer in service.backend.run_batch(forced)
