@@ -88,7 +88,7 @@ def build_representatives() -> List[object]:
             blocks=1,
         ),
         # PageDirectory (array-backed dataclass; defines its own __eq__)
-        pack_int_column("post", np.arange(100, dtype=np.int64), "delta", 64)[0],
+        pack_int_column("level", np.arange(100, dtype=np.int64), "for", 64)[0],
     ]
     instances.extend(planner.plan("//a/b").steps)  # StepDecision
     for plan in (materialize, count, exists):

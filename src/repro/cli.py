@@ -198,6 +198,12 @@ def _cmd_store(args: argparse.Namespace) -> int:
     print(f"bytes on disk  {info['total_bytes_on_disk']:,}")
     if info["total_logical_bytes"]:
         print(f"logical bytes  {info['total_logical_bytes']:,} (packed shards decoded at column width)")
+    if info["shards"]:
+        first = info["shards"][0]
+        print(
+            f"columns        {', '.join(first['stored_columns'])} "
+            f"({first['derived_columns']})"
+        )
     for shard in info["shards"]:
         line = (
             f"  shard {shard['id']:<4d} v{shard['format_version']}  "
@@ -583,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--compression", choices=("auto", "none", "packed"), default="auto",
         help="shard archive layout: packed = dictionary + bit-packed page "
-        "blocks (v3), none = eager arrays (v2), auto = packed for large "
+        "blocks (v5), none = eager arrays (v6), auto = packed for large "
         "shards (default)",
     )
     cmd.set_defaults(handler=_cmd_shard)

@@ -1,20 +1,19 @@
 """The paged plane: a compressed shard the join kernels stream over.
 
 A :class:`PagedPlane` is what :func:`repro.encoding.persist.load` hands
-back for a packed (``format_version`` 3) archive opened with ``mmap=True``: every
-column is a :class:`~repro.encoding.codec.PagedArray` over the mmap'd
-packed blobs, decoding one fixed-height page block on first touch.
+back for a packed archive opened with ``mmap=True``: every stored
+column (``level``, ``kind`` and the two code columns) is a
+:class:`~repro.encoding.codec.PagedArray` over the mmap'd packed blobs,
+decoding one fixed-height page block on first touch; ``post`` and
+``parent`` are dense arrays derived from ``level`` at open and are not
+part of the plane.
 
 The staircase join's skipping (Algorithms 3/4) composes with paging for
 free: a skipped ``(pre, post)`` range is a range of page blocks whose
 decode never runs — and, cold, whose backing bytes are never faulted in
-from disk.  The scalar join drives the plane through
-:meth:`~repro.encoding.codec.PagedArray.iter_pages` /
-:meth:`~repro.encoding.codec.PagedArray.page` (see
-``repro.core.staircase``); the vectorized kernels need no changes at
-all, because they touch columns only through gathers, windowed slices,
-and scalar reads — exactly the access shapes ``PagedArray`` serves block
-by block.
+from disk.  The vectorized kernels need no changes at all, because they
+touch columns only through gathers, windowed slices, and scalar reads —
+exactly the access shapes ``PagedArray`` serves block by block.
 
 The plane also carries the decode accounting ``store info`` reports:
 blocks/bytes decoded per column and packed bytes.
@@ -22,7 +21,7 @@ blocks/bytes decoded per column and packed bytes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict
 
 from repro.encoding.codec import PagedArray, PlaneStats
 
@@ -68,17 +67,6 @@ class PagedPlane:
         self.nodes = nodes
         self.columns = columns
         self.stats = stats
-
-    def iter_chunks(
-        self, names: Tuple[str, ...], start: int, stop: int
-    ) -> Iterator[Tuple[int, Tuple]]:
-        """Lockstep page iteration over several columns of one plane."""
-        primary = self.columns[names[0]]
-        rest = [self.columns[name] for name in names[1:]]
-        for base, chunk in primary.iter_pages(start, stop):
-            yield base, (chunk,) + tuple(
-                column[base : base + chunk.shape[0]] for column in rest
-            )
 
     # -- accounting ----------------------------------------------------
     def column_stats(self) -> Dict[str, dict]:

@@ -28,14 +28,13 @@ return them (Section 3); a ``kind`` comparison filters them as they are
 appended, without affecting scan/skip logic.
 
 When ``doc`` is backed by a :class:`~repro.core.paged.PagedPlane`
-(a compressed FORMAT_VERSION 3 archive opened with ``mmap=True``), every
-scan below drives the plane one decoded page block at a time: the block
-containing the scan head is decoded, walked with plain ndarray indexing,
-and the next block is fetched only if the scan survives past the
-boundary.  The paper's skipping therefore composes with paging — an
-early ``break`` or a subtree hop over a block boundary means the blocks
-in between are never decoded, and (cold) never faulted in from disk.
-The counters are identical in both drive modes; the tests assert it.
+(a packed archive opened with ``mmap=True``), ``post`` is a dense array
+like in any other table (it is derived from ``level`` when the archive
+is opened) and the stored columns are paged: the comparison-free copy
+phases below walk ``kind`` one decoded page block at a time, so the
+nodes a scan skips are ``kind`` pages never decoded — and (cold) never
+faulted in from disk.  The counters are identical in both drive modes;
+the tests assert it.
 """
 
 from __future__ import annotations
@@ -97,7 +96,6 @@ def _scanpartition_desc(
     """
     post = doc.post
     kind = doc.kind
-    paged = getattr(doc, "plane", None) is not None
     stats.partitions += 1
 
     if mode in (SkipMode.ESTIMATE, SkipMode.EXACT):
@@ -110,9 +108,8 @@ def _scanpartition_desc(
             estimate = min(pre2, c + (int(post[c]) - c + int(doc.level[c])))
         else:
             estimate = min(pre2, post_bound)  # Eq. (1) lower bound diagonal
-        if paged:
-            # Comparison-free copy: only the kind pages are decoded; the
-            # post pages of guaranteed descendants stay packed.
+        if getattr(doc, "plane", None) is not None:
+            # Comparison-free copy, one decoded kind page at a time.
             for base, kinds in kind.iter_pages(pre1, estimate + 1):
                 for j in range(kinds.shape[0]):
                     stats.nodes_copied += 1
@@ -135,29 +132,6 @@ def _scanpartition_desc(
         scan_from = max(pre1, estimate + 1)
     else:
         scan_from = pre1
-
-    if paged:
-        # Drive block-at-a-time; an early skip abandons the remaining
-        # pages of the partition without decoding them.
-        for base, posts in post.iter_pages(scan_from, pre2 + 1):
-            kinds = None
-            for j in range(posts.shape[0]):
-                stats.nodes_scanned += 1
-                stats.post_comparisons += 1
-                if posts[j] < post_bound:  # (?) — Algorithm 3's comparison
-                    if keep_attributes:
-                        result.append(base + j)
-                        stats.result_size += 1
-                    else:
-                        if kinds is None:
-                            kinds = kind[base : base + posts.shape[0]]
-                        if kinds[j] != _ATTR:
-                            result.append(base + j)
-                            stats.result_size += 1
-                elif mode is not SkipMode.NONE:
-                    stats.nodes_skipped += pre2 - (base + j)
-                    return
-        return
 
     for i in range(scan_from, pre2 + 1):
         stats.nodes_scanned += 1
@@ -242,39 +216,6 @@ def _scanpartition_anc(
     kind = doc.kind
     level = doc.level
     stats.partitions += 1
-    if getattr(doc, "plane", None) is not None:
-        # Paged drive: walk the decoded block under the scan head with
-        # plain ndarray indexing; a subtree hop that crosses the block
-        # boundary re-enters the outer loop, so hopped-over pages are
-        # never decoded.
-        i = pre1
-        while i <= pre2:
-            base, posts = post.page(i)
-            limit = min(pre2, base + posts.shape[0] - 1)
-            j = i - base
-            while i <= limit:
-                stats.nodes_scanned += 1
-                stats.post_comparisons += 1
-                if posts[j] > post_bound:
-                    if keep_attributes or kind[i] != _ATTR:
-                        result.append(i)
-                        stats.result_size += 1
-                    i += 1
-                    j += 1
-                elif mode is SkipMode.NONE:
-                    i += 1
-                    j += 1
-                else:
-                    if mode is SkipMode.EXACT:
-                        hop = int(posts[j]) - i + int(level[i])
-                    else:
-                        hop = max(0, int(posts[j]) - i)
-                    stats.nodes_skipped += min(hop, pre2 - i)
-                    i += 1 + hop
-                    j = i - base
-                    if j >= posts.shape[0]:
-                        break
-        return
     i = pre1
     while i <= pre2:
         stats.nodes_scanned += 1
@@ -360,26 +301,8 @@ def staircase_join_following(
     post = doc.post
     kind = doc.kind
     n = len(doc)
-    paged = getattr(doc, "plane", None) is not None
     stats.partitions += 1
     if mode is SkipMode.NONE:
-        if paged:
-            for base, posts in post.iter_pages(c + 1, n):
-                kinds = None
-                for j in range(posts.shape[0]):
-                    stats.nodes_scanned += 1
-                    stats.post_comparisons += 1
-                    if posts[j] > post_c:
-                        if keep_attributes:
-                            result.append(base + j)
-                            stats.result_size += 1
-                        else:
-                            if kinds is None:
-                                kinds = kind[base : base + posts.shape[0]]
-                            if kinds[j] != _ATTR:
-                                result.append(base + j)
-                                stats.result_size += 1
-            return _result_array(result)
         for i in range(c + 1, n):
             stats.nodes_scanned += 1
             stats.post_comparisons += 1
@@ -390,7 +313,7 @@ def staircase_join_following(
         return _result_array(result)
     # Skip c's subtree (guaranteed descendants), scan the ≤ h stragglers,
     # then copy everything else comparison-free.  Under a paged plane the
-    # hop means the subtree's pages are simply never decoded.
+    # hop means the subtree's ``kind`` pages are simply never decoded.
     i = c + 1
     hop = max(0, post_c - c)
     stats.nodes_skipped += min(hop, n - i)
@@ -403,7 +326,7 @@ def staircase_join_following(
         i += 1
     else:
         return _result_array(result)
-    if paged:
+    if getattr(doc, "plane", None) is not None:
         # Comparison-free copy over the kind pages only.
         for base, kinds in kind.iter_pages(i, n):
             for j in range(kinds.shape[0]):
@@ -445,23 +368,6 @@ def staircase_join_preceding(
     post = doc.post
     kind = doc.kind
     stats.partitions += 1
-    if getattr(doc, "plane", None) is not None:
-        for base, posts in post.iter_pages(0, c):
-            kinds = None
-            for j in range(posts.shape[0]):
-                stats.nodes_scanned += 1
-                stats.post_comparisons += 1
-                if posts[j] < post_c:
-                    if keep_attributes:
-                        result.append(base + j)
-                        stats.result_size += 1
-                    else:
-                        if kinds is None:
-                            kinds = kind[base : base + posts.shape[0]]
-                        if kinds[j] != _ATTR:
-                            result.append(base + j)
-                            stats.result_size += 1
-        return _result_array(result)
     for i in range(0, c):
         stats.nodes_scanned += 1
         stats.post_comparisons += 1

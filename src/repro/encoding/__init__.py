@@ -15,7 +15,7 @@ from repro.encoding.collection import DocumentCollection
 from repro.encoding.decode import decode, subtree
 from repro.encoding.doctable import DocTable
 from repro.encoding.persist import load, save
-from repro.encoding.prepost import encode
+from repro.encoding.prepost import encode, shape
 from repro.encoding.regions import (
     Region,
     axis_region,
@@ -37,6 +37,7 @@ __all__ = [
     "DocTable",
     "DocumentCollection",
     "encode",
+    "shape",
     "decode",
     "subtree",
     "save",

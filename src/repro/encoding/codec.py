@@ -1,22 +1,17 @@
-"""Per-column codecs for compressed, pageable planes (FORMAT_VERSION 3).
+"""Per-column codecs for compressed, pageable planes (the packed layout).
 
 The paper's Section-4 cache-consciousness argument is a memory-hierarchy
 argument, and it extends one level down: a plane laid out in fixed-size
 page blocks streams through the staircase join from disk the same way
-cache lines stream through it from DRAM.  This module provides the three
+cache lines stream through it from DRAM.  This module provides the two
 codecs that make a :class:`~repro.encoding.doctable.DocTable` column
 pageable:
 
 * **Frame-of-reference bit-packing** (``CODEC_FOR``) — each fixed-height
   page block stores one ``int64`` reference (the block minimum) plus the
   per-value deltas packed at the block's minimal bit width.  ``level``,
-  ``kind``, and the dictionary code vectors compress this way.
-* **Position-delta FOR** (``CODEC_DELTA``) — the same, applied to
-  ``value − pre`` instead of the raw value.  ``post`` and ``parent``
-  track the void ``pre`` column closely (``post − pre`` is the subtree
-  size minus the level term of Equation (1); ``parent − pre`` is usually
-  a small negative number), so the residuals need a handful of bits
-  where the raw values need 20+.
+  ``kind``, and the dictionary code vectors — every stored column —
+  compress this way.
 * **Sorted dictionary blobs** — tag and text dictionaries are one UTF-8
   byte blob plus a 4-byte offset vector, sorted in code-point order, in
   memory and in both archive layouts alike.  UTF-8 byte order equals
@@ -52,7 +47,6 @@ from repro.errors import EncodingError
 
 __all__ = [
     "CODEC_FOR",
-    "CODEC_DELTA",
     "DEFAULT_PAGE_SIZE",
     "PageDirectory",
     "PlaneStats",
@@ -72,9 +66,6 @@ __all__ = [
 
 #: Frame-of-reference: block minimum + bit-packed deltas.
 CODEC_FOR = "for"
-
-#: FOR over ``value − pre`` (position-delta); for columns tracking ``pre``.
-CODEC_DELTA = "delta"
 
 #: Values per page block.  Must be a power of two: scalar access resolves
 #: ``pre → (block, offset)`` with a shift and a mask on the hot path.
@@ -178,7 +169,7 @@ def pack_int_column(
     byte range).
     """
     _require_power_of_two(page_size)
-    if codec not in (CODEC_FOR, CODEC_DELTA):
+    if codec != CODEC_FOR:
         raise EncodingError(f"unknown codec {codec!r} for column {column!r}")
     if values.ndim != 1:
         raise EncodingError(f"column {column!r} must be one-dimensional")
@@ -192,8 +183,6 @@ def pack_int_column(
         # Widened a page at a time: the column itself stays at its width.
         start = b * page_size
         block = values[start : start + page_size].astype(np.int64)
-        if codec == CODEC_DELTA:
-            block -= np.arange(start, start + block.shape[0], dtype=np.int64)
         reference = int(block.min())
         width = int(int(block.max()) - reference).bit_length()
         packed = _pack_bits((block - reference).astype(np.uint64), width)
@@ -233,8 +222,6 @@ def decode_page(
     packed = blob[int(directory.offsets[block]) : int(directory.offsets[block + 1])]
     decoded = _unpack_bits(packed, int(directory.bits[block]), count)
     decoded += int(directory.refs[block])
-    if directory.codec == CODEC_DELTA:
-        decoded += np.arange(start, start + count, dtype=np.int64)
     return decoded.astype(column_dtype(directory.column), copy=False)
 
 
@@ -276,8 +263,6 @@ def _decode_pages(
     mask = (np.uint64(1) << widths.astype(np.uint64)) - np.uint64(1)
     decoded = (((stream[word] >> shift) | spill) & mask).astype(np.int64)
     decoded += directory.refs[page]
-    if directory.codec == CODEC_DELTA:
-        decoded += index
     return decoded
 
 
@@ -316,9 +301,9 @@ def check_directory(directory: PageDirectory, low: int, high: int) -> None:
     """Reject a forged directory before any of its pages is decoded.
 
     Page ``b`` can only hold values in ``refs[b] .. refs[b] + 2^bits[b]
-    − 1`` (shifted by the position under the delta codec).  That
-    envelope must fit the column's declared width — :func:`decode_column`
-    stores into it unchecked — and must be able to meet the legal range
+    − 1``.  That envelope must fit the column's declared width —
+    :func:`decode_column` stores into it unchecked — and must be able to
+    meet the legal range
     ``[low, high]``: the packer writes minimal widths, so a page's
     reference delta is taken and, at ``bits > 0``, so is one of at least
     ``2^(bits−1)``.  Float arithmetic: a hostile ``int64`` reference
@@ -329,16 +314,12 @@ def check_directory(directory: PageDirectory, low: int, high: int) -> None:
     limits = np.iinfo(column_dtype(directory.column))
     refs = directory.refs.astype(np.float64)
     bits = directory.bits.astype(np.float64)
-    first = last = 0.0  # position of a page's first/last value (delta codec)
-    if directory.codec == CODEC_DELTA:
-        first = np.arange(directory.n_blocks, dtype=np.float64) * directory.page_size
-        last = np.minimum(first + directory.page_size, directory.length) - 1
     reach = np.where(bits > 0, np.exp2(bits - 1), 0.0)
     healthy = (
-        (refs + first >= limits.min)
-        & (refs + np.exp2(bits) - 1 + last <= limits.max)
-        & (refs + last >= low)
-        & (refs + reach + first <= high)
+        (refs >= limits.min)
+        & (refs + np.exp2(bits) - 1 <= limits.max)
+        & (refs >= low)
+        & (refs + reach <= high)
     )
     if not healthy.all():
         raise EncodingError(
@@ -765,20 +746,6 @@ class PagedArray:
             return
         for b in range(self.directory.n_blocks):
             yield from self._decode_block(b)
-
-    def page(self, i: int) -> Tuple[int, np.ndarray]:
-        """``(block_start, decoded_block)`` for the page containing ``i``.
-
-        The scan driver for loops that hop (the ancestor join): the
-        caller walks the returned block with plain ndarray indexing and
-        re-fetches only when a hop crosses the block boundary.  Once the
-        full decode is cached the whole column is one "block", so a
-        hopping caller never re-fetches at all.
-        """
-        if self._full is not None:
-            return 0, self._full
-        block = i >> self._shift
-        return block << self._shift, self._decode_block(block)
 
     def iter_pages(
         self, start: int = 0, stop: Optional[int] = None

@@ -191,15 +191,14 @@ class DocTable:
         The :class:`ValueIndex` of per-node text (absent: no node has any).
     validate:
         Check that ``post`` is a permutation of ``0..n-1`` (an O(n log n)
-        sort).  Pass ``False`` only for columns known to round-trip from a
-        validated table — e.g. the memory-mapped persistence load path,
-        where the check would fault in every page of an otherwise lazily
-        opened archive.
+        sort) and that the value codes fit their dictionary.  Pass
+        ``False`` only for columns known good by construction — the
+        persistence load path, whose ``post`` is derived from ``level``.
     height:
-        The document height, when the caller already knows it (persisted
-        archives do).  Without it the constructor computes
-        ``level.max()`` — an O(n) pass a paged (compressed) column would
-        have to fully decode, defeating the lazy open.
+        The document height, when the caller already knows it (the
+        persistence load path does).  Without it the constructor
+        computes ``level.max()`` — an O(n) pass a paged (compressed)
+        column would have to fully decode.
     """
 
     __slots__ = (
@@ -264,8 +263,8 @@ class DocTable:
         self.height = int(level.max()) if height is None else int(height)
         if self.height > np.iinfo(COLUMN_DTYPES["level"]).max:
             raise EncodingError(f"height {self.height} exceeds the 2-byte level column")
-        #: Set by the persistence layer when the columns are paged
-        #: (FORMAT_VERSION 3, ``mmap=True``); the join kernels use it to
+        #: Set by the persistence layer when the stored columns are paged
+        #: (the packed layout, ``mmap=True``); the join kernels use it to
         #: drive block-at-a-time scans.  ``None`` for eager tables.
         self.plane = None
         self._pre_of_post: Optional[np.ndarray] = None

@@ -6,33 +6,38 @@ Parsing and encoding a large document is the expensive part of loading
 directly.  The format is a single ``.npz`` container of *stored*
 (uncompressed) numeric ``.npy`` members.
 
-Two layouts, one value representation.  Both hold the six plane columns
-(``post``, ``level``, ``parent``, ``kind``, ``tag_codes``,
-``value_codes``) and the same four dictionary members — the tag and the
-text dictionary, each a sorted UTF-8 blob plus 4-byte offsets, exactly
-the :class:`~repro.encoding.doctable.ValueIndex` the table holds in
-memory.  They differ in how the columns are stored:
+Two layouts, one value representation.  Both hold four plane columns
+(``level``, ``kind``, ``tag_codes``, ``value_codes``) and the same four
+dictionary members — the tag and the text dictionary, each a sorted
+UTF-8 blob plus 4-byte offsets, exactly the
+:class:`~repro.encoding.doctable.ValueIndex` the table holds in memory.
+The tree's shape is stored once: ``pre`` is a node's position (the
+paper's void column) and the pre-order ``level`` column implies the
+rest, so ``post`` and ``parent`` are not members — :func:`load` derives
+them with :func:`~repro.encoding.prepost.shape` (which also rejects a
+``level`` column that is no tree) and hands :class:`DocTable` the same
+dense ``int32`` arrays an encode does.  The layouts differ in how the
+four columns are stored:
 
 * **eager** (``compression="none"``, the default, ``format_version``
-  4) — every column a plain member at its declared width.  A stored
+  6) — every column a plain member at its declared width.  A stored
   ``.npy`` zip member is byte-identical to a standalone ``.npy`` file,
   so :func:`load` with ``mmap=True`` memory-maps columns *and*
   dictionaries in place at their archive offsets — worker processes
   that open the same shard share the OS page cache instead of each
   materialising its own copy.  Right for small documents.
-* **packed** (``compression="packed"``, ``format_version`` 3) — every
-  column frame-of-reference/delta bit-packed into fixed-height page
-  blocks behind a page directory (:mod:`repro.encoding.codec`).
-  ``mmap=True`` maps the packed blobs and returns a table whose columns
-  are :class:`~repro.encoding.codec.PagedArray` views decoding one page
-  block at a time — a shard larger than RAM streams through the join
-  kernels block by block.  Files written before the offsets were
-  narrowed (8-byte offsets) still open.
+* **packed** (``compression="packed"``, ``format_version`` 5) — every
+  column frame-of-reference bit-packed into fixed-height page blocks
+  behind a page directory (:mod:`repro.encoding.codec`).  ``mmap=True``
+  maps the packed blobs and returns a table whose stored columns are
+  :class:`~repro.encoding.codec.PagedArray` views decoding one page
+  block at a time; ``post`` and ``parent`` are dense in every mode.
 
-No member is an object array and no branch of :func:`load` unpickles:
-archives written before version 3 (pickled ``values`` /
-``tag_dictionary`` members) are refused by the version check, before
-any other member is read.
+No member is an object array and no branch of :func:`load` unpickles.
+Archives of any earlier version — 1 and 2 (pickled strings), 3 and 4
+(the same two layouts with ``post`` and ``parent`` stored) — are refused
+by the version check, before any other member is read: rebuild them
+with ``repro shard`` / ``repro encode``.
 
 :func:`load` raises :class:`~repro.errors.EncodingError` — never a raw
 ``zipfile`` or ``OSError`` traceback — on truncated, foreign, or
@@ -50,7 +55,6 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from repro.encoding.codec import (
-    CODEC_DELTA,
     CODEC_FOR,
     DEFAULT_PAGE_SIZE,
     PageDirectory,
@@ -63,6 +67,7 @@ from repro.encoding.codec import (
     pack_int_column,
 )
 from repro.encoding.doctable import DocTable, ValueIndex
+from repro.encoding.prepost import shape
 from repro.encoding.widths import column_dtype
 from repro.errors import EncodingError
 from repro.storage.column import StringColumn
@@ -79,43 +84,37 @@ __all__ = [
 ]
 
 #: ``compression=`` value → the ``format_version`` :func:`save` writes.
-LAYOUT_VERSIONS = {"none": 4, "packed": 3}
+LAYOUT_VERSIONS = {"none": 6, "packed": 5}
 
 #: ``compression=`` values :func:`save` accepts.
 COMPRESSION_MODES = tuple(LAYOUT_VERSIONS)
 
-#: Versions :func:`load` accepts (3 = packed page blocks, 4 = eager
+#: Versions :func:`load` accepts (5 = packed page blocks, 6 = eager
 #: columns over the same dictionary members).
 SUPPORTED_VERSIONS = tuple(sorted(LAYOUT_VERSIONS.values()))
 
 FORMAT_VERSION = max(SUPPORTED_VERSIONS)
 
-#: The plane columns and their packed-layout codecs.  ``post`` and
-#: ``parent`` track the void ``pre`` column (position-delta residuals are
-#: a few bits); the rest are plain frame-of-reference.
-_PACKED_COLUMNS = (
-    ("post", CODEC_DELTA),
-    ("level", CODEC_FOR),
-    ("parent", CODEC_DELTA),
-    ("kind", CODEC_FOR),
-    ("tag_codes", CODEC_FOR),
-    ("value_codes", CODEC_FOR),
-)
+#: The plane columns an archive stores (``post`` and ``parent`` are
+#: derived from ``level`` on load).
+_STORED_COLUMNS = ("level", "kind", "tag_codes", "value_codes")
+
+#: What ``describe_archive`` / ``repro store info`` say of the other two.
+_DERIVED_COLUMNS = "post, parent: derived from level"
 
 _DICTIONARY_MEMBERS = (
     "tag_dict_blob", "tag_dict_offsets", "value_dict_blob", "value_dict_offsets",
 )
 
 _EAGER_REQUIRED = frozenset(
-    ("format_version",) + _DICTIONARY_MEMBERS
-    + tuple(column for column, _ in _PACKED_COLUMNS)
+    ("format_version",) + _DICTIONARY_MEMBERS + _STORED_COLUMNS
 )
 
 _PACKED_REQUIRED = frozenset(
     ("format_version", "page_size", "nodes", "height") + _DICTIONARY_MEMBERS
     + tuple(
         f"{column}_{part}"
-        for column, _ in _PACKED_COLUMNS
+        for column in _STORED_COLUMNS
         for part in ("refs", "bits", "offsets", "packed")
     )
 )
@@ -144,7 +143,7 @@ def save(
     """Write ``doc`` to ``path`` as an ``.npz`` archive.
 
     ``compression="none"`` writes the eager layout (plain columns);
-    ``compression="packed"`` the compressed pageable one (FOR/delta
+    ``compression="packed"`` the compressed pageable one (FOR
     bit-packed columns behind a page directory of ``page_size``-value
     blocks).  The dictionary members are the same in both.
     """
@@ -164,9 +163,7 @@ def save(
     remap[ranked] = np.arange(len(ranked), dtype=remap.dtype)
     tag_blob, tag_offsets = encode_dictionary([names[code] for code in ranked])
     columns: Dict[str, np.ndarray] = {
-        "post": doc.post,
         "level": doc.level,
-        "parent": doc.parent,
         "kind": doc.kind,
         "tag_codes": remap[tag_codes],
         "value_codes": doc.values.codes,  # written as handed over
@@ -185,8 +182,8 @@ def save(
         members["page_size"] = np.asarray([page_size], dtype=np.int64)
         members["nodes"] = np.asarray([len(doc)], dtype=np.int64)
         members["height"] = np.asarray([doc.height], dtype=np.int64)
-        for column, codec in _PACKED_COLUMNS:
-            directory, blob = pack_int_column(column, columns[column], codec, page_size)
+        for column, values in columns.items():
+            directory, blob = pack_int_column(column, values, CODEC_FOR, page_size)
             members[f"{column}_refs"] = directory.refs
             members[f"{column}_bits"] = directory.bits
             members[f"{column}_offsets"] = directory.offsets
@@ -297,7 +294,8 @@ def _format_version(path: str, archive: "np.lib.npyio.NpzFile") -> int:
     if version not in SUPPORTED_VERSIONS:
         raise EncodingError(
             f"{path}: format version {version} not in "
-            f"supported {SUPPORTED_VERSIONS}"
+            f"supported {SUPPORTED_VERSIONS}; rebuild the archive with "
+            "`repro shard` / `repro encode`"
         )
     return version
 
@@ -318,8 +316,9 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
     the out-of-core mode for shards bigger than memory.
 
     Raises :class:`~repro.errors.EncodingError` on truncated, foreign,
-    or version-unknown archives (never a raw ``zipfile``/``OSError``
-    traceback; a broken ``.npz`` must not half-load).  A *missing* file
+    or version-unknown archives and on a ``level`` column that is not a
+    tree (never a raw ``zipfile``/``OSError`` traceback; a broken
+    ``.npz`` must not half-load).  A *missing* file
     raises plain :class:`FileNotFoundError` — the store's fall-forward
     retry relies on telling "replaced under me" apart from "corrupt".
     """
@@ -353,27 +352,41 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
             raise EncodingError(f"{path}: corrupt tag dictionary: {error}") from error
         value_blob = fetch("value_dict_blob")
         value_offsets = fetch("value_dict_offsets")
-        height = plane = None
+        plane = None
         if packed:
             height = int(_read_member(path, archive, "height")[0])
-            columns, plane = _packed_columns(
+            columns, level, plane = _packed_columns(
                 path, archive, fetch, mmap, decode_cache, height,
                 entries=(len(tag_dictionary), int(value_offsets.shape[0]) - 1),
             )
         else:
-            columns = {column: fetch(column) for column, _ in _PACKED_COLUMNS}
+            columns = {column: fetch(column) for column in _STORED_COLUMNS}
+            level = columns["level"]
+        try:
+            post, parent = shape(level)
+        except EncodingError as error:
+            raise EncodingError(f"{path}: {error}") from error
+        reached = int(level.max())
+        if packed and reached != height:
+            raise EncodingError(
+                f"{path}: level column reaches {reached}, "
+                f"the archive says height {height}"
+            )
     # A mapped archive was written from an already-validated table; skip
-    # the permutation/range re-checks so opening touches as few pages as
-    # possible.
+    # the code-range re-checks so opening touches as few pages as
+    # possible.  ``post`` is a permutation by construction.
+    values = ValueIndex(columns["value_codes"], value_blob, value_offsets)
+    if not mmap:
+        values.check()
     table = DocTable(
-        post=columns["post"],
+        post=post,
         level=columns["level"],
-        parent=columns["parent"],
+        parent=parent,
         kind=columns["kind"],
         tag=StringColumn(columns["tag_codes"], tag_dictionary, validate=not mmap),
-        values=ValueIndex(columns["value_codes"], value_blob, value_offsets),
-        validate=not mmap,
-        height=height,
+        values=values,
+        validate=False,
+        height=reached,
     )
     table.plane = plane
     return table
@@ -388,16 +401,17 @@ def _packed_columns(
     height: int,
     entries: Tuple[int, int],
 ):
-    """The six columns of a packed archive — decoded arrays, or (mapped)
-    paged views and the :class:`~repro.core.paged.PagedPlane` over them.
+    """The stored columns of a packed archive — decoded arrays, or
+    (mapped) paged views and the :class:`~repro.core.paged.PagedPlane`
+    over them — and the dense ``level`` column the shape is derived from.
     ``entries`` sizes the tag and value dictionaries the codes must fit."""
     page_size = int(_read_member(path, archive, "page_size")[0])
     n = int(_read_member(path, archive, "nodes")[0])
     directories: Dict[str, PageDirectory] = {}
-    for column, codec in _PACKED_COLUMNS:
+    for column in _STORED_COLUMNS:
         directories[column] = PageDirectory(
             column=column,
-            codec=codec,
+            codec=CODEC_FOR,
             page_size=page_size,
             length=n,
             refs=np.ascontiguousarray(
@@ -411,9 +425,7 @@ def _packed_columns(
             ),
         )
     legal = {
-        "post": (-1, n - 1),
         "level": (0, height),
-        "parent": (-1, n - 1),
         "kind": (min(NodeKind), max(NodeKind)),
         "tag_codes": (0, entries[0] - 1),
         "value_codes": (-1, entries[1] - 1),
@@ -422,10 +434,11 @@ def _packed_columns(
         check_directory(directory, *legal[column])
     blobs = {column: fetch(f"{column}_packed") for column in directories}
     if not mmap:
-        return {
+        columns = {
             column: decode_column(directories[column], blobs[column])
             for column in directories
-        }, None
+        }
+        return columns, columns["level"], None
 
     # Paged open: every packed blob is mapped, nothing decoded yet.
     from repro.core.paged import PagedPlane
@@ -446,7 +459,14 @@ def _packed_columns(
             # speed (every access takes the dense fast path).  The
             # out-of-core mode ("blocks") stays lazy and bounded.
             np.asarray(columns[column])
-    return columns, PagedPlane(
+    # The out-of-core mode decodes ``level`` once, past the block LRU and
+    # its counters, for the derivation alone.
+    level = (
+        np.asarray(columns["level"])
+        if cache_full
+        else decode_column(directories["level"], blobs["level"])
+    )
+    return columns, level, PagedPlane(
         path=path,
         page_size=page_size,
         nodes=n,
@@ -472,6 +492,8 @@ def describe_archive(path: str) -> dict:
         description: dict = {
             "format_version": version,
             "bytes_on_disk": bytes_on_disk,
+            "stored_columns": list(_STORED_COLUMNS),
+            "derived_columns": _DERIVED_COLUMNS,
         }
         for name in ("tag", "value"):  # the same members in both layouts
             offsets = _read_member(path, archive, f"{name}_dict_offsets")
@@ -482,10 +504,10 @@ def describe_archive(path: str) -> dict:
         if version == LAYOUT_VERSIONS["packed"]:
             n = int(_read_member(path, archive, "nodes")[0])
             columns = {}
-            for column, codec in _PACKED_COLUMNS:
+            for column in _STORED_COLUMNS:
                 offsets = _read_member(path, archive, f"{column}_offsets")
                 columns[column] = {
-                    "codec": codec,
+                    "codec": CODEC_FOR,
                     "pages": int(offsets.shape[0]) - 1,
                     "packed_bytes": int(offsets[-1]) if offsets.shape[0] else 0,
                     "logical_bytes": n * column_dtype(column).itemsize,
@@ -499,10 +521,10 @@ def describe_archive(path: str) -> dict:
                 }
             )
         else:
-            post = _read_member(path, archive, "post")
+            level = _read_member(path, archive, "level")
             description.update(
                 {
-                    "nodes": int(post.shape[0]),
+                    "nodes": int(level.shape[0]),
                     "members": member_sizes,
                 }
             )

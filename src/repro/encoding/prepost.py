@@ -1,14 +1,16 @@
 """Encode a node tree into the pre/post ``doc`` table.
 
-One pre-order pass fills every column, the way the paper fills the
-``doc`` table at loading time (Section 4.1).  A node receives its
-preorder rank when the walk reaches it and its postorder rank when the
-walk leaves its depth — the moment the next node to arrive sits at the
-same depth or above it — so there is no second visit, and each node is
-opened and closed once whatever the height.  Tags and text are
-dictionary-coded as they are met: the text of a node is a 4-byte code
-from here on (:class:`~repro.encoding.doctable.ValueIndex`), never a
-Python ``str`` per node.
+One pre-order pass records what the tree *holds* — per node its
+``level``, ``kind`` and the two dictionary codes — the way the paper
+fills the ``doc`` table at loading time (Section 4.1).  What the tree
+*looks like* is not recorded twice: the pre-order ``level`` sequence is
+the shape, and :func:`shape` derives ``post`` and ``parent`` from it
+(Equation (1): ``post(v) − pre(v) + level(v) = |v/descendant|``) — here,
+and again whenever an archive is opened (:mod:`repro.encoding.persist`
+stores neither column).  Tags and text are dictionary-coded as they are
+met: the text of a node is a 4-byte code from here on
+(:class:`~repro.encoding.doctable.ValueIndex`), never a Python ``str``
+per node.
 
 Attributes of an element are visited immediately after the element
 itself, before its other children — the "special encoding for attribute
@@ -24,18 +26,18 @@ through a virtual document context (see :mod:`repro.xpath.axes`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.encoding.codec import encode_dictionary
 from repro.encoding.doctable import DocTable, ValueIndex
-from repro.encoding.widths import narrow
+from repro.encoding.widths import COLUMN_DTYPES, narrow
 from repro.errors import EncodingError
 from repro.storage.column import StringColumn
 from repro.xmltree.model import Node, NodeKind
 
-__all__ = ["encode"]
+__all__ = ["encode", "shape"]
 
 _ELEMENT = NodeKind.ELEMENT
 _NAMED = (NodeKind.ATTRIBUTE, NodeKind.PROCESSING_INSTRUCTION)
@@ -65,18 +67,74 @@ def encode(tree: Node) -> DocTable:
     raise EncodingError(f"cannot encode a {tree.kind.name} node as a document")
 
 
+def shape(level: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(post, parent)`` of the tree whose pre-order ``level`` column
+    this is — the one definition of tree shape (splices aside, which
+    shift ranks they already hold).
+
+    ``parent(v)`` is the last node one level up before ``v``; ``post(v) =
+    end(v) − 1 − level(v)`` where ``end(v)`` is the first later node at
+    ``level ≤ level(v)`` (Equation (1)).  Both come from the nodes in
+    ``(level, pre)`` order: a node that steps one level down is a first
+    child, every other node shares the parent of its predecessor on the
+    same level and *is* that predecessor's end; a last child ends with
+    its parent, resolved by pointer doubling — ``log₂ height`` gathers,
+    no pass per level or per node.
+
+    A column that is not the walk of one tree (it does not open at level
+    0, returns there, or descends more than one level in a step) is an
+    :class:`EncodingError`, so a loaded archive yields a plane or an
+    error, never a garbage plane.
+    """
+    level = narrow("level", level)
+    n = level.shape[0]
+    rank = COLUMN_DTYPES["post"]
+    if n > np.iinfo(rank).max:
+        raise EncodingError(f"{n} nodes exceed the 4-byte rank columns")
+    if n == 0 or level[0] != 0 or (n > 1 and level[1:].min() < 1):
+        raise EncodingError(
+            "level column is not one tree: level 0 must open it and never recur"
+        )
+    step = level[1:] - level[:-1]  # levels are ≥ 0 here: no int16 wrap
+    if n > 1 and step.max() > 1:
+        raise EncodingError(
+            "level column is not one tree: a node sits more than one level "
+            "below the node before it"
+        )
+    first_child = np.ones(n, dtype=bool)  # the root opens its level too
+    first_child[1:] = step == 1
+    order = np.argsort(level, kind="stable").astype(rank)  # by (level, pre)
+    opens = first_child[order]
+    run = np.arange(n, dtype=rank)
+    run[~opens] = 0
+    np.maximum.accumulate(run, out=run)  # each node's first sibling, in order
+    parent = np.empty(n, dtype=rank)
+    parent[order] = order[run] - 1
+
+    # end(v): where the next sibling starts, else where the parent ends.
+    later = np.flatnonzero(~opens[1:]) + 1  # slots of ``order`` holding a later sibling
+    elder, younger = order[later - 1], order[later]
+    end = np.full(n, n, dtype=rank)  # the root ends the table
+    end[elder] = younger
+    hop = parent.copy()  # settled nodes point at themselves, the rest one level up
+    hop[0] = 0
+    hop[elder] = elder
+    for _ in range(int(level.max()).bit_length()):
+        hop = hop[hop]
+    post = end[hop]
+    post -= 1
+    post -= level
+    return post, parent
+
+
 def encode_subtree(root: Node) -> DocTable:
     """The table of the subtree at ``root``, whatever its kind (a splice
     encodes the leaf it inserts the same way as a whole document).
 
-    Iterative (documents may be deep) and O(n): ``path`` holds the open
-    ancestors of the node in hand, and a node arriving at depth ``d``
-    closes everything open at ``d`` or below — each node is pushed and
-    popped once.
+    Iterative (documents may be deep) and O(n): the walk records each
+    node's depth and leaves the ranks to :func:`shape`.
     """
-    post: List[int] = []
     level: List[int] = []
-    parent: List[int] = []
     kind: List[int] = []
     tag_codes: List[int] = []
     value_codes: List[int] = []
@@ -87,17 +145,8 @@ def encode_subtree(root: Node) -> DocTable:
     # time: no per-node frame object.  Children are pushed reversed so
     # the leftmost is met first (attributes lead ``children``).
     nodes, depths = [root], [0]
-    path = [-1]  # path[d + 1]: the open node at depth d; path[d]: its parent
-    pre = closed = 0
     while nodes:
         node, depth = nodes.pop(), depths.pop()
-        while len(path) > depth + 1:
-            post[path.pop()] = closed
-            closed += 1
-        parent.append(path[-1])
-        path.append(pre)
-        pre += 1
-        post.append(-1)  # assigned when the walk leaves this depth
         level.append(depth)
         node_kind = node.kind
         kind.append(node_kind)
@@ -119,9 +168,6 @@ def encode_subtree(root: Node) -> DocTable:
         if children:
             nodes.extend(children[::-1])
             depths.extend([depth + 1] * len(children))
-    while len(path) > 1:
-        post[path.pop()] = closed
-        closed += 1
 
     # First-seen value codes → codes of the sorted dictionary (str order
     # is code-point order is UTF-8 byte order).  The trailing slot keeps
@@ -135,10 +181,12 @@ def encode_subtree(root: Node) -> DocTable:
         remap[narrow("value_codes", value_codes)],
         *encode_dictionary([first_seen[i] for i in ranked]),
     )
+    levels = narrow("level", level)
+    post, parent = shape(levels)
     return DocTable(
-        post=narrow("post", post),
-        level=narrow("level", level),
-        parent=narrow("parent", parent),
+        post=post,
+        level=levels,
+        parent=parent,
         kind=narrow("kind", kind),
         tag=StringColumn(narrow("tag_codes", tag_codes), list(tag_code), validate=False),
         values=values,

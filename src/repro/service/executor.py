@@ -11,10 +11,12 @@ object executes tasks for every backend:
 * :class:`~repro.service.backend.SerialBackend` — in-process (the
   serial reference path; also what the tests cover line-by-line);
 * :class:`~repro.service.fabric.FabricBackend` — long-lived workers
-  with shard affinity.  Shard columns arrive memory-mapped
+  with shard affinity.  Shard members arrive memory-mapped
   (``persist.load(mmap=True)``), so all workers share one page-cache
-  copy of each shard file; only the task tuples and small result
-  descriptors are pickled across the process boundary —
+  copy of each shard file — the four stored columns and the
+  dictionaries; ``post`` and ``parent`` are derived at open and private
+  to the one worker that owns the shard.  Only the task tuples and
+  small result descriptors are pickled across the process boundary —
   ``materialize`` rank arrays travel through shared-memory segments,
   and for ``count``/``exists`` the payload is a handful of integers.
 

@@ -77,7 +77,7 @@ MANIFEST = "manifest.json"
 COMPRESSION_SETTINGS = ("auto", "none", "packed")
 
 #: ``auto`` threshold: shards at or above this node count are written
-#: packed (``format_version`` 3).  Small shards gain little from packing and
+#: packed (``format_version`` 5).  Small shards gain little from packing and
 #: load faster eagerly.
 AUTO_PACK_NODES = 65536
 
@@ -395,6 +395,8 @@ class ShardedStore:
                     "bytes_on_disk": archive["bytes_on_disk"],
                     "tag_dictionary": archive["tag_dictionary"],
                     "value_dictionary": archive["value_dictionary"],
+                    "stored_columns": archive["stored_columns"],
+                    "derived_columns": archive["derived_columns"],
                 }
                 total_disk += archive["bytes_on_disk"]
                 if "columns" in archive:  # the packed layout

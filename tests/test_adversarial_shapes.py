@@ -178,6 +178,37 @@ class TestEncoderOnExtremeShapes:
         assert spine_doc.parent.tolist() == list(range(-1, 29_999))
         assert spine_s <= 5 * flat_s, (spine_s, flat_s)  # no per-level quadratic
 
+    @pytest.mark.parametrize("compression", ["none", "packed"])
+    def test_loading_a_30000_level_spine_costs_what_a_flat_tree_does(
+        self, compression, tmp_path
+    ):
+        """``load`` derives ``post`` / ``parent`` from the level column:
+        a handful of passes whatever the height, never one per level."""
+        import time
+
+        from repro.encoding.persist import load, save
+
+        def best_load(tree, name, runs=5):
+            path = str(tmp_path / f"{name}.npz")
+            save(encode(tree), path, compression=compression)
+            best = float("inf")
+            for _ in range(runs):
+                started = time.perf_counter()
+                doc = load(path)
+                best = min(best, time.perf_counter() - started)
+            return doc, best
+
+        flat_doc, flat_s = best_load(
+            element("x", *[element("x") for _ in range(29_999)]), "flat"
+        )
+        spine_doc, spine_s = best_load(self.spine(30_000), "spine")
+        assert spine_doc.height == 29_999 and flat_doc.height == 1
+        assert spine_doc.post.tolist() == list(range(29_999, -1, -1))
+        assert flat_doc.post.tolist() == [29_999] + list(range(29_999))
+        assert spine_doc.parent.tolist() == list(range(-1, 29_999))
+        assert flat_doc.parent.tolist() == [-1] + [0] * 29_999
+        assert spine_s <= 5 * flat_s, (spine_s, flat_s)
+
     def test_a_100000_child_flat_element(self):
         from repro.xmltree.model import text
 

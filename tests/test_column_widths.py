@@ -10,11 +10,11 @@ what every producer and consumer owes it:
 * depth and size limits are clean ``EncodingError``s, never wraps;
 * splices keep the widths and a canonical dictionary (strictly sorted,
   exactly the referenced entries), so splice == re-encode member for
-  member in both layouts; v3 bytes do not move but for the dictionary
-  offsets' width, and packed archives written with 8-byte offsets still
-  open and answer identically;
+  member in both layouts; the packed members that are still stored do
+  not move, and dictionary offsets handed over at another width are
+  narrowed, not trusted;
 * no code path copies a whole column to another dtype;
-* a forged v3 page directory, or a v3 file smuggling a pickle, is
+* a forged page directory, or a packed file smuggling a pickle, is
   rejected before a data page (or the unpickler) is touched.
 """
 
@@ -223,33 +223,36 @@ class TestLimits:
 
 
 # ----------------------------------------------------------------------
-# (c) splices keep the widths and the v3 bytes
+# (c) splices keep the widths and the packed bytes
 # ----------------------------------------------------------------------
 #: sha256 over the sorted members of ``save(..., "packed")`` for
-#: ``DocumentCollection(get_forest(2, 0.05)).doc``.  Re-recorded when the
-#: dictionary offsets went from 8 to 4 bytes (PR 20); up to then
-#: ``a7be8758…4644``, unchanged since before columns were narrowed.
-V3_GOLDEN = "c1d3e668033c0d6778ede29cfce3973108d4ab853b4cf1a97e23004ae649b4e8"
+#: ``DocumentCollection(get_forest(2, 0.05)).doc``.  Re-recorded when
+#: ``post`` / ``parent`` stopped being stored (PR 23; ``c1d3e668…b4e8``
+#: since the dictionary offsets went from 8 to 4 bytes in PR 20).
+PACKED_GOLDEN = "ce69c40cba4507b6efbd41431dab8b9ae99459cebea5531dda405d131fbeb84f"
 
 _DICT_OFFSETS = ("tag_dict_offsets", "value_dict_offsets")
 
-#: The same digest without the two offsets members, recorded at the
-#: commit *before* PR 20: nothing else in a v3 file moved.
-V3_GOLDEN_BUT_OFFSETS = "7aa562424813759a7098a0e528e19b994f076d1d2f3586013f4d5af14b9b436b"
+#: The digest of a version-3 file without ``format_version`` and the
+#: eight ``post_*`` / ``parent_*`` members, recorded at the commit
+#: *before* PR 23: nothing that is still stored moved.
+V3_GOLDEN_BUT_SHAPE = "7bc78e8cc67f2e5f09cbd1e8f176524a74f2b13566414051394f87bca7bbad67"
 
 
 def test_v3_members_are_byte_identical_to_the_wide_era(tmp_path):
     path = str(tmp_path / "golden.npz")
     save(DocumentCollection(get_forest(2, 0.05)).doc, path, compression="packed")
-    assert digest(path) == V3_GOLDEN
-    assert digest(path, skip=_DICT_OFFSETS) == V3_GOLDEN_BUT_OFFSETS
+    assert digest(path) == PACKED_GOLDEN
+    assert digest(path, skip=("format_version",)) == V3_GOLDEN_BUT_SHAPE
     written = members(path)
-    for name in _DICT_OFFSETS:  # only their width moved
+    assert not [name for name in written if name.startswith(("post", "parent"))]
+    for name in _DICT_OFFSETS:
         assert written[name][0] == "int32"
 
 
 def widen_offsets(source, target):
-    """``source`` (packed) as PR 19 wrote it: 8-byte dictionary offsets."""
+    """``source`` (packed) with 8-byte dictionary offsets — the width PR
+    19 wrote, and what a foreign writer might hand over."""
     with np.load(source) as archive:
         content = {name: archive[name] for name in archive.files}
     for name in _DICT_OFFSETS:
@@ -258,12 +261,12 @@ def widen_offsets(source, target):
 
 
 def test_a_packed_archive_with_8_byte_offsets_loads_and_answers_identically(tmp_path):
-    """What a store built at the parent commit with
-    ``compression="packed"`` holds: member for member today's file, the
-    offsets at ``int64`` (pinned by the parent-era digest above)."""
+    """Member for member today's file, the offsets at ``int64``: the
+    loaded :class:`ValueIndex` narrows them (range-checked) to the one
+    declared width, whatever width the archive holds."""
     doc = DocumentCollection(get_forest(1, 0.05)).doc
     save(doc, str(tmp_path / "now.npz"), compression="packed")
-    path = str(tmp_path / "parent-era.npz")
+    path = str(tmp_path / "wide-offsets.npz")
     widen_offsets(str(tmp_path / "now.npz"), path)
     assert members(path)["value_dict_offsets"][0] == "int64"
     assert describe_archive(path)["value_dictionary"] == describe_archive(
@@ -390,11 +393,12 @@ def test_eager_members_are_written_at_width(tmp_path):
     path = str(tmp_path / "eager.npz")
     save(doc, path)
     written = members(path)
-    for name in ("post", "level", "parent", "kind", "tag_codes", "value_codes"):
+    assert "post" not in written and "parent" not in written
+    for name in ("level", "kind", "tag_codes", "value_codes"):
         assert written[name][0] == COLUMN_DTYPES[name].name
     for name in _DICT_OFFSETS:
         assert written[name][0] == COLUMN_DTYPES["dict_offsets"].name
-    assert describe_archive(path)["format_version"] == 4
+    assert describe_archive(path)["format_version"] == 6
 
 
 # ----------------------------------------------------------------------
@@ -440,21 +444,28 @@ def test_a_served_packed_shard_holds_at_most_20_bytes_per_node(tmp_path):
     store = ShardedStore.open(built.directory)  # as ``repro serve`` opens it
     with QueryService(store, backend="serial") as service:
         service.execute("//open_auction[bidder]/seller")
-        plane = store.collection(0).doc.plane
+        doc = store.collection(0).doc
+        plane = doc.plane
         # np.asarray hands back the cached full decode itself: its
-        # nbytes are what the process really holds per column.
-        resident = sum(np.asarray(column).nbytes for column in plane.columns.values())
-        assert resident / plane.nodes <= 20
+        # nbytes are what the process really holds per stored column;
+        # post and parent are the dense arrays derived at open.
+        stored = sum(np.asarray(column).nbytes for column in plane.columns.values())
+        assert sorted(plane.columns) == ["kind", "level", "tag_codes", "value_codes"]
+        assert type(doc.post) is type(doc.parent) is np.ndarray
+        resident = stored + doc.post.nbytes + doc.parent.nbytes
+        assert resident / plane.nodes == 19
         shard = store.info()["shards"][0]
-        assert shard["resident_bytes_per_node"] == round(resident / plane.nodes, 2)
-        assert shard["logical_bytes"] == resident == plane.totals()["logical_bytes"]
+        assert shard["resident_bytes_per_node"] == 19
+        assert shard["logical_bytes"] == stored == plane.totals()["logical_bytes"]
+        assert shard["derived_columns"] == "post, parent: derived from level"
     described = describe_archive(os.path.join(store.directory, shard["file"]))
+    assert list(described["columns"]) == described["stored_columns"] == shard["stored_columns"]
     for column, record in described["columns"].items():
         assert record["logical_bytes"] == plane.nodes * COLUMN_DTYPES[column].itemsize
 
 
 # ----------------------------------------------------------------------
-# Hostile v3 archives
+# Hostile packed archives
 # ----------------------------------------------------------------------
 def rewrite_members(source, target, **replaced):
     with np.load(source) as archive:
@@ -472,8 +483,6 @@ def packed_archive(tmp_path_factory):
 
 FORGERIES = {
     # column: (member suffix, forged first entry)
-    "post": ("refs", 2**40),  # would wrap int32
-    "parent": ("refs", -(2**33)),
     "level": ("bits", 20),  # 2²⁰ levels do not fit int16
     "kind": ("refs", 9),  # no such NodeKind
     "tag_codes": ("refs", 10_000),  # past the dictionary
@@ -506,10 +515,10 @@ def test_a_forged_page_directory_is_rejected_before_any_page(
 
 def test_an_int64_reference_cannot_wrap_the_check_itself(packed_archive, tmp_path):
     with np.load(packed_archive) as archive:
-        refs = archive["post_refs"].copy()
+        refs = archive["value_codes_refs"].copy()
     refs[-1] = np.iinfo(np.int64).max
     target = str(tmp_path / "forged.npz")
-    rewrite_members(packed_archive, target, post_refs=refs)
+    rewrite_members(packed_archive, target, value_codes_refs=refs)
     with pytest.raises(EncodingError, match="page directory"):
         load(target)
 
@@ -521,7 +530,7 @@ class Smuggled:
         return (Smuggled.fired.append, ("unpickled",))
 
 
-@pytest.mark.parametrize("member", ["post_refs", "tag_dict_blob", "nodes"])
+@pytest.mark.parametrize("member", ["level_refs", "tag_dict_blob", "nodes"])
 def test_a_v3_archive_never_reaches_the_unpickler(packed_archive, tmp_path, member):
     target = str(tmp_path / "pickled.npz")
     payload = np.empty(1, dtype=object)

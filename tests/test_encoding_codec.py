@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.encoding.codec import (
-    CODEC_DELTA,
     CODEC_FOR,
     PagedArray,
     PageDirectory,
@@ -29,7 +28,7 @@ def pack(values, codec=CODEC_FOR, page_size=64):
 
 
 class TestPackRoundTrip:
-    @pytest.mark.parametrize("codec", [CODEC_FOR, CODEC_DELTA])
+    @pytest.mark.parametrize("codec", [CODEC_FOR])
     @pytest.mark.parametrize(
         "n", [0, 1, 63, 64, 65, 127, 128, 129, 1000]
     )
@@ -41,37 +40,25 @@ class TestPackRoundTrip:
         assert directory.n_blocks == -(-n // 64)
         assert np.array_equal(decode_column(directory, blob), values)
 
-    @pytest.mark.parametrize("codec", [CODEC_FOR, CODEC_DELTA])
+    @pytest.mark.parametrize("codec", [CODEC_FOR])
     def test_constant_blocks_pack_to_zero_bits(self, codec):
-        base = np.arange(256, dtype=np.int64) if codec == CODEC_DELTA else (
-            np.full(256, 7, dtype=np.int64)
-        )
+        base = np.full(256, 7, dtype=np.int64)
         directory, blob = pack(base, codec)
         assert directory.bits.max() == 0
         assert blob.shape[0] == 0
         assert np.array_equal(decode_column(directory, blob), base)
 
-    def test_monotone_delta_is_narrow(self):
-        # post - pre residuals in a real plane stay within a few bits;
-        # the delta codec must exploit that, not store raw magnitudes.
-        values = np.arange(4096, dtype=np.int64) + np.random.default_rng(0).integers(
-            0, 8, size=4096
-        )
-        directory, _ = pack(values, CODEC_DELTA, page_size=1024)
-        assert int(directory.bits.max()) <= 4
-
     @given(
         data=st.lists(st.integers(-(2**62), 2**62), max_size=300),
         page_pow=st.integers(2, 8),
-        codec=st.sampled_from([CODEC_FOR, CODEC_DELTA]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_random_round_trip(self, data, page_pow, codec):
+    def test_random_round_trip(self, data, page_pow):
         values = np.asarray(data, dtype=np.int64)
-        directory, blob = pack(values, codec, page_size=2**page_pow)
+        directory, blob = pack(values, page_size=2**page_pow)
         assert np.array_equal(decode_column(directory, blob), values)
 
-    @pytest.mark.parametrize("codec", [CODEC_FOR, CODEC_DELTA])
+    @pytest.mark.parametrize("codec", [CODEC_FOR])
     @pytest.mark.parametrize("page_size", [1, 2, 8, 64, 1024])
     def test_whole_column_decode_is_the_pages_concatenated(self, codec, page_size):
         """``decode_column`` unpacks runs of pages in one pass; the bytes
@@ -91,7 +78,7 @@ class TestPackRoundTrip:
         assert whole.tobytes() == paged.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("column", sorted(COLUMN_DTYPES))
-    @pytest.mark.parametrize("codec", [CODEC_FOR, CODEC_DELTA])
+    @pytest.mark.parametrize("codec", [CODEC_FOR])
     def test_plane_columns_decode_at_their_declared_width(self, column, codec):
         """Pages and whole columns come out at the width table's dtype,
         written straight into an array of that width."""
@@ -134,6 +121,8 @@ class TestPackRoundTrip:
     def test_rejects_unknown_codec(self):
         with pytest.raises(EncodingError, match="unknown codec"):
             pack([1, 2, 3], codec="rle")
+        with pytest.raises(EncodingError, match="unknown codec"):
+            pack([1, 2, 3], codec="delta")  # gone with the post / parent members
 
     def test_rejects_multidimensional(self):
         with pytest.raises(EncodingError, match="one-dimensional"):
@@ -336,11 +325,8 @@ class TestPagedArray:
         values, paged = self.make(n=130)
         assert list(paged) == values.tolist()
 
-    def test_page_and_iter_pages(self):
+    def test_iter_pages_covers_exactly_the_range(self):
         values, paged = self.make()
-        base, block = paged.page(130)
-        assert base == 128
-        assert np.array_equal(block, values[128:192])
         chunks = list(paged.iter_pages(100, 300))
         assert chunks[0][0] == 100
         rebuilt = np.concatenate([c for _, c in chunks])
@@ -425,9 +411,9 @@ class TestPagedStrings:
 
 class TestDirectoryValidation:
     def test_page_directory_fields(self):
-        directory, blob = pack(np.arange(200), CODEC_DELTA)
+        directory, blob = pack(np.arange(200))
         assert directory.column == "col"
-        assert directory.codec == CODEC_DELTA
+        assert directory.codec == CODEC_FOR
         assert directory.page_size == 64
         assert directory.n_blocks == 4
         assert directory.packed_bytes == blob.shape[0]

@@ -21,6 +21,7 @@ from repro.errors import EncodingError
 from repro.xpath.evaluator import evaluate
 
 from _reference import random_tree
+from test_adversarial_shapes import SHAPES
 
 #: What pre-version-3 archives wrote for "no value" in their pickled
 #: ``values`` member.
@@ -36,6 +37,22 @@ def tables_equal(a, b) -> bool:
         and list(a.tag) == list(b.tag)
         and a.values == b.values
     )
+
+
+def assert_round_trips_everywhere(doc, directory):
+    """save → load is column-identical — the derived ``post`` / ``parent``
+    included, at their declared width — for both layouts, mapped or
+    not, under either decode cache."""
+    for compression in LAYOUT_VERSIONS:
+        path = str(directory / f"{compression}.npz")
+        save(doc, path, compression=compression, page_size=16)
+        for mmap_flag in (False, True):
+            for decode_cache in ("full", "blocks"):
+                loaded = load(path, mmap=mmap_flag, decode_cache=decode_cache)
+                assert tables_equal(doc, loaded), (compression, mmap_flag, decode_cache)
+                assert loaded.height == doc.height
+                for derived in (loaded.post, loaded.parent):
+                    assert type(derived) is np.ndarray and derived.dtype == np.int32
 
 
 def save_v1(doc, path):
@@ -78,10 +95,55 @@ def save_v2(doc, path, values=None):
     )
 
 
-def save_version(doc, path, version):
-    """Write ``doc`` in any supported archive format version."""
-    layout = {v: name for name, v in LAYOUT_VERSIONS.items()}[version]
-    save(doc, path, compression=layout)
+def packed_members(column, values, page_size):
+    """The four archive members of one packed column."""
+    from repro.encoding.codec import pack_int_column
+
+    directory, blob = pack_int_column(column, values, "for", page_size)
+    return {
+        f"{column}_refs": directory.refs,
+        f"{column}_bits": directory.bits,
+        f"{column}_offsets": directory.offsets,
+        f"{column}_packed": blob,
+    }
+
+
+def save_v4(doc, path):
+    """A well-formed version-4 (eager) archive as PR 20–22 wrote it:
+    today's members plus stored ``post`` / ``parent`` columns."""
+    save(doc, path)
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    members.update(
+        format_version=np.asarray([4], dtype=np.int64),
+        post=np.asarray(doc.post),
+        parent=np.asarray(doc.parent),
+    )
+    np.savez(path, **members)
+
+
+def save_v3(doc, path, page_size=1024):
+    """A well-formed version-3 (packed) archive: today's members plus
+    ``post`` / ``parent`` under the position-delta codec that went with
+    them — frame-of-reference over ``value − pre``, so the deleted
+    packer's bytes are today's packer's over the residuals."""
+    save(doc, path, compression="packed", page_size=page_size)
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    members["format_version"] = np.asarray([3], dtype=np.int64)
+    pre = np.arange(len(doc), dtype=np.int64)
+    for column in ("post", "parent"):
+        residuals = np.asarray(getattr(doc, column), dtype=np.int64) - pre
+        members.update(packed_members(column, residuals, page_size))
+    np.savez(path, **members)
+
+
+OLD_WRITERS = {3: save_v3, 4: save_v4}
+
+
+#: The layouts :func:`save` writes, by ``compression=`` name — what the
+#: per-layout tests are parametrised on (ids survive a version bump).
+LAYOUTS = sorted(LAYOUT_VERSIONS)
 
 
 class TestRoundTrip:
@@ -97,6 +159,18 @@ class TestRoundTrip:
         path = str(tmp_path_factory.mktemp("persist") / "doc.npz")
         save(doc, path)
         assert tables_equal(doc, load(path))
+
+    @given(seed=st.integers(0, 2000), size=st.integers(1, 150))
+    @settings(max_examples=15, deadline=None)
+    def test_random_documents_in_every_layout_and_open_mode(
+        self, seed, size, tmp_path_factory
+    ):
+        directory = tmp_path_factory.mktemp("persist")
+        assert_round_trips_everywhere(encode(random_tree(size, seed)), directory)
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_extreme_shapes_in_every_layout_and_open_mode(self, name, tmp_path):
+        assert_round_trips_everywhere(encode(SHAPES[name]), tmp_path)
 
     def test_loaded_table_answers_queries(self, small_xmark, tmp_path):
         path = str(tmp_path / "xmark.npz")
@@ -121,12 +195,13 @@ class TestRoundTrip:
 
 
 class TestFormatVersions:
-    def test_current_format_version_is_4(self):
-        """3 is the packed layout, 4 the eager one over the same
-        dictionary members; 2 (pickled strings) is history."""
-        assert FORMAT_VERSION == 4
-        assert SUPPORTED_VERSIONS == (3, 4)
-        assert LAYOUT_VERSIONS == {"none": 4, "packed": 3}
+    def test_current_format_versions(self):
+        """5 is the packed layout, 6 the eager one over the same
+        dictionary members, both without ``post`` / ``parent``; 3 and 4
+        (the two stored) and 2 (pickled strings) are history."""
+        assert FORMAT_VERSION == 6
+        assert SUPPORTED_VERSIONS == (5, 6)
+        assert LAYOUT_VERSIONS == {"none": 6, "packed": 5}
 
     @pytest.mark.parametrize("mmap_flag", [False, True])
     def test_v1_archives_are_rejected(self, fig1_doc, tmp_path, mmap_flag):
@@ -138,20 +213,22 @@ class TestFormatVersions:
             load(path, mmap=mmap_flag)
 
     def test_save_default_writes_the_eager_layout(self, fig1_doc, tmp_path):
-        """``compression="none"`` (the default): plain column members next
-        to the dictionary members the packed layout also writes — every
-        member numeric, none an object array."""
+        """``compression="none"`` (the default): four plain column members
+        (no ``post``, no ``parent``) next to the dictionary members the
+        packed layout also writes — every member numeric, none an object
+        array."""
         path = str(tmp_path / "doc.npz")
         save(fig1_doc, path)
         packed = str(tmp_path / "packed.npz")
         save(fig1_doc, packed, compression="packed")
         with np.load(path) as archive, np.load(packed) as other:
-            assert int(archive["format_version"][0]) == 4
+            assert int(archive["format_version"][0]) == 6
             assert sorted(archive.files) == sorted(
-                ["format_version", "post", "level", "parent", "kind",
+                ["format_version", "level", "kind",
                  "tag_codes", "value_codes", "tag_dict_blob",
                  "tag_dict_offsets", "value_dict_blob", "value_dict_offsets"]
             )
+            assert not [m for m in other.files if m.startswith(("post", "parent"))]
             assert archive["value_codes"].dtype == np.int32
             assert archive["value_dict_offsets"].dtype == np.int32
             for name in ("tag_dict_blob", "tag_dict_offsets",
@@ -163,26 +240,30 @@ class TestFormatVersions:
             assert described[0][key] == described[1][key]
             assert described[0][key]["entries"] >= 0
 
-    @pytest.mark.parametrize("version", SUPPORTED_VERSIONS)
-    def test_round_trip_all_versions(self, small_xmark, tmp_path, version):
-        path = str(tmp_path / f"v{version}.npz")
-        save_version(small_xmark, path, version)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_round_trip_all_versions(self, small_xmark, tmp_path, layout):
+        path = str(tmp_path / f"{layout}.npz")
+        save(small_xmark, path, compression=layout)
         assert tables_equal(small_xmark, load(path))
 
-    @pytest.mark.parametrize("version", SUPPORTED_VERSIONS)
-    def test_mmap_load_all_versions(self, small_xmark, tmp_path, version):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_mmap_load_all_versions(self, small_xmark, tmp_path, layout):
         """mmap=True zero-copies eager columns and pages packed blocks;
-        the value dictionary is mapped in both."""
+        the value dictionary is mapped in both, ``post`` / ``parent``
+        are derived dense arrays in both."""
         from repro.encoding.codec import PagedArray
 
-        path = str(tmp_path / f"v{version}.npz")
-        save_version(small_xmark, path, version)
+        path = str(tmp_path / f"{layout}.npz")
+        save(small_xmark, path, compression=layout)
         loaded = load(path, mmap=True)
         assert tables_equal(small_xmark, loaded)
-        assert isinstance(loaded.post, np.memmap) == (version == 4)
-        assert isinstance(loaded.post, PagedArray) == (version == 3)
-        assert isinstance(loaded.values.codes, np.memmap) == (version == 4)
-        assert isinstance(loaded.values.codes, PagedArray) == (version == 3)
+        eager = layout == "none"
+        assert isinstance(loaded.level, np.memmap) == eager
+        assert isinstance(loaded.level, PagedArray) == (not eager)
+        assert isinstance(loaded.values.codes, np.memmap) == eager
+        assert isinstance(loaded.values.codes, PagedArray) == (not eager)
+        for derived in (loaded.post, loaded.parent):
+            assert type(derived) is np.ndarray and derived.dtype == np.int32
         assert isinstance(loaded.values.blob, np.memmap)
         assert isinstance(loaded.values.offsets, np.memmap)
 
@@ -190,7 +271,7 @@ class TestFormatVersions:
         path = str(tmp_path / "doc.npz")
         save(fig1_doc, path)
         loaded = load(path, mmap=True)
-        for column in (loaded.post, loaded.level, loaded.parent, loaded.kind):
+        for column in (loaded.level, loaded.kind, loaded.values.codes):
             assert isinstance(column, np.memmap)
             assert not column.flags.writeable
         # tag codes go through np.asarray (a base-class view); walk the
@@ -236,18 +317,18 @@ class TestFormatHygiene:
         with pytest.raises(EncodingError):
             load(path, mmap=True)
 
-    @pytest.mark.parametrize("version", SUPPORTED_VERSIONS)
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("mmap_flag", [False, True])
     def test_truncated_archive_rejected(
-        self, fig1_doc, tmp_path, version, mmap_flag
+        self, fig1_doc, tmp_path, layout, mmap_flag
     ):
         """A tail-truncated archive raises EncodingError, never a raw
-        zipfile/zlib/OSError, for every format version and load mode."""
-        path = str(tmp_path / f"v{version}.npz")
-        save_version(fig1_doc, path, version)
+        zipfile/zlib/OSError, for every layout and load mode."""
+        path = str(tmp_path / f"{layout}.npz")
+        save(fig1_doc, path, compression=layout)
         with open(path, "rb") as handle:
             blob = handle.read()
-        truncated = str(tmp_path / f"v{version}-cut.npz")
+        truncated = str(tmp_path / f"{layout}-cut.npz")
         with open(truncated, "wb") as handle:
             handle.write(blob[: len(blob) // 3])
         with pytest.raises(EncodingError):
@@ -257,18 +338,18 @@ class TestFormatHygiene:
 
     @pytest.mark.parametrize("mmap_flag", [False, True])
     def test_v3_missing_member_rejected(self, fig1_doc, tmp_path, mmap_flag):
-        """A v3 archive with a packed member deleted is rejected cleanly."""
+        """A packed archive with a packed member deleted is rejected cleanly."""
         path = str(tmp_path / "doc.npz")
         save(fig1_doc, path, compression="packed")
         stripped = str(tmp_path / "stripped.npz")
         with zipfile.ZipFile(path) as src, zipfile.ZipFile(stripped, "w") as dst:
             for name in src.namelist():
-                if name != "post_packed.npy":
+                if name != "level_packed.npy":
                     dst.writestr(name, src.read(name))
         with pytest.raises(EncodingError, match="DocTable archive"):
             load(stripped, mmap=mmap_flag)
 
-    @pytest.mark.parametrize("member", ["value_codes", "value_dict_blob", "post"])
+    @pytest.mark.parametrize("member", ["value_codes", "value_dict_blob", "level"])
     @pytest.mark.parametrize("mmap_flag", [False, True])
     def test_eager_missing_member_rejected(self, fig1_doc, tmp_path, member, mmap_flag):
         path = str(tmp_path / "doc.npz")
@@ -303,7 +384,7 @@ class TestFormatHygiene:
             load(path)
 
 
-    @pytest.mark.parametrize("compression", sorted(LAYOUT_VERSIONS))
+    @pytest.mark.parametrize("compression", LAYOUTS)
     def test_a_tag_blob_that_is_not_utf8_is_rejected(self, fig1_doc, tmp_path, compression):
         path = str(tmp_path / "doc.npz")
         save(fig1_doc, path, compression=compression)
@@ -371,11 +452,11 @@ class TestNoArchiveByteReachesAnUnpickler:
             with pytest.raises(EncodingError, match="format version 2"):
                 load(path, mmap=mmap_flag)
 
-    @pytest.mark.parametrize("member", ["value_codes", "value_dict_blob", "post"])
+    @pytest.mark.parametrize("member", ["value_codes", "value_dict_blob", "level"])
     def test_an_object_member_in_a_current_archive_is_refused(
         self, fig1_doc, tmp_path, member
     ):
-        """The version check is not the only guard: an eager (v4) file
+        """The version check is not the only guard: an eager file
         smuggling a pickle is refused by either load mode."""
         sentinel = str(tmp_path / "unpickled.sentinel")
         path = str(tmp_path / "doc.npz")
@@ -416,3 +497,127 @@ class TestNoArchiveByteReachesAnUnpickler:
             with pytest.raises(EncodingError, match="format version 2"):
                 service.execute("//person", use_cache=False)
         assert not os.path.exists(sentinel)
+
+
+# ----------------------------------------------------------------------
+# Archives of the versions that stored post / parent are refused
+# ----------------------------------------------------------------------
+def swap_first_shard(tmp_path, write):
+    """A one-shard eager store whose shard file ``write(doc, path)`` has
+    replaced; the store still opens (shards load lazily)."""
+    from repro.harness.workloads import get_forest
+    from repro.service import ShardedStore
+
+    built = ShardedStore.build(
+        str(tmp_path / "store"), get_forest(2, 0.02), shards=1, compression="none"
+    )
+    shard_file = os.path.join(built.directory, built.shard_entry(0)["file"])
+    write(load(shard_file), shard_file)  # read, not mapped: the file is overwritten
+    return ShardedStore.open(built.directory)
+
+
+@pytest.mark.parametrize("version", sorted(OLD_WRITERS))
+class TestOldVersionsAreRefused:
+    def refusal(self, version):
+        return pytest.raises(
+            EncodingError,
+            match=f"format version {version} not in supported.*rebuild.*repro shard",
+        )
+
+    @pytest.mark.parametrize("mmap_flag", [False, True])
+    def test_load_refuses_a_well_formed_file(self, small_xmark, tmp_path, version, mmap_flag):
+        path = str(tmp_path / "old.npz")
+        OLD_WRITERS[version](small_xmark, path)
+        with self.refusal(version):
+            load(path, mmap=mmap_flag)
+
+    def test_describe_archive_refuses_it(self, small_xmark, tmp_path, version):
+        path = str(tmp_path / "old.npz")
+        OLD_WRITERS[version](small_xmark, path)
+        with self.refusal(version):
+            describe_archive(path)
+
+    @pytest.mark.parametrize("backend", ["serial", "fabric:1"])
+    def test_store_info_and_the_first_query_refuse_it(self, tmp_path, version, backend):
+        from repro.service import QueryService
+
+        store = swap_first_shard(tmp_path, OLD_WRITERS[version])
+        with self.refusal(version):
+            store.info()
+        with QueryService(store, backend=backend) as service:
+            with self.refusal(version):
+                service.execute("//person", use_cache=False)
+
+
+# ----------------------------------------------------------------------
+# A level column that is not a tree is a clean error, never a plane
+# ----------------------------------------------------------------------
+def forge_level(doc, path, compression, forge, height=None):
+    """``doc`` saved with its ``level`` column run through ``forge`` (and,
+    packed, re-packed so the page directory stays honest about it)."""
+    save(doc, path, compression=compression)
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    level = forge(np.asarray(doc.level).copy())
+    if compression == "none":
+        members["level"] = level
+    else:
+        members.update(packed_members("level", level, int(members["page_size"][0])))
+        if height is not None:
+            members["height"] = np.asarray([height], dtype=np.int64)
+    np.savez(path, **members)
+
+
+def _put(index, value):
+    def forge(level):
+        level[index] = value
+        return level
+    return forge
+
+
+#: Every way a level column can fail to be a pre-order walk of one tree
+#: (on a document whose node 1 is a child of the root, height ≥ 3).
+NOT_A_TREE = {
+    "opens-below-the-root": lambda level: level + 1,
+    "a-second-root": _put(5, 0),
+    "a-negative-level": _put(5, -1),
+    "two-levels-down-in-one-step": _put(1, 3),
+}
+
+
+@pytest.mark.parametrize("mmap_flag", [False, True], ids=["read", "mmap"])
+@pytest.mark.parametrize("compression", sorted(LAYOUT_VERSIONS))
+class TestHostileLevel:
+    @pytest.mark.parametrize("violation", sorted(NOT_A_TREE))
+    def test_a_level_column_that_is_no_tree_is_rejected(
+        self, small_xmark, tmp_path, compression, mmap_flag, violation
+    ):
+        path = str(tmp_path / "forged.npz")
+        forge_level(small_xmark, path, compression, NOT_A_TREE[violation])
+        for decode_cache in ("full", "blocks"):
+            with pytest.raises(EncodingError, match="level"):
+                load(path, mmap=mmap_flag, decode_cache=decode_cache)
+
+
+@pytest.mark.parametrize("mmap_flag", [False, True], ids=["read", "mmap"])
+def test_a_packed_archives_height_must_be_the_one_its_levels_reach(
+    small_xmark, tmp_path, mmap_flag
+):
+    path = str(tmp_path / "forged.npz")
+    forge_level(
+        small_xmark, path, "packed", lambda level: level, height=small_xmark.height + 1
+    )
+    with pytest.raises(EncodingError, match="height"):
+        load(path, mmap=mmap_flag)
+
+
+@pytest.mark.parametrize("backend", ["serial", "fabric:1"])
+def test_a_store_over_a_hostile_level_fails_the_first_query_cleanly(tmp_path, backend):
+    from repro.service import QueryService
+
+    store = swap_first_shard(
+        tmp_path, lambda doc, path: forge_level(doc, path, "none", _put(5, 0))
+    )
+    with QueryService(store, backend=backend) as service:
+        with pytest.raises(EncodingError, match="level column is not one tree"):
+            service.execute("//person", use_cache=False)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.encoding.codec import dictionary_entry
-from repro.encoding.prepost import encode, encode_subtree
+from repro.encoding.prepost import encode, encode_subtree, shape
 from repro.encoding.widths import COLUMN_DTYPES
 from repro.errors import EncodingError
 from repro.xmltree.model import (
@@ -19,6 +19,7 @@ from repro.xmltree.model import (
 )
 
 from _reference import encode_columns, pre_of, preorder_nodes, random_tree
+from test_adversarial_shapes import SHAPES
 from test_xpath_fuzz import value_tree
 
 # The table of Figure 2: node tag → (pre, post).
@@ -243,3 +244,41 @@ class TestInvariants:
                 is_inside = pre < v <= span_end
                 is_descendant = v > pre and doc.post[v] < doc.post[pre]
                 assert is_inside == is_descendant
+
+
+class TestShape:
+    """``shape(level)`` — the one place ``post`` and ``parent`` come from
+    — against the two-visit walk, which hands out both ranks itself."""
+
+    @staticmethod
+    def assert_shape_is_the_reference(root):
+        reference = encode_columns(root)
+        post, parent = shape(np.asarray(reference["level"], dtype=np.int16))
+        assert post.dtype == COLUMN_DTYPES["post"]
+        assert parent.dtype == COLUMN_DTYPES["parent"]
+        assert post.tolist() == reference["post"]
+        assert parent.tolist() == reference["parent"]
+
+    @given(seed=st.integers(0, 5000), size=st.integers(1, 400))
+    @settings(max_examples=120, deadline=None)
+    def test_random_trees(self, seed, size):
+        self.assert_shape_is_the_reference(random_tree(size, seed))
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_extreme_shapes(self, name):
+        self.assert_shape_is_the_reference(SHAPES[name])
+
+    def test_any_integer_width_is_narrowed_not_trusted(self):
+        post, parent = shape(np.asarray([0, 1, 2, 1], dtype=np.int64))
+        assert post.tolist() == [3, 1, 0, 2] and parent.tolist() == [-1, 0, 1, 0]
+        with pytest.raises(EncodingError, match="int16"):
+            shape(np.asarray([0, 1, 2**15], dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "level",
+        [[], [1], [1, 2], [0, 0], [0, 1, 0, 1], [0, -1], [0, 2], [0, 1, 3], [0, 1, 1, 3]],
+        ids=str,
+    )
+    def test_a_column_that_is_no_tree_is_an_error_not_a_plane(self, level):
+        with pytest.raises(EncodingError, match="level column is not one tree"):
+            shape(np.asarray(level, dtype=np.int16))

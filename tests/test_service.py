@@ -183,8 +183,10 @@ class TestShardedStore:
         names = store.shard_entry(1)["documents"]
         collection = store.collection(1)
         assert collection.names == names
-        # Memory-mapped by default: the table's columns are file-backed.
-        assert isinstance(collection.doc.post, np.memmap)
+        # Memory-mapped by default: the stored columns are file-backed
+        # (post / parent are derived from the mapped level column).
+        assert isinstance(collection.doc.level, np.memmap)
+        assert type(collection.doc.post) is np.ndarray
 
     def test_shard_of(self, store):
         assert store.shard_of("xmark-00") == 0

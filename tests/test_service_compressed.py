@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.encoding.persist import load
+from repro.encoding.persist import LAYOUT_VERSIONS, load
 from repro.encoding.widths import COLUMN_DTYPES
 from repro.errors import ReproError
 from repro.harness.workloads import get_forest
@@ -85,10 +85,10 @@ class TestCompressionSetting:
                 str(tmp_path / "s"), forest[:1], compression="zstd"
             )
 
-    def test_packed_store_records_format_3(self, packed_store):
+    def test_packed_store_records_the_packed_format(self, packed_store):
         assert packed_store.compression == "packed"
         for entry in packed_store._manifest["shards"]:
-            assert entry["format"] == 3
+            assert entry["format"] == LAYOUT_VERSIONS["packed"] == 5
 
     def test_auto_small_docs_stay_eager(self, forest, tmp_path):
         store = ShardedStore.build(
@@ -96,7 +96,7 @@ class TestCompressionSetting:
         )
         assert store.compression == "auto"
         for entry in store._manifest["shards"]:
-            assert entry["format"] == 4
+            assert entry["format"] == LAYOUT_VERSIONS["none"] == 6
 
     def test_reopened_store_keeps_setting(self, packed_store):
         reopened = ShardedStore.open(packed_store.directory)
@@ -218,17 +218,21 @@ class TestPaging:
         assert info["compression"] == "packed"
         assert info["total_bytes_on_disk"] > 0
         (shard,) = info["shards"]
-        assert shard["format_version"] == 3
+        assert shard["format_version"] == LAYOUT_VERSIONS["packed"]
         assert shard["pages"] > 0
         assert shard["packed_bytes"] < shard["logical_bytes"]
         assert shard["tag_dictionary"]["entries"] > 0
         assert shard["decoded"]["blocks"] > 0
-        assert "post" in shard["decoded"]["columns"]
+        # The four stored columns page; post / parent are derived, dense.
+        assert list(shard["decoded"]["columns"]) == shard["stored_columns"] == [
+            "level", "kind", "tag_codes", "value_codes"
+        ]
+        assert shard["derived_columns"] == "post, parent: derived from level"
 
     def test_info_on_plain_store_omits_packing_fields(self, plain_store):
         info = plain_store.info()
         for shard in info["shards"]:
-            assert shard["format_version"] == 4
+            assert shard["format_version"] == LAYOUT_VERSIONS["none"]
             assert "pages" not in shard
             # ... but the dictionaries are reported for either layout.
             assert shard["tag_dictionary"]["entries"] > 0
@@ -255,7 +259,7 @@ class TestPackedUpdates:
             [UpdateOp("add", "d9", tree=people_site("z"))]
         )
         for entry in store._manifest["shards"]:
-            assert entry["format"] == 3
+            assert entry["format"] == LAYOUT_VERSIONS["packed"]
         reopened = ShardedStore.open(store.directory)
         assert reopened.compression == "packed"
         assert reopened.document_names() == store.document_names()
@@ -373,7 +377,7 @@ class TestSpliceReencodeProperty:
             fresh = batch_bytes(rebuilt, ("//*",), engine)[0]
             assert spliced == fresh
 
-    def test_spliced_shard_files_reload_as_v3(self, tmp_path):
+    def test_spliced_shard_files_reload_as_packed(self, tmp_path):
         forest = [("d0", people_site("a")), ("d1", people_site("b", "c"))]
         store = ShardedStore.build(
             str(tmp_path / "s"), forest, shards=1, compression="packed"
