@@ -294,29 +294,30 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.server import QueryServer, ServerConfig
     from repro.service import QueryService, ShardedStore
 
-    store = ShardedStore.open(args.store)
-    config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        coalesce_window_s=args.coalesce_window_ms / 1e3,
-        max_batch=args.max_batch,
-        rate=args.rate,
-        burst=args.burst,
-        peer_rate_factor=args.peer_rate_factor,
-        queue_limit=args.queue_limit,
-    )
+    # Fabric workers fork here, before the server and its event loop load.
     service = QueryService(
-        store,
+        ShardedStore.open(args.store),
         engine=args.engine,
         planner=not args.no_planner,
         backend=args.backend,
     )
     with service:
+        import asyncio
+
+        from repro.server import QueryServer, ServerConfig
+
+        config = ServerConfig(
+            host=args.host,
+            port=args.port,
+            coalesce_window_s=args.coalesce_window_ms / 1e3,
+            max_batch=args.max_batch,
+            rate=args.rate,
+            burst=args.burst,
+            peer_rate_factor=args.peer_rate_factor,
+            queue_limit=args.queue_limit,
+        )
         asyncio.run(QueryServer(service, config).serve())
     return 0
 

@@ -15,20 +15,17 @@ The library answered queries in-process (PRs 1–5); this package serves
   buckets and a bounded in-flight cap that shed with 429/503 +
   ``Retry-After`` instead of queueing unboundedly;
 * :class:`~repro.server.stats.ServerStats` — request counters and
-  p50/p99 latency histograms behind ``/stats``.
+  p50/p99 latency histograms behind ``/stats``;
+* :mod:`~repro.server.wire` — response bodies, ranks formatted in bulk.
 
 CLI: ``python -m repro serve store --port 8080``.
 """
 
 from repro.server.admission import AdmissionQueue, RateLimiter, TokenBucket
-from repro.server.app import (
-    QueryServer,
-    ServerConfig,
-    ThreadedServer,
-    result_to_payload,
-)
+from repro.server.app import QueryServer, ServerConfig, ThreadedServer
 from repro.server.coalescer import CoalescerDraining, QueryCoalescer
 from repro.server.stats import ServerStats
+from repro.server.wire import result_to_payload
 
 __all__ = [
     "AdmissionQueue",

@@ -59,19 +59,20 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import ReproError, XPathSyntaxError
 from repro.server.admission import AdmissionQueue, RateLimiter, retry_after_header
 from repro.server.coalescer import CoalescerDraining, QueryCoalescer
 from repro.server.stats import ServerStats
-from repro.service.service import QueryService, ServiceResult
+from repro.server.wire import encode_batch, encode_result
+from repro.service.service import QueryService
 from repro.service.updates import parse_ops
 from repro.xpath.axes import resolve_engine
 from repro.xpath.evaluator import parse_with_cache
 from repro.xpath.pipeline import MODES
 
-__all__ = ["QueryServer", "ServerConfig", "ThreadedServer", "result_to_payload"]
+__all__ = ["QueryServer", "ServerConfig", "ThreadedServer"]
 
 _REASONS = {
     200: "OK",
@@ -360,11 +361,11 @@ class QueryServer:
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        payload: dict,
+        payload: Union[dict, bytes],
         headers: Optional[dict],
         keep_alive: bool,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         head = [
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
             "Content-Type: application/json",
@@ -373,7 +374,8 @@ class QueryServer:
         ]
         for name, value in (headers or {}).items():
             head.append(f"{name}: {value}")
-        writer.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + body)
+        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
+        writer.write(body)  # a large answer is not copied into the head
         await asyncio.wait_for(writer.drain(), self.config.write_timeout_s)
 
     # ------------------------------------------------------------------
@@ -381,7 +383,7 @@ class QueryServer:
     # ------------------------------------------------------------------
     async def _route(
         self, request: _Request, writer: asyncio.StreamWriter
-    ) -> Tuple[int, dict, dict, bool]:
+    ) -> Tuple[int, Union[dict, bytes], dict, bool]:
         """Dispatch one parsed request; never raises."""
         try:
             if request.path == "/health":
@@ -499,7 +501,7 @@ class QueryServer:
             raise _HttpError(400, f"field {name!r} must be a {kind.__name__}")
         return value
 
-    async def _handle_query(self, request: _Request) -> dict:
+    async def _handle_query(self, request: _Request) -> bytes:
         body = self._json_body(request)
         query = self._field(body, "query", str, required=True)
         mode = self._field(body, "mode", str, default="materialize")
@@ -540,9 +542,9 @@ class QueryServer:
                 use_planner=use_planner,
                 use_cache=use_cache,
             )
-        return result_to_payload(result)
+        return encode_result(result)
 
-    async def _handle_batch(self, request: _Request) -> dict:
+    async def _handle_batch(self, request: _Request) -> bytes:
         body = self._json_body(request)
         queries = self._field(body, "queries", list, required=True)
         if not queries or not all(isinstance(q, str) for q in queries):
@@ -564,10 +566,8 @@ class QueryServer:
                 mode=mode,
             )
         )
-        return {
-            "results": [result_to_payload(r) for r in results],
-            "elapsed_ms": round((time.perf_counter() - started) * 1e3, 3),
-        }
+        elapsed_ms = round((time.perf_counter() - started) * 1e3, 3)
+        return encode_batch(results, elapsed_ms)
 
     async def _handle_update(self, request: _Request) -> dict:
         body = self._json_body(request)
@@ -605,36 +605,6 @@ class QueryServer:
             },
             "service": self.service.stats_snapshot(),
         }
-
-
-def result_to_payload(result: ServiceResult) -> dict:
-    """One :class:`ServiceResult` as its JSON wire shape.
-
-    ``materialize`` ships per-document rank lists, ``count`` ships
-    per-document integers, ``exists`` ships one boolean — mirroring the
-    in-process payloads so the equivalence tests can compare them
-    field by field.
-    """
-    payload = {
-        "query": result.query,
-        "engine": result.engine,
-        "mode": result.mode,
-        "total": int(result.total),
-        "from_cache": bool(result.from_cache),
-        "elapsed_ms": round(result.elapsed_s * 1e3, 3),
-    }
-    if result.mode == "exists":
-        payload["exists"] = result.exists
-    elif result.mode == "count":
-        payload["per_document"] = {
-            name: int(n) for name, n in result.per_document.items()
-        }
-    else:
-        payload["per_document"] = {
-            name: [int(pre) for pre in ranks]
-            for name, ranks in result.per_document.items()
-        }
-    return payload
 
 
 class ThreadedServer:

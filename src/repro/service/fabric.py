@@ -9,7 +9,7 @@ data plane bulk end-to-end:
 * **Long-lived workers.**  Each worker process holds its
   :class:`~repro.service.executor.ShardWorkerState` (mmap'd shard
   planes, evaluators, prefix-context LRU) across requests; nothing is
-  re-opened per batch.
+  re-opened per batch.  They fork when the backend is constructed.
 * **Shared-memory result planes.**  A worker writes all rank arrays of
   a response into one POSIX shared-memory segment
   (:class:`SegmentWriter`); only a tiny layout descriptor crosses the
@@ -347,6 +347,7 @@ class FabricBackend(ExecutionBackend):
         # Recover segments a crashed predecessor left behind before we
         # start minting our own (mirrors the store's orphan sweep).
         sweep_orphan_segments()
+        self._ensure_workers()  # fork before any drain or caller thread exists
 
     @property
     def workers(self) -> int:
@@ -481,6 +482,9 @@ class FabricBackend(ExecutionBackend):
         so nothing is lost) and a duplicate completion's segment is
         unlinked unread.  A segment the dead worker wrote but never
         announced keeps its name until ``close()``.
+        Unlike the forks at construction, this one runs on the dispatch
+        thread with drain threads alive; the child touches only its
+        fresh queues.
         """
         for idx, process in enumerate(self._procs):
             if process.is_alive():

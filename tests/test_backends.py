@@ -422,16 +422,16 @@ class TestAffinityAndResilience:
             assert after["prefix_cache"]["hits"] > before["prefix_cache"]["hits"]
 
     def test_stealing_rebalances_a_backlogged_worker(self, store):
-        backend = FabricBackend(store, workers=2)
-        # Shard 0's affine worker holds 3 units of the batch, worker 1 none.
-        assert backend._assign(0, [3, 0]) == 1
-        assert backend._assign(0, [0, 0]) == 0  # balanced: stay affine
-        assert backend._assign(0, [1, 0]) == 1  # strictly fewer is enough
-        assert backend._assign(1, [2, 2]) == 1  # ties stay affine
-        assert backend._assign(1, [1, 2]) == 0
-        assert backend.stolen == 3
-        wide = FabricBackend(store, workers=4)
-        assert wide._assign(0, [2, 1, 0, 0]) == 2  # the first least-loaded
+        with FabricBackend(store, workers=2) as backend:
+            # Shard 0's affine worker holds 3 units, worker 1 none.
+            assert backend._assign(0, [3, 0]) == 1
+            assert backend._assign(0, [0, 0]) == 0  # balanced: stay affine
+            assert backend._assign(0, [1, 0]) == 1  # strictly fewer is enough
+            assert backend._assign(1, [2, 2]) == 1  # ties stay affine
+            assert backend._assign(1, [1, 2]) == 0
+            assert backend.stolen == 3
+        with FabricBackend(store, workers=4) as wide:
+            assert wide._assign(0, [2, 1, 0, 0]) == 2  # the first least-loaded
 
     @pytest.mark.parametrize("shards, workers", [(1, 2), (2, 4)])
     def test_scarce_shards_feed_every_worker(
@@ -634,6 +634,61 @@ class TestLifecycle:
         finally:
             server.stop()
         assert service.backend._procs is None
+        assert fabric_segments() == []
+
+    def test_workers_fork_single_threaded_before_the_server_loads(
+        self, store, tmp_path
+    ):
+        """A fabric service built on the main thread forks both workers
+        there — one thread alive, no event loop or server module loaded
+        — and serving it through ``ThreadedServer`` forks nothing more.
+        Probed in a fresh interpreter that wraps ``os.fork``."""
+        probe = """
+import http.client, json, os, sys, threading
+
+forks = []
+real_fork = os.fork
+
+def fork():
+    state = (threading.active_count(), "asyncio" in sys.modules,
+             "repro.server" in sys.modules)
+    pid = real_fork()
+    if pid:
+        forks.append(state)
+    return pid
+
+os.fork = fork
+from repro.service import QueryService, ShardedStore
+
+service = QueryService(ShardedStore.open(sys.argv[1]), backend="fabric:2")
+constructed = list(forks)
+alive = [process.is_alive() for process in service.backend._procs]
+from repro.server import ServerConfig, ThreadedServer
+
+with ThreadedServer(service, ServerConfig(port=0)) as server:
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+    conn.request("POST", "/query", body=json.dumps({"query": "//person"}))
+    total = json.loads(conn.getresponse().read())["total"]
+    conn.close()
+print(json.dumps({"constructed": constructed, "alive": alive,
+                  "forks": forks, "total": total}))
+"""
+        script = tmp_path / "fork_probe.py"
+        script.write_text(probe)
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = os.pathsep.join(sys.path)
+        environment.pop("REPRO_BACKEND", None)
+        done = subprocess.run(
+            [sys.executable, str(script), store.directory],
+            capture_output=True, text=True, timeout=120, env=environment,
+        )
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout.strip().splitlines()[-1])
+        # (threads alive, asyncio loaded, repro.server loaded) per fork
+        assert seen["constructed"] == [[1, False, False]] * 2
+        assert seen["alive"] == [True, True]
+        assert seen["forks"] == seen["constructed"]  # none at first request
+        assert seen["total"] > 0
         assert fabric_segments() == []
 
     def test_backend_close_is_idempotent_and_reusable(self, store):
