@@ -49,15 +49,15 @@ def build_representatives() -> List[object]:
     from repro.service.updates import UpdateOp
     from repro.xpath.observation import DriveObservation, StepObservation
     from repro.xpath.pipeline import compile_plan
-    from repro.xpath.planner import Planner, TagStatistics
+    from repro.xpath.planner import Planner
 
-    planner = Planner(TagStatistics({"a": 5, "b": 12}, 40, 4))
+    planner = Planner(frozenset(("collection",)))
     materialize = compile_plan(planner.plan("//a[b]/b[2]"), mode="materialize")
     count = compile_plan(planner.plan("//a | //b"), mode="count")
     exists = compile_plan(planner.plan("//a"), mode="exists")
 
     instances: List[object] = [
-        planner.plan("//a/b"),  # QueryPlan (holds its StepDecisions)
+        planner.plan("//a/b"),  # QueryPlan
         materialize,
         count,
         exists,
@@ -90,7 +90,6 @@ def build_representatives() -> List[object]:
         # PageDirectory (array-backed dataclass; defines its own __eq__)
         pack_int_column("level", np.arange(100, dtype=np.int64), "for", 64)[0],
     ]
-    instances.extend(planner.plan("//a/b").steps)  # StepDecision
     for plan in (materialize, count, exists):
         instances.append(plan.terminal)
         for branch in plan.branches:

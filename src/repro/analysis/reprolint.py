@@ -457,7 +457,7 @@ PAYLOAD_REGISTRY: Dict[str, Tuple[str, ...]] = {
     "repro.service.executor": ("ShardTask", "ShardResult"),
     "repro.service.updates": ("UpdateOp",),
     "repro.xpath.observation": ("StepObservation", "DriveObservation"),
-    "repro.xpath.planner": ("QueryPlan", "StepDecision"),
+    "repro.xpath.planner": ("QueryPlan",),
     "repro.xpath.pipeline": (
         "ContextInit",
         "StaircaseStep",

@@ -259,12 +259,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         )
         return 2
     store = ShardedStore.open(args.store)
-    service = QueryService(
-        store,
-        engine=args.engine,
-        planner=not args.no_planner,
-        backend=args.backend,
-    )
+    service = QueryService(store, engine=args.engine, backend=args.backend)
     with service:
         for round_number in range(1, args.repeat + 1):
             started = time.perf_counter()
@@ -298,10 +293,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     # Fabric workers fork here, before the server and its event loop load.
     service = QueryService(
-        ShardedStore.open(args.store),
-        engine=args.engine,
-        planner=not args.no_planner,
-        backend=args.backend,
+        ShardedStore.open(args.store), engine=args.engine, backend=args.backend
     )
     with service:
         import asyncio
@@ -380,21 +372,9 @@ def _cmd_sql(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``explain --analyze`` flags an operator whose estimated and actual
-#: output cardinality disagree by this factor or more.
-MISESTIMATE_FACTOR = 8.0
-
-
-def _render_analysis(plan, observations) -> str:
-    """The estimated-vs-actual table of ``explain --analyze``.
-
-    Aggregates the per-operator observations by operator
-    signature (summing across shards) and lines each up with the costed
-    plan's cardinality estimate, flagging mis-estimates of
-    :data:`MISESTIMATE_FACTOR` or worse.
-    """
-    from repro.xpath.observation import predicate_signature, step_signature
-
+def _render_analysis(observations) -> str:
+    """The per-operator table of ``explain --analyze``: observed rows
+    aggregated by operator signature (summed across shards)."""
     order: List[tuple] = []
     agg = {}
     for observed in observations:
@@ -407,24 +387,10 @@ def _render_analysis(plan, observations) -> str:
             cell[0] += step.n_in
             cell[1] += step.n_out
             cell[2] += step.ns
-    # The plan's estimate for the signature each decision's output
-    # corresponds to: the step's own signature, or — when predicates
-    # filtered it — the last predicate's.
-    estimates = {}
-    for decision in plan.steps:
-        step = decision.step
-        sig = (
-            predicate_signature(step.axis, step.predicates[-1])
-            if step.predicates
-            else step_signature(step.axis, step.test)
-        )
-        estimates.setdefault(tuple(sig), decision.est_out)
     drives = len(observations)
     shards = len({o.shard_id for o in observations})
     lines = [f"observed: {drives} sampled drive(s) over {shards} shard(s)"]
-    lines.append(
-        f"  {'operator':<42} {'in':>10} {'out':>10} {'est out':>10} {'ms':>8}"
-    )
+    lines.append(f"  {'operator':<42} {'in':>10} {'out':>10} {'ms':>8}")
     for sig in order:
         n_in, n_out, ns = agg[sig]
         kind, axis, detail = sig
@@ -434,17 +400,8 @@ def _render_analysis(plan, observations) -> str:
             label = f"{axis}::{detail} (positional)"
         else:
             label = f"{axis}::{detail}"
-        est = estimates.get(sig)
-        est_text = f"{est:,.0f}" if est is not None else "—"
-        flag = ""
-        if est is not None:
-            hi = max(est, float(n_out))
-            lo = max(1.0, min(est, float(n_out)))
-            if hi / lo >= MISESTIMATE_FACTOR:
-                flag = f"  !! mis-estimate (×{hi / lo:,.0f})"
         lines.append(
-            f"  {label:<42.42} {n_in:>10,} {n_out:>10,} {est_text:>10} "
-            f"{ns / 1e6:>8.2f}{flag}"
+            f"  {label:<42.42} {n_in:>10,} {n_out:>10,} {ns / 1e6:>8.2f}"
         )
     scanned = sum(o.scanned for o in observations)
     skipped = sum(o.skipped for o in observations)
@@ -460,30 +417,25 @@ def _render_analysis(plan, observations) -> str:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.xpath.pipeline import compile_plan, observed_drive
-    from repro.xpath.planner import Planner, TagStatistics
+    from repro.xpath.planner import Planner
 
-    pushdown = {"auto": "auto", "on": True, "off": False}[args.pushdown]
     store = None
     doc = None
     if os.path.isdir(args.document):
         from repro.service import ShardedStore
 
         store = ShardedStore.open(args.document)
-        statistics = TagStatistics.from_store(store)
+        root_tag = store.virtual_root_tag
         source = (
             f"{args.document} (store, epoch {store.epoch}, "
-            f"{store.shard_count} shards)"
+            f"{store.shard_count} shards, {store.total_nodes():,} nodes)"
         )
     else:
         doc = _load_document(args.document)
-        statistics = TagStatistics.from_doc(doc)
-        source = args.document
-    planner = Planner(statistics, engine=args.engine, pushdown=pushdown)
-    plan = planner.plan(args.xpath)
-    print(
-        f"statistics: {source} — {statistics.total_nodes:,} nodes, "
-        f"{len(statistics.counts)} tags, height {statistics.height}"
-    )
+        root_tag = doc.tag_of(doc.root)
+        source = f"{args.document} ({len(doc):,} nodes)"
+    plan = Planner(frozenset((root_tag,))).plan(args.xpath)
+    print(f"source: {source}")
     print(plan.describe())
     print()
     print(compile_plan(plan, mode=args.mode).describe())
@@ -505,12 +457,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             # The same driver, with an observer, an analyzed shard
             # group runs through.
             observation, pres = observed_drive(
-                compile_plan(plan),
-                Evaluator(doc, engine=args.engine, mode=plan.skip_mode),
+                compile_plan(plan), Evaluator(doc, engine=args.engine)
             )
             observations = [observation]
             total, elapsed_ms = len(pres), observation.elapsed_ns / 1e6
-        print(_render_analysis(plan, observations))
+        print(_render_analysis(observations))
         print(f"result: {total:,} node(s), {elapsed_ms:.2f} ms")
     if args.operators:
         from repro.engine.explain import explain
@@ -522,7 +473,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             )
         else:
             print()
-            print(explain(doc, args.xpath, pushdown=pushdown))
+            # Every eligible name test is pushed down, as in the plan.
+            print(explain(doc, args.xpath, pushdown=True))
     return 0
 
 
@@ -633,10 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmd.add_argument("--no-cache", action="store_true", help="bypass the result cache")
     cmd.add_argument(
-        "--no-planner", action="store_true",
-        help="skip cost-based planning and prefix sharing",
-    )
-    cmd.add_argument(
         "--mode", choices=("materialize", "count", "exists"),
         default="materialize",
         help="result mode for every query of the batch: per-document "
@@ -694,10 +642,6 @@ def build_parser() -> argparse.ArgumentParser:
         "optional worker count (e.g. fabric:4); default: $REPRO_BACKEND, "
         "else serial",
     )
-    cmd.add_argument(
-        "--no-planner", action="store_true",
-        help="skip cost-based planning and prefix sharing",
-    )
     cmd.set_defaults(handler=_cmd_serve)
 
     cmd = commands.add_parser(
@@ -745,21 +689,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = commands.add_parser(
         "explain",
-        help="show the costed plan for a query (rewrites, pushdown, estimates)",
+        help="show the plan for a query (rewrites, pushdown, pipeline)",
     )
     cmd.add_argument(
         "document",
-        help=".xml / .npz file, or a store directory built by `shard` "
-        "(catalogue statistics come from its manifest)",
+        help=".xml / .npz file, or a store directory built by `shard`",
     )
     cmd.add_argument("xpath")
     cmd.add_argument(
-        "--pushdown", choices=("auto", "on", "off"), default="auto",
-        help="name-test placement (default: cost model decides)",
-    )
-    cmd.add_argument(
         "--engine", choices=("scalar", "vectorized"), default="vectorized",
-        help="engine the costs are modelled for (default: vectorized)",
+        help="engine --analyze runs on (default: vectorized)",
     )
     cmd.add_argument(
         "--operators", action="store_true",
@@ -768,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--analyze", action="store_true",
         help="run the query with the observation layer attached and "
-        "print the estimated-vs-actual table",
+        "print rows in / out and time per operator",
     )
     cmd.add_argument(
         "--mode", choices=("materialize", "count", "exists"),

@@ -111,12 +111,6 @@ class DocumentCollection:
         """Preorder rank of a member's root element."""
         return self.span(name)[0]
 
-    def tag_statistics(self) -> Dict[str, int]:
-        """Per-tag element counts of the gathered plane (virtual root
-        included — it is one more element of its tag, exactly as a query
-        over the plane would see it)."""
-        return self.doc.tag_statistics()
-
     def document_of(self, pre: int) -> Optional[str]:
         """Which member a preorder rank belongs to (None = virtual root)."""
         for name in self._names:

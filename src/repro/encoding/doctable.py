@@ -523,7 +523,7 @@ class DocTable:
         return np.nonzero(self.kind != int(NodeKind.ATTRIBUTE))[0].astype(np.int64)
 
     # ------------------------------------------------------------------
-    # Catalogue statistics (planner input)
+    # Catalogue statistics (the engine cost model's input)
     # ------------------------------------------------------------------
     def tag_histogram(self) -> np.ndarray:
         """Element count per tag *code* — ``histogram[code]`` elements.
@@ -554,9 +554,8 @@ class DocTable:
     def tag_statistics(self) -> dict:
         """Per-tag element cardinalities as a ``{tag: count}`` mapping.
 
-        The JSON-friendly face of :meth:`tag_histogram` (zero-count tags
-        omitted) — what the sharded store persists in its manifest and
-        the planner's cost model consumes.
+        The mapping face of :meth:`tag_histogram` (zero-count tags
+        omitted) — what :class:`repro.engine.planner.CostModel` reads.
         """
         histogram = self.tag_histogram()
         dictionary = self.tag.dictionary

@@ -20,9 +20,9 @@ Endpoints
     :meth:`~repro.service.service.QueryService.stats_snapshot` (epoch,
     cache hit rates).
 ``POST /query``
-    One query: ``{"query": ..., "mode"?, "engine"?, "use_planner"?,
-    "use_cache"?, "document"?}``.  Unscoped queries coalesce with
-    concurrent arrivals into one ``execute_batch``.
+    One query: ``{"query": ..., "mode"?, "engine"?, "use_cache"?,
+    "document"?}`` (other fields are ignored).  Unscoped queries
+    coalesce with concurrent arrivals into one ``execute_batch``.
 ``POST /batch``
     An explicit batch: ``{"queries": [...], "mode"?}`` (one mode or
     one per query) — already batched, so it skips the window and goes
@@ -507,7 +507,6 @@ class QueryServer:
         mode = self._field(body, "mode", str, default="materialize")
         engine = self._field(body, "engine", str)
         document = self._field(body, "document", str)
-        use_planner = self._field(body, "use_planner", bool)
         use_cache = self._field(body, "use_cache", bool, default=True)
         # Validate everything per-request *before* the query may join a
         # coalesced batch: a syntax error, bad mode, or unknown engine
@@ -530,17 +529,12 @@ class QueryServer:
                     engine=engine,
                     document=document,
                     use_cache=use_cache,
-                    use_planner=use_planner,
                     mode=mode,
                 )
             )
         else:
             result = await self.coalescer.submit(
-                query,
-                engine=engine,
-                mode=mode,
-                use_planner=use_planner,
-                use_cache=use_cache,
+                query, engine=engine, mode=mode, use_cache=use_cache
             )
         return encode_result(result)
 
@@ -554,16 +548,11 @@ class QueryServer:
         if not isinstance(mode, (str, list)):
             raise _HttpError(400, "field 'mode' must be a string or a list")
         engine = self._field(body, "engine", str)
-        use_planner = self._field(body, "use_planner", bool)
         use_cache = self._field(body, "use_cache", bool, default=True)
         started = time.perf_counter()
         results = await self.coalescer.run(
             lambda: self.service.execute_batch(
-                queries,
-                engine=engine,
-                use_cache=use_cache,
-                use_planner=use_planner,
-                mode=mode,
+                queries, engine=engine, use_cache=use_cache, mode=mode
             )
         )
         elapsed_ms = round((time.perf_counter() - started) * 1e3, 3)

@@ -9,8 +9,8 @@ flushes everything that accumulated as **one**
 :meth:`~repro.service.service.QueryService.execute_batch` call, fanning
 the per-query results back to the waiting handlers.  Per-query result
 ``mode`` is preserved (mixed-mode batches share prefixes by design);
-queries only coalesce with compatible siblings — same engine, planner
-and cache settings — via the batch key.
+queries only coalesce with compatible siblings — same engine and
+cache setting — via the batch key.
 
 The flush runs on a dedicated dispatcher thread pool (default: one
 thread), never on the event loop: the engines hold the GIL for the
@@ -52,7 +52,7 @@ class CoalescerDraining(ReproError):
     """
 
 #: Queries coalesce only with siblings that share these settings.
-BatchKey = Tuple[Optional[str], Optional[bool], bool]
+BatchKey = Tuple[Optional[str], bool]
 
 
 class _Pending:
@@ -95,14 +95,13 @@ class QueryCoalescer:
         query: str,
         engine: Optional[str] = None,
         mode: str = "materialize",
-        use_planner: Optional[bool] = None,
         use_cache: bool = True,
     ) -> ServiceResult:
         """Enqueue one query and await its (possibly batched) result."""
         if self._closing:
             raise CoalescerDraining("coalescer is draining; no new queries")
         loop = asyncio.get_running_loop()
-        key: BatchKey = (engine, use_planner, use_cache)
+        key: BatchKey = (engine, use_cache)
         pending = self._pending.get(key)
         if pending is None:
             pending = self._pending[key] = _Pending(next(self._ids))
@@ -139,7 +138,7 @@ class QueryCoalescer:
         task.add_done_callback(self._tasks.discard)
 
     async def _dispatch(self, key: BatchKey, pending: _Pending) -> None:
-        engine, use_planner, use_cache = key
+        engine, use_cache = key
         self._stats.record_batch(len(pending.queries))
         loop = asyncio.get_running_loop()
         try:
@@ -149,7 +148,6 @@ class QueryCoalescer:
                     pending.queries,
                     engine=engine,
                     use_cache=use_cache,
-                    use_planner=use_planner,
                     mode=pending.modes,
                 ),
             )
@@ -182,7 +180,6 @@ class QueryCoalescer:
                             q,
                             engine=engine,
                             use_cache=use_cache,
-                            use_planner=use_planner,
                             mode=m,
                         ),
                     )

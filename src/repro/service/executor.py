@@ -59,7 +59,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.staircase import SkipMode
 from repro.errors import ReproError
 from repro.service.cache import LRUCache
 from repro.service.store import ShardedStore
@@ -348,14 +347,6 @@ class ShardWorkerState:
             plan = parse_with_cache(plan, self.plan_cache)
         return compile_plan(plan, mode=task.mode)
 
-    @staticmethod
-    def _set_skip(evaluator: Evaluator, pipeline: PhysicalPlan) -> None:
-        """Load the scalar skip register before operators run on a
-        worker-cached evaluator: always set, never restored, so no
-        earlier group's mode can leak.  An unplanned expression carries
-        no mode and runs under the evaluator default."""
-        evaluator.axes.mode = pipeline.skip_mode or SkipMode.ESTIMATE
-
     def _finish(self, task: ShardTask, collection, frontier):
         """Shape one member's driver output into the task's mode payload
         (a scoped frontier arrives already cut to its member's span)."""
@@ -405,7 +396,6 @@ class ShardWorkerState:
                     results[slot] = ShardResult.of(task, self._gone(task))
                 continue
             evaluator = self._evaluator(shard_id, engine, collection)
-            self._set_skip(evaluator, members[0][2])
             cache = None
             if planned and document is None and len(members) > 1:
                 # The *loaded* file (fall-forward may differ from the

@@ -42,7 +42,7 @@ from repro.service.store import ShardedStore
 from repro.xpath.axes import resolve_engine
 from repro.xpath.evaluator import parse_with_cache
 from repro.xpath.pipeline import compile_plan
-from repro.xpath.planner import Planner, QueryPlan, TagStatistics
+from repro.xpath.planner import Planner, QueryPlan
 
 __all__ = ["QueryService", "ServiceResult"]
 
@@ -114,13 +114,12 @@ class QueryService:
     plan_cache_size / result_cache_size:
         LRU capacities; ``0`` disables the respective cache.
     planner:
-        Plan queries through the cost-based
-        :class:`~repro.xpath.planner.Planner` (statistics come from the
-        store's manifest) before dispatch.  Planned batches also share
-        step-prefix work per shard; ``False`` restores the unplanned
-        per-query execution path.  Either way the results are
-        byte-identical — planning is a cost decision, not a semantic
-        one.
+        Plan queries through the rule-based
+        :class:`~repro.xpath.planner.Planner` before dispatch.  Planned
+        batches also share step-prefix work per shard; ``False`` is the
+        unplanned per-query execution path (the e2e oracle's).  Either
+        way the results are byte-identical — planning decides how a
+        query runs, not what it returns.
     """
 
     def __init__(
@@ -141,8 +140,6 @@ class QueryService:
             backend or os.environ.get(BACKEND_ENV) or "serial", store
         )
         self.planner_enabled = planner
-        #: (epoch, engine, scoped) → Planner — statistics change only at commits.
-        self._planners: Dict[tuple, Planner] = {}
         # Pairs the epoch with the cache state in one critical section:
         # ``apply_updates`` commits + clears under this lock, and
         # ``stats_snapshot`` reads under it, so a snapshot can never
@@ -168,7 +165,6 @@ class QueryService:
         engine: Optional[str] = None,
         document: Optional[str] = None,
         use_cache: bool = True,
-        use_planner: Optional[bool] = None,
         mode: str = "materialize",
     ) -> ServiceResult:
         """Answer one query (optionally scoped to a single document).
@@ -176,16 +172,13 @@ class QueryService:
         ``mode="count"``/``"exists"`` skip rank materialization — the
         shard pipelines terminate early and ship integers/booleans.
         """
-        return self._run_batch(
-            [query], engine, document, use_cache, use_planner, [mode]
-        )[0]
+        return self._run_batch([query], engine, document, use_cache, [mode])[0]
 
     def execute_batch(
         self,
         queries: Sequence[str],
         engine: Optional[str] = None,
         use_cache: bool = True,
-        use_planner: Optional[bool] = None,
         mode: Union[str, Sequence[str]] = "materialize",
     ) -> List[ServiceResult]:
         """Answer a batch; cache misses share one fan-out over the shards.
@@ -203,7 +196,7 @@ class QueryService:
                 raise ReproError(
                     f"{len(modes)} modes for {len(queries)} queries"
                 )
-        return self._run_batch(queries, engine, None, use_cache, use_planner, modes)
+        return self._run_batch(queries, engine, None, use_cache, modes)
 
     # ------------------------------------------------------------------
     def _run_batch(
@@ -212,13 +205,11 @@ class QueryService:
         engine: Optional[str],
         document: Optional[str],
         use_cache: bool,
-        use_planner: Optional[bool],
         modes: List[str],
     ) -> List[ServiceResult]:
         chosen = resolve_engine(engine) if engine is not None else self.engine
         # Modes are validated at the executor boundary (shared with
         # direct callers); an unknown mode can only miss the cache here.
-        planned = self.planner_enabled if use_planner is None else use_planner
         results: List[Optional[ServiceResult]] = [None] * len(queries)
         # The epoch is snapshotted once per batch: if a shard replacement
         # races the execution, the fresh results are cached under this
@@ -239,7 +230,7 @@ class QueryService:
             scoped = document is not None
             items = []
             for query, mode in missing:
-                plan = self._plan(query, chosen, epoch, planned, scoped=scoped)
+                plan = self._plan(query, self.planner_enabled, scoped)
                 # Scoping is compiled here, once, per union branch — a
                 # path that cannot be scoped fails before any dispatch.
                 items.append(
@@ -291,62 +282,34 @@ class QueryService:
         rank arrays themselves stay shared."""
         return replace(result, per_document=dict(result.per_document), **overrides)
 
-    def _plan(
-        self,
-        query: str,
-        engine: str,
-        epoch: int,
-        use_planner: bool,
-        scoped: bool = False,
-    ):
-        """Parse (always cached) and, when planning is on, cost the query.
+    def _plan(self, query: str, planned: bool, scoped: bool = False):
+        """Parse (always cached) and, when ``planned``, plan the query.
 
-        Costed plans are cached under ``(epoch, engine, scoped, query)``
-        in the same LRU as parsed ASTs (plain string keys) — planner
-        decisions depend on the statistics of the epoch they were made
-        against.  Document-*scoped* execution re-anchors a plan's first
-        step at the member root, where the rewrite laws' root guards
-        (stated against the plane's virtual root) no longer hold — e.g.
-        ``//site`` collapsed to ``/descendant::site`` would suddenly
-        include the member root the engine's ``//site`` excludes.
-        Scoped plans therefore keep pushdown, predicate ordering, and
-        skip-mode choice but disable the rewrites.
+        Plans are cached under ``(query, scoped)`` in the same LRU as
+        parsed ASTs (plain string keys), with no epoch: a plan reads only
+        the query text and the store's virtual root tag, fixed at build,
+        so no commit can change it.  Document-*scoped* plans keep pushdown
+        and predicate order but not the //-collapse: e.g. ``//site``
+        collapsed to ``/descendant::site`` would include the member root
+        that the engine's ``//site`` excludes.
         """
         parsed = parse_with_cache(query, self.plan_cache)
-        if not use_planner:
+        if not planned:
             return parsed
-        key = (epoch, engine, scoped, query)
-        plan = self.plan_cache.get(key)
+        key = (query, scoped)
+        plan = self.plan_cache.get(key)  # repro: allow[REP001] - plans outlive commits
         if plan is None:
-            plan = self._planner(epoch, engine, scoped).plan(parsed)
-            self.plan_cache.put(key, plan)
+            # A scoped plan re-anchors at a member root, which the
+            # plane-root guard of the //-collapse does not describe.
+            root_tags = None if scoped else frozenset((self.store.virtual_root_tag,))
+            plan = Planner(root_tags).plan(parsed)
+            self.plan_cache.put(key, plan)  # repro: allow[REP001] - plans outlive commits
         return plan
 
-    def _planner(self, epoch: int, engine: str, scoped: bool = False) -> Planner:
-        """The planner for one (epoch, engine, scoped) — statistics are
-        read from the manifest once per epoch, not per query."""
-        key = (epoch, engine, scoped)
-        planner = self._planners.get(key)
-        if planner is None:
-            # Statistics changed at the epoch bump: planners of dead
-            # epochs are dropped rather than kept alive forever.  pop()
-            # because two query threads may race the same sweep.
-            for stale in [k for k in self._planners if k[0] != epoch]:
-                self._planners.pop(stale, None)
-            planner = Planner(
-                TagStatistics.from_store(self.store),
-                engine=engine,
-                rewrite=not scoped,
-            )
-            self._planners[key] = planner
-        return planner
-
-    def explain(self, query: str, engine: Optional[str] = None) -> QueryPlan:
-        """The costed :class:`~repro.xpath.planner.QueryPlan` for
-        ``query`` against the store's current statistics (what the
-        ``explain`` CLI verb prints for a store)."""
-        chosen = resolve_engine(engine) if engine is not None else self.engine
-        return self._plan(query, chosen, self.store.epoch, True)
+    def explain(self, query: str) -> QueryPlan:
+        """The :class:`~repro.xpath.planner.QueryPlan` for ``query``
+        (what the ``explain`` CLI verb prints for a store)."""
+        return self._plan(query, True)
 
     def analyze(
         self,
@@ -358,17 +321,16 @@ class QueryService:
         """Run ``query`` with the observation layer on.
 
         Returns ``(result, plan, observations)`` — the answered
-        :class:`ServiceResult`, the costed plan it ran under, and the
+        :class:`ServiceResult`, the plan it ran under, and the
         per-shard :class:`~repro.xpath.observation.DriveObservation`
         stream — what ``explain --analyze`` renders as its
-        estimated-vs-actual table.  Nothing is kept: the observations
+        per-operator table.  Nothing is kept: the observations
         are the caller's.  Bypasses the result cache: an analyze always
         runs.
         """
         chosen = resolve_engine(engine) if engine is not None else self.engine
-        epoch = self.store.epoch
         scoped = document is not None
-        plan = self._plan(query, chosen, epoch, True, scoped=scoped)
+        plan = self._plan(query, True, scoped)
         items = [(compile_plan(plan, scoped=scoped), chosen, document, mode)]
         sink: list = []
         started = time.perf_counter()

@@ -193,8 +193,6 @@ class ShardedStore:
                     "file": file_name,
                     "documents": [name for name, _ in chunk],
                     "nodes": len(collection.doc),
-                    "height": collection.doc.height,
-                    "tags": collection.tag_statistics(),
                     "format": LAYOUT_VERSIONS[shard_compression],
                 }
             )
@@ -304,46 +302,10 @@ class ShardedStore:
                     f"no document named {document!r} in store"
                 ) from None
 
-    # ------------------------------------------------------------------
-    # Catalogue statistics (planner input)
-    # ------------------------------------------------------------------
-    def shard_tag_statistics(self, shard_id: int) -> Dict[str, int]:
-        """Per-tag element counts of one shard, from the manifest.
-
-        Persisted at build/commit time, so reads are O(#tags) with no
-        shard I/O.  Stores written before statistics existed fall back
-        to computing from the (lazily loaded) shard plane.
-        """
-        with self._lock:
-            entry = self.shard_entry(shard_id)
-            if "tags" not in entry or "height" not in entry:
-                # pre-statistics manifest: compute once and keep
-                collection = self.collection(shard_id)
-                entry["tags"] = collection.tag_statistics()
-                entry["height"] = collection.doc.height
-            return dict(entry["tags"])
-
-    def tag_statistics(self) -> Dict[str, int]:
-        """Store-wide per-tag element counts (sum over shards)."""
-        with self._lock:
-            total: Dict[str, int] = {}
-            for shard_id in self.shard_ids():
-                for tag, count in self.shard_tag_statistics(shard_id).items():
-                    total[tag] = total.get(tag, 0) + count
-            return total
-
     def total_nodes(self) -> int:
         """Encoded nodes across all shards (from the manifest)."""
         with self._lock:
             return sum(entry["nodes"] for entry in self._manifest["shards"])
-
-    def height(self) -> int:
-        """Tallest shard plane's height (document height upper bound)."""
-        with self._lock:
-            if any("height" not in e for e in self._manifest["shards"]):
-                for shard_id in self.shard_ids():  # pre-statistics manifest
-                    self.shard_tag_statistics(shard_id)
-            return max(e["height"] for e in self._manifest["shards"])
 
     @property
     def compression(self) -> str:
@@ -542,8 +504,7 @@ class ShardedStore:
         Only *touched* shards are staged and rewritten: on a compressed
         store the splice decodes the touched shard's page blocks,
         splices ranks, and re-packs at commit — untouched shards (and
-        their pages) are never decoded.  Tag statistics are recomputed
-        from the spliced plane, so they stay exact.  Passing
+        their pages) are never decoded.  Passing
         ``compression`` re-pins the store's setting for this and all
         later commits.
         """
@@ -657,7 +618,11 @@ class ShardedStore:
         for entry in self._manifest["shards"]:
             shard_id = entry["id"]
             if shard_id not in staged:
-                entries.append(entry)
+                # An older manifest's per-shard "tags" / "height" were
+                # planner statistics; nothing reads them now.
+                entries.append(
+                    {k: v for k, v in entry.items() if k not in ("tags", "height")}
+                )
                 continue
             collection = staged[shard_id]
             if collection is None:  # emptied by removals: drop the shard
@@ -668,8 +633,6 @@ class ShardedStore:
                     "file": _shard_file_name(shard_id, epoch),
                     "documents": collection.names,
                     "nodes": len(collection.doc),
-                    "height": collection.doc.height,
-                    "tags": collection.tag_statistics(),
                     "format": formats[shard_id],
                 }
             )

@@ -21,7 +21,7 @@ from repro.xpath.ast import AXES, LocationPath, NodeTest, Step
 from repro.xpath.evaluator import Evaluator, evaluate
 from repro.xpath.parser import parse_xpath
 from repro.xpath.pipeline import MODES, PhysicalPlan, compile_plan, drive
-from repro.xpath.planner import Planner, QueryPlan, TagStatistics
+from repro.xpath.planner import Planner, QueryPlan
 from repro.xpath.rewrite import push_name_test, symmetry_rewrite
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "PhysicalPlan",
     "Planner",
     "QueryPlan",
-    "TagStatistics",
     "push_name_test",
     "symmetry_rewrite",
 ]

@@ -3,7 +3,7 @@
 The paper's core claim is that each XPath location step is one
 predictable physical operator over the pre/post plane.  This module
 gives the execution layer that shape: :func:`compile_plan` turns a
-costed :class:`~repro.xpath.planner.QueryPlan` (or a bare AST) into a
+:class:`~repro.xpath.planner.QueryPlan` (or a bare AST) into a
 :class:`PhysicalPlan` — a picklable sequence of typed operators that
 both engines execute behind one kernel dispatch:
 
@@ -14,8 +14,8 @@ both engines execute behind one kernel dispatch:
   per-step ``pushdown`` frozenset side-channel is absorbed at compile
   time);
 * :class:`PredicateFilter` — one non-positional predicate (one
-  operator per predicate, cheapest-first order preserved from the
-  plan), mask-based in the vectorized engine;
+  operator per predicate, in the plan's order), mask-based in the
+  vectorized engine;
 * :class:`PositionalSelect` — a whole step whose predicates need
   per-context-node position semantics (``[2]``, ``[last()]``, …);
 * :class:`DocOrderDedup` — merges union branches in document order;
@@ -56,7 +56,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.staircase import SkipMode
 from repro.errors import XPathEvaluationError
 from repro.xpath.ast import (
     BinaryExpr,
@@ -310,18 +309,14 @@ class PhysicalPlan:
     contexts by operator-prefix tuples.
 
     The plan is the only carrier of execution decisions: name-test
-    pushdown is fused into the operators, document scoping is already
-    compiled into the branches' leading steps, and ``skip_mode`` is the
-    planner's scalar :class:`SkipMode` (``None`` for unplanned
-    expressions), which the shard worker loads into the axis executor's
-    one skip register before running the operators.
+    pushdown is fused into the operators, and document scoping is
+    already compiled into the branches' leading steps.
     """
 
     branches: Tuple[Tuple[Operator, ...], ...]
     terminal: Operator
     query: str
-    skip_mode: Optional[SkipMode] = None
-    #: Compiled from a costed QueryPlan.  Part of the executor's
+    #: Compiled from a QueryPlan.  Part of the executor's
     #: grouping rule: only planned groups consult the cross-batch prefix
     #: cache — ``planner=False`` keeps its ablation meaning of paying
     #: for every operator it runs.
@@ -351,10 +346,9 @@ class PhysicalPlan:
 
     def describe(self) -> str:
         """The ``explain`` rendering of the compiled pipeline."""
-        skip = f", scalar skip={self.skip_mode.value}" if self.skip_mode else ""
         lines = [
             f"physical pipeline: {self.operator_count()} operators, "
-            f"terminal {self.terminal}{skip}"
+            f"terminal {self.terminal}"
         ]
         for number, branch in enumerate(self.branches, start=1):
             if len(self.branches) > 1:
@@ -408,13 +402,12 @@ def compile_plan(
     plan,
     mode: str = "materialize",
     pushdown=None,
-    skip_mode: Optional[SkipMode] = None,
     scoped: bool = False,
 ) -> "PhysicalPlan":
     """Compile ``plan`` into a :class:`PhysicalPlan`.
 
     ``plan`` is a :class:`~repro.xpath.planner.QueryPlan` (its rewritten
-    path, per-step pushdown verdicts and skip mode are honoured), a
+    path and per-step pushdown verdicts are honoured), a
     parsed expression, or a query string.  ``pushdown`` overrides the
     name-test placement: ``True``/``False`` for every eligible step, or
     an iterable of top-level step indices (the planner's spelling);
@@ -437,8 +430,6 @@ def compile_plan(
         planned = True
         if pushdown is None:
             pushdown = plan.pushdown_steps
-        if skip_mode is None:
-            skip_mode = plan.skip_mode
         expr = plan.path
     else:
         expr = plan
@@ -483,7 +474,6 @@ def compile_plan(
         branches=tuple(branches),
         terminal=_TERMINALS[mode],
         query=query if query is not None else str(expr),
-        skip_mode=skip_mode,
         planned=planned,
     )
 

@@ -100,14 +100,13 @@ def snapshot(result):
     return (result.query, result.mode, result.total, payload)
 
 
-def run_suite(service, queries, engine, use_planner):
+def run_suite(service, queries, engine):
     out = []
     for mode in MODES:
         out.extend(
             snapshot(r)
             for r in service.execute_batch(
-                queries, engine=engine, mode=mode,
-                use_cache=False, use_planner=use_planner,
+                queries, engine=engine, mode=mode, use_cache=False
             )
         )
     return out
@@ -120,7 +119,7 @@ class TestBackendEquivalence:
         images = []
         for backend in ("serial", "fabric:2"):
             with QueryService(store, backend=backend) as service:
-                images.append(run_suite(service, SUITE, engine, True))
+                images.append(run_suite(service, SUITE, engine))
         assert images[0] == images[1]
 
     @given(
@@ -128,11 +127,11 @@ class TestBackendEquivalence:
         size=st.integers(10, 50),
         shards=st.integers(1, 3),
         engine=st.sampled_from(ENGINES),
-        use_planner=st.booleans(),
+        planner=st.booleans(),
     )
     @settings(max_examples=6, deadline=None)
     def test_random_forest_identical(
-        self, seeds, size, shards, engine, use_planner, tmp_path_factory
+        self, seeds, size, shards, engine, planner, tmp_path_factory
     ):
         forest = [
             (f"doc-{i}", random_tree(size, seed)) for i, seed in enumerate(seeds)
@@ -142,8 +141,8 @@ class TestBackendEquivalence:
         queries = ("//*", "/descendant::node()", "//*[*]/..", "//*[2]")
         images = []
         for backend in ("serial", "fabric:2"):
-            with QueryService(store, backend=backend) as service:
-                images.append(run_suite(service, queries, engine, use_planner))
+            with QueryService(store, backend=backend, planner=planner) as service:
+                images.append(run_suite(service, queries, engine))
         assert images[0] == images[1]
 
     def test_scoped_and_mixed_mode_batches(self, store):

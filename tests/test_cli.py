@@ -199,13 +199,15 @@ class TestShardServeBatch:
         assert "service statistics" in captured.err
 
     def test_serve_batch_no_planner(self, store_dir, capsys):
-        capsys.readouterr()
-        assert (
-            main(["serve-batch", store_dir, "//person/name",
-                  "--backend", "serial", "--no-planner"])
-            == 0
-        )
-        assert "cold  //person/name" in capsys.readouterr().out
+        """``--no-planner`` left ``serve`` and ``serve-batch``: a usage error."""
+        for argv in (
+            ["serve-batch", store_dir, "//person/name", "--no-planner"],
+            ["serve", store_dir, "--no-planner"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --no-planner" in capsys.readouterr().err
 
     def test_explain_on_a_store(self, store_dir, capsys):
         capsys.readouterr()
@@ -215,8 +217,8 @@ class TestShardServeBatch:
             == 0
         )
         out = capsys.readouterr().out
-        assert "statistics:" in out and "(store, epoch" in out
-        assert "cardinality" in out
+        assert "source:" in out and "(store, epoch" in out
+        assert "staircase_join_anc" in out and "PUSHDOWN" in out
 
     def test_explain_collapses_abbreviations(self, store_dir, capsys):
         capsys.readouterr()
@@ -233,7 +235,8 @@ class TestShardServeBatch:
         capsys.readouterr()
         assert main(["explain", store_dir, "//person[profile]", "--analyze"]) == 0
         out = capsys.readouterr().out
-        assert "observed:" in out and "est out" in out
+        assert "observed:" in out and "PredicateFilter" in out
+        assert "est out" not in out and "mis-estimate" not in out
         assert "feedback" not in out
         with open(manifest, "rb") as f:
             assert f.read() == before

@@ -1,5 +1,6 @@
 """EXPLAIN output tests."""
 
+import pytest
 
 from repro.core.staircase import SkipMode
 from repro.engine.explain import explain
@@ -76,9 +77,14 @@ class TestExplainCLI:
         assert "staircase_join_desc" in out
 
     def test_cli_explain_pushdown_off(self, tmp_path, capsys):
+        """The plan pushes every eligible name test down; ``explain``
+        has no ``--pushdown`` switch to override it."""
         from repro.cli import main
 
         path = tmp_path / "d.xml"
         path.write_text("<a><b/></a>")
-        assert main(["explain", str(path), "/descendant::b", "--pushdown", "off"]) == 0
-        assert "forced" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explain", str(path), "/descendant::b", "--pushdown", "off"])
+        assert exit_info.value.code == 2
+        assert main(["explain", str(path), "/descendant::b", "--operators"]) == 0
+        assert "PUSHDOWN" in capsys.readouterr().out

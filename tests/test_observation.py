@@ -109,7 +109,7 @@ class TestObservation:
         render = cli._render_analysis
         monkeypatch.setattr(
             cli, "_render_analysis",
-            lambda plan, obs: seen.append(rows(obs)) or render(plan, obs),
+            lambda obs: seen.append(rows(obs)) or render(obs),
         )
         code = cli.main(["explain", archive, query, "--analyze", "--engine", engine])
         assert code == 0 and "observed: 1 sampled drive" in capsys.readouterr().out

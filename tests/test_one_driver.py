@@ -32,7 +32,7 @@ from repro.xpath.pipeline import (
     compile_plan,
     register_kernel,
 )
-from repro.xpath.planner import Planner, TagStatistics
+from repro.xpath.planner import Planner
 
 from _reference import random_tree
 from test_xpath_fuzz import paths
@@ -53,14 +53,14 @@ def fuzz_store(tmp_path_factory):
     return ShardedStore.build(directory, forest, shards=2)
 
 
+def store_planners(store):
+    """scoped → the planner the service uses (no //-collapse when scoped)."""
+    return {False: Planner(frozenset((store.virtual_root_tag,))), True: Planner(None)}
+
+
 @pytest.fixture(scope="module")
 def planners(fuzz_store):
-    statistics = TagStatistics.from_store(fuzz_store)
-    return {
-        (engine, scoped): Planner(statistics, engine=engine, rewrite=not scoped)
-        for engine in ENGINES
-        for scoped in (False, True)
-    }
+    return store_planners(fuzz_store)
 
 
 queries = st.one_of(paths, paths, st.builds(BinaryExpr, st.just("|"), paths, paths))
@@ -84,7 +84,7 @@ def compile_items(specs, planners):
     for query, mode, planned, document, engine in specs:
         scoped = document is not None
         try:
-            plan = planners[engine, scoped].plan(query) if planned else query
+            plan = planners[scoped].plan(query) if planned else query
             items.append((compile_plan(plan, scoped=scoped), engine, document, mode))
         except ReproError:
             continue
@@ -242,14 +242,12 @@ def step_calls():
 
 def planned_tasks(
     store, queries, engine, document=None, observe=False, mode="materialize",
-    pushdown="auto",
+    pushdown=None,
 ):
-    planner = Planner(
-        TagStatistics.from_store(store), engine=engine,
-        rewrite=document is None, pushdown=pushdown,
-    )
+    scoped = document is not None
+    planner = store_planners(store)[scoped]
     items = [
-        (compile_plan(planner.plan(q), scoped=document is not None), engine, document, mode)
+        (compile_plan(planner.plan(q), pushdown=pushdown, scoped=scoped), engine, document, mode)
         for q in queries
     ]
     return shard_tasks(store, items, observe)

@@ -32,7 +32,7 @@ from repro.xpath.pipeline import (
     drive,
     exists_ready,
 )
-from repro.xpath.planner import Planner, TagStatistics
+from repro.xpath.planner import Planner
 
 ENGINES = ("scalar", "vectorized")
 
@@ -133,11 +133,10 @@ class TestCompile:
         assert desc.pushdown
 
     def test_query_plan_verdicts_honoured(self, doc):
-        planner = Planner(TagStatistics.from_doc(doc))
+        planner = Planner(frozenset((doc.tag_of(doc.root),)))
         query_plan = planner.plan("//open_auction/bidder/increase")
         plan = compile_plan(query_plan)
-        assert plan.query == query_plan.query
-        assert plan.skip_mode is query_plan.skip_mode
+        assert plan.query == query_plan.query and plan.planned
         pushed = {
             op.index
             for branch in plan.branches

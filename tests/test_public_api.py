@@ -110,12 +110,12 @@ class TestRemovedSpellings:
         no feedback package, no rebalancing, no sampling interval."""
         from repro.service import QueryService, ShardedStore
         from repro.xmltree.model import element
-        from repro.xpath.planner import Planner, TagStatistics
+        from repro.xpath.planner import Planner
 
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.feedback")
         with pytest.raises(TypeError):
-            Planner(TagStatistics({"a": 1}, 2, 1), feedback=None)
+            Planner(frozenset(), feedback=None)
         for name in ("feedback", "save_feedback", "_rebalance_locked",
                      "REBALANCE_MAX_MOVES", "MIN_HEAT_SAMPLES",
                      "HOT_SHARE", "COLD_SHARE"):
@@ -142,6 +142,41 @@ class TestRemovedSpellings:
             )
             assert service.execute("//b", use_cache=False).total == 1
             assert calls == [{}]
+
+    def test_the_cost_model_is_gone(self, tmp_path):
+        """A plan is a function of the query: no statistics catalogue,
+        no per-step estimates, no planner knobs, no ``use_planner``."""
+        import repro.xpath as xpath
+        from repro.encoding.collection import DocumentCollection
+        from repro.service import QueryService, ShardedStore, ShardWorkerState
+        from repro.xmltree.model import element
+        from repro.xpath import planner
+        from repro.xpath.pipeline import PhysicalPlan, compile_plan
+
+        for name in ("TagStatistics", "StepDecision"):
+            assert not hasattr(planner, name) and not hasattr(xpath, name), name
+        for knob in ("rewrite", "pushdown", "engine"):
+            with pytest.raises(TypeError):
+                planner.Planner(frozenset(), **{knob: True})
+        for name in ("_decide_steps", "_apply_symmetry", "_skip_mode",
+                     "REWRITE_MARGIN", "PREDICATE_EVAL_WEIGHT"):
+            assert not hasattr(planner.Planner, name), name
+        assert set(planner.QueryPlan.__dataclass_fields__) == {
+            "query", "original", "path", "pushdown_steps", "rewrites",
+        }
+        assert "skip_mode" not in PhysicalPlan.__dataclass_fields__
+        assert "skip_mode" not in inspect.signature(compile_plan).parameters
+        assert not hasattr(ShardWorkerState, "_set_skip")
+        for name in ("tag_statistics", "shard_tag_statistics", "height"):
+            assert not hasattr(ShardedStore, name), name
+        assert not hasattr(DocumentCollection, "tag_statistics")
+        store = ShardedStore.build(str(tmp_path / "s"), [("d", element("a"))])
+        with QueryService(store, backend="serial") as service:
+            assert not hasattr(service, "_planners")
+            with pytest.raises(TypeError):
+                service.execute("//a", use_planner=False)
+            with pytest.raises(TypeError):
+                service.execute_batch(["//a"], use_planner=False)
 
     def test_what_the_frozen_e2e_harness_still_reads(self, tmp_path):
         """Two spellings outlive the loop until a ``[benchmark]`` PR

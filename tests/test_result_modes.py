@@ -54,17 +54,13 @@ def store(forest, tmp_path_factory):
     return ShardedStore.build(directory, forest, shards=3)
 
 
-def assert_modes_agree(service, queries, engine, use_planner):
-    materialized = service.execute_batch(
-        queries, engine=engine, use_cache=False, use_planner=use_planner
-    )
+def assert_modes_agree(service, queries, engine):
+    materialized = service.execute_batch(queries, engine=engine, use_cache=False)
     counted = service.execute_batch(
-        queries, engine=engine, use_cache=False, use_planner=use_planner,
-        mode="count",
+        queries, engine=engine, use_cache=False, mode="count"
     )
     existing = service.execute_batch(
-        queries, engine=engine, use_cache=False, use_planner=use_planner,
-        mode="exists",
+        queries, engine=engine, use_cache=False, mode="exists"
     )
     for query, mat, cnt, ex in zip(queries, materialized, counted, existing):
         assert cnt.mode == "count" and ex.mode == "exists"
@@ -81,12 +77,12 @@ class TestFixedSuite:
     @pytest.mark.parametrize("backend", ("serial", "fabric:2"))
     def test_suite_agrees(self, store, engine, backend):
         with QueryService(store, backend=backend) as service:
-            assert_modes_agree(service, SUITE, engine, use_planner=True)
+            assert_modes_agree(service, SUITE, engine)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_suite_agrees_without_planner(self, store, engine):
-        with QueryService(store, backend="serial") as service:
-            assert_modes_agree(service, SUITE, engine, use_planner=False)
+        with QueryService(store, backend="serial", planner=False) as service:
+            assert_modes_agree(service, SUITE, engine)
 
     def test_mixed_mode_batch_shares_prefixes(self, store):
         """count/exists queries ride the same operator-prefix trie as
@@ -172,7 +168,7 @@ class TestRandomForests:
         directory = str(tmp_path_factory.mktemp("modes-prop") / "store")
         store = ShardedStore.build(directory, forest, shards=shards)
         queries = ("//*", "/descendant::node()", "//*[*]/..", "//*[2]")
-        with QueryService(store, backend="serial") as service:
-            for engine in ENGINES:
-                for use_planner in (True, False):
-                    assert_modes_agree(service, queries, engine, use_planner)
+        for planner in (True, False):
+            with QueryService(store, backend="serial", planner=planner) as service:
+                for engine in ENGINES:
+                    assert_modes_agree(service, queries, engine)

@@ -1,5 +1,4 @@
-"""One way to run a plan: scoping compiled in the service, one skip
-register set per entry.
+"""One way to run a plan: scoping compiled in the service.
 
 * A document-scoped answer is what the member answers standing alone,
   and the unscoped answer's entry for that member — for every suite
@@ -11,27 +10,19 @@ register set per entry.
   against the shard plane, a known defect recorded in ROADMAP.md.)
 * Scoped plans are compiled in the service process, never in a worker,
   and paths that cannot be scoped fail there before any dispatch.
-* The worker's scalar skip register is set on entry, not restored: a
-  plan's skip mode cannot leak into the next task.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core.staircase import SkipMode
-from repro.encoding.collection import DocumentCollection
 from repro.encoding.prepost import encode
 from repro.errors import XPathEvaluationError
 from repro.harness.queries import QUERY_SUITE
 from repro.harness.workloads import get_forest
-from repro.service import QueryService, ShardedStore, ShardWorkerState
-from repro.service.executor import ShardTask
+from repro.service import QueryService, ShardedStore
 from repro.xpath.evaluator import Evaluator
 from repro.xpath.parser import parse_xpath
 from repro.xpath.pipeline import PhysicalPlan, compile_plan
-from repro.xpath.planner import Planner, TagStatistics
 
 SUITE = [q.xpath for q in QUERY_SUITE]
 
@@ -66,15 +57,13 @@ def store(request, forest, tmp_path_factory):
 
 
 @pytest.mark.parametrize("backend", ("serial", "fabric:1"))
-@pytest.mark.parametrize("use_planner", (True, False))
-def test_scoped_answer_is_the_members_own(store, standalone, backend, use_planner):
+@pytest.mark.parametrize("planner", (True, False))
+def test_scoped_answer_is_the_members_own(store, standalone, backend, planner):
     assert all(
         len(store.shard_entry(s)["documents"]) >= 2 for s in store.shard_ids()
     )
-    with QueryService(store, backend=backend) as service:
-        full = service.execute_batch(
-            SUITE, use_cache=False, use_planner=use_planner
-        )
+    with QueryService(store, backend=backend, planner=planner) as service:
+        full = service.execute_batch(SUITE, use_cache=False)
         for query, whole in zip(SUITE, full):
             for name in store.document_names():
                 expected = standalone[query, name]
@@ -82,8 +71,7 @@ def test_scoped_answer_is_the_members_own(store, standalone, backend, use_planne
                     assert whole.per_document[name].tobytes() == expected.tobytes()
                 scoped = {
                     mode: service.execute(
-                        query, document=name, mode=mode,
-                        use_cache=False, use_planner=use_planner,
+                        query, document=name, mode=mode, use_cache=False
                     )
                     for mode in ("materialize", "count", "exists")
                 }
@@ -143,41 +131,3 @@ def test_unscopable_paths_fail_before_dispatch(store):
                 service.analyze(query, document=name)
         del service.backend.run_batch
         assert service.execute("/", document=name, use_cache=False).total == 0
-
-
-def test_skip_override_does_not_leak_into_the_next_task(forest, tmp_path):
-    """A scalar task whose plan forces ``SkipMode.NONE``, then one under
-    the planner's own choice on the same worker state: both
-    byte-identical to the reference, the second back under its plan's
-    skip mode."""
-    store = ShardedStore.build(str(tmp_path / "s"), forest, shards=1)
-    entry = store.shard_entry(0)
-    query = "/descendant::profile/descendant::education"
-    planner = Planner(TagStatistics.from_store(store), "scalar", pushdown=False)
-    plan = compile_plan(planner.plan(query))  # joins, not fragment scans
-    assert plan.skip_mode is SkipMode.ESTIMATE
-
-    collection = DocumentCollection(forest)
-    expected = collection.partition_relative(
-        collection.evaluate(query, evaluator=Evaluator(collection.doc))
-    )
-
-    def task(mode):
-        return ShardTask(
-            index=0, shard_id=0, shard_file=entry["file"],
-            names=tuple(entry["documents"]),
-            plan=replace(plan, skip_mode=mode), engine="scalar",
-            document=None,
-        )
-
-    state = ShardWorkerState(store.directory)
-    skipped = []
-    for mode in (SkipMode.NONE, SkipMode.ESTIMATE):
-        ranks = state.run_group([task(mode)])[0].ranks
-        evaluator = state._evaluators[(0, "scalar")]
-        assert evaluator.axes.mode is mode
-        skipped.append(evaluator.stats.nodes_skipped)
-        assert list(ranks) == list(expected)
-        for name in expected:
-            assert ranks[name].tobytes() == expected[name].tobytes()
-    assert skipped[0] == 0 < skipped[1]

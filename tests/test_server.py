@@ -123,11 +123,10 @@ def serving(directory, config=None, backend=BACKEND):
 
 
 def expected_payload(reference, query, engine=None, mode="materialize",
-                     use_planner=None, document=None):
+                     document=None):
     """What the wire payload must contain, from a direct execute."""
     result = reference.execute(
-        query, engine=engine, document=document, use_cache=False,
-        use_planner=use_planner, mode=mode,
+        query, engine=engine, document=document, use_cache=False, mode=mode
     )
     if mode == "exists":
         return {"total": result.total, "exists": result.exists}
@@ -187,6 +186,8 @@ class TestEndpoints:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_engine_and_planner_pass_through(self, live, reference, engine):
+        """The engine reaches the service; a ``use_planner`` field from
+        an older client passes through as an ignored field."""
         for use_planner in (True, False):
             status, payload, _ = request(
                 live.port, "POST", "/query",
@@ -197,9 +198,33 @@ class TestEndpoints:
             assert payload["engine"] == engine
             assert_matches(
                 payload,
-                expected_payload(reference, "//person/profile", engine=engine,
-                                 use_planner=use_planner),
+                expected_payload(reference, "//person/profile", engine=engine),
             )
+
+    def test_use_planner_field_is_ignored(self, live):
+        """``use_planner`` left the API: a /query or /batch body that
+        still carries it (any value, even a non-boolean) is answered
+        exactly as the same body without it."""
+        queries = ["//person/profile", "//open_auction[bidder]/seller"]
+
+        def answers(payload):
+            return [
+                {k: v for k, v in result.items() if k != "elapsed_ms"}
+                for result in payload.get("results", [payload])
+            ]
+
+        for path, body in (
+            ("/query", {"query": queries[1], "use_cache": False}),
+            ("/batch", {"queries": queries, "mode": "count", "use_cache": False}),
+        ):
+            status, plain, _ = request(live.port, "POST", path, body)
+            assert status == 200
+            for stale in (True, False, "yes"):
+                status, payload, _ = request(
+                    live.port, "POST", path, dict(body, use_planner=stale)
+                )
+                assert status == 200
+                assert answers(payload) == answers(plain)
 
     def test_document_scoped_query(self, live, reference):
         name = live.service.store.document_names()[0]
@@ -574,16 +599,15 @@ class TestCoalescingEquivalence:
             t.start()
         for t in threads:
             t.join()
-        for (query, mode, engine, use_planner), (status, payload, _) in zip(
+        # A stale use_planner field is ignored: it neither changes an
+        # answer nor keeps a request out of its siblings' batch.
+        for (query, mode, engine, _), (status, payload, _) in zip(
             jobs, outcomes
         ):
             assert status == 200, payload
             assert_matches(
                 payload,
-                expected_payload(
-                    reference, query, engine=engine, mode=mode,
-                    use_planner=use_planner,
-                ),
+                expected_payload(reference, query, engine=engine, mode=mode),
             )
 
 

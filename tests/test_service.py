@@ -490,7 +490,7 @@ class TestCaching:
 
 # ----------------------------------------------------------------------
 class TestPlannerIntegration:
-    """The cost-based planner riding the service: identical results,
+    """The rule-based planner riding the service: identical results,
     shared prefixes, epoch-fenced prefix contexts."""
 
     PREFIX_BATCH = (
@@ -522,13 +522,11 @@ class TestPlannerIntegration:
         queries = (
             AXIS_QUERIES + PLANE_QUERIES + self.PREFIX_BATCH + self.PLAN_SHAPES
         )
-        with QueryService(store, backend=backend) as service:
-            planned = service.execute_batch(
-                queries, engine=engine, use_cache=False, use_planner=True
-            )
-            plain = service.execute_batch(
-                queries, engine=engine, use_cache=False, use_planner=False
-            )
+        with QueryService(store, backend=backend) as service, QueryService(
+            store, backend=backend, planner=False
+        ) as unplanned:
+            planned = service.execute_batch(queries, engine=engine, use_cache=False)
+            plain = unplanned.execute_batch(queries, engine=engine, use_cache=False)
         for query, a, b in zip(queries, planned, plain):
             assert_identical(a.per_document, b.per_document)
             assert a.query == b.query == query
@@ -571,15 +569,15 @@ class TestPlannerIntegration:
         plane's virtual root) would be wrong — `//site` must keep
         excluding the member root, planned or not."""
         name = store.document_names()[0]
-        with QueryService(store, backend="serial") as service:
+        with QueryService(store, backend="serial") as service, QueryService(
+            store, backend="serial", planner=False
+        ) as unplanned:
             for query in ("//site", "//site/regions", "//person/name"):
                 planned = service.execute(
-                    query, engine=engine, document=name,
-                    use_cache=False, use_planner=True,
+                    query, engine=engine, document=name, use_cache=False
                 )
-                plain = service.execute(
-                    query, engine=engine, document=name,
-                    use_cache=False, use_planner=False,
+                plain = unplanned.execute(
+                    query, engine=engine, document=name, use_cache=False
                 )
                 assert_identical(planned.per_document, plain.per_document)
 
@@ -648,12 +646,12 @@ class TestPlannerIntegration:
             plan = service.explain("//open_auction/bidder/increase")
         assert plan.pushdown_steps  # the collapsed descendant step pushed
         text = plan.describe()
-        assert "//-collapse" in text and "cardinality" in text
+        assert "//-collapse" in text and "PUSHDOWN" in text
 
     def test_planner_off_service_never_plans(self, store):
         with QueryService(store, backend="serial", planner=False) as service:
             service.execute("//people", use_cache=False)
-            # Only the parsed AST is cached — no (epoch, engine, query) key.
+            # Only the parsed AST is cached — no (query, scoped) plan key.
             assert len(service.plan_cache) == 1
 
 
