@@ -576,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--backend", type=_backend_spec, default=None, metavar="NAME[:N]",
         help="execution backend: serial (in-process) or fabric with an "
-        "optional worker count (e.g. fabric:4); default: $REPRO_BACKEND, "
+        "optional lane count (e.g. fabric:4: this process and 3 workers); "
+        "default: $REPRO_BACKEND, "
         "else serial",
     )
     cmd.add_argument(
@@ -639,7 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--backend", type=_backend_spec, default=None, metavar="NAME[:N]",
         help="execution backend: serial (in-process) or fabric with an "
-        "optional worker count (e.g. fabric:4); default: $REPRO_BACKEND, "
+        "optional lane count (e.g. fabric:4: this process and 3 workers); "
+        "default: $REPRO_BACKEND, "
         "else serial",
     )
     cmd.set_defaults(handler=_cmd_serve)

@@ -10,9 +10,10 @@ package turns that into a servable system:
 * :class:`~repro.service.backend.ExecutionBackend` — how batches fan
   out over the shards: :class:`~repro.service.backend.SerialBackend`
   (in-process, the default) or
-  :class:`~repro.service.fabric.FabricBackend` (long-lived
-  shard-affine workers returning ``materialize`` payloads through
-  shared-memory segments), both with the same pre-ordered merge;
+  :class:`~repro.service.fabric.FabricBackend` (shard-affine lanes:
+  the calling thread plus long-lived workers returning ``materialize``
+  payloads through shared-memory segments), both with the same
+  pre-ordered merge;
 * :class:`~repro.service.service.QueryService` — the front door:
   ``execute`` / ``execute_batch`` with plan + result caching, and
   ``apply_updates`` for the live write path;

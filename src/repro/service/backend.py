@@ -12,10 +12,16 @@ choice is purely an execution-strategy one:
 ``serial``    In-process, zero worker processes.  The reference path
               and the default (also the right choice under
               ``update``-heavy loads or in tests).
-``fabric``    Long-lived workers with **shard affinity** whose
-              ``materialize`` payloads travel through shared-memory
-              segments instead of pickle
+``fabric``    ``fabric:N`` runs a batch on N **shard-affine lanes**:
+              lane 0 is the dispatching thread itself (the serial
+              dispatch, inherited), lanes 1..N−1 are long-lived worker
+              processes whose ``materialize`` payloads travel through
+              shared-memory segments instead of pickle
               (:class:`~repro.service.fabric.FabricBackend`).
+              ``fabric:1`` is an alias of ``serial`` that keeps its
+              spelling in ``/stats`` (``fabric``, one lane): it forks
+              nothing and runs only lane 0.  Tests that mean to cross
+              a process use ``fabric:2`` or wider.
 ============  ======================================================
 
 Construct one with :func:`make_backend` (or pass an instance /
@@ -71,7 +77,8 @@ class ExecutionBackend:
     # ------------------------------------------------------------------
     @property
     def workers(self) -> int:
-        """Worker process count (0 = in-process)."""
+        """Lane count: the dispatching thread plus each forked worker
+        (0 = no lanes, plain in-process execution)."""
         return 0
 
     def run_batch(self, items: Sequence[Sequence], sink: Optional[list] = None) -> List:
@@ -196,16 +203,16 @@ class SerialBackend(ExecutionBackend):
         super().__init__(store)
         self._serial_state: Optional[ShardWorkerState] = None
 
-    def _dispatch(self, grouped: List[List[ShardTask]]) -> List[ShardResult]:
+    def _state(self) -> ShardWorkerState:
         if self._serial_state is None:
             self._serial_state = ShardWorkerState(
                 self.store.directory, decode_cache=self.store.decode_cache
             )
-        return [
-            outcome
-            for group in grouped
-            for outcome in self._serial_state.run_group(group)
-        ]
+        return self._serial_state
+
+    def _dispatch(self, grouped: List[List[ShardTask]]) -> List[ShardResult]:
+        state = self._state()
+        return [outcome for group in grouped for outcome in state.run_group(group)]
 
 
 def parse_backend_spec(spec: str) -> tuple:
@@ -235,7 +242,7 @@ def make_backend(spec, store: ShardedStore) -> ExecutionBackend:
 
     ``spec`` is a backend instance (returned as-is), a name
     (``"serial"``, ``"fabric"``), or a ``"fabric:N"`` string fixing the
-    worker count.
+    lane count (the calling thread plus N−1 forked workers).
     """
     if isinstance(spec, ExecutionBackend):
         return spec

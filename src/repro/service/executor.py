@@ -10,12 +10,13 @@ object executes tasks for every backend:
 
 * :class:`~repro.service.backend.SerialBackend` — in-process (the
   serial reference path; also what the tests cover line-by-line);
-* :class:`~repro.service.fabric.FabricBackend` — long-lived workers
-  with shard affinity.  Shard members arrive memory-mapped
-  (``persist.load(mmap=True)``), so all workers share one page-cache
+* :class:`~repro.service.fabric.FabricBackend` — shard-affine lanes:
+  the dispatching thread (lane 0, the serial path) plus long-lived
+  workers.  Shard members arrive memory-mapped
+  (``persist.load(mmap=True)``), so all lanes share one page-cache
   copy of each shard file — the four stored columns and the
   dictionaries; ``post`` and ``parent`` are derived at open and private
-  to the one worker that owns the shard.  Only the task tuples and
+  to the one lane that owns the shard.  Only the task tuples and
   small result descriptors are pickled across the process boundary —
   ``materialize`` rank arrays travel through shared-memory segments,
   and for ``count``/``exists`` the payload is a handful of integers.
@@ -255,8 +256,9 @@ class _ShardPrefixes(NamedTuple):
 class ShardWorkerState:
     """Per-process execution state: open collections and evaluators.
 
-    Lives once per fabric worker process and once inside the serial
-    backend.
+    Lives once per execution lane: inside the serial backend — which
+    is also a fabric's lane 0, in the dispatching process — and once per
+    forked fabric worker.
     """
 
     def __init__(self, directory: str, decode_cache: str = "full"):

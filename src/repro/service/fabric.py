@@ -6,10 +6,18 @@ bulk ``int64`` rank columns — would be pickled in the worker, squeezed
 through a pipe, and copied again on arrival.  The fabric keeps the
 data plane bulk end-to-end:
 
-* **Long-lived workers.**  Each worker process holds its
-  :class:`~repro.service.executor.ShardWorkerState` (mmap'd shard
-  planes, evaluators, prefix-context LRU) across requests; nothing is
-  re-opened per batch.  They fork when the backend is constructed.
+* **The dispatching thread is lane 0.**  ``fabric:N`` runs a batch on
+  N lanes: N−1 long-lived worker processes and the calling thread,
+  which runs its own units through the inherited
+  :class:`~repro.service.backend.SerialBackend` dispatch.  Every lane
+  holds one :class:`~repro.service.executor.ShardWorkerState` (mmap'd
+  shard planes, evaluators, prefix-context LRU) across requests;
+  nothing is re-opened per batch.  A batch sends every remote unit
+  first, runs lane 0's units inline while the workers run theirs, then
+  collects — so the serving process does a share of the work instead of
+  idling while the workers run, and lane 0's results never leave it
+  (no segment).  The workers fork when the backend is constructed;
+  ``fabric:1`` forks nothing and starts no queues or drain threads.
 * **Shared-memory result planes.**  A worker writes all rank arrays of
   a response into one POSIX shared-memory segment
   (:class:`SegmentWriter`); only a tiny layout descriptor crosses the
@@ -24,8 +32,9 @@ data plane bulk end-to-end:
   alive until the last view (or slice of one) dies and the kernel
   frees the pages then — nothing is registered, returned or reused,
   and arrays sitting in the service result cache outlive the backend.
-  A ``done`` message nobody unpacks (a duplicate after a respawn, a
-  straggler of a failed batch) has its name unlinked unread.
+  A ``done`` message nobody unpacks (a duplicate after a respawn, the
+  rest of a batch that failed) has its name unlinked unread: a batch
+  returns or raises only once every remote unit of it is in.
 * **Crash safety.**  Segment names embed the parent pid
   (``repro-fab-<pid>-<instance>-w<idx>g<gen>-<seq>``); construction
   sweeps names whose pid is dead (:func:`sweep_orphan_segments`) —
@@ -34,11 +43,11 @@ data plane bulk end-to-end:
   prefix.  The only names either can find are segments a worker wrote
   and the parent never attached.
 * **Shard affinity, one routing rule.**  A unit for shard *k* goes to
-  worker ``k % n``, so one worker's prefix-context LRU stays warm for
-  that shard's plans across batches — unless some worker holds
+  lane ``k % n``, so one lane's prefix-context LRU stays warm for
+  that shard's plans across batches — unless some lane holds
   strictly fewer units *of this batch*, then to the first least-loaded
   one (which is how the chunks of a scarce shard spread over idle
-  workers).  Each worker gets a private inbox
+  lanes).  Lane 0 is routed like any other.  Each worker gets a private inbox
   *and* a private results outbox (a shared outbox is a liability: one
   worker SIGKILLed holding the write lock, or mid-frame, wedges or
   desyncs everyone's results); per-worker drain threads merge replies
@@ -67,7 +76,7 @@ import numpy as np
 
 from repro import errors
 from repro.errors import ReproError
-from repro.service.backend import ExecutionBackend
+from repro.service.backend import SerialBackend
 from repro.service.executor import (
     ShardResult,
     ShardTask,
@@ -313,16 +322,18 @@ def _split_to_feed_workers(
     return units
 
 
-class FabricBackend(ExecutionBackend):
-    """Shard-affine long-lived workers with shared-memory result planes.
+class FabricBackend(SerialBackend):
+    """Shard-affine lanes: the calling thread plus long-lived workers
+    with shared-memory result planes.
 
     Parameters
     ----------
     store:
         The sharded store to execute against.
     workers:
-        Worker process count; ``None`` = one per shard, capped by the
-        usable CPUs (:func:`~repro.service.executor.default_workers`).
+        Lane count N — lane 0 is the calling thread, lanes 1..N−1 are
+        forked worker processes; ``None`` = one lane per shard, capped
+        by the usable CPUs (:func:`~repro.service.executor.default_workers`).
     """
 
     name = "fabric"
@@ -332,17 +343,18 @@ class FabricBackend(ExecutionBackend):
         if workers is not None and workers < 1:
             raise ReproError("fabric needs workers >= 1")
         self._workers = default_workers(store) if workers is None else int(workers)
-        self.stolen = 0  #: units routed away from their affine worker
-        self.dispatched = [0] * self._workers  #: units sent, per worker
+        self.stolen = 0  #: units routed away from their affine lane
+        self.dispatched = [0] * self._workers  #: units run, per lane
         self._ctx = multiprocessing.get_context()
         self._prefix = f"repro-fab-{os.getpid()}-{next(_INSTANCES)}"
         self._seq = itertools.count()
-        self._generation = [0] * self._workers
-        self._procs: Optional[list] = None
-        self._inboxes: Optional[list] = None
-        self._outboxes: Optional[list] = None
+        self._generation = [0] * self._workers  #: forks, per lane (lane 0: none)
+        # Keyed by lane, 1..N-1: lane 0 has no process, queue or thread.
+        self._procs: Optional[dict] = None
+        self._inboxes: Optional[dict] = None
+        self._outboxes: Optional[dict] = None
         self._merged: Optional[queue.Queue] = None
-        self._drainers: Optional[list] = None
+        self._drainers: Optional[dict] = None
         self._pool = SegmentPool()
         # Recover segments a crashed predecessor left behind before we
         # start minting our own (mirrors the store's orphan sweep).
@@ -357,11 +369,12 @@ class FabricBackend(ExecutionBackend):
     def _ensure_workers(self) -> None:
         if self._procs is not None:
             return
-        self._merged = queue.Queue()
-        self._outboxes = [self._ctx.Queue() for _ in range(self._workers)]
-        self._inboxes = [self._ctx.Queue() for _ in range(self._workers)]
-        self._procs = [self._spawn(idx) for idx in range(self._workers)]
-        self._drainers = [self._start_drain(idx) for idx in range(self._workers)]
+        remote = range(1, self._workers)
+        self._merged = queue.Queue() if remote else None
+        self._outboxes = {idx: self._ctx.Queue() for idx in remote}
+        self._inboxes = {idx: self._ctx.Queue() for idx in remote}
+        self._procs = {idx: self._spawn(idx) for idx in remote}
+        self._drainers = {idx: self._start_drain(idx) for idx in remote}
 
     def _start_drain(self, idx: int) -> threading.Thread:
         """Pump one worker's outbox into the in-process merged queue.
@@ -414,7 +427,7 @@ class FabricBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------
     def _assign(self, shard_id: int, depths: List[int]) -> int:
-        """Affine worker, unless another holds fewer units of this batch."""
+        """Affine lane, unless another holds fewer units of this batch."""
         affine = shard_id % self._workers
         least = min(depths)
         if depths[affine] == least:
@@ -426,42 +439,54 @@ class FabricBackend(ExecutionBackend):
         self._ensure_workers()
         units = _split_to_feed_workers(grouped, self._workers)
         depths = [0] * self._workers
+        local: List[List[ShardTask]] = []
         pending: Dict[int, tuple] = {}
         for unit in units:
             idx = self._assign(unit[0].shard_id, depths)
-            seq = next(self._seq)
-            pending[seq] = (idx, unit)
             depths[idx] += 1
             self.dispatched[idx] += 1
+            if idx == 0:
+                local.append(unit)
+                continue
+            seq = next(self._seq)
+            pending[seq] = (idx, unit)
             self._inboxes[idx].put(("run", seq, unit))
+        # Lane 0 runs while the workers do.  Whatever it raises waits
+        # for the remote completions: no segment name outlives the batch.
+        try:
+            outcomes = super()._dispatch(local)
+        finally:
+            remote = self._collect(pending)
+        return outcomes + remote
+
+    def _collect(self, pending: Dict[int, tuple]) -> List[ShardResult]:
+        """Wait for every remote unit; a worker's failure is raised once
+        the last one is in, the rest of the batch's segments unlinked
+        unread."""
         outcomes: List[ShardResult] = []
+        failure: Optional[ReproError] = None
         while pending:
             try:
                 message = self._merged.get(timeout=0.25)
             except queue.Empty:
                 self._respawn_dead(pending)
                 continue
-            kind, idx = message[0], message[1]
-            if kind == "done":
-                seq, payload = message[2], message[3]
-                if pending.pop(seq, None) is None:
-                    # A duplicate from re-dispatch after a worker death
-                    # (or a straggler from an errored batch).
-                    _drop_unread(message)
-                    continue
-                outcomes.extend(self._pool.unpack(payload))
-            elif kind == "err":
-                seq, detail = message[2], message[3]
-                if pending.pop(seq, None) is None:
-                    # A straggler: another unit of an earlier batch that
-                    # already raised.  That batch reported it; this one
-                    # must not fail for it.
-                    continue
-                if isinstance(detail, tuple):
-                    raise getattr(errors, detail[0], ReproError)(detail[1])
-                raise ReproError(f"fabric worker {idx} failed:\n{detail}")
-            # "stats" replies can only interleave here if a caller
-            # abandoned worker_stats() mid-read; drop them.
+            kind = message[0]
+            if kind not in ("done", "err") or pending.pop(message[2], None) is None:
+                # A duplicate from re-dispatch after a worker death, or
+                # a "stats" reply of a worker_stats() abandoned mid-read.
+                _drop_unread(message)
+            elif failure is not None:  # the batch has failed already
+                _drop_unread(message)
+            elif kind == "done":
+                outcomes.extend(self._pool.unpack(message[3]))
+            elif isinstance(message[3], tuple):
+                # A user error: the same class and message as in-process.
+                failure = getattr(errors, message[3][0], ReproError)(message[3][1])
+            else:
+                failure = ReproError(f"fabric worker {message[1]} failed:\n{message[3]}")
+        if failure is not None:
+            raise failure
         return outcomes
 
     def _respawn_dead(self, pending: Dict[int, tuple]) -> None:
@@ -484,9 +509,12 @@ class FabricBackend(ExecutionBackend):
         announced keeps its name until ``close()``.
         Unlike the forks at construction, this one runs on the dispatch
         thread with drain threads alive; the child touches only its
-        fresh queues.
+        fresh queues.  It also forks after lane 0 has loaded its shards:
+        the child inherits those planes copy-on-write (resident in its
+        RSS, shared with this process, never read — its own
+        :class:`ShardWorkerState` opens its shards afresh).
         """
-        for idx, process in enumerate(self._procs):
+        for idx, process in self._procs.items():
             if process.is_alive():
                 continue
             process.join()
@@ -504,20 +532,21 @@ class FabricBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------
     def worker_stats(self) -> dict:
-        """Per-worker prefix-cache counters and the parent's routing and
-        attach totals — the observability hook the affinity tests
-        build on."""
+        """Per-lane prefix-cache counters (lane 0's read in-process) and
+        the routing and attach totals — the observability hook the
+        affinity tests build on."""
         self._ensure_workers()
-        for inbox in self._inboxes:
+        for inbox in self._inboxes.values():
             inbox.put(("stats",))
         stats: List[Optional[dict]] = [None] * self._workers
-        needed = self._workers
+        stats[0] = {"prefix_cache": self._state().prefix_cache.info()}
+        needed = len(self._inboxes)
         while needed:
             message = self._merged.get(timeout=10.0)
             if message[0] == "stats" and stats[message[1]] is None:
                 stats[message[1]] = message[2]
                 needed -= 1
-            else:  # a straggler of a failed batch
+            else:  # a late duplicate of a re-dispatched unit
                 _drop_unread(message)
         return {
             "workers": stats,
@@ -528,38 +557,42 @@ class FabricBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop workers and unlink every fabric segment (idempotent).
+        """Stop workers, drop lane 0's state and unlink every fabric
+        segment (idempotent).
 
         Rank arrays already handed out (service result cache, caller
         references) stay readable: their names went at attach, the
-        mappings survive until their last view dies.
+        mappings survive until their last view dies.  A closed fabric
+        used again forks its workers afresh, from a process that no
+        longer holds lane 0's planes.
         """
         if self._procs is None:
             return
+        self._serial_state = None
         procs, self._procs = self._procs, None
         inboxes, self._inboxes = self._inboxes, None
         outboxes, self._outboxes = self._outboxes, None
         drainers, self._drainers = self._drainers, None
-        for inbox in inboxes:
+        for inbox in inboxes.values():
             try:
                 inbox.put(("stop",))
             except (OSError, ValueError):  # pragma: no cover - torn down
                 pass
-        for process in procs:
+        for process in procs.values():
             process.join(timeout=5.0)
             if process.is_alive():  # pragma: no cover - wedged worker
                 process.terminate()
                 process.join()
         # Release the drain threads: workers have exited, so each
         # outbox is quiescent and the sentinel is the next message.
-        for outbox in outboxes:
+        for outbox in outboxes.values():
             try:
                 outbox.put(("drain-stop",))
             except (OSError, ValueError):  # pragma: no cover - torn down
                 pass
-        for thread in drainers:
+        for thread in drainers.values():
             thread.join(timeout=5.0)
-        for channel in [*inboxes, *outboxes]:
+        for channel in [*inboxes.values(), *outboxes.values()]:
             channel.cancel_join_thread()
             channel.close()
         self._merged = None

@@ -4,7 +4,9 @@ The headline property extends the service layer's batched == serial:
 **the backend is invisible** — serial and fabric answer any
 batch byte-identically across engines, result modes, and planner
 settings (pinned suite + a hypothesis sweep over random forests).
-Around it, what is new with the fabric: a shared-memory segment has a
+Around it, what is new with the fabric: ``fabric:N`` forks N−1 workers
+and answers lane 0's share in-process, without a segment; a
+shared-memory segment has a
 name only between the worker's pack and the parent's attach, crash
 leftovers are swept by pid, shard affinity keeps per-worker prefix
 caches warm, a scarce shard's chunks spread over idle workers, a killed
@@ -15,10 +17,12 @@ segments.
 
 import gc
 import json
+import mmap
 import os
 import signal
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -65,6 +69,26 @@ def fabric_segments() -> list:
         return [n for n in os.listdir(_SHM_DIR) if n.startswith("repro-fab-")]
     except OSError:  # pragma: no cover - no /dev/shm
         return []
+
+
+def live_children() -> set:
+    """Pids of this process's children that have not exited."""
+    me, found = os.getpid(), set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                state, parent = f.read().rsplit(")", 1)[1].split()[:2]
+        except OSError:  # exited while we looked
+            continue
+        if int(parent) == me and state != "Z":
+            found.add(int(entry))
+    return found
+
+
+def drain_threads() -> set:
+    return {t for t in threading.enumerate() if t.name.startswith("fabric-drain")}
 
 
 def dead_pid() -> int:
@@ -126,21 +150,22 @@ class TestBackendEquivalence:
         seeds=st.lists(st.integers(0, 300), min_size=2, max_size=3),
         size=st.integers(10, 50),
         shards=st.integers(1, 3),
+        lanes=st.integers(2, 3),  # fabric:1 is the serial path itself
         engine=st.sampled_from(ENGINES),
         planner=st.booleans(),
     )
     @settings(max_examples=6, deadline=None)
     def test_random_forest_identical(
-        self, seeds, size, shards, engine, planner, tmp_path_factory
+        self, seeds, size, shards, lanes, engine, planner, tmp_path_factory
     ):
         forest = [
             (f"doc-{i}", random_tree(size, seed)) for i, seed in enumerate(seeds)
         ]
         directory = str(tmp_path_factory.mktemp("bprop") / "store")
         store = ShardedStore.build(directory, forest, shards=shards)
-        queries = ("//*", "/descendant::node()", "//*[*]/..", "//*[2]")
+        queries = ("//*", "/descendant::node()", "//*[*]/..", "//*[2]") + SUITE
         images = []
-        for backend in ("serial", "fabric:2"):
+        for backend in ("serial", f"fabric:{lanes}"):
             with QueryService(store, backend=backend, planner=planner) as service:
                 images.append(run_suite(service, queries, engine))
         assert images[0] == images[1]
@@ -176,9 +201,9 @@ class TestBackendEquivalence:
 # ----------------------------------------------------------------------
 class TestBackendSelection:
     def test_make_backend_specs(self, store):
-        assert isinstance(make_backend("serial", store), SerialBackend)
+        assert type(make_backend("serial", store)) is SerialBackend
         fabric = make_backend("fabric:2", store)
-        assert isinstance(fabric, FabricBackend) and fabric.workers == 2
+        assert type(fabric) is FabricBackend and fabric.workers == 2
         fabric.close()
         instance = SerialBackend(store)
         assert make_backend(instance, store) is instance
@@ -205,18 +230,19 @@ class TestBackendSelection:
     def test_default_backend_is_serial(self, store, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         with QueryService(store) as service:
-            assert isinstance(service.backend, SerialBackend)
+            # Exact type: a FabricBackend is a SerialBackend too.
+            assert type(service.backend) is SerialBackend
 
     def test_env_variable_supplies_default(self, store, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "fabric:1")
+        monkeypatch.setenv(BACKEND_ENV, "fabric:2")
         with QueryService(store) as service:
-            assert isinstance(service.backend, FabricBackend)
-            assert service.backend.workers == 1
+            assert type(service.backend) is FabricBackend
+            assert service.backend.workers == 2
 
     def test_explicit_argument_beats_env(self, store, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "fabric:2")
         with QueryService(store, backend="serial") as service:
-            assert isinstance(service.backend, SerialBackend)
+            assert type(service.backend) is SerialBackend
 
     def test_worker_count_parameters_are_gone(self, store):
         with pytest.raises(TypeError):
@@ -231,12 +257,66 @@ class TestBackendSelection:
         assert snapshot["workers"] == 0
 
     def test_query_service_open_context_manager(self, store):
-        with QueryService.open(store.directory, backend="fabric:1") as service:
+        with QueryService.open(store.directory, backend="fabric:2") as service:
             total = service.execute("//person").total
             assert total > 0
             backend = service.backend
             assert backend._procs is not None
         assert backend._procs is None  # closed on exit
+
+
+# ----------------------------------------------------------------------
+class TestLanes:
+    """``fabric:N`` is N lanes: the calling thread plus N−1 workers."""
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_fabric_n_forks_n_minus_one_workers(self, store, lanes):
+        children, drains = live_children(), drain_threads()
+        with FabricBackend(store, workers=lanes) as backend:
+            assert backend.workers == lanes
+            forked = live_children() - children
+            assert forked == {p.pid for p in backend._procs.values()}
+            assert len(forked) == lanes - 1
+            assert len(drain_threads() - drains) == lanes - 1
+            assert (backend._merged is None) == (lanes == 1)  # no queue either
+            backend.run_batch([("//person", "vectorized", None, "count")])
+            assert live_children() - children == forked  # none at first use
+        assert live_children() - children == set()
+
+    def test_lane_zero_answers_in_process(self, forest, tmp_path):
+        single = ShardedStore.build(str(tmp_path / "store"), forest, shards=1)
+        item = ("//open_auction/bidder", "vectorized", None, "materialize")
+        expected = SerialBackend(single).run_batch([item])
+        with FabricBackend(single, workers=2) as backend:
+            merged = backend.run_batch([item])
+            stats = backend.worker_stats()
+            in_process = backend._serial_state.prefix_cache.info()
+        assert backend._serial_state is None  # close drops lane 0's planes
+        assert stats["dispatched"] == [1, 0]  # shard 0 % 2 lanes = lane 0
+        assert stats["segments_attached"] == 0
+        assert {n: a.tobytes() for n, a in merged[0].items()} == {
+            n: a.tobytes() for n, a in expected[0].items()
+        }
+        lane0, lane1 = stats["workers"]
+        assert lane0["prefix_cache"] == in_process
+        assert lane0["prefix_cache"].keys() == lane1["prefix_cache"].keys()
+
+    def test_lane_zero_error_waits_for_the_remote_units(self, store, monkeypatch):
+        from repro.service import ShardWorkerState
+
+        def boom(self, tasks):
+            raise RuntimeError("lane 0 exploded")
+
+        with FabricBackend(store, workers=2) as backend:
+            # Patched after the fork: only lane 0 runs ``boom``.
+            monkeypatch.setattr(ShardWorkerState, "run_group", boom)
+            item = ("//open_auction/bidder", "vectorized", None, "materialize")
+            with pytest.raises(RuntimeError, match="lane 0 exploded"):
+                backend.run_batch([item])
+            # Lane 1's response was collected before the raise: its
+            # segment is attached (and so unnamed), not left behind.
+            assert backend._pool.attached == 1
+            assert fabric_segments() == []
 
 
 # ----------------------------------------------------------------------
@@ -314,14 +394,17 @@ class TestSegmentLifecycle:
         assert rebuilt.ranks["d0"].tolist() == []
 
     def test_view_keeps_segment_alive_through_slices(self, store):
-        backend = FabricBackend(store, workers=1)
+        backend = FabricBackend(store, workers=2)
         merged = backend.run_batch(
             [("//open_auction/bidder", "vectorized", None, "materialize")]
         )
         # Unpacked means unnamed: nothing waits for a view to die.
         assert fabric_segments() == []
         assert backend.worker_stats()["segments_attached"] > 0
-        ranks = max(merged[0].values(), key=len)
+        # Shard 1 ran on lane 1, the forked worker: its ranks are views.
+        remote = store.shard_entry(1)["documents"]
+        ranks = max((merged[0][name] for name in remote), key=len)
+        assert isinstance(ranks.base.obj, mmap.mmap)
         assert type(ranks) is np.ndarray and len(ranks) > 1
         expected = ranks.tolist()
         tail = ranks[1:]  # a derived view is all that will be left
@@ -332,7 +415,7 @@ class TestSegmentLifecycle:
         assert tail.tolist() == expected[1:]
 
     def test_no_segment_name_between_batches(self, store):
-        with QueryService(store, backend="fabric:1") as service:
+        with QueryService(store, backend="fabric:2") as service:
             for _ in range(5):
                 results = service.execute_batch(SUITE, use_cache=False)
                 # Held results or not, no batch in flight = no name.
@@ -343,10 +426,10 @@ class TestSegmentLifecycle:
         assert fabric_segments() == []
 
     def test_unattached_segment_is_removed_by_close(self, store):
-        backend = FabricBackend(store, workers=1)
+        backend = FabricBackend(store, workers=2)
         backend.run_batch([("//person", "vectorized", None, "count")])
         # What a worker leaves when it dies between pack and "done".
-        writer = SegmentWriter(f"{backend._prefix}-w0g7")
+        writer = SegmentWriter(f"{backend._prefix}-w1g7")
         _, segment = writer.pack(self._results([np.arange(8, dtype=np.int64)]))
         assert segment in fabric_segments()
         backend.close()
@@ -382,7 +465,7 @@ class TestSegmentLifecycle:
         leftover = os.path.join(_SHM_DIR, f"repro-fab-{dead_pid()}-0-w0g1-7")
         with open(leftover, "wb") as f:
             f.write(b"\0" * 8)
-        backend = FabricBackend(store, workers=1)
+        backend = FabricBackend(store, workers=2)
         try:
             assert not os.path.exists(leftover)
         finally:
@@ -458,7 +541,7 @@ class TestAffinityAndResilience:
                 snapshot(r)
                 for r in service.execute_batch(SUITE, use_cache=False)
             ]
-            victim = backend._procs[0]
+            victim = backend._procs[1]  # lane 0 is this process
             os.kill(victim.pid, signal.SIGKILL)
             victim.join()
             again = [
@@ -466,7 +549,7 @@ class TestAffinityAndResilience:
                 for r in service.execute_batch(SUITE, use_cache=False)
             ]
             assert again == baseline
-            assert backend._procs[0].pid != victim.pid
+            assert backend._procs[1].pid != victim.pid
             # Re-dispatched units (and any duplicate completion) leave
             # no name behind while the service lives on.
             assert fabric_segments() == []
@@ -487,13 +570,18 @@ class TestAffinityAndResilience:
             ]
         marker = tmp_path / "died-once"
         run_group = ShardWorkerState.run_group
+        dispatcher = os.getpid()
 
         def die_once(self, tasks):
-            try:
-                marker.touch(exist_ok=False)
-            except FileExistsError:
-                return run_group(self, tasks)
-            os.kill(os.getpid(), signal.SIGKILL)
+            # Lane 0 runs in this process: only a forked worker may die.
+            if os.getpid() != dispatcher:
+                try:
+                    marker.touch(exist_ok=False)
+                except FileExistsError:
+                    pass
+                else:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return run_group(self, tasks)
 
         monkeypatch.setattr(ShardWorkerState, "run_group", die_once)
         backend = FabricBackend(store, workers=2)
@@ -501,7 +589,8 @@ class TestAffinityAndResilience:
             answers = [
                 snapshot(r) for r in service.execute_batch(SUITE, use_cache=False)
             ]
-            assert marker.exists() and sum(backend._generation) == 3
+            # Lane 1 forked at construction, then once more after dying.
+            assert marker.exists() and backend._generation == [0, 2]
             assert fabric_segments() == []
         assert answers == baseline
 
@@ -563,7 +652,7 @@ with QueryService(ShardedStore.open(sys.argv[1]), backend="fabric:2") as service
         if seen["start_method"] != "fork":
             pytest.skip("spawn/forkserver start their own tracker")
         assert seen["total"] > 0
-        assert seen["processes"] >= 3  # the probe and its two workers
+        assert seen["processes"] >= 2  # the probe (lane 0) and its worker
         assert seen["trackers"] == []
         assert fabric_segments() == []
 
@@ -576,13 +665,17 @@ with QueryService(ShardedStore.open(sys.argv[1]), backend="fabric:2") as service
 
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("the patched class reaches workers through fork only")
+        run_group = ShardWorkerState.run_group
+        dispatcher = os.getpid()
 
         def boom(self, tasks):
+            if os.getpid() == dispatcher:  # lane 0 runs as ever
+                return run_group(self, tasks)
             raise RuntimeError("kernel exploded")
 
         monkeypatch.setattr(ShardWorkerState, "run_group", boom)
-        with FabricBackend(store, workers=1) as backend:
-            with pytest.raises(ReproError, match="fabric worker 0 failed") as caught:
+        with FabricBackend(store, workers=2) as backend:
+            with pytest.raises(ReproError, match="fabric worker 1 failed") as caught:
                 backend.run_batch([("//person", "vectorized", None, "materialize")])
         assert "RuntimeError: kernel exploded" in str(caught.value)
 
@@ -594,7 +687,7 @@ with QueryService(ShardedStore.open(sys.argv[1]), backend="fabric:2") as service
         any worker sees it."""
         document = store.document_names()[0]
         failures = {}
-        for backend in ("serial", "fabric:1"):
+        for backend in ("serial", "fabric:2"):
             with QueryService(store, backend=backend) as service:
                 for query, scope in (
                     ("//person[count(1)]", None),
@@ -617,16 +710,17 @@ with QueryService(ShardedStore.open(sys.argv[1]), backend="fabric:2") as service
 # ----------------------------------------------------------------------
 class TestLifecycle:
     def test_service_gc_closes_backend(self, store):
-        service = QueryService(store, backend="fabric:1")
+        service = QueryService(store, backend="fabric:2")
         service.execute("//person", use_cache=False)
         backend = service.backend
-        assert backend._procs is not None
+        worker = backend._procs[1]
         del service
         gc.collect()
         assert backend._procs is None
+        assert not worker.is_alive()
 
     def test_threaded_server_teardown_closes_backend(self, store):
-        service = QueryService(store, backend="fabric:1")
+        service = QueryService(store, backend="fabric:2")
         server = ThreadedServer(service, ServerConfig(port=0)).start()
         try:
             assert service.backend is not None
@@ -638,10 +732,10 @@ class TestLifecycle:
     def test_workers_fork_single_threaded_before_the_server_loads(
         self, store, tmp_path
     ):
-        """A fabric service built on the main thread forks both workers
-        there — one thread alive, no event loop or server module loaded
-        — and serving it through ``ThreadedServer`` forks nothing more.
-        Probed in a fresh interpreter that wraps ``os.fork``."""
+        """A ``fabric:3`` service built on the main thread forks both
+        workers there — one thread alive, no event loop or server module
+        loaded — and serving it through ``ThreadedServer`` forks nothing
+        more.  Probed in a fresh interpreter that wraps ``os.fork``."""
         probe = """
 import http.client, json, os, sys, threading
 
@@ -659,9 +753,9 @@ def fork():
 os.fork = fork
 from repro.service import QueryService, ShardedStore
 
-service = QueryService(ShardedStore.open(sys.argv[1]), backend="fabric:2")
+service = QueryService(ShardedStore.open(sys.argv[1]), backend="fabric:3")
 constructed = list(forks)
-alive = [process.is_alive() for process in service.backend._procs]
+alive = [process.is_alive() for process in service.backend._procs.values()]
 from repro.server import ServerConfig, ThreadedServer
 
 with ThreadedServer(service, ServerConfig(port=0)) as server:
@@ -691,10 +785,12 @@ print(json.dumps({"constructed": constructed, "alive": alive,
         assert fabric_segments() == []
 
     def test_backend_close_is_idempotent_and_reusable(self, store):
-        backend = FabricBackend(store, workers=1)
+        backend = FabricBackend(store, workers=2)
         with QueryService(store, backend=backend) as service:
             first = service.execute("//person", use_cache=False).total
             backend.close()
             backend.close()
-            # A closed backend lazily respawns workers on next use.
+            # Closing drops lane 0's planes, so the next fork is lean...
+            assert backend._serial_state is None
+            # ...and a closed backend lazily respawns workers on next use.
             assert service.execute("//person", use_cache=False).total == first

@@ -472,7 +472,7 @@ class TestNoArchiveByteReachesAnUnpickler:
                 load(path, mmap=mmap_flag)
         assert not os.path.exists(sentinel)
 
-    @pytest.mark.parametrize("backend", ["serial", "fabric:1"])
+    @pytest.mark.parametrize("backend", ["serial", "fabric:2"])
     def test_a_store_over_it_opens_and_fails_the_first_query_cleanly(
         self, hostile_v2, tmp_path, backend
     ):
@@ -481,39 +481,45 @@ class TestNoArchiveByteReachesAnUnpickler:
         clean errors on either backend, nothing is unpickled."""
         import shutil
 
-        from repro.harness.workloads import get_forest
-        from repro.service import QueryService, ShardedStore
+        from repro.service import QueryService
 
         path, sentinel = hostile_v2
-        built = ShardedStore.build(
-            str(tmp_path / "store"), get_forest(2, 0.02), shards=1, compression="none"
+        store = swap_worker_shard(
+            tmp_path, lambda doc, shard_file: shutil.copyfile(path, shard_file)
         )
-        shard_file = os.path.join(built.directory, built.shard_entry(0)["file"])
-        shutil.copyfile(path, shard_file)
-        store = ShardedStore.open(built.directory)
         with pytest.raises(EncodingError, match="format version 2"):
             store.info()
         with QueryService(store, backend=backend) as service:
             with pytest.raises(EncodingError, match="format version 2"):
                 service.execute("//person", use_cache=False)
+            assert_worker_ran(service)
         assert not os.path.exists(sentinel)
 
 
 # ----------------------------------------------------------------------
 # Archives of the versions that stored post / parent are refused
 # ----------------------------------------------------------------------
-def swap_first_shard(tmp_path, write):
-    """A one-shard eager store whose shard file ``write(doc, path)`` has
-    replaced; the store still opens (shards load lazily)."""
+def swap_worker_shard(tmp_path, write):
+    """A two-shard eager store whose shard 1 file ``write(doc, path)`` has
+    replaced; the store still opens (shards load lazily).  Shard 1 is
+    the one ``fabric:2`` runs on its forked worker (lane 1)."""
     from repro.harness.workloads import get_forest
     from repro.service import ShardedStore
 
     built = ShardedStore.build(
-        str(tmp_path / "store"), get_forest(2, 0.02), shards=1, compression="none"
+        str(tmp_path / "store"), get_forest(2, 0.02), shards=2, compression="none"
     )
-    shard_file = os.path.join(built.directory, built.shard_entry(0)["file"])
+    shard_file = os.path.join(built.directory, built.shard_entry(1)["file"])
     write(load(shard_file), shard_file)  # read, not mapped: the file is overwritten
     return ShardedStore.open(built.directory)
+
+
+def assert_worker_ran(service):
+    """Under ``fabric:2`` the failing shard ran on the forked worker:
+    the error was rebuilt across the process boundary, not raised by
+    lane 0 in-process."""
+    if service.backend.name == "fabric":
+        assert service.backend.dispatched == [1, 1]
 
 
 @pytest.mark.parametrize("version", sorted(OLD_WRITERS))
@@ -537,16 +543,17 @@ class TestOldVersionsAreRefused:
         with self.refusal(version):
             describe_archive(path)
 
-    @pytest.mark.parametrize("backend", ["serial", "fabric:1"])
+    @pytest.mark.parametrize("backend", ["serial", "fabric:2"])
     def test_store_info_and_the_first_query_refuse_it(self, tmp_path, version, backend):
         from repro.service import QueryService
 
-        store = swap_first_shard(tmp_path, OLD_WRITERS[version])
+        store = swap_worker_shard(tmp_path, OLD_WRITERS[version])
         with self.refusal(version):
             store.info()
         with QueryService(store, backend=backend) as service:
             with self.refusal(version):
                 service.execute("//person", use_cache=False)
+            assert_worker_ran(service)
 
 
 # ----------------------------------------------------------------------
@@ -611,13 +618,14 @@ def test_a_packed_archives_height_must_be_the_one_its_levels_reach(
         load(path, mmap=mmap_flag)
 
 
-@pytest.mark.parametrize("backend", ["serial", "fabric:1"])
+@pytest.mark.parametrize("backend", ["serial", "fabric:2"])
 def test_a_store_over_a_hostile_level_fails_the_first_query_cleanly(tmp_path, backend):
     from repro.service import QueryService
 
-    store = swap_first_shard(
+    store = swap_worker_shard(
         tmp_path, lambda doc, path: forge_level(doc, path, "none", _put(5, 0))
     )
     with QueryService(store, backend=backend) as service:
         with pytest.raises(EncodingError, match="level column is not one tree"):
             service.execute("//person", use_cache=False)
+        assert_worker_ran(service)

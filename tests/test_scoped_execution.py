@@ -56,7 +56,7 @@ def store(request, forest, tmp_path_factory):
     )
 
 
-@pytest.mark.parametrize("backend", ("serial", "fabric:1"))
+@pytest.mark.parametrize("backend", ("serial", "fabric:2"))
 @pytest.mark.parametrize("planner", (True, False))
 def test_scoped_answer_is_the_members_own(store, standalone, backend, planner):
     assert all(

@@ -309,7 +309,7 @@ class TestErrors:
         # the connection/server both survive a syntax error
         assert request(live.port, "GET", "/health")[0] == 200
 
-    @pytest.mark.parametrize("backend", ("serial", "fabric:1"))
+    @pytest.mark.parametrize("backend", ("serial", "fabric:2"))
     def test_4xx_bodies_are_one_line_errors_on_every_backend(
         self, store_dir, backend
     ):

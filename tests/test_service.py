@@ -702,7 +702,7 @@ class TestExecutor:
         assert state._collections[0][1] is collection
 
     def test_close_is_idempotent(self, store):
-        service = QueryService(store, backend="fabric:1")
+        service = QueryService(store, backend="fabric:2")
         service.execute("//people")
         service.close()
         service.close()

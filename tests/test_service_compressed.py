@@ -168,26 +168,29 @@ class TestPaging:
         assert 0 < totals["blocks_decoded"] < totals["pages"]
         assert totals["bytes_decoded"] < totals["logical_bytes"]
 
-    @pytest.mark.parametrize("backend", ("serial", "fabric:1"))
+    @pytest.mark.parametrize("backend", ("serial", "fabric:2"))
     def test_served_path_honours_blocks_mode(
         self, forest, tmp_path, monkeypatch, backend
     ):
         """``decode_cache="blocks"`` must reach the *worker's* planes:
-        after a selective query the worker holds block-LRU entries only,
-        never a whole decoded column."""
+        after a selective query every lane — the forked worker included
+        — holds block-LRU entries only, never a whole decoded column."""
         import json
         import multiprocessing
+        import os
 
         from repro.service import ShardWorkerState, backend as serial_module, fabric
 
         if backend != "serial" and multiprocessing.get_start_method() != "fork":
             pytest.skip("the probe reaches fabric workers by fork inheritance")
-        report = tmp_path / "planes.json"
+        reports = tmp_path / "planes"
+        reports.mkdir()
 
         class ProbedState(ShardWorkerState):
             def run_group(self, tasks):
                 outcomes = super().run_group(tasks)
                 planes = [c.doc.plane for _, c in self._collections.values()]
+                report = reports / f"{os.getpid()}.json"
                 report.write_text(json.dumps({
                     "decode_cache": self.decode_cache,
                     "whole_columns": sum(
@@ -208,18 +211,25 @@ class TestPaging:
         monkeypatch.setattr(serial_module, "ShardWorkerState", ProbedState)
         monkeypatch.setattr(fabric, "ShardWorkerState", ProbedState)
         directory = str(tmp_path / "store")
-        ShardedStore.build(directory, forest, shards=1, compression="packed")
+        # Two shards: under fabric:2, shard 1 runs on lane 1, the worker.
+        ShardedStore.build(directory, forest, shards=2, compression="packed")
         store = ShardedStore.open(directory, decode_cache="blocks")
         with QueryService(store, backend=backend) as service:
             assert service.execute("//regions", use_cache=False).total > 0
-        seen = json.loads(report.read_text())
-        assert seen["decode_cache"] == "blocks"
-        assert seen["whole_columns"] == 0
-        # The planned query pushes its name test down, which builds the
-        # shard's per-tag fragments: one pass over the plane, not one
-        # whole-column decode per dictionary tag.
-        assert seen["full_decodes"]["kind"] <= 1
-        assert seen["full_decodes"]["tag_codes"] <= 1
+            if backend != "serial":
+                assert service.backend.dispatched == [1, 1]
+        seen = {int(p.stem): json.loads(p.read_text()) for p in reports.iterdir()}
+        lanes = 1 if backend == "serial" else 2
+        assert len(seen) == lanes  # one report per process that ran a lane
+        assert os.getpid() in seen
+        for planes in seen.values():
+            assert planes["decode_cache"] == "blocks"
+            assert planes["whole_columns"] == 0
+            # The planned query pushes its name test down, which builds
+            # the shard's per-tag fragments: one pass over the plane, not
+            # one whole-column decode per dictionary tag.
+            assert planes["full_decodes"]["kind"] <= 1
+            assert planes["full_decodes"]["tag_codes"] <= 1
 
     def test_info_reports_decode_counters(self, forest, tmp_path):
         store, _plane = self.open_and_query(forest, tmp_path, "//bidder")
