@@ -259,7 +259,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         )
         return 2
     store = ShardedStore.open(args.store)
-    service = QueryService(store, engine=args.engine, backend=args.backend)
+    service = QueryService(store, backend=args.backend)
     with service:
         for round_number in range(1, args.repeat + 1):
             started = time.perf_counter()
@@ -292,9 +292,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import QueryService, ShardedStore
 
     # Fabric workers fork here, before the server and its event loop load.
-    service = QueryService(
-        ShardedStore.open(args.store), engine=args.engine, backend=args.backend
-    )
+    service = QueryService(ShardedStore.open(args.store), backend=args.backend)
     with service:
         import asyncio
 
@@ -570,10 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="file with one query per line (# comments allowed)",
     )
     cmd.add_argument(
-        "--engine", choices=("scalar", "vectorized"), default="vectorized",
-        help="execution engine (default: vectorized)",
-    )
-    cmd.add_argument(
         "--backend", type=_backend_spec, default=None, metavar="NAME[:N]",
         help="execution backend: serial (in-process) or fabric with an "
         "optional lane count (e.g. fabric:4: this process and 3 workers); "
@@ -632,10 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-limit", type=int, default=64,
         help="bound on admitted-but-unanswered requests; beyond it the "
         "server sheds with 503 + Retry-After (0 disables; default 64)",
-    )
-    cmd.add_argument(
-        "--engine", choices=("scalar", "vectorized"), default="vectorized",
-        help="execution engine (default: vectorized)",
     )
     cmd.add_argument(
         "--backend", type=_backend_spec, default=None, metavar="NAME[:N]",

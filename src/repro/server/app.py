@@ -20,8 +20,9 @@ Endpoints
     :meth:`~repro.service.service.QueryService.stats_snapshot` (epoch,
     cache hit rates).
 ``POST /query``
-    One query: ``{"query": ..., "mode"?, "engine"?, "use_cache"?,
-    "document"?}`` (other fields are ignored).  Unscoped queries
+    One query: ``{"query": ..., "mode"?, "use_cache"?, "document"?}``
+    (other fields, ``engine`` among them, are ignored: every query runs
+    on the service's engine).  Unscoped queries
     coalesce with concurrent arrivals into one ``execute_batch``.
 ``POST /batch``
     An explicit batch: ``{"queries": [...], "mode"?}`` (one mode or
@@ -68,7 +69,6 @@ from repro.server.stats import ServerStats
 from repro.server.wire import encode_batch, encode_result
 from repro.service.service import QueryService
 from repro.service.updates import parse_ops
-from repro.xpath.axes import resolve_engine
 from repro.xpath.evaluator import parse_with_cache
 from repro.xpath.pipeline import MODES
 
@@ -505,37 +505,28 @@ class QueryServer:
         body = self._json_body(request)
         query = self._field(body, "query", str, required=True)
         mode = self._field(body, "mode", str, default="materialize")
-        engine = self._field(body, "engine", str)
         document = self._field(body, "document", str)
         use_cache = self._field(body, "use_cache", bool, default=True)
         # Validate everything per-request *before* the query may join a
-        # coalesced batch: a syntax error, bad mode, or unknown engine
-        # must 400 this request alone — inside execute_batch it would
-        # abort the whole batch and contaminate other clients' queries.
+        # coalesced batch: a syntax error or bad mode must 400 this
+        # request alone — inside execute_batch it would abort the whole
+        # batch and contaminate other clients' queries.
         if mode not in MODES:
             raise _HttpError(
                 400,
                 f"unknown result mode {mode!r} (expected one of {MODES})",
             )
-        if engine is not None:
-            engine = resolve_engine(engine)  # ReproError → 400
         parse_with_cache(query, self.service.plan_cache)  # syntax → 400
         if document is not None:
             # Scoped queries target one member document — nothing to
             # share with the batch, so they take the dispatch lane solo.
             result = await self.coalescer.run(
                 lambda: self.service.execute(
-                    query,
-                    engine=engine,
-                    document=document,
-                    use_cache=use_cache,
-                    mode=mode,
+                    query, document=document, use_cache=use_cache, mode=mode
                 )
             )
         else:
-            result = await self.coalescer.submit(
-                query, engine=engine, mode=mode, use_cache=use_cache
-            )
+            result = await self.coalescer.submit(query, mode=mode, use_cache=use_cache)
         return encode_result(result)
 
     async def _handle_batch(self, request: _Request) -> bytes:
@@ -547,13 +538,10 @@ class QueryServer:
         mode = body.get("mode", "materialize")
         if not isinstance(mode, (str, list)):
             raise _HttpError(400, "field 'mode' must be a string or a list")
-        engine = self._field(body, "engine", str)
         use_cache = self._field(body, "use_cache", bool, default=True)
         started = time.perf_counter()
         results = await self.coalescer.run(
-            lambda: self.service.execute_batch(
-                queries, engine=engine, use_cache=use_cache, mode=mode
-            )
+            lambda: self.service.execute_batch(queries, use_cache=use_cache, mode=mode)
         )
         elapsed_ms = round((time.perf_counter() - started) * 1e3, 3)
         return encode_batch(results, elapsed_ms)

@@ -9,8 +9,8 @@ flushes everything that accumulated as **one**
 :meth:`~repro.service.service.QueryService.execute_batch` call, fanning
 the per-query results back to the waiting handlers.  Per-query result
 ``mode`` is preserved (mixed-mode batches share prefixes by design);
-queries only coalesce with compatible siblings — same engine and
-cache setting — via the batch key.
+queries only coalesce with siblings of the same cache setting — the
+batch key.
 
 The flush runs on a dedicated dispatcher thread pool (default: one
 thread), never on the event loop: the engines hold the GIL for the
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ReproError
 from repro.server.stats import ServerStats
@@ -51,8 +51,9 @@ class CoalescerDraining(ReproError):
     generic ``ReproError`` → 400 client-error path.
     """
 
-#: Queries coalesce only with siblings that share these settings.
-BatchKey = Tuple[Optional[str], bool]
+#: Queries coalesce only with siblings that share this setting
+#: (``use_cache``).
+BatchKey = bool
 
 
 class _Pending:
@@ -93,7 +94,6 @@ class QueryCoalescer:
     async def submit(
         self,
         query: str,
-        engine: Optional[str] = None,
         mode: str = "materialize",
         use_cache: bool = True,
     ) -> ServiceResult:
@@ -101,7 +101,7 @@ class QueryCoalescer:
         if self._closing:
             raise CoalescerDraining("coalescer is draining; no new queries")
         loop = asyncio.get_running_loop()
-        key: BatchKey = (engine, use_cache)
+        key: BatchKey = use_cache
         pending = self._pending.get(key)
         if pending is None:
             pending = self._pending[key] = _Pending(next(self._ids))
@@ -137,18 +137,14 @@ class QueryCoalescer:
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
-    async def _dispatch(self, key: BatchKey, pending: _Pending) -> None:
-        engine, use_cache = key
+    async def _dispatch(self, use_cache: BatchKey, pending: _Pending) -> None:
         self._stats.record_batch(len(pending.queries))
         loop = asyncio.get_running_loop()
         try:
             results = await loop.run_in_executor(
                 self._dispatcher,
                 lambda: self.service.execute_batch(
-                    pending.queries,
-                    engine=engine,
-                    use_cache=use_cache,
-                    mode=pending.modes,
+                    pending.queries, use_cache=use_cache, mode=pending.modes
                 ),
             )
         except asyncio.CancelledError:
@@ -177,10 +173,7 @@ class QueryCoalescer:
                     result = await loop.run_in_executor(
                         self._dispatcher,
                         lambda q=query, m=mode: self.service.execute(
-                            q,
-                            engine=engine,
-                            use_cache=use_cache,
-                            mode=m,
+                            q, use_cache=use_cache, mode=m
                         ),
                     )
                 except BaseException as solo_error:  # noqa: BLE001  # repro: allow[REP007] - delivered to the one offending future

@@ -17,11 +17,10 @@ choice is purely an execution-strategy one:
               dispatch, inherited), lanes 1..N−1 are long-lived worker
               processes whose ``materialize`` payloads travel through
               shared-memory segments instead of pickle
-              (:class:`~repro.service.fabric.FabricBackend`).
-              ``fabric:1`` is an alias of ``serial`` that keeps its
-              spelling in ``/stats`` (``fabric``, one lane): it forks
-              nothing and runs only lane 0.  Tests that mean to cross
-              a process use ``fabric:2`` or wider.
+              (:class:`~repro.service.fabric.FabricBackend`).  One
+              lane is ``serial``: ``fabric:1``, or a bare ``fabric``
+              that resolves to one lane, builds a
+              :class:`SerialBackend`.
 ============  ======================================================
 
 Construct one with :func:`make_backend` (or pass an instance /
@@ -40,6 +39,7 @@ from repro.service.executor import (
     ShardResult,
     ShardTask,
     ShardWorkerState,
+    default_workers,
 )
 from repro.service.store import ShardedStore
 from repro.xpath.pipeline import MODES
@@ -242,15 +242,19 @@ def make_backend(spec, store: ShardedStore) -> ExecutionBackend:
 
     ``spec`` is a backend instance (returned as-is), a name
     (``"serial"``, ``"fabric"``), or a ``"fabric:N"`` string fixing the
-    lane count (the calling thread plus N−1 forked workers).
+    lane count (the calling thread plus N−1 forked workers; a bare
+    ``fabric`` takes :func:`~repro.service.executor.default_workers`).
+    Whatever spells one lane is a :class:`SerialBackend`.
     """
     if isinstance(spec, ExecutionBackend):
         return spec
     if not isinstance(spec, str):
         raise ReproError(f"not a backend spec: {spec!r}")
-    name, workers = parse_backend_spec(spec)
-    if name == "serial":
-        return SerialBackend(store)
-    from repro.service.fabric import FabricBackend
+    name, lanes = parse_backend_spec(spec)
+    if name == "fabric":
+        lanes = default_workers(store) if lanes is None else lanes
+        if lanes != 1:
+            from repro.service.fabric import FabricBackend
 
-    return FabricBackend(store, workers=workers)
+            return FabricBackend(store, workers=lanes)
+    return SerialBackend(store)

@@ -5,8 +5,8 @@ engines entirely:
 
 * the **plan cache** maps query text to its parsed AST, so each distinct
   query is lexed/parsed once per service lifetime;
-* the **result cache** maps ``(shard_epoch, query, engine, scope,
-  mode)`` to a finished :class:`~repro.service.service.ServiceResult`
+* the **result cache** maps ``(store epoch, query, scope, mode)`` to a
+  finished :class:`~repro.service.service.ServiceResult`
   payload — the result mode is part of the key, so a ``count`` answer
   can never satisfy a ``materialize`` lookup.  The epoch component is
   the staleness guard: replacing a shard bumps the store epoch, so

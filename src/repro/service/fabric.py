@@ -81,7 +81,6 @@ from repro.service.executor import (
     ShardResult,
     ShardTask,
     ShardWorkerState,
-    default_workers,
 )
 from repro.service.store import ShardedStore
 
@@ -331,18 +330,19 @@ class FabricBackend(SerialBackend):
     store:
         The sharded store to execute against.
     workers:
-        Lane count N — lane 0 is the calling thread, lanes 1..N−1 are
-        forked worker processes; ``None`` = one lane per shard, capped
-        by the usable CPUs (:func:`~repro.service.executor.default_workers`).
+        Lane count N ≥ 2 — lane 0 is the calling thread, lanes 1..N−1
+        are forked worker processes (one lane is
+        :class:`~repro.service.backend.SerialBackend`, which
+        :func:`~repro.service.backend.make_backend` builds for it).
     """
 
     name = "fabric"
 
-    def __init__(self, store: ShardedStore, workers: Optional[int] = None):
+    def __init__(self, store: ShardedStore, workers: int):
         super().__init__(store)
-        if workers is not None and workers < 1:
-            raise ReproError("fabric needs workers >= 1")
-        self._workers = default_workers(store) if workers is None else int(workers)
+        if workers < 2:
+            raise ReproError("fabric needs two or more lanes (one lane is serial)")
+        self._workers = int(workers)
         self.stolen = 0  #: units routed away from their affine lane
         self.dispatched = [0] * self._workers  #: units run, per lane
         self._ctx = multiprocessing.get_context()
@@ -370,7 +370,7 @@ class FabricBackend(SerialBackend):
         if self._procs is not None:
             return
         remote = range(1, self._workers)
-        self._merged = queue.Queue() if remote else None
+        self._merged = queue.Queue()
         self._outboxes = {idx: self._ctx.Queue() for idx in remote}
         self._inboxes = {idx: self._ctx.Queue() for idx in remote}
         self._procs = {idx: self._spawn(idx) for idx in remote}

@@ -6,9 +6,9 @@ A :class:`QueryService` answers XPath queries over a
 1. the query string is parsed once (LRU **plan cache**) and validated
    before any work is dispatched;
 2. the **result cache** is consulted under the key
-   ``(store epoch, query, engine, scope, mode)`` — a warm repeat never
-   touches an engine, and a shard replacement bumps the epoch so no
-   stale entry is ever reachable;
+   ``(store epoch, query, scope, mode)`` — a warm repeat never touches
+   an engine, and a shard replacement bumps the epoch so no stale entry
+   is ever reachable;
 3. misses are compiled into
    :class:`~repro.xpath.pipeline.PhysicalPlan` operator pipelines and
    fan out through an
@@ -102,8 +102,9 @@ class QueryService:
     store:
         The (already built or opened) :class:`ShardedStore`.
     engine:
-        Default execution engine; the vectorized bulk engine unless the
-        caller opts into the instrumented scalar one.
+        The execution engine every query runs on: the vectorized bulk
+        engine unless the caller opts into the instrumented scalar one
+        (the e2e oracle does).  There is no per-query choice.
     backend:
         How batches execute: an
         :class:`~repro.service.backend.ExecutionBackend` instance or a
@@ -162,7 +163,6 @@ class QueryService:
     def execute(
         self,
         query: str,
-        engine: Optional[str] = None,
         document: Optional[str] = None,
         use_cache: bool = True,
         mode: str = "materialize",
@@ -172,12 +172,11 @@ class QueryService:
         ``mode="count"``/``"exists"`` skip rank materialization — the
         shard pipelines terminate early and ship integers/booleans.
         """
-        return self._run_batch([query], engine, document, use_cache, [mode])[0]
+        return self._run_batch([query], document, use_cache, [mode])[0]
 
     def execute_batch(
         self,
         queries: Sequence[str],
-        engine: Optional[str] = None,
         use_cache: bool = True,
         mode: Union[str, Sequence[str]] = "materialize",
     ) -> List[ServiceResult]:
@@ -196,18 +195,16 @@ class QueryService:
                 raise ReproError(
                     f"{len(modes)} modes for {len(queries)} queries"
                 )
-        return self._run_batch(queries, engine, None, use_cache, modes)
+        return self._run_batch(queries, None, use_cache, modes)
 
     # ------------------------------------------------------------------
     def _run_batch(
         self,
         queries: List[str],
-        engine: Optional[str],
         document: Optional[str],
         use_cache: bool,
         modes: List[str],
     ) -> List[ServiceResult]:
-        chosen = resolve_engine(engine) if engine is not None else self.engine
         # Modes are validated at the executor boundary (shared with
         # direct callers); an unknown mode can only miss the cache here.
         results: List[Optional[ServiceResult]] = [None] * len(queries)
@@ -220,7 +217,7 @@ class QueryService:
         # exactly once.
         missing: Dict[tuple, List[int]] = {}
         for i, (query, mode) in enumerate(zip(queries, modes)):
-            key = (epoch, query, chosen, document, mode)
+            key = (epoch, query, document, mode)
             hit = self.result_cache.get(key) if use_cache else None
             if hit is not None:
                 results[i] = self._share(hit, from_cache=True, elapsed_s=0.0)
@@ -234,17 +231,15 @@ class QueryService:
                 # Scoping is compiled here, once, per union branch — a
                 # path that cannot be scoped fails before any dispatch.
                 items.append(
-                    (compile_plan(plan, scoped=scoped), chosen, document, mode)
+                    (compile_plan(plan, scoped=scoped), self.engine, document, mode)
                 )
             started = time.perf_counter()
             merged = self.backend.run_batch(items)
             elapsed = time.perf_counter() - started
             for ((query, mode), positions), payload in zip(missing.items(), merged):
-                result = self._package(query, chosen, mode, payload, elapsed)
+                result = self._package(query, self.engine, mode, payload, elapsed)
                 if use_cache:
-                    self.result_cache.put(
-                        (epoch, query, chosen, document, mode), result
-                    )
+                    self.result_cache.put((epoch, query, document, mode), result)
                 for position in positions:
                     results[position] = self._share(result)
         return results  # type: ignore[return-value]

@@ -58,6 +58,8 @@ class NodeTest:
             return self.name or "?"
         if self.kind == "*":
             return "*"
+        if self.name:  # processing-instruction('target')
+            return f"{self.kind}('{self.name}')"
         return f"{self.kind}()"
 
 
@@ -101,7 +103,8 @@ class StringLiteral:
     value: str
 
     def __str__(self) -> str:
-        return f'"{self.value}"'
+        quote = "'" if '"' in self.value else '"'
+        return f"{quote}{self.value}{quote}"
 
 
 @dataclass(frozen=True)

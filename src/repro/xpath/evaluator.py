@@ -75,6 +75,12 @@ def parse_with_cache(query: str, cache) -> Expr:
         cache.put(query, plan)
     return plan
 
+
+def _round(number: float) -> float:
+    """XPath ``round()``: half up, NaN and the infinities unchanged."""
+    return float(math.floor(number + 0.5)) if math.isfinite(number) else number
+
+
 _REVERSE_AXES = frozenset(
     ("ancestor", "ancestor-or-self", "preceding", "preceding-sibling", "parent")
 )
@@ -411,21 +417,12 @@ class Evaluator:
             if len(args) not in (2, 3):
                 raise XPathEvaluationError("substring() expects two or three arguments")
             value = self._to_string(args[0])
-            # XPath positions are 1-based and rounded; out-of-range is
-            # clamped, NaN yields the empty string.
-            start_number = self._to_number(args[1])
-            if np.isnan(start_number):
-                return ""
-            start = int(round(start_number))
-            if len(args) == 3:
-                length_number = self._to_number(args[2])
-                if np.isnan(length_number):
-                    return ""
-                end = start + int(round(length_number))
-            else:
-                end = len(value) + 1
-            begin = max(1, start)
-            return value[begin - 1 : max(begin - 1, end - 1)]
+            # The characters at 1-based positions in [round(start),
+            # round(start) + round(length)); NaN bounds select nothing.
+            start = _round(self._to_number(args[1]))
+            end = start + _round(self._to_number(args[2])) if len(args) == 3 else math.inf
+            first, last = max(start, 1.0), min(end, len(value) + 1.0)
+            return value[int(first) - 1 : int(last) - 1] if first < last else ""
         if name == "substring-before":
             if len(args) != 2:
                 raise XPathEvaluationError("substring-before() expects two arguments")
@@ -450,15 +447,15 @@ class Evaluator:
             return float(
                 sum(self._to_number(self.doc.string_value(int(p))) for p in args[0])
             )
-        if name == "floor":
-            return float(math.floor(self._to_number(args[0])))
-        if name == "ceiling":
-            return float(math.ceil(self._to_number(args[0])))
-        if name == "round":
+        if name in ("floor", "ceiling", "round"):
+            if len(args) != 1:
+                raise XPathEvaluationError(f"{name}() expects one argument")
             number = self._to_number(args[0])
-            if np.isnan(number):
+            if name == "round":
+                return _round(number)
+            if not math.isfinite(number):
                 return number
-            return float(math.floor(number + 0.5))  # XPath rounds half up
+            return float(math.floor(number) if name == "floor" else math.ceil(number))
         raise XPathEvaluationError(f"unknown function {name!r}")
 
     # -- coercions --------------------------------------------------------

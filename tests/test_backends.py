@@ -39,6 +39,7 @@ from repro.service import (
     ShardResult,
     make_backend,
 )
+from repro.service import backend as backend_module
 from repro.service.backend import BACKEND_ENV
 from repro.service.executor import ShardTask
 from repro.service.fabric import (
@@ -124,14 +125,12 @@ def snapshot(result):
     return (result.query, result.mode, result.total, payload)
 
 
-def run_suite(service, queries, engine):
+def run_suite(service, queries):
     out = []
     for mode in MODES:
         out.extend(
             snapshot(r)
-            for r in service.execute_batch(
-                queries, engine=engine, mode=mode, use_cache=False
-            )
+            for r in service.execute_batch(queries, mode=mode, use_cache=False)
         )
     return out
 
@@ -142,8 +141,8 @@ class TestBackendEquivalence:
     def test_pinned_suite_identical(self, store, engine):
         images = []
         for backend in ("serial", "fabric:2"):
-            with QueryService(store, backend=backend) as service:
-                images.append(run_suite(service, SUITE, engine))
+            with QueryService(store, backend=backend, engine=engine) as service:
+                images.append(run_suite(service, SUITE))
         assert images[0] == images[1]
 
     @given(
@@ -166,8 +165,10 @@ class TestBackendEquivalence:
         queries = ("//*", "/descendant::node()", "//*[*]/..", "//*[2]") + SUITE
         images = []
         for backend in ("serial", f"fabric:{lanes}"):
-            with QueryService(store, backend=backend, planner=planner) as service:
-                images.append(run_suite(service, queries, engine))
+            with QueryService(
+                store, backend=backend, planner=planner, engine=engine
+            ) as service:
+                images.append(run_suite(service, queries))
         assert images[0] == images[1]
 
     def test_scoped_and_mixed_mode_batches(self, store):
@@ -269,7 +270,7 @@ class TestBackendSelection:
 class TestLanes:
     """``fabric:N`` is N lanes: the calling thread plus N−1 workers."""
 
-    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    @pytest.mark.parametrize("lanes", [2, 3])
     def test_fabric_n_forks_n_minus_one_workers(self, store, lanes):
         children, drains = live_children(), drain_threads()
         with FabricBackend(store, workers=lanes) as backend:
@@ -278,10 +279,20 @@ class TestLanes:
             assert forked == {p.pid for p in backend._procs.values()}
             assert len(forked) == lanes - 1
             assert len(drain_threads() - drains) == lanes - 1
-            assert (backend._merged is None) == (lanes == 1)  # no queue either
             backend.run_batch([("//person", "vectorized", None, "count")])
             assert live_children() - children == forked  # none at first use
         assert live_children() - children == set()
+
+    def test_one_lane_is_serial(self, store, monkeypatch):
+        """``fabric:1``, and a bare ``fabric`` resolving to one lane, are
+        the serial backend: one spelling per backend, nothing forked."""
+        children = live_children()
+        assert type(make_backend("fabric:1", store)) is SerialBackend
+        monkeypatch.setattr(backend_module, "default_workers", lambda store: 1)
+        assert type(make_backend("fabric", store)) is SerialBackend
+        assert live_children() == children
+        with pytest.raises(ReproError, match="two or more lanes"):
+            FabricBackend(store, workers=1)
 
     def test_lane_zero_answers_in_process(self, forest, tmp_path):
         single = ShardedStore.build(str(tmp_path / "store"), forest, shards=1)

@@ -209,6 +209,19 @@ class TestShardServeBatch:
             assert exit_info.value.code == 2
             assert "unrecognized arguments: --no-planner" in capsys.readouterr().err
 
+    def test_serve_engine_flag_is_gone(self, store_dir, capsys):
+        """``--engine`` left ``serve`` and ``serve-batch``: the service's
+        engine is not a per-request choice.  ``query`` / ``explain``
+        keep theirs (the paper's ablations)."""
+        for argv in (
+            ["serve-batch", store_dir, "//person/name", "--engine", "scalar"],
+            ["serve", store_dir, "--engine", "scalar"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
     def test_explain_on_a_store(self, store_dir, capsys):
         capsys.readouterr()
         assert (
@@ -249,7 +262,7 @@ class TestShardServeBatch:
         assert (
             main(
                 ["serve-batch", store_dir, "--queries-file", str(queries),
-                 "--backend", "serial", "--engine", "scalar", "--no-cache"]
+                 "--backend", "serial", "--no-cache"]
             )
             == 0
         )

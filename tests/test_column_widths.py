@@ -3,10 +3,13 @@
 ``repro.encoding.widths.COLUMN_DTYPES`` is the one table; these tests pin
 what every producer and consumer owes it:
 
-* answers are byte-identical — and ``int64`` — whatever the engine,
-  archive format, open mode or backend, on shards big enough (> 2¹⁵
-  nodes, so well past ``int16``) that a column width leaking into a rank
-  vector wraps visibly;
+* answers are the tree-walking reference's, byte for byte — and
+  ``int64`` — whatever the archive format, open mode or backend, on
+  shards big enough (> 2¹⁵ nodes, so well past ``int16``) that a column
+  width leaking into a rank vector wraps visibly; the vectorized engine
+  everywhere, the scalar one where it reads what the other does not (a
+  packed memory-mapped plane) and where ``analyze(engine="scalar")``
+  runs (a ``fabric:2`` worker);
 * depth and size limits are clean ``EncodingError``s, never wraps;
 * splices keep the widths and a canonical dictionary (strictly sorted,
   exactly the referenced entries), so splice == re-encode member for
@@ -40,7 +43,7 @@ from repro.xmltree.model import attribute, element, text
 from repro.xpath.axes import AxisExecutor
 from repro.xpath.evaluator import Evaluator
 
-from _reference import axis_pres
+from _reference import Reference, axis_pres
 
 ENGINES = ("scalar", "vectorized")
 QUERIES = tuple(query.xpath for query in QUERY_SUITE) + (
@@ -91,7 +94,7 @@ def chain(depth):
 
 
 # ----------------------------------------------------------------------
-# (a) one sweep: suite × engine × format × open mode × backend
+# (a) one sweep: suite × format × open mode × backend (× engine)
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def forest():
@@ -102,24 +105,40 @@ def forest():
 
 @pytest.fixture(scope="module")
 def expected(forest):
-    """Per-document answers of the scalar engine on freshly encoded
-    tables — Python-int arithmetic, indifferent to any column's width."""
+    """Per-document answers of the reference — Python ints from a tree
+    walk, indifferent to any column's width.  Each member is alone on
+    its shard, under the virtual root (rule D8)."""
     answers = {}
     for name, tree in forest:
-        collection = DocumentCollection([(name, tree)])
-        evaluator = Evaluator(collection.doc, engine="scalar")
+        reference = Reference.gathered([tree])
         for query in QUERIES:
-            pres = collection.evaluate(query, evaluator=evaluator)
-            answers[name, query] = collection.partition_relative(pres)[name]
+            answers[name, query] = reference.per_member(query)[0]
     return answers
 
 
-@pytest.fixture(scope="module", params=["none", "packed"])
-def store(request, forest, tmp_path_factory):
-    directory = str(tmp_path_factory.mktemp(request.param) / "store")
-    store = ShardedStore.build(directory, forest, shards=2, compression=request.param)
-    assert all(entry["nodes"] >= 70_000 for entry in store._manifest["shards"])
-    return store
+@pytest.fixture(scope="module")
+def stores(forest, tmp_path_factory):
+    built = {}
+    for layout in ("none", "packed"):
+        directory = str(tmp_path_factory.mktemp(layout) / "store")
+        built[layout] = ShardedStore.build(directory, forest, shards=2, compression=layout)
+        assert all(entry["nodes"] >= 70_000 for entry in built[layout]._manifest["shards"])
+    return built
+
+
+#: Every layout × backend / open mode on the vectorized engine; the
+#: scalar engine on a packed mapped plane (its ``kind``-paged copy
+#: phases) and in a ``fabric:2`` worker (what ``analyze`` runs).
+SERVED = [
+    (layout, backend, "vectorized")
+    for layout in ("none", "packed")
+    for backend in ("serial", "fabric:2")
+] + [("packed", "fabric:2", "scalar")]
+LOADED = [
+    (layout, opened, "vectorized")
+    for layout in ("none", "packed")
+    for opened in ("eager", "mmap")
+] + [("packed", "mmap", "scalar")]
 
 
 def assert_answers(actual, expected, query):
@@ -128,12 +147,11 @@ def assert_answers(actual, expected, query):
         assert ranks.tobytes() == expected[name, query].tobytes(), (name, query)
 
 
-def test_the_reference_anchors_the_oracle(forest):
-    """The sweep's oracle against ``tests/_reference.py`` itself: every
-    axis, from context nodes past rank 2¹⁵, both engines."""
-    doc = encode(forest[0][1])
+def test_axis_steps_past_rank_2_to_the_15_match_the_reference(forest):
+    """Every axis, from context nodes past rank 2¹⁵, both engines."""
+    root = forest[0][1]
+    doc = encode(root)
     assert_at_width(doc)
-    root = subtree(doc, doc.root)  # a bare element tree for the tree walker
     bidders = Evaluator(doc).evaluate("//bidder")
     context = bidders[bidders > 40_000][:3]
     assert len(context) == 3
@@ -150,22 +168,22 @@ def test_the_reference_anchors_the_oracle(forest):
             )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("backend", ["serial", "fabric:2"])
-def test_served_answers_are_identical_and_int64(store, expected, engine, backend):
+@pytest.mark.parametrize("layout, backend, engine", SERVED)
+def test_served_answers_are_identical_and_int64(stores, expected, layout, backend, engine):
     """Memory-mapped shards behind the service, either backend."""
-    with QueryService(store, backend=backend) as service:
-        results = service.execute_batch(QUERIES, engine=engine, use_cache=False)
+    store = stores[layout]
+    with QueryService(store, backend=backend, engine=engine) as service:
+        results = service.execute_batch(QUERIES, use_cache=False)
     for query, result in zip(QUERIES, results):
         assert_answers(result.per_document, expected, query)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
-def test_loaded_shards_answer_identically(store, expected, engine, mmap):
+@pytest.mark.parametrize("layout, opened, engine", LOADED)
+def test_loaded_shards_answer_identically(stores, expected, layout, opened, engine):
     """The same shard files opened directly, eager and mapped."""
+    store = stores[layout]
     for entry in store._manifest["shards"]:
-        table = load(os.path.join(store.directory, entry["file"]), mmap=mmap)
+        table = load(os.path.join(store.directory, entry["file"]), mmap=opened == "mmap")
         assert_at_width(table)
         collection = DocumentCollection.from_table(table, entry["documents"])
         evaluator = Evaluator(table, engine=engine)
@@ -425,9 +443,9 @@ def test_no_query_converts_a_whole_column(tmp_path, monkeypatch):
     )
     for decode_cache in ("full", "blocks"):
         opened = ShardedStore.open(store.directory, decode_cache=decode_cache)
-        with QueryService(opened, backend="serial") as service:
-            for engine in ENGINES:
-                service.execute_batch(QUERIES, engine=engine, use_cache=False)
+        for engine in ENGINES:
+            with QueryService(opened, backend="serial", engine=engine) as service:
+                service.execute_batch(QUERIES, use_cache=False)
         table = opened.collection(0).doc
         save(table, str(tmp_path / "again.npz"), compression="packed")
         save(table, str(tmp_path / "again-eager.npz"))

@@ -1,12 +1,13 @@
 """Scalar/vectorised engine equivalence.
 
-The vectorised engine must be observationally identical to the scalar
-transcription on every axis, every skip mode, and every query shape —
-same node sets, document order, and duplicate-freedom.  These tests sweep
-the full cross product property-based on random trees and exactly on
-XMark fragments, and pin the bulk-only code paths (positional selection,
-boolean-mask predicates, fragment reads, kernel error handling) that the
-shared suites would otherwise only exercise incidentally.
+The kernel contracts: the vectorised kernels must be observationally
+identical to the scalar transcription on every axis and every skip mode
+— same node sets, document order, and duplicate-freedom — swept
+property-based on random trees and exactly on XMark fragments, with
+pruning, fragment reads and kernel error handling pinned the same way.
+Query answers are not checked engine against engine: the bulk-only
+query paths (positional selection, boolean-mask predicates, pushdown)
+are checked against the tree-walking reference (``tests/_reference.py``).
 """
 
 import numpy as np
@@ -22,11 +23,12 @@ from repro.core.vectorized import (
 )
 from repro.encoding.prepost import encode
 from repro.errors import XPathEvaluationError
+from repro.xmark import XMarkConfig, generate
 from repro.xpath.ast import AXES
 from repro.xpath.axes import AxisExecutor
 from repro.xpath.evaluator import Evaluator
 
-from _reference import random_tree
+from _reference import Reference, random_tree
 
 PARTITIONING = ("descendant", "ancestor", "following", "preceding")
 
@@ -148,6 +150,14 @@ class TestRegionKernelContracts:
             axis_step_vectorized(fig1_doc, np.asarray([999]), "child")
 
 
+@pytest.fixture(scope="module")
+def xmark_reference(small_xmark):
+    """The reference over the tree ``small_xmark`` encodes."""
+    reference = Reference(generate(0.1, XMarkConfig(seed=2003)))
+    assert len(reference.rank) == len(small_xmark)
+    return reference
+
+
 class TestEvaluatorEngines:
     """End-to-end: Evaluator(engine=...) on bulk-only code paths."""
 
@@ -174,18 +184,13 @@ class TestEvaluatorEngines:
     ]
 
     @pytest.mark.parametrize("query", QUERIES)
-    def test_engines_identical(self, small_xmark, query):
-        scalar = Evaluator(small_xmark, engine="scalar").evaluate(query)
-        bulk = Evaluator(small_xmark, engine="vectorized").evaluate(query)
-        assert scalar.tolist() == bulk.tolist(), query
-
-    @pytest.mark.parametrize("query", QUERIES)
-    def test_vectorized_pushdown_identical(self, small_xmark, query):
-        scalar = Evaluator(small_xmark, engine="scalar").evaluate(query)
-        bulk = Evaluator(
-            small_xmark, engine="vectorized", pushdown=True
-        ).evaluate(query)
-        assert scalar.tolist() == bulk.tolist(), query
+    def test_engines_match_the_reference(self, small_xmark, xmark_reference, query):
+        expected = xmark_reference.evaluate(query).tolist()
+        for engine, pushdown in (
+            ("scalar", False), ("vectorized", False), ("vectorized", True)
+        ):
+            got = Evaluator(small_xmark, engine=engine, pushdown=pushdown).evaluate(query)
+            assert got.tolist() == expected, (query, engine, pushdown)
 
     def test_engine_names(self, fig1_doc):
         assert Evaluator(fig1_doc).engine == "scalar"

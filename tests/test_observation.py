@@ -173,10 +173,10 @@ class TestByteIdentity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("engine", ENGINES)
     def test_observed_equals_unobserved(self, store, backend, engine):
-        with QueryService(store, backend=backend) as service:
+        with QueryService(store, backend=backend, engine=engine) as service:
             for query in PROPERTY_QUERIES:
-                observed, _, observations = service.analyze(query, engine=engine)
-                plain = service.execute(query, engine=engine, use_cache=False)
+                observed, _, observations = service.analyze(query)
+                plain = service.execute(query, use_cache=False)
                 assert answer_bytes(observed) == answer_bytes(plain)
                 assert {o.shard_id for o in observations} == set(
                     store.shard_ids()
@@ -189,10 +189,8 @@ class TestByteIdentity:
     )
     @settings(max_examples=20, deadline=None)
     def test_observed_modes_match_unobserved(self, store, query, engine, mode):
-        with QueryService(store, backend="serial") as service:
-            observed, _, _ = service.analyze(query, engine=engine, mode=mode)
-            plain = service.execute(
-                query, engine=engine, use_cache=False, mode=mode
-            )
+        with QueryService(store, backend="serial", engine=engine) as service:
+            observed, _, _ = service.analyze(query, mode=mode)
+            plain = service.execute(query, use_cache=False, mode=mode)
         assert observed.counts() == plain.counts()
         assert observed.total == plain.total

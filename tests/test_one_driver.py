@@ -5,7 +5,9 @@
   ``run_group(batch)`` equals ``[run_group([t])[0] for t in batch]``
   byte for byte and index for index, observed or not; and a backend's
   ``run_batch(items)`` equals its items run one at a time, serial and
-  ``fabric:2``.
+  ``fabric:2``.  Every one-by-one answer is the tree-walking
+  reference's (``tests/_reference.py``, rule D8: a shard's members
+  gathered under the virtual root, scoped to one member when asked).
 * Sharing is real: each distinct operator prefix of a batch is
   dispatched once whether or not the batch is sampled, union branches
   and scoped groups included; a warm cache dispatches — and teaches —
@@ -34,7 +36,7 @@ from repro.xpath.pipeline import (
 )
 from repro.xpath.planner import Planner
 
-from _reference import random_tree
+from _reference import Reference, random_tree
 from test_xpath_fuzz import paths
 
 ENGINES = ("scalar", "vectorized")
@@ -45,12 +47,55 @@ FUZZ_TAGS = ("a", "b", "c", "item", "x-y", "long_tag")
 # (a) Grouping is invisible
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def fuzz_store(tmp_path_factory):
-    forest = [
-        (f"d{i}", random_tree(45, 700 + i, tags=FUZZ_TAGS)) for i in range(4)
-    ]
+def fuzz_forest():
+    return [(f"d{i}", random_tree(45, 700 + i, tags=FUZZ_TAGS)) for i in range(4)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_store(tmp_path_factory, fuzz_forest):
     directory = str(tmp_path_factory.mktemp("one-driver") / "fuzz")
-    return ShardedStore.build(directory, forest, shards=2)
+    return ShardedStore.build(directory, fuzz_forest, shards=2)
+
+
+@pytest.fixture(scope="module")
+def references(fuzz_store, fuzz_forest):
+    """Shard id → (member names, the reference over them gathered)."""
+    trees = dict(fuzz_forest)
+    out = {}
+    for shard_id in fuzz_store.shard_ids():
+        names = tuple(fuzz_store.shard_entry(shard_id)["documents"])
+        out[shard_id] = names, Reference.gathered([trees[n] for n in names])
+    return out
+
+
+def expected_payload(references, shard_ids, query, document, mode):
+    """The reference's payload for one item over ``shard_ids``: a rank
+    list or count per member in scope, or one existence bit — or the
+    class of the package error it raises."""
+    answers, found = {}, False
+    try:
+        for shard_id in shard_ids:
+            names, reference = references[shard_id]
+            if document is not None:
+                member = names.index(document)
+                answers[document] = reference.evaluate(query, mode, member=member)
+                found = found or reference.evaluate(query, "exists", member=member)
+                continue
+            found = found or reference.evaluate(query, "exists")
+            answers.update(zip(names, reference.per_member(query, mode).values()))
+    except ReproError as error:
+        return type(error)
+    if mode == "exists":
+        return found
+    return {name: listed(answer) for name, answer in answers.items()}
+
+
+def listed(answer):
+    return answer.tolist() if hasattr(answer, "tolist") else answer
+
+
+def shard_ids_of(store, document):
+    return store.shard_ids() if document is None else [store.shard_of(document)]
 
 
 def store_planners(store):
@@ -78,16 +123,18 @@ specs = st.lists(
 
 
 def compile_items(specs, planners):
-    """``run_batch`` items for the specs that compile (a path that
-    cannot be scoped fails in the service, before any worker sees it)."""
+    """``(query, run_batch item)`` for the specs that compile (a path
+    that cannot be scoped fails in the service, before any worker sees
+    it)."""
     items = []
     for query, mode, planned, document, engine in specs:
         scoped = document is not None
         try:
             plan = planners[scoped].plan(query) if planned else query
-            items.append((compile_plan(plan, scoped=scoped), engine, document, mode))
+            item = (compile_plan(plan, scoped=scoped), engine, document, mode)
         except ReproError:
             continue
+        items.append((query, item))
     return items
 
 
@@ -96,10 +143,7 @@ def shard_tasks(store, items, observe):
     shard's tasks in one list, so one call mixes shards too."""
     tasks = []
     for index, (plan, engine, document, mode) in enumerate(items):
-        shard_ids = (
-            store.shard_ids() if document is None else [store.shard_of(document)]
-        )
-        for shard_id in shard_ids:
+        for shard_id in shard_ids_of(store, document):
             entry = store.shard_entry(shard_id)
             tasks.append(
                 ShardTask(
@@ -122,17 +166,29 @@ def frozen(result):
 
 @given(specs=specs, observe=st.booleans())
 @settings(max_examples=120, deadline=None)
-def test_run_group_equals_its_tasks_one_by_one(fuzz_store, planners, specs, observe):
-    tasks = shard_tasks(fuzz_store, compile_items(specs, planners), observe)
+def test_run_group_equals_its_tasks_one_by_one(
+    fuzz_store, planners, references, specs, observe
+):
+    compiled = compile_items(specs, planners)
+    tasks = shard_tasks(fuzz_store, [item for _, item in compiled], observe)
     state = ShardWorkerState(fuzz_store.directory)
     singles = []
     for task in tasks:
+        expected = expected_payload(
+            references, [task.shard_id], compiled[task.index][0],
+            task.document, task.mode,
+        )
         try:
             (single,) = state.run_group([task])
         except ReproError as error:
             single = type(error)
+            assert single is expected
         else:
             assert len(single.observations) == int(task.observe)
+            got = single.payload
+            if task.mode != "exists":
+                got = {name: listed(answer) for name, answer in got.items()}
+            assert got == expected, (str(compiled[task.index][0]), task.mode)
         singles.append(single)
     try:
         grouped = state.run_group(tasks)
@@ -171,18 +227,31 @@ def backend(request, fuzz_store):
 
 @given(specs=specs, observe=st.booleans())
 @settings(max_examples=25, deadline=None)
-def test_run_batch_equals_its_items_one_by_one(backend, planners, specs, observe):
-    items = compile_items(specs, planners)
+def test_run_batch_equals_its_items_one_by_one(
+    backend, planners, references, specs, observe
+):
+    compiled = compile_items(specs, planners)
+    items = [item for _, item in compiled]
 
     def run(batch):
         return backend.run_batch(batch, sink=[] if observe else None)
 
     singles = []
-    for item in items:
+    for query, item in compiled:
+        _, _, document, mode = item
+        expected = expected_payload(
+            references, shard_ids_of(backend.store, document), query, document, mode
+        )
         try:
-            singles.append(payload(run([item])[0]))
+            answer = run([item])[0]
         except ReproError as error:
             singles.append(type(error))
+            assert singles[-1] is expected
+            continue
+        singles.append(payload(answer))
+        if mode != "exists":
+            answer = {name: listed(ranks) for name, ranks in answer.items()}
+        assert answer == expected, (str(query), mode)
     try:
         batch = [payload(answer) for answer in run(items)]
     except ReproError:

@@ -54,14 +54,10 @@ def store(forest, tmp_path_factory):
     return ShardedStore.build(directory, forest, shards=3)
 
 
-def assert_modes_agree(service, queries, engine):
-    materialized = service.execute_batch(queries, engine=engine, use_cache=False)
-    counted = service.execute_batch(
-        queries, engine=engine, use_cache=False, mode="count"
-    )
-    existing = service.execute_batch(
-        queries, engine=engine, use_cache=False, mode="exists"
-    )
+def assert_modes_agree(service, queries):
+    materialized = service.execute_batch(queries, use_cache=False)
+    counted = service.execute_batch(queries, use_cache=False, mode="count")
+    existing = service.execute_batch(queries, use_cache=False, mode="exists")
     for query, mat, cnt, ex in zip(queries, materialized, counted, existing):
         assert cnt.mode == "count" and ex.mode == "exists"
         assert cnt.total == mat.total, query
@@ -76,13 +72,12 @@ class TestFixedSuite:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("backend", ("serial", "fabric:2"))
     def test_suite_agrees(self, store, engine, backend):
-        with QueryService(store, backend=backend) as service:
-            assert_modes_agree(service, SUITE, engine)
+        with QueryService(store, backend=backend, engine=engine) as service:
+            assert_modes_agree(service, SUITE)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_suite_agrees_without_planner(self, store, engine):
+    def test_suite_agrees_without_planner(self, store):
         with QueryService(store, backend="serial", planner=False) as service:
-            assert_modes_agree(service, SUITE, engine)
+            assert_modes_agree(service, SUITE)
 
     def test_mixed_mode_batch_shares_prefixes(self, store):
         """count/exists queries ride the same operator-prefix trie as
@@ -170,5 +165,4 @@ class TestRandomForests:
         queries = ("//*", "/descendant::node()", "//*[*]/..", "//*[2]")
         for planner in (True, False):
             with QueryService(store, backend="serial", planner=planner) as service:
-                for engine in ENGINES:
-                    assert_modes_agree(service, queries, engine)
+                assert_modes_agree(service, queries)

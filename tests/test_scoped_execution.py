@@ -1,13 +1,14 @@
 """One way to run a plan: scoping compiled in the service.
 
-* A document-scoped answer is what the member answers standing alone,
-  and the unscoped answer's entry for that member — for every suite
-  query (unions included), result mode, planner setting, backend and
-  archive format, on shards that hold more than one document.  (One
-  designed exception to the second half: a path opening with a *child*
-  step sees the member root scoped and the virtual root unscoped.  The
-  suite has no absolute path *inside a predicate*: those resolve
-  against the shard plane, a known defect recorded in ROADMAP.md.)
+* A document-scoped answer is what the member answers standing alone
+  (the tree-walking reference, ``tests/_reference.py``), and the
+  unscoped answer's entry for that member — for every suite query
+  (unions included), result mode, planner setting, backend and archive
+  format, on shards that hold more than one document.  (One designed
+  exception to the second half: a path opening with a *child* step sees
+  the member root scoped and the virtual root unscoped.  The suite has
+  no absolute path *inside a predicate*: those resolve against the
+  shard plane, ROADMAP item 1, pinned below by a strict ``xfail``.)
 * Scoped plans are compiled in the service process, never in a worker,
   and paths that cannot be scoped fail there before any dispatch.
 """
@@ -15,14 +16,14 @@
 import numpy as np
 import pytest
 
-from repro.encoding.prepost import encode
 from repro.errors import XPathEvaluationError
 from repro.harness.queries import QUERY_SUITE
 from repro.harness.workloads import get_forest
 from repro.service import QueryService, ShardedStore
-from repro.xpath.evaluator import Evaluator
 from repro.xpath.parser import parse_xpath
 from repro.xpath.pipeline import PhysicalPlan, compile_plan
+
+from _reference import member_answers
 
 SUITE = [q.xpath for q in QUERY_SUITE]
 
@@ -35,12 +36,11 @@ def forest():
 @pytest.fixture(scope="module")
 def standalone(forest):
     """(query, member) → ranks of the member evaluated as a lone document."""
-    out = {}
-    for name, tree in forest:
-        evaluator = Evaluator(encode(tree), engine="vectorized")
-        for query in SUITE:
-            out[query, name] = evaluator.evaluate(query)
-    return out
+    return {
+        (query, name): ranks
+        for query in SUITE
+        for name, ranks in member_answers(forest, query).items()
+    }
 
 
 def opens_with_child_step(query):
@@ -131,3 +131,24 @@ def test_unscopable_paths_fail_before_dispatch(store):
                 service.analyze(query, document=name)
         del service.backend.run_batch
         assert service.execute("/", document=name, use_cache=False).total == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: an absolute path inside a predicate resolves "
+    "against the shard plane, not the member document",
+)
+def test_an_absolute_path_in_a_predicate_means_the_member(forest, tmp_path):
+    """Eight persons per member: ``count(//person) > 10`` holds in no
+    member standing alone, whatever the shard count."""
+    query = "//person[count(//person) > 10]"
+    expected = {name: len(ranks) for name, ranks in member_answers(forest, query).items()}
+    assert set(expected.values()) == {0}
+    for shards in (1, 2, 4):
+        store = ShardedStore.build(str(tmp_path / str(shards)), forest, shards=shards)
+        with QueryService(store, backend="serial") as service:
+            unscoped = service.execute(query, mode="count", use_cache=False)
+            assert unscoped.per_document == expected, shards
+            for name in store.document_names():
+                scoped = service.execute(query, document=name, mode="count", use_cache=False)
+                assert scoped.per_document == {name: 0}, (shards, name)

@@ -3,7 +3,7 @@
 The headline property mirrors the service-layer ones: **the network
 front door is transparent** — any mix of concurrent ``/query`` requests
 answers byte-identically to per-request ``QueryService.execute`` (the
-hypothesis sweep drives engines × modes × planner on/off through a live
+hypothesis sweep drives modes × ignored fields through a live
 coalescing server).  Around it, the protocol contracts: backpressure
 (429/503 + ``Retry-After``) instead of unbounded queueing, slow and
 disconnecting clients costing a connection but never the server, mixed
@@ -122,12 +122,9 @@ def serving(directory, config=None, backend=BACKEND):
         service.close()
 
 
-def expected_payload(reference, query, engine=None, mode="materialize",
-                     document=None):
+def expected_payload(reference, query, mode="materialize", document=None):
     """What the wire payload must contain, from a direct execute."""
-    result = reference.execute(
-        query, engine=engine, document=document, use_cache=False, mode=mode
-    )
+    result = reference.execute(query, document=document, use_cache=False, mode=mode)
     if mode == "exists":
         return {"total": result.total, "exists": result.exists}
     if mode == "count":
@@ -185,9 +182,10 @@ class TestEndpoints:
             assert_matches(payload, expected_payload(reference, query, mode=mode))
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_engine_and_planner_pass_through(self, live, reference, engine):
-        """The engine reaches the service; a ``use_planner`` field from
-        an older client passes through as an ignored field."""
+    def test_engine_and_planner_fields_are_ignored(self, live, reference, engine):
+        """``engine`` and ``use_planner`` left the API: a body from an
+        older client that carries them is answered by the service's own
+        engine, as if it did not."""
         for use_planner in (True, False):
             status, payload, _ = request(
                 live.port, "POST", "/query",
@@ -195,11 +193,8 @@ class TestEndpoints:
                  "use_planner": use_planner, "use_cache": False},
             )
             assert status == 200
-            assert payload["engine"] == engine
-            assert_matches(
-                payload,
-                expected_payload(reference, "//person/profile", engine=engine),
-            )
+            assert payload["engine"] == "vectorized"
+            assert_matches(payload, expected_payload(reference, "//person/profile"))
 
     def test_use_planner_field_is_ignored(self, live):
         """``use_planner`` left the API: a /query or /batch body that
@@ -530,10 +525,11 @@ class TestCoalescing:
         assert stats["batches"] == 1 and stats["largest_batch"] == 3
         assert stats["fallbacks"] == 1
 
-    def test_incompatible_settings_do_not_coalesce(self, store_dir, reference):
-        """Different engines form different batches — and both answer
-        correctly."""
-        config = ServerConfig(port=0, coalesce_window_s=0.05)
+    def test_an_engine_field_does_not_split_a_batch(self, store_dir, reference):
+        """The batch key is ``use_cache`` alone: bodies naming different
+        engines join one batch (``max_batch=2`` flushes it at once, long
+        before the window) and the service's engine answers both."""
+        config = ServerConfig(port=0, coalesce_window_s=5.0, max_batch=2)
         with serving(store_dir, config) as server:
             outcomes = {}
             barrier = threading.Barrier(2)
@@ -555,11 +551,10 @@ class TestCoalescing:
                 t.join()
             for engine in ENGINES:
                 status, payload, _ = outcomes[engine]
-                assert status == 200 and payload["engine"] == engine
-                assert_matches(
-                    payload,
-                    expected_payload(reference, "//person", engine=engine),
-                )
+                assert status == 200 and payload["engine"] == "vectorized"
+                assert_matches(payload, expected_payload(reference, "//person"))
+            _, stats, _ = request(server.port, "GET", "/stats")
+            assert stats["server"]["coalescer"]["largest_batch"] == 2
 
 
 class TestCoalescingEquivalence:
@@ -599,16 +594,11 @@ class TestCoalescingEquivalence:
             t.start()
         for t in threads:
             t.join()
-        # A stale use_planner field is ignored: it neither changes an
-        # answer nor keeps a request out of its siblings' batch.
-        for (query, mode, engine, _), (status, payload, _) in zip(
-            jobs, outcomes
-        ):
+        # Stale engine / use_planner fields are ignored: they neither
+        # change an answer nor keep a request out of its siblings' batch.
+        for (query, mode, _, _), (status, payload, _) in zip(jobs, outcomes):
             assert status == 200, payload
-            assert_matches(
-                payload,
-                expected_payload(reference, query, engine=engine, mode=mode),
-            )
+            assert_matches(payload, expected_payload(reference, query, mode=mode))
 
 
 # ----------------------------------------------------------------------

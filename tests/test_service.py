@@ -2,11 +2,11 @@
 
 The headline properties:
 
-* **batched == serial** — executing a query batch through the service
-  (plan cache, result cache, fabric worker fan-out, merge) returns
-  byte-identical per-document rank arrays to evaluating each shard's
-  collection serially with a plain :class:`Evaluator`, across all
-  thirteen axes and both engines;
+* **batched == the reference** — executing a query batch through the
+  service (plan cache, result cache, fabric worker fan-out, merge)
+  returns the per-document rank arrays of the tree-walking reference
+  (``tests/_reference.py``) evaluated shard by shard, across all
+  thirteen axes;
 * **no stale results** — after a shard is replaced the result cache can
   never serve a result computed against the old shard contents, in both
   serial and fabric modes.
@@ -33,7 +33,7 @@ from repro.service.store import _split
 from repro.xmltree.model import element, text
 from repro.xpath.evaluator import Evaluator
 
-from _reference import random_tree
+from _reference import Reference, random_tree
 
 #: Queries touching every axis (and the predicate/positional machinery).
 #: ``following``/``preceding`` and root-level siblings deliberately appear
@@ -65,18 +65,15 @@ PLANE_QUERIES = (
     "//item[1]/preceding::open_auction",
 )
 
-ENGINES = ("scalar", "vectorized")
 
-
-def serial_reference(store, trees_by_name, query, engine):
-    """Evaluate ``query`` shard by shard with a plain serial Evaluator."""
+def serial_reference(store, trees_by_name, query):
+    """``query`` answered by the tree-walking reference, shard by shard
+    (``tests/_reference.py``, rule D8)."""
     merged = {}
     for shard_id in store.shard_ids():
         names = store.shard_entry(shard_id)["documents"]
-        collection = DocumentCollection([(n, trees_by_name[n]) for n in names])
-        evaluator = Evaluator(collection.doc, engine=engine)
-        pres = collection.evaluate(query, evaluator=evaluator)
-        merged.update(collection.partition_relative(pres))
+        reference = Reference.gathered([trees_by_name[n] for n in names])
+        merged.update(zip(names, reference.per_member(query).values()))
     return {name: merged[name] for name in store.document_names()}
 
 
@@ -248,27 +245,23 @@ class TestShardedStore:
 class TestEquivalence:
     """Batched sharded execution == serial collection evaluation."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_axis_queries_fabric(self, fabric_service, store, forest, engine):
+    def test_axis_queries_fabric(self, fabric_service, store, forest):
         trees = dict(forest)
         results = fabric_service.execute_batch(
-            AXIS_QUERIES + PLANE_QUERIES, engine=engine, use_cache=False
+            AXIS_QUERIES + PLANE_QUERIES, use_cache=False
         )
         for query, result in zip(AXIS_QUERIES + PLANE_QUERIES, results):
-            expected = serial_reference(store, trees, query, engine)
+            expected = serial_reference(store, trees, query)
             assert_identical(result.per_document, expected)
             assert result.total == sum(len(a) for a in expected.values())
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_axis_queries_serial_mode(self, store, forest, engine):
+    def test_axis_queries_serial_mode(self, store, forest):
         trees = dict(forest)
         with QueryService(store, backend="serial") as service:
-            results = service.execute_batch(
-                AXIS_QUERIES, engine=engine, use_cache=False
-            )
+            results = service.execute_batch(AXIS_QUERIES, use_cache=False)
         for query, result in zip(AXIS_QUERIES, results):
             assert_identical(
-                result.per_document, serial_reference(store, trees, query, engine)
+                result.per_document, serial_reference(store, trees, query)
             )
 
     def test_document_scoped_execution(self, fabric_service, store, forest):
@@ -312,11 +305,10 @@ class TestEquivalence:
         queries = ("//*", "/descendant::node()", "//*[*]/..")
         trees = dict(forest)
         with QueryService(store, backend="fabric:2") as service:
-            for engine in ENGINES:
-                results = service.execute_batch(queries, engine=engine)
-                for query, result in zip(queries, results):
-                    expected = serial_reference(store, trees, query, engine)
-                    assert_identical(result.per_document, expected)
+            results = service.execute_batch(queries)
+            for query, result in zip(queries, results):
+                expected = serial_reference(store, trees, query)
+                assert_identical(result.per_document, expected)
 
 
 # ----------------------------------------------------------------------
@@ -329,12 +321,16 @@ class TestCaching:
         assert warm.from_cache
         assert_identical(warm.per_document, cold.per_document)
 
-    def test_cache_key_includes_engine_and_scope(self, store):
+    def test_cache_key_includes_scope_not_engine(self, store):
+        """One engine per service: a query carries no engine of its own,
+        and the result cache keys on scope and mode."""
         with QueryService(store, backend="serial") as service:
-            service.execute("//people", engine="scalar")
-            other_engine = service.execute("//people", engine="vectorized")
+            service.execute("//people")
             scoped = service.execute("//people", document="xmark-00")
-        assert not other_engine.from_cache
+            with pytest.raises(TypeError):
+                service.execute("//people", engine="scalar")
+            with pytest.raises(TypeError):
+                service.execute_batch(["//people"], engine="scalar")
         assert not scoped.from_cache
 
     def test_use_cache_false_bypasses(self, store):
@@ -516,17 +512,16 @@ class TestPlannerIntegration:
         '//item[starts-with(location, "A")]',
     )
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("backend", ("serial", "fabric:2"))
-    def test_planned_equals_unplanned(self, store, engine, backend):
+    def test_planned_equals_unplanned(self, store, backend):
         queries = (
             AXIS_QUERIES + PLANE_QUERIES + self.PREFIX_BATCH + self.PLAN_SHAPES
         )
         with QueryService(store, backend=backend) as service, QueryService(
             store, backend=backend, planner=False
         ) as unplanned:
-            planned = service.execute_batch(queries, engine=engine, use_cache=False)
-            plain = unplanned.execute_batch(queries, engine=engine, use_cache=False)
+            planned = service.execute_batch(queries, use_cache=False)
+            plain = unplanned.execute_batch(queries, use_cache=False)
         for query, a, b in zip(queries, planned, plain):
             assert_identical(a.per_document, b.per_document)
             assert a.query == b.query == query
@@ -557,13 +552,12 @@ class TestPlannerIntegration:
             )
             trees[victim] = replacement
             after = service.execute(query, use_cache=False)
-            expected = serial_reference(store, trees, query, "vectorized")
+            expected = serial_reference(store, trees, query)
         assert_identical(after.per_document, expected)
         assert before.per_document[victim].size > 0
         assert after.per_document[victim].size == 0
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_scoped_queries_planned_equals_unplanned(self, store, engine):
+    def test_scoped_queries_planned_equals_unplanned(self, store):
         """Document-scoped execution re-anchors paths at the member
         root, where the //-collapse's root guard (stated against the
         plane's virtual root) would be wrong — `//site` must keep
@@ -573,12 +567,8 @@ class TestPlannerIntegration:
             store, backend="serial", planner=False
         ) as unplanned:
             for query in ("//site", "//site/regions", "//person/name"):
-                planned = service.execute(
-                    query, engine=engine, document=name, use_cache=False
-                )
-                plain = unplanned.execute(
-                    query, engine=engine, document=name, use_cache=False
-                )
+                planned = service.execute(query, document=name, use_cache=False)
+                plain = unplanned.execute(query, document=name, use_cache=False)
                 assert_identical(planned.per_document, plain.per_document)
 
     def test_fabric_splits_shard_groups_when_workers_exceed_shards(

@@ -47,8 +47,8 @@ def people_site(*names):
 
 
 def batch_bytes(store, queries, engine):
-    with QueryService(store, backend="serial") as service:
-        results = service.execute_batch(queries, engine=engine, use_cache=False)
+    with QueryService(store, backend="serial", engine=engine) as service:
+        results = service.execute_batch(queries, use_cache=False)
         return [
             {name: a.tobytes() for name, a in r.per_document.items()}
             for r in results

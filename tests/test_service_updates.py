@@ -3,7 +3,7 @@
 The headline property mirrors the one for reads (batched == serial):
 **splice == re-encode** — driving document and subtree updates through
 ``QueryService.apply_updates`` yields query results byte-identical to a
-store freshly built from equivalently edited trees, on both engines.
+store freshly built from equivalently edited trees.
 Around it: the crash-safe commit protocol (epoch bump, orphan sweep),
 the name → shard index, and mutate-while-querying interleaving.
 """
@@ -25,7 +25,6 @@ from repro.xmltree.model import NodeKind, attribute, element, text
 
 from _reference import preorder_nodes, random_tree
 
-ENGINES = ("scalar", "vectorized")
 
 #: Queries the splice-equals-reencode property is checked under.
 PROPERTY_QUERIES = (
@@ -51,9 +50,9 @@ def small_forest():
     ]
 
 
-def store_bytes(service, queries, engine):
+def store_bytes(service, queries):
     """Per-document payloads for a query batch, as comparable bytes."""
-    results = service.execute_batch(queries, engine=engine, use_cache=False)
+    results = service.execute_batch(queries, use_cache=False)
     return [
         {name: a.tobytes() for name, a in r.per_document.items()} for r in results
     ]
@@ -420,16 +419,11 @@ class TestManifestsWrittenBeforeFeedbackWasRemoved:
 
         with QueryService.open(old.directory, backend="serial") as service, \
                 QueryService(pristine, backend="serial") as reference:
-            for engine in ENGINES:
-                assert store_bytes(service, queries, engine) == store_bytes(
-                    reference, queries, engine
-                )
+            assert store_bytes(service, queries) == store_bytes(reference, queries)
             ops = [UpdateOp("add", "extra", tree=people_site("k"))]
             assert service.apply_updates(ops)["epoch"] == 2
             reference.apply_updates(ops)
-            assert store_bytes(service, queries, "vectorized") == store_bytes(
-                reference, queries, "vectorized"
-            )
+            assert store_bytes(service, queries) == store_bytes(reference, queries)
         with open(path) as f:
             committed = json.load(f)
         assert "feedback" not in committed
@@ -785,7 +779,7 @@ def mirror_insert(nodes, parent_index, fragment, before_index=None):
 class TestSpliceEqualsReencode:
     """Random op sequences through ``QueryService.apply_updates`` give
     results byte-identical to a store rebuilt from scratch — the update
-    analogue of batched == serial, on both engines."""
+    analogue of batched == serial."""
 
     @given(
         seed=st.integers(0, 10_000),
@@ -895,8 +889,6 @@ class TestSpliceEqualsReencode:
                 fresh_directory, list(mirror.items()), shards=shards
             )
             with QueryService(fresh_store, backend="serial") as fresh_service:
-                for engine in ENGINES:
-                    updated = store_bytes(service, PROPERTY_QUERIES, engine)
-                    rebuilt = store_bytes(fresh_service, PROPERTY_QUERIES, engine)
-                    for got, expected in zip(updated, rebuilt):
-                        assert got == expected
+                updated = store_bytes(service, PROPERTY_QUERIES)
+                rebuilt = store_bytes(fresh_service, PROPERTY_QUERIES)
+                assert updated == rebuilt

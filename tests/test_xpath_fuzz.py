@@ -1,11 +1,21 @@
-"""Grammar fuzzing: random ASTs must survive str() → parse() unchanged,
-and random expressions must evaluate without crashing."""
+"""Grammar fuzzing against the reference.
+
+* The parser is shared by the engines and ``tests/_reference.py``, so it
+  is fuzzed on its own: random ASTs of the whole grammar the reference
+  evaluates survive ``str()`` → ``parse()`` unchanged.
+* Random queries evaluate to a sane node array or a package error, never
+  an arbitrary exception.
+* Both engines answer what the tree-walking reference answers, error for
+  error — on random shapes with every function, union and absolute
+  sub-path, and on value-bearing trees in both archive layouts.
+"""
 
 import os
 import random
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.encoding.persist import load, save
@@ -23,9 +33,9 @@ from repro.xpath.ast import (
     StringLiteral,
 )
 from repro.xpath.evaluator import evaluate
-from repro.xpath.parser import parse_xpath
+from repro.xpath.parser import _KNOWN_FUNCTIONS, parse_xpath
 
-from _reference import random_tree
+from _reference import Reference, random_tree
 
 # ----------------------------------------------------------------------
 # AST strategies
@@ -96,13 +106,128 @@ paths = st.builds(
 )
 
 
+#: The reference's whole grammar: every function name at any arity,
+#: ``|`` inside predicates, absolute sub-paths, string literals that
+#: need either quote style, processing-instruction targets.  (No
+#: negative number literal: ``-x`` parses as ``0 - x``.)
+_wide_tests = st.one_of(
+    node_tests,
+    st.builds(NodeTest, st.just("name"), st.sampled_from(["r", "a0", "b1"])),
+    st.sampled_from(
+        [NodeTest("processing-instruction"), NodeTest("processing-instruction", "t")]
+    ),
+)
+_wide_literals = st.one_of(
+    st.builds(
+        StringLiteral,
+        st.sampled_from(["", "x", "7", " 8 ", "12.5", "a0", "it's", 'say "hi"']),
+    ),
+    st.builds(NumberLiteral, st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 12.5])),
+)
+
+
+def wide_expressions():
+    def sub_paths(children, absolute):
+        return st.builds(
+            lambda steps: LocationPath(absolute, steps),
+            st.lists(
+                st.builds(
+                    Step, st.sampled_from(AXES), _wide_tests,
+                    st.lists(children, max_size=1).map(tuple),
+                ),
+                min_size=1,
+                max_size=2,
+            ).map(tuple),
+        )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(
+                BinaryExpr,
+                st.sampled_from(
+                    ["or", "and", "=", "!=", "<", "<=", ">", ">=",
+                     "+", "-", "*", "div", "mod"]
+                ),
+                children,
+                children,
+            ),
+            st.builds(
+                FunctionCall,
+                st.sampled_from(_KNOWN_FUNCTIONS),
+                st.lists(children, max_size=3).map(tuple),
+            ),
+            sub_paths(children, False),
+            sub_paths(children, True),
+            st.builds(
+                BinaryExpr, st.just("|"),
+                sub_paths(children, False), sub_paths(children, True),
+            ),
+        )
+
+    return st.recursive(
+        st.one_of(
+            _wide_literals,
+            st.builds(FunctionCall, st.sampled_from(_KNOWN_FUNCTIONS), st.just(())),
+        ),
+        extend,
+        max_leaves=6,
+    )
+
+
+_wide_paths = st.builds(
+    LocationPath,
+    st.booleans(),
+    st.lists(
+        st.builds(
+            Step, st.sampled_from(AXES), _wide_tests,
+            st.lists(wide_expressions(), max_size=2).map(tuple),
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(tuple),
+)
+wide_queries = st.one_of(
+    _wide_paths, st.builds(BinaryExpr, st.just("|"), _wide_paths, _wide_paths)
+)
+
+
+def outcome(evaluate_once):
+    """An answer as a list, or the class of the package error raised."""
+    try:
+        result = evaluate_once()
+    except ReproError as error:
+        return type(error)
+    return result.tolist()
+
+
 class TestParserRoundTrip:
-    @given(path=paths)
+    @given(query=wide_queries)
     @settings(max_examples=150, deadline=None)
-    def test_str_reparses_to_equal_ast(self, path):
-        rendered = str(path)
+    def test_str_reparses_to_equal_ast(self, query):
+        rendered = str(query)
         reparsed = parse_xpath(rendered)
-        assert reparsed == path, rendered
+        assert reparsed == query, rendered
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_every_step_from_the_document_node_matches_the_reference(axis):
+    """The virtual document node (rule D1) is where the engines share
+    the most code: every axis × node test, alone and followed by
+    ``self::node()``, on trees with attributes, text and comments."""
+    queries = [
+        f"/{axis}::{test}{tail}"
+        for test in ("node()", "*", "a", "text()", "comment()", "processing-instruction()")
+        for tail in ("", "/self::node()")
+    ]
+    for tree in (random_tree(30, 3), value_tree(25, 4)):
+        doc = encode(tree)
+        reference = Reference(tree)
+        for query in queries:
+            expected = outcome(lambda: reference.evaluate(query))
+            for engine in ("scalar", "vectorized"):
+                assert outcome(lambda: evaluate(doc, query, engine=engine)) == expected, (
+                    query, engine,
+                )
 
 
 class TestEvaluatorRobustness:
@@ -122,16 +247,20 @@ class TestEvaluatorRobustness:
             assert int(result[-1]) < len(doc)
             assert np.all(np.diff(result) > 0)
 
-    @given(path=paths, seed=st.integers(0, 500))
-    @settings(max_examples=60, deadline=None)
-    def test_engines_agree_on_random_queries(self, path, seed):
-        doc = encode(random_tree(40, seed))
-        try:
-            scalar = evaluate(doc, path, engine="scalar")
-            bulk = evaluate(doc, path, engine="vectorized")
-        except ReproError:
-            return
-        assert scalar.tolist() == bulk.tolist(), str(path)
+    @given(
+        query=wide_queries,
+        seed=st.integers(0, 5000),
+        size=st.integers(1, 50),
+        valued=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_engines_match_the_reference(self, query, seed, size, valued):
+        tree = value_tree(size, seed) if valued else random_tree(size, seed)
+        doc = encode(tree)
+        expected = outcome(lambda: Reference(tree).evaluate(query))
+        for engine in ("scalar", "vectorized"):
+            got = outcome(lambda: evaluate(doc, query, engine=engine))
+            assert got == expected, (engine, str(query))
 
 
 # ----------------------------------------------------------------------
@@ -296,13 +425,6 @@ _value_queries = st.builds(
 )
 
 
-def _outcome(doc, path, engine):
-    try:
-        return evaluate(doc, path, engine=engine).tolist()
-    except ReproError as error:
-        return type(error)
-
-
 class TestValuePredicateColumns:
     @given(
         query=_value_queries,
@@ -311,18 +433,18 @@ class TestValuePredicateColumns:
         packed=st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_column_evaluator_matches_scalar(self, query, seed, size, packed):
-        """``vectorized`` ≡ ``scalar`` node sequences (and error-for-error)
-        on value-bearing trees, on both value layouts."""
-        doc = encode(value_tree(size, seed))
-        if packed:
-            with tempfile.TemporaryDirectory() as directory:
+    def test_engines_match_the_reference(self, query, seed, size, packed):
+        """The column evaluator (``vectorized``) and the per-candidate
+        loop (``scalar``) answer what the reference answers, error for
+        error, on value-bearing trees in both value layouts."""
+        tree = value_tree(size, seed)
+        expected = outcome(lambda: Reference(tree).evaluate(query))
+        doc = encode(tree)
+        with tempfile.TemporaryDirectory() as directory:
+            if packed:
                 archive = os.path.join(directory, "doc.npz")
                 save(doc, archive, compression="packed")
                 doc = load(archive, mmap=True)
-                scalar = _outcome(doc, query, "scalar")
-                bulk = _outcome(doc, query, "vectorized")
-        else:
-            scalar = _outcome(doc, query, "scalar")
-            bulk = _outcome(doc, query, "vectorized")
-        assert scalar == bulk, str(query)
+            for engine in ("scalar", "vectorized"):
+                got = outcome(lambda: evaluate(doc, query, engine=engine))
+                assert got == expected, (engine, str(query))

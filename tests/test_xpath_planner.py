@@ -295,7 +295,7 @@ GOLDEN = {
 }
 
 
-def served_pipelines(service, query, engine, document=None):
+def served_pipelines(service, query, document=None):
     """The branches ``service`` dispatches for ``query``, as strings."""
     sent = []
     run_batch = service.backend.run_batch
@@ -303,7 +303,7 @@ def served_pipelines(service, query, engine, document=None):
         sent.extend(items) or run_batch(items, **kw)
     )
     try:
-        service.execute(query, engine=engine, document=document, use_cache=False)
+        service.execute(query, document=document, use_cache=False)
     finally:
         del service.backend.run_batch
     ((pipeline, *_),) = sent
@@ -322,16 +322,17 @@ class TestGoldenPlans:
     def test_served_plans_are_pinned(self, service, query):
         unscoped, scoped = GOLDEN[query]
         document = service.store.document_names()[0]
-        assert served_pipelines(service, query, "vectorized") == unscoped
-        assert served_pipelines(service, query, "vectorized", document) == scoped
+        assert served_pipelines(service, query) == unscoped
+        assert served_pipelines(service, query, document) == scoped
 
     def test_plans_do_not_depend_on_the_engine(self, service):
         document = service.store.document_names()[1]
-        for query in GOLDEN:
-            for scope in (None, document):
-                assert served_pipelines(
-                    service, query, "scalar", scope
-                ) == served_pipelines(service, query, "vectorized", scope), query
+        with QueryService(service.store, backend="serial", engine="scalar") as scalar:
+            for query in GOLDEN:
+                for scope in (None, document):
+                    assert served_pipelines(scalar, query, scope) == served_pipelines(
+                        service, query, scope
+                    ), query
 
 
 # ----------------------------------------------------------------------
@@ -500,13 +501,11 @@ class TestResultInvariance:
         # way.
         forest = [(f"d{i}", random_tree(60, seed=30 + i)) for i in range(4)]
         store = ShardedStore.build(str(tmp_path / "forced"), forest, shards=2)
-        with QueryService(store, backend="serial") as service:
-            for engine in ENGINES:
+        for engine in ENGINES:
+            with QueryService(store, backend="serial", engine=engine) as service:
                 baseline = [
                     {name: a.tobytes() for name, a in r.per_document.items()}
-                    for r in service.execute_batch(
-                        PLANNER_QUERIES, engine=engine, use_cache=False
-                    )
+                    for r in service.execute_batch(PLANNER_QUERIES, use_cache=False)
                 ]
                 plans = [service.explain(query) for query in PLANNER_QUERIES]
                 for pushdown in (True, False):
@@ -534,16 +533,12 @@ class TestResultInvariance:
         ]
         directory = str(tmp_path_factory.mktemp("planner-prop") / "store")
         store = ShardedStore.build(directory, forest, shards=shards)
-        with QueryService(store, backend="serial") as service, QueryService(
-            store, backend="serial", planner=False
-        ) as unplanned:
-            for engine in ENGINES:
-                planned = service.execute_batch(
-                    PLANNER_QUERIES, engine=engine, use_cache=False
-                )
-                plain = unplanned.execute_batch(
-                    PLANNER_QUERIES, engine=engine, use_cache=False
-                )
+        for engine in ENGINES:
+            with QueryService(store, backend="serial", engine=engine) as service, \
+                    QueryService(store, backend="serial", planner=False,
+                                 engine=engine) as unplanned:
+                planned = service.execute_batch(PLANNER_QUERIES, use_cache=False)
+                plain = unplanned.execute_batch(PLANNER_QUERIES, use_cache=False)
                 for query, a, b in zip(PLANNER_QUERIES, planned, plain):
                     assert list(a.per_document) == list(b.per_document), (
                         engine, query,
@@ -569,10 +564,7 @@ class TestOldManifests:
             with QueryService(store, backend="serial") as service:
                 return [
                     {name: a.tobytes() for name, a in r.per_document.items()}
-                    for engine in ENGINES
-                    for r in service.execute_batch(
-                        queries, engine=engine, use_cache=False
-                    )
+                    for r in service.execute_batch(queries, use_cache=False)
                 ]
 
         expected = answers(store)
