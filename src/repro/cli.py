@@ -208,12 +208,11 @@ def _cmd_store(args: argparse.Namespace) -> int:
         line = (
             f"  shard {shard['id']:<4d} v{shard['format_version']}  "
             f"{shard['nodes']:>10,} nodes  "
-            f"{shard['bytes_on_disk']:>12,}B on disk  "
-            f"tag dict {shard['tag_dictionary']['entries']:,}"
-            f"/{shard['tag_dictionary']['bytes']:,}B  "
-            f"value dict {shard['value_dictionary']['entries']:,}"
-            f"/{shard['value_dictionary']['bytes']:,}B"
+            f"{shard['bytes_on_disk']:>12,}B on disk"
         )
+        for name in ("tag", "value"):  # entries / raw bytes -> bytes stored
+            d = shard[f"{name}_dictionary"]
+            line += f"  {name} dict {d['entries']:,}/{d['bytes']:,}B->{d['stored_bytes']:,}B"
         if "pages" in shard:  # the packed layout
             line += f"  {shard['pages']:,} pages x {shard['page_size']}"
             decoded = shard.get("decoded")
@@ -539,8 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--seed", type=int, default=2003)
     cmd.add_argument(
         "--compression", choices=("auto", "none", "packed"), default="auto",
-        help="shard archive layout: packed = dictionary + bit-packed page "
-        "blocks (v5), none = eager arrays (v6), auto = packed for large "
+        help="shard archive layout: packed = bit-packed page blocks and "
+        "deflated dictionaries (v7), none = eager arrays (v6), auto = packed for large "
         "shards (default)",
     )
     cmd.set_defaults(handler=_cmd_shard)

@@ -13,12 +13,12 @@ pageable:
   ``kind``, and the dictionary code vectors — every stored column —
   compress this way.
 * **Sorted dictionary blobs** — tag and text dictionaries are one UTF-8
-  byte blob plus a 4-byte offset vector, sorted in code-point order, in
-  memory and in both archive layouts alike.  UTF-8 byte order equals
-  code-point order, so :func:`dictionary_find` binary-searches the blob
-  directly — a lookup never materialises the dictionary — and
-  :func:`merge_dictionaries` / :func:`compact_dictionary` are the whole
-  algebra a splice needs.
+  byte blob plus a 4-byte offset vector in memory, sorted in code-point
+  order, whichever archive layout they load from (packed deflates them).
+  UTF-8 byte order equals code-point order, so :func:`dictionary_find`
+  binary-searches the blob directly — a lookup never materialises the
+  dictionary — and :func:`merge_dictionaries` / :func:`compact_dictionary`
+  are the whole algebra a splice needs.
 
 :class:`PagedArray` is the query-facing face of a packed column: a
 vector at the column's declared width

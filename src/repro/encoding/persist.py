@@ -6,38 +6,42 @@ Parsing and encoding a large document is the expensive part of loading
 directly.  The format is a single ``.npz`` container of *stored*
 (uncompressed) numeric ``.npy`` members.
 
-Two layouts, one value representation.  Both hold four plane columns
-(``level``, ``kind``, ``tag_codes``, ``value_codes``) and the same four
-dictionary members — the tag and the text dictionary, each a sorted
-UTF-8 blob plus 4-byte offsets, exactly the
-:class:`~repro.encoding.doctable.ValueIndex` the table holds in memory.
-The tree's shape is stored once: ``pre`` is a node's position (the
-paper's void column) and the pre-order ``level`` column implies the
-rest, so ``post`` and ``parent`` are not members — :func:`load` derives
-them with :func:`~repro.encoding.prepost.shape` (which also rejects a
-``level`` column that is no tree) and hands :class:`DocTable` the same
-dense ``int32`` arrays an encode does.  The layouts differ in how the
-four columns are stored:
+Two layouts, one in-memory representation.  Both hold four plane
+columns (``level``, ``kind``, ``tag_codes``, ``value_codes``) and two
+dictionaries — the tag and the text dictionary — and both load to the
+same :class:`~repro.encoding.doctable.ValueIndex`: a sorted UTF-8 blob
+plus 4-byte offsets.  The tree's shape is stored once: ``pre`` is a
+node's position (the paper's void column) and the pre-order ``level``
+column implies the rest, so ``post`` and ``parent`` are not members —
+:func:`load` derives them with :func:`~repro.encoding.prepost.shape`
+(which also rejects a ``level`` column that is no tree) and hands
+:class:`DocTable` the same dense ``int32`` arrays an encode does.  The
+layouts differ in how columns and dictionaries are stored:
 
 * **eager** (``compression="none"``, the default, ``format_version``
-  6) — every column a plain member at its declared width.  A stored
-  ``.npy`` zip member is byte-identical to a standalone ``.npy`` file,
-  so :func:`load` with ``mmap=True`` memory-maps columns *and*
+  6) — every column a plain member at its declared width, every
+  dictionary its ``*_dict_blob`` and ``*_dict_offsets`` members.  A
+  stored ``.npy`` zip member is byte-identical to a standalone ``.npy``
+  file, so :func:`load` with ``mmap=True`` memory-maps columns *and*
   dictionaries in place at their archive offsets — worker processes
   that open the same shard share the OS page cache instead of each
   materialising its own copy.  Right for small documents.
-* **packed** (``compression="packed"``, ``format_version`` 5) — every
+* **packed** (``compression="packed"``, ``format_version`` 7) — every
   column frame-of-reference bit-packed into fixed-height page blocks
   behind a page directory (:mod:`repro.encoding.codec`).  ``mmap=True``
   maps the packed blobs and returns a table whose stored columns are
   :class:`~repro.encoding.codec.PagedArray` views decoding one page
   block at a time; ``post`` and ``parent`` are dense in every mode.
+  Each dictionary is one zlib stream (``*_dict_deflated``: its ``int32``
+  entry lengths, then its blob) beside a ``*_dict_header`` of two
+  integers (entries, blob bytes); :func:`load` inflates it, never past
+  the header, in every mode.
 
 No member is an object array and no branch of :func:`load` unpickles.
 Archives of any earlier version — 1 and 2 (pickled strings), 3 and 4
-(the same two layouts with ``post`` and ``parent`` stored) — are refused
-by the version check, before any other member is read: rebuild them
-with ``repro shard`` / ``repro encode``.
+(the two layouts with ``post`` and ``parent`` stored), 5 (packed with
+raw dictionaries) — are refused by the version check, before any other
+member is read: rebuild them with ``repro shard`` / ``repro encode``.
 
 :func:`load` raises :class:`~repro.errors.EncodingError` — never a raw
 ``zipfile`` or ``OSError`` traceback — on truncated, foreign, or
@@ -46,6 +50,7 @@ version-unknown archives.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zipfile
@@ -84,13 +89,13 @@ __all__ = [
 ]
 
 #: ``compression=`` value → the ``format_version`` :func:`save` writes.
-LAYOUT_VERSIONS = {"none": 6, "packed": 5}
+LAYOUT_VERSIONS = {"none": 6, "packed": 7}
 
 #: ``compression=`` values :func:`save` accepts.
 COMPRESSION_MODES = tuple(LAYOUT_VERSIONS)
 
-#: Versions :func:`load` accepts (5 = packed page blocks, 6 = eager
-#: columns over the same dictionary members).
+#: Versions :func:`load` accepts (6 = eager columns and dictionaries,
+#: 7 = packed page blocks and deflated dictionaries).
 SUPPORTED_VERSIONS = tuple(sorted(LAYOUT_VERSIONS.values()))
 
 FORMAT_VERSION = max(SUPPORTED_VERSIONS)
@@ -102,16 +107,17 @@ _STORED_COLUMNS = ("level", "kind", "tag_codes", "value_codes")
 #: What ``describe_archive`` / ``repro store info`` say of the other two.
 _DERIVED_COLUMNS = "post, parent: derived from level"
 
-_DICTIONARY_MEMBERS = (
-    "tag_dict_blob", "tag_dict_offsets", "value_dict_blob", "value_dict_offsets",
-)
+#: zlib level of the packed layout's dictionary streams.
+DEFLATE_LEVEL = 1
 
 _EAGER_REQUIRED = frozenset(
-    ("format_version",) + _DICTIONARY_MEMBERS + _STORED_COLUMNS
+    ("format_version", "tag_dict_blob", "tag_dict_offsets", "value_dict_blob",
+     "value_dict_offsets") + _STORED_COLUMNS
 )
 
 _PACKED_REQUIRED = frozenset(
-    ("format_version", "page_size", "nodes", "height") + _DICTIONARY_MEMBERS
+    ("format_version", "page_size", "nodes", "height", "tag_dict_deflated",
+     "tag_dict_header", "value_dict_deflated", "value_dict_header")
     + tuple(
         f"{column}_{part}"
         for column in _STORED_COLUMNS
@@ -145,7 +151,7 @@ def save(
     ``compression="none"`` writes the eager layout (plain columns);
     ``compression="packed"`` the compressed pageable one (FOR
     bit-packed columns behind a page directory of ``page_size``-value
-    blocks).  The dictionary members are the same in both.
+    blocks, each dictionary one zlib stream).
     """
     if compression not in LAYOUT_VERSIONS:
         raise EncodingError(
@@ -161,7 +167,10 @@ def save(
     ranked = sorted(np.flatnonzero(used).tolist(), key=names.__getitem__)
     remap = np.zeros(len(names), dtype=column_dtype("tag_codes"))
     remap[ranked] = np.arange(len(ranked), dtype=remap.dtype)
-    tag_blob, tag_offsets = encode_dictionary([names[code] for code in ranked])
+    dictionaries = {
+        "tag": encode_dictionary([names[code] for code in ranked]),
+        "value": (np.asarray(doc.values.blob), np.asarray(doc.values.offsets)),
+    }
     columns: Dict[str, np.ndarray] = {
         "level": doc.level,
         "kind": doc.kind,
@@ -170,11 +179,15 @@ def save(
     }
     members: Dict[str, np.ndarray] = {
         "format_version": np.asarray([LAYOUT_VERSIONS[compression]], dtype=np.int64),
-        "tag_dict_blob": tag_blob,
-        "tag_dict_offsets": tag_offsets,
-        "value_dict_blob": np.asarray(doc.values.blob),
-        "value_dict_offsets": np.asarray(doc.values.offsets),
     }
+    for name, (blob, offsets) in dictionaries.items():
+        if compression == "none":
+            members.update({f"{name}_dict_blob": blob, f"{name}_dict_offsets": offsets})
+        else:  # the entry lengths, then the blob, as one stream
+            raw = np.diff(offsets).astype("<i4").tobytes() + bytes(blob)
+            stream = zlib.compress(raw, DEFLATE_LEVEL)
+            members[f"{name}_dict_deflated"] = np.frombuffer(stream, dtype=np.uint8)
+            members[f"{name}_dict_header"] = np.asarray([len(offsets) - 1, len(blob)], np.int64)
     if compression == "none":
         for column, values in columns.items():
             members[column] = np.asarray(values)
@@ -206,20 +219,25 @@ def _member_data_offset(path: str, info: zipfile.ZipInfo) -> int:
         return info.header_offset + 30 + name_len + extra_len
 
 
+def _npy_header(path: str, handle, member: str) -> Tuple[tuple, bool, np.dtype]:
+    """``(shape, fortran, dtype)`` from the ``.npy`` header ``handle`` is at."""
+    try:
+        version = np.lib.format.read_magic(handle)
+        if version == (1, 0):
+            return np.lib.format.read_array_header_1_0(handle)
+        if version == (2, 0):
+            return np.lib.format.read_array_header_2_0(handle)
+    except _ARCHIVE_ERRORS as error:
+        raise EncodingError(f"{path}: corrupt .npy header in {member!r}: {error}") from error
+    raise EncodingError(f"{path}: unsupported .npy version {version} in {member!r}")
+
+
 def _mmap_member(path: str, info: zipfile.ZipInfo) -> np.ndarray:
     """Memory-map one stored ``.npy`` member (read-only, zero-copy)."""
     data_offset = _member_data_offset(path, info)
     with open(path, "rb") as raw:
         raw.seek(data_offset)
-        version = np.lib.format.read_magic(raw)
-        if version == (1, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(raw)
-        elif version == (2, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_2_0(raw)
-        else:
-            raise EncodingError(
-                f"{path}: unsupported .npy version {version} in {info.filename!r}"
-            )
+        shape, fortran, dtype = _npy_header(path, raw, info.filename)
         array_offset = raw.tell()
     if dtype.hasobject:
         raise EncodingError(
@@ -340,9 +358,12 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
             return _read_member(path, archive, name)
 
         # Tag names are a few dozen: decoded.  The value dictionary
-        # stays a blob (mapped when the table is) behind the codes.
-        tag_blob = _read_member(path, archive, "tag_dict_blob")
-        tag_offsets = _read_member(path, archive, "tag_dict_offsets")
+        # stays a blob behind the codes (mapped when an eager table is).
+        (tag_blob, tag_offsets), (value_blob, value_offsets) = (
+            _inflate_dictionary(path, archive, name) if packed
+            else (fetch(f"{name}_dict_blob"), fetch(f"{name}_dict_offsets"))
+            for name in ("tag", "value")
+        )
         try:
             tag_dictionary = [
                 dictionary_entry(tag_blob, tag_offsets, code)
@@ -350,8 +371,6 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
             ]
         except ValueError as error:  # a blob that is not UTF-8
             raise EncodingError(f"{path}: corrupt tag dictionary: {error}") from error
-        value_blob = fetch("value_dict_blob")
-        value_offsets = fetch("value_dict_offsets")
         plane = None
         if packed:
             height = int(_read_member(path, archive, "height")[0])
@@ -392,6 +411,48 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
     return table
 
 
+def _dictionary_header(
+    path: str, archive: "np.lib.npyio.NpzFile", name: str
+) -> Tuple[int, int]:
+    """``(entries, blob bytes)`` a packed-layout dictionary's header declares."""
+    header = _read_member(path, archive, f"{name}_dict_header")
+    entries, size = (int(v) for v in header) if header.shape == (2,) else (-1, -1)
+    # Strictly sorted entries: at most one is empty, so entries ≤ size + 1.
+    if header.dtype.kind not in "iu" or not 0 <= entries <= size + 1 <= 2**31:
+        raise EncodingError(f"{path}: corrupt {name} dictionary header {header!r}")
+    return entries, size
+
+
+def _inflate_dictionary(
+    path: str, archive: "np.lib.npyio.NpzFile", name: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(blob, offsets)`` of a packed-layout dictionary: its stream inflated never
+    past the ``4 × entries + blob bytes`` its header declares, and used up."""
+    entries, size = _dictionary_header(path, archive, name)
+    stream = _read_member(path, archive, f"{name}_dict_deflated")
+    inflater = zlib.decompressobj()
+    try:  # two reads, so the blob is its own buffer: the lengths are dropped
+        lengths = inflater.decompress(stream, 4 * entries) if entries else b""
+        blob = inflater.decompress(inflater.unconsumed_tail if entries else stream, size + 1)
+    except zlib.error as error:
+        raise EncodingError(f"{path}: corrupt {name} dictionary: {error}") from error
+    sizes = np.frombuffer(lengths, dtype="<i4")
+    if (
+        len(lengths) + len(blob) != 4 * entries + size
+        or not inflater.eof
+        or inflater.unused_data
+        or (sizes < 0).any()
+        or int(sizes.sum(dtype=np.int64)) != size
+    ):
+        raise EncodingError(
+            f"{path}: corrupt {name} dictionary: its stream must inflate to the "
+            f"{entries} lengths and {size} bytes its header declares, and end there"
+        )
+    offsets = np.zeros(entries + 1, dtype=column_dtype("dict_offsets"))
+    np.cumsum(sizes, out=offsets[1:])
+    return np.frombuffer(blob, dtype=np.uint8), offsets
+
+
 def _packed_columns(
     path: str,
     archive: "np.lib.npyio.NpzFile",
@@ -409,20 +470,12 @@ def _packed_columns(
     n = int(_read_member(path, archive, "nodes")[0])
     directories: Dict[str, PageDirectory] = {}
     for column in _STORED_COLUMNS:
+        parts = {
+            part: np.ascontiguousarray(_read_member(path, archive, f"{column}_{part}"), dtype)
+            for part, dtype in (("refs", np.int64), ("bits", np.uint8), ("offsets", np.int64))
+        }
         directories[column] = PageDirectory(
-            column=column,
-            codec=CODEC_FOR,
-            page_size=page_size,
-            length=n,
-            refs=np.ascontiguousarray(
-                _read_member(path, archive, f"{column}_refs"), dtype=np.int64
-            ),
-            bits=np.ascontiguousarray(
-                _read_member(path, archive, f"{column}_bits"), dtype=np.uint8
-            ),
-            offsets=np.ascontiguousarray(
-                _read_member(path, archive, f"{column}_offsets"), dtype=np.int64
-            ),
+            column=column, codec=CODEC_FOR, page_size=page_size, length=n, **parts
         )
     legal = {
         "level": (0, height),
@@ -478,8 +531,11 @@ def _packed_columns(
 def describe_archive(path: str) -> dict:
     """Metadata-only inspection of an archive (the ``store info`` verb).
 
-    Reads headers and small members only — packed blobs are sized from
-    the zip directory, never decoded.
+    Reads headers and small members only — columns and dictionaries are
+    sized from their ``.npy`` headers, dictionary headers and the zip
+    directory, never read, decoded or inflated.  Each dictionary reports
+    its ``entries``, its raw blob ``bytes`` and the ``stored_bytes`` its
+    members take in the archive.
     """
     bytes_on_disk = os.path.getsize(path)
     with _open_archive(path) as archive:
@@ -489,19 +545,30 @@ def describe_archive(path: str) -> dict:
             for info in archive.zip.infolist()
         }
         version = _format_version(path, archive)
+        packed = version == LAYOUT_VERSIONS["packed"]
         description: dict = {
             "format_version": version,
             "bytes_on_disk": bytes_on_disk,
             "stored_columns": list(_STORED_COLUMNS),
             "derived_columns": _DERIVED_COLUMNS,
         }
-        for name in ("tag", "value"):  # the same members in both layouts
-            offsets = _read_member(path, archive, f"{name}_dict_offsets")
+
+        def length(member: str) -> int:  # from the member's .npy header alone
+            with archive.zip.open(_stored_info(path, archive.zip, member)) as handle:
+                return math.prod(_npy_header(path, handle, member)[0])
+
+        for name in ("tag", "value"):
+            if packed:
+                entries, size = _dictionary_header(path, archive, name)
+            else:
+                entries, size = length(f"{name}_dict_offsets") - 1, length(f"{name}_dict_blob")
+            parts = ("header", "deflated") if packed else ("blob", "offsets")
             description[f"{name}_dictionary"] = {
-                "entries": int(offsets.shape[0]) - 1,
-                "bytes": member_sizes.get(f"{name}_dict_blob", 0),
+                "entries": entries,
+                "bytes": size,
+                "stored_bytes": sum(member_sizes[f"{name}_dict_{part}"] for part in parts),
             }
-        if version == LAYOUT_VERSIONS["packed"]:
+        if packed:
             n = int(_read_member(path, archive, "nodes")[0])
             columns = {}
             for column in _STORED_COLUMNS:
@@ -521,11 +588,5 @@ def describe_archive(path: str) -> dict:
                 }
             )
         else:
-            level = _read_member(path, archive, "level")
-            description.update(
-                {
-                    "nodes": int(level.shape[0]),
-                    "members": member_sizes,
-                }
-            )
+            description.update({"nodes": length("level"), "members": member_sizes})
     return description

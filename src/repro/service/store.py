@@ -77,7 +77,7 @@ MANIFEST = "manifest.json"
 COMPRESSION_SETTINGS = ("auto", "none", "packed")
 
 #: ``auto`` threshold: shards at or above this node count are written
-#: packed (``format_version`` 5).  Small shards gain little from packing and
+#: packed (``format_version`` 7).  Small shards gain little from packing and
 #: load faster eagerly.
 AUTO_PACK_NODES = 65536
 

@@ -3,11 +3,14 @@
 import mmap
 import os
 import zipfile
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.encoding import persist
+from repro.encoding.codec import encode_dictionary
 from repro.encoding.persist import (
     FORMAT_VERSION,
     LAYOUT_VERSIONS,
@@ -108,6 +111,47 @@ def packed_members(column, values, page_size):
     }
 
 
+def read_members(path):
+    with np.load(path) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def raw_dictionaries(doc):
+    """``doc``'s dictionaries as the eager ``*_dict_blob`` /
+    ``*_dict_offsets`` members (what every layout up to 6 stored): the
+    tags in use, sorted, and the value dictionary as it is."""
+    tag_blob, tag_offsets = encode_dictionary(sorted(set(doc.tag)))
+    return {
+        "tag_dict_blob": tag_blob,
+        "tag_dict_offsets": tag_offsets,
+        "value_dict_blob": np.asarray(doc.values.blob),
+        "value_dict_offsets": np.asarray(doc.values.offsets),
+    }
+
+
+def deflated(lengths, blob):
+    """A dictionary's two packed-layout members, written by hand: the
+    ``int32`` entry lengths then the blob in one zlib stream, and the
+    ``[entries, blob bytes]`` header."""
+    stream = zlib.compress(np.asarray(lengths, "<i4").tobytes() + bytes(blob), 1)
+    return (
+        np.frombuffer(stream, dtype=np.uint8),
+        np.asarray([len(lengths), len(blob)], dtype=np.int64),
+    )
+
+
+def save_v5(doc, path):
+    """A well-formed version-5 archive: today's packed columns beside
+    the raw dictionary members the eager layout still writes."""
+    save(doc, path, compression="packed")
+    members = read_members(path)
+    for name in ("tag", "value"):
+        del members[f"{name}_dict_deflated"], members[f"{name}_dict_header"]
+    members.update(raw_dictionaries(doc))
+    members["format_version"] = np.asarray([5], dtype=np.int64)
+    np.savez(path, **members)
+
+
 def save_v4(doc, path):
     """A well-formed version-4 (eager) archive as PR 20–22 wrote it:
     today's members plus stored ``post`` / ``parent`` columns."""
@@ -127,9 +171,8 @@ def save_v3(doc, path, page_size=1024):
     ``post`` / ``parent`` under the position-delta codec that went with
     them — frame-of-reference over ``value − pre``, so the deleted
     packer's bytes are today's packer's over the residuals."""
-    save(doc, path, compression="packed", page_size=page_size)
-    with np.load(path) as archive:
-        members = {name: archive[name] for name in archive.files}
+    save_v5(doc, path)
+    members = read_members(path)
     members["format_version"] = np.asarray([3], dtype=np.int64)
     pre = np.arange(len(doc), dtype=np.int64)
     for column in ("post", "parent"):
@@ -138,7 +181,7 @@ def save_v3(doc, path, page_size=1024):
     np.savez(path, **members)
 
 
-OLD_WRITERS = {3: save_v3, 4: save_v4}
+OLD_WRITERS = {3: save_v3, 4: save_v4, 5: save_v5}
 
 
 #: The layouts :func:`save` writes, by ``compression=`` name — what the
@@ -196,12 +239,13 @@ class TestRoundTrip:
 
 class TestFormatVersions:
     def test_current_format_versions(self):
-        """5 is the packed layout, 6 the eager one over the same
-        dictionary members, both without ``post`` / ``parent``; 3 and 4
-        (the two stored) and 2 (pickled strings) are history."""
-        assert FORMAT_VERSION == 6
-        assert SUPPORTED_VERSIONS == (5, 6)
-        assert LAYOUT_VERSIONS == {"none": 6, "packed": 5}
+        """7 is the packed layout (deflated dictionaries), 6 the eager
+        one (raw dictionaries), both without ``post`` / ``parent``; 5
+        (packed, raw dictionaries), 3 and 4 (``post`` / ``parent``
+        stored) and 2 (pickled strings) are history."""
+        assert FORMAT_VERSION == 7
+        assert SUPPORTED_VERSIONS == (6, 7)
+        assert LAYOUT_VERSIONS == {"none": 6, "packed": 7}
 
     @pytest.mark.parametrize("mmap_flag", [False, True])
     def test_v1_archives_are_rejected(self, fig1_doc, tmp_path, mmap_flag):
@@ -214,9 +258,10 @@ class TestFormatVersions:
 
     def test_save_default_writes_the_eager_layout(self, fig1_doc, tmp_path):
         """``compression="none"`` (the default): four plain column members
-        (no ``post``, no ``parent``) next to the dictionary members the
-        packed layout also writes — every member numeric, none an object
-        array."""
+        (no ``post``, no ``parent``) next to raw dictionary members —
+        every member numeric, none an object array.  The packed layout
+        stores its dictionaries deflated; both load to identical
+        dictionaries in memory."""
         path = str(tmp_path / "doc.npz")
         save(fig1_doc, path)
         packed = str(tmp_path / "packed.npz")
@@ -231,13 +276,17 @@ class TestFormatVersions:
             assert not [m for m in other.files if m.startswith(("post", "parent"))]
             assert archive["value_codes"].dtype == np.int32
             assert archive["value_dict_offsets"].dtype == np.int32
-            for name in ("tag_dict_blob", "tag_dict_offsets",
-                         "value_dict_blob", "value_dict_offsets"):
-                assert archive[name].tobytes() == other[name].tobytes()
-                assert archive[name].dtype == other[name].dtype
+            assert not [m for m in other.files if m.endswith(("_dict_blob", "_dict_offsets"))]
+        for mmap_flag in (False, True):
+            eager, deflated = load(path, mmap=mmap_flag), load(packed, mmap=mmap_flag)
+            assert eager.tag.dictionary == deflated.tag.dictionary
+            for part in ("blob", "offsets"):
+                ours, theirs = getattr(eager.values, part), getattr(deflated.values, part)
+                assert ours.tobytes() == theirs.tobytes() and ours.dtype == theirs.dtype
         described = describe_archive(path), describe_archive(packed)
         for key in ("tag_dictionary", "value_dictionary"):
-            assert described[0][key] == described[1][key]
+            for field in ("entries", "bytes"):
+                assert described[0][key][field] == described[1][key][field]
             assert described[0][key]["entries"] >= 0
 
     @pytest.mark.parametrize("layout", LAYOUTS)
@@ -249,8 +298,8 @@ class TestFormatVersions:
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_mmap_load_all_versions(self, small_xmark, tmp_path, layout):
         """mmap=True zero-copies eager columns and pages packed blocks;
-        the value dictionary is mapped in both, ``post`` / ``parent``
-        are derived dense arrays in both."""
+        the value dictionary is mapped eager and inflated packed,
+        ``post`` / ``parent`` are derived dense arrays in both."""
         from repro.encoding.codec import PagedArray
 
         path = str(tmp_path / f"{layout}.npz")
@@ -264,8 +313,8 @@ class TestFormatVersions:
         assert isinstance(loaded.values.codes, PagedArray) == (not eager)
         for derived in (loaded.post, loaded.parent):
             assert type(derived) is np.ndarray and derived.dtype == np.int32
-        assert isinstance(loaded.values.blob, np.memmap)
-        assert isinstance(loaded.values.offsets, np.memmap)
+        for part in (loaded.values.blob, loaded.values.offsets):
+            assert isinstance(part, np.memmap) == eager
 
     def test_mmap_columns_are_file_backed_views(self, fig1_doc, tmp_path):
         path = str(tmp_path / "doc.npz")
@@ -388,13 +437,220 @@ class TestFormatHygiene:
     def test_a_tag_blob_that_is_not_utf8_is_rejected(self, fig1_doc, tmp_path, compression):
         path = str(tmp_path / "doc.npz")
         save(fig1_doc, path, compression=compression)
-        with np.load(path) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        arrays["tag_dict_blob"] = np.full_like(arrays["tag_dict_blob"], 0xFF)
+        arrays = read_members(path)
+        raw = raw_dictionaries(fig1_doc)
+        blob = np.full_like(raw["tag_dict_blob"], 0xFF)
+        if compression == "none":
+            arrays["tag_dict_blob"] = blob
+        else:
+            arrays["tag_dict_deflated"], arrays["tag_dict_header"] = deflated(
+                np.diff(raw["tag_dict_offsets"]), blob
+            )
         np.savez(path, **arrays)
         for mmap_flag in (False, True):
             with pytest.raises(EncodingError, match="corrupt tag dictionary"):
                 load(path, mmap=mmap_flag)
+
+
+# ----------------------------------------------------------------------
+# The packed layout's deflated dictionaries
+# ----------------------------------------------------------------------
+def forge_dictionary(doc, path, name, lengths=None, blob=None, stream=None, header=None):
+    """``doc`` saved packed with dictionary ``name``'s members rewritten
+    from (forged) entry ``lengths`` / ``blob``, or a forged ``stream`` /
+    ``header`` member handed over as it is."""
+    save(doc, path, compression="packed")
+    raw = raw_dictionaries(doc)
+    if lengths is None:
+        lengths = np.diff(raw[f"{name}_dict_offsets"])
+    members = read_members(path)
+    honest = deflated(lengths, raw[f"{name}_dict_blob"] if blob is None else blob)
+    members[f"{name}_dict_deflated"] = honest[0] if stream is None else stream
+    members[f"{name}_dict_header"] = honest[1] if header is None else header
+    np.savez(path, **members)
+
+
+def _lengths(doc, name):
+    return np.diff(raw_dictionaries(doc)[f"{name}_dict_offsets"])
+
+
+def _stream(doc, name, tail=b"", cut=0):
+    stream = deflated(_lengths(doc, name), raw_dictionaries(doc)[f"{name}_dict_blob"])[0]
+    return np.frombuffer(stream.tobytes()[: len(stream) - cut] + tail, dtype=np.uint8)
+
+
+def _shift(doc, name, by):
+    """Lengths that still sum to the blob size, the first ``by`` less
+    (negative when ``by`` exceeds it) and the second ``by`` more."""
+    lengths = _lengths(doc, name).copy()
+    lengths[:2] += (-by, by)
+    return lengths
+
+
+def _header(doc, name, extra=0):
+    lengths = _lengths(doc, name)
+    return np.asarray([len(lengths), int(lengths.sum()) + extra], dtype=np.int64)
+
+
+#: Every way a dictionary's members can disagree with each other.
+HOSTILE_DICTIONARIES = {
+    "truncated-stream": lambda doc, name: {"stream": _stream(doc, name, cut=5)},
+    "empty-stream": lambda doc, name: {"stream": np.empty(0, np.uint8)},
+    "trailing-bytes": lambda doc, name: {"stream": _stream(doc, name, tail=b"\0\0")},
+    "not-a-zlib-stream": lambda doc, name: {"stream": np.full(64, 0xAB, np.uint8)},
+    "inflates-past-the-header": lambda doc, name: {"header": _header(doc, name, -1)},
+    "inflates-short-of-the-header": lambda doc, name: {"header": _header(doc, name, +1)},
+    "lengths-short-of-the-blob": lambda doc, name: {"lengths": _lengths(doc, name) // 2},
+    "lengths-past-the-blob": lambda doc, name: {"lengths": _lengths(doc, name) * 2 + 1},
+    "a-negative-length": lambda doc, name: {
+        "lengths": _shift(doc, name, int(_lengths(doc, name)[0]) + 1)
+    },
+    "header-of-three": lambda doc, name: {"header": np.asarray([1, 2, 3])},
+    "header-entries-past-the-bytes": lambda doc, name: {"header": np.asarray([10**6, 4])},
+    "negative-header": lambda doc, name: {"header": np.asarray([-1, -1])},
+}
+
+
+@pytest.mark.parametrize("mmap_flag", [False, True], ids=["read", "mmap"])
+@pytest.mark.parametrize("name", ["tag", "value"])
+@pytest.mark.parametrize("forgery", sorted(HOSTILE_DICTIONARIES))
+def test_a_hostile_dictionary_stream_is_rejected(
+    small_xmark, tmp_path, forgery, name, mmap_flag
+):
+    path = str(tmp_path / "forged.npz")
+    forge_dictionary(small_xmark, path, name, **HOSTILE_DICTIONARIES[forgery](small_xmark, name))
+    for decode_cache in ("full", "blocks"):
+        with pytest.raises(EncodingError, match=f"corrupt {name} dictionary"):
+            load(path, mmap=mmap_flag, decode_cache=decode_cache)
+
+
+def test_the_forgeries_are_forged_from_an_honest_archive(small_xmark, tmp_path):
+    """The hand-written members load as ``save``'s own do: each forgery
+    above changes only what its name says."""
+    path = str(tmp_path / "honest.npz")
+    forge_dictionary(small_xmark, path, "value")
+    assert tables_equal(small_xmark, load(path))
+
+
+@pytest.mark.parametrize("mmap_flag", [False, True], ids=["read", "mmap"])
+def test_inflation_stops_one_byte_past_the_header(small_xmark, tmp_path, monkeypatch, mmap_flag):
+    """A stream that inflates to far more than its header declares (a
+    deflate bomb) is read no further than header + 1 bytes."""
+    entries = len(raw_dictionaries(small_xmark)["value_dict_offsets"]) - 1
+    bomb = np.frombuffer(zlib.compress(bytes(5_000_000), 1), dtype=np.uint8)
+    path = str(tmp_path / "bomb.npz")
+    forge_dictionary(
+        small_xmark, path, "value", stream=bomb,
+        header=np.asarray([entries, entries], dtype=np.int64),
+    )
+    inflated = []  # bytes out of each inflater: the tag's, then the value's
+    real = zlib.decompressobj
+
+    class Counting:
+        def __init__(self):
+            self.inner = real()
+            inflated.append(0)
+
+        def decompress(self, data, max_length=0):
+            out = self.inner.decompress(data, max_length)
+            inflated[-1] += len(out)
+            return out
+
+        def __getattr__(self, attribute):
+            return getattr(self.inner, attribute)
+
+    monkeypatch.setattr(persist.zlib, "decompressobj", Counting)
+    with pytest.raises(EncodingError, match="corrupt value dictionary"):
+        load(path, mmap=mmap_flag)
+    assert inflated[-1] == 4 * entries + entries + 1  # header + 1, of 5 MB
+
+
+#: Sorted, unique dictionary entries: the empty string, NUL, characters
+#: of every UTF-8 length (1–4 bytes, non-BMP included), no surrogates.
+_ENTRY = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(["\x00", "a", "\xe9", "\u20ac", "\U0001F600", "\U0010FFFF"]),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=6,
+)
+
+
+@given(entries=st.sets(_ENTRY, max_size=40).map(lambda s: sorted(s | {"", "\x00"})))
+@settings(max_examples=30, deadline=None)
+def test_deflated_dictionaries_load_byte_identical_to_eager_ones(entries, tmp_path_factory):
+    """save(packed) → load is the eager load's ``blob`` / ``offsets``
+    byte for byte, and ``encode_dictionary``'s, in every open mode."""
+    from repro.xmltree.model import attribute, element
+
+    doc = encode(element("r", *(element("e", attribute("v", s)) for s in entries)))
+    blob, offsets = encode_dictionary(entries)
+    directory = tmp_path_factory.mktemp("dictionaries")
+    eager, packed = str(directory / "eager.npz"), str(directory / "packed.npz")
+    save(doc, eager)
+    save(doc, packed, compression="packed")
+    loads = [load(eager).values] + [
+        load(packed, mmap=mmap_flag, decode_cache=decode_cache).values
+        for mmap_flag in (False, True)
+        for decode_cache in ("full", "blocks")
+    ]
+    for values in loads:
+        assert values.blob.dtype == blob.dtype and values.offsets.dtype == offsets.dtype
+        assert values.blob.tobytes() == blob.tobytes()
+        assert values.offsets.tobytes() == offsets.tobytes()
+        assert [values.entry(code) for code in range(len(entries))] == entries
+
+
+class TestDescribeArchive:
+    def test_an_eager_archive_is_counted_from_headers_never_loaded(self, small_xmark, tmp_path):
+        """``nodes`` and the dictionary sizes come from ``.npy`` headers:
+        an archive whose ``level`` data is cut away still describes (and
+        still fails to load)."""
+        path = str(tmp_path / "doc.npz")
+        save(small_xmark, path)
+        full = describe_archive(path)
+        cut = str(tmp_path / "cut.npz")
+        with zipfile.ZipFile(path) as src, zipfile.ZipFile(cut, "w") as dst:
+            for info in src.infolist():
+                data = src.read(info.filename)
+                if info.filename == "level.npy":
+                    data = data[: len(data) - 2 * len(small_xmark)]  # the header alone
+                dst.writestr(info.filename, data)
+        described = describe_archive(cut)
+        assert described["nodes"] == full["nodes"] == len(small_xmark)
+        raw = raw_dictionaries(small_xmark)
+        for name in ("tag", "value"):
+            assert described[f"{name}_dictionary"] == full[f"{name}_dictionary"]
+            assert described[f"{name}_dictionary"]["entries"] == len(raw[f"{name}_dict_offsets"]) - 1
+            assert described[f"{name}_dictionary"]["bytes"] == len(raw[f"{name}_dict_blob"])
+        with pytest.raises(EncodingError):
+            load(cut)
+        with zipfile.ZipFile(path) as src, zipfile.ZipFile(cut, "w") as dst:
+            for info in src.infolist():
+                data = src.read(info.filename)
+                dst.writestr(info.filename, b"not an npy header" if info.filename == "level.npy" else data)
+        with pytest.raises(EncodingError, match="level"):
+            describe_archive(cut)
+
+    def test_a_packed_archive_reports_raw_and_stored_bytes_without_inflating(
+        self, small_xmark, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "packed.npz")
+        save(small_xmark, path, compression="packed")
+        monkeypatch.setattr(persist.zlib, "decompressobj", None)  # no inflater
+        described = describe_archive(path)
+        raw = raw_dictionaries(small_xmark)
+        with zipfile.ZipFile(path) as archive:
+            for name in ("tag", "value"):
+                record = described[f"{name}_dictionary"]
+                assert record["entries"] == len(raw[f"{name}_dict_offsets"]) - 1
+                assert record["bytes"] == len(raw[f"{name}_dict_blob"])
+                assert record["stored_bytes"] == sum(
+                    archive.getinfo(f"{name}_dict_{part}.npy").file_size
+                    for part in ("deflated", "header")
+                )
+        value = described["value_dictionary"]
+        assert value["stored_bytes"] < value["bytes"] + 4 * value["entries"]
 
 
 # ----------------------------------------------------------------------

@@ -97,7 +97,7 @@ class TestCompressionSetting:
     def test_packed_store_records_the_packed_format(self, packed_store):
         assert packed_store.compression == "packed"
         for entry in packed_store._manifest["shards"]:
-            assert entry["format"] == LAYOUT_VERSIONS["packed"] == 5
+            assert entry["format"] == LAYOUT_VERSIONS["packed"] == 7
 
     def test_auto_small_docs_stay_eager(self, forest, tmp_path):
         store = ShardedStore.build(
