@@ -300,8 +300,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config = ServerConfig(
             host=args.host,
             port=args.port,
-            coalesce_window_s=args.coalesce_window_ms / 1e3,
-            max_batch=args.max_batch,
             rate=args.rate,
             burst=args.burst,
             peer_rate_factor=args.peer_rate_factor,
@@ -592,21 +590,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = commands.add_parser(
         "serve",
-        help="serve a sharded store over HTTP/JSON (asyncio, coalescing, "
-        "admission control)",
+        help="serve a sharded store over HTTP/JSON (asyncio, admission control)",
     )
     cmd.add_argument("store", help="store directory built by `shard`")
     cmd.add_argument("--host", default="127.0.0.1")
     cmd.add_argument("--port", type=int, default=8080, help="0 = OS-assigned")
-    cmd.add_argument(
-        "--coalesce-window-ms", type=float, default=4.0, metavar="MS",
-        help="merge concurrent queries arriving within this window into "
-        "one batch (0 disables coalescing; default 4)",
-    )
-    cmd.add_argument(
-        "--max-batch", type=int, default=64,
-        help="flush a forming batch at this size (default 64)",
-    )
     cmd.add_argument(
         "--rate", type=float, default=0.0,
         help="per-client requests/second; over-rate requests get 429 + "

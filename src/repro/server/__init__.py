@@ -5,11 +5,8 @@ The library answered queries in-process (PRs 1–5); this package serves
 
 * :class:`~repro.server.app.QueryServer` — stdlib-asyncio HTTP/1.1
   endpoint in front of a :class:`~repro.service.service.QueryService`
-  (``/query``, ``/batch``, ``/update``, ``/health``, ``/stats``);
-* :class:`~repro.server.coalescer.QueryCoalescer` — concurrent single
-  queries arriving within a small window merge into one
-  ``execute_batch`` (the shared-prefix trie's unit of work), per-query
-  result mode preserved;
+  (``/query``, ``/batch``, ``/update``, ``/health``, ``/stats``), each
+  request one service call on a single dispatch lane off the event loop;
 * :class:`~repro.server.admission.RateLimiter` /
   :class:`~repro.server.admission.AdmissionQueue` — per-client token
   buckets and a bounded in-flight cap that shed with 429/503 +
@@ -23,14 +20,11 @@ CLI: ``python -m repro serve store --port 8080``.
 
 from repro.server.admission import AdmissionQueue, RateLimiter, TokenBucket
 from repro.server.app import QueryServer, ServerConfig, ThreadedServer
-from repro.server.coalescer import CoalescerDraining, QueryCoalescer
 from repro.server.stats import ServerStats
 from repro.server.wire import result_to_payload
 
 __all__ = [
     "AdmissionQueue",
-    "CoalescerDraining",
-    "QueryCoalescer",
     "QueryServer",
     "RateLimiter",
     "ServerConfig",

@@ -21,7 +21,7 @@ of partitioned, bounded access applied to a request stream:
    churn cannot defeat the limiter, the peer backstop still binds).
 
 2. :class:`AdmissionQueue` — a global cap on requests admitted but not
-   yet answered (coalescing window + dispatch + serialization).  When
+   yet answered (dispatch + serialization).  When
    the server is saturated the queue fills and new work gets **503** +
    ``Retry-After`` immediately — a cheap rejection the client can act
    on, instead of an unbounded backlog where every queued request's

@@ -5,8 +5,13 @@ third-party runtime dependency, matching the rest of the repo.  The
 request path is::
 
     connection → parse request → [draining? 503] → [rate limit? 429]
-       → [admission queue full? 503] → coalescer / dispatch lane
+       → [admission queue full? 503] → dispatch lane
        → JSON response (admission slot released before the write)
+
+Every ``/query``, ``/batch`` and ``/update`` runs its one service call
+on a single dispatch thread, off the event loop: the engines hold the
+GIL for a whole call, and the serial backend's worker state is not
+thread-safe.  A ``/query`` is dispatched the moment it is admitted.
 
 Endpoints
 ---------
@@ -15,19 +20,18 @@ Endpoints
     Never rate-limited or queued — observable under any overload.
 ``GET /stats``
     The full statistics surface: server counters + per-endpoint
-    latency histograms (p50/p99), coalescer batch accounting,
-    admission queue depth + shed counts, and the service's consistent
+    latency histograms (p50/p99), admission queue depth + shed
+    counts, and the service's consistent
     :meth:`~repro.service.service.QueryService.stats_snapshot` (epoch,
     cache hit rates).
 ``POST /query``
     One query: ``{"query": ..., "mode"?, "use_cache"?, "document"?}``
     (other fields, ``engine`` among them, are ignored: every query runs
-    on the service's engine).  Unscoped queries
-    coalesce with concurrent arrivals into one ``execute_batch``.
+    on the service's engine).  One ``execute`` call.
 ``POST /batch``
     An explicit batch: ``{"queries": [...], "mode"?}`` (one mode or
-    one per query) — already batched, so it skips the window and goes
-    straight to the dispatch lane.
+    one per query) — one ``execute_batch`` call, whose queries share
+    operator prefixes.
 ``POST /update``
     ``{"ops": [...]}`` in the JSON ops-file format of
     :func:`~repro.service.updates.parse_ops`; applied atomically.
@@ -38,16 +42,15 @@ Protocol guarantees (the test suite pins each):
   saturated server gets 503, both with ``Retry-After``, in O(1).
   ``X-Client-Id`` is advisory; rate enforcement anchors on the peer
   address with a per-peer backstop so rotating ids cannot bypass it.
-* **Coalescing shares work, never failures** — queries are validated
-  per-request before they may join a batch, and a batch that still
-  fails mid-flight is re-run per query; one client's bad input can
-  only 400 that client, never its coalesced siblings.
+* **One request, one answer** — each ``/query`` is its own service
+  call, so a malformed query or unknown mode is a 400 for that request
+  alone; concurrent requests never share a failure.
 * **Slow clients cannot wedge the server** — header/body reads and
   response writes carry timeouts; a stalled peer costs one connection,
   never a dispatch lane or an admission slot.
 * **Graceful shutdown drains** — the listener closes first (new
-  connections refused), forming batches flush, in-flight requests get
-  their real responses, then connections close.
+  connections refused), in-flight requests get their real responses,
+  then connections close.
 """
 
 from __future__ import annotations
@@ -64,13 +67,10 @@ from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import ReproError, XPathSyntaxError
 from repro.server.admission import AdmissionQueue, RateLimiter, retry_after_header
-from repro.server.coalescer import CoalescerDraining, QueryCoalescer
 from repro.server.stats import ServerStats
 from repro.server.wire import encode_batch, encode_result
 from repro.service.service import QueryService
 from repro.service.updates import parse_ops
-from repro.xpath.evaluator import parse_with_cache
-from repro.xpath.pipeline import MODES
 
 __all__ = ["QueryServer", "ServerConfig", "ThreadedServer"]
 
@@ -96,8 +96,6 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080  #: 0 = OS-assigned (tests/bench)
-    coalesce_window_s: float = 0.004  #: 0 disables coalescing
-    max_batch: int = 64  #: flush a forming batch at this size
     rate: float = 0.0  #: per-client requests/second; 0 disables
     burst: float = 16.0  #: per-client token-bucket burst
     peer_rate_factor: float = 4.0  #: per-peer backstop = this × rate/burst
@@ -146,18 +144,11 @@ class QueryServer:
         self.admission = AdmissionQueue(
             self.config.queue_limit, self.config.retry_after_s
         )
-        # One blocking-dispatch lane: batches serialize, because the
-        # serial backend's ShardWorkerState is not synchronised.
+        # One blocking-dispatch lane: service calls serialize, because
+        # the serial backend's ShardWorkerState is not synchronised.
         self._dispatcher = ThreadPoolExecutor(
             max_workers=1,
             thread_name_prefix="repro-dispatch",
-        )
-        self.coalescer = QueryCoalescer(
-            service,
-            self._dispatcher,
-            stats=self.stats,
-            window_s=self.config.coalesce_window_s,
-            max_batch=self.config.max_batch,
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: set = set()
@@ -195,8 +186,7 @@ class QueryServer:
         print(
             f"serving {self.service.store.directory} on "
             f"http://{self.config.host}:{self.port} "
-            f"(window {self.config.coalesce_window_s * 1e3:g} ms, "
-            f"queue limit {self.config.queue_limit}, "
+            f"(queue limit {self.config.queue_limit}, "
             f"rate {self.config.rate:g}/s)",
             file=sys.stderr,
             flush=True,
@@ -211,10 +201,10 @@ class QueryServer:
 
         Order matters: (1) close the listener so new connections are
         refused at the socket; (2) mark draining so requests already on
-        kept-alive connections shed with 503; (3) flush the coalescer
-        so every accepted query gets its real answer; (4) wait for
-        active handlers to write their responses (bounded by
-        ``drain_timeout_s``); (5) close lingering idle connections and
+        kept-alive connections shed with 503; (3) wait for active
+        handlers — each admitted request is already on the dispatch
+        lane — to write their real responses (bounded by
+        ``drain_timeout_s``); (4) close lingering idle connections and
         the dispatch pool.  Idempotent.
         """
         if self._shutdown_done:
@@ -224,7 +214,6 @@ class QueryServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        await self.coalescer.close()
         deadline = time.monotonic() + self.config.drain_timeout_s
         while self._active > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.005)
@@ -423,17 +412,6 @@ class QueryServer:
         except XPathSyntaxError as error:
             message = str(error).strip().splitlines()[0]
             return 400, {"error": message}, {}, request.keep_alive
-        except CoalescerDraining as error:
-            # A request that passed the _draining check can still lose
-            # the race against shutdown at coalescer.submit — that is a
-            # server-side drain, not a client error.
-            self.stats.record_shed("draining")
-            return (
-                503,
-                {"error": str(error)},
-                {"Retry-After": retry_after_header(self.config.retry_after_s)},
-                False,
-            )
         except ReproError as error:
             return 400, {"error": str(error)}, {}, request.keep_alive
         except Exception as error:  # noqa: BLE001  # repro: allow[REP007] - the 500 boundary: one bad handler must answer 500, not kill the connection loop
@@ -501,32 +479,23 @@ class QueryServer:
             raise _HttpError(400, f"field {name!r} must be a {kind.__name__}")
         return value
 
+    async def _run(self, fn):
+        """Run one blocking service call on the dispatch lane."""
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(self._dispatcher, fn)
+
     async def _handle_query(self, request: _Request) -> bytes:
         body = self._json_body(request)
         query = self._field(body, "query", str, required=True)
         mode = self._field(body, "mode", str, default="materialize")
         document = self._field(body, "document", str)
         use_cache = self._field(body, "use_cache", bool, default=True)
-        # Validate everything per-request *before* the query may join a
-        # coalesced batch: a syntax error or bad mode must 400 this
-        # request alone — inside execute_batch it would abort the whole
-        # batch and contaminate other clients' queries.
-        if mode not in MODES:
-            raise _HttpError(
-                400,
-                f"unknown result mode {mode!r} (expected one of {MODES})",
+        self.stats.record_query()
+        result = await self._run(
+            lambda: self.service.execute(
+                query, document=document, use_cache=use_cache, mode=mode
             )
-        parse_with_cache(query, self.service.plan_cache)  # syntax → 400
-        if document is not None:
-            # Scoped queries target one member document — nothing to
-            # share with the batch, so they take the dispatch lane solo.
-            result = await self.coalescer.run(
-                lambda: self.service.execute(
-                    query, document=document, use_cache=use_cache, mode=mode
-                )
-            )
-        else:
-            result = await self.coalescer.submit(query, mode=mode, use_cache=use_cache)
+        )
         return encode_result(result)
 
     async def _handle_batch(self, request: _Request) -> bytes:
@@ -536,11 +505,14 @@ class QueryServer:
             raise _HttpError(400, "field 'queries' must be a non-empty "
                                   "list of strings")
         mode = body.get("mode", "materialize")
-        if not isinstance(mode, (str, list)):
-            raise _HttpError(400, "field 'mode' must be a string or a list")
+        # A list or dict inside the list cannot key the result cache.
+        modes = mode if isinstance(mode, list) else [mode]
+        if not all(isinstance(m, str) for m in modes):
+            raise _HttpError(400, "field 'mode' must be a string or a list "
+                                  "of strings")
         use_cache = self._field(body, "use_cache", bool, default=True)
         started = time.perf_counter()
-        results = await self.coalescer.run(
+        results = await self._run(
             lambda: self.service.execute_batch(queries, use_cache=use_cache, mode=mode)
         )
         elapsed_ms = round((time.perf_counter() - started) * 1e3, 3)
@@ -550,9 +522,7 @@ class QueryServer:
         body = self._json_body(request)
         raw_ops = self._field(body, "ops", list, required=True)
         ops = parse_ops(raw_ops)  # validates *before* taking the lane
-        summary = await self.coalescer.run(
-            lambda: self.service.apply_updates(ops)
-        )
+        summary = await self._run(lambda: self.service.apply_updates(ops))
         return {
             "epoch": summary["epoch"],
             "applied": summary["applied"],
@@ -575,11 +545,6 @@ class QueryServer:
                 "burst": self.limiter.burst,
                 "clients": self.limiter.clients(),
             },
-            "coalescer": {
-                "window_ms": self.config.coalesce_window_s * 1e3,
-                "max_batch": self.config.max_batch,
-                "pending": self.coalescer.pending_queries(),
-            },
             "service": self.service.stats_snapshot(),
         }
 
@@ -587,10 +552,10 @@ class QueryServer:
 class ThreadedServer:
     """Run a :class:`QueryServer` on a private event-loop thread.
 
-    The harness tests and the load bench need a live server *and* a
-    foreground thread to drive clients from; this wrapper owns the loop
-    thread and exposes ``port``/``stop()``.  ``stop()`` performs the
-    full graceful shutdown (drain, then join).
+    Tests and in-process callers need a live server *and* a foreground
+    thread to drive clients from; this wrapper owns the loop thread and
+    exposes ``port``/``stop()``.  ``stop()`` performs the full graceful
+    shutdown (drain, then join).
     """
 
     def __init__(self, service: QueryService, config: Optional[ServerConfig] = None):

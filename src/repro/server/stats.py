@@ -1,19 +1,16 @@
 """The server's observability surface: request counters + latency.
 
 One :class:`ServerStats` lives per :class:`~repro.server.app.QueryServer`
-and is written from the event loop (response accounting) and the
-coalescer (batch accounting) while ``/stats`` handlers, tests and the
-load bench read it concurrently — every method takes the internal lock,
-and latency quantiles come from the bounded
+and is written from the event loop while ``/stats`` handlers, tests and
+``benchmarks/e2e`` read it concurrently — every method takes the
+internal lock, and latency quantiles come from the bounded
 :class:`~repro.counters.LatencyHistogram` rather than per-request
 samples, so the surface stays O(1) memory under any traffic.
 
 The ``/stats`` payload stitches three layers together:
 
 * **server** — uptime, per-endpoint request/latency histograms, status
-  code counts, open connections;
-* **coalescer** — batches flushed, queries coalesced, largest batch
-  (the "is the window earning its keep" signal);
+  code counts, open connections, ``/query`` dispatches;
 * **admission** — queue depth/limit and shed counts (429 rate-limit,
   503 queue-full, 503 draining);
 * **service** — the :meth:`~repro.service.service.QueryService.stats_snapshot`
@@ -45,15 +42,12 @@ class ServerStats:
             "queue_full": 0,
             "draining": 0,
         }
-        self._batches = 0  # guarded-by: _lock
-        self._coalesced_queries = 0  # guarded-by: _lock
-        self._largest_batch = 0  # guarded-by: _lock
-        self._fallbacks = 0  # guarded-by: _lock
+        self._queries = 0  # guarded-by: _lock
         self._connections_opened = 0  # guarded-by: _lock
         self._connections_open = 0  # guarded-by: _lock
 
     # ------------------------------------------------------------------
-    # Recording (event loop + coalescer side)
+    # Recording (event loop side)
     # ------------------------------------------------------------------
     def record_response(self, endpoint: str, status: int, seconds: float) -> None:
         """Account one finished request (any status, shed or served)."""
@@ -72,19 +66,10 @@ class ServerStats:
         with self._lock:
             self._shed[kind] = self._shed.get(kind, 0) + 1
 
-    def record_batch(self, size: int) -> None:
-        """Account one coalesced ``execute_batch`` flush of ``size``."""
+    def record_query(self) -> None:
+        """Count one ``/query`` handed to the dispatch lane."""
         with self._lock:
-            self._batches += 1
-            self._coalesced_queries += size
-            if size > self._largest_batch:
-                self._largest_batch = size
-
-    def record_fallback(self) -> None:
-        """Count one failed batch re-run as per-query executions (the
-        coalescer's failure-isolation path)."""
-        with self._lock:
-            self._fallbacks += 1
+            self._queries += 1
 
     def connection_opened(self) -> None:
         with self._lock:
@@ -105,8 +90,6 @@ class ServerStats:
     def snapshot(self) -> dict:
         """The server-layer slice of the ``/stats`` payload."""
         with self._lock:
-            batches = self._batches
-            coalesced = self._coalesced_queries
             histograms = dict(self._histograms)
             payload = {
                 "uptime_s": round(time.monotonic() - self._started, 3),
@@ -120,12 +103,12 @@ class ServerStats:
                     "opened": self._connections_opened,
                     "open": self._connections_open,
                 },
+                # benchmarks/e2e reads these keys: each /query is one
+                # dispatch, a batch of one.  ROADMAP item 7 retires them.
                 "coalescer": {
-                    "batches": batches,
-                    "queries": coalesced,
-                    "largest_batch": self._largest_batch,
-                    "mean_batch": round(coalesced / batches, 2) if batches else 0.0,
-                    "fallbacks": self._fallbacks,
+                    "batches": self._queries,
+                    "queries": self._queries,
+                    "fallbacks": 0,
                 },
             }
         payload["latency"] = {

@@ -291,8 +291,8 @@ class TestLoopConfinement:
         assert len(active(findings, "REP003")) == 1
 
     def test_lambda_dispatch_is_clean(self, tmp_path):
-        # The coalescer pattern: blocking call packaged in a lambda and
-        # handed to an executor runs off-loop.
+        # The dispatch-lane pattern: blocking call packaged in a lambda
+        # and handed to an executor runs off-loop.
         findings = lint_snippet(
             tmp_path,
             """

@@ -222,6 +222,16 @@ class TestShardServeBatch:
             assert exit_info.value.code == 2
             assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
+    def test_serve_coalescing_flags_are_gone(self, store_dir, capsys):
+        """``serve`` has no request-coalescing window: every ``/query``
+        goes straight to the dispatch lane, so the window and batch-size
+        flags are usage errors."""
+        for flag, value in (("--coalesce-window-ms", "4"), ("--max-batch", "8")):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["serve", store_dir, flag, value])
+            assert exit_info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_explain_on_a_store(self, store_dir, capsys):
         capsys.readouterr()
         assert (

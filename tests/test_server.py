@@ -1,17 +1,16 @@
-"""Server suite: endpoints, coalescing, admission, faults, shutdown.
+"""Server suite: endpoints, concurrency, admission, faults, shutdown.
 
 The headline property mirrors the service-layer ones: **the network
 front door is transparent** — any mix of concurrent ``/query`` requests
 answers byte-identically to per-request ``QueryService.execute`` (the
-hypothesis sweep drives modes × ignored fields through a live
-coalescing server).  Around it, the protocol contracts: backpressure
+hypothesis sweep drives concurrent modes × ignored fields through a live
+server).  Around it, the protocol contracts: backpressure
 (429/503 + ``Retry-After``) instead of unbounded queueing, slow and
 disconnecting clients costing a connection but never the server, mixed
 query/update traffic staying epoch-consistent, and graceful shutdown
 draining every in-flight request while refusing new connections.
 """
 
-import asyncio
 import contextlib
 import http.client
 import json
@@ -19,7 +18,6 @@ import os
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +26,6 @@ from repro.errors import ReproError
 from repro.harness.workloads import get_forest
 from repro.server import (
     AdmissionQueue,
-    QueryCoalescer,
     RateLimiter,
     ServerConfig,
     ThreadedServer,
@@ -74,11 +71,9 @@ def store_dir(forest, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def live(store_dir):
-    """A module-wide read-only server (5 ms window, no limits)."""
+    """A module-wide read-only server (no limits)."""
     service = QueryService(ShardedStore.open(store_dir), backend=BACKEND)
-    server = ThreadedServer(
-        service, ServerConfig(port=0, coalesce_window_s=0.005)
-    ).start()
+    server = ThreadedServer(service, ServerConfig(port=0)).start()
     yield server
     server.stop()
     service.close()
@@ -122,6 +117,18 @@ def serving(directory, config=None, backend=BACKEND):
         service.close()
 
 
+def hold_dispatch(service, seconds):
+    """Make every ``execute`` hold the dispatch lane for ``seconds``
+    first, so concurrent requests are still in flight when a test acts."""
+    execute = service.execute
+
+    def slow(*args, **kwargs):
+        time.sleep(seconds)
+        return execute(*args, **kwargs)
+
+    service.execute = slow
+
+
 def expected_payload(reference, query, mode="materialize", document=None):
     """What the wire payload must contain, from a direct execute."""
     result = reference.execute(query, document=document, use_cache=False, mode=mode)
@@ -161,7 +168,13 @@ class TestEndpoints:
         request(live.port, "POST", "/query", {"query": "//person"})
         status, payload, _ = request(live.port, "GET", "/stats")
         assert status == 200
-        assert set(payload) == {"server", "admission", "coalescer", "service"}
+        assert set(payload) == {"server", "admission", "service"}
+        # benchmarks/e2e reads these three keys: every /query is a
+        # batch of one.
+        shim = payload["server"]["coalescer"]
+        assert set(shim) == {"batches", "queries", "fallbacks"}
+        assert shim["batches"] == shim["queries"] >= 1
+        assert shim["fallbacks"] == 0
         assert payload["admission"]["depth"] == 0
         assert payload["admission"]["limit"] == 64
         assert payload["service"]["epoch"] == live.service.store.epoch
@@ -291,6 +304,12 @@ class TestErrors:
             live.port, "POST", "/batch", {"queries": []}
         )
         assert status == 400
+        for mode in ([["count"]], [{"mode": "count"}]):
+            status, payload, _ = request(
+                live.port, "POST", "/batch",
+                {"queries": ["//person"], "mode": mode},
+            )
+            assert status == 400 and "'mode'" in payload["error"], mode
         status, payload, _ = request(
             live.port, "POST", "/update", {"ops": "not-a-list"}
         )
@@ -396,70 +415,14 @@ class TestErrors:
 
 
 # ----------------------------------------------------------------------
-class TestCoalescing:
-    def test_concurrent_queries_coalesce_into_one_batch(self, store_dir):
-        config = ServerConfig(port=0, coalesce_window_s=0.1)
-        with serving(store_dir, config) as server:
-            queries = ["//person", "//person/profile", "//open_auction",
-                       "//item", "//bidder", "//seller"]
-            outcomes = [None] * len(queries)
-            barrier = threading.Barrier(len(queries))
-
-            def client(i):
-                barrier.wait()
-                outcomes[i] = request(
-                    server.port, "POST", "/query",
-                    {"query": queries[i], "use_cache": False},
-                )
-
-            threads = [
-                threading.Thread(target=client, args=(i,))
-                for i in range(len(queries))
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert all(status == 200 for status, _, _ in outcomes)
-            _, stats, _ = request(server.port, "GET", "/stats")
-            coalescer = stats["server"]["coalescer"]
-            assert coalescer["largest_batch"] > 1
-            assert coalescer["queries"] == len(queries)
-
-    def test_max_batch_flushes_early(self, store_dir):
-        config = ServerConfig(port=0, coalesce_window_s=5.0, max_batch=2)
-        with serving(store_dir, config) as server:
-            outcomes = [None, None]
-            barrier = threading.Barrier(2)
-
-            def client(i):
-                barrier.wait()
-                outcomes[i] = request(
-                    server.port, "POST", "/query",
-                    {"query": "//person", "use_cache": False}, timeout=3,
-                )
-
-            started = time.perf_counter()
-            threads = [
-                threading.Thread(target=client, args=(i,)) for i in range(2)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            elapsed = time.perf_counter() - started
-            # Without the size trigger these would wait out the 5s window.
-            assert elapsed < 3.0
-            assert all(status == 200 for status, _, _ in outcomes)
-
-    def test_bad_queries_do_not_contaminate_coalesced_siblings(
+class TestConcurrentQueries:
+    def test_good_and_bad_queries_each_get_their_own_answer(
         self, store_dir, reference
     ):
-        """A malformed query or unknown mode arriving inside the window
-        400s its own request only — concurrent valid queries sharing the
-        batch still get their real answers."""
-        config = ServerConfig(port=0, coalesce_window_s=0.2)
-        with serving(store_dir, config) as server:
+        """A malformed query or unknown mode among concurrent requests
+        400s its own request only — the valid ones get the answer a
+        direct ``execute`` gives."""
+        with serving(store_dir) as server:
             jobs = [
                 ({"query": "//person", "use_cache": False}, 200),
                 ({"query": "//[", "use_cache": False}, 400),
@@ -492,73 +455,141 @@ class TestCoalescing:
                 expected_payload(reference, "//bidder", mode="count"),
             )
 
-    def test_batch_failure_falls_back_to_per_query_execution(self):
-        """Defense in depth below pre-validation: if ``execute_batch``
-        itself raises, only the offending query's future sees the error
-        — siblings are re-run solo and still answered."""
+    def test_every_query_is_one_dispatch_on_one_lane(self, store_dir):
+        """Concurrent ``/query`` requests are never merged: each is its
+        own ``execute`` call, and the lane runs them one at a time."""
+        with serving(store_dir) as server:
+            service = server.service
+            execute = service.execute
+            lock = threading.Lock()
+            calls, running, peak = [], [0], [0]
 
-        class _FailingBatchService:
-            def execute_batch(self, queries, **kwargs):
-                raise RuntimeError("batch-level failure")
+            def tracked(query, **kwargs):
+                with lock:
+                    calls.append(query)
+                    running[0] += 1
+                    peak[0] = max(peak[0], running[0])
+                try:
+                    time.sleep(0.02)
+                    return execute(query, **kwargs)
+                finally:
+                    with lock:
+                        running[0] -= 1
 
-            def execute(self, query, **kwargs):
-                if query == "bad":
-                    raise ReproError("bad query")
-                return f"ok:{query}"
+            service.execute = tracked
+            queries = ["//person", "//person/profile", "//open_auction",
+                       "//item", "//bidder", "//seller"]
+            outcomes = [None] * len(queries)
+            barrier = threading.Barrier(len(queries))
 
-        async def drive(pool):
-            coalescer = QueryCoalescer(
-                _FailingBatchService(), pool, window_s=0.05
-            )
-            results = await asyncio.gather(
-                coalescer.submit("good-1"),
-                coalescer.submit("bad"),
-                coalescer.submit("good-2"),
-                return_exceptions=True,
-            )
-            return results, coalescer._stats.snapshot()["coalescer"]
-
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            (r1, r2, r3), stats = asyncio.run(drive(pool))
-        assert r1 == "ok:good-1" and r3 == "ok:good-2"
-        assert isinstance(r2, ReproError)
-        assert stats["batches"] == 1 and stats["largest_batch"] == 3
-        assert stats["fallbacks"] == 1
-
-    def test_an_engine_field_does_not_split_a_batch(self, store_dir, reference):
-        """The batch key is ``use_cache`` alone: bodies naming different
-        engines join one batch (``max_batch=2`` flushes it at once, long
-        before the window) and the service's engine answers both."""
-        config = ServerConfig(port=0, coalesce_window_s=5.0, max_batch=2)
-        with serving(store_dir, config) as server:
-            outcomes = {}
-            barrier = threading.Barrier(2)
-
-            def client(engine):
+            def client(i):
                 barrier.wait()
-                outcomes[engine] = request(
+                outcomes[i] = request(
                     server.port, "POST", "/query",
-                    {"query": "//person", "engine": engine, "use_cache": False},
+                    {"query": queries[i], "use_cache": False},
                 )
 
             threads = [
-                threading.Thread(target=client, args=(engine,))
-                for engine in ENGINES
+                threading.Thread(target=client, args=(i,))
+                for i in range(len(queries))
             ]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
-            for engine in ENGINES:
-                status, payload, _ = outcomes[engine]
-                assert status == 200 and payload["engine"] == "vectorized"
-                assert_matches(payload, expected_payload(reference, "//person"))
+            assert all(status == 200 for status, _, _ in outcomes)
+            assert sorted(calls) == sorted(queries)
+            assert peak[0] == 1
             _, stats, _ = request(server.port, "GET", "/stats")
-            assert stats["server"]["coalescer"]["largest_batch"] == 2
+            assert stats["server"]["coalescer"] == {
+                "batches": len(queries), "queries": len(queries), "fallbacks": 0,
+            }
+
+    def test_a_failing_execute_is_a_500_for_its_request_only(
+        self, store_dir, reference
+    ):
+        """An unexpected error inside ``execute`` answers 500 to the
+        request that raised it; concurrent siblings get their real
+        answers and the server keeps serving."""
+        with serving(store_dir) as server:
+            service = server.service
+            execute = service.execute
+
+            def flaky(query, **kwargs):
+                if query == "//seller":
+                    raise RuntimeError("injected execute failure")
+                return execute(query, **kwargs)
+
+            service.execute = flaky
+            queries = ["//person", "//seller", "//item"]
+            outcomes = [None] * len(queries)
+            barrier = threading.Barrier(len(queries))
+
+            def client(i):
+                barrier.wait()
+                outcomes[i] = request(
+                    server.port, "POST", "/query",
+                    {"query": queries[i], "use_cache": False},
+                )
+
+            threads = [
+                threading.Thread(target=client, args=(i,))
+                for i in range(len(queries))
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            status, payload, _ = outcomes[1]
+            assert status == 500
+            assert payload == {"error": "internal server error"}
+            for i in (0, 2):
+                status, payload, _ = outcomes[i]
+                assert status == 200, payload
+                assert_matches(payload, expected_payload(reference, queries[i]))
+            assert request(server.port, "GET", "/health")[0] == 200
+            status, payload, _ = request(
+                server.port, "POST", "/query", {"query": "//person"}
+            )
+            assert status == 200
+            assert_matches(payload, expected_payload(reference, "//person"))
+
+    def test_use_cache_is_honoured_per_request(self, store_dir):
+        """Concurrent requests for one query with different ``use_cache``
+        flags each keep their own flag: only the caching ones hit."""
+        with serving(store_dir) as server:
+            warm = request(
+                server.port, "POST", "/query", {"query": "//open_auction"}
+            )
+            assert warm[0] == 200 and warm[1]["from_cache"] is False
+            flags = [True, False, True, False]
+            outcomes = [None] * len(flags)
+            barrier = threading.Barrier(len(flags))
+
+            def client(i):
+                barrier.wait()
+                outcomes[i] = request(
+                    server.port, "POST", "/query",
+                    {"query": "//open_auction", "use_cache": flags[i]},
+                )
+
+            threads = [
+                threading.Thread(target=client, args=(i,))
+                for i in range(len(flags))
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            for flag, (status, payload, _) in zip(flags, outcomes):
+                assert status == 200, payload
+                assert payload["from_cache"] is flag
+            _, stats, _ = request(server.port, "GET", "/stats")
+            assert stats["service"]["result"]["hits"] == flags.count(True)
 
 
-class TestCoalescingEquivalence:
-    """Responses from coalesced batches == per-request execute."""
+class TestConcurrentEquivalence:
+    """Concurrent ``/query`` responses == per-request execute."""
 
     @given(
         jobs=st.lists(
@@ -573,7 +604,7 @@ class TestCoalescingEquivalence:
         )
     )
     @settings(max_examples=10, deadline=None)
-    def test_coalesced_equals_direct(self, live, reference, jobs):
+    def test_concurrent_queries_equal_direct(self, live, reference, jobs):
         outcomes = [None] * len(jobs)
         barrier = threading.Barrier(len(jobs))
 
@@ -594,8 +625,8 @@ class TestCoalescingEquivalence:
             t.start()
         for t in threads:
             t.join()
-        # Stale engine / use_planner fields are ignored: they neither
-        # change an answer nor keep a request out of its siblings' batch.
+        # Stale engine / use_planner fields are ignored: they do not
+        # change an answer.
         for (query, mode, _, _), (status, payload, _) in zip(jobs, outcomes):
             assert status == 200, payload
             assert_matches(payload, expected_payload(reference, query, mode=mode))
@@ -651,7 +682,7 @@ class TestAdmission:
         assert limiter.admit("nat#calm", peer="nat") == 0.0
 
     def test_rotating_client_ids_get_429_from_server(self, store_dir):
-        config = ServerConfig(port=0, coalesce_window_s=0, rate=1, burst=1)
+        config = ServerConfig(port=0, rate=1, burst=1)
         with serving(store_dir, config) as server:
             codes = [
                 request(
@@ -677,7 +708,7 @@ class TestAdmission:
         assert queue.info() == {"depth": 2, "limit": 2}
 
     def test_rate_limited_client_gets_429_with_retry_after(self, store_dir):
-        config = ServerConfig(port=0, coalesce_window_s=0, rate=2, burst=2)
+        config = ServerConfig(port=0, rate=2, burst=2)
         with serving(store_dir, config) as server:
             spam = [
                 request(server.port, "POST", "/query",
@@ -703,10 +734,9 @@ class TestAdmission:
     def test_overload_sheds_503_without_deadlock(self, store_dir):
         """Beyond the admission bound the server answers 503 immediately
         — and keeps serving normally once the burst passes."""
-        config = ServerConfig(
-            port=0, coalesce_window_s=0.3, queue_limit=1, retry_after_s=1
-        )
+        config = ServerConfig(port=0, queue_limit=1, retry_after_s=1)
         with serving(store_dir, config) as server:
+            hold_dispatch(server.service, 0.3)
             outcomes = [None] * 6
             barrier = threading.Barrier(6)
 
@@ -760,8 +790,7 @@ class TestFaultInjection:
             assert request(server.port, "GET", "/health")[0] == 200
 
     def test_client_disconnecting_mid_request_is_harmless(self, store_dir):
-        config = ServerConfig(port=0, coalesce_window_s=0.05)
-        with serving(store_dir, config) as server:
+        with serving(store_dir) as server:
             for _ in range(3):
                 gone = socket.create_connection(
                     ("127.0.0.1", server.port), timeout=15
@@ -783,9 +812,8 @@ class TestFaultInjection:
         a committed epoch's answer (per-client totals never regress)."""
         directory = str(tmp_path / "store")
         ShardedStore.build(directory, forest, shards=2)
-        config = ServerConfig(port=0, coalesce_window_s=0.003)
         rounds = 6
-        with serving(directory, config) as server:
+        with serving(directory) as server:
             _, baseline, _ = request(
                 server.port, "POST", "/query",
                 {"query": "//person", "mode": "count"},
@@ -867,11 +895,11 @@ class TestFaultInjection:
 # ----------------------------------------------------------------------
 class TestGracefulShutdown:
     def test_drains_in_flight_and_refuses_new(self, store_dir):
-        """Requests sitting in the coalescing window at shutdown still
-        get their real answers; new connections are refused."""
-        config = ServerConfig(port=0, coalesce_window_s=0.25)
+        """Requests still waiting on the dispatch lane at shutdown get
+        their real answers; new connections are refused."""
         service = QueryService(ShardedStore.open(store_dir), backend=BACKEND)
-        server = ThreadedServer(service, config).start()
+        hold_dispatch(service, 0.25)
+        server = ThreadedServer(service, ServerConfig(port=0)).start()
         port = server.port
         try:
             outcomes = [None] * 3
@@ -887,7 +915,7 @@ class TestGracefulShutdown:
             ]
             for t in threads:
                 t.start()
-            time.sleep(0.08)  # requests are now held by the window
+            time.sleep(0.08)  # requests are now admitted, held by the lane
             server.stop()  # graceful: drains before returning
             for t in threads:
                 t.join(timeout=30)
@@ -901,23 +929,21 @@ class TestGracefulShutdown:
             server.stop()
             service.close()
 
-    def test_drain_race_at_coalescer_returns_503(self, store_dir):
-        """A request that passes the _draining check but reaches the
-        coalescer after close() is a server-side drain: 503 +
-        Retry-After, not a 400 client error."""
+    def test_request_while_draining_returns_503(self, store_dir):
+        """A request on a kept-alive connection once shutdown has begun
+        is a server-side drain: 503 + Retry-After, counted as shed."""
         with serving(store_dir) as server:
-            server.server.coalescer._closing = True
+            server.server._draining = True
             status, payload, headers = request(
                 server.port, "POST", "/query", {"query": "//person"}
             )
             assert status == 503, payload
             assert int(headers["Retry-After"]) >= 1
+            assert server.server.stats.snapshot()["shed"]["draining"] == 1
 
     def test_shutdown_is_idempotent_and_stats_survive(self, store_dir):
         service = QueryService(ShardedStore.open(store_dir), backend=BACKEND)
-        server = ThreadedServer(
-            service, ServerConfig(port=0, coalesce_window_s=0)
-        ).start()
+        server = ThreadedServer(service, ServerConfig(port=0)).start()
         try:
             assert request(server.port, "GET", "/health")[0] == 200
             server.stop()
