@@ -376,18 +376,21 @@ def _render_analysis(observations) -> str:
         for step in observed.steps:
             sig = tuple(step.signature)
             if sig not in agg:
-                agg[sig] = [0, 0, 0]
+                agg[sig] = [0, 0, 0, 0]
                 order.append(sig)
             cell = agg[sig]
             cell[0] += step.n_in
             cell[1] += step.n_out
-            cell[2] += step.ns
+            cell[2] += step.touched
+            cell[3] += step.ns
     drives = len(observations)
     shards = len({o.shard_id for o in observations})
     lines = [f"observed: {drives} sampled drive(s) over {shards} shard(s)"]
-    lines.append(f"  {'operator':<42} {'in':>10} {'out':>10} {'ms':>8}")
+    lines.append(
+        f"  {'operator':<42} {'in':>10} {'out':>10} {'touched':>10} {'ms':>8}"
+    )
     for sig in order:
-        n_in, n_out, ns = agg[sig]
+        n_in, n_out, touched, ns = agg[sig]
         kind, axis, detail = sig
         if kind == "pred":
             label = f"{axis} filter [{detail}]"
@@ -396,7 +399,8 @@ def _render_analysis(observations) -> str:
         else:
             label = f"{axis}::{detail}"
         lines.append(
-            f"  {label:<42.42} {n_in:>10,} {n_out:>10,} {ns / 1e6:>8.2f}"
+            f"  {label:<42.42} {n_in:>10,} {n_out:>10,} {touched:>10,} "
+            f"{ns / 1e6:>8.2f}"
         )
     scanned = sum(o.scanned for o in observations)
     skipped = sum(o.skipped for o in observations)

@@ -29,7 +29,9 @@ from repro.core.pruning import (
     validate_context,
 )
 from repro.core.vectorized import (
+    child_window,
     concat_ranges,
+    parent_in,
     staircase_join_vectorized,
     subtree_sizes,
 )
@@ -47,6 +49,7 @@ class FragmentedDocument:
     storage layout at load time) and reused across queries.  Text,
     comment, PI and attribute nodes are not fragmented — the paper's
     fragmentation experiment concerns name-tested element steps.
+    Fragment arrays are read-only: steps hand them out as contexts.
     """
 
     def __init__(self, doc: DocTable):
@@ -61,6 +64,8 @@ class FragmentedDocument:
         order = np.argsort(codes, kind="stable")
         pres = elements[order]
         posts = doc.post[pres]
+        pres.flags.writeable = posts.flags.writeable = False
+        self._empty = (pres[:0], posts[:0])
         bounds = np.searchsorted(
             codes[order], np.arange(len(doc.tag.dictionary) + 1, dtype=np.int64)
         )
@@ -80,16 +85,36 @@ class FragmentedDocument:
         Unknown tags yield empty fragments (an absent tag is an empty
         relation, not an error — mirroring ``code_of``'s −1 sentinel).
         """
-        if tag in self._fragments:
-            return self._fragments[tag]
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+        return self._fragments.get(tag, self._empty)
 
     def fragment_sizes(self) -> Dict[str, int]:
         """Tag → element count, e.g. for choosing fragmentation thresholds."""
         return {tag: len(pres) for tag, (pres, _) in self._fragments.items()}
 
     # ------------------------------------------------------------------
+    def child_step(
+        self,
+        context: np.ndarray,
+        tag: str,
+        stats: Optional[JoinStatistics] = None,
+    ) -> np.ndarray:
+        """``context/child::tag`` reading only ``tag``'s fragment.
+
+        The children of the sorted, duplicate-free ``context`` lie in one
+        preorder window (:func:`~repro.core.vectorized.child_window`):
+        two binary searches cut the fragment to it, and only those
+        candidates' parents are probed against the context — the step
+        reads no node that is not a ``tag``.
+        """
+        pres, _ = self.fragment(tag)
+        lo, hi = child_window(self.doc, context)
+        first, last = np.searchsorted(pres, (lo, hi))
+        candidates = pres[first:last]
+        if stats is not None:
+            stats.nodes_scanned += int(len(candidates))
+        keep = parent_in(context, self.doc.parent[candidates], lo - 1, hi - lo + 1)
+        return candidates[keep]
+
     def descendant_step(
         self,
         context: np.ndarray,
@@ -157,6 +182,7 @@ class FragmentedDocument:
         populated = counts > 0
         indices = concat_ranges(lo[populated], counts[populated])
         result = pres[indices]
+        stats.nodes_copied += int(len(result))
         stats.partitions += int(len(context))
         stats.index_probes += int(len(context))
         stats.result_size += int(len(result))
@@ -172,8 +198,7 @@ class FragmentedDocument:
 
         Climbs the whole pruned context level-synchronously (the batched
         parent hops of :func:`repro.core.vectorized.axis_step_vectorized`)
-        and intersects the ancestor set with the fragment — both inputs
-        are sorted, so the intersection is a merge.
+        and keeps the ancestors found in the fragment.
         """
         stats = stats if stats is not None else JoinStatistics()
         context = prune_vectorized(
@@ -186,7 +211,10 @@ class FragmentedDocument:
         if len(context) == 0 or len(pres) == 0:
             return np.empty(0, dtype=np.int64)
         ancestors = staircase_join_vectorized(self.doc, context, "ancestor")
-        result = np.intersect1d(ancestors, pres, assume_unique=True)
+        # Membership by binary search: the fragment is probed, not read.
+        slots = np.minimum(np.searchsorted(pres, ancestors), len(pres) - 1)
+        result = ancestors[pres[slots] == ancestors]
+        stats.nodes_scanned += int(len(ancestors))
         stats.partitions += int(len(context))
         stats.index_probes += int(len(context))
         stats.result_size += int(len(result))

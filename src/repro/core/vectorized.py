@@ -42,7 +42,7 @@ constructed with ``engine="vectorized"``.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -59,8 +59,10 @@ from repro.xmltree.model import NodeKind
 __all__ = [
     "staircase_join_vectorized",
     "axis_step_vectorized",
+    "child_window",
     "concat_ranges",
     "nodes_with_parent_in",
+    "parent_in",
     "subtree_sizes",
 ]
 
@@ -175,7 +177,7 @@ def _preceding_vectorized(doc: DocTable, context: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Structural axes (parent-column equi-joins, windowed)
 # ----------------------------------------------------------------------
-def _parent_in(parents: np.ndarray, probe: np.ndarray, base: int, span: int) -> np.ndarray:
+def parent_in(parents: np.ndarray, probe: np.ndarray, base: int, span: int) -> np.ndarray:
     """Boolean per ``probe`` value: is it one of the (sorted) ``parents``?
 
     ``parents`` all lie in ``[base, base + span)``.  One parent is a plain
@@ -196,54 +198,42 @@ def _parent_in(parents: np.ndarray, probe: np.ndarray, base: int, span: int) -> 
     return parents[slots] == probe
 
 
-def nodes_with_parent_in(
-    doc: DocTable,
-    parents: np.ndarray,
-    want_attributes: bool,
-    matching: Optional[Callable[[slice], np.ndarray]] = None,
-) -> np.ndarray:
-    """All nodes whose parent is in ``parents``, filtered by kind.
-
-    Children of ``c`` live inside ``c``'s subtree span, so the union of
-    spans bounds the scan — a predicate evaluating a child step per small
-    subtree touches a few dozen slots instead of the whole column.
-
-    ``matching`` is the step's node test as a boolean mask over a window
-    slice.  With it the window is tested *first* and only the survivors'
-    parents are probed against the context — a name test leaves a
-    handful of slots where the plain join probes every slot of the
-    window and leaves the test to the caller.
-    """
-    if len(parents) == 0:
-        return _empty()
-    lo = int(parents[0]) + 1  # parents arrive sorted
+def child_window(doc: DocTable, parents: np.ndarray) -> Tuple[int, int]:
+    """The preorder window ``[lo, hi)`` holding every child of the
+    sorted, non-empty ``parents``: children of ``c`` live inside ``c``'s
+    subtree span, so the union of spans bounds it."""
+    lo = int(parents[0]) + 1
     if len(parents) == 1:
         hi = lo + doc.subtree_size_exact(lo - 1)
     else:
         hi = int((parents + subtree_sizes(doc, parents)).max()) + 1
-    hi = min(hi, len(doc))
+    return lo, min(hi, len(doc))
+
+
+def nodes_with_parent_in(
+    doc: DocTable,
+    parents: np.ndarray,
+    want_attributes: bool,
+    stats: Optional[JoinStatistics] = None,
+) -> np.ndarray:
+    """All nodes whose parent is in ``parents``, filtered by kind: the
+    parent column of :func:`child_window` probed against the context —
+    a predicate evaluating a child step per small subtree touches a few
+    dozen slots instead of the whole column."""
+    if len(parents) == 0:
+        return _empty()
+    lo, hi = child_window(doc, parents)
     if lo >= hi:
         return _empty()
+    if stats is not None:
+        stats.nodes_scanned += hi - lo
     window = slice(lo, hi)
     if want_attributes:
         mask = doc.kind[window] == _ATTR
     else:
         mask = doc.kind[window] != _ATTR
-    if matching is None:
-        mask &= _parent_in(parents, doc.parent[window], lo - 1, hi - lo + 1)
-        return np.nonzero(mask)[0].astype(np.int64) + lo
-    mask &= matching(window)
-    slots = np.nonzero(mask)[0].astype(np.int64)
-    kept = _parent_in(parents, doc.parent[window][slots], lo - 1, hi - lo + 1)
-    return slots[kept] + lo
-
-
-def _child_vectorized(doc: DocTable, context: np.ndarray) -> np.ndarray:
-    return nodes_with_parent_in(doc, context, want_attributes=False)
-
-
-def _attribute_vectorized(doc: DocTable, context: np.ndarray) -> np.ndarray:
-    return nodes_with_parent_in(doc, context, want_attributes=True)
+    mask &= parent_in(parents, doc.parent[window], lo - 1, hi - lo + 1)
+    return np.nonzero(mask)[0].astype(np.int64) + lo
 
 
 def _parent_vectorized(doc: DocTable, context: np.ndarray) -> np.ndarray:
@@ -307,8 +297,8 @@ def staircase_join_vectorized(
     is normalised and pruned (via the branch-free
     :func:`~repro.core.pruning.prune_vectorized`), the result is
     duplicate-free and in document order.  ``stats`` receives pruning and
-    result counters only (bulk kernels have no per-node scan counts by
-    construction).
+    result counters and the rows read (as ``nodes_copied``: bulk kernels
+    make no per-node comparison to count).
     """
     stats = stats if stats is not None else JoinStatistics()
     context = prune_vectorized(
@@ -328,6 +318,9 @@ def staircase_join_vectorized(
         raise XPathEvaluationError(
             f"vectorised staircase join handles the partitioning axes, not {axis!r}"
         )
+    # Rows read: the spans copied (descendant, following), the paths
+    # climbed (ancestor), every row before the anchor (preceding).
+    stats.nodes_copied += int(context.max() if axis == "preceding" else len(result))
     if not keep_attributes:
         result = _strip_attributes(doc, result)
     stats.result_size += int(len(result))
@@ -378,10 +371,8 @@ def axis_step_vectorized(
             doc, context, "ancestor", stats, keep_attributes=keep_attributes
         )
         return np.union1d(context, ancestors)
-    if axis == "child":
-        return _child_vectorized(doc, context)
-    if axis == "attribute":
-        return _attribute_vectorized(doc, context)
+    if axis in ("child", "attribute"):
+        return nodes_with_parent_in(doc, context, axis == "attribute", stats)
     if axis == "parent":
         return _parent_vectorized(doc, context)
     if axis == "self":

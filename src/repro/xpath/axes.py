@@ -280,19 +280,17 @@ def node_test_mask(
     raise XPathEvaluationError(f"unknown node test kind {kind!r}")
 
 
-def tested_children(doc: DocTable, parents: np.ndarray, axis: str, test) -> np.ndarray:
-    """``parents/child::test`` (or ``attribute::test``), the node test
-    applied ahead of the parent-column probe: a name test leaves the
-    probe a handful of candidates instead of every node below the
-    context.  ``parents`` is sorted and duplicate-free."""
-    if test.kind == "node":
-        return nodes_with_parent_in(doc, parents, axis == "attribute")
-    return nodes_with_parent_in(
-        doc,
-        parents,
-        axis == "attribute",
-        lambda window: node_test_mask(doc, window, axis, test.kind, test.name),
-    )
+def tested_children(rt, parents: np.ndarray, axis: str, test) -> np.ndarray:
+    """``parents/child::test`` (or ``attribute::test``) for the runtime
+    ``rt`` (an evaluator) — the one test-first child kernel: a name test
+    reads the tag's fragment
+    (:meth:`~repro.core.fragments.FragmentedDocument.child_step`); kind
+    tests and attributes probe the parent column's window, then test.
+    ``parents`` is sorted and duplicate-free."""
+    if axis == "child" and test.kind == "name":
+        return rt.fragments.child_step(parents, test.name, rt.stats)
+    found = nodes_with_parent_in(rt.doc, parents, axis == "attribute", rt.stats)
+    return apply_node_test(rt.doc, found, axis, test.kind, test.name)
 
 
 def apply_node_test(

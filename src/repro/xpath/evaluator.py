@@ -12,8 +12,8 @@ sub-paths a per-candidate predicate evaluates re-enter the driver as
 fresh, unobserved one-member drives.
 
 Name-test pushdown (Experiment 3) is decided per compiled operator:
-steps of the shape ``descendant::tag`` / ``ancestor::tag`` are then
-executed against the per-tag fragment
+steps of the shape ``child::tag`` / ``descendant::tag`` /
+``ancestor::tag`` are then executed against the per-tag fragment
 (:class:`~repro.core.fragments.FragmentedDocument`), i.e. the name test
 is applied *before* the join — ``staircasejoin(nametest(doc, n), cs)``
 — which is valid because pre/post-derived tree properties "remain valid
@@ -96,12 +96,13 @@ class Evaluator:
     mode:
         :class:`SkipMode` for the scalar staircase join.
     pushdown:
-        Push name tests below descendant/ancestor staircase joins
+        Push name tests below child/descendant/ancestor steps
         (Experiment 3's ~3× rewrite).  ``True``/``False`` applies to
-        every eligible step; an iterable of step indices (the planner's
-        per-step verdicts) pushes only at those positions of the
-        *top-level* path.  The verdicts are fused into the compiled
-        :class:`~repro.xpath.pipeline.StaircaseStep` operators.
+        every eligible step; one collection of step indices per union
+        branch (the planner's per-step verdicts) pushes only at those
+        positions of the *top-level* paths.  The verdicts are fused
+        into the compiled :class:`~repro.xpath.pipeline.StaircaseStep`
+        operators.
         Fragments are built lazily on first use and cached for the
         evaluator's lifetime.
     stats:
@@ -139,7 +140,9 @@ class Evaluator:
         #: Constructor input only (frozen — the compile cache is keyed
         #: by path alone): :func:`compile_plan` fuses it into operators.
         self.pushdown = (
-            pushdown if isinstance(pushdown, bool) else frozenset(pushdown)
+            pushdown
+            if isinstance(pushdown, bool)
+            else tuple(frozenset(branch) for branch in pushdown)
         )
         self.plan_cache = plan_cache
         self._fragments: Optional[FragmentedDocument] = None

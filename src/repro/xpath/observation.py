@@ -50,13 +50,17 @@ class StepObservation(NamedTuple):
 
     ``n_in``/``n_out`` are the context sizes entering and leaving the
     operator (for predicates: the candidate set before and after this
-    one predicate), ``ns`` its wall time on the monotonic clock.
+    one predicate), ``ns`` its wall time on the monotonic clock and
+    ``touched`` the plane or fragment rows its kernel read (the
+    runtime's ``JoinStatistics.nodes_touched`` delta; a binary-search
+    probe is a skip, not a read).
     """
 
     signature: Tuple[str, ...]
     n_in: int
     n_out: int
     ns: int
+    touched: int = 0
 
     @property
     def ratio(self) -> float:
@@ -103,10 +107,11 @@ class PipelineObserver:
         self.elapsed_ns = self.scanned = self.skipped = self.blocks = 0
 
     def record(
-        self, signature: Tuple[str, ...], n_in: int, n_out: int, ns: int
+        self, signature: Tuple[str, ...], n_in: int, n_out: int, ns: int,
+        touched: int = 0,
     ) -> None:
         self.steps.append(
-            StepObservation(signature, int(n_in), int(n_out), int(ns))
+            StepObservation(signature, int(n_in), int(n_out), int(ns), int(touched))
         )
 
     def observation(self, shard_id: int, engine: str) -> DriveObservation:

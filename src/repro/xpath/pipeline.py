@@ -66,7 +66,7 @@ from repro.xpath.ast import (
     NumberLiteral,
     Step,
 )
-from repro.xpath.axes import DOCUMENT_CONTEXT, apply_node_test
+from repro.xpath.axes import DOCUMENT_CONTEXT, apply_node_test, tested_children
 from repro.xpath.observation import (
     PipelineObserver,
     predicate_signature,
@@ -173,8 +173,8 @@ class StaircaseStep:
     ``pushdown`` fuses the name test below the join: the step reads the
     per-tag fragment instead of filtering the join output (the planner's
     per-step verdict, baked in at compile time).  The kernel still
-    guards the shape — only ``descendant``/``ancestor`` steps (and
-    ``descendant-or-self`` from the document node) have a fragment
+    guards the shape — only ``child``/``descendant``/``ancestor`` steps
+    (and ``descendant-or-self`` from the document node) have a fragment
     variant; ineligible contexts fall back to join-then-test.
     """
 
@@ -370,7 +370,7 @@ class PhysicalPlan:
 def _pushdown_shape(step: Step) -> bool:
     """Steps that *can* run against a per-tag fragment."""
     return step.test.kind == "name" and step.axis in (
-        "descendant", "descendant-or-self", "ancestor",
+        "child", "descendant", "descendant-or-self", "ancestor",
     )
 
 
@@ -391,10 +391,12 @@ def compile_step_ops(
     )
 
 
-def _compile_path(path: LocationPath, push_at) -> Tuple[Operator, ...]:
+def _compile_path(path: LocationPath, pushed) -> Tuple[Operator, ...]:
+    """``pushed``: a blanket bool, or the step indices to push."""
     ops: List[Operator] = [ContextInit(path.absolute)]
     for index, step in enumerate(path.steps):
-        ops.extend(compile_step_ops(step, index, push_at(index)))
+        push = pushed if isinstance(pushed, bool) else index in pushed
+        ops.extend(compile_step_ops(step, index, push))
     return tuple(ops)
 
 
@@ -410,10 +412,10 @@ def compile_plan(
     path and per-step pushdown verdicts are honoured), a
     parsed expression, or a query string.  ``pushdown`` overrides the
     name-test placement: ``True``/``False`` for every eligible step, or
-    an iterable of top-level step indices (the planner's spelling);
-    ``None`` takes the :class:`QueryPlan`'s verdicts (no pushdown for
-    bare expressions).  ``scoped`` re-anchors every union branch at a
-    collection member's root
+    one collection of step indices per union branch (the planner's
+    spelling); ``None`` takes the :class:`QueryPlan`'s verdicts (no
+    pushdown for bare expressions).  ``scoped`` re-anchors every union
+    branch at a collection member's root
     (:func:`~repro.xpath.rewrite.anchor_at_member_root`); the caller
     drives the result with that root as context.  Already-compiled
     plans pass through (re-moded).
@@ -437,17 +439,6 @@ def compile_plan(
         expr = anchor_at_member_root(expr)
     if pushdown is None:
         pushdown = False
-    if isinstance(pushdown, bool):
-        blanket = pushdown
-
-        def push_at(index: int) -> bool:
-            return blanket
-    else:
-        pushdown_steps = frozenset(int(i) for i in pushdown)
-
-        def push_at(index: int) -> bool:
-            return index in pushdown_steps
-
     branches: List[Tuple[Operator, ...]] = []
 
     def flatten(e: Expr) -> None:
@@ -459,7 +450,8 @@ def compile_plan(
             flatten(e.left)
             flatten(e.right)
         elif isinstance(e, LocationPath):
-            branches.append(_compile_path(e, push_at))
+            pushed = pushdown if isinstance(pushdown, bool) else pushdown[len(branches)]
+            branches.append(_compile_path(e, pushed))
         else:
             raise XPathEvaluationError(
                 f"cannot compile top-level expression {e!r}"
@@ -536,6 +528,8 @@ def _staircase(op: StaircaseStep, rt, context):
         if context is DOCUMENT_CONTEXT:
             if op.axis in ("descendant", "descendant-or-self"):
                 return _fragment_document(op, rt)
+        elif op.axis == "child":
+            return tested_children(rt, context, op.axis, op.test)
         elif op.axis in ("descendant", "ancestor"):
             suffix = "_vectorized" if rt.engine == "vectorized" else ""
             fragment_step = getattr(rt.fragments, f"{op.axis}_step{suffix}")
@@ -752,7 +746,8 @@ def drive_group(
             prefix += (op,)
             out = cache.get(prefix)
         if out is None:
-            began = time.perf_counter_ns() if observer is not None else 0
+            if observer is not None:
+                began, read = time.perf_counter_ns(), runtime.stats.nodes_touched
             out = dispatch(op, runtime, context)
             if observer is not None:
                 signature = _operator_signature(op)
@@ -762,6 +757,7 @@ def drive_group(
                         _frontier_size(context),
                         _frontier_size(out),
                         time.perf_counter_ns() - began,
+                        runtime.stats.nodes_touched - read,
                     )
             if cache is not None and isinstance(out, np.ndarray):
                 # Cached contexts are shared across queries and batches:

@@ -8,16 +8,20 @@ nothing these rules do not (measured in docs/ARCHITECTURE.md, "Why
 there is no cost model"):
 
 1. **//-collapse** — ``descendant-or-self::node()/child::t`` becomes
-   ``descendant::t`` (:func:`~repro.xpath.rewrite.collapse_descendant_or_self`),
-   the leading pair guarded by the plane's root tag(s);
+   ``descendant::t``, and with a positional predicate ``P`` on a name
+   test, ``descendant::t/parent::node()/child::t[P]``
+   (:func:`~repro.xpath.rewrite.collapse_descendant_or_self`), the
+   leading pair guarded by the plane's root tag(s);
 2. **context-free predicates first** — within a step without positional
    predicates, the predicates with one value whatever the candidate
    (``[7 > 0]``, ``[count(//a) > 2]``) run first: each is evaluated
    once per filter, and a false one empties the frontier before any
    real work.  The others keep their written order;
 3. **every name test is pushed down** where the step has a fragment
-   variant (union branches stay unpushed: their step indices share one
-   space inside an evaluator).
+   variant — ``child``, ``descendant`` and ``ancestor`` steps, and the
+   leading ``descendant(-or-self)`` step of an absolute path.
+
+A top-level union is planned branch by branch, by the same rules.
 
 A plan is therefore a function of the query text and the root tag(s)
 alone: it cannot go stale at a commit.  Every rule is
@@ -46,9 +50,9 @@ class QueryPlan:
 
     ``path`` is the expression the engines run (collapsed, predicates
     re-ordered); ``original`` is what the user wrote.
-    ``pushdown_steps`` holds the indices of top-level steps whose name
-    test runs below the join — the exact value
-    :class:`~repro.xpath.evaluator.Evaluator` accepts as its
+    ``pushdown_steps`` holds, per union branch (one for a plain path),
+    the indices of the steps whose name test runs below the join — the
+    exact value :class:`~repro.xpath.evaluator.Evaluator` accepts as its
     ``pushdown`` argument.  Plans are immutable and picklable, so the
     service ships them to shard workers as-is.
     """
@@ -56,7 +60,7 @@ class QueryPlan:
     query: str
     original: Expr
     path: Expr
-    pushdown_steps: frozenset
+    pushdown_steps: Tuple[FrozenSet[int], ...]
     rewrites: Tuple[str, ...]
 
     @property
@@ -71,20 +75,21 @@ class QueryPlan:
             lines.append("rewrite: none applicable")
         if not isinstance(self.path, LocationPath):
             lines.append("plan: union of sub-plans (each branch planned alone)")
-        for index, step in _top_level_steps(self.path):
-            lines.append(f"step {index + 1}: {step}")
-            lines.append(f"  operator    : {operator_name(step.axis)}")
-            if index in self.pushdown_steps:
-                lines.append("  name test   : PUSHDOWN (fragment scan)")
+        for path, pushed in zip(_branches(self.path), self.pushdown_steps):
+            for index, step in enumerate(path.steps):
+                lines.append(f"step {index + 1}: {step}")
+                lines.append(f"  operator    : {operator_name(step.axis)}")
+                if index in pushed:
+                    lines.append("  name test   : PUSHDOWN (fragment scan)")
         return "\n".join(lines)
 
 
-def _top_level_steps(expr: Expr) -> Iterator[Tuple[int, Step]]:
+def _branches(expr: Expr) -> Iterator[LocationPath]:
     if isinstance(expr, BinaryExpr):
-        yield from _top_level_steps(expr.left)
-        yield from _top_level_steps(expr.right)
+        yield from _branches(expr.left)
+        yield from _branches(expr.right)
     elif isinstance(expr, LocationPath):
-        yield from enumerate(expr.steps)
+        yield expr
 
 
 class Planner:
@@ -105,8 +110,7 @@ class Planner:
         query = path if isinstance(path, str) else str(path)
         original = parse_xpath(path) if isinstance(path, str) else path
         if isinstance(original, BinaryExpr):
-            # Top-level unions: each branch is rewritten alone and runs
-            # unpushed (the branches share one step-index space).
+            # Top-level unions: each branch is planned alone.
             left = self.plan(original.left)
             right = self.plan(original.right)
             changed = left.rewritten or right.rewritten
@@ -118,11 +122,11 @@ class Planner:
                     if changed
                     else original
                 ),
-                pushdown_steps=frozenset(),
+                pushdown_steps=left.pushdown_steps + right.pushdown_steps,
                 rewrites=left.rewrites + right.rewrites,
             )
         if not isinstance(original, LocationPath):
-            return QueryPlan(query, original, original, frozenset(), ())
+            return QueryPlan(query, original, original, (), ())
         path, rewrites = self._collapse(original)
         path = _context_free_first(path)
         pushdown = frozenset(
@@ -130,20 +134,17 @@ class Planner:
             for index, step in enumerate(path.steps)
             if _pushdown_eligible(step, from_document=path.absolute and index == 0)
         )
-        return QueryPlan(query, original, path, pushdown, rewrites)
+        return QueryPlan(query, original, path, (pushdown,), rewrites)
 
     def _collapse(self, path: LocationPath) -> Tuple[LocationPath, Tuple[str, ...]]:
-        """Rule 1: ``descendant-or-self::node()/child::t`` → ``descendant::t``."""
+        """Rule 1: ``descendant-or-self::node()/child::t`` → ``descendant::t``
+        (or its positional twin)."""
         if self.root_tags is None:
             return path, ()
         collapsed = collapse_descendant_or_self(path, self.root_tags)
         if collapsed is path:
             return path, ()
-        dropped = len(path.steps) - len(collapsed.steps)
-        return collapsed, (
-            f"//-collapse → {collapsed} ({dropped} descendant-or-self "
-            f"step{'s' if dropped > 1 else ''} fused away)",
-        )
+        return collapsed, (f"//-collapse → {collapsed}",)
 
 
 def _context_free_first(path: LocationPath) -> LocationPath:
@@ -171,4 +172,4 @@ def _pushdown_eligible(step: Step, from_document: bool) -> bool:
         return False
     if from_document:
         return step.axis in ("descendant", "descendant-or-self")
-    return step.axis in ("descendant", "ancestor")
+    return step.axis in ("child", "descendant", "ancestor")

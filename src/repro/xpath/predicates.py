@@ -401,7 +401,7 @@ class _PredicateColumns:
             if len(pre) == 0:
                 return origin, pre
             distinct = pre[np.concatenate(([True], pre[1:] != pre[:-1]), dtype=bool)]
-            kids = tested_children(doc, distinct, axis, test)
+            kids = tested_children(self.rt, distinct, axis, test)
             # Join each child back to the pair(s) holding its parent;
             # ``pre`` is sorted, children arrive sorted: order survives.
             parents = doc.parent[kids]

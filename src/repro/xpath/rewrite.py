@@ -70,7 +70,9 @@ def collapse_descendant_or_self(
     path, root_tags: Optional[FrozenSet[str]] = None
 ) -> LocationPath:
     """Collapse ``descendant-or-self::node()/child::t`` pairs into
-    ``descendant::t`` (the expansion of the ``//`` abbreviation).
+    ``descendant::t`` (the expansion of the ``//`` abbreviation), and
+    ``descendant-or-self::node()/child::t[P]`` with a positional ``P``
+    into ``descendant::t/parent::node()/child::t[P]``.
 
     ``c/descendant-or-self::node()/child::t`` selects the children of
     ``c``'s inclusive descendants — exactly ``c``'s proper descendants
@@ -79,11 +81,16 @@ def collapse_descendant_or_self(
     pushdown accepts, which is why the planner applies this before
     costing steps.
 
-    Two guards keep the law exact:
+    Two guards keep the laws exact:
 
-    * a ``child`` step carrying a positional predicate keeps its pair —
-      ``//t[2]`` counts positions within each parent's child list,
-      ``descendant::t[2]`` within a descendant list;
+    * a ``child`` step carrying a positional predicate keeps its child
+      step — ``//t[2]`` counts positions within each parent's child
+      list, ``descendant::t[2]`` within a descendant list.  Its twin
+      (name tests only) replaces just the ``descendant-or-self`` step:
+      every ``t`` below the context has its parent among the context's
+      inclusive descendants, and the parents without a ``t`` child add
+      nothing, so ``descendant::t/parent::node()`` is exactly the
+      context the ``child::t[P]`` step can use;
     * the *leading* pair of an absolute path is collapsed only when the
       tested name provably cannot match a plane root: this engine's
       ``descendant-or-self`` from the (un-encoded) document node yields
@@ -103,12 +110,13 @@ def collapse_descendant_or_self(
     changed = False
     while index < len(steps) - 1:
         first, second = steps[index], steps[index + 1]
+        positional = any(is_positional_predicate(p) for p in second.predicates)
         collapsible = (
             first.axis == "descendant-or-self"
             and first.test.kind == "node"
             and not first.predicates
             and second.axis == "child"
-            and not any(is_positional_predicate(p) for p in second.predicates)
+            and (second.test.kind == "name" or not positional)
         )
         if collapsible and index == 0 and path.absolute:
             collapsible = (
@@ -116,13 +124,20 @@ def collapse_descendant_or_self(
                 and second.test.kind == "name"
                 and second.test.name not in root_tags
             )
-        if collapsible:
+        if not collapsible:
+            index += 1
+            continue
+        changed = True
+        if positional:
+            steps[index : index + 1] = [
+                Step("descendant", second.test),
+                Step("parent", NodeTest("node")),
+            ]
+            index += 3
+        else:
             steps[index : index + 2] = [
                 Step("descendant", second.test, second.predicates)
             ]
-            changed = True
-        else:
-            index += 1
     if not changed:
         return path
     return LocationPath(path.absolute, tuple(steps))

@@ -1,6 +1,7 @@
 """Tag-name fragmentation tests (the future-work experiment)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.fragments import FragmentedDocument
@@ -25,8 +26,19 @@ class TestConstruction:
         assert sorted(fragmented.tags()) == list("abcdefghij")
 
     def test_unknown_tag_is_empty(self, fig1_doc):
-        pres, posts = FragmentedDocument(fig1_doc).fragment("nope")
+        fragmented = FragmentedDocument(fig1_doc)
+        pres, posts = fragmented.fragment("nope")
         assert len(pres) == 0 and len(posts) == 0
+        real = fragmented.fragment("a")
+        assert (pres.dtype, posts.dtype) == (real[0].dtype, real[1].dtype)
+
+    def test_fragments_are_read_only(self, fig1_doc):
+        # Steps hand fragment slices out as contexts.
+        fragmented = FragmentedDocument(fig1_doc)
+        for tag in ("a", "nope"):
+            for column in fragmented.fragment(tag):
+                with pytest.raises(ValueError):
+                    column[:1] = 0
 
     def test_fragment_excludes_non_elements(self):
         tree = random_tree(60, seed=9)

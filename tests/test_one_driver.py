@@ -359,13 +359,12 @@ def test_each_distinct_prefix_is_dispatched_once(xmark_store, step_calls, engine
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_union_branches_enter_the_trie(xmark_store, step_calls, engine):
-    # (A union is planned without pushdown; two plans that differ in a
-    # pushdown verdict rightly occupy different trie nodes.)
+    # (Union branches are planned like top-level paths, so a branch and
+    # a plain path share their pushed prefix.)
     tasks = planned_tasks(
         xmark_store,
         ["//open_auction/bidder | //open_auction/seller", "//open_auction/initial"],
         engine,
-        pushdown=False,
     )
     ShardWorkerState(xmark_store.directory).run_group(tasks)
     by_step = Counter()
@@ -403,10 +402,14 @@ def test_scoped_queries_to_one_member_share_their_prefix(xmark_store, step_calls
 
 def test_scoped_exists_terminates_early(xmark_store):
     """A scoped ``exists`` leaves the trie for the chunked tail like an
-    unscoped one (it used to materialize the member's whole answer)."""
+    unscoped one (it used to materialize the member's whole answer).
+    Unpushed, so ``nodes_scanned`` counts the staircase joins alone: a
+    pushed child step counts its fragment reads too, and the first
+    chunk's window spans the member."""
     document = xmark_store.document_names()[0]
     (task,) = planned_tasks(
-        xmark_store, ["/site//item//text"], "scalar", document, mode="exists"
+        xmark_store, ["/site//item//text"], "scalar", document, mode="exists",
+        pushdown=False,
     )
     state = ShardWorkerState(xmark_store.directory)
     assert state.run_group([task])[0].found is True

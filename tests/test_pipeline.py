@@ -118,19 +118,22 @@ class TestCompile:
     def test_pushdown_indices_fuse_into_operators(self):
         plan = compile_plan(
             parse_xpath("/descendant::person/descendant::education"),
-            pushdown=(1,),
+            pushdown=((1,),),
         )
         first, second = plan.branches[0][1], plan.branches[0][2]
         assert not first.pushdown
         assert second.pushdown
 
     def test_pushdown_shape_guard(self):
-        # child steps have no fragment variant — a blanket True must
-        # not mark them.
-        plan = compile_plan(parse_xpath("/site/descendant::person"), pushdown=True)
-        child, desc = plan.branches[0][1], plan.branches[0][2]
-        assert not child.pushdown
-        assert desc.pushdown
+        # parent and kind-tested steps have no fragment variant — a
+        # blanket True must not mark them.
+        plan = compile_plan(
+            parse_xpath("/site/descendant::person/parent::*/child::text()"),
+            pushdown=True,
+        )
+        child, desc, parent, text = plan.branches[0][1:]
+        assert child.pushdown and desc.pushdown
+        assert not parent.pushdown and not text.pushdown
 
     def test_query_plan_verdicts_honoured(self, doc):
         planner = Planner(frozenset((doc.tag_of(doc.root),)))
@@ -143,7 +146,7 @@ class TestCompile:
             for op in branch
             if isinstance(op, StaircaseStep) and op.pushdown
         }
-        assert pushed == set(query_plan.pushdown_steps)
+        assert (frozenset(pushed),) == query_plan.pushdown_steps
 
     def test_compiled_plan_passes_through(self):
         plan = compile_plan("//a")

@@ -634,7 +634,8 @@ class TestPlannerIntegration:
     def test_service_explain_returns_a_costed_plan(self, store):
         with QueryService(store, backend="serial") as service:
             plan = service.explain("//open_auction/bidder/increase")
-        assert plan.pushdown_steps  # the collapsed descendant step pushed
+        (pushed,) = plan.pushdown_steps
+        assert 0 in pushed  # the collapsed descendant step
         text = plan.describe()
         assert "//-collapse" in text and "PUSHDOWN" in text
 

@@ -7,7 +7,8 @@
   an arbitrary exception.
 * Both engines answer what the tree-walking reference answers, error for
   error — on random shapes with every function, union and absolute
-  sub-path, and on value-bearing trees in both archive layouts.
+  sub-path, and on value-bearing trees in both archive layouts; and,
+  planned, on the ``//t[k]`` pairs the planner rewrites.
 """
 
 import os
@@ -32,8 +33,9 @@ from repro.xpath.ast import (
     Step,
     StringLiteral,
 )
-from repro.xpath.evaluator import evaluate
+from repro.xpath.evaluator import Evaluator, evaluate
 from repro.xpath.parser import _KNOWN_FUNCTIONS, parse_xpath
+from repro.xpath.planner import Planner
 
 from _reference import Reference, random_tree
 
@@ -99,10 +101,32 @@ steps = st.builds(
     _predicates(expressions()),
 )
 
+#: ``//t[k]`` / ``//t[last()]``: the abbreviated pair the planner's
+#: positional twin rewrites, which random axes almost never spell.
+abbreviated_pairs = st.builds(
+    lambda name, predicate: (
+        Step("descendant-or-self", NodeTest("node")),
+        Step("child", NodeTest("name", name), (predicate,)),
+    ),
+    TAG_NAMES,
+    st.one_of(
+        st.builds(NumberLiteral, st.integers(1, 3).map(float)),
+        st.just(FunctionCall("last", ())),
+    ),
+)
+
 paths = st.builds(
     LocationPath,
     st.booleans(),
-    st.lists(steps, min_size=1, max_size=4).map(tuple),
+    st.one_of(
+        st.lists(steps, min_size=1, max_size=4).map(tuple),
+        st.builds(
+            lambda head, pair, tail: head + pair + tail,
+            st.lists(steps, max_size=1).map(tuple),
+            abbreviated_pairs,
+            st.lists(steps, max_size=1).map(tuple),
+        ),
+    ),
 )
 
 
@@ -261,6 +285,25 @@ class TestEvaluatorRobustness:
         for engine in ("scalar", "vectorized"):
             got = outcome(lambda: evaluate(doc, query, engine=engine))
             assert got == expected, (engine, str(query))
+
+    @given(
+        query=st.one_of(paths, st.builds(BinaryExpr, st.just("|"), paths, paths)),
+        seed=st.integers(0, 5000),
+        size=st.integers(1, 60),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_planned_engines_match_the_reference(self, query, seed, size):
+        """The planner's rewrites (the //-collapse and its positional
+        twin) and its per-branch pushdown change how a query runs,
+        never what it returns."""
+        tree = random_tree(size, seed, tags=("a", "b", "c", "item"))
+        doc = encode(tree)
+        expected = outcome(lambda: Reference(tree).evaluate(query))
+        plan = Planner(frozenset((doc.tag_of(doc.root),))).plan(query)
+        for engine in ("scalar", "vectorized"):
+            evaluator = Evaluator(doc, engine=engine, pushdown=plan.pushdown_steps)
+            got = outcome(lambda: evaluator.evaluate(plan.path))
+            assert got == expected, (engine, str(query), str(plan.path))
 
 
 # ----------------------------------------------------------------------

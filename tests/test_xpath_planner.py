@@ -53,10 +53,8 @@ PLANNER_QUERIES = (
 #: The compiled pipeline of every served query shape — the suite
 #: (``repro.harness.queries``) and the benchmark pools, whose ``[k > 0]``
 #: nonce is instantiated at k = 1 — as one string per union branch
-#: (``str(op)`` joined by " → "), unscoped then document-scoped.  These
-#: are exactly the vectorized pipelines the statistics-driven cost model
-#: that preceded the three rules compiled; any change to a served plan
-#: fails here.
+#: (``str(op)`` joined by " → "), unscoped then document-scoped.  Any
+#: change to a served plan fails here.
 GOLDEN = {
     "/descendant::profile/descendant::education": (
         (
@@ -76,18 +74,18 @@ GOLDEN = {
     ),
     "/site/open_auctions/open_auction/bidder/increase": (
         (
-            "ContextInit(document) → StaircaseStep(child::site) → StaircaseStep(child::open_auctions) → StaircaseStep(child::open_auction) → StaircaseStep(child::bidder) → StaircaseStep(child::increase)",
+            "ContextInit(document) → StaircaseStep(child::site) → StaircaseStep(child::open_auctions, pushdown) → StaircaseStep(child::open_auction, pushdown) → StaircaseStep(child::bidder, pushdown) → StaircaseStep(child::increase, pushdown)",
         ),
         (
-            "ContextInit(context) → StaircaseStep(self::site) → StaircaseStep(child::open_auctions) → StaircaseStep(child::open_auction) → StaircaseStep(child::bidder) → StaircaseStep(child::increase)",
+            "ContextInit(context) → StaircaseStep(self::site) → StaircaseStep(child::open_auctions, pushdown) → StaircaseStep(child::open_auction, pushdown) → StaircaseStep(child::bidder, pushdown) → StaircaseStep(child::increase, pushdown)",
         ),
     ),
     "//open_auction[bidder]/seller": (
         (
-            "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → PredicateFilter([child::bidder]) → StaircaseStep(child::seller)",
+            "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → PredicateFilter([child::bidder]) → StaircaseStep(child::seller, pushdown)",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction) → PredicateFilter([child::bidder]) → StaircaseStep(child::seller)",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction, pushdown) → PredicateFilter([child::bidder]) → StaircaseStep(child::seller, pushdown)",
         ),
     ),
     "//open_auction[not(bidder)]": (
@@ -95,15 +93,15 @@ GOLDEN = {
             "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → PredicateFilter([not(child::bidder)])",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction) → PredicateFilter([not(child::bidder)])",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction, pushdown) → PredicateFilter([not(child::bidder)])",
         ),
     ),
     "//open_auction/bidder[1]/increase": (
         (
-            "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → PositionalSelect(child::bidder[1]) → StaircaseStep(child::increase)",
+            "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → PositionalSelect(child::bidder[1]) → StaircaseStep(child::increase, pushdown)",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction) → PositionalSelect(child::bidder[1]) → StaircaseStep(child::increase)",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction, pushdown) → PositionalSelect(child::bidder[1]) → StaircaseStep(child::increase, pushdown)",
         ),
     ),
     "//open_auction/bidder[last()]": (
@@ -111,7 +109,7 @@ GOLDEN = {
             "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → PositionalSelect(child::bidder[last()])",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction) → PositionalSelect(child::bidder[last()])",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction, pushdown) → PositionalSelect(child::bidder[last()])",
         ),
     ),
     "//open_auction[count(bidder) >= 3]": (
@@ -119,7 +117,7 @@ GOLDEN = {
             "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → PredicateFilter([count(child::bidder) >= 3])",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction) → PredicateFilter([count(child::bidder) >= 3])",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction, pushdown) → PredicateFilter([count(child::bidder) >= 3])",
         ),
     ),
     "//person[profile/education = \"Graduate School\"]": (
@@ -127,25 +125,25 @@ GOLDEN = {
             "ContextInit(document) → StaircaseStep(descendant::person, pushdown) → PredicateFilter([child::profile/child::education = \"Graduate School\"])",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::person) → PredicateFilter([child::profile/child::education = \"Graduate School\"])",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::person, pushdown) → PredicateFilter([child::profile/child::education = \"Graduate School\"])",
         ),
     ),
     "//person[@id = \"person0\"]/name": (
         (
-            "ContextInit(document) → StaircaseStep(descendant::person, pushdown) → PredicateFilter([attribute::id = \"person0\"]) → StaircaseStep(child::name)",
+            "ContextInit(document) → StaircaseStep(descendant::person, pushdown) → PredicateFilter([attribute::id = \"person0\"]) → StaircaseStep(child::name, pushdown)",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::person) → PredicateFilter([attribute::id = \"person0\"]) → StaircaseStep(child::name)",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::person, pushdown) → PredicateFilter([attribute::id = \"person0\"]) → StaircaseStep(child::name, pushdown)",
         ),
     ),
     "//seller | //buyer": (
         (
-            "ContextInit(document) → StaircaseStep(descendant::seller)",
-            "ContextInit(document) → StaircaseStep(descendant::buyer)",
+            "ContextInit(document) → StaircaseStep(descendant::seller, pushdown)",
+            "ContextInit(document) → StaircaseStep(descendant::buyer, pushdown)",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::seller)",
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::buyer)",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::seller, pushdown)",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::buyer, pushdown)",
         ),
     ),
     "//open_auction[initial + 20 < current]": (
@@ -153,7 +151,7 @@ GOLDEN = {
             "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → PredicateFilter([(child::initial + 20) < child::current])",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction) → PredicateFilter([(child::initial + 20) < child::current])",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction, pushdown) → PredicateFilter([(child::initial + 20) < child::current])",
         ),
     ),
     "//item[starts-with(location, \"A\")]": (
@@ -161,12 +159,12 @@ GOLDEN = {
             "ContextInit(document) → StaircaseStep(descendant::item, pushdown) → PredicateFilter([starts-with(child::location, \"A\")])",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::item) → PredicateFilter([starts-with(child::location, \"A\")])",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::item, pushdown) → PredicateFilter([starts-with(child::location, \"A\")])",
         ),
     ),
     "//bidder[1]/following-sibling::bidder": (
         (
-            "ContextInit(document) → StaircaseStep(descendant-or-self::node()) → PositionalSelect(child::bidder[1]) → StaircaseStep(following-sibling::bidder)",
+            "ContextInit(document) → StaircaseStep(descendant::bidder, pushdown) → StaircaseStep(parent::node()) → PositionalSelect(child::bidder[1]) → StaircaseStep(following-sibling::bidder)",
         ),
         (
             "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → PositionalSelect(child::bidder[1]) → StaircaseStep(following-sibling::bidder)",
@@ -174,10 +172,10 @@ GOLDEN = {
     ),
     "//profile/education/text()": (
         (
-            "ContextInit(document) → StaircaseStep(descendant::profile, pushdown) → StaircaseStep(child::education) → StaircaseStep(child::text())",
+            "ContextInit(document) → StaircaseStep(descendant::profile, pushdown) → StaircaseStep(child::education, pushdown) → StaircaseStep(child::text())",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::profile) → StaircaseStep(child::education) → StaircaseStep(child::text())",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::profile, pushdown) → StaircaseStep(child::education, pushdown) → StaircaseStep(child::text())",
         ),
     ),
     "//description//keyword": (
@@ -185,7 +183,7 @@ GOLDEN = {
             "ContextInit(document) → StaircaseStep(descendant::description, pushdown) → StaircaseStep(descendant::keyword, pushdown)",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::description) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::keyword)",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::description, pushdown) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::keyword, pushdown)",
         ),
     ),
     "//open_auction[not(reserve)]": (
@@ -193,31 +191,31 @@ GOLDEN = {
             "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → PredicateFilter([not(child::reserve)])",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction) → PredicateFilter([not(child::reserve)])",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction, pushdown) → PredicateFilter([not(child::reserve)])",
         ),
     ),
     "//open_auction/bidder/increase": (
         (
-            "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → StaircaseStep(child::bidder) → StaircaseStep(child::increase)",
+            "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → StaircaseStep(child::bidder, pushdown) → StaircaseStep(child::increase, pushdown)",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction) → StaircaseStep(child::bidder) → StaircaseStep(child::increase)",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction, pushdown) → StaircaseStep(child::bidder, pushdown) → StaircaseStep(child::increase, pushdown)",
         ),
     ),
     "//person/profile/interest": (
         (
-            "ContextInit(document) → StaircaseStep(descendant::person, pushdown) → StaircaseStep(child::profile) → StaircaseStep(child::interest)",
+            "ContextInit(document) → StaircaseStep(descendant::person, pushdown) → StaircaseStep(child::profile, pushdown) → StaircaseStep(child::interest, pushdown)",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::person) → StaircaseStep(child::profile) → StaircaseStep(child::interest)",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::person, pushdown) → StaircaseStep(child::profile, pushdown) → StaircaseStep(child::interest, pushdown)",
         ),
     ),
     "//person[@id = \"person0\"][1 > 0]/name": (
         (
-            "ContextInit(document) → StaircaseStep(descendant::person, pushdown) → PredicateFilter([1 > 0]) → PredicateFilter([attribute::id = \"person0\"]) → StaircaseStep(child::name)",
+            "ContextInit(document) → StaircaseStep(descendant::person, pushdown) → PredicateFilter([1 > 0]) → PredicateFilter([attribute::id = \"person0\"]) → StaircaseStep(child::name, pushdown)",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::person) → PredicateFilter([1 > 0]) → PredicateFilter([attribute::id = \"person0\"]) → StaircaseStep(child::name)",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::person, pushdown) → PredicateFilter([1 > 0]) → PredicateFilter([attribute::id = \"person0\"]) → StaircaseStep(child::name, pushdown)",
         ),
     ),
     "//person[profile/education = \"Graduate School\"][1 > 0]": (
@@ -225,7 +223,7 @@ GOLDEN = {
             "ContextInit(document) → StaircaseStep(descendant::person, pushdown) → PredicateFilter([1 > 0]) → PredicateFilter([child::profile/child::education = \"Graduate School\"])",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::person) → PredicateFilter([1 > 0]) → PredicateFilter([child::profile/child::education = \"Graduate School\"])",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::person, pushdown) → PredicateFilter([1 > 0]) → PredicateFilter([child::profile/child::education = \"Graduate School\"])",
         ),
     ),
     "//item[starts-with(location, \"A\")][1 > 0]": (
@@ -233,7 +231,7 @@ GOLDEN = {
             "ContextInit(document) → StaircaseStep(descendant::item, pushdown) → PredicateFilter([1 > 0]) → PredicateFilter([starts-with(child::location, \"A\")])",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::item) → PredicateFilter([1 > 0]) → PredicateFilter([starts-with(child::location, \"A\")])",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::item, pushdown) → PredicateFilter([1 > 0]) → PredicateFilter([starts-with(child::location, \"A\")])",
         ),
     ),
     "//open_auction[count(bidder) >= 3][1 > 0]": (
@@ -241,7 +239,7 @@ GOLDEN = {
             "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → PredicateFilter([1 > 0]) → PredicateFilter([count(child::bidder) >= 3])",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction) → PredicateFilter([1 > 0]) → PredicateFilter([count(child::bidder) >= 3])",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction, pushdown) → PredicateFilter([1 > 0]) → PredicateFilter([count(child::bidder) >= 3])",
         ),
     ),
     "//open_auction[initial + 20 < current][1 > 0]": (
@@ -249,15 +247,15 @@ GOLDEN = {
             "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → PredicateFilter([1 > 0]) → PredicateFilter([(child::initial + 20) < child::current])",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction) → PredicateFilter([1 > 0]) → PredicateFilter([(child::initial + 20) < child::current])",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction, pushdown) → PredicateFilter([1 > 0]) → PredicateFilter([(child::initial + 20) < child::current])",
         ),
     ),
     "//open_auction[bidder/increase > 10][1 > 0]/seller": (
         (
-            "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → PredicateFilter([1 > 0]) → PredicateFilter([child::bidder/child::increase > 10]) → StaircaseStep(child::seller)",
+            "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → PredicateFilter([1 > 0]) → PredicateFilter([child::bidder/child::increase > 10]) → StaircaseStep(child::seller, pushdown)",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction) → PredicateFilter([1 > 0]) → PredicateFilter([child::bidder/child::increase > 10]) → StaircaseStep(child::seller)",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction, pushdown) → PredicateFilter([1 > 0]) → PredicateFilter([child::bidder/child::increase > 10]) → StaircaseStep(child::seller, pushdown)",
         ),
     ),
     "//open_auction//*": (
@@ -265,7 +263,7 @@ GOLDEN = {
             "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → StaircaseStep(descendant::*)",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::*)",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction, pushdown) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::*)",
         ),
     ),
     "//bidder": (
@@ -273,7 +271,7 @@ GOLDEN = {
             "ContextInit(document) → StaircaseStep(descendant::bidder, pushdown)",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::bidder)",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::bidder, pushdown)",
         ),
     ),
     "//item//text()": (
@@ -281,7 +279,7 @@ GOLDEN = {
             "ContextInit(document) → StaircaseStep(descendant::item, pushdown) → StaircaseStep(descendant::text())",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::item) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::text())",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::item, pushdown) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::text())",
         ),
     ),
     "//person/*": (
@@ -289,7 +287,7 @@ GOLDEN = {
             "ContextInit(document) → StaircaseStep(descendant::person, pushdown) → StaircaseStep(child::*)",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::person) → StaircaseStep(child::*)",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::person, pushdown) → StaircaseStep(child::*)",
         ),
     ),
 }
@@ -349,7 +347,7 @@ class TestDecisions:
     def test_selective_name_test_pushes_down(self):
         # Every eligible name test is pushed down: no catalogue to ask.
         plan = Planner(SITE).plan("/descendant::increase/ancestor::bidder")
-        assert plan.pushdown_steps == frozenset((0, 1))
+        assert plan.pushdown_steps == (frozenset((0, 1)),)
         assert not plan.rewritten  # the symmetry rewrite is never planned
 
     def test_collapse_fuses_abbreviated_steps(self):
@@ -358,7 +356,8 @@ class TestDecisions:
             "/descendant::open_auction/child::bidder/child::increase"
         )
         assert any("//-collapse" in r for r in plan.rewrites)
-        assert plan.pushdown_steps == frozenset((0,))
+        # The child steps read their fragments too.
+        assert plan.pushdown_steps == (frozenset((0, 1, 2)),)
 
     def test_collapse_respects_root_tag_guard(self):
         plan = Planner(SITE).plan("//site/regions")
@@ -366,10 +365,27 @@ class TestDecisions:
         # while `/descendant::site` would not — the pair must survive.
         assert plan.path.steps[0].axis == "descendant-or-self"
 
-    def test_collapse_skips_positional_predicates(self):
+    def test_positional_twin_keeps_the_child_step(self):
+        # Positions count within each parent's child list, so the child
+        # step stays; the context it reads is the parents of the tag's
+        # fragment, not every node of the plane.
         plan = Planner(SITE).plan("//bidder[1]")
-        assert plan.path.steps[0].axis == "descendant-or-self"
-        assert not plan.rewrites
+        assert str(plan.path) == (
+            "/descendant::bidder/parent::node()/child::bidder[1]"
+        )
+        assert plan.pushdown_steps == (frozenset((0, 2)),)
+        plan = Planner(SITE).plan("//open_auction//bidder[last()]/increase")
+        assert str(plan.path) == (
+            "/descendant::open_auction/descendant::bidder/parent::node()"
+            "/child::bidder[last()]/child::increase"
+        )
+        # Kind tests, root tags and scoped plans keep the pair.
+        for planner, query in (
+            (Planner(SITE), "//*[1]"),
+            (Planner(SITE), "//site[1]"),
+            (Planner(None), "//bidder[1]"),
+        ):
+            assert planner.plan(query).path.steps[0].axis == "descendant-or-self"
 
     def test_scoped_planner_never_collapses(self):
         # A scoped plan re-anchors at a member root, which the root-tag
@@ -449,12 +465,14 @@ class TestDecisions:
         ]
 
     def test_union_plans_both_branches(self):
-        plan = Planner(SITE).plan("//seller | //buyer")
-        # Per-step pushdown indices would collide across branches.
-        assert plan.pushdown_steps == frozenset()
+        plan = Planner(SITE).plan("//seller | //buyer/name")
+        # Pushdown is decided per branch, like a top-level path's.
+        assert plan.pushdown_steps == (frozenset((0,)), frozenset((0, 1)))
         # Both abbreviated branches still collapse to one step each.
         assert len(plan.rewrites) == 2
-        assert str(plan.path) == "/descendant::seller | /descendant::buyer"
+        assert str(plan.path) == (
+            "/descendant::seller | /descendant::buyer/child::name"
+        )
 
     def test_plans_are_picklable(self):
         plan = Planner(SITE).plan("//open_auction[bidder]/seller")

@@ -132,8 +132,18 @@ class TestCollapseDescendantOrSelf:
         collapsed = collapse_descendant_or_self(".//a//b")
         assert str(collapsed) == "self::node()/descendant::a/descendant::b"
 
-    def test_positional_predicates_block_the_pair(self):
-        for expr in ("//a[1]", "//a[last()]", "/x//a[position() > 1]"):
+    def test_positional_predicates_keep_the_child_step(self):
+        for expr, twin in (
+            ("//a[1]", "/descendant::a/parent::node()/child::a[1]"),
+            ("//a[last()]", "/descendant::a/parent::node()/child::a[last()]"),
+            (
+                "/x//a[position() > 1]",
+                "/child::x/descendant::a/parent::node()/child::a[position() > 1]",
+            ),
+        ):
+            assert str(collapse_descendant_or_self(expr, frozenset())) == twin
+        # The twin is for name tests only.
+        for expr in ("/x//*[1]", "/x//text()[2]"):
             path = parse_xpath(expr)
             assert collapse_descendant_or_self(path, frozenset()) == path
 
@@ -151,7 +161,10 @@ class TestCollapseDescendantOrSelf:
         """The law on random documents, every engine, incl. predicates."""
         doc = encode(random_tree(size, seed))
         root_tags = frozenset((doc.tag_of(doc.root),))
-        for expr in ("//a", "//b//c", "//a[b]", "/a//b", ".//c", "//*"):
+        for expr in (
+            "//a", "//b//c", "//a[b]", "/a//b", ".//c", "//*",
+            "//a[1]", "//b//c[last()]", "/a//b[2]", "//a[b][1]",
+        ):
             original = parse_xpath(expr)
             collapsed = collapse_descendant_or_self(original, root_tags)
             for engine in ("scalar", "vectorized"):
