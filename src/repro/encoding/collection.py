@@ -20,9 +20,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.encoding.doctable import DocTable
-from repro.encoding.prepost import encode
+from repro.encoding.prepost import encode_gathered
 from repro.errors import EncodingError
-from repro.xmltree.model import Node, NodeKind, element
+from repro.xmltree.model import Node, NodeKind
 
 __all__ = ["DocumentCollection"]
 
@@ -50,11 +50,9 @@ class DocumentCollection:
         names = [name for name, _ in documents]
         if len(set(names)) != len(names):
             raise EncodingError("document names must be unique")
-        gathered = element(virtual_root_tag)
-        for name, tree in documents:
-            gathered.append(_member_root(name, tree))
+        roots = [_member_root(name, tree) for name, tree in documents]
         self.virtual_root_tag = virtual_root_tag
-        self.doc: DocTable = encode(gathered)
+        self.doc: DocTable = encode_gathered(virtual_root_tag, roots)
         self._index_members(names)
 
     def _index_members(self, names: Sequence[str]) -> None:

@@ -1,16 +1,19 @@
 """Encode a node tree into the pre/post ``doc`` table.
 
-One pre-order pass records what the tree *holds* — per node its
-``level``, ``kind`` and the two dictionary codes — the way the paper
-fills the ``doc`` table at loading time (Section 4.1).  What the tree
-*looks like* is not recorded twice: the pre-order ``level`` sequence is
-the shape, and :func:`shape` derives ``post`` and ``parent`` from it
-(Equation (1): ``post(v) − pre(v) + level(v) = |v/descendant|``) — here,
-and again whenever an archive is opened (:mod:`repro.encoding.persist`
-stores neither column).  Tags and text are dictionary-coded as they are
-met: the text of a node is a 4-byte code from here on
+One pre-order walk — a stack of child iterators, no recursion — meets
+every node once and records its depth, the way the paper fills the
+``doc`` table at loading time (Section 4.1); ``kind``, the tag code
+(first-seen order) and the value code (into the sorted value
+dictionary) are then read off the visited nodes a column at a time.
+The pre-order ``level`` sequence is the shape: :func:`shape` derives
+``post`` and ``parent`` from it (Equation (1): ``post(v) − pre(v) +
+level(v) = |v/descendant|``) — here, and again whenever an archive is
+opened (:mod:`repro.encoding.persist` stores neither column).  The text
+of a node is a 4-byte code from here on
 (:class:`~repro.encoding.doctable.ValueIndex`), never a Python ``str``
-per node.
+per node.  A gathered plane (footnote 1, :func:`encode_gathered`) is
+one record for the virtual root at level 0, then the same walk over the
+member roots from level 1: no ``Node`` is made, no member reparented.
 
 Attributes of an element are visited immediately after the element
 itself, before its other children — the "special encoding for attribute
@@ -26,7 +29,7 @@ through a virtual document context (see :mod:`repro.xpath.axes`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,10 +40,11 @@ from repro.errors import EncodingError
 from repro.storage.column import StringColumn
 from repro.xmltree.model import Node, NodeKind
 
-__all__ = ["encode", "shape"]
+__all__ = ["encode", "encode_gathered", "encode_subtree", "shape"]
 
 _ELEMENT = NodeKind.ELEMENT
-_NAMED = (NodeKind.ATTRIBUTE, NodeKind.PROCESSING_INSTRUCTION)
+#: Kinds whose ``name`` is their tag (every other node's tag is "").
+_NAMED = frozenset((_ELEMENT, NodeKind.ATTRIBUTE, NodeKind.PROCESSING_INSTRUCTION))
 
 
 def encode(tree: Node) -> DocTable:
@@ -129,65 +133,69 @@ def shape(level: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def encode_subtree(root: Node) -> DocTable:
     """The table of the subtree at ``root``, whatever its kind (a splice
-    encodes the leaf it inserts the same way as a whole document).
+    encodes the leaf it inserts the same way as a whole document)."""
+    return _encode([root])
 
-    Iterative (documents may be deep) and O(n): the walk records each
-    node's depth and leaves the ranks to :func:`shape`.
-    """
+
+def encode_gathered(tag: str, roots: Sequence[Node]) -> DocTable:
+    """The table of ``roots`` gathered under a virtual root ``tag``."""
+    return _encode(roots, tag)
+
+
+def _encode(roots: Sequence[Node], virtual_root: Optional[str] = None) -> DocTable:
+    """One iterative walk over ``roots`` (documents may be deep), then
+    one comprehension per column; the ranks are left to :func:`shape`."""
+    visited: List[Node] = []
     level: List[int] = []
-    kind: List[int] = []
-    tag_codes: List[int] = []
-    value_codes: List[int] = []
-    tag_code: Dict[str, int] = {}
-    value_code: Dict[Optional[str], int] = {None: -1}  # first-seen codes
-
-    # Two parallel stacks (nodes, their depths) filled a child list at a
-    # time: no per-node frame object.  Children are pushed reversed so
-    # the leftmost is met first (attributes lead ``children``).
-    nodes, depths = [root], [0]
-    while nodes:
-        node, depth = nodes.pop(), depths.pop()
-        level.append(depth)
-        node_kind = node.kind
-        kind.append(node_kind)
-        if node_kind == _ELEMENT:
-            name = node.name
-            value_codes.append(-1)
+    if virtual_root is not None:
+        level.append(0)
+    depth = len(level)
+    stack = [iter(roots)]
+    while stack:
+        for node in stack[-1]:
+            visited.append(node)
+            level.append(depth)
+            if node.children:
+                stack.append(iter(node.children))
+                depth += 1
+                break
         else:
-            name = node.name if node_kind in _NAMED else ""
-            value = node.value
-            code = value_code.get(value)
-            if code is None:
-                code = value_code[value] = len(value_code) - 1
-            value_codes.append(code)
-        code = tag_code.get(name)
-        if code is None:
-            code = tag_code[name] = len(tag_code)
-        tag_codes.append(code)
-        children = node.children
-        if children:
-            nodes.extend(children[::-1])
-            depths.extend([depth + 1] * len(children))
+            stack.pop()
+            depth -= 1
 
-    # First-seen value codes → codes of the sorted dictionary (str order
-    # is code-point order is UTF-8 byte order).  The trailing slot keeps
-    # the -1 of a valueless node where it is.
-    del value_code[None]
-    first_seen = list(value_code)
-    ranked = sorted(range(len(first_seen)), key=first_seen.__getitem__)
-    remap = np.full(len(first_seen) + 1, -1, dtype=np.int32)
-    remap[ranked] = np.arange(len(first_seen), dtype=np.int32)
-    values = ValueIndex(
-        remap[narrow("value_codes", value_codes)],
-        *encode_dictionary([first_seen[i] for i in ranked]),
-    )
-    levels = narrow("level", level)
+    kind = [node.kind for node in visited]
+    names = [n.name if k in _NAMED else "" for n, k in zip(visited, kind)]
+    texts = [None if k == _ELEMENT else n.value for n, k in zip(visited, kind)]
+    if virtual_root is not None:
+        kind.insert(0, _ELEMENT)
+        names.insert(0, virtual_root)
+        texts.insert(0, None)
+    # Tag codes in first-seen order; value codes index the sorted value
+    # dictionary (str order is code-point order is UTF-8 byte order),
+    # -1 for a valueless node.
+    tag_code: Dict[str, int] = {}
+    tag_codes = [tag_code.setdefault(name, len(tag_code)) for name in names]
+    dictionary = sorted(set(texts) - {None})
+    value_code: Dict[Optional[str], int] = {v: i for i, v in enumerate(dictionary)}
+    value_code[None] = -1
+    value_codes = list(map(value_code.__getitem__, texts))
+
+    levels = narrow("level", _ints(level))
     post, parent = shape(levels)
     return DocTable(
         post=post,
         level=levels,
         parent=parent,
-        kind=narrow("kind", kind),
-        tag=StringColumn(narrow("tag_codes", tag_codes), list(tag_code), validate=False),
-        values=values,
+        kind=narrow("kind", _ints(kind)),
+        tag=StringColumn(
+            narrow("tag_codes", _ints(tag_codes)), list(tag_code), validate=False
+        ),
+        values=ValueIndex(
+            narrow("value_codes", _ints(value_codes)), *encode_dictionary(dictionary)
+        ),
     )
+
+
+def _ints(values: List[int]) -> np.ndarray:
+    """A list of Python ints as an ``int64`` array, for :func:`narrow`."""
+    return np.fromiter(values, np.int64, len(values))

@@ -62,7 +62,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.service.cache import LRUCache
-from repro.service.store import ShardedStore
+from repro.service.store import ShardedStore, available_cpus
 from repro.xpath.evaluator import Evaluator, parse_with_cache
 from repro.xpath.observation import PipelineObserver
 from repro.xpath.pipeline import PhysicalPlan, compile_plan, drive_group
@@ -140,22 +140,6 @@ class ShardResult:
 
 #: Which :class:`ShardResult` field carries each result mode's payload.
 _PAYLOAD_FIELD = {"materialize": "ranks", "count": "counts", "exists": "found"}
-
-
-def available_cpus() -> int:
-    """CPUs this process may actually run on.
-
-    ``os.sched_getaffinity`` respects container/cgroup CPU masks (the
-    common CI case), where ``os.cpu_count`` reports the whole machine
-    and would oversubscribe the workers; platforms without affinity fall
-    back to the plain count.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        try:
-            return len(os.sched_getaffinity(0)) or 1
-        except OSError:  # pragma: no cover - exotic platforms
-            pass
-    return os.cpu_count() or 1
 
 
 def default_workers(store: ShardedStore) -> int:

@@ -43,13 +43,15 @@ the batch is atomic on disk and bumps the epoch exactly once.
 
 from __future__ import annotations
 
+import gc
 import json
+import multiprocessing
 import os
 import re
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.lockgraph import assert_held
+from repro import errors
 from repro.encoding.collection import DocumentCollection
 from repro.encoding.persist import (
     FORMAT_VERSION,
@@ -90,6 +92,23 @@ def _resolve_compression(setting: str, nodes: int) -> str:
         return "none"
     return "packed" if nodes >= AUTO_PACK_NODES else "none"
 
+
+def available_cpus() -> int:
+    """CPUs this process may actually run on.
+
+    ``os.sched_getaffinity`` respects container/cgroup CPU masks (the
+    common CI case), where ``os.cpu_count`` reports the whole machine
+    and would oversubscribe the build lanes and fabric workers;
+    platforms without affinity fall back to the plain count.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        try:
+            return len(os.sched_getaffinity(0)) or 1
+        except OSError:  # pragma: no cover - exotic platforms
+            pass
+    return os.cpu_count() or 1
+
+
 #: Shard archive naming scheme; anything matching it that the manifest
 #: does not reference is a crash leftover :meth:`ShardedStore.open` sweeps.
 _SHARD_FILE = re.compile(r"shard-\d{4,}\.e\d{4,}\.npz")
@@ -129,7 +148,7 @@ class ShardedStore:
         so document-scoped lookups are O(1) instead of a scan over
         shards × documents.
         """
-        assert_held(self._lock)
+        assert self._lock._is_owned(), "the caller must hold _lock"
         self._doc_shard: Dict[str, int] = {}  # guarded-by: _lock
         self._names: List[str] = []  # guarded-by: _lock
         for entry in self._manifest["shards"]:
@@ -161,6 +180,11 @@ class ShardedStore:
         ``auto`` packs shards of :data:`AUTO_PACK_NODES` nodes or more.
         The setting persists in the manifest and applies to every later
         commit.
+
+        Shards encode and save on ``min(shards, available_cpus())``
+        lanes (:func:`_write_shards`); the files, the manifest and any
+        error are those of a one-lane build, and ``documents`` are read,
+        never modified.  No manifest is written when a shard fails.
         """
         if not documents:
             raise ReproError("a sharded store needs at least one document")
@@ -175,27 +199,18 @@ class ShardedStore:
         shards = max(1, min(int(shards), len(documents)))
         os.makedirs(directory, exist_ok=True)
         epoch = 1
-        entries = []
-        for shard_id, chunk in enumerate(_split(list(documents), shards)):
-            collection = DocumentCollection(chunk, virtual_root_tag)
-            file_name = _shard_file_name(shard_id, epoch)
-            shard_compression = _resolve_compression(
-                compression, len(collection.doc)
-            )
-            save(
-                collection.doc,
-                os.path.join(directory, file_name),
-                compression=shard_compression,
-            )
-            entries.append(
-                {
-                    "id": shard_id,
-                    "file": file_name,
-                    "documents": [name for name, _ in chunk],
-                    "nodes": len(collection.doc),
-                    "format": LAYOUT_VERSIONS[shard_compression],
-                }
-            )
+        chunks = _split(list(documents), shards)
+        nodes = _write_shards(directory, chunks, virtual_root_tag, compression, epoch)
+        entries = [
+            {
+                "id": shard_id,
+                "file": _shard_file_name(shard_id, epoch),
+                "documents": [name for name, _ in chunk],
+                "nodes": nodes[shard_id],
+                "format": LAYOUT_VERSIONS[_resolve_compression(compression, nodes[shard_id])],
+            }
+            for shard_id, chunk in enumerate(chunks)
+        ]
         manifest = {
             "store_format": STORE_FORMAT,
             "persist_format": FORMAT_VERSION,
@@ -593,7 +608,7 @@ class ShardedStore:
         then flips the manifest once — the commit point — then drops
         cached planes and unlinks the old files.
         """
-        assert_held(self._lock)
+        assert self._lock._is_owned(), "the caller must hold _lock"
         epoch = self.epoch + 1
         setting = self._manifest.get("compression", "none")
         formats: Dict[int, int] = {}
@@ -669,6 +684,60 @@ class ShardedStore:
 
 
 # ----------------------------------------------------------------------
+def _write_shards(directory, chunks, virtual_root_tag, compression, epoch) -> Dict[int, int]:
+    """Encode and save every shard of a build; shard id → node count.
+
+    ``min(shards, available_cpus())`` lanes: lane *k* takes shards *k*,
+    *k + N*, …, lane 0 in this process and the others in forked children,
+    which inherit the trees (none is pickled).  A lane stops at its first
+    failure; once every lane is joined, the lowest failing shard's error
+    is raised — the class and message a one-lane build raises.  One lane
+    while another thread lives: a fork keeps its locks, held for good.
+    """
+    lanes = 1 if threading.active_count() > 1 else min(len(chunks), available_cpus())
+
+    def run(lane: int) -> Tuple[Dict[int, int], Optional[tuple]]:
+        nodes: Dict[int, int] = {}
+        for shard_id in range(lane, len(chunks), lanes):
+            try:
+                doc = DocumentCollection(chunks[shard_id], virtual_root_tag).doc
+                path = os.path.join(directory, _shard_file_name(shard_id, epoch))
+                save(doc, path, compression=_resolve_compression(compression, len(doc)))
+            except ReproError as error:
+                return nodes, (shard_id, type(error).__name__, str(error))
+            nodes[shard_id] = len(doc)
+        return nodes, None
+
+    def child(lane: int, sender) -> None:  # pragma: no cover - a forked child
+        gc.disable()  # a collection writes to inherited objects: their pages copy
+        sender.send(run(lane))
+
+    context = multiprocessing.get_context("fork")
+    children = []
+    for lane in range(1, lanes):
+        receiver, sender = context.Pipe(duplex=False)
+        process = context.Process(target=child, args=(lane, sender))
+        process.start()
+        sender.close()
+        children.append((lane, process, receiver))
+    outcomes = []
+    try:
+        outcomes.append(run(0))
+    finally:
+        for lane, process, receiver in children:
+            with receiver:
+                try:
+                    outcomes.append(receiver.recv())
+                except EOFError:  # it died first; its traceback is on stderr
+                    outcomes.append(({}, (-1, "ReproError", f"build lane {lane} died")))
+            process.join()
+    failures = sorted(failure for _, failure in outcomes if failure is not None)
+    if failures:
+        _, name, message = failures[0]
+        raise getattr(errors, name, ReproError)(message)
+    return {shard: nodes for done, _ in outcomes for shard, nodes in done.items()}
+
+
 def _split(items: list, parts: int) -> List[list]:
     """Contiguous split of ``items`` into ``parts`` non-empty chunks."""
     quotient, remainder = divmod(len(items), parts)

@@ -231,8 +231,9 @@ class TestGlobalInstrumentation:
         assert "queue ok" in out
 
     def test_service_store_commit_under_instrumentation(self, tmp_path):
-        # The real write path (RLock + assert_held in _commit_locked /
-        # _reindex_locked) drives cleanly under a live graph.
+        # The real write path (RLock + the _is_owned() probe in
+        # _commit_locked / _reindex_locked, a forked build lane) drives
+        # cleanly under a live graph.
         out = self.run_isolated(
             f"""
             from repro.analysis.lockgraph import LockGraph

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.encoding.collection import DocumentCollection
+from repro.encoding.prepost import encode, encode_gathered
 from repro.errors import EncodingError
 from repro.xmltree.model import document, element, text
 
@@ -51,6 +52,28 @@ class TestConstruction:
     def test_non_element_rejected(self):
         with pytest.raises(EncodingError):
             DocumentCollection([("x", text("loose"))])
+
+    def test_the_members_trees_are_read_not_reparented(self):
+        """The virtual root is one record of the plane, never a ``Node``:
+        gathering leaves every member root where its caller put it."""
+        wrapped_root = element("r", element("s"))
+        wrapped = document(wrapped_root)
+        loose = element("t", text("x"))
+        collection = DocumentCollection([("x", wrapped), ("y", loose)])
+        assert wrapped_root.parent is wrapped
+        assert wrapped.children == [wrapped_root]
+        assert loose.parent is None
+        assert collection.doc.parent.tolist() == [-1, 0, 1, 0, 3]
+
+    def test_a_gathered_plane_is_the_plane_of_the_gathered_tree(self):
+        roots = [element("a", element("b", text("1")), k="v"), element("c")]
+        gathered = encode_gathered("all", roots)
+        expected = encode(element("all", *roots))  # reparents: built last
+        for column in ("post", "level", "parent", "kind"):
+            assert getattr(gathered, column).tolist() == getattr(expected, column).tolist()
+        assert list(gathered.tag.dictionary) == list(expected.tag.dictionary)
+        assert gathered.tag.codes.tolist() == expected.tag.codes.tolist()
+        assert list(gathered.values) == list(expected.values)
 
 
 class TestAttribution:

@@ -3,6 +3,9 @@ package's advertised quickstart works as written."""
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -194,6 +197,23 @@ class TestRemovedSpellings:
                     "enabled": False,
                     "generation": 0,
                 }
+
+
+class TestServedImports:
+    def test_serving_imports_no_development_tooling(self):
+        """The linter and lock recorder are tools: a served process
+        (service + server) never imports them."""
+        environment = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.service, repro.server; "
+                "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))",
+            ],
+            capture_output=True, text=True, timeout=60, env=environment, check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
 
 class TestReadmeQuickstart:
