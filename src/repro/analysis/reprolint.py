@@ -449,7 +449,7 @@ class LoopConfinement(Rule):
 # REP004 — pickle safety of registered cross-process payloads
 # ----------------------------------------------------------------------
 #: module → class names whose instances cross a process boundary
-#: (pickled through the fabric's worker queues).  The
+#: (pickled through the fabric's worker pipes).  The
 #: runtime half (`repro.analysis.pickle_check`) round-trips real
 #: instances of every entry at import time.
 PAYLOAD_REGISTRY: Dict[str, Tuple[str, ...]] = {

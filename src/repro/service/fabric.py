@@ -12,33 +12,46 @@ data plane bulk end-to-end:
   :class:`~repro.service.backend.SerialBackend` dispatch.  Every lane
   holds one :class:`~repro.service.executor.ShardWorkerState` (mmap'd
   shard planes, evaluators, prefix-context LRU) across requests;
-  nothing is re-opened per batch.  A batch sends every remote unit
-  first, runs lane 0's units inline while the workers run theirs, then
-  collects — so the serving process does a share of the work instead of
-  idling while the workers run, and lane 0's results never leave it
-  (no segment).  The workers fork when the backend is constructed;
-  ``fabric:1`` forks nothing and starts no queues or drain threads.
+  nothing is re-opened per batch.  A batch sends each remote lane one
+  message holding all of its units, runs lane 0's units inline while
+  the workers run theirs, then waits for one reply per remote lane —
+  so the serving process does a share of the work instead of idling,
+  and lane 0's results never leave it (no segment).  The workers fork
+  when the backend is constructed; ``fabric:1`` is serial.
+* **One pipe per worker.**  Lane *i* talks to its worker over one
+  duplex ``multiprocessing.Pipe``, read through
+  ``multiprocessing.connection.wait`` on the pipes and the worker
+  process sentinels.  No thread runs on either side.  A batch never
+  starts while a reply is unread, so neither side blocks the other on
+  a full pipe.  One lock serializes batches, so concurrent callers
+  wait their turn instead of reading each other's replies.
 * **Shared-memory result planes.**  A worker writes all rank arrays of
-  a response into one POSIX shared-memory segment
-  (:class:`SegmentWriter`); only a tiny layout descriptor crosses the
-  pipe.  The parent maps the segment and rebuilds every rank array as
-  a **zero-copy numpy view** over it (:class:`SegmentPool`).
-  ``count``/``exists`` payloads stay inline — they were never the
-  transport cost.
-* **One segment per response, no lifecycle.**  A segment has a name
-  only between the worker's ``pack`` and the parent's attach: the
-  parent maps it and unlinks the name at once, then hands out plain
+  a reply into one POSIX shared-memory segment (:class:`SegmentWriter`);
+  only a tiny layout descriptor crosses the pipe.  The parent maps the
+  segment and rebuilds every rank array as a **zero-copy numpy view**
+  over it (:class:`SegmentPool`).  ``count``/``exists`` payloads stay
+  inline — they were never the transport cost.
+* **One segment per reply, no lifecycle.**  A segment has a name only
+  between the worker's ``pack`` and the parent's attach: the parent
+  maps it and unlinks the name at once, then hands out plain
   ``np.frombuffer`` views.  numpy's buffer export keeps the mapping
-  alive until the last view (or slice of one) dies and the kernel
-  frees the pages then — nothing is registered, returned or reused,
-  and arrays sitting in the service result cache outlive the backend.
-  A ``done`` message nobody unpacks (a duplicate after a respawn, the
-  rest of a batch that failed) has its name unlinked unread: a batch
-  returns or raises only once every remote unit of it is in.
-* **Crash safety.**  Segment names embed the parent pid
-  (``repro-fab-<pid>-<instance>-w<idx>g<gen>-<seq>``); construction
-  sweeps names whose pid is dead (:func:`sweep_orphan_segments`) —
-  the same recover-on-open discipline as the store's orphaned-``.npz``
+  alive until the last view (or slice of one) dies and the kernel frees
+  the pages then — nothing is registered, returned or reused, and
+  arrays sitting in the service result cache outlive the backend.  In
+  a batch that failed, the other lanes' replies have their names
+  unlinked unread: a batch returns or raises only once every remote
+  lane has answered.
+* **Crash safety.**  A worker's death is a readable event: its
+  sentinel fires, or its pipe ends (mid-frame, too).  The lane is then
+  respawned on a fresh pipe and sent its one message again; the dead
+  pipe is closed and never read again, so no reply can arrive twice.
+  Each process holds only its own pipe ends — the parent closes each
+  child end after the fork, and a worker closes every fabric end it
+  inherited but its own — so a worker whose server died reads end of
+  file and exits.  Segment names embed the parent pid
+  (``repro-fab-<pid>-<instance>-w<idx>g<gen>-<n>``); construction
+  sweeps names whose pid is dead (:func:`sweep_orphan_segments`) — the
+  same recover-on-open discipline as the store's orphaned-``.npz``
   sweep — and ``close()`` unlinks everything under the instance
   prefix.  The only names either can find are segments a worker wrote
   and the parent never attached.
@@ -47,17 +60,9 @@ data plane bulk end-to-end:
   that shard's plans across batches — unless some lane holds
   strictly fewer units *of this batch*, then to the first least-loaded
   one (which is how the chunks of a scarce shard spread over idle
-  lanes).  Lane 0 is routed like any other.  Each worker gets a private inbox
-  *and* a private results outbox (a shared outbox is a liability: one
-  worker SIGKILLed holding the write lock, or mid-frame, wedges or
-  desyncs everyone's results); per-worker drain threads merge replies
-  into an in-process queue the dispatch loop reads.  A worker that
-  dies mid-batch is respawned on fresh queues (the old ones may die
-  with locks held or frames half-written) and its in-flight units
-  re-dispatched (duplicate completions are deduped by sequence
-  number).  Fall-forward
-  across epoch flips needs nothing new: shard files are named by epoch
-  and workers chase the manifest exactly as the serial path does.
+  lanes).  Lane 0 is routed like any other.  Fall-forward across epoch
+  flips needs nothing new: shard files are named by epoch and workers
+  chase the manifest exactly as the serial path does.
 """
 
 from __future__ import annotations
@@ -66,7 +71,6 @@ import itertools
 import mmap
 import multiprocessing
 import os
-import queue
 import re
 import threading
 import traceback
@@ -93,7 +97,7 @@ __all__ = [
 
 _RANK_DTYPE = np.dtype(np.int64)
 
-#: Segment names: repro-fab-<parent pid>-<instance>-w<worker>g<generation>-<seq>
+#: Segment names: repro-fab-<parent pid>-<instance>-w<worker>g<generation>-<n>
 _SEGMENT_NAME = re.compile(r"^repro-fab-(\d+)-\d+-w\d+g\d+-\d+$")
 
 _SHM_DIR = "/dev/shm"
@@ -172,7 +176,7 @@ class SegmentWriter:
 
     def __init__(self, prefix: str):
         self.prefix = prefix
-        self._seq = itertools.count()
+        self._names = itertools.count()
 
     def pack(self, results: Sequence[ShardResult]) -> tuple:
         """Flatten results into ``(light_results, segment_name)``.
@@ -204,7 +208,7 @@ class SegmentWriter:
             )
         if not arrays:
             return (light, None)
-        name = f"{self.prefix}-{next(self._seq)}"
+        name = f"{self.prefix}-{next(self._names)}"
         fd = os.open(
             os.path.join(_SHM_DIR, name),
             os.O_WRONLY | os.O_CREAT | os.O_EXCL,
@@ -221,34 +225,42 @@ class SegmentWriter:
 
 
 def _fabric_worker(
-    directory, decode_cache, inbox, outbox, idx, prefix
+    directory, decode_cache, conn, inherited, prefix
 ):  # pragma: no cover - runs in child processes; components unit-tested
-    """One fabric worker's request loop (runs in a child process)."""
+    """One fabric worker's request loop (runs in a child process).
+
+    Every message gets exactly one reply.  ``inherited`` are the fabric
+    pipe ends this process got from its parent that are not its own
+    (its siblings' included): closed at once, so the server's end of
+    ``conn`` is held by the server alone and ends when the server does
+    — a ``recv`` that reads end of file returns, and the worker dies
+    with its server.
+    """
+    for end in inherited:
+        end.close()
     state = ShardWorkerState(directory, decode_cache=decode_cache)
     writer = SegmentWriter(prefix)
-    while True:
-        message = inbox.get()
-        kind = message[0]
-        if kind == "stop":
-            break
-        if kind == "stats":
-            outbox.put(
-                ("stats", idx, {"prefix_cache": state.prefix_cache.info()})
-            )
-            continue
-        seq, tasks = message[1], message[2]
-        try:
-            payload = writer.pack(state.run_group(tasks))
-        except ReproError as error:
-            # A user error (bad query, bad function arity): the parent
-            # re-raises the same class with the same message, so every
-            # backend answers a bad request identically.
-            outbox.put(("err", idx, seq, (type(error).__name__, str(error))))
-            continue
-        except Exception:  # repro: allow[REP007] - worker crash boundary: any failure ships its traceback to the parent instead of killing the loop
-            outbox.put(("err", idx, seq, traceback.format_exc()))
-            continue
-        outbox.put(("done", idx, seq, payload))
+    try:
+        while True:
+            message = conn.recv()
+            if message[0] == "stop":
+                return
+            if message[0] == "stats":
+                conn.send(("stats", {"prefix_cache": state.prefix_cache.info()}))
+                continue
+            try:
+                results = [r for unit in message[1] for r in state.run_group(unit)]
+                reply = ("done", writer.pack(results))
+            except ReproError as error:
+                # A user error (bad query, bad function arity): the parent
+                # re-raises the same class with the same message, so every
+                # backend answers a bad request identically.
+                reply = ("err", (type(error).__name__, str(error)))
+            except Exception:  # repro: allow[REP007] - worker crash boundary: any failure ships its traceback to the parent instead of killing the loop
+                reply = ("err", traceback.format_exc())
+            conn.send(reply)
+    except (EOFError, OSError):
+        return  # the server is gone
 
 
 # ----------------------------------------------------------------------
@@ -290,10 +302,10 @@ class SegmentPool:
         return results
 
 
-def _drop_unread(message: tuple) -> None:
-    """Unlink the segment of a ``done`` message nobody will unpack."""
-    if message[0] == "done" and message[3][1]:
-        _unlink_segment(message[3][1])
+def _drop_unread(reply: tuple) -> None:
+    """Unlink the segment of a ``done`` reply nobody will unpack."""
+    if reply[0] == "done" and reply[1][1]:
+        _unlink_segment(reply[1][1])
 
 
 def _split_to_feed_workers(
@@ -323,7 +335,7 @@ def _split_to_feed_workers(
 
 class FabricBackend(SerialBackend):
     """Shard-affine lanes: the calling thread plus long-lived workers
-    with shared-memory result planes.
+    with shared-memory result planes, one pipe each.
 
     Parameters
     ----------
@@ -347,83 +359,101 @@ class FabricBackend(SerialBackend):
         self.dispatched = [0] * self._workers  #: units run, per lane
         self._ctx = multiprocessing.get_context()
         self._prefix = f"repro-fab-{os.getpid()}-{next(_INSTANCES)}"
-        self._seq = itertools.count()
         self._generation = [0] * self._workers  #: forks, per lane (lane 0: none)
-        # Keyed by lane, 1..N-1: lane 0 has no process, queue or thread.
-        self._procs: Optional[dict] = None
-        self._inboxes: Optional[dict] = None
-        self._outboxes: Optional[dict] = None
-        self._merged: Optional[queue.Queue] = None
-        self._drainers: Optional[dict] = None
+        self._lock = threading.Lock()
+        # Keyed by lane, 1..N-1: lane 0 has no process and no pipe.
+        self._procs: Optional[dict] = None  # guarded-by: _lock
+        self._conns: Optional[dict] = None  # guarded-by: _lock
         self._pool = SegmentPool()
         # Recover segments a crashed predecessor left behind before we
         # start minting our own (mirrors the store's orphan sweep).
         sweep_orphan_segments()
-        self._ensure_workers()  # fork before any drain or caller thread exists
+        self._ensure_workers_locked()  # fork from the constructing thread
 
     @property
     def workers(self) -> int:
         return self._workers
 
     # ------------------------------------------------------------------
-    def _ensure_workers(self) -> None:
-        if self._procs is not None:
-            return
-        remote = range(1, self._workers)
-        self._merged = queue.Queue()
-        self._outboxes = {idx: self._ctx.Queue() for idx in remote}
-        self._inboxes = {idx: self._ctx.Queue() for idx in remote}
-        self._procs = {idx: self._spawn(idx) for idx in remote}
-        self._drainers = {idx: self._start_drain(idx) for idx in remote}
+    def _ensure_workers_locked(self) -> None:
+        if self._procs is None:
+            self._procs, self._conns = {}, {}
+            for idx in range(1, self._workers):
+                self._spawn_locked(idx)
 
-    def _start_drain(self, idx: int) -> threading.Thread:
-        """Pump one worker's outbox into the in-process merged queue.
+    def _spawn_locked(self, idx: int) -> None:
+        """Fork lane ``idx``'s worker on a fresh pipe.
 
-        The dispatch loop never reads a ``multiprocessing.Queue``
-        directly: a worker SIGKILLed mid-``put`` leaves a partial frame
-        in its pipe, and any parent ``get()`` on that channel would
-        block forever inside ``recv`` waiting for bytes that will never
-        arrive.  Confining each cross-process read to a dedicated
-        thread means corruption wedges only that thread, which is
-        abandoned with its queue at respawn — the dispatch loop keeps
-        draining the plain ``queue.Queue`` and stays responsive.
+        The child is handed every parent end of this fabric to close,
+        its own lane's included; the parent closes the child's end once
+        it is forked.  A respawn forks from the dispatching thread after
+        lane 0 has loaded its shards: the child inherits those planes
+        copy-on-write (resident in its RSS, shared with this process,
+        never read — its own :class:`ShardWorkerState` opens its shards
+        afresh).
         """
-        source = self._outboxes[idx]  # bind the queue, not the slot:
-        sink = self._merged  # respawn swaps the slot under us
-
-        def drain() -> None:
-            while True:
-                try:
-                    message = source.get()
-                except (OSError, ValueError, EOFError):
-                    return  # queue torn down under us at close()
-                if message[0] == "drain-stop":
-                    return
-                sink.put(message)
-
-        thread = threading.Thread(
-            target=drain, daemon=True, name=f"fabric-drain-{idx}"
-        )
-        thread.start()
-        return thread
-
-    def _spawn(self, idx: int):
         generation = self._generation[idx]
         self._generation[idx] += 1
+        ours, theirs = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_fabric_worker,
             args=(
                 self.store.directory,
                 self.store.decode_cache,
-                self._inboxes[idx],
-                self._outboxes[idx],
-                idx,
+                theirs,
+                [ours, *self._conns.values()],
                 f"{self._prefix}-w{idx}g{generation}",
             ),
             daemon=True,
         )
         process.start()
-        return process
+        theirs.close()
+        self._procs[idx], self._conns[idx] = process, ours
+
+    def _respawn_locked(self, idx: int) -> None:
+        """Replace a dead worker; its pipe is closed, never read again.
+        A segment it wrote but never announced keeps its name until
+        ``close()``."""
+        self._conns.pop(idx).close()
+        dead = self._procs.pop(idx)
+        dead.kill()
+        dead.join()
+        self._spawn_locked(idx)
+
+    def _post_locked(self, idx: int, message: tuple) -> None:
+        """Send lane ``idx`` its message, on a new worker if the old one
+        died since its last reply."""
+        try:
+            self._conns[idx].send(message)
+        except OSError:
+            self._respawn_locked(idx)
+            self._conns[idx].send(message)
+
+    def _collect_locked(self, sent: Dict[int, tuple]) -> Dict[int, tuple]:
+        """Wait for one reply per lane of ``sent``, in lane order.
+
+        A lane whose worker dies first — its sentinel fires, or its pipe
+        ends, whole or mid-frame — is respawned and sent its message
+        again.  A complete reply already read counts.
+        """
+        from multiprocessing.connection import wait  # a serial process never loads it
+
+        replies: Dict[int, tuple] = {}
+        while len(replies) < len(sent):
+            handles = {}
+            for idx in sent:
+                if idx not in replies:
+                    handles[self._conns[idx]] = handles[self._procs[idx].sentinel] = idx
+            for idx in sorted({handles[ready] for ready in wait(list(handles))}):
+                try:
+                    if self._conns[idx].poll():
+                        replies[idx] = self._conns[idx].recv()
+                        continue
+                except (EOFError, OSError):  # the pipe ended: the worker is gone
+                    pass
+                self._respawn_locked(idx)
+                self._post_locked(idx, sent[idx])
+        return {idx: replies[idx] for idx in sent}
 
     # ------------------------------------------------------------------
     def _assign(self, shard_id: int, depths: List[int]) -> int:
@@ -436,129 +466,67 @@ class FabricBackend(SerialBackend):
         return depths.index(least)
 
     def _dispatch(self, grouped: List[List[ShardTask]]) -> List[ShardResult]:
-        self._ensure_workers()
-        units = _split_to_feed_workers(grouped, self._workers)
-        depths = [0] * self._workers
-        local: List[List[ShardTask]] = []
-        pending: Dict[int, tuple] = {}
-        for unit in units:
-            idx = self._assign(unit[0].shard_id, depths)
-            depths[idx] += 1
-            self.dispatched[idx] += 1
-            if idx == 0:
-                local.append(unit)
-                continue
-            seq = next(self._seq)
-            pending[seq] = (idx, unit)
-            self._inboxes[idx].put(("run", seq, unit))
-        # Lane 0 runs while the workers do.  Whatever it raises waits
-        # for the remote completions: no segment name outlives the batch.
-        try:
-            outcomes = super()._dispatch(local)
-        finally:
-            remote = self._collect(pending)
-        return outcomes + remote
-
-    def _collect(self, pending: Dict[int, tuple]) -> List[ShardResult]:
-        """Wait for every remote unit; a worker's failure is raised once
-        the last one is in, the rest of the batch's segments unlinked
-        unread."""
-        outcomes: List[ShardResult] = []
-        failure: Optional[ReproError] = None
-        while pending:
+        with self._lock:
+            self._ensure_workers_locked()
+            lanes: List[List[List[ShardTask]]] = [[] for _ in range(self._workers)]
+            depths = [0] * self._workers
+            for unit in _split_to_feed_workers(grouped, self._workers):
+                idx = self._assign(unit[0].shard_id, depths)
+                depths[idx] += 1
+                self.dispatched[idx] += 1
+                lanes[idx].append(unit)
+            sent = {idx: ("run", lanes[idx]) for idx in range(1, self._workers) if lanes[idx]}
+            for idx, message in sent.items():
+                self._post_locked(idx, message)
+            # Lane 0 runs while the workers do.  Whatever it raises waits
+            # for the remote replies: no segment name outlives the batch.
             try:
-                message = self._merged.get(timeout=0.25)
-            except queue.Empty:
-                self._respawn_dead(pending)
+                outcomes = super()._dispatch(lanes[0])
+            finally:
+                remote = self._unpack(self._collect_locked(sent))
+            return outcomes + remote
+
+    def _unpack(self, replies: Dict[int, tuple]) -> List[ShardResult]:
+        """Every lane's results; if a lane failed, its error, with the
+        other lanes' segments unlinked unread."""
+        for idx, (kind, detail) in replies.items():
+            if kind != "err":
                 continue
-            kind = message[0]
-            if kind not in ("done", "err") or pending.pop(message[2], None) is None:
-                # A duplicate from re-dispatch after a worker death, or
-                # a "stats" reply of a worker_stats() abandoned mid-read.
-                _drop_unread(message)
-            elif failure is not None:  # the batch has failed already
-                _drop_unread(message)
-            elif kind == "done":
-                outcomes.extend(self._pool.unpack(message[3]))
-            elif isinstance(message[3], tuple):
+            for reply in replies.values():
+                _drop_unread(reply)
+            if isinstance(detail, tuple):
                 # A user error: the same class and message as in-process.
-                failure = getattr(errors, message[3][0], ReproError)(message[3][1])
-            else:
-                failure = ReproError(f"fabric worker {message[1]} failed:\n{message[3]}")
-        if failure is not None:
-            raise failure
-        return outcomes
-
-    def _respawn_dead(self, pending: Dict[int, tuple]) -> None:
-        """Replace dead workers and re-dispatch their in-flight units.
-
-        Both of the dead worker's queues are abandoned, not inherited.
-        The inbox: ``Queue.get()`` holds the queue's reader lock *while
-        blocked waiting for data*, so a worker killed at idle dies
-        owning that semaphore and a replacement reading the same queue
-        would deadlock on it.  The outbox: a worker killed mid-``put``
-        dies holding the write lock (wedging any other writer — hence
-        one outbox per worker) and may leave a partial frame that would
-        block the reader forever; its drain thread is left behind on
-        the stale queue (it still relays any intact completions, which
-        dedup by sequence number) and a fresh queue + drain thread take
-        the slot.  Every pending unit assigned to the worker is re-sent
-        (units stranded in the old inbox are a subset of ``pending``,
-        so nothing is lost) and a duplicate completion's segment is
-        unlinked unread.  A segment the dead worker wrote but never
-        announced keeps its name until ``close()``.
-        Unlike the forks at construction, this one runs on the dispatch
-        thread with drain threads alive; the child touches only its
-        fresh queues.  It also forks after lane 0 has loaded its shards:
-        the child inherits those planes copy-on-write (resident in its
-        RSS, shared with this process, never read — its own
-        :class:`ShardWorkerState` opens its shards afresh).
-        """
-        for idx, process in self._procs.items():
-            if process.is_alive():
-                continue
-            process.join()
-            stale = self._inboxes[idx]
-            stale.cancel_join_thread()
-            stale.close()
-            self._inboxes[idx] = self._ctx.Queue()
-            self._outboxes[idx].cancel_join_thread()
-            self._outboxes[idx] = self._ctx.Queue()
-            self._procs[idx] = self._spawn(idx)
-            self._drainers[idx] = self._start_drain(idx)
-            for seq, (owner, unit) in pending.items():
-                if owner == idx:
-                    self._inboxes[idx].put(("run", seq, unit))
+                raise getattr(errors, detail[0], ReproError)(detail[1])
+            raise ReproError(f"fabric worker {idx} failed:\n{detail}")
+        return [
+            result for _, payload in replies.values()
+            for result in self._pool.unpack(payload)
+        ]
 
     # ------------------------------------------------------------------
     def worker_stats(self) -> dict:
         """Per-lane prefix-cache counters (lane 0's read in-process) and
         the routing and attach totals — the observability hook the
         affinity tests build on."""
-        self._ensure_workers()
-        for inbox in self._inboxes.values():
-            inbox.put(("stats",))
-        stats: List[Optional[dict]] = [None] * self._workers
-        stats[0] = {"prefix_cache": self._state().prefix_cache.info()}
-        needed = len(self._inboxes)
-        while needed:
-            message = self._merged.get(timeout=10.0)
-            if message[0] == "stats" and stats[message[1]] is None:
-                stats[message[1]] = message[2]
-                needed -= 1
-            else:  # a late duplicate of a re-dispatched unit
-                _drop_unread(message)
+        with self._lock:
+            self._ensure_workers_locked()
+            sent = {idx: ("stats",) for idx in range(1, self._workers)}
+            for idx, message in sent.items():
+                self._post_locked(idx, message)
+            replies = self._collect_locked(sent)
+            lane0 = {"prefix_cache": self._state().prefix_cache.info()}
         return {
-            "workers": stats,
+            "workers": [lane0, *(detail for _, detail in replies.values())],
             "dispatched": list(self.dispatched),
             "stolen": self.stolen,
             "segments_attached": self._pool.attached,
         }
 
     # ------------------------------------------------------------------
-    def close(self) -> None:
+    def close(self) -> None:  # repro: allow[REP002] - runs from QueryService.__del__, inside whatever lock a GC pass interrupts, so it must not take the dispatch lock; closing mid-batch is the caller's error
         """Stop workers, drop lane 0's state and unlink every fabric
-        segment (idempotent).
+        segment (idempotent): send each worker ``stop``, join it, close
+        the pipes, sweep the instance's segment names.
 
         Rank arrays already handed out (service result cache, caller
         references) stay readable: their names went at attach, the
@@ -570,32 +538,19 @@ class FabricBackend(SerialBackend):
             return
         self._serial_state = None
         procs, self._procs = self._procs, None
-        inboxes, self._inboxes = self._inboxes, None
-        outboxes, self._outboxes = self._outboxes, None
-        drainers, self._drainers = self._drainers, None
-        for inbox in inboxes.values():
+        conns, self._conns = self._conns, None
+        for conn in conns.values():
             try:
-                inbox.put(("stop",))
-            except (OSError, ValueError):  # pragma: no cover - torn down
+                conn.send(("stop",))
+            except OSError:  # the worker is gone already
                 pass
         for process in procs.values():
             process.join(timeout=5.0)
             if process.is_alive():  # pragma: no cover - wedged worker
-                process.terminate()
+                process.kill()
                 process.join()
-        # Release the drain threads: workers have exited, so each
-        # outbox is quiescent and the sentinel is the next message.
-        for outbox in outboxes.values():
-            try:
-                outbox.put(("drain-stop",))
-            except (OSError, ValueError):  # pragma: no cover - torn down
-                pass
-        for thread in drainers.values():
-            thread.join(timeout=5.0)
-        for channel in [*inboxes.values(), *outboxes.values()]:
-            channel.cancel_join_thread()
-            channel.close()
-        self._merged = None
+        for conn in conns.values():
+            conn.close()
         # Segments written by a worker and never attached (the worker or
         # its batch died in between) are the only names left.
         try:

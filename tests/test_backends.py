@@ -10,9 +10,10 @@ shared-memory segment has a
 name only between the worker's pack and the parent's attach, crash
 leftovers are swept by pid, shard affinity keeps per-worker prefix
 caches warm, a scarce shard's chunks spread over idle workers, a killed
-worker is replaced mid-batch, and closing (explicitly, via GC, or
-through ``ThreadedServer`` teardown) leaks neither processes nor
-segments.
+worker is replaced mid-batch (mid-frame too), concurrent callers get
+their own answers, a fabric starts no thread, its workers die with a
+killed server, and closing (explicitly, via GC, or through
+``ThreadedServer`` teardown) leaks neither processes nor segments.
 """
 
 import gc
@@ -23,6 +24,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -86,10 +88,6 @@ def live_children() -> set:
         if int(parent) == me and state != "Z":
             found.add(int(entry))
     return found
-
-
-def drain_threads() -> set:
-    return {t for t in threading.enumerate() if t.name.startswith("fabric-drain")}
 
 
 def dead_pid() -> int:
@@ -272,16 +270,33 @@ class TestLanes:
 
     @pytest.mark.parametrize("lanes", [2, 3])
     def test_fabric_n_forks_n_minus_one_workers(self, store, lanes):
-        children, drains = live_children(), drain_threads()
+        children = live_children()
         with FabricBackend(store, workers=lanes) as backend:
             assert backend.workers == lanes
             forked = live_children() - children
             assert forked == {p.pid for p in backend._procs.values()}
             assert len(forked) == lanes - 1
-            assert len(drain_threads() - drains) == lanes - 1
             backend.run_batch([("//person", "vectorized", None, "count")])
             assert live_children() - children == forked  # none at first use
         assert live_children() - children == set()
+
+    def test_a_fabric_starts_no_thread(self, store):
+        """Pipes are read by the dispatching thread itself: no thread is
+        started at construction, by a respawn, or left after close."""
+        before = set(threading.enumerate())
+        backend = FabricBackend(store, workers=3)
+        try:
+            assert set(threading.enumerate()) <= before
+            backend.run_batch([("//person", "vectorized", None, "count")])
+            victim = backend._procs[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
+            backend.run_batch([("//person", "vectorized", None, "count")])
+            assert backend._generation == [0, 2, 1]  # lane 1 was respawned
+            assert set(threading.enumerate()) <= before
+        finally:
+            backend.close()
+        assert set(threading.enumerate()) <= before
 
     def test_one_lane_is_serial(self, store, monkeypatch):
         """``fabric:1``, and a bare ``fabric`` resolving to one lane, are
@@ -605,6 +620,94 @@ class TestAffinityAndResilience:
             assert fabric_segments() == []
         assert answers == baseline
 
+    def test_worker_dying_mid_frame_is_redispatched(self, store, monkeypatch):
+        """A worker that dies while writing its reply leaves a frame
+        header with no body: the parent reads end of file mid-message —
+        an error, not a hang — and sends the lane to a fresh worker."""
+        import multiprocessing
+        import struct
+
+        from repro.service import fabric
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched worker reaches the child through fork only")
+        item = ("//open_auction/bidder", "vectorized", None, "materialize")
+        expected = SerialBackend(store).run_batch([item])
+        worker = fabric._fabric_worker
+
+        def truncated(directory, decode_cache, conn, inherited, prefix):
+            if not prefix.endswith("g0"):  # the respawned worker is real
+                return worker(directory, decode_cache, conn, inherited, prefix)
+            conn.recv()
+            os.write(conn.fileno(), struct.pack("!i", 1 << 20))  # "1 MB follows"
+            os._exit(0)
+
+        monkeypatch.setattr(fabric, "_fabric_worker", truncated)
+        with FabricBackend(store, workers=2) as backend:
+            answered = []
+            batch = threading.Thread(
+                target=lambda: answered.append(backend.run_batch([item])),
+                daemon=True,
+            )
+            batch.start()
+            batch.join(timeout=60)
+            assert answered, "the batch hung or failed"
+            merged = answered[0]
+            assert backend._generation == [0, 2]
+            assert fabric_segments() == []
+        assert {n: a.tobytes() for n, a in merged[0].items()} == {
+            n: a.tobytes() for n, a in expected[0].items()
+        }
+        assert fabric_segments() == []
+
+    def test_concurrent_callers_each_get_their_own_answers(self, store):
+        """Two threads share one fabric: batches queue on its lock, and
+        every answer is the serial one, byte for byte."""
+        batches = [
+            [(query, "vectorized", None, mode),
+             (SUITE[(i + 1) % len(SUITE)], "vectorized", None, mode)]
+            for i, query in enumerate(SUITE)
+            for mode in MODES
+        ]
+
+        def image(merged):  # per item: {document: bytes} or an exists bool
+            return [
+                {n: np.asarray(v).tobytes() for n, v in m.items()}
+                if isinstance(m, dict) else m
+                for m in merged
+            ]
+
+        expected = [image(SerialBackend(store).run_batch(b)) for b in batches]
+        answers: dict = {}
+        with FabricBackend(store, workers=2) as backend:
+
+            def caller(name):
+                seen = []
+                for k in range(50):
+                    i = (k * 5 + name) % len(batches)
+                    seen.append((i, image(backend.run_batch(batches[i]))))
+                answers[name] = seen
+
+            threads = [
+                threading.Thread(target=caller, args=(name,), daemon=True)
+                for name in range(2)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-4)  # interleave the callers finely
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads), "a caller hung"
+        assert sorted(answers) == [0, 1]
+        for seen in answers.values():
+            assert len(seen) == 50
+            for i, answer in seen:
+                assert answer == expected[i], batches[i]
+
     def test_fabric_starts_no_resource_tracker(self, store, tmp_path):
         """Segments are mapped straight from /dev/shm, so neither the
         service process nor a worker ever spawns a ``multiprocessing``
@@ -794,6 +897,62 @@ print(json.dumps({"constructed": constructed, "alive": alive,
         assert seen["forks"] == seen["constructed"]  # none at first request
         assert seen["total"] > 0
         assert fabric_segments() == []
+
+    def test_workers_die_with_a_killed_server(self, store, tmp_path):
+        """A ``fabric:3`` server SIGKILLed after one of its lanes was
+        respawned leaves no worker behind: each worker holds only its
+        own pipe end, reads end of file and exits."""
+        probe = """
+import json, os, signal, sys
+from repro.service import QueryService, ShardedStore
+
+service = QueryService(ShardedStore.open(sys.argv[1]), backend="fabric:3")
+service.execute("//person", use_cache=False)
+victim = service.backend._procs[1]
+os.kill(victim.pid, signal.SIGKILL)
+victim.join()
+service.execute("//person", use_cache=False)  # respawns lane 1
+print(json.dumps([p.pid for p in service.backend._procs.values()]), flush=True)
+sys.stdin.read()  # serve until killed
+"""
+        script = tmp_path / "server_probe.py"
+        script.write_text(probe)
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = os.pathsep.join(sys.path)
+        environment.pop("REPRO_BACKEND", None)
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as f:
+                    return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except OSError:
+                return False
+
+        with open(tmp_path / "stderr", "w+") as errors:
+            server = subprocess.Popen(
+                [sys.executable, str(script), store.directory],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=errors,
+                text=True, env=environment,
+            )
+            try:
+                line = server.stdout.readline()
+                assert line, errors.seek(0) or errors.read()
+                workers = json.loads(line)
+                assert len(workers) == 2
+                server.kill()
+                server.wait()
+                deadline = time.monotonic() + 5.0
+                while any(map(running, workers)) and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                survivors = [pid for pid in workers if running(pid)]
+                for pid in survivors:
+                    os.kill(pid, signal.SIGKILL)
+                assert survivors == []
+            finally:
+                server.kill()
+                server.wait()
+                server.stdout.close()
+                server.stdin.close()
 
     def test_backend_close_is_idempotent_and_reusable(self, store):
         backend = FabricBackend(store, workers=2)

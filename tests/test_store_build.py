@@ -7,10 +7,10 @@ manifest and the same archive members, raises the same error for the
 same bad document, leaves no process behind and leaves the caller's
 trees as they were.
 
-A build forks only from a single-threaded process, and this one has run
-other tests' threads (an abandoned fabric drain thread lives as long as
-the session).  So every build on two or more lanes runs in a new
-interpreter (:func:`in_a_new_interpreter`), which reports back which
+A build forks only from a single-threaded process, and nothing promises
+that this one is (other tests start servers and caller threads).  So
+every build on two or more lanes runs in a new interpreter
+(:func:`in_a_new_interpreter`), which reports back which
 processes saved its shards: two lanes must be two processes.
 """
 
