@@ -37,7 +37,8 @@ layouts differ in how columns and dictionaries are stored:
   integers (entries, blob bytes); :func:`load` inflates it, never past
   the header, in every mode.
 
-No member is an object array and no branch of :func:`load` unpickles.
+Every member passes one ``.npy`` header rule (``_Archive``): no header
+is evaluated, no member can be an object array, nothing unpickles.
 Archives of any earlier version — 1 and 2 (pickled strings), 3 and 4
 (the two layouts with ``post`` and ``parent`` stored), 5 (packed with
 raw dictionaries) — are refused by the version check, before any other
@@ -50,12 +51,14 @@ version-unknown archives.
 
 from __future__ import annotations
 
-import math
+import contextlib
+import io
 import os
+import re
 import struct
 import zipfile
 import zlib
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -127,9 +130,6 @@ _PACKED_REQUIRED = frozenset(
 
 #: Errors that mean "this file is not a healthy archive" — normalised to
 #: :class:`EncodingError` so callers never see a raw zip traceback.
-#: :class:`FileNotFoundError` is always re-raised bare first: a missing
-#: file is not a corrupt one, and the executor's fall-forward retry
-#: (commits unlink superseded shard files) keys on it.
 _ARCHIVE_ERRORS = (
     zipfile.BadZipFile,
     zlib.error,
@@ -204,114 +204,129 @@ def save(
     np.savez(path, **members)
 
 
-def _member_data_offset(path: str, info: zipfile.ZipInfo) -> int:
-    """Byte offset of a stored member's data inside the archive file.
+#: ``.npy`` magic and version (1.0, 2.0) → the header-length field's width.
+_NPY_VERSIONS = {b"\x93NUMPY\x01\x00": 2, b"\x93NUMPY\x02\x00": 4}
 
-    The central directory's name/extra lengths can differ from the local
-    file header's, so the local header must be re-read.
-    """
-    with open(path, "rb") as raw:
-        raw.seek(info.header_offset)
-        header = raw.read(30)
-        if len(header) != 30 or header[:4] != b"PK\x03\x04":
-            raise EncodingError(f"{path}: corrupt local header for {info.filename!r}")
-        name_len, extra_len = struct.unpack("<HH", header[26:30])
-        return info.header_offset + 30 + name_len + extra_len
+#: The one ``.npy`` header this module reads — what :func:`np.savez`
+#: writes for every member :func:`save` hands it: a little-endian integer
+#: (or one-byte) dtype, C order, a 1-tuple shape.
+_NPY_HEADER = re.compile(
+    r"\{'descr': '(<[iu][248]|\|[iu]1)', 'fortran_order': False, "
+    r"'shape': \((\d+),\), \} *\n"
+)
 
 
-def _npy_header(path: str, handle, member: str) -> Tuple[tuple, bool, np.dtype]:
-    """``(shape, fortran, dtype)`` from the ``.npy`` header ``handle`` is at."""
-    try:
-        version = np.lib.format.read_magic(handle)
-        if version == (1, 0):
-            return np.lib.format.read_array_header_1_0(handle)
-        if version == (2, 0):
-            return np.lib.format.read_array_header_2_0(handle)
-    except _ARCHIVE_ERRORS as error:
-        raise EncodingError(f"{path}: corrupt .npy header in {member!r}: {error}") from error
-    raise EncodingError(f"{path}: unsupported .npy version {version} in {member!r}")
+class _Archive:
+    """An archive's ``.npy`` members, each read through :mod:`zipfile` and
+    :data:`_NPY_HEADER` or refused by an :class:`EncodingError` naming it.
+    A *missing* file stays a bare :class:`FileNotFoundError` (see :func:`load`)."""
+
+    def __init__(self, path: str):
+        self.path = path
+        try:
+            self.zip = zipfile.ZipFile(path)
+        except FileNotFoundError:
+            raise
+        except _ARCHIVE_ERRORS as error:
+            raise EncodingError(f"{path}: not a readable DocTable archive: {error}") from error
+        self.members = {
+            info.filename[:-4]: info
+            for info in self.zip.infolist()
+            if info.filename.endswith(".npy")
+        }
+
+    def __enter__(self) -> "_Archive":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.zip.close()  # a mapped member holds its own handle
+
+    def read(self, name: str, mapped: bool = False) -> np.ndarray:
+        """Member ``name``: read whole (CRC-checked, writable) or, with
+        ``mapped``, memory-mapped read-only in place (stored members only)."""
+        with self._reading(name) as info:
+            if not mapped:
+                data = self.zip.read(info)
+                handle = io.BytesIO(data)
+                dtype, count = self._header(name, handle, info.file_size)
+                return np.frombuffer(data, dtype, count, handle.tell()).copy()
+            if info.compress_type != zipfile.ZIP_STORED:
+                raise EncodingError(
+                    f"{self.path}: member {name!r} is compressed; "
+                    "mmap requires stored (uncompressed) members"
+                )
+            # The data follows the local header, whose name / extra lengths
+            # can differ from the central directory's.
+            raw = self.zip.fp
+            raw.seek(info.header_offset)
+            signature, name_length, extra_length = struct.unpack("<4s22xHH", raw.read(30))
+            if signature != b"PK\x03\x04":
+                raise EncodingError(f"{self.path}: corrupt local header for {name!r}")
+            raw.seek(info.header_offset + 30 + name_length + extra_length)
+            dtype, count = self._header(name, raw, info.file_size)
+            return np.memmap(raw, dtype=dtype, mode="r", offset=raw.tell(), shape=(count,))
+
+    def length(self, name: str) -> int:
+        """Member ``name``'s element count, from its header alone."""
+        with self._reading(name) as info, self.zip.open(info) as handle:
+            return self._header(name, handle)[1]
+
+    def scalar(self, name: str) -> int:
+        """The one value member ``name`` must hold."""
+        array = self.read(name)
+        if array.shape != (1,):
+            raise EncodingError(
+                f"{self.path}: member {name!r} must hold one value, holds {array.shape[0]}"
+            )
+        return int(array[0])
+
+    @contextlib.contextmanager
+    def _reading(self, name: str):
+        """Member ``name``'s zip entry; a zip / zlib / OS failure while
+        it is read becomes an :class:`EncodingError`."""
+        if name not in self.members:
+            raise EncodingError(f"{self.path}: missing member {name!r}")
+        try:
+            yield self.members[name]
+        except _ARCHIVE_ERRORS as error:
+            raise EncodingError(
+                f"{self.path}: cannot read member {name!r} "
+                f"(truncated or corrupt archive): {error}"
+            ) from error
+
+    def _header(self, name: str, handle, size: int = -1) -> Tuple[np.dtype, int]:
+        """``(dtype, count)`` from the ``.npy`` header ``handle`` is at,
+        leaving ``handle`` at the data; a member ``size`` given must be
+        the header's bytes plus ``count × itemsize``."""
+        start = handle.tell()
+        magic = handle.read(8)  # then the header's length (2 or 4 bytes), then its text
+        length = int.from_bytes(handle.read(_NPY_VERSIONS.get(magic, 0)), "little")
+        # save's headers are 118 bytes: a longer one is never read into memory
+        match = length < 4096 and _NPY_HEADER.fullmatch(handle.read(length).decode("latin-1"))
+        if not match:
+            raise EncodingError(
+                f"{self.path}: member {name!r} is not a .npy 1.0 / 2.0 array of "
+                "little-endian integers, one dimension, C order"
+            )
+        dtype, count = np.dtype(match[1]), int(match[2])
+        data = size - (handle.tell() - start)
+        if size >= 0 and data != count * dtype.itemsize:
+            raise EncodingError(
+                f"{self.path}: member {name!r} holds {data} data bytes, "
+                f"its header declares {count} × {dtype.itemsize}"
+            )
+        return dtype, count
 
 
-def _mmap_member(path: str, info: zipfile.ZipInfo) -> np.ndarray:
-    """Memory-map one stored ``.npy`` member (read-only, zero-copy)."""
-    data_offset = _member_data_offset(path, info)
-    with open(path, "rb") as raw:
-        raw.seek(data_offset)
-        shape, fortran, dtype = _npy_header(path, raw, info.filename)
-        array_offset = raw.tell()
-    if dtype.hasobject:
+def _format_version(archive: _Archive) -> int:
+    if "format_version" not in archive.members:
         raise EncodingError(
-            f"{path}: member {info.filename!r} is an object array; "
-            "archives hold numeric members only"
+            f"{archive.path}: not a DocTable archive (no format_version member)"
         )
-    try:
-        return np.memmap(
-            path,
-            dtype=dtype,
-            mode="r",
-            offset=array_offset,
-            shape=shape,
-            order="F" if fortran else "C",
-        )
-    except FileNotFoundError:
-        raise
-    except _ARCHIVE_ERRORS as error:
-        raise EncodingError(
-            f"{path}: cannot map member {info.filename!r} "
-            f"(truncated archive?): {error}"
-        ) from error
-
-
-def _stored_info(
-    path: str, archive: zipfile.ZipFile, member: str
-) -> zipfile.ZipInfo:
-    try:
-        info = archive.getinfo(member + ".npy")
-    except KeyError as error:
-        raise EncodingError(f"{path}: missing member {member!r}") from error
-    if info.compress_type != zipfile.ZIP_STORED:
-        raise EncodingError(
-            f"{path}: member {member!r} is compressed; "
-            "mmap requires stored (uncompressed) members"
-        )
-    return info
-
-
-def _read_member(path: str, archive: "np.lib.npyio.NpzFile", name: str) -> np.ndarray:
-    """Read one npz member, normalising corruption to :class:`EncodingError`."""
-    try:
-        return archive[name]
-    except KeyError as error:
-        raise EncodingError(f"{path}: missing member {name!r}") from error
-    except FileNotFoundError:
-        raise
-    except _ARCHIVE_ERRORS as error:
-        raise EncodingError(
-            f"{path}: cannot read member {name!r} "
-            f"(truncated or corrupt archive): {error}"
-        ) from error
-
-
-def _open_archive(path: str) -> "np.lib.npyio.NpzFile":
-    try:
-        return np.load(path)  # allow_pickle stays False: no member is an object
-    except FileNotFoundError:
-        raise
-    except _ARCHIVE_ERRORS as error:
-        raise EncodingError(
-            f"{path}: not a readable DocTable archive: {error}"
-        ) from error
-
-
-def _format_version(path: str, archive: "np.lib.npyio.NpzFile") -> int:
-    if "format_version" not in archive.files:
-        raise EncodingError(
-            f"{path}: not a DocTable archive (no format_version member)"
-        )
-    version = int(_read_member(path, archive, "format_version")[0])
+    version = archive.scalar("format_version")
     if version not in SUPPORTED_VERSIONS:
         raise EncodingError(
-            f"{path}: format version {version} not in "
+            f"{archive.path}: format version {version} not in "
             f"supported {SUPPORTED_VERSIONS}; rebuild the archive with "
             "`repro shard` / `repro encode`"
         )
@@ -323,10 +338,11 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
 
     With ``mmap=True`` the members are opened in place instead of being
     materialised: the eager layout maps its columns and dictionaries
-    read-only (``np.load(..., mmap_mode="r")`` semantics), the packed
-    layout maps the *packed* blobs and returns paged columns that decode
-    one page block on first touch.  The archive must then stay in place
-    for the table's lifetime.
+    read-only at their archive offsets, the packed layout maps the
+    *packed* blobs and returns paged columns that decode one page block
+    on first touch.  The archive must then stay in place for the
+    table's lifetime, and is trusted as written: only a read load checks
+    the value codes and dictionary (offsets, UTF-8 entries).
 
     ``decode_cache`` governs packed paged tables: ``"full"`` (default)
     lets whole-column fallbacks keep their decoded copy — right when the
@@ -336,32 +352,26 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
     Raises :class:`~repro.errors.EncodingError` on truncated, foreign,
     or version-unknown archives and on a ``level`` column that is not a
     tree (never a raw ``zipfile``/``OSError`` traceback; a broken
-    ``.npz`` must not half-load).  A *missing* file
-    raises plain :class:`FileNotFoundError` — the store's fall-forward
-    retry relies on telling "replaced under me" apart from "corrupt".
+    ``.npz`` must not half-load).  A *missing* file raises plain
+    :class:`FileNotFoundError` — the store's fall-forward retry relies
+    on telling "replaced under me" apart from "corrupt".
     """
     if decode_cache not in ("full", "blocks"):
         raise EncodingError(
             f"unknown decode_cache {decode_cache!r}; expected 'full' or 'blocks'"
         )
-    with _open_archive(path) as archive:
-        packed = _format_version(path, archive) == LAYOUT_VERSIONS["packed"]
-        missing = (_PACKED_REQUIRED if packed else _EAGER_REQUIRED) - set(archive.files)
+    with _Archive(path) as archive:
+        packed = _format_version(archive) == LAYOUT_VERSIONS["packed"]
+        missing = (_PACKED_REQUIRED if packed else _EAGER_REQUIRED) - archive.members.keys()
         if missing:
             raise EncodingError(
                 f"{path}: not a DocTable archive (missing {sorted(missing)})"
             )
-
-        def fetch(name: str) -> np.ndarray:
-            if mmap:  # mapped in place: no byte is read before it is used
-                return _mmap_member(path, _stored_info(path, archive.zip, name))
-            return _read_member(path, archive, name)
-
         # Tag names are a few dozen: decoded.  The value dictionary
         # stays a blob behind the codes (mapped when an eager table is).
         (tag_blob, tag_offsets), (value_blob, value_offsets) = (
-            _inflate_dictionary(path, archive, name) if packed
-            else (fetch(f"{name}_dict_blob"), fetch(f"{name}_dict_offsets"))
+            _inflate_dictionary(archive, name) if packed
+            else tuple(archive.read(f"{name}_dict_{part}", mmap) for part in ("blob", "offsets"))
             for name in ("tag", "value")
         )
         try:
@@ -373,13 +383,13 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
             raise EncodingError(f"{path}: corrupt tag dictionary: {error}") from error
         plane = None
         if packed:
-            height = int(_read_member(path, archive, "height")[0])
+            height = archive.scalar("height")
             columns, level, plane = _packed_columns(
-                path, archive, fetch, mmap, decode_cache, height,
+                archive, mmap, decode_cache, height,
                 entries=(len(tag_dictionary), int(value_offsets.shape[0]) - 1),
             )
         else:
-            columns = {column: fetch(column) for column in _STORED_COLUMNS}
+            columns = {column: archive.read(column, mmap) for column in _STORED_COLUMNS}
             level = columns["level"]
         try:
             post, parent = shape(level)
@@ -397,6 +407,14 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
     values = ValueIndex(columns["value_codes"], value_blob, value_offsets)
     if not mmap:
         values.check()
+        # Every entry whole UTF-8: the blob decodes, no entry opens mid-character.
+        try:
+            str(value_blob, "utf-8")
+        except UnicodeDecodeError as error:
+            raise EncodingError(f"{path}: corrupt value dictionary: {error}") from error
+        starts = value_offsets[:-1][np.diff(value_offsets) > 0]
+        if (value_blob[starts] & 0xC0 == 0x80).any():
+            raise EncodingError(f"{path}: corrupt value dictionary: an entry opens mid-character")
     table = DocTable(
         post=post,
         level=columns["level"],
@@ -411,25 +429,21 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
     return table
 
 
-def _dictionary_header(
-    path: str, archive: "np.lib.npyio.NpzFile", name: str
-) -> Tuple[int, int]:
+def _dictionary_header(archive: _Archive, name: str) -> Tuple[int, int]:
     """``(entries, blob bytes)`` a packed-layout dictionary's header declares."""
-    header = _read_member(path, archive, f"{name}_dict_header")
+    header = archive.read(f"{name}_dict_header")
     entries, size = (int(v) for v in header) if header.shape == (2,) else (-1, -1)
     # Strictly sorted entries: at most one is empty, so entries ≤ size + 1.
-    if header.dtype.kind not in "iu" or not 0 <= entries <= size + 1 <= 2**31:
-        raise EncodingError(f"{path}: corrupt {name} dictionary header {header!r}")
+    if not 0 <= entries <= size + 1 <= 2**31:
+        raise EncodingError(f"{archive.path}: corrupt {name} dictionary header {header!r}")
     return entries, size
 
 
-def _inflate_dictionary(
-    path: str, archive: "np.lib.npyio.NpzFile", name: str
-) -> Tuple[np.ndarray, np.ndarray]:
+def _inflate_dictionary(archive: _Archive, name: str) -> Tuple[np.ndarray, np.ndarray]:
     """``(blob, offsets)`` of a packed-layout dictionary: its stream inflated never
     past the ``4 × entries + blob bytes`` its header declares, and used up."""
-    entries, size = _dictionary_header(path, archive, name)
-    stream = _read_member(path, archive, f"{name}_dict_deflated")
+    path, (entries, size) = archive.path, _dictionary_header(archive, name)
+    stream = archive.read(f"{name}_dict_deflated")
     inflater = zlib.decompressobj()
     try:  # two reads, so the blob is its own buffer: the lengths are dropped
         lengths = inflater.decompress(stream, 4 * entries) if entries else b""
@@ -454,24 +468,17 @@ def _inflate_dictionary(
 
 
 def _packed_columns(
-    path: str,
-    archive: "np.lib.npyio.NpzFile",
-    fetch: Callable[[str], np.ndarray],
-    mmap: bool,
-    decode_cache: str,
-    height: int,
-    entries: Tuple[int, int],
+    archive: _Archive, mmap: bool, decode_cache: str, height: int, entries: Tuple[int, int]
 ):
     """The stored columns of a packed archive — decoded arrays, or
     (mapped) paged views and the :class:`~repro.core.paged.PagedPlane`
     over them — and the dense ``level`` column the shape is derived from.
     ``entries`` sizes the tag and value dictionaries the codes must fit."""
-    page_size = int(_read_member(path, archive, "page_size")[0])
-    n = int(_read_member(path, archive, "nodes")[0])
+    page_size, n = archive.scalar("page_size"), archive.scalar("nodes")
     directories: Dict[str, PageDirectory] = {}
     for column in _STORED_COLUMNS:
         parts = {
-            part: np.ascontiguousarray(_read_member(path, archive, f"{column}_{part}"), dtype)
+            part: np.ascontiguousarray(archive.read(f"{column}_{part}"), dtype)
             for part, dtype in (("refs", np.int64), ("bits", np.uint8), ("offsets", np.int64))
         }
         directories[column] = PageDirectory(
@@ -485,7 +492,7 @@ def _packed_columns(
     }
     for column, directory in directories.items():
         check_directory(directory, *legal[column])
-    blobs = {column: fetch(f"{column}_packed") for column in directories}
+    blobs = {column: archive.read(f"{column}_packed", mmap) for column in directories}
     if not mmap:
         columns = {
             column: decode_column(directories[column], blobs[column])
@@ -520,7 +527,7 @@ def _packed_columns(
         else decode_column(directories["level"], blobs["level"])
     )
     return columns, level, PagedPlane(
-        path=path,
+        path=archive.path,
         page_size=page_size,
         nodes=n,
         columns=columns,
@@ -538,13 +545,9 @@ def describe_archive(path: str) -> dict:
     members take in the archive.
     """
     bytes_on_disk = os.path.getsize(path)
-    with _open_archive(path) as archive:
-        member_sizes = {
-            info.filename[:-4] if info.filename.endswith(".npy")
-            else info.filename: info.file_size
-            for info in archive.zip.infolist()
-        }
-        version = _format_version(path, archive)
+    with _Archive(path) as archive:
+        member_sizes = {name: info.file_size for name, info in archive.members.items()}
+        version = _format_version(archive)
         packed = version == LAYOUT_VERSIONS["packed"]
         description: dict = {
             "format_version": version,
@@ -553,15 +556,12 @@ def describe_archive(path: str) -> dict:
             "derived_columns": _DERIVED_COLUMNS,
         }
 
-        def length(member: str) -> int:  # from the member's .npy header alone
-            with archive.zip.open(_stored_info(path, archive.zip, member)) as handle:
-                return math.prod(_npy_header(path, handle, member)[0])
-
         for name in ("tag", "value"):
             if packed:
-                entries, size = _dictionary_header(path, archive, name)
+                entries, size = _dictionary_header(archive, name)
             else:
-                entries, size = length(f"{name}_dict_offsets") - 1, length(f"{name}_dict_blob")
+                entries = archive.length(f"{name}_dict_offsets") - 1
+                size = archive.length(f"{name}_dict_blob")
             parts = ("header", "deflated") if packed else ("blob", "offsets")
             description[f"{name}_dictionary"] = {
                 "entries": entries,
@@ -569,10 +569,10 @@ def describe_archive(path: str) -> dict:
                 "stored_bytes": sum(member_sizes[f"{name}_dict_{part}"] for part in parts),
             }
         if packed:
-            n = int(_read_member(path, archive, "nodes")[0])
+            n = archive.scalar("nodes")
             columns = {}
             for column in _STORED_COLUMNS:
-                offsets = _read_member(path, archive, f"{column}_offsets")
+                offsets = archive.read(f"{column}_offsets")
                 columns[column] = {
                     "codec": CODEC_FOR,
                     "pages": int(offsets.shape[0]) - 1,
@@ -582,11 +582,11 @@ def describe_archive(path: str) -> dict:
             description.update(
                 {
                     "nodes": n,
-                    "height": int(_read_member(path, archive, "height")[0]),
-                    "page_size": int(_read_member(path, archive, "page_size")[0]),
+                    "height": archive.scalar("height"),
+                    "page_size": archive.scalar("page_size"),
                     "columns": columns,
                 }
             )
         else:
-            description.update({"nodes": length("level"), "members": member_sizes})
+            description.update({"nodes": archive.length("level"), "members": member_sizes})
     return description

@@ -103,6 +103,25 @@ class TestQuery:
         assert main(["query", "no-such-file.xml", "//a"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("query", [["//b", "--serialize"], ['//b[contains(., "y")]']])
+    def test_a_value_dictionary_that_is_not_utf8_is_a_clean_error(self, tmp_path, capsys, query):
+        import numpy as np
+
+        source, archive = tmp_path / "doc.xml", str(tmp_path / "bad.npz")
+        source.write_text("<a><b>xy</b></a>")
+        assert main(["encode", str(source), "-o", archive]) == 0
+        with np.load(archive) as members:
+            forged = {name: members[name] for name in members.files}
+        forged["value_dict_blob"] = np.frombuffer(b"\xffy", dtype=np.uint8)
+        np.savez(archive, **forged)
+        capsys.readouterr()
+        assert main(["query", archive, *query]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            line for line in err.splitlines() if line.strip()
+        ]
+        assert "corrupt value dictionary" in err and "Traceback" not in err
+
 
 class TestInfoSql:
     def test_info(self, xml_file, capsys):

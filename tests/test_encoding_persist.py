@@ -1,7 +1,9 @@
 """Persistence tests: save/load round-trip and format hygiene."""
 
+import functools
 import mmap
 import os
+import struct
 import zipfile
 import zlib
 
@@ -450,6 +452,146 @@ class TestFormatHygiene:
         for mmap_flag in (False, True):
             with pytest.raises(EncodingError, match="corrupt tag dictionary"):
                 load(path, mmap=mmap_flag)
+
+    @pytest.mark.parametrize(
+        "blob, offsets",
+        [(b"x\xffy", [0, 1, 3]), ("\xe9".encode(), [0, 1, 2])],
+        ids=["a-byte-that-is-no-utf8", "an-entry-that-opens-mid-character"],
+    )
+    def test_a_value_blob_that_is_not_utf8_is_rejected_by_a_read_load(
+        self, tmp_path, blob, offsets
+    ):
+        """A mapped archive is trusted as written (no page is touched to
+        check it); a read load checks every entry is whole UTF-8."""
+        from repro.xmltree.model import attribute, element
+
+        path = str(tmp_path / "doc.npz")
+        save(encode(element("r", attribute("v", "a"), attribute("w", "b"))), path)
+        members = read_members(path)
+        members["value_dict_blob"] = np.frombuffer(blob, np.uint8)
+        members["value_dict_offsets"] = np.asarray(offsets, np.int32)
+        np.savez(path, **members)
+        with pytest.raises(EncodingError, match="corrupt value dictionary"):
+            load(path)
+
+
+def npy(array, descr=None, shape=None, fortran="False", version=b"\x01\x00", data=None):
+    """``array`` as ``.npy`` member bytes written by hand, any header field
+    (and the data) forged on request."""
+    header = (
+        f"{{'descr': '{descr or array.dtype.str}', 'fortran_order': {fortran}, "
+        f"'shape': {shape or array.shape}, }}"
+    ).encode()
+    width = "<H" if version == b"\x01\x00" else "<I"
+    header += b" " * (-(8 + struct.calcsize(width) + len(header) + 1) % 64) + b"\n"
+    return (
+        b"\x93NUMPY" + version + struct.pack(width, len(header)) + header
+        + (array.tobytes() if data is None else data)
+    )
+
+
+def rewrite_member(path, member, data, compress_type=zipfile.ZIP_STORED):
+    """Replace ``member``'s bytes in the archive at ``path``."""
+    with zipfile.ZipFile(path) as archive:
+        members = {info.filename: archive.read(info) for info in archive.infolist()}
+    members[f"{member}.npy"] = data
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, raw in members.items():
+            archive.writestr(
+                name, raw, compress_type if name == f"{member}.npy" else zipfile.ZIP_STORED
+            )
+
+
+#: ``.npy`` members the header rule refuses: each takes the honest array
+#: and returns forged member bytes (``deflated`` is honest bytes, stored
+#: compressed, which only a mapped load refuses).
+HOSTILE_HEADERS = {
+    "object-descr": lambda a: npy(a, descr="|O"),
+    "fortran-order": lambda a: npy(a, fortran="True"),
+    "two-dimensional": lambda a: npy(a, shape=(len(a), 1)),
+    "big-endian": lambda a: npy(a.astype(">i4"), descr=">i4"),
+    "npy-version-3": lambda a: npy(a, version=b"\x03\x00"),
+    "count-past-the-bytes": lambda a: npy(a, shape=(len(a) + 1,)),
+    "bytes-past-the-count": lambda a: npy(a, data=a.tobytes() + bytes(a.dtype.itemsize)),
+    "deflated": lambda a: npy(a),
+}
+
+
+class TestHeaderRule:
+    """Every member is read through one header rule: a ``.npy`` 1.0 / 2.0
+    header of a 1-D little-endian integer array, its bytes what the header
+    declares.  Anything else is an :class:`EncodingError` naming the member."""
+
+    @pytest.mark.parametrize("version", [b"\x01\x00", b"\x02\x00"])
+    @pytest.mark.parametrize("member", ["level", "value_dict_blob"])
+    def test_a_hand_written_member_loads_as_saves_own(self, small_xmark, tmp_path, member, version):
+        path = str(tmp_path / "doc.npz")
+        save(small_xmark, path)
+        rewrite_member(path, member, npy(read_members(path)[member], version=version))
+        for mmap_flag in (False, True):
+            assert tables_equal(small_xmark, load(path, mmap=mmap_flag))
+
+    @pytest.mark.parametrize("mmap_flag", [False, True], ids=["read", "mmap"])
+    @pytest.mark.parametrize("member", ["level", "value_dict_blob"])
+    @pytest.mark.parametrize("forgery", sorted(HOSTILE_HEADERS))
+    def test_a_hostile_header_is_refused_naming_the_member(
+        self, fig1_doc, tmp_path, forgery, member, mmap_flag
+    ):
+        path = str(tmp_path / "doc.npz")
+        save(fig1_doc, path)
+        deflated = forgery == "deflated"
+        rewrite_member(
+            path, member, HOSTILE_HEADERS[forgery](read_members(path)[member]),
+            zipfile.ZIP_DEFLATED if deflated else zipfile.ZIP_STORED,
+        )
+        if deflated and not mmap_flag:  # a read load inflates it
+            assert tables_equal(fig1_doc, load(path))
+            return
+        with pytest.raises(EncodingError, match=f"member '{member}'"):
+            load(path, mmap=mmap_flag)
+
+    @pytest.mark.parametrize(
+        "opener",
+        [load, functools.partial(load, mmap=True), describe_archive],
+        ids=["read", "mmap", "describe"],
+    )
+    @pytest.mark.parametrize(
+        "layout, member",
+        [("none", "format_version"), ("packed", "format_version"),
+         ("packed", "height"), ("packed", "nodes"), ("packed", "page_size")],
+    )
+    def test_an_empty_one_value_member_is_refused(self, fig1_doc, tmp_path, layout, member, opener):
+        path = str(tmp_path / "doc.npz")
+        save(fig1_doc, path, compression=layout)
+        rewrite_member(path, member, npy(np.empty(0, np.int64)))
+        with pytest.raises(EncodingError, match=f"member '{member}' must hold one value"):
+            opener(path)
+
+    def test_no_header_is_evaluated(self, small_xmark, tmp_path, monkeypatch):
+        """Loading, describing and serving a store call no ``ast`` parser:
+        ``literal_eval`` (numpy's ``.npy`` header parse) raises here."""
+        import ast
+
+        from repro.harness.workloads import get_forest
+        from repro.service import QueryService, ShardedStore
+
+        paths = {layout: str(tmp_path / f"{layout}.npz") for layout in LAYOUTS}
+        for layout, path in paths.items():
+            save(small_xmark, path, compression=layout)
+        built = ShardedStore.build(str(tmp_path / "store"), get_forest(2, 0.02), shards=2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an archive header reached ast.literal_eval")
+
+        monkeypatch.setattr(ast, "literal_eval", refuse)
+        for path in paths.values():
+            for mmap_flag in (False, True):
+                assert tables_equal(small_xmark, load(path, mmap=mmap_flag))
+            assert describe_archive(path)["nodes"] == len(small_xmark)
+        store = ShardedStore.open(built.directory)
+        store.info()
+        with QueryService(store, backend="serial") as service:
+            assert service.execute("//person", use_cache=False).total > 0
 
 
 # ----------------------------------------------------------------------
