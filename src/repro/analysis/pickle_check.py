@@ -85,7 +85,6 @@ def build_representatives() -> List[object]:
             ),
             scanned=40,
             skipped=12,
-            blocks=1,
         ),
         # PageDirectory (array-backed dataclass; defines its own __eq__)
         pack_int_column("level", np.arange(100, dtype=np.int64), "for", 64)[0],

@@ -46,6 +46,11 @@ __all__ = ["main", "build_parser"]
 
 
 def _load_document(path: str) -> DocTable:
+    if os.path.isdir(path):
+        raise ReproError(
+            f"{path}: a directory, not one .xml / .npz document "
+            "(a sharded store is read by explain, serve and serve-batch)"
+        )
     if path.endswith(".npz"):
         return load(path)
     return encode(parse_file(path))
@@ -185,9 +190,8 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 def _cmd_store(args: argparse.Namespace) -> int:
     from repro.service import ShardedStore
 
-    store = ShardedStore.open(args.directory, decode_cache="blocks")
-    # Open every shard plane so packed shards report what the open
-    # itself decoded (region scans) — the paging counters are the point.
+    store = ShardedStore.open(args.directory)
+    # Open every shard plane so each reports its resident bytes per node.
     for shard_id in store.shard_ids():
         store.collection(shard_id)
     info = store.info()
@@ -215,12 +219,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
             line += f"  {name} dict {d['entries']:,}/{d['bytes']:,}B->{d['stored_bytes']:,}B"
         if "pages" in shard:  # the packed layout
             line += f"  {shard['pages']:,} pages x {shard['page_size']}"
-            decoded = shard.get("decoded")
-            if decoded is not None:
-                line += (
-                    f"  decoded {decoded['blocks']:,} blocks"
-                    f"/{decoded['bytes']:,}B"
-                )
         if "resident_bytes_per_node" in shard:
             line += f"  resident {shard['resident_bytes_per_node']} B/node"
         print(line)
@@ -404,12 +402,10 @@ def _render_analysis(observations) -> str:
         )
     scanned = sum(o.scanned for o in observations)
     skipped = sum(o.skipped for o in observations)
-    blocks = sum(o.blocks for o in observations)
-    if scanned or skipped or blocks:
+    if scanned or skipped:
         lines.append(
             f"  staircase: {scanned:,} scanned, {skipped:,} skipped "
-            f"({skipped / max(1, scanned + skipped):.0%} skip efficacy); "
-            f"{blocks:,} page blocks decoded"
+            f"({skipped / max(1, scanned + skipped):.0%} skip efficacy)"
         )
     return "\n".join(lines)
 
@@ -549,12 +545,12 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = commands.add_parser(
         "store",
         help="inspect a sharded store (bytes on disk, pages, dictionaries, "
-        "decode counters)",
+        "resident bytes per node)",
     )
     cmd.add_argument(
         "action", choices=("info",),
         help="info: per-shard bytes on disk / format / page + dictionary "
-        "sizes, and bytes decoded per open plane",
+        "sizes, and resident bytes per node of each opened plane",
     )
     cmd.add_argument("directory", help="store directory built by `shard`")
     cmd.set_defaults(handler=_cmd_store)

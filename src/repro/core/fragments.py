@@ -57,7 +57,7 @@ class FragmentedDocument:
         self._fragments: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         # One pass for every tag: a stable sort of the element nodes by
         # tag code groups them per tag in document order, so a fragment
-        # is a slice — each column is read (and, paged, decoded) once,
+        # is a slice — each column is read once,
         # not once per dictionary entry.
         elements = doc.pres_with_kind(NodeKind.ELEMENT)
         codes = doc.tag.codes[elements]

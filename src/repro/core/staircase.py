@@ -27,14 +27,12 @@ Attribute nodes live in the plane but no axis except ``attribute`` may
 return them (Section 3); a ``kind`` comparison filters them as they are
 appended, without affecting scan/skip logic.
 
-When ``doc`` is backed by a :class:`~repro.core.paged.PagedPlane`
-(a packed archive opened with ``mmap=True``), ``post`` is a dense array
-like in any other table (it is derived from ``level`` when the archive
-is opened) and the stored columns are paged: the comparison-free copy
-phases below walk ``kind`` one decoded page block at a time, so the
-nodes a scan skips are ``kind`` pages never decoded — and (cold) never
-faulted in from disk.  The counters are identical in both drive modes;
-the tests assert it.
+Every table is plain arrays, whichever archive layout it was opened
+from — an eager shard's stored columns mapped (page cache shared by the
+lanes that open it), a packed shard's decoded when it opens (private to
+each lane) — so there is one code path: what a skip saves is counted in
+:class:`JoinStatistics` as node accesses, the paper's measure (Sections
+3.3 and 4).
 """
 
 from __future__ import annotations
@@ -108,20 +106,11 @@ def _scanpartition_desc(
             estimate = min(pre2, c + (int(post[c]) - c + int(doc.level[c])))
         else:
             estimate = min(pre2, post_bound)  # Eq. (1) lower bound diagonal
-        if getattr(doc, "plane", None) is not None:
-            # Comparison-free copy, one decoded kind page at a time.
-            for base, kinds in kind.iter_pages(pre1, estimate + 1):
-                for j in range(kinds.shape[0]):
-                    stats.nodes_copied += 1
-                    if keep_attributes or kinds[j] != _ATTR:
-                        result.append(base + j)
-                        stats.result_size += 1
-        else:
-            for i in range(pre1, estimate + 1):
-                stats.nodes_copied += 1
-                if keep_attributes or kind[i] != _ATTR:
-                    result.append(i)
-                    stats.result_size += 1
+        for i in range(pre1, estimate + 1):
+            stats.nodes_copied += 1
+            if keep_attributes or kind[i] != _ATTR:
+                result.append(i)
+                stats.result_size += 1
         if mode is SkipMode.EXACT:
             # Equation (1) with the level term is exact: no scan phase.
             stats.nodes_skipped += max(0, pre2 - max(estimate, pre1 - 1))
@@ -312,8 +301,7 @@ def staircase_join_following(
                     stats.result_size += 1
         return _result_array(result)
     # Skip c's subtree (guaranteed descendants), scan the ≤ h stragglers,
-    # then copy everything else comparison-free.  Under a paged plane the
-    # hop means the subtree's ``kind`` pages are simply never decoded.
+    # then copy everything else comparison-free.
     i = c + 1
     hop = max(0, post_c - c)
     stats.nodes_skipped += min(hop, n - i)
@@ -325,15 +313,6 @@ def staircase_join_following(
             break
         i += 1
     else:
-        return _result_array(result)
-    if getattr(doc, "plane", None) is not None:
-        # Comparison-free copy over the kind pages only.
-        for base, kinds in kind.iter_pages(i, n):
-            for j in range(kinds.shape[0]):
-                stats.nodes_copied += 1
-                if keep_attributes or kinds[j] != _ATTR:
-                    result.append(base + j)
-                    stats.result_size += 1
         return _result_array(result)
     for j in range(i, n):
         stats.nodes_copied += 1

@@ -1,11 +1,9 @@
-"""Per-column codecs for compressed, pageable planes (the packed layout).
+"""Per-column codecs for the packed archive layout.
 
-The paper's Section-4 cache-consciousness argument is a memory-hierarchy
-argument, and it extends one level down: a plane laid out in fixed-size
-page blocks streams through the staircase join from disk the same way
-cache lines stream through it from DRAM.  This module provides the two
-codecs that make a :class:`~repro.encoding.doctable.DocTable` column
-pageable:
+The packed layout is an on-disk encoding only: :func:`repro.encoding.persist.load`
+decodes every packed column with :func:`decode_column` when a shard is
+opened, so a :class:`~repro.encoding.doctable.DocTable` always holds
+plain arrays.  This module provides the two codecs:
 
 * **Frame-of-reference bit-packing** (``CODEC_FOR``) — each fixed-height
   page block stores one ``int64`` reference (the block minimum) plus the
@@ -20,15 +18,6 @@ pageable:
   dictionary — and :func:`merge_dictionaries` / :func:`compact_dictionary`
   are the whole algebra a splice needs.
 
-:class:`PagedArray` is the query-facing face of a packed column: a
-vector at the column's declared width
-(:data:`~repro.encoding.widths.COLUMN_DTYPES`) that decodes one page
-block at a time, on first touch,
-with an LRU over decoded blocks and per-column decode counters.  Scalar
-reads, slices, and integer-array gathers touch only the blocks they
-cover — ranges the staircase join skips are pages never decoded (and,
-under ``mmap``, never faulted in from disk).
-
 Everything here is pure numpy + stdlib; the module sits below
 ``repro.core`` and ``repro.service`` in the import graph.
 """
@@ -36,9 +25,8 @@ Everything here is pure numpy + stdlib; the module sits below
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +37,6 @@ __all__ = [
     "CODEC_FOR",
     "DEFAULT_PAGE_SIZE",
     "PageDirectory",
-    "PlaneStats",
     "pack_int_column",
     "decode_page",
     "decode_column",
@@ -61,21 +48,18 @@ __all__ = [
     "dictionary_containing",
     "merge_dictionaries",
     "compact_dictionary",
-    "PagedArray",
 ]
 
 #: Frame-of-reference: block minimum + bit-packed deltas.
 CODEC_FOR = "for"
 
-#: Values per page block.  Must be a power of two: scalar access resolves
-#: ``pre → (block, offset)`` with a shift and a mask on the hot path.
+#: Values per page block (:func:`pack_int_column` takes powers of two).
 DEFAULT_PAGE_SIZE = 1024
 
 
-def _require_power_of_two(page_size: int) -> int:
+def _require_power_of_two(page_size: int) -> None:
     if page_size < 1 or page_size & (page_size - 1):
         raise EncodingError(f"page_size must be a power of two, got {page_size}")
-    return int(page_size).bit_length() - 1
 
 
 # ----------------------------------------------------------------------
@@ -300,16 +284,38 @@ def decode_column(directory: PageDirectory, blob: np.ndarray) -> np.ndarray:
 def check_directory(directory: PageDirectory, low: int, high: int) -> None:
     """Reject a forged directory before any of its pages is decoded.
 
+    The pages must tile the column as the packer lays them out: a power
+    of two ``page_size``, ``ceil(length / page_size)`` pages, and page
+    ``b`` exactly the ``ceil(count × bits[b] / 8)`` bytes its values
+    pack into, back to back from byte 0 — so a decode reads only its
+    own page and writes every value of the column.
+
     Page ``b`` can only hold values in ``refs[b] .. refs[b] + 2^bits[b]
     − 1``.  That envelope must fit the column's declared width —
     :func:`decode_column` stores into it unchecked — and must be able to
-    meet the legal range
-    ``[low, high]``: the packer writes minimal widths, so a page's
-    reference delta is taken and, at ``bits > 0``, so is one of at least
-    ``2^(bits−1)``.  Float arithmetic: a hostile ``int64`` reference
+    meet the legal range ``[low, high]``: the packer writes minimal
+    widths, so a page's reference delta is taken and, at ``bits > 0``,
+    so is one of at least ``2^(bits−1)``.  Float arithmetic: a hostile ``int64`` reference
     must not wrap the check itself.
     """
-    if directory.n_blocks == 0:
+    _require_power_of_two(directory.page_size)
+    length, page_size = directory.length, directory.page_size
+    blocks = -(-max(length, 0) // page_size)
+    counts = np.full(blocks, page_size, dtype=np.int64)
+    if blocks:
+        counts[-1] = length - (blocks - 1) * page_size
+    if not (
+        length >= 0
+        and directory.refs.shape == directory.bits.shape == (blocks,)
+        and directory.offsets.shape == (blocks + 1,)
+        and directory.offsets[0] == 0
+        and np.array_equal(np.diff(directory.offsets), (counts * directory.bits + 7) // 8)
+    ):
+        raise EncodingError(
+            f"column {directory.column!r}: page directory does not tile "
+            f"{length} values in pages of {page_size}"
+        )
+    if blocks == 0:
         return
     limits = np.iinfo(column_dtype(directory.column))
     refs = directory.refs.astype(np.float64)
@@ -506,275 +512,3 @@ def compact_dictionary(
     kept = np.zeros(int(used.sum()) + 1, dtype=offsets.dtype)
     np.cumsum(lengths[used], out=kept[1:])
     return remap[codes], blob[np.repeat(used, lengths)], kept
-
-
-# ----------------------------------------------------------------------
-# Paged columns
-# ----------------------------------------------------------------------
-@dataclass
-class PlaneStats:
-    """Decode counters for one paged column (``store info`` reads these)."""
-
-    blocks_decoded: int = 0
-    bytes_decoded: int = 0
-    full_decodes: int = 0
-
-
-#: Decoded-block LRU capacity per column (blocks, not bytes).  At the
-#: default page size this caps resident decoded state per column at
-#: ``128 × 1024 × 4 B = 512 KiB`` (a 4-byte column) — the out-of-core
-#: working set.
-DEFAULT_CACHE_BLOCKS = 128
-
-
-class PagedArray:
-    """A packed column, decoded one page block at a time, at the width
-    :data:`~repro.encoding.widths.COLUMN_DTYPES` declares for it.
-
-    Supports the access patterns the join kernels actually use — scalar
-    reads (block memo fast path), contiguous slices, and integer-array
-    gathers — decoding only the blocks they cover.  Whole-column
-    operations (boolean masks, ufuncs, ``np.asarray``) fall back to a
-    full decode so correctness is universal; the decoded copy is cached
-    unless ``cache_full=False`` (the out-of-core open mode).
-    """
-
-    __slots__ = (
-        "directory",
-        "stats",
-        "_blob",
-        "_shift",
-        "_mask",
-        "_cache",
-        "_cache_blocks",
-        "_cache_full",
-        "_last_block",
-        "_last_data",
-        "_full",
-    )
-
-    def __init__(
-        self,
-        directory: PageDirectory,
-        blob: np.ndarray,
-        stats: Optional[PlaneStats] = None,
-        cache_blocks: int = DEFAULT_CACHE_BLOCKS,
-        cache_full: bool = True,
-    ):
-        self.directory = directory
-        self.stats = stats if stats is not None else PlaneStats()
-        self._blob = blob
-        self._shift = _require_power_of_two(directory.page_size)
-        self._mask = directory.page_size - 1
-        self._cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        self._cache_blocks = max(1, int(cache_blocks))
-        self._cache_full = bool(cache_full)
-        self._last_block = -1
-        self._last_data: Optional[np.ndarray] = None
-        self._full: Optional[np.ndarray] = None
-
-    # -- numpy-protocol surface ---------------------------------------
-    @property
-    def shape(self) -> Tuple[int]:
-        return (self.directory.length,)
-
-    @property
-    def size(self) -> int:
-        return self.directory.length
-
-    @property
-    def ndim(self) -> int:
-        return 1
-
-    @property
-    def dtype(self) -> np.dtype:
-        return column_dtype(self.directory.column)
-
-    @property
-    def nbytes(self) -> int:
-        """Logical (decoded) bytes — what the column occupies once resident."""
-        return self.directory.length * self.dtype.itemsize
-
-    @property
-    def packed_bytes(self) -> int:
-        return self.directory.packed_bytes
-
-    def __len__(self) -> int:
-        return self.directory.length
-
-    # -- block machinery ----------------------------------------------
-    def _decode_block(self, block: int) -> np.ndarray:
-        data = self._cache.get(block)
-        if data is None:
-            if self._full is not None:
-                start = block << self._shift
-                data = self._full[start : start + self.directory.page_size]
-            else:
-                data = decode_page(self.directory, self._blob, block)
-                self.stats.blocks_decoded += 1
-                self.stats.bytes_decoded += data.nbytes
-            self._cache[block] = data
-            if len(self._cache) > self._cache_blocks:
-                self._cache.popitem(last=False)
-        else:
-            self._cache.move_to_end(block)
-        self._last_block = block
-        self._last_data = data
-        return data
-
-    def blocks_touched(self) -> int:
-        return self.stats.blocks_decoded
-
-    # -- indexing ------------------------------------------------------
-    def __getitem__(self, index):
-        # Dense fast path: once a full decode is cached (the
-        # ``decode_cache="full"`` open mode pre-populates it) every
-        # access is plain ndarray indexing — warm reads cost one branch.
-        full = self._full
-        if full is not None:
-            return full[index]
-        if isinstance(index, (int, np.integer)):
-            i = int(index)
-            if i < 0:
-                i += self.directory.length
-            if not 0 <= i < self.directory.length:
-                raise IndexError(
-                    f"index {index} out of range [0, {self.directory.length})"
-                )
-            block = i >> self._shift
-            if block == self._last_block:
-                return self._last_data[i & self._mask]
-            return self._decode_block(block)[i & self._mask]
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self.directory.length)
-            if step != 1:
-                return self._dense()[index]
-            return self._slice(start, stop)
-        idx = np.asarray(index)  # repro: allow[REP005] - bool vs int dispatch below
-        if idx.dtype == np.bool_:
-            return self._dense()[idx]
-        return self._gather(idx.astype(np.int64, copy=False))
-
-    def _slice(self, start: int, stop: int) -> np.ndarray:
-        if stop <= start:
-            return np.empty(0, dtype=self.dtype)
-        first = start >> self._shift
-        last = (stop - 1) >> self._shift
-        if first == last:
-            block = self._decode_block(first)
-            base = first << self._shift
-            return block[start - base : stop - base]
-        parts = []
-        for b in range(first, last + 1):
-            block = self._decode_block(b)
-            base = b << self._shift
-            lo = max(start, base) - base
-            hi = min(stop, base + self.directory.page_size) - base
-            parts.append(block[lo:hi])
-        return np.concatenate(parts, dtype=self.dtype)
-
-    def _gather(self, idx: np.ndarray) -> np.ndarray:
-        if idx.shape[0] == 0:
-            return np.empty(0, dtype=self.dtype)
-        if np.any(idx < 0) or np.any(idx >= self.directory.length):
-            raise IndexError("gather index out of range")
-        blocks = idx >> self._shift
-        out = np.empty(idx.shape[0], dtype=self.dtype)
-        for b in np.unique(blocks):
-            selected = blocks == b
-            data = self._decode_block(int(b))
-            out[selected] = data[idx[selected] & self._mask]
-        return out
-
-    # -- whole-column fallbacks ---------------------------------------
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        full = self._full
-        if full is None:
-            full = decode_column(self.directory, self._blob)
-            self.stats.full_decodes += 1
-            self.stats.blocks_decoded += self.directory.n_blocks
-            self.stats.bytes_decoded += full.nbytes
-            if self._cache_full:
-                self._full = full
-        if dtype is not None and full.dtype != np.dtype(dtype):
-            return full.astype(dtype)
-        if copy:
-            return full.copy()
-        return full
-
-    def _dense(self) -> np.ndarray:
-        """The whole column, decoded at its declared width."""
-        return self.__array__()
-
-    def copy(self) -> np.ndarray:
-        return self._dense().copy()
-
-    def astype(self, dtype, copy: bool = True) -> np.ndarray:
-        return self._dense().astype(dtype, copy=copy)
-
-    def max(self) -> int:
-        return int(self._dense().max())
-
-    def min(self) -> int:
-        return int(self._dense().min())
-
-    # Comparisons delegate to the decoded column so whole-column code
-    # (np.isin, mask builds in scalar axes) stays correct unchanged.
-    def __eq__(self, other):
-        return self._dense() == other
-
-    def __ne__(self, other):
-        return self._dense() != other
-
-    def __lt__(self, other):
-        return self._dense() < other
-
-    def __le__(self, other):
-        return self._dense() <= other
-
-    def __gt__(self, other):
-        return self._dense() > other
-
-    def __ge__(self, other):
-        return self._dense() >= other
-
-    __hash__ = None  # elementwise __eq__ makes hashing incoherent
-
-    def __iter__(self) -> Iterator[int]:
-        if self._full is not None:
-            yield from self._full
-            return
-        for b in range(self.directory.n_blocks):
-            yield from self._decode_block(b)
-
-    def iter_pages(
-        self, start: int = 0, stop: Optional[int] = None
-    ) -> Iterator[Tuple[int, np.ndarray]]:
-        """Yield ``(block_start, decoded_view)`` covering ``[start, stop)``.
-
-        The paged scan driver: each yielded view is exactly one decoded
-        page block clipped to the requested range, so a consumer that
-        stops early leaves the remaining pages untouched.
-        """
-        n = self.directory.length
-        stop = n if stop is None else min(stop, n)
-        if start >= stop:
-            return
-        if self._full is not None:
-            yield start, self._full[start:stop]
-            return
-        first = start >> self._shift
-        last = (stop - 1) >> self._shift
-        for b in range(first, last + 1):
-            base = b << self._shift
-            data = self._decode_block(b)
-            lo = max(start, base) - base
-            hi = min(stop, base + self.directory.page_size) - base
-            yield base + lo, data[lo:hi]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"PagedArray({self.directory.column!r}, n={self.directory.length}, "
-            f"pages={self.directory.n_blocks}, "
-            f"packed={self.directory.packed_bytes}B)"
-        )

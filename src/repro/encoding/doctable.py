@@ -25,7 +25,6 @@ from typing import Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.encoding.codec import (
-    PagedArray,
     dictionary_containing,
     dictionary_entry,
     dictionary_find,
@@ -75,9 +74,8 @@ class ValueIndex:
     elements carry none); ``blob``/``offsets`` are the dictionary, its
     entries strictly sorted as UTF-8 (= code-point order) and each
     referenced by some code.  All three may be memory-mapped archive
-    members, ``codes`` a :class:`~repro.encoding.codec.PagedArray`.
-    Scalar access decodes one *entry*; the search methods turn a literal
-    into a code, a code range or a per-code truth table, and
+    members.  Scalar access decodes one *entry*; the search methods turn
+    a literal into a code, a code range or a per-code truth table, and
     :meth:`numbers` holds ``xpath_number`` of every entry — value
     predicates run on codes, never on per-node strings.  Immutable.
     """
@@ -85,7 +83,7 @@ class ValueIndex:
     __slots__ = ("codes", "blob", "offsets", "_numbers")
 
     def __init__(self, codes, blob: np.ndarray, offsets: np.ndarray):
-        self.codes = codes  #: per-node codes (ndarray or PagedArray)
+        self.codes = codes  #: per-node codes
         self.blob = blob
         # 4-byte offsets: a blob past 2³¹ − 1 bytes is an EncodingError.
         self.offsets = narrow("dict_offsets", offsets)
@@ -197,8 +195,7 @@ class DocTable:
     height:
         The document height, when the caller already knows it (the
         persistence load path does).  Without it the constructor
-        computes ``level.max()`` — an O(n) pass a paged (compressed)
-        column would have to fully decode.
+        computes ``level.max()`` — an O(n) pass.
     """
 
     __slots__ = (
@@ -209,7 +206,6 @@ class DocTable:
         "tag",
         "values",
         "height",
-        "plane",
         "_pre_of_post",
         "_first_child_cache",
         "_tag_histogram",
@@ -233,8 +229,7 @@ class DocTable:
         for name, column in columns.items():
             if column.shape[0] != n:
                 raise EncodingError(f"column {name!r} length {column.shape[0]} != {n}")
-            if not isinstance(column, PagedArray):  # paged columns decode at width
-                columns[name] = narrow(name, column)
+            columns[name] = narrow(name, column)
         post, level, parent, kind = columns.values()
         if len(tag) != n:
             raise EncodingError(f"tag column length {len(tag)} != {n}")
@@ -263,10 +258,6 @@ class DocTable:
         self.height = int(level.max()) if height is None else int(height)
         if self.height > np.iinfo(COLUMN_DTYPES["level"]).max:
             raise EncodingError(f"height {self.height} exceeds the 2-byte level column")
-        #: Set by the persistence layer when the stored columns are paged
-        #: (the packed layout, ``mmap=True``); the join kernels use it to
-        #: drive block-at-a-time scans.  ``None`` for eager tables.
-        self.plane = None
         self._pre_of_post: Optional[np.ndarray] = None
         self._first_child_cache: Optional[np.ndarray] = None
         self._tag_histogram: Optional[np.ndarray] = None
@@ -480,46 +471,15 @@ class DocTable:
         code = self.tag.code_of(tag_name)
         if code < 0:
             return np.empty(0, dtype=np.int64)
-        codes = self.tag.codes
-        if isinstance(codes, PagedArray):
-            # Page-at-a-time scan: decoded state stays one block deep,
-            # so a shard bigger than RAM can still answer name tests.
-            parts = []
-            for start, chunk in codes.iter_pages():
-                kinds = self.kind[start : start + chunk.shape[0]]
-                hits = np.nonzero((chunk == code) & (kinds == int(kind)))[0]
-                if hits.shape[0]:
-                    parts.append(hits.astype(np.int64) + start)
-            if not parts:
-                return np.empty(0, dtype=np.int64)
-            return np.concatenate(parts)
-        mask = (codes == code) & (self.kind == int(kind))
+        mask = (self.tag.codes == code) & (self.kind == int(kind))
         return np.nonzero(mask)[0].astype(np.int64)
 
     def pres_with_kind(self, kind: NodeKind) -> np.ndarray:
         """Preorder ranks of all nodes of the given kind."""
-        if isinstance(self.kind, PagedArray):
-            parts = []
-            for start, chunk in self.kind.iter_pages():
-                hits = np.nonzero(chunk == int(kind))[0]
-                if hits.shape[0]:
-                    parts.append(hits.astype(np.int64) + start)
-            if not parts:
-                return np.empty(0, dtype=np.int64)
-            return np.concatenate(parts)
         return np.nonzero(self.kind == int(kind))[0].astype(np.int64)
 
     def non_attribute_pres(self) -> np.ndarray:
         """All nodes the non-attribute axes may ever return."""
-        if isinstance(self.kind, PagedArray):
-            parts = []
-            for start, chunk in self.kind.iter_pages():
-                hits = np.nonzero(chunk != int(NodeKind.ATTRIBUTE))[0]
-                if hits.shape[0]:
-                    parts.append(hits.astype(np.int64) + start)
-            if not parts:
-                return np.empty(0, dtype=np.int64)
-            return np.concatenate(parts)
         return np.nonzero(self.kind != int(NodeKind.ATTRIBUTE))[0].astype(np.int64)
 
     # ------------------------------------------------------------------
@@ -534,21 +494,10 @@ class DocTable:
         once per table and cached; O(n) on first use.
         """
         if self._tag_histogram is None:
-            codes = self.tag.codes
-            if isinstance(codes, PagedArray):
-                histogram = np.zeros(len(self.tag.dictionary), dtype=np.int64)
-                for start, chunk in codes.iter_pages():
-                    kinds = self.kind[start : start + chunk.shape[0]]
-                    histogram += np.bincount(
-                        chunk[kinds == int(NodeKind.ELEMENT)],
-                        minlength=len(self.tag.dictionary),
-                    ).astype(np.int64)
-                self._tag_histogram = histogram
-            else:
-                element_codes = codes[self.kind == int(NodeKind.ELEMENT)]
-                self._tag_histogram = np.bincount(
-                    element_codes, minlength=len(self.tag.dictionary)
-                ).astype(np.int64)
+            element_codes = self.tag.codes[self.kind == int(NodeKind.ELEMENT)]
+            self._tag_histogram = np.bincount(
+                element_codes, minlength=len(self.tag.dictionary)
+            ).astype(np.int64)
         return self._tag_histogram
 
     def tag_statistics(self) -> dict:

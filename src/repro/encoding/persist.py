@@ -28,10 +28,11 @@ layouts differ in how columns and dictionaries are stored:
   materialising its own copy.  Right for small documents.
 * **packed** (``compression="packed"``, ``format_version`` 7) — every
   column frame-of-reference bit-packed into fixed-height page blocks
-  behind a page directory (:mod:`repro.encoding.codec`).  ``mmap=True``
-  maps the packed blobs and returns a table whose stored columns are
-  :class:`~repro.encoding.codec.PagedArray` views decoding one page
-  block at a time; ``post`` and ``parent`` are dense in every mode.
+  behind a page directory (:mod:`repro.encoding.codec`).  The packing is
+  an on-disk encoding only: :func:`load` decodes every column to a
+  private array at its declared width in both modes (``mmap=True`` only
+  maps the packed blob it decodes from and keeps no reference to it),
+  so lanes that open the same packed shard share no decoded page.
   Each dictionary is one zlib stream (``*_dict_deflated``: its ``int32``
   entry lengths, then its blob) beside a ``*_dict_header`` of two
   integers (entries, blob bytes); :func:`load` inflates it, never past
@@ -66,8 +67,6 @@ from repro.encoding.codec import (
     CODEC_FOR,
     DEFAULT_PAGE_SIZE,
     PageDirectory,
-    PagedArray,
-    PlaneStats,
     check_directory,
     decode_column,
     dictionary_entry,
@@ -333,21 +332,15 @@ def _format_version(archive: _Archive) -> int:
     return version
 
 
-def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
+def load(path: str, mmap: bool = False) -> DocTable:
     """Read a table previously written by :func:`save`.
 
-    With ``mmap=True`` the members are opened in place instead of being
-    materialised: the eager layout maps its columns and dictionaries
-    read-only at their archive offsets, the packed layout maps the
-    *packed* blobs and returns paged columns that decode one page block
-    on first touch.  The archive must then stay in place for the
-    table's lifetime, and is trusted as written: only a read load checks
-    the value codes and dictionary (offsets, UTF-8 entries).
-
-    ``decode_cache`` governs packed paged tables: ``"full"`` (default)
-    lets whole-column fallbacks keep their decoded copy — right when the
-    plane fits in RAM; ``"blocks"`` keeps only the bounded block LRU —
-    the out-of-core mode for shards bigger than memory.
+    With ``mmap=True`` the eager layout's columns and dictionaries are
+    mapped read-only at their archive offsets instead of being
+    materialised, and the archive must then stay in place for the
+    table's lifetime; the packed layout maps its packed blobs only to
+    decode them.  A mapped archive is trusted as written: only a read
+    load checks the value codes and dictionary (offsets, UTF-8 entries).
 
     Raises :class:`~repro.errors.EncodingError` on truncated, foreign,
     or version-unknown archives and on a ``level`` column that is not a
@@ -356,10 +349,6 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
     :class:`FileNotFoundError` — the store's fall-forward retry relies
     on telling "replaced under me" apart from "corrupt".
     """
-    if decode_cache not in ("full", "blocks"):
-        raise EncodingError(
-            f"unknown decode_cache {decode_cache!r}; expected 'full' or 'blocks'"
-        )
     with _Archive(path) as archive:
         packed = _format_version(archive) == LAYOUT_VERSIONS["packed"]
         missing = (_PACKED_REQUIRED if packed else _EAGER_REQUIRED) - archive.members.keys()
@@ -381,16 +370,15 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
             ]
         except ValueError as error:  # a blob that is not UTF-8
             raise EncodingError(f"{path}: corrupt tag dictionary: {error}") from error
-        plane = None
         if packed:
             height = archive.scalar("height")
-            columns, level, plane = _packed_columns(
-                archive, mmap, decode_cache, height,
+            columns = _packed_columns(
+                archive, mmap, height,
                 entries=(len(tag_dictionary), int(value_offsets.shape[0]) - 1),
             )
         else:
             columns = {column: archive.read(column, mmap) for column in _STORED_COLUMNS}
-            level = columns["level"]
+        level = columns["level"]
         try:
             post, parent = shape(level)
         except EncodingError as error:
@@ -415,9 +403,9 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
         starts = value_offsets[:-1][np.diff(value_offsets) > 0]
         if (value_blob[starts] & 0xC0 == 0x80).any():
             raise EncodingError(f"{path}: corrupt value dictionary: an entry opens mid-character")
-    table = DocTable(
+    return DocTable(
         post=post,
-        level=columns["level"],
+        level=level,
         parent=parent,
         kind=columns["kind"],
         tag=StringColumn(columns["tag_codes"], tag_dictionary, validate=not mmap),
@@ -425,8 +413,6 @@ def load(path: str, mmap: bool = False, decode_cache: str = "full") -> DocTable:
         validate=False,
         height=reached,
     )
-    table.plane = plane
-    return table
 
 
 def _dictionary_header(archive: _Archive, name: str) -> Tuple[int, int]:
@@ -468,13 +454,19 @@ def _inflate_dictionary(archive: _Archive, name: str) -> Tuple[np.ndarray, np.nd
 
 
 def _packed_columns(
-    archive: _Archive, mmap: bool, decode_cache: str, height: int, entries: Tuple[int, int]
-):
-    """The stored columns of a packed archive — decoded arrays, or
-    (mapped) paged views and the :class:`~repro.core.paged.PagedPlane`
-    over them — and the dense ``level`` column the shape is derived from.
-    ``entries`` sizes the tag and value dictionaries the codes must fit."""
+    archive: _Archive, mmap: bool, height: int, entries: Tuple[int, int]
+) -> Dict[str, np.ndarray]:
+    """The stored columns of a packed archive, each decoded to a private
+    array at its declared width (its packed blob read, or mapped, only
+    for the decode).  ``entries`` sizes the tag and value dictionaries
+    the codes must fit."""
     page_size, n = archive.scalar("page_size"), archive.scalar("nodes")
+    legal = {
+        "level": (0, height),
+        "kind": (min(NodeKind), max(NodeKind)),
+        "tag_codes": (0, entries[0] - 1),
+        "value_codes": (-1, entries[1] - 1),
+    }
     directories: Dict[str, PageDirectory] = {}
     for column in _STORED_COLUMNS:
         parts = {
@@ -484,55 +476,11 @@ def _packed_columns(
         directories[column] = PageDirectory(
             column=column, codec=CODEC_FOR, page_size=page_size, length=n, **parts
         )
-    legal = {
-        "level": (0, height),
-        "kind": (min(NodeKind), max(NodeKind)),
-        "tag_codes": (0, entries[0] - 1),
-        "value_codes": (-1, entries[1] - 1),
+        check_directory(directories[column], *legal[column])
+    return {
+        column: decode_column(directory, archive.read(f"{column}_packed", mmap))
+        for column, directory in directories.items()
     }
-    for column, directory in directories.items():
-        check_directory(directory, *legal[column])
-    blobs = {column: archive.read(f"{column}_packed", mmap) for column in directories}
-    if not mmap:
-        columns = {
-            column: decode_column(directories[column], blobs[column])
-            for column in directories
-        }
-        return columns, columns["level"], None
-
-    # Paged open: every packed blob is mapped, nothing decoded yet.
-    from repro.core.paged import PagedPlane
-
-    cache_full = decode_cache == "full"
-    columns: Dict[str, PagedArray] = {}
-    stats: Dict[str, PlaneStats] = {}
-    for column in directories:
-        stats[column] = PlaneStats()
-        columns[column] = PagedArray(
-            directories[column],
-            blobs[column],
-            stats=stats[column],
-            cache_full=cache_full,
-        )
-        if cache_full:
-            # Decode up front: warm queries then run at eager-array
-            # speed (every access takes the dense fast path).  The
-            # out-of-core mode ("blocks") stays lazy and bounded.
-            np.asarray(columns[column])
-    # The out-of-core mode decodes ``level`` once, past the block LRU and
-    # its counters, for the derivation alone.
-    level = (
-        np.asarray(columns["level"])
-        if cache_full
-        else decode_column(directories["level"], blobs["level"])
-    )
-    return columns, level, PagedPlane(
-        path=archive.path,
-        page_size=page_size,
-        nodes=n,
-        columns=columns,
-        stats=stats,
-    )
 
 
 def describe_archive(path: str) -> dict:

@@ -205,9 +205,7 @@ class SerialBackend(ExecutionBackend):
 
     def _state(self) -> ShardWorkerState:
         if self._serial_state is None:
-            self._serial_state = ShardWorkerState(
-                self.store.directory, decode_cache=self.store.decode_cache
-            )
+            self._serial_state = ShardWorkerState(self.store.directory)
         return self._serial_state
 
     def _dispatch(self, grouped: List[List[ShardTask]]) -> List[ShardResult]:

@@ -14,9 +14,10 @@ object executes tasks for every backend:
   the dispatching thread (lane 0, the serial path) plus long-lived
   workers.  Shard members arrive memory-mapped
   (``persist.load(mmap=True)``), so all lanes share one page-cache
-  copy of each shard file — the four stored columns and the
+  copy of each *eager* shard file — the four stored columns and the
   dictionaries; ``post`` and ``parent`` are derived at open and private
-  to the one lane that owns the shard.  Only the task tuples and
+  to the one lane that owns the shard, and a *packed* shard decodes to
+  private arrays in the lane that opens it.  Only the task tuples and
   small result descriptors are pickled across the process boundary —
   ``materialize`` rank arrays travel through shared-memory segments,
   and for ``count``/``exists`` the payload is a handful of integers.
@@ -245,11 +246,8 @@ class ShardWorkerState:
     forked fabric worker.
     """
 
-    def __init__(self, directory: str, decode_cache: str = "full"):
+    def __init__(self, directory: str):
         self.directory = directory
-        #: The store's packed-plane open mode (``ShardedStore.open``):
-        #: workers must page exactly as the store they serve was opened.
-        self.decode_cache = decode_cache
         # Shared by this worker's evaluators: tasks normally carry
         # compiled pipelines, but raw query strings are accepted and
         # then parsed once.
@@ -271,11 +269,7 @@ class ShardWorkerState:
         shard_file, names = task.shard_file, list(task.names)
         for _ in range(_FALL_FORWARD_ATTEMPTS):
             try:
-                table = load(
-                    os.path.join(self.directory, shard_file),
-                    mmap=True,
-                    decode_cache=self.decode_cache,
-                )
+                table = load(os.path.join(self.directory, shard_file), mmap=True)
                 break
             except FileNotFoundError:
                 # The shard was mutated between task creation and

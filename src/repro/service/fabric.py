@@ -225,7 +225,7 @@ class SegmentWriter:
 
 
 def _fabric_worker(
-    directory, decode_cache, conn, inherited, prefix
+    directory, conn, inherited, prefix
 ):  # pragma: no cover - runs in child processes; components unit-tested
     """One fabric worker's request loop (runs in a child process).
 
@@ -238,7 +238,7 @@ def _fabric_worker(
     """
     for end in inherited:
         end.close()
-    state = ShardWorkerState(directory, decode_cache=decode_cache)
+    state = ShardWorkerState(directory)
     writer = SegmentWriter(prefix)
     try:
         while True:
@@ -399,7 +399,6 @@ class FabricBackend(SerialBackend):
             target=_fabric_worker,
             args=(
                 self.store.directory,
-                self.store.decode_cache,
                 theirs,
                 [ours, *self._conns.values()],
                 f"{self._prefix}-w{idx}g{generation}",

@@ -15,9 +15,10 @@ The layout on disk::
 
 Why it is shaped this way:
 
-* shards load **memory-mapped** by default — worker processes that open
-  the same shard file share the OS page cache instead of materialising
-  private copies (the zero-copy open of ``persist.load(mmap=True)``);
+* shards load **memory-mapped** — worker processes that open the same
+  *eager* shard file share the OS page cache instead of materialising
+  private copies (the zero-copy open of ``persist.load(mmap=True)``); a
+  packed shard decodes to private arrays in every process that opens it;
 * shard files are **immutable**: every mutation writes *new* files (the
   epoch is part of the filename), flips the manifest once, then removes
   the old files.  Workers holding an old mapping stay valid (POSIX
@@ -127,14 +128,8 @@ class ShardedStore:
     directory: opening, querying and closing a store never do.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        manifest: dict,
-        decode_cache: str = "full",
-    ):
+    def __init__(self, directory: str, manifest: dict):
         self.directory = directory
-        self.decode_cache = decode_cache
         self._manifest = manifest  # guarded-by: _lock
         self._collections: Dict[int, Tuple[str, DocumentCollection]] = {}  # guarded-by: _lock
         self._lock = threading.RLock()
@@ -223,7 +218,7 @@ class ShardedStore:
         return cls(directory, manifest)
 
     @classmethod
-    def open(cls, directory: str, decode_cache: str = "full") -> "ShardedStore":
+    def open(cls, directory: str) -> "ShardedStore":
         """Open an existing store directory.
 
         Sweeps shard files the manifest does not reference — leftovers
@@ -231,28 +226,31 @@ class ShardedStore:
         flip (the flip is the commit point, so unreferenced files are
         garbage by construction).
 
-        Shards always open memory-mapped.  ``decode_cache`` governs
-        packed shards:
-        ``"full"`` caches whole-column decodes (fastest when the plane
-        fits in RAM), ``"blocks"`` keeps only the bounded page-block LRU
-        — the out-of-core mode for shards bigger than memory.
+        Shards open lazily, memory-mapped (:meth:`collection`).  A path
+        that is no directory is a :class:`StoreNotFoundError`; a
+        manifest that is not a JSON object with a ``shards`` list is a
+        corrupt manifest.
         """
         path = os.path.join(directory, MANIFEST)
         try:
             with open(path) as f:
                 manifest = json.load(f)
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
             raise StoreNotFoundError(
                 f"{directory}: not a sharded store (no {MANIFEST})"
             ) from None
         except json.JSONDecodeError as error:
             raise ReproError(f"{path}: corrupt manifest ({error})") from None
+        if not isinstance(manifest, dict):
+            raise ReproError(f"{path}: corrupt manifest (not a JSON object)")
         if manifest.get("store_format") != STORE_FORMAT:
             raise ReproError(
                 f"{path}: store format {manifest.get('store_format')!r} != "
                 f"supported {STORE_FORMAT}"
             )
-        store = cls(directory, manifest, decode_cache=decode_cache)
+        if not isinstance(manifest.get("shards"), list):
+            raise ReproError(f"{path}: corrupt manifest (no shards list)")
+        store = cls(directory, manifest)
         store._sweep_orphans()
         return store
 
@@ -348,13 +346,12 @@ class ShardedStore:
             }
 
     def info(self) -> dict:
-        """Bytes-level report: disk/decoded accounting per shard.
+        """Bytes-level report per shard.
 
         Backs the ``store info`` CLI verb.  Per shard: bytes on disk,
         archive format version, dictionary sizes, page counts (packed
         shards), and — when the shard plane is open in this process —
-        blocks/bytes decoded per column, so the paging behaviour is
-        observable without running the bench.
+        its resident bytes per node.
         """
         with self._lock:
             shards = []
@@ -390,25 +387,10 @@ class ShardedStore:
                 cached = self._collections.get(entry["id"])
                 if cached is not None and cached[0] == entry["file"]:
                     doc = cached[1].doc
-                    # What the plane occupies per node once resident
-                    # (what ``repro serve`` holds after its full decode).
+                    # What the plane occupies per node once resident.
                     record["resident_bytes_per_node"] = round(
                         doc.column_nbytes() / len(doc), 2
                     )
-                    plane = getattr(doc, "plane", None)
-                    if plane is not None:
-                        totals = plane.totals()
-                        record["decoded"] = {
-                            "blocks": totals["blocks_decoded"],
-                            "bytes": totals["bytes_decoded"],
-                            "columns": {
-                                name: {
-                                    "blocks_decoded": stat["blocks_decoded"],
-                                    "bytes_decoded": stat["bytes_decoded"],
-                                }
-                                for name, stat in plane.column_stats().items()
-                            },
-                        }
                 shards.append(record)
             return {
                 "directory": self.directory,
@@ -437,7 +419,6 @@ class ShardedStore:
             table = load(
                 os.path.join(self.directory, entry["file"]),
                 mmap=True,
-                decode_cache=self.decode_cache,
             )
             collection = DocumentCollection.from_table(
                 table, entry["documents"], self.virtual_root_tag

@@ -137,12 +137,7 @@ class StringColumn(Column):
         dictionary: List[str],
         validate: bool = True,
     ):
-        if getattr(codes, "packed_bytes", None) is not None:
-            # A paged (compressed) code vector: keep it as-is — coercing
-            # through np.asarray would decode every page eagerly.
-            self.codes = codes  # type: ignore[assignment]
-        else:
-            self.codes = np.asarray(codes, dtype=np.int32)
+        self.codes = np.asarray(codes, dtype=np.int32)
         if self.codes.ndim != 1:
             raise StorageError("StringColumn requires a one-dimensional code vector")
         self.dictionary = list(dictionary)

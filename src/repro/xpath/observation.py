@@ -76,8 +76,7 @@ class DriveObservation(NamedTuple):
     however many queries ran through it.  ``scanned``/``skipped`` are
     the scalar staircase's node-access deltas for the drive (``explain
     --analyze`` prints them; the e2e ledger's ``core.skipped_share`` is
-    their ratio) and ``blocks`` the packed-plane page blocks decoded by
-    it.
+    their ratio).
     """
 
     shard_id: int
@@ -86,7 +85,6 @@ class DriveObservation(NamedTuple):
     steps: Tuple[StepObservation, ...] = ()
     scanned: int = 0
     skipped: int = 0
-    blocks: int = 0
 
 
 class PipelineObserver:
@@ -100,11 +98,11 @@ class PipelineObserver:
     test per operator.
     """
 
-    __slots__ = ("steps", "elapsed_ns", "scanned", "skipped", "blocks")
+    __slots__ = ("steps", "elapsed_ns", "scanned", "skipped")
 
     def __init__(self) -> None:
         self.steps: List[StepObservation] = []
-        self.elapsed_ns = self.scanned = self.skipped = self.blocks = 0
+        self.elapsed_ns = self.scanned = self.skipped = 0
 
     def record(
         self, signature: Tuple[str, ...], n_in: int, n_out: int, ns: int,
@@ -118,5 +116,5 @@ class PipelineObserver:
         """The closed drive as the flat record workers ship home."""
         return DriveObservation(
             shard_id, engine, self.elapsed_ns, tuple(self.steps),
-            self.scanned, self.skipped, self.blocks,
+            self.scanned, self.skipped,
         )

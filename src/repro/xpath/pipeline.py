@@ -606,11 +606,9 @@ def _operator_signature(op: Operator) -> Optional[Tuple[str, ...]]:
     return None
 
 
-def _counters(runtime) -> Tuple[int, int, int]:
+def _counters(runtime) -> Tuple[int, int]:
     """The runtime's monotonic work counters an observed drive deltas."""
-    plane = getattr(runtime.doc, "plane", None)
-    blocks = plane.totals()["blocks_decoded"] if plane is not None else 0
-    return runtime.stats.nodes_scanned, runtime.stats.nodes_skipped, blocks
+    return runtime.stats.nodes_scanned, runtime.stats.nodes_skipped
 
 
 def exists_ready(ops: Tuple[Operator, ...], depth: int, context) -> bool:
@@ -798,7 +796,7 @@ def drive_group(
             results.append(dispatch(plans[member].merge, runtime, parts))
     if observer is not None:
         observer.elapsed_ns = time.perf_counter_ns() - started
-        observer.scanned, observer.skipped, observer.blocks = (
+        observer.scanned, observer.skipped = (
             b - a for a, b in zip(before, _counters(runtime))
         )
     return results

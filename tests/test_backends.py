@@ -635,9 +635,9 @@ class TestAffinityAndResilience:
         expected = SerialBackend(store).run_batch([item])
         worker = fabric._fabric_worker
 
-        def truncated(directory, decode_cache, conn, inherited, prefix):
+        def truncated(directory, conn, inherited, prefix):
             if not prefix.endswith("g0"):  # the respawned worker is real
-                return worker(directory, decode_cache, conn, inherited, prefix)
+                return worker(directory, conn, inherited, prefix)
             conn.recv()
             os.write(conn.fileno(), struct.pack("!i", 1 << 20))  # "1 MB follows"
             os._exit(0)

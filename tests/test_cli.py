@@ -175,6 +175,30 @@ class TestShardServeBatch:
         assert "epoch          1" in out
         assert "shard 0" in out and "shard 1" in out
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # A file is no store: "not a sharded store", a usage error.
+            (["store", "info", "{archive}"], 2),
+            # A store is no document.
+            (["query", "{store}", "//a"], 1),
+            (["store", "info", "{listed}"], 1),
+            (["store", "info", "{shardless}"], 1),
+        ],
+        ids=["archive-as-store", "store-as-document", "manifest-list", "manifest-without-shards"],
+    )
+    def test_a_hostile_path_is_one_error_line(self, xml_file, store_dir, tmp_path, capsys, argv, code):
+        paths = {"archive": str(tmp_path / "doc.npz"), "store": store_dir}
+        assert main(["encode", xml_file, "-o", paths["archive"]]) == 0
+        for name, manifest in (("listed", "[]"), ("shardless", '{"store_format": 1}')):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "manifest.json").write_text(manifest)
+            paths[name] = str(tmp_path / name)
+        capsys.readouterr()
+        assert main([arg.format(**paths) for arg in argv]) == code
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+
     def test_shard_without_output_is_a_usage_error(self, xml_file, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["shard", xml_file])

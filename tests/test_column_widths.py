@@ -7,16 +7,17 @@ what every producer and consumer owes it:
   ``int64`` — whatever the archive format, open mode or backend, on
   shards big enough (> 2¹⁵ nodes, so well past ``int16``) that a column
   width leaking into a rank vector wraps visibly; the vectorized engine
-  everywhere, the scalar one where it reads what the other does not (a
-  packed memory-mapped plane) and where ``analyze(engine="scalar")``
-  runs (a ``fabric:2`` worker);
+  everywhere, the scalar one on a packed mapped plane (decoded when it
+  opens) and where ``analyze(engine="scalar")`` runs (a ``fabric:2``
+  worker);
 * depth and size limits are clean ``EncodingError``s, never wraps;
 * splices keep the widths and a canonical dictionary (strictly sorted,
   exactly the referenced entries), so splice == re-encode member for
   member in both layouts; the packed members that are still stored do
   not move, and dictionary offsets handed over at another width are
   narrowed, not trusted;
-* no code path copies a whole column to another dtype;
+* no code path copies a whole column to another dtype, and a packed
+  shard decodes at open to 19 resident bytes per node;
 * a forged page directory, or a packed file smuggling a pickle, is
   rejected before a data page (or the unpickler) is touched.
 """
@@ -30,7 +31,6 @@ import numpy as np
 import pytest
 
 from repro.encoding import decode, encode, subtree
-from repro.encoding.codec import PagedArray
 from repro.encoding.collection import DocumentCollection
 from repro.encoding.doctable import DocTable
 from repro.encoding.persist import describe_archive, load, save
@@ -144,8 +144,8 @@ def stores(forest, tmp_path_factory):
 
 
 #: Every layout × backend / open mode on the vectorized engine; the
-#: scalar engine on a packed mapped plane (its ``kind``-paged copy
-#: phases) and in a ``fabric:2`` worker (what ``analyze`` runs).
+#: scalar engine on a packed mapped plane and in a ``fabric:2`` worker
+#: (what ``analyze`` runs).
 SERVED = [
     (layout, backend, "vectorized")
     for layout in ("none", "packed")
@@ -442,31 +442,35 @@ def test_eager_members_are_written_at_width(tmp_path):
 # ----------------------------------------------------------------------
 # (e) no whole-column dtype conversion anywhere on the query path
 # ----------------------------------------------------------------------
-def test_no_query_converts_a_whole_column(tmp_path, monkeypatch):
+def test_no_query_converts_a_whole_column(tmp_path):
+    """Both engines and both writers leave every opened column at its
+    width: none of the six is ever ``astype``-d whole to another dtype
+    (gathers and slices of it may be)."""
     converted = []
-    array, astype = PagedArray.__array__, PagedArray.astype
 
-    def counting_array(self, dtype=None, copy=None):
-        if dtype is not None and np.dtype(dtype) != self.dtype:
-            converted.append((self.directory.column, np.dtype(dtype).name))
-        return array(self, dtype, copy)
+    class Watched(np.ndarray):
+        def astype(self, dtype, *args, **kwargs):
+            if getattr(self, "whole", None) and np.dtype(dtype) != self.dtype:
+                converted.append((self.whole, np.dtype(dtype).name))
+            return super().astype(dtype, *args, **kwargs)
 
-    def counting_astype(self, dtype, copy=True):
-        if np.dtype(dtype) != self.dtype:
-            converted.append((self.directory.column, np.dtype(dtype).name))
-        return astype(self, dtype, copy)
-
-    monkeypatch.setattr(PagedArray, "__array__", counting_array)
-    monkeypatch.setattr(PagedArray, "astype", counting_astype)
-    store = ShardedStore.build(
-        str(tmp_path / "s"), get_forest(2, 0.05), shards=1, compression="packed"
-    )
-    for decode_cache in ("full", "blocks"):
-        opened = ShardedStore.open(store.directory, decode_cache=decode_cache)
+    doc = DocumentCollection(get_forest(2, 0.05)).doc
+    for layout in ("none", "packed"):
+        path = str(tmp_path / f"{layout}.npz")
+        save(doc, path, compression=layout)
+        table = load(path, mmap=True)
+        for owner, name, attr in (
+            (table, "post", "post"), (table, "level", "level"),
+            (table, "parent", "parent"), (table, "kind", "kind"),
+            (table.tag, "tag_codes", "codes"), (table.values, "value_codes", "codes"),
+        ):
+            column = getattr(owner, attr).view(Watched)
+            column.whole = name
+            setattr(owner, attr, column)
         for engine in ENGINES:
-            with QueryService(opened, backend="serial", engine=engine) as service:
-                service.execute_batch(QUERIES, use_cache=False)
-        table = opened.collection(0).doc
+            evaluator = Evaluator(table, engine=engine)
+            for query in QUERIES:
+                evaluator.evaluate(query)
         save(table, str(tmp_path / "again.npz"), compression="packed")
         save(table, str(tmp_path / "again-eager.npz"))
     assert converted == []
@@ -483,23 +487,22 @@ def test_a_served_packed_shard_holds_at_most_20_bytes_per_node(tmp_path):
     with QueryService(store, backend="serial") as service:
         service.execute("//open_auction[bidder]/seller")
         doc = store.collection(0).doc
-        plane = doc.plane
-        # np.asarray hands back the cached full decode itself: its
-        # nbytes are what the process really holds per stored column;
-        # post and parent are the dense arrays derived at open.
-        stored = sum(np.asarray(column).nbytes for column in plane.columns.values())
-        assert sorted(plane.columns) == ["kind", "level", "tag_codes", "value_codes"]
-        assert type(doc.post) is type(doc.parent) is np.ndarray
-        resident = stored + doc.post.nbytes + doc.parent.nbytes
-        assert resident / plane.nodes == 19
+        # Every column is a plain array the process holds privately:
+        # the four stored ones decoded at open, post and parent derived.
+        stored = [doc.level, doc.kind, doc.tag.codes, doc.values.codes]
+        for column in stored + [doc.post, doc.parent]:
+            assert type(column) is np.ndarray and column.flags.owndata
+        resident = sum(column.nbytes for column in stored) + doc.post.nbytes + doc.parent.nbytes
+        assert resident == doc.column_nbytes()
+        assert resident / len(doc) == 19
         shard = store.info()["shards"][0]
         assert shard["resident_bytes_per_node"] == 19
-        assert shard["logical_bytes"] == stored == plane.totals()["logical_bytes"]
+        assert shard["logical_bytes"] == sum(column.nbytes for column in stored)
         assert shard["derived_columns"] == "post, parent: derived from level"
     described = describe_archive(os.path.join(store.directory, shard["file"]))
     assert list(described["columns"]) == described["stored_columns"] == shard["stored_columns"]
     for column, record in described["columns"].items():
-        assert record["logical_bytes"] == plane.nodes * COLUMN_DTYPES[column].itemsize
+        assert record["logical_bytes"] == len(doc) * COLUMN_DTYPES[column].itemsize
 
 
 # ----------------------------------------------------------------------
@@ -548,6 +551,49 @@ def test_a_forged_page_directory_is_rejected_before_any_page(
         },
     )
     with pytest.raises(EncodingError, match=f"{column!r}: page directory"):
+        load(target, mmap=mmap)
+
+
+def _short(array):
+    return array[:-1]
+
+
+def _shifted(offsets):
+    forged = offsets.copy()
+    forged[1] += 1  # page 0 one byte longer, page 1 one shorter
+    return forged
+
+
+UNTILED = {
+    # name: {member: forged value, or a function of the honest one}
+    "page-size-0": {"page_size": np.asarray([0])},
+    "page-size-3": {"page_size": np.asarray([3])},
+    "page-size-doubled": {"page_size": np.asarray([2048])},
+    "kind-last-page-missing": {"kind_refs": _short, "kind_bits": _short},
+    "kind-offsets-short": {"kind_offsets": _short},
+    "kind-offsets-shifted": {"kind_offsets": _shifted},
+    "nodes-negative": {"nodes": np.asarray([-100_000])},
+}
+
+
+@pytest.mark.parametrize("forgery", sorted(UNTILED))
+@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+def test_a_directory_that_does_not_tile_its_column_is_rejected(
+    packed_archive, tmp_path, forgery, mmap
+):
+    """Pages must be the packer's: a power-of-two size, one per
+    ``page_size`` values, each exactly as many bytes as its values pack
+    into — else a decode leaves values unwritten or reads a neighbour."""
+    with np.load(packed_archive) as archive:
+        replaced = {
+            member: forged(archive[member]) if callable(forged) else forged
+            for member, forged in UNTILED[forgery].items()
+        }
+    target = str(tmp_path / "forged.npz")
+    rewrite_members(packed_archive, target, **replaced)
+    with pytest.raises(
+        EncodingError, match="page_size must be a power of two|page directory does not tile"
+    ):
         load(target, mmap=mmap)
 
 

@@ -1,4 +1,4 @@
-"""Codec tests: bit packing, page directories, dictionaries, paged columns."""
+"""Codec tests: bit packing, page directories, dictionaries."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.encoding.codec import (
     CODEC_FOR,
-    PagedArray,
-    PageDirectory,
-    PlaneStats,
     compact_dictionary,
     decode_column,
     decode_page,
@@ -228,148 +225,9 @@ class TestDictionary:
             assert new_codes is codes and new_blob is blob and new_offsets is offsets
 
 
-class TestPagedArray:
-    def make(self, n=500, page_size=64, column="col", **kwargs):
-        values = np.random.default_rng(7).integers(0, 10_000, size=n)
-        directory, blob = pack_int_column(
-            column, values, CODEC_FOR, page_size=page_size
-        )
-        return values, PagedArray(directory, blob, PlaneStats(), **kwargs)
-
-    def test_scalar_access(self):
-        values, paged = self.make()
-        for i in (0, 1, 63, 64, 100, 499, -1, -500):
-            assert paged[i] == values[i]
-        with pytest.raises(IndexError):
-            paged[500]
-        with pytest.raises(IndexError):
-            paged[-501]
-
-    def test_scalar_access_within_one_page_decodes_one_block(self):
-        _, paged = self.make()
-        for i in range(64, 128):
-            paged[i]
-        assert paged.stats.blocks_decoded == 1
-        assert paged.stats.bytes_decoded == 64 * 8
-
-    def test_slices(self):
-        values, paged = self.make()
-        for sl in (
-            slice(0, 10),
-            slice(60, 70),
-            slice(0, 500),
-            slice(130, 130),
-            slice(None, None, 7),
-            slice(None, None, -1),
-        ):
-            assert np.array_equal(paged[sl], values[sl])
-
-    def test_gather(self):
-        values, paged = self.make()
-        idx = np.asarray([3, 499, 64, 63, 3, 200])
-        assert np.array_equal(paged[idx], values[idx])
-        assert np.array_equal(paged[np.asarray([], dtype=np.int64)], values[:0])
-        with pytest.raises(IndexError):
-            paged[np.asarray([0, 500])]
-
-    def test_gather_decodes_only_covered_blocks(self):
-        _, paged = self.make()
-        paged[np.asarray([0, 5, 70, 65])]  # blocks 0 and 1 only
-        assert paged.stats.blocks_decoded == 2
-
-    def test_boolean_mask_falls_back_to_full_decode(self):
-        values, paged = self.make()
-        mask = values % 2 == 0
-        assert np.array_equal(paged[mask], values[mask])
-        assert paged.stats.full_decodes == 1
-
-    def test_numpy_protocol(self):
-        values, paged = self.make()
-        assert paged.shape == (500,)
-        assert paged.size == 500
-        assert paged.ndim == 1
-        assert paged.dtype == column_dtype("col") == np.int64
-        assert paged.nbytes == 500 * 8
-        assert len(paged) == 500
-        assert np.array_equal(np.asarray(paged), values)
-        assert paged.max() == values.max()
-        assert paged.min() == values.min()
-        assert np.array_equal(paged.astype(np.int32), values.astype(np.int32))
-        copied = paged.copy()
-        copied[0] = -1
-        assert paged[0] == values[0]
-
-    @pytest.mark.parametrize("column", ["post", "level", "parent", "tag_codes"])
-    def test_every_access_shape_serves_the_declared_width(self, column):
-        values, paged = self.make(column=column, cache_full=False)
-        dtype = COLUMN_DTYPES[column]
-        assert paged.dtype == dtype and paged.nbytes == 500 * dtype.itemsize
-        shapes = (
-            paged[7], paged[60:70], paged[10:400], paged[0:0],
-            paged[np.asarray([3, 499, 64])], paged[np.asarray([], dtype=np.int64)],
-            paged[values > 5000], np.asarray(paged), paged.copy(),
-        )
-        assert all(shape.dtype == dtype for shape in shapes)
-        assert all(chunk.dtype == dtype for _, chunk in paged.iter_pages())
-        assert np.array_equal(np.asarray(paged), values)
-        assert paged.stats.bytes_decoded % dtype.itemsize == 0
-
-    def test_comparisons_are_elementwise(self):
-        values, paged = self.make()
-        assert np.array_equal(paged == values[0], values == values[0])
-        assert np.array_equal(paged != 3, values != 3)
-        assert np.array_equal(paged < 5000, values < 5000)
-        assert np.array_equal(paged >= 5000, values >= 5000)
-
-    def test_iter(self):
-        values, paged = self.make(n=130)
-        assert list(paged) == values.tolist()
-
-    def test_iter_pages_covers_exactly_the_range(self):
-        values, paged = self.make()
-        chunks = list(paged.iter_pages(100, 300))
-        assert chunks[0][0] == 100
-        rebuilt = np.concatenate([c for _, c in chunks])
-        assert np.array_equal(rebuilt, values[100:300])
-        assert list(paged.iter_pages(10, 10)) == []
-
-    def test_iter_pages_stop_early_leaves_pages_cold(self):
-        _, paged = self.make()
-        for base, _chunk in paged.iter_pages():
-            if base >= 64:
-                break
-        assert paged.stats.blocks_decoded == 2  # blocks 0 and 1 only
-
-    def test_lru_eviction_bounds_cache(self):
-        values, paged = self.make(cache_blocks=2)
-        paged[0], paged[64], paged[128]  # touch blocks 0, 1, 2
-        assert len(paged._cache) == 2
-        paged[0]  # block 0 was evicted → decoded again
-        assert paged.stats.blocks_decoded == 4
-
-    def test_cache_full_false_does_not_retain_full_decode(self):
-        values, paged = self.make(cache_full=False)
-        np.asarray(paged)
-        np.asarray(paged)
-        assert paged.stats.full_decodes == 2
-        assert paged._full is None
-
-    def test_full_decode_serves_later_blocks(self):
-        values, paged = self.make()
-        np.asarray(paged)
-        before = paged.stats.blocks_decoded
-        paged[450]
-        assert paged.stats.blocks_decoded == before  # sliced from cached full
-
-    def test_unhashable(self):
-        _, paged = self.make()
-        with pytest.raises(TypeError):
-            hash(paged)
-
-
-class TestPagedStrings:
-    """The value column (:class:`ValueIndex`) over a *paged* code vector
-    — what a mapped packed shard serves strings from."""
+class TestDecodedStrings:
+    """The value column (:class:`ValueIndex`) over a code vector decoded
+    from page blocks — what a packed shard serves strings from."""
 
     def make(self):
         strings = ["ape", None, "bee", "ape", None, "cat"]
@@ -380,9 +238,7 @@ class TestPagedStrings:
             dtype=np.int64,
         )
         directory, packed = pack_int_column("value_codes", codes, CODEC_FOR, 4)
-        return strings, ValueIndex(
-            PagedArray(directory, packed, PlaneStats()), blob, offsets
-        )
+        return strings, ValueIndex(decode_column(directory, packed), blob, offsets)
 
     def test_access_and_iteration(self):
         strings, paged = self.make()

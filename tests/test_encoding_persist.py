@@ -22,6 +22,7 @@ from repro.encoding.persist import (
     save,
 )
 from repro.encoding.prepost import encode
+from repro.encoding.widths import COLUMN_DTYPES
 from repro.errors import EncodingError
 from repro.xpath.evaluator import evaluate
 
@@ -44,20 +45,33 @@ def tables_equal(a, b) -> bool:
     )
 
 
+def plane_columns(table) -> dict:
+    """A table's six plane columns by their ``COLUMN_DTYPES`` name."""
+    return {
+        "post": table.post, "level": table.level, "parent": table.parent,
+        "kind": table.kind, "tag_codes": table.tag.codes,
+        "value_codes": table.values.codes,
+    }
+
+
 def assert_round_trips_everywhere(doc, directory):
     """save → load is column-identical — the derived ``post`` / ``parent``
-    included, at their declared width — for both layouts, mapped or
-    not, under either decode cache."""
+    included — for both layouts, mapped or not, and every column is an
+    array at its declared width: memory-mapped only where an eager
+    archive is mapped, never for the derived two."""
     for compression in LAYOUT_VERSIONS:
         path = str(directory / f"{compression}.npz")
         save(doc, path, compression=compression, page_size=16)
         for mmap_flag in (False, True):
-            for decode_cache in ("full", "blocks"):
-                loaded = load(path, mmap=mmap_flag, decode_cache=decode_cache)
-                assert tables_equal(doc, loaded), (compression, mmap_flag, decode_cache)
-                assert loaded.height == doc.height
-                for derived in (loaded.post, loaded.parent):
-                    assert type(derived) is np.ndarray and derived.dtype == np.int32
+            loaded = load(path, mmap=mmap_flag)
+            assert tables_equal(doc, loaded), (compression, mmap_flag)
+            assert loaded.height == doc.height
+            mapped = mmap_flag and compression == "none"
+            for name, column in plane_columns(loaded).items():
+                assert isinstance(column, np.ndarray), name
+                assert column.dtype == COLUMN_DTYPES[name], name
+                stored = name not in ("post", "parent", "tag_codes")
+                assert isinstance(column, np.memmap) == (mapped and stored), name
 
 
 def save_v1(doc, path):
@@ -299,20 +313,18 @@ class TestFormatVersions:
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_mmap_load_all_versions(self, small_xmark, tmp_path, layout):
-        """mmap=True zero-copies eager columns and pages packed blocks;
-        the value dictionary is mapped eager and inflated packed,
-        ``post`` / ``parent`` are derived dense arrays in both."""
-        from repro.encoding.codec import PagedArray
-
+        """mmap=True zero-copies eager columns and decodes packed ones
+        to arrays that own their memory; the value dictionary is mapped
+        eager and inflated packed, ``post`` / ``parent`` are derived
+        dense arrays in both."""
         path = str(tmp_path / f"{layout}.npz")
         save(small_xmark, path, compression=layout)
         loaded = load(path, mmap=True)
         assert tables_equal(small_xmark, loaded)
         eager = layout == "none"
-        assert isinstance(loaded.level, np.memmap) == eager
-        assert isinstance(loaded.level, PagedArray) == (not eager)
-        assert isinstance(loaded.values.codes, np.memmap) == eager
-        assert isinstance(loaded.values.codes, PagedArray) == (not eager)
+        for column in (loaded.level, loaded.kind, loaded.values.codes):
+            assert isinstance(column, np.memmap) == eager
+            assert (type(column) is np.ndarray and column.flags.owndata) == (not eager)
         for derived in (loaded.post, loaded.parent):
             assert type(derived) is np.ndarray and derived.dtype == np.int32
         for part in (loaded.values.blob, loaded.values.offsets):
@@ -661,9 +673,8 @@ def test_a_hostile_dictionary_stream_is_rejected(
 ):
     path = str(tmp_path / "forged.npz")
     forge_dictionary(small_xmark, path, name, **HOSTILE_DICTIONARIES[forgery](small_xmark, name))
-    for decode_cache in ("full", "blocks"):
-        with pytest.raises(EncodingError, match=f"corrupt {name} dictionary"):
-            load(path, mmap=mmap_flag, decode_cache=decode_cache)
+    with pytest.raises(EncodingError, match=f"corrupt {name} dictionary"):
+        load(path, mmap=mmap_flag)
 
 
 def test_the_forgeries_are_forged_from_an_honest_archive(small_xmark, tmp_path):
@@ -732,9 +743,7 @@ def test_deflated_dictionaries_load_byte_identical_to_eager_ones(entries, tmp_pa
     save(doc, eager)
     save(doc, packed, compression="packed")
     loads = [load(eager).values] + [
-        load(packed, mmap=mmap_flag, decode_cache=decode_cache).values
-        for mmap_flag in (False, True)
-        for decode_cache in ("full", "blocks")
+        load(packed, mmap=mmap_flag).values for mmap_flag in (False, True)
     ]
     for values in loads:
         assert values.blob.dtype == blob.dtype and values.offsets.dtype == offsets.dtype
@@ -999,9 +1008,8 @@ class TestHostileLevel:
     ):
         path = str(tmp_path / "forged.npz")
         forge_level(small_xmark, path, compression, NOT_A_TREE[violation])
-        for decode_cache in ("full", "blocks"):
-            with pytest.raises(EncodingError, match="level"):
-                load(path, mmap=mmap_flag, decode_cache=decode_cache)
+        with pytest.raises(EncodingError, match="level"):
+            load(path, mmap=mmap_flag)
 
 
 @pytest.mark.parametrize("mmap_flag", [False, True], ids=["read", "mmap"])

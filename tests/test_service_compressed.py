@@ -1,4 +1,4 @@
-"""Compressed-shard tests: packed stores, paging, and splice == re-encode.
+"""Compressed-shard tests: packed stores, served planes, splice == re-encode.
 
 The headline properties:
 
@@ -8,10 +8,11 @@ The headline properties:
 * **splice == re-encode on packed shards** — update batches applied to a
   compressed store match a compressed store rebuilt from equivalently
   edited trees, and tag statistics stay exact;
-* **skipped ranges stay cold** — with ``decode_cache="blocks"`` a
-  selective query decodes strictly fewer page blocks than the plane
-  holds.
+* **served planes are arrays** — a packed shard decodes when it opens,
+  in every lane, to arrays it owns at their declared widths.
 """
+
+import mmap
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.service.store import AUTO_PACK_NODES, _resolve_compression
 from repro.xmltree.model import element, text
 
 from _reference import random_tree
+from test_encoding_persist import plane_columns
 
 ENGINES = ("scalar", "vectorized")
 
@@ -128,17 +130,6 @@ class TestPackedEquivalence:
             plain_store, QUERIES, engine
         )
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_blocks_cache_mode_matches_too(
-        self, plain_store, packed_store, engine
-    ):
-        store = ShardedStore.open(
-            packed_store.directory, decode_cache="blocks"
-        )
-        assert batch_bytes(store, QUERIES, engine) == batch_bytes(
-            plain_store, QUERIES, engine
-        )
-
     def test_string_values_survive_packing(self, packed_store, plain_store):
         for shard_id in packed_store.shard_ids():
             packed = packed_store.collection(shard_id).doc
@@ -147,34 +138,21 @@ class TestPackedEquivalence:
             assert packed.values == plain.values
 
 
-class TestPaging:
-    def open_and_query(self, forest, tmp_path, query):
-        """Build a packed single-shard store and run one query through
-        the store's own (block-cached) collection."""
-        from repro.xpath.evaluator import Evaluator
+def mapped(array) -> bool:
+    """Is ``array`` (a view of) a memory map of an archive?"""
+    while array is not None:
+        if isinstance(array, (np.memmap, mmap.mmap)):
+            return True
+        array = getattr(array, "base", None)
+    return False
 
-        directory = str(tmp_path / "store")
-        ShardedStore.build(directory, forest, shards=1, compression="packed")
-        store = ShardedStore.open(directory, decode_cache="blocks")
-        collection = store.collection(0)
-        evaluator = Evaluator(collection.doc, engine="vectorized")
-        collection.evaluate(query, evaluator=evaluator)
-        return store, collection.doc.plane
 
-    def test_selective_query_leaves_pages_cold(self, forest, tmp_path):
-        store, plane = self.open_and_query(forest, tmp_path, "/site/regions")
-        assert plane is not None
-        totals = plane.totals()
-        assert 0 < totals["blocks_decoded"] < totals["pages"]
-        assert totals["bytes_decoded"] < totals["logical_bytes"]
-
+class TestServedPlanes:
     @pytest.mark.parametrize("backend", ("serial", "fabric:2"))
-    def test_served_path_honours_blocks_mode(
-        self, forest, tmp_path, monkeypatch, backend
-    ):
-        """``decode_cache="blocks"`` must reach the *worker's* planes:
-        after a selective query every lane — the forked worker included
-        — holds block-LRU entries only, never a whole decoded column."""
+    def test_served_planes_are_arrays(self, forest, tmp_path, monkeypatch, backend):
+        """Every lane — the forked worker included — serves a packed
+        shard from arrays it owns at their declared widths, and an eager
+        shard's stored columns straight from the archive's mapping."""
         import json
         import multiprocessing
         import os
@@ -189,63 +167,64 @@ class TestPaging:
         class ProbedState(ShardWorkerState):
             def run_group(self, tasks):
                 outcomes = super().run_group(tasks)
-                planes = [c.doc.plane for _, c in self._collections.values()]
                 report = reports / f"{os.getpid()}.json"
                 report.write_text(json.dumps({
-                    "decode_cache": self.decode_cache,
-                    "whole_columns": sum(
-                        column._full is not None
-                        for plane in planes
-                        for column in plane.columns.values()
-                    ),
-                    "full_decodes": {
-                        name: max(
-                            plane.columns[name].stats.full_decodes
-                            for plane in planes
-                        )
-                        for name in ("kind", "tag_codes")
-                    },
+                    shard_id: {
+                        name: [type(column).__name__, column.dtype.name, mapped(column)]
+                        for name, column in plane_columns(collection.doc).items()
+                    }
+                    for shard_id, (_, collection) in self._collections.items()
                 }))
                 return outcomes
 
         monkeypatch.setattr(serial_module, "ShardWorkerState", ProbedState)
         monkeypatch.setattr(fabric, "ShardWorkerState", ProbedState)
-        directory = str(tmp_path / "store")
-        # Two shards: under fabric:2, shard 1 runs on lane 1, the worker.
-        ShardedStore.build(directory, forest, shards=2, compression="packed")
-        store = ShardedStore.open(directory, decode_cache="blocks")
-        with QueryService(store, backend=backend) as service:
+        # Four eager shards, the last two then rewritten packed: under
+        # fabric:2 each lane serves one shard of either layout.
+        store = ShardedStore.build(
+            str(tmp_path / "store"), forest, shards=4, compression="none"
+        )
+        store.apply_updates(
+            [UpdateOp("update", name, tree=tree) for name, tree in forest[2:]],
+            compression="packed",
+        )
+        layouts = [entry["format"] for entry in store._manifest["shards"]]
+        assert layouts == [6, 6, 7, 7]
+        with QueryService(ShardedStore.open(store.directory), backend=backend) as service:
             assert service.execute("//regions", use_cache=False).total > 0
             if backend != "serial":
-                assert service.backend.dispatched == [1, 1]
+                assert service.backend.dispatched == [2, 2]
         seen = {int(p.stem): json.loads(p.read_text()) for p in reports.iterdir()}
-        lanes = 1 if backend == "serial" else 2
-        assert len(seen) == lanes  # one report per process that ran a lane
+        assert len(seen) == (1 if backend == "serial" else 2)  # one per lane
         assert os.getpid() in seen
-        for planes in seen.values():
-            assert planes["decode_cache"] == "blocks"
-            assert planes["whole_columns"] == 0
-            # The planned query pushes its name test down, which builds
-            # the shard's per-tag fragments: one pass over the plane, not
-            # one whole-column decode per dictionary tag.
-            assert planes["full_decodes"]["kind"] <= 1
-            assert planes["full_decodes"]["tag_codes"] <= 1
+        assert sorted(int(i) for lane in seen.values() for i in lane) == [0, 1, 2, 3]
+        for lane in seen.values():
+            for shard_id, columns in lane.items():
+                packed = layouts[int(shard_id)] == LAYOUT_VERSIONS["packed"]
+                for name, (kind, dtype, is_mapped) in columns.items():
+                    assert dtype == COLUMN_DTYPES[name].name
+                    stored = name not in ("post", "parent")
+                    assert is_mapped == (stored and not packed), (shard_id, name)
+                    if packed or not stored or name == "tag_codes":
+                        assert kind == "ndarray", (shard_id, name)
+                    else:
+                        assert kind == "memmap", (shard_id, name)
 
-    def test_info_reports_decode_counters(self, forest, tmp_path):
-        store, _plane = self.open_and_query(forest, tmp_path, "//bidder")
+    def test_info_reports_packing_and_resident_bytes(self, packed_store):
+        store = ShardedStore.open(packed_store.directory)
+        store.collection(0)  # opened in this process: resident bytes known
         info = store.info()
         assert info["compression"] == "packed"
         assert info["total_bytes_on_disk"] > 0
-        (shard,) = info["shards"]
+        shard, unopened = info["shards"]
         assert shard["format_version"] == LAYOUT_VERSIONS["packed"]
         assert shard["pages"] > 0
         assert shard["packed_bytes"] < shard["logical_bytes"]
         assert shard["tag_dictionary"]["entries"] > 0
-        assert shard["decoded"]["blocks"] > 0
-        # The four stored columns page; post / parent are derived, dense.
-        assert list(shard["decoded"]["columns"]) == shard["stored_columns"] == [
-            "level", "kind", "tag_codes", "value_codes"
-        ]
+        assert shard["resident_bytes_per_node"] == 19
+        assert "resident_bytes_per_node" not in unopened
+        assert "decoded" not in shard
+        assert shard["stored_columns"] == ["level", "kind", "tag_codes", "value_codes"]
         assert shard["derived_columns"] == "post, parent: derived from level"
 
     def test_info_on_plain_store_omits_packing_fields(self, plain_store):
@@ -407,6 +386,7 @@ class TestSpliceReencodeProperty:
         import os
 
         entry = store._manifest["shards"][0]
+        assert entry["format"] == LAYOUT_VERSIONS["packed"]
         table = load(os.path.join(store.directory, entry["file"]), mmap=True)
-        assert table.plane is not None
-        assert np.asarray(table.post).dtype == COLUMN_DTYPES["post"]
+        assert type(table.level) is np.ndarray
+        assert table.post.dtype == COLUMN_DTYPES["post"]
