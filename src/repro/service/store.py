@@ -115,6 +115,29 @@ def available_cpus() -> int:
 _SHARD_FILE = re.compile(r"shard-\d{4,}\.e\d{4,}\.npz")
 
 
+def _check_entry(path: str, index: int, entry) -> None:
+    """Reject a manifest shard entry the store cannot serve from.
+
+    Every reader trusts ``id``, ``file``, ``documents`` and ``nodes``
+    once the store is open; ``file`` must be a shard file name, so no
+    entry can point a load outside the store directory.
+    """
+    where = f"{path}: corrupt manifest (shard entry {index}"
+    if not isinstance(entry, dict):
+        raise ReproError(f"{where} is not a JSON object)")
+    file_name = entry.get("file")
+    if not (isinstance(file_name, str) and _SHARD_FILE.fullmatch(file_name)):
+        raise ReproError(f"{where}: file {file_name!r} is not a shard file name)")
+    documents = entry.get("documents")
+    if not (
+        type(entry.get("id")) is int
+        and type(entry.get("nodes")) is int
+        and isinstance(documents, list)
+        and all(isinstance(name, str) for name in documents)
+    ):
+        raise ReproError(f"{where} needs an integer id and nodes and a list of names)")
+
+
 class ShardedStore:
     """A directory of persisted document-collection shards.
 
@@ -228,8 +251,9 @@ class ShardedStore:
 
         Shards open lazily, memory-mapped (:meth:`collection`).  A path
         that is no directory is a :class:`StoreNotFoundError`; a
-        manifest that is not a JSON object with a ``shards`` list is a
-        corrupt manifest.
+        manifest that is not a JSON object with an integer ``epoch`` and
+        a ``shards`` list of well-formed entries (:func:`_check_entry`)
+        is a corrupt manifest.
         """
         path = os.path.join(directory, MANIFEST)
         try:
@@ -250,6 +274,10 @@ class ShardedStore:
             )
         if not isinstance(manifest.get("shards"), list):
             raise ReproError(f"{path}: corrupt manifest (no shards list)")
+        if type(manifest.get("epoch")) is not int:
+            raise ReproError(f"{path}: corrupt manifest (no integer epoch)")
+        for index, entry in enumerate(manifest["shards"]):
+            _check_entry(path, index, entry)
         store = cls(directory, manifest)
         store._sweep_orphans()
         return store

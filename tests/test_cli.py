@@ -1,5 +1,6 @@
 """CLI tests (invoked in-process through ``repro.cli.main``)."""
 
+import json
 import os
 
 import pytest
@@ -184,13 +185,23 @@ class TestShardServeBatch:
             (["query", "{store}", "//a"], 1),
             (["store", "info", "{listed}"], 1),
             (["store", "info", "{shardless}"], 1),
+            # A shard entry that is no object, or names a file outside.
+            (["store", "info", "{entryless}"], 1),
+            (["store", "info", "{escaping}"], 1),
         ],
-        ids=["archive-as-store", "store-as-document", "manifest-list", "manifest-without-shards"],
+        ids=["archive-as-store", "store-as-document", "manifest-list", "manifest-without-shards",
+             "shard-entry-not-an-object", "shard-file-outside-store"],
     )
     def test_a_hostile_path_is_one_error_line(self, xml_file, store_dir, tmp_path, capsys, argv, code):
         paths = {"archive": str(tmp_path / "doc.npz"), "store": store_dir}
         assert main(["encode", xml_file, "-o", paths["archive"]]) == 0
-        for name, manifest in (("listed", "[]"), ("shardless", '{"store_format": 1}')):
+        escaping = {"id": 0, "file": "../doc.npz", "documents": ["d"], "nodes": 1}
+        for name, manifest in (
+            ("listed", "[]"),
+            ("shardless", '{"store_format": 1}'),
+            ("entryless", '{"store_format": 1, "epoch": 1, "shards": [1]}'),
+            ("escaping", json.dumps({"store_format": 1, "epoch": 1, "shards": [escaping]})),
+        ):
             (tmp_path / name).mkdir()
             (tmp_path / name / "manifest.json").write_text(manifest)
             paths[name] = str(tmp_path / name)

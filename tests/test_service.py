@@ -14,6 +14,7 @@ The headline properties:
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,33 @@ class TestShardedStore:
     def test_open_wrong_store_format_rejected(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"store_format": 99}))
         with pytest.raises(ReproError, match="store format"):
+            ShardedStore.open(str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "manifest, match",
+        [
+            ({"shards": []}, "integer epoch"),
+            ({"epoch": 1, "shards": [1]}, "shard entry 0 is not a JSON object"),
+            ({"epoch": 1, "shards": [{"id": 0, "file": "../../etc/passwd",
+                                      "documents": [], "nodes": 0}]},
+             "'../../etc/passwd' is not a shard file name"),
+            ({"epoch": 1, "shards": [{"id": "0", "file": "shard-0000.e0001.npz",
+                                      "documents": [], "nodes": 0}]},
+             "integer id"),
+            ({"epoch": 1, "shards": [{"id": 0, "file": "shard-0000.e0001.npz",
+                                      "documents": "doc", "nodes": 0}]},
+             "list of names"),
+        ],
+        ids=["no-epoch", "entry-not-an-object", "file-outside-store", "id-not-int",
+             "documents-not-a-list"],
+    )
+    def test_open_hostile_shard_entry_rejected(self, tmp_path, manifest, match):
+        """A manifest entry every reader would trust is checked at open:
+        a bad one is a corrupt manifest, never a ``TypeError`` or a load
+        outside the store directory."""
+        manifest = dict(manifest, store_format=1)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ReproError, match=f"corrupt manifest.*{re.escape(match)}"):
             ShardedStore.open(str(tmp_path))
 
     def test_replace_shard_bumps_epoch_and_swaps_file(self, forest, tmp_path):
