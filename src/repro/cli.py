@@ -318,6 +318,13 @@ def _cmd_update(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as error:
         print(f"error: {args.ops}: not valid JSON ({error})", file=sys.stderr)
         return 1
+    # An ops file may name its payload's XML file; the path is read
+    # here, relative to the working directory, and sent on as "xml".
+    listed = raw.get("ops", raw) if isinstance(raw, dict) else raw
+    for op in listed if isinstance(listed, list) else ():
+        if isinstance(op, dict) and isinstance(op.get("file"), str) and "xml" not in op:
+            with open(op.pop("file"), encoding="utf-8") as f:
+                op["xml"] = f.read()
     ops = parse_ops(raw)
     if args.verify is not None:
         from repro.xpath.parser import parse_xpath

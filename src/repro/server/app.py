@@ -597,8 +597,8 @@ class ThreadedServer:
         await self._stop_event.wait()
         await self.server.shutdown()
         # The drain is complete — no dispatch can still be in flight —
-        # so release the service's execution backend (worker processes,
-        # shared-memory segments) before the loop stops.
+        # so release the service's execution backend (its worker
+        # processes) before the loop stops.
         self.service.close()
 
     @property

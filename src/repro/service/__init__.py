@@ -12,7 +12,7 @@ package turns that into a servable system:
   (in-process, the default) or
   :class:`~repro.service.fabric.FabricBackend` (shard-affine lanes:
   the calling thread plus long-lived workers returning ``materialize``
-  payloads through shared-memory segments), both with the same
+  payloads as raw rank bytes on their pipes), both with the same
   pre-ordered merge;
 * :class:`~repro.service.service.QueryService` — the front door:
   ``execute`` / ``execute_batch`` with plan + result caching, and

@@ -15,8 +15,8 @@ choice is purely an execution-strategy one:
 ``fabric``    ``fabric:N`` runs a batch on N **shard-affine lanes**:
               lane 0 is the dispatching thread itself (the serial
               dispatch, inherited), lanes 1..N−1 are long-lived worker
-              processes whose ``materialize`` payloads travel through
-              shared-memory segments instead of pickle
+              processes whose ``materialize`` payloads come back as
+              raw rank bytes on their pipes instead of pickle
               (:class:`~repro.service.fabric.FabricBackend`).  One
               lane is ``serial``: ``fabric:1``, or a bare ``fabric``
               that resolves to one lane, builds a

@@ -19,8 +19,9 @@ object executes tasks for every backend:
   to the one lane that owns the shard, and a *packed* shard decodes to
   private arrays in the lane that opens it.  Only the task tuples and
   small result descriptors are pickled across the process boundary —
-  ``materialize`` rank arrays travel through shared-memory segments,
-  and for ``count``/``exists`` the payload is a handful of integers.
+  ``materialize`` rank arrays follow their descriptor on the worker's
+  pipe as raw ``int64`` bytes, and for ``count``/``exists`` the payload
+  is a handful of integers.
 
 Tasks are dispatched *grouped by shard* (one unit per shard, not
 per query × shard), and :meth:`ShardWorkerState.run_group` runs a unit
@@ -104,9 +105,9 @@ class ShardResult:
     ranks) for ``materialize``, ``counts`` (document name →
     cardinality) for ``count``, ``found`` for ``exists``.  Every
     backend produces and merges the same shape: the serial path hands
-    it over in-process, while the fabric ships ``ranks`` through a
-    shared-memory segment and rebuilds the dataclass (:meth:`build`)
-    around zero-copy views on arrival.
+    it over in-process, while the fabric ships ``ranks`` as raw bytes
+    behind a descriptor and rebuilds the dataclass (:meth:`build`)
+    around slices of one buffer per reply.
     """
 
     index: int  #: position of the query in the batch

@@ -1,10 +1,10 @@
-"""The zero-copy worker fabric: shard-affine workers, shared-memory results.
+"""The worker fabric: shard-affine workers, rank bytes raw on the pipe.
 
 Pickling results back from worker processes moves per-node *objects*
 exactly where the paper says not to: every ``materialize`` payload —
-bulk ``int64`` rank columns — would be pickled in the worker, squeezed
-through a pipe, and copied again on arrival.  The fabric keeps the
-data plane bulk end-to-end:
+bulk ``int64`` rank columns — would be pickled in the worker and
+unpickled again on arrival.  The fabric keeps the data plane bulk
+end-to-end:
 
 * **The dispatching thread is lane 0.**  ``fabric:N`` runs a batch on
   N lanes: N−1 long-lived worker processes and the calling thread,
@@ -16,45 +16,33 @@ data plane bulk end-to-end:
   message holding all of its units, runs lane 0's units inline while
   the workers run theirs, then waits for one reply per remote lane —
   so the serving process does a share of the work instead of idling,
-  and lane 0's results never leave it (no segment).  The workers fork
-  when the backend is constructed; ``fabric:1`` is serial.
+  and lane 0's results never leave it.  The workers fork when the
+  backend is constructed; ``fabric:1`` is serial.
 * **One pipe per worker.**  Lane *i* talks to its worker over one
-  duplex ``multiprocessing.Pipe``, read through
+  duplex ``multiprocessing.Pipe`` (a Unix socket pair), read through
   ``multiprocessing.connection.wait`` on the pipes and the worker
   process sentinels.  No thread runs on either side.  A batch never
   starts while a reply is unread, so neither side blocks the other on
   a full pipe.  One lock serializes batches, so concurrent callers
   wait their turn instead of reading each other's replies.
-* **Shared-memory result planes.**  A worker writes all rank arrays of
-  a reply into one POSIX shared-memory segment (:class:`SegmentWriter`);
-  only a tiny layout descriptor crosses the pipe.  The parent maps the
-  segment and rebuilds every rank array as a **zero-copy numpy view**
-  over it (:class:`SegmentPool`).  ``count``/``exists`` payloads stay
-  inline — they were never the transport cost.
-* **One segment per reply, no lifecycle.**  A segment has a name only
-  between the worker's ``pack`` and the parent's attach: the parent
-  maps it and unlinks the name at once, then hands out plain
-  ``np.frombuffer`` views.  numpy's buffer export keeps the mapping
-  alive until the last view (or slice of one) dies and the kernel frees
-  the pages then — nothing is registered, returned or reused, and
-  arrays sitting in the service result cache outlive the backend.  In
-  a batch that failed, the other lanes' replies have their names
-  unlinked unread: a batch returns or raises only once every remote
-  lane has answered.
+* **A reply is a descriptor, then raw rank bytes.**  A ``done`` reply
+  is one framed message — ``(index, shard_id, mode, payload,
+  observations)`` per result, a ``materialize`` payload replaced by
+  its ``(document, count)`` layout, and the body's byte count — then
+  every rank array's bytes, written from the array itself
+  (:func:`_send_done`).  The parent reads the body into one ``int64``
+  buffer and hands out slices of it (:func:`_receive`); nothing is
+  named, mapped or unlinked, and arrays in the service result cache
+  outlive the backend.  ``count``/``exists`` payloads stay in the
+  descriptor — they were never the transport cost.
 * **Crash safety.**  A worker's death is a readable event: its
-  sentinel fires, or its pipe ends (mid-frame, too).  The lane is then
-  respawned on a fresh pipe and sent its one message again; the dead
-  pipe is closed and never read again, so no reply can arrive twice.
-  Each process holds only its own pipe ends — the parent closes each
-  child end after the fork, and a worker closes every fabric end it
-  inherited but its own — so a worker whose server died reads end of
-  file and exits.  Segment names embed the parent pid
-  (``repro-fab-<pid>-<instance>-w<idx>g<gen>-<n>``); construction
-  sweeps names whose pid is dead (:func:`sweep_orphan_segments`) — the
-  same recover-on-open discipline as the store's orphaned-``.npz``
-  sweep — and ``close()`` unlinks everything under the instance
-  prefix.  The only names either can find are segments a worker wrote
-  and the parent never attached.
+  sentinel fires, or its pipe ends (mid-frame or mid-body, too).  The
+  lane is then respawned on a fresh pipe and sent its one message
+  again; the dead pipe is closed and never read again, so no reply can
+  arrive twice.  Each process holds only its own pipe ends — the
+  parent closes each child end after the fork, and a worker closes
+  every fabric end it inherited but its own — so a worker whose server
+  died reads end of file and exits.
 * **Shard affinity, one routing rule.**  A unit for shard *k* goes to
   lane ``k % n``, so one lane's prefix-context LRU stays warm for
   that shard's plans across batches — unless some lane holds
@@ -67,11 +55,8 @@ data plane bulk end-to-end:
 
 from __future__ import annotations
 
-import itertools
-import mmap
 import multiprocessing
 import os
-import re
 import threading
 import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -88,144 +73,50 @@ from repro.service.executor import (
 )
 from repro.service.store import ShardedStore
 
-__all__ = [
-    "FabricBackend",
-    "SegmentPool",
-    "SegmentWriter",
-    "sweep_orphan_segments",
-]
+__all__ = ["FabricBackend"]
 
 _RANK_DTYPE = np.dtype(np.int64)
 
-#: Segment names: repro-fab-<parent pid>-<instance>-w<worker>g<generation>-<n>
-_SEGMENT_NAME = re.compile(r"^repro-fab-(\d+)-\d+-w\d+g\d+-\d+$")
-
-_SHM_DIR = "/dev/shm"
-
-#: Distinguishes fabrics coexisting in one process (tests open several).
-_INSTANCES = itertools.count()
-
-
-def _unlink_segment(name: str) -> None:
-    """Remove a segment name (existing mappings stay valid)."""
-    try:
-        os.unlink(os.path.join(_SHM_DIR, name))
-    except OSError:
-        pass
-
-
-def _attach(name: str) -> mmap.mmap:
-    """Map a worker's segment and unlink its name at once.
-
-    The mapping is read straight from ``/dev/shm``:
-    ``multiprocessing.shared_memory`` registers every segment a process
-    creates *or attaches* with a ``resource_tracker`` — a helper process
-    spawned on first use, whose only job would be to unlink at exit what
-    is already unlinked here.  The returned ``mmap`` is closed by
-    nobody: it unmaps when the last array exported from it dies.
-    """
-    fd = os.open(os.path.join(_SHM_DIR, name), os.O_RDWR)
-    try:
-        return mmap.mmap(fd, os.fstat(fd).st_size)
-    finally:
-        os.close(fd)
-        _unlink_segment(name)
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - other users' pids
-        return True
-    return True
-
-
-def sweep_orphan_segments(shm_dir: str = _SHM_DIR) -> List[str]:
-    """Unlink fabric segments whose creating process is dead.
-
-    A fabric that crashed (or was SIGKILLed) between a worker's ``pack``
-    and its own attach leaves that segment's name in ``/dev/shm``; every
-    new fabric sweeps them on construction, exactly like the store
-    unlinks unreferenced shard files on open.  Returns the names
-    removed.
-    """
-    removed: List[str] = []
-    try:
-        names = os.listdir(shm_dir)
-    except OSError:  # pragma: no cover - no /dev/shm on this platform
-        return removed
-    for name in names:
-        match = _SEGMENT_NAME.match(name)
-        if match is None or _pid_alive(int(match.group(1))):
-            continue
-        try:
-            os.unlink(os.path.join(shm_dir, name))
-            removed.append(name)
-        except OSError:  # pragma: no cover - lost a race to another sweep
-            pass
-    return removed
-
 
 # ----------------------------------------------------------------------
-# Worker side: packing results into segments
+# Worker side: a descriptor, then the rank bytes
 # ----------------------------------------------------------------------
-class SegmentWriter:
-    """Writes one worker's responses into freshly named segments."""
+def _pack(results: Sequence[ShardResult]) -> Tuple[list, List[np.ndarray]]:
+    """Split results into a picklable descriptor and their rank arrays.
 
-    def __init__(self, prefix: str):
-        self.prefix = prefix
-        self._names = itertools.count()
-
-    def pack(self, results: Sequence[ShardResult]) -> tuple:
-        """Flatten results into ``(light_results, segment_name)``.
-
-        ``light_results`` mirror each :class:`ShardResult` as ``(index,
-        shard_id, mode, payload, observations)`` with a ``materialize``
-        payload replaced by its layout — ``(document, offset, count)``
-        spans into the segment; responses with no rank bytes ship
-        ``segment_name=None``.  The segment is written, not mapped: a
-        full ``/dev/shm`` is an ``OSError`` here, not a ``SIGBUS``.
-        """
-        arrays: List[np.ndarray] = []
-        light: List[tuple] = []
-        offset = 0
-        for result in results:
-            payload = result.payload
-            if result.mode == "materialize":
-                layout: List[Tuple[str, int, int]] = []
-                for name, ranks in payload.items():
-                    ranks = np.ascontiguousarray(ranks, dtype=_RANK_DTYPE)
-                    layout.append((name, offset, len(ranks)))
-                    if len(ranks):
-                        arrays.append(ranks)
-                        offset += ranks.nbytes
-                payload = layout
-            light.append(
-                (result.index, result.shard_id, result.mode,
-                 payload, result.observations)
-            )
-        if not arrays:
-            return (light, None)
-        name = f"{self.prefix}-{next(self._names)}"
-        fd = os.open(
-            os.path.join(_SHM_DIR, name),
-            os.O_WRONLY | os.O_CREAT | os.O_EXCL,
-            0o600,
+    The descriptor mirrors each :class:`ShardResult` as ``(index,
+    shard_id, mode, payload, observations)`` with a ``materialize``
+    payload replaced by its layout, ``(document, count)`` in body
+    order; the arrays are the layout's non-empty columns.
+    """
+    light: List[tuple] = []
+    arrays: List[np.ndarray] = []
+    for result in results:
+        payload = result.payload
+        if result.mode == "materialize":
+            columns = [np.ascontiguousarray(r, dtype=_RANK_DTYPE) for r in payload.values()]
+            arrays.extend(column for column in columns if len(column))
+            payload = [(name, len(column)) for name, column in zip(payload, columns)]
+        light.append(
+            (result.index, result.shard_id, result.mode, payload, result.observations)
         )
-        try:
-            with os.fdopen(fd, "wb") as plane:
-                for ranks in arrays:
-                    plane.write(ranks)
-        except OSError:
-            _unlink_segment(name)
-            raise
-        return (light, name)
+    return light, arrays
+
+
+def _send_done(conn, light: list, arrays: Sequence[np.ndarray]) -> None:
+    """Send a ``done`` reply: the descriptor framed, then every rank
+    array's bytes unframed, straight from the array (no copy, no
+    pickle).  A large body blocks until the parent reads it."""
+    conn.send(("done", light, sum(ranks.nbytes for ranks in arrays)))
+    fd = conn.fileno()
+    for ranks in arrays:
+        view = memoryview(ranks).cast("B")
+        while view:
+            view = view[os.write(fd, view):]
 
 
 def _fabric_worker(
-    directory, conn, inherited, prefix
+    directory, conn, inherited
 ):  # pragma: no cover - runs in child processes; components unit-tested
     """One fabric worker's request loop (runs in a child process).
 
@@ -239,7 +130,6 @@ def _fabric_worker(
     for end in inherited:
         end.close()
     state = ShardWorkerState(directory)
-    writer = SegmentWriter(prefix)
     try:
         while True:
             message = conn.recv()
@@ -249,63 +139,57 @@ def _fabric_worker(
                 conn.send(("stats", {"prefix_cache": state.prefix_cache.info()}))
                 continue
             try:
-                results = [r for unit in message[1] for r in state.run_group(unit)]
-                reply = ("done", writer.pack(results))
+                light, arrays = _pack(
+                    [r for unit in message[1] for r in state.run_group(unit)]
+                )
             except ReproError as error:
                 # A user error (bad query, bad function arity): the parent
                 # re-raises the same class with the same message, so every
                 # backend answers a bad request identically.
-                reply = ("err", (type(error).__name__, str(error)))
+                conn.send(("err", (type(error).__name__, str(error))))
             except Exception:  # repro: allow[REP007] - worker crash boundary: any failure ships its traceback to the parent instead of killing the loop
-                reply = ("err", traceback.format_exc())
-            conn.send(reply)
+                conn.send(("err", traceback.format_exc()))
+            else:
+                _send_done(conn, light, arrays)
     except (EOFError, OSError):
         return  # the server is gone
 
 
 # ----------------------------------------------------------------------
-# Parent side: mapping segments as zero-copy views
+# Parent side: one buffer per reply
 # ----------------------------------------------------------------------
-class SegmentPool:
-    """Parent side of the transport: one attach per response.
+def _receive(conn) -> tuple:
+    """Read one reply off ``conn``; a ``done`` reply comes back as
+    ``("done", [ShardResult, ...])``.
 
-    ``unpack`` maps the response's segment (unlinking its name, see
-    :func:`_attach`) and rebuilds every rank array as a plain
-    ``np.frombuffer`` view of the mapping; the views — and any slice
-    of one — keep the mapping alive, nothing else refers to it.
+    The descriptor's frame is read by ``conn.recv()``, which reads
+    exactly that frame; the ``nbytes`` that follow it go into one
+    fresh ``int64`` buffer, and every rank array handed out is a slice
+    of it.  End of file inside the body (the worker died mid-reply) is
+    an ``EOFError``, like end of file inside a frame.
     """
-
-    def __init__(self) -> None:
-        self.attached = 0  #: segments mapped so far
-
-    def unpack(self, payload: tuple) -> List[ShardResult]:
-        """Rebuild :class:`ShardResult` values around zero-copy views."""
-        light, segment = payload
-        plane = None
-        if segment:
-            plane = _attach(segment)
-            self.attached += 1
-        results: List[ShardResult] = []
-        for index, shard_id, mode, body, observations in light:
-            if mode == "materialize":
-                body = {
-                    name: (
-                        np.frombuffer(plane, _RANK_DTYPE, count, offset)
-                        if count
-                        else np.empty(0, dtype=_RANK_DTYPE)
-                    )
-                    for name, offset, count in body
-                }
-            results.append(
-                ShardResult.build(index, shard_id, mode, body, observations)
-            )
-        return results
-
-
-def _drop_unread(reply: tuple) -> None:
-    """Unlink the segment of a ``done`` reply nobody will unpack."""
-    if reply[0] == "done" and reply[1][1]:
-        _unlink_segment(reply[1][1])
+    reply = conn.recv()
+    if reply[0] != "done":
+        return reply
+    _, light, nbytes = reply
+    plane = np.empty(nbytes // _RANK_DTYPE.itemsize, dtype=_RANK_DTYPE)
+    view, fd = memoryview(plane).cast("B"), conn.fileno()
+    while view:
+        read = os.readv(fd, [view])
+        if not read:
+            raise EOFError("the worker's pipe ended inside a reply body")
+        view = view[read:]
+    results: List[ShardResult] = []
+    offset = 0
+    for index, shard_id, mode, body, observations in light:
+        if mode == "materialize":
+            ranks = {}
+            for name, count in body:
+                ranks[name] = plane[offset : offset + count]
+                offset += count
+            body = ranks
+        results.append(ShardResult.build(index, shard_id, mode, body, observations))
+    return ("done", results)
 
 
 def _split_to_feed_workers(
@@ -334,8 +218,8 @@ def _split_to_feed_workers(
 
 
 class FabricBackend(SerialBackend):
-    """Shard-affine lanes: the calling thread plus long-lived workers
-    with shared-memory result planes, one pipe each.
+    """Shard-affine lanes: the calling thread plus long-lived workers,
+    one pipe each, rank bytes raw on the pipe.
 
     Parameters
     ----------
@@ -358,16 +242,10 @@ class FabricBackend(SerialBackend):
         self.stolen = 0  #: units routed away from their affine lane
         self.dispatched = [0] * self._workers  #: units run, per lane
         self._ctx = multiprocessing.get_context()
-        self._prefix = f"repro-fab-{os.getpid()}-{next(_INSTANCES)}"
-        self._generation = [0] * self._workers  #: forks, per lane (lane 0: none)
         self._lock = threading.Lock()
         # Keyed by lane, 1..N-1: lane 0 has no process and no pipe.
         self._procs: Optional[dict] = None  # guarded-by: _lock
         self._conns: Optional[dict] = None  # guarded-by: _lock
-        self._pool = SegmentPool()
-        # Recover segments a crashed predecessor left behind before we
-        # start minting our own (mirrors the store's orphan sweep).
-        sweep_orphan_segments()
         self._ensure_workers_locked()  # fork from the constructing thread
 
     @property
@@ -392,17 +270,10 @@ class FabricBackend(SerialBackend):
         never read — its own :class:`ShardWorkerState` opens its shards
         afresh).
         """
-        generation = self._generation[idx]
-        self._generation[idx] += 1
         ours, theirs = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_fabric_worker,
-            args=(
-                self.store.directory,
-                theirs,
-                [ours, *self._conns.values()],
-                f"{self._prefix}-w{idx}g{generation}",
-            ),
+            args=(self.store.directory, theirs, [ours, *self._conns.values()]),
             daemon=True,
         )
         process.start()
@@ -410,9 +281,7 @@ class FabricBackend(SerialBackend):
         self._procs[idx], self._conns[idx] = process, ours
 
     def _respawn_locked(self, idx: int) -> None:
-        """Replace a dead worker; its pipe is closed, never read again.
-        A segment it wrote but never announced keeps its name until
-        ``close()``."""
+        """Replace a dead worker; its pipe is closed, never read again."""
         self._conns.pop(idx).close()
         dead = self._procs.pop(idx)
         dead.kill()
@@ -432,8 +301,8 @@ class FabricBackend(SerialBackend):
         """Wait for one reply per lane of ``sent``, in lane order.
 
         A lane whose worker dies first — its sentinel fires, or its pipe
-        ends, whole or mid-frame — is respawned and sent its message
-        again.  A complete reply already read counts.
+        ends, whole, mid-frame or mid-body — is respawned and sent its
+        message again.  A complete reply already read counts.
         """
         from multiprocessing.connection import wait  # a serial process never loads it
 
@@ -446,7 +315,7 @@ class FabricBackend(SerialBackend):
             for idx in sorted({handles[ready] for ready in wait(list(handles))}):
                 try:
                     if self._conns[idx].poll():
-                        replies[idx] = self._conns[idx].recv()
+                        replies[idx] = _receive(self._conns[idx])
                         continue
                 except (EOFError, OSError):  # the pipe ended: the worker is gone
                     pass
@@ -478,7 +347,7 @@ class FabricBackend(SerialBackend):
             for idx, message in sent.items():
                 self._post_locked(idx, message)
             # Lane 0 runs while the workers do.  Whatever it raises waits
-            # for the remote replies: no segment name outlives the batch.
+            # for the remote replies: no reply is left unread on a pipe.
             try:
                 outcomes = super()._dispatch(lanes[0])
             finally:
@@ -486,27 +355,21 @@ class FabricBackend(SerialBackend):
             return outcomes + remote
 
     def _unpack(self, replies: Dict[int, tuple]) -> List[ShardResult]:
-        """Every lane's results; if a lane failed, its error, with the
-        other lanes' segments unlinked unread."""
+        """Every lane's results; if a lane failed, its error."""
         for idx, (kind, detail) in replies.items():
             if kind != "err":
                 continue
-            for reply in replies.values():
-                _drop_unread(reply)
             if isinstance(detail, tuple):
                 # A user error: the same class and message as in-process.
                 raise getattr(errors, detail[0], ReproError)(detail[1])
             raise ReproError(f"fabric worker {idx} failed:\n{detail}")
-        return [
-            result for _, payload in replies.values()
-            for result in self._pool.unpack(payload)
-        ]
+        return [result for _, results in replies.values() for result in results]
 
     # ------------------------------------------------------------------
     def worker_stats(self) -> dict:
         """Per-lane prefix-cache counters (lane 0's read in-process) and
-        the routing and attach totals — the observability hook the
-        affinity tests build on."""
+        the routing totals — the observability hook the affinity tests
+        build on."""
         with self._lock:
             self._ensure_workers_locked()
             sent = {idx: ("stats",) for idx in range(1, self._workers)}
@@ -518,18 +381,16 @@ class FabricBackend(SerialBackend):
             "workers": [lane0, *(detail for _, detail in replies.values())],
             "dispatched": list(self.dispatched),
             "stolen": self.stolen,
-            "segments_attached": self._pool.attached,
         }
 
     # ------------------------------------------------------------------
     def close(self) -> None:  # repro: allow[REP002] - runs from QueryService.__del__, inside whatever lock a GC pass interrupts, so it must not take the dispatch lock; closing mid-batch is the caller's error
-        """Stop workers, drop lane 0's state and unlink every fabric
-        segment (idempotent): send each worker ``stop``, join it, close
-        the pipes, sweep the instance's segment names.
+        """Stop workers and drop lane 0's state (idempotent): send each
+        worker ``stop``, join it, close the pipes.
 
         Rank arrays already handed out (service result cache, caller
-        references) stay readable: their names went at attach, the
-        mappings survive until their last view dies.  A closed fabric
+        references) stay readable: each is a slice of a buffer this
+        process owns, freed with its last slice.  A closed fabric
         used again forks its workers afresh, from a process that no
         longer holds lane 0's planes.
         """
@@ -550,12 +411,3 @@ class FabricBackend(SerialBackend):
                 process.join()
         for conn in conns.values():
             conn.close()
-        # Segments written by a worker and never attached (the worker or
-        # its batch died in between) are the only names left.
-        try:
-            names = os.listdir(_SHM_DIR)
-        except OSError:  # pragma: no cover - no /dev/shm
-            names = []
-        for name in names:
-            if name.startswith(self._prefix + "-"):
-                _unlink_segment(name)

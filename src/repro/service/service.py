@@ -13,7 +13,7 @@ A :class:`QueryService` answers XPath queries over a
    :class:`~repro.xpath.pipeline.PhysicalPlan` operator pipelines and
    fan out through an
    :class:`~repro.service.backend.ExecutionBackend` — serial
-   in-process or the shared-memory worker fabric (vectorized engine
+   in-process or the worker fabric (vectorized engine
    by default); the pre-ordered per-shard results are merged in
    global document order.
 
@@ -109,7 +109,7 @@ class QueryService:
         How batches execute: an
         :class:`~repro.service.backend.ExecutionBackend` instance or a
         spec string — ``"serial"`` (in-process) or ``"fabric"`` /
-        ``"fabric:4"`` (shared-memory worker fabric).  Defaults to the
+        ``"fabric:4"`` (the worker fabric).  Defaults to the
         ``REPRO_BACKEND`` environment variable, else ``"serial"`` —
         process parallelism is asked for by name.
     plan_cache_size / result_cache_size:

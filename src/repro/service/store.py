@@ -512,11 +512,7 @@ class ShardedStore:
             [UpdateOp(op, name, tree=tree, pre=pre, before=before)]
         )["epoch"]
 
-    def apply_updates(
-        self,
-        ops: Sequence[UpdateOp],
-        compression: Optional[str] = None,
-    ) -> dict:
+    def apply_updates(self, ops: Sequence[UpdateOp]) -> dict:
         """Apply a batch of :class:`UpdateOp` and commit it atomically.
 
         Every op splices in memory first — a validation error anywhere
@@ -525,21 +521,11 @@ class ShardedStore:
         flips once (one epoch bump per batch; a crash before the flip
         strands files that :meth:`open` sweeps).
 
-        Only *touched* shards are staged and rewritten: on a compressed
-        store the splice decodes the touched shard's page blocks,
-        splices ranks, and re-packs at commit — untouched shards (and
-        their pages) are never decoded.  Passing
-        ``compression`` re-pins the store's setting for this and all
-        later commits.
+        Only *touched* shards are staged and rewritten, each in the
+        layout the store's ``compression`` setting gives its new size;
+        untouched shards are not opened.
         """
         with self._lock:
-            if compression is not None:
-                if compression not in COMPRESSION_SETTINGS:
-                    raise ReproError(
-                        f"unknown compression {compression!r}; expected one "
-                        f"of {COMPRESSION_SETTINGS}"
-                    )
-                self._manifest = dict(self._manifest, compression=compression)
             if not ops:
                 return {"epoch": self.epoch, "applied": 0, "shards": []}
             # shard id → staged plane (None = shard emptied by removals)

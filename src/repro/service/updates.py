@@ -9,16 +9,18 @@ member's root element), matching the shape query results are reported
 in, so a rank read off a :class:`~repro.service.service.ServiceResult`
 can be fed straight back into a splice.
 
-:func:`parse_ops` turns the JSON ops-file format of ``python -m repro
-update`` into validated ops.  Subtree payloads may be inline XML
-(``"xml"``), a file path (``"file"``), a bare text node (``"text"``) or
-an attribute (``"attribute": {"name": ..., "value": ...}``).
+:func:`parse_ops` turns the JSON ops format of ``python -m repro
+update`` and ``POST /update`` into validated ops.  Subtree payloads may
+be inline XML (``"xml"``), a bare text node (``"text"``) or an attribute
+(``"attribute": {"name": ..., "value": ...}``); an ops *file* may also
+name an XML file (``"file"``), which the CLI inlines as ``"xml"`` before
+parsing — the server reads no file a client names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.xmltree.model import Node, NodeKind, attribute, text
@@ -76,29 +78,40 @@ class UpdateOp:
             raise ReproError(f"op {self.op!r} needs a document-relative rank")
 
 
+def _typed(raw: dict, position: int, name: str, kind: type, label: str = "") -> Any:
+    """``raw[name]`` if it is exactly a ``kind`` (so ``true`` is no
+    integer); an absent key or ``null`` is ``None``."""
+    value = raw.get(name)
+    if value is None or type(value) is kind:
+        return value
+    noun = "an integer" if kind is int else "a string"
+    raise ReproError(f"ops[{position}].{label}{name} must be {noun}")
+
+
 def _payload(raw: dict, position: int) -> Optional[Node]:
     """Decode the subtree payload of one JSON op (or ``None``)."""
-    given = [k for k in ("xml", "file", "text", "attribute") if k in raw]
+    given = [k for k in ("xml", "text", "attribute") if raw.get(k) is not None]
     if len(given) > 1:
-        raise ReproError(
-            f"ops[{position}]: give at most one of xml/file/text/attribute"
-        )
+        raise ReproError(f"ops[{position}]: give at most one of xml/text/attribute")
     if not given:
         return None
     kind = given[0]
     if kind == "text":
-        return text(str(raw["text"]))
+        return text(_typed(raw, position, "text", str))
     if kind == "attribute":
         spec = raw["attribute"]
-        if not isinstance(spec, dict) or "name" not in spec:
+        if not isinstance(spec, dict) or spec.get("name") is None:
             raise ReproError(
                 f'ops[{position}]: "attribute" must be '
                 '{"name": ..., "value": ...}'
             )
-        return attribute(str(spec["name"]), str(spec.get("value", "")))
-    from repro.xmltree.parser import parse, parse_file
+        return attribute(
+            _typed(spec, position, "name", str, "attribute."),
+            _typed(spec, position, "value", str, "attribute.") or "",
+        )
+    from repro.xmltree.parser import parse
 
-    parsed = parse(raw["xml"]) if kind == "xml" else parse_file(raw["file"])
+    parsed = parse(_typed(raw, position, "xml", str))
     # The parser wraps everything in a DOCUMENT node; subtree ops want
     # the element itself (document-level ops accept either).
     roots = [c for c in parsed.children if c.kind == NodeKind.ELEMENT]
@@ -110,7 +123,15 @@ def _payload(raw: dict, position: int) -> Optional[Node]:
 
 
 def parse_ops(raw_ops: Sequence[dict]) -> list:
-    """Validate a JSON ops list (``python -m repro update``) into ops."""
+    """Validate a JSON ops list (``python -m repro update``, ``POST
+    /update``) into ops.
+
+    Every field must have its JSON type — ``op``, ``document``,
+    ``xml``, ``text`` and an attribute's ``name`` / ``value`` strings,
+    ``pre`` / ``before`` / ``shard`` integers (``true`` is none) — or be
+    absent (``null`` counts as absent); anything else is a
+    :class:`ReproError` naming ``ops[i].<field>``.
+    """
     if isinstance(raw_ops, dict):
         raw_ops = raw_ops.get("ops", raw_ops)
     if not isinstance(raw_ops, (list, tuple)):
@@ -120,8 +141,7 @@ def parse_ops(raw_ops: Sequence[dict]) -> list:
         if not isinstance(raw, dict):
             raise ReproError(f"ops[{position}]: not a JSON object")
         unknown = set(raw) - {
-            "op", "document", "pre", "before", "shard",
-            "xml", "file", "text", "attribute",
+            "op", "document", "pre", "before", "shard", "xml", "text", "attribute",
         }
         if unknown:
             raise ReproError(
@@ -129,12 +149,12 @@ def parse_ops(raw_ops: Sequence[dict]) -> list:
             )
         ops.append(
             UpdateOp(
-                op=str(raw.get("op", "")),
-                document=str(raw.get("document", "")),
+                op=_typed(raw, position, "op", str) or "",
+                document=_typed(raw, position, "document", str) or "",
                 tree=_payload(raw, position),
-                pre=None if raw.get("pre") is None else int(raw["pre"]),
-                before=None if raw.get("before") is None else int(raw["before"]),
-                shard=None if raw.get("shard") is None else int(raw["shard"]),
+                pre=_typed(raw, position, "pre", int),
+                before=_typed(raw, position, "before", int),
+                shard=_typed(raw, position, "shard", int),
             )
         )
     return ops

@@ -5,20 +5,20 @@ The headline property extends the service layer's batched == serial:
 batch byte-identically across engines, result modes, and planner
 settings (pinned suite + a hypothesis sweep over random forests).
 Around it, what is new with the fabric: ``fabric:N`` forks N−1 workers
-and answers lane 0's share in-process, without a segment; a
-shared-memory segment has a
-name only between the worker's pack and the parent's attach, crash
-leftovers are swept by pid, shard affinity keeps per-worker prefix
-caches warm, a scarce shard's chunks spread over idle workers, a killed
-worker is replaced mid-batch (mid-frame too), concurrent callers get
-their own answers, a fabric starts no thread, its workers die with a
-killed server, and closing (explicitly, via GC, or through
-``ThreadedServer`` teardown) leaks neither processes nor segments.
+and answers lane 0's share in-process; a worker's reply is a framed
+descriptor followed by its raw rank bytes on the same pipe, read into
+one buffer per reply with nothing read ahead; shard affinity keeps
+per-worker prefix caches warm, a scarce shard's chunks spread over idle
+workers, a killed worker is replaced mid-batch (mid-frame and mid-body
+too), concurrent callers get their own answers, a fabric starts no
+thread, its workers die with a killed server, closing (explicitly, via
+GC, or through ``ThreadedServer`` teardown) leaks no process, and
+nothing is ever written to ``/dev/shm``.
 """
 
 import gc
 import json
-import mmap
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -42,14 +42,9 @@ from repro.service import (
     make_backend,
 )
 from repro.service import backend as backend_module
+from repro.service import fabric
 from repro.service.backend import BACKEND_ENV
 from repro.service.executor import ShardTask
-from repro.service.fabric import (
-    _SHM_DIR,
-    SegmentPool,
-    SegmentWriter,
-    sweep_orphan_segments,
-)
 
 from _reference import random_tree
 
@@ -67,9 +62,10 @@ SUITE = (
 
 
 def fabric_segments() -> list:
-    """Fabric segment names currently present in /dev/shm."""
+    """``repro-fab-*`` names in /dev/shm: the fabric writes none, and
+    none a crashed older build left may be mistaken for ours."""
     try:
-        return [n for n in os.listdir(_SHM_DIR) if n.startswith("repro-fab-")]
+        return [n for n in os.listdir("/dev/shm") if n.startswith("repro-fab-")]
     except OSError:  # pragma: no cover - no /dev/shm
         return []
 
@@ -88,16 +84,6 @@ def live_children() -> set:
         if int(parent) == me and state != "Z":
             found.add(int(entry))
     return found
-
-
-def dead_pid() -> int:
-    """A pid that cannot be running: a child we spawned and reaped
-    (pid_max+1 territory is unreliable)."""
-    child = os.fork()
-    if child == 0:  # pragma: no cover - exits immediately
-        os._exit(0)
-    os.waitpid(child, 0)
-    return child
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +177,8 @@ class TestBackendEquivalence:
         expected = None
         with QueryService(store, backend="serial") as service:
             expected = service.execute("//open_auction/bidder", use_cache=False)
-        # The fabric's segments were unlinked at close; the mappings
-        # behind the handed-out arrays must still read correctly.
+        # The fabric's buffers belong to this process: the arrays
+        # handed out must still read correctly after close.
         for name, ranks in expected.per_document.items():
             assert result.per_document[name].tobytes() == ranks.tobytes()
 
@@ -288,11 +274,13 @@ class TestLanes:
         try:
             assert set(threading.enumerate()) <= before
             backend.run_batch([("//person", "vectorized", None, "count")])
-            victim = backend._procs[1]
+            victim, sibling = backend._procs[1], backend._procs[2]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join()
             backend.run_batch([("//person", "vectorized", None, "count")])
-            assert backend._generation == [0, 2, 1]  # lane 1 was respawned
+            # Lane 1 was respawned, lane 2 was not.
+            assert backend._procs[1].pid != victim.pid
+            assert backend._procs[2] is sibling
             assert set(threading.enumerate()) <= before
         finally:
             backend.close()
@@ -319,7 +307,6 @@ class TestLanes:
             in_process = backend._serial_state.prefix_cache.info()
         assert backend._serial_state is None  # close drops lane 0's planes
         assert stats["dispatched"] == [1, 0]  # shard 0 % 2 lanes = lane 0
-        assert stats["segments_attached"] == 0
         assert {n: a.tobytes() for n, a in merged[0].items()} == {
             n: a.tobytes() for n, a in expected[0].items()
         }
@@ -333,16 +320,19 @@ class TestLanes:
         def boom(self, tasks):
             raise RuntimeError("lane 0 exploded")
 
+        counted = ("//person", "vectorized", None, "count")
+        expected = SerialBackend(store).run_batch([counted])
         with FabricBackend(store, workers=2) as backend:
             # Patched after the fork: only lane 0 runs ``boom``.
             monkeypatch.setattr(ShardWorkerState, "run_group", boom)
             item = ("//open_auction/bidder", "vectorized", None, "materialize")
             with pytest.raises(RuntimeError, match="lane 0 exploded"):
                 backend.run_batch([item])
-            # Lane 1's response was collected before the raise: its
-            # segment is attached (and so unnamed), not left behind.
-            assert backend._pool.attached == 1
-            assert fabric_segments() == []
+            # Lane 1's reply, body and all, was read before the raise:
+            # nothing waits on its pipe, so the next batch reads its own.
+            assert not backend._conns[1].poll()
+            monkeypatch.undo()
+            assert backend.run_batch([counted]) == expected
 
 
 # ----------------------------------------------------------------------
@@ -365,137 +355,110 @@ class TestShardResult:
 
 
 # ----------------------------------------------------------------------
-class TestSegmentLifecycle:
-    def _results(self, arrays):
+class TestReplyWire:
+    """A ``done`` reply on the lane's own pipe: the descriptor framed,
+    then the rank bytes raw, read into one buffer per reply."""
+
+    def _results(self):
         task = ShardTask(
-            index=0, shard_id=0, shard_file="f.npz", names=("d0",),
+            index=2, shard_id=1, shard_file="f.npz", names=("d0", "d1", "d2"),
             plan="//a", engine="vectorized", document=None,
         )
+        empty = np.empty(0, dtype=np.int64)
         return [
-            ShardResult.of(task, {f"d{i}": a for i, a in enumerate(arrays)})
-        ]
-
-    def test_writer_pack_pool_unpack_round_trip(self):
-        writer = SegmentWriter(f"repro-fab-{os.getpid()}-9000-w0g0")
-        pool = SegmentPool()
-        arrays = [
-            np.arange(100, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.array([7, 9], dtype=np.int64),
-        ]
-        light, segment = writer.pack(self._results(arrays))
-        assert os.path.getsize(os.path.join(_SHM_DIR, segment)) == 102 * 8
-        [rebuilt] = pool.unpack((light, segment))
-        assert segment not in fabric_segments()  # the name went at attach
-        assert pool.attached == 1
-        for i, expected in enumerate(arrays):
-            actual = rebuilt.ranks[f"d{i}"]
-            assert actual.dtype == np.int64
-            assert actual.tobytes() == expected.tobytes()
-
-    def test_one_result_shape_for_every_mode(self):
-        task = ShardTask(
-            index=2, shard_id=1, shard_file="f.npz", names=("d0",),
-            plan="//a", engine="vectorized", document=None,
-        )
-        sent = [
-            ShardResult.of(task, {"d0": np.arange(3, dtype=np.int64)}),
+            ShardResult.of(task, {
+                "d0": np.arange(100, dtype=np.int64),
+                "d1": empty,
+                "d2": np.array([7, 9], dtype=np.int64),
+            }),
+            ShardResult.of(task, {"d0": empty}),
             ShardResult.build(2, 1, "count", {"d0": 3}, ("observed",)),
             ShardResult.of(task._replace(mode="exists"), True),
         ]
-        payload = SegmentWriter(f"repro-fab-{os.getpid()}-9001-w0g0").pack(sent)
-        assert all(len(light) == 5 for light in payload[0])
-        received = SegmentPool().unpack(payload)
-        assert received[0].ranks["d0"].tolist() == [0, 1, 2]
-        assert received[1:] == sent[1:]
-        assert received[1].observations == ("observed",)
 
-    def test_inline_payloads_skip_the_segment(self):
-        before = set(fabric_segments())
-        writer = SegmentWriter(f"repro-fab-{os.getpid()}-9002-w0g0")
-        payload = writer.pack(self._results([np.empty(0, dtype=np.int64)]))
-        assert payload[1] is None
-        assert set(fabric_segments()) == before
-        [rebuilt] = SegmentPool().unpack(payload)
-        assert rebuilt.ranks["d0"].tolist() == []
+    def _within(self, read, seconds=30):
+        """``read()`` on a thread: a read that would hang fails instead."""
+        done = []
+        reader = threading.Thread(target=lambda: done.append(read()), daemon=True)
+        reader.start()
+        reader.join(timeout=seconds)
+        assert done, "the read hung"
+        return done[0]
 
-    def test_view_keeps_segment_alive_through_slices(self, store):
+    def test_round_trip_over_a_pipe(self):
+        sent = self._results()
+        light, arrays = fabric._pack(sent)
+        # Only non-empty columns make the body; the descriptor holds
+        # counts, never rank bytes.
+        assert [len(ranks) for ranks in arrays] == [100, 2]
+        assert light[0][3] == [("d0", 100), ("d1", 0), ("d2", 2)]
+        ours, theirs = multiprocessing.Pipe()
+        with ours, theirs:
+            fabric._send_done(theirs, light, arrays)
+            kind, received = self._within(lambda: fabric._receive(ours))
+            assert not ours.poll()  # the body was read to its last byte
+        assert kind == "done"
+        assert received[2:] == sent[2:]
+        assert received[2].observations == ("observed",)
+        for got, want in zip(received[:2], sent[:2]):
+            assert (got.index, got.shard_id, got.mode) == (2, 1, "materialize")
+            assert list(got.ranks) == list(want.ranks)
+            for name, ranks in want.ranks.items():
+                assert got.ranks[name].dtype == np.int64
+                assert got.ranks[name].tobytes() == ranks.tobytes()
+
+    def test_a_frame_after_a_body_is_read_intact(self):
+        """``Connection.recv`` reads its own frame and nothing after it:
+        the raw body behind a descriptor, and the frame behind that
+        body, are both still on the socket for their own readers."""
+        ours, theirs = multiprocessing.Pipe()
+        with ours, theirs:
+            fabric._send_done(theirs, *fabric._pack(self._results()))
+            theirs.send(("stats", {"after": "the body"}))
+            kind, received = self._within(lambda: fabric._receive(ours))
+            assert received[0].ranks["d0"].tolist() == list(range(100))
+            assert ours.recv() == ("stats", {"after": "the body"})
+            assert not ours.poll()
+
+    def test_remote_ranks_are_slices_of_one_buffer(self, store):
         backend = FabricBackend(store, workers=2)
-        merged = backend.run_batch(
-            [("//open_auction/bidder", "vectorized", None, "materialize")]
-        )
-        # Unpacked means unnamed: nothing waits for a view to die.
-        assert fabric_segments() == []
-        assert backend.worker_stats()["segments_attached"] > 0
-        # Shard 1 ran on lane 1, the forked worker: its ranks are views.
+        merged = backend.run_batch([
+            ("//open_auction/bidder", "vectorized", None, "materialize"),
+            ("//bidder/increase", "vectorized", None, "materialize"),
+        ])
+        # Shard 1 ran on lane 1, the forked worker: one reply for both
+        # queries, one buffer under every remote column.
         remote = store.shard_entry(1)["documents"]
-        ranks = max((merged[0][name] for name in remote), key=len)
-        assert isinstance(ranks.base.obj, mmap.mmap)
-        assert type(ranks) is np.ndarray and len(ranks) > 1
-        expected = ranks.tolist()
-        tail = ranks[1:]  # a derived view is all that will be left
-        del merged, ranks
+        columns = [answer[name] for answer in merged for name in remote]
+        assert len(columns) == 2 and all(len(ranks) > 1 for ranks in columns)
+        assert len({id(ranks.base) for ranks in columns}) == 1
+        buffer = columns[0].base
+        assert type(buffer) is np.ndarray and buffer.base is None  # owned
+        assert buffer.nbytes == sum(ranks.nbytes for ranks in columns)
+        expected = [ranks.tolist() for ranks in columns]
+        tails = [ranks[1:] for ranks in columns]  # all that will be left
+        del merged, columns, buffer
         backend.close()
         gc.collect()
-        assert type(tail) is np.ndarray
-        assert tail.tolist() == expected[1:]
-
-    def test_no_segment_name_between_batches(self, store):
-        with QueryService(store, backend="fabric:2") as service:
-            for _ in range(5):
-                results = service.execute_batch(SUITE, use_cache=False)
-                # Held results or not, no batch in flight = no name.
-                assert fabric_segments() == []
-            stats = service.backend.worker_stats()
-            assert stats["segments_attached"] >= 5
-            del results
+        assert [tail.tolist() for tail in tails] == [e[1:] for e in expected]
         assert fabric_segments() == []
 
-    def test_unattached_segment_is_removed_by_close(self, store):
-        backend = FabricBackend(store, workers=2)
-        backend.run_batch([("//person", "vectorized", None, "count")])
-        # What a worker leaves when it dies between pack and "done".
-        writer = SegmentWriter(f"{backend._prefix}-w1g7")
-        _, segment = writer.pack(self._results([np.arange(8, dtype=np.int64)]))
-        assert segment in fabric_segments()
-        backend.close()
-        assert fabric_segments() == []
 
-    def test_unattached_segment_of_a_dead_parent_is_swept(self):
-        writer = SegmentWriter(f"repro-fab-{dead_pid()}-0-w0g0")
-        _, segment = writer.pack(self._results([np.arange(8, dtype=np.int64)]))
-        assert segment in fabric_segments()
-        assert segment in sweep_orphan_segments()
-        assert segment not in fabric_segments()
+def dying_worker(marker, fault):
+    """A ``_fabric_worker`` whose first fork reads its message, runs
+    ``fault`` on its pipe and exits; every later fork is the real one."""
+    worker = fabric._fabric_worker
 
-    def test_sweep_unlinks_dead_pid_segments(self, tmp_path):
-        # Fabricate leftovers of a "crashed" fabric plus a live-pid
-        # control.
-        dead = os.path.join(_SHM_DIR, f"repro-fab-{dead_pid()}-0-w0g0-0")
-        live = os.path.join(_SHM_DIR, f"repro-fab-{os.getpid()}-8999-w0g0-0")
-        with open(dead, "wb") as f:
-            f.write(b"\0" * 8)
-        with open(live, "wb") as f:
-            f.write(b"\0" * 8)
+    def patched(directory, conn, inherited):
         try:
-            removed = sweep_orphan_segments()
-            assert os.path.basename(dead) in removed
-            assert not os.path.exists(dead)
-            assert os.path.exists(live)  # never touch a live fabric
-        finally:
-            for path in (dead, live):
-                if os.path.exists(path):
-                    os.unlink(path)
+            marker.touch(exist_ok=False)
+        except FileExistsError:
+            return worker(directory, conn, inherited)
+        conn.recv()
+        fault(conn)
+        os._exit(0)
 
-    def test_fabric_init_runs_the_sweep(self, store):
-        leftover = os.path.join(_SHM_DIR, f"repro-fab-{dead_pid()}-0-w0g1-7")
-        with open(leftover, "wb") as f:
-            f.write(b"\0" * 8)
-        backend = FabricBackend(store, workers=2)
-        try:
-            assert not os.path.exists(leftover)
-        finally:
-            backend.close()
+    return patched
 
 
 # ----------------------------------------------------------------------
@@ -584,8 +547,6 @@ class TestAffinityAndResilience:
     def test_worker_killed_mid_unit_is_redispatched_without_a_leak(
         self, store, tmp_path, monkeypatch
     ):
-        import multiprocessing
-
         from repro.service import ShardWorkerState
 
         if multiprocessing.get_start_method() != "fork":
@@ -611,39 +572,43 @@ class TestAffinityAndResilience:
 
         monkeypatch.setattr(ShardWorkerState, "run_group", die_once)
         backend = FabricBackend(store, workers=2)
+        first = backend._procs[1].pid
         with QueryService(store, backend=backend) as service:
             answers = [
                 snapshot(r) for r in service.execute_batch(SUITE, use_cache=False)
             ]
             # Lane 1 forked at construction, then once more after dying.
-            assert marker.exists() and backend._generation == [0, 2]
+            assert marker.exists() and backend._procs[1].pid != first
             assert fabric_segments() == []
         assert answers == baseline
 
-    def test_worker_dying_mid_frame_is_redispatched(self, store, monkeypatch):
-        """A worker that dies while writing its reply leaves a frame
-        header with no body: the parent reads end of file mid-message —
-        an error, not a hang — and sends the lane to a fresh worker."""
-        import multiprocessing
+    @pytest.mark.parametrize("where", ["frame", "body"])
+    def test_worker_dying_mid_reply_is_redispatched(
+        self, store, tmp_path, monkeypatch, where
+    ):
+        """A worker that dies while writing its reply leaves half a
+        frame, or a descriptor with half its body: the parent reads end
+        of file mid-message — an error, not a hang — and sends the lane
+        to a fresh worker.  The answer is the serial one, byte for byte,
+        and the dead worker is reaped."""
         import struct
-
-        from repro.service import fabric
 
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("the patched worker reaches the child through fork only")
         item = ("//open_auction/bidder", "vectorized", None, "materialize")
         expected = SerialBackend(store).run_batch([item])
-        worker = fabric._fabric_worker
 
-        def truncated(directory, conn, inherited, prefix):
-            if not prefix.endswith("g0"):  # the respawned worker is real
-                return worker(directory, conn, inherited, prefix)
-            conn.recv()
-            os.write(conn.fileno(), struct.pack("!i", 1 << 20))  # "1 MB follows"
-            os._exit(0)
+        def fault(conn):
+            if where == "frame":  # "1 MB follows", and nothing does
+                os.write(conn.fileno(), struct.pack("!i", 1 << 20))
+            else:  # 8000 body bytes announced, 4000 written
+                conn.send(("done", [(0, 1, "materialize", [("d", 1000)], ())], 8000))
+                os.write(conn.fileno(), bytes(4000))
 
-        monkeypatch.setattr(fabric, "_fabric_worker", truncated)
+        monkeypatch.setattr(fabric, "_fabric_worker", dying_worker(tmp_path / "died", fault))
         with FabricBackend(store, workers=2) as backend:
+            first = backend._procs[1].pid
+            children = live_children()
             answered = []
             batch = threading.Thread(
                 target=lambda: answered.append(backend.run_batch([item])),
@@ -653,12 +618,12 @@ class TestAffinityAndResilience:
             batch.join(timeout=60)
             assert answered, "the batch hung or failed"
             merged = answered[0]
-            assert backend._generation == [0, 2]
+            assert backend._procs[1].pid != first
+            assert live_children() == children - {first} | {backend._procs[1].pid}
             assert fabric_segments() == []
         assert {n: a.tobytes() for n, a in merged[0].items()} == {
             n: a.tobytes() for n, a in expected[0].items()
         }
-        assert fabric_segments() == []
 
     def test_concurrent_callers_each_get_their_own_answers(self, store):
         """Two threads share one fabric: batches queue on its lock, and
@@ -773,8 +738,6 @@ with QueryService(ShardedStore.open(sys.argv[1]), backend="fabric:2") as service
     def test_worker_crash_propagates_with_traceback(self, store, monkeypatch):
         """A non-ReproError failure inside a worker is a crash: the
         parent reports which worker and ships the traceback text."""
-        import multiprocessing
-
         from repro.service import ShardWorkerState
 
         if multiprocessing.get_start_method() != "fork":

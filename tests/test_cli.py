@@ -413,6 +413,29 @@ class TestUpdate:
         assert captured.out.strip().endswith("//person")
         assert captured.out.strip().startswith("4")
 
+    def test_update_reads_a_file_payload_the_server_refuses(
+        self, store_dir, tmp_path, capsys, monkeypatch
+    ):
+        """An ops file's ``"file"`` is read by the CLI, relative to the
+        working directory, and sent on as ``"xml"``; ``parse_ops`` — the
+        server's parser — refuses the key."""
+        from repro.errors import ReproError
+        from repro.service import parse_ops
+
+        (tmp_path / "payload.xml").write_text(
+            '<person id="p3"><name>Ada</name></person>', encoding="utf-8"
+        )
+        raw = [{"op": "insert", "document": "doc.xml", "pre": 1, "file": "payload.xml"}]
+        ops = self.write_ops(tmp_path, raw)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["update", store_dir, ops, "--verify", "//person[@id='p3']"]) == 0
+        captured = capsys.readouterr()
+        assert "applied 1 op(s)" in captured.err
+        assert captured.out.split() == ["1", "//person[@id='p3']"]
+        with pytest.raises(ReproError, match=r"unknown keys \['file'\]"):
+            parse_ops(raw)
+
     def test_update_bad_json_is_a_clean_error(self, store_dir, tmp_path, capsys):
         path = tmp_path / "ops.json"
         path.write_text("{nope")

@@ -54,6 +54,37 @@ SUITE = (
 )
 
 
+#: Hostile ``/update`` ops (JSON text; ``DOC`` is a member's name,
+#: ``FILE`` a readable XML file on the server's disk) and what the 400
+#: must name.
+HOSTILE_OPS = [
+    pytest.param('{"op": "delete", "document": DOC, "pre": "x"}', "ops[0].pre", id="pre-string"),
+    pytest.param('{"op": "delete", "document": DOC, "pre": [1]}', "ops[0].pre", id="pre-list"),
+    pytest.param('{"op": "delete", "document": DOC, "pre": 1e400}', "ops[0].pre", id="pre-overflow"),
+    pytest.param('{"op": "delete", "document": DOC, "pre": true}', "ops[0].pre", id="pre-bool"),
+    pytest.param('{"op": "delete", "document": DOC, "pre": 1.9}', "ops[0].pre", id="pre-float"),
+    pytest.param('{"op": "insert", "document": DOC, "pre": 1, "before": "2", "text": "t"}',
+                 "ops[0].before", id="before-string"),
+    pytest.param('{"op": "add", "document": "fresh", "shard": true, "xml": "<a/>"}',
+                 "ops[0].shard", id="shard-bool"),
+    pytest.param('{"op": 5, "document": DOC}', "ops[0].op", id="op-number"),
+    pytest.param('{"op": "remove", "document": ["x"]}', "ops[0].document", id="document-list"),
+    pytest.param('{"op": "insert", "document": DOC, "pre": 1, "xml": 5}', "ops[0].xml",
+                 id="xml-number"),
+    pytest.param('{"op": "insert", "document": DOC, "pre": 1, "text": {"a": 1}}', "ops[0].text",
+                 id="text-object"),
+    pytest.param('{"op": "insert", "document": DOC, "pre": 1, "attribute": {"name": 7}}',
+                 "ops[0].attribute.name", id="attribute-name-number"),
+    pytest.param('{"op": "insert", "document": DOC, "pre": 1, "attribute": {"name": null}}',
+                 'ops[0]: "attribute"', id="attribute-name-null"),
+    pytest.param('{"op": "insert", "document": DOC, "pre": 1, '
+                 '"attribute": {"name": "id", "value": 7}}',
+                 "ops[0].attribute.value", id="attribute-value-number"),
+    pytest.param('{"op": "insert", "document": DOC, "pre": 1, "file": FILE}',
+                 "unknown keys ['file']", id="file"),
+]
+
+
 # ----------------------------------------------------------------------
 # Fixtures and helpers
 # ----------------------------------------------------------------------
@@ -363,6 +394,37 @@ class TestErrors:
             {"ops": [{"op": "explode", "document": "x"}]},
         )
         assert status == 400
+        assert live.service.store.epoch == epoch
+
+    @pytest.mark.parametrize("op, field", HOSTILE_OPS)
+    def test_hostile_update_op_is_400_on_a_live_connection(
+        self, live, tmp_path, op, field
+    ):
+        """A mistyped field, or a ``"file"`` naming a server-side path,
+        is a 400 naming the field: nothing is parsed from disk, nothing
+        commits, and the connection serves the next request."""
+        payload_file = tmp_path / "payload.xml"
+        payload_file.write_text("<person/>")
+        document = live.service.store.document_names()[0]
+        body = '{"ops": [%s]}' % op.replace("DOC", json.dumps(document)).replace(
+            "FILE", json.dumps(str(payload_file))
+        )
+        epoch = live.service.store.epoch
+        conn = http.client.HTTPConnection("127.0.0.1", live.port, timeout=15)
+        try:
+            conn.request("POST", "/update", body=body)
+            response = conn.getresponse()
+            error = json.loads(response.read())["error"]
+            assert response.status == 400, error
+            assert field in error
+            assert response.getheader("Connection") == "keep-alive"
+            sock = conn.sock
+            conn.request("GET", "/health")
+            health = conn.getresponse()
+            assert health.status == 200 and json.loads(health.read())["status"] == "ok"
+            assert conn.sock is sock  # the same connection answered
+        finally:
+            conn.close()
         assert live.service.store.epoch == epoch
 
     def test_oversized_content_length_is_413(self, live):

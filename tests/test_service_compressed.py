@@ -19,10 +19,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.encoding.persist import LAYOUT_VERSIONS, load
+from repro.encoding.prepost import encode
 from repro.encoding.widths import COLUMN_DTYPES
 from repro.errors import ReproError
 from repro.harness.workloads import get_forest
 from repro.service import QueryService, ShardedStore, UpdateOp
+from repro.service import store as store_module
 from repro.service.store import AUTO_PACK_NODES, _resolve_compression
 from repro.xmltree.model import element, text
 
@@ -179,14 +181,16 @@ class TestServedPlanes:
 
         monkeypatch.setattr(serial_module, "ShardWorkerState", ProbedState)
         monkeypatch.setattr(fabric, "ShardWorkerState", ProbedState)
-        # Four eager shards, the last two then rewritten packed: under
-        # fabric:2 each lane serves one shard of either layout.
+        # Four one-document shards, smallest first, and an ``auto``
+        # threshold between the second and the third: the first two are
+        # eager, the last two packed, so under fabric:2 each lane serves
+        # one shard of either layout.
+        sizes = {name: len(encode(tree)) for name, tree in forest}
+        ordered = sorted(forest, key=lambda doc: sizes[doc[0]])
+        middle = (sizes[ordered[1][0]] + sizes[ordered[2][0]]) // 2
+        monkeypatch.setattr(store_module, "AUTO_PACK_NODES", middle)
         store = ShardedStore.build(
-            str(tmp_path / "store"), forest, shards=4, compression="none"
-        )
-        store.apply_updates(
-            [UpdateOp("update", name, tree=tree) for name, tree in forest[2:]],
-            compression="packed",
+            str(tmp_path / "store"), ordered, shards=4, compression="auto"
         )
         layouts = [entry["format"] for entry in store._manifest["shards"]]
         assert layouts == [6, 6, 7, 7]
@@ -295,27 +299,17 @@ class TestPackedUpdates:
         )
         assert plane_tags(store) == plane_tags(rebuilt)
 
-    def test_apply_updates_compression_override_validated(self, tmp_path):
-        _, store = self.make_store(tmp_path, "packed")
-        with pytest.raises(ReproError, match="compression"):
-            store.apply_updates(
-                [UpdateOp("add", "dx", tree=people_site("y"))],
-                compression="lz4",
-            )
 
-    def test_apply_updates_can_switch_to_packed(self, tmp_path):
+    def test_commits_follow_the_store_setting(self, tmp_path):
+        """A commit writes each touched shard in the layout the store's
+        own setting gives it; there is no per-commit override."""
         _, store = self.make_store(tmp_path, "none")
-        store.apply_updates(
-            [UpdateOp("add", "dx", tree=people_site("y"))],
-            compression="packed",
-        )
-        assert store.compression == "packed"
+        with pytest.raises(TypeError):
+            store.apply_updates([], compression="packed")
+        store.apply_updates([UpdateOp("add", "dx", tree=people_site("y"))])
+        assert ShardedStore.open(store.directory).compression == "none"
         for entry in store._manifest["shards"]:
-            if entry.get("dirty", True):  # staged shards were re-saved packed
-                pass
-        reopened = ShardedStore.open(store.directory)
-        assert reopened.compression == "packed"
-
+            assert entry["format"] == LAYOUT_VERSIONS["none"]
 
 class TestSpliceReencodeProperty:
     """Hypothesis sweep: random edit batches on a packed store stay

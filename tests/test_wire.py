@@ -105,8 +105,9 @@ class TestShapes:
         assert encode_result(answer) == reference(answer)
 
     def test_read_only_views_over_a_mapping(self):
-        """The fabric's shape: ``np.frombuffer`` at an offset into a
-        mapped segment, flagged read-only by the service."""
+        """``np.frombuffer`` views at an offset into a foreign buffer
+        (here a mapping), flagged read-only as the service flags every
+        answer."""
         values = np.arange(5000, dtype=np.int64) * 37
         plane = mmap.mmap(-1, 8 + values.nbytes)
         plane[8:] = values.tobytes()
