@@ -217,8 +217,10 @@ def _cmd_store(args: argparse.Namespace) -> int:
         for name in ("tag", "value"):  # entries / raw bytes -> bytes stored
             d = shard[f"{name}_dictionary"]
             line += f"  {name} dict {d['entries']:,}/{d['bytes']:,}B->{d['stored_bytes']:,}B"
-        if "pages" in shard:  # the packed layout
+        if "pages" in shard:  # the packed layout, its code columns compacted
             line += f"  {shard['pages']:,} pages x {shard['page_size']}"
+            codes = shard["codes"]
+            line += f"  codes tag {codes['tag_codes']:,} value {codes['value_codes']:,}"
         if "resident_bytes_per_node" in shard:
             line += f"  resident {shard['resident_bytes_per_node']} B/node"
         print(line)
@@ -544,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--compression", choices=("auto", "none", "packed"), default="auto",
         help="shard archive layout: packed = bit-packed page blocks and "
-        "deflated dictionaries (v7), none = eager arrays (v6), auto = packed for large "
+        "deflated dictionaries (v8), none = eager arrays (v6), auto = packed for large "
         "shards (default)",
     )
     cmd.set_defaults(handler=_cmd_shard)

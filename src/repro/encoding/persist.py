@@ -26,11 +26,20 @@ layouts differ in how columns and dictionaries are stored:
   dictionaries in place at their archive offsets — worker processes
   that open the same shard share the OS page cache instead of each
   materialising its own copy.  Right for small documents.
-* **packed** (``compression="packed"``, ``format_version`` 7) — every
+* **packed** (``compression="packed"``, ``format_version`` 8) — every
   column frame-of-reference bit-packed into fixed-height page blocks
-  behind a page directory (:mod:`repro.encoding.codec`).  The packing is
-  an on-disk encoding only: :func:`load` decodes every column to a
-  private array at its declared width in both modes (``mmap=True`` only
+  behind a page directory (:mod:`repro.encoding.codec`).  A code column
+  is stored only for the nodes that carry the code: ``tag_codes`` for
+  named nodes (element, attribute, processing instruction),
+  ``value_codes`` for every node but an element.  ``kind`` says which
+  nodes those are, so a compacted column's length (and page *i*'s
+  place in it) is a count over ``kind``, not a member; :func:`load`
+  scatters each back to one value per node — an unnamed node's tag is
+  entry 0, ``""`` (it sorts first), an element's value code −1 — and
+  :func:`save` refuses a plane that breaks that rule rather than drop a
+  code.  The packing is an on-disk encoding only: :func:`load` decodes
+  every column to a private array at its declared width in both modes
+  (``mmap=True`` only
   maps the packed blob it decodes from and keeps no reference to it),
   so lanes that open the same packed shard share no decoded page.
   Each dictionary is one zlib stream (``*_dict_deflated``: its ``int32``
@@ -42,7 +51,8 @@ Every member passes one ``.npy`` header rule (``_Archive``): no header
 is evaluated, no member can be an object array, nothing unpickles.
 Archives of any earlier version — 1 and 2 (pickled strings), 3 and 4
 (the two layouts with ``post`` and ``parent`` stored), 5 (packed with
-raw dictionaries) — are refused by the version check, before any other
+raw dictionaries), 7 (packed with a tag and a value code for every
+node) — are refused by the version check, before any other
 member is read: rebuild them with ``repro shard`` / ``repro encode``.
 
 :func:`load` raises :class:`~repro.errors.EncodingError` — never a raw
@@ -74,7 +84,7 @@ from repro.encoding.codec import (
     pack_int_column,
 )
 from repro.encoding.doctable import DocTable, ValueIndex
-from repro.encoding.prepost import shape
+from repro.encoding.prepost import NAMED_KINDS, shape
 from repro.encoding.widths import column_dtype
 from repro.errors import EncodingError
 from repro.storage.column import StringColumn
@@ -91,13 +101,13 @@ __all__ = [
 ]
 
 #: ``compression=`` value → the ``format_version`` :func:`save` writes.
-LAYOUT_VERSIONS = {"none": 6, "packed": 7}
+LAYOUT_VERSIONS = {"none": 6, "packed": 8}
 
 #: ``compression=`` values :func:`save` accepts.
 COMPRESSION_MODES = tuple(LAYOUT_VERSIONS)
 
 #: Versions :func:`load` accepts (6 = eager columns and dictionaries,
-#: 7 = packed page blocks and deflated dictionaries).
+#: 8 = packed page blocks, compacted code columns, deflated dictionaries).
 SUPPORTED_VERSIONS = tuple(sorted(LAYOUT_VERSIONS.values()))
 
 FORMAT_VERSION = max(SUPPORTED_VERSIONS)
@@ -108,6 +118,13 @@ _STORED_COLUMNS = ("level", "kind", "tag_codes", "value_codes")
 
 #: What ``describe_archive`` / ``repro store info`` say of the other two.
 _DERIVED_COLUMNS = "post, parent: derived from level"
+
+#: The values a ``kind`` column may hold.
+_KIND_RANGE = (min(NodeKind), max(NodeKind))
+
+#: The packed layout's compacted code columns → what a node that stores
+#: no code decodes to: tag entry 0 (``""``), no value.
+_CODE_FILL = {"tag_codes": 0, "value_codes": -1}
 
 #: zlib level of the packed layout's dictionary streams.
 DEFLATE_LEVEL = 1
@@ -150,16 +167,23 @@ def save(
     ``compression="none"`` writes the eager layout (plain columns);
     ``compression="packed"`` the compressed pageable one (FOR
     bit-packed columns behind a page directory of ``page_size``-value
-    blocks, each dictionary one zlib stream).
+    blocks, the code columns compacted, each dictionary one zlib
+    stream).  A plane with an unnamed node whose tag is not ``""``, or
+    an element with a value, is an :class:`EncodingError` in both.
     """
     if compression not in LAYOUT_VERSIONS:
         raise EncodingError(
             f"unknown compression {compression!r}; expected one of "
             f"{COMPRESSION_MODES}"
         )
+    tag_codes = np.asarray(doc.tag.codes)
+    masks = _code_masks(np.asarray(doc.kind))
+    if (tag_codes[~masks["tag_codes"]] != doc.tag.code_of("")).any():
+        raise EncodingError('an unnamed node (text, comment, document) has a tag other than ""')
+    if (np.asarray(doc.values.codes)[~masks["value_codes"]] != -1).any():
+        raise EncodingError("an element has a value code (elements carry no value)")
     # Tag dictionary: the entries in use, sorted for binary search, the
     # codes remapped — what a fresh encode of the same tree would write.
-    tag_codes = np.asarray(doc.tag.codes)
     names = doc.tag.dictionary
     used = np.zeros(len(names), dtype=bool)
     used[tag_codes] = True
@@ -195,6 +219,8 @@ def save(
         members["nodes"] = np.asarray([len(doc)], dtype=np.int64)
         members["height"] = np.asarray([doc.height], dtype=np.int64)
         for column, values in columns.items():
+            if column in masks:  # only the nodes that carry the code
+                values = values[masks[column]]
             directory, blob = pack_int_column(column, values, CODEC_FOR, page_size)
             members[f"{column}_refs"] = directory.refs
             members[f"{column}_bits"] = directory.bits
@@ -373,8 +399,7 @@ def load(path: str, mmap: bool = False) -> DocTable:
         if packed:
             height = archive.scalar("height")
             columns = _packed_columns(
-                archive, mmap, height,
-                entries=(len(tag_dictionary), int(value_offsets.shape[0]) - 1),
+                archive, mmap, height, tag_dictionary, int(value_offsets.shape[0]) - 1
             )
         else:
             columns = {column: archive.read(column, mmap) for column in _STORED_COLUMNS}
@@ -453,34 +478,57 @@ def _inflate_dictionary(archive: _Archive, name: str) -> Tuple[np.ndarray, np.nd
     return np.frombuffer(blob, dtype=np.uint8), offsets
 
 
+def _code_masks(kind: np.ndarray) -> Dict[str, np.ndarray]:
+    """Compacted code column → which nodes store a code in it (one
+    boolean per node; comparisons only, no index array)."""
+    named = np.zeros(kind.shape, dtype=bool)
+    for named_kind in NAMED_KINDS:
+        named |= kind == named_kind
+    return {"tag_codes": named, "value_codes": kind != NodeKind.ELEMENT}
+
+
+def _decode(
+    archive: _Archive, mmap: bool, column: str, length: int, legal: Tuple[int, int]
+) -> np.ndarray:
+    """Packed column ``column`` (``length`` values in ``legal``) decoded to a
+    private array at its declared width once its page directory is
+    checked; its packed blob is read, or mapped, only for the decode."""
+    parts = {
+        part: np.ascontiguousarray(archive.read(f"{column}_{part}"), dtype)
+        for part, dtype in (("refs", np.int64), ("bits", np.uint8), ("offsets", np.int64))
+    }
+    directory = PageDirectory(
+        column=column, codec=CODEC_FOR, page_size=archive.scalar("page_size"),
+        length=length, **parts,
+    )
+    check_directory(directory, *legal)
+    return decode_column(directory, archive.read(f"{column}_packed", mmap))
+
+
 def _packed_columns(
-    archive: _Archive, mmap: bool, height: int, entries: Tuple[int, int]
+    archive: _Archive, mmap: bool, height: int, tag_dictionary: list, value_entries: int
 ) -> Dict[str, np.ndarray]:
-    """The stored columns of a packed archive, each decoded to a private
-    array at its declared width (its packed blob read, or mapped, only
-    for the decode).  ``entries`` sizes the tag and value dictionaries
-    the codes must fit."""
-    page_size, n = archive.scalar("page_size"), archive.scalar("nodes")
-    legal = {
-        "level": (0, height),
-        "kind": (min(NodeKind), max(NodeKind)),
-        "tag_codes": (0, entries[0] - 1),
-        "value_codes": (-1, entries[1] - 1),
+    """The stored columns of a packed archive, one value per node.  ``kind``
+    is decoded first: it sizes the compacted code columns, each then
+    scattered into a full-length array through one boolean mask, every
+    other node holding its :data:`_CODE_FILL`."""
+    n = archive.scalar("nodes")
+    columns = {
+        "level": _decode(archive, mmap, "level", n, (0, height)),
+        "kind": _decode(archive, mmap, "kind", n, _KIND_RANGE),
     }
-    directories: Dict[str, PageDirectory] = {}
-    for column in _STORED_COLUMNS:
-        parts = {
-            part: np.ascontiguousarray(archive.read(f"{column}_{part}"), dtype)
-            for part, dtype in (("refs", np.int64), ("bits", np.uint8), ("offsets", np.int64))
-        }
-        directories[column] = PageDirectory(
-            column=column, codec=CODEC_FOR, page_size=page_size, length=n, **parts
+    masks = _code_masks(columns["kind"])
+    if tag_dictionary[:1] != [""] and not masks["tag_codes"].all():
+        raise EncodingError(
+            f"{archive.path}: unnamed nodes need tag entry 0 to be \"\", "
+            f"the tag dictionary opens with {tag_dictionary[:1]!r}"
         )
-        check_directory(directories[column], *legal[column])
-    return {
-        column: decode_column(directory, archive.read(f"{column}_packed", mmap))
-        for column, directory in directories.items()
-    }
+    legal = {"tag_codes": (0, len(tag_dictionary) - 1), "value_codes": (-1, value_entries - 1)}
+    for column, stored in masks.items():
+        codes = np.full(n, _CODE_FILL[column], dtype=column_dtype(column))
+        codes[stored] = _decode(archive, mmap, column, int(np.count_nonzero(stored)), legal[column])
+        columns[column] = codes
+    return columns
 
 
 def describe_archive(path: str) -> dict:
@@ -488,9 +536,10 @@ def describe_archive(path: str) -> dict:
 
     Reads headers and small members only — columns and dictionaries are
     sized from their ``.npy`` headers, dictionary headers and the zip
-    directory, never read, decoded or inflated.  Each dictionary reports
-    its ``entries``, its raw blob ``bytes`` and the ``stored_bytes`` its
-    members take in the archive.
+    directory, never inflated; of the packed layout's columns only
+    ``kind`` is decoded, to count the ``codes`` each compacted column
+    stores.  Each dictionary reports its ``entries``, its raw blob
+    ``bytes`` and the ``stored_bytes`` its members take in the archive.
     """
     bytes_on_disk = os.path.getsize(path)
     with _Archive(path) as archive:
@@ -518,11 +567,15 @@ def describe_archive(path: str) -> dict:
             }
         if packed:
             n = archive.scalar("nodes")
+            codes = dict.fromkeys(_STORED_COLUMNS, n)
+            kind = _decode(archive, False, "kind", n, _KIND_RANGE)
+            codes.update((c, int(np.count_nonzero(m))) for c, m in _code_masks(kind).items())
             columns = {}
             for column in _STORED_COLUMNS:
                 offsets = archive.read(f"{column}_offsets")
                 columns[column] = {
                     "codec": CODEC_FOR,
+                    "codes": codes[column],
                     "pages": int(offsets.shape[0]) - 1,
                     "packed_bytes": int(offsets[-1]) if offsets.shape[0] else 0,
                     "logical_bytes": n * column_dtype(column).itemsize,

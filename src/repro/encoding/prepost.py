@@ -40,11 +40,11 @@ from repro.errors import EncodingError
 from repro.storage.column import StringColumn
 from repro.xmltree.model import Node, NodeKind
 
-__all__ = ["encode", "encode_gathered", "encode_subtree", "shape"]
+__all__ = ["NAMED_KINDS", "encode", "encode_gathered", "encode_subtree", "shape"]
 
 _ELEMENT = NodeKind.ELEMENT
 #: Kinds whose ``name`` is their tag (every other node's tag is "").
-_NAMED = frozenset((_ELEMENT, NodeKind.ATTRIBUTE, NodeKind.PROCESSING_INSTRUCTION))
+NAMED_KINDS = frozenset((_ELEMENT, NodeKind.ATTRIBUTE, NodeKind.PROCESSING_INSTRUCTION))
 
 
 def encode(tree: Node) -> DocTable:
@@ -164,7 +164,7 @@ def _encode(roots: Sequence[Node], virtual_root: Optional[str] = None) -> DocTab
             depth -= 1
 
     kind = [node.kind for node in visited]
-    names = [n.name if k in _NAMED else "" for n, k in zip(visited, kind)]
+    names = [n.name if k in NAMED_KINDS else "" for n, k in zip(visited, kind)]
     texts = [None if k == _ELEMENT else n.value for n, k in zip(visited, kind)]
     if virtual_root is not None:
         kind.insert(0, _ELEMENT)

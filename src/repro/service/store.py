@@ -80,7 +80,7 @@ MANIFEST = "manifest.json"
 COMPRESSION_SETTINGS = ("auto", "none", "packed")
 
 #: ``auto`` threshold: shards at or above this node count are written
-#: packed (``format_version`` 7).  Small shards gain little from packing and
+#: packed (``format_version`` 8).  Small shards gain little from packing and
 #: load faster eagerly.
 AUTO_PACK_NODES = 65536
 
@@ -404,6 +404,7 @@ class ShardedStore:
                 if "columns" in archive:  # the packed layout
                     columns = archive["columns"]
                     record["page_size"] = archive["page_size"]
+                    record["codes"] = {name: c["codes"] for name, c in columns.items()}
                     record["pages"] = sum(c["pages"] for c in columns.values())
                     record["packed_bytes"] = sum(
                         c["packed_bytes"] for c in columns.values()

@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 
 from repro.encoding import decode, encode, subtree
+from repro.encoding.codec import pack_int_column
 from repro.encoding.collection import DocumentCollection
 from repro.encoding.doctable import DocTable
 from repro.encoding.persist import describe_archive, load, save
@@ -266,23 +267,40 @@ class TestLimits:
 #: since the dictionary offsets went from 8 to 4 bytes in PR 20).
 #: Since format 7 deflates the dictionaries, the digest is taken with
 #: them inflated (a zlib build may deflate differently); format 5 gave
-#: ``ce69c40c…f84f``.
-PACKED_GOLDEN = "b73876b3b36b690df77df5ac76abd960cb64cb58a4aee024045cb49e5a46b71a"
+#: ``ce69c40c…f84f``.  Format 7 gave ``b73876b3…b71a``; format 8 stores
+#: the code columns compacted (a tag code per named node, a value code
+#: per non-element), so its ``tag_codes_*`` / ``value_codes_*`` moved.
+PACKED_GOLDEN = "cb73a8ac04977fb62a9eb5f3b5e15c5f2fce516dbc64e87abba3497731c40cbf"
 
 _DICT_OFFSETS = ("tag_dict_offsets", "value_dict_offsets")
 
 #: The digest of a version-3 file without ``format_version`` and the
 #: eight ``post_*`` / ``parent_*`` members, recorded at the commit
 #: *before* PR 23: nothing that is still stored moved.
-#: A format-7 file matches it with its dictionaries inflated.
+#: A format-8 file matches it with its dictionaries inflated and its
+#: code columns packed again one value per node (:func:`wide_members`).
 V3_GOLDEN_BUT_SHAPE = "7bc78e8cc67f2e5f09cbd1e8f176524a74f2b13566414051394f87bca7bbad67"
+
+
+def wide_members(path):
+    """:func:`inflated_members`, each compacted code column replaced by
+    the members of its decoded (one code per node) column packed whole —
+    what formats 3 to 7 stored."""
+    written, table = inflated_members(path), load(path)
+    page_size = int(np.frombuffer(written["page_size"][1], np.int64)[0])
+    for column, values in (("tag_codes", table.tag.codes), ("value_codes", table.values.codes)):
+        directory, blob = pack_int_column(column, values, "for", page_size)
+        for part, member in (("refs", directory.refs), ("bits", directory.bits),
+                             ("offsets", directory.offsets), ("packed", blob)):
+            written[f"{column}_{part}"] = (str(member.dtype), member.tobytes())
+    return written
 
 
 def test_v3_members_are_byte_identical_to_the_wide_era(tmp_path):
     path = str(tmp_path / "golden.npz")
     save(DocumentCollection(get_forest(2, 0.05)).doc, path, compression="packed")
     assert digest(path, read=inflated_members) == PACKED_GOLDEN
-    assert digest(path, skip=("format_version",), read=inflated_members) == V3_GOLDEN_BUT_SHAPE
+    assert digest(path, skip=("format_version",), read=wide_members) == V3_GOLDEN_BUT_SHAPE
     written = members(path)
     assert not [name for name in written if name.startswith(("post", "parent"))]
     assert not [name for name in written if name.endswith(("_dict_blob", "_dict_offsets"))]

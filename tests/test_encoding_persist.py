@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.encoding import persist
-from repro.encoding.codec import encode_dictionary
+from repro.encoding.codec import DEFAULT_PAGE_SIZE, encode_dictionary
+from repro.encoding.doctable import DocTable, ValueIndex
 from repro.encoding.persist import (
     FORMAT_VERSION,
     LAYOUT_VERSIONS,
@@ -21,9 +22,19 @@ from repro.encoding.persist import (
     load,
     save,
 )
-from repro.encoding.prepost import encode
+from repro.encoding.prepost import encode, encode_gathered
+from repro.encoding.updates import delete_subtree, insert_subtree, replace_subtree
 from repro.encoding.widths import COLUMN_DTYPES
 from repro.errors import EncodingError
+from repro.storage.column import StringColumn
+from repro.xmltree.model import (
+    NodeKind,
+    attribute,
+    comment,
+    element,
+    processing_instruction,
+    text,
+)
 from repro.xpath.evaluator import evaluate
 
 from _reference import random_tree
@@ -156,10 +167,23 @@ def deflated(lengths, blob):
     )
 
 
-def save_v5(doc, path):
-    """A well-formed version-5 archive: today's packed columns beside
-    the raw dictionary members the eager layout still writes."""
+def save_v7(doc, path):
+    """A well-formed version-7 archive: today's packed members, but a tag
+    and a value code packed for every node."""
     save(doc, path, compression="packed")
+    members, written = read_members(path), load(path)
+    members["format_version"] = np.asarray([7], dtype=np.int64)
+    page_size = int(members["page_size"][0])
+    codes = {"tag_codes": written.tag.codes, "value_codes": written.values.codes}
+    for column, values in codes.items():
+        members.update(packed_members(column, values, page_size))
+    np.savez(path, **members)
+
+
+def save_v5(doc, path):
+    """A well-formed version-5 archive: version 7's packed columns beside
+    the raw dictionary members the eager layout still writes."""
+    save_v7(doc, path)
     members = read_members(path)
     for name in ("tag", "value"):
         del members[f"{name}_dict_deflated"], members[f"{name}_dict_header"]
@@ -197,7 +221,7 @@ def save_v3(doc, path, page_size=1024):
     np.savez(path, **members)
 
 
-OLD_WRITERS = {3: save_v3, 4: save_v4, 5: save_v5}
+OLD_WRITERS = {3: save_v3, 4: save_v4, 5: save_v5, 7: save_v7}
 
 
 #: The layouts :func:`save` writes, by ``compression=`` name — what the
@@ -239,8 +263,6 @@ class TestRoundTrip:
         assert evaluate(loaded, query).tolist() == evaluate(small_xmark, query).tolist()
 
     def test_none_vs_empty_string_values_distinguished(self, tmp_path):
-        from repro.xmltree.model import element
-
         doc = encode(element("a", k=""))  # <a k=""/>: the column is immutable
         assert doc.values.codes.tolist() == [-1, 0]
         path = str(tmp_path / "v.npz")
@@ -255,13 +277,14 @@ class TestRoundTrip:
 
 class TestFormatVersions:
     def test_current_format_versions(self):
-        """7 is the packed layout (deflated dictionaries), 6 the eager
-        one (raw dictionaries), both without ``post`` / ``parent``; 5
-        (packed, raw dictionaries), 3 and 4 (``post`` / ``parent``
-        stored) and 2 (pickled strings) are history."""
-        assert FORMAT_VERSION == 7
-        assert SUPPORTED_VERSIONS == (6, 7)
-        assert LAYOUT_VERSIONS == {"none": 6, "packed": 7}
+        """8 is the packed layout (compacted code columns, deflated
+        dictionaries), 6 the eager one (raw dictionaries), both without
+        ``post`` / ``parent``; 7 (packed, a tag and a value code per
+        node), 5 (packed, raw dictionaries), 3 and 4 (``post`` /
+        ``parent`` stored) and 2 (pickled strings) are history."""
+        assert FORMAT_VERSION == 8
+        assert SUPPORTED_VERSIONS == (6, 8)
+        assert LAYOUT_VERSIONS == {"none": 6, "packed": 8}
 
     @pytest.mark.parametrize("mmap_flag", [False, True])
     def test_v1_archives_are_rejected(self, fig1_doc, tmp_path, mmap_flag):
@@ -475,8 +498,6 @@ class TestFormatHygiene:
     ):
         """A mapped archive is trusted as written (no page is touched to
         check it); a read load checks every entry is whole UTF-8."""
-        from repro.xmltree.model import attribute, element
-
         path = str(tmp_path / "doc.npz")
         save(encode(element("r", attribute("v", "a"), attribute("w", "b"))), path)
         members = read_members(path)
@@ -734,8 +755,6 @@ _ENTRY = st.text(
 def test_deflated_dictionaries_load_byte_identical_to_eager_ones(entries, tmp_path_factory):
     """save(packed) → load is the eager load's ``blob`` / ``offsets``
     byte for byte, and ``encode_dictionary``'s, in every open mode."""
-    from repro.xmltree.model import attribute, element
-
     doc = encode(element("r", *(element("e", attribute("v", s)) for s in entries)))
     blob, offsets = encode_dictionary(entries)
     directory = tmp_path_factory.mktemp("dictionaries")
@@ -1035,3 +1054,206 @@ def test_a_store_over_a_hostile_level_fails_the_first_query_cleanly(tmp_path, ba
         with pytest.raises(EncodingError, match="level column is not one tree"):
             service.execute("//person", use_cache=False)
         assert_worker_ran(service)
+
+
+# ----------------------------------------------------------------------
+# The packed layout stores one code per node: a tag code for named nodes,
+# a value code for non-elements
+# ----------------------------------------------------------------------
+def tag_and_text():
+    """``<a>x</a>`` by hand: the element's value code and the text node's
+    tag code are the two codes the packed layout does not store."""
+    return {
+        "post": np.asarray([1, 0]),
+        "level": np.asarray([0, 1]),
+        "parent": np.asarray([-1, 0]),
+        "kind": np.asarray([1, 3]),  # element, text
+    }
+
+
+@pytest.mark.parametrize("compression", LAYOUTS)
+def test_save_refuses_an_element_with_a_value(tmp_path, compression):
+    doc = DocTable(
+        **tag_and_text(),
+        tag=StringColumn([0, 1], ["a", ""]),
+        values=ValueIndex(np.asarray([0, 0], np.int32), *encode_dictionary(["x"])),
+    )
+    with pytest.raises(EncodingError, match="an element has a value code"):
+        save(doc, str(tmp_path / "doc.npz"), compression=compression)
+
+
+@pytest.mark.parametrize("compression", LAYOUTS)
+def test_save_refuses_an_unnamed_node_with_a_tag(tmp_path, compression):
+    doc = DocTable(
+        **tag_and_text(),
+        tag=StringColumn([0, 0], ["a"]),
+        values=ValueIndex(np.asarray([-1, 0], np.int32), *encode_dictionary(["x"])),
+    )
+    with pytest.raises(EncodingError, match='an unnamed node .* has a tag other than ""'):
+        save(doc, str(tmp_path / "doc.npz"), compression=compression)
+
+
+def forge_kind(doc, path, source, target, page_size=DEFAULT_PAGE_SIZE):
+    """``doc`` saved packed, its first ``source`` node's kind then flipped
+    to ``target`` and the ``kind`` column re-packed (an honest directory
+    over a wrong value)."""
+    save(doc, path, compression="packed", page_size=page_size)
+    kind = np.asarray(doc.kind).copy()
+    kind[np.flatnonzero(kind == source)[0]] = target
+    members = read_members(path)
+    members.update(packed_members("kind", kind, page_size))
+    np.savez(path, **members)
+
+
+ELEMENT, ATTRIBUTE, TEXT = NodeKind.ELEMENT, NodeKind.ATTRIBUTE, NodeKind.TEXT
+
+
+@pytest.mark.parametrize("mmap_flag", [False, True], ids=["read", "mmap"])
+@pytest.mark.parametrize(
+    "source, target, column",
+    [
+        (ELEMENT, TEXT, "value_codes"),
+        (TEXT, ELEMENT, "tag_codes"),
+        (TEXT, ATTRIBUTE, "tag_codes"),
+        (ELEMENT, ATTRIBUTE, "value_codes"),
+        (ATTRIBUTE, ELEMENT, "value_codes"),
+    ],
+    ids=lambda value: value.name.lower() if isinstance(value, NodeKind) else value,
+)
+def test_a_kind_flipped_across_the_classes_is_rejected(
+    small_xmark, tmp_path, mmap_flag, source, target, column
+):
+    """``kind`` sizes the compacted code columns: a node flipped into or
+    out of the named (or the element) class changes a column's length,
+    and its page directory no longer tiles.  A flip that moves no length
+    (text ↔ comment) cannot show, nor can one whose column's last page
+    absorbs the one value more or less in its byte span (here attribute
+    → text: 1 008 tag codes at 7 bits fill 882 bytes, 1 007 too)."""
+    path = str(tmp_path / "forged.npz")
+    forge_kind(small_xmark, path, source, target)
+    with pytest.raises(EncodingError, match=f"column '{column}': page directory does not tile"):
+        load(path, mmap=mmap_flag)
+
+
+def test_unnamed_nodes_need_the_empty_tag_first(small_xmark, tmp_path):
+    """An unnamed node decodes to tag entry 0, so entry 0 must be ``""``:
+    an archive whose tag dictionary lacks it is refused, not misread."""
+    path = str(tmp_path / "forged.npz")
+    save(small_xmark, path, compression="packed")
+    members = read_members(path)
+    names = sorted(set(small_xmark.tag) - {""})
+    members["tag_dict_deflated"], members["tag_dict_header"] = deflated(
+        [len(name.encode()) for name in names], "".join(names).encode()
+    )
+    # The named nodes' codes, re-packed against the dictionary without "".
+    named = np.asarray([name for name in small_xmark.tag if name])
+    codes = np.searchsorted(np.asarray(names), named)
+    members.update(packed_members("tag_codes", codes, int(members["page_size"][0])))
+    np.savez(path, **members)
+    with pytest.raises(EncodingError, match='unnamed nodes need tag entry 0 to be ""'):
+        load(path)
+
+
+def star(elements, texts):
+    """A root with ``elements − 1`` element children and ``texts`` text
+    children: ``elements`` tag codes and ``texts`` value codes stored."""
+    return element("r", *[element("e") for _ in range(elements - 1)],
+                   *[text(str(i)) for i in range(texts)])
+
+
+def assert_packed_round_trip(doc, directory, page_size):
+    """``load(save(doc, "packed"))``, read and mapped, is ``doc`` and is
+    the eager round trip column by column (dtype and bytes), dictionaries
+    included; ``describe_archive`` counts the codes each column stores."""
+    eager, packed = str(directory / "eager.npz"), str(directory / "packed.npz")
+    save(doc, eager)
+    save(doc, packed, compression="packed", page_size=page_size)
+    want = load(eager)
+    for mmap_flag in (False, True):
+        got = load(packed, mmap=mmap_flag)
+        assert tables_equal(doc, got), mmap_flag
+        assert got.height == want.height
+        for name, column in plane_columns(got).items():
+            twin = plane_columns(want)[name]
+            assert (column.dtype, column.tobytes()) == (twin.dtype, twin.tobytes()), name
+        assert got.tag.dictionary == want.tag.dictionary
+        for part in ("blob", "offsets"):
+            assert getattr(got.values, part).tobytes() == getattr(want.values, part).tobytes()
+    kind = np.asarray(doc.kind)
+    codes = {name: c["codes"] for name, c in describe_archive(packed)["columns"].items()}
+    assert codes == {
+        "level": len(doc),
+        "kind": len(doc),
+        "tag_codes": int(np.isin(kind, [ELEMENT, ATTRIBUTE, NodeKind.PROCESSING_INSTRUCTION]).sum()),
+        "value_codes": int((kind != ELEMENT).sum()),
+    }
+
+
+@pytest.mark.parametrize("page_size", [1, 4, 16])
+@pytest.mark.parametrize(
+    "elements, texts",
+    # compacted lengths 0, page_size and page_size + 1, in each column
+    [(1, 0), ("P", 0), ("P+1", 0), ("P", "P"), (1, "P"), ("P+1", "P+1"), (1, "P+1"), ("P", "P+1")],
+)
+def test_compacted_lengths_at_the_page_edges(tmp_path, page_size, elements, texts):
+    count = {1: 1, 0: 0, "P": page_size, "P+1": page_size + 1}
+    doc = encode(star(count[elements], count[texts]))
+    assert_packed_round_trip(doc, tmp_path, page_size)
+
+
+def _leaf(kind, i, draw):
+    """A text, comment or PI leaf for the plane strategy, maybe empty."""
+    data = draw(st.sampled_from(["", "v", f"v{i % 3}"]))
+    if kind == "text":
+        return text(data)
+    if kind == "comment":
+        return comment(data)
+    return processing_instruction(draw(st.sampled_from(["p", "q"])), data)
+
+
+@st.composite
+def trees(draw, kinds):
+    """A random tree whose non-root nodes are drawn from ``kinds``."""
+    root = element(draw(st.sampled_from("rst")))
+    elements = [root]
+    for i in range(draw(st.integers(0, 40))):
+        parent = draw(st.sampled_from(elements))
+        kind = draw(st.sampled_from(kinds))
+        if kind == "element":
+            elements.append(parent.append(element(draw(st.sampled_from("xyz")))))
+        elif kind == "attribute":
+            parent.set_attribute(f"a{i}", draw(st.sampled_from(["", "v"])))
+        else:
+            parent.append(_leaf(kind, i, draw))
+    return root
+
+
+ALL_KINDS = ("element", "attribute", "text", "comment", "pi")
+
+
+@st.composite
+def planes(draw):
+    """A plane of every node kind or of elements only, one tree or a
+    gathered forest, then maybe one insert / delete / replace splice."""
+    kinds = draw(st.sampled_from([ALL_KINDS, ("element",)]))
+    roots = draw(st.lists(trees(kinds), min_size=1, max_size=3))
+    doc = encode(roots[0]) if len(roots) == 1 else encode_gathered("g", roots)
+    splice = draw(st.sampled_from(["none", "insert", "delete", "replace"]))
+    if splice == "insert":
+        parents = np.flatnonzero(np.asarray(doc.kind) == ELEMENT)
+        doc = insert_subtree(doc, int(draw(st.sampled_from(parents))), draw(trees(kinds)))
+    elif splice != "none" and len(doc) > 1:
+        pre = draw(st.integers(1, len(doc) - 1))
+        if splice == "delete":
+            doc = delete_subtree(doc, pre)
+        elif doc.kind_of(pre) == ATTRIBUTE:
+            doc = replace_subtree(doc, pre, attribute("b", draw(st.sampled_from(["", "w"]))))
+        else:
+            doc = replace_subtree(doc, pre, draw(trees(kinds)))
+    return doc
+
+
+@given(doc=planes(), page_size=st.sampled_from([1, 2, 4, 8, 16]))
+@settings(max_examples=60, deadline=None)
+def test_packed_round_trip_of_any_plane(doc, page_size, tmp_path_factory):
+    assert_packed_round_trip(doc, tmp_path_factory.mktemp("packed"), page_size)

@@ -34,7 +34,7 @@ from repro.server import (
 from repro.service import QueryService, ShardedStore
 
 #: Execution backend the server suite runs against — the CI matrix sets
-#: REPRO_BACKEND to cover serial, pool, and fabric with one suite.
+#: REPRO_BACKEND to cover serial and fabric with one suite.
 BACKEND = os.environ.get("REPRO_BACKEND", "serial")
 
 ENGINES = ("scalar", "vectorized")

@@ -101,7 +101,7 @@ class TestCompressionSetting:
     def test_packed_store_records_the_packed_format(self, packed_store):
         assert packed_store.compression == "packed"
         for entry in packed_store._manifest["shards"]:
-            assert entry["format"] == LAYOUT_VERSIONS["packed"] == 7
+            assert entry["format"] == LAYOUT_VERSIONS["packed"] == 8
 
     def test_auto_small_docs_stay_eager(self, forest, tmp_path):
         store = ShardedStore.build(
@@ -193,7 +193,7 @@ class TestServedPlanes:
             str(tmp_path / "store"), ordered, shards=4, compression="auto"
         )
         layouts = [entry["format"] for entry in store._manifest["shards"]]
-        assert layouts == [6, 6, 7, 7]
+        assert layouts == [6, 6, 8, 8]
         with QueryService(ShardedStore.open(store.directory), backend=backend) as service:
             assert service.execute("//regions", use_cache=False).total > 0
             if backend != "serial":
