@@ -66,7 +66,6 @@ def build_representatives() -> List[object]:
             index=0,
             shard_id=2,
             shard_file="shard-0002-epoch-0007.npz",
-            names=("doc-a", "doc-b"),
             plan=materialize,
             engine="vectorized",
             document=None,

@@ -38,7 +38,6 @@ __all__ = [
     "DEFAULT_PAGE_SIZE",
     "PageDirectory",
     "pack_int_column",
-    "decode_page",
     "decode_column",
     "check_directory",
     "encode_dictionary",
@@ -77,21 +76,6 @@ def _pack_bits(deltas: np.ndarray, bits: int) -> np.ndarray:
     return np.packbits(bit_matrix[:, :bits].reshape(-1), bitorder="little")
 
 
-def _unpack_bits(packed: np.ndarray, bits: int, count: int) -> np.ndarray:
-    """Inverse of :func:`_pack_bits`; returns ``int64`` deltas."""
-    if bits == 0:
-        return np.zeros(count, dtype=np.int64)
-    bit_stream = np.unpackbits(
-        np.ascontiguousarray(packed, dtype=np.uint8),
-        count=count * bits,
-        bitorder="little",
-    ).reshape(count, bits)
-    widened = np.zeros((count, 64), dtype=np.uint8)
-    widened[:, :bits] = bit_stream
-    le_bytes = np.packbits(widened, axis=1, bitorder="little")
-    return le_bytes.view("<u8").reshape(count).astype(np.int64)
-
-
 # ----------------------------------------------------------------------
 # Page directory + block codec
 # ----------------------------------------------------------------------
@@ -101,10 +85,7 @@ class PageDirectory:
 
     ``offsets`` has ``n_blocks + 1`` entries; block ``b`` occupies bytes
     ``offsets[b]:offsets[b+1]`` of the packed blob, decoded against
-    reference ``refs[b]`` at width ``bits[b]``.  The directory is a
-    cross-process payload (fabric tasks may describe shard columns by
-    directory), so it is registered in ``PAYLOAD_REGISTRY`` and must
-    stay pickle-clean.
+    reference ``refs[b]`` at width ``bits[b]``.
     """
 
     column: str
@@ -191,24 +172,6 @@ def pack_int_column(
     return directory, blob
 
 
-def decode_page(
-    directory: PageDirectory, blob: np.ndarray, block: int
-) -> np.ndarray:
-    """Decode page ``block`` of a packed column to a fresh array at the
-    column's declared width."""
-    if not 0 <= block < directory.n_blocks:
-        raise EncodingError(
-            f"column {directory.column!r}: page {block} out of "
-            f"range [0, {directory.n_blocks})"
-        )
-    start = block * directory.page_size
-    count = min(directory.page_size, directory.length - start)
-    packed = blob[int(directory.offsets[block]) : int(directory.offsets[block + 1])]
-    decoded = _unpack_bits(packed, int(directory.bits[block]), count)
-    decoded += int(directory.refs[block])
-    return decoded.astype(column_dtype(directory.column), copy=False)
-
-
 #: Pages unpacked per pass by :func:`decode_column`: enough to amortise
 #: the per-call overhead, few enough that the per-value temporaries
 #: (a handful of ``int64`` vectors) stay cache-resident and well under
@@ -255,10 +218,12 @@ def decode_column(directory: PageDirectory, blob: np.ndarray) -> np.ndarray:
 
     Runs of pages are unpacked together (:func:`_decode_pages`) — a
     dozen numpy calls per run instead of per page — and written straight
-    into one array of the column's declared width; the result is
-    byte-identical to concatenating :func:`decode_page`.  A plane
-    column's directory must have passed :func:`check_directory`: the
-    store into the narrow array does not range-check.
+    into one array of the column's declared width.  A plane column's
+    directory must have passed :func:`check_directory`, which admits no
+    page wider than the column's dtype: the store into the narrow array
+    does not range-check.  A page wider than 63 bits, and a last page
+    holding set bits after its last value (the packer writes them as
+    zero), are an :class:`EncodingError`.
     """
     out = np.empty(directory.length, dtype=column_dtype(directory.column))
     if directory.length == 0:
@@ -270,9 +235,16 @@ def decode_column(directory: PageDirectory, blob: np.ndarray) -> np.ndarray:
         )
     page_size = directory.page_size
     if int(directory.bits.max()) > _WORD_BITS:
-        for b in range(directory.n_blocks):
-            out[b * page_size : (b + 1) * page_size] = decode_page(directory, blob, b)
-        return out
+        raise EncodingError(
+            f"column {directory.column!r}: a page is wider than {_WORD_BITS} bits"
+        )
+    # Bits after the last value: a value more or less in the last page
+    # may keep its byte span, and must not decode as a shorter column.
+    used = (directory.length - (directory.n_blocks - 1) * page_size) * int(directory.bits[-1])
+    if used % 8 and int(blob[directory.packed_bytes - 1]) >> (used % 8):
+        raise EncodingError(
+            f"column {directory.column!r}: the last page holds bits after its last value"
+        )
     for first in range(0, directory.n_blocks, _DECODE_CHUNK_PAGES):
         last = min(first + _DECODE_CHUNK_PAGES, directory.n_blocks)
         out[first * page_size : last * page_size] = _decode_pages(

@@ -145,7 +145,8 @@ class QueryServer:
             self.config.queue_limit, self.config.retry_after_s
         )
         # One blocking-dispatch lane: service calls serialize, because
-        # the serial backend's ShardWorkerState is not synchronised.
+        # lane 0's ShardWorkerState (its evaluators and prefix cache) is
+        # not synchronised; the store's planes are, under its lock.
         self._dispatcher = ThreadPoolExecutor(
             max_workers=1,
             thread_name_prefix="repro-dispatch",

@@ -4,7 +4,8 @@ The paper encodes one document and answers one query at a time; this
 package turns that into a servable system:
 
 * :class:`~repro.service.store.ShardedStore` — documents partitioned
-  into persisted collection shards (memory-mapped, epoch-versioned);
+  into persisted collection shards (epoch-versioned), and the one
+  opener of their planes in a process;
 * :class:`~repro.service.cache.LRUCache` — bounded caches for parsed
   plans and finished results;
 * :class:`~repro.service.backend.ExecutionBackend` — how batches fan

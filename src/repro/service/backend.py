@@ -131,13 +131,11 @@ class ExecutionBackend:
             else:
                 shard_ids = self.store.shard_ids()
             for shard_id in shard_ids:
-                entry = self.store.shard_entry(shard_id)
                 tasks.append(
                     ShardTask(
                         index=index,
                         shard_id=shard_id,
-                        shard_file=entry["file"],
-                        names=tuple(entry["documents"]),
+                        shard_file=self.store.shard_entry(shard_id)["file"],
                         plan=plan,
                         engine=engine,
                         document=document,
@@ -195,7 +193,8 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """In-process execution: one :class:`ShardWorkerState`, no workers."""
+    """In-process execution: one :class:`ShardWorkerState` over the
+    service's own store, no workers."""
 
     name = "serial"
 
@@ -205,7 +204,7 @@ class SerialBackend(ExecutionBackend):
 
     def _state(self) -> ShardWorkerState:
         if self._serial_state is None:
-            self._serial_state = ShardWorkerState(self.store.directory)
+            self._serial_state = ShardWorkerState(self.store)
         return self._serial_state
 
     def _dispatch(self, grouped: List[List[ShardTask]]) -> List[ShardResult]:

@@ -12,16 +12,17 @@ object executes tasks for every backend:
   serial reference path; also what the tests cover line-by-line);
 * :class:`~repro.service.fabric.FabricBackend` — shard-affine lanes:
   the dispatching thread (lane 0, the serial path) plus long-lived
-  workers.  Shard members arrive memory-mapped
-  (``persist.load(mmap=True)``), so all lanes share one page-cache
-  copy of each *eager* shard file — the four stored columns and the
-  dictionaries; ``post`` and ``parent`` are derived at open and private
-  to the one lane that owns the shard, and a *packed* shard decodes to
-  private arrays in the lane that opens it.  Only the task tuples and
-  small result descriptors are pickled across the process boundary —
-  ``materialize`` rank arrays follow their descriptor on the worker's
-  pipe as raw ``int64`` bytes, and for ``count``/``exists`` the payload
-  is a handful of integers.
+  workers.  Only the task tuples and small result descriptors are
+  pickled across the process boundary — ``materialize`` rank arrays
+  follow their descriptor on the worker's pipe as raw ``int64`` bytes,
+  and for ``count``/``exists`` the payload is a handful of integers.
+
+A lane reads its planes through a :class:`~repro.service.store.ShardedStore`,
+the one shard opener of its process: lane 0 through the service's own
+store, so the plane a commit stages is the plane its next read runs on;
+a forked worker through a store it opens itself.  A task names the
+shard file its batch was expanded against, and the store falls forward
+to the file its manifest names when they differ.
 
 Tasks are dispatched *grouped by shard* (one unit per shard, not
 per query × shard), and :meth:`ShardWorkerState.run_group` runs a unit
@@ -49,20 +50,18 @@ Plans are parsed, planned, and compiled once in the service process and
 sent to workers pickled — document scoping included, so a worker only
 ever drives ready operators and never touches the XPath parser (raw
 query strings and uncompiled plans are still accepted and compiled on
-arrival, for direct callers).  Worker-side collections and evaluators
-are cached per shard *file*, so a replaced shard (new file name) is
-picked up on the next task without restarting the workers.
+arrival, for direct callers).  A lane's evaluators are bound to a
+plane, so a replaced shard (new file, new plane) gets fresh ones on the
+next task without restarting the workers.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ReproError
 from repro.service.cache import LRUCache
 from repro.service.store import ShardedStore, available_cpus
 from repro.xpath.evaluator import Evaluator, parse_with_cache
@@ -85,7 +84,6 @@ class ShardTask(NamedTuple):
     index: int  #: position of the query in the batch
     shard_id: int
     shard_file: str  #: file name relative to the store directory
-    names: Tuple[str, ...]  #: member documents, in shard order
     plan: object  #: compiled PhysicalPlan (or QueryPlan / AST / string)
     engine: str
     document: Optional[str]  #: scope to one member, or None for the shard
@@ -153,16 +151,6 @@ def default_workers(store: ShardedStore) -> int:
 #: intermediate prefix contexts (bytes).
 _PLAN_CACHE_SIZE = 128
 _PREFIX_CACHE_BYTES = 32 << 20
-
-#: How often a worker will chase a shard file that commits keep
-#: replacing under it before giving up (each retry reads a strictly
-#: newer manifest, so this only trips on a pathological commit storm).
-_FALL_FORWARD_ATTEMPTS = 10
-
-
-class _ShardVanished(Exception):
-    """The task's shard was dropped from the store mid-flight."""
-
 
 class PrefixContextCache(LRUCache):
     """An LRU of intermediate context arrays, bounded by total *bytes*.
@@ -240,15 +228,15 @@ class _ShardPrefixes(NamedTuple):
 
 
 class ShardWorkerState:
-    """Per-process execution state: open collections and evaluators.
-
-    Lives once per execution lane: inside the serial backend — which
-    is also a fabric's lane 0, in the dispatching process — and once per
-    forked fabric worker.
+    """One execution lane over a store's planes: it owns only an
+    evaluator per plane and engine, its parse cache and its
+    prefix-context cache.  Lives inside the serial backend — also a
+    fabric's lane 0, over the service's own store — and once per forked
+    fabric worker, over a store the worker opens itself.
     """
 
-    def __init__(self, directory: str):
-        self.directory = directory
+    def __init__(self, store: ShardedStore):
+        self.store = store
         # Shared by this worker's evaluators: tasks normally carry
         # compiled pipelines, but raw query strings are accepted and
         # then parsed once.
@@ -257,64 +245,20 @@ class ShardWorkerState:
         # (shard file, engine, prefix) — the file name carries the epoch,
         # so every committed mutation orphans the keys minted before it.
         self.prefix_cache = PrefixContextCache(_PREFIX_CACHE_BYTES)
-        self._collections: Dict[int, tuple] = {}
-        self._evaluators: Dict[Tuple[int, str], Evaluator] = {}
-
-    def _collection(self, task: ShardTask):
-        from repro.encoding.collection import DocumentCollection
-        from repro.encoding.persist import load
-
-        cached = self._collections.get(task.shard_id)
-        if cached is not None and cached[0] == task.shard_file:
-            return cached[1]
-        shard_file, names = task.shard_file, list(task.names)
-        for _ in range(_FALL_FORWARD_ATTEMPTS):
-            try:
-                table = load(os.path.join(self.directory, shard_file), mmap=True)
-                break
-            except FileNotFoundError:
-                # The shard was mutated between task creation and
-                # execution (commits unlink the superseded file).  Fall
-                # forward to the manifest's current file — and retry,
-                # because a further commit can unlink *that* file before
-                # the load opens it.  Answering from newer data is safe:
-                # the service caches this batch under the pre-update
-                # epoch, which the commit just made unreachable.
-                shard_file, names = self._current_entry(task.shard_id)
-        else:  # pragma: no cover - needs a commit per retry to trip
-            raise ReproError(
-                f"shard {task.shard_id}: file replaced "
-                f"{_FALL_FORWARD_ATTEMPTS} times while opening it"
-            )
-        collection = DocumentCollection.from_table(table, names)
-        self._collections[task.shard_id] = (shard_file, collection)
-        # Evaluators bound to the replaced shard's old table are dead.
-        for key in [k for k in self._evaluators if k[0] == task.shard_id]:
-            del self._evaluators[key]
-        return collection
-
-    def _current_entry(self, shard_id: int):
-        """Re-read the manifest for a shard's live file and member names."""
-        import json
-
-        from repro.service.store import MANIFEST
-
-        with open(os.path.join(self.directory, MANIFEST)) as f:
-            manifest = json.load(f)
-        for entry in manifest["shards"]:
-            if entry["id"] == shard_id:
-                return entry["file"], list(entry["documents"])
-        raise _ShardVanished(shard_id)
+        # shard id → (the plane's table, engine → evaluator bound to it)
+        self._evaluators: Dict[int, Tuple[object, Dict[str, Evaluator]]] = {}
 
     def _evaluator(self, shard_id: int, engine: str, collection) -> Evaluator:
-        key = (shard_id, engine)
-        evaluator = self._evaluators.get(key)
-        if evaluator is None:
-            evaluator = Evaluator(
+        bound = self._evaluators.get(shard_id)
+        if bound is None or bound[0] is not collection.doc:
+            # The shard's plane changed: its evaluators are dead.
+            bound = self._evaluators[shard_id] = (collection.doc, {})
+        evaluators = bound[1]
+        if engine not in evaluators:
+            evaluators[engine] = Evaluator(
                 collection.doc, engine=engine, plan_cache=self.plan_cache
             )
-            self._evaluators[key] = evaluator
-        return evaluator
+        return evaluators[engine]
 
     def _pipeline(self, task: ShardTask) -> PhysicalPlan:
         """The task's compiled pipeline, in the task's result mode.
@@ -367,25 +311,20 @@ class ShardWorkerState:
             groups.setdefault(key, []).append((slot, task, pipeline))
         results: List[Optional[ShardResult]] = [None] * len(tasks)
         for (shard_id, engine, document, planned), members in groups.items():
-            try:
-                collection = self._collection(members[0][1])
-                gone = document is not None and document not in collection
-            except _ShardVanished:
-                gone = True
-            if gone:
+            plane = self.store.plane(shard_id, members[0][1].shard_file)
+            if plane is None or (document is not None and document not in plane[1]):
                 for slot, task, _ in members:
                     results[slot] = ShardResult.of(task, self._gone(task))
                 continue
+            shard_file, collection = plane
             evaluator = self._evaluator(shard_id, engine, collection)
             cache = None
             if planned and document is None and len(members) > 1:
-                # The *loaded* file (fall-forward may differ from the
-                # task's snapshot) keys the prefix cache, so cached
-                # contexts always describe the plane they were
+                # The file the plane came from (fall-forward may differ
+                # from the task's snapshot) keys the prefix cache, so
+                # cached contexts always describe the plane they were
                 # computed on.
-                cache = _ShardPrefixes(
-                    self.prefix_cache, self._collections[shard_id][0], engine
-                )
+                cache = _ShardPrefixes(self.prefix_cache, shard_file, engine)
             sampled = [slot for slot, task, _ in members if task.observe]
             observer = PipelineObserver() if sampled else None
             frontiers = drive_group(

@@ -10,14 +10,15 @@ end-to-end:
   N lanes: N−1 long-lived worker processes and the calling thread,
   which runs its own units through the inherited
   :class:`~repro.service.backend.SerialBackend` dispatch.  Every lane
-  holds one :class:`~repro.service.executor.ShardWorkerState` (mmap'd
-  shard planes, evaluators, prefix-context LRU) across requests;
-  nothing is re-opened per batch.  A batch sends each remote lane one
-  message holding all of its units, runs lane 0's units inline while
-  the workers run theirs, then waits for one reply per remote lane —
-  so the serving process does a share of the work instead of idling,
-  and lane 0's results never leave it.  The workers fork when the
-  backend is constructed; ``fabric:1`` is serial.
+  holds one :class:`~repro.service.executor.ShardWorkerState`
+  (evaluators, prefix-context LRU) over one store's shard planes across
+  requests — lane 0 over the service's store, each worker over a store
+  it opens itself; nothing is re-opened per batch.  A batch sends each
+  remote lane one message holding all of its units, runs lane 0's
+  units inline while the workers run theirs, then waits for one reply
+  per remote lane — so the serving process does a share of the work
+  instead of idling, and lane 0's results never leave it.  The workers
+  fork when the backend is constructed; ``fabric:1`` is serial.
 * **One pipe per worker.**  Lane *i* talks to its worker over one
   duplex ``multiprocessing.Pipe`` (a Unix socket pair), read through
   ``multiprocessing.connection.wait`` on the pipes and the worker
@@ -125,20 +126,24 @@ def _fabric_worker(
     (its siblings' included): closed at once, so the server's end of
     ``conn`` is held by the server alone and ends when the server does
     — a ``recv`` that reads end of file returns, and the worker dies
-    with its server.
+    with its server.  The worker opens its own store at its first
+    message, so a store it cannot open is an error reply, not a death
+    the parent would respawn forever.
     """
     for end in inherited:
         end.close()
-    state = ShardWorkerState(directory)
+    state: Optional[ShardWorkerState] = None
     try:
         while True:
             message = conn.recv()
             if message[0] == "stop":
                 return
-            if message[0] == "stats":
-                conn.send(("stats", {"prefix_cache": state.prefix_cache.info()}))
-                continue
             try:
+                if state is None:
+                    state = ShardWorkerState(ShardedStore.open(directory))
+                if message[0] == "stats":
+                    conn.send(("stats", {"prefix_cache": state.prefix_cache.info()}))
+                    continue
                 light, arrays = _pack(
                     [r for unit in message[1] for r in state.run_group(unit)]
                 )
@@ -265,10 +270,9 @@ class FabricBackend(SerialBackend):
         The child is handed every parent end of this fabric to close,
         its own lane's included; the parent closes the child's end once
         it is forked.  A respawn forks from the dispatching thread after
-        lane 0 has loaded its shards: the child inherits those planes
-        copy-on-write (resident in its RSS, shared with this process,
-        never read — its own :class:`ShardWorkerState` opens its shards
-        afresh).
+        the service's store has loaded its shards: the child inherits
+        those planes copy-on-write (resident in its RSS, shared with
+        this process, never read — it opens a store of its own).
         """
         ours, theirs = self._ctx.Pipe()
         process = self._ctx.Process(
@@ -391,8 +395,9 @@ class FabricBackend(SerialBackend):
         Rank arrays already handed out (service result cache, caller
         references) stay readable: each is a slice of a buffer this
         process owns, freed with its last slice.  A closed fabric
-        used again forks its workers afresh, from a process that no
-        longer holds lane 0's planes.
+        used again forks its workers afresh; the planes are the
+        store's, so the new workers inherit whatever the service's
+        store has loaded.
         """
         if self._procs is None:
             return

@@ -156,7 +156,8 @@ class QueryService:
         """Open a store directory and serve it: ``with
         QueryService.open(dir, backend="fabric") as service: ...`` —
         the ``with`` exit releases the backend's workers (the store
-        itself holds no resources beyond mapped files)."""
+        itself holds only the shard planes it has loaded, which lane 0
+        reads too)."""
         return cls(ShardedStore.open(directory), **kwargs)
 
     # ------------------------------------------------------------------

@@ -15,20 +15,18 @@ The layout on disk::
 
 Why it is shaped this way:
 
-* shards load **memory-mapped** — worker processes that open the same
-  *eager* shard file share the OS page cache instead of materialising
-  private copies (the zero-copy open of ``persist.load(mmap=True)``); a
-  packed shard decodes to private arrays in every process that opens it;
+* a store is the **one shard opener** of its process: commits and
+  lanes share its planes, each loaded once and read-only, so the plane
+  a commit stages is the plane the next read runs on;
 * shard files are **immutable**: every mutation writes *new* files (the
   epoch is part of the filename), flips the manifest once, then removes
-  the old files.  Workers holding an old mapping stay valid (POSIX
-  unlink semantics) and converge on the new files at their next task,
-  and every result-cache key minted against the old epoch is dead on
-  arrival — the cache can never serve stale results;
+  the old files.  A store in another process keeps an old plane valid
+  (POSIX unlink semantics) and re-reads the manifest when a task names
+  a file it does not hold, and every result-cache key minted against
+  the old epoch is dead on arrival;
 * a crash between writing new shard files and the manifest flip leaves
   the old manifest fully intact and merely strands the new files;
-  :meth:`open` sweeps unreferenced shard files, so orphans never
-  accumulate;
+  :meth:`open` sweeps them when no commit holds the directory lock;
 * the manifest keeps global document order, so merged results are
   reported in the order documents were loaded, independent of sharding.
 
@@ -44,6 +42,8 @@ the batch is atomic on disk and bumps the epoch exactly once.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import gc
 import json
 import multiprocessing
@@ -87,10 +87,8 @@ AUTO_PACK_NODES = 65536
 
 def _resolve_compression(setting: str, nodes: int) -> str:
     """Map a store-level setting to a per-shard ``save`` compression."""
-    if setting == "packed":
-        return "packed"
-    if setting == "none":
-        return "none"
+    if setting in ("packed", "none"):
+        return setting
     return "packed" if nodes >= AUTO_PACK_NODES else "none"
 
 
@@ -113,6 +111,10 @@ def available_cpus() -> int:
 #: Shard archive naming scheme; anything matching it that the manifest
 #: does not reference is a crash leftover :meth:`ShardedStore.open` sweeps.
 _SHARD_FILE = re.compile(r"shard-\d{4,}\.e\d{4,}\.npz")
+
+
+#: Loads of a shard file that commits elsewhere keep replacing.
+_FALL_FORWARD_ATTEMPTS = 10
 
 
 def _check_entry(path: str, index: int, entry) -> None:
@@ -218,26 +220,27 @@ class ShardedStore:
         os.makedirs(directory, exist_ok=True)
         epoch = 1
         chunks = _split(list(documents), shards)
-        nodes = _write_shards(directory, chunks, virtual_root_tag, compression, epoch)
-        entries = [
-            {
-                "id": shard_id,
-                "file": _shard_file_name(shard_id, epoch),
-                "documents": [name for name, _ in chunk],
-                "nodes": nodes[shard_id],
-                "format": LAYOUT_VERSIONS[_resolve_compression(compression, nodes[shard_id])],
+        with _committing(directory):
+            nodes = _write_shards(directory, chunks, virtual_root_tag, compression, epoch)
+            entries = [
+                {
+                    "id": shard_id,
+                    "file": _shard_file_name(shard_id, epoch),
+                    "documents": [name for name, _ in chunk],
+                    "nodes": nodes[shard_id],
+                    "format": LAYOUT_VERSIONS[_resolve_compression(compression, nodes[shard_id])],
+                }
+                for shard_id, chunk in enumerate(chunks)
+            ]
+            manifest = {
+                "store_format": STORE_FORMAT,
+                "persist_format": FORMAT_VERSION,
+                "epoch": epoch,
+                "virtual_root_tag": virtual_root_tag,
+                "compression": compression,
+                "shards": entries,
             }
-            for shard_id, chunk in enumerate(chunks)
-        ]
-        manifest = {
-            "store_format": STORE_FORMAT,
-            "persist_format": FORMAT_VERSION,
-            "epoch": epoch,
-            "virtual_root_tag": virtual_root_tag,
-            "compression": compression,
-            "shards": entries,
-        }
-        _write_manifest(directory, manifest)
+            _write_manifest(directory, manifest)
         return cls(directory, manifest)
 
     @classmethod
@@ -247,55 +250,23 @@ class ShardedStore:
         Sweeps shard files the manifest does not reference — leftovers
         of a crash between writing new shard files and the manifest
         flip (the flip is the commit point, so unreferenced files are
-        garbage by construction).
+        garbage by construction) — only under the commit lock
+        (:func:`_committing`), so a commit in flight keeps its files.
 
-        Shards open lazily, memory-mapped (:meth:`collection`).  A path
-        that is no directory is a :class:`StoreNotFoundError`; a
-        manifest that is not a JSON object with an integer ``epoch`` and
-        a ``shards`` list of well-formed entries (:func:`_check_entry`)
-        is a corrupt manifest.
+        Shards open lazily (:meth:`plane`).  A path that is no directory
+        is a :class:`StoreNotFoundError`; a manifest that is not a JSON
+        object with an integer ``epoch`` and a ``shards`` list of
+        well-formed entries (:func:`_check_entry`) is a corrupt manifest.
         """
-        path = os.path.join(directory, MANIFEST)
-        try:
-            with open(path) as f:
-                manifest = json.load(f)
-        except (FileNotFoundError, NotADirectoryError):
-            raise StoreNotFoundError(
-                f"{directory}: not a sharded store (no {MANIFEST})"
-            ) from None
-        except json.JSONDecodeError as error:
-            raise ReproError(f"{path}: corrupt manifest ({error})") from None
-        if not isinstance(manifest, dict):
-            raise ReproError(f"{path}: corrupt manifest (not a JSON object)")
-        if manifest.get("store_format") != STORE_FORMAT:
-            raise ReproError(
-                f"{path}: store format {manifest.get('store_format')!r} != "
-                f"supported {STORE_FORMAT}"
-            )
-        if not isinstance(manifest.get("shards"), list):
-            raise ReproError(f"{path}: corrupt manifest (no shards list)")
-        if type(manifest.get("epoch")) is not int:
-            raise ReproError(f"{path}: corrupt manifest (no integer epoch)")
-        for index, entry in enumerate(manifest["shards"]):
-            _check_entry(path, index, entry)
-        store = cls(directory, manifest)
-        store._sweep_orphans()
-        return store
-
-    def _sweep_orphans(self) -> List[str]:
-        """Remove shard-pattern files the manifest does not reference."""
-        with self._lock:
-            referenced = {entry["file"] for entry in self._manifest["shards"]}
-        swept = []
-        for file_name in os.listdir(self.directory):
-            if file_name in referenced or not _SHARD_FILE.fullmatch(file_name):
-                continue
-            try:
-                os.remove(os.path.join(self.directory, file_name))
-                swept.append(file_name)
-            except OSError:  # pragma: no cover - another opener may race
-                pass
-        return swept
+        with _committing(directory, wait=False) as quiet:
+            manifest = _read_manifest(directory)
+            if quiet:  # no commit in flight: an unnamed shard file is garbage
+                named = {entry["file"] for entry in manifest["shards"]}
+                for name in os.listdir(directory):
+                    if name not in named and _SHARD_FILE.fullmatch(name):
+                        with contextlib.suppress(OSError):  # another opener may race
+                            os.remove(os.path.join(directory, name))
+        return cls(directory, manifest)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -323,10 +294,10 @@ class ShardedStore:
     def shard_entry(self, shard_id: int) -> dict:
         """The manifest record of one shard (id, file, documents, nodes)."""
         with self._lock:
-            for entry in self._manifest["shards"]:
-                if entry["id"] == shard_id:
-                    return entry
-        raise ReproError(f"no shard {shard_id} in store {self.directory}")
+            entry = self._entry_locked(shard_id)
+        if entry is None:
+            raise ReproError(f"no shard {shard_id} in store {self.directory}")
+        return entry
 
     def document_names(self) -> List[str]:
         """All member document names, in global (load) order."""
@@ -435,25 +406,67 @@ class ShardedStore:
     # Shard access
     # ------------------------------------------------------------------
     def collection(self, shard_id: int) -> DocumentCollection:
-        """The shard's gathered plane, loaded lazily (memory-mapped).
+        """The shard's gathered plane (:meth:`plane`), or an error."""
+        plane = self.plane(shard_id, None)
+        if plane is None:
+            raise ReproError(f"no shard {shard_id} in store {self.directory}")
+        return plane[1]
 
-        Cached per shard file: after a mutation the next call observes
-        the new file name and reloads.
-        """
+    def plane(
+        self, shard_id: int, shard_file: Optional[str]
+    ) -> Optional[Tuple[str, DocumentCollection]]:
+        """``(file, plane)`` of a shard, loaded once per file; ``None``
+        once the shard is gone.  A task's ``shard_file`` the manifest
+        does not hold (newer, or retired since) re-reads the manifest
+        first; a newer answer is safe, cached under the old epoch."""
         with self._lock:
-            entry = self.shard_entry(shard_id)
+            if shard_file is not None:
+                entry = self._entry_locked(shard_id)
+                if entry is None or entry["file"] != shard_file:
+                    self._reload_locked()
+            return self._plane_locked(shard_id)
+
+    def _entry_locked(self, shard_id: int) -> Optional[dict]:
+        return next((e for e in self._manifest["shards"] if e["id"] == shard_id), None)
+
+    def _reload_locked(self) -> None:
+        """Adopt the manifest on disk; drop planes of files it no longer names."""
+        self._manifest = _read_manifest(self.directory)
+        live = {entry["file"] for entry in self._manifest["shards"]}
+        self._collections = {
+            shard_id: plane for shard_id, plane in self._collections.items()
+            if plane[0] in live
+        }
+        self._reindex_locked()
+
+    def _plane_locked(self, shard_id: int) -> Optional[Tuple[str, DocumentCollection]]:
+        """``(file, plane)`` of the file the manifest names; a vanished
+        file re-reads the manifest, which must then name another."""
+        for _ in range(_FALL_FORWARD_ATTEMPTS):
+            entry = self._entry_locked(shard_id)
+            if entry is None:
+                return None
             cached = self._collections.get(shard_id)
             if cached is not None and cached[0] == entry["file"]:
-                return cached[1]
-            table = load(
-                os.path.join(self.directory, entry["file"]),
-                mmap=True,
-            )
+                return cached
+            path = os.path.join(self.directory, entry["file"])
+            try:
+                table = load(path, mmap=True)
+            except FileNotFoundError:
+                self._reload_locked()
+                if self._entry_locked(shard_id) == entry:
+                    raise ReproError(
+                        f"shard {shard_id}: {path} is named by the manifest but missing"
+                    ) from None
+                continue
             collection = DocumentCollection.from_table(
                 table, entry["documents"], self.virtual_root_tag
             )
-            self._collections[shard_id] = (entry["file"], collection)
-            return collection
+            self._collections[shard_id] = (entry["file"], _frozen(collection))
+            return self._collections[shard_id]
+        raise ReproError(  # pragma: no cover - needs a commit per retry to trip
+            f"shard {shard_id}: file replaced {_FALL_FORWARD_ATTEMPTS} times while opening it"
+        )
 
     # ------------------------------------------------------------------
     # Mutation
@@ -601,76 +614,76 @@ class ShardedStore:
         Caller holds ``_lock`` (both mutation entry points take it for
         their whole stage-validate-commit span).  Writes every new
         shard file first (a crash here leaves only sweepable orphans),
-        then flips the manifest once — the commit point — then drops
-        cached planes and unlinks the old files.
+        then flips the manifest once — the commit point — then caches
+        the staged planes under their new files and unlinks the old
+        ones, all under the directory lock (:func:`_committing`).
         """
         assert self._lock._is_owned(), "the caller must hold _lock"
-        epoch = self.epoch + 1
-        setting = self._manifest.get("compression", "none")
-        formats: Dict[int, int] = {}
-        old_files = []
-        for shard_id, collection in staged.items():
-            old_files.append(self.shard_entry(shard_id)["file"])
-            if collection is None:
-                continue
-            shard_compression = _resolve_compression(
-                setting, len(collection.doc)
-            )
-            formats[shard_id] = LAYOUT_VERSIONS[shard_compression]
-            save(
-                collection.doc,
-                os.path.join(self.directory, _shard_file_name(shard_id, epoch)),
-                compression=shard_compression,
-            )
-        # The manifest is rebuilt as a copy and only swapped in after the
-        # on-disk flip: a failed write leaves memory and disk agreeing on
-        # the old epoch (and the new files as sweepable orphans).
-        entries = []
-        for entry in self._manifest["shards"]:
-            shard_id = entry["id"]
-            if shard_id not in staged:
-                # An older manifest's per-shard "tags" / "height" were
-                # planner statistics; nothing reads them now.
+        with _committing(self.directory):
+            epoch = self.epoch + 1
+            setting = self._manifest.get("compression", "none")
+            formats: Dict[int, int] = {}
+            old_files = []
+            for shard_id, collection in staged.items():
+                old_files.append(self.shard_entry(shard_id)["file"])
+                if collection is None:
+                    continue
+                shard_compression = _resolve_compression(
+                    setting, len(collection.doc)
+                )
+                formats[shard_id] = LAYOUT_VERSIONS[shard_compression]
+                save(
+                    collection.doc,
+                    os.path.join(self.directory, _shard_file_name(shard_id, epoch)),
+                    compression=shard_compression,
+                )
+            # The manifest is rebuilt as a copy and only swapped in after the
+            # on-disk flip: a failed write leaves memory and disk agreeing on
+            # the old epoch (and the new files as sweepable orphans).
+            entries = []
+            for entry in self._manifest["shards"]:
+                shard_id = entry["id"]
+                if shard_id not in staged:
+                    # An older manifest's per-shard "tags" / "height" were
+                    # planner statistics; nothing reads them now.
+                    entries.append(
+                        {k: v for k, v in entry.items() if k not in ("tags", "height")}
+                    )
+                    continue
+                collection = staged[shard_id]
+                if collection is None:  # emptied by removals: drop the shard
+                    continue
                 entries.append(
-                    {k: v for k, v in entry.items() if k not in ("tags", "height")}
+                    {
+                        "id": shard_id,
+                        "file": _shard_file_name(shard_id, epoch),
+                        "documents": collection.names,
+                        "nodes": len(collection.doc),
+                        "format": formats[shard_id],
+                    }
                 )
-                continue
-            collection = staged[shard_id]
-            if collection is None:  # emptied by removals: drop the shard
-                continue
-            entries.append(
-                {
-                    "id": shard_id,
-                    "file": _shard_file_name(shard_id, epoch),
-                    "documents": collection.names,
-                    "nodes": len(collection.doc),
-                    "format": formats[shard_id],
-                }
-            )
-        manifest = dict(self._manifest, shards=entries, epoch=epoch)
-        # An older manifest may carry a "feedback" section; nothing reads
-        # it, so it is not copied into the manifests written from here.
-        manifest.pop("feedback", None)
-        _write_manifest(self.directory, manifest)
-        self._manifest = manifest
-        for shard_id, collection in staged.items():
-            if collection is None:
-                self._collections.pop(shard_id, None)
-            else:
-                # The staged plane IS the new file's content — seed the
-                # cache with it so the next read (or splice) skips the
-                # reload; a later file flip still reloads as usual.
-                self._collections[shard_id] = (
-                    _shard_file_name(shard_id, epoch),
-                    collection,
-                )
-        self._reindex_locked()
-        for old_file in old_files:
-            try:
-                os.remove(os.path.join(self.directory, old_file))
-            except OSError:  # pragma: no cover - another process may race
-                pass
-        return epoch
+            manifest = dict(self._manifest, shards=entries, epoch=epoch)
+            # An older manifest may carry a "feedback" section; nothing reads
+            # it, so it is not copied into the manifests written from here.
+            manifest.pop("feedback", None)
+            _write_manifest(self.directory, manifest)
+            self._manifest = manifest
+            for shard_id, collection in staged.items():
+                if collection is None:
+                    self._collections.pop(shard_id, None)
+                else:
+                    # The staged plane IS the new file's content — seed the
+                    # cache with it so the next read (or splice) skips the
+                    # reload; a later file flip still reloads as usual.
+                    self._collections[shard_id] = (
+                        _shard_file_name(shard_id, epoch),
+                        _frozen(collection),
+                    )
+            self._reindex_locked()
+            for old_file in old_files:
+                with contextlib.suppress(OSError):  # another process may race
+                    os.remove(os.path.join(self.directory, old_file))
+            return epoch
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -748,6 +761,75 @@ def _split(items: list, parts: int) -> List[list]:
 
 def _shard_file_name(shard_id: int, epoch: int) -> str:
     return f"shard-{shard_id:04d}.e{epoch:04d}.npz"
+
+
+def _read_manifest(directory: str) -> dict:
+    """The store's manifest, checked as :meth:`ShardedStore.open` says."""
+    path = os.path.join(directory, MANIFEST)
+    try:
+        with open(path) as f:
+            manifest = json.load(f)
+    except (FileNotFoundError, NotADirectoryError):
+        raise StoreNotFoundError(
+            f"{directory}: not a sharded store (no {MANIFEST})"
+        ) from None
+    except json.JSONDecodeError as error:
+        raise ReproError(f"{path}: corrupt manifest ({error})") from None
+    if not isinstance(manifest, dict):
+        raise ReproError(f"{path}: corrupt manifest (not a JSON object)")
+    if manifest.get("store_format") != STORE_FORMAT:
+        raise ReproError(
+            f"{path}: store format {manifest.get('store_format')!r} != "
+            f"supported {STORE_FORMAT}"
+        )
+    if not isinstance(manifest.get("shards"), list):
+        raise ReproError(f"{path}: corrupt manifest (no shards list)")
+    if type(manifest.get("epoch")) is not int:
+        raise ReproError(f"{path}: corrupt manifest (no integer epoch)")
+    for index, entry in enumerate(manifest["shards"]):
+        _check_entry(path, index, entry)
+    return manifest
+
+
+@contextlib.contextmanager
+def _committing(directory: str, wait: bool = True):
+    """The commit lock — an exclusive ``flock`` on the directory's own
+    descriptor, so no lock file — yielding whether it is held.  A commit
+    waits for it, :meth:`ShardedStore.open` only tries."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        yield False
+        return
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | (0 if wait else fcntl.LOCK_NB))
+        except OSError:
+            # Held by a commit, or a filesystem that cannot flock a
+            # directory (NFS: EBADF), where no open sweeps either, so a
+            # commit runs unlocked with no sweep to race it.
+            yield False
+            return
+        try:
+            yield True
+        finally:
+            # Unlocked, not merely closed: a child forked meanwhile holds
+            # a copy of the descriptor, and with it the lock.
+            fcntl.flock(fd, fcntl.LOCK_UN)
+    finally:
+        os.close(fd)
+
+
+def _frozen(collection: DocumentCollection) -> DocumentCollection:
+    """Every column of a cached plane read-only: lanes and commits share
+    it, so an in-place edit raises (splices build new arrays)."""
+    doc = collection.doc
+    for column in (
+        doc.post, doc.level, doc.parent, doc.kind, doc.tag.codes,
+        doc.values.codes, doc.values.blob, doc.values.offsets,
+    ):
+        column.flags.writeable = False
+    return collection
 
 
 def _write_manifest(directory: str, manifest: dict) -> None:

@@ -339,7 +339,7 @@ class TestLanes:
 class TestShardResult:
     def _task(self, mode):
         return ShardTask(
-            index=3, shard_id=1, shard_file="shard.npz", names=("d0",),
+            index=3, shard_id=1, shard_file="shard.npz",
             plan="//a", engine="vectorized", document=None, mode=mode,
         )
 
@@ -361,7 +361,7 @@ class TestReplyWire:
 
     def _results(self):
         task = ShardTask(
-            index=2, shard_id=1, shard_file="f.npz", names=("d0", "d1", "d2"),
+            index=2, shard_id=1, shard_file="f.npz",
             plan="//a", engine="vectorized", document=None,
         )
         empty = np.empty(0, dtype=np.int64)

@@ -8,7 +8,6 @@ from repro.encoding.codec import (
     CODEC_FOR,
     compact_dictionary,
     decode_column,
-    decode_page,
     dictionary_entry,
     dictionary_find,
     encode_dictionary,
@@ -51,28 +50,35 @@ class TestPackRoundTrip:
     )
     @settings(max_examples=60, deadline=None)
     def test_random_round_trip(self, data, page_pow):
+        """Every column round-trips, except one holding a page that spans
+        2**63 or more: no stored column admits one, and it is refused."""
         values = np.asarray(data, dtype=np.int64)
         directory, blob = pack(values, page_size=2**page_pow)
-        assert np.array_equal(decode_column(directory, blob), values)
+        if directory.length and int(directory.bits.max()) > 63:
+            with pytest.raises(EncodingError, match="wider than 63 bits"):
+                decode_column(directory, blob)
+        else:
+            assert np.array_equal(decode_column(directory, blob), values)
 
     @pytest.mark.parametrize("codec", [CODEC_FOR])
     @pytest.mark.parametrize("page_size", [1, 2, 8, 64, 1024])
     def test_whole_column_decode_is_the_pages_concatenated(self, codec, page_size):
-        """``decode_column`` unpacks runs of pages in one pass; the bytes
-        must be the per-page decoder's, whatever the widths met in a run
-        (0-bit constant pages, 63-bit pages, a short last page)."""
+        """``decode_column`` unpacks runs of pages in one pass; each page
+        must read back as the values packed into it, whatever the widths
+        met in a run (0-bit constant pages, 63-bit pages, a short last
+        page)."""
         rng = np.random.default_rng(page_size)
         values = np.concatenate([
             rng.integers(0, 2 ** int(width), size=700, dtype=np.int64)
             for width in (1, 3, 7, 8, 13, 31, 40, 62)
         ] + [np.full(300, 9, dtype=np.int64), np.asarray([-(2**62), 2**62 - 1, 5])])
         directory, blob = pack(values, codec, page_size)
-        paged = np.concatenate(
-            [decode_page(directory, blob, b) for b in range(directory.n_blocks)]
-        )
         whole = decode_column(directory, blob)
         assert whole.dtype == column_dtype("col") == np.int64  # not a plane column
-        assert whole.tobytes() == paged.tobytes() == values.tobytes()
+        for b in range(directory.n_blocks):
+            page = slice(b * page_size, (b + 1) * page_size)
+            assert whole[page].tobytes() == values[page].tobytes()
+        assert whole.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("column", sorted(COLUMN_DTYPES))
     @pytest.mark.parametrize("codec", [CODEC_FOR])
@@ -85,31 +91,37 @@ class TestPackRoundTrip:
         directory, blob = pack_int_column(column, values, codec, page_size=64)
         whole = decode_column(directory, blob)
         assert whole.dtype == dtype and np.array_equal(whole, values)
-        page = decode_page(directory, blob, 7)
-        assert page.dtype == dtype and np.array_equal(page, values[448:512])
+        assert np.array_equal(whole[448:512], values[448:512])
 
-    def test_whole_column_decode_of_64_bit_pages(self):
+    def test_whole_column_decode_rejects_64_bit_pages(self):
+        """No stored column admits a page wider than 32 bits
+        (``check_directory``); a 64-bit one is refused, not decoded."""
         values = np.asarray(
             [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1], dtype=np.int64
         )
         directory, blob = pack(values, CODEC_FOR, page_size=4)
         assert int(directory.bits.max()) == 64
+        with pytest.raises(EncodingError, match="wider than 63 bits"):
+            decode_column(directory, blob)
+
+    @pytest.mark.parametrize("length", [5, 63, 66, 127])
+    def test_set_bits_after_the_last_value_are_refused(self, length):
+        """The packer writes the last page's trailing bits as zero; a
+        column one value shorter than its packed bytes is refused."""
+        values = np.arange(3, 3 + 7 * length, 7, dtype=np.int64)
+        directory, blob = pack(values, CODEC_FOR, page_size=64)
         assert np.array_equal(decode_column(directory, blob), values)
+        used = (length - (directory.n_blocks - 1) * 64) * int(directory.bits[-1])
+        assert used % 8  # the last byte has trailing bits to forge
+        forged = blob.copy()
+        forged[-1] |= np.uint8(0x80)
+        with pytest.raises(EncodingError, match="the last page holds bits after its last value"):
+            decode_column(directory, forged)
 
     def test_whole_column_decode_rejects_a_truncated_blob(self):
         directory, blob = pack(np.arange(0, 4000, 7), CODEC_FOR, page_size=64)
         with pytest.raises(EncodingError, match="truncated"):
             decode_column(directory, blob[:-1])
-
-    def test_decode_single_page(self):
-        values = np.arange(0, 500, 3, dtype=np.int64)
-        directory, blob = pack(values, CODEC_FOR, page_size=64)
-        assert np.array_equal(decode_page(directory, blob, 1), values[64:128])
-
-    def test_page_out_of_range(self):
-        directory, blob = pack([1, 2, 3])
-        with pytest.raises(EncodingError, match="out of range"):
-            decode_page(directory, blob, 5)
 
     def test_rejects_bad_page_size(self):
         with pytest.raises(EncodingError):

@@ -1108,30 +1108,41 @@ def forge_kind(doc, path, source, target, page_size=DEFAULT_PAGE_SIZE):
 ELEMENT, ATTRIBUTE, TEXT = NodeKind.ELEMENT, NodeKind.ATTRIBUTE, NodeKind.TEXT
 
 
+#: The two ways a wrong length shows in a compacted column.
+UNTILED = "page directory does not tile"
+TRAILING = "the last page holds bits after its last value"
+
+
 @pytest.mark.parametrize("mmap_flag", [False, True], ids=["read", "mmap"])
 @pytest.mark.parametrize(
-    "source, target, column",
+    "source, target, column, message",
     [
-        (ELEMENT, TEXT, "value_codes"),
-        (TEXT, ELEMENT, "tag_codes"),
-        (TEXT, ATTRIBUTE, "tag_codes"),
-        (ELEMENT, ATTRIBUTE, "value_codes"),
-        (ATTRIBUTE, ELEMENT, "value_codes"),
+        # The element's tag code goes, and its span's last byte keeps it.
+        (ELEMENT, TEXT, "tag_codes", TRAILING),
+        (TEXT, ELEMENT, "tag_codes", UNTILED),
+        (TEXT, ATTRIBUTE, "tag_codes", UNTILED),
+        (ELEMENT, ATTRIBUTE, "value_codes", UNTILED),
+        (ATTRIBUTE, ELEMENT, "value_codes", UNTILED),
+        # 1 008 tag codes at 7 bits fill 882 bytes, 1 007 too: the
+        # dropped code's bits sit after the last value.
+        (ATTRIBUTE, TEXT, "tag_codes", TRAILING),
     ],
-    ids=lambda value: value.name.lower() if isinstance(value, NodeKind) else value,
+    ids=lambda value: value.name.lower() if isinstance(value, NodeKind) else (
+        {UNTILED: "untiled", TRAILING: "trailing"}.get(value, value)
+    ),
 )
 def test_a_kind_flipped_across_the_classes_is_rejected(
-    small_xmark, tmp_path, mmap_flag, source, target, column
+    small_xmark, tmp_path, mmap_flag, source, target, column, message
 ):
     """``kind`` sizes the compacted code columns: a node flipped into or
-    out of the named (or the element) class changes a column's length,
-    and its page directory no longer tiles.  A flip that moves no length
-    (text ↔ comment) cannot show, nor can one whose column's last page
-    absorbs the one value more or less in its byte span (here attribute
-    → text: 1 008 tag codes at 7 bits fill 882 bytes, 1 007 too)."""
+    out of the named (or the element) class changes a column's length.
+    Either its page directory no longer tiles, or its last page keeps
+    its byte span and holds set bits after its last value.  What cannot
+    show: a flip that moves no length (text ↔ comment), and a dropped
+    code whose delta is 0 (its bits are zero)."""
     path = str(tmp_path / "forged.npz")
     forge_kind(small_xmark, path, source, target)
-    with pytest.raises(EncodingError, match=f"column '{column}': page directory does not tile"):
+    with pytest.raises(EncodingError, match=f"column '{column}': {message}"):
         load(path, mmap=mmap_flag)
 
 

@@ -144,10 +144,9 @@ def shard_tasks(store, items, observe):
     tasks = []
     for index, (plan, engine, document, mode) in enumerate(items):
         for shard_id in shard_ids_of(store, document):
-            entry = store.shard_entry(shard_id)
             tasks.append(
                 ShardTask(
-                    index, shard_id, entry["file"], tuple(entry["documents"]),
+                    index, shard_id, store.shard_entry(shard_id)["file"],
                     plan, engine, document, mode,
                     observe=observe and document is None and mode != "exists",
                 )
@@ -171,7 +170,7 @@ def test_run_group_equals_its_tasks_one_by_one(
 ):
     compiled = compile_items(specs, planners)
     tasks = shard_tasks(fuzz_store, [item for _, item in compiled], observe)
-    state = ShardWorkerState(fuzz_store.directory)
+    state = ShardWorkerState(fuzz_store)
     singles = []
     for task in tasks:
         expected = expected_payload(
@@ -338,7 +337,7 @@ def test_each_distinct_prefix_is_dispatched_once(xmark_store, step_calls, engine
     tasks = planned_tasks(xmark_store, BATCH, engine, observe=observe)
     expected = len(distinct_step_prefixes(tasks))
     assert expected < sum(len(t.plan.branches[0]) - 1 for t in tasks)
-    state = ShardWorkerState(xmark_store.directory)
+    state = ShardWorkerState(xmark_store)
     results = state.run_group(tasks)
     assert all(sum(len(r) for r in result.ranks.values()) for result in results)
     assert sum(step_calls.values()) == expected
@@ -366,7 +365,7 @@ def test_union_branches_enter_the_trie(xmark_store, step_calls, engine):
         ["//open_auction/bidder | //open_auction/seller", "//open_auction/initial"],
         engine,
     )
-    ShardWorkerState(xmark_store.directory).run_group(tasks)
+    ShardWorkerState(xmark_store).run_group(tasks)
     by_step = Counter()
     for op, count in step_calls.items():
         by_step[op.axis, str(op.test)] += count
@@ -388,7 +387,7 @@ def test_scoped_queries_to_one_member_share_their_prefix(xmark_store, step_calls
         engine,
         document=document,
     )
-    state = ShardWorkerState(xmark_store.directory)
+    state = ShardWorkerState(xmark_store)
     size = state.prefix_cache.info()["size"]
     grouped = state.run_group(tasks)
     assert sum(step_calls.values()) == len(distinct_step_prefixes(tasks)) == 6
@@ -411,9 +410,9 @@ def test_scoped_exists_terminates_early(xmark_store):
         xmark_store, ["/site//item//text"], "scalar", document, mode="exists",
         pushdown=False,
     )
-    state = ShardWorkerState(xmark_store.directory)
+    state = ShardWorkerState(xmark_store)
     assert state.run_group([task])[0].found is True
-    stats = state._evaluators[0, "scalar"].stats
+    stats = state._evaluator(0, "scalar", xmark_store.collection(0)).stats
     probed = stats.nodes_scanned
     state.run_group([task._replace(mode="count")])
     assert probed < (stats.nodes_scanned - probed) / 4
@@ -423,7 +422,7 @@ def test_scoped_exists_terminates_early(xmark_store):
 # (c) Who may touch the cross-batch prefix cache
 # ----------------------------------------------------------------------
 def test_lone_and_unplanned_tasks_leave_the_prefix_cache_alone(xmark_store):
-    state = ShardWorkerState(xmark_store.directory)
+    state = ShardWorkerState(xmark_store)
     planned = planned_tasks(xmark_store, BATCH[:3], "vectorized")
     unplanned = shard_tasks(
         xmark_store,

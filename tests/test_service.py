@@ -700,7 +700,9 @@ class TestExecutor:
             QueryService(store, backend="fabric:-1")
 
     def test_worker_state_reuses_collections(self, store):
-        state = ShardWorkerState(store.directory)
+        """A lane runs on the store's cached plane (it keeps no copy of
+        its own) and reuses one evaluator per plane and engine."""
+        state = ShardWorkerState(store)
         entry = store.shard_entry(0)
         from repro.service.executor import ShardTask
 
@@ -708,7 +710,6 @@ class TestExecutor:
             index=0,
             shard_id=0,
             shard_file=entry["file"],
-            names=tuple(entry["documents"]),
             plan="//people",
             engine="vectorized",
             document=None,
@@ -716,9 +717,13 @@ class TestExecutor:
         (result,) = state.run_group([task])
         assert (result.index, result.shard_id) == (0, 0)
         assert list(result.ranks) == list(entry["documents"])
-        collection = state._collections[0][1]
+        assert not hasattr(state, "_collections")
+        collection = store.collection(0)
+        evaluator = state._evaluator(0, "vectorized", collection)
+        assert evaluator.doc is collection.doc
         state.run_group([task])
-        assert state._collections[0][1] is collection
+        assert store.collection(0) is collection
+        assert state._evaluator(0, "vectorized", collection) is evaluator
 
     def test_close_is_idempotent(self, store):
         service = QueryService(store, backend="fabric:2")

@@ -175,7 +175,7 @@ class TestServedPlanes:
                         name: [type(column).__name__, column.dtype.name, mapped(column)]
                         for name, column in plane_columns(collection.doc).items()
                     }
-                    for shard_id, (_, collection) in self._collections.items()
+                    for shard_id, (_, collection) in self.store._collections.items()
                 }))
                 return outcomes
 

@@ -10,7 +10,11 @@ the name → shard index, and mutate-while-querying interleaving.
 
 import copy
 import json
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -23,7 +27,7 @@ from repro.errors import EncodingError, ReproError
 from repro.service import QueryService, ShardedStore, UpdateOp, parse_ops
 from repro.xmltree.model import NodeKind, attribute, element, text
 
-from _reference import preorder_nodes, random_tree
+from _reference import Reference, preorder_nodes, random_tree
 
 
 #: Queries the splice-equals-reencode property is checked under.
@@ -48,6 +52,14 @@ def small_forest():
         ("d2", people_site("d", "e", "f")),
         ("d3", people_site("g", "h", "i", "j")),
     ]
+
+
+def assert_staged_is_the_file(service, queries=PROPERTY_QUERIES):
+    """The staged plane the service's next read runs on answers as the
+    file its commit wrote, opened afresh."""
+    reopened = ShardedStore.open(service.store.directory)
+    with QueryService(reopened, backend="serial") as fresh:
+        assert store_bytes(service, queries) == store_bytes(fresh, queries)
 
 
 def store_bytes(service, queries):
@@ -304,6 +316,68 @@ class TestOrphanSweep:
         with QueryService(reopened, backend="serial") as service:
             assert service.execute("//person").total == 10
 
+    def test_an_open_inside_a_commit_leaves_the_commit_whole(
+        self, tmp_path, monkeypatch
+    ):
+        """``store info`` run by another process between a commit's new
+        files and its manifest flip finds the commit lock held: it does
+        not sweep, and the commit lands whole."""
+        import repro.service.store as store_module
+
+        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=2)
+        write_manifest = store_module._write_manifest
+        seen = []
+
+        def open_elsewhere_then_flip(directory, manifest):
+            seen.append(sorted(os.listdir(directory)))
+            info = subprocess.run(
+                [sys.executable, "-m", "repro", "store", "info", directory],
+                capture_output=True, text=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            )
+            assert info.returncode == 0, info.stderr
+            seen.append(sorted(os.listdir(directory)))
+            write_manifest(directory, manifest)
+
+        monkeypatch.setattr(store_module, "_write_manifest", open_elsewhere_then_flip)
+        store.update_document("d0", people_site("w", "x"))
+        monkeypatch.undo()
+        assert seen[0] == seen[1]  # the new file outlived the other open
+        assert any(".e0002." in name for name in seen[1])
+        reopened = ShardedStore.open(store.directory)
+        assert sorted(os.listdir(store.directory)) == sorted(
+            ["manifest.json"] + [e["file"] for e in reopened.describe()["shards"]]
+        )
+        with QueryService(reopened, backend="serial") as service:
+            assert service.execute("//person").counts()["d0"] == 2
+
+    def test_a_filesystem_without_flock_opens_commits_and_never_sweeps(
+        self, tmp_path, monkeypatch
+    ):
+        """Where a directory cannot be flocked (NFS emulates ``flock`` as
+        a write lock: ``EBADF``), every open, build and commit still
+        works; no open holds the lock, so none sweeps."""
+        import errno
+        import fcntl
+
+        def no_flock(fd, operation):
+            if operation != fcntl.LOCK_UN:
+                raise OSError(errno.EBADF, "Bad file descriptor")
+
+        monkeypatch.setattr(fcntl, "flock", no_flock)
+        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=2)
+        orphan = os.path.join(store.directory, "shard-0000.e0099.npz")
+        save(store.collection(0).doc, orphan)
+        store.update_document("d0", people_site("w", "x"))
+        reopened = ShardedStore.open(store.directory)
+        assert os.path.exists(orphan)
+        assert reopened.epoch == 2
+        with QueryService(reopened, backend="serial") as service:
+            assert service.execute("//person").counts()["d0"] == 2
+        monkeypatch.undo()
+        ShardedStore.open(store.directory)
+        assert not os.path.exists(orphan)
+
     def test_crashed_commit_leaves_old_state_servable(self, tmp_path, monkeypatch):
         store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=2)
         import repro.service.store as store_module
@@ -478,6 +552,7 @@ class TestServiceUpdates:
                 ]
             )
             totals.append(service.execute("//person").total)
+            assert_staged_is_the_file(service)
         assert totals == [10, 11, 12, 13, 14]
 
     def test_mutate_while_querying_threaded(self, service):
@@ -526,6 +601,7 @@ class TestServiceUpdates:
         )
         scoped = service.execute("//person", document="d3")
         assert scoped.counts() == {"d3": 1}
+        assert_staged_is_the_file(service)
 
     def test_op_validation(self):
         with pytest.raises(ReproError, match="unknown update op"):
@@ -649,111 +725,233 @@ class TestStatsSnapshot:
 
 
 class TestExecutorFallForward:
-    def test_stale_task_falls_forward_to_current_manifest(self, tmp_path):
-        """A task naming an unlinked shard file re-reads the manifest and
-        answers from the live file (the pre-update epoch key makes the
-        newer answer safe to return)."""
-        from repro.service import ShardWorkerState
+    """A task names the shard file its batch was expanded against.  A
+    lane over the committing store itself (``own``: the serial backend,
+    a fabric's lane 0) or over a store opened beside it (``other``: a
+    fabric worker's) answers from the file the manifest names now."""
+
+    @staticmethod
+    def task(store, document=None):
         from repro.service.executor import ShardTask
 
-        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=1)
-        stale = store.shard_entry(0)
-        task = ShardTask(
+        return ShardTask(
             index=0,
             shard_id=0,
-            shard_file=stale["file"],
-            names=tuple(stale["documents"]),
+            shard_file=store.shard_entry(0)["file"],
             plan="//person",
             engine="vectorized",
-            document=None,
+            document=document,
         )
+
+    @staticmethod
+    def lane(writer, which):
+        from repro.service import ShardWorkerState
+
+        store = writer if which == "own" else ShardedStore.open(writer.directory)
+        return ShardWorkerState(store)
+
+    @pytest.mark.parametrize("which", ["own", "other"])
+    def test_stale_task_falls_forward_to_current_manifest(self, tmp_path, which):
+        """A task naming an unlinked shard file answers from the live
+        file (the pre-update epoch key makes the newer answer safe to
+        return)."""
+        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=1)
+        stale, state = self.task(store), self.lane(store, which)
         store.update_document("d0", people_site("x", "y"))  # unlinks stale file
-        assert not os.path.exists(os.path.join(store.directory, stale["file"]))
-        state = ShardWorkerState(store.directory)
-        relative = state.run_group([task])[0].ranks
+        assert not os.path.exists(os.path.join(store.directory, stale.shard_file))
+        relative = state.run_group([stale])[0].ranks
         assert len(relative["d0"]) == 2  # the post-update answer
 
-    def test_dropped_shard_contributes_empty_result(self, tmp_path):
+    def test_a_task_naming_a_newer_file_rereads_the_manifest(self, tmp_path):
+        """A worker's store learns of a commit from the task: it re-reads
+        the manifest, answers from the new file and drops the old plane."""
+        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=1)
+        state = self.lane(store, "other")
+        state.store.collection(0)  # the pre-commit plane
+        store.update_document("d0", people_site("x", "y", "z"))
+        fresh = self.task(store)
+        assert len(state.run_group([fresh])[0].ranks["d0"]) == 3
+        assert state.store.epoch == 2
+        assert state.store._collections[0][0] == fresh.shard_file
+
+    def test_a_reread_manifest_is_checked_like_open(self, tmp_path):
+        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=1)
+        state = self.lane(store, "other")
+        manifest = json.loads(manifest_bytes(store))
+        manifest["shards"][0]["file"] = "../elsewhere.npz"
+        with open(os.path.join(store.directory, "manifest.json"), "w") as f:
+            json.dump(manifest, f)
+        newer = self.task(store)._replace(shard_file="shard-0000.e0002.npz")
+        with pytest.raises(ReproError, match="not a shard file name"):
+            state.run_group([newer])
+
+    @pytest.mark.parametrize("which", ["own", "other"])
+    def test_dropped_shard_contributes_empty_result(self, tmp_path, which):
         """A shard removed mid-flight must not fail the batch — it just
         contributes nothing (the result keys to a dead epoch anyway)."""
-        from repro.service import ShardWorkerState
-        from repro.service.executor import ShardTask
-
         store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=2)
-        stale = store.shard_entry(0)
-        task = ShardTask(
-            index=0,
-            shard_id=0,
-            shard_file=stale["file"],
-            names=tuple(stale["documents"]),
-            plan="//person",
-            engine="vectorized",
-            document=None,
-        )
+        stale, state = self.task(store), self.lane(store, which)
         store.remove_document("d0")
         store.remove_document("d1")  # shard 0 is gone entirely
-        state = ShardWorkerState(store.directory)
-        (result,) = state.run_group([task])
+        (result,) = state.run_group([stale])
         assert (result.index, result.shard_id, result.ranks) == (0, 0, {})
 
-    def test_removed_scoped_document_contributes_empty_result(self, tmp_path):
-        from repro.service import ShardWorkerState
-        from repro.service.executor import ShardTask
-
+    @pytest.mark.parametrize("which", ["own", "other"])
+    def test_removed_scoped_document_contributes_empty_result(self, tmp_path, which):
         store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=2)
-        stale = store.shard_entry(0)
-        task = ShardTask(
-            index=0,
-            shard_id=0,
-            shard_file=stale["file"],
-            names=tuple(stale["documents"]),
-            plan="//person",
-            engine="vectorized",
-            document="d0",
-        )
+        stale, state = self.task(store, "d0"), self.lane(store, which)
         store.remove_document("d0")
-        state = ShardWorkerState(store.directory)
-        relative = state.run_group([task])[0].ranks
+        relative = state.run_group([stale])[0].ranks
         assert list(relative) == ["d0"]
         assert len(relative["d0"]) == 0
 
-    def test_fall_forward_survives_back_to_back_commits(self, tmp_path):
-        """The retry loop chases files that successive commits keep
-        unlinking (the race the single-attempt version lost)."""
-        from repro.service import ShardWorkerState
-        from repro.service.executor import ShardTask
+    def test_fall_forward_survives_back_to_back_commits(self, tmp_path, monkeypatch):
+        """The retry loop chases files that successive commits in another
+        process keep unlinking (the race a single attempt loses)."""
+        import repro.service.store as store_module
 
         store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=1)
-        stale = store.shard_entry(0)
-        task = ShardTask(
-            index=0,
-            shard_id=0,
-            shard_file=stale["file"],
-            names=tuple(stale["documents"]),
-            plan="//person",
-            engine="vectorized",
-            document=None,
-        )
-        state = ShardWorkerState(store.directory)
-        original = state._current_entry
+        reader = ShardedStore.open(store.directory)
+        from repro.service import ShardWorkerState
+
+        state = ShardWorkerState(reader)
+        stale = self.task(store)
+        original = store_module._read_manifest
         chased = []
 
-        def commit_then_answer(shard_id):
+        def read_then_commit(directory):
             # each manifest read is immediately invalidated by another
             # commit, twice, before the store finally holds still
-            entry = original(shard_id)
+            manifest = original(directory)
             if len(chased) < 2:
-                chased.append(entry)
+                chased.append(manifest["epoch"])
                 store.update_document(
                     "d0", people_site(*[f"p{len(chased)}{i}" for i in range(3)])
                 )
-            return entry
+            return manifest
 
-        state._current_entry = commit_then_answer
+        monkeypatch.setattr(store_module, "_read_manifest", read_then_commit)
         store.update_document("d0", people_site("p0"))  # unlinks task's file
-        relative = state.run_group([task])[0].ranks
-        assert len(chased) == 2
+        relative = state.run_group([stale])[0].ranks
+        assert chased == [2, 3]
         assert len(relative["d0"]) == 3  # the last committed state
+        assert reader.epoch == 4
+
+    def test_a_manifest_naming_a_missing_file_fails_at_once(self, tmp_path, monkeypatch):
+        import repro.service.store as store_module
+
+        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=2)
+        missing = store.shard_entry(1)["file"]
+        os.remove(os.path.join(store.directory, missing))
+        reads = []
+        original = store_module._read_manifest
+        monkeypatch.setattr(
+            store_module, "_read_manifest", lambda d: reads.append(d) or original(d)
+        )
+        reopened = ShardedStore.open(store.directory)
+        with pytest.raises(ReproError, match=f"{missing} is named by the manifest but missing"):
+            reopened.collection(1)
+        assert len(reads) == 2  # the open, and one re-read
+        with QueryService(reopened, backend="serial") as service:
+            with pytest.raises(ReproError, match=missing):
+                service.execute("//person")
+
+
+class TestOneShardOpener:
+    """The store is the one shard opener of a process: commits and lane
+    0 share its planes, so a commit reloads nothing and the next read
+    runs on the plane the commit staged."""
+
+    def test_commits_and_reads_load_no_shard_again(self, tmp_path, monkeypatch):
+        import repro.service.store as store_module
+
+        forest = [(f"d{i}", people_site(f"p{i}", f"q{i}")) for i in range(8)]
+        directory = str(tmp_path / "s")
+        ShardedStore.build(directory, forest, shards=4, compression="packed")
+        loads = []
+        load = store_module.load
+        monkeypatch.setattr(
+            store_module, "load",
+            lambda path, mmap=False: loads.append(path) or load(path, mmap=mmap),
+        )
+        with QueryService(ShardedStore.open(directory), backend="serial") as service:
+            assert service.execute("//person").total == 16
+            assert len(loads) == 4
+            for i in range(3):
+                service.apply_updates(
+                    [UpdateOp("insert", "d0", tree=element("person", text(f"n{i}")), pre=1)]
+                )
+                assert service.execute("//person").total == 17 + i
+            assert len(loads) == 4
+            assert_staged_is_the_file(service)
+
+    @pytest.mark.parametrize("compression", ["none", "packed"])
+    def test_a_cached_plane_is_read_only(self, tmp_path, compression):
+        store = ShardedStore.build(
+            str(tmp_path / "s"), small_forest(), shards=2, compression=compression
+        )
+        store.update_document("d3", people_site("z"))  # shard 1: a staged plane
+        for shard_id in store.shard_ids():
+            doc = store.collection(shard_id).doc
+            for column in (
+                doc.post, doc.level, doc.parent, doc.kind, doc.tag.codes,
+                doc.values.codes, doc.values.blob, doc.values.offsets,
+            ):
+                with pytest.raises(ValueError, match="read-only"):
+                    column[:1] = column[:1]
+
+    def test_fabric_answers_the_reference_across_commits(self, tmp_path):
+        """Lane 0 runs on the staged planes and lane 1 on the files its
+        own store reads, through commits, a killed worker and a batch
+        whose tasks name superseded files; every answer is the
+        reference's."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the fabric forks its workers")
+        mirror = dict(small_forest())  # d0, d1 → shard 0 (lane 0); d2, d3 → lane 1
+        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=2)
+        queries = ("//person", "/site/people/person[2]", "//people[person]/person")
+
+        def check(answers, query):
+            for name, ranks in answers.items():
+                expected = Reference(mirror[name]).evaluate(query)
+                assert ranks.tobytes() == expected.tobytes(), (query, name)
+
+        def update(service, round_, *names):
+            for name in names:
+                mirror[name] = people_site(*[f"r{round_}{i}" for i in range(round_ + 2)])
+            service.apply_updates(
+                [UpdateOp("update", name, tree=mirror[name]) for name in names]
+            )
+
+        with QueryService(store, backend="fabric:2") as service:
+            backend = service.backend
+            for round_, names in enumerate([(), ("d0",), ("d2",), ("d1", "d3")]):
+                if names:
+                    update(service, round_, *names)
+                for query in queries:
+                    if query.startswith("//"):  # unscoped: ROADMAP item 1
+                        answers = service.execute(query, use_cache=False).per_document
+                        assert list(answers) == list(mirror)
+                        check(answers, query)
+                    for name in mirror:
+                        scoped = service.execute(query, document=name, use_cache=False)
+                        check(scoped.per_document, query)
+            # A batch expanded before a commit names the superseded files
+            # on both lanes; lane 1's worker is killed first, so its
+            # replacement opens a store that never held them.
+            items = [("//person", "vectorized", None, "materialize")]
+            tasks = backend._expand(items)
+            update(service, 4, "d1", "d2")
+            victim = backend._procs[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
+            stale = [[t for t in tasks if t.shard_id == s] for s in store.shard_ids()]
+            (merged,) = backend._merge(items, backend._dispatch(stale), list(mirror))
+            assert list(merged) == list(mirror)
+            check(merged, "//person")
+            assert backend._procs[1].pid != victim.pid
+            for task in tasks:
+                assert not os.path.exists(os.path.join(store.directory, task.shard_file))
 
 
 # ----------------------------------------------------------------------
@@ -892,3 +1090,4 @@ class TestSpliceEqualsReencode:
                 updated = store_bytes(service, PROPERTY_QUERIES)
                 rebuilt = store_bytes(fresh_service, PROPERTY_QUERIES)
                 assert updated == rebuilt
+            assert_staged_is_the_file(service)
