@@ -65,7 +65,6 @@ def build_representatives() -> List[object]:
         ShardTask(
             index=0,
             shard_id=2,
-            shard_file="shard-0002-epoch-0007.npz",
             plan=materialize,
             engine="vectorized",
             document=None,

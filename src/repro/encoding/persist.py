@@ -372,8 +372,9 @@ def load(path: str, mmap: bool = False) -> DocTable:
     or version-unknown archives and on a ``level`` column that is not a
     tree (never a raw ``zipfile``/``OSError`` traceback; a broken
     ``.npz`` must not half-load).  A *missing* file raises plain
-    :class:`FileNotFoundError` — the store's fall-forward retry relies
-    on telling "replaced under me" apart from "corrupt".
+    :class:`FileNotFoundError`, which the store reports as
+    :class:`~repro.errors.MissingShardError` — "removed by another
+    process's commit", a batch re-runs on a fresh snapshot — not "corrupt".
     """
     with _Archive(path) as archive:
         packed = _format_version(archive) == LAYOUT_VERSIONS["packed"]

@@ -14,6 +14,7 @@ __all__ = [
     "EncodingError",
     "StorageError",
     "StoreNotFoundError",
+    "MissingShardError",
     "BTreeError",
     "XPathSyntaxError",
     "XPathEvaluationError",
@@ -55,6 +56,11 @@ class StoreNotFoundError(ReproError, FileNotFoundError):
     manifest).  Also a :class:`FileNotFoundError`, so callers that treat
     missing inputs uniformly (e.g. the CLI's usage-error exit code)
     need only one ``except`` clause."""
+
+
+class MissingShardError(ReproError):
+    """Raised when a shard file a store snapshot names is gone: another
+    process's commit removed it, or the store is damaged."""
 
 
 class BTreeError(StorageError):

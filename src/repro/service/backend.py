@@ -41,7 +41,7 @@ from repro.service.executor import (
     ShardWorkerState,
     default_workers,
 )
-from repro.service.store import ShardedStore
+from repro.service.store import ShardedStore, Snapshot
 from repro.xpath.pipeline import MODES
 
 __all__ = [
@@ -81,15 +81,20 @@ class ExecutionBackend:
         (0 = no lanes, plain in-process execution)."""
         return 0
 
-    def run_batch(self, items: Sequence[Sequence], sink: Optional[list] = None) -> List:
-        """Evaluate a batch of ``(plan, engine, document, mode)`` items.
+    def run_batch(
+        self,
+        items: Sequence[Sequence],
+        sink: Optional[list] = None,
+        snapshot: Optional[Snapshot] = None,
+    ) -> List:
+        """Evaluate a batch of ``(plan, engine, document, mode)`` items
+        on one ``snapshot`` of the store (by default one taken here,
+        :meth:`~repro.service.store.ShardedStore.read`).
 
-        Returns, per item, the merged payload of the item's result
-        mode: a mapping of document name → document-relative preorder
-        ranks (``materialize``) or → cardinality (``count``), in global
-        document order (scoped items report their single document
-        only); ``exists`` items merge to one boolean — shard payloads
-        are OR-ed together instead of concatenated.
+        Returns, per item, the merged payload of its result mode: document
+        name → document-relative preorder ranks (``materialize``) or →
+        cardinality (``count``), in global document order (a scoped item
+        reports its one document); ``exists`` ORs the shard booleans.
 
         When ``sink`` (a list) is given, the batch is *observed*: every
         eligible task carries the observation layer and the resulting
@@ -97,89 +102,65 @@ class ExecutionBackend:
         appended to ``sink``.  Only ``QueryService.analyze`` passes a
         sink, so the serving path stays unobserved.
         """
-        order = self.store.document_names()
-        tasks = self._expand(items, observe=sink is not None)
+        if snapshot is None:
+            return self.store.read(lambda snapshot: self.run_batch(items, sink, snapshot))
         # One dispatch unit per shard: the worker holding a shard sees
         # the whole batch's plans for it and shares their prefixes.
-        groups: Dict[int, List[ShardTask]] = {}
-        for task in tasks:
-            groups.setdefault(task.shard_id, []).append(task)
-        outcomes = self._dispatch(list(groups.values()))
+        groups = self._expand(items, snapshot, observe=sink is not None)
+        outcomes = self._dispatch(list(groups.values()), snapshot)
         if sink is not None:
             for result in outcomes:
                 sink.extend(result.observations)
-        return self._merge(items, outcomes, order)
+        return self._merge(items, outcomes, snapshot.members)
 
     def _dispatch(
-        self, grouped: List[List[ShardTask]]
+        self, grouped: List[List[ShardTask]], snapshot: Snapshot
     ) -> List[ShardResult]:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
     def _expand(
-        self, items: Sequence[Sequence], observe: bool = False
-    ) -> List[ShardTask]:
-        tasks = []
-        for index, item in enumerate(items):
-            plan, engine, document, mode = item
+        self, items: Sequence[Sequence], snapshot: Snapshot, observe: bool = False
+    ) -> Dict[int, List[ShardTask]]:
+        """Shard id → the tasks of every item that reads that shard."""
+        groups: Dict[int, List[ShardTask]] = {}
+        for index, (plan, engine, document, mode) in enumerate(items):
             if mode not in MODES:
                 raise ReproError(
                     f"unknown result mode {mode!r} (expected one of {MODES})"
                 )
-            if document is not None:
-                shard_ids = [self.store.shard_of(document)]
-            else:
-                shard_ids = self.store.shard_ids()
+            shard_ids = snapshot.entries if document is None else [snapshot.shard_of(document)]
             for shard_id in shard_ids:
-                tasks.append(
+                groups.setdefault(shard_id, []).append(
                     ShardTask(
-                        index=index,
-                        shard_id=shard_id,
-                        shard_file=self.store.shard_entry(shard_id)["file"],
-                        plan=plan,
-                        engine=engine,
-                        document=document,
-                        mode=mode,
+                        index, shard_id, plan, engine, document, mode,
                         # Scoped and exists drives yield biased partial
                         # cardinalities — never observe them.
                         observe=observe and document is None and mode != "exists",
                     )
                 )
-        return tasks
+        return groups
 
     def _merge(
         self,
         items: Sequence[Sequence],
         outcomes: Sequence[ShardResult],
-        order: Sequence[str],
+        members: Dict[str, int],
     ) -> List:
-        per_item: List[Optional[dict]] = [None] * len(items)
-        exists: Dict[int, bool] = {}
+        collected: List[dict] = [{} for _ in items]
+        found = [False] * len(items)
         for result in outcomes:
             if result.mode == "exists":
                 # OR the shard booleans instead of concatenating arrays.
-                exists[result.index] = exists.get(result.index, False) or result.found
+                found[result.index] = found[result.index] or result.found
             else:
-                if per_item[result.index] is None:
-                    per_item[result.index] = {}
-                per_item[result.index].update(result.payload)
-        merged = []
-        for index, (item, collected) in enumerate(zip(items, per_item)):
-            document, mode = item[2], item[3]
-            if mode == "exists":
-                merged.append(exists.get(index, False))
-                continue
-            collected = collected if collected is not None else {}
-            if document is not None:
-                merged.append({document: collected[document]})
-                continue
-            # Global document order (snapshotted at batch start — a
-            # racing update may add/drop members mid-flight; only names
-            # present in both the snapshot and the results are reported).
-            merged.append(
-                {name: collected[name] for name in order if name in collected}
-            )
-        return merged
+                collected[result.index].update(result.payload)
+        return [
+            found[index] if mode == "exists"
+            else collected[index] if document is not None
+            else {name: collected[index][name] for name in members}
+            for index, (_, _, document, mode) in enumerate(items)
+        ]
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -193,8 +174,7 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """In-process execution: one :class:`ShardWorkerState` over the
-    service's own store, no workers."""
+    """In-process execution: one :class:`ShardWorkerState`, no workers."""
 
     name = "serial"
 
@@ -204,12 +184,12 @@ class SerialBackend(ExecutionBackend):
 
     def _state(self) -> ShardWorkerState:
         if self._serial_state is None:
-            self._serial_state = ShardWorkerState(self.store)
+            self._serial_state = ShardWorkerState()
         return self._serial_state
 
-    def _dispatch(self, grouped: List[List[ShardTask]]) -> List[ShardResult]:
+    def _dispatch(self, grouped: List[List[ShardTask]], snapshot: Snapshot) -> List[ShardResult]:
         state = self._state()
-        return [outcome for group in grouped for outcome in state.run_group(group)]
+        return [outcome for group in grouped for outcome in state.run_group(group, snapshot)]
 
 
 def parse_backend_spec(spec: str) -> tuple:

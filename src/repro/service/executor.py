@@ -6,53 +6,40 @@ return a :class:`ShardResult` carrying the payload of the task's
 **result mode** — per-document *relative* preorder ranks
 (``materialize``), per-document cardinalities (``count``), or a single
 shard-level boolean (``exists``).  The same :class:`ShardWorkerState`
-object executes tasks for every backend:
+executes tasks for every backend: in-process on
+:class:`~repro.service.backend.SerialBackend`, and on each lane of
+:class:`~repro.service.fabric.FabricBackend` — the dispatching thread
+(lane 0) plus long-lived workers, which receive pickled tasks and send
+``materialize`` ranks back as raw ``int64`` bytes.
 
-* :class:`~repro.service.backend.SerialBackend` — in-process (the
-  serial reference path; also what the tests cover line-by-line);
-* :class:`~repro.service.fabric.FabricBackend` — shard-affine lanes:
-  the dispatching thread (lane 0, the serial path) plus long-lived
-  workers.  Only the task tuples and small result descriptors are
-  pickled across the process boundary — ``materialize`` rank arrays
-  follow their descriptor on the worker's pipe as raw ``int64`` bytes,
-  and for ``count``/``exists`` the payload is a handful of integers.
+A lane reads planes only from the :class:`~repro.service.store.Snapshot`
+its unit carries — one per batch, so every shard of an answer comes
+from one epoch.  Lane 0 reads the service store's planes, so the plane
+a commit stages is the plane its next read runs on; a worker loads
+exactly the files the snapshot names, through a store of its own.
 
-A lane reads its planes through a :class:`~repro.service.store.ShardedStore`,
-the one shard opener of its process: lane 0 through the service's own
-store, so the plane a commit stages is the plane its next read runs on;
-a forked worker through a store it opens itself.  A task names the
-shard file its batch was expanded against, and the store falls forward
-to the file its manifest names when they differ.
+Tasks are dispatched *grouped by shard*, and
+:meth:`ShardWorkerState.run_group` runs a unit by one rule: tasks that
+agree on *(shard, engine, scope, planned)* are one call to the
+pipeline's one driver (:func:`~repro.xpath.pipeline.drive_group`),
+which walks every branch of every plan as a chain of one
+**operator-prefix trie** and evaluates each distinct prefix once —
+eight queries opening with ``/site/open_auctions/open_auction`` pay for
+that chain once; ``count`` and ``exists`` share prefixes with
+``materialize`` (the terminal is not part of the prefix); a union
+enters branch by branch; scoped queries to one member share from the
+member root down.  The lane adds only the driver's arguments: the
+(seed, span) of the scope, an observer when a task asks for one
+(``QueryService.analyze``), and — for a planned whole-shard group of
+more than one task — a byte-budgeted LRU of intermediate context
+arrays keyed by ``(shard file, engine, operator prefix)``; the file
+name carries the epoch (``shard-0000.e0005.npz``), so no commit leaves
+a stale entry reachable.
 
-Tasks are dispatched *grouped by shard* (one unit per shard, not
-per query × shard), and :meth:`ShardWorkerState.run_group` runs a unit
-by one rule: tasks that agree on *(shard, engine, scope, planned)* are
-one call to the pipeline's one driver
-(:func:`~repro.xpath.pipeline.drive_group`), which walks every branch
-of every plan as a chain of one **operator-prefix trie** and evaluates
-each distinct prefix once — eight queries opening with
-``/site/open_auctions/open_auction`` pay for that chain once, not eight
-times; a ``count`` or ``exists`` query shares every prefix with a
-materializing one because the terminal is not part of the prefix; a
-union enters branch by branch; three scoped queries to one member
-share from the member root down; an analyzed group is observed
-*through* the trie.  The worker adds only what the driver takes as
-arguments: the (seed, span) of the scope, an observer when a task asks
-for one (``QueryService.analyze``), and — for a
-planned whole-shard group of more than one task — a per-worker,
-byte-budgeted LRU of intermediate context arrays keyed by
-``(shard file, engine, operator prefix)``; the shard file name carries
-the store epoch (``shard-0000.e0005.npz``), so the same epoch fencing
-that protects the result cache makes stale prefix entries unreachable
-after any commit.
-
-Plans are parsed, planned, and compiled once in the service process and
-sent to workers pickled — document scoping included, so a worker only
-ever drives ready operators and never touches the XPath parser (raw
-query strings and uncompiled plans are still accepted and compiled on
-arrival, for direct callers).  A lane's evaluators are bound to a
-plane, so a replaced shard (new file, new plane) gets fresh ones on the
-next task without restarting the workers.
+Plans arrive compiled, document scoping included, so a worker never
+touches the XPath parser (query strings and uncompiled plans are still
+compiled on arrival, for direct callers).  A lane's evaluators are
+bound to a plane: a replaced shard gets fresh ones on its next task.
 """
 
 from __future__ import annotations
@@ -63,7 +50,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.service.cache import LRUCache
-from repro.service.store import ShardedStore, available_cpus
+from repro.service.store import ShardedStore, Snapshot, available_cpus
 from repro.xpath.evaluator import Evaluator, parse_with_cache
 from repro.xpath.observation import PipelineObserver
 from repro.xpath.pipeline import PhysicalPlan, compile_plan, drive_group
@@ -83,7 +70,6 @@ class ShardTask(NamedTuple):
 
     index: int  #: position of the query in the batch
     shard_id: int
-    shard_file: str  #: file name relative to the store directory
     plan: object  #: compiled PhysicalPlan (or QueryPlan / AST / string)
     engine: str
     document: Optional[str]  #: scope to one member, or None for the shard
@@ -228,22 +214,15 @@ class _ShardPrefixes(NamedTuple):
 
 
 class ShardWorkerState:
-    """One execution lane over a store's planes: it owns only an
-    evaluator per plane and engine, its parse cache and its
-    prefix-context cache.  Lives inside the serial backend — also a
-    fabric's lane 0, over the service's own store — and once per forked
-    fabric worker, over a store the worker opens itself.
-    """
+    """One execution lane — the serial backend (also a fabric's lane 0)
+    or a fabric worker: an evaluator per plane and engine, a parse cache
+    and a prefix-context cache.  Planes come from each unit's snapshot."""
 
-    def __init__(self, store: ShardedStore):
-        self.store = store
-        # Shared by this worker's evaluators: tasks normally carry
-        # compiled pipelines, but raw query strings are accepted and
-        # then parsed once.
+    def __init__(self):
+        # Shared by this lane's evaluators: raw query strings parse once.
         self.plan_cache = LRUCache(_PLAN_CACHE_SIZE)
-        # Intermediate operator-prefix contexts, keyed
-        # (shard file, engine, prefix) — the file name carries the epoch,
-        # so every committed mutation orphans the keys minted before it.
+        # Keyed (shard file, engine, prefix): the file name carries the
+        # epoch, so a commit orphans every key minted before it.
         self.prefix_cache = PrefixContextCache(_PREFIX_CACHE_BYTES)
         # shard id → (the plane's table, engine → evaluator bound to it)
         self._evaluators: Dict[int, Tuple[object, Dict[str, Evaluator]]] = {}
@@ -285,24 +264,17 @@ class ShardWorkerState:
             return {task.document: len(frontier)}
         return {task.document: frontier - collection.root_of(task.document)}
 
-    def run_group(self, tasks: Sequence[ShardTask]) -> List[ShardResult]:
-        """Execute one shard's slice of a whole batch; one result per
-        task, in task order.
+    def run_group(self, tasks: Sequence[ShardTask], snapshot: Snapshot) -> List[ShardResult]:
+        """Execute one shard's slice of a whole batch on the planes of
+        ``snapshot``; one result per task, in task order.
 
-        One rule: tasks that agree on *(shard, engine, scope, planned)*
-        run as one :func:`~repro.xpath.pipeline.drive_group` call — one
-        operator-prefix trie, result modes and union branches mixing
-        freely.  A planned whole-shard group of more than one task also
-        shares the cross-batch prefix cache; a lone task (nothing to
-        share — exact repeats are the result cache's job), an unplanned
-        plan and a scoped group never touch it.  If any task of a group
-        is observed, the group's drive carries an observer and its one
-        :class:`~repro.xpath.observation.DriveObservation` rides on that
-        task's result.
-
-        A shard (or scoped document) a racing update removed mid-flight
-        contributes an empty result instead of failing the batch — the
-        result lands under the pre-update epoch, already unreachable.
+        Tasks that agree on *(shard, engine, scope, planned)* are one
+        :func:`~repro.xpath.pipeline.drive_group` call.  Only a planned
+        whole-shard group of more than one task shares the cross-batch
+        prefix cache (exact repeats are the result cache's job).  An
+        observed group's one
+        :class:`~repro.xpath.observation.DriveObservation` rides on its
+        first observed task's result.
         """
         groups: Dict[tuple, List[Tuple[int, ShardTask, PhysicalPlan]]] = {}
         for slot, task in enumerate(tasks):
@@ -311,19 +283,11 @@ class ShardWorkerState:
             groups.setdefault(key, []).append((slot, task, pipeline))
         results: List[Optional[ShardResult]] = [None] * len(tasks)
         for (shard_id, engine, document, planned), members in groups.items():
-            plane = self.store.plane(shard_id, members[0][1].shard_file)
-            if plane is None or (document is not None and document not in plane[1]):
-                for slot, task, _ in members:
-                    results[slot] = ShardResult.of(task, self._gone(task))
-                continue
-            shard_file, collection = plane
+            collection = snapshot.plane(shard_id)
             evaluator = self._evaluator(shard_id, engine, collection)
             cache = None
             if planned and document is None and len(members) > 1:
-                # The file the plane came from (fall-forward may differ
-                # from the task's snapshot) keys the prefix cache, so
-                # cached contexts always describe the plane they were
-                # computed on.
+                shard_file = snapshot.entries[shard_id]["file"]
                 cache = _ShardPrefixes(self.prefix_cache, shard_file, engine)
             sampled = [slot for slot, task, _ in members if task.observe]
             observer = PipelineObserver() if sampled else None
@@ -344,14 +308,3 @@ class ShardWorkerState:
                     observations=(observer.observation(shard_id, engine),),
                 )
         return results
-
-    @staticmethod
-    def _gone(task: ShardTask):
-        """The empty payload of a shard/document removed mid-flight."""
-        if task.mode == "exists":
-            return False
-        if task.document is not None:
-            if task.mode == "count":
-                return {task.document: 0}
-            return {task.document: np.empty(0, dtype=np.int64)}
-        return {}

@@ -11,13 +11,9 @@ end-to-end:
   which runs its own units through the inherited
   :class:`~repro.service.backend.SerialBackend` dispatch.  Every lane
   holds one :class:`~repro.service.executor.ShardWorkerState`
-  (evaluators, prefix-context LRU) over one store's shard planes across
-  requests — lane 0 over the service's store, each worker over a store
-  it opens itself; nothing is re-opened per batch.  A batch sends each
-  remote lane one message holding all of its units, runs lane 0's
-  units inline while the workers run theirs, then waits for one reply
-  per remote lane — so the serving process does a share of the work
-  instead of idling, and lane 0's results never leave it.  The workers
+  (evaluators, prefix-context LRU) across requests.  A batch sends each
+  remote lane one message, runs lane 0's units inline while the workers
+  run theirs, then waits for one reply per remote lane.  The workers
   fork when the backend is constructed; ``fabric:1`` is serial.
 * **One pipe per worker.**  Lane *i* talks to its worker over one
   duplex ``multiprocessing.Pipe`` (a Unix socket pair), read through
@@ -32,10 +28,8 @@ end-to-end:
   its ``(document, count)`` layout, and the body's byte count — then
   every rank array's bytes, written from the array itself
   (:func:`_send_done`).  The parent reads the body into one ``int64``
-  buffer and hands out slices of it (:func:`_receive`); nothing is
-  named, mapped or unlinked, and arrays in the service result cache
-  outlive the backend.  ``count``/``exists`` payloads stay in the
-  descriptor — they were never the transport cost.
+  buffer and hands out slices of it (:func:`_receive`), which outlive
+  the backend.  ``count``/``exists`` payloads stay in the descriptor.
 * **Crash safety.**  A worker's death is a readable event: its
   sentinel fires, or its pipe ends (mid-frame or mid-body, too).  The
   lane is then respawned on a fresh pipe and sent its one message
@@ -49,9 +43,11 @@ end-to-end:
   that shard's plans across batches — unless some lane holds
   strictly fewer units *of this batch*, then to the first least-loaded
   one (which is how the chunks of a scarce shard spread over idle
-  lanes).  Lane 0 is routed like any other.  Fall-forward across epoch
-  flips needs nothing new: shard files are named by epoch and workers
-  chase the manifest exactly as the serial path does.
+  lanes).  Lane 0 is routed like any other.
+* **One snapshot per batch.**  A message holds the batch's
+  :class:`~repro.service.store.Snapshot` manifest and the lane's units;
+  the worker reads it through a store of its own, built from the first
+  manifest it is sent, loading exactly the files it names.
 """
 
 from __future__ import annotations
@@ -72,7 +68,7 @@ from repro.service.executor import (
     ShardTask,
     ShardWorkerState,
 )
-from repro.service.store import ShardedStore
+from repro.service.store import ShardedStore, Snapshot
 
 __all__ = ["FabricBackend"]
 
@@ -126,31 +122,31 @@ def _fabric_worker(
     (its siblings' included): closed at once, so the server's end of
     ``conn`` is held by the server alone and ends when the server does
     — a ``recv`` that reads end of file returns, and the worker dies
-    with its server.  The worker opens its own store at its first
-    message, so a store it cannot open is an error reply, not a death
-    the parent would respawn forever.
+    with its server.
     """
     for end in inherited:
         end.close()
-    state: Optional[ShardWorkerState] = None
+    state = ShardWorkerState()
+    store: Optional[ShardedStore] = None
     try:
         while True:
             message = conn.recv()
             if message[0] == "stop":
                 return
+            if message[0] == "stats":
+                conn.send(("stats", {"prefix_cache": state.prefix_cache.info()}))
+                continue
             try:
-                if state is None:
-                    state = ShardWorkerState(ShardedStore.open(directory))
-                if message[0] == "stats":
-                    conn.send(("stats", {"prefix_cache": state.prefix_cache.info()}))
-                    continue
-                light, arrays = _pack(
-                    [r for unit in message[1] for r in state.run_group(unit)]
-                )
+                _, manifest, units = message
+                store = store or ShardedStore(directory, manifest)
+                with store.bind(manifest) as snapshot:
+                    light, arrays = _pack(
+                        [r for unit in units for r in state.run_group(unit, snapshot)]
+                    )
             except ReproError as error:
-                # A user error (bad query, bad function arity): the parent
-                # re-raises the same class with the same message, so every
-                # backend answers a bad request identically.
+                # A bad query or a missing shard file: the parent re-raises
+                # the same class with the same message, so every backend
+                # answers it identically (and re-runs on a missing file).
                 conn.send(("err", (type(error).__name__, str(error))))
             except Exception:  # repro: allow[REP007] - worker crash boundary: any failure ships its traceback to the parent instead of killing the loop
                 conn.send(("err", traceback.format_exc()))
@@ -272,7 +268,7 @@ class FabricBackend(SerialBackend):
         it is forked.  A respawn forks from the dispatching thread after
         the service's store has loaded its shards: the child inherits
         those planes copy-on-write (resident in its RSS, shared with
-        this process, never read — it opens a store of its own).
+        this process, never read — it reads through a store of its own).
         """
         ours, theirs = self._ctx.Pipe()
         process = self._ctx.Process(
@@ -337,7 +333,7 @@ class FabricBackend(SerialBackend):
         self.stolen += 1
         return depths.index(least)
 
-    def _dispatch(self, grouped: List[List[ShardTask]]) -> List[ShardResult]:
+    def _dispatch(self, grouped: List[List[ShardTask]], snapshot: Snapshot) -> List[ShardResult]:
         with self._lock:
             self._ensure_workers_locked()
             lanes: List[List[List[ShardTask]]] = [[] for _ in range(self._workers)]
@@ -347,13 +343,13 @@ class FabricBackend(SerialBackend):
                 depths[idx] += 1
                 self.dispatched[idx] += 1
                 lanes[idx].append(unit)
-            sent = {idx: ("run", lanes[idx]) for idx in range(1, self._workers) if lanes[idx]}
+            sent = {i: ("run", snapshot.manifest, lanes[i]) for i in range(1, self._workers) if lanes[i]}
             for idx, message in sent.items():
                 self._post_locked(idx, message)
             # Lane 0 runs while the workers do.  Whatever it raises waits
             # for the remote replies: no reply is left unread on a pipe.
             try:
-                outcomes = super()._dispatch(lanes[0])
+                outcomes = super()._dispatch(lanes[0], snapshot)
             finally:
                 remote = self._unpack(self._collect_locked(sent))
             return outcomes + remote

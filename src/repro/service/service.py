@@ -6,9 +6,9 @@ A :class:`QueryService` answers XPath queries over a
 1. the query string is parsed once (LRU **plan cache**) and validated
    before any work is dispatched;
 2. the **result cache** is consulted under the key
-   ``(store epoch, query, scope, mode)`` — a warm repeat never touches
-   an engine, and a shard replacement bumps the epoch so no stale entry
-   is ever reachable;
+   ``(epoch, query, scope, mode)``, the epoch of the one store snapshot
+   the batch reads — a warm repeat never touches an engine, and a shard
+   replacement bumps the epoch so no stale entry is ever reachable;
 3. misses are compiled into
    :class:`~repro.xpath.pipeline.PhysicalPlan` operator pipelines and
    fan out through an
@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.errors import ReproError
 from repro.service.backend import BACKEND_ENV, ExecutionBackend, make_backend
 from repro.service.cache import LRUCache
-from repro.service.store import ShardedStore
+from repro.service.store import ShardedStore, Snapshot
 from repro.xpath.axes import resolve_engine
 from repro.xpath.evaluator import parse_with_cache
 from repro.xpath.pipeline import compile_plan
@@ -173,7 +173,9 @@ class QueryService:
         ``mode="count"``/``"exists"`` skip rank materialization — the
         shard pipelines terminate early and ship integers/booleans.
         """
-        return self._run_batch([query], document, use_cache, [mode])[0]
+        return self.store.read(
+            lambda snapshot: self._run_batch(snapshot, [query], document, use_cache, [mode])
+        )[0]
 
     def execute_batch(
         self,
@@ -196,23 +198,26 @@ class QueryService:
                 raise ReproError(
                     f"{len(modes)} modes for {len(queries)} queries"
                 )
-        return self._run_batch(queries, None, use_cache, modes)
+        return self.store.read(
+            lambda snapshot: self._run_batch(snapshot, queries, None, use_cache, modes)
+        )
 
     # ------------------------------------------------------------------
     def _run_batch(
         self,
+        snapshot: Snapshot,
         queries: List[str],
         document: Optional[str],
         use_cache: bool,
         modes: List[str],
     ) -> List[ServiceResult]:
+        """One batch on one store snapshot: its epoch keys the result
+        cache and the misses run on it, so a racing commit can neither
+        tear an answer nor file one under another epoch."""
         # Modes are validated at the executor boundary (shared with
         # direct callers); an unknown mode can only miss the cache here.
         results: List[Optional[ServiceResult]] = [None] * len(queries)
-        # The epoch is snapshotted once per batch: if a shard replacement
-        # races the execution, the fresh results are cached under this
-        # (now unreachable) epoch rather than poisoning the new one.
-        epoch = self.store.epoch
+        epoch = snapshot.epoch
         # Distinct missing (query, mode) pairs → the positions asking for
         # them, so a batch with repeats fans each distinct pair out
         # exactly once.
@@ -235,7 +240,7 @@ class QueryService:
                     (compile_plan(plan, scoped=scoped), self.engine, document, mode)
                 )
             started = time.perf_counter()
-            merged = self.backend.run_batch(items)
+            merged = self.backend.run_batch(items, snapshot=snapshot)
             elapsed = time.perf_counter() - started
             for ((query, mode), positions), payload in zip(missing.items(), merged):
                 result = self._package(query, self.engine, mode, payload, elapsed)
@@ -344,9 +349,10 @@ class QueryService:
         the explicit ``clear()`` merely releases their memory now
         instead of letting dead entries age out of the LRU.  Safe to
         interleave with ``execute``/``execute_batch`` from another
-        thread: an in-flight batch either answers from the pre-update
-        files (still mapped) or falls forward to the post-update ones,
-        and caches its results under the pre-update epoch either way.
+        thread: a batch reads one store snapshot, whose files the commit
+        leaves on disk until the batch ends, so it answers wholly from
+        the pre-update state or wholly from the post-update one, and
+        caches under that state's epoch.
 
         Returns the store's summary: ``{"epoch", "applied", "shards"}``.
         """

@@ -20,10 +20,9 @@ Why it is shaped this way:
   a commit stages is the plane the next read runs on;
 * shard files are **immutable**: every mutation writes *new* files (the
   epoch is part of the filename), flips the manifest once, then removes
-  the old files.  A store in another process keeps an old plane valid
-  (POSIX unlink semantics) and re-reads the manifest when a task names
-  a file it does not hold, and every result-cache key minted against
-  the old epoch is dead on arrival;
+  the old files — each once no live :class:`Snapshot` names it, so a
+  batch reads one epoch on every lane, and every result-cache key
+  minted against the old epoch is dead on arrival;
 * a crash between writing new shard files and the manifest flip leaves
   the old manifest fully intact and merely strands the new files;
   :meth:`open` sweeps them when no commit holds the directory lock;
@@ -61,11 +60,11 @@ from repro.encoding.persist import (
     load,
     save,
 )
-from repro.errors import ReproError, StoreNotFoundError
+from repro.errors import MissingShardError, ReproError, StoreNotFoundError
 from repro.service.updates import UpdateOp
 from repro.xmltree.model import Node
 
-__all__ = ["ShardedStore", "STORE_FORMAT", "COMPRESSION_SETTINGS", "AUTO_PACK_NODES"]
+__all__ = ["ShardedStore", "Snapshot", "STORE_FORMAT", "COMPRESSION_SETTINGS", "AUTO_PACK_NODES"]
 
 #: Version of the manifest schema (independent of the archive format).
 STORE_FORMAT = 1
@@ -113,10 +112,6 @@ def available_cpus() -> int:
 _SHARD_FILE = re.compile(r"shard-\d{4,}\.e\d{4,}\.npz")
 
 
-#: Loads of a shard file that commits elsewhere keep replacing.
-_FALL_FORWARD_ATTEMPTS = 10
-
-
 def _check_entry(path: str, index: int, entry) -> None:
     """Reject a manifest shard entry the store cannot serve from.
 
@@ -140,6 +135,52 @@ def _check_entry(path: str, index: int, entry) -> None:
         raise ReproError(f"{where} needs an integer id and nodes and a list of names)")
 
 
+class Snapshot:
+    """One committed state of a store, as one batch reads it.
+
+    :meth:`ShardedStore.snapshot` takes it under one hold of the store's
+    lock: the manifest (epoch, each shard's file and members), document
+    order and the store's planes of those files.  A plane it lacks loads
+    from exactly the file it names, which the store unlinks no sooner
+    than :meth:`release`.  A worker reads it through its own store
+    (:meth:`ShardedStore.bind`).
+    """
+
+    def __init__(self, store, manifest, members=None, planes=None, pinned=False):
+        self.store = store
+        self.manifest = manifest  #: shared with the store, which replaces it, never edits it
+        self.epoch: int = manifest["epoch"]
+        self.members = members or {}  #: member name → shard id, in global (load) order
+        self.entries = {entry["id"]: entry for entry in manifest["shards"]}
+        self._planes: Dict[int, DocumentCollection] = dict(planes or {})
+        self._pinned = pinned
+
+    def shard_of(self, document: str) -> int:
+        return _shard_of(self.members, document)
+
+    def plane(self, shard_id: int) -> DocumentCollection:
+        """The shard's plane as of this snapshot."""
+        plane = self._planes.get(shard_id)
+        if plane is None:
+            if shard_id not in self.entries:
+                raise ReproError(f"no shard {shard_id} in store {self.store.directory}")
+            plane = self._planes[shard_id] = self.store._load(self.entries[shard_id])
+        return plane
+
+    def release(self) -> None:
+        """Drop the planes; the store may unlink the files (idempotent)."""
+        self._planes.clear()
+        if self._pinned:
+            self._pinned = False
+            self.store._unpin(self.manifest)
+
+    def __enter__(self) -> "Snapshot":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
+
+
 class ShardedStore:
     """A directory of persisted document-collection shards.
 
@@ -148,33 +189,21 @@ class ShardedStore:
 
     One store object may be shared by a query thread and an updating
     thread: mutation and manifest reads are serialised by an internal
-    lock, and the epoch in every result-cache key keeps the caches
-    coherent.  Only :meth:`build` and the commit protocol write the
-    directory: opening, querying and closing a store never do.
+    lock, a batch reads one :meth:`snapshot`, and the epoch in every
+    result-cache key keeps the caches coherent.  Only :meth:`build` and
+    the commit protocol write the directory: opening, querying and
+    closing a store never do.
     """
 
     def __init__(self, directory: str, manifest: dict):
         self.directory = directory
         self._manifest = manifest  # guarded-by: _lock
+        # shard id → (file, plane), only of files the manifest names
         self._collections: Dict[int, Tuple[str, DocumentCollection]] = {}  # guarded-by: _lock
+        # file → live snapshots naming it (the last one unlinks it once superseded)
+        self._readers: Dict[str, int] = {}  # guarded-by: _lock
+        self._members = _members(manifest)  # guarded-by: _lock
         self._lock = threading.RLock()
-        with self._lock:
-            self._reindex_locked()
-
-    def _reindex_locked(self) -> None:
-        """Rebuild the name → shard index and the global name order.
-
-        Called at open and after every mutation (with ``_lock`` held),
-        so document-scoped lookups are O(1) instead of a scan over
-        shards × documents.
-        """
-        assert self._lock._is_owned(), "the caller must hold _lock"
-        self._doc_shard: Dict[str, int] = {}  # guarded-by: _lock
-        self._names: List[str] = []  # guarded-by: _lock
-        for entry in self._manifest["shards"]:
-            for name in entry["documents"]:
-                self._doc_shard[name] = entry["id"]
-                self._names.append(name)
 
     # ------------------------------------------------------------------
     # Construction
@@ -245,18 +274,16 @@ class ShardedStore:
 
     @classmethod
     def open(cls, directory: str) -> "ShardedStore":
-        """Open an existing store directory.
+        """Open an existing store directory; shards load at first read.
 
-        Sweeps shard files the manifest does not reference — leftovers
-        of a crash between writing new shard files and the manifest
-        flip (the flip is the commit point, so unreferenced files are
-        garbage by construction) — only under the commit lock
+        Sweeps shard files the manifest does not name — crash leftovers,
+        and files a live snapshot in another process still reads (that
+        batch re-runs, :meth:`read`) — only under the commit lock
         (:func:`_committing`), so a commit in flight keeps its files.
-
-        Shards open lazily (:meth:`plane`).  A path that is no directory
-        is a :class:`StoreNotFoundError`; a manifest that is not a JSON
-        object with an integer ``epoch`` and a ``shards`` list of
-        well-formed entries (:func:`_check_entry`) is a corrupt manifest.
+        A path that is no directory is a :class:`StoreNotFoundError`; a
+        manifest that is not a JSON object with an integer ``epoch`` and
+        a ``shards`` list of well-formed entries (:func:`_check_entry`)
+        is a corrupt manifest.
         """
         with _committing(directory, wait=False) as quiet:
             manifest = _read_manifest(directory)
@@ -264,8 +291,7 @@ class ShardedStore:
                 named = {entry["file"] for entry in manifest["shards"]}
                 for name in os.listdir(directory):
                     if name not in named and _SHARD_FILE.fullmatch(name):
-                        with contextlib.suppress(OSError):  # another opener may race
-                            os.remove(os.path.join(directory, name))
+                        _unlink(directory, name)
         return cls(directory, manifest)
 
     # ------------------------------------------------------------------
@@ -302,17 +328,12 @@ class ShardedStore:
     def document_names(self) -> List[str]:
         """All member document names, in global (load) order."""
         with self._lock:
-            return list(self._names)
+            return list(self._members)
 
     def shard_of(self, document: str) -> int:
         """Which shard holds ``document`` (O(1) via the name index)."""
         with self._lock:
-            try:
-                return self._doc_shard[document]
-            except KeyError:
-                raise ReproError(
-                    f"no document named {document!r} in store"
-                ) from None
+            return _shard_of(self._members, document)
 
     def total_nodes(self) -> int:
         """Encoded nodes across all shards (from the manifest)."""
@@ -341,7 +362,7 @@ class ShardedStore:
                     }
                     for entry in self._manifest["shards"]
                 ],
-                "documents": len(self._names),
+                "documents": len(self._members),
             }
 
     def info(self) -> dict:
@@ -396,7 +417,7 @@ class ShardedStore:
                 "directory": self.directory,
                 "epoch": self.epoch,
                 "compression": self.compression,
-                "documents": len(self._names),
+                "documents": len(self._members),
                 "total_bytes_on_disk": total_disk,
                 "total_logical_bytes": total_logical,
                 "shards": shards,
@@ -405,68 +426,82 @@ class ShardedStore:
     # ------------------------------------------------------------------
     # Shard access
     # ------------------------------------------------------------------
-    def collection(self, shard_id: int) -> DocumentCollection:
-        """The shard's gathered plane (:meth:`plane`), or an error."""
-        plane = self.plane(shard_id, None)
-        if plane is None:
-            raise ReproError(f"no shard {shard_id} in store {self.directory}")
-        return plane[1]
-
-    def plane(
-        self, shard_id: int, shard_file: Optional[str]
-    ) -> Optional[Tuple[str, DocumentCollection]]:
-        """``(file, plane)`` of a shard, loaded once per file; ``None``
-        once the shard is gone.  A task's ``shard_file`` the manifest
-        does not hold (newer, or retired since) re-reads the manifest
-        first; a newer answer is safe, cached under the old epoch."""
+    def snapshot(self) -> Snapshot:
+        """The committed state a batch reads, its files kept until released."""
         with self._lock:
-            if shard_file is not None:
-                entry = self._entry_locked(shard_id)
-                if entry is None or entry["file"] != shard_file:
-                    self._reload_locked()
-            return self._plane_locked(shard_id)
+            for entry in self._manifest["shards"]:
+                self._readers[entry["file"]] = self._readers.get(entry["file"], 0) + 1
+            planes = {shard_id: plane for shard_id, (_, plane) in self._collections.items()}
+            return Snapshot(self, self._manifest, self._members, planes, pinned=True)
+
+    def bind(self, manifest: dict) -> Snapshot:
+        """Another process's snapshot read through this store, whose manifest
+        it becomes if newer (no file is read); planes load once per file."""
+        with self._lock:
+            if manifest["epoch"] > self._manifest["epoch"]:
+                self._adopt_locked(manifest)
+            return Snapshot(self, manifest)
+
+    def read(self, reader):
+        """``reader(snapshot)`` on one :meth:`snapshot`.  If another
+        process's commit removed a file it names, the manifest is
+        re-read once and ``reader`` runs again on a fresh snapshot."""
+        try:
+            with self.snapshot() as snapshot:
+                return reader(snapshot)
+        except MissingShardError:
+            with self._lock:
+                self._adopt_locked(_read_manifest(self.directory))
+        with self.snapshot() as snapshot:
+            return reader(snapshot)
+
+    def collection(self, shard_id: int) -> DocumentCollection:
+        """The shard's plane as the manifest names it now (:meth:`read`)."""
+        return self.read(lambda snapshot: snapshot.plane(shard_id))
 
     def _entry_locked(self, shard_id: int) -> Optional[dict]:
         return next((e for e in self._manifest["shards"] if e["id"] == shard_id), None)
 
-    def _reload_locked(self) -> None:
-        """Adopt the manifest on disk; drop planes of files it no longer names."""
-        self._manifest = _read_manifest(self.directory)
-        live = {entry["file"] for entry in self._manifest["shards"]}
+    def _adopt_locked(self, manifest: dict) -> None:
+        """Make ``manifest`` current; drop planes of files it no longer names."""
+        self._manifest = manifest
+        live = {entry["file"] for entry in manifest["shards"]}
         self._collections = {
             shard_id: plane for shard_id, plane in self._collections.items()
             if plane[0] in live
         }
-        self._reindex_locked()
+        self._members = _members(manifest)
 
-    def _plane_locked(self, shard_id: int) -> Optional[Tuple[str, DocumentCollection]]:
-        """``(file, plane)`` of the file the manifest names; a vanished
-        file re-reads the manifest, which must then name another."""
-        for _ in range(_FALL_FORWARD_ATTEMPTS):
-            entry = self._entry_locked(shard_id)
-            if entry is None:
-                return None
+    def _load(self, entry: dict) -> DocumentCollection:
+        """The plane of one manifest entry, from exactly its file; cached
+        as its shard's plane when this store's manifest names that file."""
+        shard_id, file_name = entry["id"], entry["file"]
+        path = os.path.join(self.directory, file_name)
+        with self._lock:
             cached = self._collections.get(shard_id)
-            if cached is not None and cached[0] == entry["file"]:
-                return cached
-            path = os.path.join(self.directory, entry["file"])
+            if cached is not None and cached[0] == file_name:
+                return cached[1]
             try:
                 table = load(path, mmap=True)
             except FileNotFoundError:
-                self._reload_locked()
-                if self._entry_locked(shard_id) == entry:
-                    raise ReproError(
-                        f"shard {shard_id}: {path} is named by the manifest but missing"
-                    ) from None
-                continue
-            collection = DocumentCollection.from_table(
-                table, entry["documents"], self.virtual_root_tag
-            )
-            self._collections[shard_id] = (entry["file"], _frozen(collection))
-            return self._collections[shard_id]
-        raise ReproError(  # pragma: no cover - needs a commit per retry to trip
-            f"shard {shard_id}: file replaced {_FALL_FORWARD_ATTEMPTS} times while opening it"
-        )
+                raise MissingShardError(
+                    f"shard {shard_id}: {path} is named by the manifest but missing"
+                ) from None
+            plane = DocumentCollection.from_table(table, entry["documents"], self.virtual_root_tag)
+            if entry in self._manifest["shards"]:
+                self._collections[shard_id] = (file_name, plane)
+            return _frozen(plane)
+
+    def _unpin(self, manifest: dict) -> None:
+        with self._lock:
+            live = {entry["file"] for entry in self._manifest["shards"]}
+            for entry in manifest["shards"]:
+                name = entry["file"]
+                self._readers[name] -= 1
+                if not self._readers[name]:
+                    del self._readers[name]
+                    if name not in live:  # superseded meanwhile
+                        _unlink(self.directory, name)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -485,7 +520,7 @@ class ShardedStore:
                 raise ReproError("a shard needs at least one document")
             new_names = [name for name, _ in documents]
             others = {
-                name for name, sid in self._doc_shard.items() if sid != shard_id
+                name for name, sid in self._members.items() if sid != shard_id
             }
             if len(set(new_names)) != len(new_names) or others & set(new_names):
                 raise ReproError("document names must be unique across the store")
@@ -544,7 +579,7 @@ class ShardedStore:
                 return {"epoch": self.epoch, "applied": 0, "shards": []}
             # shard id → staged plane (None = shard emptied by removals)
             staged: Dict[int, Optional[DocumentCollection]] = {}
-            placement = dict(self._doc_shard)
+            placement = dict(self._members)
 
             def shard_state(shard_id: int) -> Optional[DocumentCollection]:
                 if shard_id not in staged:
@@ -615,8 +650,9 @@ class ShardedStore:
         their whole stage-validate-commit span).  Writes every new
         shard file first (a crash here leaves only sweepable orphans),
         then flips the manifest once — the commit point — then caches
-        the staged planes under their new files and unlinks the old
-        ones, all under the directory lock (:func:`_committing`).
+        the staged planes under their new files and unlinks each old
+        one no live snapshot names, all under the directory lock
+        (:func:`_committing`); the last snapshot naming one unlinks it.
         """
         assert self._lock._is_owned(), "the caller must hold _lock"
         with _committing(self.directory):
@@ -668,6 +704,7 @@ class ShardedStore:
             manifest.pop("feedback", None)
             _write_manifest(self.directory, manifest)
             self._manifest = manifest
+            self._members = _members(manifest)
             for shard_id, collection in staged.items():
                 if collection is None:
                     self._collections.pop(shard_id, None)
@@ -679,10 +716,9 @@ class ShardedStore:
                         _shard_file_name(shard_id, epoch),
                         _frozen(collection),
                     )
-            self._reindex_locked()
             for old_file in old_files:
-                with contextlib.suppress(OSError):  # another process may race
-                    os.remove(os.path.join(self.directory, old_file))
+                if old_file not in self._readers:  # else its last reader unlinks it
+                    _unlink(self.directory, old_file)
             return epoch
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -818,6 +854,23 @@ def _committing(directory: str, wait: bool = True):
             fcntl.flock(fd, fcntl.LOCK_UN)
     finally:
         os.close(fd)
+
+
+def _members(manifest: dict) -> Dict[str, int]:
+    """Member name → shard id, in global (load) order."""
+    return {name: entry["id"] for entry in manifest["shards"] for name in entry["documents"]}
+
+
+def _shard_of(members: Dict[str, int], document: str) -> int:
+    try:
+        return members[document]
+    except KeyError:
+        raise ReproError(f"no document named {document!r} in store") from None
+
+
+def _unlink(directory: str, name: str) -> None:
+    with contextlib.suppress(OSError):  # another process may race
+        os.remove(os.path.join(directory, name))
 
 
 def _frozen(collection: DocumentCollection) -> DocumentCollection:

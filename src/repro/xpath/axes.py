@@ -96,20 +96,6 @@ class AxisExecutor:
         self.doc = doc
         self.mode = mode
         self.stats = stats if stats is not None else JoinStatistics()
-        self._axes: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
-            "descendant": lambda ctx: self._partitioning("descendant", ctx),
-            "ancestor": lambda ctx: self._partitioning("ancestor", ctx),
-            "following": lambda ctx: self._partitioning("following", ctx),
-            "preceding": lambda ctx: self._partitioning("preceding", ctx),
-            "descendant-or-self": self._descendant_or_self,
-            "ancestor-or-self": self._ancestor_or_self,
-            "child": self._child,
-            "parent": self._parent,
-            "attribute": self._attribute,
-            "self": lambda ctx: ctx,
-            "following-sibling": lambda ctx: self._siblings(ctx, following=True),
-            "preceding-sibling": lambda ctx: self._siblings(ctx, following=False),
-        }
 
     # ------------------------------------------------------------------
     def step(self, context, axis: str) -> np.ndarray:
@@ -120,14 +106,14 @@ class AxisExecutor:
         if len(context) == 0:
             return _empty()
         if self.engine == "vectorized":
-            if axis not in self._axes:
+            if axis not in _AXES:
                 raise XPathEvaluationError(f"unsupported axis {axis!r}")
             return axis_step_vectorized(self.doc, context, axis, self.stats)
         try:
-            executor = self._axes[axis]
+            executor = _AXES[axis]
         except KeyError:
             raise XPathEvaluationError(f"unsupported axis {axis!r}") from None
-        return executor(context)
+        return executor(self, context)
 
     # ------------------------------------------------------------------
     # Partitioning axes → staircase join
@@ -240,6 +226,26 @@ class AxisExecutor:
         ):
             return _empty()
         raise XPathEvaluationError(f"unsupported axis {axis!r}")
+
+
+#: Axis → its scalar evaluation, a function of the executor and the
+#: context.  One table for every executor: an executor holding bound
+#: methods of itself would be a reference cycle, and its plane would
+#: outlive its last reader until a generation-2 collection.
+_AXES: Dict[str, Callable[[AxisExecutor, np.ndarray], np.ndarray]] = {
+    "descendant": lambda ax, ctx: ax._partitioning("descendant", ctx),
+    "ancestor": lambda ax, ctx: ax._partitioning("ancestor", ctx),
+    "following": lambda ax, ctx: ax._partitioning("following", ctx),
+    "preceding": lambda ax, ctx: ax._partitioning("preceding", ctx),
+    "descendant-or-self": AxisExecutor._descendant_or_self,
+    "ancestor-or-self": AxisExecutor._ancestor_or_self,
+    "child": AxisExecutor._child,
+    "parent": AxisExecutor._parent,
+    "attribute": AxisExecutor._attribute,
+    "self": lambda ax, ctx: ctx,
+    "following-sibling": lambda ax, ctx: ax._siblings(ctx, following=True),
+    "preceding-sibling": lambda ax, ctx: ax._siblings(ctx, following=False),
+}
 
 
 # ----------------------------------------------------------------------

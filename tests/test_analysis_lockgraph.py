@@ -232,7 +232,7 @@ class TestGlobalInstrumentation:
 
     def test_service_store_commit_under_instrumentation(self, tmp_path):
         # The real write path (RLock + the _is_owned() probe in
-        # _commit_locked / _reindex_locked, a forked build lane) drives
+        # _commit_locked, a forked build lane) drives
         # cleanly under a live graph.
         out = self.run_isolated(
             f"""

@@ -317,7 +317,7 @@ class TestLanes:
     def test_lane_zero_error_waits_for_the_remote_units(self, store, monkeypatch):
         from repro.service import ShardWorkerState
 
-        def boom(self, tasks):
+        def boom(self, tasks, snapshot):
             raise RuntimeError("lane 0 exploded")
 
         counted = ("//person", "vectorized", None, "count")
@@ -339,7 +339,7 @@ class TestLanes:
 class TestShardResult:
     def _task(self, mode):
         return ShardTask(
-            index=3, shard_id=1, shard_file="shard.npz",
+            index=3, shard_id=1,
             plan="//a", engine="vectorized", document=None, mode=mode,
         )
 
@@ -361,7 +361,7 @@ class TestReplyWire:
 
     def _results(self):
         task = ShardTask(
-            index=2, shard_id=1, shard_file="f.npz",
+            index=2, shard_id=1,
             plan="//a", engine="vectorized", document=None,
         )
         empty = np.empty(0, dtype=np.int64)
@@ -559,7 +559,7 @@ class TestAffinityAndResilience:
         run_group = ShardWorkerState.run_group
         dispatcher = os.getpid()
 
-        def die_once(self, tasks):
+        def die_once(self, tasks, snapshot):
             # Lane 0 runs in this process: only a forked worker may die.
             if os.getpid() != dispatcher:
                 try:
@@ -568,7 +568,7 @@ class TestAffinityAndResilience:
                     pass
                 else:
                     os.kill(os.getpid(), signal.SIGKILL)
-            return run_group(self, tasks)
+            return run_group(self, tasks, snapshot)
 
         monkeypatch.setattr(ShardWorkerState, "run_group", die_once)
         backend = FabricBackend(store, workers=2)
@@ -745,9 +745,9 @@ with QueryService(ShardedStore.open(sys.argv[1]), backend="fabric:2") as service
         run_group = ShardWorkerState.run_group
         dispatcher = os.getpid()
 
-        def boom(self, tasks):
+        def boom(self, tasks, snapshot):
             if os.getpid() == dispatcher:  # lane 0 runs as ever
-                return run_group(self, tasks)
+                return run_group(self, tasks, snapshot)
             raise RuntimeError("kernel exploded")
 
         monkeypatch.setattr(ShardWorkerState, "run_group", boom)

@@ -2,7 +2,8 @@
 
 * Grouping is invisible: for random mixed batches — result modes ×
   planned/unplanned × scoped/unscoped × both engines × unions —
-  ``run_group(batch)`` equals ``[run_group([t])[0] for t in batch]``
+  ``run_group(batch, snapshot)`` equals
+  ``[run_group([t], snapshot)[0] for t in batch]``
   byte for byte and index for index, observed or not; and a backend's
   ``run_batch(items)`` equals its items run one at a time, serial and
   ``fabric:2``.  Every one-by-one answer is the tree-walking
@@ -146,8 +147,7 @@ def shard_tasks(store, items, observe):
         for shard_id in shard_ids_of(store, document):
             tasks.append(
                 ShardTask(
-                    index, shard_id, store.shard_entry(shard_id)["file"],
-                    plan, engine, document, mode,
+                    index, shard_id, plan, engine, document, mode,
                     observe=observe and document is None and mode != "exists",
                 )
             )
@@ -170,7 +170,7 @@ def test_run_group_equals_its_tasks_one_by_one(
 ):
     compiled = compile_items(specs, planners)
     tasks = shard_tasks(fuzz_store, [item for _, item in compiled], observe)
-    state = ShardWorkerState(fuzz_store)
+    state, snapshot = ShardWorkerState(), fuzz_store.snapshot()
     singles = []
     for task in tasks:
         expected = expected_payload(
@@ -178,7 +178,7 @@ def test_run_group_equals_its_tasks_one_by_one(
             task.document, task.mode,
         )
         try:
-            (single,) = state.run_group([task])
+            (single,) = state.run_group([task], snapshot)
         except ReproError as error:
             single = type(error)
             assert single is expected
@@ -190,7 +190,7 @@ def test_run_group_equals_its_tasks_one_by_one(
             assert got == expected, (str(compiled[task.index][0]), task.mode)
         singles.append(single)
     try:
-        grouped = state.run_group(tasks)
+        grouped = state.run_group(tasks, snapshot)
     except ReproError:
         assert any(isinstance(single, type) for single in singles)
         return
@@ -337,8 +337,8 @@ def test_each_distinct_prefix_is_dispatched_once(xmark_store, step_calls, engine
     tasks = planned_tasks(xmark_store, BATCH, engine, observe=observe)
     expected = len(distinct_step_prefixes(tasks))
     assert expected < sum(len(t.plan.branches[0]) - 1 for t in tasks)
-    state = ShardWorkerState(xmark_store)
-    results = state.run_group(tasks)
+    state, snapshot = ShardWorkerState(), xmark_store.snapshot()
+    results = state.run_group(tasks, snapshot)
     assert all(sum(len(r) for r in result.ranks.values()) for result in results)
     assert sum(step_calls.values()) == expected
     observations = [o for result in results for o in result.observations]
@@ -348,7 +348,7 @@ def test_each_distinct_prefix_is_dispatched_once(xmark_store, step_calls, engine
         assert len(observations[0].steps) == expected
     # The same batch again is answered from the prefix cache: nothing
     # runs, and a sampled repeat records nothing — a hit teaches nothing.
-    again = state.run_group(tasks)
+    again = state.run_group(tasks, snapshot)
     assert [frozen(r) for r in again] == [frozen(r) for r in results]
     assert sum(step_calls.values()) == expected
     for result in again:
@@ -365,7 +365,7 @@ def test_union_branches_enter_the_trie(xmark_store, step_calls, engine):
         ["//open_auction/bidder | //open_auction/seller", "//open_auction/initial"],
         engine,
     )
-    ShardWorkerState(xmark_store).run_group(tasks)
+    ShardWorkerState().run_group(tasks, xmark_store.snapshot())
     by_step = Counter()
     for op, count in step_calls.items():
         by_step[op.axis, str(op.test)] += count
@@ -387,14 +387,14 @@ def test_scoped_queries_to_one_member_share_their_prefix(xmark_store, step_calls
         engine,
         document=document,
     )
-    state = ShardWorkerState(xmark_store)
+    state, snapshot = ShardWorkerState(), xmark_store.snapshot()
     size = state.prefix_cache.info()["size"]
-    grouped = state.run_group(tasks)
+    grouped = state.run_group(tasks, snapshot)
     assert sum(step_calls.values()) == len(distinct_step_prefixes(tasks)) == 6
     assert state.prefix_cache.info()["size"] == size
     step_calls.clear()
     assert [frozen(r) for r in grouped] == [
-        frozen(state.run_group([task])[0]) for task in tasks
+        frozen(state.run_group([task], snapshot)[0]) for task in tasks
     ]
     assert sum(step_calls.values()) == 3 * 4
 
@@ -410,11 +410,11 @@ def test_scoped_exists_terminates_early(xmark_store):
         xmark_store, ["/site//item//text"], "scalar", document, mode="exists",
         pushdown=False,
     )
-    state = ShardWorkerState(xmark_store)
-    assert state.run_group([task])[0].found is True
+    state, snapshot = ShardWorkerState(), xmark_store.snapshot()
+    assert state.run_group([task], snapshot)[0].found is True
     stats = state._evaluator(0, "scalar", xmark_store.collection(0)).stats
     probed = stats.nodes_scanned
-    state.run_group([task._replace(mode="count")])
+    state.run_group([task._replace(mode="count")], snapshot)
     assert probed < (stats.nodes_scanned - probed) / 4
 
 
@@ -422,7 +422,7 @@ def test_scoped_exists_terminates_early(xmark_store):
 # (c) Who may touch the cross-batch prefix cache
 # ----------------------------------------------------------------------
 def test_lone_and_unplanned_tasks_leave_the_prefix_cache_alone(xmark_store):
-    state = ShardWorkerState(xmark_store)
+    state, snapshot = ShardWorkerState(), xmark_store.snapshot()
     planned = planned_tasks(xmark_store, BATCH[:3], "vectorized")
     unplanned = shard_tasks(
         xmark_store,
@@ -430,15 +430,16 @@ def test_lone_and_unplanned_tasks_leave_the_prefix_cache_alone(xmark_store):
         False,
     )
     assert not any(task.plan.planned for task in unplanned)
-    state.run_group(planned[:1])  # a group of one
-    state.run_group(unplanned)  # shares its trie, never the cache
+    state.run_group(planned[:1], snapshot)  # a group of one
+    state.run_group(unplanned, snapshot)  # shares its trie, never the cache
     # Planned tasks, but no two agree on (engine, scope).
     document = xmark_store.document_names()[0]
     state.run_group(
         planned_tasks(xmark_store, BATCH[:1], "vectorized")
         + planned_tasks(xmark_store, BATCH[:1], "scalar")
-        + planned_tasks(xmark_store, BATCH[:1], "vectorized", document=document)
+        + planned_tasks(xmark_store, BATCH[:1], "vectorized", document=document),
+        snapshot,
     )
     assert state.prefix_cache.info()["size"] == 0
-    state.run_group(planned)
+    state.run_group(planned, snapshot)
     assert state.prefix_cache.info()["size"] == len(distinct_step_prefixes(planned))

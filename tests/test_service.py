@@ -423,8 +423,8 @@ class TestCaching:
         with QueryService(store, backend="serial") as service:
             original = service.backend.run_batch
 
-            def replace_mid_flight(items):
-                out = original(items)
+            def replace_mid_flight(items, **kwargs):
+                out = original(items, **kwargs)
                 store.replace_shard(
                     1,
                     [
@@ -702,26 +702,27 @@ class TestExecutor:
     def test_worker_state_reuses_collections(self, store):
         """A lane runs on the store's cached plane (it keeps no copy of
         its own) and reuses one evaluator per plane and engine."""
-        state = ShardWorkerState(store)
+        state = ShardWorkerState()
         entry = store.shard_entry(0)
         from repro.service.executor import ShardTask
 
         task = ShardTask(
             index=0,
             shard_id=0,
-            shard_file=entry["file"],
             plan="//people",
             engine="vectorized",
             document=None,
         )
-        (result,) = state.run_group([task])
+        with store.snapshot() as snapshot:
+            (result,) = state.run_group([task], snapshot)
         assert (result.index, result.shard_id) == (0, 0)
         assert list(result.ranks) == list(entry["documents"])
         assert not hasattr(state, "_collections")
         collection = store.collection(0)
         evaluator = state._evaluator(0, "vectorized", collection)
         assert evaluator.doc is collection.doc
-        state.run_group([task])
+        with store.snapshot() as snapshot:
+            state.run_group([task], snapshot)
         assert store.collection(0) is collection
         assert state._evaluator(0, "vectorized", collection) is evaluator
 

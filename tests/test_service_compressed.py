@@ -167,16 +167,16 @@ class TestServedPlanes:
         reports.mkdir()
 
         class ProbedState(ShardWorkerState):
-            def run_group(self, tasks):
-                outcomes = super().run_group(tasks)
+            def run_group(self, tasks, snapshot):
+                outcomes = super().run_group(tasks, snapshot)
                 report = reports / f"{os.getpid()}.json"
-                report.write_text(json.dumps({
-                    shard_id: {
+                lane = json.loads(report.read_text()) if report.exists() else {}
+                for shard_id in {task.shard_id for task in tasks}:
+                    lane[str(shard_id)] = {
                         name: [type(column).__name__, column.dtype.name, mapped(column)]
-                        for name, column in plane_columns(collection.doc).items()
+                        for name, column in plane_columns(snapshot.plane(shard_id).doc).items()
                     }
-                    for shard_id, (_, collection) in self.store._collections.items()
-                }))
+                report.write_text(json.dumps(lane))
                 return outcomes
 
         monkeypatch.setattr(serial_module, "ShardWorkerState", ProbedState)

@@ -556,8 +556,10 @@ class TestServiceUpdates:
         assert totals == [10, 11, 12, 13, 14]
 
     def test_mutate_while_querying_threaded(self, service):
-        """A querying thread racing an updating thread only ever sees a
-        committed epoch's answer (no torn or stale reads)."""
+        """A querying thread racing an updating thread that edits one
+        document sees totals that never go back.  One document cannot
+        show a torn read; ``TestOneSnapshotPerBatch`` commits to two
+        shards at once."""
         rounds = 12
         observed, errors = [], []
         started = threading.Event()
@@ -724,118 +726,123 @@ class TestStatsSnapshot:
             assert final["epoch"] == seed_epoch + rounds
 
 
-class TestExecutorFallForward:
-    """A task names the shard file its batch was expanded against.  A
-    lane over the committing store itself (``own``: the serial backend,
-    a fabric's lane 0) or over a store opened beside it (``other``: a
-    fabric worker's) answers from the file the manifest names now."""
+class TestStaleTasks:
+    """A batch reads one snapshot of the store.  A task of a snapshot a
+    commit has since superseded answers from that snapshot's files, on
+    the committing store's own lane (``own``: the serial backend, a
+    fabric's lane 0) and on a lane reading through a store of its own
+    (``other``: a fabric worker's) alike."""
 
     @staticmethod
-    def task(store, document=None):
+    def answer(snapshot, which, document=None):
+        from repro.service import ShardWorkerState
         from repro.service.executor import ShardTask
 
-        return ShardTask(
-            index=0,
-            shard_id=0,
-            shard_file=store.shard_entry(0)["file"],
-            plan="//person",
-            engine="vectorized",
-            document=document,
-        )
-
-    @staticmethod
-    def lane(writer, which):
-        from repro.service import ShardWorkerState
-
-        store = writer if which == "own" else ShardedStore.open(writer.directory)
-        return ShardWorkerState(store)
+        shard_id = snapshot.shard_of(document) if document else 0
+        if which == "other":  # built as a fabric worker builds its store
+            lane = ShardedStore(snapshot.store.directory, snapshot.manifest)
+            snapshot = lane.bind(snapshot.manifest)
+        task = ShardTask(0, shard_id, "//person", "vectorized", document)
+        (result,) = ShardWorkerState().run_group([task], snapshot)
+        return {name: len(ranks) for name, ranks in result.ranks.items()}
 
     @pytest.mark.parametrize("which", ["own", "other"])
-    def test_stale_task_falls_forward_to_current_manifest(self, tmp_path, which):
-        """A task naming an unlinked shard file answers from the live
-        file (the pre-update epoch key makes the newer answer safe to
-        return)."""
-        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=1)
-        stale, state = self.task(store), self.lane(store, which)
-        store.update_document("d0", people_site("x", "y"))  # unlinks stale file
-        assert not os.path.exists(os.path.join(store.directory, stale.shard_file))
-        relative = state.run_group([stale])[0].ranks
-        assert len(relative["d0"]) == 2  # the post-update answer
+    @pytest.mark.parametrize(
+        "commit, document",
+        [
+            (lambda store: store.update_document("d0", people_site("x", "y")), None),
+            (lambda store: [store.remove_document(name) for name in ("d0", "d1")], None),
+            (lambda store: store.remove_document("d0"), "d0"),
+        ],
+        ids=["updated", "shard-removed", "member-removed"],
+    )
+    def test_a_stale_task_answers_its_snapshot(self, tmp_path, which, commit, document):
+        """Updated, its shard emptied or its member removed since: the
+        answer is the snapshot's, and the superseded file is unlinked
+        when the snapshot is released, not before."""
+        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=2)
+        snapshot = store.snapshot()
+        stale = os.path.join(store.directory, store.shard_entry(0)["file"])
+        commit(store)
+        assert store.epoch > snapshot.epoch
+        answer = self.answer(snapshot, which, document)
+        assert answer == ({"d0": 1} if document else {"d0": 1, "d1": 2})
+        assert os.path.exists(stale)
+        snapshot.release()
+        assert not os.path.exists(stale)
+        assert sorted(os.listdir(store.directory)) == sorted(
+            ["manifest.json"] + [entry["file"] for entry in store._manifest["shards"]]
+        )
 
-    def test_a_task_naming_a_newer_file_rereads_the_manifest(self, tmp_path):
-        """A worker's store learns of a commit from the task: it re-reads
-        the manifest, answers from the new file and drops the old plane."""
+    def test_a_newer_manifest_becomes_the_lane_stores(self, tmp_path, monkeypatch):
+        """A lane's store learns of a commit from the snapshot it is
+        handed, not from disk: it adopts the newer manifest, answers from
+        the new file and drops the old plane."""
+        import repro.service.store as store_module
+
         store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=1)
-        state = self.lane(store, "other")
-        state.store.collection(0)  # the pre-commit plane
+        lane = ShardedStore.open(store.directory)
+        lane.collection(0)  # the pre-commit plane
         store.update_document("d0", people_site("x", "y", "z"))
-        fresh = self.task(store)
-        assert len(state.run_group([fresh])[0].ranks["d0"]) == 3
-        assert state.store.epoch == 2
-        assert state.store._collections[0][0] == fresh.shard_file
+        reads = []
+        monkeypatch.setattr(store_module, "_read_manifest", reads.append)
+        with store.snapshot() as snapshot, lane.bind(snapshot.manifest) as bound:
+            assert bound.plane(0).names == ["d0", "d1", "d2", "d3"]
+            assert len(bound.plane(0).evaluate("//person")) == 12
+        assert reads == []
+        assert lane.epoch == 2
+        assert list(lane._collections) == [0]
+        assert lane._collections[0][0] == store.shard_entry(0)["file"]
+
+    def test_an_older_manifest_leaves_the_lane_store_alone(self, tmp_path):
+        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=1)
+        lane = ShardedStore.open(store.directory)
+        with store.snapshot() as old:
+            store.update_document("d0", people_site("x", "y", "z"))
+            with store.snapshot() as new, lane.bind(new.manifest):
+                current = lane.collection(0)
+            with lane.bind(old.manifest) as bound:
+                assert bound.plane(0) is not current
+                assert len(bound.plane(0).evaluate("//person")) == 10
+            assert lane.epoch == 2 and lane.collection(0) is current
+
+    @pytest.mark.parametrize("backend", ["serial", "fabric:2"])
+    def test_a_file_another_process_removed_reruns_the_batch(
+        self, tmp_path, backend, monkeypatch
+    ):
+        """A commit elsewhere removed the file a lane needs: the store
+        re-reads the manifest once and the batch re-runs on a fresh
+        snapshot, which answers the new state."""
+        import repro.service.store as store_module
+
+        if backend != "serial" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the fabric forks its workers")
+        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=2)
+        reader = ShardedStore.open(store.directory)
+        with QueryService(reader, backend=backend) as service:
+            store.update_document("d0", people_site("x", "y"))
+            store.update_document("d3", people_site("z"))
+            reads = []
+            original = store_module._read_manifest
+            monkeypatch.setattr(
+                store_module, "_read_manifest", lambda d: reads.append(d) or original(d)
+            )
+            answer = service.execute("//person", use_cache=False)
+            assert answer.counts() == {"d0": 2, "d1": 2, "d2": 3, "d3": 1}
+            assert len(reads) == 1
+            assert reader.epoch == 3
 
     def test_a_reread_manifest_is_checked_like_open(self, tmp_path):
         store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=1)
-        state = self.lane(store, "other")
+        reader = ShardedStore.open(store.directory)
         manifest = json.loads(manifest_bytes(store))
         manifest["shards"][0]["file"] = "../elsewhere.npz"
         with open(os.path.join(store.directory, "manifest.json"), "w") as f:
             json.dump(manifest, f)
-        newer = self.task(store)._replace(shard_file="shard-0000.e0002.npz")
-        with pytest.raises(ReproError, match="not a shard file name"):
-            state.run_group([newer])
-
-    @pytest.mark.parametrize("which", ["own", "other"])
-    def test_dropped_shard_contributes_empty_result(self, tmp_path, which):
-        """A shard removed mid-flight must not fail the batch — it just
-        contributes nothing (the result keys to a dead epoch anyway)."""
-        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=2)
-        stale, state = self.task(store), self.lane(store, which)
-        store.remove_document("d0")
-        store.remove_document("d1")  # shard 0 is gone entirely
-        (result,) = state.run_group([stale])
-        assert (result.index, result.shard_id, result.ranks) == (0, 0, {})
-
-    @pytest.mark.parametrize("which", ["own", "other"])
-    def test_removed_scoped_document_contributes_empty_result(self, tmp_path, which):
-        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=2)
-        stale, state = self.task(store, "d0"), self.lane(store, which)
-        store.remove_document("d0")
-        relative = state.run_group([stale])[0].ranks
-        assert list(relative) == ["d0"]
-        assert len(relative["d0"]) == 0
-
-    def test_fall_forward_survives_back_to_back_commits(self, tmp_path, monkeypatch):
-        """The retry loop chases files that successive commits in another
-        process keep unlinking (the race a single attempt loses)."""
-        import repro.service.store as store_module
-
-        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=1)
-        reader = ShardedStore.open(store.directory)
-        from repro.service import ShardWorkerState
-
-        state = ShardWorkerState(reader)
-        stale = self.task(store)
-        original = store_module._read_manifest
-        chased = []
-
-        def read_then_commit(directory):
-            # each manifest read is immediately invalidated by another
-            # commit, twice, before the store finally holds still
-            manifest = original(directory)
-            if len(chased) < 2:
-                chased.append(manifest["epoch"])
-                store.update_document(
-                    "d0", people_site(*[f"p{len(chased)}{i}" for i in range(3)])
-                )
-            return manifest
-
-        monkeypatch.setattr(store_module, "_read_manifest", read_then_commit)
-        store.update_document("d0", people_site("p0"))  # unlinks task's file
-        relative = state.run_group([stale])[0].ranks
-        assert chased == [2, 3]
-        assert len(relative["d0"]) == 3  # the last committed state
-        assert reader.epoch == 4
+        os.remove(os.path.join(store.directory, store.shard_entry(0)["file"]))
+        with QueryService(reader, backend="serial") as service:
+            with pytest.raises(ReproError, match="not a shard file name"):
+                service.execute("//person")
 
     def test_a_manifest_naming_a_missing_file_fails_at_once(self, tmp_path, monkeypatch):
         import repro.service.store as store_module
@@ -855,6 +862,120 @@ class TestExecutorFallForward:
         with QueryService(reopened, backend="serial") as service:
             with pytest.raises(ReproError, match=missing):
                 service.execute("//person")
+        assert len(reads) == 3  # the batch re-read it once more, no retry loop
+
+
+class TestOneSnapshotPerBatch:
+    """A read racing commits that each touch two shards sees every
+    commit whole or not at all: all shards of one answer come from one
+    snapshot, on lane 0 and on a fabric worker alike."""
+
+    @pytest.mark.parametrize("backend", ["serial", "fabric:2"])
+    @given(pair=st.tuples(st.sampled_from(["d0", "d1"]), st.sampled_from(["d2", "d3"])))
+    @settings(max_examples=3, deadline=None)
+    def test_no_read_is_torn(self, tmp_path_factory, backend, pair):
+        if backend != "serial" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the fabric forks its workers")
+        directory = str(tmp_path_factory.mktemp("torn") / "s")
+        store = ShardedStore.build(directory, small_forest(), shards=2)
+        assert {store.shard_of(name) for name in pair} == {0, 1}
+        observed, errors = [], []
+        done = threading.Event()
+        with QueryService(store, backend=backend) as service:
+
+            def query_loop():
+                try:
+                    while not done.is_set():
+                        observed.append(service.execute("//person", use_cache=False).total)
+                except Exception as error:  # pragma: no cover - fails the test
+                    errors.append(error)
+
+            thread = threading.Thread(target=query_loop)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave the threads finely
+            try:
+                thread.start()
+                deadline = time.monotonic() + 1.0
+                commits = 0
+                while commits < 200 and (commits < 20 or time.monotonic() < deadline):
+                    service.apply_updates(
+                        [
+                            UpdateOp("insert", name, tree=element("person", text(f"t{commits}")), pre=1)
+                            for name in pair
+                        ]
+                    )
+                    commits += 1
+            finally:
+                done.set()
+                sys.setswitchinterval(interval)
+                thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert not errors
+        assert observed
+        # Every committed state holds 10 + 2k persons: an odd total is a
+        # read that saw one shard before a commit and one after it.
+        assert [total for total in observed if total % 2] == []
+        assert max(observed) <= 10 + 2 * commits
+
+
+class TestSupersededPlanesDie:
+    """A plane a commit superseded is freed by reference counting once
+    its last reader drops it: no evaluator, executor or lane holds it
+    in a reference cycle until a generation-2 collection."""
+
+    @staticmethod
+    def commit_and_read(service, i):
+        service.apply_updates(
+            [UpdateOp("insert", "d0", tree=element("person", text(f"g{i}")), pre=1)]
+        )
+        return service.execute("//person", use_cache=False).total
+
+    @pytest.mark.parametrize("backend", ["serial", "fabric:2"])
+    def test_a_superseded_plane_dies_without_gc(self, tmp_path, backend):
+        import gc
+        import weakref
+
+        if backend != "serial" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the fabric forks its workers")
+        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=2)
+        with QueryService(store, backend=backend) as service:
+            service.execute("//person", use_cache=False)  # shard 0 runs on lane 0
+            # DocTable has __slots__ without __weakref__: watch a column.
+            superseded = weakref.ref(store.collection(0).doc.post)
+            gc.disable()
+            try:
+                assert self.commit_and_read(service, 0) == 11
+                assert superseded() is None
+            finally:
+                gc.enable()
+
+    @pytest.mark.parametrize("backend", ["serial", "fabric:2"])
+    def test_commits_and_reads_leave_no_plane_in_cyclic_garbage(self, tmp_path, backend):
+        import gc
+
+        from repro.encoding.collection import DocumentCollection
+        from repro.encoding.doctable import DocTable
+        from repro.xpath.evaluator import Evaluator
+
+        if backend != "serial" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the fabric forks its workers")
+        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=2)
+        with QueryService(store, backend=backend) as service:
+            service.execute("//person", use_cache=False)
+            gc.collect()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                for i in range(5):
+                    assert self.commit_and_read(service, i) == 11 + i
+                gc.collect()
+                held = [
+                    type(o).__name__ for o in gc.garbage
+                    if isinstance(o, (DocTable, DocumentCollection, Evaluator))
+                ]
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+        assert held == []
 
 
 class TestOneShardOpener:
@@ -903,17 +1024,17 @@ class TestOneShardOpener:
     def test_fabric_answers_the_reference_across_commits(self, tmp_path):
         """Lane 0 runs on the staged planes and lane 1 on the files its
         own store reads, through commits, a killed worker and a batch
-        whose tasks name superseded files; every answer is the
-        reference's."""
+        whose snapshot a commit superseded; every answer is the
+        reference's for the state its snapshot names."""
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("the fabric forks its workers")
         mirror = dict(small_forest())  # d0, d1 → shard 0 (lane 0); d2, d3 → lane 1
         store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=2)
         queries = ("//person", "/site/people/person[2]", "//people[person]/person")
 
-        def check(answers, query):
+        def check(answers, query, trees=None):
             for name, ranks in answers.items():
-                expected = Reference(mirror[name]).evaluate(query)
+                expected = Reference((trees or mirror)[name]).evaluate(query)
                 assert ranks.tobytes() == expected.tobytes(), (query, name)
 
         def update(service, round_, *names):
@@ -936,23 +1057,27 @@ class TestOneShardOpener:
                     for name in mirror:
                         scoped = service.execute(query, document=name, use_cache=False)
                         check(scoped.per_document, query)
-            # A batch expanded before a commit names the superseded files
-            # on both lanes; lane 1's worker is killed first, so its
-            # replacement opens a store that never held them.
-            items = [("//person", "vectorized", None, "materialize")]
-            tasks = backend._expand(items)
+            # A batch whose snapshot a commit superseded answers that
+            # snapshot on both lanes; lane 1's worker is killed first, so
+            # its replacement reads through a store that never held them.
+            snapshot, before = store.snapshot(), dict(mirror)
             update(service, 4, "d1", "d2")
             victim = backend._procs[1]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join()
-            stale = [[t for t in tasks if t.shard_id == s] for s in store.shard_ids()]
-            (merged,) = backend._merge(items, backend._dispatch(stale), list(mirror))
-            assert list(merged) == list(mirror)
-            check(merged, "//person")
+            items = [("//person", "vectorized", None, "materialize")]
+            (merged,) = backend.run_batch(items, snapshot=snapshot)
+            assert list(merged) == list(before)
+            check(merged, "//person", before)
             assert backend._procs[1].pid != victim.pid
-            for task in tasks:
-                assert not os.path.exists(os.path.join(store.directory, task.shard_file))
-
+            stale = [
+                os.path.join(store.directory, entry["file"])
+                for entry in snapshot.manifest["shards"]
+            ]
+            assert all(os.path.exists(path) for path in stale)
+            snapshot.release()
+            assert not any(os.path.exists(path) for path in stale)
+            check(service.execute("//person", use_cache=False).per_document, "//person")
 
 # ----------------------------------------------------------------------
 def mirror_insert(nodes, parent_index, fragment, before_index=None):
