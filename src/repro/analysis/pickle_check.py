@@ -44,7 +44,6 @@ def build_representatives() -> List[object]:
     :class:`PositionalSelect`; the union exercises
     :class:`DocOrderDedup`; the three result modes cover the terminals.
     """
-    from repro.encoding.codec import pack_int_column
     from repro.service.executor import ShardResult, ShardTask
     from repro.service.updates import UpdateOp
     from repro.xpath.observation import DriveObservation, StepObservation
@@ -84,8 +83,6 @@ def build_representatives() -> List[object]:
             scanned=40,
             skipped=12,
         ),
-        # PageDirectory (array-backed dataclass; defines its own __eq__)
-        pack_int_column("level", np.arange(100, dtype=np.int64), "for", 64)[0],
     ]
     for plan in (materialize, count, exists):
         instances.append(plan.terminal)

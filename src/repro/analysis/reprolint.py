@@ -31,7 +31,7 @@ REP004   Pickle safety: registered cross-process payload types must not
          instances: :mod:`repro.analysis.pickle_check`).
 REP005   numpy dtype discipline: array constructors in the
          ``repro.core``/``repro.xpath`` hot paths and the
-         ``repro.encoding.codec`` bit-packing layer must pin ``dtype=``
+         ``repro.encoding.codec`` dictionary layer must pin ``dtype=``
          explicitly so rank arrays cannot silently promote off
          ``int64`` on other platforms (``np.append`` has no ``dtype``
          parameter at all — rewrite with ``np.concatenate``).  The
@@ -453,7 +453,6 @@ class LoopConfinement(Rule):
 #: runtime half (`repro.analysis.pickle_check`) round-trips real
 #: instances of every entry at import time.
 PAYLOAD_REGISTRY: Dict[str, Tuple[str, ...]] = {
-    "repro.encoding.codec": ("PageDirectory",),
     "repro.service.executor": ("ShardTask", "ShardResult"),
     "repro.service.updates": ("UpdateOp",),
     "repro.xpath.observation": ("StepObservation", "DriveObservation"),

@@ -201,7 +201,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
     print(f"documents      {info['documents']}")
     print(f"bytes on disk  {info['total_bytes_on_disk']:,}")
     if info["total_logical_bytes"]:
-        print(f"logical bytes  {info['total_logical_bytes']:,} (packed shards decoded at column width)")
+        print(f"logical bytes  {info['total_logical_bytes']:,} (packed shards inflated at column width)")
     if info["shards"]:
         first = info["shards"][0]
         print(
@@ -217,10 +217,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
         for name in ("tag", "value"):  # entries / raw bytes -> bytes stored
             d = shard[f"{name}_dictionary"]
             line += f"  {name} dict {d['entries']:,}/{d['bytes']:,}B->{d['stored_bytes']:,}B"
-        if "pages" in shard:  # the packed layout, its code columns compacted
-            line += f"  {shard['pages']:,} pages x {shard['page_size']}"
-            codes = shard["codes"]
-            line += f"  codes tag {codes['tag_codes']:,} value {codes['value_codes']:,}"
+        if "columns" in shard:  # the packed layout: logical -> stored column bytes
+            line += f"  columns {shard['logical_bytes']:,}B->{shard['stored_bytes']:,}B"
         if "resident_bytes_per_node" in shard:
             line += f"  resident {shard['resident_bytes_per_node']} B/node"
         print(line)
@@ -545,20 +543,20 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--seed", type=int, default=2003)
     cmd.add_argument(
         "--compression", choices=("auto", "none", "packed"), default="auto",
-        help="shard archive layout: packed = bit-packed page blocks and "
-        "deflated dictionaries (v8), none = eager arrays (v6), auto = packed for large "
+        help="shard archive layout: packed = every column and dictionary one "
+        "deflate stream (v9), none = eager arrays (v6), auto = packed for large "
         "shards (default)",
     )
     cmd.set_defaults(handler=_cmd_shard)
 
     cmd = commands.add_parser(
         "store",
-        help="inspect a sharded store (bytes on disk, pages, dictionaries, "
+        help="inspect a sharded store (bytes on disk, columns, dictionaries, "
         "resident bytes per node)",
     )
     cmd.add_argument(
         "action", choices=("info",),
-        help="info: per-shard bytes on disk / format / page + dictionary "
+        help="info: per-shard bytes on disk / format / column + dictionary "
         "sizes, and resident bytes per node of each opened plane",
     )
     cmd.add_argument("directory", help="store directory built by `shard`")

@@ -29,7 +29,7 @@ appended, without affecting scan/skip logic.
 
 Every table is plain arrays, whichever archive layout it was opened
 from — an eager shard's stored columns mapped (page cache shared by the
-lanes that open it), a packed shard's decoded when it opens (private to
+lanes that open it), a packed shard's inflated when it opens (private to
 each lane) — so there is one code path: what a skip saves is counted in
 :class:`JoinStatistics` as node accesses, the paper's measure (Sections
 3.3 and 4).

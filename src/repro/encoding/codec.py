@@ -1,22 +1,12 @@
-"""Per-column codecs for the packed archive layout.
+"""Sorted dictionary blobs: the string half of every plane.
 
-The packed layout is an on-disk encoding only: :func:`repro.encoding.persist.load`
-decodes every packed column with :func:`decode_column` when a shard is
-opened, so a :class:`~repro.encoding.doctable.DocTable` always holds
-plain arrays.  This module provides the two codecs:
-
-* **Frame-of-reference bit-packing** (``CODEC_FOR``) — each fixed-height
-  page block stores one ``int64`` reference (the block minimum) plus the
-  per-value deltas packed at the block's minimal bit width.  ``level``,
-  ``kind``, and the dictionary code vectors — every stored column —
-  compress this way.
-* **Sorted dictionary blobs** — tag and text dictionaries are one UTF-8
-  byte blob plus a 4-byte offset vector in memory, sorted in code-point
-  order, whichever archive layout they load from (packed deflates them).
-  UTF-8 byte order equals code-point order, so :func:`dictionary_find`
-  binary-searches the blob directly — a lookup never materialises the
-  dictionary — and :func:`merge_dictionaries` / :func:`compact_dictionary`
-  are the whole algebra a splice needs.
+The tag and text dictionaries are one UTF-8 byte blob plus a 4-byte
+offset vector in memory, sorted in code-point order, whichever archive
+layout they load from (:mod:`repro.encoding.persist`; packed deflates
+them like its columns).  UTF-8 byte order equals code-point order, so
+:func:`dictionary_find` binary-searches the blob directly — a lookup
+never materialises the dictionary — and :func:`merge_dictionaries` /
+:func:`compact_dictionary` are the whole algebra a splice needs.
 
 Everything here is pure numpy + stdlib; the module sits below
 ``repro.core`` and ``repro.service`` in the import graph.
@@ -25,7 +15,6 @@ Everything here is pure numpy + stdlib; the module sits below
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -34,12 +23,6 @@ from repro.encoding.widths import column_dtype, narrow
 from repro.errors import EncodingError
 
 __all__ = [
-    "CODEC_FOR",
-    "DEFAULT_PAGE_SIZE",
-    "PageDirectory",
-    "pack_int_column",
-    "decode_column",
-    "check_directory",
     "encode_dictionary",
     "dictionary_entry",
     "dictionary_find",
@@ -49,267 +32,6 @@ __all__ = [
     "compact_dictionary",
 ]
 
-#: Frame-of-reference: block minimum + bit-packed deltas.
-CODEC_FOR = "for"
-
-#: Values per page block (:func:`pack_int_column` takes powers of two).
-DEFAULT_PAGE_SIZE = 1024
-
-
-def _require_power_of_two(page_size: int) -> None:
-    if page_size < 1 or page_size & (page_size - 1):
-        raise EncodingError(f"page_size must be a power of two, got {page_size}")
-
-
-# ----------------------------------------------------------------------
-# Bit packing (little-endian bit streams via packbits/unpackbits)
-# ----------------------------------------------------------------------
-def _pack_bits(deltas: np.ndarray, bits: int) -> np.ndarray:
-    """Pack non-negative ``uint64`` deltas into a ``bits``-wide bit stream."""
-    if bits == 0:
-        return np.empty(0, dtype=np.uint8)
-    count = deltas.shape[0]
-    le_bytes = np.ascontiguousarray(deltas, dtype="<u8").view(np.uint8)
-    bit_matrix = np.unpackbits(
-        le_bytes.reshape(count, 8), axis=1, bitorder="little"
-    )
-    return np.packbits(bit_matrix[:, :bits].reshape(-1), bitorder="little")
-
-
-# ----------------------------------------------------------------------
-# Page directory + block codec
-# ----------------------------------------------------------------------
-@dataclass(frozen=True, eq=False)
-class PageDirectory:
-    """Descriptor of one packed column: where every page block lives.
-
-    ``offsets`` has ``n_blocks + 1`` entries; block ``b`` occupies bytes
-    ``offsets[b]:offsets[b+1]`` of the packed blob, decoded against
-    reference ``refs[b]`` at width ``bits[b]``.
-    """
-
-    column: str
-    codec: str
-    page_size: int
-    length: int
-    refs: np.ndarray  # int64, (n_blocks,)
-    bits: np.ndarray  # uint8, (n_blocks,)
-    offsets: np.ndarray  # int64, (n_blocks + 1,)
-
-    @property
-    def n_blocks(self) -> int:
-        return int(self.refs.shape[0])
-
-    @property
-    def packed_bytes(self) -> int:
-        return int(self.offsets[-1]) if self.offsets.shape[0] else 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PageDirectory):
-            return NotImplemented
-        return (
-            self.column == other.column
-            and self.codec == other.codec
-            and self.page_size == other.page_size
-            and self.length == other.length
-            and np.array_equal(self.refs, other.refs)
-            and np.array_equal(self.bits, other.bits)
-            and np.array_equal(self.offsets, other.offsets)
-        )
-
-    def __hash__(self) -> int:  # pragma: no cover - identity hashing only
-        return hash((self.column, self.codec, self.page_size, self.length))
-
-
-def pack_int_column(
-    column: str,
-    values: np.ndarray,
-    codec: str = CODEC_FOR,
-    page_size: int = DEFAULT_PAGE_SIZE,
-) -> Tuple[PageDirectory, np.ndarray]:
-    """Bit-pack an integer vector into page blocks.
-
-    Returns the directory plus one contiguous ``uint8`` blob holding all
-    blocks back to back (mmap-friendly: a block decode reads exactly its
-    byte range).
-    """
-    _require_power_of_two(page_size)
-    if codec != CODEC_FOR:
-        raise EncodingError(f"unknown codec {codec!r} for column {column!r}")
-    if values.ndim != 1:
-        raise EncodingError(f"column {column!r} must be one-dimensional")
-    n = values.shape[0]
-    n_blocks = -(-n // page_size) if n else 0
-    refs = np.zeros(n_blocks, dtype=np.int64)
-    bits = np.zeros(n_blocks, dtype=np.uint8)
-    offsets = np.zeros(n_blocks + 1, dtype=np.int64)
-    chunks: List[np.ndarray] = []
-    for b in range(n_blocks):
-        # Widened a page at a time: the column itself stays at its width.
-        start = b * page_size
-        block = values[start : start + page_size].astype(np.int64)
-        reference = int(block.min())
-        width = int(int(block.max()) - reference).bit_length()
-        packed = _pack_bits((block - reference).astype(np.uint64), width)
-        refs[b] = reference
-        bits[b] = width
-        offsets[b + 1] = offsets[b] + packed.shape[0]
-        chunks.append(packed)
-    blob = (
-        np.concatenate(chunks, dtype=np.uint8)
-        if chunks
-        else np.empty(0, dtype=np.uint8)
-    )
-    directory = PageDirectory(
-        column=column,
-        codec=codec,
-        page_size=int(page_size),
-        length=int(n),
-        refs=refs,
-        bits=bits,
-        offsets=offsets,
-    )
-    return directory, blob
-
-
-#: Pages unpacked per pass by :func:`decode_column`: enough to amortise
-#: the per-call overhead, few enough that the per-value temporaries
-#: (a handful of ``int64`` vectors) stay cache-resident and well under
-#: a megabyte.
-_DECODE_CHUNK_PAGES = 16
-
-#: Widest delta :func:`_decode_pages` masks out of a 64-bit word pair.
-_WORD_BITS = 63
-
-
-def _decode_pages(
-    directory: PageDirectory, blob: np.ndarray, first: int, last: int
-) -> np.ndarray:
-    """Pages ``[first, last)`` decoded in one pass, whatever their widths.
-
-    Pages start byte-aligned, so value ``j`` of page ``p`` begins at bit
-    ``8·offsets[p] + j·bits[p]`` of the little-endian stream: take the
-    64-bit word holding that bit and its successor, shift the pair into
-    place, mask.  Needs every width ≤ 63 (the caller checks).
-    """
-    page_size = directory.page_size
-    lo = first * page_size
-    hi = min(last * page_size, directory.length)
-    index = np.arange(lo, hi, dtype=np.int64)
-    page = index // page_size
-    widths = directory.bits.astype(np.int64)[page]
-    base = int(directory.offsets[first])
-    span = int(directory.offsets[last]) - base
-    stream = np.zeros(span // 8 + 2, dtype="<u8")  # one spare word to read past
-    stream.view(np.uint8)[:span] = blob[base : base + span]
-    bit = (directory.offsets[page] - base) * 8 + (index - page * page_size) * widths
-    word = bit >> 6
-    shift = (bit & 63).astype(np.uint64)
-    # ``<< (64 - shift)`` is undefined at shift 0; two steps never are.
-    spill = (stream[word + 1] << (np.uint64(63) - shift)) << np.uint64(1)
-    mask = (np.uint64(1) << widths.astype(np.uint64)) - np.uint64(1)
-    decoded = (((stream[word] >> shift) | spill) & mask).astype(np.int64)
-    decoded += directory.refs[page]
-    return decoded
-
-
-def decode_column(directory: PageDirectory, blob: np.ndarray) -> np.ndarray:
-    """Decode a whole packed column eagerly (the full-decode load path).
-
-    Runs of pages are unpacked together (:func:`_decode_pages`) — a
-    dozen numpy calls per run instead of per page — and written straight
-    into one array of the column's declared width.  A plane column's
-    directory must have passed :func:`check_directory`, which admits no
-    page wider than the column's dtype: the store into the narrow array
-    does not range-check.  A page wider than 63 bits, and a last page
-    holding set bits after its last value (the packer writes them as
-    zero), are an :class:`EncodingError`.
-    """
-    out = np.empty(directory.length, dtype=column_dtype(directory.column))
-    if directory.length == 0:
-        return out
-    if directory.packed_bytes > blob.shape[0]:
-        raise EncodingError(
-            f"column {directory.column!r}: packed blob is truncated "
-            f"({blob.shape[0]} of {directory.packed_bytes} bytes)"
-        )
-    page_size = directory.page_size
-    if int(directory.bits.max()) > _WORD_BITS:
-        raise EncodingError(
-            f"column {directory.column!r}: a page is wider than {_WORD_BITS} bits"
-        )
-    # Bits after the last value: a value more or less in the last page
-    # may keep its byte span, and must not decode as a shorter column.
-    used = (directory.length - (directory.n_blocks - 1) * page_size) * int(directory.bits[-1])
-    if used % 8 and int(blob[directory.packed_bytes - 1]) >> (used % 8):
-        raise EncodingError(
-            f"column {directory.column!r}: the last page holds bits after its last value"
-        )
-    for first in range(0, directory.n_blocks, _DECODE_CHUNK_PAGES):
-        last = min(first + _DECODE_CHUNK_PAGES, directory.n_blocks)
-        out[first * page_size : last * page_size] = _decode_pages(
-            directory, blob, first, last
-        )
-    return out
-
-
-def check_directory(directory: PageDirectory, low: int, high: int) -> None:
-    """Reject a forged directory before any of its pages is decoded.
-
-    The pages must tile the column as the packer lays them out: a power
-    of two ``page_size``, ``ceil(length / page_size)`` pages, and page
-    ``b`` exactly the ``ceil(count × bits[b] / 8)`` bytes its values
-    pack into, back to back from byte 0 — so a decode reads only its
-    own page and writes every value of the column.
-
-    Page ``b`` can only hold values in ``refs[b] .. refs[b] + 2^bits[b]
-    − 1``.  That envelope must fit the column's declared width —
-    :func:`decode_column` stores into it unchecked — and must be able to
-    meet the legal range ``[low, high]``: the packer writes minimal
-    widths, so a page's reference delta is taken and, at ``bits > 0``,
-    so is one of at least ``2^(bits−1)``.  Float arithmetic: a hostile ``int64`` reference
-    must not wrap the check itself.
-    """
-    _require_power_of_two(directory.page_size)
-    length, page_size = directory.length, directory.page_size
-    blocks = -(-max(length, 0) // page_size)
-    counts = np.full(blocks, page_size, dtype=np.int64)
-    if blocks:
-        counts[-1] = length - (blocks - 1) * page_size
-    if not (
-        length >= 0
-        and directory.refs.shape == directory.bits.shape == (blocks,)
-        and directory.offsets.shape == (blocks + 1,)
-        and directory.offsets[0] == 0
-        and np.array_equal(np.diff(directory.offsets), (counts * directory.bits + 7) // 8)
-    ):
-        raise EncodingError(
-            f"column {directory.column!r}: page directory does not tile "
-            f"{length} values in pages of {page_size}"
-        )
-    if blocks == 0:
-        return
-    limits = np.iinfo(column_dtype(directory.column))
-    refs = directory.refs.astype(np.float64)
-    bits = directory.bits.astype(np.float64)
-    reach = np.where(bits > 0, np.exp2(bits - 1), 0.0)
-    healthy = (
-        (refs >= limits.min)
-        & (refs + np.exp2(bits) - 1 <= limits.max)
-        & (refs >= low)
-        & (refs + reach <= high)
-    )
-    if not healthy.all():
-        raise EncodingError(
-            f"column {directory.column!r}: page directory describes values "
-            f"outside {limits.dtype.name} / the legal range [{low}, {high}] "
-            f"(page {int(np.argmin(healthy))})"
-        )
-
-
-# ----------------------------------------------------------------------
-# Sorted dictionary blobs
-# ----------------------------------------------------------------------
 def encode_dictionary(strings: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
     """Concatenate ``strings`` (must be sorted) into a UTF-8 blob + offsets.
 

@@ -304,9 +304,6 @@ class DocTable:
     def tag_of(self, pre: int) -> str:
         return self.tag[pre]
 
-    def tag_code_of(self, pre: int) -> int:
-        return self.tag.code_at(pre)
-
     def value_of(self, pre: int) -> Optional[str]:
         return self.values[pre]
 
@@ -431,15 +428,6 @@ class DocTable:
     def post_bat(self) -> BAT:
         """``pre|post`` — the BAT the staircase join scans."""
         return BAT(VoidColumn(len(self)), IntColumn(self.post), name="doc_post")
-
-    def level_bat(self) -> BAT:
-        return BAT(VoidColumn(len(self)), IntColumn(self.level), name="doc_level")
-
-    def parent_bat(self) -> BAT:
-        return BAT(VoidColumn(len(self)), IntColumn(self.parent), name="doc_parent")
-
-    def kind_bat(self) -> BAT:
-        return BAT(VoidColumn(len(self)), IntColumn(self.kind), name="doc_kind")
 
     def column_nbytes(self) -> int:
         """Bytes of the plane columns once resident (void ``pre`` is

@@ -26,33 +26,24 @@ layouts differ in how columns and dictionaries are stored:
   dictionaries in place at their archive offsets — worker processes
   that open the same shard share the OS page cache instead of each
   materialising its own copy.  Right for small documents.
-* **packed** (``compression="packed"``, ``format_version`` 8) — every
-  column frame-of-reference bit-packed into fixed-height page blocks
-  behind a page directory (:mod:`repro.encoding.codec`).  A code column
-  is stored only for the nodes that carry the code: ``tag_codes`` for
-  named nodes (element, attribute, processing instruction),
-  ``value_codes`` for every node but an element.  ``kind`` says which
-  nodes those are, so a compacted column's length (and page *i*'s
-  place in it) is a count over ``kind``, not a member; :func:`load`
-  scatters each back to one value per node — an unnamed node's tag is
-  entry 0, ``""`` (it sorts first), an element's value code −1 — and
-  :func:`save` refuses a plane that breaks that rule rather than drop a
-  code.  The packing is an on-disk encoding only: :func:`load` decodes
-  every column to a private array at its declared width in both modes
-  (``mmap=True`` only
-  maps the packed blob it decodes from and keeps no reference to it),
-  so lanes that open the same packed shard share no decoded page.
-  Each dictionary is one zlib stream (``*_dict_deflated``: its ``int32``
-  entry lengths, then its blob) beside a ``*_dict_header`` of two
-  integers (entries, blob bytes); :func:`load` inflates it, never past
-  the header, in every mode.
+* **packed** (``compression="packed"``, ``format_version`` 9) — one
+  codec: every column is one zlib stream (``<column>_deflated``) of its
+  little-endian bytes at its declared width, one value per node, beside
+  the ``nodes`` and ``height`` it holds.  Each dictionary is one zlib
+  stream too (``*_dict_deflated``: its ``int32`` entry lengths, then its
+  blob) beside a ``*_dict_header`` of two integers (entries, blob
+  bytes).  :func:`load` inflates every stream whole into the buffer it
+  keeps, never past the size its members declare, in both open modes,
+  and checks each inflated column's values in their legal range, so
+  lanes that open the same packed shard share no inflated column.
 
 Every member passes one ``.npy`` header rule (``_Archive``): no header
 is evaluated, no member can be an object array, nothing unpickles.
 Archives of any earlier version — 1 and 2 (pickled strings), 3 and 4
 (the two layouts with ``post`` and ``parent`` stored), 5 (packed with
-raw dictionaries), 7 (packed with a tag and a value code for every
-node) — are refused by the version check, before any other
+raw dictionaries), 7 and 8 (packed columns bit-packed into pages behind
+a page directory, 8 with its code columns compacted by ``kind``) — are
+refused by the version check, before any other
 member is read: rebuild them with ``repro shard`` / ``repro encode``.
 
 :func:`load` raises :class:`~repro.errors.EncodingError` — never a raw
@@ -73,18 +64,9 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.encoding.codec import (
-    CODEC_FOR,
-    DEFAULT_PAGE_SIZE,
-    PageDirectory,
-    check_directory,
-    decode_column,
-    dictionary_entry,
-    encode_dictionary,
-    pack_int_column,
-)
+from repro.encoding.codec import dictionary_entry, encode_dictionary
 from repro.encoding.doctable import DocTable, ValueIndex
-from repro.encoding.prepost import NAMED_KINDS, shape
+from repro.encoding.prepost import shape
 from repro.encoding.widths import column_dtype
 from repro.errors import EncodingError
 from repro.storage.column import StringColumn
@@ -101,13 +83,13 @@ __all__ = [
 ]
 
 #: ``compression=`` value → the ``format_version`` :func:`save` writes.
-LAYOUT_VERSIONS = {"none": 6, "packed": 8}
+LAYOUT_VERSIONS = {"none": 6, "packed": 9}
 
 #: ``compression=`` values :func:`save` accepts.
 COMPRESSION_MODES = tuple(LAYOUT_VERSIONS)
 
 #: Versions :func:`load` accepts (6 = eager columns and dictionaries,
-#: 8 = packed page blocks, compacted code columns, deflated dictionaries).
+#: 9 = deflated columns and dictionaries).
 SUPPORTED_VERSIONS = tuple(sorted(LAYOUT_VERSIONS.values()))
 
 FORMAT_VERSION = max(SUPPORTED_VERSIONS)
@@ -122,11 +104,7 @@ _DERIVED_COLUMNS = "post, parent: derived from level"
 #: The values a ``kind`` column may hold.
 _KIND_RANGE = (min(NodeKind), max(NodeKind))
 
-#: The packed layout's compacted code columns → what a node that stores
-#: no code decodes to: tag entry 0 (``""``), no value.
-_CODE_FILL = {"tag_codes": 0, "value_codes": -1}
-
-#: zlib level of the packed layout's dictionary streams.
+#: zlib level of the packed layout's streams.
 DEFLATE_LEVEL = 1
 
 _EAGER_REQUIRED = frozenset(
@@ -135,13 +113,9 @@ _EAGER_REQUIRED = frozenset(
 )
 
 _PACKED_REQUIRED = frozenset(
-    ("format_version", "page_size", "nodes", "height", "tag_dict_deflated",
-     "tag_dict_header", "value_dict_deflated", "value_dict_header")
-    + tuple(
-        f"{column}_{part}"
-        for column in _STORED_COLUMNS
-        for part in ("refs", "bits", "offsets", "packed")
-    )
+    ("format_version", "nodes", "height", "tag_dict_deflated", "tag_dict_header",
+     "value_dict_deflated", "value_dict_header")
+    + tuple(f"{column}_deflated" for column in _STORED_COLUMNS)
 )
 
 #: Errors that mean "this file is not a healthy archive" — normalised to
@@ -156,20 +130,12 @@ _ARCHIVE_ERRORS = (
 )
 
 
-def save(
-    doc: DocTable,
-    path: str,
-    compression: str = "none",
-    page_size: int = DEFAULT_PAGE_SIZE,
-) -> None:
+def save(doc: DocTable, path: str, compression: str = "none") -> None:
     """Write ``doc`` to ``path`` as an ``.npz`` archive.
 
     ``compression="none"`` writes the eager layout (plain columns);
-    ``compression="packed"`` the compressed pageable one (FOR
-    bit-packed columns behind a page directory of ``page_size``-value
-    blocks, the code columns compacted, each dictionary one zlib
-    stream).  A plane with an unnamed node whose tag is not ``""``, or
-    an element with a value, is an :class:`EncodingError` in both.
+    ``compression="packed"`` the compressed one (every column and every
+    dictionary one zlib stream).
     """
     if compression not in LAYOUT_VERSIONS:
         raise EncodingError(
@@ -177,11 +143,6 @@ def save(
             f"{COMPRESSION_MODES}"
         )
     tag_codes = np.asarray(doc.tag.codes)
-    masks = _code_masks(np.asarray(doc.kind))
-    if (tag_codes[~masks["tag_codes"]] != doc.tag.code_of("")).any():
-        raise EncodingError('an unnamed node (text, comment, document) has a tag other than ""')
-    if (np.asarray(doc.values.codes)[~masks["value_codes"]] != -1).any():
-        raise EncodingError("an element has a value code (elements carry no value)")
     # Tag dictionary: the entries in use, sorted for binary search, the
     # codes remapped — what a fresh encode of the same tree would write.
     names = doc.tag.dictionary
@@ -208,25 +169,29 @@ def save(
             members.update({f"{name}_dict_blob": blob, f"{name}_dict_offsets": offsets})
         else:  # the entry lengths, then the blob, as one stream
             raw = np.diff(offsets).astype("<i4").tobytes() + bytes(blob)
-            stream = zlib.compress(raw, DEFLATE_LEVEL)
-            members[f"{name}_dict_deflated"] = np.frombuffer(stream, dtype=np.uint8)
+            members[f"{name}_dict_deflated"] = _deflate(raw)
             members[f"{name}_dict_header"] = np.asarray([len(offsets) - 1, len(blob)], np.int64)
     if compression == "none":
         for column, values in columns.items():
             members[column] = np.asarray(values)
     else:
-        members["page_size"] = np.asarray([page_size], dtype=np.int64)
         members["nodes"] = np.asarray([len(doc)], dtype=np.int64)
         members["height"] = np.asarray([doc.height], dtype=np.int64)
         for column, values in columns.items():
-            if column in masks:  # only the nodes that carry the code
-                values = values[masks[column]]
-            directory, blob = pack_int_column(column, values, CODEC_FOR, page_size)
-            members[f"{column}_refs"] = directory.refs
-            members[f"{column}_bits"] = directory.bits
-            members[f"{column}_offsets"] = directory.offsets
-            members[f"{column}_packed"] = blob
+            members[f"{column}_deflated"] = _deflate(
+                np.ascontiguousarray(values, _little_endian(column))
+            )
     np.savez(path, **members)
+
+
+def _deflate(raw) -> np.ndarray:
+    """One packed-layout stream: ``raw`` (any contiguous buffer) deflated."""
+    return np.frombuffer(zlib.compress(raw, DEFLATE_LEVEL), dtype=np.uint8)
+
+
+def _little_endian(column: str) -> np.dtype:
+    """A packed column's stream dtype: its declared width, little-endian."""
+    return column_dtype(column).newbyteorder("<")
 
 
 #: ``.npy`` magic and version (1.0, 2.0) → the header-length field's width.
@@ -344,6 +309,8 @@ class _Archive:
 
 
 def _format_version(archive: _Archive) -> int:
+    """The archive's ``format_version``, once every member its layout
+    needs is known to be there."""
     if "format_version" not in archive.members:
         raise EncodingError(
             f"{archive.path}: not a DocTable archive (no format_version member)"
@@ -355,6 +322,12 @@ def _format_version(archive: _Archive) -> int:
             f"supported {SUPPORTED_VERSIONS}; rebuild the archive with "
             "`repro shard` / `repro encode`"
         )
+    required = _PACKED_REQUIRED if version == LAYOUT_VERSIONS["packed"] else _EAGER_REQUIRED
+    missing = required - archive.members.keys()
+    if missing:
+        raise EncodingError(
+            f"{archive.path}: not a DocTable archive (missing {sorted(missing)})"
+        )
     return version
 
 
@@ -364,9 +337,10 @@ def load(path: str, mmap: bool = False) -> DocTable:
     With ``mmap=True`` the eager layout's columns and dictionaries are
     mapped read-only at their archive offsets instead of being
     materialised, and the archive must then stay in place for the
-    table's lifetime; the packed layout maps its packed blobs only to
-    decode them.  A mapped archive is trusted as written: only a read
-    load checks the value codes and dictionary (offsets, UTF-8 entries).
+    table's lifetime.  A mapped eager archive is trusted as written:
+    only a read load checks its value codes and dictionary (offsets,
+    UTF-8 entries).  The packed layout inflates its streams in both
+    modes and checks every column it inflates (:func:`_inflate_columns`).
 
     Raises :class:`~repro.errors.EncodingError` on truncated, foreign,
     or version-unknown archives and on a ``level`` column that is not a
@@ -378,11 +352,6 @@ def load(path: str, mmap: bool = False) -> DocTable:
     """
     with _Archive(path) as archive:
         packed = _format_version(archive) == LAYOUT_VERSIONS["packed"]
-        missing = (_PACKED_REQUIRED if packed else _EAGER_REQUIRED) - archive.members.keys()
-        if missing:
-            raise EncodingError(
-                f"{path}: not a DocTable archive (missing {sorted(missing)})"
-            )
         # Tag names are a few dozen: decoded.  The value dictionary
         # stays a blob behind the codes (mapped when an eager table is).
         (tag_blob, tag_offsets), (value_blob, value_offsets) = (
@@ -399,8 +368,8 @@ def load(path: str, mmap: bool = False) -> DocTable:
             raise EncodingError(f"{path}: corrupt tag dictionary: {error}") from error
         if packed:
             height = archive.scalar("height")
-            columns = _packed_columns(
-                archive, mmap, height, tag_dictionary, int(value_offsets.shape[0]) - 1
+            columns = _inflate_columns(
+                archive, height, len(tag_dictionary), int(value_offsets.shape[0]) - 1
             )
         else:
             columns = {column: archive.read(column, mmap) for column in _STORED_COLUMNS}
@@ -441,6 +410,32 @@ def load(path: str, mmap: bool = False) -> DocTable:
     )
 
 
+def _inflate(archive: _Archive, member: str, sizes: Tuple[int, ...], what: str) -> list:
+    """Member ``member``'s zlib stream as parts of ``sizes`` bytes, each
+    its own buffer: inflated never past ``sum(sizes) + 1`` bytes, and
+    the stream used up, nothing after it.  Anything else is an
+    :class:`EncodingError` naming the member and ``what`` it holds."""
+    stream = archive.read(member)
+    inflater = zlib.decompressobj()
+    parts = []
+    try:
+        for size in sizes[:-1]:
+            if size:  # ``decompress(…, 0)`` would be unbounded
+                parts.append(inflater.decompress(stream, size))
+                stream = inflater.unconsumed_tail
+            else:
+                parts.append(b"")
+        parts.append(inflater.decompress(stream, sizes[-1] + 1))
+    except zlib.error as error:
+        raise EncodingError(f"{archive.path}: corrupt {what} (member {member!r}): {error}") from error
+    if [len(part) for part in parts] != list(sizes) or not inflater.eof or inflater.unused_data:
+        raise EncodingError(
+            f"{archive.path}: corrupt {what}: member {member!r} must inflate "
+            f"to the {sum(sizes)} bytes its members declare, and end there"
+        )
+    return parts
+
+
 def _dictionary_header(archive: _Archive, name: str) -> Tuple[int, int]:
     """``(entries, blob bytes)`` a packed-layout dictionary's header declares."""
     header = archive.read(f"{name}_dict_header")
@@ -452,83 +447,52 @@ def _dictionary_header(archive: _Archive, name: str) -> Tuple[int, int]:
 
 
 def _inflate_dictionary(archive: _Archive, name: str) -> Tuple[np.ndarray, np.ndarray]:
-    """``(blob, offsets)`` of a packed-layout dictionary: its stream inflated never
-    past the ``4 × entries + blob bytes`` its header declares, and used up."""
+    """``(blob, offsets)`` of a packed-layout dictionary: its entry
+    lengths, then its blob, inflated (:func:`_inflate`) as its header
+    declares."""
     path, (entries, size) = archive.path, _dictionary_header(archive, name)
-    stream = archive.read(f"{name}_dict_deflated")
-    inflater = zlib.decompressobj()
-    try:  # two reads, so the blob is its own buffer: the lengths are dropped
-        lengths = inflater.decompress(stream, 4 * entries) if entries else b""
-        blob = inflater.decompress(inflater.unconsumed_tail if entries else stream, size + 1)
-    except zlib.error as error:
-        raise EncodingError(f"{path}: corrupt {name} dictionary: {error}") from error
+    lengths, blob = _inflate(
+        archive, f"{name}_dict_deflated", (4 * entries, size), f"{name} dictionary"
+    )
     sizes = np.frombuffer(lengths, dtype="<i4")
-    if (
-        len(lengths) + len(blob) != 4 * entries + size
-        or not inflater.eof
-        or inflater.unused_data
-        or (sizes < 0).any()
-        or int(sizes.sum(dtype=np.int64)) != size
-    ):
+    if (sizes < 0).any() or int(sizes.sum(dtype=np.int64)) != size:
         raise EncodingError(
-            f"{path}: corrupt {name} dictionary: its stream must inflate to the "
-            f"{entries} lengths and {size} bytes its header declares, and end there"
+            f"{path}: corrupt {name} dictionary: its {entries} entry lengths "
+            f"must sum to the {size} bytes its header declares"
         )
     offsets = np.zeros(entries + 1, dtype=column_dtype("dict_offsets"))
     np.cumsum(sizes, out=offsets[1:])
     return np.frombuffer(blob, dtype=np.uint8), offsets
 
 
-def _code_masks(kind: np.ndarray) -> Dict[str, np.ndarray]:
-    """Compacted code column → which nodes store a code in it (one
-    boolean per node; comparisons only, no index array)."""
-    named = np.zeros(kind.shape, dtype=bool)
-    for named_kind in NAMED_KINDS:
-        named |= kind == named_kind
-    return {"tag_codes": named, "value_codes": kind != NodeKind.ELEMENT}
-
-
-def _decode(
-    archive: _Archive, mmap: bool, column: str, length: int, legal: Tuple[int, int]
-) -> np.ndarray:
-    """Packed column ``column`` (``length`` values in ``legal``) decoded to a
-    private array at its declared width once its page directory is
-    checked; its packed blob is read, or mapped, only for the decode."""
-    parts = {
-        part: np.ascontiguousarray(archive.read(f"{column}_{part}"), dtype)
-        for part, dtype in (("refs", np.int64), ("bits", np.uint8), ("offsets", np.int64))
-    }
-    directory = PageDirectory(
-        column=column, codec=CODEC_FOR, page_size=archive.scalar("page_size"),
-        length=length, **parts,
-    )
-    check_directory(directory, *legal)
-    return decode_column(directory, archive.read(f"{column}_packed", mmap))
-
-
-def _packed_columns(
-    archive: _Archive, mmap: bool, height: int, tag_dictionary: list, value_entries: int
+def _inflate_columns(
+    archive: _Archive, height: int, tag_entries: int, value_entries: int
 ) -> Dict[str, np.ndarray]:
-    """The stored columns of a packed archive, one value per node.  ``kind``
-    is decoded first: it sizes the compacted code columns, each then
-    scattered into a full-length array through one boolean mask, every
-    other node holding its :data:`_CODE_FILL`."""
+    """The stored columns of a packed archive, each inflated
+    (:func:`_inflate`) to ``nodes`` values at its declared width and
+    checked in its legal range on every load, mapped or read: ``kind`` a
+    :class:`NodeKind`, ``level`` at most ``height``, every code inside
+    its dictionary, a value code −1 for "no value"."""
     n = archive.scalar("nodes")
-    columns = {
-        "level": _decode(archive, mmap, "level", n, (0, height)),
-        "kind": _decode(archive, mmap, "kind", n, _KIND_RANGE),
+    if not 0 <= n <= np.iinfo(column_dtype("post")).max:
+        raise EncodingError(f"{archive.path}: member 'nodes' holds {n}, not a node count")
+    legal = {
+        "level": (0, height),
+        "kind": _KIND_RANGE,
+        "tag_codes": (0, tag_entries - 1),
+        "value_codes": (-1, value_entries - 1),
     }
-    masks = _code_masks(columns["kind"])
-    if tag_dictionary[:1] != [""] and not masks["tag_codes"].all():
-        raise EncodingError(
-            f"{archive.path}: unnamed nodes need tag entry 0 to be \"\", "
-            f"the tag dictionary opens with {tag_dictionary[:1]!r}"
-        )
-    legal = {"tag_codes": (0, len(tag_dictionary) - 1), "value_codes": (-1, value_entries - 1)}
-    for column, stored in masks.items():
-        codes = np.full(n, _CODE_FILL[column], dtype=column_dtype(column))
-        codes[stored] = _decode(archive, mmap, column, int(np.count_nonzero(stored)), legal[column])
-        columns[column] = codes
+    columns = {}
+    for column, (low, high) in legal.items():
+        member, dtype = f"{column}_deflated", _little_endian(column)
+        (raw,) = _inflate(archive, member, (n * dtype.itemsize,), f"column {column!r}")
+        values = np.frombuffer(raw, dtype)
+        if n and (values.min() < low or values.max() > high):
+            raise EncodingError(
+                f"{archive.path}: member {member!r} holds a value outside "
+                f"its legal range [{low}, {high}]"
+            )
+        columns[column] = values
     return columns
 
 
@@ -537,10 +501,10 @@ def describe_archive(path: str) -> dict:
 
     Reads headers and small members only — columns and dictionaries are
     sized from their ``.npy`` headers, dictionary headers and the zip
-    directory, never inflated; of the packed layout's columns only
-    ``kind`` is decoded, to count the ``codes`` each compacted column
-    stores.  Each dictionary reports its ``entries``, its raw blob
-    ``bytes`` and the ``stored_bytes`` its members take in the archive.
+    directory, never inflated.  Each dictionary reports its ``entries``,
+    its raw blob ``bytes`` and the ``stored_bytes`` its members take in
+    the archive; each packed column its ``stored_bytes`` and the
+    ``logical_bytes`` it inflates to.
     """
     bytes_on_disk = os.path.getsize(path)
     with _Archive(path) as archive:
@@ -568,25 +532,17 @@ def describe_archive(path: str) -> dict:
             }
         if packed:
             n = archive.scalar("nodes")
-            codes = dict.fromkeys(_STORED_COLUMNS, n)
-            kind = _decode(archive, False, "kind", n, _KIND_RANGE)
-            codes.update((c, int(np.count_nonzero(m))) for c, m in _code_masks(kind).items())
-            columns = {}
-            for column in _STORED_COLUMNS:
-                offsets = archive.read(f"{column}_offsets")
-                columns[column] = {
-                    "codec": CODEC_FOR,
-                    "codes": codes[column],
-                    "pages": int(offsets.shape[0]) - 1,
-                    "packed_bytes": int(offsets[-1]) if offsets.shape[0] else 0,
-                    "logical_bytes": n * column_dtype(column).itemsize,
-                }
             description.update(
                 {
                     "nodes": n,
                     "height": archive.scalar("height"),
-                    "page_size": archive.scalar("page_size"),
-                    "columns": columns,
+                    "columns": {
+                        column: {
+                            "stored_bytes": member_sizes[f"{column}_deflated"],
+                            "logical_bytes": n * column_dtype(column).itemsize,
+                        }
+                        for column in _STORED_COLUMNS
+                    },
                 }
             )
         else:

@@ -34,13 +34,10 @@ COLUMN_DTYPES = {
     "dict_offsets": np.dtype(np.int32),
 }
 
-_INT64 = np.dtype(np.int64)
-
 
 def column_dtype(column: str) -> np.dtype:
-    """Declared width of ``column``; a packed vector that is not a plane
-    column (the codec packs any integers) decodes to ``int64``."""
-    return COLUMN_DTYPES.get(column, _INT64)
+    """Declared width of ``column``."""
+    return COLUMN_DTYPES[column]
 
 
 def narrow(column: str, values) -> np.ndarray:

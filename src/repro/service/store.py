@@ -24,8 +24,10 @@ Why it is shaped this way:
   batch reads one epoch on every lane, and every result-cache key
   minted against the old epoch is dead on arrival;
 * a crash between writing new shard files and the manifest flip leaves
-  the old manifest fully intact and merely strands the new files;
-  :meth:`open` sweeps them when no commit holds the directory lock;
+  the old manifest fully intact and merely strands the new files; the
+  next commit sweeps them, under the directory lock it holds;
+* a commit stages from the manifest on disk: under that lock it first
+  adopts another process's newer commit, so it never writes over one;
 * the manifest keeps global document order, so merged results are
   reported in the order documents were loaded, independent of sharding.
 
@@ -53,13 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import errors
 from repro.encoding.collection import DocumentCollection
-from repro.encoding.persist import (
-    FORMAT_VERSION,
-    LAYOUT_VERSIONS,
-    describe_archive,
-    load,
-    save,
-)
+from repro.encoding.persist import FORMAT_VERSION, describe_archive, load, save
 from repro.errors import MissingShardError, ReproError, StoreNotFoundError
 from repro.service.updates import UpdateOp
 from repro.xmltree.model import Node
@@ -79,7 +75,7 @@ MANIFEST = "manifest.json"
 COMPRESSION_SETTINGS = ("auto", "none", "packed")
 
 #: ``auto`` threshold: shards at or above this node count are written
-#: packed (``format_version`` 8).  Small shards gain little from packing and
+#: packed (``format_version`` 9).  Small shards gain little from packing and
 #: load faster eagerly.
 AUTO_PACK_NODES = 65536
 
@@ -108,7 +104,7 @@ def available_cpus() -> int:
 
 
 #: Shard archive naming scheme; anything matching it that the manifest
-#: does not reference is a crash leftover :meth:`ShardedStore.open` sweeps.
+#: does not reference is a crash leftover the next commit sweeps.
 _SHARD_FILE = re.compile(r"shard-\d{4,}\.e\d{4,}\.npz")
 
 
@@ -224,7 +220,7 @@ class ShardedStore:
         the global document order reconstructible from the manifest.
 
         ``compression`` (``"auto"``/``"none"``/``"packed"``) selects the
-        shard archive format: ``packed`` writes compressed pageable
+        shard archive format: ``packed`` writes deflated
         planes, ``none`` the eager layout, and
         ``auto`` packs shards of :data:`AUTO_PACK_NODES` nodes or more.
         The setting persists in the manifest and applies to every later
@@ -257,7 +253,6 @@ class ShardedStore:
                     "file": _shard_file_name(shard_id, epoch),
                     "documents": [name for name, _ in chunk],
                     "nodes": nodes[shard_id],
-                    "format": LAYOUT_VERSIONS[_resolve_compression(compression, nodes[shard_id])],
                 }
                 for shard_id, chunk in enumerate(chunks)
             ]
@@ -276,23 +271,13 @@ class ShardedStore:
     def open(cls, directory: str) -> "ShardedStore":
         """Open an existing store directory; shards load at first read.
 
-        Sweeps shard files the manifest does not name — crash leftovers,
-        and files a live snapshot in another process still reads (that
-        batch re-runs, :meth:`read`) — only under the commit lock
-        (:func:`_committing`), so a commit in flight keeps its files.
-        A path that is no directory is a :class:`StoreNotFoundError`; a
-        manifest that is not a JSON object with an integer ``epoch`` and
-        a ``shards`` list of well-formed entries (:func:`_check_entry`)
-        is a corrupt manifest.
+        Reads the manifest and writes nothing.  A path that is no
+        directory is a :class:`StoreNotFoundError`; a manifest that is
+        not a JSON object with an integer ``epoch`` and a ``shards`` list
+        of well-formed entries (:func:`_check_entry`) is a corrupt
+        manifest.
         """
-        with _committing(directory, wait=False) as quiet:
-            manifest = _read_manifest(directory)
-            if quiet:  # no commit in flight: an unnamed shard file is garbage
-                named = {entry["file"] for entry in manifest["shards"]}
-                for name in os.listdir(directory):
-                    if name not in named and _SHARD_FILE.fullmatch(name):
-                        _unlink(directory, name)
-        return cls(directory, manifest)
+        return cls(directory, _read_manifest(directory))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -369,9 +354,9 @@ class ShardedStore:
         """Bytes-level report per shard.
 
         Backs the ``store info`` CLI verb.  Per shard: bytes on disk,
-        archive format version, dictionary sizes, page counts (packed
-        shards), and — when the shard plane is open in this process —
-        its resident bytes per node.
+        archive format version, dictionary sizes, each column's stored
+        and logical bytes (packed shards), and — when the shard plane is
+        open in this process — its resident bytes per node.
         """
         with self._lock:
             shards = []
@@ -395,15 +380,9 @@ class ShardedStore:
                 total_disk += archive["bytes_on_disk"]
                 if "columns" in archive:  # the packed layout
                     columns = archive["columns"]
-                    record["page_size"] = archive["page_size"]
-                    record["codes"] = {name: c["codes"] for name, c in columns.items()}
-                    record["pages"] = sum(c["pages"] for c in columns.values())
-                    record["packed_bytes"] = sum(
-                        c["packed_bytes"] for c in columns.values()
-                    )
-                    record["logical_bytes"] = sum(
-                        c["logical_bytes"] for c in columns.values()
-                    )
+                    record["columns"] = columns
+                    record["stored_bytes"] = sum(c["stored_bytes"] for c in columns.values())
+                    record["logical_bytes"] = sum(c["logical_bytes"] for c in columns.values())
                     total_logical += record["logical_bytes"]
                 cached = self._collections.get(entry["id"])
                 if cached is not None and cached[0] == entry["file"]:
@@ -514,7 +493,7 @@ class ShardedStore:
         Re-encodes every given tree.  For edits touching a few subtrees
         prefer :meth:`apply_updates`, which splices the existing plane.
         """
-        with self._lock:
+        with self._lock, self._writing_locked() as locked:
             self.shard_entry(shard_id)  # validates the id
             if not documents:
                 raise ReproError("a shard needs at least one document")
@@ -525,7 +504,7 @@ class ShardedStore:
             if len(set(new_names)) != len(new_names) or others & set(new_names):
                 raise ReproError("document names must be unique across the store")
             collection = DocumentCollection(documents, self.virtual_root_tag)
-            self._commit_locked({shard_id: collection})
+            self._commit_locked({shard_id: collection}, locked)
 
     def add_document(
         self, name: str, tree: Node, shard_id: Optional[int] = None
@@ -568,15 +547,15 @@ class ShardedStore:
         in the batch leaves the store untouched.  All staged shard
         planes are then written as new epoch files and the manifest
         flips once (one epoch bump per batch; a crash before the flip
-        strands files that :meth:`open` sweeps).
+        strands files the next commit sweeps).
 
         Only *touched* shards are staged and rewritten, each in the
         layout the store's ``compression`` setting gives its new size;
         untouched shards are not opened.
         """
-        with self._lock:
-            if not ops:
-                return {"epoch": self.epoch, "applied": 0, "shards": []}
+        if not ops:
+            return {"epoch": self.epoch, "applied": 0, "shards": []}
+        with self._lock, self._writing_locked() as locked:
             # shard id → staged plane (None = shard emptied by removals)
             staged: Dict[int, Optional[DocumentCollection]] = {}
             placement = dict(self._members)
@@ -638,88 +617,102 @@ class ShardedStore:
                     staged[shard_id] = plane.splice(
                         op.document, op.op, op.pre, tree=op.tree, before=op.before
                     )
-            epoch = self._commit_locked(staged)
+            epoch = self._commit_locked(staged, locked)
             return {"epoch": epoch, "applied": len(ops), "shards": sorted(staged)}
 
+    @contextlib.contextmanager
+    def _writing_locked(self):
+        """The directory's commit lock (:func:`_committing`), held from
+        staging to the manifest flip, the manifest on disk adopted first
+        when another process has committed since: a commit stages from
+        the manifest it replaces.  Yields whether the lock is held."""
+        assert self._lock._is_owned(), "the caller must hold _lock"
+        with _committing(self.directory) as locked:
+            manifest = _read_manifest(self.directory)
+            if manifest["epoch"] > self._manifest["epoch"]:
+                self._adopt_locked(manifest)
+            yield locked
+
     def _commit_locked(
-        self, staged: Dict[int, Optional[DocumentCollection]]
+        self, staged: Dict[int, Optional[DocumentCollection]], locked: bool
     ) -> int:
         """Persist staged shard planes under the next epoch, atomically.
 
-        Caller holds ``_lock`` (both mutation entry points take it for
-        their whole stage-validate-commit span).  Writes every new
-        shard file first (a crash here leaves only sweepable orphans),
-        then flips the manifest once — the commit point — then caches
-        the staged planes under their new files and unlinks each old
-        one no live snapshot names, all under the directory lock
-        (:func:`_committing`); the last snapshot naming one unlinks it.
+        Caller holds ``_lock`` and :meth:`_writing_locked` for its whole
+        stage-validate-commit span.  Writes every new shard file first
+        (a crash here leaves only sweepable orphans), then flips the
+        manifest once — the commit point — then caches the staged planes
+        under their new files and unlinks each shard file the manifest
+        no longer names and no live snapshot of this store does; the
+        last snapshot naming one unlinks it.  Only where the commit lock
+        is ``locked`` does that sweep the whole directory (crash
+        leftovers included); elsewhere it takes the files this commit
+        superseded.
         """
         assert self._lock._is_owned(), "the caller must hold _lock"
-        with _committing(self.directory):
-            epoch = self.epoch + 1
-            setting = self._manifest.get("compression", "none")
-            formats: Dict[int, int] = {}
-            old_files = []
-            for shard_id, collection in staged.items():
-                old_files.append(self.shard_entry(shard_id)["file"])
-                if collection is None:
-                    continue
-                shard_compression = _resolve_compression(
-                    setting, len(collection.doc)
-                )
-                formats[shard_id] = LAYOUT_VERSIONS[shard_compression]
+        epoch = self.epoch + 1
+        setting = self._manifest.get("compression", "none")
+        old_files = []
+        for shard_id, collection in staged.items():
+            old_files.append(self.shard_entry(shard_id)["file"])
+            if collection is not None:
                 save(
                     collection.doc,
                     os.path.join(self.directory, _shard_file_name(shard_id, epoch)),
-                    compression=shard_compression,
+                    compression=_resolve_compression(setting, len(collection.doc)),
                 )
-            # The manifest is rebuilt as a copy and only swapped in after the
-            # on-disk flip: a failed write leaves memory and disk agreeing on
-            # the old epoch (and the new files as sweepable orphans).
-            entries = []
-            for entry in self._manifest["shards"]:
-                shard_id = entry["id"]
-                if shard_id not in staged:
-                    # An older manifest's per-shard "tags" / "height" were
-                    # planner statistics; nothing reads them now.
-                    entries.append(
-                        {k: v for k, v in entry.items() if k not in ("tags", "height")}
-                    )
-                    continue
-                collection = staged[shard_id]
-                if collection is None:  # emptied by removals: drop the shard
-                    continue
+        # The manifest is rebuilt as a copy and only swapped in after the
+        # on-disk flip: a failed write leaves memory and disk agreeing on
+        # the old epoch (and the new files as sweepable orphans).
+        entries = []
+        for entry in self._manifest["shards"]:
+            shard_id = entry["id"]
+            if shard_id not in staged:
+                # An older manifest's per-shard "tags" / "height" were
+                # planner statistics, its "format" the archive's version
+                # (the archive says it); nothing reads them now.
                 entries.append(
-                    {
-                        "id": shard_id,
-                        "file": _shard_file_name(shard_id, epoch),
-                        "documents": collection.names,
-                        "nodes": len(collection.doc),
-                        "format": formats[shard_id],
-                    }
+                    {k: v for k, v in entry.items() if k not in ("tags", "height", "format")}
                 )
-            manifest = dict(self._manifest, shards=entries, epoch=epoch)
-            # An older manifest may carry a "feedback" section; nothing reads
-            # it, so it is not copied into the manifests written from here.
-            manifest.pop("feedback", None)
-            _write_manifest(self.directory, manifest)
-            self._manifest = manifest
-            self._members = _members(manifest)
-            for shard_id, collection in staged.items():
-                if collection is None:
-                    self._collections.pop(shard_id, None)
-                else:
-                    # The staged plane IS the new file's content — seed the
-                    # cache with it so the next read (or splice) skips the
-                    # reload; a later file flip still reloads as usual.
-                    self._collections[shard_id] = (
-                        _shard_file_name(shard_id, epoch),
-                        _frozen(collection),
-                    )
-            for old_file in old_files:
-                if old_file not in self._readers:  # else its last reader unlinks it
-                    _unlink(self.directory, old_file)
-            return epoch
+                continue
+            collection = staged[shard_id]
+            if collection is None:  # emptied by removals: drop the shard
+                continue
+            entries.append(
+                {
+                    "id": shard_id,
+                    "file": _shard_file_name(shard_id, epoch),
+                    "documents": collection.names,
+                    "nodes": len(collection.doc),
+                }
+            )
+        manifest = dict(self._manifest, shards=entries, epoch=epoch)
+        # An older manifest may carry a "feedback" section; nothing reads
+        # it, so it is not copied into the manifests written from here.
+        manifest.pop("feedback", None)
+        _write_manifest(self.directory, manifest)
+        self._manifest = manifest
+        self._members = _members(manifest)
+        for shard_id, collection in staged.items():
+            if collection is None:
+                self._collections.pop(shard_id, None)
+            else:
+                # The staged plane IS the new file's content — seed the
+                # cache with it so the next read (or splice) skips the
+                # reload; a later file flip still reloads as usual.
+                self._collections[shard_id] = (
+                    _shard_file_name(shard_id, epoch),
+                    _frozen(collection),
+                )
+        named = {entry["file"] for entry in entries}
+        swept = (
+            [name for name in os.listdir(self.directory) if _SHARD_FILE.fullmatch(name)]
+            if locked else old_files
+        )
+        for name in swept:
+            if name not in named and name not in self._readers:  # else its last reader unlinks it
+                _unlink(self.directory, name)
+        return epoch
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -828,10 +821,11 @@ def _read_manifest(directory: str) -> dict:
 
 
 @contextlib.contextmanager
-def _committing(directory: str, wait: bool = True):
+def _committing(directory: str):
     """The commit lock — an exclusive ``flock`` on the directory's own
-    descriptor, so no lock file — yielding whether it is held.  A commit
-    waits for it, :meth:`ShardedStore.open` only tries."""
+    descriptor, so no lock file — yielding whether it is held: not on a
+    filesystem that cannot flock a directory (NFS: ``EBADF``), where a
+    commit runs unlocked and sweeps only the files it superseded."""
     try:
         fd = os.open(directory, os.O_RDONLY)
     except OSError:
@@ -839,11 +833,8 @@ def _committing(directory: str, wait: bool = True):
         return
     try:
         try:
-            fcntl.flock(fd, fcntl.LOCK_EX | (0 if wait else fcntl.LOCK_NB))
+            fcntl.flock(fd, fcntl.LOCK_EX)
         except OSError:
-            # Held by a commit, or a filesystem that cannot flock a
-            # directory (NFS: EBADF), where no open sweeps either, so a
-            # commit runs unlocked with no sweep to race it.
             yield False
             return
         try:

@@ -7,19 +7,21 @@ what every producer and consumer owes it:
   ``int64`` — whatever the archive format, open mode or backend, on
   shards big enough (> 2¹⁵ nodes, so well past ``int16``) that a column
   width leaking into a rank vector wraps visibly; the vectorized engine
-  everywhere, the scalar one on a packed mapped plane (decoded when it
+  everywhere, the scalar one on a packed mapped plane (inflated when it
   opens) and where ``analyze(engine="scalar")`` runs (a ``fabric:2``
   worker);
 * depth and size limits are clean ``EncodingError``s, never wraps;
 * splices keep the widths and a canonical dictionary (strictly sorted,
   exactly the referenced entries), so splice == re-encode member for
-  member in both layouts; the packed members that are still stored do
-  not move, and dictionary offsets handed over at another width are
+  member in both layouts; a packed archive inflates to the eager one's
+  members, and dictionary offsets handed over at another width are
   narrowed, not trusted;
 * no code path copies a whole column to another dtype, and a packed
-  shard decodes at open to 19 resident bytes per node;
-* a forged page directory, or a packed file smuggling a pickle, is
-  rejected before a data page (or the unpickler) is touched.
+  shard inflates at open to 19 resident bytes per node;
+* a packed archive whose ``nodes`` disagrees with its column streams,
+  or overflows the width arithmetic, is rejected before a column is
+  read past it; a packed file smuggling a pickle is rejected before the
+  unpickler is touched.
 """
 
 import hashlib
@@ -31,7 +33,6 @@ import numpy as np
 import pytest
 
 from repro.encoding import decode, encode, subtree
-from repro.encoding.codec import pack_int_column
 from repro.encoding.collection import DocumentCollection
 from repro.encoding.doctable import DocTable
 from repro.encoding.persist import describe_archive, load, save
@@ -77,9 +78,10 @@ def members(path):
 
 
 def inflated_members(path):
-    """:func:`members`, each deflated dictionary (a zlib stream of its
-    ``int32`` entry lengths, then its blob) replaced by the raw
-    ``*_dict_blob`` / ``*_dict_offsets`` members it inflates to."""
+    """:func:`members`, each deflated stream replaced by what it inflates
+    to: a dictionary (its ``int32`` entry lengths, then its blob) by the
+    raw ``*_dict_blob`` / ``*_dict_offsets`` members, a column by its
+    plain member at its declared width — the eager layout's members."""
     written = members(path)
     for name in ("tag", "value"):
         entries, size = np.frombuffer(written.pop(f"{name}_dict_header")[1], np.int64)
@@ -89,6 +91,9 @@ def inflated_members(path):
         np.cumsum(np.frombuffer(raw[: 4 * entries], "<i4"), out=offsets[1:])
         written[f"{name}_dict_blob"] = ("uint8", raw[4 * entries :])
         written[f"{name}_dict_offsets"] = ("int32", offsets.tobytes())
+    for column in ("level", "kind", "tag_codes", "value_codes"):
+        raw = zlib.decompress(written.pop(f"{column}_deflated")[1])
+        written[column] = (COLUMN_DTYPES[column].name, raw)
     return written
 
 
@@ -262,46 +267,33 @@ class TestLimits:
 # (c) splices keep the widths and the packed bytes
 # ----------------------------------------------------------------------
 #: sha256 over the sorted members of ``save(..., "packed")`` for
-#: ``DocumentCollection(get_forest(2, 0.05)).doc``.  Re-recorded when
-#: ``post`` / ``parent`` stopped being stored (PR 23; ``c1d3e668…b4e8``
-#: since the dictionary offsets went from 8 to 4 bytes in PR 20).
-#: Since format 7 deflates the dictionaries, the digest is taken with
-#: them inflated (a zlib build may deflate differently); format 5 gave
-#: ``ce69c40c…f84f``.  Format 7 gave ``b73876b3…b71a``; format 8 stores
-#: the code columns compacted (a tag code per named node, a value code
-#: per non-element), so its ``tag_codes_*`` / ``value_codes_*`` moved.
-PACKED_GOLDEN = "cb73a8ac04977fb62a9eb5f3b5e15c5f2fce516dbc64e87abba3497731c40cbf"
+#: ``DocumentCollection(get_forest(2, 0.05)).doc``, every stream inflated
+#: (a zlib build may deflate differently).  Format 9 deflates each column
+#: whole, so this is the eager layout's members plus ``nodes``, ``height``
+#: and ``format_version`` 9 — recorded equal to the digest of the eager
+#: members the format-8 code wrote, plus those three.  Format 8 (paged columns, code columns compacted) gave
+#: ``cb73a8ac…0cbf``, format 7 ``b73876b3…b71a``, format 5 ``ce69c40c…f84f``.
+PACKED_GOLDEN = "0fdac0fdd0a38750c4f5174232e77595ba8ee169bfaa906191d5d7e7aa7e6be9"
 
 _DICT_OFFSETS = ("tag_dict_offsets", "value_dict_offsets")
 
-#: The digest of a version-3 file without ``format_version`` and the
-#: eight ``post_*`` / ``parent_*`` members, recorded at the commit
-#: *before* PR 23: nothing that is still stored moved.
-#: A format-8 file matches it with its dictionaries inflated and its
-#: code columns packed again one value per node (:func:`wide_members`).
-V3_GOLDEN_BUT_SHAPE = "7bc78e8cc67f2e5f09cbd1e8f176524a74f2b13566414051394f87bca7bbad67"
 
-
-def wide_members(path):
-    """:func:`inflated_members`, each compacted code column replaced by
-    the members of its decoded (one code per node) column packed whole —
-    what formats 3 to 7 stored."""
-    written, table = inflated_members(path), load(path)
-    page_size = int(np.frombuffer(written["page_size"][1], np.int64)[0])
-    for column, values in (("tag_codes", table.tag.codes), ("value_codes", table.values.codes)):
-        directory, blob = pack_int_column(column, values, "for", page_size)
-        for part, member in (("refs", directory.refs), ("bits", directory.bits),
-                             ("offsets", directory.offsets), ("packed", blob)):
-            written[f"{column}_{part}"] = (str(member.dtype), member.tobytes())
-    return written
-
-
-def test_v3_members_are_byte_identical_to_the_wide_era(tmp_path):
-    path = str(tmp_path / "golden.npz")
-    save(DocumentCollection(get_forest(2, 0.05)).doc, path, compression="packed")
-    assert digest(path, read=inflated_members) == PACKED_GOLDEN
-    assert digest(path, skip=("format_version",), read=wide_members) == V3_GOLDEN_BUT_SHAPE
-    written = members(path)
+def test_a_packed_archive_inflates_to_the_eager_members(tmp_path):
+    doc = DocumentCollection(get_forest(2, 0.05)).doc
+    packed, eager = str(tmp_path / "packed.npz"), str(tmp_path / "eager.npz")
+    save(doc, packed, compression="packed")
+    save(doc, eager)
+    assert digest(packed, read=inflated_members) == PACKED_GOLDEN
+    inflated = inflated_members(packed)
+    assert {name: inflated.pop(name)[1] for name in ("format_version", "nodes", "height")} == {
+        "format_version": np.asarray([9], np.int64).tobytes(),
+        "nodes": np.asarray([len(doc)], np.int64).tobytes(),
+        "height": np.asarray([doc.height], np.int64).tobytes(),
+    }
+    written = members(eager)
+    del written["format_version"]
+    assert inflated == written
+    written = members(packed)
     assert not [name for name in written if name.startswith(("post", "parent"))]
     assert not [name for name in written if name.endswith(("_dict_blob", "_dict_offsets"))]
 
@@ -505,10 +497,16 @@ def test_a_served_packed_shard_holds_at_most_20_bytes_per_node(tmp_path):
     with QueryService(store, backend="serial") as service:
         service.execute("//open_auction[bidder]/seller")
         doc = store.collection(0).doc
-        # Every column is a plain array the process holds privately:
-        # the four stored ones decoded at open, post and parent derived.
+        # Every column is a plain array the process holds privately: the
+        # four stored ones each over the buffer it inflated into at open,
+        # post and parent derived.
         stored = [doc.level, doc.kind, doc.tag.codes, doc.values.codes]
-        for column in stored + [doc.post, doc.parent]:
+        for column in stored:
+            base = column
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert type(column) is np.ndarray and type(base) is bytes
+        for column in (doc.post, doc.parent):
             assert type(column) is np.ndarray and column.flags.owndata
         resident = sum(column.nbytes for column in stored) + doc.post.nbytes + doc.parent.nbytes
         assert resident == doc.column_nbytes()
@@ -540,89 +538,47 @@ def packed_archive(tmp_path_factory):
     return path
 
 
-FORGERIES = {
-    # column: (member suffix, forged first entry)
-    "level": ("bits", 20),  # 2²⁰ levels do not fit int16
-    "kind": ("refs", 9),  # no such NodeKind
-    "tag_codes": ("refs", 10_000),  # past the dictionary
-    "value_codes": ("bits", 40),
+#: ``nodes`` forgeries: each column stream then inflates to fewer or
+#: more bytes than ``nodes × width`` (or ``nodes`` is no count at all).
+MISCOUNTED = {
+    "nodes-zero": lambda n: 0,
+    "nodes-one-short": lambda n: n - 1,
+    "nodes-one-past": lambda n: n + 1,
+    "nodes-doubled": lambda n: 2 * n,
+    "nodes-negative": lambda n: -100_000,
 }
 
 
-@pytest.mark.parametrize("column", sorted(FORGERIES))
+@pytest.mark.parametrize("forgery", sorted(MISCOUNTED))
 @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
-def test_a_forged_page_directory_is_rejected_before_any_page(
-    packed_archive, tmp_path, column, mmap
-):
-    suffix, value = FORGERIES[column]
-    with np.load(packed_archive) as archive:
-        forged = archive[f"{column}_{suffix}"].copy()
-    forged[0] = value
-    target = str(tmp_path / "forged.npz")
-    rewrite_members(
-        packed_archive,
-        target,
-        **{
-            f"{column}_{suffix}": forged,
-            # No data page to touch: the check reads the directory alone.
-            f"{column}_packed": np.empty(0, dtype=np.uint8),
-        },
-    )
-    with pytest.raises(EncodingError, match=f"{column!r}: page directory"):
-        load(target, mmap=mmap)
-
-
-def _short(array):
-    return array[:-1]
-
-
-def _shifted(offsets):
-    forged = offsets.copy()
-    forged[1] += 1  # page 0 one byte longer, page 1 one shorter
-    return forged
-
-
-UNTILED = {
-    # name: {member: forged value, or a function of the honest one}
-    "page-size-0": {"page_size": np.asarray([0])},
-    "page-size-3": {"page_size": np.asarray([3])},
-    "page-size-doubled": {"page_size": np.asarray([2048])},
-    "kind-last-page-missing": {"kind_refs": _short, "kind_bits": _short},
-    "kind-offsets-short": {"kind_offsets": _short},
-    "kind-offsets-shifted": {"kind_offsets": _shifted},
-    "nodes-negative": {"nodes": np.asarray([-100_000])},
-}
-
-
-@pytest.mark.parametrize("forgery", sorted(UNTILED))
-@pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
-def test_a_directory_that_does_not_tile_its_column_is_rejected(
+def test_a_node_count_that_does_not_tile_its_columns_is_rejected(
     packed_archive, tmp_path, forgery, mmap
 ):
-    """Pages must be the packer's: a power-of-two size, one per
-    ``page_size`` values, each exactly as many bytes as its values pack
-    into — else a decode leaves values unwritten or reads a neighbour."""
+    """Every column stream must inflate to exactly ``nodes`` values at its
+    declared width — else a column would be short of the tree or carry
+    values past it.  ``level`` is inflated first, so it is the member
+    named."""
     with np.load(packed_archive) as archive:
-        replaced = {
-            member: forged(archive[member]) if callable(forged) else forged
-            for member, forged in UNTILED[forgery].items()
-        }
+        n = int(archive["nodes"][0])
     target = str(tmp_path / "forged.npz")
-    rewrite_members(packed_archive, target, **replaced)
+    rewrite_members(
+        packed_archive, target, nodes=np.asarray([MISCOUNTED[forgery](n)], dtype=np.int64)
+    )
     with pytest.raises(
-        EncodingError, match="page_size must be a power of two|page directory does not tile"
+        EncodingError, match="member 'level_deflated' must inflate|member 'nodes' holds"
     ):
         load(target, mmap=mmap)
 
 
-def test_an_int64_reference_cannot_wrap_the_check_itself(packed_archive, tmp_path):
-    with np.load(packed_archive) as archive:
-        refs = archive["value_codes_refs"].copy()
-    refs[-1] = np.iinfo(np.int64).max
+@pytest.mark.parametrize("nodes", [2**62, np.iinfo(np.int64).max], ids=["wraps-x4", "int64-max"])
+def test_an_int64_node_count_cannot_wrap_the_check_itself(packed_archive, tmp_path, nodes):
+    """``nodes × 4`` of 2⁶² is 2⁶⁴, which an ``int64`` product wraps to
+    0: the count is refused before any width multiplies it."""
     target = str(tmp_path / "forged.npz")
-    rewrite_members(packed_archive, target, value_codes_refs=refs)
-    with pytest.raises(EncodingError, match="page directory"):
-        load(target)
+    rewrite_members(packed_archive, target, nodes=np.asarray([nodes], dtype=np.int64))
+    for mmap in (False, True):
+        with pytest.raises(EncodingError, match="member 'nodes' holds"):
+            load(target, mmap=mmap)
 
 
 class Smuggled:
@@ -634,7 +590,7 @@ class Smuggled:
 
 @pytest.mark.parametrize(
     "member",
-    ["level_refs", "nodes", "tag_dict_deflated", "tag_dict_header",
+    ["level_deflated", "nodes", "tag_dict_deflated", "tag_dict_header",
      "value_dict_deflated", "value_dict_header"],
 )
 def test_a_v3_archive_never_reaches_the_unpickler(packed_archive, tmp_path, member):

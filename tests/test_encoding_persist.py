@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.encoding import persist
-from repro.encoding.codec import DEFAULT_PAGE_SIZE, encode_dictionary
-from repro.encoding.doctable import DocTable, ValueIndex
+from repro.encoding.codec import encode_dictionary
 from repro.encoding.persist import (
     FORMAT_VERSION,
     LAYOUT_VERSIONS,
@@ -26,7 +25,6 @@ from repro.encoding.prepost import encode, encode_gathered
 from repro.encoding.updates import delete_subtree, insert_subtree, replace_subtree
 from repro.encoding.widths import COLUMN_DTYPES
 from repro.errors import EncodingError
-from repro.storage.column import StringColumn
 from repro.xmltree.model import (
     NodeKind,
     attribute,
@@ -72,7 +70,7 @@ def assert_round_trips_everywhere(doc, directory):
     archive is mapped, never for the derived two."""
     for compression in LAYOUT_VERSIONS:
         path = str(directory / f"{compression}.npz")
-        save(doc, path, compression=compression, page_size=16)
+        save(doc, path, compression=compression)
         for mmap_flag in (False, True):
             loaded = load(path, mmap=mmap_flag)
             assert tables_equal(doc, loaded), (compression, mmap_flag)
@@ -125,17 +123,43 @@ def save_v2(doc, path, values=None):
     )
 
 
-def packed_members(column, values, page_size):
-    """The four archive members of one packed column."""
-    from repro.encoding.codec import pack_int_column
+#: Values per page of the frame-of-reference columns of versions 3–8.
+PAGE_SIZE = 1024
 
-    directory, blob = pack_int_column(column, values, "for", page_size)
+
+def paged_members(column, values):
+    """The four members a packed column had in versions 3–8, as their
+    packer wrote them: per page of :data:`PAGE_SIZE` values its minimum
+    (``refs``), its delta width (``bits``) and where its deltas start
+    (``offsets``), the deltas bit-packed little-endian (``packed``)."""
+    values = np.asarray(values, dtype=np.int64)
+    pages = [values[i : i + PAGE_SIZE] for i in range(0, len(values), PAGE_SIZE)]
+    refs = np.asarray([page.min() for page in pages], dtype=np.int64)
+    bits = np.asarray([int(page.max() - page.min()).bit_length() for page in pages], np.uint8)
+    blobs = [
+        np.packbits(
+            np.unpackbits(
+                (page - ref).astype("<u8").view(np.uint8).reshape(-1, 8),
+                axis=1, bitorder="little",
+            )[:, :width].reshape(-1),
+            bitorder="little",
+        )
+        for page, ref, width in zip(pages, refs, bits)
+    ]
+    offsets = np.zeros(len(pages) + 1, dtype=np.int64)
+    np.cumsum([len(blob) for blob in blobs], out=offsets[1:])
     return {
-        f"{column}_refs": directory.refs,
-        f"{column}_bits": directory.bits,
-        f"{column}_offsets": directory.offsets,
-        f"{column}_packed": blob,
+        f"{column}_refs": refs,
+        f"{column}_bits": bits,
+        f"{column}_offsets": offsets,
+        f"{column}_packed": np.concatenate([np.empty(0, np.uint8), *blobs]),
     }
+
+
+def deflated_column(column, values):
+    """A packed column's ``<column>_deflated`` member, written by hand."""
+    raw = np.asarray(values, COLUMN_DTYPES[column].newbyteorder("<")).tobytes()
+    return np.frombuffer(zlib.compress(raw, 1), dtype=np.uint8)
 
 
 def read_members(path):
@@ -167,17 +191,33 @@ def deflated(lengths, blob):
     )
 
 
-def save_v7(doc, path):
-    """A well-formed version-7 archive: today's packed members, but a tag
-    and a value code packed for every node."""
+def save_paged(doc, path, version, compact):
+    """A well-formed packed archive of ``version`` (7 or 8): today's
+    deflated dictionaries, ``nodes`` and ``height`` beside paged columns
+    (:func:`paged_members`), the code columns compacted by ``kind`` when
+    ``compact`` — a tag code for named nodes, a value code for every node
+    but an element — else one of each per node."""
     save(doc, path, compression="packed")
     members, written = read_members(path), load(path)
-    members["format_version"] = np.asarray([7], dtype=np.int64)
-    page_size = int(members["page_size"][0])
-    codes = {"tag_codes": written.tag.codes, "value_codes": written.values.codes}
-    for column, values in codes.items():
-        members.update(packed_members(column, values, page_size))
+    kind = np.asarray(written.kind)
+    columns = {
+        "level": written.level, "kind": kind,
+        "tag_codes": written.tag.codes, "value_codes": written.values.codes,
+    }
+    if compact:
+        named = np.isin(kind, [NodeKind.ELEMENT, NodeKind.ATTRIBUTE, NodeKind.PROCESSING_INSTRUCTION])
+        columns["tag_codes"] = columns["tag_codes"][named]
+        columns["value_codes"] = columns["value_codes"][kind != NodeKind.ELEMENT]
+    for column, values in columns.items():
+        del members[f"{column}_deflated"]
+        members.update(paged_members(column, values))
+    members["format_version"] = np.asarray([version], dtype=np.int64)
+    members["page_size"] = np.asarray([PAGE_SIZE], dtype=np.int64)
     np.savez(path, **members)
+
+
+save_v8 = functools.partial(save_paged, version=8, compact=True)
+save_v7 = functools.partial(save_paged, version=7, compact=False)
 
 
 def save_v5(doc, path):
@@ -206,7 +246,7 @@ def save_v4(doc, path):
     np.savez(path, **members)
 
 
-def save_v3(doc, path, page_size=1024):
+def save_v3(doc, path):
     """A well-formed version-3 (packed) archive: today's members plus
     ``post`` / ``parent`` under the position-delta codec that went with
     them — frame-of-reference over ``value − pre``, so the deleted
@@ -217,11 +257,11 @@ def save_v3(doc, path, page_size=1024):
     pre = np.arange(len(doc), dtype=np.int64)
     for column in ("post", "parent"):
         residuals = np.asarray(getattr(doc, column), dtype=np.int64) - pre
-        members.update(packed_members(column, residuals, page_size))
+        members.update(paged_members(column, residuals))
     np.savez(path, **members)
 
 
-OLD_WRITERS = {3: save_v3, 4: save_v4, 5: save_v5, 7: save_v7}
+OLD_WRITERS = {3: save_v3, 4: save_v4, 5: save_v5, 7: save_v7, 8: save_v8}
 
 
 #: The layouts :func:`save` writes, by ``compression=`` name — what the
@@ -277,14 +317,15 @@ class TestRoundTrip:
 
 class TestFormatVersions:
     def test_current_format_versions(self):
-        """8 is the packed layout (compacted code columns, deflated
-        dictionaries), 6 the eager one (raw dictionaries), both without
-        ``post`` / ``parent``; 7 (packed, a tag and a value code per
-        node), 5 (packed, raw dictionaries), 3 and 4 (``post`` /
-        ``parent`` stored) and 2 (pickled strings) are history."""
-        assert FORMAT_VERSION == 8
-        assert SUPPORTED_VERSIONS == (6, 8)
-        assert LAYOUT_VERSIONS == {"none": 6, "packed": 8}
+        """9 is the packed layout (deflated columns and dictionaries), 6
+        the eager one (raw dictionaries), both without ``post`` /
+        ``parent``; 8 (paged columns, code columns compacted), 7 (paged,
+        a tag and a value code per node), 5 (paged, raw dictionaries), 3
+        and 4 (``post`` / ``parent`` stored) and 2 (pickled strings) are
+        history."""
+        assert FORMAT_VERSION == 9
+        assert SUPPORTED_VERSIONS == (6, 9)
+        assert LAYOUT_VERSIONS == {"none": 6, "packed": 9}
 
     @pytest.mark.parametrize("mmap_flag", [False, True])
     def test_v1_archives_are_rejected(self, fig1_doc, tmp_path, mmap_flag):
@@ -328,6 +369,30 @@ class TestFormatVersions:
                 assert described[0][key][field] == described[1][key][field]
             assert described[0][key]["entries"] >= 0
 
+    def test_packed_writes_one_deflated_stream_per_column(self, small_xmark, tmp_path):
+        """``compression="packed"``: each stored column one zlib stream of
+        its little-endian bytes at its declared width, one value per node;
+        beside them ``nodes``, ``height`` and the two deflated
+        dictionaries — no page member."""
+        path = str(tmp_path / "packed.npz")
+        save(small_xmark, path, compression="packed")
+        members = read_members(path)
+        assert sorted(members) == sorted(
+            ["format_version", "nodes", "height", "level_deflated", "kind_deflated",
+             "tag_codes_deflated", "value_codes_deflated", "tag_dict_deflated",
+             "tag_dict_header", "value_dict_deflated", "value_dict_header"]
+        )
+        assert int(members["format_version"][0]) == 9
+        assert int(members["nodes"][0]) == len(small_xmark)
+        assert int(members["height"][0]) == small_xmark.height
+        written = load(path)
+        for column, values in plane_columns(written).items():
+            if column in ("post", "parent"):
+                continue
+            raw = zlib.decompress(members[f"{column}_deflated"].tobytes())
+            assert raw == np.asarray(values, COLUMN_DTYPES[column].newbyteorder("<")).tobytes()
+            assert len(raw) == len(small_xmark) * COLUMN_DTYPES[column].itemsize
+
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_round_trip_all_versions(self, small_xmark, tmp_path, layout):
         path = str(tmp_path / f"{layout}.npz")
@@ -336,10 +401,10 @@ class TestFormatVersions:
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_mmap_load_all_versions(self, small_xmark, tmp_path, layout):
-        """mmap=True zero-copies eager columns and decodes packed ones
-        to arrays that own their memory; the value dictionary is mapped
-        eager and inflated packed, ``post`` / ``parent`` are derived
-        dense arrays in both."""
+        """mmap=True zero-copies eager columns and inflates packed ones,
+        each into the one buffer it is read from (no second copy); the
+        value dictionary is mapped eager and inflated packed, ``post`` /
+        ``parent`` are derived dense arrays in both."""
         path = str(tmp_path / f"{layout}.npz")
         save(small_xmark, path, compression=layout)
         loaded = load(path, mmap=True)
@@ -347,7 +412,7 @@ class TestFormatVersions:
         eager = layout == "none"
         for column in (loaded.level, loaded.kind, loaded.values.codes):
             assert isinstance(column, np.memmap) == eager
-            assert (type(column) is np.ndarray and column.flags.owndata) == (not eager)
+            assert (type(column) is np.ndarray and type(column.base) is bytes) == (not eager)
         for derived in (loaded.post, loaded.parent):
             assert type(derived) is np.ndarray and derived.dtype == np.int32
         for part in (loaded.values.blob, loaded.values.offsets):
@@ -430,7 +495,7 @@ class TestFormatHygiene:
         stripped = str(tmp_path / "stripped.npz")
         with zipfile.ZipFile(path) as src, zipfile.ZipFile(stripped, "w") as dst:
             for name in src.namelist():
-                if name != "level_packed.npy":
+                if name != "level_deflated.npy":
                     dst.writestr(name, src.read(name))
         with pytest.raises(EncodingError, match="DocTable archive"):
             load(stripped, mmap=mmap_flag)
@@ -591,7 +656,7 @@ class TestHeaderRule:
     @pytest.mark.parametrize(
         "layout, member",
         [("none", "format_version"), ("packed", "format_version"),
-         ("packed", "height"), ("packed", "nodes"), ("packed", "page_size")],
+         ("packed", "height"), ("packed", "nodes")],
     )
     def test_an_empty_one_value_member_is_refused(self, fig1_doc, tmp_path, layout, member, opener):
         path = str(tmp_path / "doc.npz")
@@ -706,18 +771,10 @@ def test_the_forgeries_are_forged_from_an_honest_archive(small_xmark, tmp_path):
     assert tables_equal(small_xmark, load(path))
 
 
-@pytest.mark.parametrize("mmap_flag", [False, True], ids=["read", "mmap"])
-def test_inflation_stops_one_byte_past_the_header(small_xmark, tmp_path, monkeypatch, mmap_flag):
-    """A stream that inflates to far more than its header declares (a
-    deflate bomb) is read no further than header + 1 bytes."""
-    entries = len(raw_dictionaries(small_xmark)["value_dict_offsets"]) - 1
-    bomb = np.frombuffer(zlib.compress(bytes(5_000_000), 1), dtype=np.uint8)
-    path = str(tmp_path / "bomb.npz")
-    forge_dictionary(
-        small_xmark, path, "value", stream=bomb,
-        header=np.asarray([entries, entries], dtype=np.int64),
-    )
-    inflated = []  # bytes out of each inflater: the tag's, then the value's
+def counted_inflation(monkeypatch):
+    """The bytes out of each inflater :mod:`persist` makes from here on,
+    one entry per inflater, in the order they are made."""
+    inflated = []
     real = zlib.decompressobj
 
     class Counting:
@@ -734,6 +791,21 @@ def test_inflation_stops_one_byte_past_the_header(small_xmark, tmp_path, monkeyp
             return getattr(self.inner, attribute)
 
     monkeypatch.setattr(persist.zlib, "decompressobj", Counting)
+    return inflated
+
+
+@pytest.mark.parametrize("mmap_flag", [False, True], ids=["read", "mmap"])
+def test_inflation_stops_one_byte_past_the_header(small_xmark, tmp_path, monkeypatch, mmap_flag):
+    """A stream that inflates to far more than its header declares (a
+    deflate bomb) is read no further than header + 1 bytes."""
+    entries = len(raw_dictionaries(small_xmark)["value_dict_offsets"]) - 1
+    bomb = np.frombuffer(zlib.compress(bytes(5_000_000), 1), dtype=np.uint8)
+    path = str(tmp_path / "bomb.npz")
+    forge_dictionary(
+        small_xmark, path, "value", stream=bomb,
+        header=np.asarray([entries, entries], dtype=np.int64),
+    )
+    inflated = counted_inflation(monkeypatch)  # the tag's, then the value's
     with pytest.raises(EncodingError, match="corrupt value dictionary"):
         load(path, mmap=mmap_flag)
     assert inflated[-1] == 4 * entries + entries + 1  # header + 1, of 5 MB
@@ -809,6 +881,14 @@ class TestDescribeArchive:
         save(small_xmark, path, compression="packed")
         monkeypatch.setattr(persist.zlib, "decompressobj", None)  # no inflater
         described = describe_archive(path)
+        assert (described["nodes"], described["height"]) == (len(small_xmark), small_xmark.height)
+        with zipfile.ZipFile(path) as archive:
+            for name, record in described["columns"].items():
+                assert record == {
+                    "stored_bytes": archive.getinfo(f"{name}_deflated.npy").file_size,
+                    "logical_bytes": len(small_xmark) * COLUMN_DTYPES[name].itemsize,
+                }
+                assert record["stored_bytes"] < record["logical_bytes"]
         raw = raw_dictionaries(small_xmark)
         with zipfile.ZipFile(path) as archive:
             for name in ("tag", "value"):
@@ -987,7 +1067,7 @@ class TestOldVersionsAreRefused:
 # ----------------------------------------------------------------------
 def forge_level(doc, path, compression, forge, height=None):
     """``doc`` saved with its ``level`` column run through ``forge`` (and,
-    packed, re-packed so the page directory stays honest about it)."""
+    packed, deflated again: an honest stream of a forged column)."""
     save(doc, path, compression=compression)
     with np.load(path) as archive:
         members = {name: archive[name] for name in archive.files}
@@ -995,7 +1075,7 @@ def forge_level(doc, path, compression, forge, height=None):
     if compression == "none":
         members["level"] = level
     else:
-        members.update(packed_members("level", level, int(members["page_size"][0])))
+        members["level_deflated"] = deflated_column("level", level)
         if height is not None:
             members["height"] = np.asarray([height], dtype=np.int64)
     np.savez(path, **members)
@@ -1057,128 +1137,135 @@ def test_a_store_over_a_hostile_level_fails_the_first_query_cleanly(tmp_path, ba
 
 
 # ----------------------------------------------------------------------
-# The packed layout stores one code per node: a tag code for named nodes,
-# a value code for non-elements
+# The packed layout's deflated columns
 # ----------------------------------------------------------------------
-def tag_and_text():
-    """``<a>x</a>`` by hand: the element's value code and the text node's
-    tag code are the two codes the packed layout does not store."""
-    return {
-        "post": np.asarray([1, 0]),
-        "level": np.asarray([0, 1]),
-        "parent": np.asarray([-1, 0]),
-        "kind": np.asarray([1, 3]),  # element, text
-    }
+ELEMENT, ATTRIBUTE = NodeKind.ELEMENT, NodeKind.ATTRIBUTE
 
 
-@pytest.mark.parametrize("compression", LAYOUTS)
-def test_save_refuses_an_element_with_a_value(tmp_path, compression):
-    doc = DocTable(
-        **tag_and_text(),
-        tag=StringColumn([0, 1], ["a", ""]),
-        values=ValueIndex(np.asarray([0, 0], np.int32), *encode_dictionary(["x"])),
-    )
-    with pytest.raises(EncodingError, match="an element has a value code"):
-        save(doc, str(tmp_path / "doc.npz"), compression=compression)
-
-
-@pytest.mark.parametrize("compression", LAYOUTS)
-def test_save_refuses_an_unnamed_node_with_a_tag(tmp_path, compression):
-    doc = DocTable(
-        **tag_and_text(),
-        tag=StringColumn([0, 0], ["a"]),
-        values=ValueIndex(np.asarray([-1, 0], np.int32), *encode_dictionary(["x"])),
-    )
-    with pytest.raises(EncodingError, match='an unnamed node .* has a tag other than ""'):
-        save(doc, str(tmp_path / "doc.npz"), compression=compression)
-
-
-def forge_kind(doc, path, source, target, page_size=DEFAULT_PAGE_SIZE):
-    """``doc`` saved packed, its first ``source`` node's kind then flipped
-    to ``target`` and the ``kind`` column re-packed (an honest directory
-    over a wrong value)."""
-    save(doc, path, compression="packed", page_size=page_size)
-    kind = np.asarray(doc.kind).copy()
-    kind[np.flatnonzero(kind == source)[0]] = target
+def forge_column(doc, path, column, forge=None, stream=None):
+    """``doc`` saved packed with ``column``'s stream rewritten: the honest
+    stream's bytes run through ``stream``, or the column's values through
+    ``forge`` and deflated again (an honest stream of a forged column)."""
+    save(doc, path, compression="packed")
     members = read_members(path)
-    members.update(packed_members("kind", kind, page_size))
+    honest = members[f"{column}_deflated"]
+    if forge is not None:
+        values = np.frombuffer(
+            zlib.decompress(honest.tobytes()), COLUMN_DTYPES[column].newbyteorder("<")
+        )
+        members[f"{column}_deflated"] = deflated_column(column, forge(values.copy()))
+    else:
+        members[f"{column}_deflated"] = np.frombuffer(stream(honest.tobytes()), np.uint8)
     np.savez(path, **members)
 
 
-ELEMENT, ATTRIBUTE, TEXT = NodeKind.ELEMENT, NodeKind.ATTRIBUTE, NodeKind.TEXT
+def _inflated(transform):
+    """A stream forgery: the honest stream's raw bytes through ``transform``,
+    deflated again."""
+    return lambda honest: zlib.compress(transform(zlib.decompress(honest)), 1)
 
 
-#: The two ways a wrong length shows in a compacted column.
-UNTILED = "page directory does not tile"
-TRAILING = "the last page holds bits after its last value"
+#: Every way a column's stream can disagree with the ``nodes`` it declares.
+HOSTILE_STREAMS = {
+    "truncated-stream": lambda honest: honest[:-5],
+    "trailing-bytes": lambda honest: honest + b"\0\0",
+    "empty-stream": lambda honest: b"",
+    "not-a-zlib-stream": lambda honest: bytes([0xAB]) * 64,
+    "inflates-a-byte-short": _inflated(lambda raw: raw[:-1]),
+    "inflates-a-word-short": _inflated(lambda raw: raw[:-4]),
+    "inflates-a-byte-past": _inflated(lambda raw: raw + b"\0"),
+    "inflates-a-word-past": _inflated(lambda raw: raw + raw[:4]),
+}
+
+
+def _set(index, value):
+    def forge(values):
+        values[index] = value
+        return values
+    return forge
+
+
+#: One value just outside each column's legal range, high and low.
+OUT_OF_RANGE = {
+    ("level", "past-the-height"): lambda doc: _set(-1, doc.height + 1),
+    ("level", "negative"): lambda doc: _set(-1, -1),
+    ("kind", "no-node-kind"): lambda doc: _set(-1, max(NodeKind) + 1),
+    ("kind", "negative"): lambda doc: _set(-1, -1),
+    ("tag_codes", "past-the-dictionary"): lambda doc: _set(0, len(set(doc.tag))),
+    ("tag_codes", "negative"): lambda doc: _set(0, -1),
+    ("value_codes", "past-the-dictionary"): lambda doc: _set(-1, doc.values.dictionary_size),
+    ("value_codes", "below-no-value"): lambda doc: _set(-1, -2),
+}
 
 
 @pytest.mark.parametrize("mmap_flag", [False, True], ids=["read", "mmap"])
-@pytest.mark.parametrize(
-    "source, target, column, message",
-    [
-        # The element's tag code goes, and its span's last byte keeps it.
-        (ELEMENT, TEXT, "tag_codes", TRAILING),
-        (TEXT, ELEMENT, "tag_codes", UNTILED),
-        (TEXT, ATTRIBUTE, "tag_codes", UNTILED),
-        (ELEMENT, ATTRIBUTE, "value_codes", UNTILED),
-        (ATTRIBUTE, ELEMENT, "value_codes", UNTILED),
-        # 1 008 tag codes at 7 bits fill 882 bytes, 1 007 too: the
-        # dropped code's bits sit after the last value.
-        (ATTRIBUTE, TEXT, "tag_codes", TRAILING),
-    ],
-    ids=lambda value: value.name.lower() if isinstance(value, NodeKind) else (
-        {UNTILED: "untiled", TRAILING: "trailing"}.get(value, value)
-    ),
-)
-def test_a_kind_flipped_across_the_classes_is_rejected(
-    small_xmark, tmp_path, mmap_flag, source, target, column, message
+@pytest.mark.parametrize("column", ["level", "kind", "tag_codes", "value_codes"])
+@pytest.mark.parametrize("forgery", sorted(HOSTILE_STREAMS))
+def test_a_hostile_column_stream_is_rejected_naming_the_member(
+    small_xmark, tmp_path, forgery, column, mmap_flag
 ):
-    """``kind`` sizes the compacted code columns: a node flipped into or
-    out of the named (or the element) class changes a column's length.
-    Either its page directory no longer tiles, or its last page keeps
-    its byte span and holds set bits after its last value.  What cannot
-    show: a flip that moves no length (text ↔ comment), and a dropped
-    code whose delta is 0 (its bits are zero)."""
     path = str(tmp_path / "forged.npz")
-    forge_kind(small_xmark, path, source, target)
-    with pytest.raises(EncodingError, match=f"column '{column}': {message}"):
+    forge_column(small_xmark, path, column, stream=HOSTILE_STREAMS[forgery])
+    with pytest.raises(EncodingError, match=f"member '{column}_deflated'"):
         load(path, mmap=mmap_flag)
 
 
-def test_unnamed_nodes_need_the_empty_tag_first(small_xmark, tmp_path):
-    """An unnamed node decodes to tag entry 0, so entry 0 must be ``""``:
-    an archive whose tag dictionary lacks it is refused, not misread."""
+@pytest.mark.parametrize("mmap_flag", [False, True], ids=["read", "mmap"])
+@pytest.mark.parametrize("column, value", sorted(OUT_OF_RANGE))
+def test_a_value_outside_its_range_is_rejected_on_every_load(
+    small_xmark, tmp_path, column, value, mmap_flag
+):
+    """Every inflated column is range-checked, mapped or read: ``kind``
+    a :class:`NodeKind`, ``level`` within ``[0, height]``, a tag code
+    inside the tag dictionary, a value code inside the value dictionary
+    or −1."""
+    path = str(tmp_path / "forged.npz")
+    forge_column(small_xmark, path, column, forge=OUT_OF_RANGE[column, value](small_xmark))
+    with pytest.raises(EncodingError, match=f"member '{column}_deflated' holds a value outside"):
+        load(path, mmap=mmap_flag)
+
+
+def test_the_column_forgeries_are_forged_from_an_honest_archive(small_xmark, tmp_path):
+    """The hand-deflated streams load as ``save``'s own do: each forgery
+    above changes only what its name says."""
+    path = str(tmp_path / "honest.npz")
+    for column in ("level", "kind", "tag_codes", "value_codes"):
+        forge_column(small_xmark, path, column, forge=lambda values: values)
+        assert tables_equal(small_xmark, load(path))
+        forge_column(small_xmark, path, column, stream=_inflated(lambda raw: raw))
+        assert tables_equal(small_xmark, load(path))
+
+
+@pytest.mark.parametrize("nodes", [-1, 2**31])
+def test_a_node_count_no_plane_can_hold_is_rejected(small_xmark, tmp_path, nodes):
     path = str(tmp_path / "forged.npz")
     save(small_xmark, path, compression="packed")
-    members = read_members(path)
-    names = sorted(set(small_xmark.tag) - {""})
-    members["tag_dict_deflated"], members["tag_dict_header"] = deflated(
-        [len(name.encode()) for name in names], "".join(names).encode()
-    )
-    # The named nodes' codes, re-packed against the dictionary without "".
-    named = np.asarray([name for name in small_xmark.tag if name])
-    codes = np.searchsorted(np.asarray(names), named)
-    members.update(packed_members("tag_codes", codes, int(members["page_size"][0])))
-    np.savez(path, **members)
-    with pytest.raises(EncodingError, match='unnamed nodes need tag entry 0 to be ""'):
-        load(path)
+    rewrite_member(path, "nodes", npy(np.asarray([nodes], np.int64)))
+    for mmap_flag in (False, True):
+        with pytest.raises(EncodingError, match="member 'nodes'"):
+            load(path, mmap=mmap_flag)
 
 
-def star(elements, texts):
-    """A root with ``elements − 1`` element children and ``texts`` text
-    children: ``elements`` tag codes and ``texts`` value codes stored."""
-    return element("r", *[element("e") for _ in range(elements - 1)],
-                   *[text(str(i)) for i in range(texts)])
+@pytest.mark.parametrize("mmap_flag", [False, True], ids=["read", "mmap"])
+def test_column_inflation_stops_one_byte_past_the_nodes(small_xmark, tmp_path, monkeypatch, mmap_flag):
+    """A column stream that inflates to far more than ``nodes`` values
+    (a deflate bomb) is read no further than ``nodes × width + 1`` bytes."""
+    path = str(tmp_path / "bomb.npz")
+    forge_column(small_xmark, path, "level", stream=lambda honest: zlib.compress(bytes(5_000_000), 1))
+    inflated = counted_inflation(monkeypatch)  # the dictionaries', then the level's
+    with pytest.raises(EncodingError, match="member 'level_deflated'"):
+        load(path, mmap=mmap_flag)
+    assert inflated[-1] == 2 * len(small_xmark) + 1  # nodes × int16 + 1, of 5 MB
 
 
-def assert_packed_round_trip(doc, directory, page_size):
+def assert_packed_round_trip(doc, directory):
     """``load(save(doc, "packed"))``, read and mapped, is ``doc`` and is
     the eager round trip column by column (dtype and bytes), dictionaries
-    included; ``describe_archive`` counts the codes each column stores."""
+    included; ``describe_archive`` sizes each column from the zip
+    directory."""
     eager, packed = str(directory / "eager.npz"), str(directory / "packed.npz")
     save(doc, eager)
-    save(doc, packed, compression="packed", page_size=page_size)
+    save(doc, packed, compression="packed")
     want = load(eager)
     for mmap_flag in (False, True):
         got = load(packed, mmap=mmap_flag)
@@ -1190,26 +1277,14 @@ def assert_packed_round_trip(doc, directory, page_size):
         assert got.tag.dictionary == want.tag.dictionary
         for part in ("blob", "offsets"):
             assert getattr(got.values, part).tobytes() == getattr(want.values, part).tobytes()
-    kind = np.asarray(doc.kind)
-    codes = {name: c["codes"] for name, c in describe_archive(packed)["columns"].items()}
-    assert codes == {
-        "level": len(doc),
-        "kind": len(doc),
-        "tag_codes": int(np.isin(kind, [ELEMENT, ATTRIBUTE, NodeKind.PROCESSING_INSTRUCTION]).sum()),
-        "value_codes": int((kind != ELEMENT).sum()),
-    }
-
-
-@pytest.mark.parametrize("page_size", [1, 4, 16])
-@pytest.mark.parametrize(
-    "elements, texts",
-    # compacted lengths 0, page_size and page_size + 1, in each column
-    [(1, 0), ("P", 0), ("P+1", 0), ("P", "P"), (1, "P"), ("P+1", "P+1"), (1, "P+1"), ("P", "P+1")],
-)
-def test_compacted_lengths_at_the_page_edges(tmp_path, page_size, elements, texts):
-    count = {1: 1, 0: 0, "P": page_size, "P+1": page_size + 1}
-    doc = encode(star(count[elements], count[texts]))
-    assert_packed_round_trip(doc, tmp_path, page_size)
+    with zipfile.ZipFile(packed) as archive:
+        assert describe_archive(packed)["columns"] == {
+            name: {
+                "stored_bytes": archive.getinfo(f"{name}_deflated.npy").file_size,
+                "logical_bytes": len(doc) * COLUMN_DTYPES[name].itemsize,
+            }
+            for name in ("level", "kind", "tag_codes", "value_codes")
+        }
 
 
 def _leaf(kind, i, draw):
@@ -1264,7 +1339,7 @@ def planes(draw):
     return doc
 
 
-@given(doc=planes(), page_size=st.sampled_from([1, 2, 4, 8, 16]))
+@given(doc=planes())
 @settings(max_examples=60, deadline=None)
-def test_packed_round_trip_of_any_plane(doc, page_size, tmp_path_factory):
-    assert_packed_round_trip(doc, tmp_path_factory.mktemp("packed"), page_size)
+def test_packed_round_trip_of_any_plane(doc, tmp_path_factory):
+    assert_packed_round_trip(doc, tmp_path_factory.mktemp("packed"))

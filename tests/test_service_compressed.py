@@ -8,17 +8,18 @@ The headline properties:
 * **splice == re-encode on packed shards** — update batches applied to a
   compressed store match a compressed store rebuilt from equivalently
   edited trees, and tag statistics stay exact;
-* **served planes are arrays** — a packed shard decodes when it opens,
+* **served planes are arrays** — a packed shard inflates when it opens,
   in every lane, to arrays it owns at their declared widths.
 """
 
 import mmap
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.encoding.persist import LAYOUT_VERSIONS, load
+from repro.encoding.persist import LAYOUT_VERSIONS, describe_archive, load
 from repro.encoding.prepost import encode
 from repro.encoding.widths import COLUMN_DTYPES
 from repro.errors import ReproError
@@ -57,6 +58,14 @@ def batch_bytes(store, queries, engine):
             {name: a.tobytes() for name, a in r.per_document.items()}
             for r in results
         ]
+
+
+def formats(store):
+    """Each shard's archive ``format_version``, in manifest order."""
+    return [
+        describe_archive(os.path.join(store.directory, entry["file"]))["format_version"]
+        for entry in store.describe()["shards"]
+    ]
 
 
 def plane_tags(store):
@@ -100,16 +109,14 @@ class TestCompressionSetting:
 
     def test_packed_store_records_the_packed_format(self, packed_store):
         assert packed_store.compression == "packed"
-        for entry in packed_store._manifest["shards"]:
-            assert entry["format"] == LAYOUT_VERSIONS["packed"] == 8
+        assert set(formats(packed_store)) == {LAYOUT_VERSIONS["packed"]} == {9}
 
     def test_auto_small_docs_stay_eager(self, forest, tmp_path):
         store = ShardedStore.build(
             str(tmp_path / "s"), forest[:2], compression="auto"
         )
         assert store.compression == "auto"
-        for entry in store._manifest["shards"]:
-            assert entry["format"] == LAYOUT_VERSIONS["none"] == 6
+        assert set(formats(store)) == {LAYOUT_VERSIONS["none"]} == {6}
 
     def test_reopened_store_keeps_setting(self, packed_store):
         reopened = ShardedStore.open(packed_store.directory)
@@ -157,7 +164,6 @@ class TestServedPlanes:
         shard's stored columns straight from the archive's mapping."""
         import json
         import multiprocessing
-        import os
 
         from repro.service import ShardWorkerState, backend as serial_module, fabric
 
@@ -192,8 +198,8 @@ class TestServedPlanes:
         store = ShardedStore.build(
             str(tmp_path / "store"), ordered, shards=4, compression="auto"
         )
-        layouts = [entry["format"] for entry in store._manifest["shards"]]
-        assert layouts == [6, 6, 8, 8]
+        layouts = formats(store)
+        assert layouts == [6, 6, 9, 9]
         with QueryService(ShardedStore.open(store.directory), backend=backend) as service:
             assert service.execute("//regions", use_cache=False).total > 0
             if backend != "serial":
@@ -222,8 +228,9 @@ class TestServedPlanes:
         assert info["total_bytes_on_disk"] > 0
         shard, unopened = info["shards"]
         assert shard["format_version"] == LAYOUT_VERSIONS["packed"]
-        assert shard["pages"] > 0
-        assert shard["packed_bytes"] < shard["logical_bytes"]
+        assert list(shard["columns"]) == shard["stored_columns"]
+        assert 0 < shard["stored_bytes"] < shard["logical_bytes"]
+        assert shard["stored_bytes"] == sum(c["stored_bytes"] for c in shard["columns"].values())
         assert shard["tag_dictionary"]["entries"] > 0
         assert shard["resident_bytes_per_node"] == 19
         assert "resident_bytes_per_node" not in unopened
@@ -235,7 +242,7 @@ class TestServedPlanes:
         info = plain_store.info()
         for shard in info["shards"]:
             assert shard["format_version"] == LAYOUT_VERSIONS["none"]
-            assert "pages" not in shard
+            assert "columns" not in shard
             # ... but the dictionaries are reported for either layout.
             assert shard["tag_dictionary"]["entries"] > 0
             assert shard["value_dictionary"]["bytes"] > 0
@@ -260,8 +267,7 @@ class TestPackedUpdates:
         store.apply_updates(
             [UpdateOp("add", "d9", tree=people_site("z"))]
         )
-        for entry in store._manifest["shards"]:
-            assert entry["format"] == LAYOUT_VERSIONS["packed"]
+        assert set(formats(store)) == {LAYOUT_VERSIONS["packed"]}
         reopened = ShardedStore.open(store.directory)
         assert reopened.compression == "packed"
         assert reopened.document_names() == store.document_names()
@@ -308,8 +314,7 @@ class TestPackedUpdates:
             store.apply_updates([], compression="packed")
         store.apply_updates([UpdateOp("add", "dx", tree=people_site("y"))])
         assert ShardedStore.open(store.directory).compression == "none"
-        for entry in store._manifest["shards"]:
-            assert entry["format"] == LAYOUT_VERSIONS["none"]
+        assert set(formats(store)) == {LAYOUT_VERSIONS["none"]}
 
 class TestSpliceReencodeProperty:
     """Hypothesis sweep: random edit batches on a packed store stay
@@ -377,10 +382,8 @@ class TestSpliceReencodeProperty:
         store.apply_updates(
             [UpdateOp("update", "d0", tree=people_site("z", "w"))]
         )
-        import os
-
         entry = store._manifest["shards"][0]
-        assert entry["format"] == LAYOUT_VERSIONS["packed"]
+        assert formats(store) == [LAYOUT_VERSIONS["packed"]]
         table = load(os.path.join(store.directory, entry["file"]), mmap=True)
         assert type(table.level) is np.ndarray
         assert table.post.dtype == COLUMN_DTYPES["post"]

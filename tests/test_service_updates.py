@@ -297,7 +297,7 @@ class TestStoreWritePath:
 
 # ----------------------------------------------------------------------
 class TestOrphanSweep:
-    def test_open_sweeps_unreferenced_shard_files(self, tmp_path):
+    def test_the_next_commit_sweeps_unreferenced_shard_files(self, tmp_path):
         store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=2)
         # Simulate a crash after the new epoch file was written but
         # before the manifest flip: a valid shard archive with no
@@ -309,12 +309,28 @@ class TestOrphanSweep:
         with open(foreign, "w") as f:
             f.write("keep me")
         reopened = ShardedStore.open(store.directory)
-        assert not os.path.exists(orphan)
-        assert os.path.exists(foreign)
-        for entry in reopened.describe()["shards"]:
-            assert os.path.exists(os.path.join(store.directory, entry["file"]))
+        assert os.path.exists(orphan)  # opening writes nothing
         with QueryService(reopened, backend="serial") as service:
             assert service.execute("//person").total == 10
+            service.apply_updates([UpdateOp("update", "d0", tree=people_site("w"))])
+        assert not os.path.exists(orphan)
+        assert os.path.exists(foreign)
+        assert sorted(os.listdir(store.directory)) == sorted(
+            ["manifest.json", "notes.txt"] + [e["file"] for e in reopened.describe()["shards"]]
+        )
+
+    def test_the_sweep_keeps_the_files_a_live_snapshot_names(self, tmp_path):
+        """A commit's sweep skips the files this store's snapshots pin;
+        the last release unlinks them."""
+        store = ShardedStore.build(str(tmp_path / "s"), small_forest(), shards=2)
+        old = {entry["file"] for entry in store.describe()["shards"]}
+        snapshot = store.snapshot()
+        store.update_document("d0", people_site("w"))
+        store.update_document("d2", people_site("x"))
+        assert old <= set(os.listdir(store.directory))
+        assert snapshot.plane(store.shard_of("d0")).names == ["d0", "d1"]
+        snapshot.release()
+        assert not old & set(os.listdir(store.directory))
 
     def test_an_open_inside_a_commit_leaves_the_commit_whole(
         self, tmp_path, monkeypatch
@@ -356,7 +372,8 @@ class TestOrphanSweep:
     ):
         """Where a directory cannot be flocked (NFS emulates ``flock`` as
         a write lock: ``EBADF``), every open, build and commit still
-        works; no open holds the lock, so none sweeps."""
+        works; no commit holds the lock, so none sweeps a file it did not
+        supersede itself."""
         import errno
         import fcntl
 
@@ -375,7 +392,7 @@ class TestOrphanSweep:
         with QueryService(reopened, backend="serial") as service:
             assert service.execute("//person").counts()["d0"] == 2
         monkeypatch.undo()
-        ShardedStore.open(store.directory)
+        reopened.update_document("d1", people_site("y"))
         assert not os.path.exists(orphan)
 
     def test_crashed_commit_leaves_old_state_servable(self, tmp_path, monkeypatch):
@@ -394,8 +411,13 @@ class TestOrphanSweep:
         assert reopened.epoch == 1
         with QueryService(reopened, backend="serial") as service:
             assert service.execute("//person").counts()["d0"] == 1
-        # the stranded epoch-2 file was swept at open
-        assert not any(".e0002." in f for f in os.listdir(store.directory))
+        # the stranded epoch-2 file outlives the open; the next commit
+        # writes its epoch-2 files over it and sweeps the rest
+        assert any(".e0002." in f for f in os.listdir(store.directory))
+        reopened.update_document("d3", people_site("z"))
+        assert sorted(os.listdir(store.directory)) == sorted(
+            ["manifest.json"] + [e["file"] for e in reopened.describe()["shards"]]
+        )
 
 
 # ----------------------------------------------------------------------
@@ -461,6 +483,28 @@ class TestReadersNeverWrite:
             self.read_everything(store.directory)
         finally:
             os.chmod(store.directory, 0o755)
+
+
+class TestTwoWriters:
+    """A commit stages from the manifest on disk: one whose store missed
+    another process's commit adopts it first, never writing over it."""
+
+    def test_a_stale_server_keeps_the_other_writers_commit(self, tmp_path):
+        directory = str(tmp_path / "s")
+        ShardedStore.build(directory, [("d0", people_site("a")), ("d1", people_site("b"))])
+        with QueryService.open(directory, backend="serial") as service:
+            assert service.execute("//person", use_cache=False).total == 2
+            ShardedStore.open(directory).add_document("d2", people_site("c", "d"))
+            summary = service.apply_updates([UpdateOp("update", "d0", tree=people_site("w", "x"))])
+            assert summary["epoch"] == 3
+            counts = service.execute("//person", use_cache=False).counts()
+        assert counts == {"d0": 2, "d1": 1, "d2": 2}
+        reopened = ShardedStore.open(directory)
+        assert reopened.epoch == 3
+        assert reopened.document_names() == ["d0", "d1", "d2"]
+        assert sorted(os.listdir(directory)) == ["manifest.json", "shard-0000.e0003.npz"]
+        with QueryService(reopened, backend="serial") as fresh:
+            assert fresh.execute("//person").counts() == counts
 
 
 class TestManifestsWrittenBeforeFeedbackWasRemoved:

@@ -24,6 +24,7 @@ import zipfile
 
 import pytest
 
+from repro.encoding.persist import describe_archive
 from repro.errors import EncodingError, ReproError
 from repro.harness.workloads import get_forest
 from repro.service import ShardedStore
@@ -200,7 +201,10 @@ def test_the_lane_count_does_not_change_a_byte(tmp_path, compression):
     assert build(tmp_path, "two", "five", 2, **spec) is None
     manifest, members = written(tmp_path / "one")
     assert written(tmp_path / "two") == (manifest, members)
-    formats = {entry["format"] for entry in manifest["shards"]}
+    formats = {
+        describe_archive(str(tmp_path / "one" / entry["file"]))["format_version"]
+        for entry in manifest["shards"]
+    }
     assert len(formats) == (2 if compression == "auto" else 1)
 
 
