@@ -200,8 +200,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
     print(f"compression    {info['compression']}")
     print(f"documents      {info['documents']}")
     print(f"bytes on disk  {info['total_bytes_on_disk']:,}")
-    if info["total_logical_bytes"]:
-        print(f"logical bytes  {info['total_logical_bytes']:,} (packed shards inflated at column width)")
+    print(f"logical bytes  {info['total_logical_bytes']:,} (members at column width)")
     if info["shards"]:
         first = info["shards"][0]
         print(
@@ -217,8 +216,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         for name in ("tag", "value"):  # entries / raw bytes -> bytes stored
             d = shard[f"{name}_dictionary"]
             line += f"  {name} dict {d['entries']:,}/{d['bytes']:,}B->{d['stored_bytes']:,}B"
-        if "columns" in shard:  # the packed layout: logical -> stored column bytes
-            line += f"  columns {shard['logical_bytes']:,}B->{shard['stored_bytes']:,}B"
+        line += f"  members {shard['logical_bytes']:,}B->{shard['stored_bytes']:,}B"
         if "resident_bytes_per_node" in shard:
             line += f"  resident {shard['resident_bytes_per_node']} B/node"
         print(line)
@@ -543,9 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--seed", type=int, default=2003)
     cmd.add_argument(
         "--compression", choices=("auto", "none", "packed"), default="auto",
-        help="shard archive layout: packed = every column and dictionary one "
-        "deflate stream (v9), none = eager arrays (v6), auto = packed for large "
-        "shards (default)",
+        help="shard archive members (v10): packed = deflated, none = stored "
+        "(memory-mapped when a shard opens), auto = packed for large shards "
+        "(default)",
     )
     cmd.set_defaults(handler=_cmd_shard)
 

@@ -27,10 +27,10 @@ Attribute nodes live in the plane but no axis except ``attribute`` may
 return them (Section 3); a ``kind`` comparison filters them as they are
 appended, without affecting scan/skip logic.
 
-Every table is plain arrays, whichever archive layout it was opened
-from — an eager shard's stored columns mapped (page cache shared by the
-lanes that open it), a packed shard's inflated when it opens (private to
-each lane) — so there is one code path: what a skip saves is counted in
+Every table is plain arrays, however its archive holds them — a stored
+shard's columns mapped (page cache shared by the lanes that open it), a
+deflated shard's inflated when it opens (private to each lane) — so
+there is one code path: what a skip saves is counted in
 :class:`JoinStatistics` as node accesses, the paper's measure (Sections
 3.3 and 4).
 """

@@ -1,9 +1,8 @@
 """Sorted dictionary blobs: the string half of every plane.
 
 The tag and text dictionaries are one UTF-8 byte blob plus a 4-byte
-offset vector in memory, sorted in code-point order, whichever archive
-layout they load from (:mod:`repro.encoding.persist`; packed deflates
-them like its columns).  UTF-8 byte order equals code-point order, so
+offset vector in memory, sorted in code-point order (an archive stores
+the blob and the entry lengths, :mod:`repro.encoding.persist`).  UTF-8 byte order equals code-point order, so
 :func:`dictionary_find` binary-searches the blob directly — a lookup
 never materialises the dictionary — and :func:`merge_dictionaries` /
 :func:`compact_dictionary` are the whole algebra a splice needs.

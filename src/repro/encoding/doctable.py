@@ -7,8 +7,8 @@ All join algorithms in this repository take a ``DocTable`` plus a context
 (an array of preorder ranks) and return preorder ranks.
 
 Node text is one more dictionary-coded column, :class:`ValueIndex`: the
-encoder emits it, splices merge it, both archive layouts store it member
-for member and the value predicates search it — a node's text is a
+encoder emits it, splices merge it, an archive stores it as members
+(:mod:`repro.encoding.persist`) and the value predicates search it — a node's text is a
 4-byte code from the tree to the kernels, never a Python ``str``.
 
 Beyond raw storage the class offers the O(1) "tree knowledge" primitives

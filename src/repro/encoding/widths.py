@@ -45,7 +45,7 @@ def narrow(column: str, values) -> np.ndarray:
     already there, else range-checked and cast (:class:`EncodingError`,
     never a wrap, when a value does not fit)."""
     dtype = COLUMN_DTYPES[column]
-    array = np.asanyarray(values)  # a memory-mapped v2 member stays mapped
+    array = np.asanyarray(values)  # a memory-mapped archive member stays mapped
     if array.dtype == dtype:
         return array
     limits = np.iinfo(dtype)

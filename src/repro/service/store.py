@@ -3,7 +3,7 @@
 Footnote 1 of the paper gathers several documents under one virtual
 root; a :class:`ShardedStore` keeps *several such planes* — shards —
 each persisted as one ``.npz`` archive
-(:mod:`repro.encoding.persist`, eager or packed layout), plus a small JSON manifest recording
+(:mod:`repro.encoding.persist`, stored or deflated), plus a small JSON manifest recording
 the epoch, the shard files, and which member documents live where.
 
 The layout on disk::
@@ -28,6 +28,8 @@ Why it is shaped this way:
   next commit sweeps them, under the directory lock it holds;
 * a commit stages from the manifest on disk: under that lock it first
   adopts another process's newer commit, so it never writes over one;
+  a read adopts one too, once ``manifest.json`` is no longer the file
+  this store last read or wrote (one ``stat`` per snapshot);
 * the manifest keeps global document order, so merged results are
   reported in the order documents were loaded, independent of sharding.
 
@@ -68,15 +70,15 @@ STORE_FORMAT = 1
 MANIFEST = "manifest.json"
 
 #: ``compression=`` settings a store accepts.  ``auto`` packs a shard
-#: when it crosses :data:`AUTO_PACK_NODES`; ``none``/``packed`` force the
-#: archive format unconditionally.  The setting persists in the manifest
-#: and governs every later commit (``apply_updates`` re-packs touched
-#: shards under the same policy).
+#: when it crosses :data:`AUTO_PACK_NODES`; ``none``/``packed`` store or
+#: deflate every shard's members unconditionally.  The setting persists in
+#: the manifest and governs every later commit (``apply_updates`` re-packs
+#: touched shards under the same policy).
 COMPRESSION_SETTINGS = ("auto", "none", "packed")
 
 #: ``auto`` threshold: shards at or above this node count are written
-#: packed (``format_version`` 9).  Small shards gain little from packing and
-#: load faster eagerly.
+#: packed (deflated members).  Small shards gain little from packing and
+#: map their stored members in place.
 AUTO_PACK_NODES = 65536
 
 
@@ -191,9 +193,11 @@ class ShardedStore:
     closing a store never do.
     """
 
-    def __init__(self, directory: str, manifest: dict):
+    def __init__(self, directory: str, manifest: dict, signature: Optional[tuple] = None):
         self.directory = directory
         self._manifest = manifest  # guarded-by: _lock
+        # (inode, mtime, size) of the manifest.json last read or written
+        self._signature = signature  # guarded-by: _lock
         # shard id → (file, plane), only of files the manifest names
         self._collections: Dict[int, Tuple[str, DocumentCollection]] = {}  # guarded-by: _lock
         # file → live snapshots naming it (the last one unlinks it once superseded)
@@ -219,9 +223,9 @@ class ShardedStore:
         gets the first ``ceil(n/k)`` documents, and so on), which keeps
         the global document order reconstructible from the manifest.
 
-        ``compression`` (``"auto"``/``"none"``/``"packed"``) selects the
-        shard archive format: ``packed`` writes deflated
-        planes, ``none`` the eager layout, and
+        ``compression`` (``"auto"``/``"none"``/``"packed"``) selects how
+        shard archives hold their members: ``packed`` deflates them,
+        ``none`` stores them, and
         ``auto`` packs shards of :data:`AUTO_PACK_NODES` nodes or more.
         The setting persists in the manifest and applies to every later
         commit.
@@ -264,8 +268,8 @@ class ShardedStore:
                 "compression": compression,
                 "shards": entries,
             }
-            _write_manifest(directory, manifest)
-        return cls(directory, manifest)
+            signature = _write_manifest(directory, manifest)
+        return cls(directory, manifest, signature)
 
     @classmethod
     def open(cls, directory: str) -> "ShardedStore":
@@ -277,7 +281,7 @@ class ShardedStore:
         of well-formed entries (:func:`_check_entry`) is a corrupt
         manifest.
         """
-        return cls(directory, _read_manifest(directory))
+        return cls(directory, *_read_manifest(directory))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -354,9 +358,10 @@ class ShardedStore:
         """Bytes-level report per shard.
 
         Backs the ``store info`` CLI verb.  Per shard: bytes on disk,
-        archive format version, dictionary sizes, each column's stored
-        and logical bytes (packed shards), and — when the shard plane is
-        open in this process — its resident bytes per node.
+        archive format version, dictionary sizes, each member's stored
+        (zip compress size) and logical bytes and their sums, and — when
+        the shard plane is open in this process — its resident bytes per
+        node.
         """
         with self._lock:
             shards = []
@@ -376,14 +381,12 @@ class ShardedStore:
                     "value_dictionary": archive["value_dictionary"],
                     "stored_columns": archive["stored_columns"],
                     "derived_columns": archive["derived_columns"],
+                    "members": archive["members"],
                 }
+                for field in ("stored_bytes", "logical_bytes"):
+                    record[field] = sum(m[field] for m in archive["members"].values())
                 total_disk += archive["bytes_on_disk"]
-                if "columns" in archive:  # the packed layout
-                    columns = archive["columns"]
-                    record["columns"] = columns
-                    record["stored_bytes"] = sum(c["stored_bytes"] for c in columns.values())
-                    record["logical_bytes"] = sum(c["logical_bytes"] for c in columns.values())
-                    total_logical += record["logical_bytes"]
+                total_logical += record["logical_bytes"]
                 cached = self._collections.get(entry["id"])
                 if cached is not None and cached[0] == entry["file"]:
                     doc = cached[1].doc
@@ -406,8 +409,13 @@ class ShardedStore:
     # Shard access
     # ------------------------------------------------------------------
     def snapshot(self) -> Snapshot:
-        """The committed state a batch reads, its files kept until released."""
+        """The committed state a batch reads, its files kept until released:
+        the newest on disk, adopted when ``manifest.json`` is no longer the
+        file this store last read or wrote."""
         with self._lock:
+            with contextlib.suppress(FileNotFoundError):  # a removed store serves what it holds
+                if _signature(os.stat(os.path.join(self.directory, MANIFEST))) != self._signature:
+                    self._reread_locked()
             for entry in self._manifest["shards"]:
                 self._readers[entry["file"]] = self._readers.get(entry["file"], 0) + 1
             planes = {shard_id: plane for shard_id, (_, plane) in self._collections.items()}
@@ -430,7 +438,7 @@ class ShardedStore:
                 return reader(snapshot)
         except MissingShardError:
             with self._lock:
-                self._adopt_locked(_read_manifest(self.directory))
+                self._reread_locked()
         with self.snapshot() as snapshot:
             return reader(snapshot)
 
@@ -440,6 +448,12 @@ class ShardedStore:
 
     def _entry_locked(self, shard_id: int) -> Optional[dict]:
         return next((e for e in self._manifest["shards"] if e["id"] == shard_id), None)
+
+    def _reread_locked(self) -> None:
+        """Read ``manifest.json`` and adopt it if it is newer."""
+        manifest, self._signature = _read_manifest(self.directory)
+        if manifest["epoch"] > self._manifest["epoch"]:
+            self._adopt_locked(manifest)
 
     def _adopt_locked(self, manifest: dict) -> None:
         """Make ``manifest`` current; drop planes of files it no longer names."""
@@ -549,8 +563,8 @@ class ShardedStore:
         flips once (one epoch bump per batch; a crash before the flip
         strands files the next commit sweeps).
 
-        Only *touched* shards are staged and rewritten, each in the
-        layout the store's ``compression`` setting gives its new size;
+        Only *touched* shards are staged and rewritten, each stored or
+        deflated as the store's ``compression`` setting gives its new size;
         untouched shards are not opened.
         """
         if not ops:
@@ -628,9 +642,7 @@ class ShardedStore:
         the manifest it replaces.  Yields whether the lock is held."""
         assert self._lock._is_owned(), "the caller must hold _lock"
         with _committing(self.directory) as locked:
-            manifest = _read_manifest(self.directory)
-            if manifest["epoch"] > self._manifest["epoch"]:
-                self._adopt_locked(manifest)
+            self._reread_locked()
             yield locked
 
     def _commit_locked(
@@ -690,7 +702,7 @@ class ShardedStore:
         # An older manifest may carry a "feedback" section; nothing reads
         # it, so it is not copied into the manifests written from here.
         manifest.pop("feedback", None)
-        _write_manifest(self.directory, manifest)
+        self._signature = _write_manifest(self.directory, manifest)
         self._manifest = manifest
         self._members = _members(manifest)
         for shard_id, collection in staged.items():
@@ -792,11 +804,13 @@ def _shard_file_name(shard_id: int, epoch: int) -> str:
     return f"shard-{shard_id:04d}.e{epoch:04d}.npz"
 
 
-def _read_manifest(directory: str) -> dict:
-    """The store's manifest, checked as :meth:`ShardedStore.open` says."""
+def _read_manifest(directory: str) -> Tuple[dict, tuple]:
+    """The store's manifest, checked as :meth:`ShardedStore.open` says,
+    and the :func:`_signature` of the file it was read from."""
     path = os.path.join(directory, MANIFEST)
     try:
         with open(path) as f:
+            signature = _signature(os.fstat(f.fileno()))
             manifest = json.load(f)
     except (FileNotFoundError, NotADirectoryError):
         raise StoreNotFoundError(
@@ -817,7 +831,13 @@ def _read_manifest(directory: str) -> dict:
         raise ReproError(f"{path}: corrupt manifest (no integer epoch)")
     for index, entry in enumerate(manifest["shards"]):
         _check_entry(path, index, entry)
-    return manifest
+    return manifest, signature
+
+
+def _signature(stat: os.stat_result) -> tuple:
+    """What tells one ``manifest.json`` from the next: every commit
+    writes a new file and renames it into place."""
+    return stat.st_ino, stat.st_mtime_ns, stat.st_size
 
 
 @contextlib.contextmanager
@@ -876,10 +896,13 @@ def _frozen(collection: DocumentCollection) -> DocumentCollection:
     return collection
 
 
-def _write_manifest(directory: str, manifest: dict) -> None:
-    """Atomically (write + rename) persist the manifest."""
+def _write_manifest(directory: str, manifest: dict) -> tuple:
+    """Atomically (write + rename) persist the manifest; its :func:`_signature`."""
     path = os.path.join(directory, MANIFEST)
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
         json.dump(manifest, f, indent=1)
+        f.flush()
+        signature = _signature(os.fstat(f.fileno()))
     os.replace(tmp, path)
+    return signature

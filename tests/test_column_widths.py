@@ -4,30 +4,31 @@
 what every producer and consumer owes it:
 
 * answers are the tree-walking reference's, byte for byte — and
-  ``int64`` — whatever the archive format, open mode or backend, on
-  shards big enough (> 2¹⁵ nodes, so well past ``int16``) that a column
-  width leaking into a rank vector wraps visibly; the vectorized engine
-  everywhere, the scalar one on a packed mapped plane (inflated when it
-  opens) and where ``analyze(engine="scalar")`` runs (a ``fabric:2``
-  worker);
+  ``int64`` — whatever the archive's compression, open mode or backend,
+  on shards big enough (> 2¹⁵ nodes, so well past ``int16``) that a
+  column width leaking into a rank vector wraps visibly; the vectorized
+  engine everywhere, the scalar one on a packed mapped plane (inflated
+  when it opens) and where ``analyze(engine="scalar")`` runs (a
+  ``fabric:2`` worker);
 * depth and size limits are clean ``EncodingError``s, never wraps;
 * splices keep the widths and a canonical dictionary (strictly sorted,
   exactly the referenced entries), so splice == re-encode member for
-  member in both layouts; a packed archive inflates to the eager one's
-  members, and dictionary offsets handed over at another width are
+  member under both compressions; both compressions hold the same
+  members, and dictionary lengths handed over at another width are
   narrowed, not trusted;
 * no code path copies a whole column to another dtype, and a packed
   shard inflates at open to 19 resident bytes per node;
-* a packed archive whose ``nodes`` disagrees with its column streams,
-  or overflows the width arithmetic, is rejected before a column is
-  read past it; a packed file smuggling a pickle is rejected before the
+* a ``level`` header whose count disagrees with its member's bytes, or
+  overflows the width arithmetic, is rejected before the column is read
+  past it; a packed file smuggling a pickle is rejected before the
   unpickler is touched.
 """
 
 import hashlib
+import io
 import os
+import struct
 import zipfile
-import zlib
 
 import numpy as np
 import pytest
@@ -77,29 +78,9 @@ def members(path):
         }
 
 
-def inflated_members(path):
-    """:func:`members`, each deflated stream replaced by what it inflates
-    to: a dictionary (its ``int32`` entry lengths, then its blob) by the
-    raw ``*_dict_blob`` / ``*_dict_offsets`` members, a column by its
-    plain member at its declared width — the eager layout's members."""
-    written = members(path)
-    for name in ("tag", "value"):
-        entries, size = np.frombuffer(written.pop(f"{name}_dict_header")[1], np.int64)
-        raw = zlib.decompress(written.pop(f"{name}_dict_deflated")[1])
-        assert len(raw) == 4 * entries + size
-        offsets = np.zeros(entries + 1, dtype=np.int32)
-        np.cumsum(np.frombuffer(raw[: 4 * entries], "<i4"), out=offsets[1:])
-        written[f"{name}_dict_blob"] = ("uint8", raw[4 * entries :])
-        written[f"{name}_dict_offsets"] = ("int32", offsets.tobytes())
-    for column in ("level", "kind", "tag_codes", "value_codes"):
-        raw = zlib.decompress(written.pop(f"{column}_deflated")[1])
-        written[column] = (COLUMN_DTYPES[column].name, raw)
-    return written
-
-
-def digest(path, skip=(), read=members):
+def digest(path, skip=()):
     sha = hashlib.sha256()
-    for name, (dtype, data) in sorted(read(path).items()):
+    for name, (dtype, data) in sorted(members(path).items()):
         if name not in skip:
             sha.update(name.encode())
             sha.update(dtype.encode())
@@ -149,7 +130,7 @@ def stores(forest, tmp_path_factory):
     return built
 
 
-#: Every layout × backend / open mode on the vectorized engine; the
+#: Every compression × backend / open mode on the vectorized engine; the
 #: scalar engine on a packed mapped plane and in a ``fabric:2`` worker
 #: (what ``analyze`` runs).
 SERVED = [
@@ -264,59 +245,58 @@ class TestLimits:
 
 
 # ----------------------------------------------------------------------
-# (c) splices keep the widths and the packed bytes
+# (c) splices keep the widths and the archive's bytes
 # ----------------------------------------------------------------------
-#: sha256 over the sorted members of ``save(..., "packed")`` for
-#: ``DocumentCollection(get_forest(2, 0.05)).doc``, every stream inflated
-#: (a zlib build may deflate differently).  Format 9 deflates each column
-#: whole, so this is the eager layout's members plus ``nodes``, ``height``
-#: and ``format_version`` 9 — recorded equal to the digest of the eager
-#: members the format-8 code wrote, plus those three.  Format 8 (paged columns, code columns compacted) gave
-#: ``cb73a8ac…0cbf``, format 7 ``b73876b3…b71a``, format 5 ``ce69c40c…f84f``.
-PACKED_GOLDEN = "0fdac0fdd0a38750c4f5174232e77595ba8ee169bfaa906191d5d7e7aa7e6be9"
+#: sha256 over the sorted members (name, dtype, bytes) of ``save`` for
+#: ``DocumentCollection(get_forest(2, 0.05)).doc`` — the same under both
+#: compressions, which differ only in how the zip holds the members (so
+#: no zlib build can move it).  Format 10 recorded equal to format 6's
+#: eager members with each ``*_dict_offsets`` replaced by its
+#: ``np.diff`` as ``*_dict_lengths`` and ``format_version`` 10.  Format 9
+#: (every stream inflated, ``nodes`` and ``height`` beside) gave
+#: ``0fdac0fd…6be9``, format 8 ``cb73a8ac…0cbf``, format 7
+#: ``b73876b3…b71a``, format 5 ``ce69c40c…f84f``.
+GOLDEN = "c978df495e2cce41561cdc60528d87c4081fa336f47439359d3618439462726b"
 
-_DICT_OFFSETS = ("tag_dict_offsets", "value_dict_offsets")
+_DICT_LENGTHS = ("tag_dict_lengths", "value_dict_lengths")
 
 
-def test_a_packed_archive_inflates_to_the_eager_members(tmp_path):
+def test_both_compressions_hold_identical_members(tmp_path):
     doc = DocumentCollection(get_forest(2, 0.05)).doc
-    packed, eager = str(tmp_path / "packed.npz"), str(tmp_path / "eager.npz")
-    save(doc, packed, compression="packed")
-    save(doc, eager)
-    assert digest(packed, read=inflated_members) == PACKED_GOLDEN
-    inflated = inflated_members(packed)
-    assert {name: inflated.pop(name)[1] for name in ("format_version", "nodes", "height")} == {
-        "format_version": np.asarray([9], np.int64).tobytes(),
-        "nodes": np.asarray([len(doc)], np.int64).tobytes(),
-        "height": np.asarray([doc.height], np.int64).tobytes(),
-    }
-    written = members(eager)
-    del written["format_version"]
-    assert inflated == written
-    written = members(packed)
+    paths = {compression: str(tmp_path / f"{compression}.npz") for compression in ("none", "packed")}
+    for compression, path in paths.items():
+        save(doc, path, compression=compression)
+    stored, packed = (zipfile.ZipFile(path) for path in paths.values())
+    with stored, packed:
+        assert stored.namelist() == packed.namelist()
+        for info in packed.infolist():
+            assert info.compress_type == zipfile.ZIP_DEFLATED
+            assert stored.getinfo(info.filename).compress_type == zipfile.ZIP_STORED
+            assert packed.read(info) == stored.read(info.filename)
+    assert digest(paths["packed"]) == digest(paths["none"]) == GOLDEN
+    written = members(paths["packed"])
     assert not [name for name in written if name.startswith(("post", "parent"))]
-    assert not [name for name in written if name.endswith(("_dict_blob", "_dict_offsets"))]
 
 
-def widen_offsets(source, target):
-    """``source`` (eager) with 8-byte dictionary offsets — the width
-    older archives held, and what a foreign writer might hand over."""
+def widen_lengths(source, target):
+    """``source`` with 8-byte dictionary entry lengths — what a foreign
+    writer might hand over."""
     with np.load(source) as archive:
         content = {name: archive[name] for name in archive.files}
-    for name in _DICT_OFFSETS:
+    for name in _DICT_LENGTHS:
         content[name] = content[name].astype(np.int64)
     np.savez(target, **content)
 
 
-def test_an_eager_archive_with_8_byte_offsets_loads_and_answers_identically(tmp_path):
-    """Member for member today's file, the offsets at ``int64``: the
-    loaded :class:`ValueIndex` narrows them (range-checked) to the one
-    declared width, whatever width the archive holds."""
+def test_an_archive_with_8_byte_dictionary_lengths_loads_and_answers_identically(tmp_path):
+    """Member for member today's file, the entry lengths at ``int64``:
+    the loaded :class:`ValueIndex`'s offsets are narrowed (range-checked)
+    to the one declared width, whatever width the archive holds."""
     doc = DocumentCollection(get_forest(1, 0.05)).doc
     save(doc, str(tmp_path / "now.npz"))
-    path = str(tmp_path / "wide-offsets.npz")
-    widen_offsets(str(tmp_path / "now.npz"), path)
-    assert members(path)["value_dict_offsets"][0] == "int64"
+    path = str(tmp_path / "wide-lengths.npz")
+    widen_lengths(str(tmp_path / "now.npz"), path)
+    assert members(path)["value_dict_lengths"][0] == "int64"
     described = describe_archive(path)["value_dictionary"]
     now = describe_archive(str(tmp_path / "now.npz"))["value_dictionary"]
     assert (described["entries"], described["bytes"]) == (now["entries"], now["bytes"])
@@ -393,7 +373,7 @@ def test_splices_keep_every_width_and_reencode_identically(tmp_path):
             assert table.values.dictionary_size == expected_entries[label], label
         assert list(table.values) == list(encode(decode(table)).values), label
         # Re-encoding the edited tree from scratch writes the same
-        # members as the splice, in both layouts.
+        # members as the splice, under both compressions.
         for compression in ("packed", "none"):
             save(table, str(tmp_path / "spliced.npz"), compression=compression)
             save(encode(decode(table)), str(tmp_path / "fresh.npz"), compression=compression)
@@ -438,15 +418,16 @@ def test_200_add_remove_cycles_leave_a_fresh_encodes_members(tmp_path):
 
 def test_eager_members_are_written_at_width(tmp_path):
     doc = DocumentCollection(get_forest(1, 0.05)).doc
-    path = str(tmp_path / "eager.npz")
-    save(doc, path)
-    written = members(path)
-    assert "post" not in written and "parent" not in written
-    for name in ("level", "kind", "tag_codes", "value_codes"):
-        assert written[name][0] == COLUMN_DTYPES[name].name
-    for name in _DICT_OFFSETS:
-        assert written[name][0] == COLUMN_DTYPES["dict_offsets"].name
-    assert describe_archive(path)["format_version"] == 6
+    for compression in ("none", "packed"):
+        path = str(tmp_path / f"{compression}.npz")
+        save(doc, path, compression=compression)
+        written = members(path)
+        assert "post" not in written and "parent" not in written
+        for name in ("level", "kind", "tag_codes", "value_codes"):
+            assert written[name][0] == COLUMN_DTYPES[name].name
+        for name in _DICT_LENGTHS:
+            assert written[name][0] == "int32"
+        assert describe_archive(path)["format_version"] == 10
 
 
 # ----------------------------------------------------------------------
@@ -513,22 +494,34 @@ def test_a_served_packed_shard_holds_at_most_20_bytes_per_node(tmp_path):
         assert resident / len(doc) == 19
         shard = store.info()["shards"][0]
         assert shard["resident_bytes_per_node"] == 19
-        assert shard["logical_bytes"] == sum(column.nbytes for column in stored)
+        columns = shard["stored_columns"]
+        assert sum(shard["members"][c]["logical_bytes"] for c in columns) == sum(
+            column.nbytes for column in stored
+        )
         assert shard["derived_columns"] == "post, parent: derived from level"
     described = describe_archive(os.path.join(store.directory, shard["file"]))
-    assert list(described["columns"]) == described["stored_columns"] == shard["stored_columns"]
-    for column, record in described["columns"].items():
-        assert record["logical_bytes"] == len(doc) * COLUMN_DTYPES[column].itemsize
+    assert described["stored_columns"] == columns == ["level", "kind", "tag_codes", "value_codes"]
+    assert described["members"] == shard["members"]
+    for column in columns:
+        assert described["members"][column]["logical_bytes"] == len(doc) * COLUMN_DTYPES[column].itemsize
 
 
 # ----------------------------------------------------------------------
 # Hostile packed archives
 # ----------------------------------------------------------------------
 def rewrite_members(source, target, **replaced):
-    with np.load(source) as archive:
-        content = {name: archive[name] for name in archive.files}
+    """``source``'s members, some ``replaced``, deflated into ``target``
+    (a member given as ``bytes`` is written as it is)."""
+    with zipfile.ZipFile(source) as archive:
+        content = {info.filename[:-4]: archive.read(info) for info in archive.infolist()}
     content.update(replaced)
-    np.savez(target, **content)
+    with zipfile.ZipFile(target, "w", zipfile.ZIP_DEFLATED) as archive:
+        for name, data in content.items():
+            if not isinstance(data, bytes):
+                buffer = io.BytesIO()
+                np.save(buffer, data)
+                data = buffer.getvalue()
+            archive.writestr(f"{name}.npy", data)
 
 
 @pytest.fixture(scope="module")
@@ -538,8 +531,23 @@ def packed_archive(tmp_path_factory):
     return path
 
 
-#: ``nodes`` forgeries: each column stream then inflates to fewer or
-#: more bytes than ``nodes × width`` (or ``nodes`` is no count at all).
+def level_declaring(path, count):
+    """The ``level`` member of the archive at ``path``, its data as
+    written, its header declaring ``count`` values."""
+    with zipfile.ZipFile(path) as archive:
+        member = archive.read("level.npy")
+    (length,) = struct.unpack("<H", member[8:10])
+    header = member[10 : 10 + length].decode("latin-1")
+    written = header[header.index("(") + 1 : header.index(",)")]
+    forged = header.replace(f"({written},)", f"({count},)")
+    forged = forged.rstrip(" \n")
+    forged += " " * (-(len(forged) + 11) % 64) + "\n"
+    return member[:8] + struct.pack("<H", len(forged)) + forged.encode("latin-1") + member[10 + length :]
+
+
+#: ``level`` header counts that do not tile the member's bytes (or are
+#: no count at all): each would leave the column short of the tree, or
+#: carry values past it.
 MISCOUNTED = {
     "nodes-zero": lambda n: 0,
     "nodes-one-short": lambda n: n - 1,
@@ -554,30 +562,23 @@ MISCOUNTED = {
 def test_a_node_count_that_does_not_tile_its_columns_is_rejected(
     packed_archive, tmp_path, forgery, mmap
 ):
-    """Every column stream must inflate to exactly ``nodes`` values at its
-    declared width — else a column would be short of the tree or carry
-    values past it.  ``level`` is inflated first, so it is the member
-    named."""
-    with np.load(packed_archive) as archive:
-        n = int(archive["nodes"][0])
+    """A ``level`` member must hold exactly the values its header
+    declares, at its width: the node count is that header's."""
+    n = describe_archive(packed_archive)["nodes"]
     target = str(tmp_path / "forged.npz")
-    rewrite_members(
-        packed_archive, target, nodes=np.asarray([MISCOUNTED[forgery](n)], dtype=np.int64)
-    )
-    with pytest.raises(
-        EncodingError, match="member 'level_deflated' must inflate|member 'nodes' holds"
-    ):
+    rewrite_members(packed_archive, target, level=level_declaring(packed_archive, MISCOUNTED[forgery](n)))
+    with pytest.raises(EncodingError, match="member 'level'"):
         load(target, mmap=mmap)
 
 
 @pytest.mark.parametrize("nodes", [2**62, np.iinfo(np.int64).max], ids=["wraps-x4", "int64-max"])
 def test_an_int64_node_count_cannot_wrap_the_check_itself(packed_archive, tmp_path, nodes):
-    """``nodes × 4`` of 2⁶² is 2⁶⁴, which an ``int64`` product wraps to
-    0: the count is refused before any width multiplies it."""
+    """``count × 2`` of 2⁶² is 2⁶³, past ``int64``: the header rule
+    multiplies Python integers, which do not wrap."""
     target = str(tmp_path / "forged.npz")
-    rewrite_members(packed_archive, target, nodes=np.asarray([nodes], dtype=np.int64))
+    rewrite_members(packed_archive, target, level=level_declaring(packed_archive, nodes))
     for mmap in (False, True):
-        with pytest.raises(EncodingError, match="member 'nodes' holds"):
+        with pytest.raises(EncodingError, match="member 'level' holds"):
             load(target, mmap=mmap)
 
 
@@ -590,16 +591,18 @@ class Smuggled:
 
 @pytest.mark.parametrize(
     "member",
-    ["level_deflated", "nodes", "tag_dict_deflated", "tag_dict_header",
-     "value_dict_deflated", "value_dict_header"],
+    ["level", "format_version", "tag_dict_lengths", "tag_dict_blob",
+     "value_dict_lengths", "value_dict_blob"],
 )
-def test_a_v3_archive_never_reaches_the_unpickler(packed_archive, tmp_path, member):
+def test_a_packed_archive_never_reaches_the_unpickler(packed_archive, tmp_path, member):
     target = str(tmp_path / "pickled.npz")
     payload = np.empty(1, dtype=object)
     payload[0] = Smuggled()
-    rewrite_members(packed_archive, target, **{member: payload})
+    buffer = io.BytesIO()
+    np.save(buffer, payload, allow_pickle=True)
+    rewrite_members(packed_archive, target, **{member: buffer.getvalue()})
     with zipfile.ZipFile(target) as container:
-        assert f"{member}.npy" in container.namelist()
+        assert container.getinfo(f"{member}.npy").compress_type == zipfile.ZIP_DEFLATED
     for mmap in (False, True):
         with pytest.raises(EncodingError):
             load(target, mmap=mmap)

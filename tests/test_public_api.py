@@ -4,6 +4,7 @@ package's advertised quickstart works as written."""
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 
@@ -49,6 +50,43 @@ class TestExports:
         import repro
 
         assert repro.__version__ == "1.0.0"
+
+
+def resolve(name):
+    """The object a dotted ``repro.…`` name names: its longest importable
+    module prefix, then one attribute per remaining part."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for part in parts[split:]:
+            found = getattr(found, part)
+        return found
+    raise ModuleNotFoundError(name)
+
+
+class TestCitedNames:
+    """The prose cites code by dotted name; a rename or deletion must
+    take the citation with it."""
+
+    DOCUMENTS = ("docs/ARCHITECTURE.md", "README.md")
+
+    def test_every_backticked_repro_name_resolves(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        names = set()
+        for document in self.DOCUMENTS:
+            with open(os.path.join(root, document), encoding="utf-8") as handle:
+                names.update(re.findall(r"`(repro(?:\.\w+)+)", handle.read()))
+        assert len(names) > 60  # the pattern still finds the citations
+        missing = []
+        for name in sorted(names):
+            try:
+                resolve(name)
+            except (ImportError, AttributeError):
+                missing.append(name)
+        assert missing == []
 
 
 class TestRemovedSpellings:

@@ -14,12 +14,13 @@ The headline properties:
 
 import mmap
 import os
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.encoding.persist import LAYOUT_VERSIONS, describe_archive, load
+from repro.encoding.persist import FORMAT_VERSION, describe_archive, load
 from repro.encoding.prepost import encode
 from repro.encoding.widths import COLUMN_DTYPES
 from repro.errors import ReproError
@@ -61,11 +62,17 @@ def batch_bytes(store, queries, engine):
 
 
 def formats(store):
-    """Each shard's archive ``format_version``, in manifest order."""
-    return [
-        describe_archive(os.path.join(store.directory, entry["file"]))["format_version"]
-        for entry in store.describe()["shards"]
-    ]
+    """Each shard's compression — ``"none"`` when every member is stored,
+    ``"packed"`` when every one is deflated — in manifest order."""
+    names = {zipfile.ZIP_STORED: "none", zipfile.ZIP_DEFLATED: "packed"}
+    compressions = []
+    for entry in store.describe()["shards"]:
+        path = os.path.join(store.directory, entry["file"])
+        assert describe_archive(path)["format_version"] == FORMAT_VERSION
+        with zipfile.ZipFile(path) as archive:
+            (compress_type,) = {info.compress_type for info in archive.infolist()}
+        compressions.append(names[compress_type])
+    return compressions
 
 
 def plane_tags(store):
@@ -109,14 +116,14 @@ class TestCompressionSetting:
 
     def test_packed_store_records_the_packed_format(self, packed_store):
         assert packed_store.compression == "packed"
-        assert set(formats(packed_store)) == {LAYOUT_VERSIONS["packed"]} == {9}
+        assert set(formats(packed_store)) == {"packed"}
 
     def test_auto_small_docs_stay_eager(self, forest, tmp_path):
         store = ShardedStore.build(
             str(tmp_path / "s"), forest[:2], compression="auto"
         )
         assert store.compression == "auto"
-        assert set(formats(store)) == {LAYOUT_VERSIONS["none"]} == {6}
+        assert set(formats(store)) == {"none"}
 
     def test_reopened_store_keeps_setting(self, packed_store):
         reopened = ShardedStore.open(packed_store.directory)
@@ -189,8 +196,8 @@ class TestServedPlanes:
         monkeypatch.setattr(fabric, "ShardWorkerState", ProbedState)
         # Four one-document shards, smallest first, and an ``auto``
         # threshold between the second and the third: the first two are
-        # eager, the last two packed, so under fabric:2 each lane serves
-        # one shard of either layout.
+        # stored, the last two packed, so under fabric:2 each lane serves
+        # one shard of either compression.
         sizes = {name: len(encode(tree)) for name, tree in forest}
         ordered = sorted(forest, key=lambda doc: sizes[doc[0]])
         middle = (sizes[ordered[1][0]] + sizes[ordered[2][0]]) // 2
@@ -199,7 +206,7 @@ class TestServedPlanes:
             str(tmp_path / "store"), ordered, shards=4, compression="auto"
         )
         layouts = formats(store)
-        assert layouts == [6, 6, 9, 9]
+        assert layouts == ["none", "none", "packed", "packed"]
         with QueryService(ShardedStore.open(store.directory), backend=backend) as service:
             assert service.execute("//regions", use_cache=False).total > 0
             if backend != "serial":
@@ -210,7 +217,7 @@ class TestServedPlanes:
         assert sorted(int(i) for lane in seen.values() for i in lane) == [0, 1, 2, 3]
         for lane in seen.values():
             for shard_id, columns in lane.items():
-                packed = layouts[int(shard_id)] == LAYOUT_VERSIONS["packed"]
+                packed = layouts[int(shard_id)] == "packed"
                 for name, (kind, dtype, is_mapped) in columns.items():
                     assert dtype == COLUMN_DTYPES[name].name
                     stored = name not in ("post", "parent")
@@ -227,10 +234,12 @@ class TestServedPlanes:
         assert info["compression"] == "packed"
         assert info["total_bytes_on_disk"] > 0
         shard, unopened = info["shards"]
-        assert shard["format_version"] == LAYOUT_VERSIONS["packed"]
-        assert list(shard["columns"]) == shard["stored_columns"]
+        assert shard["format_version"] == FORMAT_VERSION
+        assert set(shard["stored_columns"]) < set(shard["members"])
         assert 0 < shard["stored_bytes"] < shard["logical_bytes"]
-        assert shard["stored_bytes"] == sum(c["stored_bytes"] for c in shard["columns"].values())
+        for field in ("stored_bytes", "logical_bytes"):
+            assert shard[field] == sum(m[field] for m in shard["members"].values())
+        assert info["total_logical_bytes"] == sum(s["logical_bytes"] for s in info["shards"])
         assert shard["tag_dictionary"]["entries"] > 0
         assert shard["resident_bytes_per_node"] == 19
         assert "resident_bytes_per_node" not in unopened
@@ -238,15 +247,20 @@ class TestServedPlanes:
         assert shard["stored_columns"] == ["level", "kind", "tag_codes", "value_codes"]
         assert shard["derived_columns"] == "post, parent: derived from level"
 
-    def test_info_on_plain_store_omits_packing_fields(self, plain_store):
-        info = plain_store.info()
-        for shard in info["shards"]:
-            assert shard["format_version"] == LAYOUT_VERSIONS["none"]
-            assert "columns" not in shard
-            # ... but the dictionaries are reported for either layout.
+    def test_info_on_plain_store_reports_the_same_fields(self, plain_store, packed_store):
+        """A stored member takes its header and its data: no less than
+        its logical bytes.  Members, dictionaries and logical bytes are
+        reported alike under either compression."""
+        info, packed = plain_store.info(), packed_store.info()
+        for shard, twin in zip(info["shards"], packed["shards"]):
+            assert shard["format_version"] == FORMAT_VERSION
+            assert set(shard) == set(twin)
+            for name, member in shard["members"].items():
+                assert member["logical_bytes"] == twin["members"][name]["logical_bytes"]
+                assert member["stored_bytes"] > member["logical_bytes"]
             assert shard["tag_dictionary"]["entries"] > 0
             assert shard["value_dictionary"]["bytes"] > 0
-        assert info["total_logical_bytes"] == 0
+        assert info["total_logical_bytes"] == packed["total_logical_bytes"] > 0
 
 
 class TestPackedUpdates:
@@ -267,7 +281,7 @@ class TestPackedUpdates:
         store.apply_updates(
             [UpdateOp("add", "d9", tree=people_site("z"))]
         )
-        assert set(formats(store)) == {LAYOUT_VERSIONS["packed"]}
+        assert set(formats(store)) == {"packed"}
         reopened = ShardedStore.open(store.directory)
         assert reopened.compression == "packed"
         assert reopened.document_names() == store.document_names()
@@ -307,14 +321,14 @@ class TestPackedUpdates:
 
 
     def test_commits_follow_the_store_setting(self, tmp_path):
-        """A commit writes each touched shard in the layout the store's
-        own setting gives it; there is no per-commit override."""
+        """A commit writes each touched shard under the compression the
+        store's own setting gives it; there is no per-commit override."""
         _, store = self.make_store(tmp_path, "none")
         with pytest.raises(TypeError):
             store.apply_updates([], compression="packed")
         store.apply_updates([UpdateOp("add", "dx", tree=people_site("y"))])
         assert ShardedStore.open(store.directory).compression == "none"
-        assert set(formats(store)) == {LAYOUT_VERSIONS["none"]}
+        assert set(formats(store)) == {"none"}
 
 class TestSpliceReencodeProperty:
     """Hypothesis sweep: random edit batches on a packed store stay
@@ -383,7 +397,7 @@ class TestSpliceReencodeProperty:
             [UpdateOp("update", "d0", tree=people_site("z", "w"))]
         )
         entry = store._manifest["shards"][0]
-        assert formats(store) == [LAYOUT_VERSIONS["packed"]]
+        assert formats(store) == ["packed"]
         table = load(os.path.join(store.directory, entry["file"]), mmap=True)
         assert type(table.level) is np.ndarray
         assert table.post.dtype == COLUMN_DTYPES["post"]

@@ -506,6 +506,32 @@ class TestTwoWriters:
         with QueryService(reopened, backend="serial") as fresh:
             assert fresh.execute("//person").counts() == counts
 
+    def test_a_serving_store_reads_the_other_writers_commit(self, tmp_path, monkeypatch):
+        """A read adopts another process's commit: the next batch's
+        snapshot sees ``manifest.json`` replaced, without a commit of its
+        own or a missing file to prompt it.  Its own commits do not make
+        it re-read the manifest."""
+        import repro.service.store as store_module
+
+        directory = str(tmp_path / "s")
+        ShardedStore.build(directory, [("d0", people_site("a")), ("d1", people_site("b"))])
+        store = ShardedStore.open(directory)
+        with QueryService(store, backend="serial") as service:
+            assert service.execute("//person").counts() == {"d0": 1, "d1": 1}
+            ShardedStore.open(directory).add_document("d2", people_site("c", "d"))
+            assert service.execute("//person").counts() == {"d0": 1, "d1": 1, "d2": 2}
+            assert store.epoch == 2
+            reads = []
+            original = store_module._read_manifest
+            monkeypatch.setattr(
+                store_module, "_read_manifest", lambda d: reads.append(d) or original(d)
+            )
+            service.apply_updates([UpdateOp("add", "d3", tree=people_site("e"))])
+            assert len(reads) == 1  # the commit's own read, under the lock
+            for _ in range(3):
+                assert service.execute("//person", use_cache=False).total == 5
+            assert len(reads) == 1
+
 
 class TestManifestsWrittenBeforeFeedbackWasRemoved:
     #: What PR 10–20 stores carry: the adaptive loop's aggregates (and

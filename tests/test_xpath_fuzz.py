@@ -7,7 +7,7 @@
   an arbitrary exception.
 * Both engines answer what the tree-walking reference answers, error for
   error — on random shapes with every function, union and absolute
-  sub-path, and on value-bearing trees in both archive layouts; and,
+  sub-path, and on value-bearing trees under both archive compressions; and,
   planned, on the ``//t[k]`` pairs the planner rewrites.
 """
 
@@ -479,7 +479,7 @@ class TestValuePredicateColumns:
     def test_engines_match_the_reference(self, query, seed, size, packed):
         """The column evaluator (``vectorized``) and the per-candidate
         loop (``scalar``) answer what the reference answers, error for
-        error, on value-bearing trees in both value layouts."""
+        error, on value-bearing trees under both archive compressions."""
         tree = value_tree(size, seed)
         expected = outcome(lambda: Reference(tree).evaluate(query))
         doc = encode(tree)
