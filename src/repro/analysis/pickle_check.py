@@ -69,7 +69,7 @@ def build_representatives() -> List[object]:
             document=None,
             mode="materialize",
         ),
-        ShardResult(index=0, shard_id=2, mode="count", counts={"doc-a": 3}),
+        ShardResult(index=0, shard_id=2, mode="count", payload={"doc-a": 3}),
         UpdateOp(op="delete", document="doc-a", pre=4),
         # Observations ride the fabric's result messages.
         StepObservation(("step", "descendant", "a"), n_in=4, n_out=9, ns=1200),
@@ -127,19 +127,19 @@ def check_payloads() -> List[str]:
             seen.get((cls.__module__, cls.__qualname__), 0) + 1
         )
 
-    # ndarray payloads defeat dataclass __eq__; verify one explicitly.
+    # ndarray payloads defeat __eq__; verify one explicitly.
     from repro.service.executor import ShardResult
 
     ranked = ShardResult(
         index=1,
         shard_id=0,
         mode="materialize",
-        ranks={"doc-a": np.array([1, 4, 9], dtype=np.int64)},
+        payload={"doc-a": np.array([1, 4, 9], dtype=np.int64)},
     )
     restored = _round_trip(ranked)
-    if not np.array_equal(restored.ranks["doc-a"], ranked.ranks["doc-a"]):
+    if not np.array_equal(restored.payload["doc-a"], ranked.payload["doc-a"]):
         raise PickleCheckError("ShardResult rank array corrupted by round-trip")
-    if restored.ranks["doc-a"].dtype != np.int64:
+    if restored.payload["doc-a"].dtype != np.int64:
         raise PickleCheckError("ShardResult rank array lost its int64 dtype")
 
     missing = [

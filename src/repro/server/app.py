@@ -10,8 +10,8 @@ request path is::
 
 Every ``/query``, ``/batch`` and ``/update`` runs its one service call
 on a single dispatch thread, off the event loop: the engines hold the
-GIL for a whole call, and the serial backend's worker state is not
-thread-safe.  A ``/query`` is dispatched the moment it is admitted.
+GIL for a whole call, and the backend's lock serializes batches at
+every lane count.  A ``/query`` is dispatched the moment it is admitted.
 
 Endpoints
 ---------
@@ -144,9 +144,9 @@ class QueryServer:
         self.admission = AdmissionQueue(
             self.config.queue_limit, self.config.retry_after_s
         )
-        # One blocking-dispatch lane: service calls serialize, because
-        # lane 0's ShardWorkerState (its evaluators and prefix cache) is
-        # not synchronised; the store's planes are, under its lock.
+        # One blocking-dispatch thread: service calls serialize on the
+        # backend's lock anyway (lane 0's ShardWorkerState runs one batch
+        # at a time at every lane count), and the engines hold the GIL.
         self._dispatcher = ThreadPoolExecutor(
             max_workers=1,
             thread_name_prefix="repro-dispatch",

@@ -8,12 +8,10 @@ package turns that into a servable system:
   opener of their planes in a process;
 * :class:`~repro.service.cache.LRUCache` — bounded caches for parsed
   plans and finished results;
-* :class:`~repro.service.backend.ExecutionBackend` — how batches fan
-  out over the shards: :class:`~repro.service.backend.SerialBackend`
-  (in-process, the default) or
-  :class:`~repro.service.fabric.FabricBackend` (shard-affine lanes:
-  the calling thread plus long-lived workers returning ``materialize``
-  payloads as raw rank bytes on their pipes), both with the same
+* :class:`~repro.service.backend.LaneBackend` — how batches fan out
+  over the shards: N shard-affine lanes, the calling thread plus N−1
+  long-lived workers returning ``materialize`` payloads as raw rank
+  bytes on their pipes (``serial`` is one lane, the default), with one
   pre-ordered merge;
 * :class:`~repro.service.service.QueryService` — the front door:
   ``execute`` / ``execute_batch`` with plan + result caching, and
@@ -28,11 +26,7 @@ serve-batch`` runs query batches against one, ``python -m repro
 update`` applies an ops file to one.
 """
 
-from repro.service.backend import (
-    ExecutionBackend,
-    SerialBackend,
-    make_backend,
-)
+from repro.service.backend import LaneBackend, make_backend
 from repro.service.cache import LRUCache
 from repro.service.executor import (
     ShardResult,
@@ -40,7 +34,6 @@ from repro.service.executor import (
     available_cpus,
     default_workers,
 )
-from repro.service.fabric import FabricBackend
 from repro.service.service import QueryService, ServiceResult
 from repro.service.store import ShardedStore
 from repro.service.updates import UpdateOp, parse_ops
@@ -48,9 +41,7 @@ from repro.service.updates import UpdateOp, parse_ops
 __all__ = [
     "LRUCache",
     "available_cpus",
-    "ExecutionBackend",
-    "FabricBackend",
-    "SerialBackend",
+    "LaneBackend",
     "ShardResult",
     "ShardWorkerState",
     "default_workers",

@@ -6,10 +6,9 @@ return a :class:`ShardResult` carrying the payload of the task's
 **result mode** — per-document *relative* preorder ranks
 (``materialize``), per-document cardinalities (``count``), or a single
 shard-level boolean (``exists``).  The same :class:`ShardWorkerState`
-executes tasks for every backend: in-process on
-:class:`~repro.service.backend.SerialBackend`, and on each lane of
-:class:`~repro.service.fabric.FabricBackend` — the dispatching thread
-(lane 0) plus long-lived workers, which receive pickled tasks and send
+executes tasks on every lane of
+:class:`~repro.service.backend.LaneBackend` — the dispatching thread
+(lane 0) and each forked worker, which receives pickled tasks and sends
 ``materialize`` ranks back as raw ``int64`` bytes.
 
 A lane reads planes only from the :class:`~repro.service.store.Snapshot`
@@ -36,24 +35,21 @@ arrays keyed by ``(shard file, engine, operator prefix)``; the file
 name carries the epoch (``shard-0000.e0005.npz``), so no commit leaves
 a stale entry reachable.
 
-Plans arrive compiled, document scoping included, so a worker never
-touches the XPath parser (query strings and uncompiled plans are still
-compiled on arrival, for direct callers).  A lane's evaluators are
-bound to a plane: a replaced shard gets fresh ones on its next task.
+Plans arrive compiled, document scoping included, so a lane never
+touches the XPath parser; it only re-modes each plan to its task's
+result mode.  A lane's evaluators are bound to a plane: a replaced
+shard gets fresh ones on its next task.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.service.cache import LRUCache
 from repro.service.store import ShardedStore, Snapshot, available_cpus
-from repro.xpath.evaluator import Evaluator, parse_with_cache
+from repro.xpath.evaluator import Evaluator
 from repro.xpath.observation import PipelineObserver
-from repro.xpath.pipeline import PhysicalPlan, compile_plan, drive_group
+from repro.xpath.pipeline import PhysicalPlan, drive_group
 
 __all__ = [
     "PrefixContextCache",
@@ -70,7 +66,7 @@ class ShardTask(NamedTuple):
 
     index: int  #: position of the query in the batch
     shard_id: int
-    plan: object  #: compiled PhysicalPlan (or QueryPlan / AST / string)
+    plan: PhysicalPlan  #: compiled; run in this task's ``mode``
     engine: str
     document: Optional[str]  #: scope to one member, or None for the shard
     mode: str = "materialize"  #: result mode: materialize | count | exists
@@ -80,62 +76,32 @@ class ShardTask(NamedTuple):
     observe: bool = False
 
 
-@dataclass(frozen=True)
-class ShardResult:
+class ShardResult(NamedTuple):
     """One shard's answer to one query of a batch.
 
-    Exactly one of the three payload fields is meaningful, selected by
-    ``mode`` — ``ranks`` (document name → document-relative preorder
-    ranks) for ``materialize``, ``counts`` (document name →
-    cardinality) for ``count``, ``found`` for ``exists``.  Every
-    backend produces and merges the same shape: the serial path hands
-    it over in-process, while the fabric ships ``ranks`` as raw bytes
-    behind a descriptor and rebuilds the dataclass (:meth:`build`)
-    around slices of one buffer per reply.
+    ``payload`` is the result mode's: document name → document-relative
+    preorder ranks for ``materialize``, document name → cardinality for
+    ``count``, one bool for ``exists``.  A worker's reply descriptor is
+    this record with a ``materialize`` payload replaced by its
+    ``(document, count)`` layout; the ranks follow raw on its pipe.
     """
 
     index: int  #: position of the query in the batch
     shard_id: int
-    mode: str = "materialize"
-    ranks: Dict[str, np.ndarray] = field(default_factory=dict)
-    counts: Dict[str, int] = field(default_factory=dict)
-    found: bool = False
+    mode: str
+    payload: object
     #: An observed group's one DriveObservation, carried by the result of
     #: its first ``observe=True`` task — empty everywhere else.
     observations: tuple = ()
 
-    @classmethod
-    def build(cls, index, shard_id, mode, payload, observations=()) -> "ShardResult":
-        """The one constructor from a mode and its natural payload."""
-        return cls(
-            index, shard_id, mode,
-            observations=observations, **{_PAYLOAD_FIELD[mode]: payload},
-        )
-
-    @classmethod
-    def of(cls, task: "ShardTask", payload) -> "ShardResult":
-        """Wrap a mode-shaped worker payload for ``task``."""
-        payload = bool(payload) if task.mode == "exists" else dict(payload)
-        return cls.build(task.index, task.shard_id, task.mode, payload)
-
-    @property
-    def payload(self):
-        """The mode's natural payload (rank mapping, counts, or bool)."""
-        return getattr(self, _PAYLOAD_FIELD[self.mode])
-
-
-#: Which :class:`ShardResult` field carries each result mode's payload.
-_PAYLOAD_FIELD = {"materialize": "ranks", "count": "counts", "exists": "found"}
-
 
 def default_workers(store: ShardedStore) -> int:
-    """Auto worker count: one per shard, capped by the usable CPUs."""
+    """A bare ``fabric``'s lane count: one per shard, capped by the
+    usable CPUs."""
     return max(1, min(store.shard_count, available_cpus()))
 
 
-#: A worker's cache bounds: parsed query strings (entries) and
-#: intermediate prefix contexts (bytes).
-_PLAN_CACHE_SIZE = 128
+#: A lane's bound on intermediate prefix contexts (bytes).
 _PREFIX_CACHE_BYTES = 32 << 20
 
 class PrefixContextCache(LRUCache):
@@ -214,13 +180,11 @@ class _ShardPrefixes(NamedTuple):
 
 
 class ShardWorkerState:
-    """One execution lane — the serial backend (also a fabric's lane 0)
-    or a fabric worker: an evaluator per plane and engine, a parse cache
-    and a prefix-context cache.  Planes come from each unit's snapshot."""
+    """One execution lane — lane 0 in the dispatching process, or a
+    forked worker: an evaluator per plane and engine and a prefix-context
+    cache.  Planes come from each unit's snapshot."""
 
     def __init__(self):
-        # Shared by this lane's evaluators: raw query strings parse once.
-        self.plan_cache = LRUCache(_PLAN_CACHE_SIZE)
         # Keyed (shard file, engine, prefix): the file name carries the
         # epoch, so a commit orphans every key minted before it.
         self.prefix_cache = PrefixContextCache(_PREFIX_CACHE_BYTES)
@@ -234,22 +198,8 @@ class ShardWorkerState:
             bound = self._evaluators[shard_id] = (collection.doc, {})
         evaluators = bound[1]
         if engine not in evaluators:
-            evaluators[engine] = Evaluator(
-                collection.doc, engine=engine, plan_cache=self.plan_cache
-            )
+            evaluators[engine] = Evaluator(collection.doc, engine=engine)
         return evaluators[engine]
-
-    def _pipeline(self, task: ShardTask) -> PhysicalPlan:
-        """The task's compiled pipeline, in the task's result mode.
-
-        Service-dispatched tasks already carry a :class:`PhysicalPlan`;
-        direct callers may still hand a query string, a parsed AST, or a
-        :class:`~repro.xpath.planner.QueryPlan` — compiled here.
-        """
-        plan = task.plan
-        if isinstance(plan, str):
-            plan = parse_with_cache(plan, self.plan_cache)
-        return compile_plan(plan, mode=task.mode)
 
     def _finish(self, task: ShardTask, collection, frontier):
         """Shape one member's driver output into the task's mode payload
@@ -278,7 +228,7 @@ class ShardWorkerState:
         """
         groups: Dict[tuple, List[Tuple[int, ShardTask, PhysicalPlan]]] = {}
         for slot, task in enumerate(tasks):
-            pipeline = self._pipeline(task)
+            pipeline = task.plan.with_mode(task.mode)
             key = (task.shard_id, task.engine, task.document, pipeline.planned)
             groups.setdefault(key, []).append((slot, task, pipeline))
         results: List[Optional[ShardResult]] = [None] * len(tasks)
@@ -299,12 +249,12 @@ class ShardWorkerState:
                 observer,
             )
             for (slot, task, _), frontier in zip(members, frontiers):
-                results[slot] = ShardResult.of(
-                    task, self._finish(task, collection, frontier)
+                results[slot] = ShardResult(
+                    task.index, task.shard_id, task.mode,
+                    self._finish(task, collection, frontier),
                 )
             if observer is not None:
-                results[sampled[0]] = replace(
-                    results[sampled[0]],
+                results[sampled[0]] = results[sampled[0]]._replace(
                     observations=(observer.observation(shard_id, engine),),
                 )
         return results

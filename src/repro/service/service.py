@@ -11,11 +11,11 @@ A :class:`QueryService` answers XPath queries over a
    replacement bumps the epoch so no stale entry is ever reachable;
 3. misses are compiled into
    :class:`~repro.xpath.pipeline.PhysicalPlan` operator pipelines and
-   fan out through an
-   :class:`~repro.service.backend.ExecutionBackend` — serial
-   in-process or the worker fabric (vectorized engine
-   by default); the pre-ordered per-shard results are merged in
-   global document order.
+   fan out over the lanes of a
+   :class:`~repro.service.backend.LaneBackend` — the calling thread,
+   plus forked workers on ``fabric:N`` (vectorized engine by default);
+   the pre-ordered per-shard results are merged in global document
+   order.
 
 Every query runs in a **result mode**: ``materialize`` (the default),
 ``count``, or ``exists``.  Results are :class:`ServiceResult` values:
@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import ReproError
-from repro.service.backend import BACKEND_ENV, ExecutionBackend, make_backend
+from repro.service.backend import BACKEND_ENV, LaneBackend, make_backend
 from repro.service.cache import LRUCache
 from repro.service.store import ShardedStore, Snapshot
 from repro.xpath.axes import resolve_engine
@@ -106,10 +106,10 @@ class QueryService:
         engine unless the caller opts into the instrumented scalar one
         (the e2e oracle does).  There is no per-query choice.
     backend:
-        How batches execute: an
-        :class:`~repro.service.backend.ExecutionBackend` instance or a
-        spec string — ``"serial"`` (in-process) or ``"fabric"`` /
-        ``"fabric:4"`` (the worker fabric).  Defaults to the
+        How batches execute: a
+        :class:`~repro.service.backend.LaneBackend` instance or a spec
+        string — ``"serial"`` (one lane, in-process) or ``"fabric"`` /
+        ``"fabric:4"`` (lanes plus forked workers).  Defaults to the
         ``REPRO_BACKEND`` environment variable, else ``"serial"`` —
         process parallelism is asked for by name.
     plan_cache_size / result_cache_size:
@@ -130,7 +130,7 @@ class QueryService:
         plan_cache_size: int = 256,
         result_cache_size: int = 1024,
         planner: bool = True,
-        backend: Union[str, ExecutionBackend, None] = None,
+        backend: Union[str, LaneBackend, None] = None,
         feedback=None,  # ignored; benchmarks/e2e/e2e_oracle.py:84 still passes it
     ):
         self.store = store

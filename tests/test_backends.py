@@ -1,11 +1,13 @@
-"""Execution-backend suite: protocol, fabric transport, lifecycle.
+"""Execution-backend suite: one lane class, fabric transport, lifecycle.
 
 The headline property extends the service layer's batched == serial:
-**the backend is invisible** — serial and fabric answer any
+**the lane count is invisible** — serial and fabric answer any
 batch byte-identically across engines, result modes, and planner
 settings (pinned suite + a hypothesis sweep over random forests).
-Around it, what is new with the fabric: ``fabric:N`` forks N−1 workers
-and answers lane 0's share in-process; a worker's reply is a framed
+Every spec builds one ``LaneBackend``: ``serial``, ``fabric:1`` and a
+bare ``fabric`` on one lane fork nothing and hold no pipe, and
+``fabric:N`` forks N−1 workers and answers lane 0's share in-process;
+one lock serializes batches at every lane count; a worker's reply is a framed
 descriptor followed by its raw rank bytes on the same pipe, read into
 one buffer per reply with nothing read ahead; shard affinity keeps
 per-worker prefix caches warm, a scarce shard's chunks spread over idle
@@ -34,18 +36,16 @@ from repro.errors import ReproError, XPathEvaluationError
 from repro.harness.workloads import get_forest
 from repro.server import ServerConfig, ThreadedServer
 from repro.service import (
-    FabricBackend,
+    LaneBackend,
     QueryService,
-    SerialBackend,
     ShardedStore,
     ShardResult,
     make_backend,
 )
 from repro.service import backend as backend_module
-from repro.service import fabric
 from repro.service.backend import BACKEND_ENV
-from repro.service.executor import ShardTask
 
+from _plans import compiled
 from _reference import random_tree
 
 ENGINES = ("scalar", "vectorized")
@@ -186,14 +186,14 @@ class TestBackendEquivalence:
 # ----------------------------------------------------------------------
 class TestBackendSelection:
     def test_make_backend_specs(self, store):
-        assert type(make_backend("serial", store)) is SerialBackend
+        serial = make_backend("serial", store)
+        assert type(serial) is LaneBackend and serial.workers == 1
         fabric = make_backend("fabric:2", store)
-        assert type(fabric) is FabricBackend and fabric.workers == 2
+        assert type(fabric) is LaneBackend and fabric.workers == 2
         fabric.close()
-        instance = SerialBackend(store)
-        assert make_backend(instance, store) is instance
+        assert make_backend(serial, store) is serial
 
-    def test_bad_specs_rejected(self, store):
+    def test_bad_specs_rejected(self, store, monkeypatch):
         with pytest.raises(ReproError, match="unknown backend"):
             make_backend("quantum", store)
         with pytest.raises(ReproError, match="worker count"):
@@ -201,7 +201,23 @@ class TestBackendSelection:
         with pytest.raises(ReproError, match="backend spec"):
             make_backend(3.14, store)
         with pytest.raises(ReproError):
-            FabricBackend(store, workers=0)
+            LaneBackend(store, 0)
+        # serial is one lane by name; a fabric needs one lane or more.
+        children = live_children()
+        for spec, reason in (
+            ("serial:4", "takes no count"),
+            ("serial:1", "takes no count"),
+            ("serial:", "takes no count"),
+            ("fabric:", "worker count"),
+            ("fabric:0", "lane count of 1 or more"),
+            ("fabric:-2", "lane count of 1 or more"),
+        ):
+            with pytest.raises(ReproError, match=reason):
+                make_backend(spec, store)
+            monkeypatch.setenv(BACKEND_ENV, spec)
+            with pytest.raises(ReproError, match=reason):
+                QueryService(store)
+        assert live_children() == children
 
     @pytest.mark.parametrize("spec", ["pool", "pool:2"])
     def test_removed_pool_backend_is_rejected_by_name(self, store, spec, monkeypatch):
@@ -215,19 +231,19 @@ class TestBackendSelection:
     def test_default_backend_is_serial(self, store, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         with QueryService(store) as service:
-            # Exact type: a FabricBackend is a SerialBackend too.
-            assert type(service.backend) is SerialBackend
+            assert service.backend.name == "serial"
+            assert service.backend.workers == 1
 
     def test_env_variable_supplies_default(self, store, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "fabric:2")
         with QueryService(store) as service:
-            assert type(service.backend) is FabricBackend
+            assert service.backend.name == "fabric"
             assert service.backend.workers == 2
 
     def test_explicit_argument_beats_env(self, store, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "fabric:2")
         with QueryService(store, backend="serial") as service:
-            assert type(service.backend) is SerialBackend
+            assert service.backend.workers == 1
 
     def test_worker_count_parameters_are_gone(self, store):
         with pytest.raises(TypeError):
@@ -239,7 +255,7 @@ class TestBackendSelection:
         with QueryService(store, backend="serial") as service:
             snapshot = service.stats_snapshot()
         assert snapshot["backend"] == "serial"
-        assert snapshot["workers"] == 0
+        assert snapshot["workers"] == 1  # the lane count
 
     def test_query_service_open_context_manager(self, store):
         with QueryService.open(store.directory, backend="fabric:2") as service:
@@ -257,12 +273,12 @@ class TestLanes:
     @pytest.mark.parametrize("lanes", [2, 3])
     def test_fabric_n_forks_n_minus_one_workers(self, store, lanes):
         children = live_children()
-        with FabricBackend(store, workers=lanes) as backend:
+        with LaneBackend(store, lanes) as backend:
             assert backend.workers == lanes
             forked = live_children() - children
             assert forked == {p.pid for p in backend._procs.values()}
             assert len(forked) == lanes - 1
-            backend.run_batch([("//person", "vectorized", None, "count")])
+            backend.run_batch(compiled([("//person", "vectorized", None, "count")]))
             assert live_children() - children == forked  # none at first use
         assert live_children() - children == set()
 
@@ -270,14 +286,14 @@ class TestLanes:
         """Pipes are read by the dispatching thread itself: no thread is
         started at construction, by a respawn, or left after close."""
         before = set(threading.enumerate())
-        backend = FabricBackend(store, workers=3)
+        backend = LaneBackend(store, 3)
         try:
             assert set(threading.enumerate()) <= before
-            backend.run_batch([("//person", "vectorized", None, "count")])
+            backend.run_batch(compiled([("//person", "vectorized", None, "count")]))
             victim, sibling = backend._procs[1], backend._procs[2]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join()
-            backend.run_batch([("//person", "vectorized", None, "count")])
+            backend.run_batch(compiled([("//person", "vectorized", None, "count")]))
             # Lane 1 was respawned, lane 2 was not.
             assert backend._procs[1].pid != victim.pid
             assert backend._procs[2] is sibling
@@ -287,25 +303,43 @@ class TestLanes:
         assert set(threading.enumerate()) <= before
 
     def test_one_lane_is_serial(self, store, monkeypatch):
-        """``fabric:1``, and a bare ``fabric`` resolving to one lane, are
-        the serial backend: one spelling per backend, nothing forked."""
-        children = live_children()
-        assert type(make_backend("fabric:1", store)) is SerialBackend
+        """``serial``, ``fabric:1`` and a bare ``fabric`` resolving to one
+        lane are one backend: one lane, in process — it forks nothing,
+        starts no thread, holds no pipe and never waits on one."""
+        import multiprocessing.connection
+
+        def no_wait(*args, **kwargs):
+            raise AssertionError("one lane waited on a pipe")
+
+        monkeypatch.setattr(multiprocessing.connection, "wait", no_wait)
         monkeypatch.setattr(backend_module, "default_workers", lambda store: 1)
-        assert type(make_backend("fabric", store)) is SerialBackend
-        assert live_children() == children
-        with pytest.raises(ReproError, match="two or more lanes"):
-            FabricBackend(store, workers=1)
+        children, threads = live_children(), set(threading.enumerate())
+        items = compiled([(q, "vectorized", None, "materialize") for q in SUITE])
+        answers = []
+        for spec in ("serial", "fabric:1", "fabric"):
+            with make_backend(spec, store) as backend:
+                assert type(backend) is LaneBackend
+                assert (backend.workers, backend.name) == (1, "serial")
+                assert backend._procs == {} and backend._conns == {}
+                answers.append(backend.run_batch(items))
+                stats = backend.worker_stats()
+                assert stats["dispatched"] == [store.shard_count]
+                assert stats["stolen"] == 0 and len(stats["workers"]) == 1
+                assert live_children() == children
+                assert set(threading.enumerate()) <= threads
+        images = [[{n: a.tobytes() for n, a in m.items()} for m in a] for a in answers]
+        assert images[0] == images[1] == images[2]
 
     def test_lane_zero_answers_in_process(self, forest, tmp_path):
         single = ShardedStore.build(str(tmp_path / "store"), forest, shards=1)
-        item = ("//open_auction/bidder", "vectorized", None, "materialize")
-        expected = SerialBackend(single).run_batch([item])
-        with FabricBackend(single, workers=2) as backend:
-            merged = backend.run_batch([item])
+        items = compiled([("//open_auction/bidder", "vectorized", None, "materialize")])
+        expected = LaneBackend(single, 1).run_batch(items)
+        with LaneBackend(single, 2) as backend:
+            merged = backend.run_batch(items)
             stats = backend.worker_stats()
-            in_process = backend._serial_state.prefix_cache.info()
-        assert backend._serial_state is None  # close drops lane 0's planes
+            lane0 = backend._lane0
+            in_process = lane0.prefix_cache.info()
+        assert backend._lane0 is not lane0  # close drops lane 0's caches
         assert stats["dispatched"] == [1, 0]  # shard 0 % 2 lanes = lane 0
         assert {n: a.tobytes() for n, a in merged[0].items()} == {
             n: a.tobytes() for n, a in expected[0].items()
@@ -320,38 +354,37 @@ class TestLanes:
         def boom(self, tasks, snapshot):
             raise RuntimeError("lane 0 exploded")
 
-        counted = ("//person", "vectorized", None, "count")
-        expected = SerialBackend(store).run_batch([counted])
-        with FabricBackend(store, workers=2) as backend:
+        counted = compiled([("//person", "vectorized", None, "count")])
+        expected = LaneBackend(store, 1).run_batch(counted)
+        with LaneBackend(store, 2) as backend:
             # Patched after the fork: only lane 0 runs ``boom``.
             monkeypatch.setattr(ShardWorkerState, "run_group", boom)
-            item = ("//open_auction/bidder", "vectorized", None, "materialize")
+            items = compiled([("//open_auction/bidder", "vectorized", None, "materialize")])
             with pytest.raises(RuntimeError, match="lane 0 exploded"):
-                backend.run_batch([item])
+                backend.run_batch(items)
             # Lane 1's reply, body and all, was read before the raise:
             # nothing waits on its pipe, so the next batch reads its own.
             assert not backend._conns[1].poll()
             monkeypatch.undo()
-            assert backend.run_batch([counted]) == expected
+            assert backend.run_batch(counted) == expected
 
 
 # ----------------------------------------------------------------------
 class TestShardResult:
-    def _task(self, mode):
-        return ShardTask(
-            index=3, shard_id=1,
-            plan="//a", engine="vectorized", document=None, mode=mode,
+    def test_the_record_is_the_reply_descriptor(self):
+        """One record, five fields: what a lane returns is what a
+        worker's descriptor carries, a layout in place of the ranks."""
+        assert ShardResult._fields == (
+            "index", "shard_id", "mode", "payload", "observations",
         )
-
-    def test_of_and_payload_round_trip(self):
-        ranks = {"d0": np.arange(4, dtype=np.int64)}
-        materialized = ShardResult.of(self._task("materialize"), ranks)
-        assert materialized.payload == ranks
-        assert (materialized.index, materialized.shard_id) == (3, 1)
-        counted = ShardResult.of(self._task("count"), {"d0": 4})
-        assert counted.payload == {"d0": 4}
-        found = ShardResult.of(self._task("exists"), True)
-        assert found.payload is True and found.mode == "exists"
+        ranks = ShardResult(3, 1, "materialize", {"d0": np.arange(4)})
+        counted = ShardResult(3, 1, "count", {"d0": 4}, ("observed",))
+        light, arrays = backend_module._pack([ranks, counted])
+        assert light == [
+            ShardResult(3, 1, "materialize", [("d0", 4)]),
+            counted,
+        ]
+        assert [a.tolist() for a in arrays] == [[0, 1, 2, 3]]
 
 
 # ----------------------------------------------------------------------
@@ -360,20 +393,16 @@ class TestReplyWire:
     then the rank bytes raw, read into one buffer per reply."""
 
     def _results(self):
-        task = ShardTask(
-            index=2, shard_id=1,
-            plan="//a", engine="vectorized", document=None,
-        )
         empty = np.empty(0, dtype=np.int64)
         return [
-            ShardResult.of(task, {
+            ShardResult(2, 1, "materialize", {
                 "d0": np.arange(100, dtype=np.int64),
                 "d1": empty,
                 "d2": np.array([7, 9], dtype=np.int64),
             }),
-            ShardResult.of(task, {"d0": empty}),
-            ShardResult.build(2, 1, "count", {"d0": 3}, ("observed",)),
-            ShardResult.of(task._replace(mode="exists"), True),
+            ShardResult(2, 1, "materialize", {"d0": empty}),
+            ShardResult(2, 1, "count", {"d0": 3}, ("observed",)),
+            ShardResult(2, 1, "exists", True),
         ]
 
     def _within(self, read, seconds=30):
@@ -387,25 +416,25 @@ class TestReplyWire:
 
     def test_round_trip_over_a_pipe(self):
         sent = self._results()
-        light, arrays = fabric._pack(sent)
+        light, arrays = backend_module._pack(sent)
         # Only non-empty columns make the body; the descriptor holds
         # counts, never rank bytes.
         assert [len(ranks) for ranks in arrays] == [100, 2]
         assert light[0][3] == [("d0", 100), ("d1", 0), ("d2", 2)]
         ours, theirs = multiprocessing.Pipe()
         with ours, theirs:
-            fabric._send_done(theirs, light, arrays)
-            kind, received = self._within(lambda: fabric._receive(ours))
+            backend_module._send_done(theirs, light, arrays)
+            kind, received = self._within(lambda: backend_module._receive(ours))
             assert not ours.poll()  # the body was read to its last byte
         assert kind == "done"
         assert received[2:] == sent[2:]
         assert received[2].observations == ("observed",)
         for got, want in zip(received[:2], sent[:2]):
             assert (got.index, got.shard_id, got.mode) == (2, 1, "materialize")
-            assert list(got.ranks) == list(want.ranks)
-            for name, ranks in want.ranks.items():
-                assert got.ranks[name].dtype == np.int64
-                assert got.ranks[name].tobytes() == ranks.tobytes()
+            assert list(got.payload) == list(want.payload)
+            for name, ranks in want.payload.items():
+                assert got.payload[name].dtype == np.int64
+                assert got.payload[name].tobytes() == ranks.tobytes()
 
     def test_a_frame_after_a_body_is_read_intact(self):
         """``Connection.recv`` reads its own frame and nothing after it:
@@ -413,19 +442,19 @@ class TestReplyWire:
         body, are both still on the socket for their own readers."""
         ours, theirs = multiprocessing.Pipe()
         with ours, theirs:
-            fabric._send_done(theirs, *fabric._pack(self._results()))
+            backend_module._send_done(theirs, *backend_module._pack(self._results()))
             theirs.send(("stats", {"after": "the body"}))
-            kind, received = self._within(lambda: fabric._receive(ours))
-            assert received[0].ranks["d0"].tolist() == list(range(100))
+            kind, received = self._within(lambda: backend_module._receive(ours))
+            assert received[0].payload["d0"].tolist() == list(range(100))
             assert ours.recv() == ("stats", {"after": "the body"})
             assert not ours.poll()
 
     def test_remote_ranks_are_slices_of_one_buffer(self, store):
-        backend = FabricBackend(store, workers=2)
-        merged = backend.run_batch([
+        backend = LaneBackend(store, 2)
+        merged = backend.run_batch(compiled([
             ("//open_auction/bidder", "vectorized", None, "materialize"),
             ("//bidder/increase", "vectorized", None, "materialize"),
-        ])
+        ]))
         # Shard 1 ran on lane 1, the forked worker: one reply for both
         # queries, one buffer under every remote column.
         remote = store.shard_entry(1)["documents"]
@@ -447,7 +476,7 @@ class TestReplyWire:
 def dying_worker(marker, fault):
     """A ``_fabric_worker`` whose first fork reads its message, runs
     ``fault`` on its pipe and exits; every later fork is the real one."""
-    worker = fabric._fabric_worker
+    worker = backend_module._fabric_worker
 
     def patched(directory, conn, inherited):
         try:
@@ -464,7 +493,7 @@ def dying_worker(marker, fault):
 # ----------------------------------------------------------------------
 class TestAffinityAndResilience:
     def test_affinity_routes_shards_to_stable_workers(self, store):
-        backend = FabricBackend(store, workers=2)
+        backend = LaneBackend(store, 2)
         with QueryService(store, backend=backend) as service:
             for _ in range(3):
                 service.execute_batch(SUITE, use_cache=False)
@@ -476,7 +505,7 @@ class TestAffinityAndResilience:
         assert stats["dispatched"][0] == 2 * stats["dispatched"][1]
 
     def test_affinity_keeps_prefix_caches_warm(self, store):
-        backend = FabricBackend(store, workers=2)
+        backend = LaneBackend(store, 2)
         with QueryService(store, backend=backend) as service:
             prefix_batch = [
                 "//open_auction/bidder/increase",
@@ -493,7 +522,7 @@ class TestAffinityAndResilience:
             assert after["prefix_cache"]["hits"] > before["prefix_cache"]["hits"]
 
     def test_stealing_rebalances_a_backlogged_worker(self, store):
-        with FabricBackend(store, workers=2) as backend:
+        with LaneBackend(store, 2) as backend:
             # Shard 0's affine worker holds 3 units, worker 1 none.
             assert backend._assign(0, [3, 0]) == 1
             assert backend._assign(0, [0, 0]) == 0  # balanced: stay affine
@@ -501,7 +530,7 @@ class TestAffinityAndResilience:
             assert backend._assign(1, [2, 2]) == 1  # ties stay affine
             assert backend._assign(1, [1, 2]) == 0
             assert backend.stolen == 3
-        with FabricBackend(store, workers=4) as wide:
+        with LaneBackend(store, 4) as wide:
             assert wide._assign(0, [2, 1, 0, 0]) == 2  # the first least-loaded
 
     @pytest.mark.parametrize("shards, workers", [(1, 2), (2, 4)])
@@ -515,7 +544,7 @@ class TestAffinityAndResilience:
             expected = [
                 snapshot(r) for r in service.execute_batch(batch, use_cache=False)
             ]
-        backend = FabricBackend(scarce, workers=workers)
+        backend = LaneBackend(scarce, workers)
         with QueryService(scarce, backend=backend) as service:
             answers = [
                 snapshot(r) for r in service.execute_batch(batch, use_cache=False)
@@ -524,7 +553,7 @@ class TestAffinityAndResilience:
         assert answers == expected
 
     def test_killed_worker_is_respawned_and_batch_completes(self, store):
-        backend = FabricBackend(store, workers=2)
+        backend = LaneBackend(store, 2)
         with QueryService(store, backend=backend) as service:
             baseline = [
                 snapshot(r)
@@ -571,7 +600,7 @@ class TestAffinityAndResilience:
             return run_group(self, tasks, snapshot)
 
         monkeypatch.setattr(ShardWorkerState, "run_group", die_once)
-        backend = FabricBackend(store, workers=2)
+        backend = LaneBackend(store, 2)
         first = backend._procs[1].pid
         with QueryService(store, backend=backend) as service:
             answers = [
@@ -595,8 +624,8 @@ class TestAffinityAndResilience:
 
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("the patched worker reaches the child through fork only")
-        item = ("//open_auction/bidder", "vectorized", None, "materialize")
-        expected = SerialBackend(store).run_batch([item])
+        items = compiled([("//open_auction/bidder", "vectorized", None, "materialize")])
+        expected = LaneBackend(store, 1).run_batch(items)
 
         def fault(conn):
             if where == "frame":  # "1 MB follows", and nothing does
@@ -605,13 +634,13 @@ class TestAffinityAndResilience:
                 conn.send(("done", [(0, 1, "materialize", [("d", 1000)], ())], 8000))
                 os.write(conn.fileno(), bytes(4000))
 
-        monkeypatch.setattr(fabric, "_fabric_worker", dying_worker(tmp_path / "died", fault))
-        with FabricBackend(store, workers=2) as backend:
+        monkeypatch.setattr(backend_module, "_fabric_worker", dying_worker(tmp_path / "died", fault))
+        with LaneBackend(store, 2) as backend:
             first = backend._procs[1].pid
             children = live_children()
             answered = []
             batch = threading.Thread(
-                target=lambda: answered.append(backend.run_batch([item])),
+                target=lambda: answered.append(backend.run_batch(items)),
                 daemon=True,
             )
             batch.start()
@@ -625,12 +654,17 @@ class TestAffinityAndResilience:
             n: a.tobytes() for n, a in expected[0].items()
         }
 
-    def test_concurrent_callers_each_get_their_own_answers(self, store):
-        """Two threads share one fabric: batches queue on its lock, and
-        every answer is the serial one, byte for byte."""
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_concurrent_callers_each_get_their_own_answers(self, store, lanes, monkeypatch):
+        """Two threads share one backend: batches queue on its lock at
+        every lane count (one lane too), so lane 0's state never runs
+        two batches at once, and every answer is the one a backend of
+        its own gives, byte for byte."""
+        from repro.service import ShardWorkerState
+
         batches = [
-            [(query, "vectorized", None, mode),
-             (SUITE[(i + 1) % len(SUITE)], "vectorized", None, mode)]
+            compiled([(query, "vectorized", None, mode),
+                      (SUITE[(i + 1) % len(SUITE)], "vectorized", None, mode)])
             for i, query in enumerate(SUITE)
             for mode in MODES
         ]
@@ -642,9 +676,21 @@ class TestAffinityAndResilience:
                 for m in merged
             ]
 
-        expected = [image(SerialBackend(store).run_batch(b)) for b in batches]
+        expected = [image(LaneBackend(store, 1).run_batch(b)) for b in batches]
         answers: dict = {}
-        with FabricBackend(store, workers=2) as backend:
+        with LaneBackend(store, lanes) as backend:
+            run_group, inside, overlaps = ShardWorkerState.run_group, [], []
+
+            def one_at_a_time(self, tasks, snapshot):
+                inside.append(None)
+                overlaps.append(len(inside))
+                try:
+                    return run_group(self, tasks, snapshot)
+                finally:
+                    inside.pop()
+
+            # Patched after the fork: only lane 0, in this process, counts.
+            monkeypatch.setattr(ShardWorkerState, "run_group", one_at_a_time)
 
             def caller(name):
                 seen = []
@@ -667,6 +713,7 @@ class TestAffinityAndResilience:
             finally:
                 sys.setswitchinterval(interval)
             assert not any(thread.is_alive() for thread in threads), "a caller hung"
+        assert overlaps and max(overlaps) == 1  # lane 0 ran one batch at a time
         assert sorted(answers) == [0, 1]
         for seen in answers.values():
             assert len(seen) == 50
@@ -751,9 +798,9 @@ with QueryService(ShardedStore.open(sys.argv[1]), backend="fabric:2") as service
             raise RuntimeError("kernel exploded")
 
         monkeypatch.setattr(ShardWorkerState, "run_group", boom)
-        with FabricBackend(store, workers=2) as backend:
+        with LaneBackend(store, 2) as backend:
             with pytest.raises(ReproError, match="fabric worker 1 failed") as caught:
-                backend.run_batch([("//person", "vectorized", None, "materialize")])
+                backend.run_batch(compiled([("//person", "vectorized", None, "materialize")]))
         assert "RuntimeError: kernel exploded" in str(caught.value)
 
     def test_user_errors_are_identical_on_every_backend(self, store):
@@ -918,12 +965,13 @@ sys.stdin.read()  # serve until killed
                 server.stdin.close()
 
     def test_backend_close_is_idempotent_and_reusable(self, store):
-        backend = FabricBackend(store, workers=2)
+        backend = LaneBackend(store, 2)
         with QueryService(store, backend=backend) as service:
             first = service.execute("//person", use_cache=False).total
+            lane0 = backend._lane0
             backend.close()
             backend.close()
-            # Closing drops lane 0's planes, so the next fork is lean...
-            assert backend._serial_state is None
+            # Closing drops lane 0's caches, so the next fork is lean...
+            assert backend._lane0 is not lane0
             # ...and a closed backend lazily respawns workers on next use.
             assert service.execute("//person", use_cache=False).total == first

@@ -222,10 +222,17 @@ class TestShardServeBatch:
             ["serve-batch", "STORE", "//person", "--workers", "2"],
             ["serve", "STORE", "--workers", "2"],
             ["serve-batch", "STORE", "//person", "--backend", "pool:2"],
+            # serial is one lane by name; a fabric has one lane or more
+            ["serve-batch", "STORE", "//person", "--backend", "serial:4"],
+            ["serve", "STORE", "--backend", "fabric:0"],
+            ["serve-batch", "STORE", "//person", "--backend", "fabric:-2"],
             ["query", "doc.xml", "//name", "--strategy", "staircase"],
             ["shard", "--info", "STORE"],
         ],
-        ids=["batch-workers", "serve-workers", "backend-pool", "strategy", "shard-info"],
+        ids=[
+            "batch-workers", "serve-workers", "backend-pool", "backend-serial-count",
+            "backend-no-lanes", "backend-negative-lanes", "strategy", "shard-info",
+        ],
     )
     def test_removed_spellings_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -140,7 +140,7 @@ def compile_items(specs, planners):
 
 
 def shard_tasks(store, items, observe):
-    """What ``ExecutionBackend._expand`` makes of ``items`` — every
+    """What ``LaneBackend._expand`` makes of ``items`` — every
     shard's tasks in one list, so one call mixes shards too."""
     tasks = []
     for index, (plan, engine, document, mode) in enumerate(items):
@@ -156,11 +156,10 @@ def shard_tasks(store, items, observe):
 
 def frozen(result):
     """A :class:`ShardResult` as comparable bytes."""
-    return (
-        result.index, result.shard_id, result.mode,
-        {name: (a.dtype.str, a.tobytes()) for name, a in result.ranks.items()},
-        result.counts, result.found,
-    )
+    payload = result.payload
+    if result.mode == "materialize":
+        payload = {name: (a.dtype.str, a.tobytes()) for name, a in payload.items()}
+    return (result.index, result.shard_id, result.mode, payload)
 
 
 @given(specs=specs, observe=st.booleans())
@@ -339,7 +338,7 @@ def test_each_distinct_prefix_is_dispatched_once(xmark_store, step_calls, engine
     assert expected < sum(len(t.plan.branches[0]) - 1 for t in tasks)
     state, snapshot = ShardWorkerState(), xmark_store.snapshot()
     results = state.run_group(tasks, snapshot)
-    assert all(sum(len(r) for r in result.ranks.values()) for result in results)
+    assert all(sum(len(r) for r in result.payload.values()) for result in results)
     assert sum(step_calls.values()) == expected
     observations = [o for result in results for o in result.observations]
     assert len(observations) == int(observe)
@@ -411,7 +410,7 @@ def test_scoped_exists_terminates_early(xmark_store):
         pushdown=False,
     )
     state, snapshot = ShardWorkerState(), xmark_store.snapshot()
-    assert state.run_group([task], snapshot)[0].found is True
+    assert state.run_group([task], snapshot)[0].payload is True
     stats = state._evaluator(0, "scalar", xmark_store.collection(0)).stats
     probed = stats.nodes_scanned
     state.run_group([task._replace(mode="count")], snapshot)

@@ -97,10 +97,17 @@ class TestRemovedSpellings:
         import repro.service as service
         from repro.service import backend, executor
 
-        for name in ("PoolBackend", "ShardExecutor"):
+        # One LaneBackend serves every spec: the three classes it merged
+        # and their module are gone.
+        for name in (
+            "PoolBackend", "ShardExecutor",
+            "SerialBackend", "ExecutionBackend", "FabricBackend",
+        ):
             assert name not in service.__all__
             assert not hasattr(service, name)
-        assert not hasattr(backend, "PoolBackend")
+            assert not hasattr(backend, name)
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.service.fabric")
         assert not hasattr(backend, "resolve_backend")
         assert not hasattr(executor, "ShardExecutor")
         assert not hasattr(service.QueryService, "executor")

@@ -89,7 +89,7 @@ class TestFixedSuite:
                 queries, use_cache=False,
                 mode=["materialize", "count", "exists"],
             )
-            prefix_cache = service.backend._serial_state.prefix_cache
+            prefix_cache = service.backend._lane0.prefix_cache
             assert len(prefix_cache) > 0
         assert cnt.total == mat.total
         assert ex.value is (mat.total > 0)

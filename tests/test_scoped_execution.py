@@ -21,7 +21,7 @@ from repro.harness.queries import QUERY_SUITE
 from repro.harness.workloads import get_forest
 from repro.service import QueryService, ShardedStore
 from repro.xpath.parser import parse_xpath
-from repro.xpath.pipeline import PhysicalPlan, compile_plan
+from repro.xpath.pipeline import compile_plan
 
 from _reference import member_answers
 
@@ -85,30 +85,28 @@ def test_scoped_answer_is_the_members_own(store, standalone, backend, planner):
 
 def test_scoped_plans_compile_in_the_service_only(forest, tmp_path, monkeypatch):
     """Two executions of one scoped query: the service compiles each
-    (re-anchored) plan; the worker receives ready operators and neither
-    re-compiles them nor goes back through ``Evaluator.compile``."""
+    (re-anchored) plan; a lane receives ready operators, has no compiler
+    to re-compile them with, and never goes back through
+    ``Evaluator.compile``."""
     import repro.service.executor as executor
     import repro.service.service as service_module
     import repro.xpath.evaluator as evaluator_module
 
     store = ShardedStore.build(str(tmp_path / "s"), forest, shards=4)
-    compiled = {"service": 0, "worker": [], "facade": 0}
+    compiled = {"service": 0, "facade": 0}
 
     def in_service(plan, *args, **kwargs):
         compiled["service"] += 1
         assert kwargs == {"scoped": True}
         return compile_plan(plan, *args, **kwargs)
 
-    def in_worker(plan, *args, **kwargs):
-        compiled["worker"].append(type(plan))
-        return compile_plan(plan, *args, **kwargs)
-
     def in_facade(*args, **kwargs):
         compiled["facade"] += 1
         return compile_plan(*args, **kwargs)
 
+    assert not hasattr(executor, "compile_plan")
+    assert not hasattr(executor, "parse_with_cache")
     monkeypatch.setattr(service_module, "compile_plan", in_service)
-    monkeypatch.setattr(executor, "compile_plan", in_worker)
     monkeypatch.setattr(evaluator_module, "compile_plan", in_facade)
     name = store.document_names()[2]
     with QueryService(store, backend="serial") as service:
@@ -116,7 +114,6 @@ def test_scoped_plans_compile_in_the_service_only(forest, tmp_path, monkeypatch)
         again = service.execute("//seller | //buyer", document=name, use_cache=False)
     assert first.total == again.total > 0
     assert compiled["service"] == 2
-    assert compiled["worker"] == [PhysicalPlan, PhysicalPlan]  # pass-through
     assert compiled["facade"] == 0
 
 

@@ -34,6 +34,7 @@ from repro.service.store import _split
 from repro.xmltree.model import element, text
 from repro.xpath.evaluator import Evaluator
 
+from _plans import compiled
 from _reference import Reference, random_tree
 
 #: Queries touching every axis (and the predicate/positional machinery).
@@ -557,7 +558,7 @@ class TestPlannerIntegration:
     def test_prefix_cache_fills_and_hits(self, store):
         with QueryService(store, backend="serial") as service:
             service.execute_batch(self.PREFIX_BATCH, use_cache=False)
-            prefix_cache = service.backend._serial_state.prefix_cache
+            prefix_cache = service.backend._lane0.prefix_cache
             assert len(prefix_cache) > 0
             filled = prefix_cache.hits
             service.execute_batch(self.PREFIX_BATCH, use_cache=False)
@@ -602,7 +603,7 @@ class TestPlannerIntegration:
     def test_fabric_splits_shard_groups_when_workers_exceed_shards(
         self, forest, tmp_path
     ):
-        from repro.service.fabric import _split_to_feed_workers
+        from repro.service.backend import _split_to_feed_workers
 
         directory = str(tmp_path / "narrow")
         narrow = ShardedStore.build(directory, forest[:2], shards=1)
@@ -706,17 +707,18 @@ class TestExecutor:
         entry = store.shard_entry(0)
         from repro.service.executor import ShardTask
 
+        ((plan, engine, _, _),) = compiled([("//people", "vectorized", None, "materialize")])
         task = ShardTask(
             index=0,
             shard_id=0,
-            plan="//people",
-            engine="vectorized",
+            plan=plan,
+            engine=engine,
             document=None,
         )
         with store.snapshot() as snapshot:
             (result,) = state.run_group([task], snapshot)
         assert (result.index, result.shard_id) == (0, 0)
-        assert list(result.ranks) == list(entry["documents"])
+        assert list(result.payload) == list(entry["documents"])
         assert not hasattr(state, "_collections")
         collection = store.collection(0)
         evaluator = state._evaluator(0, "vectorized", collection)

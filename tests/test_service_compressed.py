@@ -172,7 +172,7 @@ class TestServedPlanes:
         import json
         import multiprocessing
 
-        from repro.service import ShardWorkerState, backend as serial_module, fabric
+        from repro.service import ShardWorkerState, backend as backend_module
 
         if backend != "serial" and multiprocessing.get_start_method() != "fork":
             pytest.skip("the probe reaches fabric workers by fork inheritance")
@@ -192,8 +192,7 @@ class TestServedPlanes:
                 report.write_text(json.dumps(lane))
                 return outcomes
 
-        monkeypatch.setattr(serial_module, "ShardWorkerState", ProbedState)
-        monkeypatch.setattr(fabric, "ShardWorkerState", ProbedState)
+        monkeypatch.setattr(backend_module, "ShardWorkerState", ProbedState)
         # Four one-document shards, smallest first, and an ``auto``
         # threshold between the second and the third: the first two are
         # stored, the last two packed, so under fabric:2 each lane serves

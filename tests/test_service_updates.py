@@ -27,6 +27,7 @@ from repro.errors import EncodingError, ReproError
 from repro.service import QueryService, ShardedStore, UpdateOp, parse_ops
 from repro.xmltree.model import NodeKind, attribute, element, text
 
+from _plans import compiled
 from _reference import Reference, preorder_nodes, random_tree
 
 
@@ -812,9 +813,10 @@ class TestStaleTasks:
         if which == "other":  # built as a fabric worker builds its store
             lane = ShardedStore(snapshot.store.directory, snapshot.manifest)
             snapshot = lane.bind(snapshot.manifest)
-        task = ShardTask(0, shard_id, "//person", "vectorized", document)
+        ((plan, engine, _, _),) = compiled([("//person", "vectorized", document, "materialize")])
+        task = ShardTask(0, shard_id, plan, engine, document)
         (result,) = ShardWorkerState().run_group([task], snapshot)
-        return {name: len(ranks) for name, ranks in result.ranks.items()}
+        return {name: len(ranks) for name, ranks in result.payload.items()}
 
     @pytest.mark.parametrize("which", ["own", "other"])
     @pytest.mark.parametrize(
@@ -1135,7 +1137,7 @@ class TestOneShardOpener:
             victim = backend._procs[1]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join()
-            items = [("//person", "vectorized", None, "materialize")]
+            items = compiled([("//person", "vectorized", None, "materialize")])
             (merged,) = backend.run_batch(items, snapshot=snapshot)
             assert list(merged) == list(before)
             check(merged, "//person", before)
