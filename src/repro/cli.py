@@ -223,6 +223,18 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least(minimum: int):
+    """argparse type for a count flag: below ``minimum`` is a usage error."""
+
+    def count(value: str) -> int:
+        number = int(value)
+        if number < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, not {number}")
+        return number
+
+    return count
+
+
 def _backend_spec(value: str) -> str:
     """argparse type for ``--backend``: a bad spec is a usage error."""
     from repro.service.backend import parse_backend_spec
@@ -349,22 +361,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.analysis.__main__ import main as analysis_main
-
-    if args.list_rules:
-        return analysis_main(["--list-rules"])
-    argv = list(args.paths) or ["src"]
-    argv += ["--format", args.format]
-    if args.select:
-        argv += ["--select", args.select]
-    if args.show_suppressed:
-        argv.append("--show-suppressed")
-    if args.pickle_check:
-        argv.append("--pickle-check")
-    return analysis_main(argv)
-
-
 def _cmd_sql(args: argparse.Namespace) -> int:
     print(path_to_sql(args.xpath, eq1_delimiter=args.eq1))
     return 0
@@ -388,7 +384,7 @@ def _render_analysis(observations) -> str:
             cell[3] += step.ns
     drives = len(observations)
     shards = len({o.shard_id for o in observations})
-    lines = [f"observed: {drives} sampled drive(s) over {shards} shard(s)"]
+    lines = [f"observed: {drives} drive(s) over {shards} shard(s)"]
     lines.append(
         f"  {'operator':<42} {'in':>10} {'out':>10} {'touched':>10} {'ms':>8}"
     )
@@ -510,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bulk kernels for every axis step",
     )
     cmd.add_argument("--serialize", action="store_true", help="print result subtrees as XML")
-    cmd.add_argument("--limit", type=int, default=None, help="show at most N results")
+    cmd.add_argument("--limit", type=_at_least(0), default=None, help="show at most N results")
     cmd.add_argument("--stats", action="store_true", help="print join statistics")
     cmd.add_argument(
         "--mode", choices=("materialize", "count", "exists"), default="materialize",
@@ -521,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = commands.add_parser("info", help="document statistics")
     cmd.add_argument("document")
-    cmd.add_argument("--top", type=int, default=10, help="tags to list")
+    cmd.add_argument("--top", type=_at_least(0), default=10, help="tags to list")
     cmd.set_defaults(handler=_cmd_info)
 
     cmd = commands.add_parser("shard", help="build a sharded document store")
@@ -530,11 +526,11 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", required=True, help="store directory to create"
     )
     cmd.add_argument(
-        "--shards", type=int, default=4,
+        "--shards", type=_at_least(1), default=4,
         help="shard count (clamped to the number of documents; default 4)",
     )
     cmd.add_argument(
-        "--generate", type=int, default=0, metavar="N",
+        "--generate", type=_at_least(0), default=0, metavar="N",
         help="also generate N XMark documents (seeds seed..seed+N-1)",
     )
     cmd.add_argument("--size", type=float, default=0.2, help="nominal MB per generated document")
@@ -577,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
         "else serial",
     )
     cmd.add_argument(
-        "--repeat", type=int, default=1,
+        "--repeat", type=_at_least(1), default=1,
         help="run the batch N times (later rounds hit the result cache)",
     )
     cmd.add_argument("--no-cache", action="store_true", help="bypass the result cache")
@@ -643,28 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one query after the update and print its result count",
     )
     cmd.set_defaults(handler=_cmd_update)
-
-    cmd = commands.add_parser(
-        "analyze",
-        help="run the project-invariant linter (rules REP001-REP007)",
-    )
-    cmd.add_argument(
-        "paths", nargs="*", help="files or directories to lint (default: src)"
-    )
-    cmd.add_argument("--format", choices=("text", "json"), default="text")
-    cmd.add_argument(
-        "--select", metavar="REP00X[,REP00Y]", help="run only these rule codes"
-    )
-    cmd.add_argument("--show-suppressed", action="store_true")
-    cmd.add_argument(
-        "--pickle-check", action="store_true",
-        help="also round-trip registered cross-process payload types",
-    )
-    cmd.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule codes and summaries, then exit",
-    )
-    cmd.set_defaults(handler=_cmd_analyze)
 
     cmd = commands.add_parser("sql", help="translate XPath to Figure-3 style SQL")
     cmd.add_argument("xpath")

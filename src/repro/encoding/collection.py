@@ -139,7 +139,8 @@ class DocumentCollection:
         caller-held :class:`~repro.xpath.evaluator.Evaluator` bound to
         ``self.doc`` instead of constructing one per query.
         """
-        from repro.xpath.evaluator import Evaluator, parse_with_cache
+        from repro.xpath.evaluator import Evaluator
+        from repro.xpath.parser import parse_xpath
         from repro.xpath.pipeline import drive
         from repro.xpath.rewrite import anchor_at_member_root
 
@@ -152,11 +153,7 @@ class DocumentCollection:
             )
         elif evaluator.doc is not self.doc:
             raise EncodingError("evaluator is bound to a different table")
-        parsed = (
-            parse_with_cache(path, evaluator.plan_cache)
-            if isinstance(path, str)
-            else path
-        )
+        parsed = parse_xpath(path) if isinstance(path, str) else path
         if document is not None:
             parsed = anchor_at_member_root(parsed)
         return drive(evaluator.compile(parsed), evaluator, *self.scope(document))

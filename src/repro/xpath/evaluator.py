@@ -60,15 +60,9 @@ __all__ = ["Evaluator", "evaluate", "parse_with_cache"]
 
 
 def parse_with_cache(query: str, cache) -> Expr:
-    """Parse ``query``, consulting a mapping-like plan cache if given.
-
-    ``cache`` needs ``get(key)``/``put(key, value)`` (e.g.
-    :class:`repro.service.LRUCache`); ``None`` parses unconditionally.
-    The single parsing gateway shared by :class:`Evaluator` and the
-    service layer, so the caching rule lives in one place.
-    """
-    if cache is None:
-        return parse_xpath(query)
+    """Parse ``query`` at most once per lifetime of ``cache``, a
+    mapping-like object with ``get(key)``/``put(key, value)`` (the
+    service's :class:`repro.service.LRUCache` of parsed queries)."""
     plan = cache.get(query)
     if plan is None:
         plan = parse_xpath(query)
@@ -112,11 +106,6 @@ class Evaluator:
         with node-access counters) or ``"vectorized"`` (numpy bulk
         kernels for every axis step, fragment reads, and non-positional
         path predicates).  Both produce identical node sequences.
-    plan_cache:
-        Optional mapping-like object with ``get(key)``/``put(key, value)``
-        (e.g. :class:`repro.service.LRUCache`).  String queries are then
-        parsed at most once per cache lifetime — the service layer shares
-        one cache across every evaluator it owns.
     """
 
     #: Compiled-pipeline cache bound (per evaluator); the cache is
@@ -131,7 +120,6 @@ class Evaluator:
         pushdown: bool = False,
         stats: Optional[JoinStatistics] = None,
         engine: Optional[str] = None,
-        plan_cache=None,
     ):
         self.doc = doc
         self.engine = resolve_engine(engine)
@@ -144,7 +132,6 @@ class Evaluator:
             if isinstance(pushdown, bool)
             else tuple(frozenset(branch) for branch in pushdown)
         )
-        self.plan_cache = plan_cache
         self._fragments: Optional[FragmentedDocument] = None
         self._compiled: dict = {}
 
@@ -162,7 +149,7 @@ class Evaluator:
         """The cached :class:`~repro.xpath.pipeline.PhysicalPlan` for
         ``path`` under this evaluator's pushdown configuration."""
         if isinstance(path, str):
-            path = parse_with_cache(path, self.plan_cache)
+            path = parse_xpath(path)
         plan = self._compiled.get(path)
         if plan is None:
             if len(self._compiled) >= self.COMPILE_CACHE_LIMIT:

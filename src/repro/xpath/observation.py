@@ -4,12 +4,13 @@ These are the values that travel from shard workers back to the
 service process (``QueryService.analyze``, ``explain --analyze``), so
 they are deliberately flat — NamedTuples of
 primitives (strings, ints, nested tuples) that pickle cheaply inline
-in the fabric's result messages.  Both are registered in
-:data:`repro.analysis.reprolint.PAYLOAD_REGISTRY`.
+in the fabric's result messages.  Both are registered cross-process
+payload types: the invariant linter's pickle check (``tools/analysis``)
+round-trips them.
 
 A **step signature** names one pipeline position independently of the
-shard, the epoch, and the pushdown placement, so observations
-aggregate across shards and line up with a costed plan's steps:
+shard, the epoch, and the pushdown placement, so ``explain --analyze``
+can sum one operator's observations across shards:
 
 * ``("step", axis, test)`` — one :class:`StaircaseStep` (the test in
   its ``str`` spelling, e.g. ``("step", "descendant", "item")``);
@@ -17,9 +18,9 @@ aggregate across shards and line up with a costed plan's steps:
   per predicate), keyed by the predicate's ``str`` form;
 * ``("pos", axis, test)`` — one :class:`PositionalSelect`.
 
-The signature helpers live here (not in the pipeline) because
-``explain --analyze`` computes the same signatures from the plan side
-to put each estimate beside its measurement — one spelling, two readers.
+The pipeline's observed drive is the one place that builds them
+(``pipeline._operator_signature``, from :func:`step_signature` and
+:func:`predicate_signature`).
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import lockgraph
 from repro.encoding.prepost import encode
 from repro.harness.workloads import figure1_document, figure1_table, get_document
+from tools.analysis import lockgraph
 
 from _reference import random_tree
 

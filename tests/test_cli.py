@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 @pytest.fixture
@@ -141,6 +141,28 @@ class TestInfoSql:
     def test_sql_with_eq1(self, capsys):
         assert main(["sql", "/descendant::a/descendant::b", "--eq1"]) == 0
         assert "v2.pre <= v1.post + h" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, flag, minimum",
+    [
+        (["query", "doc.xml", "//a"], "--limit", 0),
+        (["info", "doc.xml"], "--top", 0),
+        (["shard", "-o", "store"], "--generate", 0),
+        (["shard", "-o", "store"], "--shards", 1),
+        (["serve-batch", "store", "//a"], "--repeat", 1),
+    ],
+)
+def test_a_count_below_its_minimum_is_a_usage_error(argv, flag, minimum, capsys):
+    """``--limit -1`` used to print all but one row, ``--repeat 0`` to
+    run nothing and exit 0: every count flag has one floor."""
+    args = build_parser().parse_args(argv + [flag, str(minimum)])
+    assert getattr(args, flag[2:]) == minimum
+    for value in (minimum - 1, -3):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [flag, str(value)])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be at least {minimum}" in capsys.readouterr().err
 
 
 class TestShardServeBatch:

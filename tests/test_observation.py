@@ -112,7 +112,7 @@ class TestObservation:
             lambda obs: seen.append(rows(obs)) or render(obs),
         )
         code = cli.main(["explain", archive, query, "--analyze", "--engine", engine])
-        assert code == 0 and "observed: 1 sampled drive" in capsys.readouterr().out
+        assert code == 0 and "observed: 1 drive(s) over 1 shard(s)" in capsys.readouterr().out
         with QueryService(one_shard, backend="serial", engine=engine) as service:
             _, _, observations = service.analyze(query)
         assert seen == [rows(observations)]

@@ -245,20 +245,34 @@ class TestRemovedSpellings:
 
 
 class TestServedImports:
-    def test_serving_imports_no_development_tooling(self):
-        """The linter and lock recorder are tools: a served process
-        (service + server) never imports them."""
+    """The linter and lock recorder are development tools in
+    ``tools/analysis``: the package holds no copy of them, no verb runs
+    them, and a served process (service + server) never imports them."""
+
+    def run(self, *argv):
         environment = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        done = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, repro.service, repro.server; "
-                "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))",
-            ],
-            capture_output=True, text=True, timeout=60, env=environment, check=True,
+        return subprocess.run(
+            [sys.executable, *argv],
+            capture_output=True, text=True, timeout=60, env=environment,
         )
+
+    def test_serving_imports_no_development_tooling(self):
+        done = self.run(
+            "-c",
+            "import sys, repro.service, repro.server; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'tools'))",
+        )
+        assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_the_package_holds_no_analysis(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.analysis")
+
+    def test_analyze_is_not_a_verb(self):
+        done = self.run("-m", "repro", "analyze", "src")
+        assert done.returncode == 2
+        assert "invalid choice: 'analyze'" in done.stderr
 
 
 class TestReadmeQuickstart:

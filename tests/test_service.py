@@ -452,20 +452,6 @@ class TestCaching:
         with pytest.raises(ReproError, match="not both"):
             collection.evaluate("//people", evaluator=evaluator, pushdown=True)
 
-    def test_evaluator_plan_cache_parses_once(self, store):
-        from repro.xpath.evaluator import Evaluator
-
-        collection = store.collection(0)
-        cache = LRUCache(8)
-        evaluator = Evaluator(collection.doc, plan_cache=cache)
-        first = evaluator.evaluate("//people")
-        second = evaluator.evaluate("//people")
-        assert first.tolist() == second.tolist()
-        assert cache.info() == {"size": 1, "capacity": 8, "hits": 1, "misses": 1}
-        # collection.evaluate with a caller-held evaluator shares the cache
-        collection.evaluate("//people", evaluator=evaluator)
-        assert cache.hits == 2
-
     @pytest.mark.parametrize("backend", ("serial", "fabric:2"))
     def test_replace_shard_never_serves_stale_results(self, forest, tmp_path, backend):
         """The epoch in the cache key fences every pre-replacement entry."""

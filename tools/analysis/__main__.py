@@ -1,4 +1,4 @@
-"""``python -m repro.analysis`` — run the project-invariant linter.
+"""``python -m tools.analysis`` — run the project-invariant linter.
 
 Exit status is the contract CI gates on: ``0`` when every finding is
 suppressed (or there are none), ``1`` when unsuppressed findings
@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.reprolint import (
+from tools.analysis.reprolint import (
     RULES,
     render_json,
     render_text,
@@ -21,7 +21,7 @@ from repro.analysis.reprolint import (
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
+        prog="python -m tools.analysis",
         description="Project-invariant linter (rules REP001-REP007).",
     )
     parser.add_argument(
@@ -85,7 +85,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     status = 1 if any(not f.suppressed for f in findings) else 0
 
     if args.pickle_check:
-        from repro.analysis.pickle_check import PickleCheckError, check_payloads
+        from tools.analysis.pickle_check import PickleCheckError, check_payloads
 
         try:
             verified = check_payloads()

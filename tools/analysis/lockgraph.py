@@ -33,6 +33,7 @@ a cycle is actually reported.
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 import threading
@@ -92,15 +93,20 @@ class _InstrumentedLock:
 
     Implements the full primitive-lock protocol *plus* the private
     hooks ``Condition``/``queue.Queue`` call on their inner lock
-    (``_is_owned``, ``_acquire_restore``, ``_release_save``), so global
-    patching does not break stdlib machinery built on locks.
+    (``_is_owned``, ``_acquire_restore``, ``_release_save``) and the
+    ``_at_fork_reinit`` that modules such as ``concurrent.futures.thread``
+    register with ``os.register_at_fork`` when they are imported, so
+    global patching does not break stdlib machinery built on locks.
     """
 
-    def __init__(self, graph: "LockGraph", inner, reentrant: bool, label: str):
+    def __init__(self, graph: "LockGraph", inner, reentrant: bool, label: str, node: int):
         self._graph = graph
         self._inner = inner
         self._reentrant = reentrant
         self.label = label
+        #: this lock's node in the graph: a serial, never ``id(self)``,
+        #: which a lock created after this one dies may reuse
+        self.node = node
 
     # -- primitive lock protocol ---------------------------------------
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
@@ -147,6 +153,9 @@ class _InstrumentedLock:
         self._inner.release()
         return None
 
+    def _at_fork_reinit(self) -> None:
+        self._inner._at_fork_reinit()
+
     def __repr__(self) -> str:
         return f"<instrumented {self.label} wrapping {self._inner!r}>"
 
@@ -179,8 +188,9 @@ class LockGraph:
 
     def __init__(self) -> None:
         self._meta = threading.Lock()  # guards the two dicts below
-        # node id -> label; edge (a, b) -> first acquire stack
+        # node -> label; edge (a, b) -> first acquire stack
         self._labels: Dict[int, str] = {}
+        self._nodes = itertools.count()
         self._edges: Dict[Tuple[int, int], Tuple[FrameTriple, ...]] = {}
         self._held = threading.local()
         self._orig_lock = None
@@ -197,15 +207,15 @@ class LockGraph:
 
     def _register(self, inner, reentrant: bool, label: Optional[str]) -> _InstrumentedLock:
         wrapper = _InstrumentedLock(
-            self, inner, reentrant, label or _creation_site()
+            self, inner, reentrant, label or _creation_site(), next(self._nodes)
         )
         with self._meta:
-            self._labels[id(wrapper)] = wrapper.label
+            self._labels[wrapper.node] = wrapper.label
         return wrapper
 
     # -- recording ------------------------------------------------------
     def _stack(self) -> List[Tuple[int, int]]:
-        """This thread's held stack: ``(wrapper id, depth)`` pairs."""
+        """This thread's held stack: ``(node, depth)`` pairs."""
         stack = getattr(self._held, "stack", None)
         if stack is None:
             stack = self._held.stack = []
@@ -213,7 +223,7 @@ class LockGraph:
 
     def _record_acquire(self, wrapper: _InstrumentedLock) -> None:
         stack = self._stack()
-        wid = id(wrapper)
+        wid = wrapper.node
         if stack and stack[-1][0] == wid and wrapper._reentrant:
             stack[-1] = (wid, stack[-1][1] + 1)
             return
@@ -231,7 +241,7 @@ class LockGraph:
 
     def _record_release(self, wrapper: _InstrumentedLock, full: bool = False) -> None:
         stack = self._stack()
-        wid = id(wrapper)
+        wid = wrapper.node
         for index in range(len(stack) - 1, -1, -1):
             if stack[index][0] == wid:
                 if full or stack[index][1] <= 1:
@@ -244,7 +254,7 @@ class LockGraph:
 
     # -- queries --------------------------------------------------------
     def held(self, wrapper: _InstrumentedLock) -> bool:
-        return any(entry[0] == id(wrapper) for entry in self._stack())
+        return any(entry[0] == wrapper.node for entry in self._stack())
 
     def edge_count(self) -> int:
         with self._meta:

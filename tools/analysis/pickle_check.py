@@ -4,7 +4,7 @@ The AST rule can only catch an unpicklable *annotation*; what actually
 breaks a fabric worker is an unpicklable *value* — a lambda default, a
 lock smuggled into a field, a closure hiding inside a nested tuple.  So
 this module builds one representative instance of every type named in
-:data:`repro.analysis.reprolint.PAYLOAD_REGISTRY`, pushes each through
+:data:`tools.analysis.reprolint.PAYLOAD_REGISTRY`, pushes each through
 ``pickle.dumps``/``loads`` at the highest protocol, and verifies the
 copy survives intact.
 
@@ -15,7 +15,7 @@ Two invariants are enforced together:
 2. every registered type has a representative below (registry drift —
    registering a class nobody builds a witness for — fails loudly).
 
-Run via ``python -m repro.analysis --pickle-check`` (the CI ``analysis``
+Run via ``python -m tools.analysis --pickle-check`` (the CI ``analysis``
 job does) or call :func:`check_payloads` directly.
 """
 
@@ -26,7 +26,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.analysis.reprolint import PAYLOAD_REGISTRY
+from tools.analysis.reprolint import PAYLOAD_REGISTRY
 
 __all__ = ["PickleCheckError", "build_representatives", "check_payloads"]
 

@@ -28,7 +28,7 @@ REP003   asyncio loop confinement: blocking calls (``time.sleep``,
 REP004   Pickle safety: registered cross-process payload types must not
          grow fields holding lambdas, locks, mmaps, loop handles or
          other unpicklables (the runtime half round-trips real
-         instances: :mod:`repro.analysis.pickle_check`).
+         instances: :mod:`tools.analysis.pickle_check`).
 REP005   numpy dtype discipline: array constructors in the
          ``repro.core``/``repro.xpath`` hot paths and the
          ``repro.encoding.codec`` dictionary layer must pin ``dtype=``
@@ -450,7 +450,7 @@ class LoopConfinement(Rule):
 # ----------------------------------------------------------------------
 #: module → class names whose instances cross a process boundary
 #: (pickled through the fabric's worker pipes).  The
-#: runtime half (`repro.analysis.pickle_check`) round-trips real
+#: runtime half (`tools.analysis.pickle_check`) round-trips real
 #: instances of every entry at import time.
 PAYLOAD_REGISTRY: Dict[str, Tuple[str, ...]] = {
     "repro.service.executor": ("ShardTask", "ShardResult"),
@@ -732,7 +732,7 @@ def run_lint(
 
 
 def render_text(findings: Sequence[Finding], show_suppressed: bool = False) -> str:
-    """Human-readable report (what ``python -m repro.analysis`` prints)."""
+    """Human-readable report (what ``python -m tools.analysis`` prints)."""
     lines = [
         f.render()
         for f in findings
@@ -752,6 +752,6 @@ def render_json(findings: Sequence[Finding]) -> str:
 
 
 if __name__ == "__main__":  # pragma: no cover - thin alias
-    from repro.analysis.__main__ import main
+    from tools.analysis.__main__ import main
 
     sys.exit(main())

@@ -2,8 +2,8 @@
 
 Each rule gets (at least) one fixture that must fire and one variant
 proving the ``# repro: allow[...] - reason`` suppression is honored.
-The closing test pins the PR's core acceptance criterion: the shipped
-``src/`` tree has zero unsuppressed findings.
+The closing test pins that the shipped ``src/`` tree has zero
+unsuppressed findings.
 """
 
 import json
@@ -14,7 +14,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis.reprolint import (
+from tools.analysis.reprolint import (
     PAYLOAD_REGISTRY,
     RULES,
     lint_file,
@@ -22,7 +22,8 @@ from repro.analysis.reprolint import (
     run_lint,
 )
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", ".."))
+SRC = os.path.join(ROOT, "src")
 
 
 def lint_snippet(tmp_path, source, rel_path="fixture.py", select=None):
@@ -395,7 +396,7 @@ class TestPickleSafety:
                 assert hasattr(module, cls), f"{module_name_}.{cls} vanished"
 
     def test_runtime_round_trip_passes(self):
-        from repro.analysis.pickle_check import check_payloads
+        from tools.analysis.pickle_check import check_payloads
 
         verified = check_payloads()
         registered = sum(len(names) for names in PAYLOAD_REGISTRY.values())
@@ -694,9 +695,9 @@ class TestMachinery:
     def test_cli_json_format_and_exit_code(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("import time\nx = time.time()\n")
-        env = dict(os.environ, PYTHONPATH=SRC)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, ROOT]))
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", str(bad), "--format", "json"],
+            [sys.executable, "-m", "tools.analysis", str(bad), "--format", "json"],
             capture_output=True,
             text=True,
             env=env,
@@ -705,21 +706,8 @@ class TestMachinery:
         payload = json.loads(proc.stdout)
         assert payload[0]["rule"] == "REP006"
 
-    def test_cli_verb_matches_module_runner(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import time\nx = time.time()\n")
-        env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "analyze", str(bad)],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 1
-        assert "REP006" in proc.stdout
-
 
 def test_shipped_tree_is_clean():
-    """The PR's acceptance criterion: zero unsuppressed findings on src/."""
+    """Zero unsuppressed findings on src/."""
     findings = [f for f in run_lint([SRC]) if not f.suppressed]
     assert findings == [], "\n".join(f.render() for f in findings)

@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from repro.analysis.lockgraph import LockGraph, assert_held, enabled_by_env
+from tools.analysis.lockgraph import LockGraph, assert_held, enabled_by_env
 
 
 def run_in_thread(fn):
@@ -68,6 +68,26 @@ class TestCycleDetection:
         run_in_thread(worker)
         assert graph.cycles() == []
         assert graph.edge_count() == 1
+
+    def test_a_dead_lock_is_not_its_successor(self):
+        # A lock created after another dies may get its id(); the two
+        # are different nodes, so outer -> dead and new -> outer is no
+        # cycle.
+        graph = LockGraph()
+        outer = graph.lock("outer")
+        for _ in range(50):
+            inner = graph.lock("inner")
+            with outer:
+                with inner:
+                    pass
+            del inner
+            successor = graph.lock("successor")
+            with successor:
+                with outer:
+                    pass
+            del successor
+        assert graph.cycles() == []
+        assert graph.edge_count() == 100
 
     def test_three_lock_cycle_reported(self):
         graph = LockGraph()
@@ -164,9 +184,8 @@ class TestGlobalInstrumentation:
     def run_isolated(self, body):
         script = textwrap.dedent(body)
         env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
-        )
+        root = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", ".."))
+        env["PYTHONPATH"] = os.pathsep.join([os.path.join(root, "src"), root])
         proc = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True,
@@ -181,7 +200,7 @@ class TestGlobalInstrumentation:
         out = self.run_isolated(
             """
             import threading
-            from repro.analysis.lockgraph import install, uninstall
+            from tools.analysis.lockgraph import install, uninstall
 
             original_lock = threading.Lock
             graph = install()
@@ -204,7 +223,7 @@ class TestGlobalInstrumentation:
             """
             import queue
             import threading
-            from repro.analysis.lockgraph import LockGraph
+            from tools.analysis.lockgraph import LockGraph
 
             with LockGraph() as graph:
                 work = queue.Queue(maxsize=2)
@@ -230,13 +249,30 @@ class TestGlobalInstrumentation:
         )
         assert "queue ok" in out
 
+    def test_a_module_registering_a_fork_hook_imports_under_patching(self):
+        # concurrent.futures.thread hands its module-level lock's
+        # _at_fork_reinit to os.register_at_fork at import time.
+        out = self.run_isolated(
+            """
+            from tools.analysis.lockgraph import LockGraph
+
+            with LockGraph() as graph:
+                from concurrent.futures import ThreadPoolExecutor
+
+                with ThreadPoolExecutor(1) as pool:
+                    assert pool.submit(sum, (1, 2)).result() == 3
+            print("fork hook ok")
+            """
+        )
+        assert "fork hook ok" in out
+
     def test_service_store_commit_under_instrumentation(self, tmp_path):
         # The real write path (RLock + the _is_owned() probe in
         # _commit_locked, a forked build lane) drives
         # cleanly under a live graph.
         out = self.run_isolated(
             f"""
-            from repro.analysis.lockgraph import LockGraph
+            from tools.analysis.lockgraph import LockGraph
 
             with LockGraph() as graph:
                 from repro.harness.workloads import figure1_document
