@@ -217,6 +217,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
             d = shard[f"{name}_dictionary"]
             line += f"  {name} dict {d['entries']:,}/{d['bytes']:,}B->{d['stored_bytes']:,}B"
         line += f"  members {shard['logical_bytes']:,}B->{shard['stored_bytes']:,}B"
+        line += "  widths " + " ".join(
+            f"{column}:{shard['members'][column]['dtype']}" for column in shard["stored_columns"]
+        )
         if "resident_bytes_per_node" in shard:
             line += f"  resident {shard['resident_bytes_per_node']} B/node"
         print(line)
@@ -551,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "action", choices=("info",),
         help="info: per-shard bytes on disk / format / column + dictionary "
-        "sizes, and resident bytes per node of each opened plane",
+        "sizes, column widths, and resident bytes per node of each opened plane",
     )
     cmd.add_argument("directory", help="store directory built by `shard`")
     cmd.set_defaults(handler=_cmd_store)

@@ -200,7 +200,7 @@ def compact_dictionary(
     if used.all():
         return codes, blob, offsets
     remap = np.full(entries + 1, -1, dtype=codes.dtype)
-    remap[:-1] = np.cumsum(used, dtype=codes.dtype) - 1
+    remap[:-1] = np.cumsum(used) - 1  # counted at int64; a kept code only falls
     lengths = np.diff(offsets)
     kept = np.zeros(int(used.sum()) + 1, dtype=offsets.dtype)
     np.cumsum(lengths[used], out=kept[1:])

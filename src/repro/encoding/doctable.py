@@ -9,7 +9,7 @@ All join algorithms in this repository take a ``DocTable`` plus a context
 Node text is one more dictionary-coded column, :class:`ValueIndex`: the
 encoder emits it, splices merge it, an archive stores it as members
 (:mod:`repro.encoding.persist`) and the value predicates search it — a node's text is a
-4-byte code from the tree to the kernels, never a Python ``str``.
+dictionary code from the tree to the kernels, never a Python ``str``.
 
 Beyond raw storage the class offers the O(1) "tree knowledge" primitives
 the staircase join is built from: ancestor/descendant tests via rank
@@ -31,7 +31,7 @@ from repro.encoding.codec import (
     dictionary_prefix_range,
     encode_dictionary,
 )
-from repro.encoding.widths import COLUMN_DTYPES, narrow
+from repro.encoding.widths import COLUMN_DTYPES, hold, narrow
 from repro.errors import EncodingError
 from repro.storage.bat import BAT
 from repro.storage.column import IntColumn, StringColumn, VoidColumn
@@ -83,7 +83,7 @@ class ValueIndex:
     __slots__ = ("codes", "blob", "offsets", "_numbers")
 
     def __init__(self, codes, blob: np.ndarray, offsets: np.ndarray):
-        self.codes = codes  #: per-node codes
+        self.codes = hold("value_codes", codes)  #: per-node codes
         self.blob = blob
         # 4-byte offsets: a blob past 2³¹ − 1 bytes is an EncodingError.
         self.offsets = narrow("dict_offsets", offsets)
@@ -178,11 +178,12 @@ class DocTable:
     Parameters
     ----------
     post, level, parent, kind:
-        Dense vectors indexed by preorder rank, held at the widths of
-        :data:`~repro.encoding.widths.COLUMN_DTYPES` (``int32``,
-        ``int16``, ``int32``, ``int8``).  Arrays of another integer
-        dtype are range-checked and narrowed; a shard of 2³¹ nodes or
-        a tree 2¹⁵ levels deep is an :class:`EncodingError`.
+        Dense vectors indexed by preorder rank, held at a width
+        :mod:`repro.encoding.widths` allows (``post`` / ``parent``
+        ``int32``, ``kind`` ``int8``, ``level`` ``int8`` or ``int16``)
+        as they are; other integer arrays are range-checked and
+        narrowed.  A shard of 2³¹ nodes or a tree 2¹⁵ levels deep is
+        an :class:`EncodingError`.
     tag:
         Dictionary-encoded tag/attribute-name column.
     values:
@@ -229,15 +230,12 @@ class DocTable:
         for name, column in columns.items():
             if column.shape[0] != n:
                 raise EncodingError(f"column {name!r} length {column.shape[0]} != {n}")
-            columns[name] = narrow(name, column)
+            columns[name] = hold(name, column)
         post, level, parent, kind = columns.values()
         if len(tag) != n:
             raise EncodingError(f"tag column length {len(tag)} != {n}")
         if values is None:
-            values = ValueIndex(
-                np.full(n, -1, dtype=COLUMN_DTYPES["value_codes"]),
-                *encode_dictionary([]),
-            )
+            values = ValueIndex(narrow("value_codes", np.full(n, -1)), *encode_dictionary([]))
         if len(values) != n:
             raise EncodingError(f"value column length {len(values)} != {n}")
         if n == 0:

@@ -7,9 +7,11 @@ directly.  The format (``format_version`` 10) is one zip container of
 numeric ``.npy`` members:
 
 * the four plane columns ``level``, ``kind``, ``tag_codes`` and
-  ``value_codes``, each at its declared width, little-endian;
-* per dictionary (tag and text) its ``int32`` entry lengths
-  (``*_dict_lengths``) and its sorted UTF-8 blob (``*_dict_blob``).
+  ``value_codes``, little-endian at the width
+  :func:`~repro.encoding.widths.narrow` gives them (a member read keeps
+  the width its header declares, whatever wrote it);
+* per dictionary (tag and text) its entry lengths (``*_dict_lengths``,
+  narrowed alike) and its sorted UTF-8 blob (``*_dict_blob``).
 
 The tree's shape is stored once: ``pre`` is a node's position (the
 paper's void column) and the pre-order ``level`` column implies the
@@ -57,7 +59,7 @@ import numpy as np
 from repro.encoding.codec import dictionary_entry, encode_dictionary
 from repro.encoding.doctable import DocTable, ValueIndex
 from repro.encoding.prepost import shape
-from repro.encoding.widths import column_dtype
+from repro.encoding.widths import column_dtype, narrow
 from repro.errors import EncodingError
 from repro.storage.column import StringColumn
 from repro.xmltree.model import NodeKind
@@ -130,21 +132,22 @@ def save(doc: DocTable, path: str, compression: str = "none") -> None:
     ranked = sorted(np.flatnonzero(used).tolist(), key=names.__getitem__)
     remap = np.zeros(len(names), dtype=column_dtype("tag_codes"))
     remap[ranked] = np.arange(len(ranked), dtype=remap.dtype)
+    remap = narrow("tag_codes", remap)  # the gather below is at the codes' width
     members = {"format_version": np.asarray([FORMAT_VERSION], dtype="<i8")}
     columns = {
         "level": doc.level,
         "kind": doc.kind,
         "tag_codes": remap[tag_codes],
-        "value_codes": doc.values.codes,  # written as handed over
+        "value_codes": doc.values.codes,
     }
-    for column, values in columns.items():  # at the declared width, little-endian
-        members[column] = np.ascontiguousarray(values, column_dtype(column).newbyteorder("<"))
+    for column, values in columns.items():
+        members[column] = _little(column, values)
     dictionaries = {
         "tag": encode_dictionary([names[code] for code in ranked]),
         "value": (np.asarray(doc.values.blob), np.asarray(doc.values.offsets)),
     }
     for name, (blob, offsets) in dictionaries.items():
-        members[f"{name}_dict_lengths"] = np.diff(offsets).astype("<i4")
+        members[f"{name}_dict_lengths"] = _little("dict_lengths", np.diff(offsets))
         members[f"{name}_dict_blob"] = np.ascontiguousarray(blob, np.uint8)
     with zipfile.ZipFile(
         path, "w", _COMPRESS_TYPES[compression], compresslevel=DEFLATE_LEVEL
@@ -154,6 +157,12 @@ def save(doc: DocTable, path: str, compression: str = "none") -> None:
             with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
                 member.write(_npy_header(array))
                 member.write(array)
+
+
+def _little(column: str, values) -> np.ndarray:
+    """``values`` at the narrowest width of ``column``, little-endian."""
+    values = narrow(column, values)
+    return np.ascontiguousarray(values, values.dtype.newbyteorder("<"))
 
 
 #: ``.npy`` magic and version (1.0, 2.0) → the header-length field's width.
@@ -397,7 +406,7 @@ def _dictionary(archive: _Archive, name: str, mmap: bool) -> Tuple[np.ndarray, n
             f"the {size} bytes of member '{name}_dict_blob'"
         )
     offsets = np.zeros(lengths.shape[0] + 1, dtype=dtype)
-    np.cumsum(lengths, out=offsets[1:])
+    np.cumsum(lengths, dtype=dtype, out=offsets[1:])  # at the offsets' width, not the lengths'
     return blob, offsets
 
 
@@ -406,7 +415,8 @@ def describe_archive(path: str) -> dict:
 
     Reads headers and the zip directory only, never a column.  Each
     member reports the ``stored_bytes`` it takes in the archive (its zip
-    compress size) and the ``logical_bytes`` of its data; each
+    compress size), the ``logical_bytes`` of its data and the ``dtype``
+    its header declares; each
     dictionary its ``entries``, its raw blob ``bytes`` and the
     ``stored_bytes`` of its two members.
     """
@@ -419,6 +429,7 @@ def describe_archive(path: str) -> dict:
             members[name] = {
                 "stored_bytes": info.compress_size,
                 "logical_bytes": counts[name] * dtype.itemsize,
+                "dtype": dtype.name,
             }
     description: dict = {
         "format_version": version,

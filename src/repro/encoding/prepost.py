@@ -9,7 +9,7 @@ The pre-order ``level`` sequence is the shape: :func:`shape` derives
 ``post`` and ``parent`` from it (Equation (1): ``post(v) − pre(v) +
 level(v) = |v/descendant|``) — here, and again whenever an archive is
 opened (:mod:`repro.encoding.persist` stores neither column).  The text
-of a node is a 4-byte code from here on
+of a node is a dictionary code from here on
 (:class:`~repro.encoding.doctable.ValueIndex`), never a Python ``str``
 per node.  A gathered plane (footnote 1, :func:`encode_gathered`) is
 one record for the virtual root at level 0, then the same walk over the
@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.encoding.codec import encode_dictionary
 from repro.encoding.doctable import DocTable, ValueIndex
-from repro.encoding.widths import COLUMN_DTYPES, narrow
+from repro.encoding.widths import COLUMN_DTYPES, hold, narrow
 from repro.errors import EncodingError
 from repro.storage.column import StringColumn
 from repro.xmltree.model import Node, NodeKind
@@ -90,7 +90,7 @@ def shape(level: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     :class:`EncodingError`, so a loaded archive yields a plane or an
     error, never a garbage plane.
     """
-    level = narrow("level", level)
+    level = hold("level", level)
     n = level.shape[0]
     rank = COLUMN_DTYPES["post"]
     if n > np.iinfo(rank).max:
@@ -99,7 +99,7 @@ def shape(level: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         raise EncodingError(
             "level column is not one tree: level 0 must open it and never recur"
         )
-    step = level[1:] - level[:-1]  # levels are ≥ 0 here: no int16 wrap
+    step = level[1:] - level[:-1]  # levels are ≥ 0 here: no wrap at any width
     if n > 1 and step.max() > 1:
         raise EncodingError(
             "level column is not one tree: a node sits more than one level "

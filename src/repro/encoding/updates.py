@@ -40,8 +40,15 @@ __all__ = ["delete_subtree", "insert_subtree", "replace_subtree"]
 
 
 def _splice(column, at: int, fragment: np.ndarray) -> np.ndarray:
-    """``column`` with ``fragment`` inserted ahead of position ``at``."""
-    return np.concatenate([column[:at], fragment, column[at:]], dtype=fragment.dtype)
+    """``column`` with ``fragment`` inserted ahead of position ``at``, at
+    the wider of the two widths."""
+    return np.concatenate([column[:at], fragment, column[at:]])
+
+
+def _spliced(name: str, column, at: int, fragment: np.ndarray) -> np.ndarray:
+    """:func:`_splice` of column ``name``, at the narrowest width that
+    holds both parts (past the ceiling an error, never a wrap)."""
+    return narrow(name, _splice(column, at, narrow(name, fragment)))
 
 
 def _merge_tags(tag: StringColumn, fragment: StringColumn):
@@ -93,19 +100,17 @@ def delete_subtree(doc: DocTable, pre: int) -> DocTable:
     # a surviving node whose parent was in the subtree would itself be in
     # the subtree (contiguity), so no further fixup is needed.
 
+    values = doc.values
+    codes, blob, offsets = compact_dictionary(values.codes[keep], values.blob, values.offsets)
     return DocTable(
         post=post,
-        level=doc.level[keep].copy(),
+        level=narrow("level", doc.level[keep]),
         parent=parent,
         kind=doc.kind[keep].copy(),
         # Surviving codes are sliced, never re-encoded (the dictionary
         # may keep entries the deletion orphaned — see _merge_tags).
-        tag=StringColumn(doc.tag.codes[keep], doc.tag.dictionary),
-        values=ValueIndex(
-            *compact_dictionary(
-                doc.values.codes[keep], doc.values.blob, doc.values.offsets
-            )
-        ),
+        tag=StringColumn(narrow("tag_codes", doc.tag.codes[keep]), doc.tag.dictionary),
+        values=ValueIndex(narrow("value_codes", codes), blob, offsets),
     )
 
 
@@ -173,9 +178,9 @@ def insert_subtree(
         post_base = int(doc.post[before_pre]) - doc.subtree_size_exact(before_pre)
 
     # --- preorder splice -------------------------------------------------
-    # Spliced at the columns' own widths.  More than 2³¹ nodes wrap the
-    # rank arithmetic below, but DocTable rejects that length before it
-    # looks at a value; the level column is guarded where it is built.
+    # Ranks are spliced at their own width: more than 2³¹ nodes wrap the
+    # arithmetic below, but DocTable rejects that length before it looks
+    # at a value.  A deeper tree or a larger dictionary widens a column.
     old_post = doc.post.copy()
     old_post[old_post >= post_base] += frag_size
 
@@ -191,22 +196,22 @@ def insert_subtree(
     )
     return DocTable(
         post=_splice(old_post, insert_at, fragment.post + post_base),
-        level=_splice(
+        level=_spliced(  # promoted first: past 2¹⁵ is an error, not a wrap
+            "level",
             doc.level,
             insert_at,
-            narrow(  # widened first: past 2¹⁵ is an error, not a wrap
-                "level",
-                np.add(fragment.level, doc.level_of(parent_pre) + 1, dtype=np.int64),
-            ),
+            np.add(fragment.level, doc.level_of(parent_pre) + 1, dtype=np.int64),
         ),
         parent=_splice(old_parent, insert_at, new_parent),
         kind=_splice(doc.kind, insert_at, fragment.kind),
-        tag=StringColumn(_splice(doc.tag.codes, insert_at, tag_codes), dictionary),
+        tag=StringColumn(_spliced("tag_codes", doc.tag.codes, insert_at, tag_codes), dictionary),
+        # The remaps hold every code of the merged dictionary: at their
+        # narrowest width, so are the spliced codes.
         values=ValueIndex(
             _splice(
-                remap[np.asarray(doc.values.codes)],
+                narrow("value_codes", remap)[np.asarray(doc.values.codes)],
                 insert_at,
-                fragment_remap[fragment.values.codes],
+                narrow("value_codes", fragment_remap)[fragment.values.codes],
             ),
             blob,
             offsets,

@@ -8,8 +8,8 @@ Three column types cover everything the document encoding needs:
   positional lookup rather than a search (Section 4.1).
 * :class:`IntColumn` — a dense numpy ``int64`` vector (``post``, ``level``,
   ``parent``, ``kind``).
-* :class:`StringColumn` — dictionary-encoded strings: a dense ``int32`` code
-  vector plus a shared code↔string dictionary (``tag`` names; XMark uses a
+* :class:`StringColumn` — dictionary-encoded strings: a dense code vector
+  (``int8``, ``int16`` or ``int32``) plus a shared code↔string dictionary (``tag`` names; XMark uses a
   few dozen distinct tags over millions of nodes, so this is the natural
   representation and makes name tests integer comparisons).
 
@@ -27,6 +27,8 @@ import numpy as np
 from repro.errors import StorageError
 
 __all__ = ["Column", "VoidColumn", "IntColumn", "StringColumn"]
+
+_CODE_DTYPES = tuple(np.dtype(t) for t in (np.int8, np.int16, np.int32))
 
 
 class Column:
@@ -123,7 +125,9 @@ class IntColumn(Column):
 class StringColumn(Column):
     """Dictionary-encoded string vector.
 
-    ``codes`` is a dense ``int32`` vector; ``dictionary`` maps code → string.
+    ``codes`` is a dense ``int8`` / ``int16`` / ``int32`` vector, kept at
+    the width it is handed (any other is cast to ``int32``);
+    ``dictionary`` maps code → string.
     Lookups by string go through ``code_of``; a name test then becomes a
     single integer comparison per node, exactly as in Monet where the tag
     BAT holds integer object identifiers.
@@ -137,7 +141,8 @@ class StringColumn(Column):
         dictionary: List[str],
         validate: bool = True,
     ):
-        self.codes = np.asarray(codes, dtype=np.int32)
+        codes = np.asarray(codes)
+        self.codes = codes if codes.dtype in _CODE_DTYPES else codes.astype(np.int32)
         if self.codes.ndim != 1:
             raise StorageError("StringColumn requires a one-dimensional code vector")
         self.dictionary = list(dictionary)

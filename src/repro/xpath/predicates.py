@@ -110,7 +110,8 @@ class Numbers(NamedTuple):
 
 class Strings(NamedTuple):
     """``codes ≥ 0``: dictionary codes; ``-1``: the empty string;
-    ``-2 - i``: ``extras[i]``."""
+    ``-2 - i``: ``extras[i]``.  ``int64`` whatever the value column's
+    width, so ``codes + 1`` cannot wrap."""
 
     codes: np.ndarray
     extras: List[str]
@@ -456,7 +457,7 @@ class _PredicateColumns:
         """
         doc = self.doc
         value_codes = doc.values.codes
-        codes = np.full(len(nodes), -1, dtype=np.int64)
+        codes = np.full(len(nodes), -1, dtype=np.int64)  # gathered codes promote here
         extras: List[str] = []
         slots = np.nonzero(nodes >= 0)[0]
         pres = nodes[slots]

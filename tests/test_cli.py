@@ -1,10 +1,12 @@
 """CLI tests (invoked in-process through ``repro.cli.main``)."""
 
+import inspect
 import json
 import os
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -198,6 +200,30 @@ class TestShardServeBatch:
         assert "epoch          1" in out
         assert "shard 0" in out and "shard 1" in out
 
+    def test_store_info_reports_the_bench_corpus_widths(self, tmp_path, capsys):
+        """The bench corpus (``get_forest(8, 1.0)``, 4 stored shards):
+        each shard holds ``level`` and its tag codes at ``int8`` (height
+        11, 75 tags) and its value codes at ``int16`` (≈ 14.7 k entries),
+        13 B/node once open, and ``store info`` prints each width."""
+        from repro.harness.workloads import get_forest
+        from repro.service import ShardedStore
+
+        directory = str(tmp_path / "bench")
+        ShardedStore.build(directory, get_forest(8, 1.0), shards=4, compression="none")
+        capsys.readouterr()
+        assert main(["store", "info", directory]) == 0
+        shards = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.lstrip().startswith("shard ")
+        ]
+        assert len(shards) == 4
+        widths = {"level": "int8", "kind": "int8", "tag_codes": "int8", "value_codes": "int16"}
+        for line in shards:
+            assert "widths " + " ".join(f"{c}:{w}" for c, w in widths.items()) in line
+            assert line.endswith("resident 13.0 B/node")
+        for shard in ShardedStore.open(directory).info()["shards"]:
+            assert {c: shard["members"][c]["dtype"] for c in widths} == widths
+
     @pytest.mark.parametrize(
         "argv, code",
         [
@@ -295,15 +321,21 @@ class TestShardServeBatch:
     def test_serve_engine_flag_is_gone(self, store_dir, capsys):
         """``--engine`` left ``serve`` and ``serve-batch``: the service's
         engine is not a per-request choice.  ``query`` / ``explain``
-        keep theirs (the paper's ablations)."""
+        keep theirs (the paper's ablations).  Parsed only: a parser that
+        took the flag must fail here, not start a server."""
         for argv in (
             ["serve-batch", store_dir, "//person/name", "--engine", "scalar"],
             ["serve", store_dir, "--engine", "scalar"],
         ):
             with pytest.raises(SystemExit) as exit_info:
-                main(argv)
+                build_parser().parse_args(argv)
             assert exit_info.value.code == 2
             assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+    def test_serve_builds_its_service_without_an_engine(self):
+        """``_cmd_serve`` names no engine: the service's own (vectorized)
+        answers every request, whatever a body or a flag asks for."""
+        assert "engine" not in inspect.getsource(cli._cmd_serve)
 
     def test_serve_coalescing_flags_are_gone(self, store_dir, capsys):
         """``serve`` has no request-coalescing window: every ``/query``

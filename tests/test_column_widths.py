@@ -1,7 +1,8 @@
-"""The width contract: plane columns at their declared width, ranks ``int64``.
+"""The width contract: plane columns at the width the rule gives them
+(``tests/_widths.py``), ranks ``int64``.
 
-``repro.encoding.widths.COLUMN_DTYPES`` is the one table; these tests pin
-what every producer and consumer owes it:
+``repro.encoding.widths`` is the one rule; these tests pin what every
+producer and consumer owes it:
 
 * answers are the tree-walking reference's, byte for byte — and
   ``int64`` — whatever the archive's compression, open mode or backend,
@@ -11,13 +12,13 @@ what every producer and consumer owes it:
   when it opens) and where ``analyze(engine="scalar")`` runs (a
   ``fabric:2`` worker);
 * depth and size limits are clean ``EncodingError``s, never wraps;
-* splices keep the widths and a canonical dictionary (strictly sorted,
+* splices keep the rule and a canonical dictionary (strictly sorted,
   exactly the referenced entries), so splice == re-encode member for
   member under both compressions; both compressions hold the same
   members, and dictionary lengths handed over at another width are
   narrowed, not trusted;
 * no code path copies a whole column to another dtype, and a packed
-  shard inflates at open to 19 resident bytes per node;
+  XMark shard inflates at open to 13 resident bytes per node;
 * a ``level`` header whose count disagrees with its member's bytes, or
   overflows the width arithmetic, is rejected before the column is read
   past it; a packed file smuggling a pickle is rejected before the
@@ -48,6 +49,7 @@ from repro.xpath.axes import AxisExecutor
 from repro.xpath.evaluator import Evaluator
 
 from _reference import Reference, axis_pres
+from _widths import assert_at_width, narrowest, rule_width
 
 ENGINES = ("scalar", "vectorized")
 QUERIES = tuple(query.xpath for query in QUERY_SUITE) + (
@@ -61,12 +63,6 @@ QUERIES = tuple(query.xpath for query in QUERY_SUITE) + (
 
 def structure(doc):
     return {"post": doc.post, "level": doc.level, "parent": doc.parent, "kind": doc.kind}
-
-
-def assert_at_width(doc):
-    for name, column in structure(doc).items():
-        assert column.dtype == COLUMN_DTYPES[name], name
-    assert doc.tag.codes.dtype == COLUMN_DTYPES["tag_codes"]
 
 
 def members(path):
@@ -250,13 +246,17 @@ class TestLimits:
 #: sha256 over the sorted members (name, dtype, bytes) of ``save`` for
 #: ``DocumentCollection(get_forest(2, 0.05)).doc`` — the same under both
 #: compressions, which differ only in how the zip holds the members (so
-#: no zlib build can move it).  Format 10 recorded equal to format 6's
+#: no zlib build can move it).  Re-recorded when the narrowed columns
+#: took the narrowest width their values need (``level``, ``tag_codes``,
+#: both ``*_dict_lengths`` ``int8``, ``value_codes`` ``int16``): these
+#: members cast back to ``int16`` / ``int32`` give the previous digest,
+#: ``c978df49…726b``, byte for byte.  That one was recorded equal to format 6's
 #: eager members with each ``*_dict_offsets`` replaced by its
 #: ``np.diff`` as ``*_dict_lengths`` and ``format_version`` 10.  Format 9
 #: (every stream inflated, ``nodes`` and ``height`` beside) gave
 #: ``0fdac0fd…6be9``, format 8 ``cb73a8ac…0cbf``, format 7
 #: ``b73876b3…b71a``, format 5 ``ce69c40c…f84f``.
-GOLDEN = "c978df495e2cce41561cdc60528d87c4081fa336f47439359d3618439462726b"
+GOLDEN = "f98804c600075b8c222afeb02273c8de51d405f38062cc6288dcf4df094d7dce"
 
 _DICT_LENGTHS = ("tag_dict_lengths", "value_dict_lengths")
 
@@ -314,6 +314,46 @@ def test_an_archive_with_8_byte_dictionary_lengths_loads_and_answers_identically
                 assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
 
 
+#: The widths every column had before a column's width followed its
+#: values — what an archive written then declares.
+CEILINGS = {
+    "level": np.int16, "tag_codes": np.int32, "value_codes": np.int32,
+    "tag_dict_lengths": np.int32, "value_dict_lengths": np.int32,
+}
+
+
+@pytest.mark.parametrize("compression", ["none", "packed"])
+def test_an_archive_at_the_ceiling_widths_loads_at_them_and_answers_identically(
+    tmp_path, compression
+):
+    """Member for member today's file, each narrowed member at its
+    ceiling: read and mapped, every column keeps the width its header
+    declares, and both engines answer as on the table it came from."""
+    doc = DocumentCollection(get_forest(1, 0.05)).doc
+    save(doc, str(tmp_path / "now.npz"))
+    with np.load(str(tmp_path / "now.npz")) as archive:
+        content = {name: archive[name] for name in archive.files}
+    for name, dtype in CEILINGS.items():
+        content[name] = content[name].astype(dtype)
+    path = str(tmp_path / "ceiling.npz")
+    (np.savez if compression == "none" else np.savez_compressed)(path, **content)
+    for mmap in (False, True):
+        table = load(path, mmap=mmap)
+        assert isinstance(table.level, np.memmap) == (mmap and compression == "none")
+        assert (table.level.dtype, table.tag.codes.dtype, table.values.codes.dtype) == (
+            np.int16, np.int32, np.int32,
+        )
+        assert table.values == doc.values
+        for engine in ENGINES:
+            for query in QUERIES + ('//person[name = "x"]', "//bidder[increase > 10]"):
+                got = Evaluator(table, engine=engine).evaluate(query)
+                want = Evaluator(doc, engine=engine).evaluate(query)
+                assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+        # Written again, it is today's archive.
+        save(table, str(tmp_path / "again.npz"))
+        assert members(str(tmp_path / "again.npz")) == members(str(tmp_path / "now.npz"))
+
+
 def assert_canonical(values):
     """Strictly sorted as UTF-8, and exactly the entries some code uses."""
     entries = [
@@ -366,7 +406,6 @@ def test_splices_keep_every_width_and_reencode_identically(tmp_path):
     }
     for label, table in spliced.items():
         assert_at_width(table)
-        assert table.values.codes.dtype == COLUMN_DTYPES["value_codes"], label
         assert table.values.offsets.dtype == COLUMN_DTYPES["dict_offsets"], label
         assert_canonical(table.values)
         if label in expected_entries:
@@ -417,16 +456,18 @@ def test_200_add_remove_cycles_leave_a_fresh_encodes_members(tmp_path):
 
 
 def test_eager_members_are_written_at_width(tmp_path):
+    """Each member at the width the rule gives its own values."""
     doc = DocumentCollection(get_forest(1, 0.05)).doc
     for compression in ("none", "packed"):
         path = str(tmp_path / f"{compression}.npz")
         save(doc, path, compression=compression)
         written = members(path)
         assert "post" not in written and "parent" not in written
-        for name in ("level", "kind", "tag_codes", "value_codes"):
-            assert written[name][0] == COLUMN_DTYPES[name].name
-        for name in _DICT_LENGTHS:
-            assert written[name][0] == "int32"
+        with np.load(path) as archive:
+            for name in ("level", "kind", "tag_codes", "value_codes"):
+                assert written[name][0] == rule_width(name, archive[name]).name
+            for name in _DICT_LENGTHS:
+                assert written[name][0] == narrowest(archive[name]).name
         assert describe_archive(path)["format_version"] == 10
 
 
@@ -491,9 +532,11 @@ def test_a_served_packed_shard_holds_at_most_20_bytes_per_node(tmp_path):
             assert type(column) is np.ndarray and column.flags.owndata
         resident = sum(column.nbytes for column in stored) + doc.post.nbytes + doc.parent.nbytes
         assert resident == doc.column_nbytes()
-        assert resident / len(doc) == 19
+        # post 4 + parent 4 + kind 1, level 1 (height 11), tag codes 1
+        # (75 tags), value codes 2 (≈ 8 k entries).
+        assert resident / len(doc) == 13
         shard = store.info()["shards"][0]
-        assert shard["resident_bytes_per_node"] == 19
+        assert shard["resident_bytes_per_node"] == 13
         columns = shard["stored_columns"]
         assert sum(shard["members"][c]["logical_bytes"] for c in columns) == sum(
             column.nbytes for column in stored
@@ -502,8 +545,10 @@ def test_a_served_packed_shard_holds_at_most_20_bytes_per_node(tmp_path):
     described = describe_archive(os.path.join(store.directory, shard["file"]))
     assert described["stored_columns"] == columns == ["level", "kind", "tag_codes", "value_codes"]
     assert described["members"] == shard["members"]
-    for column in columns:
-        assert described["members"][column]["logical_bytes"] == len(doc) * COLUMN_DTYPES[column].itemsize
+    widths = {"level": "int8", "kind": "int8", "tag_codes": "int8", "value_codes": "int16"}
+    for column, array in zip(columns, stored):
+        assert described["members"][column]["dtype"] == widths[column] == array.dtype.name
+        assert described["members"][column]["logical_bytes"] == array.nbytes
 
 
 # ----------------------------------------------------------------------

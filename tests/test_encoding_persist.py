@@ -24,7 +24,6 @@ from repro.encoding.persist import (
 )
 from repro.encoding.prepost import encode, encode_gathered
 from repro.encoding.updates import delete_subtree, insert_subtree, replace_subtree
-from repro.encoding.widths import COLUMN_DTYPES
 from repro.errors import EncodingError
 from repro.xmltree.model import (
     NodeKind,
@@ -37,6 +36,7 @@ from repro.xmltree.model import (
 from repro.xpath.evaluator import evaluate
 
 from _reference import random_tree
+from _widths import plane_columns, rule_width
 from test_adversarial_shapes import SHAPES
 
 #: What pre-version-3 archives wrote for "no value" in their pickled
@@ -55,19 +55,10 @@ def tables_equal(a, b) -> bool:
     )
 
 
-def plane_columns(table) -> dict:
-    """A table's six plane columns by their ``COLUMN_DTYPES`` name."""
-    return {
-        "post": table.post, "level": table.level, "parent": table.parent,
-        "kind": table.kind, "tag_codes": table.tag.codes,
-        "value_codes": table.values.codes,
-    }
-
-
 def assert_round_trips_everywhere(doc, directory):
     """save → load is column-identical — the derived ``post`` / ``parent``
     included — for both compressions, mapped or not, and every column is
-    an array at its declared width: memory-mapped only where a stored
+    an array at the width the rule gives it: memory-mapped only where a stored
     archive is mapped, never for the derived two."""
     for compression in COMPRESSION_MODES:
         path = str(directory / f"{compression}.npz")
@@ -79,7 +70,7 @@ def assert_round_trips_everywhere(doc, directory):
             mapped = mmap_flag and compression == "none"
             for name, column in plane_columns(loaded).items():
                 assert isinstance(column, np.ndarray), name
-                assert column.dtype == COLUMN_DTYPES[name], name
+                assert column.dtype == rule_width(name, column), name
                 stored = name not in ("post", "parent", "tag_codes")
                 assert isinstance(column, np.memmap) == (mapped and stored), name
 
@@ -398,7 +389,7 @@ class TestFormatVersions:
 
     def test_both_compressions_write_one_member_set(self, fig1_doc, tmp_path):
         """Four plain column members (no ``post``, no ``parent``) next to
-        each dictionary's ``int32`` entry lengths and blob — every member
+        each dictionary's narrowed entry lengths and blob — every member
         numeric, none an object array — stored by ``compression="none"``
         (the default) and deflated by ``"packed"``; both load to identical
         dictionaries in memory."""
@@ -413,8 +404,9 @@ class TestFormatVersions:
                 }
             members = read_members(path)
             assert int(members["format_version"][0]) == 10
-            assert members["value_codes"].dtype == np.int32
-            assert members["value_dict_lengths"].dtype == np.int32
+            # Figure 1 carries no text: every value code is −1.
+            assert members["value_codes"].dtype == np.int8
+            assert members["value_dict_lengths"].dtype == np.int8
         for mmap_flag in (False, True):
             stored, packed = (load(paths[c], mmap=mmap_flag) for c in LAYOUTS)
             assert stored.tag.dictionary == packed.tag.dictionary
@@ -964,12 +956,15 @@ class TestDescribeArchive:
                 name: {
                     "stored_bytes": archive.getinfo(f"{name}.npy").compress_size,
                     "logical_bytes": members[name].nbytes,
+                    "dtype": members[name].dtype.name,
                 }
                 for name in MEMBERS
             }
         for name in ("level", "kind", "tag_codes", "value_codes"):
             record = described["members"][name]
-            assert record["logical_bytes"] == len(small_xmark) * COLUMN_DTYPES[name].itemsize
+            width = rule_width(name, members[name])
+            assert record["dtype"] == width.name
+            assert record["logical_bytes"] == len(small_xmark) * width.itemsize
             assert (record["stored_bytes"] < record["logical_bytes"]) == (compression == "packed")
         raw = raw_dictionaries(small_xmark)
         for name in ("tag", "value"):
@@ -1322,9 +1317,11 @@ def assert_packed_round_trip(doc, directory):
     members = describe_archive(packed)["members"]
     with zipfile.ZipFile(packed) as archive:
         for name in ("level", "kind", "tag_codes", "value_codes"):
+            width = rule_width(name, plane_columns(want)[name])
             assert members[name] == {
                 "stored_bytes": archive.getinfo(f"{name}.npy").compress_size,
-                "logical_bytes": len(doc) * COLUMN_DTYPES[name].itemsize,
+                "logical_bytes": len(doc) * width.itemsize,
+                "dtype": width.name,
             }
 
 

@@ -31,7 +31,7 @@ from repro.service.store import AUTO_PACK_NODES, _resolve_compression
 from repro.xmltree.model import element, text
 
 from _reference import random_tree
-from test_encoding_persist import plane_columns
+from _widths import plane_columns, rule_width
 
 ENGINES = ("scalar", "vectorized")
 
@@ -167,7 +167,7 @@ class TestServedPlanes:
     @pytest.mark.parametrize("backend", ("serial", "fabric:2"))
     def test_served_planes_are_arrays(self, forest, tmp_path, monkeypatch, backend):
         """Every lane — the forked worker included — serves a packed
-        shard from arrays it owns at their declared widths, and an eager
+        shard from arrays it owns at the rule's widths, and an eager
         shard's stored columns straight from the archive's mapping."""
         import json
         import multiprocessing
@@ -186,7 +186,11 @@ class TestServedPlanes:
                 lane = json.loads(report.read_text()) if report.exists() else {}
                 for shard_id in {task.shard_id for task in tasks}:
                     lane[str(shard_id)] = {
-                        name: [type(column).__name__, column.dtype.name, mapped(column)]
+                        name: [
+                            type(column).__name__,
+                            column.dtype == rule_width(name, column),
+                            mapped(column),
+                        ]
                         for name, column in plane_columns(snapshot.plane(shard_id).doc).items()
                     }
                 report.write_text(json.dumps(lane))
@@ -217,8 +221,8 @@ class TestServedPlanes:
         for lane in seen.values():
             for shard_id, columns in lane.items():
                 packed = layouts[int(shard_id)] == "packed"
-                for name, (kind, dtype, is_mapped) in columns.items():
-                    assert dtype == COLUMN_DTYPES[name].name
+                for name, (kind, at_width, is_mapped) in columns.items():
+                    assert at_width, (shard_id, name)
                     stored = name not in ("post", "parent")
                     assert is_mapped == (stored and not packed), (shard_id, name)
                     if packed or not stored or name == "tag_codes":
@@ -240,7 +244,9 @@ class TestServedPlanes:
             assert shard[field] == sum(m[field] for m in shard["members"].values())
         assert info["total_logical_bytes"] == sum(s["logical_bytes"] for s in info["shards"])
         assert shard["tag_dictionary"]["entries"] > 0
-        assert shard["resident_bytes_per_node"] == 19
+        # 4 + 4 + 1 (post, parent, kind) + 1 + 1 + 2 (level, tag and
+        # value codes at the width an XMark shard's values need).
+        assert shard["resident_bytes_per_node"] == 13
         assert "resident_bytes_per_node" not in unopened
         assert "decoded" not in shard
         assert shard["stored_columns"] == ["level", "kind", "tag_codes", "value_codes"]
