@@ -462,18 +462,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             total, elapsed_ms = len(pres), observation.elapsed_ns / 1e6
         print(_render_analysis(observations))
         print(f"result: {total:,} node(s), {elapsed_ms:.2f} ms")
-    if args.operators:
-        from repro.engine.explain import explain
-
-        if store is not None:
-            print(
-                "(--operators needs a single document, not a store)",
-                file=sys.stderr,
-            )
-        else:
-            print()
-            # Every eligible name test is pushed down, as in the plan.
-            print(explain(doc, args.xpath, pushdown=True))
     return 0
 
 
@@ -660,10 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--engine", choices=("scalar", "vectorized"), default="vectorized",
         help="engine --analyze runs on (default: vectorized)",
-    )
-    cmd.add_argument(
-        "--operators", action="store_true",
-        help="also print the operator-level rendering (single documents)",
     )
     cmd.add_argument(
         "--analyze", action="store_true",

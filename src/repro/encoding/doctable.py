@@ -209,7 +209,6 @@ class DocTable:
         "height",
         "_pre_of_post",
         "_first_child_cache",
-        "_tag_histogram",
     )
 
     def __init__(
@@ -258,7 +257,6 @@ class DocTable:
             raise EncodingError(f"height {self.height} exceeds the 2-byte level column")
         self._pre_of_post: Optional[np.ndarray] = None
         self._first_child_cache: Optional[np.ndarray] = None
-        self._tag_histogram: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Size / iteration
@@ -467,37 +465,6 @@ class DocTable:
     def non_attribute_pres(self) -> np.ndarray:
         """All nodes the non-attribute axes may ever return."""
         return np.nonzero(self.kind != int(NodeKind.ATTRIBUTE))[0].astype(np.int64)
-
-    # ------------------------------------------------------------------
-    # Catalogue statistics (the engine cost model's input)
-    # ------------------------------------------------------------------
-    def tag_histogram(self) -> np.ndarray:
-        """Element count per tag *code* — ``histogram[code]`` elements.
-
-        One ``np.bincount`` over the dictionary-encoded tag column,
-        restricted to element nodes (the principal node kind of every
-        non-attribute axis, i.e. what a name test can select).  Computed
-        once per table and cached; O(n) on first use.
-        """
-        if self._tag_histogram is None:
-            element_codes = self.tag.codes[self.kind == int(NodeKind.ELEMENT)]
-            self._tag_histogram = np.bincount(
-                element_codes, minlength=len(self.tag.dictionary)
-            ).astype(np.int64)
-        return self._tag_histogram
-
-    def tag_statistics(self) -> dict:
-        """Per-tag element cardinalities as a ``{tag: count}`` mapping.
-
-        The mapping face of :meth:`tag_histogram` (zero-count tags
-        omitted) — what :class:`repro.engine.planner.CostModel` reads.
-        """
-        histogram = self.tag_histogram()
-        dictionary = self.tag.dictionary
-        return {
-            dictionary[code]: int(histogram[code])
-            for code in np.nonzero(histogram)[0]
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -16,23 +16,18 @@ This package rebuilds that stack in miniature:
   delimiter and with early/late name tests;
 * :mod:`repro.engine.sqlgen` — the SQL text generator (what the
   translated queries look like);
-* :mod:`repro.engine.planner` — a small cost model for the
-  pushdown-or-not decision the paper leaves to future research.
+* :mod:`repro.engine.mil` — an interpreter for the Section 4.4 MIL
+  plan notation over the staircase join primitives.
 """
 
 from repro.engine.db2 import DocIndex, db2_path, db2_step
-from repro.engine.explain import explain
 from repro.engine.mil import run_mil
-from repro.engine.planner import CostModel, choose_pushdown
 from repro.engine.sqlgen import path_to_sql
 
 __all__ = [
     "DocIndex",
     "db2_step",
     "db2_path",
-    "explain",
     "run_mil",
     "path_to_sql",
-    "CostModel",
-    "choose_pushdown",
 ]

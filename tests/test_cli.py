@@ -8,6 +8,7 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
+from repro.xpath.pipeline import AXIS_OPERATORS, operator_name
 
 
 @pytest.fixture
@@ -143,6 +144,60 @@ class TestInfoSql:
     def test_sql_with_eq1(self, capsys):
         assert main(["sql", "/descendant::a/descendant::b", "--eq1"]) == 0
         assert "v2.pre <= v1.post + h" in capsys.readouterr().out
+
+
+class TestExplainDocument:
+    """``explain`` on a single document prints the operator each axis
+    runs on; the plan is a function of the query, not of the document."""
+
+    def explain(self, xml_file, xpath, capsys) -> str:
+        capsys.readouterr()
+        assert main(["explain", xml_file, xpath]) == 0
+        return capsys.readouterr().out
+
+    def test_attribute_step_is_a_parent_column_join(self, xml_file, capsys):
+        out = self.explain(xml_file, "/site/people/person/@id", capsys)
+        assert "parent-column equi-join (kind = attribute)" in out
+
+    def test_following_from_the_context_degenerates(self, xml_file, capsys):
+        out = self.explain(xml_file, "following::node()", capsys)
+        assert "degenerates to a singleton" in out
+
+    def test_both_staircase_joins_named(self, xml_file, capsys):
+        out = self.explain(xml_file, "/descendant::increase/ancestor::bidder", capsys)
+        assert "staircase_join_desc" in out and "staircase_join_anc" in out
+
+    def test_union_renders_both_branches(self, xml_file, capsys):
+        out = self.explain(xml_file, "//bidder | //seller", capsys)
+        assert "union of sub-plans" in out
+        assert "branch 1:" in out and "branch 2:" in out
+        assert "StaircaseStep(descendant::bidder, pushdown)" in out
+        assert "StaircaseStep(descendant::seller, pushdown)" in out
+
+    def test_predicates_listed(self, xml_file, capsys):
+        out = self.explain(xml_file, "//open_auction[bidder]", capsys)
+        assert "step 1: descendant::open_auction[child::bidder]" in out
+        assert "PredicateFilter([child::bidder])" in out
+
+    @pytest.mark.parametrize("axis", sorted(AXIS_OPERATORS))
+    def test_every_axis_names_its_operator(self, xml_file, axis, capsys):
+        """The logical plan names the physical operator each axis runs
+        on, and the pipeline runs that step as written."""
+        out = self.explain(xml_file, f"/descendant::person/{axis}::node()", capsys)
+        assert f"step 2: {axis}::node()" in out
+        assert f"operator    : {operator_name(axis)}" in out
+        assert f"StaircaseStep({axis}::node())" in out
+
+    @pytest.mark.parametrize(
+        "flags", [["--operators"], ["--pushdown", "off"]], ids=["operators", "pushdown"]
+    )
+    def test_no_second_rendering_and_no_pushdown_switch(self, xml_file, flags, capsys):
+        """Every eligible name test is pushed down, and the printed plan
+        is the one that runs: there is no other rendering to ask for."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explain", xml_file, "/descendant::b"] + flags)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from repro.harness.workloads import get_forest
 from repro.service import QueryService, ShardedStore, UpdateOp
 from repro.service import store as store_module
 from repro.service.store import AUTO_PACK_NODES, _resolve_compression
-from repro.xmltree.model import element, text
+from repro.xmltree.model import NodeKind, element, text
 
 from _reference import random_tree
 from _widths import plane_columns, rule_width
@@ -75,11 +75,18 @@ def formats(store):
     return compressions
 
 
+def element_counts(doc) -> dict:
+    """Element count per tag of ``doc``, zero counts left out."""
+    codes = doc.tag.codes[doc.kind == NodeKind.ELEMENT]
+    counts = np.bincount(codes, minlength=len(doc.tag.dictionary))
+    return {doc.tag.dictionary[c]: int(counts[c]) for c in np.nonzero(counts)[0]}
+
+
 def plane_tags(store):
     """Element count per tag over every shard plane of ``store``."""
     counts = {}
     for shard_id in store.shard_ids():
-        for tag, n in store.collection(shard_id).doc.tag_statistics().items():
+        for tag, n in element_counts(store.collection(shard_id).doc).items():
             counts[tag] = counts.get(tag, 0) + n
     return counts
 

@@ -3,9 +3,12 @@
 A row is either a ``pattern`` (a Python regular expression) that no
 line of any file under its ``scope`` paths may match, or a path that
 must stay ``absent``; ``retired_by`` names the change that deleted what
-it guards (CHANGES.md).  A scope path that does not exist fails the
-row: a search over a file that is gone finds nothing, so a tombstone
-whose scope moved would otherwise pass by vanishing.
+it guards (CHANGES.md).  A pattern row with a ``max`` is a count rule:
+at most that many lines may match, leaving out the lines its
+``exclude`` pattern matches (the definition a call-site count skips).
+A scope path that does not exist fails the row: a search over a file
+that is gone finds nothing, so a tombstone whose scope moved would
+otherwise pass by vanishing.
 """
 
 import json
@@ -32,6 +35,25 @@ def files_under(path):
             yield os.path.join(directory, name)
 
 
+def hits(row, root=ROOT):
+    """The lines under ``root`` that a pattern row counts, as
+    ``path:line: text``.  A missing scope raises ``AssertionError``."""
+    pattern = re.compile(row["pattern"])
+    exclude = re.compile(row.get("exclude", r"(?!)"))
+    found = []
+    for scope in row["scope"]:
+        path = os.path.join(root, scope)
+        assert os.path.exists(path), f"scope {scope!r} is gone: move the row with the code"
+        for name in files_under(path):
+            with open(name, encoding="utf-8", errors="replace") as lines:
+                found.extend(
+                    f"{os.path.relpath(name, root)}:{number}: {line.strip()}"
+                    for number, line in enumerate(lines, 1)
+                    if pattern.search(line) and not exclude.search(line)
+                )
+    return found
+
+
 @pytest.mark.parametrize(
     "row", ROWS, ids=[f"{row['retired_by'].replace(' ', '')}-{i}" for i, row in enumerate(ROWS)]
 )
@@ -39,16 +61,31 @@ def test_tombstone_stays_buried(row):
     if "absent" in row:
         assert not os.path.exists(os.path.join(ROOT, row["absent"])), row["why"]
         return
-    pattern = re.compile(row["pattern"])
-    hits = []
-    for scope in row["scope"]:
-        path = os.path.join(ROOT, scope)
-        assert os.path.exists(path), f"scope {scope!r} is gone: move the row with the code"
-        for name in files_under(path):
-            with open(name, encoding="utf-8", errors="replace") as lines:
-                hits.extend(
-                    f"{os.path.relpath(name, ROOT)}:{number}: {line.strip()}"
-                    for number, line in enumerate(lines, 1)
-                    if pattern.search(line)
-                )
-    assert hits == [], row["why"]
+    found = hits(row)
+    assert len(found) <= row.get("max", 0), (row["why"], found)
+
+
+DISPATCH_RULE = next(row for row in ROWS if row.get("exclude") == "def dispatch")
+
+
+@pytest.mark.parametrize("calls, within", [(2, True), (3, False)])
+def test_count_rule_fails_on_one_call_site_too_many(tmp_path, calls, within):
+    """The one-driver rule counts call sites, not the definition: two
+    ``dispatch(`` calls beside ``def dispatch`` pass, a third fails."""
+    for scope in DISPATCH_RULE["scope"]:
+        target = tmp_path / scope
+        if scope.endswith(".py"):
+            target.parent.mkdir(parents=True, exist_ok=True)
+            body = ["def dispatch(self, operator):", "    pass"]
+            body += [f"result_{i} = driver.dispatch(op)" for i in range(calls)]
+            target.write_text("\n".join(body) + "\n")
+        else:
+            target.mkdir(parents=True, exist_ok=True)
+    found = hits(DISPATCH_RULE, root=str(tmp_path))
+    assert len(found) == calls
+    assert (len(found) <= DISPATCH_RULE["max"]) is within
+
+
+def test_missing_scope_fails_the_row(tmp_path):
+    with pytest.raises(AssertionError, match="is gone"):
+        hits({"pattern": "anything", "scope": ["src"]}, root=str(tmp_path))

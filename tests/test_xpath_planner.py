@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.encoding.prepost import encode
 from repro.harness.workloads import get_forest
 from repro.service import QueryService, ShardedStore, UpdateOp
-from repro.xmltree.model import element, text
+from repro.xmltree.model import NodeKind, element, text
 from repro.xpath.evaluator import Evaluator
 from repro.xpath.pipeline import compile_plan
 from repro.xpath.planner import Planner, QueryPlan
@@ -334,15 +333,6 @@ class TestGoldenPlans:
 
 
 # ----------------------------------------------------------------------
-class TestTagStatistics:
-    def test_histogram_counts_elements_only(self):
-        doc = encode(random_tree(120, seed=7))
-        stats = doc.tag_statistics()
-        for tag, count in stats.items():
-            assert count == len(doc.pres_with_tag(tag)), tag
-
-
-# ----------------------------------------------------------------------
 class TestDecisions:
     def test_selective_name_test_pushes_down(self):
         # Every eligible name test is pushed down: no catalogue to ask.
@@ -568,6 +558,14 @@ class TestResultInvariance:
 
 
 # ----------------------------------------------------------------------
+def element_counts(doc) -> dict:
+    """Element count per tag of ``doc``, zero counts left out: what an
+    older manifest's per-shard ``tags`` entry held."""
+    codes = doc.tag.codes[doc.kind == NodeKind.ELEMENT]
+    counts = np.bincount(codes, minlength=len(doc.tag.dictionary))
+    return {doc.tag.dictionary[c]: int(counts[c]) for c in np.nonzero(counts)[0]}
+
+
 class TestOldManifests:
     def test_statistics_manifest_opens_answers_and_commits(self, tmp_path):
         """A store whose manifest still carries the per-shard planner
@@ -591,7 +589,7 @@ class TestOldManifests:
             manifest = json.load(f)
         for entry in manifest["shards"]:
             doc = store.collection(entry["id"]).doc
-            entry["tags"] = doc.tag_statistics()
+            entry["tags"] = element_counts(doc)
             entry["height"] = doc.height
         with open(path, "w") as f:
             json.dump(manifest, f, indent=1)
