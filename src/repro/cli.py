@@ -415,54 +415,42 @@ def _render_analysis(observations) -> str:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.xpath.pipeline import compile_plan, observed_drive
-    from repro.xpath.planner import Planner
+    from repro.xpath.pipeline import observed_drive
+    from repro.xpath.planner import plan_query
 
-    store = None
-    doc = None
-    if os.path.isdir(args.document):
-        from repro.service import ShardedStore
-
-        store = ShardedStore.open(args.document)
-        root_tag = store.virtual_root_tag
-        source = (
-            f"{args.document} (store, epoch {store.epoch}, "
-            f"{store.shard_count} shards, {store.total_nodes():,} nodes)"
-        )
-    else:
+    if not os.path.isdir(args.document):
         doc = _load_document(args.document)
-        root_tag = doc.tag_of(doc.root)
-        source = f"{args.document} ({len(doc):,} nodes)"
-    plan = Planner(frozenset((root_tag,))).plan(args.xpath)
-    print(f"source: {source}")
-    print(plan.describe())
-    print()
-    print(compile_plan(plan, mode=args.mode).describe())
-    if args.analyze:
-        print()
-        if store is not None:
-            from repro.service import QueryService
-
-            # Serial: the observation path is identical on every
-            # backend, and analyze is a one-shot diagnostic.
-            with QueryService(
-                store, engine=args.engine, backend="serial"
-            ) as service:
-                result, plan, observations = service.analyze(
-                    args.xpath, engine=args.engine
-                )
-            total, elapsed_ms = result.total, result.elapsed_s * 1000
-        else:
+        plan = plan_query(args.xpath, frozenset((doc.tag_of(doc.root),)))
+        print(f"source: {args.document} ({len(doc):,} nodes)")
+        print(plan.with_mode(args.mode).describe())
+        if args.analyze:
             # The same driver, with an observer, an analyzed shard
             # group runs through.
-            observation, pres = observed_drive(
-                compile_plan(plan), Evaluator(doc, engine=args.engine)
-            )
-            observations = [observation]
-            total, elapsed_ms = len(pres), observation.elapsed_ns / 1e6
-        print(_render_analysis(observations))
-        print(f"result: {total:,} node(s), {elapsed_ms:.2f} ms")
+            observation, pres = observed_drive(plan, Evaluator(doc, engine=args.engine))
+            _print_analysis([observation], len(pres), observation.elapsed_ns / 1e6)
+        return 0
+    from repro.service import QueryService, ShardedStore
+
+    store = ShardedStore.open(args.document)
+    # Serial: the observation path is identical on every backend, and
+    # explain is a one-shot diagnostic.
+    with QueryService(store, engine=args.engine, backend="serial") as service:
+        plan = service.explain(args.xpath)
+        print(
+            f"source: {args.document} (store, epoch {store.epoch}, "
+            f"{store.shard_count} shards, {store.total_nodes():,} nodes)"
+        )
+        print(plan.with_mode(args.mode).describe())
+        if args.analyze:
+            result, _, observations = service.analyze(args.xpath, engine=args.engine)
+            _print_analysis(observations, result.total, result.elapsed_s * 1000)
     return 0
+
+
+def _print_analysis(observations, total: int, elapsed_ms: float) -> None:
+    print()
+    print(_render_analysis(observations))
+    print(f"result: {total:,} node(s), {elapsed_ms:.2f} ms")
 
 
 # ----------------------------------------------------------------------

@@ -212,11 +212,3 @@ class LatencyHistogram:
             f"p99={s['p99_ms']}ms)"
         )
 
-
-# A shared "do not count" sink.  Passing ``None`` everywhere would force
-# ``if stats is not None`` checks in inner loops; handing out a throwaway
-# JoinStatistics keeps the algorithms branch-free, matching the paper's
-# emphasis on predictable control flow.
-def null_statistics() -> JoinStatistics:
-    """Return a fresh statistics sink callers may ignore."""
-    return JoinStatistics()

@@ -3,13 +3,13 @@
 A :class:`QueryService` answers XPath queries over a
 :class:`~repro.service.store.ShardedStore`:
 
-1. the query string is parsed once (LRU **plan cache**) and validated
-   before any work is dispatched;
+1. the query string is parsed and planned once (LRU **plan cache**)
+   and validated before any work is dispatched;
 2. the **result cache** is consulted under the key
    ``(epoch, query, scope, mode)``, the epoch of the one store snapshot
    the batch reads — a warm repeat never touches an engine, and a shard
    replacement bumps the epoch so no stale entry is ever reachable;
-3. misses are compiled into
+3. misses run as their cached
    :class:`~repro.xpath.pipeline.PhysicalPlan` operator pipelines and
    fan out over the lanes of a
    :class:`~repro.service.backend.LaneBackend` — the calling thread,
@@ -41,8 +41,8 @@ from repro.service.cache import LRUCache
 from repro.service.store import ShardedStore, Snapshot
 from repro.xpath.axes import resolve_engine
 from repro.xpath.evaluator import parse_with_cache
-from repro.xpath.pipeline import compile_plan
-from repro.xpath.planner import Planner, QueryPlan
+from repro.xpath.pipeline import PhysicalPlan, compile_plan
+from repro.xpath.planner import plan_query
 
 __all__ = ["QueryService", "ServiceResult"]
 
@@ -115,12 +115,11 @@ class QueryService:
     plan_cache_size / result_cache_size:
         LRU capacities; ``0`` disables the respective cache.
     planner:
-        Plan queries through the rule-based
-        :class:`~repro.xpath.planner.Planner` before dispatch.  Planned
-        batches also share step-prefix work per shard; ``False`` is the
-        unplanned per-query execution path (the e2e oracle's).  Either
-        way the results are byte-identical — planning decides how a
-        query runs, not what it returns.
+        Plan queries by the rules of :mod:`repro.xpath.planner` before
+        dispatch.  Planned batches also share step-prefix work per
+        shard; ``False`` is the unplanned per-query execution path (the
+        e2e oracle's).  Either way the results are byte-identical —
+        planning decides how a query runs, not what it returns.
     """
 
     def __init__(
@@ -233,12 +232,10 @@ class QueryService:
             scoped = document is not None
             items = []
             for query, mode in missing:
+                # A path that cannot be scoped fails here, before any
+                # dispatch.
                 plan = self._plan(query, self.planner_enabled, scoped)
-                # Scoping is compiled here, once, per union branch — a
-                # path that cannot be scoped fails before any dispatch.
-                items.append(
-                    (compile_plan(plan, scoped=scoped), self.engine, document, mode)
-                )
+                items.append((plan, self.engine, document, mode))
             started = time.perf_counter()
             merged = self.backend.run_batch(items, snapshot=snapshot)
             elapsed = time.perf_counter() - started
@@ -283,33 +280,35 @@ class QueryService:
         rank arrays themselves stay shared."""
         return replace(result, per_document=dict(result.per_document), **overrides)
 
-    def _plan(self, query: str, planned: bool, scoped: bool = False):
-        """Parse (always cached) and, when ``planned``, plan the query.
+    def _plan(self, query: str, planned: bool, scoped: bool = False) -> PhysicalPlan:
+        """The compiled plan ``query`` runs under: parsed (always
+        cached), then planned by :func:`~repro.xpath.planner.plan_query`
+        when ``planned``, else compiled as written.
 
-        Plans are cached under ``(query, scoped)`` in the same LRU as
-        parsed ASTs (plain string keys), with no epoch: a plan reads only
-        the query text and the store's virtual root tag, fixed at build,
-        so no commit can change it.  Document-*scoped* plans keep pushdown
-        and predicate order but not the //-collapse: e.g. ``//site``
-        collapsed to ``/descendant::site`` would include the member root
-        that the engine's ``//site`` excludes.
+        Planned plans are cached under ``(query, scoped)`` in the same
+        LRU as parsed ASTs (plain string keys), with no epoch: a plan
+        reads only the query text and the store's virtual root tag,
+        fixed at build, so no commit can change it.  Document-*scoped*
+        plans keep pushdown and predicate order but not the //-collapse:
+        e.g. ``//site`` collapsed to ``/descendant::site`` would include
+        the member root that the engine's ``//site`` excludes.
         """
         parsed = parse_with_cache(query, self.plan_cache)
         if not planned:
-            return parsed
+            return compile_plan(parsed, scoped=scoped)
         key = (query, scoped)
         plan = self.plan_cache.get(key)  # repro: allow[REP001] - plans outlive commits
         if plan is None:
-            # A scoped plan re-anchors at a member root, which the
-            # plane-root guard of the //-collapse does not describe.
-            root_tags = None if scoped else frozenset((self.store.virtual_root_tag,))
-            plan = Planner(root_tags).plan(parsed)
+            root_tags = frozenset((self.store.virtual_root_tag,))
+            plan = plan_query(parsed, root_tags, scoped)
             self.plan_cache.put(key, plan)  # repro: allow[REP001] - plans outlive commits
         return plan
 
-    def explain(self, query: str) -> QueryPlan:
-        """The :class:`~repro.xpath.planner.QueryPlan` for ``query``
-        (what the ``explain`` CLI verb prints for a store)."""
+    def explain(self, query: str) -> PhysicalPlan:
+        """The unscoped :class:`~repro.xpath.pipeline.PhysicalPlan` that
+        runs for ``query`` — the one the ``explain`` CLI verb prints for
+        a store, and the one ``benchmarks/e2e/e2e_replay.py``'s
+        ``_cold_costs`` times as the plan step."""
         return self._plan(query, True)
 
     def analyze(
@@ -330,9 +329,8 @@ class QueryService:
         runs.
         """
         chosen = resolve_engine(engine) if engine is not None else self.engine
-        scoped = document is not None
-        plan = self._plan(query, True, scoped)
-        items = [(compile_plan(plan, scoped=scoped), chosen, document, mode)]
+        plan = self._plan(query, True, document is not None)
+        items = [(plan, chosen, document, mode)]
         sink: list = []
         started = time.perf_counter()
         merged = self.backend.run_batch(items, sink=sink)

@@ -21,8 +21,8 @@ from repro.xpath.ast import AXES, LocationPath, NodeTest, Step
 from repro.xpath.evaluator import Evaluator, evaluate
 from repro.xpath.parser import parse_xpath
 from repro.xpath.pipeline import MODES, PhysicalPlan, compile_plan, drive
-from repro.xpath.planner import Planner, QueryPlan
-from repro.xpath.rewrite import push_name_test, symmetry_rewrite
+from repro.xpath.planner import plan_query
+from repro.xpath.rewrite import symmetry_rewrite
 
 __all__ = [
     "LocationPath",
@@ -36,8 +36,6 @@ __all__ = [
     "compile_plan",
     "drive",
     "PhysicalPlan",
-    "Planner",
-    "QueryPlan",
-    "push_name_test",
+    "plan_query",
     "symmetry_rewrite",
 ]

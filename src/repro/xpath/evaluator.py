@@ -91,12 +91,10 @@ class Evaluator:
         :class:`SkipMode` for the scalar staircase join.
     pushdown:
         Push name tests below child/descendant/ancestor steps
-        (Experiment 3's ~3× rewrite).  ``True``/``False`` applies to
-        every eligible step; one collection of step indices per union
-        branch (the planner's per-step verdicts) pushes only at those
-        positions of the *top-level* paths.  The verdicts are fused
-        into the compiled :class:`~repro.xpath.pipeline.StaircaseStep`
-        operators.
+        (Experiment 3's ~3× rewrite) wherever
+        :func:`~repro.xpath.pipeline.pushdown_eligible` allows.  The
+        verdicts are fused into the compiled
+        :class:`~repro.xpath.pipeline.StaircaseStep` operators.
         Fragments are built lazily on first use and cached for the
         evaluator's lifetime.
     stats:
@@ -127,11 +125,7 @@ class Evaluator:
         self.axes = AxisExecutor(doc, engine=self.engine, mode=mode, stats=self.stats)
         #: Constructor input only (frozen — the compile cache is keyed
         #: by path alone): :func:`compile_plan` fuses it into operators.
-        self.pushdown = (
-            pushdown
-            if isinstance(pushdown, bool)
-            else tuple(frozenset(branch) for branch in pushdown)
-        )
+        self.pushdown = pushdown
         self._fragments: Optional[FragmentedDocument] = None
         self._compiled: dict = {}
 

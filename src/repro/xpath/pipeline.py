@@ -3,16 +3,16 @@
 The paper's core claim is that each XPath location step is one
 predictable physical operator over the pre/post plane.  This module
 gives the execution layer that shape: :func:`compile_plan` turns a
-:class:`~repro.xpath.planner.QueryPlan` (or a bare AST) into a
-:class:`PhysicalPlan` — a picklable sequence of typed operators that
-both engines execute behind one kernel dispatch:
+parsed expression into a :class:`PhysicalPlan` — a picklable sequence
+of typed operators that both engines execute behind one kernel
+dispatch (:func:`~repro.xpath.planner.plan_query` is the planner's way
+in: it rewrites the expression, then compiles it here):
 
 * :class:`ContextInit` — seed the context (document node or caller
   context), normalised to a sorted duplicate-free rank array;
 * :class:`StaircaseStep` — one axis step plus its node test, with the
-  planner's name-test pushdown verdict *fused into the operator* (the
-  per-step ``pushdown`` frozenset side-channel is absorbed at compile
-  time);
+  name-test pushdown verdict *fused into the operator*
+  (:func:`pushdown_eligible` is the one rule that decides it);
 * :class:`PredicateFilter` — one non-positional predicate (one
   operator per predicate, in the plan's order), mask-based in the
   vectorized engine;
@@ -96,7 +96,9 @@ __all__ = [
     "is_positional_predicate",
     "observed_drive",
     "operator_name",
+    "pushdown_eligible",
     "register_kernel",
+    "union_branches",
 ]
 
 #: The result modes a pipeline can terminate in.
@@ -171,11 +173,11 @@ class StaircaseStep:
     """One axis step plus its node test.
 
     ``pushdown`` fuses the name test below the join: the step reads the
-    per-tag fragment instead of filtering the join output (the planner's
-    per-step verdict, baked in at compile time).  The kernel still
-    guards the shape — only ``child``/``descendant``/``ancestor`` steps
-    (and ``descendant-or-self`` from the document node) have a fragment
-    variant; ineligible contexts fall back to join-then-test.
+    per-tag fragment instead of filtering the join output (the
+    :func:`pushdown_eligible` verdict, baked in at compile time).  The
+    kernel still guards the context — a step re-anchored at a member
+    root no longer starts at the document node, and falls back to
+    join-then-test.
     """
 
     index: int  #: top-level step position (-1 = no top-level position)
@@ -222,7 +224,8 @@ class PositionalSelect:
     pushdown: bool = False
 
     def __str__(self) -> str:
-        return f"PositionalSelect({self.step})"
+        fused = ", pushdown" if self.pushdown else ""
+        return f"PositionalSelect({self.step}{fused})"
 
 
 @dataclass(frozen=True)
@@ -272,8 +275,8 @@ _TERMINALS = {"materialize": Materialize(), "count": Count(), "exists": Exists()
 _PRODUCERS = (StaircaseStep, PositionalSelect)
 
 
-#: What each axis runs on (the Section 2/3 execution vocabulary) —
-#: shared with the planner's ``explain`` rendering.
+#: What each axis runs on (the Section 2/3 execution vocabulary), as
+#: ``explain`` prints it under each step operator.
 AXIS_OPERATORS = {
     "descendant": "staircase_join_desc",
     "ancestor": "staircase_join_anc",
@@ -316,12 +319,14 @@ class PhysicalPlan:
     branches: Tuple[Tuple[Operator, ...], ...]
     terminal: Operator
     query: str
-    #: Compiled from a QueryPlan.  Part of the executor's
-    #: grouping rule: only planned groups consult the cross-batch prefix
-    #: cache — ``planner=False`` keeps its ablation meaning of paying
-    #: for every operator it runs.
+    #: Produced by :func:`~repro.xpath.planner.plan_query`.  Part of the
+    #: executor's grouping rule: only planned groups consult the
+    #: cross-batch prefix cache — ``planner=False`` keeps its ablation
+    #: meaning of paying for every operator it runs.
     planned: bool = False
     merge: DocOrderDedup = field(default_factory=DocOrderDedup)
+    #: The planner's rewrites, one line each, as ``explain`` prints them.
+    rewrites: Tuple[str, ...] = ()
 
     @property
     def mode(self) -> str:
@@ -345,19 +350,23 @@ class PhysicalPlan:
         return sum(len(branch) for branch in self.branches) + 1
 
     def describe(self) -> str:
-        """The ``explain`` rendering of the compiled pipeline."""
-        lines = [
+        """The ``explain`` rendering: the query, the rewrites that
+        produced the pipeline, then the pipeline operator by operator."""
+        lines = [f"XPath: {self.query}"]
+        lines.extend(f"rewrite: {r}" for r in self.rewrites or ("none applicable",))
+        lines.append(
             f"physical pipeline: {self.operator_count()} operators, "
             f"terminal {self.terminal}"
-        ]
+        )
         for number, branch in enumerate(self.branches, start=1):
             if len(self.branches) > 1:
                 lines.append(f"  branch {number}:")
             indent = "    " if len(self.branches) > 1 else "  "
             for op in branch:
                 lines.append(f"{indent}{op}")
-                if isinstance(op, StaircaseStep):
-                    lines.append(f"{indent}  └─ {operator_name(op.axis)}")
+                if isinstance(op, _PRODUCERS):
+                    axis = op.step.axis if isinstance(op, PositionalSelect) else op.axis
+                    lines.append(f"{indent}  └─ {operator_name(axis)}")
         if len(self.branches) > 1:
             lines.append(f"  {self.merge}")
         lines.append(f"  {self.terminal}")
@@ -367,11 +376,16 @@ class PhysicalPlan:
 # ----------------------------------------------------------------------
 # Compilation
 # ----------------------------------------------------------------------
-def _pushdown_shape(step: Step) -> bool:
-    """Steps that *can* run against a per-tag fragment."""
-    return step.test.kind == "name" and step.axis in (
-        "child", "descendant", "descendant-or-self", "ancestor",
-    )
+def pushdown_eligible(step: Step, from_document: bool) -> bool:
+    """Can ``step``'s name test run below the join?  Only steps with a
+    fragment variant: a name test on ``child`` / ``descendant`` /
+    ``ancestor``, or on ``descendant(-or-self)`` from the document node
+    (``from_document``: the first step of an absolute path)."""
+    if step.test.kind != "name":
+        return False
+    if from_document:
+        return step.axis in ("descendant", "descendant-or-self")
+    return step.axis in ("child", "descendant", "ancestor")
 
 
 def compile_step_ops(
@@ -381,92 +395,77 @@ def compile_step_ops(
 
     A step carrying any positional predicate compiles to one
     :class:`PositionalSelect`; otherwise to a :class:`StaircaseStep`
-    plus one :class:`PredicateFilter` per predicate.
+    plus one :class:`PredicateFilter` per predicate.  ``pushdown`` is
+    the step's verdict, fused as given.
     """
-    push = pushdown and _pushdown_shape(step)
     if any(is_positional_predicate(p) for p in step.predicates):
-        return (PositionalSelect(index, step, push),)
-    return (StaircaseStep(index, step.axis, step.test, push),) + tuple(
+        return (PositionalSelect(index, step, pushdown),)
+    return (StaircaseStep(index, step.axis, step.test, pushdown),) + tuple(
         PredicateFilter(index, step.axis, p) for p in step.predicates
     )
 
 
-def _compile_path(path: LocationPath, pushed) -> Tuple[Operator, ...]:
-    """``pushed``: a blanket bool, or the step indices to push."""
+def union_branches(expr: Expr) -> List[LocationPath]:
+    """The paths of a top-level path or union, left to right."""
+    if isinstance(expr, BinaryExpr):
+        if expr.op != "|":
+            raise XPathEvaluationError(
+                f"top-level expression must be a path or union, got {expr.op!r}"
+            )
+        return union_branches(expr.left) + union_branches(expr.right)
+    if isinstance(expr, LocationPath):
+        return [expr]
+    raise XPathEvaluationError(f"cannot compile top-level expression {expr!r}")
+
+
+def _compile_path(
+    path: LocationPath, pushdown: bool, scoped: bool
+) -> Tuple[Operator, ...]:
+    """One branch's operators.  Pushdown is decided on the path as
+    written, before ``scoped`` re-anchors it at a member root."""
+    pushed = [
+        pushdown and pushdown_eligible(step, path.absolute and index == 0)
+        for index, step in enumerate(path.steps)
+    ]
+    if scoped:
+        path = anchor_at_member_root(path)
     ops: List[Operator] = [ContextInit(path.absolute)]
-    for index, step in enumerate(path.steps):
-        push = pushed if isinstance(pushed, bool) else index in pushed
+    for index, (step, push) in enumerate(zip(path.steps, pushed)):
         ops.extend(compile_step_ops(step, index, push))
     return tuple(ops)
 
 
 def compile_plan(
-    plan,
+    plan: Union[str, Expr, "PhysicalPlan"],
     mode: str = "materialize",
-    pushdown=None,
+    pushdown: bool = False,
     scoped: bool = False,
 ) -> "PhysicalPlan":
-    """Compile ``plan`` into a :class:`PhysicalPlan`.
+    """Compile ``plan`` — a query string or a parsed path or union —
+    into a :class:`PhysicalPlan`, as written (no rewrite).
 
-    ``plan`` is a :class:`~repro.xpath.planner.QueryPlan` (its rewritten
-    path and per-step pushdown verdicts are honoured), a
-    parsed expression, or a query string.  ``pushdown`` overrides the
-    name-test placement: ``True``/``False`` for every eligible step, or
-    one collection of step indices per union branch (the planner's
-    spelling); ``None`` takes the :class:`QueryPlan`'s verdicts (no
-    pushdown for bare expressions).  ``scoped`` re-anchors every union
-    branch at a collection member's root
-    (:func:`~repro.xpath.rewrite.anchor_at_member_root`); the caller
-    drives the result with that root as context.  Already-compiled
-    plans pass through (re-moded).
+    ``pushdown`` pushes every :func:`pushdown_eligible` name test below
+    its join.  ``scoped`` re-anchors every union branch at a collection
+    member's root (:func:`~repro.xpath.rewrite.anchor_at_member_root`);
+    the caller drives the result with that root as context.
+    Already-compiled plans pass through (re-moded).
     """
     if isinstance(plan, PhysicalPlan):
         return plan.with_mode(mode)
-    query: Optional[str] = None
-    planned = False
-    if isinstance(plan, str):
-        query, plan = plan, parse_xpath(plan)
-    if hasattr(plan, "pushdown_steps") and hasattr(plan, "path"):
-        # A QueryPlan (duck-typed to avoid the planner import cycle).
-        query = plan.query
-        planned = True
-        if pushdown is None:
-            pushdown = plan.pushdown_steps
-        expr = plan.path
-    else:
-        expr = plan
-    if scoped:
-        expr = anchor_at_member_root(expr)
-    if pushdown is None:
-        pushdown = False
-    branches: List[Tuple[Operator, ...]] = []
-
-    def flatten(e: Expr) -> None:
-        if isinstance(e, BinaryExpr):
-            if e.op != "|":
-                raise XPathEvaluationError(
-                    f"top-level expression must be a path or union, got {e.op!r}"
-                )
-            flatten(e.left)
-            flatten(e.right)
-        elif isinstance(e, LocationPath):
-            pushed = pushdown if isinstance(pushdown, bool) else pushdown[len(branches)]
-            branches.append(_compile_path(e, pushed))
-        else:
-            raise XPathEvaluationError(
-                f"cannot compile top-level expression {e!r}"
-            )
-
-    flatten(expr)
+    if not isinstance(pushdown, bool):
+        raise TypeError(f"pushdown is True or False, not {pushdown!r}")
+    expr = parse_xpath(plan) if isinstance(plan, str) else plan
+    branches = tuple(
+        _compile_path(path, pushdown, scoped) for path in union_branches(expr)
+    )
     if mode not in _TERMINALS:
         raise XPathEvaluationError(
             f"unknown result mode {mode!r} (expected one of {MODES})"
         )
     return PhysicalPlan(
-        branches=tuple(branches),
+        branches=branches,
         terminal=_TERMINALS[mode],
-        query=query if query is not None else str(expr),
-        planned=planned,
+        query=plan if isinstance(plan, str) else str(expr),
     )
 
 

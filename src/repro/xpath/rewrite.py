@@ -1,15 +1,14 @@
-"""XPath rewriting laws used in the paper's experiments.
+"""XPath rewriting laws: the paper's and the planner's.
 
-Two rewrites appear in Section 4.4:
+Section 4.4 names two rewrites:
 
 * **Name-test pushdown** (Experiment 3): ``cs/ancestor::n`` evaluated as
   ``staircasejoin_anc(nametest(doc, n), cs)`` instead of
   ``nametest(staircasejoin_anc(doc, cs), n)``.  Valid because the tree
   properties staircase join relies on are "entirely based on preorder and
-  postorder ranks [and] remain valid for a subset of nodes".  In this
-  repository pushdown is an :class:`~repro.xpath.evaluator.Evaluator`
-  option; :func:`push_name_test` reports *where* it applies, which the
-  planner and the benchmarks use.
+  postorder ranks [and] remain valid for a subset of nodes".  It leaves
+  the path as written, so it is no rewrite here: it is a verdict fused
+  into each compiled step (:func:`~repro.xpath.pipeline.pushdown_eligible`).
 
 * **Symmetry rewrite** [Olteanu et al. 2001]: the paper ran the DB2
   comparison for Q2 on the manually rewritten
@@ -18,11 +17,15 @@ Two rewrites appear in Section 4.4:
   :func:`symmetry_rewrite` implements exactly this law — a trailing
   ``ancestor::n`` step becomes a name-tested descendant step with an
   existential ``descendant`` predicate.
+
+The planner's //-collapse (:func:`collapse_descendant_or_self`) and the
+member re-anchoring of document-scoped runs
+(:func:`anchor_at_member_root`) are laws of the same kind.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Optional
 
 from repro.errors import XPathEvaluationError
 from repro.xpath.ast import BinaryExpr, Expr, LocationPath, NodeTest, Step
@@ -31,39 +34,8 @@ from repro.xpath.parser import parse_xpath
 __all__ = [
     "anchor_at_member_root",
     "collapse_descendant_or_self",
-    "push_name_test",
-    "pushdown_opportunities",
     "symmetry_rewrite",
 ]
-
-
-def pushdown_opportunities(path: LocationPath) -> List[int]:
-    """Indices of steps where a name test can be pushed below the join.
-
-    A step qualifies when it walks ``descendant`` or ``ancestor`` with a
-    plain name test and no predicates — the exact shape of the paper's
-    Experiment 3 steps.
-    """
-    return [
-        index
-        for index, step in enumerate(path.steps)
-        if step.axis in ("descendant", "ancestor")
-        and step.test.kind == "name"
-        and not step.predicates
-    ]
-
-
-def push_name_test(path: LocationPath) -> Tuple[LocationPath, List[int]]:
-    """Return ``path`` plus the step indices eligible for pushdown.
-
-    The AST itself is unchanged (pushdown is an execution-strategy
-    decision, not a syntactic one); callers enable it by constructing an
-    evaluator with ``pushdown=True``.  Returning the opportunity list
-    keeps plan explanations honest: "pushdown makes sense for selective
-    name tests only" (Section 4.4) — an empty list means the evaluator
-    flag would change nothing.
-    """
-    return path, pushdown_opportunities(path)
 
 
 def collapse_descendant_or_self(
@@ -78,8 +50,7 @@ def collapse_descendant_or_self(
     ``c``'s inclusive descendants — exactly ``c``'s proper descendants
     passing the test — so the pair is one descendant step.  The single
     step skips an O(n) intermediate *and* has the shape name-test
-    pushdown accepts, which is why the planner applies this before
-    costing steps.
+    pushdown accepts.
 
     Two guards keep the laws exact:
 

@@ -169,24 +169,29 @@ class TestExplainDocument:
 
     def test_union_renders_both_branches(self, xml_file, capsys):
         out = self.explain(xml_file, "//bidder | //seller", capsys)
-        assert "union of sub-plans" in out
         assert "branch 1:" in out and "branch 2:" in out
         assert "StaircaseStep(descendant::bidder, pushdown)" in out
         assert "StaircaseStep(descendant::seller, pushdown)" in out
 
     def test_predicates_listed(self, xml_file, capsys):
         out = self.explain(xml_file, "//open_auction[bidder]", capsys)
-        assert "step 1: descendant::open_auction[child::bidder]" in out
+        assert "rewrite: //-collapse → /descendant::open_auction[child::bidder]" in out
         assert "PredicateFilter([child::bidder])" in out
+        assert "step 1:" not in out
+
+    def test_an_encoded_document(self, xml_file, tmp_path, capsys):
+        encoded = str(tmp_path / "doc.npz")
+        assert main(["encode", xml_file, "-o", encoded]) == 0
+        out = self.explain(encoded, "//person[name]", capsys)
+        assert "StaircaseStep(descendant::person, pushdown)" in out
+        assert "PredicateFilter([child::name])" in out
 
     @pytest.mark.parametrize("axis", sorted(AXIS_OPERATORS))
     def test_every_axis_names_its_operator(self, xml_file, axis, capsys):
-        """The logical plan names the physical operator each axis runs
-        on, and the pipeline runs that step as written."""
+        """The pipeline runs each axis step as written and names the
+        physical operator it runs on."""
         out = self.explain(xml_file, f"/descendant::person/{axis}::node()", capsys)
-        assert f"step 2: {axis}::node()" in out
-        assert f"operator    : {operator_name(axis)}" in out
-        assert f"StaircaseStep({axis}::node())" in out
+        assert f"  StaircaseStep({axis}::node())\n    └─ {operator_name(axis)}\n" in out
 
     @pytest.mark.parametrize(
         "flags", [["--operators"], ["--pushdown", "off"]], ids=["operators", "pushdown"]
@@ -411,14 +416,33 @@ class TestShardServeBatch:
         )
         out = capsys.readouterr().out
         assert "source:" in out and "(store, epoch" in out
-        assert "staircase_join_anc" in out and "PUSHDOWN" in out
+        assert "staircase_join_anc" in out
+        assert "StaircaseStep(ancestor::person, pushdown)" in out
 
     def test_explain_collapses_abbreviations(self, store_dir, capsys):
         capsys.readouterr()
         assert main(["explain", store_dir, "//person/name"]) == 0
         out = capsys.readouterr().out
         assert "//-collapse" in out
-        assert "PUSHDOWN" in out
+        assert "StaircaseStep(descendant::person, pushdown)" in out
+
+    def test_explain_prints_the_services_plan(self, store_dir, capsys, monkeypatch):
+        """A store's plan comes from ``QueryService.explain``, the plan
+        the service runs: the verb plans nothing of its own."""
+        from repro.service import QueryService
+
+        asked = []
+        explain = QueryService.explain
+        monkeypatch.setattr(
+            QueryService, "explain",
+            lambda service, query: asked.append(query) or explain(service, query),
+        )
+        capsys.readouterr()
+        assert main(["explain", store_dir, "//person/name"]) == 0
+        out = capsys.readouterr().out
+        assert asked == ["//person/name"]
+        with QueryService.open(store_dir, backend="serial") as service:
+            assert out.endswith(explain(service, "//person/name").describe() + "\n")
 
     def test_explain_analyze_on_a_store_writes_nothing(self, store_dir, capsys):
         manifest = os.path.join(store_dir, "manifest.json")
@@ -428,6 +452,7 @@ class TestShardServeBatch:
         capsys.readouterr()
         assert main(["explain", store_dir, "//person[profile]", "--analyze"]) == 0
         out = capsys.readouterr().out
+        assert "physical pipeline:" in out
         assert "observed:" in out and "PredicateFilter" in out
         assert "est out" not in out and "mis-estimate" not in out
         assert "feedback" not in out
@@ -602,10 +627,16 @@ class TestUpdate:
         assert main(["explain", "no-such-place", "//a"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_explain_prints_physical_pipeline(self, store_dir, capsys):
+    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("mode", ["count", "exists"])
+    def test_explain_prints_physical_pipeline(self, store_dir, mode, engine, capsys):
+        """One rendering per query, whatever the engine: the rewrites,
+        then the pipeline under the asked-for terminal."""
         capsys.readouterr()
-        assert main(["explain", store_dir, "//person/name", "--mode", "count"]) == 0
+        argv = ["explain", store_dir, "//person/name", "--mode", mode, "--engine", engine]
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "physical pipeline:" in out
-        assert "StaircaseStep" in out
-        assert "terminal Count" in out
+        assert f"physical pipeline: 4 operators, terminal {mode.capitalize()}" in out
+        assert "StaircaseStep(descendant::person, pushdown)" in out
+        assert "StaircaseStep(child::name, pushdown)" in out
+        assert out.count("XPath:") == 1 and "step 1:" not in out

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.counters import JoinStatistics, LatencyHistogram, null_statistics
+from repro.counters import JoinStatistics, LatencyHistogram
 
 
 class TestCounters:
@@ -35,9 +35,6 @@ class TestCounters:
         snapshot = stats.as_dict()
         assert snapshot["partitions"] == 7
         assert set(snapshot) == set(JoinStatistics().__dataclass_fields__)
-
-    def test_null_statistics_fresh_each_call(self):
-        assert null_statistics() is not null_statistics()
 
 
 class TestLatencyHistogram:

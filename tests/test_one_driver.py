@@ -18,6 +18,7 @@
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +36,7 @@ from repro.xpath.pipeline import (
     compile_plan,
     register_kernel,
 )
-from repro.xpath.planner import Planner
+from repro.xpath.planner import plan_query
 
 from _reference import Reference, random_tree
 from test_xpath_fuzz import paths
@@ -99,14 +100,15 @@ def shard_ids_of(store, document):
     return store.shard_ids() if document is None else [store.shard_of(document)]
 
 
-def store_planners(store):
-    """scoped → the planner the service uses (no //-collapse when scoped)."""
-    return {False: Planner(frozenset((store.virtual_root_tag,))), True: Planner(None)}
+def store_planner(store):
+    """``(query, scoped) →`` the plan the service runs."""
+    root_tags = frozenset((store.virtual_root_tag,))
+    return lambda query, scoped: plan_query(query, root_tags, scoped)
 
 
 @pytest.fixture(scope="module")
 def planners(fuzz_store):
-    return store_planners(fuzz_store)
+    return store_planner(fuzz_store)
 
 
 queries = st.one_of(paths, paths, st.builds(BinaryExpr, st.just("|"), paths, paths))
@@ -131,8 +133,10 @@ def compile_items(specs, planners):
     for query, mode, planned, document, engine in specs:
         scoped = document is not None
         try:
-            plan = planners[scoped].plan(query) if planned else query
-            item = (compile_plan(plan, scoped=scoped), engine, document, mode)
+            plan = (
+                planners(query, scoped) if planned else compile_plan(query, scoped=scoped)
+            )
+            item = (plan, engine, document, mode)
         except ReproError:
             continue
         items.append((query, item))
@@ -309,14 +313,21 @@ def step_calls():
 
 def planned_tasks(
     store, queries, engine, document=None, observe=False, mode="materialize",
-    pushdown=None,
+    pushdown=True,
 ):
     scoped = document is not None
-    planner = store_planners(store)[scoped]
-    items = [
-        (compile_plan(planner.plan(q), pushdown=pushdown, scoped=scoped), engine, document, mode)
-        for q in queries
-    ]
+    plans = [store_planner(store)(q, scoped) for q in queries]
+    if not pushdown:
+        # The same plans with every name test back above its join.
+        plans = [
+            replace(plan, branches=tuple(
+                tuple(replace(op, pushdown=False) if hasattr(op, "pushdown") else op
+                      for op in branch)
+                for branch in plan.branches
+            ))
+            for plan in plans
+        ]
+    items = [(plan, engine, document, mode) for plan in plans]
     return shard_tasks(store, items, observe)
 
 

@@ -32,7 +32,7 @@ from repro.xpath.pipeline import (
     drive,
     exists_ready,
 )
-from repro.xpath.planner import Planner
+from repro.xpath.planner import plan_query
 
 ENGINES = ("scalar", "vectorized")
 
@@ -115,38 +115,45 @@ class TestCompile:
         # Re-moding keeps the branch operators shared (trie prefixes).
         assert plan.with_mode("count").branches is plan.branches
 
-    def test_pushdown_indices_fuse_into_operators(self):
-        plan = compile_plan(
-            parse_xpath("/descendant::person/descendant::education"),
-            pushdown=((1,),),
-        )
-        first, second = plan.branches[0][1], plan.branches[0][2]
-        assert not first.pushdown
-        assert second.pushdown
+    def test_pushdown_takes_no_index_sets(self, doc):
+        # Pushdown is one blanket verdict, True or False: there is no
+        # per-step spelling to pass.
+        query = "/descendant::person/descendant::education"
+        with pytest.raises(TypeError, match="True or False"):
+            compile_plan(parse_xpath(query), pushdown=((1,),))
+        with pytest.raises(TypeError, match="True or False"):
+            Evaluator(doc, pushdown=((1,),)).evaluate(query)
 
     def test_pushdown_shape_guard(self):
-        # parent and kind-tested steps have no fragment variant — a
+        # parent and kind-tested steps have no fragment variant, and a
+        # leading child step has none from the document node — a
         # blanket True must not mark them.
         plan = compile_plan(
             parse_xpath("/site/descendant::person/parent::*/child::text()"),
             pushdown=True,
         )
         child, desc, parent, text = plan.branches[0][1:]
-        assert child.pushdown and desc.pushdown
-        assert not parent.pushdown and not text.pushdown
+        assert desc.pushdown
+        assert not child.pushdown and not parent.pushdown and not text.pushdown
+        # descendant-or-self reads a fragment from the document node only.
+        (leading,) = compile_plan("/descendant-or-self::a", pushdown=True).branches[0][1:]
+        (relative,) = compile_plan("descendant-or-self::a", pushdown=True).branches[0][1:]
+        assert leading.pushdown and not relative.pushdown
 
-    def test_query_plan_verdicts_honoured(self, doc):
-        planner = Planner(frozenset((doc.tag_of(doc.root),)))
-        query_plan = planner.plan("//open_auction/bidder/increase")
-        plan = compile_plan(query_plan)
-        assert plan.query == query_plan.query and plan.planned
+    def test_planner_verdicts_honoured(self, doc):
+        plan = plan_query("//open_auction/bidder/increase", frozenset((doc.tag_of(doc.root),)))
+        assert plan.query == "//open_auction/bidder/increase" and plan.planned
+        # The planned pipeline is the rewritten path compiled under the
+        # one eligibility rule.
+        rewritten = "/descendant::open_auction/child::bidder/child::increase"
+        assert plan.branches == compile_plan(rewritten, pushdown=True).branches
         pushed = {
             op.index
             for branch in plan.branches
             for op in branch
             if isinstance(op, StaircaseStep) and op.pushdown
         }
-        assert (frozenset(pushed),) == query_plan.pushdown_steps
+        assert pushed == {0, 1, 2}
 
     def test_compiled_plan_passes_through(self):
         plan = compile_plan("//a")

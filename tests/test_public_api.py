@@ -158,18 +158,18 @@ class TestRemovedSpellings:
         no feedback package, no rebalancing, no sampling interval."""
         from repro.service import QueryService, ShardedStore
         from repro.xmltree.model import element
-        from repro.xpath.planner import Planner
+        from repro.xpath import planner
 
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.feedback")
         with pytest.raises(TypeError):
-            Planner(frozenset(), feedback=None)
+            planner.plan_query("//a", frozenset(), feedback=None)
         for name in ("feedback", "save_feedback", "_rebalance_locked",
                      "REBALANCE_MAX_MOVES", "MIN_HEAT_SAMPLES",
                      "HOT_SHARE", "COLD_SHARE"):
             assert not hasattr(ShardedStore, name), name
         for name in ("_observed", "_blend", "FEEDBACK_BLEND_K"):
-            assert not hasattr(Planner, name), name
+            assert not hasattr(planner, name), name
         directory = str(tmp_path / "s")
         store = ShardedStore.build(
             directory, [("d", element("a", element("b")))]
@@ -205,12 +205,15 @@ class TestRemovedSpellings:
             assert not hasattr(planner, name) and not hasattr(xpath, name), name
         for knob in ("rewrite", "pushdown", "engine"):
             with pytest.raises(TypeError):
-                planner.Planner(frozenset(), **{knob: True})
+                planner.plan_query("//a", frozenset(), **{knob: True})
         for name in ("_decide_steps", "_apply_symmetry", "_skip_mode",
                      "REWRITE_MARGIN", "PREDICATE_EVAL_WEIGHT"):
-            assert not hasattr(planner.Planner, name), name
-        assert set(planner.QueryPlan.__dataclass_fields__) == {
-            "query", "original", "path", "pushdown_steps", "rewrites",
+            assert not hasattr(planner, name), name
+        # One plan per query: the planner returns the PhysicalPlan.
+        for name in ("Planner", "QueryPlan"):
+            assert not hasattr(planner, name) and not hasattr(xpath, name), name
+        assert set(PhysicalPlan.__dataclass_fields__) == {
+            "branches", "terminal", "query", "planned", "merge", "rewrites",
         }
         assert "skip_mode" not in PhysicalPlan.__dataclass_fields__
         assert "skip_mode" not in inspect.signature(compile_plan).parameters

@@ -84,20 +84,21 @@ def test_scoped_answer_is_the_members_own(store, standalone, backend, planner):
 
 
 def test_scoped_plans_compile_in_the_service_only(forest, tmp_path, monkeypatch):
-    """Two executions of one scoped query: the service compiles each
-    (re-anchored) plan; a lane receives ready operators, has no compiler
-    to re-compile them with, and never goes back through
+    """Two executions of one scoped query: the service plans and
+    compiles the (re-anchored) plan once and serves the second from its
+    plan cache; a lane receives ready operators, has no compiler to
+    re-compile them with, and never goes back through
     ``Evaluator.compile``."""
     import repro.service.executor as executor
-    import repro.service.service as service_module
     import repro.xpath.evaluator as evaluator_module
+    import repro.xpath.planner as planner_module
 
     store = ShardedStore.build(str(tmp_path / "s"), forest, shards=4)
     compiled = {"service": 0, "facade": 0}
 
     def in_service(plan, *args, **kwargs):
         compiled["service"] += 1
-        assert kwargs == {"scoped": True}
+        assert kwargs == {"pushdown": True, "scoped": True}
         return compile_plan(plan, *args, **kwargs)
 
     def in_facade(*args, **kwargs):
@@ -106,14 +107,14 @@ def test_scoped_plans_compile_in_the_service_only(forest, tmp_path, monkeypatch)
 
     assert not hasattr(executor, "compile_plan")
     assert not hasattr(executor, "parse_with_cache")
-    monkeypatch.setattr(service_module, "compile_plan", in_service)
+    monkeypatch.setattr(planner_module, "compile_plan", in_service)
     monkeypatch.setattr(evaluator_module, "compile_plan", in_facade)
     name = store.document_names()[2]
     with QueryService(store, backend="serial") as service:
         first = service.execute("//seller | //buyer", document=name, use_cache=False)
         again = service.execute("//seller | //buyer", document=name, use_cache=False)
     assert first.total == again.total > 0
-    assert compiled["service"] == 2
+    assert compiled["service"] == 1
     assert compiled["facade"] == 0
 
 

@@ -370,8 +370,8 @@ class TestCaching:
 
     def test_plan_cache_parses_and_plans_once(self, store):
         # Two cache levels share the LRU: the parsed AST (string key)
-        # and the costed QueryPlan ((epoch, engine, query) key) — one
-        # miss each on the first execution, one hit each afterwards.
+        # and the compiled plan ((query, scoped) key) — one miss each
+        # on the first execution, one hit each afterwards.
         with QueryService(store, backend="serial") as service:
             service.execute("//people", use_cache=False)
             service.execute("//people", use_cache=False)
@@ -646,13 +646,14 @@ class TestPlannerIntegration:
             assert service.execute_batch([]) == []
             assert service.backend.run_batch([]) == []
 
-    def test_service_explain_returns_a_costed_plan(self, store):
+    def test_service_explain_returns_the_plan_that_runs(self, store):
         with QueryService(store, backend="serial") as service:
             plan = service.explain("//open_auction/bidder/increase")
-        (pushed,) = plan.pushdown_steps
-        assert 0 in pushed  # the collapsed descendant step
+            assert service._plan("//open_auction/bidder/increase", True) is plan
+        # The collapsed descendant step reads its fragment.
+        assert str(plan.branches[0][1]) == "StaircaseStep(descendant::open_auction, pushdown)"
         text = plan.describe()
-        assert "//-collapse" in text and "PUSHDOWN" in text
+        assert "//-collapse" in text and "step 1:" not in text
 
     def test_planner_off_service_never_plans(self, store):
         with QueryService(store, backend="serial", planner=False) as service:

@@ -35,7 +35,8 @@ from repro.xpath.ast import (
 )
 from repro.xpath.evaluator import Evaluator, evaluate
 from repro.xpath.parser import _KNOWN_FUNCTIONS, parse_xpath
-from repro.xpath.planner import Planner
+from repro.xpath.pipeline import drive
+from repro.xpath.planner import plan_query
 
 from _reference import Reference, random_tree
 
@@ -294,16 +295,16 @@ class TestEvaluatorRobustness:
     @settings(max_examples=120, deadline=None)
     def test_planned_engines_match_the_reference(self, query, seed, size):
         """The planner's rewrites (the //-collapse and its positional
-        twin) and its per-branch pushdown change how a query runs,
-        never what it returns."""
+        twin) and its pushdown change how a query runs, never what it
+        returns."""
         tree = random_tree(size, seed, tags=("a", "b", "c", "item"))
         doc = encode(tree)
         expected = outcome(lambda: Reference(tree).evaluate(query))
-        plan = Planner(frozenset((doc.tag_of(doc.root),))).plan(query)
+        plan = plan_query(query, frozenset((doc.tag_of(doc.root),)))
         for engine in ("scalar", "vectorized"):
-            evaluator = Evaluator(doc, engine=engine, pushdown=plan.pushdown_steps)
-            got = outcome(lambda: evaluator.evaluate(plan.path))
-            assert got == expected, (engine, str(query), str(plan.path))
+            evaluator = Evaluator(doc, engine=engine)
+            got = outcome(lambda: drive(plan, evaluator))
+            assert got == expected, (engine, str(query), plan.rewrites)
 
 
 # ----------------------------------------------------------------------

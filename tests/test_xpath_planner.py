@@ -20,8 +20,13 @@ from repro.harness.workloads import get_forest
 from repro.service import QueryService, ShardedStore, UpdateOp
 from repro.xmltree.model import NodeKind, element, text
 from repro.xpath.evaluator import Evaluator
-from repro.xpath.pipeline import compile_plan
-from repro.xpath.planner import Planner, QueryPlan
+from repro.xpath.pipeline import (
+    PhysicalPlan,
+    PredicateFilter,
+    compile_plan,
+    drive,
+)
+from repro.xpath.planner import plan_query
 
 from _reference import random_tree
 
@@ -97,18 +102,18 @@ GOLDEN = {
     ),
     "//open_auction/bidder[1]/increase": (
         (
-            "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → PositionalSelect(child::bidder[1]) → StaircaseStep(child::increase, pushdown)",
+            "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → PositionalSelect(child::bidder[1], pushdown) → StaircaseStep(child::increase, pushdown)",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction, pushdown) → PositionalSelect(child::bidder[1]) → StaircaseStep(child::increase, pushdown)",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction, pushdown) → PositionalSelect(child::bidder[1], pushdown) → StaircaseStep(child::increase, pushdown)",
         ),
     ),
     "//open_auction/bidder[last()]": (
         (
-            "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → PositionalSelect(child::bidder[last()])",
+            "ContextInit(document) → StaircaseStep(descendant::open_auction, pushdown) → PositionalSelect(child::bidder[last()], pushdown)",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction, pushdown) → PositionalSelect(child::bidder[last()])",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → StaircaseStep(child::open_auction, pushdown) → PositionalSelect(child::bidder[last()], pushdown)",
         ),
     ),
     "//open_auction[count(bidder) >= 3]": (
@@ -163,10 +168,10 @@ GOLDEN = {
     ),
     "//bidder[1]/following-sibling::bidder": (
         (
-            "ContextInit(document) → StaircaseStep(descendant::bidder, pushdown) → StaircaseStep(parent::node()) → PositionalSelect(child::bidder[1]) → StaircaseStep(following-sibling::bidder)",
+            "ContextInit(document) → StaircaseStep(descendant::bidder, pushdown) → StaircaseStep(parent::node()) → PositionalSelect(child::bidder[1], pushdown) → StaircaseStep(following-sibling::bidder)",
         ),
         (
-            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → PositionalSelect(child::bidder[1]) → StaircaseStep(following-sibling::bidder)",
+            "ContextInit(context) → StaircaseStep(descendant-or-self::node()) → PositionalSelect(child::bidder[1], pushdown) → StaircaseStep(following-sibling::bidder)",
         ),
     ),
     "//profile/education/text()": (
@@ -333,59 +338,76 @@ class TestGoldenPlans:
 
 
 # ----------------------------------------------------------------------
+def pushed(plan):
+    """Per union branch, the step indices whose name test runs below
+    the join."""
+    return tuple(
+        frozenset(op.index for op in branch if getattr(op, "pushdown", False))
+        for branch in plan.branches
+    )
+
+
+def predicates(plan):
+    """The last branch's predicate filters, in the order they run."""
+    return [str(op.predicate) for op in plan.branches[-1] if isinstance(op, PredicateFilter)]
+
+
 class TestDecisions:
     def test_selective_name_test_pushes_down(self):
         # Every eligible name test is pushed down: no catalogue to ask.
-        plan = Planner(SITE).plan("/descendant::increase/ancestor::bidder")
-        assert plan.pushdown_steps == (frozenset((0, 1)),)
-        assert not plan.rewritten  # the symmetry rewrite is never planned
+        plan = plan_query("/descendant::increase/ancestor::bidder", SITE)
+        assert pushed(plan) == (frozenset((0, 1)),)
+        assert not plan.rewrites  # the symmetry rewrite is never planned
 
     def test_collapse_fuses_abbreviated_steps(self):
-        plan = Planner(SITE).plan("//open_auction/bidder/increase")
-        assert str(plan.path) == (
-            "/descendant::open_auction/child::bidder/child::increase"
+        plan = plan_query("//open_auction/bidder/increase", SITE)
+        assert plan.rewrites == (
+            "//-collapse → /descendant::open_auction/child::bidder/child::increase",
         )
-        assert any("//-collapse" in r for r in plan.rewrites)
         # The child steps read their fragments too.
-        assert plan.pushdown_steps == (frozenset((0, 1, 2)),)
+        assert pushed(plan) == (frozenset((0, 1, 2)),)
 
     def test_collapse_respects_root_tag_guard(self):
-        plan = Planner(SITE).plan("//site/regions")
+        plan = plan_query("//site/regions", SITE)
         # `site` may be a plane root: the engine's `//site` excludes it
         # while `/descendant::site` would not — the pair must survive.
-        assert plan.path.steps[0].axis == "descendant-or-self"
+        assert plan.branches[0][1].axis == "descendant-or-self"
 
     def test_positional_twin_keeps_the_child_step(self):
         # Positions count within each parent's child list, so the child
         # step stays; the context it reads is the parents of the tag's
         # fragment, not every node of the plane.
-        plan = Planner(SITE).plan("//bidder[1]")
-        assert str(plan.path) == (
-            "/descendant::bidder/parent::node()/child::bidder[1]"
+        plan = plan_query("//bidder[1]", SITE)
+        assert plan.rewrites == (
+            "//-collapse → /descendant::bidder/parent::node()/child::bidder[1]",
         )
-        assert plan.pushdown_steps == (frozenset((0, 2)),)
-        plan = Planner(SITE).plan("//open_auction//bidder[last()]/increase")
-        assert str(plan.path) == (
-            "/descendant::open_auction/descendant::bidder/parent::node()"
-            "/child::bidder[last()]/child::increase"
+        assert pushed(plan) == (frozenset((0, 2)),)
+        plan = plan_query("//open_auction//bidder[last()]/increase", SITE)
+        assert plan.rewrites == (
+            "//-collapse → /descendant::open_auction/descendant::bidder/parent::node()"
+            "/child::bidder[last()]/child::increase",
         )
         # Kind tests, root tags and scoped plans keep the pair.
-        for planner, query in (
-            (Planner(SITE), "//*[1]"),
-            (Planner(SITE), "//site[1]"),
-            (Planner(None), "//bidder[1]"),
+        for query, scoped in (
+            ("//*[1]", False),
+            ("//site[1]", False),
+            ("//bidder[1]", True),
         ):
-            assert planner.plan(query).path.steps[0].axis == "descendant-or-self"
+            plan = plan_query(query, SITE, scoped)
+            assert plan.branches[0][1].axis == "descendant-or-self", query
 
     def test_scoped_planner_never_collapses(self):
         # A scoped plan re-anchors at a member root, which the root-tag
         # guard does not describe: no pair collapses, leading or not.
-        plan = Planner(None).plan("//description//keyword")
-        assert plan.path is plan.original and not plan.rewrites
+        plan = plan_query("//description//keyword", SITE, scoped=True)
+        assert plan.rewrites == ()
+        assert plan.branches == compile_plan(
+            "//description//keyword", pushdown=True, scoped=True
+        ).branches
 
     def test_context_free_predicates_run_first(self):
-        plan = Planner(SITE).plan("//a[c][7 > 0][b][count(//a) > 1]")
-        assert [str(p) for p in plan.path.steps[0].predicates] == [
+        plan = plan_query("//a[c][7 > 0][b][count(//a) > 1]", SITE)
+        assert predicates(plan) == [
             "7 > 0",
             "count(/descendant-or-self::node()/child::a) > 1",
             "child::c",
@@ -396,8 +418,7 @@ class TestDecisions:
             ("//a[c][b]", ["child::c", "child::b"]),
             ("//a[b][c]", ["child::b", "child::c"]),
         ):
-            predicates = Planner(SITE).plan(query).path.steps[0].predicates
-            assert [str(p) for p in predicates] == written
+            assert predicates(plan_query(query, SITE)) == written
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_predicate_order_is_static_context_free_first(self, engine, tmp_path):
@@ -435,8 +456,7 @@ class TestDecisions:
                 result, ran_under, _ = service.analyze(query)
                 assert ran_under is plan and result.total == 3
             assert service.explain(query) is plan
-        order = [str(p) for p in plan.path.steps[-1].predicates]
-        assert order == [
+        assert predicates(plan) == [
             "count(/descendant-or-self::node()/child::name) > 0",
             'child::name = "needle"',
             "child::status",
@@ -446,36 +466,40 @@ class TestDecisions:
         assert "feedback" not in described and "observed" not in described
 
     def test_positional_predicates_keep_their_order(self):
-        plan = Planner(SITE).plan("//open_auction[bidder][2]")
-        predicates = plan.path.steps[-1].predicates
-        assert [str(p) for p in predicates] == ["child::bidder", "2"]
-        plan = Planner(SITE).plan("//open_auction[bidder][7 > 0][2]")
-        assert [str(p) for p in plan.path.steps[-1].predicates] == [
+        plan = plan_query("//open_auction[bidder][2]", SITE)
+        select = plan.branches[0][-1]
+        assert [str(p) for p in select.step.predicates] == ["child::bidder", "2"]
+        plan = plan_query("//open_auction[bidder][7 > 0][2]", SITE)
+        select = plan.branches[0][-1]
+        assert [str(p) for p in select.step.predicates] == [
             "child::bidder", "7 > 0", "2",
         ]
 
     def test_union_plans_both_branches(self):
-        plan = Planner(SITE).plan("//seller | //buyer/name")
+        plan = plan_query("//seller | //buyer/name", SITE)
         # Pushdown is decided per branch, like a top-level path's.
-        assert plan.pushdown_steps == (frozenset((0,)), frozenset((0, 1)))
+        assert pushed(plan) == (frozenset((0,)), frozenset((0, 1)))
         # Both abbreviated branches still collapse to one step each.
-        assert len(plan.rewrites) == 2
-        assert str(plan.path) == (
-            "/descendant::seller | /descendant::buyer/child::name"
+        assert plan.rewrites == (
+            "//-collapse → /descendant::seller",
+            "//-collapse → /descendant::buyer/child::name",
         )
 
     def test_plans_are_picklable(self):
-        plan = Planner(SITE).plan("//open_auction[bidder]/seller")
+        plan = plan_query("//open_auction[bidder]/seller", SITE)
         clone = pickle.loads(pickle.dumps(plan))
-        assert isinstance(clone, QueryPlan)
+        assert isinstance(clone, PhysicalPlan) and clone.planned
         assert clone == plan
 
     def test_describe_names_rewrites_and_pushdown(self):
-        text = Planner(SITE).plan("//person/name").describe()
-        assert "rewrite: //-collapse" in text
-        assert "staircase_join_desc" in text and "PUSHDOWN" in text
-        text = Planner(SITE).plan("/site").describe()
-        assert "rewrite: none applicable" in text and "PUSHDOWN" not in text
+        text = plan_query("//person/name", SITE).describe()
+        assert text.startswith("XPath: //person/name\nrewrite: //-collapse")
+        assert "staircase_join_desc" in text
+        assert "StaircaseStep(descendant::person, pushdown)" in text
+        text = plan_query("/site", SITE).describe()
+        assert "rewrite: none applicable" in text and "pushdown" not in text
+        # One rendering: the pipeline, with no logical step listing.
+        assert "step 1:" not in text
 
 
 # ----------------------------------------------------------------------
@@ -484,7 +508,6 @@ class TestResultInvariance:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_xmark_queries(self, medium_xmark, engine):
-        planner = Planner(SITE)
         baseline = Evaluator(medium_xmark, engine=engine)
         for query in (
             "//open_auction/bidder/increase",
@@ -495,18 +518,15 @@ class TestResultInvariance:
             "//open_auction[bidder][7 > 0]/seller",
             "//bidder[1]",
         ):
-            plan = planner.plan(query)
-            planned = Evaluator(
-                medium_xmark, engine=engine, pushdown=plan.pushdown_steps
-            )
+            plan = plan_query(query, SITE)
+            runtime = Evaluator(medium_xmark, engine=engine)
             expected = baseline.evaluate(query)
-            actual = planned.evaluate(plan.path)
-            assert np.array_equal(expected, actual), query
+            assert np.array_equal(expected, drive(plan, runtime)), query
 
     def test_forced_overrides_keep_results_identical(self, tmp_path):
-        # compile_plan(pushdown=) overrides the plan's verdicts — the
-        # Figure 11(e,f) ablation: the served answer is the same either
-        # way.
+        # compile_plan(pushdown=) forces every name test below its join,
+        # or none — the Figure 11(e,f) ablation: the served answer is
+        # the same either way.
         forest = [(f"d{i}", random_tree(60, seed=30 + i)) for i in range(4)]
         store = ShardedStore.build(str(tmp_path / "forced"), forest, shards=2)
         for engine in ENGINES:
@@ -515,11 +535,10 @@ class TestResultInvariance:
                     {name: a.tobytes() for name, a in r.per_document.items()}
                     for r in service.execute_batch(PLANNER_QUERIES, use_cache=False)
                 ]
-                plans = [service.explain(query) for query in PLANNER_QUERIES]
                 for pushdown in (True, False):
                     forced = [
-                        (compile_plan(plan, pushdown=pushdown), engine, None, "materialize")
-                        for plan in plans
+                        (compile_plan(query, pushdown=pushdown), engine, None, "materialize")
+                        for query in PLANNER_QUERIES
                     ]
                     assert [
                         {name: ranks.tobytes() for name, ranks in answer.items()}

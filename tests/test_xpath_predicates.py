@@ -333,8 +333,9 @@ class TestContextFree:
         for engine in ("vectorized", "scalar"):
             with QueryService(store, engine=engine, backend="serial") as service:
                 plan = service.explain('//person[@id = "person0"][7 > 0]/name')
-            assert [str(p) for p in plan.path.steps[0].predicates] == [
-                "7 > 0", 'attribute::id = "person0"',
+            assert [str(op) for op in plan.branches[0][2:4]] == [
+                "PredicateFilter([7 > 0])",
+                'PredicateFilter([attribute::id = "person0"])',
             ]
 
     def test_false_constant_empties_the_frontier(self, dblp):

@@ -1,47 +1,47 @@
-"""Rewrite-law tests: pushdown opportunities, the symmetry rewrite, and
-the ``//``-collapse law."""
+"""Rewrite-law tests: the pushdown eligibility rule, the symmetry
+rewrite, and the ``//``-collapse law."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.encoding.prepost import encode
 from repro.xpath.evaluator import evaluate
 from repro.xpath.parser import parse_xpath
-from repro.xpath.rewrite import (
-    collapse_descendant_or_self,
-    push_name_test,
-    pushdown_opportunities,
-    symmetry_rewrite,
-)
+from repro.xpath.pipeline import pushdown_eligible
+from repro.xpath.rewrite import collapse_descendant_or_self, symmetry_rewrite
 
 from _reference import random_tree
 
 
-class TestPushdownOpportunities:
+def eligible(query):
+    """The step indices of ``query`` whose name test may run below the
+    join."""
+    path = parse_xpath(query)
+    return [
+        index
+        for index, step in enumerate(path.steps)
+        if pushdown_eligible(step, path.absolute and index == 0)
+    ]
+
+
+class TestPushdownEligible:
     def test_q1_both_steps_eligible(self):
-        path = parse_xpath("/descendant::profile/descendant::education")
-        assert pushdown_opportunities(path) == [0, 1]
+        assert eligible("/descendant::profile/descendant::education") == [0, 1]
 
     def test_q2_both_steps_eligible(self):
-        path = parse_xpath("/descendant::increase/ancestor::bidder")
-        assert pushdown_opportunities(path) == [0, 1]
+        assert eligible("/descendant::increase/ancestor::bidder") == [0, 1]
 
-    def test_predicated_step_not_eligible(self):
-        path = parse_xpath("/descendant::bidder[descendant::increase]")
-        assert pushdown_opportunities(path) == []
+    def test_predicated_step_eligible(self):
+        # The predicate filters what the pushed step returns.
+        assert eligible("/descendant::bidder[descendant::increase]") == [0]
 
     def test_kind_test_not_eligible(self):
-        path = parse_xpath("/descendant::node()")
-        assert pushdown_opportunities(path) == []
+        assert eligible("/descendant::node()") == []
 
-    def test_child_steps_not_eligible(self):
-        path = parse_xpath("/site/people/person")
-        assert pushdown_opportunities(path) == []
-
-    def test_push_name_test_returns_ast_unchanged(self):
-        path = parse_xpath("/descendant::increase/ancestor::bidder")
-        same, opportunities = push_name_test(path)
-        assert same == path
-        assert opportunities == [0, 1]
+    def test_leading_child_step_not_eligible(self):
+        # From the document node a child step has no fragment variant;
+        # below it every name-tested child step has.
+        assert eligible("/site/people/person") == [1, 2]
+        assert eligible("descendant-or-self::a/ancestor-or-self::b") == []
 
 
 class TestSymmetryRewrite:

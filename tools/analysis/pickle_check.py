@@ -47,16 +47,14 @@ def build_representatives() -> List[object]:
     from repro.service.executor import ShardResult, ShardTask
     from repro.service.updates import UpdateOp
     from repro.xpath.observation import DriveObservation, StepObservation
-    from repro.xpath.pipeline import compile_plan
-    from repro.xpath.planner import Planner
+    from repro.xpath.planner import plan_query
 
-    planner = Planner(frozenset(("collection",)))
-    materialize = compile_plan(planner.plan("//a[b]/b[2]"), mode="materialize")
-    count = compile_plan(planner.plan("//a | //b"), mode="count")
-    exists = compile_plan(planner.plan("//a"), mode="exists")
+    root_tags = frozenset(("collection",))
+    materialize = plan_query("//a[b]/b[2]", root_tags)
+    count = plan_query("//a | //b", root_tags).with_mode("count")
+    exists = plan_query("//a", root_tags).with_mode("exists")
 
     instances: List[object] = [
-        planner.plan("//a/b"),  # QueryPlan
         materialize,
         count,
         exists,

@@ -456,7 +456,6 @@ PAYLOAD_REGISTRY: Dict[str, Tuple[str, ...]] = {
     "repro.service.executor": ("ShardTask", "ShardResult"),
     "repro.service.updates": ("UpdateOp",),
     "repro.xpath.observation": ("StepObservation", "DriveObservation"),
-    "repro.xpath.planner": ("QueryPlan",),
     "repro.xpath.pipeline": (
         "ContextInit",
         "StaircaseStep",
